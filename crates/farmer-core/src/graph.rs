@@ -56,7 +56,8 @@
 //! | edge-update full-node miss | O(d) min-scan | O(1) reject via cached weakest / O(d) admit |
 //! | `age` | O(n_max_id + e) sweep | O(1) |
 //! | `prune_below` | O(n_max_id + e) | O(n + e), skips `p·sim_lb ≥ floor` nodes |
-//! | `retain_edges` / `heap_bytes` | O(n_max_id + e) | O(n + e) |
+//! | `remove_edges_to_any` | O(n_max_id + e) | O(n) id reads, O(touched) writes |
+//! | `heap_bytes` | O(n_max_id + e) | O(n + e) |
 //! | `active_nodes` | O(n_max_id) scan | O(1) |
 //! | resident memory | O(max file id) | O(active nodes) |
 
@@ -68,6 +69,11 @@ use crate::miner;
 
 /// Sentinel for "weakest-edge index unknown / no edges".
 const NO_EDGE: u32 = u32::MAX;
+
+/// log2 of the victim prefilter's width in bits (128 bytes of stack): an
+/// eviction batch (`node_cap / 64` victims, 64 by default) sets under 7 %
+/// of them; a larger set only sends more ids on to the exact search.
+const FILTER_BITS_LOG2: u32 = 10;
 
 /// First index in the sorted slice not less than `to` — a forward scan
 /// with early exit: for a capped successor list (16 ids = one cache line)
@@ -224,9 +230,12 @@ impl Node {
         let mut keep_at = 0;
         for r in 0..before {
             if keep(self.tos[r], &self.edges[r]) {
-                self.tos[keep_at] = self.tos[r];
-                self.edges[keep_at] = self.edges[r];
-                self.degs[keep_at] = self.degs[r];
+                // Until the first drop every kept edge is already in place.
+                if keep_at != r {
+                    self.tos[keep_at] = self.tos[r];
+                    self.edges[keep_at] = self.edges[r];
+                    self.degs[keep_at] = self.degs[r];
+                }
                 keep_at += 1;
             }
         }
@@ -784,8 +793,9 @@ impl CorrelationGraph {
     /// Drop every outgoing edge of `file` and reset its access count,
     /// releasing the node slot (and its storage) entirely. Incoming edges
     /// are untouched — pair with [`CorrelationGraph::remove_edges_to`] (or
-    /// a batched [`CorrelationGraph::retain_edges`] sweep) for full node
-    /// eviction. Returns the number of edges removed.
+    /// one [`CorrelationGraph::remove_edges_to_any`] sweep for a whole
+    /// batch of victims) for full node eviction. Returns the number of
+    /// edges removed.
     pub fn clear_node(&mut self, file: FileId) -> usize {
         self.epoch += 1;
         match self.slot_of(file) {
@@ -799,17 +809,41 @@ impl CorrelationGraph {
         }
     }
 
-    /// Keep only edges for which `keep(from, to)` holds; one sweep over the
-    /// live nodes, so batch evictions can clean the incoming edges of many
-    /// victims at once. Returns the number of edges removed.
-    pub fn retain_edges(&mut self, mut keep: impl FnMut(FileId, FileId) -> bool) -> usize {
+    /// Drop every edge pointing at a file in `victims`, which must be sorted
+    /// ascending (duplicates and unknown ids are harmless), and free every
+    /// slot left inactive. Returns the number of edges removed.
+    ///
+    /// One pass in slab order that reads only each node's compact `tos`
+    /// line — a hashed bitset of the victims first, the sorted slice on a
+    /// bit hit — and rewrites only nodes that hold a doomed successor:
+    /// O(n) id reads plus writes proportional to what is removed.
+    pub fn remove_edges_to_any(&mut self, victims: &[FileId]) -> usize {
+        debug_assert!(victims.windows(2).all(|w| w[0] <= w[1]), "unsorted");
         self.epoch += 1;
+        // Fibonacci hashing: it spreads the dense id runs traces produce
+        // evenly (the Fx multiplier clusters them, doubling the false hits).
+        let bit = |id: u32| (id.wrapping_mul(0x9E37_79B1) >> (32 - FILTER_BITS_LOG2)) as usize;
+        let mut filter = [0u64; (1 << FILTER_BITS_LOG2) / 64];
+        for v in victims {
+            let b = bit(v.raw());
+            filter[b / 64] |= 1 << (b % 64);
+        }
+        let doomed = |to: u32| {
+            let b = bit(to);
+            filter[b / 64] & (1 << (b % 64)) != 0 && victims.binary_search(&FileId::new(to)).is_ok()
+        };
         let mut removed = 0;
         let mut s = 0;
         while s < self.slots.len() {
+            // The slab streams; each node's id line is a separate heap
+            // block and the pass's one cold load, so fetch it ahead.
+            if let Some(t) = self.slots.get(s + 8).and_then(|n| n.tos.first()) {
+                prefetch_read(t);
+            }
             let node = &mut self.slots[s];
-            let from = FileId::new(node.id);
-            removed += node.compact(|to, _| keep(from, FileId::new(to)));
+            if node.tos.iter().any(|&to| doomed(to)) {
+                removed += node.compact(|to, _| !doomed(to));
+            }
             if node.is_inactive() {
                 self.free_slot(s);
             } else {
@@ -822,7 +856,7 @@ impl CorrelationGraph {
 
     /// Drop every edge pointing at `to`. Returns the number removed.
     pub fn remove_edges_to(&mut self, to: FileId) -> usize {
-        self.retain_edges(|_, t| t != to)
+        self.remove_edges_to_any(&[to])
     }
 
     /// Number of *active* nodes: files with a positive access count or at
@@ -964,6 +998,32 @@ mod tests {
 
     fn cfg() -> FarmerConfig {
         FarmerConfig::default()
+    }
+
+    impl CorrelationGraph {
+        /// The closure-driven sweep [`CorrelationGraph::remove_edges_to_any`]
+        /// replaced, kept as the reference the differential tests compare
+        /// against: every node is compacted through `keep`, hit or not.
+        pub(crate) fn retain_edges_reference(
+            &mut self,
+            mut keep: impl FnMut(FileId, FileId) -> bool,
+        ) -> usize {
+            self.epoch += 1;
+            let mut removed = 0;
+            let mut s = 0;
+            while s < self.slots.len() {
+                let node = &mut self.slots[s];
+                let from = FileId::new(node.id);
+                removed += node.compact(|to, _| keep(from, FileId::new(to)));
+                if node.is_inactive() {
+                    self.free_slot(s);
+                } else {
+                    s += 1;
+                }
+            }
+            self.num_edges -= removed;
+            removed
+        }
     }
 
     #[test]
@@ -1316,19 +1376,23 @@ mod tests {
     }
 
     #[test]
-    fn retain_edges_batch_sweep() {
+    fn remove_edges_to_any_batch_sweep() {
         let mut g = CorrelationGraph::new();
         let c = cfg();
         for to in 1..5 {
             g.update_edge(f(0), f(to), 1.0, 0.5, &c);
         }
-        let removed = g.retain_edges(|_, to| to.raw() % 2 == 0);
+        // Duplicates and ids nothing points at are harmless.
+        let removed = g.remove_edges_to_any(&[f(1), f(3), f(3), f(77)]);
         assert_eq!(removed, 2);
         assert_eq!(g.num_edges(), 2);
+        let succs: Vec<u32> = g.edges(f(0), &c).map(|e| e.to.raw()).collect();
+        assert_eq!(succs, vec![2, 4]);
+        assert_eq!(g.remove_edges_to_any(&[]), 0);
     }
 
     #[test]
-    fn retain_edges_frees_emptied_unaccessed_nodes() {
+    fn remove_edges_to_frees_emptied_unaccessed_nodes() {
         let mut g = CorrelationGraph::new();
         let c = cfg();
         // Node 0 has accesses (stays active when emptied); node 1 does not.
@@ -1339,6 +1403,23 @@ mod tests {
         g.remove_edges_to(f(9));
         assert_eq!(g.active_nodes(), 1);
         assert_eq!(g.total_accesses(f(0)), 1.0);
+    }
+
+    #[test]
+    fn compact_keeps_weakest_cache_when_nothing_drops() {
+        // A visit that drops nothing must leave the node exactly as it
+        // was, incremental weakest-edge cache included.
+        let mut g = CorrelationGraph::new();
+        let mut c = cfg();
+        c.max_successors = 2;
+        g.update_edge(f(0), f(1), 1.0, 0.2, &c);
+        g.update_edge(f(0), f(2), 1.0, 0.9, &c);
+        g.update_edge(f(0), f(3), 1.0, 0.5, &c); // cap admit: cache now live
+        let before = (g.export_state().nodes, g.slots[0].weakest);
+        assert_ne!(before.1, NO_EDGE);
+        assert_eq!(g.slots[0].compact(|_, _| true), 0);
+        assert_eq!(g.remove_edges_to_any(&[f(7)]), 0);
+        assert_eq!(before, (g.export_state().nodes, g.slots[0].weakest));
     }
 
     #[test]

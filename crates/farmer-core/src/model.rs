@@ -144,6 +144,8 @@ pub struct Farmer {
     /// Reusable per-event batch of predecessor updates (no allocation on
     /// the hot path after warm-up).
     scratch: Vec<PredUpdate>,
+    /// Reusable sorted victim list of [`Farmer::forget_files`].
+    victims: Vec<FileId>,
     /// Sorted-view cache serving the [`CorrelationSource`] queries.
     /// Interior mutability keeps the whole read API `&self` (consumers
     /// share the model behind `&dyn CorrelationSource`).
@@ -166,6 +168,7 @@ impl Farmer {
             lda_key,
             sim_key: (cfg_sim_key.0, cfg_sim_key.1),
             scratch: Vec::new(),
+            victims: Vec::new(),
             cache: RefCell::new(QueryCache::default()),
             observed: 0,
         }
@@ -357,26 +360,29 @@ impl Farmer {
     }
 
     /// Batched [`Farmer::forget_file`]: evicts every file in `files` with a
-    /// *single* sweep over the graph for the incoming-edge cleanup, which
-    /// is what makes streaming eviction affordable — the sweep cost is paid
-    /// once per batch instead of once per victim. Returns the number of
-    /// edges removed.
+    /// *single* pass over the graph for the incoming-edge cleanup
+    /// ([`CorrelationGraph::remove_edges_to_any`]: one id line read per
+    /// live node, only nodes that lose an edge rewritten), paid once per
+    /// batch instead of once per victim and allocation-free after the
+    /// first call. Returns the number of edges removed.
     pub fn forget_files(&mut self, files: &[FileId]) -> usize {
         if files.is_empty() {
             return 0;
         }
-        let mut victims: Vec<u32> = files.iter().map(|f| f.raw()).collect();
+        let victims = &mut self.victims;
+        victims.clear();
+        victims.extend_from_slice(files);
         victims.sort_unstable();
         victims.dedup();
-        let gone = |f: FileId| victims.binary_search(&f.raw()).is_ok();
 
         let mut removed = 0;
-        for &raw in &victims {
-            self.paths.remove(&raw);
-            removed += self.graph.clear_node(FileId::new(raw));
+        for &file in victims.iter() {
+            self.paths.remove(&file.raw());
+            removed += self.graph.clear_node(file);
         }
-        removed += self.graph.retain_edges(|_, to| !gone(to));
-        self.window.retain(|r| !gone(r.req.file));
+        removed += self.graph.remove_edges_to_any(victims);
+        self.window
+            .retain(|r| victims.binary_search(&r.req.file).is_err());
         removed
     }
 
@@ -402,6 +408,7 @@ impl Farmer {
             + views
             + self.window.capacity() * std::mem::size_of::<WindowEntry>()
             + self.scratch.capacity() * std::mem::size_of::<PredUpdate>()
+            + self.victims.capacity() * std::mem::size_of::<FileId>()
             + self.lda.capacity() * std::mem::size_of::<f64>()
     }
 
@@ -897,6 +904,71 @@ mod tests {
             batched.graph().active_nodes(),
             sequential.graph().active_nodes()
         );
+    }
+
+    /// `forget_files` as it was before the id-only sweep: same node clears
+    /// and window cleanup, but the incoming edges go through the
+    /// closure-driven compaction of every node.
+    fn forget_files_reference(f: &mut Farmer, files: &[FileId]) -> usize {
+        let mut victims: Vec<u32> = files.iter().map(|f| f.raw()).collect();
+        victims.sort_unstable();
+        victims.dedup();
+        let gone = |f: FileId| victims.binary_search(&f.raw()).is_ok();
+        let mut removed = 0;
+        for &raw in &victims {
+            f.paths.remove(&raw);
+            removed += f.graph.clear_node(FileId::new(raw));
+        }
+        removed += f.graph.retain_edges_reference(|_, to| !gone(to));
+        f.window.retain(|r| !gone(r.req.file));
+        removed
+    }
+
+    #[test]
+    fn forget_sweep_matches_retain_edges_reference_bit_for_bit() {
+        // Interleaved observe / age / prune / forget on both halves of a
+        // two-way ownership partition: the state image — slab order, epoch
+        // and every accumulator bit — must be what the old sweep left.
+        let cfg = FarmerConfig {
+            max_successors: 4,
+            prune_interval: 64,
+            prune_floor: 0.2,
+            decay: 0.9,
+            ..FarmerConfig::default()
+        };
+        for part in 0..2u32 {
+            let owns = move |f: FileId| f.raw() % 2 == part;
+            let mut new = Farmer::new(cfg.clone());
+            let mut old = Farmer::new(cfg.clone());
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 + u64::from(part);
+            let mut next = |n: u64| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % n) as u32
+            };
+            let mut removed = 0;
+            for i in 0..6000 {
+                let r = req(next(48), next(3), next(2), 0);
+                new.observe_where(r, None, owns);
+                old.observe_where(r, None, owns);
+                if i % 29 == 0 {
+                    assert_eq!(new.prune(), old.prune());
+                }
+                if i % 37 == 0 {
+                    // Duplicates, a never-observed id, and neighbours that
+                    // are each other's successors.
+                    let a = next(47);
+                    let victims = [a + 1, a, 1000 + a, a, next(48)].map(FileId::new);
+                    let n = new.forget_files(&victims);
+                    assert_eq!(n, forget_files_reference(&mut old, &victims));
+                    assert_eq!(new.export_state(), old.export_state(), "step {i}");
+                    removed += n;
+                }
+            }
+            assert_eq!(new.export_state(), old.export_state());
+            assert!(removed > 100, "only {removed} edges removed");
+        }
     }
 
     #[test]

@@ -90,6 +90,10 @@ pub struct StreamMiner {
     events_seen: u64,
     owned_events: u64,
     evictions: u64,
+    /// Reused [`StreamMiner::evict_batch`] scratch (the counters flattened
+    /// for selection, the victims selected); never part of [`MinerState`].
+    evict_entries: Vec<(u32, f64)>,
+    evict_victims: Vec<FileId>,
     obs: StreamMetrics,
 }
 
@@ -115,6 +119,8 @@ impl StreamMiner {
             events_seen: 0,
             owned_events: 0,
             evictions: 0,
+            evict_entries: Vec::new(),
+            evict_victims: Vec::new(),
             obs: StreamMetrics::default(),
         }
     }
@@ -197,24 +203,22 @@ impl StreamMiner {
         if batch == 0 {
             return;
         }
-        let mut entries: Vec<(u32, f64)> = self.counts.iter().map(|(&f, &c)| (f, c)).collect();
+        let entries = &mut self.evict_entries;
+        entries.clear();
+        entries.extend(self.counts.iter().map(|(&f, &c)| (f, c)));
         // Break count ties by file id: the victim *set* must be a pure
         // function of the counter contents, never of hash-map iteration
         // order — a checkpoint-restored miner rebuilds the map with a
         // different insertion history and must still evict identically.
         entries.select_nth_unstable_by(batch - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        let victims: Vec<FileId> = entries[..batch]
-            .iter()
-            .map(|&(f, _)| FileId::new(f))
-            .collect();
-        let evicted_max = entries[..batch]
-            .iter()
-            .map(|&(_, c)| c)
-            .fold(self.count_floor, f64::max);
-        for v in &victims {
-            self.counts.remove(&v.raw());
+        let mut evicted_max = self.count_floor;
+        self.evict_victims.clear();
+        for &(f, c) in &entries[..batch] {
+            evicted_max = evicted_max.max(c);
+            self.counts.remove(&f);
+            self.evict_victims.push(FileId::new(f));
         }
-        self.farmer.forget_files(&victims);
+        self.farmer.forget_files(&self.evict_victims);
         self.count_floor = evicted_max;
         self.evictions += batch as u64;
         self.obs.evictions.add(batch as u64);
@@ -288,6 +292,8 @@ impl StreamMiner {
             events_seen: state.events_seen,
             owned_events: state.owned_events,
             evictions: state.evictions,
+            evict_entries: Vec::new(),
+            evict_victims: Vec::new(),
             obs: StreamMetrics::default(),
         }
     }
@@ -318,10 +324,13 @@ impl StreamMiner {
         self.evictions
     }
 
-    /// Approximate resident heap bytes: the wrapped model plus the
-    /// counter table.
+    /// Approximate resident heap bytes: the wrapped model, the counter
+    /// table and the eviction scratch.
     pub fn state_bytes(&self) -> usize {
-        self.farmer.memory_bytes() + self.counts.len() * (std::mem::size_of::<(u32, f64)>() + 8)
+        self.farmer.memory_bytes()
+            + self.counts.len() * (std::mem::size_of::<(u32, f64)>() + 8)
+            + self.evict_entries.capacity() * std::mem::size_of::<(u32, f64)>()
+            + self.evict_victims.capacity() * std::mem::size_of::<FileId>()
     }
 
     /// The active configuration.
@@ -520,6 +529,69 @@ mod tests {
             "restored miner diverged from the original"
         );
         assert_eq!(original.export_state(), restored.export_state());
+    }
+
+    #[test]
+    fn restored_miner_matches_after_every_eviction_batch() {
+        // Tiny cap, both decays on: the restored miner starts with empty
+        // scratch, a rebuilt counter map and stale weakest caches, and
+        // must still leave the same image after each eviction batch — not
+        // only at the end of the stream.
+        let trace = WorkloadSpec::hp().scaled(0.02).generate();
+        let mut cfg = small_cfg(64);
+        cfg.count_decay = 0.9;
+        cfg.decay_interval = 97;
+        cfg.farmer.decay = 0.9;
+        cfg.farmer.prune_interval = 512;
+        let mut original = StreamMiner::new(cfg.clone());
+        let cut = trace.len() / 2;
+        for e in &trace.events[..cut] {
+            original.ingest_event(&trace, e);
+        }
+        assert!(original.evictions() > 0, "no pressure before the cut");
+        let mut restored = StreamMiner::from_state(cfg, &original.export_state());
+        let mut batches = 0;
+        for e in &trace.events[cut..] {
+            let before = original.evictions();
+            original.ingest_event(&trace, e);
+            restored.ingest_event(&trace, e);
+            if original.evictions() != before {
+                batches += 1;
+                assert_eq!(
+                    original.export_state(),
+                    restored.export_state(),
+                    "diverged at eviction batch {batches} after the restore"
+                );
+            }
+        }
+        assert!(
+            batches > 100,
+            "only {batches} eviction batches after the cut"
+        );
+        assert_eq!(original.export_state(), restored.export_state());
+    }
+
+    #[test]
+    fn eviction_scratch_stops_growing_after_first_batch() {
+        let mut m = StreamMiner::new(small_cfg(256));
+        let mut next_file = 0u32;
+        let mut evict_once = |m: &mut StreamMiner| {
+            let before = m.evictions();
+            while m.evictions() == before {
+                m.ingest(req(next_file, next_file % 5), None);
+                next_file += 1;
+            }
+        };
+        evict_once(&mut m);
+        let caps = (m.evict_entries.capacity(), m.evict_victims.capacity());
+        assert!(caps.0 >= 256 && caps.1 >= m.config().effective_evict_batch());
+        for _ in 0..100 {
+            evict_once(&mut m);
+        }
+        assert_eq!(
+            caps,
+            (m.evict_entries.capacity(), m.evict_victims.capacity())
+        );
     }
 
     #[test]

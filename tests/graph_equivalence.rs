@@ -5,10 +5,11 @@
 //! graph's *semantics*: nodes in an id-keyed map, eager decay (every `age`
 //! multiplies every accumulator immediately), full scans everywhere, and
 //! cap eviction by minimum `(degree at last touch, successor id)`. Random
-//! request streams — with forgets, pruning, aging and sparsely spread file
-//! ids — are driven through both; edge sets, masses, similarity means,
-//! degrees, totals and active-node counts must agree within 1e-9 (the only
-//! divergence source is eager multiply vs. `exp(Σ ln f)` rescaling).
+//! request streams — with single and batched forgets, pruning, aging and
+//! sparsely spread file ids — are driven through both; edge sets, masses,
+//! similarity means, degrees, totals and active-node counts must agree
+//! within 1e-9 (the only divergence source is eager multiply vs.
+//! `exp(Σ ln f)` rescaling).
 
 use std::collections::BTreeMap;
 
@@ -132,13 +133,15 @@ impl Oracle {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Op {
     Access(u32),
     Edge(u32, u32, f64, f64),
     Age(f64),
     Prune(f64),
     Forget(u32),
+    /// A batch of victims for one `remove_edges_to_any` sweep.
+    ForgetMany(Vec<u32>),
 }
 
 /// Decode one raw sample into an operation. The kind space is weighted
@@ -154,7 +157,16 @@ fn decode(kind: u8, a: u32, b: u32, wi: u8, si: u8) -> Op {
         5..=13 => Op::Edge(a, b, WEIGHTS[wi as usize % 3], SIMS[si as usize % 4]),
         14 => Op::Age(AGES[wi as usize % 3]),
         15 => Op::Prune(FLOORS[si as usize % 3]),
-        _ => Op::Forget(a),
+        16..=17 => Op::Forget(a),
+        // A duplicate, a likely edge pair (`a`, `b`: victims that are each
+        // other's successors), a neighbour, and an id no stream ever uses.
+        _ => Op::ForgetMany(vec![
+            a,
+            b,
+            a,
+            (a + 1 + u32::from(wi)) % 24,
+            24 + u32::from(si),
+        ]),
     }
 }
 
@@ -209,7 +221,11 @@ fn check_equal(g: &CorrelationGraph, o: &Oracle, cfg: &FarmerConfig) {
     }
 }
 
-fn run_stream(raw_ops: &[(u8, u32, u32, u8, u8)], cfg: &FarmerConfig, map_id: impl Fn(u32) -> u32) {
+fn run_stream(
+    raw_ops: &[(u8, u32, u32, u8, u8)],
+    cfg: &FarmerConfig,
+    map_id: impl Fn(u32) -> u32,
+) -> CorrelationGraph {
     let mut g = CorrelationGraph::new();
     let mut o = Oracle::default();
     for (i, &(kind, a, b, wi, si)) in raw_ops.iter().enumerate() {
@@ -238,12 +254,48 @@ fn run_stream(raw_ops: &[(u8, u32, u32, u8, u8)], cfg: &FarmerConfig, map_id: im
                 g.remove_edges_to(FileId::new(id));
                 o.forget(id);
             }
+            Op::ForgetMany(ids) => {
+                let mut victims: Vec<FileId> =
+                    ids.iter().map(|&a| FileId::new(map_id(a))).collect();
+                for &v in &victims {
+                    g.clear_node(v);
+                    o.forget(v.raw());
+                }
+                victims.sort_unstable(); // the sweep's one precondition
+                g.remove_edges_to_any(&victims);
+            }
         }
         if i % 16 == 0 {
             check_equal(&g, &o, cfg);
         }
     }
     check_equal(&g, &o, cfg);
+    g
+}
+
+/// The batched sweep on the cases a random stream reaches only by luck:
+/// a victim whose only predecessors were never accessed (emptying them
+/// must free their slots mid-sweep, which swap-moves later nodes under the
+/// cursor), next to predecessors that stay because they have accesses or
+/// other successors.
+#[test]
+fn forget_many_frees_emptied_never_accessed_predecessors() {
+    let cfg = FarmerConfig::default();
+    let mut ops = vec![(0, 1, 0, 0, 0)]; // Access(1): stays when emptied
+    for from in 0..12 {
+        ops.push((5, from, 20, 0, 2)); // Edge(from, 20)
+    }
+    ops.push((5, 3, 7, 0, 2)); // Edge(3, 7): 3 keeps a successor
+    ops.push((5, 20, 21, 0, 2)); // victims 20 and 21 are
+    ops.push((5, 21, 20, 0, 2)); // each other's successors
+    ops.push((18, 20, 21, 0, 0)); // ForgetMany([20, 21, 20, 21, 24])
+    let maps: [fn(u32) -> u32; 2] = [|id| id, sparse_id];
+    for map_id in maps {
+        let g = run_stream(&ops, &cfg, map_id);
+        assert_eq!(g.active_nodes(), 2, "nodes 1 and 3 survive");
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.total_accesses(FileId::new(map_id(1))), 1.0);
+    }
 }
 
 proptest! {
@@ -252,7 +304,7 @@ proptest! {
     /// Dense ids: the slotted graph matches the dense oracle op for op.
     #[test]
     fn sparse_graph_matches_dense_oracle(
-        ops in proptest::collection::vec((0u8..18, 0u32..24, 0u32..24, 0u8..3, 0u8..4), 1..400),
+        ops in proptest::collection::vec((0u8..20, 0u32..24, 0u32..24, 0u8..3, 0u8..4), 1..400),
     ) {
         let mut cfg = FarmerConfig::default();
         cfg.max_successors = 3; // small cap: eviction churn on every node
@@ -263,7 +315,7 @@ proptest! {
     /// resident memory a dense spine could never sustain.
     #[test]
     fn sparse_ids_match_oracle_and_stay_compact(
-        ops in proptest::collection::vec((0u8..18, 0u32..24, 0u32..24, 0u8..3, 0u8..4), 1..400),
+        ops in proptest::collection::vec((0u8..20, 0u32..24, 0u32..24, 0u8..3, 0u8..4), 1..400),
     ) {
         let mut cfg = FarmerConfig::default();
         cfg.max_successors = 3;
