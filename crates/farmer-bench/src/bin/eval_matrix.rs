@@ -32,10 +32,11 @@ use farmer_bench::evalmatrix::{
 };
 use farmer_bench::faults::FAILURE_MODES;
 use farmer_bench::format::{obs_json, BenchArgs, Json};
+use farmer_bench::lockstep::{serve_online, OnlineConfig};
 use farmer_bench::refmodel::{self, Profile, QUICK_SCALE};
-use farmer_mds::{replay_online_instrumented, ReplayConfig};
+use farmer_mds::ReplayConfig;
 use farmer_obs::Registry;
-use farmer_prefetch::{FpaPredictor, OnlineConfig};
+use farmer_prefetch::SimConfig;
 use farmer_stream::{recover_instrumented, DurableConfig, DurableMiner, StreamConfig};
 use farmer_trace::Op;
 
@@ -145,12 +146,12 @@ fn json_cell(c: &Cell, profile: Profile) -> Json {
     j
 }
 
-/// One fully instrumented serving leg whose metric registry is embedded
+/// One fully instrumented online cell whose metric registry is embedded
 /// in the record as the top-level `obs` object: the `base` scenario at a
-/// small fixed scale through the online replay path, so the dump shows
+/// small fixed scale through the lockstep driver, so the dump shows
 /// every registry scope the pipeline exports (`stream.*`, `online.*`,
-/// `fpa.*`, `cache.*`, `store.*`, `mds.*`). Quality counters in the dump
-/// are deterministic; `*_ns` histograms are wall-clock and machine-
+/// `sim.cache.*`, `cache.*`, `store.*`, `mds.*`). Quality counters in the
+/// dump are deterministic; `*_ns` histograms are wall-clock and machine-
 /// dependent, like `events_per_sec`.
 fn obs_demo() -> farmer_obs::ObsReport {
     let trace = build_scenario("base", 0.05);
@@ -161,14 +162,9 @@ fn obs_demo() -> farmer_obs::ObsReport {
     let online = OnlineConfig::every(stream, (trace.len() / 8).max(1));
     let mut rep_cfg = ReplayConfig::for_family(trace.family);
     rep_cfg.num_phases = PHASES;
+    let sim_cfg = SimConfig::for_family(trace.family).with_phases(PHASES);
     let reg = Registry::enabled();
-    let _ = replay_online_instrumented(
-        &trace,
-        Box::new(FpaPredictor::for_trace(&trace)),
-        rep_cfg,
-        &online,
-        &reg,
-    );
+    let _ = serve_online(&trace, &online, (sim_cfg, rep_cfg), &reg);
     reg.snapshot()
 }
 

@@ -1,12 +1,15 @@
-//! Run every experiment in sequence — the one-command reproduction.
+//! Run the paper's experiments — the one-command reproduction.
 //!
 //! ```text
-//! cargo run --release -p farmer-bench --bin repro            # full scale
-//! cargo run --release -p farmer-bench --bin repro -- 0.2     # smoke run
+//! cargo run --release -p farmer-bench --bin repro                     # everything, full scale
+//! cargo run --release -p farmer-bench --bin repro -- 0.2              # smoke run
+//! cargo run --release -p farmer-bench --bin repro -- 0.2 --only fig7  # one table/figure
 //! ```
 //!
-//! Output mirrors EXPERIMENTS.md: for each paper table/figure, the
-//! measured values with the paper's reference numbers where applicable.
+//! For each paper table/figure, prints the measured values with the
+//! paper's reference numbers ([`farmer_bench::paper`]) where the paper
+//! reports them. `--only <name>` runs a single section ([`SECTIONS`]); an
+//! unknown name exits non-zero listing the valid ones.
 
 use std::time::Instant;
 
@@ -16,19 +19,52 @@ use farmer_bench::paper;
 use farmer_bench::scale_from_args;
 use farmer_trace::TraceFamily;
 
-fn section(title: &str) {
-    println!(
-        "\n=== {title} {}",
-        "=".repeat(66usize.saturating_sub(title.len()))
-    );
+/// One paper table/figure: its `--only` name, heading and body.
+struct Section {
+    name: &'static str,
+    title: &'static str,
+    run: fn(f64),
 }
 
-fn main() {
-    let scale = scale_from_args();
-    let t0 = Instant::now();
-    println!("FARMER reproduction suite (scale {scale})");
+const fn sec(name: &'static str, title: &'static str, run: fn(f64)) -> Section {
+    Section { name, title, run }
+}
 
-    section("Figure 1: inter-file access probability by attribute filter");
+/// Every section, in run order.
+const SECTIONS: [Section; 10] = [
+    sec(
+        "fig1",
+        "Figure 1: inter-file access probability by attribute filter",
+        fig1,
+    ),
+    sec(
+        "table2",
+        "Table 2: DPA vs IPA worked example (exact)",
+        table2,
+    ),
+    sec(
+        "fig3",
+        "Figure 3: hit ratio vs max_strength for p in {0, 0.3, 0.7, 1}",
+        fig3,
+    ),
+    sec(
+        "table5",
+        "Table 5: hit ratio per attribute combination",
+        table5,
+    ),
+    sec("fig6", "Figure 6: avg response vs max_strength (HP)", fig6),
+    sec("fig7", "Figure 7: cache hit ratio comparison", fig7),
+    sec("table3", "Table 3: prefetching accuracy (HP)", table3),
+    sec(
+        "fig8",
+        "Figure 8: average response time (LLNL, RES, HP)",
+        fig8,
+    ),
+    sec("table4", "Table 4: space overhead", table4),
+    sec("ablations", "Ablations", ablations),
+];
+
+fn fig1(scale: f64) {
     for (family, rows) in ex::fig1(scale) {
         let cells: Vec<String> = rows
             .iter()
@@ -37,16 +73,18 @@ fn main() {
         println!("  {:<5} {}", family.name(), cells.join("  "));
     }
     println!("  paper shape: `none` lowest in every trace");
+}
 
-    section("Table 2: DPA vs IPA worked example (exact)");
+fn table2(_scale: f64) {
     for (row, (_, dpa_ref, ipa_ref)) in ex::table2().iter().zip(paper::TABLE2) {
         println!(
             "  {:<9} DPA {:.4} (paper {:.4})   IPA {:.4} (paper {:.4})",
             row.pair, row.dpa, dpa_ref, row.ipa, ipa_ref
         );
     }
+}
 
-    section("Figure 3: hit ratio vs max_strength for p in {0, 0.3, 0.7, 1}");
+fn fig3(scale: f64) {
     let series = ex::fig3(scale);
     for family in TraceFamily::ALL {
         let best = ex::fig3_best_p(&series, family);
@@ -60,8 +98,9 @@ fn main() {
             paper::FIG3_BEST_P
         );
     }
+}
 
-    section("Table 5: hit ratio per attribute combination");
+fn table5(scale: f64) {
     for family in [TraceFamily::Hp, TraceFamily::Ins, TraceFamily::Res] {
         let rows = ex::table5(family, scale);
         let mut t = TextTable::new(&["combination", "hit ratio"]);
@@ -70,8 +109,9 @@ fn main() {
         }
         println!("{} trace:\n{}", family.name(), t.render());
     }
+}
 
-    section("Figure 6: avg response vs max_strength (HP)");
+fn fig6(scale: f64) {
     for (thr, resp) in ex::fig6(scale) {
         println!("  max_strength {thr:.1}  ->  {}", ms(resp));
     }
@@ -79,8 +119,9 @@ fn main() {
         "  paper shape: flat below {}, rising above",
         paper::FIG6_KNEE
     );
+}
 
-    section("Figure 7: cache hit ratio comparison");
+fn fig7(scale: f64) {
     for r in ex::fig7(scale) {
         println!(
             "  {:<5} LRU {}  Nexus {}  FPA {}  (FPA-Nexus {:+.1} pts; accuracies N {} / F {})",
@@ -93,8 +134,9 @@ fn main() {
             pct(r.fpa_accuracy),
         );
     }
+}
 
-    section("Table 3: prefetching accuracy (HP)");
+fn table3(scale: f64) {
     let (fpa_acc, nexus_acc) = ex::table3(scale);
     println!(
         "  FARMER {} (paper {})   Nexus {} (paper {})",
@@ -103,8 +145,9 @@ fn main() {
         pct(nexus_acc),
         pct(paper::TABLE3_NEXUS_ACCURACY)
     );
+}
 
-    section("Figure 8: average response time (LLNL, RES, HP)");
+fn fig8(scale: f64) {
     for r in ex::fig8(scale) {
         println!(
             "  {:<5} LRU {}  Nexus {}  FPA {}  (vs Nexus {:.0}%, vs LRU {:.0}%)",
@@ -121,8 +164,9 @@ fn main() {
         100.0 * paper::FIG8_VS_NEXUS_MAX,
         100.0 * paper::FIG8_VS_LRU_MAX
     );
+}
 
-    section("Table 4: space overhead");
+fn table4(scale: f64) {
     for (family, bytes) in ex::table4(scale) {
         let p = paper::TABLE4_SPACE_MB
             .iter()
@@ -135,8 +179,9 @@ fn main() {
             mb(bytes)
         );
     }
+}
 
-    section("Ablations");
+fn ablations(scale: f64) {
     println!(
         "  FPA(p=0) vs Nexus top-successor agreement: {}",
         pct(ex::reduction_p0_matches_nexus(scale))
@@ -147,6 +192,11 @@ fn main() {
         pct(dpa),
         pct(ipa)
     );
+    let windows: Vec<String> = ex::ablation_window(scale, &[1, 2, 3, 5, 8, 12])
+        .iter()
+        .map(|&(w, h)| format!("{w}={}", pct(h)))
+        .collect();
+    println!("  look-ahead window (HP hit ratio): {}", windows.join("  "));
     let (scattered, grouped) = ex::layout_experiment(scale);
     println!(
         "  layout: {} -> {} seeks ({:.0}% saved)",
@@ -154,6 +204,43 @@ fn main() {
         grouped.seeks,
         100.0 * (1.0 - grouped.seeks as f64 / scattered.seeks as f64)
     );
+}
 
+fn section(title: &str) {
+    println!(
+        "\n=== {title} {}",
+        "=".repeat(66usize.saturating_sub(title.len()))
+    );
+}
+
+/// The `--only <name>` selection, if given; exits 2 on a missing or
+/// unknown name.
+fn only_from_args() -> Option<&'static str> {
+    let args: Vec<String> = std::env::args().collect();
+    let at = args.iter().position(|a| a == "--only")?;
+    let wanted = args.get(at + 1).map_or("", String::as_str);
+    let found = SECTIONS.iter().find(|s| s.name == wanted);
+    if found.is_none() {
+        let names: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
+        eprintln!(
+            "repro: --only needs one of: {} (got {wanted:?})",
+            names.join(", ")
+        );
+        std::process::exit(2);
+    }
+    found.map(|s| s.name)
+}
+
+fn main() {
+    let scale = scale_from_args();
+    let only = only_from_args();
+    let t0 = Instant::now();
+    println!("FARMER reproduction suite (scale {scale})");
+    for s in &SECTIONS {
+        if only.is_none_or(|o| o == s.name) {
+            section(s.title);
+            (s.run)(scale);
+        }
+    }
     println!("\ncompleted in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -45,10 +45,10 @@
 //!   band is consulted. These modes mine the **whole** trace and then
 //!   serve from the frozen final snapshot — an oracle that has seen the
 //!   future.
-//! * **Online serving modes** (`online8`, `online64`,
-//!   [`farmer_prefetch::simulate_online`] / `farmer_mds::replay_online`):
-//!   a live [`ShardedMiner`] is co-driven with the simulation and a fresh
-//!   [`StreamSnapshot`] is swapped into the predictor every
+//! * **Online serving modes** (`online8`, `online64`, driven by
+//!   [`crate::lockstep::Lockstep`]): one live [`ShardedMiner`] is fed the
+//!   stream in lockstep with both serving legs and a fresh
+//!   [`StreamSnapshot`] is swapped into both predictors every
 //!   `len/8` (resp. `len/64`) events, so per-phase hit-ratio deltas
 //!   directly measure adaptation lag. `frozen` takes exactly one snapshot
 //!   at the end of the first reporting segment and serves it for the rest
@@ -75,16 +75,18 @@
 use std::time::Instant;
 
 use farmer_core::{CorrelationSource, CorrelatorList, CorrelatorTable, Farmer, FarmerConfig};
-use farmer_mds::{replay, replay_online, ReplayConfig};
+use farmer_mds::{replay, ReplayConfig};
+use farmer_obs::Registry;
 use farmer_prefetch::baselines::LruOnly;
 use farmer_prefetch::{
-    simulate, simulate_online, FpaPredictor, NexusPredictor, OnlineConfig, Predictor,
-    ProbabilityGraph, SdGraph, SimConfig, SimReport,
+    simulate, FpaPredictor, NexusPredictor, Predictor, ProbabilityGraph, SdGraph, SimConfig,
+    SimReport,
 };
 use farmer_stream::{ShardedMiner, StreamConfig, StreamSnapshot};
 use farmer_trace::workload::{ChurnSpec, DriftSpec, MultiTenantSpec, ScanStormSpec};
 use farmer_trace::{Op, Trace, WorkloadSpec};
 
+use crate::lockstep::{serve_online, MinerSide, OnlineConfig};
 pub use crate::refmodel::SCHEMA_VERSION;
 
 /// Event-index segments each cell is additionally reported over.
@@ -216,8 +218,9 @@ pub struct Cell {
     /// 99th-percentile response time of the MDS replay (ms).
     pub response_p99_ms: f64,
     /// Events per second of the cell's drive loop: the mining pass for
-    /// FARMER modes, the simulation demand loop for self predictors.
-    /// Machine-dependent — excluded from reference bands.
+    /// whole-trace FARMER modes, the lockstep loop (mining + both serving
+    /// legs) for online and failure cells, the simulation demand loop for
+    /// self predictors. Machine-dependent — excluded from reference bands.
     pub events_per_sec: f64,
     /// Peak resident bytes across miner and predictor state (state grows
     /// monotonically in every mode here, so end-of-run is the peak).
@@ -251,9 +254,8 @@ pub struct Cell {
     /// recovered state. 1.0 without checkpoints, ≪ 1 when a checkpoint
     /// image anchors the recovery; 0 when no recovery happened.
     pub replay_fraction: f64,
-    /// Wall-clock milliseconds the recoveries took, summed over both
-    /// co-driven legs (failure cells). Machine-dependent — reported but
-    /// excluded from reference bands.
+    /// Wall-clock milliseconds the recoveries took (failure cells).
+    /// Machine-dependent — reported but excluded from reference bands.
     pub recovery_ms: f64,
     /// Worst per-kill demand hit-ratio dip: the ratio over the window
     /// before a kill minus the window after it (failure cells).
@@ -345,12 +347,8 @@ fn capped_stream_cfg(cfg: &FarmerConfig, shards: usize) -> StreamConfig {
 fn mine_sharded(trace: &Trace, scfg: StreamConfig) -> (StreamSnapshot, f64) {
     let mut miner = ShardedMiner::spawn(scfg);
     let start = Instant::now();
-    for e in &trace.events {
-        if e.op == Op::Unlink {
-            miner.route_forget(e.file);
-        } else if e.op.is_metadata_demand() {
-            miner.route_event(trace, e);
-        }
+    for i in 0..trace.len() {
+        miner.mine(trace, i);
     }
     let snap = miner.snapshot();
     let rate = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
@@ -412,7 +410,7 @@ fn export_table(farmer: &Farmer) -> CorrelatorTable {
 
 /// Per-trace simulation/replay configs (family-sized caches, segmented
 /// reporting).
-fn cell_configs(trace: &Trace) -> (SimConfig, ReplayConfig) {
+pub(crate) fn cell_configs(trace: &Trace) -> (SimConfig, ReplayConfig) {
     let sim = SimConfig::for_family(trace.family).with_phases(PHASES);
     let mut rep = ReplayConfig::for_family(trace.family);
     rep.num_phases = PHASES;
@@ -448,44 +446,26 @@ fn refresh_interval(trace: &Trace, refreshes: usize) -> usize {
     (trace.len() / refreshes.max(1)).max(1)
 }
 
-/// Run FPA under an online serving mode: sim and replay each co-drive
-/// their own live miner with the identical routing policy, so the two
-/// legs see the same snapshots at the same boundaries — asserted via
-/// their miner-side counters.
+/// Run FPA under an online serving mode: one live miner, both serving
+/// legs, driven in lockstep.
 fn online_cell(
     scenario: &'static str,
     mode: &'static str,
     trace: &Trace,
     online: &OnlineConfig,
 ) -> Cell {
-    let (sim_cfg, rep_cfg) = cell_configs(trace);
-    let mut fpa = FpaPredictor::for_trace(trace);
-    let start = Instant::now();
-    let osim = simulate_online(trace, &mut fpa, sim_cfg, online);
-    // The drive loop of an online cell is mining + serving combined.
-    let rate = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    let orep = replay_online(
-        trace,
-        Box::new(FpaPredictor::for_trace(trace)),
-        rep_cfg,
-        online,
-    );
-    assert_eq!(
-        (osim.refreshes, osim.miner_evictions),
-        (orep.online.refreshes, orep.online.miner_evictions),
-        "{scenario}/{mode}: sim and replay co-driven miners diverged"
-    );
+    let (run, end) = serve_online(trace, online, cell_configs(trace), &Registry::disabled());
     let mut cell = finish_cell(
         scenario,
         mode,
         "FARMER",
-        osim.sim,
-        orep.replay,
-        rate,
-        osim.miner_state_bytes,
+        run.sim,
+        run.replay,
+        run.events_per_sec,
+        end.state_bytes,
     );
-    cell.refreshes = osim.refreshes;
-    cell.miner_evictions = osim.miner_evictions;
+    cell.refreshes = run.refreshes;
+    cell.miner_evictions = end.evictions;
     cell
 }
 
@@ -611,7 +591,8 @@ pub fn run_matrix_with(
                     cfg.clone(),
                     mode,
                     ONLINE_DENSE_REFRESHES,
-                    PHASES,
+                    cell_configs(&trace),
+                    &Registry::disabled(),
                 );
                 let mut cell = finish_cell(
                     scenario,

@@ -2,18 +2,18 @@
 //! crash/restart cells of the evaluation matrix.
 //!
 //! Each **failure mode** ([`FAILURE_MODES`]) is a deterministic kill plan
-//! — event indices at which the co-driven [`DurableMiner`] is crashed
+//! — event indices at which the cell's [`DurableMiner`] is crashed
 //! ([`DurableMiner::crash`]: the unsynced WAL tail is dropped, as a power
 //! cut would drop it), optionally followed by a torn-write injection on
 //! the log file, then recovered ([`farmer_stream::recover`]) and the
-//! serving tier cold-restarted (cache cleared, predictor refreshed from
-//! the recovered snapshot; on the response-time leg,
-//! `MdsServer::restart_cold`).
+//! serving tier cold-restarted (caches cleared, MDS restarted, both
+//! predictors refreshed from the recovered snapshot).
 //!
-//! The cell runs the same two co-driven legs as the matrix's online
-//! modes — the cache simulation and the MDS replay — each with its *own*
-//! WAL, and at every kill point asserts the recovered mining state is
-//! **bitwise identical** to an uninterrupted oracle fed exactly the
+//! The cell is the matrix's online pipeline with a durable miner on the
+//! mining side: `DurableLeg` is the [`MinerSide`] the one lockstep
+//! driver ([`crate::lockstep`]) feeds — one miner, one WAL, both serving
+//! legs — and at every kill point it asserts the recovered mining state
+//! is **bitwise identical** to an uninterrupted oracle fed exactly the
 //! recovered operation prefix (the same invariant the `farmer-stream`
 //! crash-point matrix test pins, here exercised through the full serving
 //! pipeline). A failure cell that recovers to an almost-right state
@@ -32,24 +32,25 @@
 //! * `hit_ratio_dip` — demand hit ratio in the window before the kill
 //!   minus the window after it (window = `len / 16` events): the
 //!   serving-quality cost of a cold restart (deterministic, banded);
-//! * `recovery_ms` — wall-clock time the recoveries took, summed over
-//!   both legs (machine-dependent, reported but never banded);
-//! * `wal_bytes` — final log size of the simulation leg.
+//! * `recovery_ms` — wall-clock time the recoveries took
+//!   (machine-dependent, reported but never banded);
+//! * `wal_bytes` — final log size.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use farmer_core::{CorrelationSource, CorrelatorTable, FarmerConfig};
-use farmer_mds::{LatencyStats, MdsServer, ReplayConfig, ReplayReport};
-use farmer_prefetch::{FpaPredictor, MetadataCache, Predictor, SimConfig, SimReport};
+use farmer_core::FarmerConfig;
+use farmer_mds::{ReplayConfig, ReplayReport};
+use farmer_obs::Registry;
+use farmer_prefetch::{FpaPredictor, SimConfig, SimReport};
 use farmer_stream::{
-    recover, snapshots_bitwise_equal, DurableConfig, DurableMiner, ShardedMiner, StreamConfig,
-    StreamSnapshot,
+    recover_instrumented, snapshots_bitwise_equal, DurableConfig, DurableMiner, ShardedMiner,
+    StreamConfig, StreamSnapshot,
 };
-use farmer_trace::phases::{phase_count, phase_end};
 use farmer_trace::{FileId, Op, Trace};
+
+use crate::lockstep::{Lockstep, MinerSide, OnlineConfig};
 
 /// The failure-mode axis of the `failure` scenario family, in emission
 /// order: one mid-stream kill, the same kill with a torn WAL tail,
@@ -138,39 +139,39 @@ pub fn inject_torn_tail(path: &Path, torn: TornTail) -> std::io::Result<()> {
     fs::write(path, &data)
 }
 
-/// What one failure cell measured, spanning both co-driven legs.
+/// What one failure cell measured.
 #[derive(Debug)]
 pub struct FailureCellReport {
     /// The cache-simulation leg's report (cumulative across restarts).
     pub sim: SimReport,
     /// The MDS-replay leg's report (cumulative across restarts).
     pub replay: ReplayReport,
-    /// Periodic snapshot refreshes per leg (legs asserted equal).
+    /// Periodic snapshot refreshes installed in both legs.
     pub refreshes: u64,
-    /// Crash/recover cycles per leg (legs asserted equal).
+    /// Crash/recover cycles.
     pub recoveries: u64,
     /// Logged events re-processed (WAL suffix replay) across all
-    /// recoveries of one leg.
+    /// recoveries.
     pub recovery_events: u64,
     /// Logged events the recovered states represent, summed across all
-    /// recoveries of one leg: checkpoint-anchored prefix plus replayed
-    /// suffix. Equals `recovery_events` when nothing checkpoints.
+    /// recoveries: checkpoint-anchored prefix plus replayed suffix.
+    /// Equals `recovery_events` when nothing checkpoints.
     pub recovered_events: u64,
     /// `recovery_events / recovered_events` — the share of recovered
     /// state that had to be replayed rather than loaded from a
     /// checkpoint image. 1.0 for genesis replay; 0 when no recovery
     /// happened.
     pub replay_fraction: f64,
-    /// Wall-clock milliseconds all recoveries took, summed over both
-    /// legs. Machine-dependent — never banded.
+    /// Wall-clock milliseconds all recoveries took. Machine-dependent —
+    /// never banded.
     pub recovery_ms: f64,
     /// Worst per-kill demand hit-ratio dip of the simulation leg.
     pub hit_ratio_dip: f64,
-    /// Final WAL size of the simulation leg, in bytes.
+    /// Final WAL size in bytes.
     pub wal_bytes: u64,
-    /// Resident miner bytes at end of the simulation leg.
+    /// Resident miner bytes at end of stream.
     pub miner_state_bytes: usize,
-    /// Events driven per second across both legs, including recoveries.
+    /// Events per second of the lockstep loop, including recoveries.
     pub events_per_sec: f64,
 }
 
@@ -181,14 +182,15 @@ enum MirrorOp {
     Forget(FileId),
 }
 
-/// One leg's durable miner plus everything needed to kill, tear,
-/// recover, and prove the recovery exact: the mirrored op stream is the
-/// uninterrupted oracle's script, truncated to the recovered prefix at
-/// every crash.
+/// The durable mining side of a failure cell: the miner plus everything
+/// needed to kill, tear, recover, and prove the recovery exact. The
+/// mirrored op stream is the uninterrupted oracle's script, truncated to
+/// the recovered prefix at every crash.
 struct DurableLeg {
-    leg: &'static str,
+    mode: &'static str,
     wal: PathBuf,
     cfg: DurableConfig,
+    reg: Registry,
     miner: Option<DurableMiner>,
     ops: Vec<MirrorOp>,
     kills: Vec<usize>,
@@ -200,25 +202,21 @@ struct DurableLeg {
     recovery_ns: u64,
 }
 
-/// Totals one leg hands back, plus its final state for cross-leg parity.
-struct LegStats {
-    snap: StreamSnapshot,
-    recoveries: u64,
-    recovery_events: u64,
-    recovered_events: u64,
-    recovery_ns: u64,
-    wal_bytes: u64,
-    miner_state_bytes: usize,
-}
-
 impl DurableLeg {
-    fn new(leg: &'static str, wal: PathBuf, cfg: DurableConfig, plan: &KillPlan) -> DurableLeg {
-        let miner = DurableMiner::create(&wal, cfg.clone())
-            .unwrap_or_else(|e| panic!("{leg}: create durable miner: {e:?}"));
+    fn new(
+        mode: &'static str,
+        wal: PathBuf,
+        cfg: DurableConfig,
+        plan: &KillPlan,
+        reg: &Registry,
+    ) -> DurableLeg {
+        let miner = DurableMiner::create_instrumented(&wal, cfg.clone(), reg)
+            .unwrap_or_else(|e| panic!("{mode}: create durable miner: {e:?}"));
         DurableLeg {
-            leg,
+            mode,
             wal,
             cfg,
+            reg: reg.clone(),
             miner: Some(miner),
             ops: Vec::new(),
             kills: plan.kills.clone(),
@@ -229,28 +227,6 @@ impl DurableLeg {
             recovered_events: 0,
             recovery_ns: 0,
         }
-    }
-
-    /// Route one event under the matrix mining policy, mirroring it for
-    /// the oracle.
-    fn route(&mut self, trace: &Trace, i: usize) {
-        let e = &trace.events[i];
-        let m = self.miner.as_mut().expect("miner alive");
-        if e.op == Op::Unlink {
-            m.forget(e.file);
-            self.ops.push(MirrorOp::Forget(e.file));
-        } else if e.op.is_metadata_demand() {
-            m.ingest_event(trace, e);
-            self.ops.push(MirrorOp::Ev(i));
-        }
-    }
-
-    /// A consistent snapshot of the live miner, for a periodic predictor
-    /// refresh.
-    fn snapshot_source(&mut self) -> (Box<dyn CorrelationSource + Send>, u64) {
-        let m = self.miner.as_mut().expect("miner alive");
-        let events = m.events_logged();
-        (Box::new(m.snapshot()), events)
     }
 
     /// Feed the mirrored op prefix to an uninterrupted plain miner and
@@ -266,16 +242,29 @@ impl DurableLeg {
         oracle.snapshot()
     }
 
+    /// End of stream: one final oracle-parity proof over the whole
+    /// surviving op sequence; returns the final WAL size and the miner's
+    /// resident bytes.
+    fn finish(&mut self, trace: &Trace) -> (u64, usize) {
+        let m = self.miner.as_mut().expect("miner alive");
+        let wal_bytes = m.wal_len_bytes();
+        let snap = m.snapshot();
+        assert!(
+            snapshots_bitwise_equal(&snap, &self.oracle_snapshot(trace)),
+            "{}: end-of-stream mining state diverged from the oracle",
+            self.mode
+        );
+        (wal_bytes, snap.state_bytes)
+    }
+}
+
+impl MinerSide for DurableLeg {
     /// If event `i` is a kill point: crash the miner (dropping the
     /// unsynced tail), tear the log if the plan says so, recover, prove
     /// the recovered state bitwise-equal to the oracle over the recovered
     /// prefix, and hand back the recovered snapshot for the serving
     /// tier's restart.
-    fn maybe_kill(
-        &mut self,
-        trace: &Trace,
-        i: usize,
-    ) -> Option<(Box<dyn CorrelationSource + Send>, u64)> {
+    fn recover_at(&mut self, trace: &Trace, i: usize) -> Option<(StreamSnapshot, u64)> {
         if self.next_kill >= self.kills.len() || i != self.kills[self.next_kill] {
             return None;
         }
@@ -283,10 +272,10 @@ impl DurableLeg {
         self.miner.take().expect("miner alive").crash();
         if let Some(torn) = self.torn {
             inject_torn_tail(&self.wal, torn)
-                .unwrap_or_else(|e| panic!("{}: torn-tail injection: {e}", self.leg));
+                .unwrap_or_else(|e| panic!("{}: torn-tail injection: {e}", self.mode));
         }
-        let (mut recovered, report) = recover(&self.wal, self.cfg.clone())
-            .unwrap_or_else(|e| panic!("{}: recovery at kill {i}: {e:?}", self.leg));
+        let (mut recovered, report) = recover_instrumented(&self.wal, self.cfg.clone(), &self.reg)
+            .unwrap_or_else(|e| panic!("{}: recovery at kill {i}: {e:?}", self.mode));
         // The recovered state represents `ops_recovered` logical ops —
         // the checkpoint-anchored prefix plus the replayed suffix — so
         // that is where the oracle's script must be cut. `ops_replayed`
@@ -296,21 +285,21 @@ impl DurableLeg {
         assert!(
             recovered_ops <= self.ops.len(),
             "{}: recovery reconstructed ops that were never routed",
-            self.leg
+            self.mode
         );
         self.ops.truncate(recovered_ops);
         if let Some(v) = report.checkpoint_verified {
             assert!(
                 v,
                 "{}: checkpoint self-verification failed at kill {i}",
-                self.leg
+                self.mode
             );
         }
         assert!(
             snapshots_bitwise_equal(&recovered.snapshot(), &self.oracle_snapshot(trace)),
             "{}: recovered mining state diverged from the uninterrupted \
              oracle at kill {i} (recovered {recovered_ops} ops, replayed {})",
-            self.leg,
+            self.mode,
             report.ops_replayed,
         );
         self.recoveries += 1;
@@ -320,28 +309,25 @@ impl DurableLeg {
         let events = recovered.events_logged();
         let snap = recovered.snapshot();
         self.miner = Some(recovered);
-        Some((Box::new(snap), events))
+        Some((snap, events))
     }
 
-    /// End of stream: one final oracle-parity proof over the whole
-    /// surviving op sequence, then the leg's totals.
-    fn finish(mut self, trace: &Trace) -> LegStats {
+    fn cut(&mut self) -> (StreamSnapshot, u64) {
         let m = self.miner.as_mut().expect("miner alive");
-        let wal_bytes = m.wal_len_bytes();
-        let snap = m.snapshot();
-        assert!(
-            snapshots_bitwise_equal(&snap, &self.oracle_snapshot(trace)),
-            "{}: end-of-stream mining state diverged from the oracle",
-            self.leg
-        );
-        LegStats {
-            miner_state_bytes: snap.state_bytes,
-            snap,
-            recoveries: self.recoveries,
-            recovery_events: self.recovery_events,
-            recovered_events: self.recovered_events,
-            recovery_ns: self.recovery_ns,
-            wal_bytes,
+        let events = m.events_logged();
+        (m.snapshot(), events)
+    }
+
+    /// Mine one event, mirroring it for the oracle.
+    fn mine(&mut self, trace: &Trace, i: usize) {
+        let e = &trace.events[i];
+        let m = self.miner.as_mut().expect("miner alive");
+        if e.op == Op::Unlink {
+            m.forget(e.file);
+            self.ops.push(MirrorOp::Forget(e.file));
+        } else if e.op.is_metadata_demand() {
+            m.ingest_event(trace, e);
+            self.ops.push(MirrorOp::Ev(i));
         }
     }
 }
@@ -385,24 +371,13 @@ fn failure_config(farmer: FarmerConfig, len: usize, mode: &str) -> DurableConfig
     }
 }
 
-/// Does a periodic refresh fire at event `i`? Matches
-/// `OnlineConfig::every` semantics (one refresh per interior interval
-/// boundary).
-fn refresh_due(i: usize, interval: usize) -> bool {
-    i > 0 && i.is_multiple_of(interval.max(1))
-}
-
-/// Demand hit ratio over `hits[range]` (−1 = not a demand, 0 = miss,
-/// 1 = hit); 0 when the window holds no demands.
-fn hit_ratio_in(hits: &[i8], range: std::ops::Range<usize>) -> f64 {
-    let mut demands = 0u64;
-    let mut hit = 0u64;
-    for &v in &hits[range] {
-        if v >= 0 {
-            demands += 1;
-            hit += u64::from(v == 1);
-        }
-    }
+/// Demand hit ratio over `hits[range]` (`None` = not a demand); 0 when
+/// the window holds no demands.
+fn hit_ratio_in(hits: &[Option<bool>], range: std::ops::Range<usize>) -> f64 {
+    let (demands, hit) = hits[range]
+        .iter()
+        .flatten()
+        .fold((0u64, 0u64), |(d, h), &v| (d + 1, h + u64::from(v)));
     if demands == 0 {
         0.0
     } else {
@@ -410,234 +385,68 @@ fn hit_ratio_in(hits: &[i8], range: std::ops::Range<usize>) -> f64 {
     }
 }
 
-/// The empty source both legs start serving from (cold model, exactly
-/// like the matrix's online modes).
-fn empty_source() -> Box<dyn CorrelationSource + Send> {
-    Box::new(CorrelatorTable::new())
-}
-
-/// Run one failure cell: the cache-simulation and MDS-replay legs, each
-/// co-driving its own durable miner through `mode`'s kill plan, with
-/// `refreshes` periodic snapshot refreshes and `phases` reporting
-/// segments. Every recovery is proven bitwise-exact against an
-/// uninterrupted oracle; the two legs' final mining states are asserted
-/// identical.
+/// Run one failure cell: the lockstep driver over a durable miner put
+/// through `mode`'s kill plan, with `refreshes` periodic snapshot
+/// refreshes, serving under `cfgs` and reporting into `reg` (`wal.*`,
+/// `stream.*` and the driver's scopes). Every recovery is proven
+/// bitwise-exact against an uninterrupted oracle.
 pub fn run_failure_cell(
     trace: &Trace,
     farmer: FarmerConfig,
     mode: &'static str,
     refreshes: usize,
-    phases: usize,
+    cfgs: (SimConfig, ReplayConfig),
+    reg: &Registry,
 ) -> FailureCellReport {
     let len = trace.len();
     let plan = kill_plan(mode, len);
-    let interval = (len / refreshes.max(1)).max(1);
     let dir = scratch_dir(mode);
-    let start = Instant::now();
-
-    // ---- Leg 1: cache simulation (hit ratio, accuracy, dip). ----
-    let sim_cfg = SimConfig::for_family(trace.family).with_phases(phases);
-    let mut leg = DurableLeg::new(
-        "sim",
-        dir.join("sim.wal"),
-        failure_config(farmer.clone(), len, mode),
-        &plan,
-    );
+    let cfg = failure_config(farmer, len, mode);
+    let cadence = OnlineConfig::every(cfg.stream.clone(), (len / refreshes.max(1)).max(1));
+    let mut leg = DurableLeg::new(mode, dir.join("cell.wal"), cfg, &plan, reg);
     let mut fpa = FpaPredictor::for_trace(trace);
-    assert!(
-        fpa.refresh_source(empty_source(), 0),
-        "FPA serves externally"
+    let replay_fpa = Box::new(FpaPredictor::for_trace(trace));
+    let run = Lockstep::new(trace, &mut fpa, replay_fpa, cfgs, reg).drive(&mut leg, &cadence);
+    let (wal_bytes, miner_state_bytes) = leg.finish(trace);
+    assert_eq!(
+        leg.recoveries as usize,
+        plan.kills.len(),
+        "{mode}: every planned kill must recover"
     );
-    let mut cache = MetadataCache::new(sim_cfg.cache_capacity);
-    let mut sim_refreshes = 0u64;
-    // Per-event hit log for the dip windows: −1 not a demand, 0 miss,
-    // 1 hit.
-    let mut hits = vec![-1i8; len];
-    let segments = phase_count(len, sim_cfg.num_phases);
-    let mut phase_stats = Vec::new();
-    let mut segment = 0usize;
-    let mut phase_mark = cache.stats();
-    let mut candidates = Vec::new();
-    for (i, event) in trace.events.iter().enumerate() {
-        if sim_cfg.num_phases > 1 && i == phase_end(len, segments, segment) {
-            let now = cache.stats();
-            phase_stats.push(now.delta(&phase_mark));
-            phase_mark = now;
-            segment += 1;
-        }
-        if let Some((source, events)) = leg.maybe_kill(trace, i) {
-            // Correlated restart: the serving tier dies with the miner.
-            cache.clear();
-            fpa.refresh_source(source, events);
-        }
-        if refresh_due(i, interval) {
-            let (source, events) = leg.snapshot_source();
-            fpa.refresh_source(source, events);
-            sim_refreshes += 1;
-        }
-        leg.route(trace, i);
-        if event.op.is_metadata_demand() {
-            let hit = cache.access(event.file);
-            hits[i] = i8::from(hit);
-            if !hit {
-                cache.insert_demand(event.file);
-            }
-            fpa.on_access_into(trace, event, &mut candidates);
-            for &file in candidates.iter().take(sim_cfg.prefetch_limit) {
-                if file != event.file {
-                    cache.insert_prefetch(file);
-                }
-            }
-        }
-    }
-    let stats = cache.stats();
-    if sim_cfg.num_phases > 1 {
-        phase_stats.push(stats.delta(&phase_mark));
-    }
-    let sim = SimReport {
-        predictor: "FARMER".to_string(),
-        trace: trace.label.clone(),
-        cache_capacity: sim_cfg.cache_capacity,
-        stats,
-        phases: phase_stats,
-        predictor_memory: fpa.memory_bytes(),
-    };
-    let sim_leg = leg.finish(trace);
 
     // Worst per-kill dip: hit ratio just before the kill minus just
     // after it.
     let w = (len / DIP_WINDOW_DIV).max(1);
     let mut hit_ratio_dip = 0.0f64;
     for &k in &plan.kills {
-        let before = hit_ratio_in(&hits, k.saturating_sub(w)..k);
-        let after = hit_ratio_in(&hits, k..(k + w).min(len));
+        let before = hit_ratio_in(&run.hits, k.saturating_sub(w)..k);
+        let after = hit_ratio_in(&run.hits, k..(k + w).min(len));
         hit_ratio_dip = hit_ratio_dip.max(before - after);
     }
 
-    // ---- Leg 2: MDS replay (response times), same plan. ----
-    let mut rep_cfg = ReplayConfig::for_family(trace.family);
-    rep_cfg.num_phases = phases;
-    let mut leg = DurableLeg::new(
-        "replay",
-        dir.join("replay.wal"),
-        failure_config(farmer, len, mode),
-        &plan,
-    );
-    let mut mds = MdsServer::new(trace, Box::new(FpaPredictor::for_trace(trace)), rep_cfg.mds);
-    assert!(
-        mds.refresh_predictor(empty_source(), 0),
-        "FPA serves externally"
-    );
-    let mut rep_refreshes = 0u64;
-    let mut horizon = 0u64;
-    let segments = phase_count(len, rep_cfg.num_phases);
-    let mut segment = 0usize;
-    let mut phase_mean_ms = Vec::new();
-    let mut phase_p50_ms = Vec::new();
-    let mut phase_p95_ms = Vec::new();
-    let mut phase_p99_ms = Vec::new();
-    let mut mark = LatencyStats::new();
-    for (i, event) in trace.events.iter().enumerate() {
-        if rep_cfg.num_phases > 1 && i == phase_end(len, segments, segment) {
-            let now = mds.stats().clone();
-            let delta = now.delta(&mark);
-            mark = now;
-            phase_mean_ms.push(delta.mean_ms());
-            phase_p50_ms.push(delta.percentile_us(0.50) as f64 / 1000.0);
-            phase_p95_ms.push(delta.percentile_us(0.95) as f64 / 1000.0);
-            phase_p99_ms.push(delta.percentile_us(0.99) as f64 / 1000.0);
-            segment += 1;
-        }
-        if let Some((source, events)) = leg.maybe_kill(trace, i) {
-            mds.restart_cold();
-            mds.refresh_predictor(source, events);
-        }
-        if refresh_due(i, interval) {
-            let (source, events) = leg.snapshot_source();
-            mds.refresh_predictor(source, events);
-            rep_refreshes += 1;
-        }
-        leg.route(trace, i);
-        if !event.op.is_metadata_demand() {
-            continue;
-        }
-        let mut e = *event;
-        e.timestamp_us = (event.timestamp_us as f64 * rep_cfg.time_scale) as u64;
-        horizon = e.timestamp_us;
-        mds.demand(trace, &e);
-    }
-    if rep_cfg.num_phases > 1 {
-        let delta = mds.stats().delta(&mark);
-        phase_mean_ms.push(delta.mean_ms());
-        phase_p50_ms.push(delta.percentile_us(0.50) as f64 / 1000.0);
-        phase_p95_ms.push(delta.percentile_us(0.95) as f64 / 1000.0);
-        phase_p99_ms.push(delta.percentile_us(0.99) as f64 / 1000.0);
-    }
-    let replay = ReplayReport {
-        predictor: mds.predictor_name(),
-        trace: trace.label.clone(),
-        latency: mds.stats().clone(),
-        counters: mds.counters(),
-        cache: mds.cache_stats(),
-        horizon_us: horizon,
-        predictor_memory: mds.predictor_memory(),
-        client_hits: 0,
-        phase_mean_ms,
-        phase_p50_ms,
-        phase_p95_ms,
-        phase_p99_ms,
-    };
-    let rep_leg = leg.finish(trace);
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let _ = fs::remove_dir_all(&dir);
-
-    // The legs route the identical op stream through the identical plan:
-    // everything deterministic must agree, down to the mined bits.
-    assert_eq!(
-        (
-            sim_refreshes,
-            sim_leg.recoveries,
-            sim_leg.recovery_events,
-            sim_leg.recovered_events,
-        ),
-        (
-            rep_refreshes,
-            rep_leg.recoveries,
-            rep_leg.recovery_events,
-            rep_leg.recovered_events,
-        ),
-        "{mode}: sim and replay legs diverged"
-    );
-    assert!(
-        snapshots_bitwise_equal(&sim_leg.snap, &rep_leg.snap),
-        "{mode}: the two legs' final mining states diverged"
-    );
-    assert_eq!(
-        sim_leg.recoveries as usize,
-        plan.kills.len(),
-        "{mode}: every planned kill must recover"
-    );
-
-    let replay_fraction = if sim_leg.recovered_events == 0 {
+    let replay_fraction = if leg.recovered_events == 0 {
         0.0
     } else {
-        sim_leg.recovery_events as f64 / sim_leg.recovered_events as f64
+        leg.recovery_events as f64 / leg.recovered_events as f64
     };
 
-    FailureCellReport {
-        sim,
-        replay,
-        refreshes: sim_refreshes,
-        recoveries: sim_leg.recoveries,
-        recovery_events: sim_leg.recovery_events,
-        recovered_events: sim_leg.recovered_events,
+    let report = FailureCellReport {
+        sim: run.sim,
+        replay: run.replay,
+        refreshes: run.refreshes,
+        recoveries: leg.recoveries,
+        recovery_events: leg.recovery_events,
+        recovered_events: leg.recovered_events,
         replay_fraction,
-        recovery_ms: (sim_leg.recovery_ns + rep_leg.recovery_ns) as f64 / 1e6,
+        recovery_ms: leg.recovery_ns as f64 / 1e6,
         hit_ratio_dip,
-        wal_bytes: sim_leg.wal_bytes,
-        miner_state_bytes: sim_leg.miner_state_bytes,
-        events_per_sec: (2 * len) as f64 / elapsed,
-    }
+        wal_bytes,
+        miner_state_bytes,
+        events_per_sec: run.events_per_sec,
+    };
+    drop(leg); // closes the log before its directory goes
+    let _ = fs::remove_dir_all(&dir);
+    report
 }
 
 #[cfg(test)]
@@ -645,6 +454,13 @@ mod tests {
     use super::*;
     use farmer_trace::workload::ChurnSpec;
     use farmer_trace::WorkloadSpec;
+
+    /// `mode` at the matrix's serving configs, 16 refreshes, no registry.
+    fn run_cell(trace: &Trace, mode: &'static str) -> FailureCellReport {
+        let cfgs = crate::evalmatrix::cell_configs(trace);
+        let reg = Registry::disabled();
+        run_failure_cell(trace, FarmerConfig::default(), mode, 16, cfgs, &reg)
+    }
 
     #[test]
     fn kill_plans_are_deterministic_and_in_range() {
@@ -668,7 +484,8 @@ mod tests {
 
     #[test]
     fn dip_window_ratio_counts_only_demands() {
-        let hits = [-1, 1, 0, 1, -1, 0];
+        let (hit, miss) = (Some(true), Some(false));
+        let hits = [None, hit, miss, hit, None, miss];
         assert_eq!(hit_ratio_in(&hits, 0..6), 2.0 / 4.0);
         assert_eq!(hit_ratio_in(&hits, 0..1), 0.0, "no demands in window");
         assert_eq!(hit_ratio_in(&hits, 1..2), 1.0);
@@ -680,7 +497,7 @@ mod tests {
         // parity asserts inside run_failure_cell are the meat; this test
         // pins the reported totals.
         let trace = ChurnSpec::new(WorkloadSpec::hp().scaled(0.015)).generate();
-        let r = run_failure_cell(&trace, FarmerConfig::default(), "kill50", 16, 4);
+        let r = run_cell(&trace, "kill50");
         assert_eq!(r.recoveries, 1);
         assert!(r.recovery_events > 0, "the kill point is mid-stream");
         assert_eq!(
@@ -701,11 +518,50 @@ mod tests {
     }
 
     #[test]
+    fn one_wal_logs_each_routed_op_once() {
+        // Parent shape: each serving leg drove its own durable miner and
+        // WAL, so a cell under one registry appended every op twice.
+        let trace = ChurnSpec::new(WorkloadSpec::hp().scaled(0.015)).generate();
+        let reg = Registry::enabled();
+        let cfgs = crate::evalmatrix::cell_configs(&trace);
+        let r = run_failure_cell(&trace, FarmerConfig::default(), "kill50", 16, cfgs, &reg);
+        let routed = trace
+            .events
+            .iter()
+            .filter(|e| e.op == Op::Unlink || e.op.is_metadata_demand())
+            .count() as u64;
+        let obs = reg.snapshot();
+        assert_eq!(obs.counter("wal.append_records"), Some(routed));
+        assert_eq!(obs.counter("wal.recoveries"), Some(r.recoveries));
+        assert_eq!(obs.counter("mds.restarts"), Some(r.recoveries));
+    }
+
+    #[test]
+    fn replay_leg_honours_the_client_tier() {
+        // The copied replay loop this module used to carry never built
+        // the client tier and reported `client_hits: 0` whatever the
+        // config said.
+        let trace = ChurnSpec::new(WorkloadSpec::hp().scaled(0.015)).generate();
+        let (sim_cfg, mut rep_cfg) = crate::evalmatrix::cell_configs(&trace);
+        rep_cfg.client_cache = 64;
+        let r = run_failure_cell(
+            &trace,
+            FarmerConfig::default(),
+            "kill50",
+            16,
+            (sim_cfg, rep_cfg),
+            &Registry::disabled(),
+        );
+        assert!(r.replay.client_hits > 0, "client caches absorb traffic");
+        assert!(r.replay.counters.demands < r.sim.stats.demand_accesses);
+    }
+
+    #[test]
     fn torn_mode_still_recovers_bitwise() {
         // The torn variant chops the synced tail: recovery must drop the
         // damage and still land on the oracle prefix (asserted inside).
         let trace = ChurnSpec::new(WorkloadSpec::hp().scaled(0.015)).generate();
-        let r = run_failure_cell(&trace, FarmerConfig::default(), "kill50torn", 16, 4);
+        let r = run_cell(&trace, "kill50torn");
         assert_eq!(r.recoveries, 1);
         assert!(r.recovery_events > 0);
     }
@@ -713,7 +569,7 @@ mod tests {
     #[test]
     fn triple_kill_mode_recovers_every_time() {
         let trace = ChurnSpec::new(WorkloadSpec::hp().scaled(0.015)).generate();
-        let r = run_failure_cell(&trace, FarmerConfig::default(), "kill25x3", 16, 4);
+        let r = run_cell(&trace, "kill25x3");
         assert_eq!(r.recoveries, 3);
         assert!(r.recovery_events > 0);
         assert_eq!(r.recovered_events, r.recovery_events);
@@ -725,7 +581,7 @@ mod tests {
         // images + compaction: the recovered total stays O(log) while
         // the replayed share collapses to the post-anchor suffix.
         let trace = ChurnSpec::new(WorkloadSpec::hp().scaled(0.015)).generate();
-        let r = run_failure_cell(&trace, FarmerConfig::default(), "ckpt", 16, 4);
+        let r = run_cell(&trace, "ckpt");
         assert_eq!(r.recoveries, 1);
         assert!(r.recovery_events > 0);
         assert!(

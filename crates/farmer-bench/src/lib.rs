@@ -1,15 +1,20 @@
 //! # farmer-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), all built on
-//! the experiment functions in [`experiments`]. Every binary accepts an
-//! optional positional argument: a **scale factor** applied to the trace
-//! event counts (default 1.0; e.g. `0.2` for a fast smoke run), and prints
-//! an aligned text table with the paper's reference values alongside where
-//! the paper reports them ([`paper`]).
+//! The paper's tables and figures are functions in [`experiments`]; the
+//! `repro` binary prints them all, or one with `--only <name>`, next to
+//! the paper's reference values ([`paper`]). The evaluation
+//! reference-model matrix ([`evalmatrix`], bands in [`refmodel`]) serves
+//! its online and failure cells through the one [`lockstep`] driver. The
+//! throughput binaries (`mine_`, `stream_`, `query_`, `serve_throughput`)
+//! emit the `BENCH_*.json` records.
+//!
+//! `repro`, `cluster_scaling` and `regression_analysis` accept an optional
+//! positional **scale factor** applied to the trace event counts (default
+//! 1.0; e.g. `0.2` for a fast smoke run):
 //!
 //! ```text
-//! cargo run --release -p farmer-bench --bin fig7_hit_ratio
-//! cargo run --release -p farmer-bench --bin repro            # everything
+//! cargo run --release -p farmer-bench --bin repro                      # everything
+//! cargo run --release -p farmer-bench --bin repro -- 0.2 --only fig7   # one figure
 //! ```
 //!
 //! Criterion micro-benchmarks for the kernels (similarity, miner update,
@@ -22,6 +27,7 @@ pub mod evalmatrix;
 pub mod experiments;
 pub mod faults;
 pub mod format;
+pub mod lockstep;
 pub mod paper;
 pub mod refmodel;
 pub mod serve;

@@ -5,11 +5,11 @@ pub fn mine_instrumented(input: &[u64], reg: &Registry) -> u64 {
     input.len() as u64
 }
 
-pub fn replay(input: &[u64]) -> u64 {
+pub fn drain(input: &[u64]) -> u64 {
     input.len() as u64
 }
 
-pub fn replay_instrumented(input: &[u64], reg: &Registry) -> u64 {
+pub fn drain_instrumented(input: &[u64], reg: &Registry) -> u64 {
     let _ = reg;
     input.len() as u64
 }

@@ -39,8 +39,5 @@ pub mod server;
 pub use client::ClientTier;
 pub use cluster::{replay_cluster, ClusterConfig, ClusterReport, Partition};
 pub use latency::{LatencyModel, LatencyStats};
-pub use replay::{
-    replay, replay_instrumented, replay_online, replay_online_instrumented, OnlineReplayReport,
-    ReplayConfig, ReplayReport,
-};
+pub use replay::{replay, ReplayConfig, ReplayReport, ReplayRun};
 pub use server::{MdsMetrics, MdsServer};

@@ -7,10 +7,11 @@
 //! prefetch-service contention matter, low enough that queues stay stable.
 
 use farmer_obs::Registry;
-use farmer_prefetch::{OnlineConfig, OnlineDriver, OnlineRunStats, Predictor};
+use farmer_prefetch::Predictor;
 use farmer_trace::phases::{phase_count, phase_end};
 use farmer_trace::{Trace, TraceEvent, TraceFamily};
 
+use crate::client::ClientTier;
 use crate::latency::LatencyStats;
 use crate::server::{MdsConfig, MdsCounters, MdsServer};
 
@@ -141,179 +142,161 @@ impl ReplayReport {
 /// Replay a trace's metadata demand stream through an MDS, optionally
 /// fronted by per-host client caches.
 pub fn replay(trace: &Trace, predictor: Box<dyn Predictor>, cfg: ReplayConfig) -> ReplayReport {
-    run_replay(trace, predictor, cfg, None, &Registry::disabled()).0
-}
-
-/// [`replay`] with live observability: the MDS's service-time histograms
-/// stream into `mds.*`, its cache into `cache.*` and its store into
-/// `store.*` of `reg`. With a disabled registry this is exactly
-/// [`replay`].
-pub fn replay_instrumented(
-    trace: &Trace,
-    predictor: Box<dyn Predictor>,
-    cfg: ReplayConfig,
-    reg: &Registry,
-) -> ReplayReport {
-    run_replay(trace, predictor, cfg, None, reg).0
-}
-
-/// Online-mode counters of one [`replay_online`] run.
-#[derive(Debug, Clone)]
-pub struct OnlineReplayReport {
-    /// The replay report (identical accounting to [`replay`]).
-    pub replay: ReplayReport,
-    /// Miner-side counters: refreshes installed, tracked files,
-    /// evictions, resident bytes.
-    pub online: OnlineRunStats,
-}
-
-/// Run one **online** replay: the MDS's predictor serves from periodic
-/// snapshots of a live `farmer_stream::ShardedMiner` co-driven with the
-/// replay — the sibling of `farmer_prefetch::simulate_online` for the
-/// response-time axis. Per event, a due snapshot refresh is installed
-/// first ([`MdsServer::refresh_predictor`]), the event is routed to the
-/// miner (unlinks as forgets, metadata demands as observations), and the
-/// MDS then serves the demand from the last-installed snapshot.
-///
-/// # Panics
-/// Panics if the installed predictor rejects external sources
-/// (`Predictor::refresh_source` returns `false`) or if
-/// `online.refresh_interval` is zero.
-pub fn replay_online(
-    trace: &Trace,
-    predictor: Box<dyn Predictor>,
-    cfg: ReplayConfig,
-    online: &OnlineConfig,
-) -> OnlineReplayReport {
-    replay_online_instrumented(trace, predictor, cfg, online, &Registry::disabled())
-}
-
-/// [`replay_online`] with live observability: the MDS under `mds.*` /
-/// `cache.*` / `store.*`, the co-driven miner under `stream.*` and the
-/// refresh cadence under `online.*` of `reg`. With a disabled registry
-/// this is exactly [`replay_online`].
-pub fn replay_online_instrumented(
-    trace: &Trace,
-    predictor: Box<dyn Predictor>,
-    cfg: ReplayConfig,
-    online: &OnlineConfig,
-    reg: &Registry,
-) -> OnlineReplayReport {
-    let (replay, stats) = run_replay(trace, predictor, cfg, Some(online), reg);
-    OnlineReplayReport {
-        replay,
-        // lint: allow(panic) run_replay returns Some stats whenever an
-        // OnlineConfig is passed, which this wrapper always does
-        online: stats.expect("online stats present when an OnlineConfig is supplied"),
+    let mut run = ReplayRun::new(trace, predictor, cfg, &Registry::disabled());
+    for (i, event) in trace.events.iter().enumerate() {
+        run.step(i, event);
     }
+    run.finish()
 }
 
-/// Shared core of [`replay`] and [`replay_online`]: one event loop, one
-/// phase-accounting rule, with the online refresh hook threaded through
-/// when configured.
-fn run_replay(
-    trace: &Trace,
-    predictor: Box<dyn Predictor>,
+/// One MDS replay, advanced an event at a time: the demand loop of
+/// [`replay`] as a value, so a caller that has other work per event —
+/// refreshing the MDS's predictor from a live miner, cold-restarting the
+/// server after a crash — interleaves it between [`ReplayRun::step`]
+/// calls instead of copying the loop.
+pub struct ReplayRun<'a> {
+    trace: &'a Trace,
     cfg: ReplayConfig,
-    online: Option<&OnlineConfig>,
-    reg: &Registry,
-) -> (ReplayReport, Option<OnlineRunStats>) {
-    let mut mds = MdsServer::new(trace, predictor, cfg.mds);
-    mds.instrument(reg);
-    let mut driver = online.map(|o| {
-        let d = OnlineDriver::spawn_instrumented(o, reg);
+    mds: MdsServer,
+    clients: Option<ClientTier>,
+    client_latency: LatencyStats,
+    horizon_us: u64,
+    segments: usize,
+    segment: usize,
+    /// The combined MDS + client latency histogram at the last phase
+    /// boundary: each segment's delta against it carries exact
+    /// counts/sums (mean) and bucket counts (percentiles).
+    mark: LatencyStats,
+    phase_mean_ms: Vec<f64>,
+    phase_p50_ms: Vec<f64>,
+    phase_p95_ms: Vec<f64>,
+    phase_p99_ms: Vec<f64>,
+}
+
+impl<'a> ReplayRun<'a> {
+    /// A run over `trace` whose MDS streams its service-time histograms
+    /// into `mds.*`, its cache into `cache.*` and its store into
+    /// `store.*` of `reg` (pass a disabled registry for none).
+    pub fn new(
+        trace: &'a Trace,
+        predictor: Box<dyn Predictor>,
+        cfg: ReplayConfig,
+        reg: &Registry,
+    ) -> Self {
+        let mut mds = MdsServer::new(trace, predictor, cfg.mds);
+        mds.instrument(reg);
+        let clients = (cfg.client_cache > 0).then(|| {
+            ClientTier::new(
+                trace.num_hosts.max(1) as usize,
+                cfg.client_cache,
+                cfg.client_hit_us,
+            )
+        });
+        ReplayRun {
+            trace,
+            cfg,
+            mds,
+            clients,
+            client_latency: LatencyStats::new(),
+            horizon_us: 0,
+            segments: phase_count(trace.len(), cfg.num_phases),
+            segment: 0,
+            mark: LatencyStats::new(),
+            phase_mean_ms: Vec::new(),
+            phase_p50_ms: Vec::new(),
+            phase_p95_ms: Vec::new(),
+            phase_p99_ms: Vec::new(),
+        }
+    }
+
+    /// Swap an externally mined correlation source into the MDS's
+    /// predictor; the MDS keeps serving from it until the next swap.
+    ///
+    /// # Panics
+    /// Panics if the installed predictor mines internally and cannot
+    /// serve external state (`Predictor::refresh_source` returns `false`).
+    pub fn refresh_predictor(
+        &mut self,
+        source: Box<dyn farmer_core::CorrelationSource + Send>,
+        as_of_events: u64,
+    ) {
         assert!(
-            mds.refresh_predictor(OnlineDriver::initial_source(), 0),
-            "online replay requires a predictor that accepts external \
+            self.mds.refresh_predictor(source, as_of_events),
+            "refreshing a replay requires a predictor that accepts external \
              correlation sources (Predictor::refresh_source)"
         );
-        d
-    });
-    let mut clients = (cfg.client_cache > 0).then(|| {
-        crate::client::ClientTier::new(
-            trace.num_hosts.max(1) as usize,
-            cfg.client_cache,
-            cfg.client_hit_us,
-        )
-    });
-    let mut horizon = 0u64;
-    let mut client_latency = LatencyStats::new();
-    // Per-phase accounting: the combined MDS + client latency histogram is
-    // snapshotted at equal event-index boundaries; each segment's delta
-    // carries exact counts/sums (mean) and bucket counts (percentiles).
-    let segments = phase_count(trace.len(), cfg.num_phases);
-    let mut segment = 0usize;
-    let mut phase_mean_ms = Vec::new();
-    let mut phase_p50_ms = Vec::new();
-    let mut phase_p95_ms = Vec::new();
-    let mut phase_p99_ms = Vec::new();
-    let mut mark = LatencyStats::new();
-    let close_phase = |mds: &MdsServer, client: &LatencyStats, mark: &mut LatencyStats| {
-        let mut now = mds.stats().clone();
-        now.merge(client);
-        let delta = now.delta(mark);
-        *mark = now;
-        delta
-    };
-    let mut push_phase = |delta: &LatencyStats| {
-        phase_mean_ms.push(delta.mean_ms());
-        phase_p50_ms.push(delta.percentile_us(0.50) as f64 / 1000.0);
-        phase_p95_ms.push(delta.percentile_us(0.95) as f64 / 1000.0);
-        phase_p99_ms.push(delta.percentile_us(0.99) as f64 / 1000.0);
-    };
-    for (i, event) in trace.events.iter().enumerate() {
-        if cfg.num_phases > 1 && i == phase_end(trace.len(), segments, segment) {
-            let delta = close_phase(&mds, &client_latency, &mut mark);
-            push_phase(&delta);
-            segment += 1;
+    }
+
+    /// The MDS died and was replaced ([`MdsServer::restart_cold`]); the
+    /// client caches and the run's statistics outlive it.
+    pub fn restart_cold(&mut self) {
+        self.mds.restart_cold();
+    }
+
+    fn close_phase(&mut self) {
+        let mut now = self.mds.stats().clone();
+        now.merge(&self.client_latency);
+        let delta = now.delta(&self.mark);
+        self.mark = now;
+        self.phase_mean_ms.push(delta.mean_ms());
+        for (curve, q) in [
+            (&mut self.phase_p50_ms, 0.50),
+            (&mut self.phase_p95_ms, 0.95),
+            (&mut self.phase_p99_ms, 0.99),
+        ] {
+            curve.push(delta.percentile_us(q) as f64 / 1000.0);
         }
-        if let Some(d) = driver.as_mut() {
-            if let Some((source, events)) = d.snapshot_due(i) {
-                mds.refresh_predictor(source, events);
-            }
-            d.route(trace, event);
+    }
+
+    /// Serve event `i` of the trace (call with every index, in order).
+    pub fn step(&mut self, i: usize, event: &TraceEvent) {
+        if self.cfg.num_phases > 1 && i == phase_end(self.trace.len(), self.segments, self.segment)
+        {
+            self.close_phase();
+            self.segment += 1;
         }
         if !event.op.is_metadata_demand() {
-            continue;
+            return;
         }
         let mut e: TraceEvent = *event;
-        e.timestamp_us = (event.timestamp_us as f64 * cfg.time_scale) as u64;
-        horizon = e.timestamp_us;
-        if let Some(tier) = clients.as_mut() {
+        e.timestamp_us = (event.timestamp_us as f64 * self.cfg.time_scale) as u64;
+        self.horizon_us = e.timestamp_us;
+        if let Some(tier) = self.clients.as_mut() {
             if matches!(e.op, farmer_trace::Op::Unlink) {
                 tier.invalidate_all(e.file);
             } else if let Some(local) = tier.lookup(e.host, e.file) {
-                client_latency.record(local);
-                continue; // absorbed locally, never reaches the MDS
+                self.client_latency.record(local);
+                return; // absorbed locally, never reaches the MDS
             }
-            mds.demand(trace, &e);
+            self.mds.demand(self.trace, &e);
             tier.fill(e.host, e.file);
         } else {
-            mds.demand(trace, &e);
+            self.mds.demand(self.trace, &e);
         }
     }
-    if cfg.num_phases > 1 {
-        let delta = close_phase(&mds, &client_latency, &mut mark);
-        push_phase(&delta);
+
+    /// Close the last phase and report.
+    pub fn finish(mut self) -> ReplayReport {
+        if self.cfg.num_phases > 1 {
+            self.close_phase();
+        }
+        let mut latency = self.mds.stats().clone();
+        latency.merge(&self.client_latency);
+        ReplayReport {
+            predictor: self.mds.predictor_name(),
+            trace: self.trace.label.clone(),
+            latency,
+            counters: self.mds.counters(),
+            cache: self.mds.cache_stats(),
+            horizon_us: self.horizon_us,
+            predictor_memory: self.mds.predictor_memory(),
+            client_hits: self.clients.as_ref().map_or(0, |t| t.local_hits()),
+            phase_mean_ms: self.phase_mean_ms,
+            phase_p50_ms: self.phase_p50_ms,
+            phase_p95_ms: self.phase_p95_ms,
+            phase_p99_ms: self.phase_p99_ms,
+        }
     }
-    let mut latency = mds.stats().clone();
-    let client_hits = clients.as_ref().map_or(0, |t| t.local_hits());
-    latency.merge(&client_latency);
-    let report = ReplayReport {
-        predictor: mds.predictor_name(),
-        trace: trace.label.clone(),
-        latency,
-        counters: mds.counters(),
-        cache: mds.cache_stats(),
-        horizon_us: horizon,
-        predictor_memory: mds.predictor_memory(),
-        client_hits,
-        phase_mean_ms,
-        phase_p50_ms,
-        phase_p95_ms,
-        phase_p99_ms,
-    };
-    (report, driver.map(OnlineDriver::finish))
 }
 
 #[cfg(test)]
@@ -385,28 +368,43 @@ mod tests {
 
     #[test]
     fn online_replay_refreshes_and_matches_accounting() {
-        use farmer_stream::StreamConfig;
+        // A run refreshed mid-stream from one live miner, in the lockstep
+        // driver's per-event order: refresh, route, step.
+        use farmer_stream::{ShardedMiner, StreamConfig};
         let trace = WorkloadSpec::hp().scaled(0.05).generate();
         let mut cfg = ReplayConfig::for_family(trace.family);
         cfg.num_phases = 4;
-        let online = OnlineConfig::every(
-            StreamConfig::default().with_node_cap(1 << 20),
-            (trace.len() / 8).max(1),
+        let interval = (trace.len() / 8).max(1);
+        let mut miner = ShardedMiner::spawn(StreamConfig::default().with_node_cap(1 << 20));
+        let fpa = Box::new(FpaPredictor::for_trace(&trace));
+        let mut run = ReplayRun::new(&trace, fpa, cfg, &Registry::disabled());
+        run.refresh_predictor(Box::new(farmer_core::CorrelatorTable::new()), 0);
+        let mut refreshes = 0;
+        for (i, e) in trace.events.iter().enumerate() {
+            if i > 0 && i % interval == 0 {
+                let events = miner.events_routed();
+                run.refresh_predictor(Box::new(miner.snapshot()), events);
+                refreshes += 1;
+            }
+            if e.op.is_metadata_demand() {
+                miner.route_event(&trace, e);
+            }
+            run.step(i, e);
+        }
+        let r = run.finish();
+        assert_eq!(refreshes, 7, "one refresh per interior boundary");
+        assert_eq!(r.phase_mean_ms.len(), 4);
+        let end = miner.snapshot();
+        assert!(end.state_bytes > 0);
+        assert_eq!(end.evictions, 0, "uncapped miner never evicts");
+        assert!(
+            r.counters.prefetches_serviced > 0,
+            "refreshed FPA prefetches"
         );
-        let r = replay_online(
-            &trace,
-            Box::new(FpaPredictor::for_trace(&trace)),
-            cfg,
-            &online,
-        );
-        assert_eq!(r.online.refreshes, 7, "one refresh per interior boundary");
-        assert_eq!(r.replay.phase_mean_ms.len(), 4);
-        assert!(r.online.miner_state_bytes > 0);
-        assert_eq!(r.online.miner_evictions, 0, "uncapped miner never evicts");
         // Same demand accounting as the offline replay.
         let off = replay(&trace, Box::new(FpaPredictor::for_trace(&trace)), cfg);
-        assert_eq!(r.replay.latency.count(), off.latency.count());
-        assert!(r.replay.avg_response_ms() > 0.0);
+        assert_eq!(r.latency.count(), off.latency.count());
+        assert!(r.avg_response_ms() > 0.0);
     }
 
     #[test]
@@ -432,11 +430,15 @@ mod tests {
 
     #[test]
     fn instrumented_replay_streams_service_times() {
-        use farmer_obs::Registry;
         let trace = WorkloadSpec::hp().scaled(0.05).generate();
         let cfg = ReplayConfig::for_family(trace.family);
         let reg = Registry::enabled();
-        let r = replay_instrumented(&trace, Box::new(FpaPredictor::for_trace(&trace)), cfg, &reg);
+        let fpa = Box::new(FpaPredictor::for_trace(&trace));
+        let mut run = ReplayRun::new(&trace, fpa, cfg, &reg);
+        for (i, e) in trace.events.iter().enumerate() {
+            run.step(i, e);
+        }
+        let r = run.finish();
         let snap = reg.snapshot();
         assert_eq!(snap.counter("mds.demands"), Some(r.counters.demands));
         let resp = snap
@@ -472,10 +474,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "accepts external")]
     fn online_replay_rejects_self_mining_predictors() {
-        use farmer_stream::StreamConfig;
         let trace = WorkloadSpec::hp().scaled(0.01).generate();
-        let online = OnlineConfig::every(StreamConfig::default(), 100);
-        let _ = replay_online(&trace, Box::new(LruOnly), ReplayConfig::default(), &online);
+        let cfg = ReplayConfig::default();
+        let mut run = ReplayRun::new(&trace, Box::new(LruOnly), cfg, &Registry::disabled());
+        run.refresh_predictor(Box::new(farmer_core::CorrelatorTable::new()), 0);
     }
 
     #[test]

@@ -39,7 +39,4 @@ pub use nexus::NexusPredictor;
 pub use predictor::Predictor;
 pub use probgraph::ProbabilityGraph;
 pub use sdgraph::SdGraph;
-pub use sim::{
-    simulate, simulate_instrumented, simulate_online, simulate_online_instrumented, OnlineConfig,
-    OnlineDriver, OnlineRunStats, OnlineSimReport, SimConfig,
-};
+pub use sim::{simulate, SimConfig, SimRun};

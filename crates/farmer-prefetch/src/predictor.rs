@@ -42,11 +42,9 @@ pub trait Predictor {
     /// prefix the source reflects.
     ///
     /// Returns `true` if the predictor accepted the source (and will serve
-    /// from it) — the hook the online evaluation drivers
-    /// (`farmer-prefetch::simulate_online`, `farmer-mds::replay_online`)
-    /// use to swap fresh miner snapshots in mid-run. Predictors that mine
-    /// internally and cannot serve external state return `false` (the
-    /// default).
+    /// from it) — the hook `farmer-bench`'s lockstep driver uses to swap
+    /// fresh miner snapshots in mid-run. Predictors that mine internally
+    /// and cannot serve external state return `false` (the default).
     fn refresh_source(
         &mut self,
         _source: Box<dyn CorrelationSource + Send>,

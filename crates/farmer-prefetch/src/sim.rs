@@ -14,13 +14,11 @@
 //! Table 3 (accuracy) and Table 5 (attribute combinations). Response-time
 //! measurement needs queueing and service times and lives in `farmer-mds`.
 
-use farmer_core::CorrelatorTable;
-use farmer_obs::{Counter, Histogram, Registry};
-use farmer_stream::{ShardedMiner, StreamConfig};
+use farmer_obs::Registry;
 use farmer_trace::phases::{phase_count, phase_end};
-use farmer_trace::{Op, Trace, TraceFamily};
+use farmer_trace::{FileId, Trace, TraceEvent, TraceFamily};
 
-use crate::cache::{CacheMetrics, MetadataCache};
+use crate::cache::{CacheMetrics, CacheStats, MetadataCache};
 use crate::metrics::SimReport;
 use crate::predictor::Predictor;
 
@@ -88,352 +86,101 @@ impl SimConfig {
 /// counter deltas: the trace's event-index range is cut into `num_phases`
 /// equal segments and the cache counters are snapshotted at each boundary.
 pub fn simulate(trace: &Trace, predictor: &mut dyn Predictor, cfg: SimConfig) -> SimReport {
-    run_sim(trace, predictor, cfg, None, &Registry::disabled()).0
-}
-
-/// [`simulate`] with live observability: the cache's hit/miss counters
-/// stream into the `cache.*` scope of `reg` as the run progresses (same
-/// end-of-run numbers as [`SimReport::stats`]). With a disabled registry
-/// this is exactly [`simulate`].
-pub fn simulate_instrumented(
-    trace: &Trace,
-    predictor: &mut dyn Predictor,
-    cfg: SimConfig,
-    reg: &Registry,
-) -> SimReport {
-    run_sim(trace, predictor, cfg, None, reg).0
-}
-
-/// Parameters of the online serving mode shared by
-/// [`simulate_online`] and `farmer-mds::replay_online`: a live
-/// [`ShardedMiner`] is co-driven with the simulation and the predictor is
-/// periodically refreshed from its snapshots.
-#[derive(Debug, Clone)]
-pub struct OnlineConfig {
-    /// Configuration of the co-driven miner (shards, `node_cap`, …).
-    pub stream: StreamConfig,
-    /// Events between snapshot refreshes: at every multiple of this event
-    /// index a consistent [`farmer_stream::StreamSnapshot`] is taken and
-    /// swapped into the predictor via
-    /// [`Predictor::refresh_source`]. Must be positive.
-    pub refresh_interval: usize,
-    /// Stop refreshing after this event index: the predictor keeps serving
-    /// the last snapshot taken at or before it — frozen-snapshot serving,
-    /// the baseline online adaptation is measured against. `None` never
-    /// freezes.
-    pub freeze_after: Option<usize>,
-}
-
-impl OnlineConfig {
-    /// Periodic refresh every `refresh_interval` events, never frozen.
-    pub fn every(stream: StreamConfig, refresh_interval: usize) -> Self {
-        OnlineConfig {
-            stream,
-            refresh_interval,
-            freeze_after: None,
-        }
-    }
-
-    /// One refresh at event `at`, frozen afterwards: the predictor serves
-    /// the `[0, at)` snapshot for the rest of the run.
-    pub fn frozen_at(stream: StreamConfig, at: usize) -> Self {
-        OnlineConfig {
-            stream,
-            refresh_interval: at,
-            freeze_after: Some(at),
-        }
-    }
-
-    /// Does a refresh fire at event index `i`?
-    pub fn refresh_due(&self, i: usize) -> bool {
-        i > 0
-            && i.is_multiple_of(self.refresh_interval.max(1))
-            && self.freeze_after.is_none_or(|stop| i <= stop)
-    }
-}
-
-/// Online-mode counters of one [`simulate_online`] run.
-#[derive(Debug, Clone)]
-pub struct OnlineSimReport {
-    /// The cache-simulation report (identical accounting to
-    /// [`simulate`]).
-    pub sim: SimReport,
-    /// Snapshot refreshes swapped into the predictor.
-    pub refreshes: u64,
-    /// Files tracked by the miner at end of run (≤ total node cap).
-    pub tracked_files: usize,
-    /// Files the miner evicted under `node_cap` pressure.
-    pub miner_evictions: u64,
-    /// Resident heap bytes of the miner at end of run.
-    pub miner_state_bytes: usize,
-}
-
-/// Run one **online** simulation: the predictor serves from periodic
-/// snapshots of a live [`ShardedMiner`] that is co-driven with the cache
-/// simulation, so per-phase hit-ratio deltas directly measure adaptation
-/// lag.
-///
-/// Per event, in order:
-///
-/// 1. at every `online.refresh_interval` boundary (unless frozen), a
-///    consistent snapshot reflecting exactly the events routed so far is
-///    swapped into the predictor ([`Predictor::refresh_source`]),
-/// 2. the cache-simulation demand step runs exactly as in [`simulate`]
-///    (the predictor serves from the *last installed* snapshot — state
-///    strictly older than the current event),
-/// 3. the event is routed to the miner under the matrix mining policy:
-///    unlinks as forgets, metadata demands as observations.
-///
-/// The predictor starts on an installed *empty* source, so serving is
-/// external for the whole run — adaptation lag is measured from a cold
-/// model, not hidden by self-mining.
-///
-/// # Panics
-/// Panics if the predictor rejects external sources
-/// ([`Predictor::refresh_source`] returns `false`) or if
-/// `online.refresh_interval` is zero.
-pub fn simulate_online(
-    trace: &Trace,
-    predictor: &mut dyn Predictor,
-    cfg: SimConfig,
-    online: &OnlineConfig,
-) -> OnlineSimReport {
-    simulate_online_instrumented(trace, predictor, cfg, online, &Registry::disabled())
-}
-
-/// [`simulate_online`] with live observability: the cache streams into
-/// `cache.*`, the co-driven miner into `stream.*`, and the refresh cadence
-/// into `online.*` of `reg`. With a disabled registry this is exactly
-/// [`simulate_online`].
-pub fn simulate_online_instrumented(
-    trace: &Trace,
-    predictor: &mut dyn Predictor,
-    cfg: SimConfig,
-    online: &OnlineConfig,
-    reg: &Registry,
-) -> OnlineSimReport {
-    let (sim, stats) = run_sim(trace, predictor, cfg, Some(online), reg);
-    // lint: allow(panic) run_sim returns Some stats whenever an
-    // OnlineConfig is passed, which this wrapper always does
-    let stats = stats.expect("online stats present when an OnlineConfig is supplied");
-    OnlineSimReport {
-        sim,
-        refreshes: stats.refreshes,
-        tracked_files: stats.tracked_files,
-        miner_evictions: stats.miner_evictions,
-        miner_state_bytes: stats.miner_state_bytes,
-    }
-}
-
-/// Miner-side counters of one online run (the non-simulation half of an
-/// [`OnlineSimReport`]); what [`OnlineDriver::finish`] hands back so the
-/// MDS replay can reuse the driver with its own report type.
-#[derive(Debug, Clone, Copy)]
-pub struct OnlineRunStats {
-    /// Snapshot refreshes swapped into the predictor.
-    pub refreshes: u64,
-    /// Files tracked by the miner at end of run.
-    pub tracked_files: usize,
-    /// Files the miner evicted under `node_cap` pressure.
-    pub miner_evictions: u64,
-    /// Resident heap bytes of the miner at end of run.
-    pub miner_state_bytes: usize,
-}
-
-/// Shared core of [`simulate`] and [`simulate_online`]: one event loop,
-/// one phase-accounting rule, with the online refresh hook threaded
-/// through when configured.
-fn run_sim(
-    trace: &Trace,
-    predictor: &mut dyn Predictor,
-    cfg: SimConfig,
-    online: Option<&OnlineConfig>,
-    reg: &Registry,
-) -> (SimReport, Option<OnlineRunStats>) {
-    let mut driver = online.map(|o| OnlineDriver::start_instrumented(predictor, o, reg));
-    let mut cache = MetadataCache::new(cfg.cache_capacity);
-    cache.instrument(CacheMetrics::new(&reg.scope("cache")));
-    let segments = phase_count(trace.len(), cfg.num_phases);
-    let mut phases = Vec::new();
-    let mut segment = 0usize;
-    let mut phase_mark = cache.stats();
-    // One candidate buffer for the whole run: the predictor fills it in
-    // place each access, so the demand loop allocates nothing per event.
-    let mut candidates = Vec::new();
+    let mut run = SimRun::new(trace, cfg, &Registry::disabled());
     for (i, event) in trace.events.iter().enumerate() {
-        if cfg.num_phases > 1 && i == phase_end(trace.len(), segments, segment) {
-            let now = cache.stats();
-            phases.push(now.delta(&phase_mark));
-            phase_mark = now;
-            segment += 1;
-        }
-        if let Some(d) = driver.as_mut() {
-            d.maybe_refresh(i, predictor);
-            d.route(trace, event);
-        }
-        if event.op.is_metadata_demand() {
-            let hit = cache.access(event.file);
-            if !hit {
-                cache.insert_demand(event.file);
-            }
-            predictor.on_access_into(trace, event, &mut candidates);
-            for &file in candidates.iter().take(cfg.prefetch_limit) {
-                if file != event.file {
-                    cache.insert_prefetch(file);
-                }
-            }
-        }
+        run.step(i, event, predictor);
     }
-    let stats = cache.stats();
-    if cfg.num_phases > 1 {
-        phases.push(stats.delta(&phase_mark));
-    }
-    let sim = SimReport {
-        predictor: predictor.name().to_string(),
-        trace: trace.label.clone(),
-        cache_capacity: cfg.cache_capacity,
-        stats,
-        phases,
-        predictor_memory: predictor.memory_bytes(),
-    };
-    let online_stats = driver.map(OnlineDriver::finish);
-    (sim, online_stats)
+    run.finish(predictor)
 }
 
-/// The miner side of an online run: owns the co-driven [`ShardedMiner`]
-/// and the refresh cadence. Shared (crate-public via the functions above)
-/// logic so `farmer-mds::replay_online` behaves identically.
-pub struct OnlineDriver {
-    miner: ShardedMiner,
-    cfg: OnlineConfig,
-    refreshes: u64,
-    /// Refreshes swapped into the predictor (`online.refreshes`).
-    obs_refreshes: Counter,
-    /// Wall-clock nanoseconds per refresh — consistent-cut snapshot plus
-    /// merge, as seen by the serving loop (`online.refresh_ns`).
-    obs_refresh_ns: Histogram,
-    /// Snapshots published into a serving-tier cell (`online.publishes`).
-    obs_publishes: Counter,
+/// One cache simulation, advanced an event at a time: the demand loop of
+/// [`simulate`] as a value, so a caller that has other work per event —
+/// refreshing the predictor from a live miner, restarting the cache after
+/// a crash — interleaves it between [`SimRun::step`] calls instead of
+/// copying the loop.
+pub struct SimRun<'a> {
+    trace: &'a Trace,
+    cfg: SimConfig,
+    cache: MetadataCache,
+    segments: usize,
+    segment: usize,
+    phases: Vec<CacheStats>,
+    phase_mark: CacheStats,
+    /// One candidate buffer for the whole run: the predictor fills it in
+    /// place each access, so the demand loop allocates nothing per event.
+    candidates: Vec<FileId>,
 }
 
-impl OnlineDriver {
-    /// Spawn the miner and install an empty initial source, switching the
-    /// predictor to external serving from event 0.
-    pub fn start(predictor: &mut dyn Predictor, online: &OnlineConfig) -> OnlineDriver {
-        OnlineDriver::start_instrumented(predictor, online, &Registry::disabled())
-    }
-
-    /// [`OnlineDriver::start`] with the refresh cadence and the co-driven
-    /// miner registered under the `online.*` / `stream.*` scopes of `reg`.
-    pub fn start_instrumented(
-        predictor: &mut dyn Predictor,
-        online: &OnlineConfig,
-        reg: &Registry,
-    ) -> OnlineDriver {
-        let driver = OnlineDriver::spawn_instrumented(online, reg);
-        assert!(
-            predictor.refresh_source(OnlineDriver::initial_source(), 0),
-            "online simulation requires a predictor that accepts external \
-             correlation sources (Predictor::refresh_source)"
-        );
-        driver
-    }
-
-    /// Spawn the miner alone. The caller owns installing
-    /// [`OnlineDriver::initial_source`] into its predictor (used by
-    /// `farmer-mds::replay_online`, where the predictor lives inside the
-    /// MDS server).
-    pub fn spawn(online: &OnlineConfig) -> OnlineDriver {
-        OnlineDriver::spawn_instrumented(online, &Registry::disabled())
-    }
-
-    /// [`OnlineDriver::spawn`] with observability: refresh metrics under
-    /// `online.*`, shard-fleet metrics under `stream.*` of `reg`.
-    pub fn spawn_instrumented(online: &OnlineConfig, reg: &Registry) -> OnlineDriver {
-        assert!(
-            online.refresh_interval > 0,
-            "online refresh_interval must be positive"
-        );
-        let scoped = reg.scope("online");
-        OnlineDriver {
-            miner: ShardedMiner::spawn_instrumented(online.stream.clone(), reg),
-            cfg: online.clone(),
-            refreshes: 0,
-            obs_refreshes: scoped.counter("refreshes"),
-            obs_refresh_ns: scoped.histogram("refresh_ns"),
-            obs_publishes: scoped.counter("publishes"),
+impl<'a> SimRun<'a> {
+    /// A run over `trace` whose cache streams its hit/miss counters into
+    /// the `cache.*` scope of `reg` as it progresses (same end-of-run
+    /// numbers as [`SimReport::stats`]; pass a disabled registry for none).
+    pub fn new(trace: &'a Trace, cfg: SimConfig, reg: &Registry) -> Self {
+        let mut cache = MetadataCache::new(cfg.cache_capacity);
+        cache.instrument(CacheMetrics::new(&reg.scope("cache")));
+        SimRun {
+            trace,
+            cfg,
+            segments: phase_count(trace.len(), cfg.num_phases),
+            segment: 0,
+            phases: Vec::new(),
+            phase_mark: cache.stats(),
+            cache,
+            candidates: Vec::new(),
         }
     }
 
-    /// The empty source every online run starts serving from (cold model:
-    /// adaptation is measured from nothing, not hidden by self-mining).
-    pub fn initial_source() -> Box<dyn farmer_core::CorrelationSource + Send> {
-        Box::new(CorrelatorTable::new())
-    }
-
-    /// At a refresh boundary, snapshot the miner — a consistent cut of
-    /// all events routed so far — and return it (with its stream
-    /// position) for the caller to install; `None` between boundaries.
-    pub fn snapshot_due(
+    /// Serve event `i` of the trace (call with every index, in order).
+    /// Returns whether a metadata demand hit the cache; `None` for events
+    /// that are not demands.
+    pub fn step(
         &mut self,
         i: usize,
-    ) -> Option<(Box<dyn farmer_core::CorrelationSource + Send>, u64)> {
-        if !self.cfg.refresh_due(i) {
+        event: &TraceEvent,
+        predictor: &mut dyn Predictor,
+    ) -> Option<bool> {
+        if self.cfg.num_phases > 1 && i == phase_end(self.trace.len(), self.segments, self.segment)
+        {
+            let now = self.cache.stats();
+            self.phases.push(now.delta(&self.phase_mark));
+            self.phase_mark = now;
+            self.segment += 1;
+        }
+        if !event.op.is_metadata_demand() {
             return None;
         }
-        let _span = self.obs_refresh_ns.span();
-        let events = self.miner.events_routed();
-        let snap = self.miner.snapshot();
-        self.refreshes += 1;
-        self.obs_refreshes.inc();
-        Some((Box::new(snap), events))
-    }
-
-    /// [`OnlineDriver::snapshot_due`] + install: the one-liner for callers
-    /// holding the predictor directly.
-    pub fn maybe_refresh(&mut self, i: usize, predictor: &mut dyn Predictor) {
-        if let Some((source, events)) = self.snapshot_due(i) {
-            predictor.refresh_source(source, events);
+        let hit = self.cache.access(event.file);
+        if !hit {
+            self.cache.insert_demand(event.file);
         }
-    }
-
-    /// The publication flavour of [`OnlineDriver::maybe_refresh`]: at a
-    /// refresh boundary, publish a consistent cut into `cell` (the
-    /// serving tier's epoch-swapped publication point) instead of handing
-    /// a boxed source to one predictor. Readers registered on the cell —
-    /// [`crate::FpaPredictor::refresh_from_cell`] pollers included — pick
-    /// it up wait-free. Returns the new epoch at boundaries.
-    pub fn maybe_publish(&mut self, i: usize, cell: &farmer_stream::SnapshotCell) -> Option<u64> {
-        if !self.cfg.refresh_due(i) {
-            return None;
+        predictor.on_access_into(self.trace, event, &mut self.candidates);
+        for &file in self.candidates.iter().take(self.cfg.prefetch_limit) {
+            if file != event.file {
+                self.cache.insert_prefetch(file);
+            }
         }
-        let _span = self.obs_refresh_ns.span();
-        let epoch = self.miner.publish_into(cell);
-        self.refreshes += 1;
-        self.obs_refreshes.inc();
-        self.obs_publishes.inc();
-        Some(epoch)
+        Some(hit)
     }
 
-    /// Route one event to the miner under the matrix mining policy:
-    /// unlinks are forgotten, metadata demands observed, `Close` ignored.
-    pub fn route(&mut self, trace: &Trace, event: &farmer_trace::TraceEvent) {
-        if event.op == Op::Unlink {
-            self.miner.route_forget(event.file);
-        } else if event.op.is_metadata_demand() {
-            self.miner.route_event(trace, event);
+    /// The serving tier died and was replaced: the cache empties, the
+    /// run's counters (they describe the experiment) carry on.
+    pub fn restart_cold(&mut self) {
+        self.cache.clear();
+    }
+
+    /// Close the last phase and report.
+    pub fn finish(mut self, predictor: &dyn Predictor) -> SimReport {
+        let stats = self.cache.stats();
+        if self.cfg.num_phases > 1 {
+            self.phases.push(stats.delta(&self.phase_mark));
         }
-    }
-
-    /// Take the end-of-run snapshot (for state accounting) and return the
-    /// run's miner-side counters.
-    pub fn finish(mut self) -> OnlineRunStats {
-        let end = self.miner.snapshot();
-        OnlineRunStats {
-            refreshes: self.refreshes,
-            tracked_files: end.tracked_files,
-            miner_evictions: end.evictions,
-            miner_state_bytes: end.state_bytes,
+        SimReport {
+            predictor: predictor.name().to_string(),
+            trace: self.trace.label.clone(),
+            cache_capacity: self.cfg.cache_capacity,
+            stats,
+            phases: self.phases,
+            predictor_memory: predictor.memory_bytes(),
         }
     }
 }
@@ -444,6 +191,8 @@ mod tests {
     use crate::baselines::{LastSuccessor, LruOnly};
     use crate::fpa::FpaPredictor;
     use crate::nexus::NexusPredictor;
+    use farmer_core::CorrelatorTable;
+    use farmer_stream::{ShardedMiner, StreamConfig, StreamSnapshot};
     use farmer_trace::WorkloadSpec;
 
     #[test]
@@ -559,22 +308,64 @@ mod tests {
         assert_eq!(total, r.stats.demand_accesses);
     }
 
+    /// Serve `trace` from one live miner in the lockstep driver's per-event
+    /// order — a snapshot swapped into `fpa` at every `interval`-th event
+    /// up to `stop`, the event routed, then stepped — starting cold on an
+    /// empty source. Returns the report, the refresh count and the miner's
+    /// end-of-stream snapshot.
+    fn serve_live(
+        trace: &Trace,
+        fpa: &mut FpaPredictor,
+        cfg: SimConfig,
+        stream: StreamConfig,
+        interval: usize,
+        stop: usize,
+        reg: &Registry,
+    ) -> (SimReport, u64, StreamSnapshot) {
+        let mut miner = ShardedMiner::spawn_instrumented(stream, reg);
+        fpa.refresh(CorrelatorTable::new(), 0);
+        let mut run = SimRun::new(trace, cfg, reg);
+        let mut refreshes = 0;
+        for (i, e) in trace.events.iter().enumerate() {
+            if i > 0 && i % interval == 0 && i <= stop {
+                let events = miner.events_routed();
+                fpa.refresh(miner.snapshot(), events);
+                refreshes += 1;
+            }
+            if e.op.is_metadata_demand() {
+                miner.route_event(trace, e);
+            }
+            run.step(i, e, fpa);
+        }
+        (run.finish(fpa), refreshes, miner.snapshot())
+    }
+
     #[test]
     fn online_refresh_follows_the_stream() {
         let trace = WorkloadSpec::hp().scaled(0.1).generate();
         let cfg = SimConfig::for_family(trace.family).with_phases(4);
         let stream = StreamConfig::default().with_node_cap(1 << 20);
-        let online = OnlineConfig::every(stream, (trace.len() / 16).max(1));
+        let interval = (trace.len() / 16).max(1);
         let mut fpa = FpaPredictor::for_trace(&trace);
-        let r = simulate_online(&trace, &mut fpa, cfg, &online);
-        assert_eq!(r.refreshes, 15, "one refresh per interior boundary");
-        assert_eq!(r.sim.phases.len(), 4);
-        assert!(r.sim.stats.prefetches_issued > 0, "online FPA prefetches");
-        assert_eq!(r.miner_evictions, 0, "uncapped miner never evicts");
-        assert!(r.miner_state_bytes > 0);
-        // Serving is external for the whole run: nothing self-mined.
+        let (r, refreshes, end) = serve_live(
+            &trace,
+            &mut fpa,
+            cfg,
+            stream,
+            interval,
+            usize::MAX,
+            &Registry::disabled(),
+        );
+        assert_eq!(refreshes, 15, "one refresh per interior boundary");
+        assert_eq!(r.phases.len(), 4);
+        assert!(r.stats.prefetches_issued > 0, "online FPA prefetches");
+        assert_eq!(end.evictions, 0, "uncapped miner never evicts");
+        assert!(end.state_bytes > 0);
+        // Serving is external for the whole run: nothing self-mined, and
+        // the installed source is the last boundary's cut.
         assert_eq!(fpa.farmer().observed(), 0);
         assert!(fpa.external().is_some());
+        assert!(fpa.external_events() > 0 && fpa.external_events() < end.events);
     }
 
     #[test]
@@ -586,30 +377,39 @@ mod tests {
         let trace = WorkloadSpec::hp().scaled(0.2).generate();
         let cfg = SimConfig::for_family(trace.family);
         let stream = StreamConfig::default().with_node_cap(1 << 20);
+        let reg = Registry::disabled();
 
         let mut offline_fpa = FpaPredictor::for_trace(&trace);
         let offline = simulate(&trace, &mut offline_fpa, cfg);
 
-        let online_cfg = OnlineConfig::every(stream.clone(), (trace.len() / 64).max(1));
+        let dense = (trace.len() / 64).max(1);
         let mut fpa = FpaPredictor::for_trace(&trace);
-        let online = simulate_online(&trace, &mut fpa, cfg, &online_cfg);
+        let (online, _, _) = serve_live(
+            &trace,
+            &mut fpa,
+            cfg,
+            stream.clone(),
+            dense,
+            usize::MAX,
+            &reg,
+        );
 
-        let frozen_cfg = OnlineConfig::frozen_at(stream, (trace.len() / 8).max(1));
+        let at = (trace.len() / 8).max(1);
         let mut fpa = FpaPredictor::for_trace(&trace);
-        let frozen = simulate_online(&trace, &mut fpa, cfg, &frozen_cfg);
-        assert_eq!(frozen.refreshes, 1, "frozen mode refreshes exactly once");
+        let (frozen, refreshes, _) = serve_live(&trace, &mut fpa, cfg, stream, at, at, &reg);
+        assert_eq!(refreshes, 1, "frozen mode refreshes exactly once");
 
         assert!(
-            offline.hit_ratio() - online.sim.hit_ratio() < 0.10,
+            offline.hit_ratio() - online.hit_ratio() < 0.10,
             "online {:.3} too far below offline {:.3}",
-            online.sim.hit_ratio(),
+            online.hit_ratio(),
             offline.hit_ratio()
         );
         assert!(
-            online.sim.hit_ratio() > frozen.sim.hit_ratio(),
+            online.hit_ratio() > frozen.hit_ratio(),
             "refreshing {:.3} must beat frozen-snapshot serving {:.3}",
-            online.sim.hit_ratio(),
-            frozen.sim.hit_ratio()
+            online.hit_ratio(),
+            frozen.hit_ratio()
         );
     }
 
@@ -618,19 +418,19 @@ mod tests {
         let trace = WorkloadSpec::hp().scaled(0.1).generate();
         let cfg = SimConfig::for_family(trace.family);
         let stream = StreamConfig::default().with_node_cap(128);
-        let online = OnlineConfig::every(stream, (trace.len() / 8).max(1));
+        let interval = (trace.len() / 8).max(1);
         let mut fpa = FpaPredictor::for_trace(&trace);
-        let r = simulate_online(&trace, &mut fpa, cfg, &online);
-        assert!(r.miner_evictions > 0, "cap must force eviction");
-        assert!(r.tracked_files <= 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "accepts external")]
-    fn online_rejects_self_mining_predictors() {
-        let trace = WorkloadSpec::ins().scaled(0.01).generate();
-        let online = OnlineConfig::every(StreamConfig::default(), 100);
-        let _ = simulate_online(&trace, &mut LruOnly, SimConfig::default(), &online);
+        let (_, _, end) = serve_live(
+            &trace,
+            &mut fpa,
+            cfg,
+            stream,
+            interval,
+            usize::MAX,
+            &Registry::disabled(),
+        );
+        assert!(end.evictions > 0, "cap must force eviction");
+        assert!(end.tracked_files <= 128);
     }
 
     #[test]
@@ -638,83 +438,52 @@ mod tests {
         let trace = WorkloadSpec::hp().scaled(0.05).generate();
         let cfg = SimConfig::for_family(trace.family);
         let stream = StreamConfig::default().with_node_cap(1 << 20);
-        let online = OnlineConfig::every(stream, (trace.len() / 8).max(1));
-        let reg = farmer_obs::Registry::enabled();
+        let interval = (trace.len() / 8).max(1);
+        let reg = Registry::enabled();
         let mut fpa = FpaPredictor::for_trace(&trace);
         fpa.instrument(&reg);
-        let r = simulate_online_instrumented(&trace, &mut fpa, cfg, &online, &reg);
+        let (r, refreshes, _) = serve_live(
+            &trace,
+            &mut fpa,
+            cfg,
+            stream.clone(),
+            interval,
+            usize::MAX,
+            &reg,
+        );
         let snap = reg.snapshot();
         // Cache counters mirror the report's end-of-run stats exactly.
         assert_eq!(
             snap.counter("cache.demand_accesses"),
-            Some(r.sim.stats.demand_accesses)
+            Some(r.stats.demand_accesses)
         );
-        assert_eq!(snap.counter("cache.hits"), Some(r.sim.stats.hits));
+        assert_eq!(snap.counter("cache.hits"), Some(r.stats.hits));
         assert_eq!(
             snap.counter("cache.prefetches_issued"),
-            Some(r.sim.stats.prefetches_issued)
+            Some(r.stats.prefetches_issued)
         );
-        assert_eq!(snap.counter("cache.evictions"), Some(r.sim.stats.evictions));
-        // Online refresh cadence and the co-driven miner share the registry.
-        assert_eq!(snap.counter("online.refreshes"), Some(r.refreshes));
-        let refresh_ns = snap.histogram("online.refresh_ns").expect("refresh spans");
-        assert_eq!(refresh_ns.count, r.refreshes);
+        assert_eq!(snap.counter("cache.evictions"), Some(r.stats.evictions));
         // The predictor counts the initial empty source too.
-        assert_eq!(snap.counter("fpa.refreshes"), Some(r.refreshes + 1));
+        assert_eq!(snap.counter("fpa.refreshes"), Some(refreshes + 1));
         let topk = snap.histogram("fpa.topk_ns").expect("topk spans");
-        assert_eq!(topk.count, r.sim.stats.demand_accesses);
+        assert_eq!(topk.count, r.stats.demand_accesses);
         assert_eq!(
             snap.counter("stream.events_mined"),
-            Some(r.sim.stats.demand_accesses),
+            Some(r.stats.demand_accesses),
             "every demand event routed to the miner is mined once"
         );
         // Instrumentation must not change the simulation outcome.
         let mut plain = FpaPredictor::for_trace(&trace);
-        let stream = StreamConfig::default().with_node_cap(1 << 20);
-        let online = OnlineConfig::every(stream, (trace.len() / 8).max(1));
-        let baseline = simulate_online(&trace, &mut plain, cfg, &online);
-        assert_eq!(baseline.sim.stats, r.sim.stats);
-    }
-
-    #[test]
-    fn maybe_publish_feeds_cell_readers_at_boundaries() {
-        use farmer_stream::SnapshotCell;
-        use std::sync::Arc;
-
-        let trace = WorkloadSpec::hp().scaled(0.02).generate();
-        let interval = (trace.len() / 4).max(1);
-        let stream = StreamConfig::default().with_shards(2);
-        let reg = Registry::enabled();
-        let mut driver =
-            OnlineDriver::spawn_instrumented(&OnlineConfig::every(stream, interval), &reg);
-        let cell = Arc::new(SnapshotCell::new());
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        let mut reader = cell.reader();
-        let mut installs = 0u64;
-        let mut epochs = Vec::new();
-        for (i, e) in trace.events.iter().enumerate() {
-            driver.route(&trace, e);
-            if let Some(epoch) = driver.maybe_publish(i, &cell) {
-                epochs.push(epoch);
-            }
-            if fpa.refresh_from_cell(&mut reader) {
-                installs += 1;
-            }
-        }
-        assert!(!epochs.is_empty(), "no boundary published");
-        assert!(epochs.windows(2).all(|w| w[1] == w[0] + 1));
-        assert_eq!(cell.epoch(), *epochs.last().unwrap());
-        // One install for the initial epoch-0 snapshot, one per pickup.
-        assert_eq!(installs, epochs.len() as u64 + 1);
-        let r = driver.finish();
-        assert_eq!(r.refreshes, epochs.len() as u64);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("online.publishes"), Some(epochs.len() as u64));
-        assert_eq!(snap.counter("online.refreshes"), Some(epochs.len() as u64));
-        assert_eq!(
-            snap.histogram("online.refresh_ns").unwrap().count,
-            epochs.len() as u64
+        let (baseline, _, _) = serve_live(
+            &trace,
+            &mut plain,
+            cfg,
+            stream,
+            interval,
+            usize::MAX,
+            &Registry::disabled(),
         );
+        assert_eq!(baseline.stats, r.stats);
     }
 
     #[test]

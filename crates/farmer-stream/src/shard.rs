@@ -120,13 +120,21 @@ impl ShardedMiner {
     /// so per-shard increments sum into fleet totals for free). With a
     /// disabled registry this is exactly `spawn`.
     pub fn spawn_instrumented(cfg: StreamConfig, reg: &Registry) -> Self {
-        let obs = StreamMetrics::new(&reg.scope("stream"));
         let n = cfg.num_shards.max(1);
-        let mut senders = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for shard_id in 0..n {
+        let miners = (0..n)
+            .map(|shard_id| StreamMiner::for_shard(cfg.clone(), shard_id, n))
+            .collect();
+        Self::launch(cfg, miners, 0, reg)
+    }
+
+    /// Put each shard's miner (in shard order) on its own worker thread
+    /// behind a bounded channel, all sharing one `stream.*` metric set.
+    fn launch(cfg: StreamConfig, miners: Vec<StreamMiner>, routed: u64, reg: &Registry) -> Self {
+        let obs = StreamMetrics::new(&reg.scope("stream"));
+        let mut senders = Vec::with_capacity(miners.len());
+        let mut handles = Vec::with_capacity(miners.len());
+        for (shard_id, mut miner) in miners.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
-            let mut miner = StreamMiner::for_shard(cfg.clone(), shard_id, n);
             miner.instrument(obs.clone());
             handles.push(
                 thread::Builder::new()
@@ -144,7 +152,7 @@ impl ShardedMiner {
             handles,
             pending: Vec::new(),
             path_cache: FxHashMap::default(),
-            routed: 0,
+            routed,
             sink: None,
             obs,
         }
@@ -276,32 +284,8 @@ impl ShardedMiner {
     /// Take a consistent snapshot: the merged Correlator Lists of every
     /// shard, reflecting exactly the events routed before this call.
     pub fn snapshot(&mut self) -> StreamSnapshot {
-        self.dispatch();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut ok = true;
-        for tx in &self.senders {
-            if tx.send(Msg::Snapshot(reply_tx.clone())).is_err() {
-                ok = false;
-                break;
-            }
-        }
-        drop(reply_tx);
-        let mut parts: Vec<ShardSnapshot> = reply_rx.iter().collect();
-        if !ok || parts.len() != self.senders.len() {
-            // A worker died mid-snapshot: surface its panic instead of
-            // merging a partial (silently shard-less) snapshot.
-            self.propagate_worker_panic("snapshot");
-        }
-        // Replies arrive in completion order (scheduling-dependent); merge
-        // in shard order so the snapshot — including the iteration order of
-        // its table — is a deterministic function of the routed stream.
-        parts.sort_by_key(|p| p.shard_id);
-        let span = self.obs.snapshot_merge_ns.span();
-        let snap = StreamSnapshot::merge(parts);
-        span.finish();
-        self.obs.tracked_files.set(snap.tracked_files as i64);
-        self.obs.state_bytes.set(snap.state_bytes as i64);
-        snap
+        self.consistent_cut("snapshot", Msg::Snapshot, |part| (part, ()))
+            .0
     }
 
     /// Take a consistent snapshot *and* the full per-shard state images
@@ -310,29 +294,43 @@ impl ShardedMiner {
     /// snapshot embedded in a checkpoint always describes exactly the
     /// state the image resumes from.
     pub fn export_full(&mut self) -> (StreamSnapshot, Vec<MinerState>) {
+        self.consistent_cut("export", Msg::Export, |pair| pair)
+    }
+
+    /// The barrier behind [`ShardedMiner::snapshot`] and
+    /// [`ShardedMiner::export_full`]: dispatch what is buffered, send
+    /// every shard a `marker`, and merge the replies' snapshot halves
+    /// (`split` separates whatever else a reply carries).
+    fn consistent_cut<T, X>(
+        &mut self,
+        context: &str,
+        marker: fn(mpsc::Sender<T>) -> Msg,
+        split: fn(T) -> (ShardSnapshot, X),
+    ) -> (StreamSnapshot, Vec<X>) {
         self.dispatch();
         let (reply_tx, reply_rx) = mpsc::channel();
-        let mut ok = true;
-        for tx in &self.senders {
-            if tx.send(Msg::Export(reply_tx.clone())).is_err() {
-                ok = false;
-                break;
-            }
-        }
+        let ok = self
+            .senders
+            .iter()
+            .all(|tx| tx.send(marker(reply_tx.clone())).is_ok());
         drop(reply_tx);
-        let mut parts: Vec<(ShardSnapshot, MinerState)> = reply_rx.iter().collect();
+        let mut parts: Vec<(ShardSnapshot, X)> = reply_rx.iter().map(split).collect();
         if !ok || parts.len() != self.senders.len() {
-            self.propagate_worker_panic("export");
+            // A worker died mid-cut: surface its panic instead of merging
+            // a partial (silently shard-less) snapshot.
+            self.propagate_worker_panic(context);
         }
-        // Same determinism rule as `snapshot`: merge in shard order.
-        parts.sort_by_key(|(p, _)| p.shard_id);
-        let (snaps, states): (Vec<ShardSnapshot>, Vec<MinerState>) = parts.into_iter().unzip();
+        // Replies arrive in completion order (scheduling-dependent); merge
+        // in shard order so the snapshot — including the iteration order of
+        // its table — is a deterministic function of the routed stream.
+        parts.sort_by_key(|(part, _)| part.shard_id);
+        let (snaps, extras): (Vec<ShardSnapshot>, Vec<X>) = parts.into_iter().unzip();
         let span = self.obs.snapshot_merge_ns.span();
         let snap = StreamSnapshot::merge(snaps);
         span.finish();
         self.obs.tracked_files.set(snap.tracked_files as i64);
         self.obs.state_bytes.set(snap.state_bytes as i64);
-        (snap, states)
+        (snap, extras)
     }
 
     /// Spawn a fleet whose shards resume from exported state images
@@ -353,11 +351,9 @@ impl ShardedMiner {
     ) -> Self {
         let n = cfg.num_shards.max(1);
         assert_eq!(states.len(), n, "one state image per shard required");
-        let obs = StreamMetrics::new(&reg.scope("stream"));
         let mut by_shard: Vec<&MinerState> = states.iter().collect();
         by_shard.sort_by_key(|s| s.shard_id);
-        let mut senders = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
+        let mut miners = Vec::with_capacity(n);
         let mut routed = 0u64;
         for (shard_id, state) in by_shard.into_iter().enumerate() {
             assert_eq!(
@@ -365,32 +361,12 @@ impl ShardedMiner {
                 (shard_id, n),
                 "state image shard identity does not match the fleet"
             );
-            let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
-            let mut miner = StreamMiner::from_state(cfg.clone(), state);
-            miner.instrument(obs.clone());
+            miners.push(StreamMiner::from_state(cfg.clone(), state));
             // Forgets are not events, so the router's routed counter at
             // the cut equals any shard's events_seen.
             routed = routed.max(state.events_seen);
-            handles.push(
-                thread::Builder::new()
-                    .name(format!("farmer-stream-shard-{shard_id}"))
-                    .spawn(move || shard_worker(miner, rx))
-                    // lint: allow(panic) thread-spawn failure at miner
-                    // startup is unrecoverable resource exhaustion
-                    .expect("spawn shard worker"),
-            );
-            senders.push(tx);
         }
-        ShardedMiner {
-            cfg,
-            senders,
-            handles,
-            pending: Vec::new(),
-            path_cache: FxHashMap::default(),
-            routed,
-            sink: None,
-            obs,
-        }
+        Self::launch(cfg, miners, routed, reg)
     }
 
     /// Publication hook for the serving tier: take a consistent

@@ -91,20 +91,6 @@ impl StreamSnapshot {
     pub fn num_lists(&self) -> usize {
         self.table.len()
     }
-
-    /// Consume the snapshot, keeping only the queryable table.
-    ///
-    /// A move of the already-merged lists — nothing is rebuilt — but
-    /// consumers no longer need it: the snapshot itself is a
-    /// [`CorrelationSource`], so hand it to `FpaPredictor::refresh` (or
-    /// any other consumer) directly and keep the stream-position metadata.
-    #[deprecated(
-        since = "0.1.0",
-        note = "query the snapshot directly through CorrelationSource"
-    )]
-    pub fn into_table(self) -> CorrelatorTable {
-        self.table
-    }
 }
 
 /// A snapshot serves queries directly — the consistent cut *is* a
@@ -195,14 +181,6 @@ mod tests {
             shard(0, vec![list(5, 1, 0.9)], 10),
             shard(1, vec![list(5, 2, 0.8)], 10),
         ]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn into_table_preserves_lists() {
-        let snap = StreamSnapshot::merge(vec![shard(0, vec![list(4, 7, 0.6)], 5)]);
-        let table = snap.into_table();
-        assert_eq!(table.top(FileId::new(4), 1)[0].file, FileId::new(7));
     }
 
     #[test]
