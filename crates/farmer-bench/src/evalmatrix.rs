@@ -69,8 +69,9 @@
 //! [`ShardedMiner::route_forget`]) in every mode, which is what the churn
 //! scenario exercises.
 //!
-//! The baked-in expected bands per cell live in [`crate::refmodel`]; the
-//! `eval_matrix` binary's `--check` mode fails on out-of-band results.
+//! The reference a run is checked against is the checked-in full-scale
+//! record, `BENCH_eval.json` ([`crate::refmodel`]); the `eval_matrix`
+//! binary's `--check` mode fails on out-of-band results.
 
 use std::time::Instant;
 
@@ -86,8 +87,14 @@ use farmer_stream::{ShardedMiner, StreamConfig, StreamSnapshot};
 use farmer_trace::workload::{ChurnSpec, DriftSpec, MultiTenantSpec, ScanStormSpec};
 use farmer_trace::{Op, Trace, WorkloadSpec};
 
+use crate::format::Json;
 use crate::lockstep::{serve_online, MinerSide, OnlineConfig};
 pub use crate::refmodel::SCHEMA_VERSION;
+
+/// The `eval_matrix --quick` scale factor: an unchecked fast run (the
+/// reference record is full scale), still large enough that the capped
+/// cells of `tenants` and `churn` must evict.
+pub const QUICK_SCALE: f64 = 0.25;
 
 /// Event-index segments each cell is additionally reported over.
 pub const PHASES: usize = 4;
@@ -125,7 +132,7 @@ pub const ONLINE_SPARSE_REFRESHES: usize = 8;
 pub const ONLINE_DENSE_REFRESHES: usize = 64;
 
 /// Per-shard `node_cap` of the capped miner cells: well below the
-/// scenarios' per-shard distinct-file counts at both calibrated profiles
+/// scenarios' per-shard distinct-file counts from [`QUICK_SCALE`] up
 /// (the tightest case, `churn --quick` at 4 shards, touches ~820 distinct
 /// files per shard), so `tenants` and `churn` — and in practice every
 /// scenario — force Space-Saving eviction in every capped cell.
@@ -141,7 +148,7 @@ pub const CAPPED_NODE_CAP: usize = 512;
 pub const ONLINE_CONVERGENCE_GAP: f64 = 0.10;
 
 /// Build one scenario's trace at `scale` (1.0 = the full checked-in
-/// matrix, the quick CI profile uses less).
+/// matrix).
 ///
 /// Panics on an unknown name — scenario names are part of the reference
 /// model's identity.
@@ -192,7 +199,7 @@ pub fn miner_config(trace: &Trace) -> FarmerConfig {
 }
 
 /// One measured cell of the matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cell {
     /// Scenario name (one of [`SCENARIOS`]).
     pub scenario: &'static str,
@@ -265,6 +272,42 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// The cell as it appears in the record's `cells[]` — the printed
+    /// precision here is the precision [`crate::refmodel::check`]
+    /// compares a run with the record at.
+    pub fn to_json(&self) -> Json {
+        let fixed = |values: &[f64], decimals| {
+            Json::Arr(values.iter().map(|&v| Json::Fixed(v, decimals)).collect())
+        };
+        Json::obj()
+            .field("scenario", Json::str(self.scenario))
+            .field("miner_mode", Json::str(self.mode))
+            .field("predictor", Json::str(self.predictor))
+            .field("hit_ratio", Json::Fixed(self.hit_ratio, 4))
+            .field("prefetch_accuracy", Json::Fixed(self.prefetch_accuracy, 4))
+            .field("prefetch_waste", Json::Fixed(self.prefetch_waste, 4))
+            .field("avg_response_ms", Json::Fixed(self.avg_response_ms, 3))
+            .field("response_p50_ms", Json::Fixed(self.response_p50_ms, 3))
+            .field("response_p95_ms", Json::Fixed(self.response_p95_ms, 3))
+            .field("response_p99_ms", Json::Fixed(self.response_p99_ms, 3))
+            .field("events_per_sec", Json::Fixed(self.events_per_sec, 0))
+            .field("memory_bytes", Json::UInt(self.memory_bytes as u64))
+            .field("phase_hit_ratios", fixed(&self.phase_hit_ratios, 4))
+            .field("phase_response_ms", fixed(&self.phase_response_ms, 3))
+            .field("phase_p50_ms", fixed(&self.phase_p50_ms, 3))
+            .field("phase_p95_ms", fixed(&self.phase_p95_ms, 3))
+            .field("phase_p99_ms", fixed(&self.phase_p99_ms, 3))
+            .field("refreshes", Json::UInt(self.refreshes))
+            .field("miner_evictions", Json::UInt(self.miner_evictions))
+            .field("recoveries", Json::UInt(self.recoveries))
+            .field("recovery_events", Json::UInt(self.recovery_events))
+            .field("recovered_events", Json::UInt(self.recovered_events))
+            .field("replay_fraction", Json::Fixed(self.replay_fraction, 4))
+            .field("recovery_ms", Json::Fixed(self.recovery_ms, 3))
+            .field("hit_ratio_dip", Json::Fixed(self.hit_ratio_dip, 4))
+            .field("wal_bytes", Json::UInt(self.wal_bytes))
+    }
+
     /// Mean demand hit ratio over the post-shift reporting segments
     /// (everything after the first) — the drift scenario's adaptation
     /// metric: the first segment is the pre-shift regime, every later
@@ -749,8 +792,8 @@ pub fn run_matrix_with(
                 refresh_interval(&trace, ONLINE_DENSE_REFRESHES),
             ),
         ));
-        if scale >= crate::refmodel::QUICK_SCALE && matches!(scenario, "tenants" | "churn") {
-            // At the calibrated profiles these scenarios touch far more
+        if scale >= QUICK_SCALE && matches!(scenario, "tenants" | "churn") {
+            // From the quick scale up these scenarios touch far more
             // distinct files than the cap tracks: the capped cells must
             // actually exercise eviction, or they measure nothing.
             for c in fpa_cells.iter().filter(|c| c.mode.contains("capped")) {
@@ -931,6 +974,36 @@ mod tests {
             "online {:.4} < frozen {:.4}",
             a.online_post_shift,
             a.frozen_post_shift
+        );
+    }
+
+    /// The compiled-in record is the record of *this* matrix: same schema,
+    /// full scale, and exactly the cells the axes declare — so a half-done
+    /// scenario/mode registration fails `cargo test`, not just `--check`.
+    #[test]
+    fn checked_in_record_matches_the_declared_matrix() {
+        let reference = crate::refmodel::Reference::checked_in().expect("BENCH_eval.json parses");
+        assert_eq!(reference.schema_version, u64::from(SCHEMA_VERSION));
+        assert_eq!(reference.scale, 1.0);
+        use crate::faults::FAILURE_MODES;
+        let mut declared = Vec::new();
+        for scenario in SCENARIOS {
+            if scenario == "failure" {
+                declared.extend(FAILURE_MODES.map(|m| (scenario, m, "FARMER")));
+            } else {
+                declared.extend(FPA_MODES.map(|m| (scenario, m, "FARMER")));
+                declared.extend(SELF_PREDICTORS.map(|p| (scenario, "self", p)));
+            }
+        }
+        let recorded: Vec<_> = reference.keys().collect();
+        let missing: Vec<_> = declared.iter().filter(|k| !recorded.contains(k)).collect();
+        let surplus: Vec<_> = recorded.iter().filter(|k| !declared.contains(k)).collect();
+        assert!(
+            missing.is_empty() && surplus.is_empty() && recorded.len() == declared.len(),
+            "BENCH_eval.json lacks {missing:?} and holds undeclared {surplus:?} \
+             ({} recorded, {} declared): run eval_matrix > BENCH_eval.json",
+            recorded.len(),
+            declared.len()
         );
     }
 }

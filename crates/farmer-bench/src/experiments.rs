@@ -1,12 +1,14 @@
-//! Experiment implementations, one function per paper table/figure.
+//! Experiment implementations, one function per paper table/figure (and
+//! one each for the §4.1 multi-MDS and §7 regression experiments).
 //!
 //! Each function takes a `scale` factor applied to the preset trace sizes
 //! (1.0 = the defaults DESIGN.md documents) and returns plain data; the
-//! `src/bin/*` wrappers render tables. Keeping the logic here lets the
+//! `repro` binary renders the tables. Keeping the logic here lets the
 //! integration tests assert the paper's qualitative shapes directly.
 
+use farmer_apps::regression::{fit_trace, RegressionReport};
 use farmer_core::{AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode};
-use farmer_mds::{replay, ReplayConfig};
+use farmer_mds::{replay, replay_cluster, ClusterConfig, ClusterReport, Partition, ReplayConfig};
 use farmer_prefetch::baselines::LruOnly;
 use farmer_prefetch::{simulate, FpaPredictor, NexusPredictor, SimConfig};
 use farmer_trace::stats::{figure1_rows, SuccessorStats};
@@ -406,6 +408,52 @@ pub fn layout_experiment(scale: f64) -> (farmer_mds::osd::OsdStats, farmer_mds::
     let scattered = replay_reads(&trace, None, OsdConfig::default());
     let grouped = replay_reads(&trace, Some(&layout), OsdConfig::default());
     (scattered, grouped)
+}
+
+// ------------------------------------------------------- Multi-MDS scaling
+
+/// One multi-MDS row: servers, partitioning, predictor name, outcome.
+pub type ClusterRow = (usize, Partition, &'static str, ClusterReport);
+
+/// §4.1 multi-MDS scaling on HP: response time and load balance as
+/// servers are added, hash vs volume partitioning, with and without
+/// FARMER prefetching — the paper's two attacks on the metadata
+/// bottleneck, composed.
+pub fn cluster_scaling(scale: f64) -> Vec<ClusterRow> {
+    let trace = trace_for(TraceFamily::Hp, scale);
+    let mut replay = ReplayConfig::for_family(TraceFamily::Hp);
+    replay.time_scale *= 0.8; // heavier (but stable) load makes scaling visible
+    let mut rows = Vec::new();
+    for servers in [1usize, 2, 4, 8] {
+        for partition in [Partition::Hash, Partition::Dev] {
+            let cfg = ClusterConfig {
+                num_servers: servers,
+                replay,
+                partition,
+            };
+            let lru = replay_cluster(&trace, || Box::new(LruOnly), cfg);
+            let fpa = replay_cluster(&trace, || Box::new(FpaPredictor::for_trace(&trace)), cfg);
+            rows.push((servers, partition, "LRU", lru));
+            rows.push((servers, partition, "FARMER", fpa));
+        }
+    }
+    rows
+}
+
+// ------------------------------------------------------ Attribute regression
+
+/// §7 future work: OLS of successor strength on attribute-match
+/// indicators, per trace family — a statistical complement to the
+/// Table 5 combination sweep.
+pub fn regression(scale: f64) -> Vec<(TraceFamily, RegressionReport)> {
+    TraceFamily::ALL
+        .into_iter()
+        .map(|fam| {
+            let trace = trace_for(fam, scale);
+            let farmer = Farmer::mine_trace(&trace, farmer_config_for(&trace));
+            (fam, fit_trace(&trace, &farmer))
+        })
+        .collect()
 }
 
 #[cfg(test)]

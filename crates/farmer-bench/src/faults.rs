@@ -119,7 +119,7 @@ pub fn kill_plan(mode: &str, len: usize) -> KillPlan {
 
 /// Apply one torn-write injection to a WAL file. Skips (rather than
 /// corrupting the header page) when the file is too small to tear —
-/// which the calibrated scales never are.
+/// which the quick and full scales never are.
 pub fn inject_torn_tail(path: &Path, torn: TornTail) -> std::io::Result<()> {
     let mut data = fs::read(path)?;
     let len = data.len();

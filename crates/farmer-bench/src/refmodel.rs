@@ -1,88 +1,43 @@
-//! The baked-in reference model: expected bands per evaluation-matrix
-//! cell.
+//! The reference model: the checked-in `BENCH_eval.json`, and the bands
+//! derived from it.
 //!
-//! Every cell of [`crate::evalmatrix`] has a checked-in expected band for
-//! its deterministic quality metrics (hit ratio, prefetch accuracy, mean
-//! response time) and a resident-memory ceiling. The whole pipeline —
-//! synthetic generators, miner, query layer, cache and MDS simulators —
-//! is deterministic for a fixed scale, so the bands are deliberately
-//! tight: they exist to catch *regressions in model quality or simulator
-//! behaviour*, not to absorb noise. Drive throughput (`events_per_sec`)
-//! is machine-dependent and never banded.
-//!
-//! Two profiles are maintained: [`Profile::Quick`] is what the CI smoke
-//! job checks (`eval_matrix --quick --check`); [`Profile::Full`] matches
-//! the checked-in `BENCH_eval.json`.
+//! Every cell of [`crate::evalmatrix`] is recorded in `BENCH_eval.json`
+//! (full scale, compiled in here). The whole pipeline — synthetic
+//! generators, miner, query layer, cache and MDS simulators — is
+//! deterministic for a fixed scale, so a fresh run is expected to land
+//! *on* the recorded values; [`check`] allows each banded metric the
+//! margin of its rule (the [`Band`] constructors, one per rule) — tight
+//! by design: the bands exist to catch *regressions in model quality or
+//! simulator behaviour*, not to absorb noise. Wall-clock fields
+//! (`events_per_sec`, `recovery_ms`) are machine-dependent and never
+//! compared.
 //!
 //! **Recalibrating** (after an intentional change to generators, miner or
-//! predictors): run `eval_matrix --calibrate` (and `--quick --calibrate`)
-//! and replace the matching table below with the emitted rows — the
-//! margins (±25 % relative, floor ±0.05 absolute on ratios; −40 %/+60 %
-//! on response; 2× on memory) are applied by the calibration emitter, so
-//! the tables stay mechanical. The `failure` family additionally has a
-//! durability table per profile ([`FailureBand`]; exact recovery counts,
-//! banded replay volume and hit-ratio dip), emitted by the same
-//! `--calibrate` runs via [`calibrate_failure`].
+//! predictors): `eval_matrix > BENCH_eval.json`, review the `git diff` of
+//! the record, commit. [`check`] also reports — without failing — every
+//! cell whose deterministic fields no longer equal the record as printed,
+//! so a stale record does not go unnoticed inside its own bands.
 
 use crate::evalmatrix::Cell;
+use crate::format::Json;
 
 /// Version of the `BENCH_eval.json` record layout. Bump on any field
-/// addition, removal or rename so downstream tooling can dispatch. Lives
-/// next to the band tables (and is grepped against the checked-in
-/// `BENCH_eval.json` by CI) so a record regenerated from stale code fails
-/// fast.
+/// addition, removal or rename so downstream tooling can dispatch. CI greps
+/// it against the checked-in `BENCH_eval.json` and a tier-1 test compares
+/// it with the compiled-in copy, so a schema bump without a regenerated
+/// record fails fast.
 ///
-/// v2: online/frozen/capped miner modes; per-cell `refreshes` and
-/// `miner_evictions`; top-level `fpa_modes` and `adaptation`.
-///
-/// v3: per-cell service-time quantiles (`response_p{50,95,99}_ms` and the
-/// matching per-phase vectors) from the replay's log2-bucketed histogram;
-/// top-level `obs` dump of the instrumented demo run's metric registry.
-///
-/// v4: the correlated-`failure` scenario family — per-cell `recoveries`,
-/// `recovery_events`, `recovery_ms`, `hit_ratio_dip` and `wal_bytes`;
-/// top-level `failure_modes` axis and `obs_recovery` dump of an
-/// instrumented crash/recover demo (`wal.*` scope).
-///
-/// v5: checkpoint-anchored recovery — the `ckpt` failure mode (checkpoint
-/// images + log compaction, suffix-only replay) and per-failure-cell
-/// `recovered_events` / `replay_fraction`: `recovery_events` now counts
-/// only the replayed WAL suffix, `recovered_events` the full recovered
-/// total, and their ratio is the banded O(log) → O(suffix) comparison.
-pub const SCHEMA_VERSION: u32 = 5;
-
-/// Which band table a run is checked against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// The CI smoke profile (`--quick`).
-    Quick,
-    /// The full checked-in matrix.
-    Full,
-}
-
-impl Profile {
-    /// Stable name used in the JSON record.
-    pub fn name(self) -> &'static str {
-        match self {
-            Profile::Quick => "quick",
-            Profile::Full => "full",
-        }
-    }
-
-    /// The scale factor this profile's bands were calibrated at.
-    pub fn scale(self) -> f64 {
-        match self {
-            Profile::Quick => QUICK_SCALE,
-            Profile::Full => 1.0,
-        }
-    }
-}
-
-/// The `--quick` scale factor (shared by the binary and the band tables).
-pub const QUICK_SCALE: f64 = 0.25;
+/// v2 added the online/frozen/capped miner modes, v3 the service-time
+/// quantiles and the top-level `obs` dump, v4 the `failure` scenario
+/// family (`recoveries` … `wal_bytes`, `failure_modes`, `obs_recovery`),
+/// v5 checkpoint-anchored recovery (`ckpt`, `recovered_events`,
+/// `replay_fraction`). v6: the record *is* the reference model — the
+/// derived per-cell `band` / `failure_band` objects and the top-level
+/// `profile` are gone ([`check`] derives every band).
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// An inclusive expected range.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Band {
     /// Lower bound (inclusive).
     pub lo: f64,
@@ -95,1620 +50,220 @@ impl Band {
     pub fn contains(self, v: f64) -> bool {
         v >= self.lo && v <= self.hi
     }
-}
 
-/// The reference bands of one matrix cell.
-#[derive(Debug, Clone, Copy)]
-pub struct CellBand {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Miner mode.
-    pub mode: &'static str,
-    /// Predictor name.
-    pub predictor: &'static str,
-    /// Expected demand hit ratio.
-    pub hit_ratio: Band,
-    /// Expected prefetch accuracy.
-    pub prefetch_accuracy: Band,
-    /// Expected mean response time (ms).
-    pub avg_response_ms: Band,
-    /// Resident-memory ceiling (bytes).
-    pub memory_hi: u64,
-}
+    /// `[lo, hi]` rounded outward to the third decimal.
+    fn outward(lo: f64, hi: f64) -> Band {
+        Band {
+            lo: (lo * 1000.0).floor() / 1000.0,
+            hi: (hi * 1000.0).ceil() / 1000.0,
+        }
+    }
 
-/// The durability bands of one `failure`-family cell, on top of its
-/// regular [`CellBand`]: kill counts are part of the plan (exact), the
-/// replayed-event volume and the post-recovery hit-ratio dip are banded.
-/// Wall-clock recovery time is machine-dependent and never banded.
-#[derive(Debug, Clone, Copy)]
-pub struct FailureBand {
-    /// Failure mode (one of [`crate::faults::FAILURE_MODES`]).
-    pub mode: &'static str,
-    /// Exact expected crash/recover cycles (the kill plan is
-    /// deterministic; anything else is a harness bug, not drift).
-    pub recoveries: u64,
-    /// Expected logged events *replayed* (WAL suffix) across all
-    /// recoveries of one leg.
-    pub recovery_events: Band,
-    /// Expected replayed share of the recovered state
-    /// (`recovery_events / recovered_events`): pinned near 1.0 for
-    /// genesis-replay modes, well below it for checkpoint-anchored
-    /// recovery — the band that asserts the O(log) → O(suffix) collapse.
-    pub replay_fraction: Band,
-    /// Expected worst per-kill demand hit-ratio dip.
-    pub hit_ratio_dip: Band,
-}
+    /// `v ± max(rel·|v|, abs)`, clamped to `[min, max]`.
+    fn around(v: f64, rel: f64, abs: f64, (min, max): (f64, f64)) -> Band {
+        let margin = (rel * v.abs()).max(abs);
+        Band::outward((v - margin).max(min), (v + margin).min(max))
+    }
 
-/// The band table for `profile`.
-pub fn bands(profile: Profile) -> &'static [CellBand] {
-    match profile {
-        Profile::Quick => QUICK_BANDS,
-        Profile::Full => FULL_BANDS,
+    /// Hit ratio and prefetch accuracy: ±max(25 %, 0.05) within [0, 1].
+    pub fn around_ratio(v: f64) -> Band {
+        Band::around(v, 0.25, 0.05, (0.0, 1.0))
+    }
+
+    /// Mean response time (ms): −40 % / +60 %.
+    pub fn around_response(ms: f64) -> Band {
+        Band::outward(ms * 0.6, ms * 1.6)
+    }
+
+    /// Resident memory (bytes): a ceiling of 2×, no floor.
+    pub fn memory_ceiling(bytes: f64) -> Band {
+        Band {
+            lo: 0.0,
+            hi: 2.0 * bytes,
+        }
+    }
+
+    /// Replayed WAL events across a failure cell's recoveries: ±25 %,
+    /// in whole events.
+    pub fn around_recovery_events(events: f64) -> Band {
+        Band {
+            lo: (events * 0.75).floor(),
+            hi: (events * 1.25).ceil(),
+        }
+    }
+
+    /// Replayed share of the recovered state: ±max(10 %, 0.02) within
+    /// [0, 1] — a ratio of two deterministic counts, pinned near 1.0 for
+    /// genesis replay and well below it for checkpoint-anchored recovery
+    /// (the band that asserts the O(log) → O(suffix) collapse).
+    pub fn around_fraction(v: f64) -> Band {
+        Band::around(v, 0.10, 0.02, (0.0, 1.0))
+    }
+
+    /// Worst per-kill hit-ratio dip: ±max(25 %, 0.05) within [−1, 1] — a
+    /// dip can legitimately be negative when the post-kill window lands
+    /// on an easier stretch.
+    pub fn around_dip(v: f64) -> Band {
+        Band::around(v, 0.25, 0.05, (-1.0, 1.0))
     }
 }
 
-/// The failure-family durability band table for `profile`.
-pub fn failure_bands(profile: Profile) -> &'static [FailureBand] {
-    match profile {
-        Profile::Quick => FAILURE_QUICK,
-        Profile::Full => FAILURE_FULL,
+/// Cell fields that time the host rather than the model: never banded,
+/// never compared with the record.
+const WALL_CLOCK_FIELDS: [&str; 2] = ["events_per_sec", "recovery_ms"];
+
+/// The numeric cell fields [`check`] reads from the record.
+const BANDED_FIELDS: [&str; 8] = [
+    "hit_ratio",
+    "prefetch_accuracy",
+    "avg_response_ms",
+    "memory_bytes",
+    "recoveries",
+    "recovery_events",
+    "replay_fraction",
+    "hit_ratio_dip",
+];
+
+/// A parsed `BENCH_eval.json`: what a run is checked against.
+#[derive(Debug, Clone)]
+pub struct Reference {
+    /// The record's `schema_version`.
+    pub schema_version: u64,
+    /// The scale the record was measured at; its values only hold there.
+    pub scale: f64,
+    cells: Vec<Json>,
+}
+
+/// `(scenario, miner_mode, predictor)` of a recorded cell.
+fn key(record: &Json) -> Option<(&str, &str, &str)> {
+    let text = |k: &str| record.get(k).and_then(Json::as_str);
+    Some((text("scenario")?, text("miner_mode")?, text("predictor")?))
+}
+
+impl Reference {
+    /// The checked-in record, compiled into the binary.
+    pub fn checked_in() -> Result<Reference, String> {
+        Reference::parse(include_str!("../../../BENCH_eval.json"))
     }
-}
 
-/// Look up the durability band of one failure mode.
-pub fn find_failure(profile: Profile, mode: &str) -> Option<&'static FailureBand> {
-    failure_bands(profile).iter().find(|b| b.mode == mode)
-}
-
-/// Look up the band of one cell.
-pub fn find(
-    profile: Profile,
-    scenario: &str,
-    mode: &str,
-    predictor: &str,
-) -> Option<&'static CellBand> {
-    bands(profile)
-        .iter()
-        .find(|b| b.scenario == scenario && b.mode == mode && b.predictor == predictor)
-}
-
-/// Check every cell against the profile's bands.
-///
-/// Returns the number of in-band cells, or the full list of violations:
-/// out-of-band metrics, cells with no reference band, and stale bands
-/// with no matching cell (so the table cannot silently rot as the matrix
-/// evolves).
-pub fn check(cells: &[Cell], profile: Profile) -> Result<usize, Vec<String>> {
-    let mut violations = Vec::new();
-    for c in cells {
-        // Failure-family durability bands apply regardless of whether the
-        // cell's regular quality band exists yet.
-        if c.scenario == "failure" {
-            if let Some(f) = find_failure(profile, c.mode) {
-                if c.recoveries != f.recoveries {
-                    violations.push(format!(
-                        "failure/{}: recoveries = {} but the kill plan expects exactly {}",
-                        c.mode, c.recoveries, f.recoveries
-                    ));
+    /// Read a record: malformed JSON, and a cell without its key or one
+    /// of the banded numeric fields, are errors.
+    pub fn parse(text: &str) -> Result<Reference, String> {
+        let root = Json::parse(text).map_err(|e| e.to_string())?;
+        let top = |k: &str| root.get(k).ok_or(format!("record has no `{k}`"));
+        let schema_version = top("schema_version")?
+            .as_u64()
+            .ok_or("`schema_version` is not an unsigned integer")?;
+        let scale = top("scale")?.as_f64().ok_or("`scale` is not a number")?;
+        let cells = top("cells")?.as_array().ok_or("`cells` is not an array")?;
+        for (i, cell) in cells.iter().enumerate() {
+            if key(cell).is_none() {
+                return Err(format!("cell {i} lacks scenario/miner_mode/predictor"));
+            }
+            for field in BANDED_FIELDS {
+                if cell.get(field).and_then(Json::as_f64).is_none() {
+                    return Err(format!("cell {i} has no numeric `{field}`"));
                 }
-                for (metric, v, band) in [
-                    (
-                        "recovery_events",
-                        c.recovery_events as f64,
-                        f.recovery_events,
-                    ),
-                    ("replay_fraction", c.replay_fraction, f.replay_fraction),
-                    ("hit_ratio_dip", c.hit_ratio_dip, f.hit_ratio_dip),
-                ] {
-                    if !band.contains(v) {
-                        violations.push(format!(
-                            "failure/{}: {metric} = {v:.4} outside [{:.4}, {:.4}]",
-                            c.mode, band.lo, band.hi
-                        ));
-                    }
-                }
-            } else {
-                violations.push(format!(
-                    "failure/{}: no durability band (run --calibrate and check in the table)",
-                    c.mode
-                ));
             }
         }
-        let Some(b) = find(profile, c.scenario, c.mode, c.predictor) else {
-            violations.push(format!(
-                "{}/{}/{}: no reference band (run --calibrate and check in the new table)",
-                c.scenario, c.mode, c.predictor
+        Ok(Reference {
+            schema_version,
+            scale,
+            cells: cells.to_vec(),
+        })
+    }
+
+    /// `(scenario, miner_mode, predictor)` of every recorded cell, in
+    /// record order.
+    pub fn keys(&self) -> impl Iterator<Item = (&str, &str, &str)> {
+        self.cells.iter().filter_map(key)
+    }
+}
+
+/// What [`check`] found.
+#[derive(Debug, Clone, Default)]
+pub struct CheckReport {
+    /// Failures: a metric outside its band, a measured cell the record
+    /// lacks, a recorded cell the run did not produce.
+    pub violations: Vec<String>,
+    /// Cells whose deterministic fields differ from the record as
+    /// printed: the record is stale and should be regenerated. Reported,
+    /// not failed — the bands decide pass/fail.
+    pub stale: Vec<String>,
+}
+
+/// Check every measured cell against the record, in both directions (so
+/// the record cannot silently rot as the matrix evolves).
+pub fn check(cells: &[Cell], reference: &Reference) -> CheckReport {
+    let mut report = CheckReport::default();
+    let measured_key = |c: &Cell| Some((c.scenario, c.mode, c.predictor));
+    for c in cells {
+        let name = format!("{}/{}/{}", c.scenario, c.mode, c.predictor);
+        let Some(r) = reference.cells.iter().find(|r| key(r) == measured_key(c)) else {
+            report.violations.push(format!(
+                "{name}: no reference cell in BENCH_eval.json (regenerate it: eval_matrix > BENCH_eval.json)"
             ));
             continue;
         };
-        let mut bad = |metric: &str, v: f64, band: Band| {
+        // `Reference::parse` guarantees the fields; NaN (in no band) is
+        // the fallback that keeps this total.
+        let recorded = |k: &str| r.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        let failure = c.scenario == "failure";
+        if failure && c.recoveries as f64 != recorded("recoveries") {
+            report.violations.push(format!(
+                "{name}: recoveries = {} but the kill plan expects exactly {}",
+                c.recoveries,
+                recorded("recoveries")
+            ));
+        }
+        let mut banded = |metric: &str, v: f64, around: fn(f64) -> Band| {
+            let band = around(recorded(metric));
             if !band.contains(v) {
-                violations.push(format!(
-                    "{}/{}/{}: {metric} = {v:.4} outside [{:.4}, {:.4}]",
-                    c.scenario, c.mode, c.predictor, band.lo, band.hi
+                report.violations.push(format!(
+                    "{name}: {metric} = {v:.4} outside [{:.4}, {:.4}]",
+                    band.lo, band.hi
                 ));
             }
         };
-        bad("hit_ratio", c.hit_ratio, b.hit_ratio);
-        bad(
-            "prefetch_accuracy",
-            c.prefetch_accuracy,
-            b.prefetch_accuracy,
-        );
-        bad("avg_response_ms", c.avg_response_ms, b.avg_response_ms);
-        if c.memory_bytes as u64 > b.memory_hi {
-            violations.push(format!(
-                "{}/{}/{}: memory_bytes = {} exceeds ceiling {}",
-                c.scenario, c.mode, c.predictor, c.memory_bytes, b.memory_hi
-            ));
+        banded("hit_ratio", c.hit_ratio, Band::around_ratio);
+        banded("prefetch_accuracy", c.prefetch_accuracy, Band::around_ratio);
+        banded("avg_response_ms", c.avg_response_ms, Band::around_response);
+        banded("memory_bytes", c.memory_bytes as f64, Band::memory_ceiling);
+        if failure {
+            let events = c.recovery_events as f64;
+            banded("recovery_events", events, Band::around_recovery_events);
+            banded("replay_fraction", c.replay_fraction, Band::around_fraction);
+            banded("hit_ratio_dip", c.hit_ratio_dip, Band::around_dip);
         }
-    }
-    for b in bands(profile) {
-        if !cells
-            .iter()
-            .any(|c| c.scenario == b.scenario && c.mode == b.mode && c.predictor == b.predictor)
-        {
-            violations.push(format!(
-                "{}/{}/{}: stale reference band (no such cell was measured)",
-                b.scenario, b.mode, b.predictor
-            ));
-        }
-    }
-    // Only cross-check durability-band staleness when the run included
-    // the failure family at all — a scenario-subset run must not trip it.
-    if cells.iter().any(|c| c.scenario == "failure") {
-        for f in failure_bands(profile) {
-            if !cells
-                .iter()
-                .any(|c| c.scenario == "failure" && c.mode == f.mode)
-            {
-                violations.push(format!(
-                    "failure/{}: stale durability band (no such cell was measured)",
-                    f.mode
-                ));
+        if let Json::Obj(fields) = c.to_json() {
+            for (field, measured) in &fields {
+                if !WALL_CLOCK_FIELDS.contains(&field.as_str()) && r.get(field) != Some(measured) {
+                    report.stale.push(format!(
+                        "{name}: {field} = {} but the record has {}",
+                        one_line(measured),
+                        r.get(field).map_or("no such field".into(), one_line)
+                    ));
+                }
             }
         }
     }
-    if violations.is_empty() {
-        Ok(cells.len())
-    } else {
-        Err(violations)
-    }
-}
-
-/// Emit a refreshed band table (Rust source) from measured cells, with
-/// the standard margins applied. Paste the output over the matching
-/// `QUICK_BANDS`/`FULL_BANDS` table after an intentional behaviour
-/// change.
-pub fn calibrate(cells: &[Cell]) -> String {
-    // Always emit a valid f64 literal (a bare "0" would type-error).
-    fn lit(v: f64) -> String {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
+    for (scenario, mode, predictor) in reference.keys() {
+        if !cells
+            .iter()
+            .any(|c| measured_key(c) == Some((scenario, mode, predictor)))
+        {
+            report.violations.push(format!(
+                "{scenario}/{mode}/{predictor}: reference cell no run produced (stale record, or the matrix lost a cell)"
+            ));
         }
     }
-    let ratio_band = |v: f64| {
-        let m = (0.25 * v).max(0.05);
-        (
-            ((v - m).max(0.0) * 1000.0).floor() / 1000.0,
-            ((v + m).min(1.0) * 1000.0).ceil() / 1000.0,
-        )
-    };
-    let mut out = String::from("[\n");
-    for c in cells {
-        let (hlo, hhi) = ratio_band(c.hit_ratio);
-        let (alo, ahi) = ratio_band(c.prefetch_accuracy);
-        let rlo = (c.avg_response_ms * 0.6 * 1000.0).floor() / 1000.0;
-        let rhi = (c.avg_response_ms * 1.6 * 1000.0).ceil() / 1000.0;
-        out.push_str(&format!(
-            "    cell(\"{}\", \"{}\", \"{}\", ({}, {}), ({}, {}), ({}, {}), {}),\n",
-            c.scenario,
-            c.mode,
-            c.predictor,
-            lit(hlo),
-            lit(hhi),
-            lit(alo),
-            lit(ahi),
-            lit(rlo),
-            lit(rhi),
-            2 * c.memory_bytes as u64
-        ));
-    }
-    out.push_str("];\n");
-    out
+    report
 }
 
-/// Emit a refreshed durability band table (Rust source) from the measured
-/// `failure`-family cells. Recoveries are exact (the kill plan is
-/// deterministic); replayed events get the standard ±25 % margin; the
-/// replay fraction gets ±max(10 % relative, 0.02 absolute) clamped to
-/// [0, 1] (it is a ratio of two deterministic counts, so the band only
-/// guards against code drift); the hit-ratio dip gets ±max(25 % relative,
-/// 0.05 absolute), clamped to [−1, 1] — a dip can legitimately be
-/// negative when the post-kill window lands on an easier stretch.
-pub fn calibrate_failure(cells: &[Cell]) -> String {
-    fn lit(v: f64) -> String {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    }
-    let mut out = String::from("[\n");
-    for c in cells.iter().filter(|c| c.scenario == "failure") {
-        let ev = c.recovery_events as f64;
-        let (elo, ehi) = ((ev * 0.75).floor(), (ev * 1.25).ceil());
-        let fm = (0.10 * c.replay_fraction).max(0.02);
-        let flo = ((c.replay_fraction - fm).max(0.0) * 1000.0).floor() / 1000.0;
-        let fhi = ((c.replay_fraction + fm).min(1.0) * 1000.0).ceil() / 1000.0;
-        let m = (0.25 * c.hit_ratio_dip.abs()).max(0.05);
-        let dlo = ((c.hit_ratio_dip - m).max(-1.0) * 1000.0).floor() / 1000.0;
-        let dhi = ((c.hit_ratio_dip + m).min(1.0) * 1000.0).ceil() / 1000.0;
-        out.push_str(&format!(
-            "    fcell(\"{}\", {}, ({}, {}), ({}, {}), ({}, {})),\n",
-            c.mode,
-            c.recoveries,
-            lit(elo),
-            lit(ehi),
-            lit(flo),
-            lit(fhi),
-            lit(dlo),
-            lit(dhi),
-        ));
-    }
-    out.push_str("];\n");
-    out
+/// `value` rendered without the emitter's line breaks.
+fn one_line(value: &Json) -> String {
+    value.render().split_whitespace().collect()
 }
-
-/// Shorthand constructor keeping the tables one row per cell.
-const fn cell(
-    scenario: &'static str,
-    mode: &'static str,
-    predictor: &'static str,
-    hit: (f64, f64),
-    acc: (f64, f64),
-    resp: (f64, f64),
-    memory_hi: u64,
-) -> CellBand {
-    CellBand {
-        scenario,
-        mode,
-        predictor,
-        hit_ratio: Band {
-            lo: hit.0,
-            hi: hit.1,
-        },
-        prefetch_accuracy: Band {
-            lo: acc.0,
-            hi: acc.1,
-        },
-        avg_response_ms: Band {
-            lo: resp.0,
-            hi: resp.1,
-        },
-        memory_hi,
-    }
-}
-
-/// Shorthand constructor for the durability band tables.
-const fn fcell(
-    mode: &'static str,
-    recoveries: u64,
-    events: (f64, f64),
-    frac: (f64, f64),
-    dip: (f64, f64),
-) -> FailureBand {
-    FailureBand {
-        mode,
-        recoveries,
-        recovery_events: Band {
-            lo: events.0,
-            hi: events.1,
-        },
-        replay_fraction: Band {
-            lo: frac.0,
-            hi: frac.1,
-        },
-        hit_ratio_dip: Band {
-            lo: dip.0,
-            hi: dip.1,
-        },
-    }
-}
-
-/// Durability bands for the CI smoke profile. Generated by
-/// `eval_matrix --quick --calibrate`.
-static FAILURE_QUICK: &[FailureBand] = &[
-    fcell("kill50", 1, (6006.0, 10010.0), (0.9, 1.0), (0.002, 0.103)),
-    fcell(
-        "kill50torn",
-        1,
-        (6005.0, 10009.0),
-        (0.9, 1.0),
-        (0.002, 0.103),
-    ),
-    fcell("kill25x3", 3, (18009.0, 30015.0), (0.9, 1.0), (0.09, 0.191)),
-    fcell("ckpt", 1, (1463.0, 2439.0), (0.219, 0.268), (0.002, 0.103)),
-];
-
-/// Durability bands for the full profile. Generated by
-/// `eval_matrix --calibrate`.
-static FAILURE_FULL: &[FailureBand] = &[
-    fcell("kill50", 1, (22878.0, 38130.0), (0.9, 1.0), (-0.05, 0.05)),
-    fcell(
-        "kill50torn",
-        1,
-        (22877.0, 38129.0),
-        (0.9, 1.0),
-        (-0.05, 0.05),
-    ),
-    fcell(
-        "kill25x3",
-        3,
-        (68628.0, 114380.0),
-        (0.9, 1.0),
-        (-0.027, 0.074),
-    ),
-    fcell("ckpt", 1, (5679.0, 9465.0), (0.223, 0.274), (-0.05, 0.05)),
-];
-
-/// Bands for the CI smoke profile (`--quick`, scale [`QUICK_SCALE`]).
-/// Generated by `eval_matrix --quick --calibrate`.
-#[allow(clippy::approx_constant)] // mechanical --calibrate output; any band may land near a constant
-static QUICK_BANDS: &[CellBand] = &[
-    cell(
-        "base",
-        "batch",
-        "FARMER",
-        (0.582, 0.971),
-        (0.381, 0.636),
-        (0.339, 0.905),
-        6540960,
-    ),
-    cell(
-        "base",
-        "sharded1",
-        "FARMER",
-        (0.582, 0.971),
-        (0.381, 0.636),
-        (0.339, 0.905),
-        8377912,
-    ),
-    cell(
-        "base",
-        "sharded4",
-        "FARMER",
-        (0.582, 0.971),
-        (0.381, 0.636),
-        (0.339, 0.905),
-        8380840,
-    ),
-    cell(
-        "base",
-        "frozen",
-        "FARMER",
-        (0.445, 0.744),
-        (0.373, 0.623),
-        (0.577, 1.54),
-        8448376,
-    ),
-    cell(
-        "base",
-        "online8",
-        "FARMER",
-        (0.477, 0.797),
-        (0.346, 0.578),
-        (0.515, 1.375),
-        8581944,
-    ),
-    cell(
-        "base",
-        "online64",
-        "FARMER",
-        (0.486, 0.811),
-        (0.345, 0.576),
-        (0.496, 1.325),
-        8625592,
-    ),
-    cell(
-        "base",
-        "capped1",
-        "FARMER",
-        (0.442, 0.737),
-        (0.459, 0.767),
-        (0.585, 1.563),
-        1120168,
-    ),
-    cell(
-        "base",
-        "capped4",
-        "FARMER",
-        (0.556, 0.928),
-        (0.367, 0.614),
-        (0.373, 0.997),
-        4878952,
-    ),
-    cell(
-        "base",
-        "online64capped",
-        "FARMER",
-        (0.429, 0.716),
-        (0.452, 0.755),
-        (0.613, 1.637),
-        2473272,
-    ),
-    cell(
-        "base",
-        "self",
-        "Nexus",
-        (0.398, 0.664),
-        (0.158, 0.265),
-        (0.746, 1.991),
-        1664416,
-    ),
-    cell(
-        "base",
-        "self",
-        "ProbGraph",
-        (0.384, 0.642),
-        (0.141, 0.242),
-        (0.716, 1.912),
-        1359216,
-    ),
-    cell(
-        "base",
-        "self",
-        "SdGraph",
-        (0.284, 0.475),
-        (0.046, 0.147),
-        (0.984, 2.625),
-        2424656,
-    ),
-    cell(
-        "base",
-        "self",
-        "LRU",
-        (0.382, 0.638),
-        (0.0, 0.05),
-        (0.716, 1.911),
-        0,
-    ),
-    cell(
-        "drift",
-        "batch",
-        "FARMER",
-        (0.556, 0.928),
-        (0.466, 0.778),
-        (0.436, 1.165),
-        10220064,
-    ),
-    cell(
-        "drift",
-        "sharded1",
-        "FARMER",
-        (0.556, 0.928),
-        (0.466, 0.778),
-        (0.436, 1.165),
-        12963160,
-    ),
-    cell(
-        "drift",
-        "sharded4",
-        "FARMER",
-        (0.556, 0.928),
-        (0.466, 0.778),
-        (0.436, 1.165),
-        12966088,
-    ),
-    cell(
-        "drift",
-        "frozen",
-        "FARMER",
-        (0.376, 0.628),
-        (0.209, 0.35),
-        (0.765, 2.042),
-        13017592,
-    ),
-    cell(
-        "drift",
-        "online8",
-        "FARMER",
-        (0.406, 0.678),
-        (0.332, 0.554),
-        (0.699, 1.865),
-        13181848,
-    ),
-    cell(
-        "drift",
-        "online64",
-        "FARMER",
-        (0.425, 0.71),
-        (0.341, 0.569),
-        (0.654, 1.747),
-        13322168,
-    ),
-    cell(
-        "drift",
-        "capped1",
-        "FARMER",
-        (0.394, 0.659),
-        (0.494, 0.825),
-        (0.716, 1.912),
-        1112248,
-    ),
-    cell(
-        "drift",
-        "capped4",
-        "FARMER",
-        (0.48, 0.802),
-        (0.42, 0.701),
-        (0.55, 1.469),
-        4882688,
-    ),
-    cell(
-        "drift",
-        "online64capped",
-        "FARMER",
-        (0.402, 0.67),
-        (0.413, 0.689),
-        (0.706, 1.885),
-        3366440,
-    ),
-    cell(
-        "drift",
-        "self",
-        "Nexus",
-        (0.338, 0.565),
-        (0.088, 0.189),
-        (0.937, 2.5),
-        2524576,
-    ),
-    cell(
-        "drift",
-        "self",
-        "ProbGraph",
-        (0.346, 0.578),
-        (0.082, 0.183),
-        (0.863, 2.303),
-        1509040,
-    ),
-    cell(
-        "drift",
-        "self",
-        "SdGraph",
-        (0.289, 0.483),
-        (0.043, 0.144),
-        (1.019, 2.72),
-        3673920,
-    ),
-    cell(
-        "drift",
-        "self",
-        "LRU",
-        (0.374, 0.625),
-        (0.0, 0.05),
-        (0.771, 2.057),
-        0,
-    ),
-    cell(
-        "tenants",
-        "batch",
-        "FARMER",
-        (0.268, 0.448),
-        (0.452, 0.755),
-        (0.721, 1.925),
-        9622800,
-    ),
-    cell(
-        "tenants",
-        "sharded1",
-        "FARMER",
-        (0.268, 0.448),
-        (0.452, 0.755),
-        (0.721, 1.925),
-        12374840,
-    ),
-    cell(
-        "tenants",
-        "sharded4",
-        "FARMER",
-        (0.268, 0.448),
-        (0.452, 0.755),
-        (0.721, 1.925),
-        12377768,
-    ),
-    cell(
-        "tenants",
-        "frozen",
-        "FARMER",
-        (0.163, 0.273),
-        (0.438, 0.732),
-        (0.893, 2.384),
-        12458264,
-    ),
-    cell(
-        "tenants",
-        "online8",
-        "FARMER",
-        (0.19, 0.318),
-        (0.427, 0.713),
-        (0.847, 2.261),
-        12643192,
-    ),
-    cell(
-        "tenants",
-        "online64",
-        "FARMER",
-        (0.197, 0.33),
-        (0.429, 0.717),
-        (0.834, 2.226),
-        12652952,
-    ),
-    cell(
-        "tenants",
-        "capped1",
-        "FARMER",
-        (0.176, 0.294),
-        (0.574, 0.957),
-        (0.867, 2.313),
-        982712,
-    ),
-    cell(
-        "tenants",
-        "capped4",
-        "FARMER",
-        (0.239, 0.4),
-        (0.438, 0.731),
-        (0.762, 2.033),
-        4059512,
-    ),
-    cell(
-        "tenants",
-        "online64capped",
-        "FARMER",
-        (0.168, 0.281),
-        (0.563, 0.939),
-        (0.882, 2.354),
-        2938456,
-    ),
-    cell(
-        "tenants",
-        "self",
-        "Nexus",
-        (0.148, 0.249),
-        (0.018, 0.119),
-        (0.938, 2.502),
-        2570592,
-    ),
-    cell(
-        "tenants",
-        "self",
-        "ProbGraph",
-        (0.112, 0.213),
-        (0.019, 0.12),
-        (0.975, 2.603),
-        1676336,
-    ),
-    cell(
-        "tenants",
-        "self",
-        "SdGraph",
-        (0.1, 0.201),
-        (0.0, 0.088),
-        (0.999, 2.667),
-        3740672,
-    ),
-    cell(
-        "tenants",
-        "self",
-        "LRU",
-        (0.123, 0.224),
-        (0.0, 0.05),
-        (0.954, 2.546),
-        0,
-    ),
-    cell(
-        "storm",
-        "batch",
-        "FARMER",
-        (0.627, 1.0),
-        (0.405, 0.676),
-        (0.479, 1.28),
-        10089712,
-    ),
-    cell(
-        "storm",
-        "sharded1",
-        "FARMER",
-        (0.627, 1.0),
-        (0.405, 0.676),
-        (0.479, 1.28),
-        12836272,
-    ),
-    cell(
-        "storm",
-        "sharded4",
-        "FARMER",
-        (0.627, 1.0),
-        (0.405, 0.676),
-        (0.479, 1.28),
-        12839200,
-    ),
-    cell(
-        "storm",
-        "frozen",
-        "FARMER",
-        (0.39, 0.651),
-        (0.305, 0.51),
-        (0.71, 1.896),
-        12922864,
-    ),
-    cell(
-        "storm",
-        "online8",
-        "FARMER",
-        (0.414, 0.691),
-        (0.295, 0.493),
-        (0.695, 1.854),
-        13049072,
-    ),
-    cell(
-        "storm",
-        "online64",
-        "FARMER",
-        (0.425, 0.709),
-        (0.297, 0.496),
-        (0.671, 1.791),
-        13075184,
-    ),
-    cell(
-        "storm",
-        "capped1",
-        "FARMER",
-        (0.37, 0.619),
-        (0.491, 0.819),
-        (0.714, 1.905),
-        1083760,
-    ),
-    cell(
-        "storm",
-        "capped4",
-        "FARMER",
-        (0.491, 0.82),
-        (0.381, 0.637),
-        (0.605, 1.614),
-        4262752,
-    ),
-    cell(
-        "storm",
-        "online64capped",
-        "FARMER",
-        (0.362, 0.604),
-        (0.453, 0.756),
-        (0.72, 1.921),
-        3037856,
-    ),
-    cell(
-        "storm",
-        "self",
-        "Nexus",
-        (0.386, 0.645),
-        (0.165, 0.277),
-        (0.786, 2.099),
-        2480832,
-    ),
-    cell(
-        "storm",
-        "self",
-        "ProbGraph",
-        (0.37, 0.618),
-        (0.182, 0.305),
-        (0.763, 2.036),
-        1501088,
-    ),
-    cell(
-        "storm",
-        "self",
-        "SdGraph",
-        (0.32, 0.535),
-        (0.072, 0.173),
-        (0.929, 2.48),
-        3607360,
-    ),
-    cell(
-        "storm",
-        "self",
-        "LRU",
-        (0.327, 0.547),
-        (0.0, 0.05),
-        (0.837, 2.235),
-        0,
-    ),
-    cell(
-        "churn",
-        "batch",
-        "FARMER",
-        (0.582, 0.971),
-        (0.405, 0.677),
-        (0.548, 1.462),
-        5499552,
-    ),
-    cell(
-        "churn",
-        "sharded1",
-        "FARMER",
-        (0.582, 0.971),
-        (0.405, 0.677),
-        (0.548, 1.462),
-        7012304,
-    ),
-    cell(
-        "churn",
-        "sharded4",
-        "FARMER",
-        (0.582, 0.971),
-        (0.405, 0.677),
-        (0.548, 1.462),
-        7015360,
-    ),
-    cell(
-        "churn",
-        "frozen",
-        "FARMER",
-        (0.451, 0.753),
-        (0.405, 0.676),
-        (0.812, 2.167),
-        7074304,
-    ),
-    cell(
-        "churn",
-        "online8",
-        "FARMER",
-        (0.479, 0.799),
-        (0.361, 0.603),
-        (0.743, 1.984),
-        7167952,
-    ),
-    cell(
-        "churn",
-        "online64",
-        "FARMER",
-        (0.487, 0.812),
-        (0.36, 0.601),
-        (0.724, 1.933),
-        7268336,
-    ),
-    cell(
-        "churn",
-        "capped1",
-        "FARMER",
-        (0.46, 0.767),
-        (0.495, 0.826),
-        (0.786, 2.097),
-        1125680,
-    ),
-    cell(
-        "churn",
-        "capped4",
-        "FARMER",
-        (0.565, 0.943),
-        (0.399, 0.666),
-        (0.569, 1.52),
-        4713536,
-    ),
-    cell(
-        "churn",
-        "online64capped",
-        "FARMER",
-        (0.443, 0.74),
-        (0.458, 0.764),
-        (0.831, 2.217),
-        2299504,
-    ),
-    cell(
-        "churn",
-        "self",
-        "Nexus",
-        (0.399, 0.666),
-        (0.16, 0.268),
-        (1.192, 3.18),
-        1441152,
-    ),
-    cell(
-        "churn",
-        "self",
-        "ProbGraph",
-        (0.395, 0.659),
-        (0.135, 0.236),
-        (0.984, 2.625),
-        1071488,
-    ),
-    cell(
-        "churn",
-        "self",
-        "SdGraph",
-        (0.308, 0.515),
-        (0.072, 0.173),
-        (1.539, 4.107),
-        2117664,
-    ),
-    cell(
-        "churn",
-        "self",
-        "LRU",
-        (0.399, 0.666),
-        (0.0, 0.05),
-        (0.954, 2.545),
-        0,
-    ),
-    cell(
-        "failure",
-        "kill50",
-        "FARMER",
-        (0.485, 0.81),
-        (0.36, 0.602),
-        (0.728, 1.942),
-        7185840,
-    ),
-    cell(
-        "failure",
-        "kill50torn",
-        "FARMER",
-        (0.485, 0.81),
-        (0.361, 0.602),
-        (0.728, 1.942),
-        7185552,
-    ),
-    cell(
-        "failure",
-        "kill25x3",
-        "FARMER",
-        (0.483, 0.806),
-        (0.362, 0.604),
-        (0.755, 2.015),
-        7157712,
-    ),
-    cell(
-        "failure",
-        "ckpt",
-        "FARMER",
-        (0.485, 0.81),
-        (0.36, 0.602),
-        (0.728, 1.942),
-        6952680,
-    ),
-];
-
-/// Bands for the full checked-in matrix (scale 1.0).
-/// Generated by `eval_matrix --calibrate`.
-#[allow(clippy::approx_constant)] // mechanical --calibrate output; any band may land near a constant
-static FULL_BANDS: &[CellBand] = &[
-    cell(
-        "base",
-        "batch",
-        "FARMER",
-        (0.595, 0.992),
-        (0.329, 0.55),
-        (0.312, 0.834),
-        13362704,
-    ),
-    cell(
-        "base",
-        "sharded1",
-        "FARMER",
-        (0.595, 0.992),
-        (0.329, 0.55),
-        (0.312, 0.834),
-        17275960,
-    ),
-    cell(
-        "base",
-        "sharded4",
-        "FARMER",
-        (0.595, 0.992),
-        (0.329, 0.55),
-        (0.312, 0.834),
-        17278888,
-    ),
-    cell(
-        "base",
-        "frozen",
-        "FARMER",
-        (0.479, 0.8),
-        (0.319, 0.533),
-        (0.518, 1.383),
-        17589720,
-    ),
-    cell(
-        "base",
-        "online8",
-        "FARMER",
-        (0.514, 0.858),
-        (0.316, 0.527),
-        (0.45, 1.203),
-        17962456,
-    ),
-    cell(
-        "base",
-        "online64",
-        "FARMER",
-        (0.528, 0.882),
-        (0.317, 0.53),
-        (0.42, 1.122),
-        18014520,
-    ),
-    cell(
-        "base",
-        "capped1",
-        "FARMER",
-        (0.439, 0.733),
-        (0.464, 0.775),
-        (0.588, 1.57),
-        1187376,
-    ),
-    cell(
-        "base",
-        "capped4",
-        "FARMER",
-        (0.514, 0.859),
-        (0.288, 0.481),
-        (0.455, 1.216),
-        4914280,
-    ),
-    cell(
-        "base",
-        "online64capped",
-        "FARMER",
-        (0.426, 0.712),
-        (0.433, 0.724),
-        (0.62, 1.655),
-        3532520,
-    ),
-    cell(
-        "base",
-        "self",
-        "Nexus",
-        (0.441, 0.736),
-        (0.195, 0.326),
-        (0.701, 1.872),
-        3412704,
-    ),
-    cell(
-        "base",
-        "self",
-        "ProbGraph",
-        (0.378, 0.632),
-        (0.15, 0.252),
-        (0.748, 1.997),
-        4699280,
-    ),
-    cell(
-        "base",
-        "self",
-        "SdGraph",
-        (0.247, 0.413),
-        (0.026, 0.127),
-        (1.068, 2.851),
-        4991360,
-    ),
-    cell(
-        "base",
-        "self",
-        "LRU",
-        (0.371, 0.62),
-        (0.0, 0.05),
-        (0.751, 2.005),
-        0,
-    ),
-    cell(
-        "drift",
-        "batch",
-        "FARMER",
-        (0.575, 0.959),
-        (0.329, 0.55),
-        (0.368, 0.983),
-        21641304,
-    ),
-    cell(
-        "drift",
-        "sharded1",
-        "FARMER",
-        (0.575, 0.959),
-        (0.329, 0.55),
-        (0.368, 0.983),
-        23732568,
-    ),
-    cell(
-        "drift",
-        "sharded4",
-        "FARMER",
-        (0.575, 0.959),
-        (0.329, 0.55),
-        (0.368, 0.983),
-        27810760,
-    ),
-    cell(
-        "drift",
-        "frozen",
-        "FARMER",
-        (0.378, 0.632),
-        (0.266, 0.445),
-        (0.747, 1.995),
-        24501312,
-    ),
-    cell(
-        "drift",
-        "online8",
-        "FARMER",
-        (0.441, 0.736),
-        (0.299, 0.5),
-        (0.614, 1.64),
-        22536656,
-    ),
-    cell(
-        "drift",
-        "online64",
-        "FARMER",
-        (0.478, 0.798),
-        (0.305, 0.51),
-        (0.534, 1.426),
-        24602504,
-    ),
-    cell(
-        "drift",
-        "capped1",
-        "FARMER",
-        (0.387, 0.647),
-        (0.436, 0.727),
-        (0.724, 1.933),
-        1194800,
-    ),
-    cell(
-        "drift",
-        "capped4",
-        "FARMER",
-        (0.443, 0.74),
-        (0.255, 0.427),
-        (0.609, 1.625),
-        5009624,
-    ),
-    cell(
-        "drift",
-        "online64capped",
-        "FARMER",
-        (0.412, 0.688),
-        (0.414, 0.691),
-        (0.663, 1.771),
-        1981816,
-    ),
-    cell(
-        "drift",
-        "self",
-        "Nexus",
-        (0.348, 0.582),
-        (0.096, 0.197),
-        (0.996, 2.658),
-        5416384,
-    ),
-    cell(
-        "drift",
-        "self",
-        "ProbGraph",
-        (0.341, 0.569),
-        (0.082, 0.183),
-        (0.891, 2.377),
-        5295264,
-    ),
-    cell(
-        "drift",
-        "self",
-        "SdGraph",
-        (0.228, 0.381),
-        (0.014, 0.115),
-        (1.131, 3.017),
-        7920352,
-    ),
-    cell(
-        "drift",
-        "self",
-        "LRU",
-        (0.37, 0.617),
-        (0.0, 0.05),
-        (0.768, 2.051),
-        0,
-    ),
-    cell(
-        "tenants",
-        "batch",
-        "FARMER",
-        (0.309, 0.517),
-        (0.324, 0.541),
-        (0.656, 1.751),
-        22067600,
-    ),
-    cell(
-        "tenants",
-        "sharded1",
-        "FARMER",
-        (0.309, 0.517),
-        (0.324, 0.541),
-        (0.656, 1.751),
-        24824680,
-    ),
-    cell(
-        "tenants",
-        "sharded4",
-        "FARMER",
-        (0.309, 0.517),
-        (0.324, 0.541),
-        (0.656, 1.751),
-        28226648,
-    ),
-    cell(
-        "tenants",
-        "frozen",
-        "FARMER",
-        (0.198, 0.332),
-        (0.388, 0.648),
-        (0.833, 2.224),
-        23375704,
-    ),
-    cell(
-        "tenants",
-        "online8",
-        "FARMER",
-        (0.234, 0.391),
-        (0.347, 0.58),
-        (0.773, 2.064),
-        24832264,
-    ),
-    cell(
-        "tenants",
-        "online64",
-        "FARMER",
-        (0.244, 0.408),
-        (0.345, 0.576),
-        (0.756, 2.018),
-        24576696,
-    ),
-    cell(
-        "tenants",
-        "capped1",
-        "FARMER",
-        (0.168, 0.282),
-        (0.528, 0.881),
-        (0.881, 2.351),
-        1015192,
-    ),
-    cell(
-        "tenants",
-        "capped4",
-        "FARMER",
-        (0.257, 0.43),
-        (0.32, 0.535),
-        (0.734, 1.96),
-        4163864,
-    ),
-    cell(
-        "tenants",
-        "online64capped",
-        "FARMER",
-        (0.166, 0.278),
-        (0.563, 0.939),
-        (0.886, 2.364),
-        1998008,
-    ),
-    cell(
-        "tenants",
-        "self",
-        "Nexus",
-        (0.154, 0.258),
-        (0.019, 0.12),
-        (0.926, 2.471),
-        6024864,
-    ),
-    cell(
-        "tenants",
-        "self",
-        "ProbGraph",
-        (0.107, 0.208),
-        (0.02, 0.121),
-        (0.983, 2.622),
-        5783568,
-    ),
-    cell(
-        "tenants",
-        "self",
-        "SdGraph",
-        (0.087, 0.188),
-        (0.0, 0.081),
-        (1.023, 2.73),
-        8798512,
-    ),
-    cell(
-        "tenants",
-        "self",
-        "LRU",
-        (0.115, 0.216),
-        (0.0, 0.05),
-        (0.969, 2.585),
-        0,
-    ),
-    cell(
-        "storm",
-        "batch",
-        "FARMER",
-        (0.59, 0.985),
-        (0.308, 0.515),
-        (0.457, 1.222),
-        16546528,
-    ),
-    cell(
-        "storm",
-        "sharded1",
-        "FARMER",
-        (0.59, 0.985),
-        (0.308, 0.515),
-        (0.457, 1.222),
-        17216088,
-    ),
-    cell(
-        "storm",
-        "sharded4",
-        "FARMER",
-        (0.59, 0.985),
-        (0.308, 0.515),
-        (0.457, 1.222),
-        20884168,
-    ),
-    cell(
-        "storm",
-        "frozen",
-        "FARMER",
-        (0.452, 0.754),
-        (0.295, 0.494),
-        (0.618, 1.651),
-        17405880,
-    ),
-    cell(
-        "storm",
-        "online8",
-        "FARMER",
-        (0.484, 0.807),
-        (0.288, 0.481),
-        (0.571, 1.525),
-        17329392,
-    ),
-    cell(
-        "storm",
-        "online64",
-        "FARMER",
-        (0.497, 0.829),
-        (0.289, 0.482),
-        (0.55, 1.469),
-        17665416,
-    ),
-    cell(
-        "storm",
-        "capped1",
-        "FARMER",
-        (0.407, 0.68),
-        (0.453, 0.757),
-        (0.686, 1.831),
-        1204136,
-    ),
-    cell(
-        "storm",
-        "capped4",
-        "FARMER",
-        (0.492, 0.821),
-        (0.295, 0.494),
-        (0.551, 1.47),
-        4769096,
-    ),
-    cell(
-        "storm",
-        "online64capped",
-        "FARMER",
-        (0.402, 0.672),
-        (0.43, 0.718),
-        (0.692, 1.847),
-        3730512,
-    ),
-    cell(
-        "storm",
-        "self",
-        "Nexus",
-        (0.44, 0.734),
-        (0.192, 0.321),
-        (0.749, 2.0),
-        3861408,
-    ),
-    cell(
-        "storm",
-        "self",
-        "ProbGraph",
-        (0.378, 0.632),
-        (0.164, 0.274),
-        (0.784, 2.092),
-        4035216,
-    ),
-    cell(
-        "storm",
-        "self",
-        "SdGraph",
-        (0.267, 0.447),
-        (0.033, 0.134),
-        (1.067, 2.846),
-        5641280,
-    ),
-    cell(
-        "storm",
-        "self",
-        "LRU",
-        (0.354, 0.591),
-        (0.0, 0.05),
-        (0.814, 2.173),
-        0,
-    ),
-    cell(
-        "churn",
-        "batch",
-        "FARMER",
-        (0.579, 0.967),
-        (0.339, 0.566),
-        (0.576, 1.537),
-        11865792,
-    ),
-    cell(
-        "churn",
-        "sharded1",
-        "FARMER",
-        (0.579, 0.967),
-        (0.339, 0.566),
-        (0.576, 1.537),
-        15307192,
-    ),
-    cell(
-        "churn",
-        "sharded4",
-        "FARMER",
-        (0.579, 0.967),
-        (0.339, 0.566),
-        (0.576, 1.537),
-        15310088,
-    ),
-    cell(
-        "churn",
-        "frozen",
-        "FARMER",
-        (0.459, 0.767),
-        (0.322, 0.537),
-        (0.825, 2.202),
-        15505976,
-    ),
-    cell(
-        "churn",
-        "online8",
-        "FARMER",
-        (0.495, 0.827),
-        (0.322, 0.538),
-        (0.745, 1.988),
-        15843864,
-    ),
-    cell(
-        "churn",
-        "online64",
-        "FARMER",
-        (0.516, 0.861),
-        (0.329, 0.55),
-        (0.706, 1.884),
-        16033432,
-    ),
-    cell(
-        "churn",
-        "capped1",
-        "FARMER",
-        (0.421, 0.703),
-        (0.451, 0.753),
-        (0.906, 2.418),
-        1188832,
-    ),
-    cell(
-        "churn",
-        "capped4",
-        "FARMER",
-        (0.509, 0.85),
-        (0.3, 0.501),
-        (0.715, 1.909),
-        4850888,
-    ),
-    cell(
-        "churn",
-        "online64capped",
-        "FARMER",
-        (0.424, 0.708),
-        (0.454, 0.758),
-        (0.915, 2.441),
-        3523432,
-    ),
-    cell(
-        "churn",
-        "self",
-        "Nexus",
-        (0.428, 0.715),
-        (0.19, 0.319),
-        (1.11, 2.962),
-        3084832,
-    ),
-    cell(
-        "churn",
-        "self",
-        "ProbGraph",
-        (0.377, 0.63),
-        (0.166, 0.279),
-        (1.109, 2.96),
-        3679856,
-    ),
-    cell(
-        "churn",
-        "self",
-        "SdGraph",
-        (0.257, 0.43),
-        (0.034, 0.135),
-        (1.472, 3.927),
-        4527936,
-    ),
-    cell(
-        "churn",
-        "self",
-        "LRU",
-        (0.363, 0.606),
-        (0.0, 0.05),
-        (1.078, 2.876),
-        0,
-    ),
-    cell(
-        "failure",
-        "kill50",
-        "FARMER",
-        (0.516, 0.861),
-        (0.329, 0.55),
-        (0.715, 1.909),
-        15921400,
-    ),
-    cell(
-        "failure",
-        "kill50torn",
-        "FARMER",
-        (0.516, 0.861),
-        (0.329, 0.55),
-        (0.715, 1.909),
-        15922232,
-    ),
-    cell(
-        "failure",
-        "kill25x3",
-        "FARMER",
-        (0.515, 0.86),
-        (0.329, 0.55),
-        (0.723, 1.93),
-        15814328,
-    ),
-    cell(
-        "failure",
-        "ckpt",
-        "FARMER",
-        (0.516, 0.861),
-        (0.329, 0.55),
-        (0.715, 1.909),
-        16616400,
-    ),
-];
 
 #[cfg(test)]
 mod tests {
@@ -1721,53 +276,14 @@ mod tests {
             predictor: "FARMER",
             hit_ratio: 0.6,
             prefetch_accuracy: 0.5,
-            prefetch_waste: 0.3,
             avg_response_ms: 1.2,
-            response_p50_ms: 1.0,
-            response_p95_ms: 2.0,
-            response_p99_ms: 4.1,
             events_per_sec: 1e6,
             memory_bytes: 1024,
-            phase_hit_ratios: vec![0.6; 4],
-            phase_response_ms: vec![1.2; 4],
-            phase_p50_ms: vec![1.0; 4],
-            phase_p95_ms: vec![2.0; 4],
-            phase_p99_ms: vec![4.1; 4],
-            refreshes: 0,
-            miner_evictions: 0,
-            recoveries: 0,
-            recovery_events: 0,
-            recovered_events: 0,
-            replay_fraction: 0.0,
-            recovery_ms: 0.0,
-            hit_ratio_dip: 0.0,
-            wal_bytes: 0,
+            ..Cell::default()
         }
     }
 
-    #[test]
-    fn band_containment_is_inclusive() {
-        let b = Band { lo: 0.5, hi: 0.7 };
-        assert!(b.contains(0.5) && b.contains(0.7) && b.contains(0.6));
-        assert!(!b.contains(0.49) && !b.contains(0.71));
-    }
-
-    #[test]
-    fn calibrate_emits_one_row_per_cell_with_margins() {
-        let src = calibrate(&[sample_cell()]);
-        assert!(src.contains("cell(\"base\", \"batch\", \"FARMER\""));
-        // Ratio margins: 0.6 ± 0.15 → ~(0.45, 0.75) after outward
-        // millesimal rounding; response 1.2 → (0.72, 1.92).
-        assert!(
-            src.contains("(0.449, 0.75)") || src.contains("(0.45, 0.75)"),
-            "{src}"
-        );
-        assert!(src.contains("(0.72, 1.92)"), "{src}");
-        assert!(src.contains("2048)"), "memory ceiling is 2x: {src}");
-    }
-
-    #[test]
-    fn calibrate_failure_emits_exact_recoveries_and_banded_metrics() {
+    fn failure_cell() -> Cell {
         let mut c = sample_cell();
         c.scenario = "failure";
         c.mode = "kill50";
@@ -1776,62 +292,159 @@ mod tests {
         c.recovered_events = 1000;
         c.replay_fraction = 1.0;
         c.hit_ratio_dip = 0.2;
-        let src = calibrate_failure(&[c, sample_cell()]);
-        // Only the failure-family cell is emitted; events ±25 %, fraction
-        // ±max(10 % rel, 0.02 abs) clamped to [0, 1], dip ±max(25 % rel,
-        // 0.05 abs).
-        assert_eq!(src.matches("fcell(").count(), 1, "{src}");
-        assert!(
-            src.contains("fcell(\"kill50\", 1, (750.0, 1250.0), (0.9, 1.0), (0.15, 0.25)"),
-            "{src}"
-        );
+        c
+    }
 
+    /// A record holding exactly `cells`.
+    fn reference_of(cells: &[Cell]) -> Reference {
+        let record = Json::obj()
+            .field("schema_version", Json::UInt(u64::from(SCHEMA_VERSION)))
+            .field("scale", Json::F64(1.0))
+            .field(
+                "cells",
+                Json::Arr(cells.iter().map(Cell::to_json).collect()),
+            );
+        Reference::parse(&record.render()).expect("synthetic record parses")
+    }
+
+    /// `band` is `[lo, hi]` up to the outward millesimal rounding.
+    fn near(band: Band, lo: f64, hi: f64) -> bool {
+        (band.lo - lo).abs() < 1.5e-3 && (band.hi - hi).abs() < 1.5e-3
+    }
+
+    #[test]
+    fn band_containment_is_inclusive() {
+        let b = Band { lo: 0.5, hi: 0.7 };
+        assert!(b.contains(0.5) && b.contains(0.7) && b.contains(0.6));
+        assert!(!b.contains(0.49) && !b.contains(0.71) && !b.contains(f64::NAN));
+    }
+
+    #[test]
+    fn cell_bands_apply_the_standard_margins() {
+        // Ratios: ±25 %, floor ±0.05, inside [0, 1]; response −40 %/+60 %;
+        // memory 2×.
+        assert!(near(Band::around_ratio(0.6), 0.45, 0.75));
+        assert!(near(Band::around_ratio(0.02), 0.0, 0.07));
+        assert!(near(Band::around_ratio(0.9), 0.675, 1.0));
+        assert!(near(Band::around_response(1.2), 0.72, 1.92));
+        assert_eq!(Band::memory_ceiling(1024.0).hi, 2048.0);
+        // Outward: the band never shrinks below the exact margin.
+        let hit = Band::around_ratio(0.7935);
+        assert!(
+            hit.lo <= 0.7935 * 0.75 && hit.hi >= 0.7935 * 1.25,
+            "{hit:?}"
+        );
+    }
+
+    #[test]
+    fn failure_bands_apply_the_durability_margins() {
+        // Events ±25 % in whole events; fraction ±max(10 %, 0.02) inside
+        // [0, 1]; dip ±max(25 %, 0.05) inside [−1, 1].
+        let events = Band::around_recovery_events(1000.0);
+        assert_eq!((events.lo, events.hi), (750.0, 1250.0));
+        assert!(near(Band::around_fraction(1.0), 0.9, 1.0));
+        assert!(near(Band::around_dip(0.2), 0.15, 0.25));
         // A checkpoint-anchored cell keeps the fraction band well away
         // from 1.0.
-        let mut k = sample_cell();
-        k.scenario = "failure";
-        k.mode = "ckpt";
-        k.recoveries = 1;
-        k.recovery_events = 250;
-        k.recovered_events = 1000;
-        k.replay_fraction = 0.25;
-        let src = calibrate_failure(&[k]);
-        assert!(
-            src.contains("fcell(\"ckpt\", 1, (187.0, 313.0), (0.225, 0.275)"),
-            "{src}"
-        );
+        let events = Band::around_recovery_events(250.0);
+        assert_eq!((events.lo, events.hi), (187.0, 313.0));
+        assert!(near(Band::around_fraction(0.25), 0.225, 0.275));
+        // A dip may be negative; its margin follows its size.
+        assert!(near(Band::around_dip(-0.4), -0.5, -0.3));
+        assert!(near(Band::around_dip(0.0), -0.05, 0.05));
     }
 
     #[test]
     fn check_enforces_durability_bands_on_failure_cells() {
-        let mut c = sample_cell();
-        c.scenario = "failure";
-        c.mode = "kill50";
-        c.recoveries = 2; // plan says 1
+        let reference = reference_of(&[failure_cell()]);
+        assert!(check(&[failure_cell()], &reference).violations.is_empty());
+        let mut c = failure_cell();
+        c.recoveries = 2; // the record says 1
         c.recovery_events = 0;
-        let err = check(&[c], Profile::Quick).unwrap_err();
+        c.replay_fraction = 0.5;
+        let found = check(&[c], &reference).violations;
+        assert_eq!(found.len(), 3, "{found:?}");
         assert!(
-            err.iter()
-                .any(|m| m.contains("kill plan expects exactly 1")),
-            "{err:?}"
+            found[0].contains("kill50/FARMER: recoveries = 2 but the kill plan expects exactly 1")
         );
-        assert!(
-            err.iter().any(|m| m.contains("stale durability band")),
-            "the unmeasured modes must be flagged: {err:?}"
-        );
+        assert!(found[1].contains("recovery_events = 0.0000 outside [750.0000, 1250.0000]"));
+        assert!(found[2].contains("replay_fraction = 0.5000 outside [0.9"));
+        // The durability rules are the failure family's alone.
+        let mut plain = sample_cell();
+        plain.recoveries = 7;
+        let found = check(&[plain], &reference_of(&[sample_cell()]));
+        assert!(found.violations.is_empty(), "{found:?}");
     }
 
     #[test]
     fn check_flags_missing_band_and_out_of_band() {
-        // No band tables are populated for a fake profile-free cell set —
-        // use whichever table is non-empty, or rely on the missing-band
-        // path when it is empty.
-        let cells = vec![sample_cell()];
-        match check(&cells, Profile::Quick) {
-            Ok(n) => assert_eq!(n, 1),
-            Err(v) => assert!(v.iter().any(|m| m.contains("no reference band")
-                || m.contains("outside")
-                || m.contains("stale"))),
+        let recorded = [sample_cell(), failure_cell()];
+        let reference = reference_of(&recorded);
+        let clean = check(&recorded, &reference);
+        assert!(
+            clean.violations.is_empty() && clean.stale.is_empty(),
+            "{clean:?}"
+        );
+
+        // In band but no longer the recorded value: stale, not failed.
+        // Wall-clock fields are never compared.
+        let mut drifted = sample_cell();
+        drifted.hit_ratio = 0.61;
+        drifted.memory_bytes = 1040;
+        drifted.events_per_sec = 5.0;
+        drifted.hit_ratio_dip = 0.000_04; // prints as the record's 0.0000
+        let found = check(&[drifted, failure_cell()], &reference);
+        assert!(found.violations.is_empty(), "{found:?}");
+        assert_eq!(
+            found.stale,
+            [
+                "base/batch/FARMER: hit_ratio = 0.6100 but the record has 0.6000",
+                "base/batch/FARMER: memory_bytes = 1040 but the record has 1024",
+            ]
+        );
+
+        // +40 % on the hit ratio leaves the band; so do a slow response
+        // and a doubled footprint.
+        let mut bad = sample_cell();
+        bad.hit_ratio = 0.84;
+        bad.avg_response_ms = 2.0;
+        bad.memory_bytes = 2049;
+        let found = check(&[bad, failure_cell()], &reference).violations;
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found[0].starts_with("base/batch/FARMER: hit_ratio = 0.8400 outside [0.4"));
+        assert!(found[1].contains("avg_response_ms = 2.0000 outside [0.7200, 1.9200]"));
+        assert!(found[2].contains("memory_bytes = 2049.0000 outside [0.0000, 2048.0000]"));
+
+        // A measured cell the record lacks and a recorded cell the run
+        // lacks are each named.
+        let mut surplus = sample_cell();
+        surplus.mode = "sharded9";
+        let found = check(&[sample_cell(), surplus], &reference).violations;
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found[0].starts_with("base/sharded9/FARMER: no reference cell"));
+        assert!(found[1].starts_with("failure/kill50/FARMER: reference cell no run produced"));
+    }
+
+    #[test]
+    fn malformed_records_are_errors() {
+        let no_memory = format!(
+            r#"{{"schema_version": 6, "scale": 1, "cells": [{}]}}"#,
+            sample_cell()
+                .to_json()
+                .render()
+                .replace("\"memory_bytes\": 1024,", "")
+        );
+        for (text, why) in [
+            ("{", "invalid JSON"),
+            (r#"{"scale": 1, "cells": []}"#, "no `schema_version`"),
+            (
+                r#"{"schema_version": 6, "scale": 1, "cells": [{}]}"#,
+                "cell 0 lacks scenario",
+            ),
+            (&no_memory, "cell 0 has no numeric `memory_bytes`"),
+        ] {
+            let err = Reference::parse(text).expect_err(text);
+            assert!(err.contains(why), "{text}: {err}");
         }
     }
 }
