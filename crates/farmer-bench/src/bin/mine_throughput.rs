@@ -8,9 +8,8 @@
 //!   ~10^7 universe, the open-ended-namespace case that used to blow up
 //!   the dense node spine (ROADMAP open item).
 //!
-//! Output is a single JSON object on stdout (the perf-trajectory record
-//! checked in as `BENCH_mine.json`); the run fails on NaN or non-finite
-//! throughput, which is what the CI smoke step relies on.
+//! Output is a single JSON object on stdout; the run fails on NaN or
+//! non-finite throughput, which is what the CI smoke step relies on.
 //!
 //! The record also carries the **observability-overhead leg**: the dense
 //! regime re-run twice through the same loop instrumented with a
@@ -33,14 +32,6 @@ use farmer_bench::format::{BenchArgs, Json};
 use farmer_core::{Farmer, FarmerConfig, Request};
 use farmer_obs::Registry;
 use farmer_trace::{FileId, WorkloadSpec};
-
-/// Version of the `BENCH_mine.json` record layout. Bump on any field
-/// addition, removal or rename; CI greps it against the checked-in
-/// record so a stale regeneration fails fast.
-///
-/// v1: first versioned layout — the dense/sparse regime pair, the
-/// observability-overhead leg, and this `schema_version` field.
-const MINE_SCHEMA_VERSION: u32 = 1;
 
 /// Sparse-id universe: ids are spread injectively over `[0, ID_UNIVERSE)`.
 const ID_UNIVERSE: u32 = 10_000_000;
@@ -206,7 +197,6 @@ fn main() {
 
     let record = Json::obj()
         .field("bench", Json::str("mine_throughput"))
-        .field("schema_version", Json::UInt(u64::from(MINE_SCHEMA_VERSION)))
         .field("workload", Json::str(&trace.label))
         .field("events", Json::UInt(events as u64))
         .field("sparse_id_universe", Json::UInt(u64::from(ID_UNIVERSE)))

@@ -18,8 +18,7 @@
 //! path allocates per query, by construction). The run fails on any
 //! steady-state allocation, on non-finite throughput, or if top-k (k ≤ 8)
 //! is not at least 2× the full-list path — which is what the CI smoke step
-//! relies on. Output is a single JSON object on stdout, checked in as
-//! `BENCH_query.json`.
+//! relies on. Output is a single JSON object on stdout.
 //!
 //! ```text
 //! cargo run --release -p farmer-bench --bin query_throughput          # full
@@ -40,14 +39,6 @@ use farmer_core::{
     CorrelationSource, Correlator, CorrelatorList, CorrelatorTable, Farmer, FarmerConfig,
 };
 use farmer_trace::{FileId, WorkloadSpec};
-
-/// Version of the `BENCH_query.json` record layout. Bump on any field
-/// addition, removal or rename; CI greps it against the checked-in
-/// record so a stale regeneration fails fast.
-///
-/// v1: first versioned layout — the four query paths, the allocation
-/// gate, and this `schema_version` field.
-const QUERY_SCHEMA_VERSION: u32 = 1;
 
 /// Queries per measured path at full scale.
 const QUERIES_AT_FULL_SCALE: f64 = 4_000_000.0;
@@ -215,10 +206,6 @@ fn main() {
 
     let record = Json::obj()
         .field("bench", Json::str("query_throughput"))
-        .field(
-            "schema_version",
-            Json::UInt(u64::from(QUERY_SCHEMA_VERSION)),
-        )
         .field("workload", Json::str(&trace.label))
         .field("k", Json::UInt(K as u64))
         .field("queries_per_path", Json::UInt(queries as u64))

@@ -21,8 +21,7 @@
 //!   steady-state reader query path performs **zero allocations**
 //!   (asserted unconditionally, not just under `--check`).
 //!
-//! Output is a single JSON object on stdout (`BENCH_serve.json` when run
-//! at full scale); progress goes to stderr.
+//! Output is a single JSON object on stdout; progress goes to stderr.
 //!
 //! ```text
 //! cargo run --release -p farmer-bench --bin serve_throughput            # full
@@ -39,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use farmer_bench::format::{BenchArgs, Json};
-use farmer_bench::serve::{read_scaling_floor, INGEST_UNDER_LOAD_FLOOR, SERVE_SCHEMA_VERSION};
+use farmer_bench::serve::{read_scaling_floor, INGEST_UNDER_LOAD_FLOOR};
 use farmer_core::Correlator;
 use farmer_serve::{FarmerServe, ServeConfig};
 use farmer_trace::{FileId, Trace, WorkloadSpec};
@@ -294,10 +293,6 @@ fn main() {
     }
     let record = Json::obj()
         .field("bench", Json::str("serve_throughput"))
-        .field(
-            "schema_version",
-            Json::UInt(u64::from(SERVE_SCHEMA_VERSION)),
-        )
         .field("workload", Json::str(&trace.label))
         .field("cores", Json::UInt(cores as u64))
         .field("k", Json::UInt(K as u64))

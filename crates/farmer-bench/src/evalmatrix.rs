@@ -73,6 +73,7 @@
 //! record, `BENCH_eval.json` ([`crate::refmodel`]); the `eval_matrix`
 //! binary's `--check` mode fails on out-of-band results.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use farmer_core::{CorrelationSource, CorrelatorList, CorrelatorTable, Farmer, FarmerConfig};
@@ -83,7 +84,7 @@ use farmer_prefetch::{
     simulate, FpaPredictor, NexusPredictor, Predictor, ProbabilityGraph, SdGraph, SimConfig,
     SimReport,
 };
-use farmer_stream::{ShardedMiner, StreamConfig, StreamSnapshot};
+use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
 use farmer_trace::workload::{ChurnSpec, DriftSpec, MultiTenantSpec, ScanStormSpec};
 use farmer_trace::{Op, Trace, WorkloadSpec};
 
@@ -460,26 +461,22 @@ pub(crate) fn cell_configs(trace: &Trace) -> (SimConfig, ReplayConfig) {
     (sim, rep)
 }
 
-/// Run FPA fronted by an externally mined source through sim + replay.
-fn fpa_cell<S>(
+/// Run FPA over a whole-trace mining result through sim + replay: the
+/// snapshot is published once and both legs' predictors follow the cell.
+fn fpa_cell(
     scenario: &'static str,
     mode: &'static str,
     trace: &Trace,
-    source: S,
+    mined: StreamSnapshot,
     mine_rate: f64,
     miner_bytes: usize,
-) -> Cell
-where
-    S: CorrelationSource + Clone + Send + 'static,
-{
+) -> Cell {
     let (sim_cfg, rep_cfg) = cell_configs(trace);
-    let events = trace.len() as u64;
-    let mut fpa = FpaPredictor::for_trace(trace);
-    fpa.refresh(source.clone(), events);
-    let sim = simulate(trace, &mut fpa, sim_cfg);
-    let mut fpa2 = FpaPredictor::for_trace(trace);
-    fpa2.refresh(source, events);
-    let rep = replay(trace, Box::new(fpa2), rep_cfg);
+    let cell = Arc::new(SnapshotCell::new());
+    cell.install(Arc::new(mined));
+    let follower = || FpaPredictor::for_trace(trace).following(&cell);
+    let sim = simulate(trace, &mut follower(), sim_cfg);
+    let rep = replay(trace, Box::new(follower()), rep_cfg);
     finish_cell(scenario, mode, "FARMER", sim, rep, mine_rate, miner_bytes)
 }
 
@@ -667,12 +664,16 @@ pub fn run_matrix_with(
         // mining policy.
         let (batch, batch_rate) = mine_batch(&trace, &cfg);
         let batch_bytes = batch.memory_bytes();
-        let table = export_table(&batch);
+        let batch_snap = StreamSnapshot {
+            table: export_table(&batch),
+            events: trace.len() as u64,
+            ..StreamSnapshot::default()
+        };
         let mut fpa_cells = vec![fpa_cell(
             scenario,
             "batch",
             &trace,
-            table,
+            batch_snap,
             batch_rate,
             batch_bytes,
         )];

@@ -6,8 +6,9 @@
 //! ([`DurableMiner::crash`]: the unsynced WAL tail is dropped, as a power
 //! cut would drop it), optionally followed by a torn-write injection on
 //! the log file, then recovered ([`farmer_stream::recover`]) and the
-//! serving tier cold-restarted (caches cleared, MDS restarted, both
-//! predictors refreshed from the recovered snapshot).
+//! serving tier replaced (caches cleared, MDS restarted, new predictors
+//! following a fresh cell whose first publication is the recovered
+//! snapshot).
 //!
 //! The cell is the matrix's online pipeline with a durable miner on the
 //! mining side: `DurableLeg` is the [`MinerSide`] the one lockstep
@@ -43,10 +44,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use farmer_core::FarmerConfig;
 use farmer_mds::{ReplayConfig, ReplayReport};
 use farmer_obs::Registry;
-use farmer_prefetch::{FpaPredictor, SimConfig, SimReport};
+use farmer_prefetch::{SimConfig, SimReport};
 use farmer_stream::{
     recover_instrumented, snapshots_bitwise_equal, DurableConfig, DurableMiner, ShardedMiner,
-    StreamConfig, StreamSnapshot,
+    SnapshotCell, StreamConfig, StreamSnapshot,
 };
 use farmer_trace::{FileId, Op, Trace};
 
@@ -200,6 +201,8 @@ struct DurableLeg {
     recovery_events: u64,
     recovered_events: u64,
     recovery_ns: u64,
+    /// Stream position of the last cut published to the serving tier.
+    served_events: u64,
 }
 
 impl DurableLeg {
@@ -226,6 +229,7 @@ impl DurableLeg {
             recovery_events: 0,
             recovered_events: 0,
             recovery_ns: 0,
+            served_events: 0,
         }
     }
 
@@ -264,7 +268,7 @@ impl MinerSide for DurableLeg {
     /// the recovered state bitwise-equal to the oracle over the recovered
     /// prefix, and hand back the recovered snapshot for the serving
     /// tier's restart.
-    fn recover_at(&mut self, trace: &Trace, i: usize) -> Option<(StreamSnapshot, u64)> {
+    fn recover_at(&mut self, trace: &Trace, i: usize) -> Option<StreamSnapshot> {
         if self.next_kill >= self.kills.len() || i != self.kills[self.next_kill] {
             return None;
         }
@@ -306,16 +310,26 @@ impl MinerSide for DurableLeg {
         self.recovery_events += report.events_replayed;
         self.recovered_events += report.events_recovered;
         self.recovery_ns += report.replay_ns;
-        let events = recovered.events_logged();
         let snap = recovered.snapshot();
+        // A cut is served only after the group commit it forces, so a
+        // recovery stands behind one only if synced bytes were destroyed
+        // — which a torn-tail plan does on purpose and nothing else may.
+        assert!(
+            self.torn.is_some() || snap.events >= self.served_events,
+            "{}: recovery at kill {i} regressed behind an already served \
+             snapshot ({} < {} events)",
+            self.mode,
+            snap.events,
+            self.served_events
+        );
         self.miner = Some(recovered);
-        Some((snap, events))
+        Some(snap)
     }
 
-    fn cut(&mut self) -> (StreamSnapshot, u64) {
+    fn cut(&mut self, cell: &SnapshotCell) {
         let m = self.miner.as_mut().expect("miner alive");
-        let events = m.events_logged();
-        (m.snapshot(), events)
+        m.miner().publish_into(cell);
+        self.served_events = m.events_logged();
     }
 
     /// Mine one event, mirroring it for the oracle.
@@ -404,9 +418,7 @@ pub fn run_failure_cell(
     let cfg = failure_config(farmer, len, mode);
     let cadence = OnlineConfig::every(cfg.stream.clone(), (len / refreshes.max(1)).max(1));
     let mut leg = DurableLeg::new(mode, dir.join("cell.wal"), cfg, &plan, reg);
-    let mut fpa = FpaPredictor::for_trace(trace);
-    let replay_fpa = Box::new(FpaPredictor::for_trace(trace));
-    let run = Lockstep::new(trace, &mut fpa, replay_fpa, cfgs, reg).drive(&mut leg, &cadence);
+    let run = Lockstep::new(trace, cfgs, reg).drive(&mut leg, &cadence);
     let (wal_bytes, miner_state_bytes) = leg.finish(trace);
     assert_eq!(
         leg.recoveries as usize,

@@ -8,28 +8,38 @@
 //! owns the per-event order once:
 //!
 //! 1. if the miner side crashed and recovered at this event
-//!    ([`MinerSide::recover_at`]), both serving legs restart cold and the
-//!    recovered snapshot is installed;
+//!    ([`MinerSide::recover_at`]), the serving tier is replaced — a fresh
+//!    cell, fresh followers, cold caches — and the recovered snapshot is
+//!    the replacement's first publication;
 //! 2. at every [`OnlineConfig::refresh_due`] boundary a consistent cut of
-//!    everything mined so far ([`MinerSide::cut`]) is installed;
+//!    everything mined so far is published ([`MinerSide::cut`]);
 //! 3. the event is mined ([`MinerSide::mine`]) — once;
-//! 4. both legs serve it from the *last installed* snapshot — state
+//! 4. both legs serve it from the *last published* snapshot — state
 //!    strictly older than the event.
 //!
-//! A snapshot is installed by handing both predictors an
-//! `Arc<StreamSnapshot>` of the same cut, so the legs cannot disagree
-//! about what the miner knew. Serving starts from an installed *empty*
-//! source: it is external for the whole run, and adaptation lag is
+//! Publication is the product's own: the driver owns the serving tier's
+//! [`SnapshotCell`], the miner side publishes into it, and both legs'
+//! predictors are built here as followers of that cell
+//! ([`FpaPredictor::following`]) — so the legs cannot disagree about what
+//! the miner knew, a self-mining predictor cannot be driven at all, and
+//! every publication sits under the cell's monotone-install assert.
+//! Serving starts from the cell's empty epoch 0, so adaptation lag is
 //! measured from a cold model instead of being hidden by self-mining.
+//!
+//! A cell lives as long as its serving tier. The correlated restart kills
+//! the tier with the miner, so the replacement starts a new cell: a
+//! recovery may legitimately stand *behind* what the dead tier last
+//! served (a torn tail can take a record a served snapshot already
+//! covered — `kill50torn` recovers one event short), and no reader
+//! survives the restart to see time run backwards.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use farmer_core::CorrelatorTable;
 use farmer_mds::{ReplayConfig, ReplayReport, ReplayRun};
 use farmer_obs::{Counter, Histogram, Registry};
-use farmer_prefetch::{FpaPredictor, Predictor, SimConfig, SimReport, SimRun};
-use farmer_stream::{ShardedMiner, StreamConfig, StreamSnapshot};
+use farmer_prefetch::{FpaPredictor, SimConfig, SimReport, SimRun};
+use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
 use farmer_trace::{Op, Trace};
 
 /// The refresh cadence of a served cell, plus the configuration of the
@@ -39,8 +49,8 @@ pub struct OnlineConfig {
     /// Configuration of the live miner (shards, `node_cap`, …).
     pub stream: StreamConfig,
     /// Events between snapshot refreshes: at every multiple of this event
-    /// index a consistent [`StreamSnapshot`] is taken and swapped into
-    /// both predictors. Must be positive.
+    /// index a consistent [`StreamSnapshot`] is taken and published into
+    /// the cell both predictors follow. Must be positive.
     pub refresh_interval: usize,
     /// Stop refreshing after this event index: the predictors keep
     /// serving the last snapshot taken at or before it — frozen-snapshot
@@ -77,18 +87,18 @@ impl OnlineConfig {
     }
 }
 
-/// The mining half of a served cell, as the driver sees it. Snapshots
-/// come back with the stream position (events) they reflect.
+/// The mining half of a served cell, as the driver sees it: it publishes
+/// into the driver's cell.
 pub trait MinerSide {
     /// If event `i` is a planned crash point: crash, recover, and return
-    /// the recovered state for the serving tier's cold restart. Miners
-    /// that never crash keep the default.
-    fn recover_at(&mut self, _trace: &Trace, _i: usize) -> Option<(StreamSnapshot, u64)> {
+    /// the recovered cut — the first publication of the serving tier that
+    /// replaces the dead one. Miners that never crash keep the default.
+    fn recover_at(&mut self, _trace: &Trace, _i: usize) -> Option<StreamSnapshot> {
         None
     }
 
-    /// A consistent cut of exactly the events mined so far.
-    fn cut(&mut self) -> (StreamSnapshot, u64);
+    /// Publish a consistent cut of exactly the events mined so far.
+    fn cut(&mut self, cell: &SnapshotCell);
 
     /// Mine event `i` under the matrix mining policy: unlinks are
     /// forgotten, metadata demands observed, `Close` ignored.
@@ -96,9 +106,8 @@ pub trait MinerSide {
 }
 
 impl MinerSide for ShardedMiner {
-    fn cut(&mut self) -> (StreamSnapshot, u64) {
-        let events = self.events_routed();
-        (self.snapshot(), events)
+    fn cut(&mut self, cell: &SnapshotCell) {
+        self.publish_into(cell);
     }
 
     fn mine(&mut self, trace: &Trace, i: usize) {
@@ -118,7 +127,7 @@ pub struct ServedRun {
     pub sim: SimReport,
     /// The MDS-replay leg's report.
     pub replay: ReplayReport,
-    /// Periodic snapshot refreshes installed (recoveries not counted).
+    /// Periodic snapshot refreshes published (recoveries not counted).
     pub refreshes: u64,
     /// The simulation leg's outcome per event: `Some(hit)` for a
     /// metadata demand, `None` otherwise.
@@ -128,62 +137,68 @@ pub struct ServedRun {
     pub events_per_sec: f64,
 }
 
-/// The serving half of a cell — both runs and the simulation leg's
-/// predictor (the replay's lives inside its MDS) — ready to be driven.
+/// The serving half of a cell — the publication cell, both runs and the
+/// simulation leg's predictor (the replay's lives inside its MDS) —
+/// ready to be driven.
 pub struct Lockstep<'a> {
     trace: &'a Trace,
-    predictor: &'a mut dyn Predictor,
+    reg: Registry,
+    cell: Arc<SnapshotCell>,
+    predictor: FpaPredictor,
     sim: SimRun<'a>,
     replay: ReplayRun<'a>,
-    /// Refreshes installed (`online.refreshes`).
+    /// Refreshes published (`online.refreshes`).
     obs_refreshes: Counter,
-    /// Wall-clock nanoseconds per refresh — the consistent cut plus
-    /// merge, as seen by the serving loop (`online.refresh_ns`).
+    /// Wall-clock nanoseconds per refresh — the consistent cut, merge
+    /// and install, as seen by the serving loop (`online.refresh_ns`).
     obs_refresh_ns: Histogram,
 }
 
+/// A follower of `cell` whose `fpa.*` metrics register under `scope`.
+fn follower(trace: &Trace, cell: &Arc<SnapshotCell>, scope: &Registry) -> FpaPredictor {
+    let mut fpa = FpaPredictor::for_trace(trace).following(cell);
+    fpa.instrument(scope);
+    fpa
+}
+
 impl<'a> Lockstep<'a> {
-    /// Build both runs and install the empty initial source in both
-    /// predictors. Under `reg` the cadence registers as `online.*`, the
-    /// MDS leg as `mds.*` / `cache.*` / `store.*`, and the simulation
-    /// leg's cache as `sim.cache.*` (it would otherwise sum into the
-    /// MDS's); the caller instruments the miner it hands to
-    /// [`Lockstep::drive`].
-    ///
-    /// # Panics
-    /// Panics if either predictor rejects external sources
-    /// ([`Predictor::refresh_source`] returns `false`).
+    /// Build the cell, both runs and one follower of the cell per leg.
+    /// Under `reg` the cadence registers as `online.*`, the MDS leg as
+    /// `mds.*` / `cache.*` / `store.*` / `fpa.*`, and the simulation
+    /// leg's cache and predictor as `sim.cache.*` / `sim.fpa.*` (they
+    /// would otherwise sum into the MDS's); the caller instruments the
+    /// miner it hands to [`Lockstep::drive`].
     pub fn new(
         trace: &'a Trace,
-        predictor: &'a mut dyn Predictor,
-        replay_predictor: Box<dyn Predictor>,
         (sim_cfg, rep_cfg): (SimConfig, ReplayConfig),
         reg: &Registry,
     ) -> Self {
-        assert!(
-            predictor.refresh_source(Box::new(CorrelatorTable::new()), 0),
-            "lockstep serving requires a predictor that accepts external \
-             correlation sources (Predictor::refresh_source)"
-        );
-        let mut replay = ReplayRun::new(trace, replay_predictor, rep_cfg, reg);
-        replay.refresh_predictor(Box::new(CorrelatorTable::new()), 0);
+        let cell = Arc::new(SnapshotCell::new());
+        let sim_scope = reg.scope("sim");
         let online = reg.scope("online");
         Lockstep {
             trace,
-            predictor,
-            sim: SimRun::new(trace, sim_cfg, &reg.scope("sim")),
-            replay,
+            reg: reg.clone(),
+            predictor: follower(trace, &cell, &sim_scope),
+            sim: SimRun::new(trace, sim_cfg, &sim_scope),
+            replay: ReplayRun::new(trace, Box::new(follower(trace, &cell, reg)), rep_cfg, reg),
+            cell,
             obs_refreshes: online.counter("refreshes"),
             obs_refresh_ns: online.histogram("refresh_ns"),
         }
     }
 
-    /// Both legs serve from the same cut.
-    fn install(&mut self, (snap, events): (StreamSnapshot, u64)) {
-        let snap = Arc::new(snap);
-        self.predictor
-            .refresh_source(Box::new(Arc::clone(&snap)), events);
-        self.replay.refresh_predictor(Box::new(snap), events);
+    /// Correlated restart: the serving tier dies with the miner. Its
+    /// replacement has a new cell, new followers and cold caches, and
+    /// `recovered` is the first thing it publishes; the runs' statistics
+    /// describe the experiment and carry on.
+    fn restart(&mut self, recovered: StreamSnapshot) {
+        self.cell = Arc::new(SnapshotCell::new());
+        self.predictor = follower(self.trace, &self.cell, &self.reg.scope("sim"));
+        self.sim.restart_cold();
+        self.replay
+            .restart_cold(Box::new(follower(self.trace, &self.cell, &self.reg)));
+        self.cell.install(Arc::new(recovered));
     }
 
     /// Drive the whole trace through `side` and both legs (see the module
@@ -201,26 +216,22 @@ impl<'a> Lockstep<'a> {
         let mut hits = Vec::with_capacity(self.trace.len());
         for (i, event) in self.trace.events.iter().enumerate() {
             if let Some(recovered) = side.recover_at(self.trace, i) {
-                // Correlated restart: the serving tier dies with the miner.
-                self.sim.restart_cold();
-                self.replay.restart_cold();
-                self.install(recovered);
+                self.restart(recovered);
             }
             if cadence.refresh_due(i) {
                 let span = self.obs_refresh_ns.span();
-                let cut = side.cut();
+                side.cut(&self.cell);
                 span.finish();
-                self.install(cut);
                 refreshes += 1;
                 self.obs_refreshes.inc();
             }
             side.mine(self.trace, i);
-            hits.push(self.sim.step(i, event, self.predictor));
+            hits.push(self.sim.step(i, event, &mut self.predictor));
             self.replay.step(i, event);
         }
         let elapsed = start.elapsed().as_secs_f64().max(1e-9);
         ServedRun {
-            sim: self.sim.finish(self.predictor),
+            sim: self.sim.finish(&self.predictor),
             replay: self.replay.finish(),
             refreshes,
             hits,
@@ -230,7 +241,7 @@ impl<'a> Lockstep<'a> {
 }
 
 /// Serve `trace` online: spawn the miner `online` describes, drive it in
-/// lockstep with two fresh FPA legs, and return the run together with the
+/// lockstep with both serving legs, and return the run together with the
 /// miner's end-of-stream cut (state accounting; it also mines the tail
 /// still sitting in the route batch).
 pub fn serve_online(
@@ -240,9 +251,7 @@ pub fn serve_online(
     reg: &Registry,
 ) -> (ServedRun, StreamSnapshot) {
     let mut miner = ShardedMiner::spawn_instrumented(online.stream.clone(), reg);
-    let mut fpa = FpaPredictor::for_trace(trace);
-    let replay_fpa = Box::new(FpaPredictor::for_trace(trace));
-    let run = Lockstep::new(trace, &mut fpa, replay_fpa, cfgs, reg).drive(&mut miner, online);
+    let run = Lockstep::new(trace, cfgs, reg).drive(&mut miner, online);
     (run, miner.snapshot())
 }
 
@@ -250,22 +259,62 @@ pub fn serve_online(
 mod tests {
     use super::*;
     use crate::evalmatrix::cell_configs;
-    use farmer_prefetch::baselines::LruOnly;
-    use farmer_prefetch::FpaPredictor;
     use farmer_trace::WorkloadSpec;
 
+    /// A miner side that "recovers" at one event: it hands its current
+    /// cut to a restarted serving tier.
+    struct Restarting {
+        miner: ShardedMiner,
+        at: usize,
+    }
+
+    impl MinerSide for Restarting {
+        fn recover_at(&mut self, _trace: &Trace, i: usize) -> Option<StreamSnapshot> {
+            (i == self.at).then(|| self.miner.snapshot())
+        }
+
+        fn cut(&mut self, cell: &SnapshotCell) {
+            self.miner.cut(cell);
+        }
+
+        fn mine(&mut self, trace: &Trace, i: usize) {
+            self.miner.mine(trace, i);
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "accepts external")]
-    fn online_rejects_self_mining_predictors() {
-        let trace = WorkloadSpec::ins().scaled(0.01).generate();
-        let fpa = Box::new(FpaPredictor::for_trace(&trace));
-        let _ = Lockstep::new(
-            &trace,
-            &mut LruOnly,
-            fpa,
-            cell_configs(&trace),
-            &Registry::disabled(),
-        );
+    fn every_install_is_an_epoch_both_legs_end_on() {
+        let trace = WorkloadSpec::hp().scaled(0.05).generate();
+        let stream = StreamConfig::default().with_node_cap(1 << 20);
+        let interval = (trace.len() / 8).max(1);
+        let online = OnlineConfig::every(stream.clone(), interval);
+
+        // No restart: one cell for the whole run, one epoch per refresh.
+        let reg = Registry::enabled();
+        let lockstep = Lockstep::new(&trace, cell_configs(&trace), &reg);
+        let cell = Arc::clone(&lockstep.cell);
+        let run = lockstep.drive(&mut ShardedMiner::spawn(stream.clone()), &online);
+        assert_eq!(cell.epoch(), run.refreshes);
+        // `fpa.refreshes` counts the epochs a follower picked up from
+        // epoch 0, so equal counts are equal final epochs — the cell's.
+        let obs = reg.snapshot();
+        assert_eq!(obs.counter("sim.fpa.refreshes"), Some(cell.epoch()));
+        assert_eq!(obs.counter("fpa.refreshes"), Some(cell.epoch()));
+
+        // A restart on a refresh boundary: the replacement tier's cell
+        // takes the recovered cut and the refresh before its first access,
+        // and both legs' new followers pick both epochs up.
+        let reg = Registry::enabled();
+        let mut side = Restarting {
+            miner: ShardedMiner::spawn(stream),
+            at: 4 * interval,
+        };
+        let run = Lockstep::new(&trace, cell_configs(&trace), &reg).drive(&mut side, &online);
+        let obs = reg.snapshot();
+        assert_eq!(obs.counter("mds.restarts"), Some(1));
+        let installs = run.refreshes + 1;
+        assert_eq!(obs.counter("sim.fpa.refreshes"), Some(installs));
+        assert_eq!(obs.counter("fpa.refreshes"), Some(installs));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Acceptance bands for the `serve_throughput` benchmark (the serving
-//! tier's read-scaling and ingest-under-load record, `BENCH_serve.json`).
+//! tier's read-scaling and ingest-under-load legs).
 //!
 //! The hard claims the tier makes — wait-free readers, allocation-free
 //! query hot path, lock-free ingest — are asserted unconditionally by the
@@ -10,10 +10,6 @@
 //! to the measured core count and the emitted record carries the core
 //! count so any reading of the numbers starts from the host's actual
 //! parallelism.
-
-/// Schema version of `BENCH_serve.json`. Bump on any field change and
-/// regenerate the checked-in record; CI greps the two for equality.
-pub const SERVE_SCHEMA_VERSION: u32 = 1;
 
 /// Minimum acceptable aggregate read throughput of `readers` concurrent
 /// readers, as a multiple of the single-reader aggregate.

@@ -96,8 +96,8 @@ pub trait CorrelationSource {
 
 /// A shared source serves exactly like an owned one. This is what lets a
 /// serving tier publish one snapshot behind an [`std::sync::Arc`] and
-/// hand the *same* mined state to N reader threads and to
-/// `FpaPredictor::refresh`-style consumers without copying a byte.
+/// hand the *same* mined state to N reader threads and to every
+/// predictor following the publication without copying a byte.
 impl<T: CorrelationSource + ?Sized> CorrelationSource for std::sync::Arc<T> {
     fn version(&self) -> u64 {
         (**self).version()

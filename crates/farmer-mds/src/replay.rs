@@ -151,9 +151,9 @@ pub fn replay(trace: &Trace, predictor: Box<dyn Predictor>, cfg: ReplayConfig) -
 
 /// One MDS replay, advanced an event at a time: the demand loop of
 /// [`replay`] as a value, so a caller that has other work per event —
-/// refreshing the MDS's predictor from a live miner, cold-restarting the
-/// server after a crash — interleaves it between [`ReplayRun::step`]
-/// calls instead of copying the loop.
+/// publishing a live miner's snapshot into the cell the MDS's predictor
+/// follows, cold-restarting the server after a crash — interleaves it
+/// between [`ReplayRun::step`] calls instead of copying the loop.
 pub struct ReplayRun<'a> {
     trace: &'a Trace,
     cfg: ReplayConfig,
@@ -209,28 +209,11 @@ impl<'a> ReplayRun<'a> {
         }
     }
 
-    /// Swap an externally mined correlation source into the MDS's
-    /// predictor; the MDS keeps serving from it until the next swap.
-    ///
-    /// # Panics
-    /// Panics if the installed predictor mines internally and cannot
-    /// serve external state (`Predictor::refresh_source` returns `false`).
-    pub fn refresh_predictor(
-        &mut self,
-        source: Box<dyn farmer_core::CorrelationSource + Send>,
-        as_of_events: u64,
-    ) {
-        assert!(
-            self.mds.refresh_predictor(source, as_of_events),
-            "refreshing a replay requires a predictor that accepts external \
-             correlation sources (Predictor::refresh_source)"
-        );
-    }
-
-    /// The MDS died and was replaced ([`MdsServer::restart_cold`]); the
-    /// client caches and the run's statistics outlive it.
-    pub fn restart_cold(&mut self) {
-        self.mds.restart_cold();
+    /// The MDS died and was replaced by one running `predictor`
+    /// ([`MdsServer::restart_cold`]); the client caches and the run's
+    /// statistics outlive it.
+    pub fn restart_cold(&mut self, predictor: Box<dyn Predictor>) {
+        self.mds.restart_cold(predictor);
     }
 
     fn close_phase(&mut self) {
@@ -369,21 +352,22 @@ mod tests {
     #[test]
     fn online_replay_refreshes_and_matches_accounting() {
         // A run refreshed mid-stream from one live miner, in the lockstep
-        // driver's per-event order: refresh, route, step.
-        use farmer_stream::{ShardedMiner, StreamConfig};
+        // driver's per-event order: publish, route, step.
+        use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig};
         let trace = WorkloadSpec::hp().scaled(0.05).generate();
         let mut cfg = ReplayConfig::for_family(trace.family);
         cfg.num_phases = 4;
         let interval = (trace.len() / 8).max(1);
         let mut miner = ShardedMiner::spawn(StreamConfig::default().with_node_cap(1 << 20));
-        let fpa = Box::new(FpaPredictor::for_trace(&trace));
+        let cell = std::sync::Arc::new(SnapshotCell::new());
+        let reg = Registry::enabled();
+        let mut fpa = Box::new(FpaPredictor::for_trace(&trace).following(&cell));
+        fpa.instrument(&reg);
         let mut run = ReplayRun::new(&trace, fpa, cfg, &Registry::disabled());
-        run.refresh_predictor(Box::new(farmer_core::CorrelatorTable::new()), 0);
         let mut refreshes = 0;
         for (i, e) in trace.events.iter().enumerate() {
             if i > 0 && i % interval == 0 {
-                let events = miner.events_routed();
-                run.refresh_predictor(Box::new(miner.snapshot()), events);
+                miner.publish_into(&cell);
                 refreshes += 1;
             }
             if e.op.is_metadata_demand() {
@@ -393,6 +377,11 @@ mod tests {
         }
         let r = run.finish();
         assert_eq!(refreshes, 7, "one refresh per interior boundary");
+        assert_eq!(
+            reg.snapshot().counter("fpa.refreshes"),
+            Some(refreshes),
+            "the MDS's predictor picked up every published epoch"
+        );
         assert_eq!(r.phase_mean_ms.len(), 4);
         let end = miner.snapshot();
         assert!(end.state_bytes > 0);
@@ -469,15 +458,6 @@ mod tests {
         let p = replay(&trace, Box::new(FpaPredictor::for_trace(&trace)), cfg);
         assert_eq!(p.latency.count(), r.latency.count());
         assert!((p.avg_response_ms() - r.avg_response_ms()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "accepts external")]
-    fn online_replay_rejects_self_mining_predictors() {
-        let trace = WorkloadSpec::hp().scaled(0.01).generate();
-        let cfg = ReplayConfig::default();
-        let mut run = ReplayRun::new(&trace, Box::new(LruOnly), cfg, &Registry::disabled());
-        run.refresh_predictor(Box::new(farmer_core::CorrelatorTable::new()), 0);
     }
 
     #[test]

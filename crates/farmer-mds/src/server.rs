@@ -302,31 +302,19 @@ impl MdsServer {
         self.predictor.name().to_string()
     }
 
-    /// Swap an externally mined correlation source into the predictor
-    /// ([`farmer_prefetch::Predictor::refresh_source`]). Returns `false`
-    /// if the installed predictor mines internally and cannot serve
-    /// external state. This is the online-replay hook: the MDS keeps
-    /// serving while its prediction model is refreshed mid-run.
-    pub fn refresh_predictor(
-        &mut self,
-        source: Box<dyn farmer_core::CorrelationSource + Send>,
-        as_of_events: u64,
-    ) -> bool {
-        self.predictor.refresh_source(source, as_of_events)
-    }
-
     /// Cold-restart the server, as a crash + process replacement would:
-    /// the metadata cache empties, queued prefetches are lost, and any
+    /// the metadata cache empties, queued prefetches are lost, any
     /// in-flight backlog dies with the process (the replacement starts
-    /// idle). Durable state survives — the metadata store, the running
-    /// latency/hit statistics (they describe the *experiment*, which
-    /// spans the restart), and the installed predictor, which the caller
-    /// re-primes via [`MdsServer::refresh_predictor`] from whatever its
-    /// mining tier recovered (see `farmer-stream::durable`). Recovery
-    /// *time* is the mining tier's to report; this transition is
-    /// instantaneous in simulated time so the post-restart hit-ratio dip
-    /// measures cache loss alone.
-    pub fn restart_cold(&mut self) {
+    /// idle), and the replacement runs `predictor` — for a predictor that
+    /// follows a `SnapshotCell`, a follower of the cell the recovered
+    /// mining tier publishes into (see `farmer-stream::durable`). Durable
+    /// state survives: the metadata store and the running latency/hit
+    /// statistics (they describe the *experiment*, which spans the
+    /// restart). Recovery *time* is the mining tier's to report; this
+    /// transition is instantaneous in simulated time so the post-restart
+    /// hit-ratio dip measures cache loss alone.
+    pub fn restart_cold(&mut self, predictor: Box<dyn Predictor>) {
+        self.predictor = predictor;
         self.cache.clear();
         while self.prefetch_q.pop().is_some() {}
         self.free_at_us = 0;

@@ -11,10 +11,14 @@
 //!
 //! Both serving modes query through [`CorrelationSource`] — the top-k
 //! lands in a reusable buffer, so the per-access path is allocation-free
-//! in steady state regardless of which back-end is installed.
+//! in steady state whether the predictor mines for itself or follows a
+//! publication cell.
+
+use std::sync::Arc;
 
 use farmer_core::{CorrelationSource, Correlator, Farmer, FarmerConfig};
 use farmer_obs::{Counter, Histogram, Registry};
+use farmer_stream::{CellReader, SnapshotCell};
 use farmer_trace::{FileId, Trace, TraceEvent};
 
 use crate::predictor::Predictor;
@@ -23,7 +27,9 @@ use crate::predictor::Predictor;
 /// workspace registry map). No-op by default.
 #[derive(Debug, Clone, Default)]
 pub struct FpaMetrics {
-    /// External correlation sources installed (`fpa.refreshes`).
+    /// Publication epochs a following predictor picked up
+    /// (`fpa.refreshes`): equal to its cell's epoch once it has served an
+    /// access since the latest publication, lower while it lags.
     pub refreshes: Counter,
     /// Wall-clock nanoseconds per top-k correlator query (`fpa.topk_ns`) —
     /// the serving-path latency, excluding self-mining observation cost.
@@ -43,41 +49,32 @@ impl FpaMetrics {
 
 /// The FARMER-enabled prefetcher.
 ///
-/// Two operating modes:
+/// Exactly two operating modes, fixed at construction:
 ///
-/// * **Self-mining** (the default): every access is observed by the
-///   embedded [`Farmer`] and predictions come from its live correlator
-///   state — the paper's single-node deployment.
-/// * **Externally mined**: [`FpaPredictor::refresh`] installs *any*
-///   [`CorrelationSource`] produced elsewhere — a `CorrelatorTable`, a
-///   `farmer-stream` snapshot (directly, no table copy), or a
-///   `farmer-store` view reloaded after a restart. Predictions are then
-///   served from it, local mining is skipped (the mining cost lives on
-///   the mining tier), and each later `refresh` swaps in a newer view —
-///   the predictor follows the evolving workload *mid-simulation* without
-///   re-mining or restart.
+/// * **Self-mining** ([`FpaPredictor::for_trace`], [`FpaPredictor::new`]):
+///   every access is observed by the embedded [`Farmer`] and predictions
+///   come from its live correlator state — the paper's single-node
+///   deployment.
+/// * **Following** ([`FpaPredictor::following`]): predictions are served
+///   from whatever the mining tier last published into a
+///   [`SnapshotCell`] — the same read path as the serving tier's readers,
+///   one Acquire epoch load per access and an `Arc` pick-up per new
+///   epoch. Local mining is skipped (the mining cost lives on the mining
+///   tier) and the predictor follows the evolving workload
+///   *mid-simulation* with no call from the driver: publishing into the
+///   cell is the whole hand-over. Mined state from any other back-end (a
+///   `CorrelatorTable`, a `farmer-store` view) reaches a predictor the
+///   same way, installed once as a `StreamSnapshot`.
+#[derive(Debug)]
 pub struct FpaPredictor {
     farmer: Farmer,
     /// Upper bound on candidates proposed per access (prefetch group size).
     pub group_limit: usize,
-    /// Externally mined correlator state; `Some` switches serving to it.
-    external: Option<Box<dyn CorrelationSource + Send>>,
-    /// Stream position (events) of the installed source, for diagnostics.
-    external_events: u64,
+    /// The followed cell's reader; `Some` switches serving to it.
+    published: Option<CellReader>,
     /// Reusable top-k buffer (zero steady-state allocation).
     topk: Vec<Correlator>,
     obs: FpaMetrics,
-}
-
-impl std::fmt::Debug for FpaPredictor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FpaPredictor")
-            .field("farmer", &self.farmer)
-            .field("group_limit", &self.group_limit)
-            .field("external", &self.external.as_ref().map(|s| s.version()))
-            .field("external_events", &self.external_events)
-            .finish()
-    }
 }
 
 impl FpaPredictor {
@@ -90,8 +87,7 @@ impl FpaPredictor {
         FpaPredictor {
             farmer: Farmer::new(cfg),
             group_limit: Self::DEFAULT_GROUP_LIMIT,
-            external: None,
-            external_events: 0,
+            published: None,
             topk: Vec::new(),
             obs: FpaMetrics::default(),
         }
@@ -115,7 +111,20 @@ impl FpaPredictor {
         self
     }
 
-    /// Access the underlying FARMER model (diagnostics, Table 4).
+    /// Serve from `cell` instead of mining: the predictor registers a
+    /// reader on the cell and from then on answers every access from the
+    /// newest published snapshot (the empty epoch-0 snapshot until the
+    /// first publication, so adaptation lag is measured from a cold model
+    /// instead of being hidden by self-mining). The configuration keeps
+    /// supplying the validity threshold.
+    #[must_use]
+    pub fn following(mut self, cell: &Arc<SnapshotCell>) -> Self {
+        self.published = Some(cell.reader());
+        self
+    }
+
+    /// Access the underlying FARMER model (diagnostics, Table 4). A
+    /// following predictor never observes into it.
     pub fn farmer(&self) -> &Farmer {
         &self.farmer
     }
@@ -127,59 +136,11 @@ impl FpaPredictor {
         self.obs = FpaMetrics::new(&reg.scope("fpa"));
     }
 
-    /// Install (or replace) an externally mined correlation source; see
-    /// the type-level docs for the serving-mode switch this implies.
-    /// `as_of_events` records which stream prefix the source reflects.
-    pub fn refresh(&mut self, source: impl CorrelationSource + Send + 'static, as_of_events: u64) {
-        self.refresh_boxed(Box::new(source), as_of_events);
-    }
-
-    /// [`FpaPredictor::refresh`] for an already-boxed source (what the
-    /// [`Predictor::refresh_source`] hook hands over).
-    pub fn refresh_boxed(&mut self, source: Box<dyn CorrelationSource + Send>, as_of_events: u64) {
-        self.external = Some(source);
-        self.external_events = as_of_events;
-        self.obs.refreshes.inc();
-    }
-
-    /// Follow an epoch-swapped publication cell: if `reader` picked up a
-    /// newer published snapshot (or the predictor has no external source
-    /// yet), install the reader's cached snapshot and serve from it.
-    /// Returns whether a source was installed.
-    ///
-    /// This is the serving-tier counterpart of [`FpaPredictor::refresh`]:
-    /// the miner publishes into a `SnapshotCell` at its own cadence
-    /// (`farmer_stream::ShardedMiner::publish_into`), and the predictor
-    /// polls this at whatever cadence it likes. The steady-state no-new-
-    /// epoch call is one atomic load; installation is an `Arc` clone of
-    /// the shared snapshot — no table copy, no re-mining.
-    pub fn refresh_from_cell(&mut self, reader: &mut farmer_stream::CellReader) -> bool {
-        let advanced = reader.refresh();
-        if !advanced && self.external.is_some() {
-            return false;
-        }
-        let snap = reader.cached();
-        let events = snap.events;
-        self.refresh_boxed(Box::new(snap), events);
-        true
-    }
-
-    /// Drop the external source and return to self-mining.
-    pub fn clear_external(&mut self) {
-        self.external = None;
-        self.external_events = 0;
-    }
-
-    /// The installed external source, if any.
-    pub fn external(&self) -> Option<&dyn CorrelationSource> {
-        self.external
-            .as_deref()
-            .map(|s| s as &dyn CorrelationSource)
-    }
-
-    /// Stream position of the installed source (0 when self-mining).
-    pub fn external_events(&self) -> u64 {
-        self.external_events
+    /// The reader a following predictor serves through (`None` when
+    /// self-mining): its epoch and cached snapshot say how stale the
+    /// predictions are.
+    pub fn reader(&self) -> Option<&CellReader> {
+        self.published.as_ref()
     }
 }
 
@@ -190,14 +151,22 @@ impl Predictor for FpaPredictor {
 
     fn on_access_into(&mut self, trace: &Trace, event: &TraceEvent, out: &mut Vec<FileId>) {
         out.clear();
-        // FPA's validity threshold applies in both modes: exported sources
-        // are typically pre-thresholded (making this a no-op), but a source
-        // that retains weaker correlations — e.g. a live model installed
-        // via `refresh` — must not leak them into prefetch proposals.
+        // FPA's validity threshold applies in both modes: published
+        // snapshots are typically pre-thresholded (making this a no-op),
+        // but one that retains weaker correlations must not leak them
+        // into prefetch proposals.
         let threshold = self.farmer.config().max_strength;
-        if let Some(source) = &self.external {
-            let _span = self.obs.topk_ns.span();
-            source.top_k_into(event.file, self.group_limit, threshold, &mut self.topk);
+        if let Some(reader) = &mut self.published {
+            let seen = reader.epoch_seen();
+            let span = self.obs.topk_ns.span();
+            reader
+                .current()
+                .top_k_into(event.file, self.group_limit, threshold, &mut self.topk);
+            span.finish();
+            let picked_up = reader.epoch_seen() - seen;
+            if picked_up > 0 {
+                self.obs.refreshes.add(picked_up);
+            }
         } else {
             self.farmer.observe_event(trace, event);
             let _span = self.obs.topk_ns.span();
@@ -209,23 +178,18 @@ impl Predictor for FpaPredictor {
 
     fn memory_bytes(&self) -> usize {
         self.farmer.memory_bytes()
-            + self.external.as_ref().map_or(0, |s| s.heap_bytes())
+            + self
+                .published
+                .as_ref()
+                .map_or(0, |r| r.cached().heap_bytes())
             + self.topk.capacity() * std::mem::size_of::<Correlator>()
-    }
-
-    fn refresh_source(
-        &mut self,
-        source: Box<dyn CorrelationSource + Send>,
-        as_of_events: u64,
-    ) -> bool {
-        self.refresh_boxed(source, as_of_events);
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use farmer_stream::StreamSnapshot;
     use farmer_trace::WorkloadSpec;
 
     #[test]
@@ -270,25 +234,38 @@ mod tests {
         assert!(fpa.memory_bytes() > 0);
     }
 
+    /// Publish `table` into `cell` as the snapshot of a stream prefix of
+    /// `events` — how mined state from any back-end reaches a follower.
+    fn publish(cell: &SnapshotCell, table: farmer_core::CorrelatorTable, events: u64) {
+        cell.install(Arc::new(StreamSnapshot {
+            table,
+            events,
+            ..StreamSnapshot::default()
+        }));
+    }
+
+    /// A one-list table: every access of file 0 predicts `to`.
+    fn zero_predicts(to: &[(u32, f64)]) -> farmer_core::CorrelatorTable {
+        use farmer_core::CorrelatorList;
+        let entries = to
+            .iter()
+            .map(|&(file, degree)| Correlator {
+                file: FileId::new(file),
+                degree,
+            })
+            .collect::<Vec<_>>();
+        vec![CorrelatorList::build(FileId::new(0), entries, 0.0)]
+            .into_iter()
+            .collect()
+    }
+
     #[test]
     fn refresh_switches_serving_to_the_table() {
-        use farmer_core::{Correlator, CorrelatorList, CorrelatorTable};
         let trace = WorkloadSpec::hp().scaled(0.01).generate();
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        // An external table that maps every access of file 0 to file 42.
-        let table: CorrelatorTable = vec![CorrelatorList::build(
-            FileId::new(0),
-            vec![Correlator {
-                file: FileId::new(42),
-                degree: 0.9,
-            }],
-            0.0,
-        )]
-        .into_iter()
-        .collect();
-        fpa.refresh(table, 1234);
-        assert_eq!(fpa.external_events(), 1234);
-        assert!(fpa.external().is_some());
+        let cell = Arc::new(SnapshotCell::new());
+        let mut fpa = FpaPredictor::for_trace(&trace).following(&cell);
+        // A published table that maps every access of file 0 to file 42.
+        publish(&cell, zero_predicts(&[(42, 0.9)]), 1234);
         let e0 = trace
             .events
             .iter()
@@ -301,59 +278,47 @@ mod tests {
         } else {
             assert!(preds.is_empty(), "unknown file must predict nothing");
         }
-        // Serving from the table does not mine locally.
+        let reader = fpa.reader().expect("following");
+        assert_eq!((reader.epoch_seen(), reader.cached().events), (1, 1234));
+        // Serving from the cell does not mine locally.
         assert_eq!(fpa.farmer().observed(), 0);
-        // Dropping the table returns to self-mining.
-        fpa.clear_external();
-        fpa.on_access(&trace, &trace.events[0]);
-        assert_eq!(fpa.farmer().observed(), 1);
+        // A predictor built without a cell mines for itself.
+        let mut own = FpaPredictor::for_trace(&trace);
+        assert!(own.reader().is_none());
+        own.on_access(&trace, &trace.events[0]);
+        assert_eq!(own.farmer().observed(), 1);
     }
 
     #[test]
     fn successive_refreshes_follow_the_miner() {
-        use farmer_core::{Correlator, CorrelatorList, CorrelatorTable};
         let trace = WorkloadSpec::hp().scaled(0.01).generate();
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        let make = |to: u32| -> CorrelatorTable {
-            vec![CorrelatorList::build(
-                FileId::new(0),
-                vec![Correlator {
-                    file: FileId::new(to),
-                    degree: 0.8,
-                }],
-                0.0,
-            )]
-            .into_iter()
-            .collect()
-        };
+        let cell = Arc::new(SnapshotCell::new());
+        let reg = Registry::enabled();
+        let mut fpa = FpaPredictor::for_trace(&trace).following(&cell);
+        fpa.instrument(&reg);
         let mut e0 = trace.events[0];
         e0.file = FileId::new(0);
-        fpa.refresh(make(7), 100);
+        assert!(fpa.on_access(&trace, &e0).is_empty(), "epoch 0 is empty");
+        publish(&cell, zero_predicts(&[(7, 0.8)]), 100);
         assert_eq!(fpa.on_access(&trace, &e0), vec![FileId::new(7)]);
-        fpa.refresh(make(8), 200);
+        publish(&cell, zero_predicts(&[(8, 0.8)]), 200);
         assert_eq!(fpa.on_access(&trace, &e0), vec![FileId::new(8)]);
-        assert_eq!(fpa.external_events(), 200);
+        assert_eq!(fpa.reader().expect("following").cached().events, 200);
         assert!(fpa.memory_bytes() > 0);
+        // Two publications skipped over in one access count as two epochs.
+        publish(&cell, zero_predicts(&[(9, 0.8)]), 300);
+        publish(&cell, zero_predicts(&[(10, 0.8)]), 400);
+        assert_eq!(fpa.on_access(&trace, &e0), vec![FileId::new(10)]);
+        assert_eq!(reg.snapshot().counter("fpa.refreshes"), Some(cell.epoch()));
     }
 
     #[test]
     fn serving_path_reuses_buffers() {
-        use farmer_core::{Correlator, CorrelatorList, CorrelatorTable};
         let trace = WorkloadSpec::hp().scaled(0.01).generate();
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        let table: CorrelatorTable = vec![CorrelatorList::build(
-            FileId::new(0),
-            (1..=4)
-                .map(|i| Correlator {
-                    file: FileId::new(i),
-                    degree: 1.0 - 0.1 * i as f64,
-                })
-                .collect::<Vec<_>>(),
-            0.0,
-        )]
-        .into_iter()
-        .collect();
-        fpa.refresh(table, 1);
+        let cell = Arc::new(SnapshotCell::new());
+        let mut fpa = FpaPredictor::for_trace(&trace).following(&cell);
+        let degrees: Vec<(u32, f64)> = (1..=4).map(|i| (i, 1.0 - 0.1 * i as f64)).collect();
+        publish(&cell, zero_predicts(&degrees), 1);
         let mut e0 = trace.events[0];
         e0.file = FileId::new(0);
         let mut out = Vec::new();
@@ -377,47 +342,44 @@ mod tests {
     }
 
     #[test]
-    fn refresh_from_cell_follows_publications() {
-        use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig};
-        use std::sync::Arc;
+    fn following_picks_up_publications() {
+        use farmer_stream::{ShardedMiner, StreamConfig};
 
         let trace = WorkloadSpec::hp().scaled(0.01).generate();
         let mut miner = ShardedMiner::spawn(StreamConfig::default().with_shards(2));
         let cell = Arc::new(SnapshotCell::new());
-        let mut reader = cell.reader();
-        let mut fpa = FpaPredictor::for_trace(&trace);
+        let mut fpa = FpaPredictor::for_trace(&trace).following(&cell);
+        let served_from = |fpa: &FpaPredictor| {
+            let reader = fpa.reader().expect("following");
+            (reader.epoch_seen(), reader.cached().events)
+        };
 
-        // First call installs even with no publication yet (the empty
-        // epoch-0 snapshot): the predictor switches to external serving.
-        assert!(fpa.refresh_from_cell(&mut reader));
-        assert!(fpa.external().is_some());
-        assert_eq!(fpa.external_events(), 0);
-        // Steady state: no new epoch, no install.
-        assert!(!fpa.refresh_from_cell(&mut reader));
+        // Before any publication the predictor serves the empty epoch-0
+        // snapshot: external from the first access, proposing nothing.
+        assert!(fpa.on_access(&trace, &trace.events[0]).is_empty());
+        assert_eq!(served_from(&fpa), (0, 0));
 
         let half = trace.len() / 2;
         for e in trace.events.iter().take(half) {
             miner.route_event(&trace, e);
         }
         miner.publish_into(&cell);
-        assert!(
-            fpa.refresh_from_cell(&mut reader),
-            "new epoch not picked up"
-        );
-        assert_eq!(fpa.external_events(), half as u64);
-        assert!(!fpa.refresh_from_cell(&mut reader));
+        // Publication alone moves nothing; the next access picks it up.
+        assert_eq!(served_from(&fpa), (0, 0));
+        fpa.on_access(&trace, &trace.events[0]);
+        assert_eq!(served_from(&fpa), (1, half as u64), "epoch not picked up");
 
         for e in trace.events.iter().skip(half) {
             miner.route_event(&trace, e);
         }
         miner.publish_into(&cell);
-        assert!(fpa.refresh_from_cell(&mut reader));
-        assert_eq!(fpa.external_events(), trace.len() as u64);
         // Predictions now come from the published snapshot.
         let mut served = 0usize;
         for e in trace.events.iter().take(2000) {
             served += fpa.on_access(&trace, e).len();
         }
-        assert!(served > 0, "cell-refreshed predictor proposes nothing");
+        assert_eq!(served_from(&fpa), (2, trace.len() as u64));
+        assert!(served > 0, "cell-following predictor proposes nothing");
+        assert_eq!(fpa.farmer().observed(), 0);
     }
 }

@@ -1,6 +1,5 @@
 //! The prefetch-predictor interface.
 
-use farmer_core::CorrelationSource;
 use farmer_trace::{FileId, Trace, TraceEvent};
 
 /// A prefetching algorithm: observes the demand stream and proposes files
@@ -35,22 +34,6 @@ pub trait Predictor {
     /// Approximate resident heap bytes of the predictor's state (Table 4).
     fn memory_bytes(&self) -> usize {
         0
-    }
-
-    /// Install an externally mined correlation source, replacing whatever
-    /// the predictor was serving from. `as_of_events` records the stream
-    /// prefix the source reflects.
-    ///
-    /// Returns `true` if the predictor accepted the source (and will serve
-    /// from it) — the hook `farmer-bench`'s lockstep driver uses to swap
-    /// fresh miner snapshots in mid-run. Predictors that mine internally
-    /// and cannot serve external state return `false` (the default).
-    fn refresh_source(
-        &mut self,
-        _source: Box<dyn CorrelationSource + Send>,
-        _as_of_events: u64,
-    ) -> bool {
-        false
     }
 }
 

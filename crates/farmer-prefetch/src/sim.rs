@@ -191,9 +191,9 @@ mod tests {
     use crate::baselines::{LastSuccessor, LruOnly};
     use crate::fpa::FpaPredictor;
     use crate::nexus::NexusPredictor;
-    use farmer_core::CorrelatorTable;
-    use farmer_stream::{ShardedMiner, StreamConfig, StreamSnapshot};
+    use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
     use farmer_trace::WorkloadSpec;
+    use std::sync::Arc;
 
     #[test]
     fn lru_only_issues_no_prefetches() {
@@ -309,35 +309,36 @@ mod tests {
     }
 
     /// Serve `trace` from one live miner in the lockstep driver's per-event
-    /// order — a snapshot swapped into `fpa` at every `interval`-th event
-    /// up to `stop`, the event routed, then stepped — starting cold on an
-    /// empty source. Returns the report, the refresh count and the miner's
-    /// end-of-stream snapshot.
+    /// order — a snapshot published into the cell the predictor follows at
+    /// every `interval`-th event up to `stop`, the event routed, then
+    /// stepped — starting cold on the empty cell. Returns the report, the
+    /// refresh count, the miner's end-of-stream snapshot and the predictor
+    /// (instrumented under `reg`).
     fn serve_live(
         trace: &Trace,
-        fpa: &mut FpaPredictor,
         cfg: SimConfig,
         stream: StreamConfig,
         interval: usize,
         stop: usize,
         reg: &Registry,
-    ) -> (SimReport, u64, StreamSnapshot) {
+    ) -> (SimReport, u64, StreamSnapshot, FpaPredictor) {
         let mut miner = ShardedMiner::spawn_instrumented(stream, reg);
-        fpa.refresh(CorrelatorTable::new(), 0);
+        let cell = Arc::new(SnapshotCell::new());
+        let mut fpa = FpaPredictor::for_trace(trace).following(&cell);
+        fpa.instrument(reg);
         let mut run = SimRun::new(trace, cfg, reg);
         let mut refreshes = 0;
         for (i, e) in trace.events.iter().enumerate() {
             if i > 0 && i % interval == 0 && i <= stop {
-                let events = miner.events_routed();
-                fpa.refresh(miner.snapshot(), events);
+                miner.publish_into(&cell);
                 refreshes += 1;
             }
             if e.op.is_metadata_demand() {
                 miner.route_event(trace, e);
             }
-            run.step(i, e, fpa);
+            run.step(i, e, &mut fpa);
         }
-        (run.finish(fpa), refreshes, miner.snapshot())
+        (run.finish(&fpa), refreshes, miner.snapshot(), fpa)
     }
 
     #[test]
@@ -346,10 +347,8 @@ mod tests {
         let cfg = SimConfig::for_family(trace.family).with_phases(4);
         let stream = StreamConfig::default().with_node_cap(1 << 20);
         let interval = (trace.len() / 16).max(1);
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        let (r, refreshes, end) = serve_live(
+        let (r, refreshes, end, fpa) = serve_live(
             &trace,
-            &mut fpa,
             cfg,
             stream,
             interval,
@@ -361,11 +360,13 @@ mod tests {
         assert!(r.stats.prefetches_issued > 0, "online FPA prefetches");
         assert_eq!(end.evictions, 0, "uncapped miner never evicts");
         assert!(end.state_bytes > 0);
-        // Serving is external for the whole run: nothing self-mined, and
-        // the installed source is the last boundary's cut.
+        // Serving follows the cell for the whole run: nothing self-mined,
+        // and the snapshot served from is the last boundary's cut.
         assert_eq!(fpa.farmer().observed(), 0);
-        assert!(fpa.external().is_some());
-        assert!(fpa.external_events() > 0 && fpa.external_events() < end.events);
+        let reader = fpa.reader().expect("following");
+        assert_eq!(reader.epoch_seen(), refreshes);
+        let served = reader.cached().events;
+        assert!(served > 0 && served < end.events);
     }
 
     #[test]
@@ -383,20 +384,10 @@ mod tests {
         let offline = simulate(&trace, &mut offline_fpa, cfg);
 
         let dense = (trace.len() / 64).max(1);
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        let (online, _, _) = serve_live(
-            &trace,
-            &mut fpa,
-            cfg,
-            stream.clone(),
-            dense,
-            usize::MAX,
-            &reg,
-        );
+        let (online, _, _, _) = serve_live(&trace, cfg, stream.clone(), dense, usize::MAX, &reg);
 
         let at = (trace.len() / 8).max(1);
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        let (frozen, refreshes, _) = serve_live(&trace, &mut fpa, cfg, stream, at, at, &reg);
+        let (frozen, refreshes, _, _) = serve_live(&trace, cfg, stream, at, at, &reg);
         assert_eq!(refreshes, 1, "frozen mode refreshes exactly once");
 
         assert!(
@@ -419,10 +410,8 @@ mod tests {
         let cfg = SimConfig::for_family(trace.family);
         let stream = StreamConfig::default().with_node_cap(128);
         let interval = (trace.len() / 8).max(1);
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        let (_, _, end) = serve_live(
+        let (_, _, end, _) = serve_live(
             &trace,
-            &mut fpa,
             cfg,
             stream,
             interval,
@@ -440,17 +429,8 @@ mod tests {
         let stream = StreamConfig::default().with_node_cap(1 << 20);
         let interval = (trace.len() / 8).max(1);
         let reg = Registry::enabled();
-        let mut fpa = FpaPredictor::for_trace(&trace);
-        fpa.instrument(&reg);
-        let (r, refreshes, _) = serve_live(
-            &trace,
-            &mut fpa,
-            cfg,
-            stream.clone(),
-            interval,
-            usize::MAX,
-            &reg,
-        );
+        let (r, refreshes, _, _) =
+            serve_live(&trace, cfg, stream.clone(), interval, usize::MAX, &reg);
         let snap = reg.snapshot();
         // Cache counters mirror the report's end-of-run stats exactly.
         assert_eq!(
@@ -463,8 +443,8 @@ mod tests {
             Some(r.stats.prefetches_issued)
         );
         assert_eq!(snap.counter("cache.evictions"), Some(r.stats.evictions));
-        // The predictor counts the initial empty source too.
-        assert_eq!(snap.counter("fpa.refreshes"), Some(refreshes + 1));
+        // The predictor picked up every published epoch.
+        assert_eq!(snap.counter("fpa.refreshes"), Some(refreshes));
         let topk = snap.histogram("fpa.topk_ns").expect("topk spans");
         assert_eq!(topk.count, r.stats.demand_accesses);
         assert_eq!(
@@ -473,10 +453,8 @@ mod tests {
             "every demand event routed to the miner is mined once"
         );
         // Instrumentation must not change the simulation outcome.
-        let mut plain = FpaPredictor::for_trace(&trace);
-        let (baseline, _, _) = serve_live(
+        let (baseline, _, _, _) = serve_live(
             &trace,
-            &mut plain,
             cfg,
             stream,
             interval,

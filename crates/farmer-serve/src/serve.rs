@@ -34,8 +34,7 @@ use std::time::Duration;
 
 use farmer_core::{CorrelationSource, Correlator, Request};
 use farmer_obs::Registry;
-use farmer_stream::{CellReader, ShardedMiner, SnapshotCell, StreamSnapshot};
-use farmer_trace::hash::FxHashMap;
+use farmer_stream::{CellReader, PathCache, ShardedMiner, SnapshotCell, StreamSnapshot};
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::metrics::ServeMetrics;
@@ -164,7 +163,7 @@ impl FarmerServe {
         IngestHandle {
             producer: self.producer.clone(),
             shared: Arc::clone(&self.shared),
-            path_cache: FxHashMap::default(),
+            path_cache: PathCache::new(HANDLE_PATH_CACHE_LIMIT),
         }
     }
 
@@ -186,7 +185,7 @@ impl FarmerServe {
     }
 
     /// The tier's publication cell — for consumers that want a raw
-    /// [`CellReader`] (e.g. `FpaPredictor::refresh_from_cell`) instead of
+    /// [`CellReader`] (e.g. `FpaPredictor::following`) instead of
     /// an instrumented [`ServeReader`].
     pub fn cell(&self) -> &Arc<SnapshotCell> {
         &self.cell
@@ -310,7 +309,7 @@ fn push_with_backpressure(producer: &Producer<IngestOp>, shared: &Shared, op: In
 pub struct IngestHandle {
     producer: Producer<IngestOp>,
     shared: Arc<Shared>,
-    path_cache: FxHashMap<u32, Arc<FilePath>>,
+    path_cache: PathCache,
 }
 
 impl Clone for IngestHandle {
@@ -318,7 +317,7 @@ impl Clone for IngestHandle {
         IngestHandle {
             producer: self.producer.clone(),
             shared: Arc::clone(&self.shared),
-            path_cache: FxHashMap::default(),
+            path_cache: PathCache::new(HANDLE_PATH_CACHE_LIMIT),
         }
     }
 }
@@ -333,15 +332,7 @@ impl IngestHandle {
     /// dropped). Blocks (spin/yield) only under backpressure — a full
     /// ring with a live worker.
     pub fn ingest(&mut self, req: Request, path: Option<&FilePath>) -> bool {
-        let path = path.map(|p| {
-            if self.path_cache.len() >= HANDLE_PATH_CACHE_LIMIT {
-                self.path_cache.clear();
-            }
-            self.path_cache
-                .entry(req.file.raw())
-                .or_insert_with(|| Arc::new(p.clone()))
-                .clone()
-        });
+        let path = path.map(|p| self.path_cache.share(req.file, p));
         let ok =
             push_with_backpressure(&self.producer, &self.shared, IngestOp::Event { req, path });
         if ok {
@@ -542,6 +533,52 @@ mod tests {
     use crate::ServeConfig;
     use farmer_core::CorrelationSource;
     use farmer_trace::WorkloadSpec;
+
+    #[test]
+    fn recreated_file_is_learned_under_its_new_path() {
+        // One handle sees file 7 under its old path, another forgets it
+        // (a handle cannot see another's forgets), the first sees it again
+        // re-created under a new path: the tier must learn what a bare
+        // miner fed the same stream learns, not the first handle's cached
+        // copy of the old path.
+        use farmer_stream::{snapshots_bitwise_equal, StreamMiner};
+        let req = |file: u32| Request {
+            file: FileId::new(file),
+            uid: farmer_trace::UserId::new(1),
+            pid: farmer_trace::ProcId::new(1),
+            host: farmer_trace::HostId::new(1),
+            dev: farmer_trace::DevId::new(1),
+        };
+        let old = FilePath::from_components(vec![1, 2, 3]);
+        let new = FilePath::from_components(vec![9, 8, 7]);
+        let sibling = FilePath::from_components(vec![1, 2, 4]);
+
+        let cfg = ServeConfig::default();
+        let serve = FarmerServe::spawn(cfg.clone());
+        let (mut first, mut second) = (serve.handle(), serve.handle());
+        let mut bare = StreamMiner::new(cfg.stream);
+        // Pushed from one thread, so ring order is program order.
+        assert!(first.ingest(req(7), Some(&old)));
+        bare.ingest(req(7), Some(&old));
+        assert!(second.ingest(req(8), Some(&sibling)));
+        bare.ingest(req(8), Some(&sibling));
+        assert!(second.forget(FileId::new(7)));
+        bare.forget(FileId::new(7));
+        for _ in 0..8 {
+            assert!(first.ingest(req(7), Some(&new)));
+            bare.ingest(req(7), Some(&new));
+            assert!(second.ingest(req(8), Some(&sibling)));
+            bare.ingest(req(8), Some(&sibling));
+        }
+        serve.flush();
+        let served = serve.reader().snapshot();
+        let want = StreamSnapshot::merge([bare.snapshot()]);
+        assert!(want.num_lists() > 0, "the script mined nothing");
+        assert!(
+            snapshots_bitwise_equal(&served, &want),
+            "tier diverged from a bare miner over the same stream"
+        );
+    }
 
     #[test]
     fn single_writer_end_to_end() {

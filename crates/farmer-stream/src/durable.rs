@@ -4,7 +4,10 @@
 //! [`DurableMiner`] wraps a [`ShardedMiner`] and journals the *logical
 //! operation stream* — every ingest (attribute tuple + optional path)
 //! and every forget — into a [`farmer_store::Wal`] before the operation
-//! can mutate any shard's graph (the [`WalSink`] hook on the router).
+//! can mutate any shard's graph. The log is held by the router itself —
+//! the one place that orders the operations (see [`crate::shard`]) —
+//! and this module reaches it through the router for checkpoints,
+//! compaction and the simulated crash.
 //! Appends are group-committed on the router's existing two-phase batch
 //! boundary: one write+fsync per `route_batch` dispatch, so durability
 //! cost amortizes across the batch instead of taxing every event.
@@ -59,7 +62,6 @@
 use std::fs::{self, File};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use farmer_core::{CorrelatorList, EdgeState, FarmerState, GraphState, NodeState, Request};
@@ -69,7 +71,6 @@ use farmer_store::wal::{crc32, record_kind, Lsn, Wal, WalCompaction, WalError, W
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::engine::MinerState;
-use crate::shard::WalSink;
 use crate::snapshot::StreamSnapshot;
 use crate::{ShardedMiner, StreamConfig};
 
@@ -95,7 +96,7 @@ const TAG_INGEST: u8 = 1;
 const TAG_INGEST_PATH: u8 = 2;
 const TAG_FORGET: u8 = 3;
 
-fn encode_ingest(req: &Request, path: Option<&FilePath>) -> Vec<u8> {
+pub(crate) fn encode_ingest(req: &Request, path: Option<&FilePath>) -> Vec<u8> {
     let mut w = Writer::with_capacity(26 + path.map_or(0, |p| 4 + 4 * p.components().len()));
     match path {
         None => {
@@ -119,7 +120,7 @@ fn encode_ingest(req: &Request, path: Option<&FilePath>) -> Vec<u8> {
     w.finish()
 }
 
-fn encode_forget(file: FileId) -> Vec<u8> {
+pub(crate) fn encode_forget(file: FileId) -> Vec<u8> {
     let mut w = Writer::with_capacity(5);
     w.u8(TAG_FORGET).u32(file.raw());
     w.finish()
@@ -559,56 +560,12 @@ fn write_durable(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::rename(&tmp, path)
 }
 
-fn wal_io(e: WalError) -> io::Error {
-    match e {
-        WalError::Io(e) => e,
-        other => io::Error::other(other),
-    }
-}
-
-/// The router-side sink: appends each routed op, group-commits at the
-/// dispatch boundary. Shares the log with the owning [`DurableMiner`]
-/// (single-threaded access; the mutex is uncontended).
-struct WalLogger {
-    wal: Arc<Mutex<Wal>>,
-}
-
-impl WalSink for WalLogger {
-    fn log_event(&mut self, req: &Request, path: Option<&FilePath>) -> io::Result<()> {
-        let payload = encode_ingest(req, path);
-        self.wal
-            .lock()
-            // lint: allow(panic) a poisoned WAL lock means an appender
-            // panicked mid-write; continuing would risk a torn log
-            .expect("wal lock poisoned")
-            .append(record_kind::OP, &payload)
-            .map_err(wal_io)?;
-        Ok(())
-    }
-
-    fn log_forget(&mut self, file: FileId) -> io::Result<()> {
-        self.wal
-            .lock()
-            // lint: allow(panic) a poisoned WAL lock means an appender
-            // panicked mid-write; continuing would risk a torn log
-            .expect("wal lock poisoned")
-            .append(record_kind::OP, &encode_forget(file))
-            .map_err(wal_io)?;
-        Ok(())
-    }
-
-    fn on_batch(&mut self) -> io::Result<()> {
-        // lint: allow(panic) poisoned-WAL policy: see log_event above
-        self.wal.lock().expect("wal lock poisoned").sync()
-    }
-}
-
 /// A [`ShardedMiner`] whose operation stream is journaled to a WAL, with
 /// periodic snapshot checkpoints. See the module docs for the recovery
 /// and loss-window contract.
 pub struct DurableMiner {
+    /// The router; it holds the log ([`DurableMiner::wal`]).
     inner: ShardedMiner,
-    wal: Arc<Mutex<Wal>>,
     path: PathBuf,
     cfg: DurableConfig,
     events: u64,
@@ -661,13 +618,9 @@ impl DurableMiner {
         ckpt_seq: u64,
         anchors: Vec<(u64, Lsn)>,
     ) -> DurableMiner {
-        let wal = Arc::new(Mutex::new(wal));
-        inner.set_sink(Box::new(WalLogger {
-            wal: Arc::clone(&wal),
-        }));
+        inner.wal = Some(wal);
         DurableMiner {
             inner,
-            wal,
             path: path.to_path_buf(),
             cfg,
             events,
@@ -675,6 +628,16 @@ impl DurableMiner {
             ckpt_seq,
             anchors,
         }
+    }
+
+    /// The router's log.
+    fn wal(&mut self) -> &mut Wal {
+        self.inner
+            .wal
+            .as_mut()
+            // lint: allow(panic) `assemble` is the only constructor and it
+            // attaches the log; a durable miner without one is a bug here
+            .expect("durable miner has its log attached")
     }
 
     /// Journal and route one access. Panics if the log can no longer be
@@ -708,11 +671,7 @@ impl DurableMiner {
     /// durable when this returns.
     pub fn flush(&mut self) {
         self.inner.flush();
-        self.wal
-            .lock()
-            // lint: allow(panic) a poisoned WAL lock means an appender
-            // panicked mid-write; continuing would risk a torn log
-            .expect("wal lock poisoned")
+        self.wal()
             .sync()
             // lint: allow(panic) flush() promises the prefix is on disk;
             // returning with the promise broken is not an option
@@ -744,13 +703,9 @@ impl DurableMiner {
             snapshot_crc: crc32(&bytes),
         };
         write_durable(&sidecar_path(&self.path, info.seq), &bytes)?;
-        let anchor = {
-            // lint: allow(panic) poisoned-WAL policy: see log_event above
-            let mut wal = self.wal.lock().expect("wal lock poisoned");
-            let lsn = wal.append(record_kind::CHECKPOINT, &encode_checkpoint(&info))?;
-            wal.sync()?;
-            lsn
-        };
+        let wal = self.wal();
+        let anchor = wal.append(record_kind::CHECKPOINT, &encode_checkpoint(&info))?;
+        wal.sync()?;
         self.anchors.push((info.seq, anchor));
         if self.anchors.len() > 2 {
             self.anchors.remove(0);
@@ -774,12 +729,7 @@ impl DurableMiner {
             1 => self.anchors[0].1,
             n => self.anchors[n - 2].1,
         };
-        self.wal
-            .lock()
-            // lint: allow(panic) a poisoned WAL lock means an appender
-            // panicked mid-write; continuing would risk a torn log
-            .expect("wal lock poisoned")
-            .compact_before(keep)
+        self.wal().compact_before(keep)
     }
 
     /// Events ingested (journaled) so far.
@@ -794,8 +744,7 @@ impl DurableMiner {
 
     /// Logical size of the log in bytes (including unsynced appends).
     pub fn wal_len_bytes(&self) -> u64 {
-        // lint: allow(panic) poisoned-WAL policy: see log_event above
-        self.wal.lock().expect("wal lock poisoned").len_bytes()
+        self.inner.wal.as_ref().map_or(0, Wal::len_bytes)
     }
 
     /// The log file path.
@@ -816,9 +765,8 @@ impl DurableMiner {
     /// Simulate a process crash: the unsynced WAL buffer is dropped on
     /// the floor (as a power cut would) and the miner is torn down. The
     /// on-disk state is exactly what the last completed sync left.
-    pub fn crash(self) {
-        // lint: allow(panic) poisoned-WAL policy: see log_event above
-        self.wal.lock().expect("wal lock poisoned").abandon();
+    pub fn crash(mut self) {
+        self.wal().abandon();
     }
 }
 

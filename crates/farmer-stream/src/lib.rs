@@ -26,8 +26,9 @@
 //! * [`snapshot`] — [`StreamSnapshot`]: a consistent, merged view of every
 //!   shard's Correlator Lists (consistent cut: all shards have processed
 //!   precisely the events routed before the snapshot call). It exports a
-//!   [`farmer_core::CorrelatorTable`], which `farmer-prefetch`'s FPA can
-//!   swap in mid-simulation to refresh its predictions online.
+//!   [`farmer_core::CorrelatorTable`]; published through [`publish`]'s
+//!   [`SnapshotCell`], it is what `farmer-prefetch`'s FPA follows to
+//!   refresh its predictions online, mid-simulation.
 //!
 //! ## Quick start
 //!
@@ -63,7 +64,7 @@ pub use durable::{
 pub use engine::{MinerState, StreamMiner};
 pub use metrics::StreamMetrics;
 pub use publish::{CellReader, SnapshotCell};
-pub use shard::{ShardedMiner, WalSink};
+pub use shard::{PathCache, ShardedMiner};
 pub use snapshot::{ShardSnapshot, StreamSnapshot};
 
 /// Configuration of the streaming subsystem.

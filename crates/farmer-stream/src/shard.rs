@@ -18,18 +18,29 @@
 //! (`channel_capacity` batches): a shard that falls behind eventually
 //! blocks the router — back-pressure, not unbounded queueing — so resident
 //! memory stays capped end to end.
+//!
+//! The router is also where the operation stream is *ordered*, so it is
+//! the component that holds the write-ahead log when there is one (the
+//! durable tier, [`crate::durable`], attaches it): every routed operation
+//! is appended before it can reach any shard's graph, and the log is
+//! group-committed (write + fsync) at each batch-dispatch boundary. I/O
+//! errors are fatal to the miner: a durable tier that can no longer write
+//! its log must stop accepting events rather than silently degrade to a
+//! lossy one, so the router panics on the first log error.
 
 use std::any::Any;
-use std::io;
+use std::collections::hash_map::Entry;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use farmer_core::Request;
 use farmer_obs::Registry;
+use farmer_store::wal::{record_kind, Wal};
 use farmer_trace::hash::FxHashMap;
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
+use crate::durable::{encode_forget, encode_ingest};
 use crate::engine::{MinerState, StreamMiner};
 use crate::metrics::StreamMetrics;
 use crate::snapshot::{ShardSnapshot, StreamSnapshot};
@@ -73,24 +84,45 @@ enum Msg {
     Poison,
 }
 
-/// Write-ahead hook on the router: the durable tier logs every routed
-/// operation *before* it can mutate any shard's graph, and gets a
-/// callback at the batch-dispatch boundary to group-commit (write +
-/// fsync) what was logged. See `farmer-stream::durable` for the WAL
-/// implementation; the trait lives here so `ShardedMiner` carries no
-/// storage dependency of its own.
-///
-/// I/O errors are fatal to the miner: a durable tier that can no longer
-/// write its log must stop accepting events rather than silently degrade
-/// to a lossy one, so the router panics on the first sink error.
-pub trait WalSink: Send {
-    /// Log one access about to be routed.
-    fn log_event(&mut self, req: &Request, path: Option<&FilePath>) -> io::Result<()>;
-    /// Log one forget tombstone about to be routed.
-    fn log_forget(&mut self, file: FileId) -> io::Result<()>;
-    /// A batch is about to be dispatched to the shards: make everything
-    /// logged so far durable.
-    fn on_batch(&mut self) -> io::Result<()>;
+/// Per-file shared paths for a broadcast front: one `Arc<FilePath>` per
+/// distinct file instead of one heap allocation per event. Downstream a
+/// path is learn-once per file (`Farmer::learn_path`) *until the file is
+/// forgotten or evicted*, after which the same id may come back under
+/// another path (unlink + re-create, inode reuse) — so a hit only counts
+/// when it still equals the offered path, and the cache never decides
+/// which path the miners learn. That check also covers fronts that
+/// cannot see each other's forgets (one cache per `IngestHandle`).
+#[derive(Debug)]
+pub struct PathCache {
+    shared: FxHashMap<u32, Arc<FilePath>>,
+    limit: usize,
+}
+
+impl PathCache {
+    /// A cache that resets once it holds `limit` files, so an open-ended
+    /// file universe cannot grow it without bound.
+    pub fn new(limit: usize) -> PathCache {
+        PathCache {
+            shared: FxHashMap::default(),
+            limit,
+        }
+    }
+
+    /// The shared copy of `path` for `file`.
+    pub fn share(&mut self, file: FileId, path: &FilePath) -> Arc<FilePath> {
+        if self.shared.len() >= self.limit {
+            self.shared.clear();
+        }
+        match self.shared.entry(file.raw()) {
+            Entry::Occupied(mut hit) => {
+                if **hit.get() != *path {
+                    hit.insert(Arc::new(path.clone()));
+                }
+                Arc::clone(hit.get())
+            }
+            Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::new(path.clone()))),
+        }
+    }
 }
 
 /// A sharded, threaded, bounded-memory online miner.
@@ -99,11 +131,14 @@ pub struct ShardedMiner {
     senders: Vec<SyncSender<Msg>>,
     handles: Vec<JoinHandle<()>>,
     pending: Vec<Item>,
-    /// Per-file shared path, so routing costs one allocation per distinct
-    /// file instead of one per event (see [`ShardedMiner::route`]).
-    path_cache: FxHashMap<u32, Arc<FilePath>>,
+    path_cache: PathCache,
     routed: u64,
-    sink: Option<Box<dyn WalSink>>,
+    /// The write-ahead log, when the durable tier attached one: from then
+    /// on every routed operation is appended to it before dispatch and
+    /// group-committed at each batch boundary. Recovery replays with no
+    /// log attached and attaches it afterwards, so replayed operations
+    /// are not logged twice.
+    pub(crate) wal: Option<Wal>,
     obs: StreamMetrics,
 }
 
@@ -151,19 +186,11 @@ impl ShardedMiner {
             senders,
             handles,
             pending: Vec::new(),
-            path_cache: FxHashMap::default(),
+            path_cache: PathCache::new(Self::PATH_CACHE_LIMIT),
             routed,
-            sink: None,
+            wal: None,
             obs,
         }
-    }
-
-    /// Attach a write-ahead sink: from now on every routed operation is
-    /// logged through it before dispatch, and [`WalSink::on_batch`] fires
-    /// at each batch boundary. Install the sink before routing anything
-    /// it should cover.
-    pub fn set_sink(&mut self, sink: Box<dyn WalSink>) {
-        self.sink = Some(sink);
     }
 
     /// Path-cache size at which the cache is reset (bounds router memory
@@ -175,26 +202,13 @@ impl ShardedMiner {
     pub fn route(&mut self, req: Request, path: Option<&FilePath>) {
         // Log-before-mutate: the WAL record must exist before the event
         // can reach any shard's graph.
-        if let Some(sink) = self.sink.as_mut() {
-            sink.log_event(&req, path)
+        if let Some(wal) = self.wal.as_mut() {
+            wal.append(record_kind::OP, &encode_ingest(&req, path))
                 // lint: allow(panic) losing the log-before-mutate ordering
                 // would silently void the durability contract
                 .expect("wal append failed; durable miner cannot continue");
         }
-        // One shared allocation per distinct file, not per event: paths are
-        // learn-once per file downstream (`Farmer::learn_path`), so caching
-        // by file id is sound. The cache is cleared if it ever reaches
-        // PATH_CACHE_LIMIT so an open-ended file universe cannot grow it
-        // without bound.
-        let path = path.map(|p| {
-            if self.path_cache.len() >= Self::PATH_CACHE_LIMIT {
-                self.path_cache.clear();
-            }
-            self.path_cache
-                .entry(req.file.raw())
-                .or_insert_with(|| Arc::new(p.clone()))
-                .clone()
-        });
+        let path = path.map(|p| self.path_cache.share(req.file, p));
         self.pending.push(Item::Event(EventMsg { req, path }));
         self.routed += 1;
         if self.pending.len() >= self.cfg.route_batch.max(1) {
@@ -211,8 +225,8 @@ impl ShardedMiner {
     /// state for `file` after processing exactly the events routed before
     /// this call (see [`StreamMiner::forget`]). Not counted as an event.
     pub fn route_forget(&mut self, file: FileId) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.log_forget(file)
+        if let Some(wal) = self.wal.as_mut() {
+            wal.append(record_kind::OP, &encode_forget(file))
                 // lint: allow(panic) same durability policy as route()
                 .expect("wal append failed; durable miner cannot continue");
         }
@@ -228,8 +242,8 @@ impl ShardedMiner {
             return;
         }
         // Group-commit the logged prefix before any shard can mine it.
-        if let Some(sink) = self.sink.as_mut() {
-            sink.on_batch()
+        if let Some(wal) = self.wal.as_mut() {
+            wal.sync()
                 // lint: allow(panic) mining an unsynced prefix would break
                 // the group-commit guarantee
                 .expect("wal sync failed; durable miner cannot continue");
@@ -563,6 +577,62 @@ mod tests {
         }
         // Forgets are not events.
         assert_eq!(snap.events, trace.len() as u64);
+    }
+
+    #[test]
+    fn recreated_file_is_learned_under_its_new_path() {
+        // Unlink + re-create of one id under another path (inode reuse):
+        // the forget drops the learned path in every shard, so the path
+        // offered afterwards is the one to learn — the router's shared
+        // copy of the old one must not shadow it. Each shard of the fleet
+        // must end bit-identical to a bare miner fed the same stream.
+        let req = |file: u32| Request {
+            file: FileId::new(file),
+            uid: farmer_trace::UserId::new(1),
+            pid: farmer_trace::ProcId::new(1),
+            host: farmer_trace::HostId::new(1),
+            dev: farmer_trace::DevId::new(1),
+        };
+        let old = FilePath::from_components(vec![1, 2, 3]);
+        let new = FilePath::from_components(vec![9, 8, 7]);
+        let sibling = FilePath::from_components(vec![1, 2, 4]);
+        enum Step<'a> {
+            See(u32, &'a FilePath),
+            Forget(u32),
+        }
+        let mut script = vec![
+            Step::See(7, &old),
+            Step::See(8, &sibling),
+            Step::Forget(7),
+            Step::See(7, &new),
+        ];
+        for _ in 0..8 {
+            script.push(Step::See(8, &sibling));
+            script.push(Step::See(7, &new));
+        }
+        for shards in [1usize, 2] {
+            let cfg = StreamConfig::default().with_shards(shards);
+            let mut fleet = ShardedMiner::spawn(cfg.clone());
+            let mut bare: Vec<StreamMiner> = (0..shards)
+                .map(|id| StreamMiner::for_shard(cfg.clone(), id, shards))
+                .collect();
+            for step in &script {
+                match *step {
+                    Step::See(file, path) => {
+                        fleet.route(req(file), Some(path));
+                        bare.iter_mut()
+                            .for_each(|m| m.ingest(req(file), Some(path)));
+                    }
+                    Step::Forget(file) => {
+                        fleet.route_forget(FileId::new(file));
+                        bare.iter_mut().for_each(|m| m.forget(FileId::new(file)));
+                    }
+                }
+            }
+            let (_, states) = fleet.export_full();
+            let want: Vec<MinerState> = bare.iter().map(StreamMiner::export_state).collect();
+            assert_eq!(states, want, "{shards} shard(s) diverged from bare miners");
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! (prefetchers, layout planners, security compilers): a point-in-time,
 //! read-only view of every live Correlator List. [`ShardSnapshot`] is one
 //! shard's contribution; [`StreamSnapshot::merge`] combines the disjoint
-//! per-shard views into one [`CorrelatorTable`] that
-//! `farmer-prefetch::FpaPredictor::refresh` can swap in mid-simulation.
+//! per-shard views into one [`CorrelatorTable`]; published into a
+//! [`crate::SnapshotCell`], it reaches every
+//! `farmer-prefetch::FpaPredictor::following` predictor mid-simulation.
 //!
 //! **Consistency model.** [`crate::ShardedMiner::snapshot`] first flushes
 //! its route buffers, then enqueues a snapshot marker on every shard's

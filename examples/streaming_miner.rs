@@ -9,8 +9,8 @@
 //! The demo routes several laps of an HP-style trace through a 4-shard
 //! [`ShardedMiner`], takes a snapshot each lap (watch the state stay
 //! bounded while events grow without bound), then shows the payoff:
-//! a cache simulation where the FPA predictor serves from the streamed
-//! snapshot beats the same predictor starting cold.
+//! a cache simulation where an FPA predictor following the cell the
+//! snapshot was published into beats the same predictor starting cold.
 
 use farmer::prelude::*;
 
@@ -68,8 +68,8 @@ fn main() {
         );
     }
 
-    // The payoff: refresh FPA from the stream snapshot (handed over
-    // directly — a snapshot *is* a CorrelationSource, no table copy) and
+    // The payoff: publish the stream snapshot into a cell (one `Arc`
+    // swap, no table copy), let an FPA predictor follow the cell, and
     // compare a cache simulation against the same predictor starting cold.
     println!("\n== prefetch with online refresh ==");
     let sim_cfg = SimConfig::for_family(trace.family);
@@ -77,8 +77,9 @@ fn main() {
     let cold_report = simulate(&trace, &mut cold, sim_cfg);
 
     let (snap_lists, snap_events) = (snap.num_lists(), snap.events);
-    let mut warmed = FpaPredictor::for_trace(&trace);
-    warmed.refresh(snap, snap_events);
+    let cell = std::sync::Arc::new(SnapshotCell::new());
+    cell.install(std::sync::Arc::new(snap));
+    let mut warmed = FpaPredictor::for_trace(&trace).following(&cell);
     let warm_report = simulate(&trace, &mut warmed, sim_cfg);
 
     println!(

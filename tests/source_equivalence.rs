@@ -198,16 +198,27 @@ fn versions_move_with_their_backends() {
 
 #[test]
 fn predictor_serves_identically_from_any_backend() {
-    // The consumer-level corollary: FPA refreshed with the table, the
-    // snapshot, or the store view produces identical predictions.
+    // The consumer-level corollary: an FPA following a cell that holds
+    // the lists exported from the table, the snapshot, or the store view
+    // produces identical predictions.
     let b = backends();
     let trace = WorkloadSpec::hp().scaled(0.03).generate();
-    let mut from_table = FpaPredictor::for_trace(&trace);
-    from_table.refresh(b.table, 1);
-    let mut from_snap = FpaPredictor::for_trace(&trace);
-    from_snap.refresh(b.snapshot, 1);
-    let mut from_store = FpaPredictor::for_trace(&trace);
-    from_store.refresh(b.stored, 1);
+    let follower_of = |source: &dyn CorrelationSource| {
+        let mut table = CorrelatorTable::new();
+        source.for_each_list(&mut |owner, entries| {
+            table.insert(CorrelatorList::from_sorted(owner, entries.to_vec()));
+        });
+        let cell = std::sync::Arc::new(SnapshotCell::new());
+        cell.install(std::sync::Arc::new(StreamSnapshot {
+            table,
+            events: 1,
+            ..StreamSnapshot::default()
+        }));
+        FpaPredictor::for_trace(&trace).following(&cell)
+    };
+    let mut from_table = follower_of(&b.table);
+    let mut from_snap = follower_of(&b.snapshot);
+    let mut from_store = follower_of(&b.stored);
     let (mut a, mut c, mut d) = (Vec::new(), Vec::new(), Vec::new());
     for e in trace.events.iter().take(3000) {
         from_table.on_access_into(&trace, e, &mut a);

@@ -121,9 +121,9 @@ fn sharded_stream_converges_to_batch_top1_on_strong_pairs() {
     }
 }
 
-/// The full online loop: stream -> snapshot -> FpaPredictor::refresh gives
-/// the same predictions as a batch-mined FPA, and a later refresh really
-/// swaps the serving state.
+/// The full online loop: stream -> snapshot published into a cell -> an
+/// FpaPredictor following it gives the same predictions as a batch-mined
+/// FPA, and a later publication really swaps the serving state.
 #[test]
 fn snapshot_refresh_matches_batch_predictions() {
     let trace = WorkloadSpec::hp().scaled(0.03).generate();
@@ -131,7 +131,7 @@ fn snapshot_refresh_matches_batch_predictions() {
     // Batch-mined reference predictions.
     let batch = Farmer::mine_trace(&trace, FarmerConfig::default());
 
-    // Streamed: same events through 3 shards, then refresh an FPA.
+    // Streamed: same events through 3 shards, published to a following FPA.
     let cfg = StreamConfig::default()
         .with_shards(3)
         .with_node_cap(1 << 20);
@@ -139,11 +139,11 @@ fn snapshot_refresh_matches_batch_predictions() {
     for e in &trace.events {
         miner.route_event(&trace, e);
     }
-    let snap = miner.snapshot();
-    let events = snap.events;
-    let mut fpa = FpaPredictor::for_trace(&trace);
-    // The snapshot itself is the correlation source — no table copy.
-    fpa.refresh(snap, events);
+    // The published snapshot itself is the correlation source — no table
+    // copy between the miner and the predictor.
+    let cell = std::sync::Arc::new(SnapshotCell::new());
+    let mut fpa = FpaPredictor::for_trace(&trace).following(&cell);
+    miner.publish_into(&cell);
 
     let mut checked = 0usize;
     for e in trace.events.iter().take(2000) {
@@ -162,8 +162,11 @@ fn snapshot_refresh_matches_batch_predictions() {
         "too few predictions to be meaningful: {checked}"
     );
 
-    // A fresh (empty) refresh swaps serving state at once.
-    fpa.refresh(farmer::core::CorrelatorTable::new(), events + 1);
+    // A later (empty) publication swaps serving state at the next access.
+    cell.install(std::sync::Arc::new(StreamSnapshot {
+        events: trace.len() as u64 + 1,
+        ..StreamSnapshot::default()
+    }));
     assert!(fpa.on_access(&trace, &trace.events[0]).is_empty());
 }
 
