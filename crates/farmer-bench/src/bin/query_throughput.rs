@@ -35,9 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use farmer_bench::format::{BenchArgs, Json};
-use farmer_core::{
-    CorrelationSource, Correlator, CorrelatorList, CorrelatorTable, Farmer, FarmerConfig,
-};
+use farmer_core::{CorrelationSource, Correlator, CorrelatorList, Farmer, FarmerConfig};
 use farmer_trace::{FileId, WorkloadSpec};
 
 /// Queries per measured path at full scale.
@@ -157,10 +155,7 @@ fn main() {
     assert!(hot.len() > 100, "workload mined too few served files");
 
     // Exported-table backend over the identical mined state.
-    let mut table = CorrelatorTable::new();
-    farmer.for_each_list(&mut |owner, entries| {
-        table.insert(CorrelatorList::from_sorted(owner, entries.to_vec()));
-    });
+    let table = farmer.correlator_table();
 
     eprintln!(
         "query_throughput: {queries} queries x 4 paths over {} hot files ({})",

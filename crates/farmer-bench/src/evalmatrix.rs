@@ -76,7 +76,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use farmer_core::{CorrelationSource, CorrelatorList, CorrelatorTable, Farmer, FarmerConfig};
+use farmer_core::{CorrelationSource, Farmer, FarmerConfig};
 use farmer_mds::{replay, ReplayConfig};
 use farmer_obs::Registry;
 use farmer_prefetch::baselines::LruOnly;
@@ -440,18 +440,6 @@ fn assert_parity(scenario: &str, shards: usize, batch: &Farmer, snap: &StreamSna
     max_delta
 }
 
-/// Export the batch model's correlator lists as a standalone table (the
-/// same entries `for_each_list` serves every backend).
-fn export_table(farmer: &Farmer) -> CorrelatorTable {
-    let mut table = CorrelatorTable::new();
-    farmer.for_each_list(&mut |owner, entries| {
-        if !entries.is_empty() {
-            table.insert(CorrelatorList::from_sorted(owner, entries.to_vec()));
-        }
-    });
-    table
-}
-
 /// Per-trace simulation/replay configs (family-sized caches, segmented
 /// reporting).
 pub(crate) fn cell_configs(trace: &Trace) -> (SimConfig, ReplayConfig) {
@@ -665,7 +653,7 @@ pub fn run_matrix_with(
         let (batch, batch_rate) = mine_batch(&trace, &cfg);
         let batch_bytes = batch.memory_bytes();
         let batch_snap = StreamSnapshot {
-            table: export_table(&batch),
+            table: batch.correlator_table(),
             events: trace.len() as u64,
             ..StreamSnapshot::default()
         };

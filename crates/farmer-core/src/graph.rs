@@ -65,7 +65,9 @@ use farmer_trace::hash::FxHashMap;
 use farmer_trace::FileId;
 
 use crate::config::FarmerConfig;
+use crate::correlator::Correlator;
 use crate::miner;
+use crate::source::rank_cmp;
 
 /// Sentinel for "weakest-edge index unknown / no edges".
 const NO_EDGE: u32 = u32::MAX;
@@ -182,7 +184,7 @@ struct Node {
 }
 
 impl Node {
-    fn fresh(id: u32, stamp: f64) -> Node {
+    const fn fresh(id: u32, stamp: f64) -> Node {
         Node {
             id,
             total: 0.0,
@@ -218,6 +220,25 @@ impl Node {
         } else {
             (decay_ln - self.stamp).exp()
         }
+    }
+
+    /// This node's edges (ordered by successor id) with any pending decay
+    /// applied and degrees computed against the current `N(A)` — the one
+    /// place read-side degree arithmetic lives.
+    #[inline]
+    fn views(&self, decay_ln: f64, p: f64) -> impl Iterator<Item = EdgeView> + '_ {
+        let scale = self.pending_scale(decay_ln);
+        let total = (self.total * scale).max(1.0);
+        self.edges.iter().zip(&self.tos).map(move |(e, &to)| {
+            let mass = e.mass * scale;
+            let sim_avg = e.sim_avg();
+            EdgeView {
+                to: FileId::new(to),
+                mass,
+                sim_avg,
+                degree: miner::correlation_degree(sim_avg, miner::access_frequency(mass, total), p),
+            }
+        })
     }
 
     /// Keep only edges for which `keep(to, payload) -> (keep, sim)` says
@@ -665,30 +686,42 @@ impl CorrelationGraph {
     /// Iterate over the successors of `file` (ordered by successor id) with
     /// degrees computed against the current `N(file)`.
     pub fn edges(&self, file: FileId, cfg: &FarmerConfig) -> impl Iterator<Item = EdgeView> + '_ {
-        let p = cfg.p;
-        let (scale, total, tos, edges) = match self.slot_of(file) {
-            Some(s) => {
-                let node = &self.slots[s];
-                (
-                    node.pending_scale(self.decay_ln),
-                    node.total,
-                    node.tos.as_slice(),
-                    node.edges.as_slice(),
-                )
+        /// What an unknown file reads as: no accesses, no successors.
+        static ABSENT: Node = Node::fresh(u32::MAX, 0.0);
+        let node = self.slot_of(file).map_or(&ABSENT, |s| &self.slots[s]);
+        node.views(self.decay_ln, cfg.p)
+    }
+
+    /// Stage 4 for the whole graph in one pass over the slab: visit every
+    /// node that has at least one successor of degree ≥ `min_degree` with
+    /// those successors in the canonical order (decreasing degree, ties by
+    /// ascending file id). Degrees are the ones [`CorrelationGraph::edges`]
+    /// reports, bit for bit; the threshold cuts before the sort, so a node
+    /// pays for ranking only what it publishes. Owners arrive in slab
+    /// order, which depends on eviction history — callers that need a
+    /// stable order sort by owner.
+    pub fn for_each_list(
+        &self,
+        cfg: &FarmerConfig,
+        min_degree: f64,
+        mut visit: impl FnMut(FileId, &[Correlator]),
+    ) {
+        let mut list: Vec<Correlator> = Vec::new();
+        for node in &self.slots {
+            list.clear();
+            list.extend(
+                node.views(self.decay_ln, cfg.p)
+                    .filter(|e| miner::is_valid(e.degree, min_degree))
+                    .map(|e| Correlator {
+                        file: e.to,
+                        degree: e.degree,
+                    }),
+            );
+            if !list.is_empty() {
+                list.sort_unstable_by(rank_cmp);
+                visit(FileId::new(node.id), &list);
             }
-            None => (1.0, 0.0, &[] as &[u32], &[] as &[EdgeData]),
-        };
-        let total = (total * scale).max(1.0);
-        edges.iter().zip(tos).map(move |(e, &to)| {
-            let mass = e.mass * scale;
-            let sim_avg = e.sim_avg();
-            EdgeView {
-                to: FileId::new(to),
-                mass,
-                sim_avg,
-                degree: miner::correlation_degree(sim_avg, miner::access_frequency(mass, total), p),
-            }
-        })
+        }
     }
 
     /// Mark the memoized path-similarity terms of `file`'s *outgoing*

@@ -58,7 +58,7 @@ pub mod state;
 
 pub use attr::{AttrCombo, AttrKind};
 pub use config::{FarmerConfig, PathMode};
-pub use correlator::{Correlator, CorrelatorList, CorrelatorTable};
+pub use correlator::{Correlator, CorrelatorList, CorrelatorTable, DuplicateOwner};
 pub use extract::{Extractor, Request};
 pub use graph::{CorrelationGraph, EdgeView};
 pub use model::Farmer;

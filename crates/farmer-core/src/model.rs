@@ -4,7 +4,9 @@
 //! request" (paper §3.1): every call to [`Farmer::observe`] runs
 //! Extracting → Constructing → Mining & Evaluating, and the Sorting stage
 //! is served on demand through [`CorrelationSource`] —
-//! [`Farmer::correlators`] materializes an owned list over the same path.
+//! [`Farmer::correlators`] materializes an owned list over the same path,
+//! and [`Farmer::correlator_table`] runs it for every file at once, in
+//! one pass over the graph that bypasses the per-file query cache.
 //!
 //! # Serving (the query layer)
 //!
@@ -61,7 +63,7 @@ use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::attr::AttrKind;
 use crate::config::FarmerConfig;
-use crate::correlator::{Correlator, CorrelatorList};
+use crate::correlator::{Correlator, CorrelatorList, CorrelatorTable};
 use crate::extract::{Extractor, Request};
 use crate::graph::{CorrelationGraph, NodeHint, PredUpdate};
 use crate::semvec::{path_term, scalar_parts};
@@ -344,6 +346,40 @@ impl Farmer {
         CorrelatorList::from_sorted(file, entries)
     }
 
+    /// Stage 4 for every file at once: the table of all non-empty
+    /// Correlator Lists under `max_strength`, ordered by owner id — so two
+    /// models holding the same graph export the same table, whatever
+    /// order eviction history left their slabs in. Each list equals
+    /// [`Farmer::correlators`] of its owner bit for bit.
+    ///
+    /// One pass over the graph slab ([`CorrelationGraph::for_each_list`])
+    /// into a scratch slab, one sort of the owners, one gather: the query
+    /// cache is neither read nor filled, and the allocation count does not
+    /// depend on how many lists there are.
+    pub fn correlator_table(&self) -> CorrelatorTable {
+        // Sized for the worst case up front (every edge published): the
+        // slack is address space the walk never touches, and no regrowth
+        // means the allocation count is the same at any size.
+        let mut scratch: Vec<Correlator> = Vec::with_capacity(self.graph.num_edges());
+        // (owner, start of its list in `scratch`, length)
+        let mut spans: Vec<(u32, u32, u32)> = Vec::with_capacity(self.graph.active_nodes());
+        self.graph
+            .for_each_list(&self.cfg, self.cfg.max_strength, |owner, list| {
+                spans.push((owner.raw(), scratch.len() as u32, list.len() as u32));
+                scratch.extend_from_slice(list);
+            });
+        spans.sort_unstable_by_key(|&(owner, ..)| owner);
+        let mut table = CorrelatorTable::with_capacity(spans.len(), scratch.len());
+        for (owner, start, len) in spans {
+            let list = &scratch[start as usize..(start + len) as usize];
+            let pushed = table.push_list(FileId::new(owner), list);
+            // lint: allow(panic) the graph's id→slot index keeps node ids
+            // distinct, so no owner is visited twice
+            pushed.expect("the slab holds one node per file");
+        }
+        table
+    }
+
     /// Manually drop all edges below the configured prune floor. Returns
     /// the number of edges removed.
     pub fn prune(&mut self) -> usize {
@@ -542,13 +578,8 @@ impl CorrelationSource for Farmer {
     }
 
     fn for_each_list(&self, visit: &mut dyn FnMut(FileId, &[Correlator])) {
-        let mut buf = Vec::new();
-        for file in self.graph.files() {
-            self.top_k_into(file, usize::MAX, self.cfg.max_strength, &mut buf);
-            if !buf.is_empty() {
-                visit(file, &buf);
-            }
-        }
+        self.graph
+            .for_each_list(&self.cfg, self.cfg.max_strength, visit);
     }
 
     fn heap_bytes(&self) -> usize {

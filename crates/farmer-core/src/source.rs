@@ -11,7 +11,8 @@
 //! * [`crate::Farmer`] — live queries against the in-memory model, backed
 //!   by a per-node sorted-view cache invalidated by the graph's mutation
 //!   epoch;
-//! * [`crate::CorrelatorTable`] — an exported, immutable table;
+//! * [`crate::CorrelatorTable`] — an exported, immutable table (one flat
+//!   entries slab behind an owner → span index);
 //! * `farmer_stream::StreamSnapshot` — a consistent cut of the sharded
 //!   online miner, queried directly (no table copy);
 //! * `farmer_store::CorrelatorView` — lists persisted in the embedded
@@ -159,14 +160,14 @@ impl CorrelationSource for crate::CorrelatorTable {
 
     fn top_k_into(&self, file: FileId, k: usize, min_degree: f64, out: &mut Vec<Correlator>) {
         match self.get(file) {
-            Some(list) => copy_top_k(list.entries(), k, min_degree, out),
+            Some(list) => copy_top_k(list, k, min_degree, out),
             None => out.clear(),
         }
     }
 
     fn strongest(&self, file: FileId, min_degree: f64) -> Option<Correlator> {
         self.get(file)
-            .and_then(|l| l.head())
+            .and_then(|l| l.first().copied())
             .filter(|c| miner::is_valid(c.degree, min_degree))
     }
 
@@ -178,9 +179,9 @@ impl CorrelationSource for crate::CorrelatorTable {
     }
 
     fn for_each_list(&self, visit: &mut dyn FnMut(FileId, &[Correlator])) {
-        for list in self.iter() {
+        for (owner, list) in self.iter() {
             if !list.is_empty() {
-                visit(list.owner, list.entries());
+                visit(owner, list);
             }
         }
     }
@@ -193,7 +194,7 @@ impl CorrelationSource for crate::CorrelatorTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CorrelatorList, CorrelatorTable};
+    use crate::CorrelatorTable;
 
     fn c(file: u32, degree: f64) -> Correlator {
         Correlator {
@@ -203,12 +204,11 @@ mod tests {
     }
 
     fn table() -> CorrelatorTable {
-        vec![
-            CorrelatorList::build(FileId::new(0), vec![c(1, 0.9), c(2, 0.5), c(3, 0.3)], 0.0),
-            CorrelatorList::build(FileId::new(7), vec![c(4, 0.6)], 0.0),
-        ]
-        .into_iter()
-        .collect()
+        let mut t = CorrelatorTable::new();
+        t.push_list(FileId::new(0), &[c(1, 0.9), c(2, 0.5), c(3, 0.3)])
+            .unwrap();
+        t.push_list(FileId::new(7), &[c(4, 0.6)]).unwrap();
+        t
     }
 
     #[test]
@@ -274,7 +274,7 @@ mod tests {
     fn table_version_tracks_inserts() {
         let mut t = CorrelatorTable::new();
         let v0 = CorrelationSource::version(&t);
-        t.insert(CorrelatorList::build(FileId::new(1), vec![c(2, 0.5)], 0.0));
+        t.push_list(FileId::new(1), &[c(2, 0.5)]).unwrap();
         assert!(CorrelationSource::version(&t) > v0);
     }
 

@@ -254,9 +254,10 @@ mod tests {
                 degree,
             })
             .collect::<Vec<_>>();
-        vec![CorrelatorList::build(FileId::new(0), entries, 0.0)]
-            .into_iter()
-            .collect()
+        let list = CorrelatorList::build(FileId::new(0), entries, 0.0);
+        let mut table = farmer_core::CorrelatorTable::new();
+        table.push_list(list.owner, list.entries()).unwrap();
+        table
     }
 
     #[test]

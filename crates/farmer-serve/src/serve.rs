@@ -21,7 +21,9 @@
 //! * **Queries** never touch the miner, the ring, or any lock: each
 //!   [`ServeReader`] serves from its cached snapshot `Arc`, re-cloning
 //!   only when the epoch advances. The steady-state query hot path is
-//!   allocation-free (pinned by `serve_throughput`'s counting allocator).
+//!   allocation-free, and a publication allocates a fixed handful of
+//!   blocks however many lists it carries (both counted exactly in
+//!   `tests/alloc_gates.rs`).
 //! * **Shutdown is graceful**: [`FarmerServe::shutdown`] stops intake,
 //!   drains every event already in the ring into the miner, publishes one
 //!   final snapshot, and joins the worker — readers keep serving from the

@@ -11,6 +11,8 @@ pub enum DecodeError {
     Truncated,
     /// A length field points past the end of the buffer.
     BadLength,
+    /// A key the layout allows once appears twice.
+    DuplicateKey,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -18,6 +20,7 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "buffer truncated"),
             DecodeError::BadLength => write!(f, "length field out of bounds"),
+            DecodeError::DuplicateKey => write!(f, "unique key repeated"),
         }
     }
 }

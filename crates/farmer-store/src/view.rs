@@ -15,7 +15,7 @@
 //! the tree scan once, after which queries are pure in-memory reads with
 //! no page-I/O accounting noise on the serving path.
 
-use farmer_core::{CorrelationSource, Correlator, CorrelatorList, CorrelatorTable};
+use farmer_core::{CorrelationSource, Correlator, CorrelatorTable};
 use farmer_trace::hash::fx_hash_u64;
 use farmer_trace::FileId;
 
@@ -97,7 +97,12 @@ impl MetaStore {
         let owners: Vec<u64> = self.correlator_owners();
         let mut table = CorrelatorTable::new();
         for key in owners {
-            let owner = FileId::new(key as u32);
+            // `put_correlators` keys by file id; anything wider came from
+            // a foreign image and names no file.
+            let Ok(raw) = u32::try_from(key) else {
+                continue;
+            };
+            let owner = FileId::new(raw);
             let Some(records) = self.get_correlators(owner) else {
                 continue;
             };
@@ -123,7 +128,9 @@ impl MetaStore {
                     ),
                 );
             }
-            table.insert(CorrelatorList::from_sorted(owner, entries));
+            let pushed = table.push_list(owner, &entries);
+            // lint: allow(panic) the owners are distinct keys of one tree
+            pushed.expect("tree keys are unique");
         }
         CorrelatorView { table, version }
     }
@@ -176,12 +183,11 @@ mod tests {
     fn persist_source_and_reload() {
         // Table -> store -> snapshot image -> restore -> view: the full
         // durability loop preserves every query answer.
-        let table: CorrelatorTable = vec![
-            CorrelatorList::build(FileId::new(0), vec![c(1, 0.9), c(2, 0.5)], 0.0),
-            CorrelatorList::build(FileId::new(3), vec![c(4, 0.7)], 0.0),
-        ]
-        .into_iter()
-        .collect();
+        let mut table = CorrelatorTable::new();
+        table
+            .push_list(FileId::new(0), &[c(1, 0.9), c(2, 0.5)])
+            .unwrap();
+        table.push_list(FileId::new(3), &[c(4, 0.7)]).unwrap();
         let mut s = MetaStore::new();
         assert_eq!(s.put_correlation_source(&table), 2);
         let image = s.snapshot();

@@ -64,7 +64,9 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use farmer_core::{CorrelatorList, EdgeState, FarmerState, GraphState, NodeState, Request};
+use farmer_core::{
+    Correlator, CorrelatorTable, EdgeState, FarmerState, GraphState, NodeState, Request,
+};
 use farmer_obs::Registry;
 use farmer_store::codec::{DecodeError, Reader, Writer};
 use farmer_store::wal::{crc32, record_kind, Lsn, Wal, WalCompaction, WalError, WalMetrics};
@@ -178,9 +180,9 @@ pub fn encode_snapshot(s: &StreamSnapshot) -> Vec<u8> {
         .u64(s.evictions)
         .u64(s.state_bytes as u64)
         .u32(s.table.len() as u32);
-    for list in s.table.iter() {
-        w.u32(list.owner.raw()).u32(list.len() as u32);
-        for c in list.iter() {
+    for (owner, list) in s.table.iter() {
+        w.u32(owner.raw()).u32(list.len() as u32);
+        for c in list {
             w.u32(c.file.raw()).u64(c.degree.to_bits());
         }
     }
@@ -188,7 +190,9 @@ pub fn encode_snapshot(s: &StreamSnapshot) -> Vec<u8> {
 }
 
 /// Decode a checkpoint sidecar back into a snapshot, preserving list
-/// order (and therefore table iteration order) exactly.
+/// order (and therefore table iteration order) exactly. An owner listed
+/// twice is a [`DecodeError`], and nothing is reserved beyond what the
+/// remaining bytes could hold.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<StreamSnapshot, DecodeError> {
     let mut r = Reader::new(bytes);
     let events = r.u64()?;
@@ -197,30 +201,49 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<StreamSnapshot, DecodeError> {
     let evictions = r.u64()?;
     let state_bytes = r.u64()? as usize;
     let num_lists = r.u32()? as usize;
-    let mut snap = StreamSnapshot {
-        events,
-        shards,
-        tracked_files,
-        evictions,
-        state_bytes,
-        ..StreamSnapshot::default()
-    };
+    // A list is at least its 8-byte header, an entry is 12 bytes.
+    if num_lists > r.remaining() / 8 {
+        return Err(DecodeError::BadLength);
+    }
+    let mut table = CorrelatorTable::with_capacity(num_lists, r.remaining() / 12);
+    let mut entries = Vec::new();
     for _ in 0..num_lists {
         let owner = FileId::new(r.u32()?);
         let n = r.u32()? as usize;
         if n > r.remaining() / 12 {
             return Err(DecodeError::BadLength);
         }
-        let mut entries = Vec::with_capacity(n);
+        entries.clear();
         for _ in 0..n {
             let file = FileId::new(r.u32()?);
             let degree = f64::from_bits(r.u64()?);
-            entries.push(farmer_core::Correlator { file, degree });
+            entries.push(Correlator { file, degree });
         }
-        snap.table
-            .insert(CorrelatorList::from_sorted(owner, entries));
+        table
+            .push_list(owner, &entries)
+            .map_err(|_| DecodeError::DuplicateKey)?;
     }
-    Ok(snap)
+    Ok(StreamSnapshot {
+        table,
+        events,
+        shards,
+        tracked_files,
+        evictions,
+        state_bytes,
+    })
+}
+
+/// Are two tables the same lists in the same order, every degree
+/// compared on raw bits?
+pub(crate) fn tables_bitwise_equal(a: &CorrelatorTable, b: &CorrelatorTable) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b.iter()).all(|((oa, la), (ob, lb))| {
+            oa == ob
+                && la.len() == lb.len()
+                && la.iter().zip(lb).all(|(ca, cb)| {
+                    ca.file == cb.file && ca.degree.to_bits() == cb.degree.to_bits()
+                })
+        })
 }
 
 /// Bitwise snapshot equality: every mining-state scalar, every list in
@@ -229,27 +252,19 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<StreamSnapshot, DecodeError> {
 /// tests use.
 ///
 /// `state_bytes` is deliberately *not* compared: it reports resident
-/// heap including memo-cache capacity, which grows as a side effect of
-/// *building snapshots* — so it reflects observation history, not mined
-/// state, and two bit-identical graphs can legitimately report slightly
-/// different resident footprints.
+/// heap including buffer capacities (eviction scratch, the per-file
+/// query cache of whoever queried the live model), which reflect the
+/// history of a process rather than mined state — a miner restored from
+/// an image starts with empty scratch, so two bit-identical graphs can
+/// legitimately report different resident footprints. Building
+/// snapshots is not part of that history: it leaves `state_bytes` as it
+/// was.
 pub fn snapshots_bitwise_equal(a: &StreamSnapshot, b: &StreamSnapshot) -> bool {
-    if a.events != b.events
-        || a.shards != b.shards
-        || a.tracked_files != b.tracked_files
-        || a.evictions != b.evictions
-        || a.table.len() != b.table.len()
-    {
-        return false;
-    }
-    a.table.iter().zip(b.table.iter()).all(|(la, lb)| {
-        la.owner == lb.owner
-            && la.len() == lb.len()
-            && la
-                .iter()
-                .zip(lb.iter())
-                .all(|(ca, cb)| ca.file == cb.file && ca.degree.to_bits() == cb.degree.to_bits())
-    })
+    a.events == b.events
+        && a.shards == b.shards
+        && a.tracked_files == b.tracked_files
+        && a.evictions == b.evictions
+        && tables_bitwise_equal(&a.table, &b.table)
 }
 
 fn encode_miner_state(w: &mut Writer, s: &MinerState) {
@@ -1034,6 +1049,43 @@ mod tests {
         let snap = m.snapshot();
         let decoded = decode_snapshot(&encode_snapshot(&snap)).unwrap();
         assert!(snapshots_bitwise_equal(&snap, &decoded));
+    }
+
+    /// A snapshot sidecar by hand: the fixed header announcing
+    /// `num_lists`, then the given one-entry lists.
+    fn snapshot_bytes(num_lists: u32, owners: &[u32]) -> Vec<u8> {
+        let mut w = Writer::with_capacity(64);
+        w.u64(100).u32(1).u64(2).u64(0).u64(4096).u32(num_lists);
+        for &owner in owners {
+            w.u32(owner).u32(1).u32(owner + 1).u64(0.5f64.to_bits());
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn snapshot_decode_rejects_a_repeated_owner() {
+        let ok = decode_snapshot(&snapshot_bytes(2, &[7, 8])).unwrap();
+        assert_eq!(ok.num_lists(), 2);
+        assert_eq!(
+            decode_snapshot(&snapshot_bytes(3, &[7, 8, 7])).unwrap_err(),
+            DecodeError::DuplicateKey,
+            "the second list for owner 7 must not replace the first"
+        );
+    }
+
+    #[test]
+    fn snapshot_decode_reserves_only_what_the_bytes_can_hold() {
+        // A header promising four billion lists in front of two: refused
+        // from the length alone, before anything is reserved for them.
+        assert_eq!(
+            decode_snapshot(&snapshot_bytes(u32::MAX, &[7, 8])).unwrap_err(),
+            DecodeError::BadLength
+        );
+        // A count the bytes could hold but do not: the reader runs dry.
+        assert_eq!(
+            decode_snapshot(&snapshot_bytes(3, &[7, 8])).unwrap_err(),
+            DecodeError::Truncated
+        );
     }
 
     #[test]

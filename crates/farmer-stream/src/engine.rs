@@ -35,7 +35,7 @@
 //! epoch in O(1) and nodes absorb it lazily on touch, so the shard's
 //! periodic maintenance touches only live state.
 
-use farmer_core::{CorrelatorList, Farmer, FarmerState, Request};
+use farmer_core::{Farmer, FarmerState, Request};
 use farmer_trace::hash::{fx_hash_u64, FxHashMap};
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
@@ -226,17 +226,20 @@ impl StreamMiner {
 
     /// A consistent snapshot of this shard's state: every tracked owned
     /// file's Correlator List (empty lists omitted) plus counters.
+    ///
+    /// The lists come from one pass over the model's graph
+    /// ([`Farmer::correlator_table`]), not from a query per tracked file:
+    /// every graph node belongs to a tracked file (admission precedes the
+    /// first access, and eviction and [`StreamMiner::forget`] drop counter
+    /// and node together), and a tracked file without a node has no list.
+    /// Taking a snapshot leaves the miner — [`StreamMiner::state_bytes`]
+    /// included — exactly as it was.
     pub fn snapshot(&self) -> ShardSnapshot {
         let _span = self.obs.snapshot_build_ns.span();
-        let mut lists: Vec<CorrelatorList> = self
-            .counts
-            .keys()
-            .filter_map(|&raw| {
-                let list = self.farmer.correlators(FileId::new(raw));
-                (!list.is_empty()).then_some(list)
-            })
-            .collect();
-        lists.sort_by_key(|l| l.owner.raw());
+        let lists = self.farmer.correlator_table();
+        debug_assert!(lists
+            .iter()
+            .all(|(owner, _)| self.counts.contains_key(&owner.raw())));
         ShardSnapshot {
             shard_id: self.shard_id,
             lists,
@@ -324,7 +327,9 @@ impl StreamMiner {
         self.evictions
     }
 
-    /// Approximate resident heap bytes: the wrapped model, the counter
+    /// Approximate resident heap bytes: the wrapped model (its per-file
+    /// query cache included, which only [`Farmer::correlators`]-style
+    /// queries fill — [`StreamMiner::snapshot`] does not), the counter
     /// table and the eviction scratch.
     pub fn state_bytes(&self) -> usize {
         self.farmer.memory_bytes()
@@ -387,7 +392,7 @@ mod tests {
             m.ingest(req(cold, 1), None);
         }
         let snap = m.snapshot();
-        let hot = snap.lists.iter().find(|l| l.owner == FileId::new(0));
+        let hot = snap.lists.get(FileId::new(0));
         assert!(hot.is_some(), "hot file evicted by cold parade");
         assert!(m.tracked_files() <= 8);
     }
@@ -473,10 +478,29 @@ mod tests {
         assert_eq!(snap.owned_events, 60);
         assert!(snap.tracked_files >= 2);
         assert!(snap.state_bytes > 0);
-        for l in &snap.lists {
-            assert!(!l.is_empty());
-            assert!(m.counts.contains_key(&l.owner.raw()));
+        assert!(!snap.lists.is_empty());
+        for (owner, list) in snap.lists.iter() {
+            assert!(!list.is_empty());
+            assert!(m.counts.contains_key(&owner.raw()));
         }
+    }
+
+    #[test]
+    fn snapshot_leaves_state_bytes_as_they_were() {
+        let trace = WorkloadSpec::hp().scaled(0.02).generate();
+        let mut m = StreamMiner::new(small_cfg(256));
+        for e in &trace.events {
+            m.ingest_event(&trace, e);
+        }
+        let before = m.state_bytes();
+        let snap = m.snapshot();
+        assert!(snap.lists.len() > 50, "only {} lists", snap.lists.len());
+        assert_eq!(snap.state_bytes, before);
+        assert_eq!(m.state_bytes(), before, "publication left state behind");
+        // The per-file API is what fills the model's query cache.
+        let (owner, _) = snap.lists.iter().next().unwrap();
+        assert!(!m.farmer().correlators(owner).is_empty());
+        assert!(m.state_bytes() > before);
     }
 
     fn shard_snapshots_bitwise_equal(a: &ShardSnapshot, b: &ShardSnapshot) -> bool {
@@ -485,14 +509,7 @@ mod tests {
             && a.owned_events == b.owned_events
             && a.tracked_files == b.tracked_files
             && a.evictions == b.evictions
-            && a.lists.len() == b.lists.len()
-            && a.lists.iter().zip(&b.lists).all(|(la, lb)| {
-                la.owner == lb.owner
-                    && la.len() == lb.len()
-                    && la.iter().zip(lb.iter()).all(|(ca, cb)| {
-                        ca.file == cb.file && ca.degree.to_bits() == cb.degree.to_bits()
-                    })
-            })
+            && crate::durable::tables_bitwise_equal(&a.lists, &b.lists)
     }
 
     #[test]

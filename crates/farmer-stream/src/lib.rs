@@ -25,8 +25,10 @@
 //!   edge-update work splits ~1/N per shard.
 //! * [`snapshot`] — [`StreamSnapshot`]: a consistent, merged view of every
 //!   shard's Correlator Lists (consistent cut: all shards have processed
-//!   precisely the events routed before the snapshot call). It exports a
-//!   [`farmer_core::CorrelatorTable`]; published through [`publish`]'s
+//!   precisely the events routed before the snapshot call). Each shard
+//!   builds its part as one flat [`farmer_core::CorrelatorTable`] in a
+//!   single pass over its graph, and the merge moves or appends those
+//!   tables; published through [`publish`]'s
 //!   [`SnapshotCell`], it is what `farmer-prefetch`'s FPA follows to
 //!   refresh its predictions online, mid-simulation.
 //!

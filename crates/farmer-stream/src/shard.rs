@@ -643,12 +643,12 @@ mod tests {
             m.route_event(&trace, e);
         }
         let before = m.snapshot();
-        let victim = before.table.iter().next().expect("mined something").owner;
+        let (victim, _) = before.table.iter().next().expect("mined something");
         m.route_forget(victim);
         let after = m.snapshot();
         assert!(after.correlators(victim).is_none(), "victim list survived");
         // No other owner may still list the victim as a successor.
-        for list in after.table.iter() {
+        for (_, list) in after.table.iter() {
             assert!(
                 list.iter().all(|c| c.file != victim),
                 "dangling successor edge to forgotten file"

@@ -3,8 +3,9 @@
 //! A snapshot is the bridge from the always-running miner to its consumers
 //! (prefetchers, layout planners, security compilers): a point-in-time,
 //! read-only view of every live Correlator List. [`ShardSnapshot`] is one
-//! shard's contribution; [`StreamSnapshot::merge`] combines the disjoint
-//! per-shard views into one [`CorrelatorTable`]; published into a
+//! shard's contribution, a flat [`CorrelatorTable`] built in one pass over
+//! the shard's graph; [`StreamSnapshot::merge`] combines the disjoint
+//! per-shard tables into one (a move at one shard); published into a
 //! [`crate::SnapshotCell`], it reaches every
 //! `farmer-prefetch::FpaPredictor::following` predictor mid-simulation.
 //!
@@ -14,7 +15,7 @@
 //! routed before the marker, so the merged view corresponds to one precise
 //! prefix of the input stream — a consistent cut, not a racy sample.
 
-use farmer_core::{CorrelationSource, Correlator, CorrelatorList, CorrelatorTable};
+use farmer_core::{CorrelationSource, Correlator, CorrelatorTable};
 use farmer_trace::FileId;
 
 /// One shard's point-in-time state.
@@ -24,7 +25,7 @@ pub struct ShardSnapshot {
     pub shard_id: usize,
     /// Correlator Lists of the shard's live owned files (empty lists
     /// omitted), sorted by owner id.
-    pub lists: Vec<CorrelatorList>,
+    pub lists: CorrelatorTable,
     /// Events this shard has ingested (the routed prefix length).
     pub events_seen: u64,
     /// Events whose file this shard owns.
@@ -57,7 +58,10 @@ pub struct StreamSnapshot {
 }
 
 impl StreamSnapshot {
-    /// Merge per-shard snapshots (any order) into the global view.
+    /// Merge per-shard snapshots (any order) into the global view: the
+    /// first shard's table is taken as it is, every further one is
+    /// appended to it, so the table lists shard after shard in the order
+    /// given and a one-shard fleet copies nothing.
     ///
     /// Panics if two shards claim the same owner file — that would mean
     /// the ownership partition is broken, and silently keeping either
@@ -70,21 +74,22 @@ impl StreamSnapshot {
             snap.tracked_files += part.tracked_files;
             snap.evictions += part.evictions;
             snap.state_bytes += part.state_bytes;
-            for list in part.lists {
-                assert!(
-                    snap.table.get(list.owner).is_none(),
+            if snap.shards == 1 {
+                snap.table = part.lists;
+            } else if let Err(dup) = snap.table.append(&part.lists) {
+                // lint: allow(panic) documented above: a broken ownership
+                // partition must not publish
+                panic!(
                     "shard {} re-exported owner {} — ownership partition broken",
-                    part.shard_id,
-                    list.owner
+                    part.shard_id, dup.0
                 );
-                snap.table.insert(list);
             }
         }
         snap
     }
 
-    /// The Correlator List of `file`, if it is live.
-    pub fn correlators(&self, file: FileId) -> Option<&CorrelatorList> {
+    /// The Correlator List of `file`, strongest first, if it is live.
+    pub fn correlators(&self, file: FileId) -> Option<&[Correlator]> {
         self.table.get(file)
     }
 
@@ -127,24 +132,22 @@ impl CorrelationSource for StreamSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use farmer_core::Correlator;
 
-    fn list(owner: u32, to: u32, degree: f64) -> CorrelatorList {
-        CorrelatorList::build(
-            FileId::new(owner),
-            vec![Correlator {
-                file: FileId::new(to),
-                degree,
-            }],
-            0.0,
-        )
+    /// A one-entry list `owner → to` at `degree`.
+    fn list(owner: u32, to: u32, degree: f64) -> (u32, Correlator) {
+        let file = FileId::new(to);
+        (owner, Correlator { file, degree })
     }
 
-    fn shard(id: usize, lists: Vec<CorrelatorList>, events: u64) -> ShardSnapshot {
+    fn shard(id: usize, lists: Vec<(u32, Correlator)>, events: u64) -> ShardSnapshot {
+        let mut table = CorrelatorTable::new();
+        for (owner, c) in lists {
+            table.push_list(FileId::new(owner), &[c]).unwrap();
+        }
         ShardSnapshot {
             shard_id: id,
-            tracked_files: lists.len(),
-            lists,
+            tracked_files: table.len(),
+            lists: table,
             events_seen: events,
             owned_events: events / 2,
             evictions: id as u64,
@@ -165,14 +168,13 @@ mod tests {
         assert_eq!(snap.evictions, 1);
         assert_eq!(snap.state_bytes, 200);
         assert_eq!(
-            snap.correlators(FileId::new(1))
-                .unwrap()
-                .head()
-                .unwrap()
-                .file,
+            snap.correlators(FileId::new(1)).unwrap()[0].file,
             FileId::new(0)
         );
         assert!(snap.correlators(FileId::new(9)).is_none());
+        // Shard after shard, each in its own order.
+        let owners: Vec<u32> = snap.table.iter().map(|(o, _)| o.raw()).collect();
+        assert_eq!(owners, vec![0, 2, 1]);
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn main() {
     let mut heads: Vec<_> = snap
         .table
         .iter()
-        .filter_map(|l| l.head().map(|c| (l.owner, c)))
+        .filter_map(|(owner, list)| list.first().map(|&c| (owner, c)))
         .collect();
     heads.sort_by(|a, b| b.1.degree.total_cmp(&a.1.degree));
     println!("strongest served correlations:");

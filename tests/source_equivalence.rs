@@ -5,9 +5,7 @@
 //! (self-mining → streamed snapshot → restart from the store) without its
 //! consumers noticing.
 
-use farmer::core::{
-    CorrelationSource, Correlator, CorrelatorList, CorrelatorTable, Farmer, FarmerConfig,
-};
+use farmer::core::{CorrelationSource, Correlator, CorrelatorTable, Farmer, FarmerConfig};
 use farmer::prelude::*;
 use farmer::stream::ShardedMiner;
 
@@ -24,16 +22,22 @@ struct Backends {
     num_files: usize,
 }
 
+/// Any source's lists as a standalone table, through the trait's own
+/// exporter path.
+fn table_of(source: &dyn CorrelationSource) -> CorrelatorTable {
+    let mut table = CorrelatorTable::new();
+    source.for_each_list(&mut |owner, entries| {
+        table.push_list(owner, entries).expect("one list per owner");
+    });
+    table
+}
+
 fn backends() -> Backends {
     let trace = WorkloadSpec::hp().scaled(0.03).generate();
     let live = Farmer::mine_trace(&trace, FarmerConfig::default());
     let threshold = live.config().max_strength;
 
-    // Exported table via the trait's own exporter path.
-    let mut table = CorrelatorTable::new();
-    live.for_each_list(&mut |owner, entries| {
-        table.insert(CorrelatorList::from_sorted(owner, entries.to_vec()));
-    });
+    let table = table_of(&live);
 
     // Streamed: the same events through 3 shards under a cap no stream can
     // hit, merged into one consistent snapshot.
@@ -185,14 +189,11 @@ fn versions_move_with_their_backends() {
 
     let mut table = CorrelatorTable::new();
     let v = CorrelationSource::version(&table);
-    table.insert(CorrelatorList::build(
-        FileId::new(0),
-        vec![Correlator {
-            file: FileId::new(1),
-            degree: 0.5,
-        }],
-        0.0,
-    ));
+    let one = Correlator {
+        file: FileId::new(1),
+        degree: 0.5,
+    };
+    table.push_list(FileId::new(0), &[one]).unwrap();
     assert!(CorrelationSource::version(&table) > v);
 }
 
@@ -204,13 +205,9 @@ fn predictor_serves_identically_from_any_backend() {
     let b = backends();
     let trace = WorkloadSpec::hp().scaled(0.03).generate();
     let follower_of = |source: &dyn CorrelationSource| {
-        let mut table = CorrelatorTable::new();
-        source.for_each_list(&mut |owner, entries| {
-            table.insert(CorrelatorList::from_sorted(owner, entries.to_vec()));
-        });
         let cell = std::sync::Arc::new(SnapshotCell::new());
         cell.install(std::sync::Arc::new(StreamSnapshot {
-            table,
+            table: table_of(source),
             events: 1,
             ..StreamSnapshot::default()
         }));

@@ -109,8 +109,7 @@ fn sharded_stream_converges_to_batch_top1_on_strong_pairs() {
                 .correlators(FileId::new(f))
                 .unwrap_or_else(|| panic!("no streamed list for strong file f{f}"));
             assert_eq!(
-                got.head().unwrap().file,
-                head.file,
+                got[0].file, head.file,
                 "top-1 diverged for f{f} at {shards} shard(s)"
             );
         }
@@ -225,20 +224,16 @@ fn capped_eviction_parity_batch_vs_sharded() {
             want.num_lists(),
             "{shards} shard(s): surviving list sets diverged"
         );
-        want.table.iter().for_each(|w| {
-            let got = snap.correlators(w.owner).unwrap_or_else(|| {
-                panic!(
-                    "{shards} shard(s): owner {} missing from sharded snapshot",
-                    w.owner
-                )
+        want.table.iter().for_each(|(owner, w)| {
+            let got = snap.correlators(owner).unwrap_or_else(|| {
+                panic!("{shards} shard(s): owner {owner} missing from sharded snapshot")
             });
             assert_eq!(
                 got.len(),
                 w.len(),
-                "{shards} shard(s): list length diverged for {}",
-                w.owner
+                "{shards} shard(s): list length diverged for {owner}"
             );
-            for (g, x) in got.iter().zip(w.iter()) {
+            for (g, x) in got.iter().zip(w) {
                 assert_eq!(g.file, x.file, "{shards} shard(s): successor diverged");
                 assert!((g.degree - x.degree).abs() < 1e-12);
             }
@@ -267,4 +262,104 @@ fn long_replay_under_tight_budget_stays_bounded_and_consistent() {
         prev_events = snap.events;
     }
     assert_eq!(prev_events, 6 * trace.len() as u64);
+}
+
+/// One published list: `(owner, [(successor, degree bits)])`.
+type Published = (u32, Vec<(u32, u64)>);
+
+/// Every list of a table in table order — the form two publications are
+/// compared in.
+fn published(table: &farmer::core::CorrelatorTable) -> Vec<Published> {
+    table
+        .iter()
+        .map(|(owner, list)| {
+            let list = list.iter().map(|c| (c.file.raw(), c.degree.to_bits()));
+            (owner.raw(), list.collect())
+        })
+        .collect()
+}
+
+/// Two publications agree list for list; on a mismatch, name the first
+/// list that differs rather than dumping both tables.
+fn assert_same_lists(got: &[Published], want: &[Published], context: &str) {
+    let first = got.iter().zip(want).find(|(g, w)| g != w);
+    assert!(first.is_none(), "{context}: {first:?}");
+    assert_eq!(got.len(), want.len(), "{context}: list counts differ");
+}
+
+/// What a shard must publish, the long way round: `Farmer::correlators`
+/// of every tracked file in owner order, empty lists dropped.
+fn per_file_lists(m: &StreamMiner) -> Vec<Published> {
+    let tracked = m.export_state().counts;
+    assert!(tracked.windows(2).all(|w| w[0].0 < w[1].0));
+    tracked
+        .iter()
+        .map(|&(owner, _)| {
+            let list = m.farmer().correlators(FileId::new(owner));
+            let list = list.iter().map(|c| (c.file.raw(), c.degree.to_bits()));
+            (owner, list.collect::<Vec<_>>())
+        })
+        .filter(|(_, list)| !list.is_empty())
+        .collect()
+}
+
+/// The one-pass snapshot build is the per-file Stage 4, bit for bit and
+/// owner for owner, after every batch of a stream that exercises
+/// everything a list depends on: eviction at a 256-file cap, forgets,
+/// counter decay, and mass decay with prune — so nodes carry pending
+/// decay when they are published. Checked through `ShardedMiner` at 1, 2
+/// and 4 shards against bare per-shard miners, and for a miner restored
+/// from a state image mid-stream, whose slab history differs from the
+/// original's while its published order must not.
+#[test]
+fn one_pass_snapshot_equals_per_file_lists_after_every_batch() {
+    const BATCH: usize = 512;
+    let trace = WorkloadSpec::hp().scaled(0.1).generate();
+    let mut cfg = StreamConfig::default().with_node_cap(256);
+    cfg.count_decay = 0.9;
+    cfg.decay_interval = 97;
+    cfg.farmer.decay = 0.9;
+    cfg.farmer.prune_interval = 300;
+    for shards in [1usize, 2, 4] {
+        let cfg = cfg.clone().with_shards(shards);
+        let mut fleet = ShardedMiner::spawn(cfg.clone());
+        let mut bare: Vec<StreamMiner> = (0..shards)
+            .map(|id| StreamMiner::for_shard(cfg.clone(), id, shards))
+            .collect();
+        let mut restored: Option<StreamMiner> = None;
+        let (mut lists_seen, mut pending_decay_seen) = (0usize, false);
+        for (b, batch) in trace.events.chunks(BATCH).enumerate() {
+            for (i, e) in batch.iter().enumerate() {
+                if i % 113 == 0 {
+                    fleet.route_forget(e.file);
+                    bare.iter_mut().for_each(|m| m.forget(e.file));
+                    restored.iter_mut().for_each(|m| m.forget(e.file));
+                }
+                fleet.route_event(&trace, e);
+                bare.iter_mut().for_each(|m| m.ingest_event(&trace, e));
+                restored.iter_mut().for_each(|m| m.ingest_event(&trace, e));
+            }
+            let want: Vec<_> = bare.iter().flat_map(per_file_lists).collect();
+            let got = published(&fleet.snapshot().table);
+            assert_same_lists(&got, &want, &format!("{shards} shard(s), batch {b}"));
+            lists_seen += want.len();
+            let graph = bare[0].export_state().farmer.graph;
+            pending_decay_seen |= graph.nodes.iter().any(|n| n.stamp != graph.decay_ln);
+
+            // Shard 0 again, from a state image taken a third of the way in.
+            if let Some(r) = &restored {
+                let got = published(&r.snapshot().lists);
+                assert_same_lists(&got, &per_file_lists(r), &format!("restored, batch {b}"));
+                let original = published(&bare[0].snapshot().lists);
+                assert_same_lists(&got, &original, &format!("restored order, batch {b}"));
+            } else if b == trace.len() / BATCH / 3 {
+                let image = bare[0].export_state();
+                restored = Some(StreamMiner::from_state(cfg.clone(), &image));
+            }
+        }
+        assert!(restored.is_some(), "the stream ended before the restore");
+        assert!(bare.iter().all(|m| m.evictions() > 0), "cap never bit");
+        assert!(pending_decay_seen, "no node was published mid-decay");
+        assert!(lists_seen > 1000, "only {lists_seen} lists compared");
+    }
 }
