@@ -135,6 +135,12 @@ impl Writer {
         self
     }
 
+    /// Append bytes as they are, with no length prefix.
+    pub fn raw(&mut self, v: &[u8]) -> &mut Self {
+        self.buf.extend_from_slice(v);
+        self
+    }
+
     /// Append a u32-length-prefixed byte slice.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(v.len() as u32);
@@ -145,6 +151,15 @@ impl Writer {
     /// Finish, returning the encoded buffer.
     pub fn finish(self) -> Vec<u8> {
         self.buf
+    }
+}
+
+/// Continue at the end of an existing buffer: the writer only ever
+/// appends, so whoever lends it a buffer gets every earlier byte back
+/// untouched (the WAL encodes records straight into its log buffer).
+impl From<Vec<u8>> for Writer {
+    fn from(buf: Vec<u8>) -> Self {
+        Writer { buf }
     }
 }
 

@@ -41,4 +41,4 @@ pub use snapshot::SnapshotError;
 pub use store::{CorrelatorRecord, IoStats, MetaStore, MetadataRecord, StoreMetrics};
 pub use tree::BTree;
 pub use view::CorrelatorView;
-pub use wal::{TailReport, Wal, WalCompaction, WalEntry, WalError, WalMetrics};
+pub use wal::{TailReport, Wal, WalCompaction, WalEntry, WalError, WalMetrics, WalSyncer};

@@ -30,13 +30,24 @@
 //!
 //! ## Durability contract
 //!
-//! [`Wal::append`] buffers in user space; [`Wal::sync`] writes the buffer
-//! and `fsync`s. Callers sync on their batch boundary (the mining tier's
-//! two-phase dispatch), so the loss window after a crash is exactly the
-//! events appended since the last completed sync. [`Wal::abandon`]
-//! simulates that crash for tests and fault injection: it drops the
-//! unsynced buffer on the floor, leaving the file as a real power cut
-//! would (modulo torn writes, which the fault harness injects directly).
+//! A record passes through three states. [`Wal::append`] /
+//! [`Wal::append_with`] encode it into a user-space buffer;
+//! [`Wal::write`] hands the buffer to the operating system (`write_all`,
+//! no flush — the bytes are in the file but a power cut can still lose
+//! them); a **sync that started after the write** makes them durable.
+//! [`Wal::sync`] does both halves on the caller's thread. The halves are
+//! separable so that the flush can be *pipelined*: [`Wal::syncer`] is a
+//! second handle on the same file whose only operation is the
+//! `fdatasync`, for a committer thread to call while the appender keeps
+//! encoding and writing the next records (group commit: one sync covers
+//! everything written before it began — the mining tier's commit stage,
+//! `farmer-stream::shard`). What a crash loses is therefore exactly what
+//! no completed sync had covered; the highest LSN one did cover is the
+//! `wal.durable_lsn` gauge. [`Wal::abandon`] simulates a crash at a write
+//! boundary for tests and fault injection: it drops the appended-but-
+//! unwritten buffer on the floor and leaves the file as the last
+//! [`Wal::write`] made it (torn writes are the fault harness's job, it
+//! injects them directly).
 //!
 //! ## Tail scan
 //!
@@ -59,6 +70,8 @@ use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use farmer_obs::{Counter, Gauge, Histogram, Registry, Span};
+
+use crate::codec::Writer;
 
 /// Magic bytes opening every WAL file (format version 1).
 pub const WAL_MAGIC: [u8; 8] = *b"FWAL0001";
@@ -173,10 +186,15 @@ pub struct WalMetrics {
     /// Payload + framing bytes appended, including page padding
     /// (`wal.append_bytes`).
     pub append_bytes: Counter,
-    /// Completed write+fsync cycles (`wal.syncs`).
+    /// Completed syncs, through the log or a [`WalSyncer`]
+    /// (`wal.syncs`). Under a pipelined committer one sync covers however
+    /// many writes preceded it, so the count depends on timing.
     pub syncs: Counter,
-    /// Wall-clock nanoseconds per write+fsync cycle (`wal.fsync_ns`).
+    /// Wall-clock nanoseconds per `fdatasync` (`wal.fsync_ns`).
     pub fsync_ns: Histogram,
+    /// Highest LSN a completed sync covered (`wal.durable_lsn`): every
+    /// record up to it survives a power cut.
+    pub durable_lsn: Gauge,
     /// Checkpoint records appended (`wal.checkpoints`).
     pub checkpoints: Counter,
     /// Completed (non-no-op) compactions (`wal.compactions`).
@@ -197,6 +215,7 @@ impl WalMetrics {
             append_bytes: reg.counter("append_bytes"),
             syncs: reg.counter("syncs"),
             fsync_ns: reg.histogram("fsync_ns"),
+            durable_lsn: reg.gauge("durable_lsn"),
             checkpoints: reg.counter("checkpoints"),
             compactions: reg.counter("compactions"),
             pages_dropped: reg.counter("pages_dropped"),
@@ -213,9 +232,9 @@ pub struct Wal {
     page_size: usize,
     next_lsn: Lsn,
     /// Logical end of the log: where the next record lands once the
-    /// buffer is flushed (file bytes + buffered bytes).
+    /// buffer is written (file bytes + buffered bytes).
     write_pos: u64,
-    /// Appended but not yet written+synced.
+    /// Appended but not yet written.
     buf: Vec<u8>,
     /// Records currently sitting in `buf` (so a crash can roll the LSN
     /// counter back).
@@ -328,40 +347,67 @@ impl Wal {
         self.page_size - RECORD_HEADER
     }
 
+    /// The LSN of the last record handed to the operating system (0
+    /// before the first): everything up to it is in the file, and durable
+    /// once a sync that starts now returns.
+    pub fn written_lsn(&self) -> Lsn {
+        self.next_lsn - 1 - self.buf_records
+    }
+
     /// Append one record to the user-space buffer and return its LSN.
-    /// Not durable until the next [`Wal::sync`].
+    /// Not durable until a sync covers it (see the module docs).
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<Lsn, WalError> {
-        if payload.is_empty() {
-            return Err(WalError::EmptyPayload);
-        }
-        let need = RECORD_HEADER + payload.len();
-        if need > self.page_size {
-            return Err(WalError::PayloadTooLarge {
-                len: payload.len(),
-                max: self.max_payload(),
+        self.append_with(kind, |w| {
+            w.raw(payload);
+        })
+    }
+
+    /// [`Wal::append`] for a payload that does not exist as bytes yet:
+    /// `encode` writes it straight into the log buffer, behind the space
+    /// reserved for the record header, and the checksum is taken over
+    /// the bytes where they lie — no per-record allocation, no copy.
+    pub fn append_with(
+        &mut self,
+        kind: u8,
+        encode: impl FnOnce(&mut Writer),
+    ) -> Result<Lsn, WalError> {
+        let start = self.buf.len();
+        self.buf.resize(start + RECORD_HEADER, 0);
+        let mut w = Writer::from(std::mem::take(&mut self.buf));
+        encode(&mut w);
+        self.buf = w.finish();
+        let need = self.buf.len() - start;
+        let len = need - RECORD_HEADER;
+        if len == 0 || need > self.page_size {
+            self.buf.truncate(start);
+            return Err(match len {
+                0 => WalError::EmptyPayload,
+                len => WalError::PayloadTooLarge {
+                    len,
+                    max: self.max_payload(),
+                },
             });
         }
-        let page_off = (self.write_pos % self.page_size as u64) as usize;
-        let room = self.page_size - page_off;
-        let mut written = 0u64;
+        let room = self.page_size - (self.write_pos % self.page_size as u64) as usize;
+        let mut at = start;
         if room < need {
-            // Zero-fill the remainder; the record starts on the next page.
-            self.buf.resize(self.buf.len() + room, 0);
-            self.write_pos += room as u64;
-            written += room as u64;
+            // The record does not fit the rest of this page: it moves to
+            // the next one and leaves zero padding behind.
+            self.buf.resize(start + room + need, 0);
+            self.buf.copy_within(start..start + need, start + room);
+            self.buf[start..start + room].fill(0);
+            at += room;
         }
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let mut body = Vec::with_capacity(need - 4);
-        body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&lsn.to_le_bytes());
-        body.push(kind);
-        body.extend_from_slice(payload);
-        let crc = crc32(&body);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.buf.extend_from_slice(&body);
-        self.write_pos += need as u64;
-        written += need as u64;
+        let record = &mut self.buf[at..];
+        record[4..8].copy_from_slice(&(len as u32).to_le_bytes());
+        record[8..16].copy_from_slice(&lsn.to_le_bytes());
+        record[16] = kind;
+        let crc = crc32(&record[4..]);
+        record[..4].copy_from_slice(&crc.to_le_bytes());
+        let written = (self.buf.len() - start) as u64;
+        self.write_pos += written;
         self.buf_records += 1;
         self.obs.append_records.inc();
         self.obs.append_bytes.add(written);
@@ -371,28 +417,45 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Write the buffered records and `fsync`. After this returns, every
-    /// prior append survives a crash.
-    pub fn sync(&mut self) -> io::Result<()> {
+    /// The write half of a commit: hand the buffered records to the
+    /// operating system. They are in the file afterwards, and durable
+    /// once a sync that starts after this returns has completed.
+    pub fn write(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let span = Span::start(&self.obs.fsync_ns);
         // The cursor may be stale (open() reads to EOF then truncates);
-        // always write at the logical end of the synced prefix.
+        // always write at the logical end of the written prefix.
         self.file
             .seek(SeekFrom::Start(self.write_pos - self.buf.len() as u64))?;
         self.file.write_all(&self.buf)?;
         self.buf.clear();
         self.buf_records = 0;
-        self.file.sync_data()?;
-        span.finish();
-        self.obs.syncs.inc();
         Ok(())
     }
 
-    /// Simulate a crash: discard the unsynced buffer. The file is left
-    /// exactly as the last completed [`Wal::sync`] made it.
+    /// Write the buffered records and `fdatasync`. After this returns,
+    /// every prior append survives a crash.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.write()?;
+        sync_file(&self.file, &self.obs, self.written_lsn())
+    }
+
+    /// The sync half of a commit as a handle of its own, for a committer
+    /// thread to flush the log while this one keeps appending and
+    /// writing. It follows the file, not the path: after a compaction
+    /// ([`Wal::compact_before`] renames a new file over the log) take a
+    /// fresh one.
+    pub fn syncer(&self) -> io::Result<WalSyncer> {
+        Ok(WalSyncer {
+            file: self.file.try_clone()?,
+            obs: self.obs.clone(),
+        })
+    }
+
+    /// Simulate a crash: discard the appended-but-unwritten buffer. The
+    /// file is left exactly as the last [`Wal::write`] (or
+    /// [`Wal::sync`]) made it.
     pub fn abandon(&mut self) {
         self.write_pos -= self.buf.len() as u64;
         self.next_lsn -= self.buf_records;
@@ -410,32 +473,30 @@ impl Wal {
     /// The rewrite is crash-safe: the compacted image is written to a
     /// temporary file, synced, and renamed over the log, so a kill at
     /// any point leaves either the old or the new log — never a hybrid.
+    /// It holds one page of the log in memory however long the log is:
+    /// the anchor is found by the tail scan's page walk, and the kept
+    /// suffix is copied file to file.
     ///
     /// No-ops (returning zero pages dropped) when `keep_lsn` is 0, is
     /// not present in the log, or its record already sits on the first
     /// data page.
     pub fn compact_before(&mut self, keep_lsn: Lsn) -> Result<WalCompaction, WalError> {
-        // Flush buffered appends so the file image is the whole log.
-        self.sync()?;
+        // Write buffered appends so the file image is the whole log (the
+        // rewrite's own sync is what makes them durable).
+        self.write()?;
         if keep_lsn == 0 {
             return Ok(WalCompaction::default());
         }
-        self.file.seek(SeekFrom::Start(0))?;
-        let mut data = Vec::new();
-        self.file.read_to_end(&mut data)?;
-        let (_, entries, _) = scan_bytes(&data)?;
-        let Some(anchor) = entries.iter().find(|e| e.lsn == keep_lsn) else {
+        let Some(anchor) = self.offset_of(keep_lsn)? else {
             return Ok(WalCompaction::default());
         };
         // Keep the whole page the anchor record starts on.
-        let cut = anchor.offset - anchor.offset % self.page_size as u64;
-        if cut <= self.page_size as u64 {
+        let page = self.page_size as u64;
+        let cut = anchor - anchor % page;
+        if cut <= page {
             return Ok(WalCompaction::default());
         }
-        let dropped = cut - self.page_size as u64;
-        let mut compacted = Vec::with_capacity(data.len() - dropped as usize);
-        compacted.extend_from_slice(&data[..self.page_size]);
-        compacted.extend_from_slice(&data[cut as usize..]);
+        let dropped = cut - page;
 
         let tmp = self.path.with_extension("wal.compact-tmp");
         {
@@ -444,7 +505,12 @@ impl Wal {
                 .create(true)
                 .truncate(true)
                 .open(&tmp)?;
-            f.write_all(&compacted)?;
+            // Header page, then [cut..EOF) — a torn tail past the anchor
+            // included, exactly as it lies in the file.
+            self.file.seek(SeekFrom::Start(0))?;
+            io::copy(&mut (&self.file).take(page), &mut f)?;
+            self.file.seek(SeekFrom::Start(cut))?;
+            io::copy(&mut &self.file, &mut f)?;
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &self.path)?;
@@ -454,7 +520,7 @@ impl Wal {
         self.write_pos -= dropped;
 
         let report = WalCompaction {
-            pages_dropped: dropped / self.page_size as u64,
+            pages_dropped: dropped / page,
             bytes_dropped: dropped,
             anchor_lsn: keep_lsn,
         };
@@ -463,103 +529,205 @@ impl Wal {
         self.obs.anchor_lsn.set(keep_lsn as i64);
         Ok(report)
     }
+
+    /// File offset of the record carrying `lsn`, if the intact part of
+    /// the log holds one: the tail scan's walk, one page at a time.
+    fn offset_of(&mut self, lsn: Lsn) -> Result<Option<u64>, WalError> {
+        let mut page = Vec::with_capacity(self.page_size);
+        let mut walk = PageWalk::new(self.page_size);
+        let mut found = None;
+        let mut base = self.page_size as u64;
+        self.file.seek(SeekFrom::Start(base))?;
+        loop {
+            page.clear();
+            (&self.file)
+                .take(self.page_size as u64)
+                .read_to_end(&mut page)?;
+            let intact = walk.page(base, &page, |r| {
+                if r.lsn == lsn {
+                    found = Some(r.offset);
+                }
+            });
+            // A short page is the end of the file.
+            if found.is_some() || !intact || page.len() < self.page_size {
+                return Ok(found);
+            }
+            base += page.len() as u64;
+        }
+    }
 }
 
-/// Parse header + records out of a full file image. Returns the page
-/// size, the verified records, and the tail report.
-#[allow(clippy::type_complexity)]
-fn scan_bytes(data: &[u8]) -> Result<(usize, Vec<WalEntry>, TailReport), WalError> {
+/// The sync half of a [`Wal`] ([`Wal::syncer`]): a second handle on the
+/// log's file that can only flush it.
+#[derive(Debug)]
+pub struct WalSyncer {
+    file: File,
+    obs: WalMetrics,
+}
+
+impl WalSyncer {
+    /// `fdatasync` the log. Everything written before the call is
+    /// durable when it returns; `upto` is the caller's word for how far
+    /// that is ([`Wal::written_lsn`], read *before* the call), recorded
+    /// as `wal.durable_lsn`.
+    pub fn sync(&self, upto: Lsn) -> io::Result<()> {
+        sync_file(&self.file, &self.obs, upto)
+    }
+}
+
+fn sync_file(file: &File, obs: &WalMetrics, upto: Lsn) -> io::Result<()> {
+    let span = Span::start(&obs.fsync_ns);
+    file.sync_data()?;
+    span.finish();
+    obs.syncs.inc();
+    obs.durable_lsn.record_max(upto as i64);
+    Ok(())
+}
+
+/// The first `N` bytes of `b`, for the `from_le_bytes` family.
+fn head<const N: usize>(b: &[u8]) -> [u8; N] {
+    let mut a = [0; N];
+    a.copy_from_slice(&b[..N]);
+    a
+}
+
+/// Verify the header page of a log image and return its page size.
+fn parse_header(data: &[u8]) -> Result<usize, WalError> {
     if data.len() < 12 {
         return Err(WalError::BadHeader("file shorter than header"));
     }
     if data[..8] != WAL_MAGIC {
         return Err(WalError::BadHeader("bad magic"));
     }
-    // lint: allow(panic) fixed-width slice of a buffer already length-checked
-    let page_size = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes")) as usize;
+    let page_size = u32::from_le_bytes(head(&data[8..])) as usize;
     if page_size < 64 {
         return Err(WalError::BadHeader("page size too small"));
     }
     if data.len() < page_size {
         return Err(WalError::BadHeader("truncated header page"));
     }
-
-    let mut entries = Vec::new();
-    let mut pos = page_size;
-    let mut valid_end = page_size as u64;
-    let mut expect_lsn: Option<Lsn> = None;
-    let mut torn = false;
-
-    'scan: while pos < data.len() {
-        let page_off = pos % page_size;
-        let room = page_size - page_off;
-        if room < RECORD_HEADER || pos + RECORD_HEADER > data.len() {
-            // Too little room for a header: must be padding (or EOF).
-            let run = room.min(data.len() - pos);
-            if data[pos..pos + run].iter().any(|&b| b != 0) {
-                torn = true;
-                break 'scan;
-            }
-            pos += run;
-            continue;
-        }
-        let hdr = &data[pos..pos + RECORD_HEADER];
-        if hdr.iter().all(|&b| b == 0) {
-            // Padding header: the rest of this page must be zero too.
-            let run = room.min(data.len() - pos);
-            if data[pos..pos + run].iter().any(|&b| b != 0) {
-                torn = true;
-                break 'scan;
-            }
-            pos += run;
-            continue;
-        }
-        // lint: allow(panic) hdr is a HEADER_LEN-sized slice, so the three
-        // fixed-width windows below always convert
-        let crc = u32::from_le_bytes(hdr[0..4].try_into().expect("4 bytes"));
-        // lint: allow(panic) see the slice-width note above
-        let len = u32::from_le_bytes(hdr[4..8].try_into().expect("4 bytes")) as usize;
-        // lint: allow(panic) see the slice-width note above
-        let lsn = u64::from_le_bytes(hdr[8..16].try_into().expect("8 bytes"));
-        let kind = hdr[16];
-        if len == 0 || RECORD_HEADER + len > room || pos + RECORD_HEADER + len > data.len() {
-            torn = true;
-            break 'scan;
-        }
-        let body = &data[pos + 4..pos + RECORD_HEADER + len];
-        if crc32(body) != crc {
-            torn = true;
-            break 'scan;
-        }
-        if let Some(expect) = expect_lsn {
-            if lsn != expect {
-                torn = true;
-                break 'scan;
-            }
-        }
-        entries.push(WalEntry {
-            lsn,
-            kind,
-            payload: data[pos + RECORD_HEADER..pos + RECORD_HEADER + len].to_vec(),
-            offset: pos as u64,
-        });
-        expect_lsn = Some(lsn + 1);
-        pos += RECORD_HEADER + len;
-        valid_end = pos as u64;
-    }
-
-    let dropped = data.len() as u64 - valid_end;
-    let report = TailReport {
-        records: entries.len() as u64,
-        valid_bytes: valid_end,
-        dropped_bytes: dropped,
-        torn,
-    };
-    Ok((page_size, entries, report))
+    Ok(page_size)
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// One checksum-verified record, borrowed from the page it lies in.
+struct RecordRef<'a> {
+    lsn: Lsn,
+    kind: u8,
+    payload: &'a [u8],
+    /// Byte offset of the record header within the log file.
+    offset: u64,
+}
+
+/// The tail scan, one page at a time: every check that decides where the
+/// intact log ends — checksum, length, LSN continuity, padding all zero —
+/// lives in [`PageWalk::page`], so scanning an image ([`Wal::scan`],
+/// [`Wal::open`]) and walking the file ([`Wal::compact_before`]) cannot
+/// disagree about it.
+struct PageWalk {
+    page_size: usize,
+    expect_lsn: Option<Lsn>,
+    records: u64,
+    /// File offset one past the last valid record.
+    valid_end: u64,
+    torn: bool,
+}
+
+impl PageWalk {
+    fn new(page_size: usize) -> PageWalk {
+        PageWalk {
+            page_size,
+            expect_lsn: None,
+            records: 0,
+            valid_end: page_size as u64,
+            torn: false,
+        }
+    }
+
+    /// Walk the records of the data page at file offset `base`, handing
+    /// each verified one to `visit`. `page` is what the file holds of
+    /// that page: shorter than a page only at the end of the file.
+    /// Returns `false` once the tail is torn — the scan is over.
+    fn page(&mut self, base: u64, page: &[u8], mut visit: impl FnMut(RecordRef<'_>)) -> bool {
+        let mut pos = 0;
+        while pos < page.len() {
+            let rest = &page[pos..];
+            let room = self.page_size - pos;
+            if room < RECORD_HEADER
+                || rest.len() < RECORD_HEADER
+                || rest[..RECORD_HEADER].iter().all(|&b| b == 0)
+            {
+                // No room for a header (or the file ends inside one), or
+                // a padding header: what is left of the page must be zero.
+                self.torn = rest.iter().any(|&b| b != 0);
+                return !self.torn;
+            }
+            let crc = u32::from_le_bytes(head(rest));
+            let end = RECORD_HEADER + u32::from_le_bytes(head(&rest[4..])) as usize;
+            let lsn = u64::from_le_bytes(head(&rest[8..]));
+            // `rest` never reaches past the page, so a record that fits it
+            // fits the page.
+            if end == RECORD_HEADER
+                || end > rest.len()
+                || crc32(&rest[4..end]) != crc
+                || self.expect_lsn.is_some_and(|expect| lsn != expect)
+            {
+                self.torn = true;
+                return false;
+            }
+            visit(RecordRef {
+                lsn,
+                kind: rest[16],
+                payload: &rest[RECORD_HEADER..end],
+                offset: base + pos as u64,
+            });
+            self.expect_lsn = Some(lsn + 1);
+            self.records += 1;
+            pos += end;
+            self.valid_end = base + pos as u64;
+        }
+        true
+    }
+
+    /// The report for a file of `file_len` bytes walked this far.
+    fn report(&self, file_len: u64) -> TailReport {
+        TailReport {
+            records: self.records,
+            valid_bytes: self.valid_end,
+            dropped_bytes: file_len - self.valid_end,
+            torn: self.torn,
+        }
+    }
+}
+
+/// Parse header + records out of a full file image. Returns the page
+/// size, the verified records, and the tail report.
+#[allow(clippy::type_complexity)]
+fn scan_bytes(data: &[u8]) -> Result<(usize, Vec<WalEntry>, TailReport), WalError> {
+    let page_size = parse_header(data)?;
+    let mut walk = PageWalk::new(page_size);
+    let mut entries = Vec::new();
+    let mut base = page_size;
+    for page in data[page_size..].chunks(page_size) {
+        let intact = walk.page(base as u64, page, |r| {
+            entries.push(WalEntry {
+                lsn: r.lsn,
+                kind: r.kind,
+                payload: r.payload.to_vec(),
+                offset: r.offset,
+            });
+        });
+        if !intact {
+            break;
+        }
+        base += page_size;
+    }
+    Ok((page_size, entries, walk.report(data.len() as u64)))
+}
+
+/// Slice-by-8 tables: `t[0]` is the classic byte table, `t[k][b]` the
+/// CRC of byte `b` followed by `k` zero bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -572,20 +740,45 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/`crc32fast` flavor), rolled
-/// by hand because the workspace takes no external dependencies.
+/// by hand because the workspace takes no external dependencies: eight
+/// bytes per step (slice-by-8), the tail a byte at a time.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = (c >> 8) ^ CRC_TABLE[((c ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for w in &mut chunks {
+        let lo = u32::from_le_bytes(head(w)) ^ c;
+        let hi = u32::from_le_bytes(head(&w[4..]));
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = (c >> 8) ^ t[0][((c ^ b as u32) & 0xFF) as usize];
     }
     c ^ 0xFFFF_FFFF
 }
@@ -622,6 +815,172 @@ mod tests {
         // Standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time table loop `crc32` used before slice-by-8,
+    /// kept as the reference the fast one is compared against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = (c >> 8) ^ CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize];
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_loop_at_every_length_and_alignment() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        // A fixed xorshift stream, so the buffers are arbitrary but the
+        // test is not.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let buf: Vec<u8> = (0..64 + 8).map(|_| next() as u8).collect();
+        for align in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[align..align + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at +{align}");
+            }
+        }
+        for _ in 0..200 {
+            let len = (next() % 5000) as usize;
+            let s: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&s), crc32_bytewise(&s), "random buffer of {len}");
+        }
+    }
+
+    /// The file the pre-`append_with` log wrote for `records`: a body
+    /// assembled in a buffer of its own and checksummed there, zero
+    /// padding wherever the next record does not fit its page.
+    fn reference_image(page_size: usize, records: &[(u8, Vec<u8>)]) -> Vec<u8> {
+        let mut image = vec![0u8; page_size];
+        image[..8].copy_from_slice(&WAL_MAGIC);
+        image[8..12].copy_from_slice(&(page_size as u32).to_le_bytes());
+        for (i, (kind, payload)) in records.iter().enumerate() {
+            let room = page_size - image.len() % page_size;
+            if room < RECORD_HEADER + payload.len() {
+                image.resize(image.len() + room, 0);
+            }
+            let mut body = Vec::new();
+            body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            body.extend_from_slice(&(i as u64 + 1).to_le_bytes());
+            body.push(*kind);
+            body.extend_from_slice(payload);
+            image.extend_from_slice(&crc32_bytewise(&body).to_le_bytes());
+            image.extend_from_slice(&body);
+        }
+        image
+    }
+
+    #[test]
+    fn in_place_append_writes_the_reference_layout() {
+        let path = tmp_wal("layout");
+        let _c = Cleanup(path.clone());
+        // Sizes that fill pages exactly, overflow them by one byte and
+        // leave less than a header of room.
+        let records: Vec<(u8, Vec<u8>)> = [1usize, 30, 47, 111, 1, 46, 94, 17, 3, 111, 64, 2]
+            .iter()
+            .cycle()
+            .take(120)
+            .enumerate()
+            .map(|(i, &len)| (1 + (i % 2) as u8, vec![i as u8 + 1; len]))
+            .collect();
+        let mut wal = Wal::create_with_page_size(&path, 128).unwrap();
+        for (i, (kind, payload)) in records.iter().enumerate() {
+            // Alternate the two entry points, and sync at odd places so
+            // padding is decided across write boundaries too.
+            let lsn = if i % 2 == 0 {
+                wal.append(*kind, payload)
+            } else {
+                wal.append_with(*kind, |w| {
+                    let (a, b) = payload.split_at(payload.len() / 2);
+                    w.raw(a).raw(b);
+                })
+            };
+            assert_eq!(lsn.unwrap(), i as u64 + 1);
+            if i % 7 == 0 {
+                wal.sync().unwrap();
+            }
+        }
+        wal.sync().unwrap();
+        let image = reference_image(128, &records);
+        assert_eq!(wal.len_bytes(), image.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), image);
+        let (entries, tail) = Wal::scan(&path).unwrap();
+        assert!(!tail.torn);
+        assert_eq!(entries.len(), records.len());
+        for (e, (kind, payload)) in entries.iter().zip(&records) {
+            assert_eq!((e.kind, &e.payload), (*kind, payload));
+        }
+    }
+
+    #[test]
+    fn refused_appends_leave_the_buffer_as_it_was() {
+        let path = tmp_wal("refused");
+        let _c = Cleanup(path.clone());
+        let mut wal = Wal::create_with_page_size(&path, 128).unwrap();
+        wal.append(record_kind::OP, &[7; 20]).unwrap();
+        assert!(matches!(
+            wal.append_with(record_kind::OP, |_| {}),
+            Err(WalError::EmptyPayload)
+        ));
+        assert!(matches!(
+            wal.append_with(record_kind::OP, |w| {
+                w.raw(&[1; 112]);
+            }),
+            Err(WalError::PayloadTooLarge { len: 112, max: 111 })
+        ));
+        wal.append(record_kind::OP, &[8; 20]).unwrap();
+        wal.sync().unwrap();
+        let records = vec![
+            (record_kind::OP, vec![7; 20]),
+            (record_kind::OP, vec![8; 20]),
+        ];
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            reference_image(128, &records)
+        );
+    }
+
+    #[test]
+    fn write_and_sync_are_separate_halves() {
+        let path = tmp_wal("halves");
+        let _c = Cleanup(path.clone());
+        let reg = Registry::enabled();
+        let mut wal = Wal::create(&path).unwrap();
+        wal.instrument(WalMetrics::new(&reg.scope("wal")));
+        let syncer = wal.syncer().unwrap();
+        for i in 0..5u8 {
+            wal.append(record_kind::OP, &[i + 1]).unwrap();
+        }
+        assert_eq!(wal.written_lsn(), 0);
+        wal.write().unwrap();
+        assert_eq!(wal.written_lsn(), 5);
+        // Written is in the file (a scan sees it) but nothing has been
+        // flushed yet.
+        assert_eq!(Wal::scan(&path).unwrap().0.len(), 5);
+        let obs = reg.snapshot();
+        assert_eq!(obs.counter("wal.syncs"), Some(0));
+        assert_eq!(obs.gauge("wal.durable_lsn"), Some(0));
+        // The second handle flushes what the first one wrote.
+        wal.append(record_kind::OP, &[6]).unwrap();
+        syncer.sync(wal.written_lsn()).unwrap();
+        let obs = reg.snapshot();
+        assert_eq!(obs.counter("wal.syncs"), Some(1));
+        assert_eq!(obs.gauge("wal.durable_lsn"), Some(5));
+        // A crash keeps what was written and loses what was only appended.
+        wal.abandon();
+        assert_eq!(wal.next_lsn(), 6);
+        assert_eq!(Wal::scan(&path).unwrap().0.len(), 5);
+        // sync() is both halves, and the gauge never runs backwards.
+        wal.append(record_kind::OP, &[7]).unwrap();
+        wal.sync().unwrap();
+        syncer.sync(3).unwrap();
+        assert_eq!(reg.snapshot().gauge("wal.durable_lsn"), Some(6));
     }
 
     #[test]
@@ -923,6 +1282,53 @@ mod tests {
         assert!(!tail.torn);
         assert_eq!(entries.last().unwrap().lsn, 41);
         assert_eq!(entries.last().unwrap().payload, vec![0xCD; 43]);
+    }
+
+    /// What `compact_before` produced while it still read the whole log
+    /// into memory: header page + everything from the anchor's page on.
+    fn reference_compaction(image: &[u8], keep_lsn: Lsn) -> Vec<u8> {
+        let (page_size, entries, _) = scan_bytes(image).unwrap();
+        let anchor = entries.iter().find(|e| e.lsn == keep_lsn).unwrap();
+        let cut = (anchor.offset - anchor.offset % page_size as u64) as usize;
+        [&image[..page_size], &image[cut..]].concat()
+    }
+
+    #[test]
+    fn paged_compaction_writes_the_reference_file() {
+        for torn in [false, true] {
+            let path = tmp_wal("compact-ref");
+            let _c = Cleanup(path.clone());
+            let mut wal = Wal::create_with_page_size(&path, 128).unwrap();
+            for i in 0..90u8 {
+                wal.append(record_kind::OP, &vec![i + 1; 1 + (i as usize * 13) % 60])
+                    .unwrap();
+            }
+            wal.sync().unwrap();
+            if torn {
+                // A torn tail past the anchor is copied as it lies: flip
+                // a bit in the last record and hang garbage behind it.
+                let mut image = std::fs::read(&path).unwrap();
+                let last = image.len() - 1;
+                image[last] ^= 0x01;
+                image.extend_from_slice(&[0xEE; 77]);
+                std::fs::write(&path, &image).unwrap();
+            }
+            let before = std::fs::read(&path).unwrap();
+            let report = wal.compact_before(61).unwrap();
+            assert!(report.pages_dropped > 0);
+            let after = std::fs::read(&path).unwrap();
+            assert_eq!(after, reference_compaction(&before, 61), "torn: {torn}");
+            assert_eq!(
+                report.bytes_dropped,
+                (before.len() - after.len()) as u64,
+                "torn: {torn}"
+            );
+            // An anchor in the torn part is "not present": a no-op.
+            if torn {
+                assert_eq!(wal.compact_before(90).unwrap(), WalCompaction::default());
+                assert_eq!(std::fs::read(&path).unwrap(), after);
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,36 @@
 //! the one place that orders the operations (see [`crate::shard`]) —
 //! and this module reaches it through the router for checkpoints,
 //! compaction and the simulated crash.
-//! Appends are group-committed on the router's existing two-phase batch
-//! boundary: one write+fsync per `route_batch` dispatch, so durability
-//! cost amortizes across the batch instead of taxing every event.
+//!
+//! ## Durability contract
+//!
+//! The router encodes each operation into the log as it is routed and
+//! writes a batch's records before the batch leaves it; a commit stage
+//! between the router and the shards (`farmer-stream-commit`, see
+//! [`crate::shard`]) then makes them durable — one `fdatasync` for
+//! however many batches queued up during the previous one — and only
+//! then lets the shards mine them. So:
+//!
+//! * **Log-before-mutate.** No shard mines an operation, and no
+//!   snapshot, checkpoint image or `flush()` acknowledgement describes
+//!   one, that a completed sync has not covered.
+//! * **[`DurableMiner::flush`], [`DurableMiner::snapshot`],
+//!   [`DurableMiner::checkpoint`]**: when they return, everything
+//!   ingested before the call is mined *and* durable.
+//!   [`DurableMiner::ingest`] promises neither on return.
+//! * **Loss window.** A power cut loses what no completed sync had
+//!   covered: the router's partial batch, the batches queued for the
+//!   committer and the group it is syncing — at most
+//!   `2 × channel_capacity + 1` route batches of operations, none of
+//!   them ever mined into a state anyone was shown. In time: while the
+//!   shards keep up, an operation is durable within two sync latencies
+//!   of its batch filling (the sync under way when it was queued, then
+//!   its own); when they do not, the committer waits on their full
+//!   inboxes between syncs and durability lags by that back-pressure
+//!   too. The highest durable LSN is the `wal.durable_lsn` gauge.
+//! * **Simulated crash.** [`DurableMiner::crash`] crashes *at a commit
+//!   boundary* — what was dispatched is completed and kept, the partial
+//!   batch is dropped — for tests and fault injection; see there.
 //!
 //! ## Recovery model
 //!
@@ -52,12 +79,6 @@
 //! policy never reclaims a page a surviving checkpoint still replays
 //! from. Reclaimed pages and anchors surface as `wal.compactions`,
 //! `wal.pages_dropped` and the `wal.anchor_lsn` gauge.
-//!
-//! The loss window is explicit: operations appended since the last
-//! completed sync (at most one route batch, plus any explicitly
-//! unflushed tail) are lost on a crash, exactly as a real power cut
-//! would lose them. [`DurableMiner::crash`] simulates that for tests and
-//! fault injection.
 
 use std::fs::{self, File};
 use std::io::{self, Write as _};
@@ -98,42 +119,38 @@ const TAG_INGEST: u8 = 1;
 const TAG_INGEST_PATH: u8 = 2;
 const TAG_FORGET: u8 = 3;
 
-pub(crate) fn encode_ingest(req: &Request, path: Option<&FilePath>) -> Vec<u8> {
-    let mut w = Writer::with_capacity(26 + path.map_or(0, |p| 4 + 4 * p.components().len()));
-    match path {
-        None => {
-            w.u8(TAG_INGEST);
-        }
-        Some(_) => {
-            w.u8(TAG_INGEST_PATH);
-        }
-    }
-    w.u32(req.file.raw())
-        .u32(req.uid.raw())
-        .u32(req.pid.raw())
-        .u32(req.host.raw())
-        .u32(req.dev.raw());
+pub(crate) fn encode_ingest(w: &mut Writer, req: &Request, path: Option<&FilePath>) {
+    w.u8(if path.is_some() {
+        TAG_INGEST_PATH
+    } else {
+        TAG_INGEST
+    })
+    .u32(req.file.raw())
+    .u32(req.uid.raw())
+    .u32(req.pid.raw())
+    .u32(req.host.raw())
+    .u32(req.dev.raw());
     if let Some(p) = path {
         w.u32(p.components().len() as u32);
         for &c in p.components() {
             w.u32(c);
         }
     }
-    w.finish()
 }
 
-pub(crate) fn encode_forget(file: FileId) -> Vec<u8> {
-    let mut w = Writer::with_capacity(5);
+pub(crate) fn encode_forget(w: &mut Writer, file: FileId) {
     w.u8(TAG_FORGET).u32(file.raw());
-    w.finish()
 }
 
-/// Encode one op into a WAL payload.
+/// Encode one op into a WAL payload of its own. (The router encodes
+/// straight into the log's buffer through the same two encoders.)
 pub fn encode_op(op: &WalOp) -> Vec<u8> {
+    let mut w = Writer::with_capacity(32);
     match op {
-        WalOp::Ingest { req, path } => encode_ingest(req, path.as_ref()),
-        WalOp::Forget(file) => encode_forget(*file),
+        WalOp::Ingest { req, path } => encode_ingest(&mut w, req, path.as_ref()),
+        WalOp::Forget(file) => encode_forget(&mut w, *file),
     }
+    w.finish()
 }
 
 /// Decode one op payload. Errors only on malformed bytes, which a
@@ -610,18 +627,11 @@ impl DurableMiner {
         let mut wal = Wal::create(path)?;
         wal.instrument(WalMetrics::new(&reg.scope("wal")));
         let inner = ShardedMiner::spawn_instrumented(cfg.stream.clone(), reg);
-        Ok(DurableMiner::assemble(
-            inner,
-            wal,
-            path,
-            cfg,
-            0,
-            0,
-            0,
-            Vec::new(),
-        ))
+        DurableMiner::assemble(inner, wal, path, cfg, 0, 0, 0, Vec::new())
     }
 
+    /// Attach the log to the router — which starts its commit stage —
+    /// and wrap the pair.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         mut inner: ShardedMiner,
@@ -632,9 +642,9 @@ impl DurableMiner {
         ops: u64,
         ckpt_seq: u64,
         anchors: Vec<(u64, Lsn)>,
-    ) -> DurableMiner {
-        inner.wal = Some(wal);
-        DurableMiner {
+    ) -> Result<DurableMiner, WalError> {
+        inner.attach_wal(wal)?;
+        Ok(DurableMiner {
             inner,
             path: path.to_path_buf(),
             cfg,
@@ -642,17 +652,15 @@ impl DurableMiner {
             ops,
             ckpt_seq,
             anchors,
-        }
+        })
     }
 
     /// The router's log.
     fn wal(&mut self) -> &mut Wal {
-        self.inner
-            .wal
-            .as_mut()
-            // lint: allow(panic) `assemble` is the only constructor and it
-            // attaches the log; a durable miner without one is a bug here
-            .expect("durable miner has its log attached")
+        let journal = self.inner.journal.as_mut();
+        // lint: allow(panic) `assemble` is the only constructor and it
+        // attaches the log; a durable miner without one is a bug here
+        &mut journal.expect("durable miner has its log attached").wal
     }
 
     /// Journal and route one access. Panics if the log can no longer be
@@ -682,19 +690,17 @@ impl DurableMiner {
         self.ops += 1;
     }
 
-    /// Barrier + group-commit: everything ingested so far is mined and
-    /// durable when this returns.
+    /// Barrier: everything ingested so far is mined and durable when
+    /// this returns (the barrier's marker passes through the commit
+    /// stage behind the last batch, so it is answered only after the
+    /// sync that covers that batch).
     pub fn flush(&mut self) {
         self.inner.flush();
-        self.wal()
-            .sync()
-            // lint: allow(panic) flush() promises the prefix is on disk;
-            // returning with the promise broken is not an option
-            .expect("wal sync failed");
     }
 
-    /// Consistent snapshot of the wrapped miner (also group-commits the
-    /// logged prefix, since the snapshot dispatches it).
+    /// Consistent snapshot of the wrapped miner. Everything it describes
+    /// is durable: the cut's marker waits for the commit stage like any
+    /// batch.
     pub fn snapshot(&mut self) -> StreamSnapshot {
         self.inner.snapshot()
     }
@@ -720,6 +726,9 @@ impl DurableMiner {
         write_durable(&sidecar_path(&self.path, info.seq), &bytes)?;
         let wal = self.wal();
         let anchor = wal.append(record_kind::CHECKPOINT, &encode_checkpoint(&info))?;
+        // Synced here, not by the commit stage: the record travels with
+        // no batch, and the stage is idle — every shard has answered the
+        // export marker it forwarded.
         wal.sync()?;
         self.anchors.push((info.seq, anchor));
         if self.anchors.len() > 2 {
@@ -744,7 +753,7 @@ impl DurableMiner {
             1 => self.anchors[0].1,
             n => self.anchors[n - 2].1,
         };
-        self.wal().compact_before(keep)
+        self.inner.compact_wal(keep)
     }
 
     /// Events ingested (journaled) so far.
@@ -759,7 +768,7 @@ impl DurableMiner {
 
     /// Logical size of the log in bytes (including unsynced appends).
     pub fn wal_len_bytes(&self) -> u64 {
-        self.inner.wal.as_ref().map_or(0, Wal::len_bytes)
+        self.inner.journal.as_ref().map_or(0, |j| j.wal.len_bytes())
     }
 
     /// The log file path.
@@ -777,9 +786,18 @@ impl DurableMiner {
         &mut self.inner
     }
 
-    /// Simulate a process crash: the unsynced WAL buffer is dropped on
-    /// the floor (as a power cut would) and the miner is torn down. The
-    /// on-disk state is exactly what the last completed sync left.
+    /// Simulate a process crash *at a commit boundary*: the router's
+    /// partial batch — appended to the log's buffer, never written — is
+    /// dropped on the floor, and the miner is torn down. The teardown
+    /// joins the commit stage, which first completes the sync of every
+    /// batch it was handed, so everything dispatched is on disk and the
+    /// file holds exactly the whole batches routed (plus checkpoint
+    /// records): the same bytes for the same operation stream however the
+    /// commit stage happened to group its syncs. A real power cut can
+    /// also lose the batches still in the commit stage (see the module
+    /// docs' loss window) and tear the last write; those cuts are the
+    /// torn-tail tests' job, which truncate and corrupt the file
+    /// directly.
     pub fn crash(mut self) {
         self.wal().abandon();
     }
@@ -973,7 +991,7 @@ pub fn recover_instrumented(
         ops_recovered,
         ckpt_seq,
         anchors,
-    );
+    )?;
     Ok((miner, report))
 }
 
@@ -1151,6 +1169,88 @@ mod tests {
             &recovered.snapshot(),
             &oracle.snapshot()
         ));
+    }
+
+    /// Run `f`, which must panic, and return the panic's message.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the router never noticed its dead worker");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => (*p.downcast::<&str>().expect("a string payload")).to_string(),
+        }
+    }
+
+    #[test]
+    fn committer_failure_surfaces_on_the_router() {
+        let trace = &WorkloadSpec::ins().scaled(0.01).generate();
+        let live = |tag: &str| {
+            let path = tmp_wal(tag);
+            let mut m = DurableMiner::create(&path, small_cfg(2)).unwrap();
+            for e in trace.events.iter().take(100) {
+                m.ingest_event(trace, e);
+            }
+            (Cleanup(path), m)
+        };
+        // Through a barrier: the marker is lost with the committer, and
+        // flush() re-raises the committer's own message. Unwinding then
+        // drops the miner, which must neither hang nor panic again (a
+        // second panic would abort the test binary).
+        let (_c, mut m) = live("commit-poison-flush");
+        m.miner().poison_committer();
+        assert_eq!(panic_message(move || m.flush()), "injected committer panic");
+        // Through routing: some dispatch after the committer died finds
+        // its channel closed.
+        let (_c, mut m) = live("commit-poison-ingest");
+        m.miner().poison_committer();
+        let msg = panic_message(move || {
+            for e in trace.stream().take(100_000) {
+                m.ingest_event(trace, &e);
+            }
+        });
+        assert_eq!(msg, "injected committer panic");
+        // Through Drop alone: hanging up lets the committer reach the
+        // poison, and the join re-raises it.
+        let (_c, mut m) = live("commit-poison-drop");
+        m.miner().poison_committer();
+        assert_eq!(panic_message(move || drop(m)), "injected committer panic");
+    }
+
+    #[test]
+    fn shard_panic_wins_with_a_log_attached() {
+        // A dead shard makes the committer hang up without a panic of its
+        // own, so what the router re-raises is the shard's message.
+        let trace = &WorkloadSpec::ins().scaled(0.01).generate();
+        let live = |tag: &str| {
+            let path = tmp_wal(tag);
+            let mut cfg = small_cfg(3);
+            cfg.stream.channel_capacity = 1;
+            let mut m = DurableMiner::create(&path, cfg).unwrap();
+            m.miner().poison_shard(1);
+            (Cleanup(path), m)
+        };
+        let (_c, mut m) = live("shard-poison-flush");
+        assert_eq!(
+            panic_message(move || m.flush()),
+            "injected shard worker panic"
+        );
+        let (_c, mut m) = live("shard-poison-snapshot");
+        assert_eq!(
+            panic_message(move || drop(m.snapshot())),
+            "injected shard worker panic"
+        );
+        let (_c, mut m) = live("shard-poison-routing");
+        let msg = panic_message(move || {
+            for e in trace.stream().take(100_000) {
+                m.ingest_event(trace, &e);
+            }
+        });
+        assert_eq!(msg, "injected shard worker panic");
+        let (_c, m) = live("shard-poison-drop");
+        assert_eq!(
+            panic_message(move || drop(m)),
+            "injected shard worker panic"
+        );
     }
 
     #[test]

@@ -19,24 +19,53 @@
 //! blocks the router — back-pressure, not unbounded queueing — so resident
 //! memory stays capped end to end.
 //!
+//! ## Router ↔ committer ↔ shards: the commit stage
+//!
 //! The router is also where the operation stream is *ordered*, so it is
 //! the component that holds the write-ahead log when there is one (the
-//! durable tier, [`crate::durable`], attaches it): every routed operation
-//! is appended before it can reach any shard's graph, and the log is
-//! group-committed (write + fsync) at each batch-dispatch boundary. I/O
-//! errors are fatal to the miner: a durable tier that can no longer write
-//! its log must stop accepting events rather than silently degrade to a
-//! lossy one, so the router panics on the first log error.
+//! durable tier, [`crate::durable`], attaches it). Every routed operation
+//! is encoded into the log's buffer as it is routed, and a full batch is
+//! *written* (`write_all`, no flush) before it leaves the router. What
+//! the router never does is wait for the disk: with a log attached, one
+//! `farmer-stream-commit` thread sits between it and the shard inboxes.
+//! The router hands the committer every message it would have sent the
+//! shards, over one bounded channel (`channel_capacity` deep — a slow
+//! disk blocks the router exactly as a slow shard does); the committer
+//! loops *receive one → take whatever else is queued → one `fdatasync` →
+//! forward the lot to every shard, in order*. Each sync therefore covers
+//! however many batches arrived during the previous one — group commit
+//! that adapts to the disk with no batch-size or timer knob — and it
+//! overlaps with the router encoding the next batch and the shards mining
+//! the previous one.
+//!
+//! **Log-before-mutate** holds as before: a batch reaches a shard only
+//! after a sync that *started after* its bytes were written has returned,
+//! so no graph ever holds an operation a power cut could lose. Markers
+//! (`Snapshot`, `Export`, `Flush`) ride the same channel as the batches
+//! rather than overtaking them, for two reasons: FIFO order from router
+//! to shard — the whole consistency argument of a cut — stays one queue
+//! discipline end to end, and a marker's answer (a published snapshot, a
+//! checkpoint image, a `flush()` returning) then never describes an
+//! operation that is not durable yet. With no log attached there is no
+//! committer: the router sends straight to the shards.
+//!
+//! I/O errors are fatal to the miner: a durable tier that can no longer
+//! write its log must stop accepting events rather than silently degrade
+//! to a lossy one. The router panics on the first append or write error;
+//! the committer panics on the first sync error, which closes its
+//! channel, and the router's next send joins it and re-raises that panic
+//! with its original message — the same path a dead shard takes.
 
 use std::any::Any;
 use std::collections::hash_map::Entry;
+use std::io;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use farmer_core::Request;
 use farmer_obs::Registry;
-use farmer_store::wal::{record_kind, Wal};
+use farmer_store::wal::{record_kind, Lsn, Wal, WalCompaction, WalError, WalSyncer};
 use farmer_trace::hash::FxHashMap;
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
@@ -70,7 +99,10 @@ enum Item {
 
 /// Router → shard messages. FIFO channel order is what makes snapshots
 /// consistent: a marker enqueued after a set of batches is only answered
-/// once exactly those batches have been mined.
+/// once exactly those batches have been mined. One message is built per
+/// broadcast and cloned per shard, so every shard's marker carries the
+/// same reply channel.
+#[derive(Clone)]
 enum Msg {
     Batch(Vec<Item>),
     Snapshot(mpsc::Sender<ShardSnapshot>),
@@ -80,8 +112,39 @@ enum Msg {
     /// resumable image can never disagree.
     Export(mpsc::Sender<(ShardSnapshot, MinerState)>),
     Flush(mpsc::Sender<()>),
+    /// Test hook: the named shard's worker panics.
+    #[cfg(test)]
+    Poison(usize),
+}
+
+/// What the router hands the commit stage (see the module docs).
+enum Commit {
+    /// Forward `msg` to every shard once the log is durable up to `upto`,
+    /// the last LSN written when the message was queued.
+    Forward { msg: Msg, upto: Lsn },
+    /// Compaction renamed a new file over the log: sync this handle from
+    /// here on. Everything queued ahead of it was copied into the new
+    /// file and synced there before the rename.
+    Resync(WalSyncer),
+    /// Test hook: the committer panics.
     #[cfg(test)]
     Poison,
+}
+
+/// The attached log and the commit stage behind it.
+pub(crate) struct Journal {
+    pub(crate) wal: Wal,
+    tx: SyncSender<Commit>,
+    committer: JoinHandle<()>,
+}
+
+/// Send `msg` to every shard, in shard order; `false` once one has hung
+/// up (or the fleet is already torn down and nobody is left to hear it).
+fn broadcast(shards: &[SyncSender<Msg>], msg: Msg) -> bool {
+    let Some((last, rest)) = shards.split_last() else {
+        return false;
+    };
+    rest.iter().all(|tx| tx.send(msg.clone()).is_ok()) && last.send(msg).is_ok()
 }
 
 /// Per-file shared paths for a broadcast front: one `Arc<FilePath>` per
@@ -128,17 +191,19 @@ impl PathCache {
 /// A sharded, threaded, bounded-memory online miner.
 pub struct ShardedMiner {
     cfg: StreamConfig,
-    senders: Vec<SyncSender<Msg>>,
+    /// The shard inboxes — until a log is attached, when the committer
+    /// takes them over and is the only thread that sends to a shard.
+    shards: Vec<SyncSender<Msg>>,
     handles: Vec<JoinHandle<()>>,
     pending: Vec<Item>,
     path_cache: PathCache,
     routed: u64,
-    /// The write-ahead log, when the durable tier attached one: from then
-    /// on every routed operation is appended to it before dispatch and
-    /// group-committed at each batch boundary. Recovery replays with no
-    /// log attached and attaches it afterwards, so replayed operations
-    /// are not logged twice.
-    pub(crate) wal: Option<Wal>,
+    /// The write-ahead log and its commit stage, when the durable tier
+    /// attached one: from then on every routed operation is appended to
+    /// the log, and every message reaches the shards through the
+    /// committer. Recovery replays with no log attached and attaches it
+    /// afterwards, so replayed operations are not logged twice.
+    pub(crate) journal: Option<Journal>,
     obs: StreamMetrics,
 }
 
@@ -166,7 +231,7 @@ impl ShardedMiner {
     /// behind a bounded channel, all sharing one `stream.*` metric set.
     fn launch(cfg: StreamConfig, miners: Vec<StreamMiner>, routed: u64, reg: &Registry) -> Self {
         let obs = StreamMetrics::new(&reg.scope("stream"));
-        let mut senders = Vec::with_capacity(miners.len());
+        let mut shards = Vec::with_capacity(miners.len());
         let mut handles = Vec::with_capacity(miners.len());
         for (shard_id, mut miner) in miners.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
@@ -179,18 +244,49 @@ impl ShardedMiner {
                     // startup is unrecoverable resource exhaustion
                     .expect("spawn shard worker"),
             );
-            senders.push(tx);
+            shards.push(tx);
         }
+        let pending = Vec::with_capacity(cfg.route_batch.max(1));
         ShardedMiner {
             cfg,
-            senders,
+            shards,
             handles,
-            pending: Vec::new(),
+            pending,
             path_cache: PathCache::new(Self::PATH_CACHE_LIMIT),
             routed,
-            wal: None,
+            journal: None,
             obs,
         }
+    }
+
+    /// Attach the write-ahead log: spawn the commit stage behind the
+    /// shard inboxes and route through it from here on. Anything routed
+    /// before (a recovery's replay) is dispatched first, unlogged.
+    pub(crate) fn attach_wal(&mut self, wal: Wal) -> io::Result<()> {
+        self.dispatch();
+        let syncer = wal.syncer()?;
+        let depth = self.cfg.channel_capacity.max(1);
+        let (tx, rx) = mpsc::sync_channel(depth);
+        let shards = std::mem::take(&mut self.shards);
+        let committer = thread::Builder::new()
+            .name("farmer-stream-commit".into())
+            .spawn(move || commit_worker(&rx, syncer, &shards, depth))?;
+        self.journal = Some(Journal { wal, tx, committer });
+        Ok(())
+    }
+
+    /// Compact the attached log ([`Wal::compact_before`]) and hand the
+    /// committer the file that replaced it — it would otherwise keep
+    /// syncing the orphaned one.
+    pub(crate) fn compact_wal(&mut self, keep: Lsn) -> Result<WalCompaction, WalError> {
+        let Some(j) = self.journal.as_mut() else {
+            return Ok(WalCompaction::default());
+        };
+        let report = j.wal.compact_before(keep)?;
+        if report.pages_dropped > 0 && j.tx.send(Commit::Resync(j.wal.syncer()?)).is_err() {
+            self.propagate_worker_panic("compaction");
+        }
+        Ok(report)
     }
 
     /// Path-cache size at which the cache is reset (bounds router memory
@@ -200,12 +296,11 @@ impl ShardedMiner {
     /// Route one request into the subsystem. Blocks only when every queue
     /// slot is full (back-pressure).
     pub fn route(&mut self, req: Request, path: Option<&FilePath>) {
-        // Log-before-mutate: the WAL record must exist before the event
-        // can reach any shard's graph.
-        if let Some(wal) = self.wal.as_mut() {
-            wal.append(record_kind::OP, &encode_ingest(&req, path))
-                // lint: allow(panic) losing the log-before-mutate ordering
-                // would silently void the durability contract
+        if let Some(j) = self.journal.as_mut() {
+            j.wal
+                .append_with(record_kind::OP, |w| encode_ingest(w, &req, path))
+                // lint: allow(panic) an operation that cannot be logged
+                // must not be mined: the durability contract would be void
                 .expect("wal append failed; durable miner cannot continue");
         }
         let path = path.map(|p| self.path_cache.share(req.file, p));
@@ -225,8 +320,9 @@ impl ShardedMiner {
     /// state for `file` after processing exactly the events routed before
     /// this call (see [`StreamMiner::forget`]). Not counted as an event.
     pub fn route_forget(&mut self, file: FileId) {
-        if let Some(wal) = self.wal.as_mut() {
-            wal.append(record_kind::OP, &encode_forget(file))
+        if let Some(j) = self.journal.as_mut() {
+            j.wal
+                .append_with(record_kind::OP, |w| encode_forget(w, file))
                 // lint: allow(panic) same durability policy as route()
                 .expect("wal append failed; durable miner cannot continue");
         }
@@ -236,61 +332,49 @@ impl ShardedMiner {
         }
     }
 
-    /// Broadcast the pending batch to every shard.
+    /// Hand `msg` to the fleet: through the commit stage when a log is
+    /// attached, straight to the shards when not. `false` once the far
+    /// side has hung up.
+    fn send(&self, msg: Msg) -> bool {
+        match &self.journal {
+            Some(j) => {
+                let upto = j.wal.written_lsn();
+                j.tx.send(Commit::Forward { msg, upto }).is_ok()
+            }
+            None => broadcast(&self.shards, msg),
+        }
+    }
+
+    /// Broadcast the pending batch to every shard — with a log attached,
+    /// after writing its records and by way of the committer, which syncs
+    /// them before any shard can mine them.
     fn dispatch(&mut self) {
         if self.pending.is_empty() {
             return;
         }
-        // Group-commit the logged prefix before any shard can mine it.
-        if let Some(wal) = self.wal.as_mut() {
-            wal.sync()
-                // lint: allow(panic) mining an unsynced prefix would break
-                // the group-commit guarantee
-                .expect("wal sync failed; durable miner cannot continue");
+        if let Some(j) = self.journal.as_mut() {
+            j.wal
+                .write()
+                // lint: allow(panic) a batch whose records are not in the
+                // log must not be mined
+                .expect("wal write failed; durable miner cannot continue");
         }
-        let batch = std::mem::take(&mut self.pending);
+        let fresh = Vec::with_capacity(self.cfg.route_batch.max(1));
+        let batch = std::mem::replace(&mut self.pending, fresh);
         self.obs.batch_events.record(batch.len() as u64);
-        let mut ok = true;
-        {
-            // lint: allow(panic) StreamConfig validates shards >= 1, so
-            // the sender list is never empty
-            let (last, rest) = self.senders.split_last().expect("at least one shard");
-            for tx in rest {
-                if tx.send(Msg::Batch(batch.clone())).is_err() {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok && last.send(Msg::Batch(batch)).is_err() {
-                ok = false;
-            }
-        }
-        if !ok {
+        if !self.send(Msg::Batch(batch)) {
             self.propagate_worker_panic("dispatch");
         }
     }
 
-    /// Barrier: block until every shard has mined everything routed so far.
+    /// Barrier: block until every shard has mined everything routed so
+    /// far — and, with a log attached, until all of it is durable.
     pub fn flush(&mut self) {
         self.dispatch();
         let (ack_tx, ack_rx) = mpsc::channel();
-        let mut ok = true;
-        for tx in &self.senders {
-            if tx.send(Msg::Flush(ack_tx.clone())).is_err() {
-                ok = false;
-                break;
-            }
-        }
-        drop(ack_tx);
-        if ok {
-            for _ in 0..self.senders.len() {
-                if ack_rx.recv().is_err() {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
+        let sent = self.send(Msg::Flush(ack_tx));
+        // Ends once every copy of the marker has been answered or dropped.
+        if !sent || ack_rx.iter().count() != self.handles.len() {
             self.propagate_worker_panic("flush");
         }
     }
@@ -313,7 +397,7 @@ impl ShardedMiner {
 
     /// The barrier behind [`ShardedMiner::snapshot`] and
     /// [`ShardedMiner::export_full`]: dispatch what is buffered, send
-    /// every shard a `marker`, and merge the replies' snapshot halves
+    /// every shard the `marker`, and merge the replies' snapshot halves
     /// (`split` separates whatever else a reply carries).
     fn consistent_cut<T, X>(
         &mut self,
@@ -323,13 +407,9 @@ impl ShardedMiner {
     ) -> (StreamSnapshot, Vec<X>) {
         self.dispatch();
         let (reply_tx, reply_rx) = mpsc::channel();
-        let ok = self
-            .senders
-            .iter()
-            .all(|tx| tx.send(marker(reply_tx.clone())).is_ok());
-        drop(reply_tx);
+        let sent = self.send(marker(reply_tx));
         let mut parts: Vec<(ShardSnapshot, X)> = reply_rx.iter().map(split).collect();
-        if !ok || parts.len() != self.senders.len() {
+        if !sent || parts.len() != self.handles.len() {
             // A worker died mid-cut: surface its panic instead of merging
             // a partial (silently shard-less) snapshot.
             self.propagate_worker_panic(context);
@@ -394,7 +474,7 @@ impl ShardedMiner {
 
     /// Number of miner shards.
     pub fn num_shards(&self) -> usize {
-        self.senders.len()
+        self.handles.len()
     }
 
     /// Events routed so far (including any still buffered).
@@ -407,57 +487,113 @@ impl ShardedMiner {
         &self.cfg
     }
 
-    /// A shard worker hung up on us: join the whole fleet and re-raise
-    /// the first worker's panic payload on the caller, so a shard panic
-    /// surfaces with its original message instead of stranding the
-    /// router on a dead channel (or silently losing that shard's slice
-    /// of the namespace).
+    /// A worker hung up on us: join the whole fleet and re-raise the
+    /// first panic payload on the caller, so a shard's (or the
+    /// committer's) panic surfaces with its original message instead of
+    /// stranding the router on a dead channel (or silently losing that
+    /// shard's slice of the namespace).
     fn propagate_worker_panic(&mut self, context: &str) -> ! {
-        self.senders.clear();
-        let mut payload: Option<Box<dyn Any + Send>> = None;
-        for h in self.handles.drain(..) {
+        match self.hang_up() {
+            Some(p) => std::panic::resume_unwind(p),
+            // lint: allow(panic) a worker that is gone without a payload
+            // still died; propagating beats mining into a lost shard
+            None => panic!("stream worker exited unexpectedly during {context}"),
+        }
+    }
+
+    /// Disconnect and join every worker: the committer before the shards
+    /// (it holds their inboxes, so they only see the hang-up once it has
+    /// forwarded what it was handed and exited). Returns the first panic
+    /// payload, if a worker died of one.
+    fn hang_up(&mut self) -> Option<Box<dyn Any + Send>> {
+        self.shards.clear();
+        let committer = self.journal.take().map(|j| {
+            drop(j.tx);
+            j.committer
+        });
+        let mut payload = None;
+        for h in committer.into_iter().chain(self.handles.drain(..)) {
             if let Err(p) = h.join() {
                 payload.get_or_insert(p);
             }
         }
-        match payload {
-            Some(p) => std::panic::resume_unwind(p),
-            // lint: allow(panic) a worker that is gone without a payload
-            // still died; propagating beats mining into a lost shard
-            None => panic!("shard worker exited unexpectedly during {context}"),
-        }
+        payload
     }
 
     /// Test hook: make one shard's worker panic on its next message.
     #[cfg(test)]
-    fn poison_shard(&mut self, shard: usize) {
-        let _ = self.senders[shard].send(Msg::Poison);
+    pub(crate) fn poison_shard(&mut self, shard: usize) {
+        let _ = self.send(Msg::Poison(shard));
+    }
+
+    /// Test hook: make the committer panic on its next message.
+    #[cfg(test)]
+    pub(crate) fn poison_committer(&mut self) {
+        let j = self.journal.as_ref().expect("a log is attached");
+        let _ = j.tx.send(Commit::Poison);
     }
 }
 
 impl Drop for ShardedMiner {
     fn drop(&mut self) {
-        // Deliver what is buffered (best-effort), then hang up: workers
-        // exit when the channel disconnects.
-        if !self.pending.is_empty() {
-            let batch = std::mem::take(&mut self.pending);
-            for tx in &self.senders {
-                let _ = tx.send(Msg::Batch(batch.clone()));
-            }
-        }
-        self.senders.clear();
-        let mut payload: Option<Box<dyn Any + Send>> = None;
-        for h in self.handles.drain(..) {
-            if let Err(p) = h.join() {
-                payload.get_or_insert(p);
-            }
+        // Deliver what is buffered (best-effort) — unless there is a log:
+        // a partial batch was never written to it, and what is not logged
+        // is not mined. Then hang up: workers exit when their channel
+        // disconnects.
+        if self.journal.is_none() && !self.pending.is_empty() {
+            broadcast(&self.shards, Msg::Batch(std::mem::take(&mut self.pending)));
         }
         // A worker panic must not vanish just because the miner was
         // dropped — re-raise it (unless we are already unwinding, where a
         // double panic would abort).
-        if let Some(p) = payload {
+        if let Some(p) = self.hang_up() {
             if !thread::panicking() {
                 std::panic::resume_unwind(p);
+            }
+        }
+    }
+}
+
+/// The commit stage: receive one message, take whatever else is queued
+/// (at most `depth` in all, so a group — and with it what a power cut can
+/// lose — stays bounded), make the log durable up to the newest of them
+/// with one sync, forward them to every shard in order. Exits when the
+/// router hangs up, or when a shard has (the router then finds the
+/// channel closed and joins the fleet).
+fn commit_worker(
+    rx: &Receiver<Commit>,
+    mut log: WalSyncer,
+    shards: &[SyncSender<Msg>],
+    depth: usize,
+) {
+    let mut group = Vec::with_capacity(depth);
+    let mut durable: Lsn = 0;
+    while let Ok(first) = rx.recv() {
+        let mut upto = durable;
+        for c in std::iter::once(first).chain(rx.try_iter()).take(depth) {
+            match c {
+                Commit::Forward { msg, upto: written } => {
+                    upto = written;
+                    group.push(msg);
+                }
+                Commit::Resync(fresh) => log = fresh,
+                #[cfg(test)]
+                Commit::Poison => panic!("injected committer panic"),
+            }
+        }
+        // Markers queued behind an already-synced batch need no second
+        // sync; everything else waits for one that starts now, after its
+        // bytes were written.
+        if upto > durable {
+            log.sync(upto)
+                // lint: allow(panic) forwarding a batch the disk refused
+                // would mine what a crash loses; the router re-raises this
+                .expect("wal sync failed; durable miner cannot continue");
+            durable = upto;
+        }
+        for msg in group.drain(..) {
+            if !broadcast(shards, msg) {
+                return;
             }
         }
     }
@@ -485,7 +621,10 @@ fn shard_worker(mut miner: StreamMiner, rx: Receiver<Msg>) {
                 let _ = ack.send(());
             }
             #[cfg(test)]
-            Msg::Poison => panic!("injected shard worker panic"),
+            Msg::Poison(shard) => {
+                let me = miner.snapshot().shard_id;
+                assert!(shard != me, "injected shard worker panic");
+            }
         }
     }
 }
