@@ -38,25 +38,48 @@
 //!
 //! # Hot-path layout
 //!
-//! Per-node successor storage is a structure of arrays: a compact sorted
-//! id array (`tos`, 16 successors = one cache line) searched on every
-//! update, a parallel payload array holding the accumulators and the
-//! memoized per-pair path-similarity term, and a parallel cached-degree
-//! array that keeps the weakest-edge (cap eviction) scan off the
-//! payloads. [`CorrelationGraph::mine_batch`] commits one event's window
-//! of predecessor updates in two phases — locate + prefetch, then update —
-//! so the one cold memory load per predecessor overlaps across the batch.
+//! Successor storage is a structure of arrays. The sorted successor
+//! *ids* — what every update searches — live in one graph-level slab,
+//! `stride` ids per slot: slot `s` owns `ids[s * stride..(s + 1) *
+//! stride]`, its ids ascending and the rest of the line padded with
+//! `u32::MAX`. The pad is a legal file id, so "present" always means
+//! *equal and below the node's length*. The stride is 16 (one 64-byte
+//! cache line) and a multiple of 16 always; the slab re-strides, every
+//! line at once, only when a node grows past it, which takes a
+//! `max_successors` above 16 — a raised cap costs every node the wider
+//! line. Per node there remain a payload array (accumulators plus the
+//! memoized per-pair path-similarity term) and a cached-degree array that
+//! keeps the weakest-edge (cap eviction) scan off the payloads. Freeing a
+//! slot swap-removes node and line together, so slab order is what the
+//! per-node arrays gave it.
+//!
+//! [`CorrelationGraph::mine_batch`] commits one event's window of
+//! predecessor updates in two phases — one branch-free search per update
+//! plus a prefetch, then the update — and is built around the *reject*:
+//! with the successor cap and the validity filter in place a steady-state
+//! update is rarely an update. Per event, after a warm-up lap over the
+//! benchmark's streams ([`UpdateMix`] counts them):
+//!
+//! | stream | hits | inserts | early rejects | exact rejects | admits | path terms |
+//! |---|---|---|---|---|---|---|
+//! | INS (no paths) | 0.79 | 0.24 | 3.69 | 0 | 0.22 | 0 |
+//! | HP | 0.84 | 0.03 | 2.08 | 1.95 | 0.09 | 2.07 |
+//! | HP under a 4 096-node cap | 0.37 | 0.88 | 1.66 | 1.83 | 0.25 | 2.96 |
 //!
 //! # Complexity (d = per-node successor cap, n = active nodes, e = edges)
 //!
 //! | operation | dense spine (before) | sparse slotted (now) |
 //! |---|---|---|
 //! | `record_access` | O(1) + spine growth | O(1) hash probe |
-//! | edge-update hit | O(d) strided scan + full similarity | one-line id scan + memoized term |
-//! | edge-update full-node miss | O(d) min-scan | O(1) reject via cached weakest / O(d) admit |
+//! | locate (every update) | O(d) strided scan | one vectorised pass over the id line: d/16 lines, no early exit within one |
+//! | edge-update hit | full similarity | memoized term, one payload line (prefetched) |
+//! | edge-update insert (below the cap) | full similarity | one path term unless the bound already is it; O(d) shift of line, payloads, degrees |
+//! | edge-update early reject (full node) | O(d) min-scan + full similarity | cached weakest + a degree bound: two divisions, one comparison; no path looked up or compared, nothing written |
+//! | edge-update exact reject (full node) | as above | the early reject plus one path term |
+//! | edge-update admit (full node) | as above | one path term unless the bound is it; one move per array, O(d) rescan of the weakest |
 //! | `age` | O(n_max_id + e) sweep | O(1) |
 //! | `prune_below` | O(n_max_id + e) | O(n + e), skips `p·sim_lb ≥ floor` nodes |
-//! | `remove_edges_to_any` | O(n_max_id + e) | O(n) id reads, O(touched) writes |
+//! | `remove_edges_to_any` | O(n_max_id + e) | O(e) contiguous id reads, O(touched) writes |
 //! | `heap_bytes` | O(n_max_id + e) | O(n + e) |
 //! | `active_nodes` | O(n_max_id) scan | O(1) |
 //! | resident memory | O(max file id) | O(active nodes) |
@@ -72,24 +95,70 @@ use crate::source::rank_cmp;
 /// Sentinel for "weakest-edge index unknown / no edges".
 const NO_EDGE: u32 = u32::MAX;
 
-/// log2 of the victim prefilter's width in bits (128 bytes of stack): an
-/// eviction batch (`node_cap / 64` victims, 64 by default) sets under 7 %
-/// of them; a larger set only sends more ids on to the exact search.
-const FILTER_BITS_LOG2: u32 = 10;
+/// Ids per 64-byte cache line; the id slab's stride is a multiple of it.
+const LANES: usize = 16;
 
-/// First index in the sorted slice not less than `to` — a forward scan
-/// with early exit: for a capped successor list (16 ids = one cache line)
-/// this beats a binary search's unpredictable branches.
-#[inline]
-fn lower_bound(tos: &[u32], to: u32) -> usize {
-    let mut pos = tos.len();
-    for (j, &t) in tos.iter().enumerate() {
-        if t >= to {
-            pos = j;
-            break;
+/// What an id line is padded with past its node's length. It is also a
+/// legal [`FileId`], so "the id is present" always needs `pos < len` too.
+const PAD: u32 = u32::MAX;
+
+/// Where `to` sits in one node's id line (`len` ids sorted ascending, then
+/// [`PAD`] up to the stride): `(pos, hit)` with `pos` the number of ids
+/// below `to` — its index when present, its insertion point when not.
+///
+/// Within a 16-id lane nothing branches on the data: every id is compared
+/// both ways and the results reduced, a plain loop LLVM turns into vector
+/// compares (it does so only in optimised builds, which is why CI also
+/// runs this crate's tests with `--release`). The one exit is between
+/// lanes, and a stride of 16 has a single lane. The pad never counts as
+/// "below" (nothing is above `u32::MAX`) and can only equal a `to` of
+/// `u32::MAX`, which the `pos < len` term settles.
+#[inline(always)]
+fn locate(line: &[u32], len: usize, to: u32) -> (usize, bool) {
+    let (lanes, rest) = line.as_chunks::<LANES>();
+    debug_assert!(rest.is_empty(), "stride is a multiple of LANES");
+    let (mut pos, mut hit) = (0, false);
+    for lane in lanes {
+        let (mut below, mut equal) = (0u32, false);
+        for &t in lane {
+            below += u32::from(t < to);
+            equal |= t == to;
+        }
+        pos += below as usize;
+        hit = equal;
+        if (below as usize) < LANES {
+            break; // sorted: `to` belongs in this lane, nothing later is below it
         }
     }
-    pos
+    (pos, hit && pos < len)
+}
+
+/// Where slot `s`'s line lies in an id slab of `stride` ids a line.
+#[inline]
+fn span(s: usize, stride: usize) -> std::ops::Range<usize> {
+    s * stride..(s + 1) * stride
+}
+
+/// Is `pos` still the lower bound of `to` in `line`? Two compares against
+/// the neighbours; the pad past the node's length compares as "not below".
+#[inline]
+fn brackets(line: &[u32], pos: usize, to: u32) -> bool {
+    (pos == 0 || line[pos - 1] < to) && line.get(pos).is_none_or(|&t| to <= t)
+}
+
+/// In a run sorted by successor id, drop the entry at `w` and put `new` in
+/// at its place in the order — `pos` is `new`'s lower bound in the run as
+/// it stands, `w` included. One overlapping move instead of a remove and
+/// an insert.
+#[inline]
+fn replace_sorted<T: Copy>(run: &mut [T], w: usize, pos: usize, new: T) {
+    if w < pos {
+        run.copy_within(w + 1..pos, w);
+        run[pos - 1] = new;
+    } else {
+        run.copy_within(pos..w, pos + 1);
+        run[pos] = new;
+    }
 }
 
 /// Best-effort read prefetch of the cache line holding `t`.
@@ -106,8 +175,8 @@ fn prefetch_read<T>(t: &T) {
 }
 
 /// One successor edge's accumulators (the payload half of the node's
-/// structure-of-arrays edge storage; the successor id lives in the parallel
-/// `Node::tos` array so the hit-path search touches one compact cache line).
+/// structure-of-arrays edge storage; the successor id lives in the graph's
+/// id slab so the search touches one compact cache line).
 #[derive(Debug, Clone, Copy)]
 struct EdgeData {
     /// LDA-weighted successor mass `N(A,B)`, in the owning node's scale
@@ -146,7 +215,10 @@ impl EdgeData {
     }
 }
 
-/// One file's node slot: total accesses plus its successor edges.
+/// One file's node slot: total accesses plus its successor edges. The
+/// successor *ids* are not here: slot `s` keeps them in the graph's id
+/// slab at `ids[s * stride..]` (see [`CorrelationGraph`]), and the node's
+/// length is `edges.len()`.
 #[derive(Debug, Clone)]
 struct Node {
     /// The file id this slot currently represents.
@@ -156,16 +228,12 @@ struct Node {
     /// Value of the graph's `decay_ln` this node's accumulators were last
     /// normalized to. `stamp == decay_ln` means no decay is pending.
     stamp: f64,
-    /// Successor file ids, sorted ascending. Kept separate from the
-    /// payloads so the hit-path search scans one compact cache line
-    /// (16 successors = 64 bytes) instead of striding across payloads.
-    tos: Vec<u32>,
-    /// Edge payloads, parallel to `tos`.
+    /// Edge payloads, parallel to the node's id line.
     edges: Vec<EdgeData>,
-    /// Per-edge degree as of the edge's last touch, parallel to `tos`;
-    /// the eviction-ordering key. Kept in its own compact array so the
-    /// weakest-edge scan touches two cache lines, not every payload. The
-    /// exact degree is recomputed at query time because `N(A)` keeps
+    /// Per-edge degree as of the edge's last touch, parallel to the id
+    /// line; the eviction-ordering key. Kept in its own compact array so
+    /// the weakest-edge scan touches two cache lines, not every payload.
+    /// The exact degree is recomputed at query time because `N(A)` keeps
     /// growing; this cached value is scale-invariant under uniform decay
     /// (mass/total is a ratio), so lazy aging never staleness it further
     /// than the dense sweep did.
@@ -189,7 +257,6 @@ impl Node {
             id,
             total: 0.0,
             stamp,
-            tos: Vec::new(),
             edges: Vec::new(),
             degs: Vec::new(),
             weakest: NO_EDGE,
@@ -222,14 +289,19 @@ impl Node {
         }
     }
 
-    /// This node's edges (ordered by successor id) with any pending decay
-    /// applied and degrees computed against the current `N(A)` — the one
-    /// place read-side degree arithmetic lives.
+    /// This node's edges (ordered by successor id; `line` is its id line)
+    /// with any pending decay applied and degrees computed against the
+    /// current `N(A)` — the one place read-side degree arithmetic lives.
     #[inline]
-    fn views(&self, decay_ln: f64, p: f64) -> impl Iterator<Item = EdgeView> + '_ {
+    fn views<'a>(
+        &'a self,
+        line: &'a [u32],
+        decay_ln: f64,
+        p: f64,
+    ) -> impl Iterator<Item = EdgeView> + 'a {
         let scale = self.pending_scale(decay_ln);
         let total = (self.total * scale).max(1.0);
-        self.edges.iter().zip(&self.tos).map(move |(e, &to)| {
+        self.edges.iter().zip(line).map(move |(e, &to)| {
             let mass = e.mass * scale;
             let sim_avg = e.sim_avg();
             EdgeView {
@@ -241,26 +313,26 @@ impl Node {
         })
     }
 
-    /// Keep only edges for which `keep(to, payload) -> (keep, sim)` says
-    /// so, compacting the three parallel arrays (`tos`/`edges`/`degs`) in
-    /// lockstep — the single source of truth for that invariant. Returns
-    /// the number of edges dropped; invalidates the weakest cache when
-    /// anything was dropped.
-    fn compact(&mut self, mut keep: impl FnMut(u32, &EdgeData) -> bool) -> usize {
-        let before = self.tos.len();
+    /// Keep only edges for which `keep(to, payload)` says so, compacting
+    /// the id line and the two parallel arrays (`edges`/`degs`) in lockstep
+    /// and re-padding the line's tail — the single source of truth for that
+    /// invariant. Returns the number of edges dropped; invalidates the
+    /// weakest cache when anything was dropped.
+    fn compact(&mut self, line: &mut [u32], mut keep: impl FnMut(u32, &EdgeData) -> bool) -> usize {
+        let before = self.edges.len();
         let mut keep_at = 0;
         for r in 0..before {
-            if keep(self.tos[r], &self.edges[r]) {
+            if keep(line[r], &self.edges[r]) {
                 // Until the first drop every kept edge is already in place.
                 if keep_at != r {
-                    self.tos[keep_at] = self.tos[r];
+                    line[keep_at] = line[r];
                     self.edges[keep_at] = self.edges[r];
                     self.degs[keep_at] = self.degs[r];
                 }
                 keep_at += 1;
             }
         }
-        self.tos.truncate(keep_at);
+        line[keep_at..before].fill(PAD);
         self.edges.truncate(keep_at);
         self.degs.truncate(keep_at);
         let dropped = before - keep_at;
@@ -271,11 +343,11 @@ impl Node {
     }
 
     /// Recompute the weakest-edge index by `(cached degree, to)`.
-    fn rescan_weakest(&mut self) {
+    fn rescan_weakest(&mut self, line: &[u32]) {
         self.weakest = self
             .degs
             .iter()
-            .zip(&self.tos)
+            .zip(line)
             .enumerate()
             .min_by(|(_, (a, at)), (_, (b, bt))| a.total_cmp(b).then(at.cmp(bt)))
             .map_or(NO_EDGE, |(i, _)| i as u32);
@@ -283,11 +355,11 @@ impl Node {
 
     /// Is `(degree, to)` strictly weaker than the current weakest edge?
     #[inline]
-    fn weaker_than_weakest(&self, degree: f64, to: u32) -> bool {
+    fn weaker_than_weakest(&self, line: &[u32], degree: f64, to: u32) -> bool {
         match self.degs.get(self.weakest as usize) {
             Some(w) => match degree.total_cmp(w) {
                 std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => to < self.tos[self.weakest as usize],
+                std::cmp::Ordering::Equal => to < line[self.weakest as usize],
                 std::cmp::Ordering::Greater => false,
             },
             None => true,
@@ -298,7 +370,7 @@ impl Node {
     /// and must be freed (the slab holds active nodes only).
     #[inline]
     fn is_inactive(&self) -> bool {
-        self.total == 0.0 && self.tos.is_empty()
+        self.total == 0.0 && self.edges.is_empty()
     }
 }
 
@@ -333,6 +405,13 @@ pub struct PredUpdate {
     pub s_inter: f64,
     /// Scalar similarity item count.
     pub s_items: u32,
+    /// What is known of this pair's path term without evaluating it, as
+    /// `(largest intersection value it can take, its item count)` — see
+    /// [`crate::semvec::path_term_bound`]. A full node uses it to turn the
+    /// candidate away before the term is computed; a maximum of 0.0 *is*
+    /// the term, which is then never evaluated at all. `None`: nothing is
+    /// known, evaluate.
+    pub path_bound: Option<(f64, u32)>,
 }
 
 /// Read-only view of an edge, exposed for diagnostics and tests.
@@ -348,11 +427,52 @@ pub struct EdgeView {
     pub degree: f64,
 }
 
-/// The correlation graph: a slab of live node slots plus an id→slot index.
-#[derive(Debug, Default)]
+/// What the edge updates committed by [`CorrelationGraph::mine_batch`]
+/// turned out to be, counted since the graph was created or restored (the
+/// counts are diagnostics, not part of [`crate::state::GraphState`]).
+/// Every update is exactly one of the first five.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct UpdateMix {
+    /// The successor was already in the node: accumulators updated.
+    pub hits: u64,
+    /// A new successor at a node below the cap.
+    pub inserts: u64,
+    /// Turned away at a full node on the path-term bound alone.
+    pub early_rejects: u64,
+    /// Turned away at a full node after its path term was evaluated.
+    pub exact_rejects: u64,
+    /// A new successor at a full node: the weakest edge made room.
+    pub admits: u64,
+    /// Path terms evaluated (the thunk of `mine_batch` called).
+    pub path_terms: u64,
+    /// Updates whose phase-1 position an earlier update of the same batch
+    /// had shifted, so phase 2 searched again.
+    pub relocates: u64,
+}
+
+impl UpdateMix {
+    /// Edge updates committed so far.
+    pub fn updates(&self) -> u64 {
+        self.hits + self.inserts + self.early_rejects + self.exact_rejects + self.admits
+    }
+}
+
+/// The correlation graph: a slab of live node slots, the slab of their
+/// successor ids, and an id→slot index.
+#[derive(Debug)]
 pub struct CorrelationGraph {
     /// Live nodes, densely packed; freeing swap-removes.
     slots: Vec<Node>,
+    /// Successor ids of every slot: slot `s` owns the line
+    /// `ids[s * stride..(s + 1) * stride]`, its `slots[s].edges.len()` ids
+    /// sorted ascending and the rest [`PAD`]. The line is one address
+    /// computation from the slot index, and a sweep over every node's ids
+    /// streams contiguous memory.
+    ids: Vec<u32>,
+    /// Ids per line, a multiple of [`LANES`]: 16 until a node grows past
+    /// it (only a `max_successors` above 16 lets one), never less than the
+    /// longest line. Every node pays for it, used or not.
+    stride: usize,
     /// file id → slot index.
     index: FxHashMap<u32, u32>,
     num_edges: usize,
@@ -362,6 +482,25 @@ pub struct CorrelationGraph {
     /// layers (the query cache in [`crate::model::Farmer`], snapshot
     /// staleness checks) can validate derived views in O(1).
     epoch: u64,
+    /// Reused victim prefilter of [`CorrelationGraph::remove_edges_to_any`].
+    filter: Vec<u8>,
+    mix: UpdateMix,
+}
+
+impl Default for CorrelationGraph {
+    fn default() -> Self {
+        CorrelationGraph {
+            slots: Vec::new(),
+            ids: Vec::new(),
+            stride: LANES,
+            index: FxHashMap::default(),
+            num_edges: 0,
+            decay_ln: 0.0,
+            epoch: 0,
+            filter: Vec::new(),
+            mix: UpdateMix::default(),
+        }
+    }
 }
 
 impl CorrelationGraph {
@@ -375,6 +514,18 @@ impl CorrelationGraph {
         self.index.get(&file.raw()).map(|&s| s as usize)
     }
 
+    /// The id line of slot `s` (pad included).
+    #[inline]
+    fn line(&self, s: usize) -> &[u32] {
+        &self.ids[span(s, self.stride)]
+    }
+
+    /// Slot `s` and its id line, both mutable.
+    #[inline]
+    fn node_and_line(&mut self, s: usize) -> (&mut Node, &mut [u32]) {
+        (&mut self.slots[s], &mut self.ids[span(s, self.stride)])
+    }
+
     /// Slot of `file`, allocating a fresh one if absent.
     fn slot_or_insert(&mut self, file: FileId) -> usize {
         if let Some(&s) = self.index.get(&file.raw()) {
@@ -382,18 +533,36 @@ impl CorrelationGraph {
         }
         let s = self.slots.len();
         self.slots.push(Node::fresh(file.raw(), self.decay_ln));
+        self.ids.resize(self.ids.len() + self.stride, PAD);
         self.index.insert(file.raw(), s as u32);
         s
     }
 
-    /// Free slot `s`: swap-remove it and re-point the index entry of the
-    /// slot that moved into its place.
+    /// Free slot `s`: swap-remove it — node and id line alike — and
+    /// re-point the index entry of the slot that moved into its place.
     fn free_slot(&mut self, s: usize) {
         let node = self.slots.swap_remove(s);
         self.index.remove(&node.id);
-        if s < self.slots.len() {
+        let (last, stride) = (self.slots.len(), self.stride);
+        if s < last {
+            self.ids.copy_within(span(last, stride), s * stride);
             self.index.insert(self.slots[s].id, s as u32);
         }
+        self.ids.truncate(last * stride);
+    }
+
+    /// Widen every line to `stride` ids (a multiple of [`LANES`]).
+    fn restride(&mut self, stride: usize) {
+        let mut ids = vec![PAD; self.slots.len() * stride];
+        for (old, new) in self
+            .ids
+            .chunks_exact(self.stride)
+            .zip(ids.chunks_exact_mut(stride))
+        {
+            new[..old.len()].copy_from_slice(old);
+        }
+        self.ids = ids;
+        self.stride = stride;
     }
 
     /// Resolve a best-effort hint, falling back to the index probe when the
@@ -435,17 +604,19 @@ impl CorrelationGraph {
     }
 
     /// Update (or create) the edge `from → to` after observing `to` at LDA
-    /// weight `weight` with semantic similarity `sim`. Enforces the
-    /// per-node successor cap from `cfg`: at a full node the newcomer
-    /// competes against the weakest edge by `(cached_degree, to)` — the
-    /// common reject is a single comparison, no min-scan.
+    /// weight `weight` with semantic similarity `sim`: one
+    /// [`CorrelationGraph::mine_batch`] update whose similarity is a pure
+    /// scalar part (one matching item) with an empty path term, which the
+    /// kernel reproduces exactly — `(sim + 0) / (1 + 0) = sim` — and never
+    /// has to evaluate. Enforces the per-node successor cap from `cfg` as
+    /// every update does.
     ///
     /// A given edge must be driven consistently through *either* this
-    /// pre-combined-similarity API *or* the decomposed
-    /// [`CorrelationGraph::mine_edge`]/[`CorrelationGraph::mine_batch`]
-    /// path: the memoized denominator baked into the edge assumes the
-    /// scalar-item convention of whichever call created it, so mixing the
-    /// two on one edge would mis-scale later similarities.
+    /// pre-combined-similarity API *or* decomposed
+    /// [`CorrelationGraph::mine_batch`] updates: the memoized denominator
+    /// baked into the edge assumes the scalar-item convention of whichever
+    /// call created it, so mixing the two on one edge would mis-scale later
+    /// similarities.
     pub fn update_edge(
         &mut self,
         from: FileId,
@@ -454,73 +625,52 @@ impl CorrelationGraph {
         sim: f64,
         cfg: &FarmerConfig,
     ) {
-        // The pre-combined similarity is expressed as a pure scalar part
-        // (one matching item) with an empty path term, which `mine_edge`
-        // reproduces exactly: (sim + 0) / (1 + 0) = sim.
-        self.mine_edge(
-            from,
-            NodeHint::NONE,
-            to,
+        let update = PredUpdate {
+            file: from,
+            hint: NodeHint::NONE,
             weight,
-            sim,
-            1,
-            false,
-            || (0.0, 0),
-            cfg,
-        );
-    }
-
-    /// The mining hot-path edge update: the caller supplies the per-event
-    /// *scalar* similarity part (`s_inter` matches over `s_items` items)
-    /// and a thunk producing the per-pair *path* term. On a hit the stored
-    /// term is reused (the thunk is never called); the path term is only
-    /// computed when the edge is first created — the memoization that makes
-    /// repeated co-occurrences allocation- and recompute-free.
-    #[allow(clippy::too_many_arguments)]
-    pub fn mine_edge(
-        &mut self,
-        from: FileId,
-        from_hint: NodeHint,
-        to: FileId,
-        weight: f64,
-        s_inter: f64,
-        s_items: u32,
-        succ_has_path: bool,
-        path: impl FnOnce() -> (f64, u32),
-        cfg: &FarmerConfig,
-    ) {
-        self.epoch += 1;
-        let s = match self.slot_by_hint(from, from_hint) {
-            Some(s) => s,
-            None => self.slot_or_insert(from),
+            s_inter: sim,
+            s_items: 1,
+            path_bound: Some((0.0, 0)),
         };
-        let mut path = Some(path);
-        self.apply_at(
-            s,
-            None,
-            to.raw(),
-            weight,
-            s_inter,
-            s_items,
-            succ_has_path,
-            // lint: allow(panic) apply_at invokes the path closure at most
-            // once (only when the edge is first created), so take() on the
-            // second call is unreachable by construction
-            &mut || path.take().expect("path term computed once")(),
-            cfg,
-        );
+        self.mine_batch(&[update], to, false, |_| (0.0, 0), cfg);
     }
 
     /// Mine one event against a batch of windowed predecessors in two
-    /// phases: phase 1 resolves every predecessor's slot and successor
-    /// position and issues a prefetch for exactly the edge payload each
-    /// update will touch; phase 2 commits the updates. The per-predecessor
-    /// payload line is the one cold load of the mining loop (the nodes and
-    /// id arrays stay hot because consecutive events share four of five
+    /// phases. Phase 1 resolves every predecessor's slot and searches its
+    /// id line once (`locate`: branch-free, hits and misses alike),
+    /// prefetching the edge payload a hit will touch — the per-predecessor
+    /// payload line is the one cold load of the mining loop (nodes and id
+    /// lines stay hot because consecutive events share four of five
     /// predecessors), so overlapping those loads is what pipelining buys.
+    /// Phase 2 commits the updates at the positions phase 1 found, after a
+    /// two-compare check that the position still brackets `to`: only a
+    /// predecessor that appears twice in one batch (A B A C) can have had
+    /// its line shifted in between, and only then is it searched again.
     ///
-    /// `path_term(pred_file)` is invoked only when a `pred_file → to` edge
-    /// is first created (see [`CorrelationGraph::mine_edge`]).
+    /// What an update costs depends on what it turns out to be (see
+    /// [`UpdateMix`]; most are rejects at a full node):
+    ///
+    /// * **hit** — accumulate into the prefetched payload with the
+    ///   memoized path term; recache the degree.
+    /// * **insert** (node below the cap) — evaluate the term, shift the
+    ///   line and the two parallel arrays.
+    /// * **early reject** (full node) — with the weakest edge known, bound
+    ///   the candidate's degree from above through
+    ///   [`PredUpdate::path_bound`]: the exact degree's own operation
+    ///   sequence with the path intersection at its maximum, every step of
+    ///   which (`+`, `× inv_denom`, `× p`, `+`) is monotone under IEEE
+    ///   rounding for `p ≥ 0`. If even that does not beat the weakest
+    ///   cached degree, return: no path looked up or compared, nothing
+    ///   written.
+    /// * **exact reject / admit** (full node, bound passed) — evaluate the
+    ///   term and decide as the bound would have with perfect knowledge;
+    ///   an admit replaces the weakest edge in one move per array and
+    ///   re-scans for the new weakest.
+    ///
+    /// `path_term(pred_file)` is invoked only for an insert, an exact
+    /// reject or an admit whose bound is not already the term, and for a
+    /// hit whose memo went stale.
     pub fn mine_batch(
         &mut self,
         preds: &[PredUpdate],
@@ -532,154 +682,179 @@ impl CorrelationGraph {
         self.epoch += 1;
         let to_raw = to.raw();
         for chunk in preds.chunks(PIPELINE_WIDTH) {
-            let mut loc = [(0usize, usize::MAX); PIPELINE_WIDTH];
+            let mut loc = [(0usize, 0usize); PIPELINE_WIDTH];
             for (k, pu) in chunk.iter().enumerate() {
                 let s = match self.slot_by_hint(pu.file, pu.hint) {
                     Some(s) => s,
                     None => self.slot_or_insert(pu.file),
                 };
                 let node = &self.slots[s];
-                let pos = lower_bound(&node.tos, to_raw);
-                if node.tos.get(pos) == Some(&to_raw) {
+                let (pos, hit) = locate(self.line(s), node.edges.len(), to_raw);
+                if hit {
                     prefetch_read(&node.edges[pos]);
-                    loc[k] = (s, pos);
-                } else {
-                    loc[k] = (s, usize::MAX); // miss (or duplicate): re-search
                 }
+                loc[k] = (s, pos);
             }
-            for (k, pu) in chunk.iter().enumerate() {
-                let (s, pos) = loc[k];
-                let hint = if pos == usize::MAX { None } else { Some(pos) };
+            for (pu, &(s, pos)) in chunk.iter().zip(&loc) {
                 self.apply_at(
                     s,
-                    hint,
+                    pos,
                     to_raw,
-                    pu.weight,
-                    pu.s_inter,
-                    pu.s_items,
+                    pu,
                     succ_has_path,
-                    &mut || path_term(pu.file),
+                    || path_term(pu.file),
                     cfg,
                 );
             }
         }
     }
 
-    /// Commit one edge update at a resolved slot. `pos_hint` is a phase-1
-    /// hit position, re-validated here because an earlier update in the
-    /// same batch (a duplicated predecessor) may have shifted the arrays.
+    /// Commit one edge update at a resolved slot; `pos` is where phase 1
+    /// found (or would insert) `to`.
     #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
     fn apply_at(
         &mut self,
         s: usize,
-        pos_hint: Option<usize>,
-        to_raw: u32,
-        weight: f64,
-        s_inter: f64,
-        s_items: u32,
+        mut pos: usize,
+        to: u32,
+        pu: &PredUpdate,
         succ_has_path: bool,
-        path: &mut dyn FnMut() -> (f64, u32),
+        path: impl FnOnce() -> (f64, u32),
         cfg: &FarmerConfig,
     ) {
         let p = cfg.p;
-        let max_successors = cfg.max_successors.max(1);
+        let cap = cfg.max_successors.max(1);
         let decay_ln = self.decay_ln;
+        let stride = self.stride;
+        let mix = &mut self.mix;
         let node = &mut self.slots[s];
+        let line = &mut self.ids[span(s, stride)];
         node.refresh(decay_ln);
         let total = node.total.max(1.0);
-
-        let (pos, hit) = match pos_hint {
-            Some(ph) if node.tos.get(ph) == Some(&to_raw) => (ph, true),
-            _ => {
-                let pos = lower_bound(&node.tos, to_raw);
-                (pos, node.tos.get(pos) == Some(&to_raw))
-            }
+        let len = node.edges.len();
+        if !brackets(line, pos, to) {
+            pos = locate(line, len, to).0;
+            mix.relocates += 1;
+        }
+        let inv_of = |path_items: u32| match pu.s_items + path_items {
+            0 => 0.0,
+            denom => 1.0 / f64::from(denom),
         };
-        if hit {
-            let i = pos;
-            let e = &mut node.edges[i];
+        // Evaluate the pair's path term; it must be what the bound promised.
+        let evaluate = |mix: &mut UpdateMix| {
+            mix.path_terms += 1;
+            let (inter, items) = path();
+            debug_assert!(pu
+                .path_bound
+                .is_none_or(|(max_inter, n)| n == items && inter <= max_inter));
+            (inter, items)
+        };
+
+        if pos < len && line[pos] == to {
+            mix.hits += 1;
+            let e = &mut node.edges[pos];
             if e.inv_denom.is_nan() || e.succ_path != succ_has_path {
                 // Memo stale: marked by a late predecessor-path learn or an
                 // attribute-config change, or the successor's path presence
                 // flipped versus the event the memo was computed from.
                 // Recompute the pair term once, then memoize again.
-                let (path_inter, path_items) = path();
-                let denom = s_items + path_items;
+                let (path_inter, path_items) = evaluate(mix);
                 e.path_inter = path_inter;
-                e.inv_denom = if denom == 0 {
-                    0.0
-                } else {
-                    1.0 / f64::from(denom)
-                };
+                e.inv_denom = inv_of(path_items);
                 e.succ_path = succ_has_path;
             }
-            let sim = (s_inter + e.path_inter) * e.inv_denom;
-            e.mass += weight;
+            let sim = (pu.s_inter + e.path_inter) * e.inv_denom;
+            e.mass += pu.weight;
             e.sim_sum += sim;
             e.sim_n += 1;
             let avg = e.sim_sum / e.sim_n as f64;
             let deg = miner::correlation_degree(avg, miner::access_frequency(e.mass, total), p);
-            node.degs[i] = deg;
+            node.degs[pos] = deg;
             node.sim_lb = node.sim_lb.min(sim);
             if node.weakest == NO_EDGE {
                 // Already stale; recomputed lazily when the cap bites.
-            } else if node.weakest == i as u32 {
+            } else if node.weakest == pos as u32 {
                 node.weakest = NO_EDGE; // may have strengthened: go lazy
-            } else if node.weaker_than_weakest(deg, to_raw) {
-                node.weakest = i as u32;
+            } else if node.weaker_than_weakest(line, deg, to) {
+                node.weakest = pos as u32;
             }
-        } else {
-            let (path_inter, path_items) = path();
-            let denom = s_items + path_items;
-            let inv_denom = if denom == 0 {
-                0.0
-            } else {
-                1.0 / f64::from(denom)
-            };
-            let sim = (s_inter + path_inter) * inv_denom;
-            let degree = miner::correlation_degree(sim, miner::access_frequency(weight, total), p);
-            let edge = EdgeData {
-                mass: weight,
-                sim_sum: sim,
-                sim_n: 1,
-                path_inter,
-                inv_denom,
-                succ_path: succ_has_path,
-            };
-            if node.tos.len() < max_successors {
-                node.tos.insert(pos, to_raw);
-                node.edges.insert(pos, edge);
-                node.degs.insert(pos, degree);
-                self.num_edges += 1;
-                node.sim_lb = node.sim_lb.min(sim);
-                if node.weakest != NO_EDGE {
-                    if node.weakest as usize >= pos {
-                        node.weakest += 1; // shifted by the insert
-                    }
-                    if node.weaker_than_weakest(degree, to_raw) {
-                        node.weakest = pos as u32;
-                    }
+            return;
+        }
+
+        // A new successor. At a full node it has to beat the weakest edge
+        // by cached degree, so have that in hand first.
+        let full = len >= cap;
+        if full && node.weakest == NO_EDGE {
+            node.rescan_weakest(line);
+        }
+        // `correlation_degree` with the frequency half hoisted: the same
+        // operations in the same order, whatever path intersection goes in.
+        let freq_part = miner::access_frequency(pu.weight, total) * (1.0 - p);
+        let degree_of = |path_inter: f64, path_items: u32| {
+            let inv_denom = inv_of(path_items);
+            let sim = (pu.s_inter + path_inter) * inv_denom;
+            (inv_denom, sim, sim * p + freq_part)
+        };
+        // `× p` is monotone only for p ≥ 0: a config outside [0, 1] simply
+        // evaluates every term.
+        let mut term = None;
+        if let Some((max_inter, path_items)) = pu.path_bound.filter(|_| p >= 0.0) {
+            let (.., upper) = degree_of(max_inter, path_items);
+            if full && upper <= node.degs[node.weakest as usize] {
+                mix.early_rejects += 1;
+                return; // even the most it could be does not beat the weakest
+            }
+            if max_inter == 0.0 {
+                term = Some((max_inter, path_items)); // nothing can intersect
+            }
+        }
+        let (path_inter, path_items) = term.unwrap_or_else(|| evaluate(mix));
+        let (inv_denom, sim, degree) = degree_of(path_inter, path_items);
+        let edge = EdgeData {
+            mass: pu.weight,
+            sim_sum: sim,
+            sim_n: 1,
+            path_inter,
+            inv_denom,
+            succ_path: succ_has_path,
+        };
+        if !full {
+            mix.inserts += 1;
+            self.num_edges += 1;
+            if len == stride {
+                // Only a cap above the stride gets here. Doubling keeps a
+                // growing cap's re-strides logarithmic; the cap bounds it.
+                self.restride(cap.min(2 * stride).next_multiple_of(LANES));
+            }
+            let (node, line) = self.node_and_line(s);
+            line.copy_within(pos..len, pos + 1);
+            line[pos] = to;
+            node.edges.insert(pos, edge);
+            node.degs.insert(pos, degree);
+            node.sim_lb = node.sim_lb.min(sim);
+            if node.weakest != NO_EDGE {
+                if node.weakest as usize >= pos {
+                    node.weakest += 1; // shifted by the insert
                 }
-                return;
+                if node.weaker_than_weakest(line, degree, to) {
+                    node.weakest = pos as u32;
+                }
             }
-            // Cap reached: admit only if strictly stronger than the
-            // weakest; on admit, evict it and re-scan (admits are the
-            // rare path — rejects cost one comparison).
-            if node.weakest == NO_EDGE {
-                node.rescan_weakest();
-            }
-            let w = node.weakest as usize;
-            if degree > node.degs[w] {
-                node.tos.remove(w);
-                node.edges.remove(w);
-                node.degs.remove(w);
-                let pos = node.tos.partition_point(|&t| t < to_raw);
-                node.tos.insert(pos, to_raw);
-                node.edges.insert(pos, edge);
-                node.degs.insert(pos, degree);
-                node.sim_lb = node.sim_lb.min(sim);
-                node.rescan_weakest();
-            }
+            return;
+        }
+        // Cap reached: admit only if strictly stronger than the weakest;
+        // on admit, evict it and re-scan (admits are the rare path).
+        let w = node.weakest as usize;
+        if degree > node.degs[w] {
+            mix.admits += 1;
+            replace_sorted(&mut line[..len], w, pos, to);
+            replace_sorted(&mut node.edges, w, pos, edge);
+            replace_sorted(&mut node.degs, w, pos, degree);
+            node.sim_lb = node.sim_lb.min(sim);
+            node.rescan_weakest(line);
+        } else {
+            mix.exact_rejects += 1;
         }
     }
 
@@ -688,8 +863,11 @@ impl CorrelationGraph {
     pub fn edges(&self, file: FileId, cfg: &FarmerConfig) -> impl Iterator<Item = EdgeView> + '_ {
         /// What an unknown file reads as: no accesses, no successors.
         static ABSENT: Node = Node::fresh(u32::MAX, 0.0);
-        let node = self.slot_of(file).map_or(&ABSENT, |s| &self.slots[s]);
-        node.views(self.decay_ln, cfg.p)
+        let (node, line) = match self.slot_of(file) {
+            Some(s) => (&self.slots[s], self.line(s)),
+            None => (&ABSENT, &[][..]),
+        };
+        node.views(line, self.decay_ln, cfg.p)
     }
 
     /// Stage 4 for the whole graph in one pass over the slab: visit every
@@ -707,10 +885,10 @@ impl CorrelationGraph {
         mut visit: impl FnMut(FileId, &[Correlator]),
     ) {
         let mut list: Vec<Correlator> = Vec::new();
-        for node in &self.slots {
+        for (node, line) in self.slots.iter().zip(self.ids.chunks_exact(self.stride)) {
             list.clear();
             list.extend(
-                node.views(self.decay_ln, cfg.p)
+                node.views(line, self.decay_ln, cfg.p)
                     .filter(|e| miner::is_valid(e.degree, min_degree))
                     .map(|e| Correlator {
                         file: e.to,
@@ -768,15 +946,15 @@ impl CorrelationGraph {
         let mut removed = 0;
         let mut s = 0;
         while s < self.slots.len() {
-            let node = &mut self.slots[s];
-            if node.tos.is_empty() || p * node.sim_lb >= floor {
+            let (node, line) = self.node_and_line(s);
+            if node.edges.is_empty() || p * node.sim_lb >= floor {
                 s += 1;
                 continue;
             }
             node.refresh(decay_ln);
             let total = node.total.max(1.0);
             let mut sim_lb = f64::INFINITY;
-            let dropped = node.compact(|_, e| {
+            let dropped = node.compact(line, |_, e| {
                 let sim = e.sim_avg();
                 let deg = miner::correlation_degree(sim, miner::access_frequency(e.mass, total), p);
                 if deg >= floor {
@@ -833,7 +1011,7 @@ impl CorrelationGraph {
         self.epoch += 1;
         match self.slot_of(file) {
             Some(s) => {
-                let removed = self.slots[s].tos.len();
+                let removed = self.slots[s].edges.len();
                 self.free_slot(s);
                 self.num_edges -= removed;
                 removed
@@ -846,36 +1024,35 @@ impl CorrelationGraph {
     /// ascending (duplicates and unknown ids are harmless), and free every
     /// slot left inactive. Returns the number of edges removed.
     ///
-    /// One pass in slab order that reads only each node's compact `tos`
-    /// line — a hashed bitset of the victims first, the sorted slice on a
-    /// bit hit — and rewrites only nodes that hold a doomed successor:
-    /// O(n) id reads plus writes proportional to what is removed.
+    /// One pass in slab order that streams the id slab — a hashed prefilter
+    /// of the victims first, the sorted slice on a filter hit — and rewrites
+    /// only nodes that hold a doomed successor: O(e) contiguous id reads
+    /// plus writes proportional to what is removed. The prefilter is a byte
+    /// per bucket, 128 buckets a victim — so under 1 % of the surviving ids
+    /// go on to the binary search whatever the batch size, and the default
+    /// 64-victim batch of the streaming miner keeps it at 8 KiB — and is
+    /// reused between calls.
     pub fn remove_edges_to_any(&mut self, victims: &[FileId]) -> usize {
         debug_assert!(victims.windows(2).all(|w| w[0] <= w[1]), "unsorted");
         self.epoch += 1;
+        let mut filter = std::mem::take(&mut self.filter);
+        filter.clear();
+        filter.resize(victims.len().max(1) * 128, 0);
+        let size = filter.len() as u64;
         // Fibonacci hashing: it spreads the dense id runs traces produce
         // evenly (the Fx multiplier clusters them, doubling the false hits).
-        let bit = |id: u32| (id.wrapping_mul(0x9E37_79B1) >> (32 - FILTER_BITS_LOG2)) as usize;
-        let mut filter = [0u64; (1 << FILTER_BITS_LOG2) / 64];
+        let bucket = |id: u32| ((u64::from(id.wrapping_mul(0x9E37_79B1)) * size) >> 32) as usize;
         for v in victims {
-            let b = bit(v.raw());
-            filter[b / 64] |= 1 << (b % 64);
+            filter[bucket(v.raw())] = 1;
         }
-        let doomed = |to: u32| {
-            let b = bit(to);
-            filter[b / 64] & (1 << (b % 64)) != 0 && victims.binary_search(&FileId::new(to)).is_ok()
-        };
+        let doomed =
+            |to: u32| filter[bucket(to)] != 0 && victims.binary_search(&FileId::new(to)).is_ok();
         let mut removed = 0;
         let mut s = 0;
         while s < self.slots.len() {
-            // The slab streams; each node's id line is a separate heap
-            // block and the pass's one cold load, so fetch it ahead.
-            if let Some(t) = self.slots.get(s + 8).and_then(|n| n.tos.first()) {
-                prefetch_read(t);
-            }
-            let node = &mut self.slots[s];
-            if node.tos.iter().any(|&to| doomed(to)) {
-                removed += node.compact(|to, _| !doomed(to));
+            let (node, line) = self.node_and_line(s);
+            if line[..node.edges.len()].iter().any(|&to| doomed(to)) {
+                removed += node.compact(line, |to, _| !doomed(to));
             }
             if node.is_inactive() {
                 self.free_slot(s);
@@ -883,6 +1060,7 @@ impl CorrelationGraph {
                 s += 1;
             }
         }
+        self.filter = filter;
         self.num_edges -= removed;
         removed
     }
@@ -922,6 +1100,12 @@ impl CorrelationGraph {
         self.epoch
     }
 
+    /// What the edge updates so far turned out to be (see [`UpdateMix`]).
+    #[inline]
+    pub fn update_mix(&self) -> UpdateMix {
+        self.mix
+    }
+
     /// Iterate over the files with a live node (slab order, unspecified).
     pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
         self.slots.iter().map(|n| FileId::new(n.id))
@@ -938,13 +1122,13 @@ impl CorrelationGraph {
             nodes: self
                 .slots
                 .iter()
-                .map(|n| crate::state::NodeState {
+                .zip(self.ids.chunks_exact(self.stride))
+                .map(|(n, line)| crate::state::NodeState {
                     id: n.id,
                     total: n.total.to_bits(),
                     stamp: n.stamp.to_bits(),
                     sim_lb: n.sim_lb.to_bits(),
-                    edges: n
-                        .tos
+                    edges: line
                         .iter()
                         .zip(&n.edges)
                         .zip(&n.degs)
@@ -965,24 +1149,35 @@ impl CorrelationGraph {
     }
 
     /// Rebuild a graph from an exported state image. Accumulators are
-    /// restored bit for bit in slab order; the id→slot index and edge
-    /// count are re-derived, and the per-node weakest-edge cache starts
-    /// stale (`NO_EDGE`), which the next cap decision resolves by a
-    /// rescan to the same `(degree, to)` minimum the incremental cache
-    /// would have held.
+    /// restored bit for bit in slab order; the id→slot index, the edge
+    /// count and the id slab's stride (the longest list in the image,
+    /// rounded up to whole lines) are re-derived, and the per-node
+    /// weakest-edge cache starts stale (`NO_EDGE`), which the next cap
+    /// decision resolves by a rescan to the same `(degree, to)` minimum the
+    /// incremental cache would have held.
     pub fn from_state(state: &crate::state::GraphState) -> CorrelationGraph {
+        let longest = state.nodes.iter().map(|n| n.edges.len()).max().unwrap_or(0);
+        let stride = longest.next_multiple_of(LANES).max(LANES);
         let mut g = CorrelationGraph {
             slots: Vec::with_capacity(state.nodes.len()),
-            index: FxHashMap::default(),
-            num_edges: 0,
+            ids: vec![PAD; state.nodes.len() * stride],
+            stride,
             decay_ln: f64::from_bits(state.decay_ln),
             epoch: state.epoch,
+            ..CorrelationGraph::default()
         };
-        for (s, ns) in state.nodes.iter().enumerate() {
+        for (s, (ns, line)) in state
+            .nodes
+            .iter()
+            .zip(g.ids.chunks_exact_mut(stride))
+            .enumerate()
+        {
             let mut node = Node::fresh(ns.id, f64::from_bits(ns.stamp));
             node.total = f64::from_bits(ns.total);
             node.sim_lb = f64::from_bits(ns.sim_lb);
-            node.tos = ns.edges.iter().map(|e| e.to).collect();
+            for (slot, e) in line.iter_mut().zip(&ns.edges) {
+                *slot = e.to;
+            }
             node.degs = ns.edges.iter().map(|e| f64::from_bits(e.deg)).collect();
             node.edges = ns
                 .edges
@@ -996,7 +1191,7 @@ impl CorrelationGraph {
                     succ_path: e.succ_path,
                 })
                 .collect();
-            g.num_edges += node.tos.len();
+            g.num_edges += node.edges.len();
             g.index.insert(ns.id, s as u32);
             g.slots.push(node);
         }
@@ -1004,20 +1199,22 @@ impl CorrelationGraph {
     }
 
     /// Approximate heap bytes held by the graph (Table 4 accounting):
-    /// slab + per-node edge storage + id→slot index. O(active nodes),
-    /// and — unlike the dense spine — independent of id magnitudes.
+    /// node slab + id slab + per-node edge storage + id→slot index + the
+    /// eviction sweep's prefilter, each at capacity. O(active nodes), and —
+    /// unlike the dense spine — independent of id magnitudes.
     pub fn heap_bytes(&self) -> usize {
         self.slots.capacity() * std::mem::size_of::<Node>()
+            + self.ids.capacity() * std::mem::size_of::<u32>()
             + self
                 .slots
                 .iter()
                 .map(|n| {
                     n.edges.capacity() * std::mem::size_of::<EdgeData>()
-                        + n.tos.capacity() * std::mem::size_of::<u32>()
                         + n.degs.capacity() * std::mem::size_of::<f64>()
                 })
                 .sum::<usize>()
             + self.index.capacity() * (2 * std::mem::size_of::<u32>() + 8)
+            + self.filter.capacity()
     }
 }
 
@@ -1033,7 +1230,165 @@ mod tests {
         FarmerConfig::default()
     }
 
+    /// A pathless update from `file` at scalar similarity 0.5.
+    fn pred(file: u32, weight: f64) -> PredUpdate {
+        PredUpdate {
+            file: f(file),
+            hint: NodeHint::NONE,
+            weight,
+            s_inter: 0.5,
+            s_items: 1,
+            path_bound: Some((0.0, 0)),
+        }
+    }
+
+    /// The search [`locate`] replaced: a forward scan of the ids proper with
+    /// an early exit.
+    fn lower_bound(tos: &[u32], to: u32) -> usize {
+        tos.iter().position(|&t| t >= to).unwrap_or(tos.len())
+    }
+
     impl CorrelationGraph {
+        /// [`CorrelationGraph::mine_batch`] as it was before the reject-first
+        /// kernel, kept as the reference the differential tests compare
+        /// against: an early-exit search in phase 1 and, for anything but a
+        /// validated hit, a second one in phase 2; the path term of every
+        /// new successor evaluated before the one comparison that may turn
+        /// it away ([`PredUpdate::path_bound`] is never read); an admit as
+        /// a remove followed by an insert.
+        pub(crate) fn mine_batch_reference(
+            &mut self,
+            preds: &[PredUpdate],
+            to: FileId,
+            succ_has_path: bool,
+            mut path_term: impl FnMut(FileId) -> (f64, u32),
+            cfg: &FarmerConfig,
+        ) {
+            self.epoch += 1;
+            let to = to.raw();
+            for chunk in preds.chunks(PIPELINE_WIDTH) {
+                let located: Vec<(usize, Option<usize>)> = chunk
+                    .iter()
+                    .map(|pu| {
+                        let s = match self.slot_by_hint(pu.file, pu.hint) {
+                            Some(s) => s,
+                            None => self.slot_or_insert(pu.file),
+                        };
+                        let tos = &self.line(s)[..self.slots[s].edges.len()];
+                        let pos = lower_bound(tos, to);
+                        (s, (tos.get(pos) == Some(&to)).then_some(pos))
+                    })
+                    .collect();
+                for (pu, (s, hint)) in chunk.iter().zip(located) {
+                    self.apply_reference(s, hint, to, pu, succ_has_path, &mut path_term, cfg);
+                }
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn apply_reference(
+            &mut self,
+            s: usize,
+            pos_hint: Option<usize>,
+            to: u32,
+            pu: &PredUpdate,
+            succ_has_path: bool,
+            path_term: &mut dyn FnMut(FileId) -> (f64, u32),
+            cfg: &FarmerConfig,
+        ) {
+            let p = cfg.p;
+            let cap = cfg.max_successors.max(1);
+            let decay_ln = self.decay_ln;
+            if self.slots[s].edges.len() == self.stride && self.stride < cap {
+                self.restride(cap.min(2 * self.stride).next_multiple_of(LANES));
+            }
+            let (node, line) = self.node_and_line(s);
+            node.refresh(decay_ln);
+            let total = node.total.max(1.0);
+            let len = node.edges.len();
+            let inv_of = |denom: u32| match denom {
+                0 => 0.0,
+                denom => 1.0 / f64::from(denom),
+            };
+            let (pos, hit) = match pos_hint {
+                Some(ph) if ph < len && line[ph] == to => (ph, true),
+                _ => {
+                    let pos = lower_bound(&line[..len], to);
+                    (pos, pos < len && line[pos] == to)
+                }
+            };
+            if hit {
+                let e = &mut node.edges[pos];
+                if e.inv_denom.is_nan() || e.succ_path != succ_has_path {
+                    let (path_inter, path_items) = path_term(pu.file);
+                    e.path_inter = path_inter;
+                    e.inv_denom = inv_of(pu.s_items + path_items);
+                    e.succ_path = succ_has_path;
+                }
+                let sim = (pu.s_inter + e.path_inter) * e.inv_denom;
+                e.mass += pu.weight;
+                e.sim_sum += sim;
+                e.sim_n += 1;
+                let avg = e.sim_sum / e.sim_n as f64;
+                let deg = miner::correlation_degree(avg, miner::access_frequency(e.mass, total), p);
+                node.degs[pos] = deg;
+                node.sim_lb = node.sim_lb.min(sim);
+                if node.weakest == NO_EDGE {
+                } else if node.weakest == pos as u32 {
+                    node.weakest = NO_EDGE;
+                } else if node.weaker_than_weakest(line, deg, to) {
+                    node.weakest = pos as u32;
+                }
+                return;
+            }
+            let (path_inter, path_items) = path_term(pu.file);
+            let inv_denom = inv_of(pu.s_items + path_items);
+            let sim = (pu.s_inter + path_inter) * inv_denom;
+            let degree =
+                miner::correlation_degree(sim, miner::access_frequency(pu.weight, total), p);
+            let edge = EdgeData {
+                mass: pu.weight,
+                sim_sum: sim,
+                sim_n: 1,
+                path_inter,
+                inv_denom,
+                succ_path: succ_has_path,
+            };
+            let insert = |node: &mut Node, line: &mut [u32], len: usize, pos: usize| {
+                line.copy_within(pos..len, pos + 1);
+                line[pos] = to;
+                node.edges.insert(pos, edge);
+                node.degs.insert(pos, degree);
+                node.sim_lb = node.sim_lb.min(sim);
+            };
+            if len < cap {
+                insert(node, line, len, pos);
+                if node.weakest != NO_EDGE {
+                    if node.weakest as usize >= pos {
+                        node.weakest += 1;
+                    }
+                    if node.weaker_than_weakest(line, degree, to) {
+                        node.weakest = pos as u32;
+                    }
+                }
+                self.num_edges += 1;
+                return;
+            }
+            if node.weakest == NO_EDGE {
+                node.rescan_weakest(line);
+            }
+            let w = node.weakest as usize;
+            if degree > node.degs[w] {
+                line.copy_within(w + 1..len, w);
+                line[len - 1] = PAD;
+                node.edges.remove(w);
+                node.degs.remove(w);
+                let pos = line[..len - 1].partition_point(|&t| t < to);
+                insert(node, line, len - 1, pos);
+                node.rescan_weakest(line);
+            }
+        }
+
         /// The closure-driven sweep [`CorrelationGraph::remove_edges_to_any`]
         /// replaced, kept as the reference the differential tests compare
         /// against: every node is compacted through `keep`, hit or not.
@@ -1045,9 +1400,9 @@ mod tests {
             let mut removed = 0;
             let mut s = 0;
             while s < self.slots.len() {
-                let node = &mut self.slots[s];
+                let (node, line) = self.node_and_line(s);
                 let from = FileId::new(node.id);
-                removed += node.compact(|to, _| keep(from, FileId::new(to)));
+                removed += node.compact(line, |to, _| keep(from, FileId::new(to)));
                 if node.is_inactive() {
                     self.free_slot(s);
                 } else {
@@ -1057,6 +1412,125 @@ mod tests {
             self.num_edges -= removed;
             removed
         }
+    }
+
+    /// `ids` as the slab holds them: padded out to `stride`.
+    fn padded_line(ids: &[u32], stride: usize) -> Vec<u32> {
+        let mut line = ids.to_vec();
+        line.resize(stride, PAD);
+        line
+    }
+
+    #[test]
+    fn locate_equals_the_early_exit_search_on_every_line() {
+        // Every length 0..=40 (strides 16, 32, 48), two id sets per length
+        // — one ending in the pad value itself — and every `to` that can
+        // matter: below the first id, each id, each gap, above the last,
+        // `u32::MAX`.
+        for len in 0..=40usize {
+            let stride = len.next_multiple_of(LANES).max(LANES);
+            for top in [None, Some(u32::MAX)] {
+                let mut ids: Vec<u32> = (0..len as u32).map(|j| 10 + 3 * j).collect();
+                if let (Some(top), Some(last)) = (top, ids.last_mut()) {
+                    *last = top;
+                }
+                let line = padded_line(&ids, stride);
+                let mut probes: Vec<u32> = vec![0, 9, u32::MAX - 1, u32::MAX];
+                for &id in &ids {
+                    probes.extend([id.wrapping_sub(1), id, id.wrapping_add(1)]);
+                }
+                for to in probes {
+                    let want = lower_bound(&ids, to);
+                    let got = locate(&line, len, to);
+                    assert_eq!(got, (want, ids.get(want) == Some(&to)), "len {len} to {to}");
+                    // The bracket check accepts that position and no other.
+                    for pos in 0..=stride {
+                        assert_eq!(brackets(&line, pos, to), pos == want, "len {len} to {to}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn replace_sorted_is_a_remove_then_an_insert() {
+        let run: Vec<u32> = (0..8).map(|j| 10 * (j + 1)).collect();
+        for w in 0..run.len() {
+            for new in [5u32, 15, 45, 75, 85] {
+                let pos = lower_bound(&run, new);
+                let mut want = run.clone();
+                want.remove(w);
+                let at = lower_bound(&want, new);
+                want.insert(at, new);
+                let mut got = run.clone();
+                replace_sorted(&mut got, w, pos, new);
+                assert_eq!(got, want, "w {w} new {new}");
+            }
+        }
+    }
+
+    #[test]
+    fn in_batch_shift_is_caught_by_the_bracket_check() {
+        // A B A C at a full node, twice over: phase 1 finds both of A's
+        // updates the same position. In the first batch the earlier update
+        // inserts C, so the later one must hit it; in the second the
+        // earlier one admits D by evicting the weakest edge *below* D's
+        // position, which shifts it — the stale position fails the bracket
+        // check and is searched again.
+        let mut c = cfg();
+        c.max_successors = 3;
+        c.p = 1.0; // degree == similarity
+        let update = |s_inter: f64| PredUpdate {
+            s_inter,
+            ..pred(7, 1.0)
+        };
+        let build = |kernel: bool| {
+            let mut g = CorrelationGraph::new();
+            g.record_access(f(7));
+            let mut batch = |preds: &[PredUpdate], to: u32| {
+                if kernel {
+                    g.mine_batch(preds, f(to), false, |_| (0.0, 0), &c);
+                } else {
+                    g.mine_batch_reference(preds, f(to), false, |_| (0.0, 0), &c);
+                }
+            };
+            batch(&[update(0.1)], 10); // weakest, lowest id
+            batch(&[update(0.5)], 20);
+            batch(&[update(0.6), update(0.6)], 30); // insert, then hit
+            batch(&[update(0.7), update(0.7)], 40); // admit over 10, then hit
+            g
+        };
+        let (new, old) = (build(true), build(false));
+        assert_eq!(new.export_state(), old.export_state());
+        let succs: Vec<u32> = new.edges(f(7), &c).map(|e| e.to.raw()).collect();
+        assert_eq!(succs, vec![20, 30, 40]);
+        let mix = new.update_mix();
+        assert_eq!((mix.hits, mix.inserts, mix.admits), (2, 3, 1));
+        assert_eq!(mix.relocates, 1, "only the shifted position is re-located");
+        assert_eq!(mix.path_terms, 0, "a bound of 0.0 is the term");
+    }
+
+    #[test]
+    fn stride_follows_a_raised_cap_and_a_restore() {
+        let mut c = cfg();
+        c.max_successors = 40;
+        let mut g = CorrelationGraph::new();
+        for from in 0..3 {
+            for to in (100..140).rev() {
+                g.update_edge(f(from), f(to), 1.0, 0.5, &c);
+            }
+        }
+        assert_eq!(g.stride, 48, "16 -> 32 -> 48: doubled, bounded by the cap");
+        let ids: Vec<u32> = g.edges(f(1), &c).map(|e| e.to.raw()).collect();
+        assert_eq!(ids, (100..140).collect::<Vec<u32>>());
+        // Freeing a slot moves the last line into its place, whole.
+        g.clear_node(f(0));
+        assert_eq!(g.edges(f(2), &c).count(), 40);
+        assert_eq!(g.ids.len(), 2 * 48);
+        let back = CorrelationGraph::from_state(&g.export_state());
+        assert_eq!(back.stride, 48);
+        assert_eq!(back.export_state(), g.export_state());
+        assert!(back.line(0)[40..].iter().all(|&t| t == PAD));
     }
 
     #[test]
@@ -1191,22 +1665,7 @@ mod tests {
         // insert.
         let c = cfg();
         let batch = |g: &mut CorrelationGraph| {
-            let preds = [
-                PredUpdate {
-                    file: f(7),
-                    hint: NodeHint::NONE,
-                    weight: 1.0,
-                    s_inter: 0.5,
-                    s_items: 1,
-                },
-                PredUpdate {
-                    file: f(7),
-                    hint: NodeHint::NONE,
-                    weight: 0.8,
-                    s_inter: 0.5,
-                    s_items: 1,
-                },
-            ];
+            let preds = [pred(7, 1.0), pred(7, 0.8)];
             g.mine_batch(&preds, f(3), false, |_| (0.0, 0), &c);
         };
         let mut g = CorrelationGraph::new();
@@ -1233,7 +1692,11 @@ mod tests {
         // Evicting f(1) frees its slot; f(2) swaps into it. The stale hint
         // for f(1) now points at f(2)'s slot and must fall back cleanly.
         g.clear_node(f(1));
-        g.mine_edge(f(1), hint_a, f(9), 1.0, 0.5, 1, false, || (0.0, 0), &c);
+        let stale = PredUpdate {
+            hint: hint_a,
+            ..pred(1, 1.0)
+        };
+        g.mine_batch(&[stale], f(9), false, |_| (0.0, 0), &c);
         let succs: Vec<u32> = g.edges(f(1), &c).map(|e| e.to.raw()).collect();
         assert_eq!(succs, vec![9]);
         assert_eq!(g.total_accesses(f(2)), 1.0, "bystander node corrupted");
@@ -1450,7 +1913,8 @@ mod tests {
         g.update_edge(f(0), f(3), 1.0, 0.5, &c); // cap admit: cache now live
         let before = (g.export_state().nodes, g.slots[0].weakest);
         assert_ne!(before.1, NO_EDGE);
-        assert_eq!(g.slots[0].compact(|_, _| true), 0);
+        let (node, line) = g.node_and_line(0);
+        assert_eq!(node.compact(line, |_, _| true), 0);
         assert_eq!(g.remove_edges_to_any(&[f(7)]), 0);
         assert_eq!(before, (g.export_state().nodes, g.slots[0].weakest));
     }

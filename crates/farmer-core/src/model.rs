@@ -26,8 +26,13 @@
 //!
 //! # The mining hot path
 //!
-//! [`Farmer::observe`] is the loop everything else rides on, and it is
-//! engineered to be allocation-free and O(window) per event:
+//! [`Farmer::observe`] is the loop everything else rides on. It is
+//! allocation-free and makes at most `window` edge updates per event — and
+//! what it is tuned for is that most of them change nothing: with the
+//! successor cap in place, four of five steady-state updates are a
+//! candidate turned away from a full node (the measured mix is in
+//! [`crate::graph`]'s module docs and counted by
+//! [`CorrelationGraph::update_mix`]).
 //!
 //! * **LDA weights** come from a precomputed table
 //!   ([`FarmerConfig::lda_weights`]), rebuilt only when the window or
@@ -42,6 +47,13 @@
 //!   without the edge dying — a path learned only after the file already
 //!   had edges, or a mid-run combo/path-mode change — mark the affected
 //!   memos for recomputation on next touch.
+//! * **Admission before evaluation**: a new successor at a full node has
+//!   to beat the node's weakest edge, and an upper bound on its degree
+//!   needs no path — only whether each side *has* one
+//!   ([`crate::semvec::path_term_bound`]). Each window entry carries that
+//!   bit for its file, so a candidate that cannot make it costs no probe
+//!   of the path map and no path comparison; on a stream without paths the
+//!   bound is the degree itself and no path term is evaluated at all.
 //! * **Storage** is id-sparse end to end: learned paths live in a hash map
 //!   and the graph in slotted storage, so resident memory tracks live
 //!   files, not the largest file id ever interned.
@@ -50,7 +62,7 @@
 //!
 //! | phase | before | now |
 //! |---|---|---|
-//! | per event | O(w·(d + path²)) + spine growth | O(w) — one-cache-line id scan per predecessor (linear beats binary search at the small cap), memoized path terms, batched + prefetch-pipelined |
+//! | per event | O(w·(d + path²)) + spine growth | w updates, each one vectorised pass over a 16-id line, then by outcome: hit — memoized term, one prefetched payload line; insert / admit — one path term (none when the bound is the term), O(d) shift or rescan; early reject — a degree bound and one comparison, no path touched; exact reject — the same plus one path term (path² only here and on insert / admit) |
 //! | per prune tick | O(max_id + e) age sweep + O(max_id + e) prune | O(1) age + O(n + e) prune with per-node skip |
 //! | per snapshot/eviction | O(max_id) `active_nodes` scan | O(1) counter |
 //! | resident bytes | O(max file id) | O(live files) |
@@ -66,7 +78,7 @@ use crate::config::FarmerConfig;
 use crate::correlator::{Correlator, CorrelatorList, CorrelatorTable};
 use crate::extract::{Extractor, Request};
 use crate::graph::{CorrelationGraph, NodeHint, PredUpdate};
-use crate::semvec::{path_term, scalar_parts};
+use crate::semvec::{path_term, path_term_bound, scalar_parts};
 use crate::source::{rank_cmp, CorrelationSource};
 
 /// One look-ahead-window entry: the request plus the graph-slot hint of
@@ -75,6 +87,13 @@ use crate::source::{rank_cmp, CorrelationSource};
 struct WindowEntry {
     req: Request,
     hint: NodeHint,
+    /// Whether [`Farmer::paths`] holds a path for the file — kept equal to
+    /// `paths.contains_key(file)` for every owned entry (set when the entry
+    /// is pushed, raised when the path arrives while the entry is still
+    /// windowed, rebuilt on restore; a forget drops path and entries
+    /// together), so the mining loop knows which predecessors carry a path
+    /// without probing the map for each.
+    has_path: bool,
 }
 
 /// Hard bound on cached per-node sorted views; past it the cache resets
@@ -212,7 +231,9 @@ impl Farmer {
         self.observe_where(req, path, |_| true);
     }
 
-    /// Observe one request under a file-ownership partition.
+    /// Observe one request under a file-ownership partition, which must be
+    /// the same partition on every call (what a file's window entry records
+    /// of it is recorded under the partition of the call that pushed it).
     ///
     /// This is the sharded-mining entry point (`farmer-stream`): every
     /// partition instance receives the *full* request stream so its
@@ -229,8 +250,11 @@ impl Farmer {
         owns: impl Fn(FileId) -> bool,
     ) {
         let mut hint = NodeHint::NONE;
+        let mut has_path = false;
         if owns(req.file) {
-            if self.learn_path(req.file, path) && self.graph.num_edges() > 0 {
+            let (known, late) = self.learn_path(req.file, path);
+            has_path = known;
+            if late && self.graph.num_edges() > 0 {
                 // The path arrived only after this file already had mined
                 // edges: the memoized pair terms are stale.
                 self.graph.mark_path_memos_stale(req.file);
@@ -246,14 +270,17 @@ impl Farmer {
             self.graph.mark_all_path_memos_stale();
         }
         let use_path = self.cfg.combo.contains(AttrKind::Path);
+        let mode = self.cfg.path_mode;
 
         // Constructing + Mining: update the edge from every windowed
         // predecessor to the new request, LDA-weighted by distance and
         // carrying the semantic similarity of the two requests. The scalar
         // part of the similarity is a branch-free mask per predecessor; the
-        // path part is memoized on the edge itself (the term thunk is only
-        // invoked when a pair is first seen). The updates are prepared into
-        // a reusable batch and committed by the graph's two-phase pipeline
+        // path part is memoized on the edge itself, and each update says
+        // what is known of it without looking (`path_bound`), so the term
+        // thunk runs only for a new pair that the bound could not already
+        // turn away or settle. The updates are prepared into a reusable
+        // batch and committed by the graph's two-phase pipeline
         // ([`CorrelationGraph::mine_batch`]), which overlaps the one cold
         // memory load each update needs.
         self.scratch.clear();
@@ -274,11 +301,15 @@ impl Farmer {
                 weight: w,
                 s_inter,
                 s_items: s_items as u32,
+                path_bound: if use_path {
+                    path_term_bound(pred.has_path, path.is_some(), mode)
+                } else {
+                    Some((0.0, 0))
+                },
             });
         }
         if !self.scratch.is_empty() {
             let paths = &self.paths;
-            let mode = self.cfg.path_mode;
             self.graph.mine_batch(
                 &self.scratch,
                 req.file,
@@ -295,7 +326,11 @@ impl Farmer {
             );
         }
 
-        self.window.push_back(WindowEntry { req, hint });
+        self.window.push_back(WindowEntry {
+            req,
+            hint,
+            has_path,
+        });
         while self.window.len() > self.cfg.window {
             self.window.pop_front();
         }
@@ -476,34 +511,43 @@ impl Farmer {
     pub fn from_state(cfg: FarmerConfig, state: &crate::state::FarmerState) -> Farmer {
         let mut farmer = Farmer::new(cfg);
         farmer.graph = CorrelationGraph::from_state(&state.graph);
+        farmer.paths = state
+            .paths
+            .iter()
+            .map(|(id, comps)| (*id, FilePath::from_components(comps.clone())))
+            .collect();
         farmer.window = state
             .window
             .iter()
             .map(|&req| WindowEntry {
                 req,
                 hint: NodeHint::NONE,
+                has_path: farmer.paths.contains_key(&req.file.raw()),
             })
-            .collect();
-        farmer.paths = state
-            .paths
-            .iter()
-            .map(|(id, comps)| (*id, FilePath::from_components(comps.clone())))
             .collect();
         farmer.observed = state.observed;
         farmer
     }
 
-    /// Learn `file`'s path on first sight. Returns true only for a *late*
+    /// Learn `file`'s path on first sight. Returns `(known, late)`: whether
+    /// a path for the file is now on record, and whether this was a *late*
     /// install — the path arrived after the file had already been observed
     /// pathless — which is the one case where memoized pair terms must be
     /// invalidated (see [`CorrelationGraph::mark_path_memos_stale`]).
-    fn learn_path(&mut self, file: FileId, path: Option<&FilePath>) -> bool {
-        let Some(p) = path else { return false };
-        if self.paths.contains_key(&file.raw()) {
-            return false;
-        }
+    fn learn_path(&mut self, file: FileId, path: Option<&FilePath>) -> (bool, bool) {
+        let known = self.paths.contains_key(&file.raw());
+        let Some(p) = path.filter(|_| !known) else {
+            return (known, false);
+        };
         self.paths.insert(file.raw(), p.clone());
-        self.observed > 0 && self.graph.total_accesses(file) > 0.0
+        // Entries of the file still in the window were pushed pathless.
+        for w in self.window.iter_mut().filter(|w| w.req.file == file) {
+            w.has_path = true;
+        }
+        (
+            true,
+            self.observed > 0 && self.graph.total_accesses(file) > 0.0,
+        )
     }
 }
 
@@ -590,7 +634,8 @@ impl CorrelationSource for Farmer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AttrCombo;
+    use crate::graph::UpdateMix;
+    use crate::{AttrCombo, PathMode};
     use farmer_trace::{DevId, HostId, PathInterner, ProcId, UserId, WorkloadSpec};
 
     fn req(file: u32, uid: u32, pid: u32, host: u32) -> Request {
@@ -959,7 +1004,9 @@ mod tests {
     fn forget_sweep_matches_retain_edges_reference_bit_for_bit() {
         // Interleaved observe / age / prune / forget on both halves of a
         // two-way ownership partition: the state image — slab order, epoch
-        // and every accumulator bit — must be what the old sweep left.
+        // and every accumulator bit — must be what the old sweep left, for
+        // a batch of one victim (the smallest prefilter), a handful, the
+        // streaming miner's default 64 and a thousand.
         let cfg = FarmerConfig {
             max_successors: 4,
             prune_interval: 64,
@@ -967,39 +1014,323 @@ mod tests {
             decay: 0.9,
             ..FarmerConfig::default()
         };
-        for part in 0..2u32 {
-            let owns = move |f: FileId| f.raw() % 2 == part;
-            let mut new = Farmer::new(cfg.clone());
-            let mut old = Farmer::new(cfg.clone());
-            let mut x = 0x9E37_79B9_7F4A_7C15u64 + u64::from(part);
-            let mut next = |n: u64| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x % n) as u32
-            };
-            let mut removed = 0;
-            for i in 0..6000 {
-                let r = req(next(48), next(3), next(2), 0);
-                new.observe_where(r, None, owns);
-                old.observe_where(r, None, owns);
-                if i % 29 == 0 {
-                    assert_eq!(new.prune(), old.prune());
+        for (files, batch) in [(48, 1), (48, 5), (400, 64), (3000, 1000)] {
+            for part in 0..2u32 {
+                let owns = move |f: FileId| f.raw() % 2 == part;
+                let mut new = Farmer::new(cfg.clone());
+                let mut old = Farmer::new(cfg.clone());
+                let mut x = 0x9E37_79B9_7F4A_7C15u64 + u64::from(part);
+                let mut next = |n: u32| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % u64::from(n)) as u32
+                };
+                let mut removed = 0;
+                for i in 0..6000 {
+                    let r = req(next(files), next(3), next(2), 0);
+                    new.observe_where(r, None, owns);
+                    old.observe_where(r, None, owns);
+                    if i % 29 == 0 {
+                        assert_eq!(new.prune(), old.prune());
+                    }
+                    if i % 37 == 0 {
+                        // Duplicates, a never-observed id, and neighbours
+                        // that are each other's successors.
+                        let a = next(files - 1);
+                        let victims: Vec<FileId> = [a + 1, a, 100_000 + a, a]
+                            .into_iter()
+                            .chain(std::iter::repeat_with(|| next(files)))
+                            .skip(if batch == 1 { 3 } else { 0 })
+                            .take(batch)
+                            .map(FileId::new)
+                            .collect();
+                        let n = new.forget_files(&victims);
+                        assert_eq!(n, forget_files_reference(&mut old, &victims));
+                        assert_eq!(new.export_state(), old.export_state(), "step {i}");
+                        removed += n;
+                    }
                 }
-                if i % 37 == 0 {
-                    // Duplicates, a never-observed id, and neighbours that
-                    // are each other's successors.
-                    let a = next(47);
-                    let victims = [a + 1, a, 1000 + a, a, next(48)].map(FileId::new);
-                    let n = new.forget_files(&victims);
-                    assert_eq!(n, forget_files_reference(&mut old, &victims));
-                    assert_eq!(new.export_state(), old.export_state(), "step {i}");
-                    removed += n;
+                assert_eq!(new.export_state(), old.export_state());
+                assert!(removed > 100, "only {removed} edges removed at {batch}");
+            }
+        }
+    }
+
+    /// [`Farmer::observe_where`] as it was before the reject-first kernel:
+    /// the same bookkeeping, but every update goes through
+    /// [`CorrelationGraph::mine_batch_reference`] with nothing known of its
+    /// path term, and a predecessor's path is whatever the map says when
+    /// the term is wanted — no window entry's `has_path` is ever read.
+    fn observe_where_reference(
+        f: &mut Farmer,
+        req: Request,
+        path: Option<&FilePath>,
+        owns: impl Fn(FileId) -> bool,
+    ) {
+        let mut hint = NodeHint::NONE;
+        if owns(req.file) {
+            let (_, late) = f.learn_path(req.file, path);
+            if late && f.graph.num_edges() > 0 {
+                f.graph.mark_path_memos_stale(req.file);
+            }
+            hint = f.graph.record_access_hinted(req.file);
+        }
+        if f.lda_key != f.cfg.lda_fingerprint() {
+            f.lda = f.cfg.lda_weights();
+            f.lda_key = f.cfg.lda_fingerprint();
+        }
+        if f.sim_key != (f.cfg.combo, f.cfg.path_mode) {
+            f.sim_key = (f.cfg.combo, f.cfg.path_mode);
+            f.graph.mark_all_path_memos_stale();
+        }
+        let use_path = f.cfg.combo.contains(AttrKind::Path);
+        let mut batch = Vec::new();
+        for (i, pred) in f.window.iter().rev().enumerate() {
+            let Some(&w) = f.lda.get(i) else { break };
+            if w <= 0.0 || pred.req.file == req.file || !owns(pred.req.file) {
+                continue;
+            }
+            let (s_inter, s_items) = scalar_parts(&pred.req, &req, f.cfg.combo);
+            batch.push(PredUpdate {
+                file: pred.req.file,
+                hint: pred.hint,
+                weight: w,
+                s_inter,
+                s_items: s_items as u32,
+                path_bound: None,
+            });
+        }
+        if !batch.is_empty() {
+            let (paths, mode) = (&f.paths, f.cfg.path_mode);
+            f.graph.mine_batch_reference(
+                &batch,
+                req.file,
+                use_path && path.is_some(),
+                |pred_file| {
+                    if !use_path {
+                        return (0.0, 0);
+                    }
+                    let (inter, n_pred, n_succ) =
+                        path_term(paths.get(&pred_file.raw()), path, mode);
+                    (inter, n_pred.max(n_succ) as u32)
+                },
+                &f.cfg,
+            );
+        }
+        f.window.push_back(WindowEntry {
+            req,
+            hint,
+            has_path: false,
+        });
+        while f.window.len() > f.cfg.window {
+            f.window.pop_front();
+        }
+        f.observed += 1;
+        if f.cfg.prune_interval > 0 && f.observed.is_multiple_of(f.cfg.prune_interval as u64) {
+            if f.cfg.decay < 1.0 {
+                f.graph.age(f.cfg.decay);
+            }
+            f.graph.prune_below(f.cfg.prune_floor, &f.cfg);
+        }
+    }
+
+    /// What a differential run varies besides its configuration.
+    #[derive(Clone, Copy)]
+    struct Differential {
+        /// Distinct file ids in the stream.
+        files: u32,
+        /// `Some(r)`: this half of a two-way ownership partition.
+        part: Option<u32>,
+        /// `Some((step, cap))`: raise `max_successors` mid-run.
+        raise: Option<(usize, usize)>,
+    }
+
+    /// File `id`'s path in the differential streams: one in seven has none,
+    /// one in three sits twelve deep in a shared directory (so IPA terms
+    /// above 0.9 occur), the rest are shallow over a few directories.
+    fn path_of(id: u32) -> Option<FilePath> {
+        match id {
+            _ if id.is_multiple_of(7) => None,
+            _ if id.is_multiple_of(3) => Some(FilePath::from_components(
+                (500..511).chain([10_000 + id]).collect(),
+            )),
+            _ => Some(FilePath::from_components(vec![
+                100 + id % 2,
+                200 + id % 5,
+                10_000 + id,
+            ])),
+        }
+    }
+
+    /// Drive the kernel and the reference in lockstep over a seeded random
+    /// stream — observes with a path withheld one time in four (so paths
+    /// arrive late, often while the file is still windowed), forgets and
+    /// manual prunes interleaved, a restore from the exported image a third
+    /// of the way in — and demand the same state image, bit for bit, after
+    /// every step. Returns the kernel's update mix.
+    fn run_differential(cfg: FarmerConfig, seed: u64, run: Differential) -> UpdateMix {
+        const STEPS: usize = 2400;
+        let owns = move |f: FileId| run.part.is_none_or(|r| f.raw() % 2 == r);
+        let mut cfg = cfg;
+        let mut new = Farmer::new(cfg.clone());
+        let mut old = Farmer::new(cfg.clone());
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
+        let mut next = |n: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % u64::from(n)) as u32
+        };
+        let mut mix = UpdateMix::default();
+        for step in 0..STEPS {
+            if step == STEPS / 3 {
+                mix = new.graph().update_mix();
+                new = Farmer::from_state(cfg.clone(), &new.export_state());
+                old = Farmer::from_state(cfg.clone(), &old.export_state());
+            }
+            if let Some((_, cap)) = run.raise.filter(|&(at, _)| at == step) {
+                cfg.max_successors = cap;
+                new.config_mut().max_successors = cap;
+                old.config_mut().max_successors = cap;
+            }
+            match next(40) {
+                0 => {
+                    let victims = [next(run.files), next(run.files)].map(FileId::new);
+                    assert_eq!(
+                        new.forget_files(&victims),
+                        forget_files_reference(&mut old, &victims)
+                    );
+                }
+                1 => assert_eq!(new.prune(), old.prune()),
+                _ => {
+                    // A small id range keeps repeats inside the window
+                    // (A B A C) and the nodes at their cap.
+                    let r = req(next(run.files), next(3), next(2), 0);
+                    let path = path_of(r.file.raw()).filter(|_| next(4) != 0);
+                    new.observe_where(r, path.as_ref(), owns);
+                    observe_where_reference(&mut old, r, path.as_ref(), owns);
                 }
             }
-            assert_eq!(new.export_state(), old.export_state());
-            assert!(removed > 100, "only {removed} edges removed");
+            assert_eq!(new.export_state(), old.export_state(), "step {step}");
         }
+        let after = new.graph().update_mix();
+        UpdateMix {
+            hits: mix.hits + after.hits,
+            inserts: mix.inserts + after.inserts,
+            early_rejects: mix.early_rejects + after.early_rejects,
+            exact_rejects: mix.exact_rejects + after.exact_rejects,
+            admits: mix.admits + after.admits,
+            path_terms: mix.path_terms + after.path_terms,
+            relocates: mix.relocates + after.relocates,
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_bit_for_bit() {
+        let base = FarmerConfig {
+            prune_interval: 64,
+            prune_floor: 0.2,
+            decay: 0.9,
+            ..FarmerConfig::default()
+        };
+        let whole = Differential {
+            files: 12,
+            part: None,
+            raise: None,
+        };
+        // Pathless, IPA and DPA combos at a cap every node reaches.
+        let mut seen = UpdateMix::default();
+        for (seed, combo, mode) in [
+            (1, AttrCombo::ins_default(), PathMode::Ipa),
+            (2, AttrCombo::hp_default(), PathMode::Ipa),
+            (3, AttrCombo::hp_default(), PathMode::Dpa),
+        ] {
+            let cfg = FarmerConfig {
+                max_successors: 3,
+                combo,
+                path_mode: mode,
+                ..base.clone()
+            };
+            let mix = run_differential(cfg, seed, whole);
+            assert!(mix.relocates > 0, "no A B A C at a full node: {mix:?}");
+            assert!(mix.admits > 50 && mix.hits > 500, "{mix:?}");
+            if mode == PathMode::Ipa {
+                assert!(mix.early_rejects > 500, "{mix:?}");
+            }
+            if combo == AttrCombo::hp_default() {
+                assert!(mix.exact_rejects > 50, "{mix:?}");
+            }
+            seen = mix;
+        }
+        // DPA says nothing of a pair unless neither file has a path.
+        assert!(seen.early_rejects * 4 < seen.exact_rejects, "{seen:?}");
+        // Every cap around the 16-lane line, the slab re-striding under 17
+        // and 40, and a cap raised mid-run.
+        for (seed, cap) in [(4, 1), (5, 16), (6, 17), (7, 40)] {
+            let cfg = FarmerConfig {
+                max_successors: cap,
+                ..base.clone()
+            };
+            let many = Differential { files: 64, ..whole };
+            let mix = run_differential(cfg, seed, many);
+            assert!(mix.inserts > 100, "{mix:?}");
+        }
+        let cfg = FarmerConfig {
+            max_successors: 4,
+            ..base.clone()
+        };
+        let raised = Differential {
+            files: 64,
+            raise: Some((1000, 20)),
+            ..whole
+        };
+        run_differential(cfg.clone(), 8, raised);
+        // Both halves of a two-way ownership partition.
+        for part in 0..2 {
+            let half = Differential {
+                part: Some(part),
+                ..whole
+            };
+            run_differential(cfg.clone(), 9 + u64::from(part), half);
+        }
+    }
+
+    #[test]
+    fn update_mix_on_hp_is_mostly_rejects_settled_without_a_path() {
+        // The steady state the benchmark times: one warm-up lap, then the
+        // mix of a second lap over the same trace.
+        let trace = WorkloadSpec::hp().scaled(0.1).generate();
+        let mut f = Farmer::with_defaults();
+        let events: Vec<TraceEvent> = trace.stream().take(2 * trace.len()).collect();
+        // What the window makes of the stream, counted on its own: every
+        // windowed predecessor that is not the file itself is one update.
+        let (mut updates, mut warm_updates) = (0u64, 0u64);
+        let mut warm = UpdateMix::default();
+        for (i, e) in events.iter().enumerate() {
+            if i == trace.len() {
+                (warm, warm_updates) = (f.graph().update_mix(), updates);
+            }
+            f.observe_event(&trace, e);
+            let window = &events[i.saturating_sub(f.config().window)..i];
+            updates += window.iter().filter(|w| w.file != e.file).count() as u64;
+        }
+        let all = f.graph().update_mix();
+        assert_eq!(all.updates(), updates, "an update went unclassified");
+        assert_eq!(warm.updates(), warm_updates);
+        let lap = |field: fn(&UpdateMix) -> u64| field(&all) - field(&warm);
+        let updates = updates - warm_updates;
+        let rejects = lap(|m| m.early_rejects) + lap(|m| m.exact_rejects);
+        assert!(rejects * 2 > updates, "{rejects} rejects of {updates}");
+        assert!(
+            lap(|m| m.early_rejects) * 10 > updates,
+            "the bound settles nothing"
+        );
+        // Before the bound every insert and every full-node candidate
+        // evaluated a term: ≈ 4.2 an event on this stream.
+        let per_event = lap(|m| m.path_terms) as f64 / trace.len() as f64;
+        assert!(per_event <= 2.6, "{per_event} path terms an event");
+        assert!(lap(|m| m.relocates) * 100 <= updates);
     }
 
     #[test]

@@ -75,6 +75,25 @@ pub fn path_term(
     }
 }
 
+/// What [`path_term`] can return at most, knowing only *whether* each side
+/// has a path: `(largest intersection value, item count)`, with the item
+/// count — `max(items_a, items_b)`, what enters the denominator — exact.
+/// `None` when presence alone does not settle the item count.
+///
+/// IPA makes the path one item worth at most 1.0, and worth exactly 0.0
+/// unless both sides carry one; DPA's item count is a path depth, so with
+/// a path on either side there is nothing to say without looking. The mining kernel uses this to turn a
+/// candidate away from a full node before any path is looked up or
+/// compared (see [`crate::graph::PredUpdate::path_bound`]); a maximum of
+/// 0.0 *is* the term.
+#[inline]
+pub fn path_term_bound(has_a: bool, has_b: bool, mode: PathMode) -> Option<(f64, u32)> {
+    match mode {
+        PathMode::Ipa => Some((f64::from(u8::from(has_a & has_b)), u32::from(has_a | has_b))),
+        PathMode::Dpa => (!has_a && !has_b).then_some((0.0, 0)),
+    }
+}
+
 /// Semantic distance between two requests under an attribute combination.
 ///
 /// Returns a value in `[0, 1]`. Symmetric. Empty combinations (or a
@@ -233,6 +252,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn path_term_bound_holds_for_every_presence_and_mode() {
+        // Deep siblings (IPA 11/12), the Table 1 paths, an empty path and
+        // no path at all, every pair of them under both algorithms: where
+        // presence alone says something, the item count it gives is exact,
+        // the term never exceeds the maximum, and a maximum of 0.0 is the
+        // term itself.
+        let (_, mut paths, mut i) = table1();
+        paths.push(i.parse("/a/b/c/d/e/f/g/h/i/j/k/x"));
+        paths.push(i.parse("/a/b/c/d/e/f/g/h/i/j/k/y"));
+        paths.push(i.parse("/"));
+        let sides: Vec<Option<&FilePath>> = paths.iter().map(Some).chain([None]).collect();
+        let mut bounded = 0;
+        for mode in [PathMode::Dpa, PathMode::Ipa] {
+            for &a in &sides {
+                for &b in &sides {
+                    let (inter, n_a, n_b) = path_term(a, b, mode);
+                    let Some((max_inter, items)) = path_term_bound(a.is_some(), b.is_some(), mode)
+                    else {
+                        assert_eq!(mode, PathMode::Dpa);
+                        continue;
+                    };
+                    bounded += 1;
+                    assert_eq!(items as usize, n_a.max(n_b), "{a:?} {b:?}");
+                    assert!(inter <= max_inter, "{a:?} {b:?}");
+                    if max_inter == 0.0 {
+                        assert_eq!(inter.to_bits(), 0.0f64.to_bits());
+                    }
+                }
+            }
+        }
+        assert_eq!(bounded, sides.len() * sides.len() + 1);
     }
 
     #[test]

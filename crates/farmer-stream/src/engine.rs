@@ -35,6 +35,9 @@
 //! epoch in O(1) and nodes absorb it lazily on touch, so the shard's
 //! periodic maintenance touches only live state.
 
+use std::cell::Cell;
+
+use farmer_core::graph::UpdateMix;
 use farmer_core::{Farmer, FarmerState, Request};
 use farmer_trace::hash::{fx_hash_u64, FxHashMap};
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
@@ -94,6 +97,9 @@ pub struct StreamMiner {
     /// for selection, the victims selected); never part of [`MinerState`].
     evict_entries: Vec<(u32, f64)>,
     evict_victims: Vec<FileId>,
+    /// The graph's update mix as of the last snapshot: what
+    /// `obs.edge_mix` has been told so far.
+    mix_reported: Cell<UpdateMix>,
     obs: StreamMetrics,
 }
 
@@ -121,6 +127,7 @@ impl StreamMiner {
             evictions: 0,
             evict_entries: Vec::new(),
             evict_victims: Vec::new(),
+            mix_reported: Cell::default(),
             obs: StreamMetrics::default(),
         }
     }
@@ -233,9 +240,29 @@ impl StreamMiner {
     /// first access, and eviction and [`StreamMiner::forget`] drop counter
     /// and node together), and a tracked file without a node has no list.
     /// Taking a snapshot leaves the miner — [`StreamMiner::state_bytes`]
-    /// included — exactly as it was.
+    /// included — exactly as it was; it is also when the shard reports what
+    /// its edge updates have been since the last one
+    /// ([`StreamMetrics::edge_mix`]).
     pub fn snapshot(&self) -> ShardSnapshot {
         let _span = self.obs.snapshot_build_ns.span();
+        let mix = self.farmer.graph().update_mix();
+        let last = self.mix_reported.replace(mix);
+        // In the order `StreamMetrics::edge_mix` registers its counters.
+        let counts = |m: UpdateMix| {
+            [
+                m.hits,
+                m.inserts,
+                m.early_rejects,
+                m.exact_rejects,
+                m.admits,
+                m.path_terms,
+                m.relocates,
+            ]
+        };
+        for ((counter, now), before) in self.obs.edge_mix.iter().zip(counts(mix)).zip(counts(last))
+        {
+            counter.add(now - before);
+        }
         let lists = self.farmer.correlator_table();
         debug_assert!(lists
             .iter()
@@ -297,6 +324,7 @@ impl StreamMiner {
             evictions: state.evictions,
             evict_entries: Vec::new(),
             evict_victims: Vec::new(),
+            mix_reported: Cell::default(),
             obs: StreamMetrics::default(),
         }
     }
@@ -501,6 +529,63 @@ mod tests {
         let (owner, _) = snap.lists.iter().next().unwrap();
         assert!(!m.farmer().correlators(owner).is_empty());
         assert!(m.state_bytes() > before);
+    }
+
+    #[test]
+    fn snapshot_reports_the_update_mix_as_counter_deltas() {
+        let reg = farmer_obs::Registry::enabled();
+        let trace = WorkloadSpec::hp().scaled(0.02).generate();
+        let mut m = StreamMiner::new(small_cfg(4096));
+        m.instrument(StreamMetrics::new(&reg.scope("stream")));
+        let check = |m: &StreamMiner| {
+            let mix = m.farmer().graph().update_mix();
+            let report = reg.snapshot();
+            let named = [
+                ("stream.edge_hits", mix.hits),
+                ("stream.edge_inserts", mix.inserts),
+                ("stream.edge_early_rejects", mix.early_rejects),
+                ("stream.edge_exact_rejects", mix.exact_rejects),
+                ("stream.edge_admits", mix.admits),
+                ("stream.path_terms", mix.path_terms),
+                ("stream.edge_relocates", mix.relocates),
+            ];
+            for (name, want) in named {
+                assert_eq!(report.counter(name), Some(want), "{name}");
+            }
+            mix
+        };
+        let laps: Vec<TraceEvent> = trace.stream().take(2 * trace.len()).collect();
+        let (first, second) = laps.split_at(trace.len() * 3 / 2);
+        for e in first {
+            m.ingest_event(&trace, e);
+        }
+        assert_eq!(reg.snapshot().counter("stream.edge_hits"), Some(0));
+        m.snapshot();
+        let mix = check(&m);
+        // Seven different numbers, so a counter wired to the wrong field
+        // cannot pass; and all five outcomes occur.
+        let mut counts = vec![
+            mix.hits,
+            mix.inserts,
+            mix.early_rejects,
+            mix.exact_rejects,
+            mix.admits,
+            mix.path_terms,
+            mix.relocates,
+        ];
+        counts.sort_unstable();
+        counts.dedup();
+        assert_eq!(counts.len(), 7, "{mix:?}");
+        assert!(mix.admits > 0 && mix.early_rejects > 0, "{mix:?}");
+        // A snapshot with nothing mined in between adds nothing; the next
+        // one adds only what came after.
+        m.snapshot();
+        check(&m);
+        for e in second {
+            m.ingest_event(&trace, e);
+        }
+        m.snapshot();
+        assert!(check(&m).updates() > mix.updates());
     }
 
     fn shard_snapshots_bitwise_equal(a: &ShardSnapshot, b: &ShardSnapshot) -> bool {

@@ -22,6 +22,14 @@ pub struct StreamMetrics {
     pub decay_ticks: Counter,
     /// Forget tombstones applied, per shard (`stream.forgets`).
     pub forgets: Counter,
+    /// What the mined edge updates turned out to be, summed across shards
+    /// (`stream.edge_hits`, `stream.edge_inserts`,
+    /// `stream.edge_early_rejects`, `stream.edge_exact_rejects`,
+    /// `stream.edge_admits`, `stream.path_terms`, `stream.edge_relocates`):
+    /// the graph's [`farmer_core::graph::UpdateMix`], brought up to date by
+    /// each shard whenever it builds a snapshot — between publications the
+    /// counters stand still.
+    pub edge_mix: [Counter; 7],
     /// Events per dispatched batch (`stream.batch_events`), recorded by
     /// the router at broadcast time.
     pub batch_events: Histogram,
@@ -48,6 +56,15 @@ impl StreamMetrics {
             evictions: reg.counter("evictions"),
             decay_ticks: reg.counter("decay_ticks"),
             forgets: reg.counter("forgets"),
+            edge_mix: [
+                reg.counter("edge_hits"),
+                reg.counter("edge_inserts"),
+                reg.counter("edge_early_rejects"),
+                reg.counter("edge_exact_rejects"),
+                reg.counter("edge_admits"),
+                reg.counter("path_terms"),
+                reg.counter("edge_relocates"),
+            ],
             batch_events: reg.histogram("batch_events"),
             snapshot_build_ns: reg.histogram("snapshot_build_ns"),
             snapshot_merge_ns: reg.histogram("snapshot_merge_ns"),
