@@ -51,7 +51,9 @@
 //! memoized per-pair path-similarity term) and a cached-degree array that
 //! keeps the weakest-edge (cap eviction) scan off the payloads. Freeing a
 //! slot swap-removes node and line together, so slab order is what the
-//! per-node arrays gave it.
+//! per-node arrays gave it; the freed node's two arrays go to a small pool
+//! the next new nodes draw from, so a graph that evicts and refills at a
+//! node cap stops calling the allocator.
 //!
 //! [`CorrelationGraph::mine_batch`] commits one event's window of
 //! predecessor updates in two phases — one branch-free search per update
@@ -63,8 +65,14 @@
 //! | stream | hits | inserts | early rejects | exact rejects | admits | path terms |
 //! |---|---|---|---|---|---|---|
 //! | INS (no paths) | 0.79 | 0.24 | 3.69 | 0 | 0.22 | 0 |
-//! | HP | 0.84 | 0.03 | 2.08 | 1.95 | 0.09 | 2.07 |
-//! | HP under a 4 096-node cap | 0.37 | 0.88 | 1.66 | 1.83 | 0.25 | 2.96 |
+//! | HP | 0.84 | 0.03 | 3.93 | 0.10 | 0.09 | 0.16 |
+//! | HP under a 4 096-node cap | 0.37 | 0.88 | 3.41 | 0.08 | 0.25 | 0.78 |
+//!
+//! (While the bound knew only *whether* each side had a path, HP read
+//! 2.08 early and 1.95 exact rejects and 2.07 path terms an event, 1.66 /
+//! 1.83 / 2.96 under the cap; the path signatures of
+//! [`crate::semvec::path_term_bound`] moved the exact rejects into the
+//! early column and settle the term of disjoint pairs outright.)
 //!
 //! # Complexity (d = per-node successor cap, n = active nodes, e = edges)
 //!
@@ -73,13 +81,13 @@
 //! | `record_access` | O(1) + spine growth | O(1) hash probe |
 //! | locate (every update) | O(d) strided scan | one vectorised pass over the id line: d/16 lines, no early exit within one |
 //! | edge-update hit | full similarity | memoized term, one payload line (prefetched) |
-//! | edge-update insert (below the cap) | full similarity | one path term unless the bound already is it; O(d) shift of line, payloads, degrees |
-//! | edge-update early reject (full node) | O(d) min-scan + full similarity | cached weakest + a degree bound: two divisions, one comparison; no path looked up or compared, nothing written |
-//! | edge-update exact reject (full node) | as above | the early reject plus one path term |
-//! | edge-update admit (full node) | as above | one path term unless the bound is it; one move per array, O(d) rescan of the weakest |
+//! | edge-update insert (below the cap) | full similarity | one path term unless the bound already is it (a pair in disjoint directories: most of them); O(d) shift of line, payloads, degrees |
+//! | edge-update early reject (full node) | O(d) min-scan + full similarity | cached weakest + a degree bound from the two path signatures: two divisions, one comparison; no path looked up or compared, nothing written |
+//! | edge-update exact reject (full node) | as above | the early reject plus one path term; 2 % of updates since the bound reads signatures |
+//! | edge-update admit (full node) | as above | one path term unless the bound is it; one move per array, branch-free O(d) rescan of the weakest on integer keys |
 //! | `age` | O(n_max_id + e) sweep | O(1) |
 //! | `prune_below` | O(n_max_id + e) | O(n + e), skips `p·sim_lb ≥ floor` nodes |
-//! | `remove_edges_to_any` | O(n_max_id + e) | O(e) contiguous id reads, O(touched) writes |
+//! | `remove_edges_to_any` | O(n_max_id + e) | one pass over the id slab, a 16-id line at a time against a fixed-size byte filter (no bounds check, no exit within a line, ≈ 1 cycle an id); a node is touched only when its line matches, written only when it loses an edge |
 //! | `heap_bytes` | O(n_max_id + e) | O(n + e) |
 //! | `active_nodes` | O(n_max_id) scan | O(1) |
 //! | resident memory | O(max file id) | O(active nodes) |
@@ -97,6 +105,28 @@ const NO_EDGE: u32 = u32::MAX;
 
 /// Ids per 64-byte cache line; the id slab's stride is a multiple of it.
 const LANES: usize = 16;
+
+/// Buffer pairs [`CorrelationGraph`] keeps from freed nodes: two eviction
+/// batches of the streaming miner's default 64, ≈ 115 KiB at 16 successors.
+const SPARE_NODES: usize = 128;
+
+/// How far below the validity threshold, relatively, a cached degree has
+/// to be for [`CorrelationGraph::for_each_list`] to skip its edge unread.
+///
+/// A cached degree is the edge's degree as of its last touch, and until
+/// the next one the degree can only fall: for `p` in `[0, 1]` it is
+/// monotone in the frequency `N(A,B) / max(N(A), 1)`, whose numerator
+/// changes by decay alone while the denominator decays by the same
+/// factors (all ≤ 1, so the clamp at 1 only helps) and otherwise grows.
+/// In floating point each refresh of the node multiplies mass and total
+/// by the same factor with one rounding each, so the ratio can creep
+/// *up* by 2⁻⁵² a refresh, plus a few roundings in the degree itself. A
+/// node is refreshed at most once per aging tick: 10⁻⁹ covers four
+/// million ticks between two touches of one edge with every rounding
+/// going the same way — the differential test runs 10⁴ ticks and
+/// observes drifts of ≈ 10⁻¹⁵ — and costs nothing measurable: only edges
+/// within a billionth of the threshold are evaluated for nothing.
+pub const CACHED_DEGREE_MARGIN: f64 = 1e-9;
 
 /// What an id line is padded with past its node's length. It is also a
 /// legal [`FileId`], so "the id is present" always needs `pos < len` too.
@@ -161,6 +191,15 @@ fn replace_sorted<T: Copy>(run: &mut [T], w: usize, pos: usize, new: T) {
     }
 }
 
+/// `x`'s place in [`f64::total_cmp`] order as a plain integer: comparing
+/// two keys is comparing the two floats (`-0.0` below `0.0`, subnormals in
+/// place, NaNs at the ends).
+#[inline(always)]
+pub fn total_order_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// Best-effort read prefetch of the cache line holding `t`.
 #[inline(always)]
 fn prefetch_read<T>(t: &T) {
@@ -172,6 +211,33 @@ fn prefetch_read<T>(t: &T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = t;
+}
+
+/// The victim-prefilter bucket of `id` in a table of `N` buckets (a power
+/// of two): the top bits of its Fibonacci hash, which spreads the dense id
+/// runs traces produce evenly (the Fx multiplier clusters them, doubling
+/// the false hits). A constant shift of a `u32`, so the compiler knows the
+/// result is below `N` and the table lookup carries no bounds check.
+#[inline(always)]
+fn bucket<const N: usize>(id: u32) -> usize {
+    const { assert!(N.is_power_of_two() && N <= 1 << 31) };
+    (id.wrapping_mul(0x9E37_79B1) >> (32 - N.trailing_zeros())) as usize
+}
+
+/// The OR of the prefilter bytes of every id in `line`, pad included:
+/// non-zero when the line may hold a victim. Nothing branches inside a
+/// 16-id lane — sixteen independent byte loads and an OR tree.
+#[inline(always)]
+fn marks<const N: usize>(line: &[u32], table: &[u8; N]) -> u8 {
+    let (lanes, rest) = line.as_chunks::<LANES>();
+    debug_assert!(rest.is_empty(), "stride is a multiple of LANES");
+    let mut any = 0;
+    for lane in lanes {
+        for &id in lane {
+            any |= table[bucket::<N>(id)];
+        }
+    }
+    any
 }
 
 /// One successor edge's accumulators (the payload half of the node's
@@ -213,6 +279,12 @@ impl EdgeData {
             self.sim_sum / self.sim_n as f64
         }
     }
+}
+
+/// Heap bytes behind one node's payload and cached-degree arrays.
+fn buffer_bytes(edges: &Vec<EdgeData>, degs: &Vec<f64>) -> usize {
+    edges.capacity() * std::mem::size_of::<EdgeData>()
+        + degs.capacity() * std::mem::size_of::<f64>()
 }
 
 /// One file's node slot: total accesses plus its successor edges. The
@@ -289,9 +361,31 @@ impl Node {
         }
     }
 
+    /// What read-side views rescale by and divide by: the pending decay
+    /// multiplier, and `N(A)` with it applied.
+    #[inline]
+    fn read_scale(&self, decay_ln: f64) -> (f64, f64) {
+        let scale = self.pending_scale(decay_ln);
+        (scale, (self.total * scale).max(1.0))
+    }
+
+    /// One edge as a reader sees it, given the node's [`Node::read_scale`]:
+    /// pending decay applied, degree computed against the current `N(A)` —
+    /// the one place read-side degree arithmetic lives.
+    #[inline]
+    fn view(e: &EdgeData, to: u32, (scale, total): (f64, f64), p: f64) -> EdgeView {
+        let mass = e.mass * scale;
+        let sim_avg = e.sim_avg();
+        EdgeView {
+            to: FileId::new(to),
+            mass,
+            sim_avg,
+            degree: miner::correlation_degree(sim_avg, miner::access_frequency(mass, total), p),
+        }
+    }
+
     /// This node's edges (ordered by successor id; `line` is its id line)
-    /// with any pending decay applied and degrees computed against the
-    /// current `N(A)` — the one place read-side degree arithmetic lives.
+    /// as a reader sees them.
     #[inline]
     fn views<'a>(
         &'a self,
@@ -299,18 +393,11 @@ impl Node {
         decay_ln: f64,
         p: f64,
     ) -> impl Iterator<Item = EdgeView> + 'a {
-        let scale = self.pending_scale(decay_ln);
-        let total = (self.total * scale).max(1.0);
-        self.edges.iter().zip(line).map(move |(e, &to)| {
-            let mass = e.mass * scale;
-            let sim_avg = e.sim_avg();
-            EdgeView {
-                to: FileId::new(to),
-                mass,
-                sim_avg,
-                degree: miner::correlation_degree(sim_avg, miner::access_frequency(mass, total), p),
-            }
-        })
+        let scale = self.read_scale(decay_ln);
+        self.edges
+            .iter()
+            .zip(line)
+            .map(move |(e, &to)| Node::view(e, to, scale, p))
     }
 
     /// Keep only edges for which `keep(to, payload)` says so, compacting
@@ -342,15 +429,24 @@ impl Node {
         dropped
     }
 
-    /// Recompute the weakest-edge index by `(cached degree, to)`.
+    /// Recompute the weakest-edge index by `(cached degree, to)`: the
+    /// first index of the smallest degree in `total_cmp` order — the line
+    /// is sorted by id, so first is lowest id. Integer keys and two
+    /// conditional moves an edge; nothing branches on the data.
     fn rescan_weakest(&mut self, line: &[u32]) {
-        self.weakest = self
-            .degs
-            .iter()
-            .zip(line)
-            .enumerate()
-            .min_by(|(_, (a, at)), (_, (b, bt))| a.total_cmp(b).then(at.cmp(bt)))
-            .map_or(NO_EDGE, |(i, _)| i as u32);
+        debug_assert!(line[..self.degs.len()].is_sorted());
+        let mut keys = self.degs.iter().map(|&d| total_order_key(d));
+        let Some(mut least) = keys.next() else {
+            self.weakest = NO_EDGE;
+            return;
+        };
+        let mut weakest = 0;
+        for (i, key) in (1..).zip(keys) {
+            let better = key < least;
+            weakest = if better { i } else { weakest };
+            least = if better { key } else { least };
+        }
+        self.weakest = weakest;
     }
 
     /// Is `(degree, to)` strictly weaker than the current weakest edge?
@@ -484,6 +580,11 @@ pub struct CorrelationGraph {
     epoch: u64,
     /// Reused victim prefilter of [`CorrelationGraph::remove_edges_to_any`].
     filter: Vec<u8>,
+    /// Emptied `edges` / `degs` buffers of freed nodes, at most
+    /// [`SPARE_NODES`] pairs, handed to the nodes created next: under a
+    /// node cap every eviction is followed by as many admissions, and the
+    /// refill then never calls the allocator. Not part of the state image.
+    spare: Vec<(Vec<EdgeData>, Vec<f64>)>,
     mix: UpdateMix,
 }
 
@@ -498,6 +599,7 @@ impl Default for CorrelationGraph {
             decay_ln: 0.0,
             epoch: 0,
             filter: Vec::new(),
+            spare: Vec::new(),
             mix: UpdateMix::default(),
         }
     }
@@ -532,7 +634,11 @@ impl CorrelationGraph {
             return s as usize;
         }
         let s = self.slots.len();
-        self.slots.push(Node::fresh(file.raw(), self.decay_ln));
+        let mut node = Node::fresh(file.raw(), self.decay_ln);
+        if let Some((edges, degs)) = self.spare.pop() {
+            (node.edges, node.degs) = (edges, degs);
+        }
+        self.slots.push(node);
         self.ids.resize(self.ids.len() + self.stride, PAD);
         self.index.insert(file.raw(), s as u32);
         s
@@ -541,8 +647,13 @@ impl CorrelationGraph {
     /// Free slot `s`: swap-remove it — node and id line alike — and
     /// re-point the index entry of the slot that moved into its place.
     fn free_slot(&mut self, s: usize) {
-        let node = self.slots.swap_remove(s);
+        let mut node = self.slots.swap_remove(s);
         self.index.remove(&node.id);
+        if self.spare.len() < SPARE_NODES && node.edges.capacity() > 0 {
+            node.edges.clear();
+            node.degs.clear();
+            self.spare.push((node.edges, node.degs));
+        }
         let (last, stride) = (self.slots.len(), self.stride);
         if s < last {
             self.ids.copy_within(span(last, stride), s * stride);
@@ -878,28 +989,77 @@ impl CorrelationGraph {
     /// pays for ranking only what it publishes. Owners arrive in slab
     /// order, which depends on eviction history — callers that need a
     /// stable order sort by owner.
+    ///
+    /// `cached_bound` is the caller vouching that every cached degree in
+    /// the graph was written under `cfg.p`, or has been checked against it
+    /// ([`CorrelationGraph::cached_degrees_bound`]). The cached degree of
+    /// an edge is then an upper bound on its degree now (see
+    /// [`CACHED_DEGREE_MARGIN`]), so an edge whose cached degree is below
+    /// the threshold by more than the margin is skipped without its
+    /// payload being read, and a node with no other kind of edge without
+    /// its pending decay being worked out; what survives is evaluated
+    /// exactly as without the filter, so the lists are the same either way. With
+    /// `cached_bound` false, a `p` outside `[0, 1]` or a threshold that is
+    /// not positive, every edge is evaluated.
     pub fn for_each_list(
         &self,
         cfg: &FarmerConfig,
         min_degree: f64,
+        cached_bound: bool,
         mut visit: impl FnMut(FileId, &[Correlator]),
     ) {
+        let p = cfg.p;
+        let cut = if cached_bound && (0.0..=1.0).contains(&p) && min_degree > 0.0 {
+            min_degree * (1.0 - CACHED_DEGREE_MARGIN)
+        } else {
+            f64::NEG_INFINITY // below every degree, NaN included: no filter
+        };
         let mut list: Vec<Correlator> = Vec::new();
         for (node, line) in self.slots.iter().zip(self.ids.chunks_exact(self.stride)) {
             list.clear();
-            list.extend(
-                node.views(line, self.decay_ln, cfg.p)
-                    .filter(|e| miner::is_valid(e.degree, min_degree))
-                    .map(|e| Correlator {
-                        file: e.to,
-                        degree: e.degree,
-                    }),
-            );
+            // Worked out for the first edge that needs it: a node with
+            // nothing near the threshold costs a scan of its cached degrees.
+            let mut scale = None;
+            for ((e, &to), &cached) in node.edges.iter().zip(line).zip(&node.degs) {
+                if cached < cut {
+                    continue;
+                }
+                let scale = *scale.get_or_insert_with(|| node.read_scale(self.decay_ln));
+                let degree = Node::view(e, to, scale, p).degree;
+                if miner::is_valid(degree, min_degree) {
+                    list.push(Correlator {
+                        file: FileId::new(to),
+                        degree,
+                    });
+                }
+            }
             if !list.is_empty() {
                 list.sort_unstable_by(rank_cmp);
                 visit(FileId::new(node.id), &list);
             }
         }
+    }
+
+    /// Is every cached degree an upper bound — within half of
+    /// [`CACHED_DEGREE_MARGIN`], the other half being left for what decay
+    /// is still to come — on its edge's degree now, under `cfg.p`? True of
+    /// any graph whose cached degrees were all written under that `p`;
+    /// what a restored model asks of an image, which cannot say what `p`
+    /// its degrees were written under. Once true it stays true while `p`
+    /// stays: an untouched edge's degree only falls, a touched edge's
+    /// cached degree is rewritten. One read-only pass over every edge.
+    pub fn cached_degrees_bound(&self, cfg: &FarmerConfig) -> bool {
+        let p = cfg.p;
+        (0.0..=1.0).contains(&p)
+            && self
+                .slots
+                .iter()
+                .zip(self.ids.chunks_exact(self.stride))
+                .all(|(node, line)| {
+                    node.views(line, self.decay_ln, p)
+                        .zip(&node.degs)
+                        .all(|(e, &cached)| e.degree <= cached * (1.0 + CACHED_DEGREE_MARGIN / 2.0))
+                })
     }
 
     /// Mark the memoized path-similarity terms of `file`'s *outgoing*
@@ -1024,41 +1184,69 @@ impl CorrelationGraph {
     /// ascending (duplicates and unknown ids are harmless), and free every
     /// slot left inactive. Returns the number of edges removed.
     ///
-    /// One pass in slab order that streams the id slab — a hashed prefilter
-    /// of the victims first, the sorted slice on a filter hit — and rewrites
-    /// only nodes that hold a doomed successor: O(e) contiguous id reads
-    /// plus writes proportional to what is removed. The prefilter is a byte
-    /// per bucket, 128 buckets a victim — so under 1 % of the surviving ids
-    /// go on to the binary search whatever the batch size, and the default
-    /// 64-victim batch of the streaming miner keeps it at 8 KiB — and is
-    /// reused between calls.
+    /// One pass in slab order that reads the id slab and nothing else until
+    /// a line matches: each 16-id line, pad included, is tested against a
+    /// hashed prefilter of the victims — a byte per bucket, at least 128
+    /// buckets a victim, in a table whose size is a compile-time constant
+    /// (8 KiB for the streaming miner's default 64-victim batch; 64 KiB,
+    /// 512 KiB and 4 MiB for larger ones), so the sixteen lookups carry no
+    /// bounds check and no exit. Under 1 % of the surviving ids match; only
+    /// then is the node read, its ids proper — never the pad — put through
+    /// filter and binary search, and the node rewritten if it does hold a
+    /// doomed successor. O(e) contiguous id reads plus writes proportional
+    /// to what is removed; the table is reused between calls.
     pub fn remove_edges_to_any(&mut self, victims: &[FileId]) -> usize {
         debug_assert!(victims.windows(2).all(|w| w[0] <= w[1]), "unsorted");
+        // The smallest table that gives every victim its 128 buckets; past
+        // 32 768 victims the largest one just grows denser.
+        match victims.len() {
+            0..=64 => self.sweep::<{ 1 << 13 }>(victims),
+            65..=512 => self.sweep::<{ 1 << 16 }>(victims),
+            513..=4096 => self.sweep::<{ 1 << 19 }>(victims),
+            _ => self.sweep::<{ 1 << 22 }>(victims),
+        }
+    }
+
+    /// [`CorrelationGraph::remove_edges_to_any`] against a prefilter of `N`
+    /// buckets (a power of two, so the bucket is a constant shift of the
+    /// hash and provably inside the table).
+    fn sweep<const N: usize>(&mut self, victims: &[FileId]) -> usize {
         self.epoch += 1;
+        // Every node is active on entry (each operation frees what it
+        // empties), so only a node this sweep rewrites can need freeing.
+        debug_assert!(self.slots.iter().all(|n| !n.is_inactive()));
         let mut filter = std::mem::take(&mut self.filter);
         filter.clear();
-        filter.resize(victims.len().max(1) * 128, 0);
-        let size = filter.len() as u64;
-        // Fibonacci hashing: it spreads the dense id runs traces produce
-        // evenly (the Fx multiplier clusters them, doubling the false hits).
-        let bucket = |id: u32| ((u64::from(id.wrapping_mul(0x9E37_79B1)) * size) >> 32) as usize;
+        filter.resize(N, 0);
+        // lint: allow(panic) the line above made it N bytes long
+        let table: &mut [u8; N] = filter.first_chunk_mut().expect("resized to N");
         for v in victims {
-            filter[bucket(v.raw())] = 1;
+            table[bucket::<N>(v.raw())] = 1;
         }
-        let doomed =
-            |to: u32| filter[bucket(to)] != 0 && victims.binary_search(&FileId::new(to)).is_ok();
+        let table = &*table;
+        let doomed = |to: u32| {
+            table[bucket::<N>(to)] != 0 && victims.binary_search(&FileId::new(to)).is_ok()
+        };
+        let stride = self.stride;
         let mut removed = 0;
         let mut s = 0;
-        while s < self.slots.len() {
+        // Stream the id slab from slot `s` to the next line the filter
+        // marks — pad and all, so nothing else is read on the way; the
+        // marked line's node then decides on its ids proper, exactly.
+        while let Some(skip) = self.ids[s * stride..]
+            .chunks_exact(stride)
+            .position(|line| marks(line, table) != 0)
+        {
+            s += skip;
             let (node, line) = self.node_and_line(s);
             if line[..node.edges.len()].iter().any(|&to| doomed(to)) {
                 removed += node.compact(line, |to, _| !doomed(to));
+                if node.is_inactive() {
+                    self.free_slot(s);
+                    continue; // the last line moved into `s`: scan it next
+                }
             }
-            if node.is_inactive() {
-                self.free_slot(s);
-            } else {
-                s += 1;
-            }
+            s += 1;
         }
         self.filter = filter;
         self.num_edges -= removed;
@@ -1208,13 +1396,16 @@ impl CorrelationGraph {
             + self
                 .slots
                 .iter()
-                .map(|n| {
-                    n.edges.capacity() * std::mem::size_of::<EdgeData>()
-                        + n.degs.capacity() * std::mem::size_of::<f64>()
-                })
+                .map(|n| buffer_bytes(&n.edges, &n.degs))
                 .sum::<usize>()
             + self.index.capacity() * (2 * std::mem::size_of::<u32>() + 8)
             + self.filter.capacity()
+            + self.spare.capacity() * std::mem::size_of::<(Vec<EdgeData>, Vec<f64>)>()
+            + self
+                .spare
+                .iter()
+                .map(|(edges, degs)| buffer_bytes(edges, degs))
+                .sum::<usize>()
     }
 }
 
@@ -1885,6 +2076,123 @@ mod tests {
         let succs: Vec<u32> = g.edges(f(0), &c).map(|e| e.to.raw()).collect();
         assert_eq!(succs, vec![2, 4]);
         assert_eq!(g.remove_edges_to_any(&[]), 0);
+    }
+
+    #[test]
+    fn sweep_tells_an_edge_to_the_pad_value_from_the_pad() {
+        // `u32::MAX` is a legal file id and what id lines are padded with.
+        // One node holds a real edge to it, one has only pad behind a short
+        // list, one has a full line (no pad at all) and one a full line
+        // ending in the real `u32::MAX`: evicting that id takes the two
+        // real edges and nothing else, as the closure sweep does.
+        let c = cfg();
+        let build = || {
+            let mut g = CorrelationGraph::new();
+            g.update_edge(f(1), f(u32::MAX), 1.0, 0.5, &c);
+            g.update_edge(f(1), f(9), 1.0, 0.5, &c);
+            g.update_edge(f(2), f(5), 1.0, 0.5, &c);
+            for to in 100..116 {
+                g.update_edge(f(3), f(to), 1.0, 0.5, &c);
+                g.update_edge(f(4), f(if to == 115 { u32::MAX } else { to }), 1.0, 0.5, &c);
+            }
+            assert_eq!(g.stride, LANES);
+            assert_eq!(g.slots[2].edges.len(), LANES, "a line without pad");
+            g
+        };
+        let (mut new, mut old) = (build(), build());
+        assert_eq!(new.remove_edges_to_any(&[f(u32::MAX)]), 2);
+        assert_eq!(old.retain_edges_reference(|_, to| to != f(u32::MAX)), 2);
+        assert_eq!(new.export_state(), old.export_state());
+        assert_eq!(new.num_edges(), 1 + 1 + 16 + 15);
+        assert!(new.edges(f(4), &c).all(|e| e.to != f(u32::MAX)));
+        // Again, with nothing real left to find: the pads alone match the
+        // filter and nothing changes.
+        let before = new.export_state().nodes;
+        assert_eq!(new.remove_edges_to_any(&[f(u32::MAX)]), 0);
+        assert_eq!(new.export_state().nodes, before);
+    }
+
+    #[test]
+    fn weakest_rescan_is_the_first_smallest_in_total_order() {
+        // Equal degrees (the lowest id wins), both zeroes, subnormals, an
+        // infinity and NaNs of either sign, in every rotation: the integer
+        // keys pick what `total_cmp().then(id)` picked.
+        let nan = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF); // keyed `i64::MAX`
+        let degs = [
+            0.3,
+            0.0,
+            f64::MIN_POSITIVE / 2.0,
+            -0.0,
+            0.3,
+            5e-324,
+            nan,
+            f64::INFINITY,
+            -0.0,
+            -nan,
+            0.1,
+            0.1,
+        ];
+        let line = padded_line(
+            &(0..degs.len() as u32).map(|j| 10 + j).collect::<Vec<_>>(),
+            LANES,
+        );
+        for keep in 1..=degs.len() {
+            for turn in 0..degs.len() {
+                let mut degs = degs.to_vec();
+                degs.rotate_left(turn);
+                degs.truncate(keep);
+                let want = degs
+                    .iter()
+                    .zip(&line)
+                    .enumerate()
+                    .min_by(|(_, (a, at)), (_, (b, bt))| a.total_cmp(b).then(at.cmp(bt)))
+                    .map(|(i, _)| i as u32);
+                let mut node = Node::fresh(1, 0.0);
+                node.degs = degs;
+                node.rescan_weakest(&line);
+                assert_eq!(Some(node.weakest), want, "keep {keep} turn {turn}");
+            }
+        }
+        let mut empty = Node::fresh(1, 0.0);
+        empty.weakest = 3;
+        empty.rescan_weakest(&line);
+        assert_eq!(empty.weakest, NO_EDGE);
+        // And the key itself orders as `total_cmp` does.
+        for a in degs {
+            for b in degs {
+                assert_eq!(total_order_key(a).cmp(&total_order_key(b)), a.total_cmp(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn freed_buffers_are_handed_to_the_next_nodes_and_counted() {
+        let c = cfg();
+        let mut g = CorrelationGraph::new();
+        for from in 0..200u32 {
+            for to in 1000..1008 {
+                g.update_edge(f(from), f(to), 1.0, 0.5, &c);
+            }
+        }
+        let full = g.heap_bytes();
+        for from in 0..200u32 {
+            g.clear_node(f(from));
+        }
+        // The pool is bounded, holds only emptied buffers, and is counted.
+        assert_eq!(g.spare.len(), SPARE_NODES);
+        assert!(g.spare.iter().all(|(e, d)| e.is_empty() && d.is_empty()));
+        let pooled: usize = g.spare.iter().map(|(e, d)| buffer_bytes(e, d)).sum();
+        assert!(pooled >= SPARE_NODES * 8 * (std::mem::size_of::<EdgeData>() + 8));
+        assert!(g.heap_bytes() >= pooled && g.heap_bytes() < full);
+        assert_eq!(g.export_state().nodes, vec![], "the pool is not state");
+        // New nodes take from it, and start out empty all the same.
+        g.update_edge(f(500), f(1), 1.0, 0.5, &c);
+        assert_eq!(g.spare.len(), SPARE_NODES - 1);
+        assert!(g.slots[0].edges.capacity() >= 8);
+        assert_eq!(g.edges(f(500), &c).count(), 1);
+        let back = CorrelationGraph::from_state(&g.export_state());
+        assert_eq!(back.export_state(), g.export_state());
+        assert!(back.spare.is_empty());
     }
 
     #[test]

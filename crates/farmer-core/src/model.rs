@@ -49,11 +49,19 @@
 //!   memos for recomputation on next touch.
 //! * **Admission before evaluation**: a new successor at a full node has
 //!   to beat the node's weakest edge, and an upper bound on its degree
-//!   needs no path — only whether each side *has* one
-//!   ([`crate::semvec::path_term_bound`]). Each window entry carries that
-//!   bit for its file, so a candidate that cannot make it costs no probe
-//!   of the path map and no path comparison; on a stream without paths the
-//!   bound is the degree itself and no path term is evaluated at all.
+//!   needs no path — only the two paths' 16-byte *signatures*
+//!   ([`crate::semvec::PathSig`]: a 64-bit set of directory bits, the file
+//!   name, the depth), from which [`crate::semvec::path_term_bound`]
+//!   bounds the IPA term and, for the common clean signature, usually
+//!   *is* the term. A signature is computed once when a path is learned
+//!   and kept beside it; each window entry carries its file's, and the
+//!   event's offered path gets one per event. So a candidate that cannot
+//!   make it costs no probe of the path map and no path comparison, a
+//!   pair in disjoint directories never evaluates its term at all (the
+//!   bound says 0.0), and on a stream without paths the bound is the
+//!   degree itself. On HP under the node cap, path terms evaluated fall
+//!   from 2.96 to 0.78 an event and candidates that pass the bound only to
+//!   fail the exact term from 1.83 to 0.08.
 //! * **Storage** is id-sparse end to end: learned paths live in a hash map
 //!   and the graph in slotted storage, so resident memory tracks live
 //!   files, not the largest file id ever interned.
@@ -62,9 +70,10 @@
 //!
 //! | phase | before | now |
 //! |---|---|---|
-//! | per event | O(w·(d + path²)) + spine growth | w updates, each one vectorised pass over a 16-id line, then by outcome: hit — memoized term, one prefetched payload line; insert / admit — one path term (none when the bound is the term), O(d) shift or rescan; early reject — a degree bound and one comparison, no path touched; exact reject — the same plus one path term (path² only here and on insert / admit) |
+//! | per event | O(w·(d + path²)) + spine growth | w updates, each one vectorised pass over a 16-id line, then by outcome: hit — memoized term, one prefetched payload line; insert / admit — one path term (none when the bound is the term), O(d) shift or rescan; early reject — a degree bound from the path signatures and one comparison, no path touched; exact reject (2 % of updates) — the same plus one path term (path² only here and on the inserts / admits whose bound is not already the term) |
 //! | per prune tick | O(max_id + e) age sweep + O(max_id + e) prune | O(1) age + O(n + e) prune with per-node skip |
 //! | per snapshot/eviction | O(max_id) `active_nodes` scan | O(1) counter |
+//! | publication (`correlator_table`) | a query per file | one pass over the slab; an edge whose cached degree sits below the threshold is skipped unread while `p` is the one the cached degrees were written under |
 //! | resident bytes | O(max file id) | O(live files) |
 
 use std::cell::RefCell;
@@ -78,7 +87,7 @@ use crate::config::FarmerConfig;
 use crate::correlator::{Correlator, CorrelatorList, CorrelatorTable};
 use crate::extract::{Extractor, Request};
 use crate::graph::{CorrelationGraph, NodeHint, PredUpdate};
-use crate::semvec::{path_term, path_term_bound, scalar_parts};
+use crate::semvec::{path_term, path_term_bound, scalar_parts, PathSig};
 use crate::source::{rank_cmp, CorrelationSource};
 
 /// One look-ahead-window entry: the request plus the graph-slot hint of
@@ -87,13 +96,14 @@ use crate::source::{rank_cmp, CorrelationSource};
 struct WindowEntry {
     req: Request,
     hint: NodeHint,
-    /// Whether [`Farmer::paths`] holds a path for the file — kept equal to
-    /// `paths.contains_key(file)` for every owned entry (set when the entry
-    /// is pushed, raised when the path arrives while the entry is still
-    /// windowed, rebuilt on restore; a forget drops path and entries
-    /// together), so the mining loop knows which predecessors carry a path
-    /// without probing the map for each.
-    has_path: bool,
+    /// The signature of the path [`Farmer::paths`] holds for the file —
+    /// the *learned* path's, never that of the path this request happened
+    /// to offer — and [`PathSig::NONE`] when it holds none: kept equal to
+    /// the map for every owned entry (set when the entry is pushed, raised
+    /// when the path arrives while the entry is still windowed, rebuilt on
+    /// restore; a forget drops path and entries together), so the mining
+    /// loop bounds a predecessor's path term without probing the map.
+    sig: PathSig,
 }
 
 /// Hard bound on cached per-node sorted views; past it the cache resets
@@ -153,8 +163,9 @@ pub struct Farmer {
     /// Per-file learned paths (cloned from the first observation of each
     /// file), keyed sparsely by file id. This mirrors the paper's
     /// semantic-vector store: "vectors are stored as columns of a single
-    /// matrix" — but only live columns are resident.
-    paths: FxHashMap<u32, FilePath>,
+    /// matrix" — but only live columns are resident. Beside each path, its
+    /// signature, computed once here.
+    paths: FxHashMap<u32, (FilePath, PathSig)>,
     /// Precomputed LDA weight table (`lda[i]` = weight at distance i+1).
     lda: Vec<f64>,
     /// Fingerprint of the config inputs `lda` was built from.
@@ -162,6 +173,12 @@ pub struct Farmer {
     /// Fingerprint of the config inputs the memoized path terms were built
     /// under; a change marks every memo stale.
     sim_key: (crate::attr::AttrCombo, crate::config::PathMode),
+    /// The `p` every cached degree in the graph was written under, which
+    /// is what lets publication skip edges on their cached degree
+    /// ([`CorrelationGraph::for_each_list`]); `None` from the moment an
+    /// observation sees `cfg.p` differ from it — the cached degrees are
+    /// then a mix, and stay one: they order cap eviction and are state.
+    degs_p: Option<f64>,
     /// Reusable per-event batch of predecessor updates (no allocation on
     /// the hot path after warm-up).
     scratch: Vec<PredUpdate>,
@@ -180,6 +197,7 @@ impl Farmer {
         let lda = cfg.lda_weights();
         let lda_key = cfg.lda_fingerprint();
         let cfg_sim_key = (cfg.combo, cfg.path_mode);
+        let cfg_p = cfg.p;
         Farmer {
             cfg,
             graph: CorrelationGraph::new(),
@@ -188,6 +206,7 @@ impl Farmer {
             lda,
             lda_key,
             sim_key: (cfg_sim_key.0, cfg_sim_key.1),
+            degs_p: Some(cfg_p),
             scratch: Vec::new(),
             victims: Vec::new(),
             cache: RefCell::new(QueryCache::default()),
@@ -250,10 +269,10 @@ impl Farmer {
         owns: impl Fn(FileId) -> bool,
     ) {
         let mut hint = NodeHint::NONE;
-        let mut has_path = false;
+        let mut sig = PathSig::NONE;
         if owns(req.file) {
-            let (known, late) = self.learn_path(req.file, path);
-            has_path = known;
+            let late;
+            (sig, late) = self.learn_path(req.file, path);
             if late && self.graph.num_edges() > 0 {
                 // The path arrived only after this file already had mined
                 // edges: the memoized pair terms are stale.
@@ -269,8 +288,13 @@ impl Farmer {
             self.sim_key = (self.cfg.combo, self.cfg.path_mode);
             self.graph.mark_all_path_memos_stale();
         }
+        if !self.cached_degrees_bound() {
+            self.degs_p = None;
+        }
         let use_path = self.cfg.combo.contains(AttrKind::Path);
         let mode = self.cfg.path_mode;
+        // The successor side of every term is the path this event offers.
+        let offered = PathSig::of(path.filter(|_| use_path));
 
         // Constructing + Mining: update the edge from every windowed
         // predecessor to the new request, LDA-weighted by distance and
@@ -302,7 +326,7 @@ impl Farmer {
                 s_inter,
                 s_items: s_items as u32,
                 path_bound: if use_path {
-                    path_term_bound(pred.has_path, path.is_some(), mode)
+                    path_term_bound(pred.sig, offered, mode)
                 } else {
                     Some((0.0, 0))
                 },
@@ -318,19 +342,15 @@ impl Farmer {
                     if !use_path {
                         return (0.0, 0);
                     }
-                    let (inter, n_pred, n_succ) =
-                        path_term(paths.get(&pred_file.raw()), path, mode);
+                    let learned = paths.get(&pred_file.raw()).map(|(p, _)| p);
+                    let (inter, n_pred, n_succ) = path_term(learned, path, mode);
                     (inter, n_pred.max(n_succ) as u32)
                 },
                 &self.cfg,
             );
         }
 
-        self.window.push_back(WindowEntry {
-            req,
-            hint,
-            has_path,
-        });
+        self.window.push_back(WindowEntry { req, hint, sig });
         while self.window.len() > self.cfg.window {
             self.window.pop_front();
         }
@@ -398,11 +418,10 @@ impl Farmer {
         let mut scratch: Vec<Correlator> = Vec::with_capacity(self.graph.num_edges());
         // (owner, start of its list in `scratch`, length)
         let mut spans: Vec<(u32, u32, u32)> = Vec::with_capacity(self.graph.active_nodes());
-        self.graph
-            .for_each_list(&self.cfg, self.cfg.max_strength, |owner, list| {
-                spans.push((owner.raw(), scratch.len() as u32, list.len() as u32));
-                scratch.extend_from_slice(list);
-            });
+        self.for_each_list(&mut |owner, list| {
+            spans.push((owner.raw(), scratch.len() as u32, list.len() as u32));
+            scratch.extend_from_slice(list);
+        });
         spans.sort_unstable_by_key(|&(owner, ..)| owner);
         let mut table = CorrelatorTable::with_capacity(spans.len(), scratch.len());
         for (owner, start, len) in spans {
@@ -464,8 +483,13 @@ impl Farmer {
     /// accounted, so the figure stays honest under eviction and
     /// re-admission.
     pub fn memory_bytes(&self) -> usize {
-        let paths: usize = self.paths.values().map(FilePath::heap_bytes).sum::<usize>()
-            + self.paths.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<FilePath>() + 8);
+        let paths: usize = self
+            .paths
+            .values()
+            .map(|(p, _)| p.heap_bytes())
+            .sum::<usize>()
+            + self.paths.len()
+                * (std::mem::size_of::<u32>() + std::mem::size_of::<(FilePath, PathSig)>() + 8);
         let cache = self.cache.borrow();
         let views: usize = cache.views.len()
             * (std::mem::size_of::<u32>() + std::mem::size_of::<SortedView>() + 8)
@@ -492,7 +516,7 @@ impl Farmer {
         let mut paths: Vec<(u32, Vec<u32>)> = self
             .paths
             .iter()
-            .map(|(&id, p)| (id, p.components().to_vec()))
+            .map(|(&id, (p, _))| (id, p.components().to_vec()))
             .collect();
         paths.sort_unstable_by_key(|(id, _)| *id);
         crate::state::FarmerState {
@@ -514,7 +538,11 @@ impl Farmer {
         farmer.paths = state
             .paths
             .iter()
-            .map(|(id, comps)| (*id, FilePath::from_components(comps.clone())))
+            .map(|(id, comps)| {
+                let path = FilePath::from_components(comps.clone());
+                let sig = PathSig::of(Some(&path));
+                (*id, (path, sig))
+            })
             .collect();
         farmer.window = state
             .window
@@ -522,30 +550,51 @@ impl Farmer {
             .map(|&req| WindowEntry {
                 req,
                 hint: NodeHint::NONE,
-                has_path: farmer.paths.contains_key(&req.file.raw()),
+                sig: farmer
+                    .paths
+                    .get(&req.file.raw())
+                    .map_or(PathSig::NONE, |&(_, sig)| sig),
             })
             .collect();
         farmer.observed = state.observed;
+        // The image does not say what `p` its cached degrees were written
+        // under, so ask the degrees themselves.
+        farmer.degs_p = farmer
+            .graph
+            .cached_degrees_bound(&farmer.cfg)
+            .then_some(farmer.cfg.p);
         farmer
     }
 
-    /// Learn `file`'s path on first sight. Returns `(known, late)`: whether
-    /// a path for the file is now on record, and whether this was a *late*
-    /// install — the path arrived after the file had already been observed
-    /// pathless — which is the one case where memoized pair terms must be
-    /// invalidated (see [`CorrelationGraph::mark_path_memos_stale`]).
-    fn learn_path(&mut self, file: FileId, path: Option<&FilePath>) -> (bool, bool) {
-        let known = self.paths.contains_key(&file.raw());
-        let Some(p) = path.filter(|_| !known) else {
-            return (known, false);
+    /// Were all cached degrees written under (or, on restore, checked
+    /// against) the `p` now configured?
+    #[inline]
+    fn cached_degrees_bound(&self) -> bool {
+        self.degs_p
+            .is_some_and(|p| p.to_bits() == self.cfg.p.to_bits())
+    }
+
+    /// Learn `file`'s path on first sight. Returns `(sig, late)`: the
+    /// signature of the path now on record for the file
+    /// ([`PathSig::NONE`] when there is none), and whether this was a
+    /// *late* install — the path arrived after the file had already been
+    /// observed pathless — which is the one case where memoized pair terms
+    /// must be invalidated (see [`CorrelationGraph::mark_path_memos_stale`]).
+    fn learn_path(&mut self, file: FileId, path: Option<&FilePath>) -> (PathSig, bool) {
+        if let Some(&(_, sig)) = self.paths.get(&file.raw()) {
+            return (sig, false);
+        }
+        let Some(p) = path else {
+            return (PathSig::NONE, false);
         };
-        self.paths.insert(file.raw(), p.clone());
+        let sig = PathSig::of(path);
+        self.paths.insert(file.raw(), (p.clone(), sig));
         // Entries of the file still in the window were pushed pathless.
         for w in self.window.iter_mut().filter(|w| w.req.file == file) {
-            w.has_path = true;
+            w.sig = sig;
         }
         (
-            true,
+            sig,
             self.observed > 0 && self.graph.total_accesses(file) > 0.0,
         )
     }
@@ -622,8 +671,9 @@ impl CorrelationSource for Farmer {
     }
 
     fn for_each_list(&self, visit: &mut dyn FnMut(FileId, &[Correlator])) {
+        let cached_bound = self.cached_degrees_bound();
         self.graph
-            .for_each_list(&self.cfg, self.cfg.max_strength, visit);
+            .for_each_list(&self.cfg, self.cfg.max_strength, cached_bound, visit);
     }
 
     fn heap_bytes(&self) -> usize {
@@ -1005,16 +1055,36 @@ mod tests {
         // Interleaved observe / age / prune / forget on both halves of a
         // two-way ownership partition: the state image — slab order, epoch
         // and every accumulator bit — must be what the old sweep left, for
-        // a batch of one victim (the smallest prefilter), a handful, the
-        // streaming miner's default 64 and a thousand.
-        let cfg = FarmerConfig {
-            max_successors: 4,
-            prune_interval: 64,
-            prune_floor: 0.2,
-            decay: 0.9,
-            ..FarmerConfig::default()
-        };
-        for (files, batch) in [(48, 1), (48, 5), (400, 64), (3000, 1000)] {
+        // a batch of one victim, a handful, the streaming miner's default
+        // 64, and a batch on either side of every prefilter size (64 | 65,
+        // 512 | 513, 4 096 | 4 097). A successor cap of 16 fills whole
+        // lines (no pad to hide behind), one of 32 re-strides the slab to
+        // two lanes a line, and file 7 goes by the id `u32::MAX` — the pad
+        // value — as successor, predecessor and victim.
+        for (files, batch, cap) in [
+            (48, 1, 4),
+            (48, 5, 4),
+            (400, 64, 4),
+            (48, 65, 16),
+            (3000, 512, 4),
+            (3000, 513, 4),
+            (3000, 1000, 4),
+            (48, 1024, 32),
+            (3000, 4096, 4),
+            (48, 4097, 16),
+        ] {
+            let cfg = FarmerConfig {
+                max_successors: cap,
+                prune_interval: 64,
+                prune_floor: 0.2,
+                decay: 0.9,
+                ..FarmerConfig::default()
+            };
+            // Big batches draw from beyond the namespace, or each would
+            // wipe the graph: most of their victims were never observed.
+            let universe = files.max(4 * batch as u32);
+            let id = |x: u32| if x == 7 { u32::MAX } else { x };
+            let mut longest = 0;
             for part in 0..2u32 {
                 let owns = move |f: FileId| f.raw() % 2 == part;
                 let mut new = Farmer::new(cfg.clone());
@@ -1027,8 +1097,9 @@ mod tests {
                     (x % u64::from(n)) as u32
                 };
                 let mut removed = 0;
-                for i in 0..6000 {
-                    let r = req(next(files), next(3), next(2), 0);
+                // (A big batch is slow to draw and to check: fewer of them.)
+                for i in 0..if batch > 600 { 1500 } else { 6000 } {
+                    let r = req(id(next(files)), next(3), next(2), 0);
                     new.observe_where(r, None, owns);
                     old.observe_where(r, None, owns);
                     if i % 29 == 0 {
@@ -1040,20 +1111,31 @@ mod tests {
                         let a = next(files - 1);
                         let victims: Vec<FileId> = [a + 1, a, 100_000 + a, a]
                             .into_iter()
-                            .chain(std::iter::repeat_with(|| next(files)))
+                            .chain(std::iter::repeat_with(|| next(universe)))
                             .skip(if batch == 1 { 3 } else { 0 })
                             .take(batch)
-                            .map(FileId::new)
+                            .map(|x| FileId::new(id(x)))
                             .collect();
                         let n = new.forget_files(&victims);
                         assert_eq!(n, forget_files_reference(&mut old, &victims));
                         assert_eq!(new.export_state(), old.export_state(), "step {i}");
                         removed += n;
                     }
+                    if i % 100 == 99 {
+                        let nodes = new.export_state().graph.nodes;
+                        longest =
+                            longest.max(nodes.iter().map(|n| n.edges.len()).max().unwrap_or(0));
+                    }
                 }
                 assert_eq!(new.export_state(), old.export_state());
                 assert!(removed > 100, "only {removed} edges removed at {batch}");
             }
+            // Every node of 48 files cannot reach 32 successors, but the
+            // slab re-strides as soon as one passes 16.
+            assert!(
+                longest >= cap.min(17),
+                "longest list {longest} at cap {cap}"
+            );
         }
     }
 
@@ -1061,7 +1143,7 @@ mod tests {
     /// the same bookkeeping, but every update goes through
     /// [`CorrelationGraph::mine_batch_reference`] with nothing known of its
     /// path term, and a predecessor's path is whatever the map says when
-    /// the term is wanted — no window entry's `has_path` is ever read.
+    /// the term is wanted — no window entry's signature is ever read.
     fn observe_where_reference(
         f: &mut Farmer,
         req: Request,
@@ -1111,8 +1193,8 @@ mod tests {
                     if !use_path {
                         return (0.0, 0);
                     }
-                    let (inter, n_pred, n_succ) =
-                        path_term(paths.get(&pred_file.raw()), path, mode);
+                    let learned = paths.get(&pred_file.raw()).map(|(p, _)| p);
+                    let (inter, n_pred, n_succ) = path_term(learned, path, mode);
                     (inter, n_pred.max(n_succ) as u32)
                 },
                 &f.cfg,
@@ -1121,7 +1203,7 @@ mod tests {
         f.window.push_back(WindowEntry {
             req,
             hint,
-            has_path: false,
+            sig: PathSig::NONE,
         });
         while f.window.len() > f.cfg.window {
             f.window.pop_front();
@@ -1146,28 +1228,32 @@ mod tests {
         raise: Option<(usize, usize)>,
     }
 
-    /// File `id`'s path in the differential streams: one in seven has none,
-    /// one in three sits twelve deep in a shared directory (so IPA terms
-    /// above 0.9 occur), the rest are shallow over a few directories.
-    fn path_of(id: u32) -> Option<FilePath> {
-        match id {
-            _ if id.is_multiple_of(7) => None,
-            _ if id.is_multiple_of(3) => Some(FilePath::from_components(
-                (500..511).chain([10_000 + id]).collect(),
-            )),
-            _ => Some(FilePath::from_components(vec![
-                100 + id % 2,
-                200 + id % 5,
-                10_000 + id,
-            ])),
-        }
+    /// File `id`'s path in the differential streams, as the front end names
+    /// it in naming generation `gen`: one in seven has none, one in three
+    /// sits twelve deep in a shared directory (so IPA terms above 0.9
+    /// occur), one in five under a directory name that repeats (so its
+    /// signature is not clean and the pairs among them intersect as
+    /// multisets), the rest are shallow over a few directories. The
+    /// generation — either one, event by event — renames the last two
+    /// kinds, so a file is offered paths that are not the one it was
+    /// learned under, and a forgotten one is learned again under either.
+    fn path_of(id: u32, gen: u32) -> Option<FilePath> {
+        let name = 10_000 + id;
+        let components = match id {
+            _ if id.is_multiple_of(7) => return None,
+            _ if id.is_multiple_of(3) => (500..511).chain([name]).collect(),
+            _ if id.is_multiple_of(5) => vec![600, 600, 300 + gen, name],
+            _ => vec![100 + id % 2 + 10 * gen, 200 + id % 5, name],
+        };
+        Some(FilePath::from_components(components))
     }
 
     /// Drive the kernel and the reference in lockstep over a seeded random
     /// stream — observes with a path withheld one time in four (so paths
     /// arrive late, often while the file is still windowed), forgets and
     /// manual prunes interleaved, a restore from the exported image a third
-    /// of the way in — and demand the same state image, bit for bit, after
+    /// of the way in, a front end that names a file now one way, now
+    /// another — and demand the same state image, bit for bit, after
     /// every step. Returns the kernel's update mix.
     fn run_differential(cfg: FarmerConfig, seed: u64, run: Differential) -> UpdateMix {
         const STEPS: usize = 2400;
@@ -1207,7 +1293,7 @@ mod tests {
                     // A small id range keeps repeats inside the window
                     // (A B A C) and the nodes at their cap.
                     let r = req(next(run.files), next(3), next(2), 0);
-                    let path = path_of(r.file.raw()).filter(|_| next(4) != 0);
+                    let path = path_of(r.file.raw(), next(2)).filter(|_| next(4) != 0);
                     new.observe_where(r, path.as_ref(), owns);
                     observe_where_reference(&mut old, r, path.as_ref(), owns);
                 }
@@ -1327,9 +1413,15 @@ mod tests {
             "the bound settles nothing"
         );
         // Before the bound every insert and every full-node candidate
-        // evaluated a term: ≈ 4.2 an event on this stream.
+        // evaluated a term: ≈ 4.2 an event on this stream, and ≈ 2.4 when
+        // the bound knew only which side has a path. With the signatures
+        // few candidates pass the bound only to fail the exact term.
         let per_event = lap(|m| m.path_terms) as f64 / trace.len() as f64;
-        assert!(per_event <= 2.6, "{per_event} path terms an event");
+        assert!(per_event <= 1.0, "{per_event} path terms an event");
+        assert!(
+            lap(|m| m.exact_rejects) * 20 <= updates,
+            "the signature settles too little"
+        );
         assert!(lap(|m| m.relocates) * 100 <= updates);
     }
 
@@ -1534,6 +1626,172 @@ mod tests {
             .filter(|&i| !f.correlators(FileId::new(i)).is_empty())
             .count();
         assert_eq!(visited, non_empty);
+    }
+
+    /// One published list: `(owner, [(successor, degree bits)])`.
+    type Published = (u32, Vec<(u32, u64)>);
+
+    fn bits(owner: FileId, list: &[Correlator]) -> Published {
+        let list = list.iter().map(|c| (c.file.raw(), c.degree.to_bits()));
+        (owner.raw(), list.collect())
+    }
+
+    /// The one-pass table, checked two ways: against the same pass with the
+    /// cached-degree filter off, and against [`Farmer::correlators`] of
+    /// every file in the graph, the long way round.
+    fn assert_table_is_the_per_file_lists(f: &Farmer, context: &str) {
+        let table: Vec<Published> = f
+            .correlator_table()
+            .iter()
+            .map(|(o, l)| bits(o, l))
+            .collect();
+        let mut exact = Vec::new();
+        f.graph()
+            .for_each_list(f.config(), f.config().max_strength, false, |o, l| {
+                exact.push(bits(o, l))
+            });
+        exact.sort_unstable();
+        let mut owners: Vec<FileId> = f.graph().files().collect();
+        owners.sort_unstable();
+        let per_file: Vec<Published> = owners
+            .into_iter()
+            .map(|o| bits(o, f.correlators(o).entries()))
+            .filter(|(_, list)| !list.is_empty())
+            .collect();
+        for (name, want) in [("unfiltered pass", &exact), ("per-file lists", &per_file)] {
+            let first = table.iter().zip(want).find(|(g, w)| g != w);
+            assert!(first.is_none(), "{context}, {name}: {first:?}");
+            assert_eq!(table.len(), want.len(), "{context}, {name}");
+        }
+    }
+
+    #[test]
+    fn one_pass_table_equals_per_file_lists_under_p_and_threshold_changes() {
+        // Publication skips an edge on its *cached* degree, which bounds
+        // the degree now only while `p` is the one it was written under.
+        // So: more than 10⁴ aging ticks at decay 0.999 (every refresh may
+        // move mass / total by a rounding, which is what the margin is
+        // for), `max_strength` lowered, raised and set to exactly the
+        // degree of edges that have drifted *above* their cached degree,
+        // then `p` up, down, to 0, to 1 and out of [0, 1], with a restore
+        // on either side of the first change. Every list equals
+        // `Farmer::correlators`, bit for bit, throughout.
+        let trace = WorkloadSpec::hp().scaled(0.1).generate();
+        let cfg = FarmerConfig {
+            prune_interval: 4,
+            prune_floor: 0.05,
+            decay: 0.999,
+            ..FarmerConfig::default()
+        };
+        let mut f = Farmer::new(cfg.clone());
+        const STEP: usize = 2048;
+        let events: Vec<TraceEvent> = trace.stream().take(22 * STEP).collect();
+        assert!(events.len() / cfg.prune_interval > 10_000);
+        let (mut drifted_up, mut worst_drift, mut lists) = (0usize, 0.0f64, 0usize);
+        for (phase, chunk) in events.chunks(STEP).enumerate() {
+            // What the phase changes before it mines, and whether the
+            // cached degrees still vouch for the configured `p` after it.
+            let filter_on = match phase {
+                0..=11 => true,
+                12 => {
+                    // A pure image passes the restore's check.
+                    f = Farmer::from_state(f.config().clone(), &f.export_state());
+                    assert_eq!(f.degs_p, Some(0.7));
+                    true
+                }
+                13 => {
+                    f.config_mut().p = 0.9; // up: degrees rise, the bound is void
+                    false
+                }
+                14 => {
+                    f.config_mut().p = 0.7; // and back: the degrees are a mix now
+                    false
+                }
+                15 => {
+                    f.config_mut().p = 0.3; // down
+                    false
+                }
+                16 => {
+                    // An image whose degrees are a mix: whatever the check
+                    // says of it, the lists must come out right.
+                    f = Farmer::from_state(f.config().clone(), &f.export_state());
+                    f.degs_p.is_some()
+                }
+                17 => {
+                    f.config_mut().p = 0.0;
+                    false
+                }
+                18 => {
+                    f.config_mut().p = 1.0;
+                    false
+                }
+                19 => {
+                    f.config_mut().p = 1.5; // (1 − p) < 0: frequency counts against
+                    false
+                }
+                20 => {
+                    f.config_mut().p = -0.25;
+                    false
+                }
+                _ => {
+                    f.config_mut().p = 0.7;
+                    false
+                }
+            };
+            f.config_mut().max_strength = [0.4, 0.2, 0.6, 0.05, 0.0, 0.4][phase % 6];
+            for e in chunk {
+                f.observe_event(&trace, e);
+            }
+            assert_eq!(f.degs_p.is_some(), filter_on, "phase {phase}");
+            assert_table_is_the_per_file_lists(&f, &format!("phase {phase}"));
+            lists += f.correlator_table().len();
+            if !f.cached_degrees_bound() {
+                continue;
+            }
+            // Edges whose degree has crept above the cached one, by
+            // rounding alone: a threshold of exactly that degree publishes
+            // them, and only the margin keeps the filter from dropping
+            // them first.
+            let cfg_now = f.config().clone();
+            let image = f.graph().export_state();
+            let mut thresholds = Vec::new();
+            for node in &image.nodes {
+                let views = f.graph().edges(FileId::new(node.id), &cfg_now);
+                for (view, edge) in views.zip(&node.edges) {
+                    let cached = f64::from_bits(edge.deg);
+                    worst_drift = worst_drift.max(view.degree / cached - 1.0);
+                    if view.degree > cached {
+                        drifted_up += 1;
+                        thresholds.push(view.degree);
+                    }
+                }
+            }
+            for threshold in thresholds.into_iter().step_by(997).take(3) {
+                f.config_mut().max_strength = threshold;
+                assert_table_is_the_per_file_lists(&f, &format!("phase {phase} at {threshold}"));
+            }
+        }
+        assert!(lists > 5_000, "only {lists} lists compared");
+        assert!(
+            drifted_up > 100,
+            "the margin was never needed: {drifted_up}"
+        );
+        // Ten thousand ticks moved nothing by more than a few roundings:
+        // six orders of magnitude inside the margin.
+        assert!(worst_drift < 1e-13, "drift {worst_drift}");
+
+        // A model that is born with `p` outside [0, 1] never arms the
+        // filter, although its cached degrees are all of one `p`.
+        for p in [1.5, -0.25] {
+            let mut f = Farmer::new(FarmerConfig { p, ..cfg.clone() });
+            f.config_mut().max_strength = 0.2;
+            for e in &events[..2 * STEP] {
+                f.observe_event(&trace, e);
+            }
+            assert_eq!(f.degs_p, Some(p));
+            assert_table_is_the_per_file_lists(&f, &format!("p = {p}"));
+            assert!(!f.correlator_table().is_empty());
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use std::cell::Cell;
 
-use farmer_core::graph::UpdateMix;
+use farmer_core::graph::{total_order_key, UpdateMix};
 use farmer_core::{Farmer, FarmerState, Request};
 use farmer_trace::hash::{fx_hash_u64, FxHashMap};
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
@@ -51,6 +51,15 @@ use crate::StreamConfig;
 #[inline]
 pub fn owns_file(file: FileId, shard_id: usize, num_shards: usize) -> bool {
     num_shards <= 1 || (fx_hash_u64(u64::from(file.raw())) as usize) % num_shards == shard_id
+}
+
+/// A retention counter as one integer ordered like
+/// `count.total_cmp().then(file)`: the count's place in the total order
+/// (sign bit flipped, so it sorts unsigned) above the file id.
+#[inline]
+fn evict_key(file: u32, count: f64) -> u128 {
+    let count = (total_order_key(count) as u64) ^ (1 << 63);
+    u128::from(count) << 32 | u128::from(file)
 }
 
 /// Full state image of one [`StreamMiner`]: the wrapped model's exact
@@ -93,9 +102,10 @@ pub struct StreamMiner {
     events_seen: u64,
     owned_events: u64,
     evictions: u64,
-    /// Reused [`StreamMiner::evict_batch`] scratch (the counters flattened
-    /// for selection, the victims selected); never part of [`MinerState`].
-    evict_entries: Vec<(u32, f64)>,
+    /// Reused [`StreamMiner::evict_batch`] scratch (one [`evict_key`] per
+    /// counter for selection, the victims selected); never part of
+    /// [`MinerState`].
+    evict_keys: Vec<u128>,
     evict_victims: Vec<FileId>,
     /// The graph's update mix as of the last snapshot: what
     /// `obs.edge_mix` has been told so far.
@@ -125,7 +135,7 @@ impl StreamMiner {
             events_seen: 0,
             owned_events: 0,
             evictions: 0,
-            evict_entries: Vec::new(),
+            evict_keys: Vec::new(),
             evict_victims: Vec::new(),
             mix_reported: Cell::default(),
             obs: StreamMetrics::default(),
@@ -210,19 +220,23 @@ impl StreamMiner {
         if batch == 0 {
             return;
         }
-        let entries = &mut self.evict_entries;
-        entries.clear();
-        entries.extend(self.counts.iter().map(|(&f, &c)| (f, c)));
-        // Break count ties by file id: the victim *set* must be a pure
-        // function of the counter contents, never of hash-map iteration
-        // order — a checkpoint-restored miner rebuilds the map with a
-        // different insertion history and must still evict identically.
-        entries.select_nth_unstable_by(batch - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let _span = self.obs.evict_ns.span();
+        // One integer key a counter, `(count in total order, file id)`:
+        // the id breaks count ties, so the victim *set* is a pure function
+        // of the counter contents, never of hash-map iteration order — a
+        // checkpoint-restored miner rebuilds the map with a different
+        // insertion history and must still evict identically.
+        let keys = &mut self.evict_keys;
+        keys.clear();
+        keys.extend(self.counts.iter().map(|(&f, &c)| evict_key(f, c)));
+        keys.select_nth_unstable(batch - 1);
         let mut evicted_max = self.count_floor;
         self.evict_victims.clear();
-        for &(f, c) in &entries[..batch] {
-            evicted_max = evicted_max.max(c);
-            self.counts.remove(&f);
+        for &key in &keys[..batch] {
+            let f = key as u32;
+            if let Some(c) = self.counts.remove(&f) {
+                evicted_max = evicted_max.max(c);
+            }
             self.evict_victims.push(FileId::new(f));
         }
         self.farmer.forget_files(&self.evict_victims);
@@ -322,7 +336,7 @@ impl StreamMiner {
             events_seen: state.events_seen,
             owned_events: state.owned_events,
             evictions: state.evictions,
-            evict_entries: Vec::new(),
+            evict_keys: Vec::new(),
             evict_victims: Vec::new(),
             mix_reported: Cell::default(),
             obs: StreamMetrics::default(),
@@ -362,7 +376,7 @@ impl StreamMiner {
     pub fn state_bytes(&self) -> usize {
         self.farmer.memory_bytes()
             + self.counts.len() * (std::mem::size_of::<(u32, f64)>() + 8)
-            + self.evict_entries.capacity() * std::mem::size_of::<(u32, f64)>()
+            + self.evict_keys.capacity() * std::mem::size_of::<u128>()
             + self.evict_victims.capacity() * std::mem::size_of::<FileId>()
     }
 
@@ -674,6 +688,56 @@ mod tests {
     }
 
     #[test]
+    fn every_eviction_batch_is_one_evict_ns_span() {
+        let reg = farmer_obs::Registry::enabled();
+        let mut m = StreamMiner::new(small_cfg(64));
+        m.instrument(StreamMetrics::new(&reg.scope("stream")));
+        let batch = m.config().effective_evict_batch() as u64;
+        for i in 0..2_000u32 {
+            m.ingest(req(i % 500, i % 7), None);
+        }
+        assert!(m.evictions() > 0);
+        let report = reg.snapshot();
+        let spans = report.histogram("stream.evict_ns").expect("registered");
+        assert_eq!(spans.count * batch, m.evictions());
+        assert_eq!(report.counter("stream.evictions"), Some(m.evictions()));
+        assert!(spans.sum > 0);
+    }
+
+    #[test]
+    fn evict_keys_order_as_count_then_file() {
+        // Equal counts (the file id decides), both zeroes, subnormals, an
+        // infinity, negative counts: the packed key compares as
+        // `total_cmp().then(id)` does, and gives the file id back.
+        let counts = [
+            1.0,
+            1.0,
+            0.0,
+            -0.0,
+            5e-324,
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            -1.5,
+            f64::INFINITY,
+            3.25,
+        ];
+        let entries: Vec<(u32, f64)> = counts
+            .iter()
+            .flat_map(|&c| [(7, c), (u32::MAX, c), (0, c)])
+            .collect();
+        for &(fa, ca) in &entries {
+            for &(fb, cb) in &entries {
+                assert_eq!(
+                    evict_key(fa, ca).cmp(&evict_key(fb, cb)),
+                    ca.total_cmp(&cb).then(fa.cmp(&fb)),
+                    "({fa}, {ca}) vs ({fb}, {cb})"
+                );
+            }
+            assert_eq!(evict_key(fa, ca) as u32, fa);
+        }
+    }
+
+    #[test]
     fn eviction_scratch_stops_growing_after_first_batch() {
         let mut m = StreamMiner::new(small_cfg(256));
         let mut next_file = 0u32;
@@ -685,15 +749,12 @@ mod tests {
             }
         };
         evict_once(&mut m);
-        let caps = (m.evict_entries.capacity(), m.evict_victims.capacity());
+        let caps = (m.evict_keys.capacity(), m.evict_victims.capacity());
         assert!(caps.0 >= 256 && caps.1 >= m.config().effective_evict_batch());
         for _ in 0..100 {
             evict_once(&mut m);
         }
-        assert_eq!(
-            caps,
-            (m.evict_entries.capacity(), m.evict_victims.capacity())
-        );
+        assert_eq!(caps, (m.evict_keys.capacity(), m.evict_victims.capacity()));
     }
 
     #[test]

@@ -33,6 +33,10 @@ pub struct StreamMetrics {
     /// Events per dispatched batch (`stream.batch_events`), recorded by
     /// the router at broadcast time.
     pub batch_events: Histogram,
+    /// Wall-clock nanoseconds of one eviction batch — victim selection plus
+    /// the model's `forget_files` sweep (`stream.evict_ns`); with
+    /// `stream.evictions` it gives the cost of an evicted file.
+    pub evict_ns: Histogram,
     /// Wall-clock nanoseconds one shard spends building its snapshot
     /// (`stream.snapshot_build_ns`).
     pub snapshot_build_ns: Histogram,
@@ -66,6 +70,7 @@ impl StreamMetrics {
                 reg.counter("edge_relocates"),
             ],
             batch_events: reg.histogram("batch_events"),
+            evict_ns: reg.histogram("evict_ns"),
             snapshot_build_ns: reg.histogram("snapshot_build_ns"),
             snapshot_merge_ns: reg.histogram("snapshot_merge_ns"),
             tracked_files: reg.gauge("tracked_files"),

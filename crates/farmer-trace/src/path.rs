@@ -135,7 +135,8 @@ impl FilePath {
     /// The paper's Table 2 DPA example counts *matching items* between the
     /// two vectors regardless of position, with duplicates counted as many
     /// times as they pair up. Paths are short (≤ ~12 components), so an
-    /// O(n·m) scan with a used-mark is faster than building hash maps.
+    /// O(n·m) scan with a used-mark is faster than building hash maps, and
+    /// it allocates nothing however deep the paths are.
     pub fn multiset_intersection(&self, other: &FilePath) -> usize {
         multiset_intersection(&self.components, &other.components)
     }
@@ -196,27 +197,29 @@ impl FilePath {
     }
 }
 
-/// Multiset intersection size of two small index slices.
+/// Multiset intersection size of two index slices: every value counts
+/// `min` of its two multiplicities. Allocation-free at any length — up to
+/// 64 components on the shorter side a used-mark per component in one
+/// `u64` pairs them off greedily; beyond, each value is counted on both
+/// sides at its first occurrence.
 pub(crate) fn multiset_intersection(a: &[u32], b: &[u32]) -> usize {
-    let mut used = [false; 64];
-    let mut used_vec;
-    let used: &mut [bool] = if b.len() <= 64 {
-        &mut used[..b.len()]
-    } else {
-        used_vec = vec![false; b.len()];
-        &mut used_vec
-    };
-    let mut count = 0;
-    for &x in a {
-        for (i, &y) in b.iter().enumerate() {
-            if !used[i] && x == y {
-                used[i] = true;
-                count += 1;
-                break;
+    // The size is symmetric: mark the shorter side.
+    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
+    if b.len() <= 64 {
+        let mut used = 0u64;
+        for &x in a {
+            if let Some(i) = (0..b.len()).find(|&i| used >> i & 1 == 0 && b[i] == x) {
+                used |= 1 << i;
             }
         }
+        return used.count_ones() as usize;
     }
-    count
+    let times = |side: &[u32], x: u32| side.iter().filter(|&&y| y == x).count();
+    a.iter()
+        .enumerate()
+        .filter(|&(i, x)| !a[..i].contains(x))
+        .map(|(_, &x)| times(a, x).min(times(b, x)))
+        .sum()
 }
 
 impl fmt::Debug for FilePath {
@@ -346,9 +349,74 @@ mod tests {
 
     #[test]
     fn multiset_intersection_large_slices() {
-        // Exercise the heap-allocated fallback (> 64 components).
+        // Past 64 components on both sides: the counting path.
         let a: Vec<u32> = (0..100).collect();
         let b: Vec<u32> = (50..150).collect();
         assert_eq!(multiset_intersection(&a, &b), 50);
+    }
+
+    /// The function as it was: a `bool` used-mark per component of `b`,
+    /// on the heap past 64 of them.
+    fn multiset_intersection_reference(a: &[u32], b: &[u32]) -> usize {
+        let mut used = vec![false; b.len()];
+        let mut count = 0;
+        for &x in a {
+            if let Some(i) = (0..b.len()).find(|&i| !used[i] && b[i] == x) {
+                used[i] = true;
+                count += 1;
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn multiset_intersection_matches_the_marking_reference_at_every_depth() {
+        // Both sides of the 64-component boundary and far past it, values
+        // from a pool small enough that they repeat on both sides.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n) as u32
+        };
+        let lens = [0usize, 1, 5, 63, 64, 65, 300];
+        for &la in &lens {
+            for &lb in &lens {
+                for pool in [3, 40, 1000] {
+                    let a: Vec<u32> = (0..la).map(|_| next(pool)).collect();
+                    let b: Vec<u32> = (0..lb).map(|_| next(pool)).collect();
+                    let want = multiset_intersection_reference(&a, &b);
+                    assert_eq!(
+                        multiset_intersection(&a, &b),
+                        want,
+                        "{la} x {lb}, pool {pool}"
+                    );
+                    assert_eq!(
+                        multiset_intersection(&b, &a),
+                        want,
+                        "{lb} x {la}, pool {pool}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ipa_is_symmetric_past_64_components() {
+        for depth in [65u32, 300] {
+            // Shared directories, a repeated one, and a different name.
+            let a = FilePath::from_components((0..depth).collect());
+            let mut other: Vec<u32> = (depth / 2..depth / 2 + depth).collect();
+            other[3] = other[2];
+            let b = FilePath::from_components(other);
+            assert_eq!(
+                a.ipa_similarity(&b).to_bits(),
+                b.ipa_similarity(&a).to_bits()
+            );
+            assert!(a.ipa_similarity(&b) > 0.4, "depth {depth}");
+            assert_eq!(a.ipa_similarity(&a).to_bits(), 1.0f64.to_bits());
+            assert_eq!(a.multiset_intersection(&b), b.multiset_intersection(&a));
+        }
     }
 }
