@@ -27,11 +27,11 @@ use farmer_bench::evalmatrix::{
     QUICK_SCALE, SCENARIOS, SCHEMA_VERSION,
 };
 use farmer_bench::faults::FAILURE_MODES;
-use farmer_bench::format::{obs_json, BenchArgs, Json};
+use farmer_bench::format::BenchArgs;
 use farmer_bench::lockstep::{serve_online, OnlineConfig};
 use farmer_bench::refmodel::{self, Reference};
 use farmer_mds::ReplayConfig;
-use farmer_obs::Registry;
+use farmer_obs::{Json, Registry};
 use farmer_prefetch::SimConfig;
 use farmer_stream::{recover_instrumented, DurableConfig, DurableMiner, StreamConfig};
 use farmer_trace::Op;
@@ -142,8 +142,8 @@ fn json_report(
                 .field("online_post_shift", Json::Fixed(a.online_post_shift, 4)),
         );
     }
-    j.field("obs", obs_json(obs))
-        .field("obs_recovery", obs_json(obs_recovery))
+    j.field("obs", obs.json())
+        .field("obs_recovery", obs_recovery.json())
         .field(
             "cells",
             Json::Arr(report.cells.iter().map(Cell::to_json).collect()),
@@ -151,7 +151,7 @@ fn json_report(
 }
 
 fn main() {
-    let args = BenchArgs::parse(QUICK_SCALE);
+    let args = BenchArgs::parse(QUICK_SCALE, &[]);
     let reference = args.check.then(|| {
         let reference = Reference::checked_in().unwrap_or_else(|e| {
             eprintln!("eval_matrix: the compiled-in BENCH_eval.json is unreadable: {e}");

@@ -10,8 +10,8 @@
 //! paper's reference numbers ([`farmer_bench::paper`]) where the paper
 //! reports them, then the two experiments the paper only sketches (§4.1
 //! multi-MDS scaling, §7 attribute regression). `--only <name>` runs a
-//! single section ([`SECTIONS`]); an unknown name exits non-zero listing
-//! the valid ones.
+//! single section ([`SECTIONS`]); an unknown name — or an unknown flag —
+//! exits 2 listing the valid ones.
 
 use std::time::Instant;
 
@@ -279,28 +279,9 @@ fn section(title: &str) {
     );
 }
 
-/// The `--only <name>` selection, if given; exits 2 on a missing or
-/// unknown name.
-fn only_from_args() -> Option<&'static str> {
-    let args: Vec<String> = std::env::args().collect();
-    let at = args.iter().position(|a| a == "--only")?;
-    let wanted = args.get(at + 1).map_or("", String::as_str);
-    let found = SECTIONS.iter().find(|s| s.name == wanted);
-    if found.is_none() {
-        let names: Vec<&str> = SECTIONS.iter().map(|s| s.name).collect();
-        eprintln!(
-            "repro: --only needs one of: {} (got {wanted:?})",
-            names.join(", ")
-        );
-        std::process::exit(2);
-    }
-    found.map(|s| s.name)
-}
-
 fn main() {
     // No quick profile here: `--quick` leaves the scale at 1.0.
-    let scale = BenchArgs::parse(1.0).scale;
-    let only = only_from_args();
+    let BenchArgs { scale, only, .. } = BenchArgs::parse(1.0, &SECTIONS.map(|s| s.name));
     let t0 = Instant::now();
     println!("FARMER reproduction suite (scale {scale})");
     for s in &SECTIONS {

@@ -78,7 +78,7 @@ use std::time::Instant;
 
 use farmer_core::{CorrelationSource, Farmer, FarmerConfig};
 use farmer_mds::{replay, ReplayConfig};
-use farmer_obs::Registry;
+use farmer_obs::{Json, Registry};
 use farmer_prefetch::baselines::LruOnly;
 use farmer_prefetch::{
     simulate, FpaPredictor, NexusPredictor, Predictor, ProbabilityGraph, SdGraph, SimConfig,
@@ -88,7 +88,6 @@ use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
 use farmer_trace::workload::{ChurnSpec, DriftSpec, MultiTenantSpec, ScanStormSpec};
 use farmer_trace::{Op, Trace, WorkloadSpec};
 
-use crate::format::Json;
 use crate::lockstep::{serve_online, MinerSide, OnlineConfig};
 pub use crate::refmodel::SCHEMA_VERSION;
 

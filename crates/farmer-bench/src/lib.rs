@@ -5,14 +5,14 @@
 //! the paper's reference values ([`paper`]). The evaluation
 //! reference-model matrix ([`evalmatrix`], checked against the recorded
 //! `BENCH_eval.json` by [`refmodel`]) serves its online and failure cells
-//! through the one [`lockstep`] driver. The throughput binaries (`mine_`,
-//! `stream_`, `query_`, `serve_throughput`) emit the `BENCH_*.json`
-//! records.
+//! through the one [`lockstep`] driver. Those are the crate's two
+//! binaries, `repro` and `eval_matrix`; speed is measured by one harness
+//! elsewhere (`benchmark/`'s `farmer_pipeline`), not here.
 //!
-//! Every binary parses its command line through [`format::BenchArgs`]:
+//! Both binaries parse their command line through [`format::BenchArgs`]:
 //! an optional positional **scale factor** applied to the trace event
 //! counts (default 1.0; e.g. `0.2` for a fast smoke run), `--quick`,
-//! `--check`, `--obs`:
+//! `--check`, `--obs`, `--only <name>` (`repro`); an unknown flag exits 2:
 //!
 //! ```text
 //! cargo run --release -p farmer-bench --bin repro                      # everything
@@ -30,4 +30,3 @@ pub mod format;
 pub mod lockstep;
 pub mod paper;
 pub mod refmodel;
-pub mod serve;

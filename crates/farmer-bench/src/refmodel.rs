@@ -19,7 +19,7 @@
 //! so a stale record does not go unnoticed inside its own bands.
 
 use crate::evalmatrix::Cell;
-use crate::format::Json;
+use farmer_obs::Json;
 
 /// Version of the `BENCH_eval.json` record layout. Bump on any field
 /// addition, removal or rename so downstream tooling can dispatch. CI greps

@@ -1,12 +1,9 @@
-//! Minimal ordered-JSON emitter for the lint report.
-//!
-//! Mirrors the farmer-bench emitter convention (insertion-ordered
-//! objects, stable escaping, schema version pinned at the top) without
-//! depending on it — farmer-lint stays zero-dependency so it can lint
-//! the crate that would otherwise be its dependency.
+//! The lint report: one `farmer_obs::Json` value, rendered by the
+//! workspace's one JSON writer (insertion-ordered objects, one escaping
+//! rule, schema version pinned at the top).
 
 use crate::rules::{Finding, RULES};
-use std::fmt::Write as _;
+use farmer_obs::Json;
 
 /// Bumped whenever the report shape changes; CI pins on it.
 pub const LINT_SCHEMA_VERSION: u32 = 1;
@@ -14,65 +11,43 @@ pub const LINT_SCHEMA_VERSION: u32 = 1;
 /// Render the full report: schema version, rule table, per-file finding
 /// counts, and the findings themselves in (file, line, rule) order.
 pub fn report(findings: &[Finding], files_scanned: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema_version\": {LINT_SCHEMA_VERSION},");
-    let _ = writeln!(out, "  \"files_scanned\": {files_scanned},");
-    let _ = writeln!(out, "  \"finding_count\": {},", findings.len());
-
-    out.push_str("  \"rules\": [\n");
-    for (i, r) in RULES.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"id\": {}, \"key\": {}, \"summary\": {}}}",
-            escape(r.id),
-            escape(r.key),
-            escape(r.summary)
-        );
-        out.push_str(if i + 1 < RULES.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"findings\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-            escape(f.rule),
-            escape(&f.file),
-            f.line,
-            escape(&f.message)
-        );
-        out.push_str(if i + 1 < findings.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// JSON string escaping: quotes, backslashes, and control characters.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let rules = RULES.iter().map(|r| {
+        Json::obj()
+            .field("id", Json::str(r.id))
+            .field("key", Json::str(r.key))
+            .field("summary", Json::str(r.summary))
+    });
+    let found = findings.iter().map(|f| {
+        Json::obj()
+            .field("rule", Json::str(f.rule))
+            .field("file", Json::str(&f.file))
+            .field("line", Json::UInt(f.line as u64))
+            .field("message", Json::str(&f.message))
+    });
+    let mut out = Json::obj()
+        .field("schema_version", Json::UInt(u64::from(LINT_SCHEMA_VERSION)))
+        .field("files_scanned", Json::UInt(files_scanned as u64))
+        .field("finding_count", Json::UInt(findings.len() as u64))
+        .field("rules", Json::Arr(rules.collect()))
+        .field("findings", Json::Arr(found.collect()))
+        .render();
+    out.push('\n');
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn finding(message: &str) -> Finding {
+        Finding {
+            rule: "R3",
+            key: "panic",
+            file: "a/b.rs".into(),
+            line: 7,
+            message: message.into(),
+        }
+    }
 
     #[test]
     fn empty_report_is_valid_shape() {
@@ -85,21 +60,36 @@ mod tests {
 
     #[test]
     fn findings_render_with_escapes() {
-        let f = Finding {
-            rule: "R3",
-            key: "panic",
-            file: "a/b.rs".into(),
-            line: 7,
-            message: "quote \" and\nnewline".into(),
-        };
-        let r = report(&[f], 1);
-        assert!(r.contains(r#""rule": "R3""#));
-        assert!(r.contains(r#""line": 7"#));
+        let findings = [
+            finding("quote \" and\nnewline"),
+            finding("control \u{1} and back\\slash"),
+        ];
+        let r = report(&findings, 1);
+        // The keys, in the order the hand-written emitter had them.
+        let head = "{\n  \"schema_version\": 1,\n  \"files_scanned\": 1,\n  \"finding_count\": 2,\n  \"rules\": [";
+        assert!(r.starts_with(head), "{r}");
+        let first = "{\n      \"rule\": \"R3\",\n      \"file\": \"a/b.rs\",\n      \"line\": 7,\n      \"message\": ";
+        assert!(r.contains(first), "{r}");
         assert!(r.contains(r#"quote \" and\nnewline"#));
+        // What CI and its `jq` read back is what was found.
+        let parsed = Json::parse(&r).expect("the report parses");
+        let count = parsed.get("finding_count").and_then(Json::as_u64);
+        assert_eq!(count, Some(findings.len() as u64));
+        let listed = parsed.get("findings").and_then(Json::as_array).unwrap();
+        assert_eq!(listed.len(), findings.len());
+        for (got, want) in listed.iter().zip(&findings) {
+            let text = |k: &str| got.get(k).and_then(Json::as_str);
+            assert_eq!(text("rule"), Some(want.rule));
+            assert_eq!(text("file"), Some(want.file.as_str()));
+            assert_eq!(text("message"), Some(want.message.as_str()));
+            let line = got.get("line").and_then(Json::as_u64);
+            assert_eq!(line, Some(want.line as u64));
+        }
     }
 
     #[test]
     fn escape_control_chars() {
-        assert_eq!(escape("a\u{1}b"), "\"a\\u0001b\"");
+        // The wire form, not just a round trip: `jq` must read it too.
+        assert!(report(&[finding("a\u{1}b")], 1).contains("\"a\\u0001b\""));
     }
 }

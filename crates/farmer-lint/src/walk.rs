@@ -92,7 +92,7 @@ mod tests {
             }
         );
         assert_eq!(
-            classify("crates/farmer-bench/src/bin/serve_throughput.rs"),
+            classify("crates/farmer-bench/src/bin/eval_matrix.rs"),
             FileClass::Bin
         );
         assert_eq!(

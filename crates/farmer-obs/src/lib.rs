@@ -17,12 +17,16 @@
 //!   into a histogram on drop.
 //! * [`Registry`] — a hierarchical name→metric map. `Registry::enabled()`
 //!   hands out live handles; `Registry::disabled()` hands out no-op handles
-//!   so instrumented code paths cost one branch when observability is off —
-//!   an overhead that `mine_throughput`'s instrumented-vs-baseline leg
-//!   *measures* rather than assumes. [`Registry::snapshot`] produces an
-//!   ordered, diff-able [`ObsReport`] with a text renderer; the ordered-JSON
-//!   rendering lives in `farmer-bench::format` (this crate stays
-//!   dependency-free).
+//!   so instrumented code paths cost one branch when observability is off;
+//!   what the live handles cost is *measured* rather than assumed, as
+//!   `obs.trace_overhead_pct` of every traced `farmer_pipeline` run
+//!   (`benchmark/`). [`Registry::snapshot`] produces an ordered, diff-able
+//!   [`ObsReport`] with a text renderer ([`ObsReport::render`]) and a JSON
+//!   one ([`ObsReport::json`]).
+//! * [`Json`] — the workspace's one ordered JSON value (emitter, reader,
+//!   one escaping rule): the `eval_matrix` record, the registry dump and
+//!   the `farmer_lint` report are all built from it. It lives here because
+//!   this crate depends on nothing, so everything can depend on it.
 //!
 //! ## Naming scheme
 //!
@@ -56,9 +60,11 @@
 #![forbid(unsafe_code)]
 
 mod hist;
+mod json;
 mod metric;
 mod registry;
 
 pub use hist::{HistSnapshot, Histogram, BUCKETS};
+pub use json::{Json, JsonError};
 pub use metric::{Counter, Gauge, Span};
 pub use registry::{ObsEntry, ObsReport, ObsValue, Registry};

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::{Counter, Gauge, HistSnapshot, Histogram};
+use crate::{Counter, Gauge, HistSnapshot, Histogram, Json};
 
 #[derive(Debug, Clone)]
 enum Metric {
@@ -35,7 +35,8 @@ struct RegistryInner {
 ///   atomics.
 /// * [`Registry::disabled`] (also `Default`) — every handle is a no-op and
 ///   registration allocates nothing; instrumented code pays one branch per
-///   record. The `mine_throughput` bench gates this claim in CI.
+///   record. Every traced `farmer_pipeline` run reads what the live
+///   handles cost as `obs.trace_overhead_pct`.
 ///
 /// Registration is idempotent: asking for the same name again returns a
 /// handle to the same cell (and panics if the name is already registered
@@ -302,6 +303,29 @@ impl ObsReport {
         }
         out
     }
+
+    /// Render as an ordered JSON object: one key per metric, in the
+    /// report's sorted order. Counters render as unsigned integers,
+    /// gauges as (possibly negative) integers, histograms as
+    /// `{count, mean, p50, p90, p99, max}` summaries.
+    pub fn json(&self) -> Json {
+        let mut obj = Json::obj();
+        for entry in &self.entries {
+            let value = match &entry.value {
+                ObsValue::Counter(v) => Json::UInt(*v),
+                ObsValue::Gauge(v) => u64::try_from(*v).map_or(Json::F64(*v as f64), Json::UInt),
+                ObsValue::Histogram(h) => Json::obj()
+                    .field("count", Json::UInt(h.count))
+                    .field("mean", Json::Fixed(h.mean(), 1))
+                    .field("p50", Json::UInt(h.quantile(0.50)))
+                    .field("p90", Json::UInt(h.quantile(0.90)))
+                    .field("p99", Json::UInt(h.quantile(0.99)))
+                    .field("max", Json::UInt(h.max)),
+            };
+            obj = obj.field(&entry.name, value);
+        }
+        obj
+    }
 }
 
 #[cfg(test)]
@@ -379,6 +403,36 @@ mod tests {
         assert!(text.contains("9000"));
         assert!(text.contains("p99="));
         assert_eq!(text, reg.snapshot().render());
+    }
+
+    #[test]
+    fn obs_json_orders_and_summarizes() {
+        let reg = Registry::enabled();
+        reg.counter("stream.events").add(7);
+        reg.gauge("mds.queue_depth").set(-2);
+        let h = reg.histogram("cache.lookup_us");
+        h.record(100);
+        h.record(200);
+        let tree = reg.snapshot().json();
+        let j = tree.render();
+        // Registry order is sorted by name.
+        let pos = |n: &str| j.find(n).unwrap_or_else(|| panic!("missing {n}"));
+        assert!(pos("cache.lookup_us") < pos("mds.queue_depth"));
+        assert!(pos("mds.queue_depth") < pos("stream.events"));
+        assert!(j.contains("\"stream.events\": 7"));
+        assert!(j.contains("\"mds.queue_depth\": -2"));
+        assert!(j.contains("\"count\": 2"));
+        assert!(j.contains("\"max\": 200"));
+        // What a consumer reads back is what was rendered.
+        let parsed = Json::parse(&j).expect("the dump parses");
+        assert_eq!(parsed, tree);
+        let depth = parsed.get("mds.queue_depth").and_then(Json::as_f64);
+        assert_eq!(depth, Some(-2.0));
+        let lookups = parsed.get("cache.lookup_us").expect("histogram summary");
+        assert_eq!(
+            lookups.get("mean").map(Json::render).as_deref(),
+            Some("150.0")
+        );
     }
 
     #[test]

@@ -30,8 +30,11 @@
 //! every handle a no-op.
 //!
 //! `cargo run --release -p farmer --example serving` walks the tier end
-//! to end; `serve_throughput` (farmer-bench) pins the read-scaling and
-//! ingest-under-load numbers.
+//! to end. Its speed is read off `benchmark/`'s `farmer_pipeline`
+//! (`query_qps`, `ingest_eps`, `mds_paced`'s `on_time_share`; per layer
+//! `serve.reader_overhead_ns`, `serve.sut_cpu_share`); that a query
+//! allocates nothing and that no event is lost under concurrent readers
+//! are tier-1 tests (`tests/alloc_gates.rs`, `tests/concurrency.rs`).
 
 // The few unsafe blocks here each carry a SAFETY: proof (lint rule R2);
 // unsafe fns must still mark their internal unsafe operations explicitly.

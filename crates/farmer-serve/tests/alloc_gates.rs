@@ -5,7 +5,10 @@
 //! worker and the miner's shard threads — so the binary holds exactly
 //! one test: a second one running beside it would be counted too.
 //!
-//! * a steady-state [`ServeReader::top_k_into`] allocates nothing;
+//! * a steady-state [`ServeReader::top_k_into`] allocates nothing, and
+//!   neither do the sources under it: the live model's `top_k_into`
+//!   (sorted-view cache, caller-owned buffer) and `strongest`, and an
+//!   exported `CorrelatorTable`'s `top_k_into`;
 //! * a publication allocates a fixed handful of blocks (one flat table,
 //!   the build's scratch, the barrier's channel), not one per list: the
 //!   same bound holds at 256 and at 4096 tracked files.
@@ -13,10 +16,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use farmer_core::Correlator;
-use farmer_serve::{FarmerServe, ServeConfig, ServeReader, SnapshotCell};
+use farmer_core::{CorrelationSource, Correlator, Farmer, FarmerConfig};
+use farmer_serve::{FarmerServe, ServeConfig, SnapshotCell};
 use farmer_stream::{ShardedMiner, StreamConfig};
-use farmer_trace::{Trace, WorkloadSpec};
+use farmer_trace::{FileId, Trace, WorkloadSpec};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -62,14 +65,21 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 
 const K: usize = 8;
 
-/// One pass of `top_k_into` over the trace's own file sequence.
-fn query_pass(reader: &mut ServeReader, trace: &Trace, out: &mut Vec<Correlator>) -> usize {
-    let mut answered = 0;
-    for e in &trace.events {
-        reader.top_k_into(e.file, K, 0.0, out);
-        answered += usize::from(!out.is_empty());
-    }
-    answered
+/// A second pass of `query` over the trace's own file sequence allocates
+/// nothing, the first having filled every cache and grown every buffer;
+/// both passes must answer the same, non-trivial number of queries.
+fn assert_steady_state_is_alloc_free(
+    trace: &Trace,
+    what: &str,
+    mut query: impl FnMut(FileId) -> bool,
+) {
+    let mut pass = || trace.events.iter().filter(|e| query(e.file)).count();
+    let answered = pass();
+    assert!(answered > trace.len() / 2, "{what}: only {answered} hit");
+    let mut again = 0;
+    let allocs = allocs_during(|| again = pass());
+    assert_eq!(again, answered, "{what}");
+    assert_eq!(allocs, 0, "{what} allocated in steady state");
 }
 
 /// Allocations of one `publish_into` of a `shards`-wide fleet holding
@@ -106,18 +116,30 @@ fn queries_allocate_nothing_and_publication_a_fixed_handful() {
     serve.flush();
     let mut reader = serve.reader();
     let mut out: Vec<Correlator> = Vec::with_capacity(K);
-    let answered = query_pass(&mut reader, &trace, &mut out);
-    assert!(answered > trace.len() / 2, "only {answered} queries hit");
-    let mut again = 0;
-    let allocs = allocs_during(|| again = query_pass(&mut reader, &trace, &mut out));
-    assert_eq!(again, answered);
-    assert_eq!(
-        allocs,
-        0,
-        "{} queries allocated {allocs} times",
-        trace.len()
-    );
+    assert_steady_state_is_alloc_free(&trace, "reader top-k", |f| {
+        reader.top_k_into(f, K, 0.0, &mut out);
+        !out.is_empty()
+    });
     drop(serve);
+
+    // The sources a reader sits on, with no tier (and no other thread)
+    // running: the live model and a table exported from it.
+    let farmer = Farmer::mine_trace(&trace, FarmerConfig::default());
+    let table = farmer.correlator_table();
+    let thr = farmer.config().max_strength;
+    let strongest = |what| {
+        assert_steady_state_is_alloc_free(&trace, what, |f| farmer.strongest(f, thr).is_some());
+    };
+    strongest("model strongest (one scan of the node's edges)");
+    assert_steady_state_is_alloc_free(&trace, "model top-k", |f| {
+        farmer.top_k_into(f, K, thr, &mut out);
+        !out.is_empty()
+    });
+    strongest("model strongest (head of top-k's cached view)");
+    assert_steady_state_is_alloc_free(&trace, "table top-k", |f| {
+        table.top_k_into(f, K, 0.0, &mut out);
+        !out.is_empty()
+    });
 
     for shards in [1usize, 2] {
         let (small, small_lists) = publish_allocs(&trace, 256, shards);

@@ -242,26 +242,32 @@ fn capped_eviction_parity_batch_vs_sharded() {
 }
 
 /// Unbounded replay keeps the subsystem healthy: many laps, tight budget,
-/// stable state and fresh snapshots that reflect every routed event.
+/// stable state and fresh snapshots that reflect every routed event — at
+/// two shards and at eight (more than the host has cores), one total
+/// budget split evenly so both face the same eviction pressure.
 #[test]
 fn long_replay_under_tight_budget_stays_bounded_and_consistent() {
+    const TOTAL_CAP: usize = 128;
     let trace = WorkloadSpec::ins().scaled(0.02).generate();
-    let cfg = StreamConfig::default().with_shards(2).with_node_cap(64);
-    let total_cap = 64 * 2;
-    let mut miner = ShardedMiner::spawn(cfg);
-    let mut stream = trace.stream();
-    let mut prev_events = 0u64;
-    for _lap in 0..6 {
-        for _ in 0..trace.len() {
-            let e = stream.next().unwrap();
-            miner.route_event(&trace, &e);
+    for shards in [2usize, 8] {
+        let cfg = StreamConfig::default()
+            .with_shards(shards)
+            .with_node_cap(TOTAL_CAP / shards);
+        let mut miner = ShardedMiner::spawn(cfg);
+        let mut stream = trace.stream();
+        for lap in 1..=6 {
+            for _ in 0..trace.len() {
+                let e = stream.next().unwrap();
+                miner.route_event(&trace, &e);
+            }
+            let snap = miner.snapshot();
+            let tracked = snap.tracked_files;
+            assert!(tracked <= TOTAL_CAP, "{shards} shards track {tracked}");
+            assert!(snap.evictions > 0, "{shards} shards: budget never bit");
+            // Every routed event is in the cut, none twice.
+            assert_eq!(snap.events, lap * trace.len() as u64, "{shards} shards");
         }
-        let snap = miner.snapshot();
-        assert!(snap.tracked_files <= total_cap);
-        assert!(snap.events > prev_events, "snapshot cut did not advance");
-        prev_events = snap.events;
     }
-    assert_eq!(prev_events, 6 * trace.len() as u64);
 }
 
 /// One published list: `(owner, [(successor, degree bits)])`.
