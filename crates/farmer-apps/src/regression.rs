@@ -11,8 +11,8 @@
 //! Ordinary least squares then yields per-attribute coefficients: how much
 //! each matching attribute predicts that two files are genuinely
 //! correlated. This quantifies what Table 5 probes empirically by sweeping
-//! combinations, and it runs against *any* back-end — the live model, a
-//! stream snapshot, or a store view — since it only needs pair degrees.
+//! combinations, and it runs against *any* back-end — the live model, an
+//! exported table, or a stream snapshot — since it only needs pair degrees.
 //!
 //! The normal equations are solved with a small, self-contained Gaussian
 //! elimination with partial pivoting ([`solve`]).

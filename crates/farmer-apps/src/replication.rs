@@ -27,9 +27,9 @@ pub struct ReplicaPlan {
 }
 
 impl ReplicaPlan {
-    /// Build a plan from any mined correlation source (live model, stream
-    /// snapshot, store view): walk every file's correlators and greedily
-    /// group mutually correlated files (same strategy as the §4.2 layout,
+    /// Build a plan from any mined correlation source (live model,
+    /// exported table, stream snapshot): walk every file's correlators and
+    /// greedily group mutually correlated files (same strategy as the §4.2 layout,
     /// but without the read-only restriction — replicas are copies, so
     /// writes don't complicate placement).
     pub fn plan(

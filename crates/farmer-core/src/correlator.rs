@@ -30,7 +30,8 @@ pub struct CorrelatorList {
 
 impl CorrelatorList {
     /// Build a list from unsorted candidates: filters by `max_strength`,
-    /// sorts by decreasing degree (ties broken by file id for determinism).
+    /// sorts in the canonical order (decreasing degree, ties by ascending
+    /// file id).
     pub fn build(
         owner: FileId,
         candidates: impl IntoIterator<Item = Correlator>,
@@ -40,11 +41,7 @@ impl CorrelatorList {
             .into_iter()
             .filter(|c| crate::miner::is_valid(c.degree, max_strength))
             .collect();
-        entries.sort_by(|a, b| {
-            b.degree
-                .total_cmp(&a.degree)
-                .then_with(|| a.file.raw().cmp(&b.file.raw()))
-        });
+        entries.sort_unstable_by(crate::source::rank_cmp);
         CorrelatorList { owner, entries }
     }
 
@@ -54,10 +51,9 @@ impl CorrelatorList {
     /// the exporter-side constructor: it takes ownership of the buffer
     /// without re-filtering or re-sorting.
     pub fn from_sorted(owner: FileId, entries: Vec<Correlator>) -> CorrelatorList {
-        debug_assert!(entries.windows(2).all(|w| {
-            w[0].degree > w[1].degree
-                || (w[0].degree == w[1].degree && w[0].file.raw() < w[1].file.raw())
-        }));
+        debug_assert!(entries
+            .windows(2)
+            .all(|w| crate::source::rank_cmp(&w[0], &w[1]).is_lt()));
         CorrelatorList { owner, entries }
     }
 

@@ -28,7 +28,7 @@
 //!
 //! # Aging: O(1) lazy decay
 //!
-//! [`CorrelationGraph::age`] no longer sweeps the graph. The graph keeps a
+//! [`CorrelationGraph::age`] does not sweep the graph. The graph keeps a
 //! global log-scale decay epoch `decay_ln = Σ ln(factor)` and each node a
 //! `stamp` of the epoch its accumulators were last normalized to. Touching
 //! a node (access, edge update, prune visit) first rescales its total and
@@ -68,29 +68,29 @@
 //! | HP | 0.84 | 0.03 | 3.93 | 0.10 | 0.09 | 0.16 |
 //! | HP under a 4 096-node cap | 0.37 | 0.88 | 3.41 | 0.08 | 0.25 | 0.78 |
 //!
-//! (While the bound knew only *whether* each side had a path, HP read
-//! 2.08 early and 1.95 exact rejects and 2.07 path terms an event, 1.66 /
-//! 1.83 / 2.96 under the cap; the path signatures of
-//! [`crate::semvec::path_term_bound`] moved the exact rejects into the
-//! early column and settle the term of disjoint pairs outright.)
+//! (The early column is what the path signatures of
+//! [`crate::semvec::path_term_bound`] buy: a bound that knows only
+//! *whether* each side has a path leaves half of those rejects to the
+//! exact term, and settles no disjoint pair outright.)
 //!
 //! # Complexity (d = per-node successor cap, n = active nodes, e = edges)
 //!
-//! | operation | dense spine (before) | sparse slotted (now) |
-//! |---|---|---|
-//! | `record_access` | O(1) + spine growth | O(1) hash probe |
-//! | locate (every update) | O(d) strided scan | one vectorised pass over the id line: d/16 lines, no early exit within one |
-//! | edge-update hit | full similarity | memoized term, one payload line (prefetched) |
-//! | edge-update insert (below the cap) | full similarity | one path term unless the bound already is it (a pair in disjoint directories: most of them); O(d) shift of line, payloads, degrees |
-//! | edge-update early reject (full node) | O(d) min-scan + full similarity | cached weakest + a degree bound from the two path signatures: two divisions, one comparison; no path looked up or compared, nothing written |
-//! | edge-update exact reject (full node) | as above | the early reject plus one path term; 2 % of updates since the bound reads signatures |
-//! | edge-update admit (full node) | as above | one path term unless the bound is it; one move per array, branch-free O(d) rescan of the weakest on integer keys |
-//! | `age` | O(n_max_id + e) sweep | O(1) |
-//! | `prune_below` | O(n_max_id + e) | O(n + e), skips `p·sim_lb ≥ floor` nodes |
-//! | `remove_edges_to_any` | O(n_max_id + e) | one pass over the id slab, a 16-id line at a time against a fixed-size byte filter (no bounds check, no exit within a line, ≈ 1 cycle an id); a node is touched only when its line matches, written only when it loses an edge |
-//! | `heap_bytes` | O(n_max_id + e) | O(n + e) |
-//! | `active_nodes` | O(n_max_id) scan | O(1) |
-//! | resident memory | O(max file id) | O(active nodes) |
+//! | operation | cost |
+//! |---|---|
+//! | `record_access` | O(1) hash probe |
+//! | locate (every update) | one vectorised pass over the id line: d/16 lines, no early exit within one |
+//! | edge-update hit | memoized term, one payload line (prefetched) |
+//! | edge-update insert (below the cap) | one path term unless the bound already is it (a pair in disjoint directories: most of them); O(d) shift of line, payloads, degrees |
+//! | edge-update early reject (full node) | cached weakest + a degree bound from the two path signatures: two divisions, one comparison; no path looked up or compared, nothing written |
+//! | edge-update exact reject (full node) | the early reject plus one path term; 2 % of updates |
+//! | edge-update admit (full node) | one path term unless the bound is it; one move per array, branch-free O(d) rescan of the weakest on integer keys |
+//! | `edges` (a query) | O(deg): one hash probe, one pass over the node's line, payloads and pending decay |
+//! | `age` | O(1) |
+//! | `prune_below` | O(n + e), skips `p·sim_lb ≥ floor` nodes |
+//! | `remove_edges_to_any` | one pass over the id slab, a 16-id line at a time against a fixed-size byte filter (no bounds check, no exit within a line, ≈ 1 cycle an id); a node is touched only when its line matches, written only when it loses an edge |
+//! | `heap_bytes` | O(n + e) |
+//! | `active_nodes` | O(1) |
+//! | resident memory | O(active nodes) |
 
 use farmer_trace::hash::FxHashMap;
 use farmer_trace::FileId;
@@ -575,8 +575,8 @@ pub struct CorrelationGraph {
     /// Global log-scale decay epoch: Σ ln(factor) over all `age` calls.
     decay_ln: f64,
     /// Mutation epoch: bumped by every state-changing operation, so read
-    /// layers (the query cache in [`crate::model::Farmer`], snapshot
-    /// staleness checks) can validate derived views in O(1).
+    /// layers ([`crate::CorrelationSource::version`], snapshot staleness
+    /// checks) can validate derived views in O(1).
     epoch: u64,
     /// Reused victim prefilter of [`CorrelationGraph::remove_edges_to_any`].
     filter: Vec<u8>,
@@ -1268,8 +1268,8 @@ impl CorrelationGraph {
     }
 
     /// Number of node slots currently allocated. With sparse slotted
-    /// storage this equals [`CorrelationGraph::active_nodes`] — the graph
-    /// no longer keeps a dense spine up to the largest file id.
+    /// storage this equals [`CorrelationGraph::active_nodes`] — there is
+    /// no dense spine up to the largest file id.
     #[inline]
     pub fn num_nodes(&self) -> usize {
         self.slots.len()
@@ -1281,8 +1281,8 @@ impl CorrelationGraph {
     }
 
     /// The mutation epoch: changes whenever any graph state changes, so a
-    /// derived view (sorted correlator cache, exported table) stamped with
-    /// the epoch it was built at can be staleness-checked in O(1).
+    /// derived view (an exported table) stamped with the epoch it was
+    /// built at can be staleness-checked in O(1).
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch

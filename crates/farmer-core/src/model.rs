@@ -6,19 +6,21 @@
 //! is served on demand through [`CorrelationSource`] —
 //! [`Farmer::correlators`] materializes an owned list over the same path,
 //! and [`Farmer::correlator_table`] runs it for every file at once, in
-//! one pass over the graph that bypasses the per-file query cache.
+//! one pass over the graph.
 //!
 //! # Serving (the query layer)
 //!
-//! The model implements [`CorrelationSource`] with a per-node sorted-view
-//! cache: the first top-k query of a file snapshots its edges and
-//! partially selects the k strongest (O(deg + k log k)); later queries of
-//! the same file copy from the cached view in O(k). Views are validated
-//! against the graph's mutation epoch (plus the active `p`), so any
-//! observe/prune/decay/eviction invalidates them implicitly, and view
-//! buffers are reused across epochs — steady-state queries allocate
-//! nothing. [`CorrelationSource::strongest`] bypasses the cache entirely
-//! with one O(deg) scan.
+//! The model implements [`CorrelationSource`] by reading the graph: a
+//! top-k query evaluates the degrees of the node's edges (at most
+//! `max_successors` of them) into the caller's buffer, partially selects
+//! the k strongest and sorts those — O(deg + k log k), nothing kept
+//! between queries — and [`CorrelationSource::strongest`] is one O(deg)
+//! scan. Every query therefore sees the state the last observe / prune /
+//! decay / eviction / `config_mut` left, which is the only state the
+//! iterative process of §3.1 ever asks about: each consumer of a live
+//! model queries right after an observation. Many reads of one state are
+//! what [`Farmer::correlator_table`] exports a table for. The model holds
+//! no interior mutability, so it is `Sync`.
 //!
 //! The model is deliberately front-end agnostic ("black-box", §3.1): it
 //! consumes plain [`Request`] tuples plus an optional path, so it can sit
@@ -59,24 +61,24 @@
 //!   make it costs no probe of the path map and no path comparison, a
 //!   pair in disjoint directories never evaluates its term at all (the
 //!   bound says 0.0), and on a stream without paths the bound is the
-//!   degree itself. On HP under the node cap, path terms evaluated fall
-//!   from 2.96 to 0.78 an event and candidates that pass the bound only to
-//!   fail the exact term from 1.83 to 0.08.
+//!   degree itself. On HP under the node cap that leaves 0.78 path terms
+//!   evaluated an event, and 0.08 candidates an event that pass the bound
+//!   only to fail the exact term.
 //! * **Storage** is id-sparse end to end: learned paths live in a hash map
 //!   and the graph in slotted storage, so resident memory tracks live
 //!   files, not the largest file id ever interned.
 //!
 //! # Complexity (w = window, d = successor cap, n = active nodes, e = edges)
 //!
-//! | phase | before | now |
-//! |---|---|---|
-//! | per event | O(w·(d + path²)) + spine growth | w updates, each one vectorised pass over a 16-id line, then by outcome: hit — memoized term, one prefetched payload line; insert / admit — one path term (none when the bound is the term), O(d) shift or rescan; early reject — a degree bound from the path signatures and one comparison, no path touched; exact reject (2 % of updates) — the same plus one path term (path² only here and on the inserts / admits whose bound is not already the term) |
-//! | per prune tick | O(max_id + e) age sweep + O(max_id + e) prune | O(1) age + O(n + e) prune with per-node skip |
-//! | per snapshot/eviction | O(max_id) `active_nodes` scan | O(1) counter |
-//! | publication (`correlator_table`) | a query per file | one pass over the slab; an edge whose cached degree sits below the threshold is skipped unread while `p` is the one the cached degrees were written under |
-//! | resident bytes | O(max file id) | O(live files) |
+//! | phase | cost |
+//! |---|---|
+//! | per event | w updates, each one vectorised pass over a 16-id line, then by outcome: hit — memoized term, one prefetched payload line; insert / admit — one path term (none when the bound is the term), O(d) shift or rescan; early reject — a degree bound from the path signatures and one comparison, no path touched; exact reject (2 % of updates) — the same plus one path term (path² only here and on the inserts / admits whose bound is not already the term) |
+//! | per prune tick | O(1) age + O(n + e) prune with per-node skip |
+//! | per snapshot/eviction | O(1) `active_nodes` counter |
+//! | query (`top_k_into`) | O(deg + k log k), deg ≤ d; `strongest` and `degree` O(deg) |
+//! | publication (`correlator_table`) | one pass over the slab; an edge whose cached degree sits below the threshold is skipped unread while `p` is the one the cached degrees were written under |
+//! | resident bytes | O(live files) |
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use farmer_trace::hash::FxHashMap;
@@ -104,51 +106,6 @@ struct WindowEntry {
     /// restore; a forget drops path and entries together), so the mining
     /// loop bounds a predecessor's path term without probing the map.
     sig: PathSig,
-}
-
-/// Hard bound on cached per-node sorted views; past it the cache resets
-/// wholesale (queried-file churn in a streaming deployment must not leak).
-const QUERY_CACHE_CAP: usize = 8192;
-
-/// One file's lazily sorted correlator view: the node's edges snapshotted
-/// at `stamp`, with only the strongest `sorted` entries actually in order.
-/// A top-k query extends the sorted prefix by partial selection
-/// (O(deg + k log k)), never paying a full O(deg log deg) sort for small k.
-#[derive(Debug, Default)]
-struct SortedView {
-    /// `(graph epoch, p bits)` the entries were built under.
-    stamp: (u64, u64),
-    entries: Vec<Correlator>,
-    /// Length of the canonically sorted prefix.
-    sorted: usize,
-}
-
-impl SortedView {
-    /// Grow the sorted prefix to cover the strongest `k` entries.
-    fn ensure_sorted(&mut self, k: usize) {
-        let k = k.min(self.entries.len());
-        if self.sorted >= k {
-            return;
-        }
-        let tail = &mut self.entries[self.sorted..];
-        let take = k - self.sorted;
-        if take < tail.len() {
-            // Partition the unsorted tail so its strongest `take` entries
-            // lead (everything already sorted is stronger than the tail).
-            tail.select_nth_unstable_by(take - 1, rank_cmp);
-        }
-        tail[..take].sort_unstable_by(rank_cmp);
-        self.sorted = k;
-    }
-}
-
-/// The per-[`Farmer`] query cache behind [`CorrelationSource`]: file →
-/// [`SortedView`], validated per query against the graph's mutation epoch
-/// (and the active `p`, which degrees depend on). Entry buffers are reused
-/// across epochs, so steady-state queries never allocate.
-#[derive(Debug, Default)]
-struct QueryCache {
-    views: FxHashMap<u32, SortedView>,
 }
 
 /// The FARMER model: feed requests, query sorted correlator lists.
@@ -184,10 +141,6 @@ pub struct Farmer {
     scratch: Vec<PredUpdate>,
     /// Reusable sorted victim list of [`Farmer::forget_files`].
     victims: Vec<FileId>,
-    /// Sorted-view cache serving the [`CorrelationSource`] queries.
-    /// Interior mutability keeps the whole read API `&self` (consumers
-    /// share the model behind `&dyn CorrelationSource`).
-    cache: RefCell<QueryCache>,
     observed: u64,
 }
 
@@ -209,7 +162,6 @@ impl Farmer {
             degs_p: Some(cfg_p),
             scratch: Vec::new(),
             victims: Vec::new(),
-            cache: RefCell::new(QueryCache::default()),
             observed: 0,
         }
     }
@@ -386,8 +338,8 @@ impl Farmer {
     ///
     /// This materializes an owned list (exports, diagnostics). The serving
     /// hot path queries through [`CorrelationSource`] instead —
-    /// `top_k_into` reuses a caller buffer and the model's sorted-view
-    /// cache, so steady-state queries allocate nothing.
+    /// `top_k_into` fills a caller buffer it reuses, so steady-state
+    /// queries allocate nothing.
     pub fn correlators(&self, file: FileId) -> CorrelatorList {
         self.correlators_with_threshold(file, self.cfg.max_strength)
     }
@@ -408,9 +360,8 @@ impl Farmer {
     /// [`Farmer::correlators`] of its owner bit for bit.
     ///
     /// One pass over the graph slab ([`CorrelationGraph::for_each_list`])
-    /// into a scratch slab, one sort of the owners, one gather: the query
-    /// cache is neither read nor filled, and the allocation count does not
-    /// depend on how many lists there are.
+    /// into a scratch slab, one sort of the owners, one gather: the
+    /// allocation count does not depend on how many lists there are.
     pub fn correlator_table(&self) -> CorrelatorTable {
         // Sized for the worst case up front (every edge published): the
         // slack is address space the walk never touches, and no regrowth
@@ -490,17 +441,8 @@ impl Farmer {
             .sum::<usize>()
             + self.paths.len()
                 * (std::mem::size_of::<u32>() + std::mem::size_of::<(FilePath, PathSig)>() + 8);
-        let cache = self.cache.borrow();
-        let views: usize = cache.views.len()
-            * (std::mem::size_of::<u32>() + std::mem::size_of::<SortedView>() + 8)
-            + cache
-                .views
-                .values()
-                .map(|v| v.entries.capacity() * std::mem::size_of::<Correlator>())
-                .sum::<usize>();
         self.graph.heap_bytes()
             + paths
-            + views
             + self.window.capacity() * std::mem::size_of::<WindowEntry>()
             + self.scratch.capacity() * std::mem::size_of::<PredUpdate>()
             + self.victims.capacity() * std::mem::size_of::<FileId>()
@@ -510,8 +452,8 @@ impl Farmer {
     /// Export the model's full state as plain data for checkpoint
     /// images: the graph (bit-exact, see [`crate::state`]), the
     /// look-ahead window, the learned paths (sorted by file id), and the
-    /// observation count. Derived structures (LDA table, query cache,
-    /// scratch) are functions of the config and are not carried.
+    /// observation count. Derived structures (LDA table, scratch) are
+    /// functions of the config and are not carried.
     pub fn export_state(&self) -> crate::state::FarmerState {
         let mut paths: Vec<(u32, Vec<u32>)> = self
             .paths
@@ -574,6 +516,17 @@ impl Farmer {
             .is_some_and(|p| p.to_bits() == self.cfg.p.to_bits())
     }
 
+    /// `file`'s successors of degree ≥ `min_degree`, in successor-id order.
+    fn valid_edges(&self, file: FileId, min_degree: f64) -> impl Iterator<Item = Correlator> + '_ {
+        self.graph
+            .edges(file, &self.cfg)
+            .filter(move |e| crate::miner::is_valid(e.degree, min_degree))
+            .map(|e| Correlator {
+                file: e.to,
+                degree: e.degree,
+            })
+    }
+
     /// Learn `file`'s path on first sight. Returns `(sig, late)`: the
     /// signature of the path now on record for the file
     /// ([`PathSig::NONE`] when there is none), and whether this was a
@@ -610,57 +563,21 @@ impl CorrelationSource for Farmer {
         if k == 0 {
             return;
         }
-        let mut cache = self.cache.borrow_mut();
-        // Degrees depend on the graph state *and* the mining weight `p`
-        // (mutable via `config_mut`), so both stamp a view.
-        let stamp = (self.graph.epoch(), self.cfg.p.to_bits());
-        if cache.views.len() >= QUERY_CACHE_CAP && !cache.views.contains_key(&file.raw()) {
-            cache.views.clear();
+        // Degrees are evaluated here, against the current `N(file)` and
+        // `p`: whatever the last observe / forget / `config_mut` left is
+        // what the query sees.
+        out.extend(self.valid_edges(file, min_degree));
+        if k < out.len() {
+            // Partition the k strongest to the front, then order only those.
+            out.select_nth_unstable_by(k - 1, rank_cmp);
+            out.truncate(k);
         }
-        let view = cache.views.entry(file.raw()).or_default();
-        if view.stamp != stamp {
-            view.stamp = stamp;
-            view.sorted = 0;
-            view.entries.clear(); // capacity retained: rebuilds don't allocate
-            view.entries
-                .extend(self.graph.edges(file, &self.cfg).map(|e| Correlator {
-                    file: e.to,
-                    degree: e.degree,
-                }));
-        }
-        view.ensure_sorted(k);
-        crate::source::copy_top_k(&view.entries[..view.sorted], k, min_degree, out);
+        out.sort_unstable_by(rank_cmp);
     }
 
     fn strongest(&self, file: FileId, min_degree: f64) -> Option<Correlator> {
-        // Serve from a still-valid sorted view when one exists (its head IS
-        // the strongest entry); otherwise fall back to one pass over the
-        // node's edges — no sort, no cache population, no allocation.
-        let stamp = (self.graph.epoch(), self.cfg.p.to_bits());
-        if let Some(view) = self.cache.borrow().views.get(&file.raw()) {
-            if view.stamp == stamp {
-                // top_k_into sorts at least one entry of every fresh view.
-                return view
-                    .entries
-                    .first()
-                    .copied()
-                    .filter(|c| crate::miner::is_valid(c.degree, min_degree));
-            }
-        }
-        let mut best: Option<Correlator> = None;
-        for e in self.graph.edges(file, &self.cfg) {
-            if !crate::miner::is_valid(e.degree, min_degree) {
-                continue;
-            }
-            let c = Correlator {
-                file: e.to,
-                degree: e.degree,
-            };
-            if best.is_none_or(|b| rank_cmp(&c, &b).is_lt()) {
-                best = Some(c);
-            }
-        }
-        best
+        // First in the canonical order = least under `rank_cmp`.
+        self.valid_edges(file, min_degree).min_by(rank_cmp)
     }
 
     fn degree(&self, from: FileId, to: FileId) -> Option<f64> {
@@ -1538,7 +1455,7 @@ mod tests {
     }
 
     #[test]
-    fn query_cache_invalidated_by_mutation() {
+    fn query_after_observe_sees_the_new_state() {
         let mut f = Farmer::with_defaults();
         for _ in 0..5 {
             f.observe(req(0, 1, 1, 1), None);
@@ -1547,7 +1464,7 @@ mod tests {
         let v0 = f.version();
         let mut before = Vec::new();
         f.top_k_into(FileId::new(0), 4, 0.0, &mut before);
-        // New observations shift the degrees; the cached view must follow.
+        // New observations shift the degrees; the next query must follow.
         for _ in 0..5 {
             f.observe(req(0, 1, 1, 1), None);
             f.observe(req(2, 1, 1, 1), None);
@@ -1557,7 +1474,7 @@ mod tests {
         f.top_k_into(FileId::new(0), 4, 0.0, &mut after);
         assert!(
             after.len() > before.len() || after[0].degree != before[0].degree,
-            "stale cached view served after mutation"
+            "query after observe answered from the old state"
         );
         let fresh = f.correlators_with_threshold(FileId::new(0), 0.0);
         assert_eq!(after.len(), fresh.len());
@@ -1567,7 +1484,7 @@ mod tests {
     }
 
     #[test]
-    fn query_cache_tracks_p_change() {
+    fn query_after_p_change_sees_the_new_p() {
         let mut f = Farmer::with_defaults();
         for i in 0..12 {
             f.observe(req(0, 1, 1, 1), None);
@@ -1577,8 +1494,8 @@ mod tests {
                 f.observe(req(1, 9, 9, 9), None); // foreign context, frequent
             }
         }
-        // Warm the cache under the default p, then flip p without touching
-        // the graph: the sorted view must be rebuilt, not served stale.
+        // Query under the default p, then flip p without touching the
+        // graph: degrees are evaluated at query time, under the new p.
         let _ = f.strongest(FileId::new(0), 0.0);
         let mut buf = Vec::new();
         f.top_k_into(FileId::new(0), 1, 0.0, &mut buf);
@@ -1602,7 +1519,7 @@ mod tests {
         assert!(!buf.is_empty());
         f.forget_file(FileId::new(0));
         f.top_k_into(FileId::new(0), 4, 0.0, &mut buf);
-        assert!(buf.is_empty(), "evicted file still served from cache");
+        assert!(buf.is_empty(), "forgotten file still served");
         assert_eq!(f.strongest(FileId::new(0), 0.0), None);
     }
 

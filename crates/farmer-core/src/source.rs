@@ -8,15 +8,14 @@
 //! single strongest", "how strong is this pair"), so they all program
 //! against this trait and any mining back-end can sit behind them:
 //!
-//! * [`crate::Farmer`] — live queries against the in-memory model, backed
-//!   by a per-node sorted-view cache invalidated by the graph's mutation
-//!   epoch;
+//! * [`crate::Farmer`] — live queries against the in-memory model,
+//!   answered from the graph node's edges at query time;
 //! * [`crate::CorrelatorTable`] — an exported, immutable table (one flat
 //!   entries slab behind an owner → span index);
 //! * `farmer_stream::StreamSnapshot` — a consistent cut of the sharded
-//!   online miner, queried directly (no table copy);
-//! * `farmer_store::CorrelatorView` — lists persisted in the embedded
-//!   store and reloaded after a restart.
+//!   online miner, queried directly (no table copy), and the form lists
+//!   persist in: a checkpoint image (`farmer_stream::durable::
+//!   encode_snapshot` / `decode_snapshot`) reloads as one, bit for bit.
 //!
 //! # Contract
 //!
@@ -29,22 +28,21 @@
 //! below the threshold it was built with, while a live [`crate::Farmer`]
 //! retains every graph edge.
 //!
-//! **Threading.** The exported back-ends (table, snapshot, store view)
-//! are immutable and `Sync` — share them freely across serving threads.
-//! The live [`crate::Farmer`] is `Send` but *not* `Sync`: its query cache
-//! uses interior mutability, matching the deployment model where each
-//! mining shard owns its model and concurrent serving tiers consume
-//! exported snapshots.
+//! **Threading.** Every back-end is `Send + Sync`: no query mutates
+//! anything, so `&Farmer`, `&CorrelatorTable` and `&StreamSnapshot` can be
+//! shared across serving threads. A live [`crate::Farmer`] still has one
+//! writer (`observe` takes `&mut self`), which is why each mining shard
+//! owns its model and concurrent serving tiers consume exported
+//! snapshots.
 //!
-//! # Complexity (deg = successor count of the queried file)
+//! # Complexity (deg = successor count of the queried file, ≤ `max_successors`)
 //!
-//! | query | cost |
-//! |---|---|
-//! | `top_k_into` (cache hit) | O(k) copy |
-//! | `top_k_into` (cache miss) | O(deg + k log k) — partial select, **not** O(deg log deg) |
-//! | `strongest` | O(deg) scan, no sort, no allocation |
-//! | `degree` | O(deg) scan |
-//! | `version` | O(1) |
+//! | query | live model | table / snapshot |
+//! |---|---|---|
+//! | `top_k_into` | O(deg + k log k) — degrees evaluated, partial select, **not** O(deg log deg) | one index probe + O(k) copy of a stored prefix |
+//! | `strongest` | O(deg) scan, no sort | the stored head, O(1) |
+//! | `degree` | O(deg) scan | O(deg) scan |
+//! | `version` | O(1) | O(1) |
 
 use farmer_trace::FileId;
 
@@ -65,18 +63,16 @@ pub trait CorrelationSource {
     /// Clear `out` and fill it with up to `k` strongest correlators of
     /// `file` whose degree reaches `min_degree`, strongest first (ties by
     /// ascending file id). Steady-state allocation-free: once `out` has
-    /// warmed to capacity `k`, repeated calls never allocate.
+    /// warmed — to `k` entries over stored lists, to the largest successor
+    /// count queried (≤ `max_successors`) over the live model, which
+    /// selects in place — repeated calls never allocate.
     fn top_k_into(&self, file: FileId, k: usize, min_degree: f64, out: &mut Vec<Correlator>);
 
     /// The single strongest correlator of `file` with degree ≥
-    /// `min_degree`, if any. Back-ends override this with an O(deg) scan —
-    /// no sorting, no allocation — which is why head-of-list consumers
-    /// must route through it rather than materializing a full list.
-    fn strongest(&self, file: FileId, min_degree: f64) -> Option<Correlator> {
-        let mut one = Vec::with_capacity(1);
-        self.top_k_into(file, 1, min_degree, &mut one);
-        one.first().copied()
-    }
+    /// `min_degree`, if any: at most an O(deg) scan — no sorting, no
+    /// allocation — which is why head-of-list consumers must route
+    /// through it rather than materializing a full list.
+    fn strongest(&self, file: FileId, min_degree: f64) -> Option<Correlator>;
 
     /// The correlation degree `R(from, to)`, if the source retains that
     /// pair.
@@ -126,7 +122,8 @@ impl<T: CorrelationSource + ?Sized> CorrelationSource for std::sync::Arc<T> {
 }
 
 /// Canonical correlator ordering: decreasing degree, ties by ascending
-/// file id — the order [`crate::CorrelatorList::build`] has always used.
+/// file id. The one definition: every sort and selection of correlators
+/// in this crate compares through it.
 #[inline]
 pub(crate) fn rank_cmp(a: &Correlator, b: &Correlator) -> std::cmp::Ordering {
     b.degree
@@ -276,32 +273,5 @@ mod tests {
         let v0 = CorrelationSource::version(&t);
         t.push_list(FileId::new(1), &[c(2, 0.5)]).unwrap();
         assert!(CorrelationSource::version(&t) > v0);
-    }
-
-    #[test]
-    fn default_strongest_matches_top_1() {
-        // A back-end that does not override `strongest` must agree with
-        // its own top-1.
-        struct Shim(CorrelatorTable);
-        impl CorrelationSource for Shim {
-            fn version(&self) -> u64 {
-                self.0.version()
-            }
-            fn top_k_into(&self, f: FileId, k: usize, m: f64, out: &mut Vec<Correlator>) {
-                self.0.top_k_into(f, k, m, out)
-            }
-            fn degree(&self, a: FileId, b: FileId) -> Option<f64> {
-                CorrelationSource::degree(&self.0, a, b)
-            }
-            fn for_each_list(&self, visit: &mut dyn FnMut(FileId, &[Correlator])) {
-                self.0.for_each_list(visit)
-            }
-        }
-        let s = Shim(table());
-        assert_eq!(
-            s.strongest(FileId::new(0), 0.0),
-            s.0.strongest(FileId::new(0), 0.0)
-        );
-        assert_eq!(s.strongest(FileId::new(42), 0.0), None);
     }
 }

@@ -43,9 +43,9 @@ pub struct Layout {
     pub grouped_files: usize,
 }
 
-/// Build a layout from any mined correlation source (the live model, a
-/// stream snapshot, a store view): greedy correlator-list grouping over
-/// read-only files.
+/// Build a layout from any mined correlation source (the live model, an
+/// exported table, a stream snapshot): greedy correlator-list grouping
+/// over read-only files.
 pub fn plan_layout(source: &dyn CorrelationSource, trace: &Trace, cfg: LayoutConfig) -> Layout {
     let n = trace.num_files();
     let mut group_of: Vec<Option<u32>> = vec![None; n];

@@ -7,8 +7,12 @@
 //!
 //! * a steady-state [`ServeReader::top_k_into`] allocates nothing, and
 //!   neither do the sources under it: the live model's `top_k_into`
-//!   (sorted-view cache, caller-owned buffer) and `strongest`, and an
-//!   exported `CorrelatorTable`'s `top_k_into`;
+//!   (selection in the caller's buffer) and `strongest`, and an exported
+//!   `CorrelatorTable`'s `top_k_into`;
+//! * the live model queried the way a self-mining FPA queries it — one
+//!   `top_k_into` after every `observe_event`, over more distinct files
+//!   than any bounded per-file structure would hold — allocates nothing
+//!   inside the query from the second lap on;
 //! * a publication allocates a fixed handful of blocks (one flat table,
 //!   the build's scratch, the barrier's channel), not one per list: the
 //!   same bound holds at 256 and at 4096 tracked files.
@@ -130,16 +134,38 @@ fn queries_allocate_nothing_and_publication_a_fixed_handful() {
     let strongest = |what| {
         assert_steady_state_is_alloc_free(&trace, what, |f| farmer.strongest(f, thr).is_some());
     };
-    strongest("model strongest (one scan of the node's edges)");
+    strongest("model strongest");
     assert_steady_state_is_alloc_free(&trace, "model top-k", |f| {
         farmer.top_k_into(f, K, thr, &mut out);
         !out.is_empty()
     });
-    strongest("model strongest (head of top-k's cached view)");
     assert_steady_state_is_alloc_free(&trace, "table top-k", |f| {
         table.top_k_into(f, K, 0.0, &mut out);
         !out.is_empty()
     });
+
+    // The order FPA runs: observe an event, then query its file, every
+    // query against a model the observation has just changed, over more
+    // files than a bounded per-file structure could keep. Only the query
+    // calls are counted.
+    assert!(trace.num_files() > 8192, "{} files", trace.num_files());
+    let mut live = Farmer::new(FarmerConfig::default());
+    let mut lap = || {
+        let (mut allocs, mut answered) = (0, 0);
+        for e in &trace.events {
+            live.observe_event(&trace, e);
+            allocs += allocs_during(|| live.top_k_into(e.file, K, thr, &mut out));
+            answered += usize::from(!out.is_empty());
+        }
+        (allocs, answered)
+    };
+    let (_, first) = lap();
+    let (allocs, second) = lap();
+    assert!(
+        first > trace.len() / 2 && second >= first,
+        "{first}, {second}"
+    );
+    assert_eq!(allocs, 0, "query after observe allocated in steady state");
 
     for shards in [1usize, 2] {
         let (small, small_lists) = publish_allocs(&trace, 256, shards);

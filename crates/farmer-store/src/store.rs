@@ -1,11 +1,8 @@
-//! The [`MetaStore`] façade: typed tables over the B+-tree.
+//! The [`MetaStore`] façade: a typed table over the B+-tree.
 //!
-//! Two tables, mirroring what HUSt keeps in Berkeley DB:
-//!
-//! * **metadata** — one [`MetadataRecord`] per file (size, device,
-//!   read-only flag, layout group),
-//! * **correlators** — one serialized correlator list per file, written by
-//!   the mining utility and read by the prefetcher on warm-up.
+//! One table, the one HUSt's metadata server reads from Berkeley DB:
+//! **metadata** — one [`MetadataRecord`] per file (size, device,
+//! read-only flag, layout group).
 //!
 //! All accesses are counted in [`IoStats`]; the metadata server charges its
 //! latency model per page touched, so store shape (tree depth, record
@@ -64,21 +61,12 @@ impl MetadataRecord {
     }
 }
 
-/// One persisted correlator entry (successor + degree).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CorrelatorRecord {
-    /// Successor file.
-    pub file: FileId,
-    /// Correlation degree at persist time.
-    pub degree: f64,
-}
-
 /// Cumulative store I/O counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IoStats {
-    /// Pages read across both tables.
+    /// Pages read.
     pub page_reads: u64,
-    /// Pages written across both tables.
+    /// Pages written.
     pub page_writes: u64,
     /// Record-level lookups.
     pub lookups: u64,
@@ -87,7 +75,7 @@ pub struct IoStats {
 }
 
 /// Live observability handles mirroring [`IoStats`], fed by `sync_io` as
-/// page traffic is drained from the trees. No-op by default.
+/// page traffic is drained from the tree. No-op by default.
 #[derive(Debug, Clone, Default)]
 pub struct StoreMetrics {
     /// Pages read (`store.page_reads`).
@@ -117,7 +105,6 @@ impl StoreMetrics {
 #[derive(Debug, Default)]
 pub struct MetaStore {
     metadata: BTree,
-    correlators: BTree,
     stats: IoStats,
     obs: StoreMetrics,
 }
@@ -190,49 +177,6 @@ impl MetaStore {
         out
     }
 
-    /// Persist a file's correlator list.
-    pub fn put_correlators(&mut self, owner: FileId, list: &[CorrelatorRecord]) {
-        let mut w = Writer::with_capacity(4 + list.len() * 12);
-        w.u32(list.len() as u32);
-        for c in list {
-            w.u32(c.file.raw());
-            w.f64(c.degree);
-        }
-        self.correlators.insert(owner.raw() as u64, &w.finish());
-        self.stats.updates += 1;
-        self.obs.updates.inc();
-        self.sync_io();
-    }
-
-    /// Read back a file's correlator list.
-    pub fn get_correlators(&mut self, owner: FileId) -> Option<Vec<CorrelatorRecord>> {
-        let buf = self.correlators.get(owner.raw() as u64)?.to_vec();
-        self.stats.lookups += 1;
-        self.obs.lookups.inc();
-        self.sync_io();
-        let mut r = Reader::new(&buf);
-        // lint: allow(panic) correlator pages are written by this module;
-        // decode failure means on-disk corruption, which has no sane
-        // recovery (policy shared by the three reads below)
-        let n = r.u32().expect("store corruption");
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            // lint: allow(panic) see the corruption policy above
-            let file = FileId::new(r.u32().expect("store corruption"));
-            // lint: allow(panic) see the corruption policy above
-            let degree = r.f64().expect("store corruption");
-            out.push(CorrelatorRecord { file, degree });
-        }
-        Some(out)
-    }
-
-    /// Owner file ids of every persisted correlator list (key order).
-    pub(crate) fn correlator_owners(&mut self) -> Vec<u64> {
-        let keys = self.correlators.keys();
-        self.sync_io();
-        keys
-    }
-
     /// Number of metadata records.
     pub fn metadata_len(&self) -> usize {
         self.metadata.len()
@@ -248,35 +192,17 @@ impl MetaStore {
         self.stats
     }
 
-    /// Approximate resident bytes of both tables.
+    /// Approximate resident bytes of the table.
     pub fn heap_bytes(&self) -> usize {
-        self.metadata.heap_bytes() + self.correlators.heap_bytes()
-    }
-
-    /// Mutable access to both underlying trees (snapshot machinery).
-    pub(crate) fn tables_mut(&mut self) -> (&mut BTree, &mut BTree) {
-        (&mut self.metadata, &mut self.correlators)
-    }
-
-    /// Rebuild a store from restored trees (snapshot machinery).
-    pub(crate) fn from_tables(metadata: BTree, correlators: BTree) -> MetaStore {
-        MetaStore {
-            metadata,
-            correlators,
-            stats: IoStats::default(),
-            obs: StoreMetrics::default(),
-        }
+        self.metadata.heap_bytes()
     }
 
     fn sync_io(&mut self) {
-        let m = self.metadata.take_io();
-        let c = self.correlators.take_io();
-        let reads = m.page_reads + c.page_reads;
-        let writes = m.page_writes + c.page_writes;
-        self.stats.page_reads += reads;
-        self.stats.page_writes += writes;
-        self.obs.page_reads.add(reads);
-        self.obs.page_writes.add(writes);
+        let io = self.metadata.take_io();
+        self.stats.page_reads += io.page_reads;
+        self.stats.page_writes += io.page_writes;
+        self.obs.page_reads.add(io.page_reads);
+        self.obs.page_writes.add(io.page_writes);
     }
 }
 
@@ -331,27 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn correlator_lists_roundtrip() {
-        let mut s = MetaStore::new();
-        let list = vec![
-            CorrelatorRecord {
-                file: FileId::new(2),
-                degree: 0.9,
-            },
-            CorrelatorRecord {
-                file: FileId::new(3),
-                degree: 0.5,
-            },
-        ];
-        s.put_correlators(FileId::new(1), &list);
-        assert_eq!(s.get_correlators(FileId::new(1)), Some(list));
-        assert_eq!(s.get_correlators(FileId::new(9)), None);
-        // Empty lists are representable.
-        s.put_correlators(FileId::new(4), &[]);
-        assert_eq!(s.get_correlators(FileId::new(4)), Some(vec![]));
-    }
-
-    #[test]
     fn load_namespace_bulk() {
         let mut s = MetaStore::new();
         let recs: Vec<MetadataRecord> = (0..1000).map(|i| rec(i, i as u64)).collect();
@@ -371,8 +276,6 @@ mod tests {
             s.put_metadata(&rec(i, i as u64));
         }
         s.get_metadata(FileId::new(7));
-        s.put_correlators(FileId::new(1), &[]);
-        s.get_correlators(FileId::new(1));
         let snap = reg.snapshot();
         let io = s.stats();
         assert_eq!(snap.counter("store.page_reads"), Some(io.page_reads));
@@ -405,19 +308,6 @@ mod tests {
         ) {
             let r = MetadataRecord { file: FileId::new(file), size, dev, read_only: ro, group };
             prop_assert_eq!(MetadataRecord::decode(&r.encode()).unwrap(), r);
-        }
-
-        #[test]
-        fn correlator_lists_of_any_size_roundtrip(
-            entries in proptest::collection::vec((any::<u32>(), 0.0f64..1.0), 0..64),
-        ) {
-            let mut s = MetaStore::new();
-            let list: Vec<CorrelatorRecord> = entries
-                .into_iter()
-                .map(|(f, d)| CorrelatorRecord { file: FileId::new(f), degree: d })
-                .collect();
-            s.put_correlators(FileId::new(0), &list);
-            prop_assert_eq!(s.get_correlators(FileId::new(0)), Some(list));
         }
     }
 }

@@ -269,13 +269,12 @@ pub(crate) fn tables_bitwise_equal(a: &CorrelatorTable, b: &CorrelatorTable) -> 
 /// tests use.
 ///
 /// `state_bytes` is deliberately *not* compared: it reports resident
-/// heap including buffer capacities (eviction scratch, the per-file
-/// query cache of whoever queried the live model), which reflect the
-/// history of a process rather than mined state — a miner restored from
-/// an image starts with empty scratch, so two bit-identical graphs can
-/// legitimately report different resident footprints. Building
-/// snapshots is not part of that history: it leaves `state_bytes` as it
-/// was.
+/// heap including buffer capacities (eviction scratch, recycled node
+/// buffers), which reflect the history of a process rather than mined
+/// state — a miner restored from an image starts with empty scratch, so
+/// two bit-identical graphs can legitimately report different resident
+/// footprints. Reading is not part of that history: queries and
+/// snapshot builds leave `state_bytes` as it was.
 pub fn snapshots_bitwise_equal(a: &StreamSnapshot, b: &StreamSnapshot) -> bool {
     a.events == b.events
         && a.shards == b.shards

@@ -369,10 +369,9 @@ impl StreamMiner {
         self.evictions
     }
 
-    /// Approximate resident heap bytes: the wrapped model (its per-file
-    /// query cache included, which only [`Farmer::correlators`]-style
-    /// queries fill — [`StreamMiner::snapshot`] does not), the counter
-    /// table and the eviction scratch.
+    /// Approximate resident heap bytes: the wrapped model, the counter
+    /// table and the eviction scratch. Reading the model — a query, a
+    /// [`StreamMiner::snapshot`] — leaves it as it was.
     pub fn state_bytes(&self) -> usize {
         self.farmer.memory_bytes()
             + self.counts.len() * (std::mem::size_of::<(u32, f64)>() + 8)
@@ -539,10 +538,10 @@ mod tests {
         assert!(snap.lists.len() > 50, "only {} lists", snap.lists.len());
         assert_eq!(snap.state_bytes, before);
         assert_eq!(m.state_bytes(), before, "publication left state behind");
-        // The per-file API is what fills the model's query cache.
+        // Nor does a per-file query: the model keeps nothing between them.
         let (owner, _) = snap.lists.iter().next().unwrap();
         assert!(!m.farmer().correlators(owner).is_empty());
-        assert!(m.state_bytes() > before);
+        assert_eq!(m.state_bytes(), before, "a query left state behind");
     }
 
     #[test]

@@ -110,47 +110,3 @@ fn parser_roundtrip_preserves_mining() {
         }
     }
 }
-
-#[test]
-fn farmer_correlators_persist_through_store() {
-    // Mine, persist correlator lists into the embedded store (as HUSt does
-    // with Berkeley DB), read them back, and verify equality.
-    use farmer::store::{CorrelatorRecord, MetaStore};
-    let trace = WorkloadSpec::ins().scaled(SCALE).generate();
-    let farmer = Farmer::mine_trace(&trace, FarmerConfig::pathless());
-    let mut store = MetaStore::new();
-
-    let mut persisted = 0;
-    for fid in 0..trace.num_files() {
-        let file = FileId::new(fid as u32);
-        let list = farmer.correlators(file);
-        if list.is_empty() {
-            continue;
-        }
-        let records: Vec<CorrelatorRecord> = list
-            .iter()
-            .map(|c| CorrelatorRecord {
-                file: c.file,
-                degree: c.degree,
-            })
-            .collect();
-        store.put_correlators(file, &records);
-        persisted += 1;
-    }
-    assert!(persisted > 50, "expected many persisted lists");
-
-    for fid in 0..trace.num_files() {
-        let file = FileId::new(fid as u32);
-        let list = farmer.correlators(file);
-        match store.get_correlators(file) {
-            Some(records) => {
-                assert_eq!(records.len(), list.len());
-                for (r, c) in records.iter().zip(list.iter()) {
-                    assert_eq!(r.file, c.file);
-                    assert!((r.degree - c.degree).abs() < 1e-12);
-                }
-            }
-            None => assert!(list.is_empty()),
-        }
-    }
-}

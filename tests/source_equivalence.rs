@@ -1,25 +1,44 @@
 //! The `CorrelationSource` contract, pinned across every back-end: the
-//! live model, an exported table, a merged stream snapshot, and a store
-//! round-trip must answer every query identically for the same mined
-//! state. This is the guarantee that lets a serving tier swap back-ends
-//! (self-mining → streamed snapshot → restart from the store) without its
-//! consumers noticing.
+//! live model, an exported table, a merged stream snapshot, and a
+//! snapshot reloaded from its checkpoint image must answer every query
+//! identically for the same mined state. This is the guarantee that lets
+//! a serving tier swap back-ends (self-mining → streamed snapshot →
+//! restart from an image) without its consumers noticing.
 
 use farmer::core::{CorrelationSource, Correlator, CorrelatorTable, Farmer, FarmerConfig};
 use farmer::prelude::*;
+use farmer::stream::durable::{decode_snapshot, encode_snapshot, snapshots_bitwise_equal};
 use farmer::stream::ShardedMiner;
 
+/// Sharded mining partitions the float accumulation, so the streamed
+/// snapshot matches the live model to this tolerance; everything derived
+/// from the live model itself matches it bitwise ([`BITWISE`]).
 const TOL: f64 = 1e-12;
+const BITWISE: f64 = 0.0;
 
-/// All four back-ends built from the same mined state, plus the validity
-/// threshold the exported ones were built with.
+/// The three back-ends built from the same mined state — the snapshot
+/// form twice, once streamed and once through the persisted image — plus
+/// the validity threshold the exported ones were built with.
 struct Backends {
     live: Farmer,
     table: CorrelatorTable,
     snapshot: StreamSnapshot,
-    stored: farmer::store::CorrelatorView,
+    /// The live model's table as a snapshot, encoded to the checkpoint
+    /// image format and decoded again: what a restart serves from.
+    stored: StreamSnapshot,
     threshold: f64,
     num_files: usize,
+}
+
+impl Backends {
+    /// The exported back-ends with the tolerance each owes the live model.
+    fn exported(&self) -> [(&'static str, &dyn CorrelationSource, f64); 3] {
+        [
+            ("table", &self.table, BITWISE),
+            ("snapshot", &self.snapshot, TOL),
+            ("stored", &self.stored, BITWISE),
+        ]
+    }
 }
 
 /// Any source's lists as a standalone table, through the trait's own
@@ -50,13 +69,19 @@ fn backends() -> Backends {
     }
     let snapshot = miner.snapshot();
 
-    // Persisted: live model -> store -> byte image -> restore -> view.
-    let mut store = MetaStore::new();
-    let written = store.put_correlation_source(&live);
-    assert!(written > 0, "nothing persisted");
-    let image = store.snapshot();
-    let mut restored = MetaStore::restore(&image).expect("restore");
-    let stored = restored.correlator_view();
+    // Persisted: live model -> snapshot -> checkpoint image -> snapshot.
+    let exported = StreamSnapshot {
+        table: live.correlator_table(),
+        events: trace.len() as u64,
+        shards: 1,
+        tracked_files: live.graph().active_nodes(),
+        evictions: 0,
+        state_bytes: live.memory_bytes(),
+    };
+    assert!(exported.num_lists() > 50, "nothing to persist");
+    let stored = decode_snapshot(&encode_snapshot(&exported)).expect("decode");
+    assert!(snapshots_bitwise_equal(&stored, &exported));
+    assert_eq!(stored.state_bytes, exported.state_bytes);
 
     Backends {
         live,
@@ -68,7 +93,12 @@ fn backends() -> Backends {
     }
 }
 
-fn assert_same(tag: &str, owner: FileId, got: &[Correlator], want: &[Correlator]) {
+/// Equal on raw bits when `tol` is [`BITWISE`], within `tol` otherwise.
+fn close(got: f64, want: f64, tol: f64) -> bool {
+    got.to_bits() == want.to_bits() || (got - want).abs() < tol
+}
+
+fn assert_same(tag: &str, tol: f64, owner: FileId, got: &[Correlator], want: &[Correlator]) {
     assert_eq!(
         got.len(),
         want.len(),
@@ -77,7 +107,7 @@ fn assert_same(tag: &str, owner: FileId, got: &[Correlator], want: &[Correlator]
     for (g, w) in got.iter().zip(want) {
         assert_eq!(g.file, w.file, "{tag}: order diverged for {owner}");
         assert!(
-            (g.degree - w.degree).abs() < TOL,
+            close(g.degree, w.degree, tol),
             "{tag}: degree diverged for {owner}->{}: {} vs {}",
             g.file,
             g.degree,
@@ -89,12 +119,6 @@ fn assert_same(tag: &str, owner: FileId, got: &[Correlator], want: &[Correlator]
 #[test]
 fn all_backends_serve_identical_top_k() {
     let b = backends();
-    let sources: [(&str, &dyn CorrelationSource); 4] = [
-        ("live", &b.live),
-        ("table", &b.table),
-        ("snapshot", &b.snapshot),
-        ("stored", &b.stored),
-    ];
     let mut want = Vec::new();
     let mut got = Vec::new();
     let mut non_empty = 0usize;
@@ -104,9 +128,9 @@ fn all_backends_serve_identical_top_k() {
         // the live model is queried at the same threshold.
         for k in [1usize, 4, 8, usize::MAX] {
             b.live.top_k_into(file, k, b.threshold, &mut want);
-            for (tag, src) in &sources[1..] {
+            for (tag, src, tol) in b.exported() {
                 src.top_k_into(file, k, 0.0, &mut got);
-                assert_same(tag, file, &got, &want);
+                assert_same(tag, tol, file, &got, &want);
             }
         }
         if !want.is_empty() {
@@ -123,24 +147,16 @@ fn all_backends_agree_on_strongest_and_degree() {
     for fid in 0..b.num_files as u32 {
         let file = FileId::new(fid);
         let want = b.live.strongest(file, b.threshold);
-        for (tag, got) in [
-            ("table", b.table.strongest(file, 0.0)),
-            ("snapshot", b.snapshot.strongest(file, 0.0)),
-            ("stored", b.stored.strongest(file, 0.0)),
-        ] {
-            match (want, got) {
+        for (tag, src, tol) in b.exported() {
+            match (want, src.strongest(file, 0.0)) {
                 (None, None) => {}
                 (Some(w), Some(g)) => {
                     assert_eq!(g.file, w.file, "{tag}: strongest diverged for {file}");
-                    assert!((g.degree - w.degree).abs() < TOL);
+                    assert!(close(g.degree, w.degree, tol), "{tag}: {file}");
                     // Pairwise degree agrees everywhere the pair is retained.
                     let d_live = CorrelationSource::degree(&b.live, file, w.file).unwrap();
-                    let d_tab = CorrelationSource::degree(&b.table, file, w.file).unwrap();
-                    let d_snap = CorrelationSource::degree(&b.snapshot, file, w.file).unwrap();
-                    let d_store = CorrelationSource::degree(&b.stored, file, w.file).unwrap();
-                    for d in [d_tab, d_snap, d_store] {
-                        assert!((d - d_live).abs() < TOL, "degree diverged for {file}");
-                    }
+                    let d = src.degree(file, w.file).unwrap();
+                    assert!(close(d, d_live, tol), "{tag}: degree diverged for {file}");
                     checked_pairs += 1;
                 }
                 (w, g) => panic!("{tag}: strongest diverged for {file}: {w:?} vs {g:?}"),
@@ -162,18 +178,14 @@ fn exports_agree_list_by_list() {
     b.live.for_each_list(&mut |owner, entries| {
         live_lists.insert(owner.raw(), entries.to_vec());
     });
-    for (tag, src) in [
-        ("table", &b.table as &dyn CorrelationSource),
-        ("snapshot", &b.snapshot),
-        ("stored", &b.stored),
-    ] {
+    for (tag, src, tol) in b.exported() {
         let mut seen = 0usize;
         src.for_each_list(&mut |owner, entries| {
             seen += 1;
             let want = live_lists
                 .get(&owner.raw())
                 .unwrap_or_else(|| panic!("{tag}: unexpected owner {owner}"));
-            assert_same(tag, owner, entries, want);
+            assert_same(tag, tol, owner, entries, want);
         });
         assert_eq!(seen, live_lists.len(), "{tag}: owner coverage diverged");
     }
@@ -200,8 +212,8 @@ fn versions_move_with_their_backends() {
 #[test]
 fn predictor_serves_identically_from_any_backend() {
     // The consumer-level corollary: an FPA following a cell that holds
-    // the lists exported from the table, the snapshot, or the store view
-    // produces identical predictions.
+    // the lists exported from the table, the snapshot, or the reloaded
+    // image produces identical predictions.
     let b = backends();
     let trace = WorkloadSpec::hp().scaled(0.03).generate();
     let follower_of = |source: &dyn CorrelationSource| {
@@ -222,6 +234,17 @@ fn predictor_serves_identically_from_any_backend() {
         from_snap.on_access_into(&trace, e, &mut c);
         from_store.on_access_into(&trace, e, &mut d);
         assert_eq!(a, c, "snapshot-served predictions diverged");
-        assert_eq!(a, d, "store-served predictions diverged");
+        assert_eq!(a, d, "image-served predictions diverged");
     }
+}
+
+#[test]
+fn every_backend_is_send_and_sync() {
+    // No query mutates anything, so one source can sit behind `&` on any
+    // number of serving threads; the live model included, since it holds
+    // no interior mutability.
+    fn assert_sync<T: Send + Sync>() {}
+    assert_sync::<Farmer>();
+    assert_sync::<CorrelatorTable>();
+    assert_sync::<StreamSnapshot>();
 }
