@@ -113,14 +113,6 @@ impl FarmerConfig {
         self
     }
 
-    /// Builder-style decay override (see [`FarmerConfig::decay`]).
-    #[must_use]
-    pub fn with_decay(mut self, decay: f64) -> Self {
-        assert!((0.0..=1.0).contains(&decay), "decay must be in [0,1]");
-        self.decay = decay;
-        self
-    }
-
     /// LDA weight at successor distance `d ≥ 1`; 0 outside the window.
     #[inline]
     pub fn lda_weight(&self, d: usize) -> f64 {

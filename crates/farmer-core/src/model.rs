@@ -117,11 +117,11 @@ pub struct Farmer {
     /// each carrying a best-effort [`NodeHint`] so mining from it skips the
     /// graph's id→slot probe.
     window: VecDeque<WindowEntry>,
-    /// Per-file learned paths (cloned from the first observation of each
-    /// file), keyed sparsely by file id. This mirrors the paper's
-    /// semantic-vector store: "vectors are stored as columns of a single
-    /// matrix" — but only live columns are resident. Beside each path, its
-    /// signature, computed once here.
+    /// Per-file learned paths (the first observation's, held by a shared
+    /// `clone()` — no component is copied), keyed sparsely by file id.
+    /// This mirrors the paper's semantic-vector store: "vectors are stored
+    /// as columns of a single matrix" — but only live columns are
+    /// resident. Beside each path, its signature, computed once here.
     paths: FxHashMap<u32, (FilePath, PathSig)>,
     /// Precomputed LDA weight table (`lda[i]` = weight at distance i+1).
     lda: Vec<f64>,
@@ -432,7 +432,9 @@ impl Farmer {
     /// window's `Request` payload, and the LDA table. Regenerates the
     /// paper's Table 4 space-overhead numbers — every live structure is
     /// accounted, so the figure stays honest under eviction and
-    /// re-admission.
+    /// re-admission. Path components are counted in full
+    /// ([`FilePath::heap_bytes`]) although a learned path's buffer may be
+    /// shared with the caller that offered it.
     pub fn memory_bytes(&self) -> usize {
         let paths: usize = self
             .paths

@@ -287,11 +287,6 @@ impl MdsServer {
         self.cache.stats()
     }
 
-    /// Store I/O counters.
-    pub fn store_stats(&self) -> farmer_store::IoStats {
-        self.store.stats()
-    }
-
     /// Predictor state size (Table 4 accounting).
     pub fn predictor_memory(&self) -> usize {
         self.predictor.memory_bytes()
@@ -400,7 +395,7 @@ mod tests {
         let trace = small_trace();
         let mds = MdsServer::new(&trace, Box::new(LruOnly), MdsConfig::default());
         assert_eq!(
-            mds.store_stats().updates as usize,
+            mds.store.stats().updates as usize,
             trace.num_files(),
             "every namespace file must be loaded"
         );

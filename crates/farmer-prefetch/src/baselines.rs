@@ -112,11 +112,6 @@ pub struct RecentPopularity {
 }
 
 impl RecentPopularity {
-    /// The commonly used 2-of-4 configuration.
-    pub fn default_config() -> Self {
-        Self::new(2, 4)
-    }
-
     /// Predict only when a successor appears ≥ `j` times in the last `k`.
     pub fn new(j: usize, k: usize) -> Self {
         assert!(j >= 1 && k >= j, "need 1 <= j <= k");

@@ -104,13 +104,6 @@ impl FpaPredictor {
         Self::new(cfg)
     }
 
-    /// Override the prefetch group size.
-    #[must_use]
-    pub fn with_group_limit(mut self, limit: usize) -> Self {
-        self.group_limit = limit;
-        self
-    }
-
     /// Serve from `cell` instead of mining: the predictor registers a
     /// reader on the cell and from then on answers every access from the
     /// newest published snapshot (the empty epoch-0 snapshot until the
@@ -336,7 +329,8 @@ mod tests {
     #[test]
     fn group_limit_respected() {
         let trace = WorkloadSpec::hp().scaled(0.02).generate();
-        let mut fpa = FpaPredictor::for_trace(&trace).with_group_limit(1);
+        let mut fpa = FpaPredictor::for_trace(&trace);
+        fpa.group_limit = 1;
         for e in trace.events.iter().take(3000) {
             assert!(fpa.on_access(&trace, e).len() <= 1);
         }

@@ -11,10 +11,12 @@
 //! ```
 //!
 //! * **Ingest** goes through the lock-free ring ([`crate::ring`]): any
-//!   number of [`IngestHandle`]s push events without a shared lock, and a
-//!   full ring pushes back explicitly — the handle spins/yields and counts
-//!   one `serve.backpressure_waits` episode instead of queueing without
-//!   bound.
+//!   number of [`IngestHandle`]s push operations without a shared lock —
+//!   each one the [`WalOp`] the miner's router buffers, logs and
+//!   broadcasts as it is, its path a shared value that is never copied —
+//!   and a full ring pushes back explicitly: the handle spins/yields and
+//!   counts one `serve.backpressure_waits` episode instead of queueing
+//!   without bound.
 //! * **Publication** is epoch-swapped: the worker periodically takes a
 //!   consistent cut ([`ShardedMiner::publish_into`]) and installs it in
 //!   the tier's [`SnapshotCell`] in O(1).
@@ -36,23 +38,18 @@ use std::time::Duration;
 
 use farmer_core::{CorrelationSource, Correlator, Request};
 use farmer_obs::Registry;
-use farmer_stream::{CellReader, PathCache, ShardedMiner, SnapshotCell, StreamSnapshot};
+use farmer_stream::{CellReader, ShardedMiner, SnapshotCell, StreamSnapshot, WalOp};
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::metrics::ServeMetrics;
 use crate::ring::{self, Consumer, Producer};
 use crate::ServeConfig;
 
-/// One operation travelling through the ingest ring.
+/// What travels through the ingest ring: the miner's operations, and
+/// the tier's own control markers beside them.
 enum IngestOp {
-    /// An access event (the path `Arc`-shared per file, as in the miner's
-    /// own router, so ingest never clones path bytes per event).
-    Event {
-        req: Request,
-        path: Option<Arc<FilePath>>,
-    },
-    /// A forget tombstone (unlink/churn).
-    Forget(FileId),
+    /// An access or a forget, handed to [`ShardedMiner::route_op`] as is.
+    Op(WalOp),
     /// Publish a snapshot now, regardless of cadence.
     Publish,
     /// Barrier: mine everything ahead of this op, publish, then ack.
@@ -165,7 +162,6 @@ impl FarmerServe {
         IngestHandle {
             producer: self.producer.clone(),
             shared: Arc::clone(&self.shared),
-            path_cache: PathCache::new(HANDLE_PATH_CACHE_LIMIT),
         }
     }
 
@@ -303,30 +299,14 @@ fn push_with_backpressure(producer: &Producer<IngestOp>, shared: &Shared, op: In
     }
 }
 
-/// A `Clone`-able producer handle onto the tier's ingest ring.
-///
-/// Each handle keeps its own per-file path cache (`Arc`-shared paths, as
-/// in the miner's router), so path-bearing ingest costs one allocation per
-/// distinct file per handle, not one per event.
+/// A `Clone`-able producer handle onto the tier's ingest ring. It holds
+/// no per-file state: an offered path is shared into the operation by
+/// reference count, so nothing here can outlive a forget.
+#[derive(Clone)]
 pub struct IngestHandle {
     producer: Producer<IngestOp>,
     shared: Arc<Shared>,
-    path_cache: PathCache,
 }
-
-impl Clone for IngestHandle {
-    fn clone(&self) -> Self {
-        IngestHandle {
-            producer: self.producer.clone(),
-            shared: Arc::clone(&self.shared),
-            path_cache: PathCache::new(HANDLE_PATH_CACHE_LIMIT),
-        }
-    }
-}
-
-/// Path-cache size at which the per-handle cache resets (same bound as
-/// the miner's router cache, scaled down for per-thread use).
-const HANDLE_PATH_CACHE_LIMIT: usize = 1 << 16;
 
 impl IngestHandle {
     /// Ingest one access event. Returns `true` once the event is in the
@@ -334,9 +314,9 @@ impl IngestHandle {
     /// dropped). Blocks (spin/yield) only under backpressure — a full
     /// ring with a live worker.
     pub fn ingest(&mut self, req: Request, path: Option<&FilePath>) -> bool {
-        let path = path.map(|p| self.path_cache.share(req.file, p));
-        let ok =
-            push_with_backpressure(&self.producer, &self.shared, IngestOp::Event { req, path });
+        let path = path.cloned();
+        let op = IngestOp::Op(WalOp::Ingest { req, path });
+        let ok = push_with_backpressure(&self.producer, &self.shared, op);
         if ok {
             self.shared.metrics.ingest_events.inc();
         }
@@ -351,7 +331,8 @@ impl IngestHandle {
     /// Ingest a forget tombstone (unlink/churn). Same return contract as
     /// [`IngestHandle::ingest`].
     pub fn forget(&mut self, file: FileId) -> bool {
-        let ok = push_with_backpressure(&self.producer, &self.shared, IngestOp::Forget(file));
+        let op = IngestOp::Op(WalOp::Forget(file));
+        let ok = push_with_backpressure(&self.producer, &self.shared, op);
         if ok {
             self.shared.metrics.ingest_forgets.inc();
         }
@@ -461,8 +442,8 @@ fn ingest_worker(
             Some(op) => {
                 spins = 0;
                 match op {
-                    IngestOp::Event { req, path } => {
-                        miner.route(req, path.as_deref());
+                    IngestOp::Op(op @ WalOp::Ingest { .. }) => {
+                        miner.route_op(op);
                         stats.events += 1;
                         since_publish += 1;
                         if publish_every > 0 && since_publish >= publish_every {
@@ -471,8 +452,8 @@ fn ingest_worker(
                             publish(&mut miner, &mut stats);
                         }
                     }
-                    IngestOp::Forget(file) => {
-                        miner.route_forget(file);
+                    IngestOp::Op(op @ WalOp::Forget(_)) => {
+                        miner.route_op(op);
                         stats.forgets += 1;
                     }
                     IngestOp::Publish => {

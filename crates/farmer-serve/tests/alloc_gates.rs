@@ -13,6 +13,10 @@
 //!   `top_k_into` after every `observe_event`, over more distinct files
 //!   than any bounded per-file structure would hold — allocates nothing
 //!   inside the query from the second lap on;
+//! * a path is a shared value: cloning a `FilePath`, and building the
+//!   `WalOp` the ring and the router carry for an event from the trace's
+//!   own path, allocate nothing (so nothing on the ingest path needs a
+//!   cache to avoid copying one);
 //! * a publication allocates a fixed handful of blocks (one flat table,
 //!   the build's scratch, the barrier's channel), not one per list: the
 //!   same bound holds at 256 and at 4096 tracked files.
@@ -20,9 +24,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use farmer_core::{CorrelationSource, Correlator, Farmer, FarmerConfig};
+use farmer_core::{CorrelationSource, Correlator, Farmer, FarmerConfig, Request};
 use farmer_serve::{FarmerServe, ServeConfig, SnapshotCell};
-use farmer_stream::{ShardedMiner, StreamConfig};
+use farmer_stream::{ShardedMiner, StreamConfig, WalOp};
 use farmer_trace::{FileId, Trace, WorkloadSpec};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -125,6 +129,24 @@ fn queries_allocate_nothing_and_publication_a_fixed_handful() {
         !out.is_empty()
     });
     drop(serve);
+
+    // No other thread runs from here on. Handing a path on — a clone, or
+    // the operation an event becomes on its way to the shards — is a
+    // reference-count bump: one of each for every event of the trace.
+    let mut with_path = 0;
+    let allocs = allocs_during(|| {
+        for e in &trace.events {
+            let path = trace.path_of(e.file).cloned();
+            with_path += usize::from(path.is_some());
+            let op = WalOp::Ingest {
+                req: Request::from_event(e),
+                path: path.clone(),
+            };
+            std::hint::black_box((path, op));
+        }
+    });
+    assert_eq!(with_path, trace.len(), "HP events carry their path");
+    assert_eq!(allocs, 0, "sharing a path allocated");
 
     // The sources a reader sits on, with no tier (and no other thread)
     // running: the live model and a table exported from it.

@@ -192,11 +192,6 @@ impl MetaStore {
         self.stats
     }
 
-    /// Approximate resident bytes of the table.
-    pub fn heap_bytes(&self) -> usize {
-        self.metadata.heap_bytes()
-    }
-
     fn sync_io(&mut self) {
         let io = self.metadata.take_io();
         self.stats.page_reads += io.page_reads;

@@ -104,11 +104,6 @@ impl BTree {
         self.len == 0
     }
 
-    /// Number of allocated node slots (live + free), the tree's "file size".
-    pub fn allocated_pages(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Height of the tree (1 = root is a leaf).
     pub fn depth(&self) -> usize {
         let mut d = 1;
@@ -218,24 +213,6 @@ impl BTree {
             .into_iter()
             .map(|(k, _)| k)
             .collect()
-    }
-
-    /// Approximate resident bytes (slab + values).
-    pub fn heap_bytes(&self) -> usize {
-        let node_bytes: usize = self
-            .nodes
-            .iter()
-            .map(|n| match n {
-                Node::Leaf { keys, vals, .. } => {
-                    keys.capacity() * 8
-                        + vals.capacity() * std::mem::size_of::<Box<[u8]>>()
-                        + vals.iter().map(|v| v.len()).sum::<usize>()
-                }
-                Node::Internal { keys, children } => keys.capacity() * 8 + children.capacity() * 4,
-                Node::Free => 0,
-            })
-            .sum();
-        node_bytes + self.nodes.capacity() * std::mem::size_of::<Node>()
     }
 
     /// Verify structural invariants; returns a description of the first

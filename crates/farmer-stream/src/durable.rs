@@ -97,7 +97,11 @@ use crate::engine::MinerState;
 use crate::snapshot::StreamSnapshot;
 use crate::{ShardedMiner, StreamConfig};
 
-/// One logical mining operation, as journaled.
+/// One logical mining operation: the value a producer hands the serving
+/// tier's ring, the router buffers, batches and broadcasts, every shard
+/// applies, the log records and recovery replays — one type end to end,
+/// so what is journaled *is* what is mined. Cloning one is a
+/// reference-count bump at most (the path is a shared value).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// One access: the Stage-1 attribute tuple plus (for path-bearing
@@ -119,37 +123,40 @@ const TAG_INGEST: u8 = 1;
 const TAG_INGEST_PATH: u8 = 2;
 const TAG_FORGET: u8 = 3;
 
-pub(crate) fn encode_ingest(w: &mut Writer, req: &Request, path: Option<&FilePath>) {
-    w.u8(if path.is_some() {
-        TAG_INGEST_PATH
-    } else {
-        TAG_INGEST
-    })
-    .u32(req.file.raw())
-    .u32(req.uid.raw())
-    .u32(req.pid.raw())
-    .u32(req.host.raw())
-    .u32(req.dev.raw());
-    if let Some(p) = path {
-        w.u32(p.components().len() as u32);
-        for &c in p.components() {
-            w.u32(c);
+/// The one op encoder: [`encode_op`] and the router
+/// ([`ShardedMiner::route_op`], straight into the log's buffer) both
+/// write through it.
+pub(crate) fn encode_op_into(w: &mut Writer, op: &WalOp) {
+    match op {
+        WalOp::Ingest { req, path } => {
+            w.u8(if path.is_some() {
+                TAG_INGEST_PATH
+            } else {
+                TAG_INGEST
+            })
+            .u32(req.file.raw())
+            .u32(req.uid.raw())
+            .u32(req.pid.raw())
+            .u32(req.host.raw())
+            .u32(req.dev.raw());
+            if let Some(p) = path {
+                w.u32(p.components().len() as u32);
+                for &c in p.components() {
+                    w.u32(c);
+                }
+            }
+        }
+        WalOp::Forget(file) => {
+            w.u8(TAG_FORGET).u32(file.raw());
         }
     }
 }
 
-pub(crate) fn encode_forget(w: &mut Writer, file: FileId) {
-    w.u8(TAG_FORGET).u32(file.raw());
-}
-
-/// Encode one op into a WAL payload of its own. (The router encodes
-/// straight into the log's buffer through the same two encoders.)
+/// Encode one op into a WAL payload of its own — the bytes the router
+/// logs for the same op.
 pub fn encode_op(op: &WalOp) -> Vec<u8> {
     let mut w = Writer::with_capacity(32);
-    match op {
-        WalOp::Ingest { req, path } => encode_ingest(&mut w, req, path.as_ref()),
-        WalOp::Forget(file) => encode_forget(&mut w, *file),
-    }
+    encode_op_into(&mut w, op);
     w.finish()
 }
 
@@ -870,9 +877,16 @@ pub fn recover_instrumented(
             record_kind::OP => match decode_op(&e.payload) {
                 Ok(op) => ops.push((e.lsn, op)),
                 // A checksum-verified record that fails to decode is a
-                // codec-version mismatch; stop replaying rather than
-                // rebuild a wrong state.
-                Err(_) => break,
+                // codec-version mismatch. `Wal::open` has positioned the
+                // log after everything it scanned, so carrying on from
+                // the prefix would append behind the bad record and the
+                // next recovery would drop all of it: refuse instead.
+                Err(_) => {
+                    return Err(WalError::Io(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("op record at LSN {} does not decode", e.lsn),
+                    )))
+                }
             },
             record_kind::CHECKPOINT => {
                 if let Ok(c) = decode_checkpoint(&e.payload) {
@@ -930,18 +944,13 @@ pub fn recover_instrumented(
     let cut = anchor_lsn.unwrap_or(0);
     let mut ops_replayed = 0u64;
     let mut events_replayed = 0u64;
-    for (lsn, op) in &ops {
-        if *lsn <= cut {
+    for (lsn, op) in ops {
+        if lsn <= cut {
             continue;
         }
         ops_replayed += 1;
-        match op {
-            WalOp::Ingest { req, path } => {
-                miner.route(*req, path.as_ref());
-                events_replayed += 1;
-            }
-            WalOp::Forget(f) => miner.route_forget(*f),
-        }
+        events_replayed += u64::from(matches!(op, WalOp::Ingest { .. }));
+        miner.route_op(op);
     }
     miner.flush();
     let replay_ns = t0.elapsed().as_nanos() as u64;
@@ -1039,19 +1048,65 @@ mod tests {
             host: farmer_trace::HostId::new(3),
             dev: farmer_trace::DevId::new(4),
         };
-        for op in [
+        let ops = [
             WalOp::Ingest { req, path: None },
             WalOp::Ingest {
                 req,
                 path: Some(FilePath::from_components(vec![5, 6, 7])),
             },
             WalOp::Forget(FileId::new(42)),
-        ] {
-            let bytes = encode_op(&op);
-            assert_eq!(decode_op(&bytes).unwrap(), op);
+        ];
+        let path = tmp_wal("opcodec");
+        let _c = Cleanup(path.clone());
+        let mut m = DurableMiner::create(&path, small_cfg(1)).unwrap();
+        for op in &ops {
+            let bytes = encode_op(op);
+            assert_eq!(decode_op(&bytes).unwrap(), *op);
+            m.miner().route_op(op.clone());
         }
+        m.flush();
+        // One encoder: the record the router logged for each op is the
+        // payload `encode_op` returns for it.
+        let (entries, _) = Wal::scan(&path).unwrap();
+        let logged: Vec<Vec<u8>> = entries.into_iter().map(|e| e.payload).collect();
+        assert_eq!(logged, ops.iter().map(encode_op).collect::<Vec<_>>());
         assert!(decode_op(&[]).is_err());
         assert!(decode_op(&[99, 0, 0]).is_err());
+    }
+
+    #[test]
+    fn undecodable_op_record_fails_recovery() {
+        // A checksum-valid OP record with an unknown tag in the middle of
+        // the log: recovering the prefix alone would leave the log
+        // positioned after the records it skipped, and the next recovery
+        // would silently drop everything appended from here on.
+        let trace = WorkloadSpec::ins().scaled(0.005).generate();
+        let path = tmp_wal("badop");
+        let _c = Cleanup(path.clone());
+        let cfg = small_cfg(1);
+        let half = trace.len() / 2;
+        let mut m = DurableMiner::create(&path, cfg.clone()).unwrap();
+        for e in trace.events.iter().take(half) {
+            m.ingest_event(&trace, e);
+        }
+        m.wal().append(record_kind::OP, &[99, 0, 0]).unwrap();
+        for e in trace.events.iter().skip(half) {
+            m.ingest_event(&trace, e);
+        }
+        m.flush();
+        drop(m);
+        match recover(&path, cfg) {
+            Err(WalError::Io(e)) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert!(e.to_string().contains("does not decode"), "{e}");
+            }
+            Err(other) => panic!("wrong error: {other}"),
+            Ok((_, report)) => panic!(
+                "recovered {} of {} events past a record it could not read",
+                report.events_recovered,
+                trace.len()
+            ),
+        }
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //!   order, but a shard only mines edges whose predecessor file it owns —
 //!   the union of the shard graphs is **exactly** the graph one
 //!   unpartitioned miner would build, while the expensive similarity and
-//!   edge-update work splits ~1/N per shard.
+//!   edge-update work splits ~1/N per shard. An access or a forget enters
+//!   as one [`WalOp`] ([`ShardedMiner::route_op`]) and stays that value
+//!   through the router's batches to every shard.
+//! * [`durable`] — [`DurableMiner`]: the same [`WalOp`]s journaled to a
+//!   write-ahead log before any shard may mine them, checkpoint images,
+//!   and [`recover`], whose replay is `route_op` of each logged op.
 //! * [`snapshot`] — [`StreamSnapshot`]: a consistent, merged view of every
 //!   shard's Correlator Lists (consistent cut: all shards have processed
 //!   precisely the events routed before the snapshot call). Each shard
@@ -66,7 +71,7 @@ pub use durable::{
 pub use engine::{MinerState, StreamMiner};
 pub use metrics::StreamMetrics;
 pub use publish::{CellReader, SnapshotCell};
-pub use shard::{PathCache, ShardedMiner};
+pub use shard::ShardedMiner;
 pub use snapshot::{ShardSnapshot, StreamSnapshot};
 
 /// Configuration of the streaming subsystem.

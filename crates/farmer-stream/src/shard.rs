@@ -14,7 +14,20 @@
 //! *owned* windowed predecessors — still splits ~1/N per shard, which is
 //! where the multi-shard throughput scaling comes from.
 //!
-//! Events travel in batches (`route_batch`) over *bounded* channels
+//! Operations travel as [`WalOp`]s — the value the log records is the
+//! value the router buffers and every shard applies, so an access or a
+//! forget has one representation from the caller to the graph
+//! ([`ShardedMiner::route_op`] is the one way in; `route` and
+//! `route_forget` construct the op). A path is a shared value
+//! ([`farmer_trace::FilePath`]): the per-shard copies of a broadcast and
+//! the path each shard learns cost a reference-count bump, never a copy,
+//! and nothing between the caller and the miners decides which path a
+//! file is learned under. Accesses and forgets ride the same batched FIFO,
+//! so a forget lands in every shard at exactly its position in the stream
+//! — the property that keeps the sharded model equal to a batch miner
+//! forgetting at the same point.
+//!
+//! Batches (`route_batch` operations) travel over *bounded* channels
 //! (`channel_capacity` batches): a shard that falls behind eventually
 //! blocks the router — back-pressure, not unbounded queueing — so resident
 //! memory stays capped end to end.
@@ -57,7 +70,6 @@
 //! with its original message — the same path a dead shard takes.
 
 use std::any::Any;
-use std::collections::hash_map::Entry;
 use std::io;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
@@ -66,36 +78,13 @@ use std::thread::{self, JoinHandle};
 use farmer_core::Request;
 use farmer_obs::Registry;
 use farmer_store::wal::{record_kind, Lsn, Wal, WalCompaction, WalError, WalSyncer};
-use farmer_trace::hash::FxHashMap;
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
-use crate::durable::{encode_forget, encode_ingest};
+use crate::durable::{encode_op_into, WalOp};
 use crate::engine::{MinerState, StreamMiner};
 use crate::metrics::StreamMetrics;
 use crate::snapshot::{ShardSnapshot, StreamSnapshot};
 use crate::StreamConfig;
-
-/// One routed request: the attribute tuple plus (for path-bearing traces)
-/// the file's path. The path is `Arc`-shared across the N per-shard copies
-/// of the broadcast, so fan-out costs one reference-count bump per shard
-/// instead of one heap allocation — this is what keeps the router off the
-/// critical path at high shard counts.
-#[derive(Debug, Clone)]
-struct EventMsg {
-    req: Request,
-    path: Option<Arc<FilePath>>,
-}
-
-/// One routed item: an access, or a forget tombstone (unlink/churn).
-/// Both travel through the same batched FIFO so a forget lands in every
-/// shard at exactly its position in the event stream — the property that
-/// keeps the sharded model equal to a batch miner forgetting at the same
-/// point.
-#[derive(Debug, Clone)]
-enum Item {
-    Event(EventMsg),
-    Forget(FileId),
-}
 
 /// Router → shard messages. FIFO channel order is what makes snapshots
 /// consistent: a marker enqueued after a set of batches is only answered
@@ -104,7 +93,7 @@ enum Item {
 /// same reply channel.
 #[derive(Clone)]
 enum Msg {
-    Batch(Vec<Item>),
+    Batch(Vec<WalOp>),
     Snapshot(mpsc::Sender<ShardSnapshot>),
     /// Full-state export marker (checkpoint images): answered with both
     /// the serving snapshot and the shard's complete miner state at the
@@ -147,47 +136,6 @@ fn broadcast(shards: &[SyncSender<Msg>], msg: Msg) -> bool {
     rest.iter().all(|tx| tx.send(msg.clone()).is_ok()) && last.send(msg).is_ok()
 }
 
-/// Per-file shared paths for a broadcast front: one `Arc<FilePath>` per
-/// distinct file instead of one heap allocation per event. Downstream a
-/// path is learn-once per file (`Farmer::learn_path`) *until the file is
-/// forgotten or evicted*, after which the same id may come back under
-/// another path (unlink + re-create, inode reuse) — so a hit only counts
-/// when it still equals the offered path, and the cache never decides
-/// which path the miners learn. That check also covers fronts that
-/// cannot see each other's forgets (one cache per `IngestHandle`).
-#[derive(Debug)]
-pub struct PathCache {
-    shared: FxHashMap<u32, Arc<FilePath>>,
-    limit: usize,
-}
-
-impl PathCache {
-    /// A cache that resets once it holds `limit` files, so an open-ended
-    /// file universe cannot grow it without bound.
-    pub fn new(limit: usize) -> PathCache {
-        PathCache {
-            shared: FxHashMap::default(),
-            limit,
-        }
-    }
-
-    /// The shared copy of `path` for `file`.
-    pub fn share(&mut self, file: FileId, path: &FilePath) -> Arc<FilePath> {
-        if self.shared.len() >= self.limit {
-            self.shared.clear();
-        }
-        match self.shared.entry(file.raw()) {
-            Entry::Occupied(mut hit) => {
-                if **hit.get() != *path {
-                    hit.insert(Arc::new(path.clone()));
-                }
-                Arc::clone(hit.get())
-            }
-            Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::new(path.clone()))),
-        }
-    }
-}
-
 /// A sharded, threaded, bounded-memory online miner.
 pub struct ShardedMiner {
     cfg: StreamConfig,
@@ -195,9 +143,7 @@ pub struct ShardedMiner {
     /// takes them over and is the only thread that sends to a shard.
     shards: Vec<SyncSender<Msg>>,
     handles: Vec<JoinHandle<()>>,
-    pending: Vec<Item>,
-    path_cache: PathCache,
-    routed: u64,
+    pending: Vec<WalOp>,
     /// The write-ahead log and its commit stage, when the durable tier
     /// attached one: from then on every routed operation is appended to
     /// the log, and every message reaches the shards through the
@@ -224,12 +170,12 @@ impl ShardedMiner {
         let miners = (0..n)
             .map(|shard_id| StreamMiner::for_shard(cfg.clone(), shard_id, n))
             .collect();
-        Self::launch(cfg, miners, 0, reg)
+        Self::launch(cfg, miners, reg)
     }
 
     /// Put each shard's miner (in shard order) on its own worker thread
     /// behind a bounded channel, all sharing one `stream.*` metric set.
-    fn launch(cfg: StreamConfig, miners: Vec<StreamMiner>, routed: u64, reg: &Registry) -> Self {
+    fn launch(cfg: StreamConfig, miners: Vec<StreamMiner>, reg: &Registry) -> Self {
         let obs = StreamMetrics::new(&reg.scope("stream"));
         let mut shards = Vec::with_capacity(miners.len());
         let mut handles = Vec::with_capacity(miners.len());
@@ -252,8 +198,6 @@ impl ShardedMiner {
             shards,
             handles,
             pending,
-            path_cache: PathCache::new(Self::PATH_CACHE_LIMIT),
-            routed,
             journal: None,
             obs,
         }
@@ -289,26 +233,30 @@ impl ShardedMiner {
         Ok(report)
     }
 
-    /// Path-cache size at which the cache is reset (bounds router memory
-    /// on open-ended file universes at ~24 MiB of map spine).
-    const PATH_CACHE_LIMIT: usize = 1 << 20;
-
-    /// Route one request into the subsystem. Blocks only when every queue
-    /// slot is full (back-pressure).
-    pub fn route(&mut self, req: Request, path: Option<&FilePath>) {
+    /// Route one operation into the subsystem: log it (when a log is
+    /// attached), buffer it, and dispatch the batch once it is full.
+    /// Every shard applies it after exactly the operations routed before
+    /// this call. Blocks only when every queue slot is full
+    /// (back-pressure).
+    pub fn route_op(&mut self, op: WalOp) {
         if let Some(j) = self.journal.as_mut() {
             j.wal
-                .append_with(record_kind::OP, |w| encode_ingest(w, &req, path))
+                .append_with(record_kind::OP, |w| encode_op_into(w, &op))
                 // lint: allow(panic) an operation that cannot be logged
                 // must not be mined: the durability contract would be void
                 .expect("wal append failed; durable miner cannot continue");
         }
-        let path = path.map(|p| self.path_cache.share(req.file, p));
-        self.pending.push(Item::Event(EventMsg { req, path }));
-        self.routed += 1;
+        self.pending.push(op);
         if self.pending.len() >= self.cfg.route_batch.max(1) {
             self.dispatch();
         }
+    }
+
+    /// Route one request ([`ShardedMiner::route_op`] of an ingest; the
+    /// path is shared, not copied).
+    pub fn route(&mut self, req: Request, path: Option<&FilePath>) {
+        let path = path.cloned();
+        self.route_op(WalOp::Ingest { req, path });
     }
 
     /// Convenience: route a trace event (runs the Stage-1 extraction).
@@ -317,19 +265,10 @@ impl ShardedMiner {
     }
 
     /// Route a forget tombstone (unlink/churn): every shard drops all
-    /// state for `file` after processing exactly the events routed before
-    /// this call (see [`StreamMiner::forget`]). Not counted as an event.
+    /// state for `file` (see [`StreamMiner::forget`]). Not counted as an
+    /// event.
     pub fn route_forget(&mut self, file: FileId) {
-        if let Some(j) = self.journal.as_mut() {
-            j.wal
-                .append_with(record_kind::OP, |w| encode_forget(w, file))
-                // lint: allow(panic) same durability policy as route()
-                .expect("wal append failed; durable miner cannot continue");
-        }
-        self.pending.push(Item::Forget(file));
-        if self.pending.len() >= self.cfg.route_batch.max(1) {
-            self.dispatch();
-        }
+        self.route_op(WalOp::Forget(file));
     }
 
     /// Hand `msg` to the fleet: through the commit stage when a log is
@@ -448,7 +387,6 @@ impl ShardedMiner {
         let mut by_shard: Vec<&MinerState> = states.iter().collect();
         by_shard.sort_by_key(|s| s.shard_id);
         let mut miners = Vec::with_capacity(n);
-        let mut routed = 0u64;
         for (shard_id, state) in by_shard.into_iter().enumerate() {
             assert_eq!(
                 (state.shard_id as usize, state.num_shards as usize),
@@ -456,11 +394,8 @@ impl ShardedMiner {
                 "state image shard identity does not match the fleet"
             );
             miners.push(StreamMiner::from_state(cfg.clone(), state));
-            // Forgets are not events, so the router's routed counter at
-            // the cut equals any shard's events_seen.
-            routed = routed.max(state.events_seen);
         }
-        Self::launch(cfg, miners, routed, reg)
+        Self::launch(cfg, miners, reg)
     }
 
     /// Publication hook for the serving tier: take a consistent
@@ -475,11 +410,6 @@ impl ShardedMiner {
     /// Number of miner shards.
     pub fn num_shards(&self) -> usize {
         self.handles.len()
-    }
-
-    /// Events routed so far (including any still buffered).
-    pub fn events_routed(&self) -> u64 {
-        self.routed
     }
 
     /// The active configuration.
@@ -603,11 +533,11 @@ fn commit_worker(
 fn shard_worker(mut miner: StreamMiner, rx: Receiver<Msg>) {
     for msg in rx {
         match msg {
-            Msg::Batch(items) => {
-                for item in &items {
-                    match item {
-                        Item::Event(ev) => miner.ingest(ev.req, ev.path.as_deref()),
-                        Item::Forget(file) => miner.forget(*file),
+            Msg::Batch(ops) => {
+                for op in &ops {
+                    match op {
+                        WalOp::Ingest { req, path } => miner.ingest(*req, path.as_ref()),
+                        WalOp::Forget(file) => miner.forget(*file),
                     }
                 }
             }
@@ -806,7 +736,7 @@ mod tests {
             m.route_event(&trace, &e);
         }
         m.flush();
-        assert_eq!(m.events_routed(), 3 * trace.len() as u64);
+        assert_eq!(m.snapshot().events, 3 * trace.len() as u64);
     }
 
     #[test]

@@ -6,13 +6,20 @@
 //! (IPA) treats the whole path as a single item whose intersection value is
 //! the *fractional* component-wise similarity (paper §3.2.1, Tables 1–2).
 //!
-//! To make those computations cheap we store a path as a small vector of
+//! To make those computations cheap we store a path as a small slice of
 //! interned component indices. The final component is the file name; every
 //! preceding component is a directory. `/home/user1/paper/a` becomes
 //! `[home, user1, paper, a]` — exactly the four "subdirectories" the paper's
 //! Table 2 example counts.
+//!
+//! A [`FilePath`] is an immutable *shared value*: the components sit in one
+//! reference-counted buffer, so `clone()` is a reference-count bump and a
+//! path travels from the trace through the ingest ring, the router's
+//! batches and every shard's learned-path map without its bytes being
+//! copied. Equality, hashing and every similarity are by content.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::Interner;
 
@@ -50,7 +57,7 @@ impl PathInterner {
     /// Render a [`FilePath`] back to a `/`-prefixed string.
     pub fn render(&self, path: &FilePath) -> String {
         let mut out = String::new();
-        for &c in &path.components {
+        for &c in path.components() {
             out.push('/');
             out.push_str(self.inner.resolve(c));
         }
@@ -81,16 +88,19 @@ impl PathInterner {
     }
 }
 
-/// A normalized absolute path: interned components, last one the file name.
+/// A normalized absolute path: interned components, last one the file
+/// name. Cloning shares the component buffer (see the module docs).
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct FilePath {
-    components: Vec<u32>,
+    components: Arc<[u32]>,
 }
 
 impl FilePath {
     /// Build directly from interned component indices.
     pub fn from_components(components: Vec<u32>) -> Self {
-        Self { components }
+        Self {
+            components: components.into(),
+        }
     }
 
     /// All components, directories first, file name last.
@@ -125,7 +135,7 @@ impl FilePath {
     pub fn common_prefix_len(&self, other: &FilePath) -> usize {
         self.components
             .iter()
-            .zip(&other.components)
+            .zip(other.components())
             .take_while(|(a, b)| a == b)
             .count()
     }
@@ -191,9 +201,12 @@ impl FilePath {
         }
     }
 
-    /// Approximate heap bytes held by this path.
+    /// Approximate heap bytes held by this path: its components, counted
+    /// in full by every holder although clones share one buffer (a miner
+    /// that learned a path may share it with the caller that offered it);
+    /// the buffer's 16-byte reference-count header is not counted.
     pub fn heap_bytes(&self) -> usize {
-        self.components.capacity() * std::mem::size_of::<u32>()
+        std::mem::size_of_val(&*self.components)
     }
 }
 

@@ -53,9 +53,29 @@ pub struct Namespace {
 impl Namespace {
     /// Build the namespace for `spec` using `rng` for size/shape draws.
     pub fn build(spec: &WorkloadSpec, rng: &mut StdRng) -> Namespace {
+        // Enough project files per user to cover the user's private apps,
+        // plus cold namespace mass so caches can't trivially hold everything.
+        let per_app = spec.files_per_app.1;
+        let needed = (spec.private_apps_per_user * per_app).max(4) + spec.extra_files_per_user;
+        let per_proj = per_app.max(4);
+        let projects = needed.div_ceil(per_proj);
+        // The most files the steps below can add, so `files` is allocated
+        // once: grown by doubling, its buffers are powers of two in bytes
+        // (a `FileMeta` is 32) and a process that builds one trace after
+        // another scatters them over the holes its other power-of-two
+        // buffers left, which reads as a bimodal peak RSS.
+        let ranks = if spec.parallel_ranks > 1 {
+            spec.parallel_ranks
+        } else {
+            0
+        };
+        let ckpts = spec.ckpts_per_rank.1.max(spec.ckpts_per_rank.0);
+        let most_files = spec.shared_files
+            + spec.num_users as usize * projects * per_proj
+            + spec.global_apps * (per_app + ranks * ckpts);
         let mut b = Builder {
             spec,
-            files: Vec::new(),
+            files: Vec::with_capacity(most_files),
             paths: PathInterner::new(),
         };
 
@@ -75,13 +95,7 @@ impl Namespace {
         let mut user_files: Vec<Vec<FileId>> = Vec::with_capacity(spec.num_users as usize);
         for uid in 0..spec.num_users {
             let dev = DevId::new(1 + uid % spec.num_devs.max(1));
-            let mut files = Vec::new();
-            // Enough project files to cover the user's private apps, plus
-            // cold namespace mass so caches can't trivially hold everything.
-            let per_app = spec.files_per_app.1;
-            let needed = (spec.private_apps_per_user * per_app).max(4) + spec.extra_files_per_user;
-            let per_proj = per_app.max(4);
-            let projects = needed.div_ceil(per_proj);
+            let mut files = Vec::with_capacity(projects * per_proj);
             for p in 0..projects {
                 for f in 0..per_proj {
                     let path = project_path(uid, p, f, spec.project_depth);
@@ -169,6 +183,7 @@ impl Namespace {
             private_ranges.push((start, apps.len()));
         }
 
+        debug_assert!(b.files.len() <= most_files, "`files` outgrew its bound");
         Namespace {
             files: b.files,
             paths: b.paths,
