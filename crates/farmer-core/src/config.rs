@@ -1,6 +1,19 @@
-//! FARMER configuration knobs, with the paper's defaults.
+//! FARMER configuration: the values some caller sets, with the paper's
+//! defaults, and as constants the ones the paper (and every caller) fixes.
+//!
+//! A [`FarmerConfig`] is decided once: [`crate::Farmer::new`] and
+//! [`crate::Farmer::from_state`] check it ([`FarmerConfig::validate`]) and
+//! hold it unchanged for the model's life.
 
 use crate::attr::AttrCombo;
+
+/// Linear Decremented Assignment step: distance-1 successors add 1.0,
+/// distance-2 add `1.0 − LDA_DECREMENT`, etc. (paper §3.2.2: "0.9 for C,
+/// and 0.8 for D").
+pub const LDA_DECREMENT: f64 = 0.1;
+
+/// Degree floor of the periodic prune ([`FarmerConfig::prune_interval`]).
+pub const PRUNE_FLOOR: f64 = 0.05;
 
 /// How the file-path attribute enters the semantic vector (paper §3.2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -31,10 +44,6 @@ pub struct FarmerConfig {
     /// Look-ahead window for successor counting. Paper's example uses the
     /// Nexus-style window; successors past the window contribute nothing.
     pub window: usize,
-    /// Linear Decremented Assignment step: distance-1 successors add 1.0,
-    /// distance-2 add `1.0 − lda_decrement`, etc. (paper §3.2.2 uses 0.1:
-    /// "0.9 for C, and 0.8 for D").
-    pub lda_decrement: f64,
     /// Which semantic attributes enter the vectors (paper Table 5).
     pub combo: AttrCombo,
     /// Path algorithm (paper selects IPA).
@@ -44,12 +53,10 @@ pub struct FarmerConfig {
     /// (paper §3.3: weak correlations are not maintained).
     pub max_successors: usize,
     /// Every `prune_interval` observed requests the model drops edges whose
-    /// degree fell below [`FarmerConfig::prune_floor`] (0 disables).
-    /// Together with `max_successors` this realizes the paper's claim that
-    /// FARMER keeps no state for weak correlations.
+    /// degree fell below [`PRUNE_FLOOR`] (0 disables). Together with
+    /// `max_successors` this realizes the paper's claim that FARMER keeps
+    /// no state for weak correlations.
     pub prune_interval: usize,
-    /// Degree floor for the periodic prune.
-    pub prune_floor: f64,
     /// Aging factor applied to every edge's accumulated mass and to node
     /// access totals at each prune tick (1.0 disables). Values below 1
     /// make the miner track *non-stationary* workloads: correlations that
@@ -63,12 +70,10 @@ impl Default for FarmerConfig {
             p: 0.7,
             max_strength: 0.4,
             window: 5,
-            lda_decrement: 0.1,
             combo: AttrCombo::hp_default(),
             path_mode: PathMode::Ipa,
             max_successors: 16,
             prune_interval: 8192,
-            prune_floor: 0.05,
             decay: 1.0,
         }
     }
@@ -83,19 +88,34 @@ impl FarmerConfig {
         }
     }
 
+    /// Panic unless the configuration is one a model can run under: `p`
+    /// and `max_strength` in `[0, 1]` (so not NaN), `window` and
+    /// `max_successors` at least 1. Called by the `with_*` builders and,
+    /// for values written straight into the fields, once by
+    /// [`crate::Farmer::new`] / [`crate::Farmer::from_state`].
+    pub fn validate(&self) {
+        assert!((0.0..=1.0).contains(&self.p), "p must be in [0,1]");
+        assert!(
+            (0.0..=1.0).contains(&self.max_strength),
+            "max_strength must be in [0,1]"
+        );
+        assert!(self.window > 0, "window must be positive");
+        assert!(self.max_successors > 0, "max_successors must be positive");
+    }
+
     /// Builder-style weight override.
     #[must_use]
     pub fn with_p(mut self, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1]");
         self.p = p;
+        self.validate();
         self
     }
 
     /// Builder-style threshold override.
     #[must_use]
     pub fn with_max_strength(mut self, s: f64) -> Self {
-        assert!((0.0..=1.0).contains(&s), "max_strength must be in [0,1]");
         self.max_strength = s;
+        self.validate();
         self
     }
 
@@ -119,23 +139,15 @@ impl FarmerConfig {
         if d == 0 || d > self.window {
             return 0.0;
         }
-        (1.0 - self.lda_decrement * (d - 1) as f64).max(0.0)
+        (1.0 - LDA_DECREMENT * (d - 1) as f64).max(0.0)
     }
 
     /// The precomputed LDA weight table for the configured window:
     /// `table[i] == lda_weight(i + 1)`. The mining hot loop indexes this
     /// once per windowed predecessor instead of re-deriving the linear
-    /// decrement per event ([`crate::model::Farmer`] caches it and rebuilds
-    /// only when `window`/`lda_decrement` change).
+    /// decrement per event ([`crate::model::Farmer`] builds it once).
     pub fn lda_weights(&self) -> Vec<f64> {
         (1..=self.window).map(|d| self.lda_weight(d)).collect()
-    }
-
-    /// Fingerprint of the inputs [`FarmerConfig::lda_weights`] depends on,
-    /// for cheap staleness checks on a cached table.
-    #[inline]
-    pub fn lda_fingerprint(&self) -> (usize, u64) {
-        (self.window, self.lda_decrement.to_bits())
     }
 }
 
@@ -149,7 +161,8 @@ mod tests {
         assert_eq!(c.p, 0.7);
         assert_eq!(c.max_strength, 0.4);
         assert_eq!(c.path_mode, PathMode::Ipa);
-        assert_eq!(c.lda_decrement, 0.1);
+        c.validate();
+        FarmerConfig::pathless().validate();
     }
 
     #[test]
@@ -181,18 +194,15 @@ mod tests {
 
     #[test]
     fn lda_table_matches_per_distance_api() {
+        // A window past the eleventh distance, where the weight reaches 0.
         let mut c = FarmerConfig::default();
         c.window = 17;
-        c.lda_decrement = 0.07;
         let table = c.lda_weights();
         assert_eq!(table.len(), c.window);
         for (i, &w) in table.iter().enumerate() {
             assert_eq!(w.to_bits(), c.lda_weight(i + 1).to_bits());
         }
-        // Fingerprint changes with either input.
-        let fp = c.lda_fingerprint();
-        c.window = 18;
-        assert_ne!(c.lda_fingerprint(), fp);
+        assert!(table[9] > 0.0 && table[11] == 0.0);
     }
 
     #[test]

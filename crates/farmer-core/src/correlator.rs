@@ -29,22 +29,6 @@ pub struct CorrelatorList {
 }
 
 impl CorrelatorList {
-    /// Build a list from unsorted candidates: filters by `max_strength`,
-    /// sorts in the canonical order (decreasing degree, ties by ascending
-    /// file id).
-    pub fn build(
-        owner: FileId,
-        candidates: impl IntoIterator<Item = Correlator>,
-        max_strength: f64,
-    ) -> CorrelatorList {
-        let mut entries: Vec<Correlator> = candidates
-            .into_iter()
-            .filter(|c| crate::miner::is_valid(c.degree, max_strength))
-            .collect();
-        entries.sort_unstable_by(crate::source::rank_cmp);
-        CorrelatorList { owner, entries }
-    }
-
     /// Build a list from entries that are *already* filtered and sorted in
     /// the canonical order (decreasing degree, ties by ascending file id) —
     /// the order every [`crate::CorrelationSource`] query produces. This is
@@ -273,9 +257,18 @@ mod tests {
         }
     }
 
+    /// File 0's list from unsorted candidates, the way every source makes
+    /// one: validity filter, canonical order, [`CorrelatorList::from_sorted`].
+    fn build(candidates: Vec<Correlator>, max_strength: f64) -> CorrelatorList {
+        let mut entries = candidates;
+        entries.retain(|c| crate::miner::is_valid(c.degree, max_strength));
+        entries.sort_unstable_by(crate::source::rank_cmp);
+        CorrelatorList::from_sorted(FileId::new(0), entries)
+    }
+
     #[test]
     fn build_sorts_descending() {
-        let l = CorrelatorList::build(FileId::new(0), vec![c(1, 0.5), c(2, 0.9), c(3, 0.7)], 0.0);
+        let l = build(vec![c(1, 0.5), c(2, 0.9), c(3, 0.7)], 0.0);
         let degrees: Vec<f64> = l.iter().map(|e| e.degree).collect();
         assert_eq!(degrees, vec![0.9, 0.7, 0.5]);
         assert_eq!(l.head().unwrap().file, FileId::new(2));
@@ -283,35 +276,35 @@ mod tests {
 
     #[test]
     fn build_filters_below_threshold() {
-        let l = CorrelatorList::build(FileId::new(0), vec![c(1, 0.39), c(2, 0.4), c(3, 0.41)], 0.4);
+        let l = build(vec![c(1, 0.39), c(2, 0.4), c(3, 0.41)], 0.4);
         assert_eq!(l.len(), 2);
         assert!(l.iter().all(|e| e.degree >= 0.4));
     }
 
     #[test]
     fn ties_break_by_file_id() {
-        let l = CorrelatorList::build(FileId::new(0), vec![c(9, 0.5), c(3, 0.5)], 0.0);
+        let l = build(vec![c(9, 0.5), c(3, 0.5)], 0.0);
         let files: Vec<u32> = l.iter().map(|e| e.file.raw()).collect();
         assert_eq!(files, vec![3, 9]);
     }
 
     #[test]
     fn top_clamps_to_len() {
-        let l = CorrelatorList::build(FileId::new(0), vec![c(1, 0.5)], 0.0);
+        let l = build(vec![c(1, 0.5)], 0.0);
         assert_eq!(l.top(10).len(), 1);
         assert_eq!(l.top(0).len(), 0);
     }
 
     #[test]
     fn empty_when_all_filtered() {
-        let l = CorrelatorList::build(FileId::new(0), vec![c(1, 0.1)], 0.4);
+        let l = build(vec![c(1, 0.1)], 0.4);
         assert!(l.is_empty());
         assert!(l.head().is_none());
     }
 
     #[test]
     fn into_iter_yields_sorted() {
-        let l = CorrelatorList::build(FileId::new(0), vec![c(1, 0.2), c(2, 0.8)], 0.0);
+        let l = build(vec![c(1, 0.2), c(2, 0.8)], 0.0);
         let v: Vec<Correlator> = l.into_iter().collect();
         assert_eq!(v[0].file, FileId::new(2));
     }

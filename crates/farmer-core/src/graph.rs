@@ -107,7 +107,8 @@ const NO_EDGE: u32 = u32::MAX;
 const LANES: usize = 16;
 
 /// Buffer pairs [`CorrelationGraph`] keeps from freed nodes: two eviction
-/// batches of the streaming miner's default 64, ≈ 115 KiB at 16 successors.
+/// batches of the streaming miner (`node_cap / 64` files each, 64 at the
+/// default cap), ≈ 115 KiB at 16 successors.
 const SPARE_NODES: usize = 128;
 
 /// How far below the validity threshold, relatively, a cached degree has
@@ -1079,20 +1080,6 @@ impl CorrelationGraph {
         }
     }
 
-    /// Mark every memoized path-similarity term stale. Called when the
-    /// attribute combination or path algorithm changes mid-run, so that
-    /// existing pairs re-evaluate under the new configuration (matching
-    /// the documented rule that config changes affect future
-    /// observations).
-    pub fn mark_all_path_memos_stale(&mut self) {
-        self.epoch += 1;
-        for node in &mut self.slots {
-            for e in &mut node.edges {
-                e.inv_denom = f64::NAN;
-            }
-        }
-    }
-
     /// Drop every edge whose current degree is below `floor`. Returns the
     /// number of edges removed.
     ///
@@ -1188,9 +1175,9 @@ impl CorrelationGraph {
     /// a line matches: each 16-id line, pad included, is tested against a
     /// hashed prefilter of the victims — a byte per bucket, at least 128
     /// buckets a victim, in a table whose size is a compile-time constant
-    /// (8 KiB for the streaming miner's default 64-victim batch; 64 KiB,
-    /// 512 KiB and 4 MiB for larger ones), so the sixteen lookups carry no
-    /// bounds check and no exit. Under 1 % of the surviving ids match; only
+    /// (8 KiB for the streaming miner's 64-victim batch at its default cap;
+    /// 64 KiB, 512 KiB and 4 MiB for larger ones), so the sixteen lookups
+    /// carry no bounds check and no exit. Under 1 % of the surviving ids match; only
     /// then is the node read, its ids proper — never the pad — put through
     /// filter and binary search, and the node rewritten if it does hold a
     /// doomed successor. O(e) contiguous id reads plus writes proportional
@@ -1905,6 +1892,32 @@ mod tests {
         let succs: Vec<u32> = g.edges(f(0), &c).map(|e| e.to.raw()).collect();
         assert_eq!(succs, vec![1]);
         assert_eq!(g.num_edges(), 1);
+    }
+
+    #[test]
+    fn cached_degrees_vouch_for_nothing_when_p_is_above_one() {
+        // A model refuses such a `p` (`FarmerConfig::validate`); a graph
+        // driven directly takes the `cfg` it is handed. With (1 − p)
+        // negative a degree *rises* as its node's total grows, so the
+        // cached one is no bound, whoever vouches for it.
+        let c = FarmerConfig { p: 1.5, ..cfg() };
+        let mut g = CorrelationGraph::new();
+        g.record_access(f(0));
+        g.update_edge(f(0), f(1), 1.0, 0.5, &c);
+        let cached = g.edges(f(0), &c).next().unwrap().degree;
+        for _ in 0..3 {
+            g.record_access(f(0));
+        }
+        let now = g.edges(f(0), &c).next().unwrap().degree;
+        assert!(now > cached, "{cached} -> {now}");
+        assert!(!g.cached_degrees_bound(&c));
+        // A threshold the cached degree fails and the degree meets.
+        let mut published = Vec::new();
+        g.for_each_list(&c, (cached + now) / 2.0, true, |owner, list| {
+            published.push((owner, list.to_vec()));
+        });
+        assert_eq!(published.len(), 1, "the filter hid a valid edge");
+        assert_eq!(published[0].1[0].degree.to_bits(), now.to_bits());
     }
 
     #[test]

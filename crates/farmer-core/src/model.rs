@@ -16,11 +16,18 @@
 //! the k strongest and sorts those — O(deg + k log k), nothing kept
 //! between queries — and [`CorrelationSource::strongest`] is one O(deg)
 //! scan. Every query therefore sees the state the last observe / prune /
-//! decay / eviction / `config_mut` left, which is the only state the
-//! iterative process of §3.1 ever asks about: each consumer of a live
-//! model queries right after an observation. Many reads of one state are
-//! what [`Farmer::correlator_table`] exports a table for. The model holds
-//! no interior mutability, so it is `Sync`.
+//! decay / eviction left, which is the only state the iterative process of
+//! §3.1 ever asks about: each consumer of a live model queries right after
+//! an observation. Many reads of one state are what
+//! [`Farmer::correlator_table`] exports a table for. The model holds no
+//! interior mutability, so it is `Sync`.
+//!
+//! The configuration is decided once: [`Farmer::new`] and
+//! [`Farmer::from_state`] validate it and nothing changes it afterwards,
+//! so what follows from it (the LDA table, whether the cached degrees
+//! vouch for `p`) is worked out there, not re-checked per event. The one
+//! way a different configuration meets existing state is
+//! `Farmer::from_state(other_cfg, &model.export_state())`.
 //!
 //! The model is deliberately front-end agnostic ("black-box", §3.1): it
 //! consumes plain [`Request`] tuples plus an optional path, so it can sit
@@ -36,19 +43,18 @@
 //! [`crate::graph`]'s module docs and counted by
 //! [`CorrelationGraph::update_mix`]).
 //!
-//! * **LDA weights** come from a precomputed table
-//!   ([`FarmerConfig::lda_weights`]), rebuilt only when the window or
-//!   decrement change — not re-derived per predecessor per event.
+//! * **LDA weights** come from a table built once from the window
+//!   ([`FarmerConfig::lda_weights`]) — not re-derived per predecessor per
+//!   event.
 //! * **Similarity** is split ([`crate::semvec`]) into a branch-free scalar
 //!   match mask (per event) and a **memoized path term** keyed by
 //!   `(predecessor file, successor file)`. Paths are learned once per file,
 //!   so the path term is a pure function of the pair; it is computed when
 //!   an edge is first created and stored *on the edge*, which makes
 //!   invalidation free — [`Farmer::forget_files`] and cap eviction remove
-//!   the edge, and the term with it. The two ways a memo can go stale
+//!   the edge, and the term with it. The one way a memo can go stale
 //!   without the edge dying — a path learned only after the file already
-//!   had edges, or a mid-run combo/path-mode change — mark the affected
-//!   memos for recomputation on next touch.
+//!   had edges — marks the affected memos for recomputation on next touch.
 //! * **Admission before evaluation**: a new successor at a full node has
 //!   to beat the node's weakest edge, and an upper bound on its degree
 //!   needs no path — only the two paths' 16-byte *signatures*
@@ -76,7 +82,7 @@
 //! | per prune tick | O(1) age + O(n + e) prune with per-node skip |
 //! | per snapshot/eviction | O(1) `active_nodes` counter |
 //! | query (`top_k_into`) | O(deg + k log k), deg ≤ d; `strongest` and `degree` O(deg) |
-//! | publication (`correlator_table`) | one pass over the slab; an edge whose cached degree sits below the threshold is skipped unread while `p` is the one the cached degrees were written under |
+//! | publication (`correlator_table`) | one pass over the slab; an edge whose cached degree sits below the threshold is skipped unread when the cached degrees were written under (or, on restore, checked against) the configured `p` |
 //! | resident bytes | O(live files) |
 
 use std::collections::VecDeque;
@@ -85,7 +91,7 @@ use farmer_trace::hash::FxHashMap;
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::attr::AttrKind;
-use crate::config::FarmerConfig;
+use crate::config::{FarmerConfig, PRUNE_FLOOR};
 use crate::correlator::{Correlator, CorrelatorList, CorrelatorTable};
 use crate::extract::{Extractor, Request};
 use crate::graph::{CorrelationGraph, NodeHint, PredUpdate};
@@ -125,17 +131,15 @@ pub struct Farmer {
     paths: FxHashMap<u32, (FilePath, PathSig)>,
     /// Precomputed LDA weight table (`lda[i]` = weight at distance i+1).
     lda: Vec<f64>,
-    /// Fingerprint of the config inputs `lda` was built from.
-    lda_key: (usize, u64),
-    /// Fingerprint of the config inputs the memoized path terms were built
-    /// under; a change marks every memo stale.
-    sim_key: (crate::attr::AttrCombo, crate::config::PathMode),
-    /// The `p` every cached degree in the graph was written under, which
-    /// is what lets publication skip edges on their cached degree
-    /// ([`CorrelationGraph::for_each_list`]); `None` from the moment an
-    /// observation sees `cfg.p` differ from it — the cached degrees are
-    /// then a mix, and stay one: they order cap eviction and are state.
-    degs_p: Option<f64>,
+    /// Does every cached degree in the graph bound its edge's degree under
+    /// `cfg.p`? That is what lets publication skip edges on their cached
+    /// degree ([`CorrelationGraph::for_each_list`]). True of a model that
+    /// started empty: every cached degree is written under `cfg.p`. A
+    /// restored one asks the image
+    /// ([`CorrelationGraph::cached_degrees_bound`]), whose degrees may have
+    /// been cached under another `p` — and are then a mix for good: they
+    /// order cap eviction and are state.
+    cached_degrees_bound: bool,
     /// Reusable per-event batch of predecessor updates (no allocation on
     /// the hot path after warm-up).
     scratch: Vec<PredUpdate>,
@@ -146,20 +150,20 @@ pub struct Farmer {
 
 impl Farmer {
     /// A fresh model with the given configuration.
+    ///
+    /// # Panics
+    /// If `cfg` is not one a model can run under
+    /// ([`FarmerConfig::validate`]).
     pub fn new(cfg: FarmerConfig) -> Self {
+        cfg.validate();
         let lda = cfg.lda_weights();
-        let lda_key = cfg.lda_fingerprint();
-        let cfg_sim_key = (cfg.combo, cfg.path_mode);
-        let cfg_p = cfg.p;
         Farmer {
             cfg,
             graph: CorrelationGraph::new(),
             window: VecDeque::new(),
             paths: FxHashMap::default(),
             lda,
-            lda_key,
-            sim_key: (cfg_sim_key.0, cfg_sim_key.1),
-            degs_p: Some(cfg_p),
+            cached_degrees_bound: true,
             scratch: Vec::new(),
             victims: Vec::new(),
             observed: 0,
@@ -171,17 +175,9 @@ impl Farmer {
         Self::new(FarmerConfig::default())
     }
 
-    /// The active configuration.
+    /// The configuration, as given at construction.
     pub fn config(&self) -> &FarmerConfig {
         &self.cfg
-    }
-
-    /// Mutable access to the configuration. Changing `p`/`max_strength`
-    /// affects future evaluations immediately (degrees are computed at
-    /// query time); changing the window or combo only affects future
-    /// observations.
-    pub fn config_mut(&mut self) -> &mut FarmerConfig {
-        &mut self.cfg
     }
 
     /// Number of requests observed so far.
@@ -231,17 +227,6 @@ impl Farmer {
                 self.graph.mark_path_memos_stale(req.file);
             }
             hint = self.graph.record_access_hinted(req.file);
-        }
-        if self.lda_key != self.cfg.lda_fingerprint() {
-            self.lda = self.cfg.lda_weights();
-            self.lda_key = self.cfg.lda_fingerprint();
-        }
-        if self.sim_key != (self.cfg.combo, self.cfg.path_mode) {
-            self.sim_key = (self.cfg.combo, self.cfg.path_mode);
-            self.graph.mark_all_path_memos_stale();
-        }
-        if !self.cached_degrees_bound() {
-            self.degs_p = None;
         }
         let use_path = self.cfg.combo.contains(AttrKind::Path);
         let mode = self.cfg.path_mode;
@@ -314,7 +299,7 @@ impl Farmer {
             if self.cfg.decay < 1.0 {
                 self.graph.age(self.cfg.decay);
             }
-            self.graph.prune_below(self.cfg.prune_floor, &self.cfg);
+            self.graph.prune_below(PRUNE_FLOOR, &self.cfg);
         }
     }
 
@@ -385,10 +370,10 @@ impl Farmer {
         table
     }
 
-    /// Manually drop all edges below the configured prune floor. Returns
-    /// the number of edges removed.
+    /// Manually drop all edges below [`PRUNE_FLOOR`]. Returns the number
+    /// of edges removed.
     pub fn prune(&mut self) -> usize {
-        self.graph.prune_below(self.cfg.prune_floor, &self.cfg)
+        self.graph.prune_below(PRUNE_FLOOR, &self.cfg)
     }
 
     /// Evict one file from the model entirely: its learned path, its node
@@ -471,11 +456,18 @@ impl Farmer {
         }
     }
 
-    /// Rebuild a model from an exported state image under `cfg`, which
-    /// must be the configuration the image was taken under (the same
-    /// contract WAL replay has: determinism holds only for identical
-    /// configs). Window slot hints restart as [`NodeHint::NONE`] — a
-    /// stale-hint probe miss, which the graph treats identically.
+    /// Rebuild a model from an exported state image under `cfg`. To
+    /// continue the stream as the exporting model would have, `cfg` must
+    /// be the configuration the image was taken under (the same contract
+    /// WAL replay has: determinism holds only for identical configs);
+    /// under another, queries and publication evaluate the image's
+    /// accumulators under the new `p` / `max_strength`, and mining goes on
+    /// under the new values. Window slot hints restart as
+    /// [`NodeHint::NONE`] — a stale-hint probe miss, which the graph treats
+    /// identically.
+    ///
+    /// # Panics
+    /// As [`Farmer::new`].
     pub fn from_state(cfg: FarmerConfig, state: &crate::state::FarmerState) -> Farmer {
         let mut farmer = Farmer::new(cfg);
         farmer.graph = CorrelationGraph::from_state(&state.graph);
@@ -503,19 +495,8 @@ impl Farmer {
         farmer.observed = state.observed;
         // The image does not say what `p` its cached degrees were written
         // under, so ask the degrees themselves.
-        farmer.degs_p = farmer
-            .graph
-            .cached_degrees_bound(&farmer.cfg)
-            .then_some(farmer.cfg.p);
+        farmer.cached_degrees_bound = farmer.graph.cached_degrees_bound(&farmer.cfg);
         farmer
-    }
-
-    /// Were all cached degrees written under (or, on restore, checked
-    /// against) the `p` now configured?
-    #[inline]
-    fn cached_degrees_bound(&self) -> bool {
-        self.degs_p
-            .is_some_and(|p| p.to_bits() == self.cfg.p.to_bits())
     }
 
     /// `file`'s successors of degree ≥ `min_degree`, in successor-id order.
@@ -565,9 +546,8 @@ impl CorrelationSource for Farmer {
         if k == 0 {
             return;
         }
-        // Degrees are evaluated here, against the current `N(file)` and
-        // `p`: whatever the last observe / forget / `config_mut` left is
-        // what the query sees.
+        // Degrees are evaluated here, against the current `N(file)`:
+        // whatever the last observe / forget left is what the query sees.
         out.extend(self.valid_edges(file, min_degree));
         if k < out.len() {
             // Partition the k strongest to the front, then order only those.
@@ -590,9 +570,12 @@ impl CorrelationSource for Farmer {
     }
 
     fn for_each_list(&self, visit: &mut dyn FnMut(FileId, &[Correlator])) {
-        let cached_bound = self.cached_degrees_bound();
-        self.graph
-            .for_each_list(&self.cfg, self.cfg.max_strength, cached_bound, visit);
+        self.graph.for_each_list(
+            &self.cfg,
+            self.cfg.max_strength,
+            self.cached_degrees_bound,
+            visit,
+        );
     }
 
     fn heap_bytes(&self) -> usize {
@@ -744,29 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn combo_change_applies_to_existing_pairs() {
-        // Changing the attribute combination must affect *future*
-        // observations even of already-memoized pairs.
-        let mut f = Farmer::with_defaults(); // hp combo: 3 scalars + path
-        f.observe(req(0, 1, 1, 1), None);
-        f.observe(req(1, 1, 1, 1), None); // sim = 3/3 = 1 (pathless)
-        f.config_mut().combo = AttrCombo::EMPTY;
-        f.observe(req(0, 1, 1, 1), None);
-        f.observe(req(1, 1, 1, 1), None); // 0→1 twice more at sim 0
-        let cfg = f.config().clone();
-        let e = f
-            .graph()
-            .edges(FileId::new(0), &cfg)
-            .find(|e| e.to == FileId::new(1))
-            .unwrap();
-        assert!(
-            (e.sim_avg - 1.0 / 3.0).abs() < 1e-12,
-            "stale combo served: sim_avg {}",
-            e.sim_avg
-        );
-    }
-
-    #[test]
     fn self_transitions_ignored() {
         let mut f = Farmer::with_defaults();
         f.observe(req(0, 1, 1, 1), None);
@@ -848,7 +808,6 @@ mod tests {
     fn memory_grows_then_prune_shrinks() {
         let mut cfg = FarmerConfig::default();
         cfg.prune_interval = 0; // manual pruning only
-        cfg.prune_floor = 0.9; // aggressive, drops nearly everything
         let trace = WorkloadSpec::res().scaled(0.05).generate();
         let mut f = Farmer::new(cfg);
         for e in &trace.events {
@@ -878,7 +837,6 @@ mod tests {
         let run = |decay: f64| {
             let mut cfg = FarmerConfig::default();
             cfg.prune_interval = 50;
-            cfg.prune_floor = 0.0;
             cfg.decay = decay;
             cfg.p = 0.0; // isolate the frequency signal
             let mut f = Farmer::new(cfg);
@@ -969,6 +927,17 @@ mod tests {
         removed
     }
 
+    /// Prune both models through the graph, which takes the floor as an
+    /// argument: 0.2 is one the short differential streams reach (a pair
+    /// that shares no attribute sits below it until it recurs), where the
+    /// ticks at [`PRUNE_FLOOR`] find an edge only now and then. Returns
+    /// the edges dropped, the same on both sides.
+    fn prune_both(new: &mut Farmer, old: &mut Farmer) -> usize {
+        let dropped = new.graph.prune_below(0.2, &new.cfg);
+        assert_eq!(dropped, old.graph.prune_below(0.2, &old.cfg));
+        dropped
+    }
+
     #[test]
     fn forget_sweep_matches_retain_edges_reference_bit_for_bit() {
         // Interleaved observe / age / prune / forget on both halves of a
@@ -995,7 +964,6 @@ mod tests {
             let cfg = FarmerConfig {
                 max_successors: cap,
                 prune_interval: 64,
-                prune_floor: 0.2,
                 decay: 0.9,
                 ..FarmerConfig::default()
             };
@@ -1015,14 +983,16 @@ mod tests {
                     x ^= x << 17;
                     (x % u64::from(n)) as u32
                 };
-                let mut removed = 0;
+                let (mut removed, mut pruned) = (0, 0);
                 // (A big batch is slow to draw and to check: fewer of them.)
                 for i in 0..if batch > 600 { 1500 } else { 6000 } {
-                    let r = req(id(next(files)), next(3), next(2), 0);
+                    // Three hosts, so that some pairs share no attribute
+                    // and only their frequency keeps them above the floor.
+                    let r = req(id(next(files)), next(3), next(2), next(3));
                     new.observe_where(r, None, owns);
                     old.observe_where(r, None, owns);
                     if i % 29 == 0 {
-                        assert_eq!(new.prune(), old.prune());
+                        pruned += prune_both(&mut new, &mut old);
                     }
                     if i % 37 == 0 {
                         // Duplicates, a never-observed id, and neighbours
@@ -1048,6 +1018,7 @@ mod tests {
                 }
                 assert_eq!(new.export_state(), old.export_state());
                 assert!(removed > 100, "only {removed} edges removed at {batch}");
+                assert!(pruned > 0, "nothing pruned at {batch}");
             }
             // Every node of 48 files cannot reach 32 successors, but the
             // slab re-strides as soon as one passes 16.
@@ -1076,14 +1047,6 @@ mod tests {
                 f.graph.mark_path_memos_stale(req.file);
             }
             hint = f.graph.record_access_hinted(req.file);
-        }
-        if f.lda_key != f.cfg.lda_fingerprint() {
-            f.lda = f.cfg.lda_weights();
-            f.lda_key = f.cfg.lda_fingerprint();
-        }
-        if f.sim_key != (f.cfg.combo, f.cfg.path_mode) {
-            f.sim_key = (f.cfg.combo, f.cfg.path_mode);
-            f.graph.mark_all_path_memos_stale();
         }
         let use_path = f.cfg.combo.contains(AttrKind::Path);
         let mut batch = Vec::new();
@@ -1132,7 +1095,7 @@ mod tests {
             if f.cfg.decay < 1.0 {
                 f.graph.age(f.cfg.decay);
             }
-            f.graph.prune_below(f.cfg.prune_floor, &f.cfg);
+            f.graph.prune_below(PRUNE_FLOOR, &f.cfg);
         }
     }
 
@@ -1143,7 +1106,8 @@ mod tests {
         files: u32,
         /// `Some(r)`: this half of a two-way ownership partition.
         part: Option<u32>,
-        /// `Some((step, cap))`: raise `max_successors` mid-run.
+        /// `Some((step, cap))`: at `step`, restore both models from their
+        /// images under a `max_successors` raised to `cap`.
         raise: Option<(usize, usize)>,
     }
 
@@ -1173,13 +1137,15 @@ mod tests {
     /// manual prunes interleaved, a restore from the exported image a third
     /// of the way in, a front end that names a file now one way, now
     /// another — and demand the same state image, bit for bit, after
-    /// every step. Returns the kernel's update mix.
-    fn run_differential(cfg: FarmerConfig, seed: u64, run: Differential) -> UpdateMix {
+    /// every step. Returns the kernel's update mix and the edges the
+    /// interleaved prunes dropped.
+    fn run_differential(cfg: FarmerConfig, seed: u64, run: Differential) -> (UpdateMix, usize) {
         const STEPS: usize = 2400;
         let owns = move |f: FileId| run.part.is_none_or(|r| f.raw() % 2 == r);
         let mut cfg = cfg;
         let mut new = Farmer::new(cfg.clone());
         let mut old = Farmer::new(cfg.clone());
+        let mut pruned = 0;
         let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
         let mut next = |n: u32| {
             x ^= x << 13;
@@ -1187,17 +1153,17 @@ mod tests {
             x ^= x << 17;
             (x % u64::from(n)) as u32
         };
-        let mut mix = UpdateMix::default();
+        // A restored graph counts its updates from zero: one mix a life.
+        let mut lives = Vec::new();
         for step in 0..STEPS {
-            if step == STEPS / 3 {
-                mix = new.graph().update_mix();
+            let raise = run.raise.filter(|&(at, _)| at == step);
+            if let Some((_, cap)) = raise {
+                cfg.max_successors = cap;
+            }
+            if step == STEPS / 3 || raise.is_some() {
+                lives.push(new.graph().update_mix());
                 new = Farmer::from_state(cfg.clone(), &new.export_state());
                 old = Farmer::from_state(cfg.clone(), &old.export_state());
-            }
-            if let Some((_, cap)) = run.raise.filter(|&(at, _)| at == step) {
-                cfg.max_successors = cap;
-                new.config_mut().max_successors = cap;
-                old.config_mut().max_successors = cap;
             }
             match next(40) {
                 0 => {
@@ -1207,11 +1173,12 @@ mod tests {
                         forget_files_reference(&mut old, &victims)
                     );
                 }
-                1 => assert_eq!(new.prune(), old.prune()),
+                1 => pruned += prune_both(&mut new, &mut old),
                 _ => {
                     // A small id range keeps repeats inside the window
-                    // (A B A C) and the nodes at their cap.
-                    let r = req(next(run.files), next(3), next(2), 0);
+                    // (A B A C) and the nodes at their cap; three hosts,
+                    // so that some pairs share no scalar attribute.
+                    let r = req(next(run.files), next(3), next(2), next(3));
                     let path = path_of(r.file.raw(), next(2)).filter(|_| next(4) != 0);
                     new.observe_where(r, path.as_ref(), owns);
                     observe_where_reference(&mut old, r, path.as_ref(), owns);
@@ -1219,23 +1186,24 @@ mod tests {
             }
             assert_eq!(new.export_state(), old.export_state(), "step {step}");
         }
-        let after = new.graph().update_mix();
-        UpdateMix {
-            hits: mix.hits + after.hits,
-            inserts: mix.inserts + after.inserts,
-            early_rejects: mix.early_rejects + after.early_rejects,
-            exact_rejects: mix.exact_rejects + after.exact_rejects,
-            admits: mix.admits + after.admits,
-            path_terms: mix.path_terms + after.path_terms,
-            relocates: mix.relocates + after.relocates,
-        }
+        lives.push(new.graph().update_mix());
+        let sum = |field: fn(&UpdateMix) -> u64| lives.iter().map(field).sum();
+        let mix = UpdateMix {
+            hits: sum(|m| m.hits),
+            inserts: sum(|m| m.inserts),
+            early_rejects: sum(|m| m.early_rejects),
+            exact_rejects: sum(|m| m.exact_rejects),
+            admits: sum(|m| m.admits),
+            path_terms: sum(|m| m.path_terms),
+            relocates: sum(|m| m.relocates),
+        };
+        (mix, pruned)
     }
 
     #[test]
     fn kernel_matches_the_reference_bit_for_bit() {
         let base = FarmerConfig {
             prune_interval: 64,
-            prune_floor: 0.2,
             decay: 0.9,
             ..FarmerConfig::default()
         };
@@ -1257,7 +1225,8 @@ mod tests {
                 path_mode: mode,
                 ..base.clone()
             };
-            let mix = run_differential(cfg, seed, whole);
+            let (mix, pruned) = run_differential(cfg, seed, whole);
+            assert!(pruned > 0, "the prunes dropped nothing");
             assert!(mix.relocates > 0, "no A B A C at a full node: {mix:?}");
             assert!(mix.admits > 50 && mix.hits > 500, "{mix:?}");
             if mode == PathMode::Ipa {
@@ -1271,15 +1240,17 @@ mod tests {
         // DPA says nothing of a pair unless neither file has a path.
         assert!(seen.early_rejects * 4 < seen.exact_rejects, "{seen:?}");
         // Every cap around the 16-lane line, the slab re-striding under 17
-        // and 40, and a cap raised mid-run.
+        // and 40, and a cap raised across a restore.
         for (seed, cap) in [(4, 1), (5, 16), (6, 17), (7, 40)] {
             let cfg = FarmerConfig {
                 max_successors: cap,
                 ..base.clone()
             };
             let many = Differential { files: 64, ..whole };
-            let mix = run_differential(cfg, seed, many);
+            let (mix, pruned) = run_differential(cfg, seed, many);
             assert!(mix.inserts > 100, "{mix:?}");
+            // (A node's one successor is the strongest it was offered.)
+            assert!(pruned > 0 || cap == 1, "nothing pruned at cap {cap}");
         }
         let cfg = FarmerConfig {
             max_successors: 4,
@@ -1496,17 +1467,17 @@ mod tests {
                 f.observe(req(1, 9, 9, 9), None); // foreign context, frequent
             }
         }
-        // Query under the default p, then flip p without touching the
-        // graph: degrees are evaluated at query time, under the new p.
-        let _ = f.strongest(FileId::new(0), 0.0);
-        let mut buf = Vec::new();
-        f.top_k_into(FileId::new(0), 1, 0.0, &mut buf);
-        f.config_mut().p = 0.0;
-        f.top_k_into(FileId::new(0), 1, 0.0, &mut buf);
-        assert_eq!(buf[0].file, FileId::new(1), "frequency must win at p=0");
-        f.config_mut().p = 1.0;
-        f.top_k_into(FileId::new(0), 1, 0.0, &mut buf);
-        assert_eq!(buf[0].file, FileId::new(2), "semantics must win at p=1");
+        // Mined under the default p; restored under another, the same
+        // accumulators answer under it: degrees are evaluated at query time.
+        let state = f.export_state();
+        let top_at = |p: f64| {
+            let cfg = FarmerConfig::default().with_p(p);
+            let mut buf = Vec::new();
+            Farmer::from_state(cfg, &state).top_k_into(FileId::new(0), 1, 0.0, &mut buf);
+            buf[0].file
+        };
+        assert_eq!(top_at(0.0), FileId::new(1), "frequency must win at p=0");
+        assert_eq!(top_at(1.0), FileId::new(2), "semantics must win at p=1");
     }
 
     #[test]
@@ -1587,84 +1558,53 @@ mod tests {
     #[test]
     fn one_pass_table_equals_per_file_lists_under_p_and_threshold_changes() {
         // Publication skips an edge on its *cached* degree, which bounds
-        // the degree now only while `p` is the one it was written under.
-        // So: more than 10⁴ aging ticks at decay 0.999 (every refresh may
-        // move mass / total by a rounding, which is what the margin is
-        // for), `max_strength` lowered, raised and set to exactly the
-        // degree of edges that have drifted *above* their cached degree,
-        // then `p` up, down, to 0, to 1 and out of [0, 1], with a restore
-        // on either side of the first change. Every list equals
+        // the degree now only if `p` is the one it was written under. So:
+        // more than 10⁴ aging ticks at decay 0.999 (every refresh may move
+        // mass / total by a rounding, which is what the margin is for),
+        // and before each 2 048-event phase a restore from the model's own
+        // image under another configuration — `max_strength` lowered,
+        // raised and set to exactly the degree of edges that have drifted
+        // *above* their cached degree; from the thirteenth on `p` up, back,
+        // down, to 0 and to 1, once also left alone over an image whose
+        // degrees are by then a mix. Every list equals
         // `Farmer::correlators`, bit for bit, throughout.
         let trace = WorkloadSpec::hp().scaled(0.1).generate();
         let cfg = FarmerConfig {
             prune_interval: 4,
-            prune_floor: 0.05,
             decay: 0.999,
             ..FarmerConfig::default()
         };
         let mut f = Farmer::new(cfg.clone());
         const STEP: usize = 2048;
-        let events: Vec<TraceEvent> = trace.stream().take(22 * STEP).collect();
+        const P: [f64; 8] = [0.7, 0.9, 0.7, 0.3, 0.3, 0.0, 1.0, 0.7];
+        let events: Vec<TraceEvent> = trace.stream().take((12 + P.len()) * STEP).collect();
         assert!(events.len() / cfg.prune_interval > 10_000);
         let (mut drifted_up, mut worst_drift, mut lists) = (0usize, 0.0f64, 0usize);
+        let mut filter_off = 0;
         for (phase, chunk) in events.chunks(STEP).enumerate() {
-            // What the phase changes before it mines, and whether the
-            // cached degrees still vouch for the configured `p` after it.
-            let filter_on = match phase {
-                0..=11 => true,
-                12 => {
-                    // A pure image passes the restore's check.
-                    f = Farmer::from_state(f.config().clone(), &f.export_state());
-                    assert_eq!(f.degs_p, Some(0.7));
-                    true
-                }
-                13 => {
-                    f.config_mut().p = 0.9; // up: degrees rise, the bound is void
-                    false
-                }
-                14 => {
-                    f.config_mut().p = 0.7; // and back: the degrees are a mix now
-                    false
-                }
-                15 => {
-                    f.config_mut().p = 0.3; // down
-                    false
-                }
-                16 => {
-                    // An image whose degrees are a mix: whatever the check
-                    // says of it, the lists must come out right.
-                    f = Farmer::from_state(f.config().clone(), &f.export_state());
-                    f.degs_p.is_some()
-                }
-                17 => {
-                    f.config_mut().p = 0.0;
-                    false
-                }
-                18 => {
-                    f.config_mut().p = 1.0;
-                    false
-                }
-                19 => {
-                    f.config_mut().p = 1.5; // (1 − p) < 0: frequency counts against
-                    false
-                }
-                20 => {
-                    f.config_mut().p = -0.25;
-                    false
-                }
-                _ => {
-                    f.config_mut().p = 0.7;
-                    false
-                }
+            let next = FarmerConfig {
+                p: P[phase.saturating_sub(12)],
+                max_strength: [0.4, 0.2, 0.6, 0.05, 0.0, 0.4][phase % 6],
+                ..cfg.clone()
             };
-            f.config_mut().max_strength = [0.4, 0.2, 0.6, 0.05, 0.0, 0.4][phase % 6];
+            f = Farmer::from_state(next, &f.export_state());
+            // What the restore's check made of the image: a pure one
+            // passes, one whose degrees have all just risen cannot, and of
+            // a mix whatever it says the lists must come out right.
+            let filter_on = f.cached_degrees_bound;
+            match phase {
+                0..=12 => assert!(filter_on, "phase {phase}"),
+                13 => assert!(!filter_on, "p 0.7 -> 0.9 passed the check"),
+                _ => {}
+            }
+            filter_off += usize::from(!filter_on);
             for e in chunk {
                 f.observe_event(&trace, e);
             }
-            assert_eq!(f.degs_p.is_some(), filter_on, "phase {phase}");
+            assert_eq!(f.cached_degrees_bound, filter_on, "phase {phase}");
             assert_table_is_the_per_file_lists(&f, &format!("phase {phase}"));
             lists += f.correlator_table().len();
-            if !f.cached_degrees_bound() {
+            if !filter_on {
                 continue;
             }
             // Edges whose degree has crept above the cached one, by
@@ -1685,12 +1625,19 @@ mod tests {
                     }
                 }
             }
+            thresholds.retain(|&t| t <= 1.0);
             for threshold in thresholds.into_iter().step_by(997).take(3) {
-                f.config_mut().max_strength = threshold;
-                assert_table_is_the_per_file_lists(&f, &format!("phase {phase} at {threshold}"));
+                let at = cfg_now.clone().with_max_strength(threshold);
+                let at = Farmer::from_state(at, &f.export_state());
+                assert!(at.cached_degrees_bound);
+                assert_table_is_the_per_file_lists(&at, &format!("phase {phase} at {threshold}"));
             }
         }
         assert!(lists > 5_000, "only {lists} lists compared");
+        assert!(
+            filter_off >= 2,
+            "the unfiltered walk ran {filter_off} times"
+        );
         assert!(
             drifted_up > 100,
             "the margin was never needed: {drifted_up}"
@@ -1698,19 +1645,6 @@ mod tests {
         // Ten thousand ticks moved nothing by more than a few roundings:
         // six orders of magnitude inside the margin.
         assert!(worst_drift < 1e-13, "drift {worst_drift}");
-
-        // A model that is born with `p` outside [0, 1] never arms the
-        // filter, although its cached degrees are all of one `p`.
-        for p in [1.5, -0.25] {
-            let mut f = Farmer::new(FarmerConfig { p, ..cfg.clone() });
-            f.config_mut().max_strength = 0.2;
-            for e in &events[..2 * STEP] {
-                f.observe_event(&trace, e);
-            }
-            assert_eq!(f.degs_p, Some(p));
-            assert_table_is_the_per_file_lists(&f, &format!("p = {p}"));
-            assert!(!f.correlator_table().is_empty());
-        }
     }
 
     #[test]
@@ -1729,5 +1663,54 @@ mod tests {
         }
         let l = f.correlators_with_threshold(FileId::new(0), 0.0);
         assert_eq!(l.head().unwrap().file, FileId::new(2));
+    }
+
+    // A value written straight into a field — past the `with_*` builders
+    // and their asserts — is checked when a model is built from it.
+
+    #[test]
+    #[should_panic(expected = "p must be in [0,1]")]
+    fn new_rejects_nan_p() {
+        Farmer::new(FarmerConfig {
+            p: f64::NAN,
+            ..FarmerConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_strength must be in [0,1]")]
+    fn new_rejects_out_of_range_max_strength() {
+        Farmer::new(FarmerConfig {
+            max_strength: 1.5,
+            ..FarmerConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn new_rejects_zero_window() {
+        Farmer::new(FarmerConfig {
+            window: 0,
+            ..FarmerConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_successors must be positive")]
+    fn new_rejects_zero_max_successors() {
+        Farmer::new(FarmerConfig {
+            max_successors: 0,
+            ..FarmerConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "p must be in [0,1]")]
+    fn from_state_rejects_out_of_range_p() {
+        let cfg = FarmerConfig {
+            p: -0.25,
+            ..FarmerConfig::default()
+        };
+        Farmer::from_state(cfg, &Farmer::with_defaults().export_state());
     }
 }

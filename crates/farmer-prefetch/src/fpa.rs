@@ -237,19 +237,18 @@ mod tests {
         }));
     }
 
-    /// A one-list table: every access of file 0 predicts `to`.
+    /// A one-list table: every access of file 0 predicts `to` (strongest
+    /// first).
     fn zero_predicts(to: &[(u32, f64)]) -> farmer_core::CorrelatorTable {
-        use farmer_core::CorrelatorList;
-        let entries = to
+        let list = to
             .iter()
             .map(|&(file, degree)| Correlator {
                 file: FileId::new(file),
                 degree,
             })
             .collect::<Vec<_>>();
-        let list = CorrelatorList::build(FileId::new(0), entries, 0.0);
         let mut table = farmer_core::CorrelatorTable::new();
-        table.push_list(list.owner, list.entries()).unwrap();
+        table.push_list(FileId::new(0), &list).unwrap();
         table
     }
 

@@ -207,8 +207,9 @@ impl BTree {
         }
     }
 
-    /// All keys in order (test/diagnostic helper).
-    pub fn keys(&mut self) -> Vec<u64> {
+    /// All keys in order.
+    #[cfg(test)]
+    fn keys(&mut self) -> Vec<u64> {
         self.range(0, u64::MAX)
             .into_iter()
             .map(|(k, _)| k)

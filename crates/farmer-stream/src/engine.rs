@@ -10,10 +10,10 @@
 //!   newcomer inherits the smallest evicted count as its starting value —
 //!   the classic Space-Saving over-count bound, which guarantees genuinely
 //!   hot files are never displaced by a parade of cold ones.
-//! * **Exponential decay** — counters are periodically multiplied by
-//!   `count_decay < 1`, so retention ranks files by *recent* heat rather
-//!   than all-time totals, and the wrapped miner's own `decay`/`prune`
-//!   configuration ages edge masses the same way.
+//! * **Exponential decay** — every [`DECAY_INTERVAL`] events the counters
+//!   are multiplied by [`COUNT_DECAY`], so retention ranks files by
+//!   *recent* heat rather than all-time totals, and the wrapped miner's
+//!   own `decay`/`prune` configuration ages edge masses the same way.
 //!
 //! Eviction is *complete*: a victim's access count, learned path, node,
 //! incoming edges and window entries all go (via [`Farmer::forget_files`]),
@@ -44,7 +44,7 @@ use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::metrics::StreamMetrics;
 use crate::snapshot::ShardSnapshot;
-use crate::StreamConfig;
+use crate::{StreamConfig, COUNT_DECAY, DECAY_INTERVAL};
 
 /// Does `shard_id` (of `num_shards`) own `file`? Mirrors the Fx-hash
 /// namespace routing of `farmer-mds::cluster`'s `Partition::Hash`.
@@ -122,7 +122,13 @@ impl StreamMiner {
     /// The miner for `shard_id` of `num_shards`; it accounts only for files
     /// it owns, but expects to receive the *full* event stream so its
     /// look-ahead window carries the global access order.
+    ///
+    /// # Panics
+    /// If `cfg` is not one a miner can run under
+    /// ([`StreamConfig::validate`]), or `shard_id` is not below
+    /// `num_shards`.
     pub fn for_shard(cfg: StreamConfig, shard_id: usize, num_shards: usize) -> Self {
+        cfg.validate();
         assert!(shard_id < num_shards, "shard_id out of range");
         let farmer = Farmer::new(cfg.farmer.clone());
         StreamMiner {
@@ -168,14 +174,11 @@ impl StreamMiner {
         self.farmer
             .observe_where(req, path, |f| owns_file(f, shard_id, num_shards));
 
-        if self.cfg.decay_interval > 0
-            && self.events_seen.is_multiple_of(self.cfg.decay_interval)
-            && self.cfg.count_decay < 1.0
-        {
+        if self.events_seen.is_multiple_of(DECAY_INTERVAL) {
             for c in self.counts.values_mut() {
-                *c *= self.cfg.count_decay;
+                *c *= COUNT_DECAY;
             }
-            self.count_floor *= self.cfg.count_decay;
+            self.count_floor *= COUNT_DECAY;
             self.obs.decay_ticks.inc();
         }
     }
@@ -217,9 +220,6 @@ impl StreamMiner {
     /// Space-Saving floor to the largest count evicted.
     fn evict_batch(&mut self) {
         let batch = self.cfg.effective_evict_batch().min(self.counts.len());
-        if batch == 0 {
-            return;
-        }
         let _span = self.obs.evict_ns.span();
         // One integer key a counter, `(count in total order, file id)`:
         // the id breaks count ties, so the victim *set* is a pure function
@@ -317,10 +317,14 @@ impl StreamMiner {
     /// Rebuild a shard miner from an exported image under `cfg`, which
     /// must match the configuration the image was taken under (the WAL
     /// replay contract). The shard identity comes from the image itself.
+    ///
+    /// # Panics
+    /// As [`StreamMiner::for_shard`].
     pub fn from_state(cfg: StreamConfig, state: &MinerState) -> StreamMiner {
+        cfg.validate();
         let shard_id = state.shard_id as usize;
         let num_shards = state.num_shards as usize;
-        assert!(shard_id < num_shards.max(1), "shard_id out of range");
+        assert!(shard_id < num_shards, "shard_id out of range");
         let farmer = Farmer::from_state(cfg.farmer.clone(), &state.farmer);
         StreamMiner {
             cfg,
@@ -404,6 +408,18 @@ mod tests {
         StreamConfig::default().with_node_cap(cap)
     }
 
+    /// A miner reporting to a registry of its own (`stream.*`).
+    fn instrumented(cfg: StreamConfig) -> (StreamMiner, farmer_obs::Registry) {
+        let reg = farmer_obs::Registry::enabled();
+        let mut m = StreamMiner::new(cfg);
+        m.instrument(StreamMetrics::new(&reg.scope("stream")));
+        (m, reg)
+    }
+
+    fn decay_ticks(reg: &farmer_obs::Registry) -> u64 {
+        reg.snapshot().counter("stream.decay_ticks").unwrap()
+    }
+
     #[test]
     fn cap_is_never_exceeded() {
         let cap = 16;
@@ -485,25 +501,36 @@ mod tests {
 
     #[test]
     fn count_decay_shifts_retention_to_recent_heat() {
-        // File 0 is hot early then never again; files 50.. are hot late.
-        // With decay, the stale hot file must eventually be evictable.
-        let mut cfg = small_cfg(4);
-        cfg.count_decay = 0.5;
-        cfg.decay_interval = 64;
-        let mut m = StreamMiner::new(cfg);
-        for _ in 0..300 {
+        // File 0 is hot early then never again; files 1..=3 are hot from
+        // then on, each at a third of its rate, and all four fit the
+        // table. A newcomer evicts the lowest counter. Soon after the
+        // shift that is a recent file: file 0's all-time count towers
+        // over theirs, and by counts alone would for 600 000 events. With
+        // [`COUNT_DECAY`] every [`DECAY_INTERVAL`] events the recent heat
+        // has overtaken it well within the 240 000 fed here.
+        let (mut m, reg) = instrumented(small_cfg(4));
+        for _ in 0..200_000 {
             m.ingest(req(0, 1), None);
         }
-        for round in 0..400u32 {
-            for f in 50..56 {
-                m.ingest(req(f, 2), None);
+        let recent = |m: &mut StreamMiner, events: u32| {
+            for i in 0..events {
+                m.ingest(req(1 + i % 3, 2), None);
             }
-            let _ = round;
-        }
+        };
+        recent(&mut m, 24_000);
+        m.ingest(req(50, 2), None);
+        assert!(
+            m.counts.contains_key(&0),
+            "the newcomer displaced the all-time hottest file"
+        );
+        recent(&mut m, 240_000);
+        m.ingest(req(51, 2), None);
         assert!(
             !m.counts.contains_key(&0),
             "stale hot file survived decayed retention"
         );
+        assert_eq!(decay_ticks(&reg), m.events_seen() / DECAY_INTERVAL);
+        assert!(decay_ticks(&reg) > 50);
     }
 
     #[test]
@@ -546,10 +573,8 @@ mod tests {
 
     #[test]
     fn snapshot_reports_the_update_mix_as_counter_deltas() {
-        let reg = farmer_obs::Registry::enabled();
         let trace = WorkloadSpec::hp().scaled(0.02).generate();
-        let mut m = StreamMiner::new(small_cfg(4096));
-        m.instrument(StreamMetrics::new(&reg.scope("stream")));
+        let (mut m, reg) = instrumented(small_cfg(4096));
         let check = |m: &StreamMiner| {
             let mix = m.farmer().graph().update_mix();
             let report = reg.snapshot();
@@ -614,14 +639,18 @@ mod tests {
     fn state_roundtrip_continues_bitwise() {
         // Export mid-stream (with eviction, decay and forgets all active),
         // restore, and feed the identical suffix to both miners: every
-        // future decision must match bit for bit.
+        // future decision must match bit for bit. Laps enough for a
+        // counter-decay tick on either side of the cut, which falls
+        // between two of them.
         let trace = WorkloadSpec::hp().scaled(0.02).generate();
-        let mut cfg = small_cfg(256);
-        cfg.count_decay = 0.9;
-        cfg.decay_interval = 97;
-        let mut original = StreamMiner::new(cfg.clone());
-        let cut = trace.len() / 2;
-        for (i, e) in trace.events.iter().take(cut).enumerate() {
+        let events: Vec<TraceEvent> = trace
+            .stream()
+            .take(7 * DECAY_INTERVAL as usize / 2)
+            .collect();
+        let cfg = small_cfg(256);
+        let (mut original, reg) = instrumented(cfg.clone());
+        let cut = events.len() / 2;
+        for (i, e) in events.iter().take(cut).enumerate() {
             if i % 113 == 0 {
                 original.forget(e.file);
             }
@@ -629,9 +658,14 @@ mod tests {
         }
         let state = original.export_state();
         assert_eq!(state.events_seen, cut as u64);
+        let (ticks, evictions) = (decay_ticks(&reg), original.evictions());
+        assert!(
+            ticks > 0 && evictions > 0,
+            "{ticks} ticks, {evictions} evictions"
+        );
         let mut restored = StreamMiner::from_state(cfg, &state);
         assert_eq!(restored.export_state(), state, "round trip not identity");
-        for (i, e) in trace.events.iter().enumerate().skip(cut) {
+        for (i, e) in events.iter().enumerate().skip(cut) {
             if i % 113 == 0 {
                 original.forget(e.file);
                 restored.forget(e.file);
@@ -639,6 +673,7 @@ mod tests {
             original.ingest_event(&trace, e);
             restored.ingest_event(&trace, e);
         }
+        assert!(decay_ticks(&reg) > ticks && original.evictions() > evictions);
         assert!(
             shard_snapshots_bitwise_equal(&original.snapshot(), &restored.snapshot()),
             "restored miner diverged from the original"
@@ -648,29 +683,37 @@ mod tests {
 
     #[test]
     fn restored_miner_matches_after_every_eviction_batch() {
-        // Tiny cap, both decays on: the restored miner starts with empty
-        // scratch, a rebuilt counter map and stale weakest caches, and
-        // must still leave the same image after each eviction batch — not
-        // only at the end of the stream.
+        // Small cap (two victims a batch), both decays on: the restored
+        // miner starts with empty scratch, a rebuilt counter map and stale
+        // weakest caches, and must still leave the same image after each
+        // eviction batch — not only at the end of the stream, which laps
+        // the trace until a counter-decay tick has passed on either side
+        // of the cut.
         let trace = WorkloadSpec::hp().scaled(0.02).generate();
-        let mut cfg = small_cfg(64);
-        cfg.count_decay = 0.9;
-        cfg.decay_interval = 97;
+        let events: Vec<TraceEvent> = trace
+            .stream()
+            .take(7 * DECAY_INTERVAL as usize / 2)
+            .collect();
+        let mut cfg = small_cfg(128);
         cfg.farmer.decay = 0.9;
         cfg.farmer.prune_interval = 512;
-        let mut original = StreamMiner::new(cfg.clone());
-        let cut = trace.len() / 2;
-        for e in &trace.events[..cut] {
+        assert_eq!(cfg.effective_evict_batch(), 2);
+        let (mut original, reg) = instrumented(cfg.clone());
+        let cut = events.len() / 2;
+        for e in &events[..cut] {
             original.ingest_event(&trace, e);
         }
         assert!(original.evictions() > 0, "no pressure before the cut");
+        let ticks = decay_ticks(&reg);
+        assert!(ticks > 0, "no counter decay before the cut");
         let mut restored = StreamMiner::from_state(cfg, &original.export_state());
         let mut batches = 0;
-        for e in &trace.events[cut..] {
+        for e in &events[cut..] {
             let before = original.evictions();
             original.ingest_event(&trace, e);
             restored.ingest_event(&trace, e);
             if original.evictions() != before {
+                assert_eq!(original.evictions(), before + 2);
                 batches += 1;
                 assert_eq!(
                     original.export_state(),
@@ -683,15 +726,15 @@ mod tests {
             batches > 100,
             "only {batches} eviction batches after the cut"
         );
+        assert!(decay_ticks(&reg) > ticks, "no counter decay after the cut");
         assert_eq!(original.export_state(), restored.export_state());
     }
 
     #[test]
     fn every_eviction_batch_is_one_evict_ns_span() {
-        let reg = farmer_obs::Registry::enabled();
-        let mut m = StreamMiner::new(small_cfg(64));
-        m.instrument(StreamMetrics::new(&reg.scope("stream")));
+        let (mut m, reg) = instrumented(small_cfg(192));
         let batch = m.config().effective_evict_batch() as u64;
+        assert_eq!(batch, 3);
         for i in 0..2_000u32 {
             m.ingest(req(i % 500, i % 7), None);
         }

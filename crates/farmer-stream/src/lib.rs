@@ -74,7 +74,16 @@ pub use publish::{CellReader, SnapshotCell};
 pub use shard::ShardedMiner;
 pub use snapshot::{ShardSnapshot, StreamSnapshot};
 
-/// Configuration of the streaming subsystem.
+/// Multiplier applied to every Space-Saving access counter each decay
+/// tick, so retention follows *recent* popularity instead of all-time
+/// popularity.
+pub const COUNT_DECAY: f64 = 0.95;
+
+/// Events between counter-decay ticks.
+pub const DECAY_INTERVAL: u64 = 8192;
+
+/// Configuration of the streaming subsystem, fixed once a miner is built
+/// from it ([`StreamConfig::validate`]).
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// The wrapped miner's configuration (weights, window, successor cap,
@@ -83,15 +92,6 @@ pub struct StreamConfig {
     /// Hard cap on files tracked per shard. Graph nodes never exceed this,
     /// and edges never exceed `node_cap × farmer.max_successors`.
     pub node_cap: usize,
-    /// Files evicted per eviction sweep (amortizes the incoming-edge
-    /// cleanup). `0` selects `max(1, node_cap / 64)`.
-    pub evict_batch: usize,
-    /// Multiplier applied to every Space-Saving access counter each decay
-    /// tick, so retention follows *recent* popularity instead of all-time
-    /// popularity. `1.0` disables.
-    pub count_decay: f64,
-    /// Events between counter-decay ticks (`0` disables).
-    pub decay_interval: u64,
     /// Number of miner shards ([`ShardedMiner::spawn`]).
     pub num_shards: usize,
     /// Bounded depth of each shard's inbox, in *batches* — the back-pressure
@@ -107,9 +107,6 @@ impl Default for StreamConfig {
         StreamConfig {
             farmer: FarmerConfig::default(),
             node_cap: 4096,
-            evict_batch: 0,
-            count_decay: 0.95,
-            decay_interval: 8192,
             num_shards: 1,
             channel_capacity: 64,
             route_batch: 256,
@@ -125,29 +122,44 @@ impl StreamConfig {
         self
     }
 
+    /// Panic unless the configuration is one a miner can run under:
+    /// [`FarmerConfig::validate`] of the wrapped one, and `node_cap`,
+    /// `num_shards`, `channel_capacity` and `route_batch` at least 1.
+    /// Called by the `with_*` builders and, for values written straight
+    /// into the fields, wherever a miner is built
+    /// ([`StreamMiner::for_shard`] / [`StreamMiner::from_state`], every
+    /// `ShardedMiner::spawn*`).
+    pub fn validate(&self) {
+        self.farmer.validate();
+        assert!(self.node_cap > 0, "node_cap must be positive");
+        assert!(self.num_shards > 0, "num_shards must be positive");
+        assert!(
+            self.channel_capacity > 0,
+            "channel_capacity must be positive"
+        );
+        assert!(self.route_batch > 0, "route_batch must be positive");
+    }
+
     /// Builder-style node-cap override.
     #[must_use]
     pub fn with_node_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "node_cap must be positive");
         self.node_cap = cap;
+        self.validate();
         self
     }
 
     /// Builder-style shard-count override.
     #[must_use]
     pub fn with_shards(mut self, n: usize) -> Self {
-        assert!(n > 0, "num_shards must be positive");
         self.num_shards = n;
+        self.validate();
         self
     }
 
-    /// The effective eviction batch size.
+    /// Files evicted per eviction sweep (amortizes the incoming-edge
+    /// cleanup): `max(1, node_cap / 64)`.
     pub fn effective_evict_batch(&self) -> usize {
-        if self.evict_batch > 0 {
-            self.evict_batch.min(self.node_cap)
-        } else {
-            (self.node_cap / 64).max(1)
-        }
+        (self.node_cap / 64).max(1)
     }
 }
 
@@ -170,14 +182,52 @@ mod tests {
         assert_eq!(auto.effective_evict_batch(), 10);
         let tiny = StreamConfig::default().with_node_cap(3);
         assert_eq!(tiny.effective_evict_batch(), 1);
-        let mut explicit = StreamConfig::default().with_node_cap(8);
-        explicit.evict_batch = 100;
-        assert_eq!(explicit.effective_evict_batch(), 8, "clamped to cap");
+        assert_eq!(StreamConfig::default().effective_evict_batch(), 64);
     }
 
     #[test]
     #[should_panic(expected = "node_cap must be positive")]
     fn zero_cap_rejected() {
         let _ = StreamConfig::default().with_node_cap(0);
+    }
+
+    // A zero written straight into a field — past the builders and their
+    // asserts — used to run as a one; it is refused where a miner is built.
+
+    fn edited(edit: impl FnOnce(&mut StreamConfig)) -> StreamConfig {
+        let mut cfg = StreamConfig::default();
+        edit(&mut cfg);
+        cfg
+    }
+
+    #[test]
+    #[should_panic(expected = "node_cap must be positive")]
+    fn miner_rejects_zero_node_cap() {
+        StreamMiner::new(edited(|c| c.node_cap = 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "max_successors must be positive")]
+    fn restored_miner_rejects_zero_max_successors() {
+        let state = StreamMiner::new(StreamConfig::default()).export_state();
+        StreamMiner::from_state(edited(|c| c.farmer.max_successors = 0), &state);
+    }
+
+    #[test]
+    #[should_panic(expected = "num_shards must be positive")]
+    fn fleet_rejects_zero_shards() {
+        ShardedMiner::spawn(edited(|c| c.num_shards = 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "channel_capacity must be positive")]
+    fn fleet_rejects_zero_channel_capacity() {
+        ShardedMiner::spawn(edited(|c| c.channel_capacity = 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "route_batch must be positive")]
+    fn fleet_rejects_zero_route_batch() {
+        ShardedMiner::spawn(edited(|c| c.route_batch = 0));
     }
 }

@@ -156,6 +156,10 @@ pub struct ShardedMiner {
 impl ShardedMiner {
     /// Spawn `cfg.num_shards` worker threads, each owning one shard's
     /// [`StreamMiner`] (with `cfg.node_cap` applying per shard).
+    ///
+    /// # Panics
+    /// If `cfg` is not one a miner can run under
+    /// ([`StreamConfig::validate`]); so do the other `spawn*`.
     pub fn spawn(cfg: StreamConfig) -> Self {
         Self::spawn_instrumented(cfg, &Registry::disabled())
     }
@@ -166,7 +170,7 @@ impl ShardedMiner {
     /// so per-shard increments sum into fleet totals for free). With a
     /// disabled registry this is exactly `spawn`.
     pub fn spawn_instrumented(cfg: StreamConfig, reg: &Registry) -> Self {
-        let n = cfg.num_shards.max(1);
+        let n = cfg.num_shards;
         let miners = (0..n)
             .map(|shard_id| StreamMiner::for_shard(cfg.clone(), shard_id, n))
             .collect();
@@ -176,11 +180,12 @@ impl ShardedMiner {
     /// Put each shard's miner (in shard order) on its own worker thread
     /// behind a bounded channel, all sharing one `stream.*` metric set.
     fn launch(cfg: StreamConfig, miners: Vec<StreamMiner>, reg: &Registry) -> Self {
+        cfg.validate();
         let obs = StreamMetrics::new(&reg.scope("stream"));
         let mut shards = Vec::with_capacity(miners.len());
         let mut handles = Vec::with_capacity(miners.len());
         for (shard_id, mut miner) in miners.into_iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.channel_capacity.max(1));
+            let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.channel_capacity);
             miner.instrument(obs.clone());
             handles.push(
                 thread::Builder::new()
@@ -192,7 +197,7 @@ impl ShardedMiner {
             );
             shards.push(tx);
         }
-        let pending = Vec::with_capacity(cfg.route_batch.max(1));
+        let pending = Vec::with_capacity(cfg.route_batch);
         ShardedMiner {
             cfg,
             shards,
@@ -209,7 +214,7 @@ impl ShardedMiner {
     pub(crate) fn attach_wal(&mut self, wal: Wal) -> io::Result<()> {
         self.dispatch();
         let syncer = wal.syncer()?;
-        let depth = self.cfg.channel_capacity.max(1);
+        let depth = self.cfg.channel_capacity;
         let (tx, rx) = mpsc::sync_channel(depth);
         let shards = std::mem::take(&mut self.shards);
         let committer = thread::Builder::new()
@@ -247,7 +252,7 @@ impl ShardedMiner {
                 .expect("wal append failed; durable miner cannot continue");
         }
         self.pending.push(op);
-        if self.pending.len() >= self.cfg.route_batch.max(1) {
+        if self.pending.len() >= self.cfg.route_batch {
             self.dispatch();
         }
     }
@@ -298,7 +303,7 @@ impl ShardedMiner {
                 // log must not be mined
                 .expect("wal write failed; durable miner cannot continue");
         }
-        let fresh = Vec::with_capacity(self.cfg.route_batch.max(1));
+        let fresh = Vec::with_capacity(self.cfg.route_batch);
         let batch = std::mem::replace(&mut self.pending, fresh);
         self.obs.batch_events.record(batch.len() as u64);
         if !self.send(Msg::Batch(batch)) {
@@ -382,7 +387,7 @@ impl ShardedMiner {
         states: &[MinerState],
         reg: &Registry,
     ) -> Self {
-        let n = cfg.num_shards.max(1);
+        let n = cfg.num_shards;
         assert_eq!(states.len(), n, "one state image per shard required");
         let mut by_shard: Vec<&MinerState> = states.iter().collect();
         by_shard.sort_by_key(|s| s.shard_id);

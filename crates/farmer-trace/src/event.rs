@@ -98,7 +98,7 @@ pub struct TraceEvent {
     pub host: HostId,
     /// Program identity (which application template the requesting process
     /// runs); `NO_APP` for background/daemon noise. Real traces carry this
-    /// as the executable name; the PBS/PULS baselines condition on it.
+    /// as the executable name.
     pub app: u32,
     /// Bytes transferred (0 for pure metadata ops).
     pub bytes: u64,

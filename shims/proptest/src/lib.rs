@@ -4,9 +4,8 @@
 //! The build environment has no access to crates.io, so this local crate
 //! re-implements the pieces the workspace's property tests consume: the
 //! [`proptest!`] macro, `prop_assert!`/`prop_assert_eq!`, range/tuple
-//! strategies, [`collection::vec`], [`collection::btree_map`],
-//! [`collection::btree_set`], [`option::of`], [`any`], and
-//! [`ProptestConfig::with_cases`].
+//! strategies, [`collection::vec`], [`collection::btree_set`],
+//! [`option::of`], [`any`], and [`ProptestConfig::with_cases`].
 //!
 //! Semantics: each generated test runs `cases` random samples seeded
 //! deterministically from the test name and case index (no shrinking —
@@ -168,7 +167,7 @@ impl SizeRange {
 
 /// Collection strategies (mirror of `proptest::collection`).
 pub mod collection {
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
     use super::{SizeRange, StdRng, Strategy};
 
@@ -191,41 +190,6 @@ pub mod collection {
         fn sample(&self, rng: &mut StdRng) -> Vec<S::Value> {
             let n = self.size.sample(rng);
             (0..n).map(|_| self.element.sample(rng)).collect()
-        }
-    }
-
-    /// `BTreeMap` with keys from `key`, values from `value`; duplicate keys
-    /// collapse, so the final size may undershoot the drawn count (the real
-    /// crate behaves the same way).
-    pub fn btree_map<K: Strategy, V: Strategy>(
-        key: K,
-        value: V,
-        size: impl Into<SizeRange>,
-    ) -> BTreeMapStrategy<K, V> {
-        BTreeMapStrategy {
-            key,
-            value,
-            size: size.into(),
-        }
-    }
-
-    /// Strategy returned by [`btree_map`].
-    pub struct BTreeMapStrategy<K, V> {
-        key: K,
-        value: V,
-        size: SizeRange,
-    }
-
-    impl<K: Strategy, V: Strategy> Strategy for BTreeMapStrategy<K, V>
-    where
-        K::Value: Ord,
-    {
-        type Value = BTreeMap<K::Value, V::Value>;
-        fn sample(&self, rng: &mut StdRng) -> Self::Value {
-            let n = self.size.sample(rng);
-            (0..n)
-                .map(|_| (self.key.sample(rng), self.value.sample(rng)))
-                .collect()
         }
     }
 
@@ -380,11 +344,9 @@ mod tests {
 
         #[test]
         fn btree_collections_bounded(
-            m in crate::collection::btree_map(0u32..100, 0u64..50, 0..20),
             s in crate::collection::btree_set(0u64..100, 0..20),
             o in crate::option::of(any::<u32>()),
         ) {
-            prop_assert!(m.len() < 20);
             prop_assert!(s.len() < 20);
             let _ = o;
         }

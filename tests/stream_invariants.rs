@@ -12,7 +12,7 @@
 
 use farmer::core::{Farmer, FarmerConfig, Request};
 use farmer::prelude::*;
-use farmer::stream::StreamMiner;
+use farmer::stream::{StreamMetrics, StreamMiner, DECAY_INTERVAL};
 use proptest::prelude::*;
 
 fn req(file: u32, uid: u32, pid: u32, host: u32) -> Request {
@@ -29,20 +29,30 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Contract 1: the memory budget holds at every stream position, for
-    /// any interleaving of files, users, processes and hosts, any cap and
-    /// any eviction batch size.
+    /// any interleaving of files, users, processes and hosts and any cap —
+    /// from one victim an eviction sweep (caps below 128) to four. After
+    /// the drawn stream comes one file over and over up to the
+    /// counter-decay tick, the stream again under other file ids, and a
+    /// parade of new files one longer than the cap: every case decays its
+    /// counters, then evicts.
     #[test]
     fn node_and_edge_caps_hold_under_arbitrary_streams(
         stream in proptest::collection::vec((0u32..300, 0u32..5, 0u32..7, 0u32..3), 1..800),
-        cap in 1usize..24,
-        evict_batch in 0usize..6,
+        cap in 1usize..320,
     ) {
-        let mut cfg = StreamConfig::default().with_node_cap(cap);
-        cfg.evict_batch = evict_batch;
-        cfg.decay_interval = 64;
+        let cfg = StreamConfig::default().with_node_cap(cap);
         let max_edges = cap * cfg.farmer.max_successors;
+        let reg = Registry::enabled();
         let mut m = StreamMiner::new(cfg);
-        for (file, uid, pid, host) in stream {
+        m.instrument(StreamMetrics::new(&reg.scope("stream")));
+        let idle = DECAY_INTERVAL as usize - stream.len();
+        let events = stream
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(stream[0], idle))
+            .chain(stream.iter().map(|&(f, u, p, h)| (f + 300, u, p, h)))
+            .chain((0..=cap as u32).map(|i| (600 + i, 0, 0, 0)));
+        for (file, uid, pid, host) in events {
             m.ingest(req(file, uid, pid, host), None);
             prop_assert!(m.tracked_files() <= cap, "tracked {} > cap {cap}", m.tracked_files());
             prop_assert!(
@@ -59,6 +69,9 @@ proptest! {
         // The snapshot only exports live owned files.
         let snap = m.snapshot();
         prop_assert!(snap.lists.len() <= cap);
+        prop_assert!(m.evictions() > 0, "cap {cap} never bit");
+        prop_assert_eq!(m.evictions() % m.config().effective_evict_batch() as u64, 0);
+        prop_assert!(reg.snapshot().counter("stream.decay_ticks") > Some(0));
     }
 
     /// Sharding never double-assigns a file: exactly one shard owns each,
@@ -322,16 +335,17 @@ fn one_pass_snapshot_equals_per_file_lists_after_every_batch() {
     const BATCH: usize = 512;
     let trace = WorkloadSpec::hp().scaled(0.1).generate();
     let mut cfg = StreamConfig::default().with_node_cap(256);
-    cfg.count_decay = 0.9;
-    cfg.decay_interval = 97;
     cfg.farmer.decay = 0.9;
     cfg.farmer.prune_interval = 300;
+    assert!(cfg.effective_evict_batch() > 1);
     for shards in [1usize, 2, 4] {
         let cfg = cfg.clone().with_shards(shards);
         let mut fleet = ShardedMiner::spawn(cfg.clone());
         let mut bare: Vec<StreamMiner> = (0..shards)
             .map(|id| StreamMiner::for_shard(cfg.clone(), id, shards))
             .collect();
+        let reg = Registry::enabled();
+        bare[0].instrument(StreamMetrics::new(&reg.scope("stream")));
         let mut restored: Option<StreamMiner> = None;
         let (mut lists_seen, mut pending_decay_seen) = (0usize, false);
         for (b, batch) in trace.events.chunks(BATCH).enumerate() {
@@ -365,6 +379,8 @@ fn one_pass_snapshot_equals_per_file_lists_after_every_batch() {
         }
         assert!(restored.is_some(), "the stream ended before the restore");
         assert!(bare.iter().all(|m| m.evictions() > 0), "cap never bit");
+        let ticks = reg.snapshot().counter("stream.decay_ticks");
+        assert!(ticks > Some(0), "the counters never decayed");
         assert!(pending_decay_seen, "no node was published mid-decay");
         assert!(lists_seen > 1000, "only {lists_seen} lists compared");
     }
