@@ -6,6 +6,7 @@
 //! hold it unchanged for the model's life.
 
 use crate::attr::AttrCombo;
+use crate::graph::MAX_SUCCESSORS;
 
 /// Linear Decremented Assignment step: distance-1 successors add 1.0,
 /// distance-2 add `1.0 − LDA_DECREMENT`, etc. (paper §3.2.2: "0.9 for C,
@@ -48,20 +49,16 @@ pub struct FarmerConfig {
     pub combo: AttrCombo,
     /// Path algorithm (paper selects IPA).
     pub path_mode: PathMode,
-    /// Cap on retained successors per file; the lowest-degree edge is
-    /// evicted first. This is FARMER's filtering-driven memory bound
-    /// (paper §3.3: weak correlations are not maintained).
+    /// Cap on retained successors per file, 1 to [`MAX_SUCCESSORS`]; the
+    /// lowest-degree edge is evicted first. This is FARMER's
+    /// filtering-driven memory bound (paper §3.3: weak correlations are
+    /// not maintained).
     pub max_successors: usize,
     /// Every `prune_interval` observed requests the model drops edges whose
     /// degree fell below [`PRUNE_FLOOR`] (0 disables). Together with
     /// `max_successors` this realizes the paper's claim that FARMER keeps
     /// no state for weak correlations.
     pub prune_interval: usize,
-    /// Aging factor applied to every edge's accumulated mass and to node
-    /// access totals at each prune tick (1.0 disables). Values below 1
-    /// make the miner track *non-stationary* workloads: correlations that
-    /// stop recurring decay away instead of haunting the correlator lists.
-    pub decay: f64,
 }
 
 impl Default for FarmerConfig {
@@ -74,7 +71,6 @@ impl Default for FarmerConfig {
             path_mode: PathMode::Ipa,
             max_successors: 16,
             prune_interval: 8192,
-            decay: 1.0,
         }
     }
 }
@@ -89,10 +85,11 @@ impl FarmerConfig {
     }
 
     /// Panic unless the configuration is one a model can run under: `p`
-    /// and `max_strength` in `[0, 1]` (so not NaN), `window` and
-    /// `max_successors` at least 1. Called by the `with_*` builders and,
-    /// for values written straight into the fields, once by
-    /// [`crate::Farmer::new`] / [`crate::Farmer::from_state`].
+    /// and `max_strength` in `[0, 1]` (so not NaN), `window` at least 1,
+    /// `max_successors` from 1 to [`MAX_SUCCESSORS`] (one id line).
+    /// Called by the `with_*` builders and, for values written straight
+    /// into the fields, once by [`crate::Farmer::new`] /
+    /// [`crate::Farmer::from_state`].
     pub fn validate(&self) {
         assert!((0.0..=1.0).contains(&self.p), "p must be in [0,1]");
         assert!(
@@ -101,6 +98,10 @@ impl FarmerConfig {
         );
         assert!(self.window > 0, "window must be positive");
         assert!(self.max_successors > 0, "max_successors must be positive");
+        assert!(
+            self.max_successors <= MAX_SUCCESSORS,
+            "max_successors must be at most {MAX_SUCCESSORS}"
+        );
     }
 
     /// Builder-style weight override.

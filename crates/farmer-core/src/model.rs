@@ -16,7 +16,7 @@
 //! the k strongest and sorts those — O(deg + k log k), nothing kept
 //! between queries — and [`CorrelationSource::strongest`] is one O(deg)
 //! scan. Every query therefore sees the state the last observe / prune /
-//! decay / eviction left, which is the only state the iterative process of
+//! eviction left, which is the only state the iterative process of
 //! §3.1 ever asks about: each consumer of a live model queries right after
 //! an observation. Many reads of one state are what
 //! [`Farmer::correlator_table`] exports a table for. The model holds no
@@ -79,7 +79,7 @@
 //! | phase | cost |
 //! |---|---|
 //! | per event | w updates, each one vectorised pass over a 16-id line, then by outcome: hit — memoized term, one prefetched payload line; insert / admit — one path term (none when the bound is the term), O(d) shift or rescan; early reject — a degree bound from the path signatures and one comparison, no path touched; exact reject (2 % of updates) — the same plus one path term (path² only here and on the inserts / admits whose bound is not already the term) |
-//! | per prune tick | O(1) age + O(n + e) prune with per-node skip |
+//! | per prune tick | O(n + e) prune with per-node skip |
 //! | per snapshot/eviction | O(1) `active_nodes` counter |
 //! | query (`top_k_into`) | O(deg + k log k), deg ≤ d; `strongest` and `degree` O(deg) |
 //! | publication (`correlator_table`) | one pass over the slab; an edge whose cached degree sits below the threshold is skipped unread when the cached degrees were written under (or, on restore, checked against) the configured `p` |
@@ -296,9 +296,6 @@ impl Farmer {
         if self.cfg.prune_interval > 0
             && self.observed.is_multiple_of(self.cfg.prune_interval as u64)
         {
-            if self.cfg.decay < 1.0 {
-                self.graph.age(self.cfg.decay);
-            }
             self.graph.prune_below(PRUNE_FLOOR, &self.cfg);
         }
     }
@@ -368,12 +365,6 @@ impl Farmer {
             pushed.expect("the slab holds one node per file");
         }
         table
-    }
-
-    /// Manually drop all edges below [`PRUNE_FLOOR`]. Returns the number
-    /// of edges removed.
-    pub fn prune(&mut self) -> usize {
-        self.graph.prune_below(PRUNE_FLOOR, &self.cfg)
     }
 
     /// Evict one file from the model entirely: its learned path, its node
@@ -815,7 +806,7 @@ mod tests {
         }
         let edges_before = f.graph().num_edges();
         assert!(edges_before > 0);
-        let removed = f.prune();
+        let removed = f.graph.prune_below(PRUNE_FLOOR, &f.cfg);
         assert!(removed > 0);
         assert_eq!(f.graph().num_edges(), edges_before - removed);
     }
@@ -827,38 +818,6 @@ mod tests {
         assert_eq!(f.observed(), trace.len() as u64);
         assert!(f.graph().num_edges() > 0);
         assert!(f.memory_bytes() > 0);
-    }
-
-    #[test]
-    fn decay_adapts_to_workload_shift() {
-        // Phase 1: 0 -> 1 dominates. Phase 2: the workload shifts to
-        // 0 -> 2. With aging the new successor overtakes the stale one;
-        // without aging the historical mass keeps 1 on top much longer.
-        let run = |decay: f64| {
-            let mut cfg = FarmerConfig::default();
-            cfg.prune_interval = 50;
-            cfg.decay = decay;
-            cfg.p = 0.0; // isolate the frequency signal
-            let mut f = Farmer::new(cfg);
-            for _ in 0..200 {
-                f.observe(req(0, 1, 1, 1), None);
-                f.observe(req(1, 1, 1, 1), None);
-            }
-            for _ in 0..80 {
-                f.observe(req(0, 1, 1, 1), None);
-                f.observe(req(2, 1, 1, 1), None);
-            }
-            f.correlators_with_threshold(FileId::new(0), 0.0)
-                .head()
-                .unwrap()
-                .file
-        };
-        assert_eq!(run(0.5), FileId::new(2), "decayed model follows the shift");
-        assert_eq!(
-            run(1.0),
-            FileId::new(1),
-            "undecayed model stays with history"
-        );
     }
 
     #[test]
@@ -940,15 +899,14 @@ mod tests {
 
     #[test]
     fn forget_sweep_matches_retain_edges_reference_bit_for_bit() {
-        // Interleaved observe / age / prune / forget on both halves of a
-        // two-way ownership partition: the state image — slab order, epoch
-        // and every accumulator bit — must be what the old sweep left, for
-        // a batch of one victim, a handful, the streaming miner's default
-        // 64, and a batch on either side of every prefilter size (64 | 65,
+        // Interleaved observe / prune / forget on both halves of a two-way
+        // ownership partition: the state image — slab order, epoch and
+        // every accumulator bit — must be what the old sweep left, for a
+        // batch of one victim, a handful, the streaming miner's default 64,
+        // and a batch on either side of every prefilter size (64 | 65,
         // 512 | 513, 4 096 | 4 097). A successor cap of 16 fills whole
-        // lines (no pad to hide behind), one of 32 re-strides the slab to
-        // two lanes a line, and file 7 goes by the id `u32::MAX` — the pad
-        // value — as successor, predecessor and victim.
+        // lines (no pad to hide behind), and file 7 goes by the id
+        // `u32::MAX` — the pad value — as successor, predecessor and victim.
         for (files, batch, cap) in [
             (48, 1, 4),
             (48, 5, 4),
@@ -957,14 +915,13 @@ mod tests {
             (3000, 512, 4),
             (3000, 513, 4),
             (3000, 1000, 4),
-            (48, 1024, 32),
+            (48, 1024, 16),
             (3000, 4096, 4),
             (48, 4097, 16),
         ] {
             let cfg = FarmerConfig {
                 max_successors: cap,
                 prune_interval: 64,
-                decay: 0.9,
                 ..FarmerConfig::default()
             };
             // Big batches draw from beyond the namespace, or each would
@@ -1020,12 +977,8 @@ mod tests {
                 assert!(removed > 100, "only {removed} edges removed at {batch}");
                 assert!(pruned > 0, "nothing pruned at {batch}");
             }
-            // Every node of 48 files cannot reach 32 successors, but the
-            // slab re-strides as soon as one passes 16.
-            assert!(
-                longest >= cap.min(17),
-                "longest list {longest} at cap {cap}"
-            );
+            // Some node fills its list to the cap: at 16, a line with no pad.
+            assert_eq!(longest, cap, "longest list {longest} at cap {cap}");
         }
     }
 
@@ -1092,9 +1045,6 @@ mod tests {
         }
         f.observed += 1;
         if f.cfg.prune_interval > 0 && f.observed.is_multiple_of(f.cfg.prune_interval as u64) {
-            if f.cfg.decay < 1.0 {
-                f.graph.age(f.cfg.decay);
-            }
             f.graph.prune_below(PRUNE_FLOOR, &f.cfg);
         }
     }
@@ -1204,7 +1154,6 @@ mod tests {
     fn kernel_matches_the_reference_bit_for_bit() {
         let base = FarmerConfig {
             prune_interval: 64,
-            decay: 0.9,
             ..FarmerConfig::default()
         };
         let whole = Differential {
@@ -1239,9 +1188,9 @@ mod tests {
         }
         // DPA says nothing of a pair unless neither file has a path.
         assert!(seen.early_rejects * 4 < seen.exact_rejects, "{seen:?}");
-        // Every cap around the 16-lane line, the slab re-striding under 17
-        // and 40, and a cap raised across a restore.
-        for (seed, cap) in [(4, 1), (5, 16), (6, 17), (7, 40)] {
+        // A cap of one, caps up to a full 16-id line, and a cap raised to
+        // the full line across a restore.
+        for (seed, cap) in [(4, 1), (5, 8), (6, 15), (7, 16)] {
             let cfg = FarmerConfig {
                 max_successors: cap,
                 ..base.clone()
@@ -1258,7 +1207,7 @@ mod tests {
         };
         let raised = Differential {
             files: 64,
-            raise: Some((1000, 20)),
+            raise: Some((1000, 16)),
             ..whole
         };
         run_differential(cfg.clone(), 8, raised);
@@ -1559,28 +1508,19 @@ mod tests {
     fn one_pass_table_equals_per_file_lists_under_p_and_threshold_changes() {
         // Publication skips an edge on its *cached* degree, which bounds
         // the degree now only if `p` is the one it was written under. So:
-        // more than 10⁴ aging ticks at decay 0.999 (every refresh may move
-        // mass / total by a rounding, which is what the margin is for),
-        // and before each 2 048-event phase a restore from the model's own
+        // before each 2 048-event phase a restore from the model's own
         // image under another configuration — `max_strength` lowered,
-        // raised and set to exactly the degree of edges that have drifted
-        // *above* their cached degree; from the thirteenth on `p` up, back,
-        // down, to 0 and to 1, once also left alone over an image whose
-        // degrees are by then a mix. Every list equals
-        // `Farmer::correlators`, bit for bit, throughout.
+        // raised and set to exactly the degree of an edge; from the
+        // thirteenth on `p` up, back, down, to 0 and to 1, once also left
+        // alone over an image whose degrees are by then a mix. Every list
+        // equals `Farmer::correlators`, bit for bit, throughout.
         let trace = WorkloadSpec::hp().scaled(0.1).generate();
-        let cfg = FarmerConfig {
-            prune_interval: 4,
-            decay: 0.999,
-            ..FarmerConfig::default()
-        };
+        let cfg = FarmerConfig::default();
         let mut f = Farmer::new(cfg.clone());
         const STEP: usize = 2048;
         const P: [f64; 8] = [0.7, 0.9, 0.7, 0.3, 0.3, 0.0, 1.0, 0.7];
         let events: Vec<TraceEvent> = trace.stream().take((12 + P.len()) * STEP).collect();
-        assert!(events.len() / cfg.prune_interval > 10_000);
-        let (mut drifted_up, mut worst_drift, mut lists) = (0usize, 0.0f64, 0usize);
-        let mut filter_off = 0;
+        let (mut lists, mut filter_off, mut at_a_degree) = (0usize, 0, 0);
         for (phase, chunk) in events.chunks(STEP).enumerate() {
             let next = FarmerConfig {
                 p: P[phase.saturating_sub(12)],
@@ -1607,30 +1547,28 @@ mod tests {
             if !filter_on {
                 continue;
             }
-            // Edges whose degree has crept above the cached one, by
-            // rounding alone: a threshold of exactly that degree publishes
-            // them, and only the margin keeps the filter from dropping
-            // them first.
+            // Under the `p` they were written under — every phase the check
+            // passes here — no edge's degree is above its cached one, not
+            // by a rounding. A threshold of exactly an edge's degree
+            // publishes it.
             let cfg_now = f.config().clone();
             let image = f.graph().export_state();
-            let mut thresholds = Vec::new();
+            let (mut thresholds, mut drift) = (Vec::new(), 0.0f64);
             for node in &image.nodes {
                 let views = f.graph().edges(FileId::new(node.id), &cfg_now);
                 for (view, edge) in views.zip(&node.edges) {
-                    let cached = f64::from_bits(edge.deg);
-                    worst_drift = worst_drift.max(view.degree / cached - 1.0);
-                    if view.degree > cached {
-                        drifted_up += 1;
-                        thresholds.push(view.degree);
-                    }
+                    drift = drift.max(view.degree / f64::from_bits(edge.deg) - 1.0);
+                    thresholds.push(view.degree);
                 }
             }
-            thresholds.retain(|&t| t <= 1.0);
+            assert!(drift <= 0.0, "phase {phase}: drift {drift}");
+            thresholds.retain(|&t| t > 0.0 && t <= 1.0);
             for threshold in thresholds.into_iter().step_by(997).take(3) {
                 let at = cfg_now.clone().with_max_strength(threshold);
                 let at = Farmer::from_state(at, &f.export_state());
                 assert!(at.cached_degrees_bound);
                 assert_table_is_the_per_file_lists(&at, &format!("phase {phase} at {threshold}"));
+                at_a_degree += 1;
             }
         }
         assert!(lists > 5_000, "only {lists} lists compared");
@@ -1638,13 +1576,7 @@ mod tests {
             filter_off >= 2,
             "the unfiltered walk ran {filter_off} times"
         );
-        assert!(
-            drifted_up > 100,
-            "the margin was never needed: {drifted_up}"
-        );
-        // Ten thousand ticks moved nothing by more than a few roundings:
-        // six orders of magnitude inside the margin.
-        assert!(worst_drift < 1e-13, "drift {worst_drift}");
+        assert!(at_a_degree > 30, "{at_a_degree} thresholds at a degree");
     }
 
     #[test]
@@ -1700,6 +1632,15 @@ mod tests {
     fn new_rejects_zero_max_successors() {
         Farmer::new(FarmerConfig {
             max_successors: 0,
+            ..FarmerConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_successors must be at most 16")]
+    fn new_rejects_more_successors_than_a_line_holds() {
+        Farmer::new(FarmerConfig {
+            max_successors: 17,
             ..FarmerConfig::default()
         });
     }

@@ -15,9 +15,8 @@
 //! future arithmetic is therefore carried as **raw `f64` bits**
 //! (`f64::to_bits`), never re-derived:
 //!
-//! * node totals and edge masses stay in their *stamped* decay scale —
-//!   pending lazy decay is preserved, not applied, so the restored node
-//!   absorbs the same `exp(decay_ln − stamp)` factor on its next touch;
+//! * node totals and edge masses, as accumulated — they are never
+//!   rescaled, so the restored node adds to the same bits;
 //! * cached per-edge degrees are historical values (degree as of the
 //!   edge's last touch — the eviction-ordering key), so they are carried
 //!   verbatim rather than recomputed against the current totals;
@@ -33,7 +32,7 @@
 
 use crate::extract::Request;
 
-/// One successor edge's accumulators, in the owning node's decay scale.
+/// One successor edge's accumulators.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeState {
     /// Successor file id.
@@ -61,22 +60,18 @@ pub struct EdgeState {
 pub struct NodeState {
     /// The file id this slot represents.
     pub id: u32,
-    /// Total access count `N(A)` (raw bits, in the `stamp` scale).
+    /// Total access count `N(A)` (raw bits).
     pub total: u64,
-    /// Decay epoch the accumulators were last normalized to (raw bits).
-    pub stamp: u64,
     /// Similarity lower bound (raw bits) — the prune-skip key.
     pub sim_lb: u64,
-    /// Successor edges, ordered by ascending `to` (the node's `tos`
-    /// order).
+    /// Successor edges, ordered by ascending `to` (the node's id line
+    /// order); at most [`crate::graph::MAX_SUCCESSORS`] of them.
     pub edges: Vec<EdgeState>,
 }
 
 /// Full image of a [`crate::CorrelationGraph`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GraphState {
-    /// Global log-scale decay epoch (raw bits).
-    pub decay_ln: u64,
     /// Mutation epoch (restored so `version()` stays monotone across a
     /// recovery).
     pub epoch: u64,

@@ -340,7 +340,7 @@ mod tests {
         assert_eq!(r.phase_mean_ms.len(), 1);
         assert_eq!(r.phase_mean_ms[0], 0.0);
         // A length not divisible by the phase count still reports the
-        // requested number (the old ceil-stride rule dropped a segment).
+        // requested number (the old ceil-step rule dropped a segment).
         let mut five = full.clone();
         five.events.truncate(5);
         let mut cfg4 = ReplayConfig::for_family(five.family);

@@ -298,7 +298,7 @@ mod tests {
         assert_eq!(r.phases.len(), 1);
         assert_eq!(r.phases[0], crate::cache::CacheStats::default());
         // len not divisible by num_phases still yields the requested
-        // count (the old ceil-stride rule dropped a segment here).
+        // count (the old ceil-step rule dropped a segment here).
         let mut five = full.clone();
         five.events.truncate(5);
         let cfg4 = SimConfig::for_family(five.family).with_phases(4);

@@ -13,6 +13,9 @@ pub enum DecodeError {
     BadLength,
     /// A key the layout allows once appears twice.
     DuplicateKey,
+    /// A field the layout reserves holds something other than its one
+    /// value.
+    Reserved,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -21,6 +24,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "buffer truncated"),
             DecodeError::BadLength => write!(f, "length field out of bounds"),
             DecodeError::DuplicateKey => write!(f, "unique key repeated"),
+            DecodeError::Reserved => write!(f, "reserved field set"),
         }
     }
 }

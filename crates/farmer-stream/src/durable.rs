@@ -43,9 +43,9 @@
 //!
 //! Miner state is a deterministic function of the operation sequence
 //! (same ingests and forgets, in order, rebuild the same graph bit for
-//! bit — including eviction tie-breaks and decay epochs, which depend
-//! only on insertion history). Recovery is therefore exact from genesis
-//! replay alone; checkpoints exist to make it *bounded*.
+//! bit — including eviction tie-breaks and counter-decay ticks, which
+//! depend only on insertion history). Recovery is therefore exact from
+//! genesis replay alone; checkpoints exist to make it *bounded*.
 //!
 //! [`DurableMiner::checkpoint`] persists a **full state image** into a
 //! sidecar file (`<wal>.ckpt<seq>`, written via tmp+rename): the
@@ -54,7 +54,14 @@
 //! bits, look-ahead window, cached eviction-ordering degrees — see
 //! `farmer_core::state`). A CHECKPOINT record referencing the image
 //! (sequence, operation counts, length, CRC) is appended to the log;
-//! that record's own LSN is the checkpoint's **anchor**.
+//! that record's own LSN is the checkpoint's **anchor**. Some 8-byte
+//! fields of the image are reserved and always zero — one before the
+//! graph's mutation epoch, one after each node's total — where a graph
+//! that could age kept its aging epoch and each node its own. No product
+//! configuration ever wrote anything else there; an image that holds one
+//! does not decode (`DecodeError::Reserved`), and recovery falls back as
+//! for a corrupt one. A node of more than
+//! `farmer_core::graph::MAX_SUCCESSORS` edges does not decode either.
 //!
 //! [`recover`] walks the checkpoint ladder newest → oldest: the first
 //! image that exists, matches its recorded length and CRC, and decodes
@@ -85,6 +92,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use farmer_core::graph::MAX_SUCCESSORS;
 use farmer_core::{
     Correlator, CorrelatorTable, EdgeState, FarmerState, GraphState, NodeState, Request,
 };
@@ -290,6 +298,20 @@ pub fn snapshots_bitwise_equal(a: &StreamSnapshot, b: &StreamSnapshot) -> bool {
         && tables_bitwise_equal(&a.table, &b.table)
 }
 
+/// What an image holds where the graph's aging epoch and each node's own
+/// used to be: the bits of `0.0`, which is all any product image ever
+/// held there.
+const RESERVED: u64 = 0;
+
+/// Read a reserved field: anything but [`RESERVED`] is an image of a
+/// graph that aged, which this miner cannot continue.
+fn reserved(r: &mut Reader) -> Result<(), DecodeError> {
+    match r.u64()? {
+        RESERVED => Ok(()),
+        _ => Err(DecodeError::Reserved),
+    }
+}
+
 fn encode_miner_state(w: &mut Writer, s: &MinerState) {
     w.u32(s.shard_id)
         .u32(s.num_shards)
@@ -319,10 +341,10 @@ fn encode_miner_state(w: &mut Writer, s: &MinerState) {
         }
     }
     let g = &f.graph;
-    w.u64(g.decay_ln).u64(g.epoch);
+    w.u64(RESERVED).u64(g.epoch);
     w.u32(g.nodes.len() as u32);
     for n in &g.nodes {
-        w.u32(n.id).u64(n.total).u64(n.stamp).u64(n.sim_lb);
+        w.u32(n.id).u64(n.total).u64(RESERVED).u64(n.sim_lb);
         w.u32(n.edges.len() as u32);
         for e in &n.edges {
             w.u32(e.to)
@@ -384,7 +406,7 @@ fn decode_miner_state(r: &mut Reader) -> Result<MinerState, DecodeError> {
         }
         paths.push((id, comps));
     }
-    let decay_ln = r.u64()?;
+    reserved(r)?;
     let epoch = r.u64()?;
     let n = r.u32()? as usize;
     if n > r.remaining() / 32 {
@@ -394,10 +416,10 @@ fn decode_miner_state(r: &mut Reader) -> Result<MinerState, DecodeError> {
     for _ in 0..n {
         let id = r.u32()?;
         let total = r.u64()?;
-        let stamp = r.u64()?;
+        reserved(r)?;
         let sim_lb = r.u64()?;
         let m = r.u32()? as usize;
-        if m > r.remaining() / 49 {
+        if m > MAX_SUCCESSORS || m > r.remaining() / 49 {
             return Err(DecodeError::BadLength);
         }
         let mut edges = Vec::with_capacity(m);
@@ -416,7 +438,6 @@ fn decode_miner_state(r: &mut Reader) -> Result<MinerState, DecodeError> {
         nodes.push(NodeState {
             id,
             total,
-            stamp,
             sim_lb,
             edges,
         });
@@ -433,11 +454,7 @@ fn decode_miner_state(r: &mut Reader) -> Result<MinerState, DecodeError> {
             observed,
             window,
             paths,
-            graph: GraphState {
-                decay_ln,
-                epoch,
-                nodes,
-            },
+            graph: GraphState { epoch, nodes },
         },
     })
 }
@@ -1404,6 +1421,128 @@ mod tests {
         assert!(snapshots_bitwise_equal(&serving, &dec_serving));
         assert_eq!(states, dec_states);
         assert!(decode_image(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn image_format_is_pinned() {
+        // The bytes a fixed, seeded miner's image encodes to — evictions,
+        // forgets, two shards — pinned by their length and CRC, taken
+        // before the graph stopped aging: the reserved fields are the
+        // zeroes it always wrote there. `state_bytes` (resident heap,
+        // which any change to a struct's size moves) is zeroed first.
+        let trace = WorkloadSpec::hp().scaled(0.01).generate();
+        let mut m = ShardedMiner::spawn(small_cfg(2).stream.with_node_cap(256));
+        for (i, e) in trace.events.iter().enumerate() {
+            if i % 61 == 0 {
+                m.route_forget(e.file);
+            }
+            m.route_event(&trace, e);
+        }
+        let (mut serving, states) = m.export_full();
+        assert!(serving.evictions > 0);
+        serving.state_bytes = 0;
+        let bytes = encode_image(&serving, &states);
+        assert_eq!((bytes.len(), crc32(&bytes)), (270_762, 0x8a01_003f));
+    }
+
+    /// Set the reserved field of the last node of the last shard in an
+    /// image of `states` (its edges, their count and `sim_lb` follow it).
+    fn set_last_reserved_field(bytes: &mut [u8], states: &[MinerState]) {
+        let node = states.last().and_then(|s| s.farmer.graph.nodes.last());
+        let at = bytes.len() - 49 * node.expect("a node").edges.len() - 4 - 8 - 8;
+        assert_eq!(bytes[at..at + 8], [0; 8]);
+        bytes[at] = 1;
+    }
+
+    #[test]
+    fn decode_image_refuses_what_a_graph_cannot_hold() {
+        // The graph's reserved field: an image without nodes ends in it,
+        // the epoch and a node count of zero.
+        let (serving, states) = ShardedMiner::spawn(small_cfg(1).stream).export_full();
+        let mut bytes = encode_image(&serving, &states);
+        assert!(decode_image(&bytes).is_ok());
+        let at = bytes.len() - 8 - 8 - 4;
+        bytes[at + 7] = 0x80; // -0.0: not the zero the field holds
+        assert_eq!(decode_image(&bytes).unwrap_err(), DecodeError::Reserved);
+        // A node's reserved field.
+        let trace = WorkloadSpec::hp().scaled(0.01).generate();
+        let mut m = ShardedMiner::spawn(small_cfg(2).stream);
+        for e in &trace.events {
+            m.route_event(&trace, e);
+        }
+        let (serving, mut states) = m.export_full();
+        let mut bytes = encode_image(&serving, &states);
+        set_last_reserved_field(&mut bytes, &states);
+        assert_eq!(decode_image(&bytes).unwrap_err(), DecodeError::Reserved);
+        // A node of seventeen edges, one more than its id line holds.
+        let node = states[1]
+            .farmer
+            .graph
+            .nodes
+            .iter_mut()
+            .find(|n| !n.edges.is_empty());
+        let edges = &mut node.expect("an edge").edges;
+        while edges.len() <= MAX_SUCCESSORS {
+            edges.push(edges[0].clone());
+        }
+        let bytes = encode_image(&serving, &states);
+        assert_eq!(decode_image(&bytes).unwrap_err(), DecodeError::BadLength);
+    }
+
+    #[test]
+    fn image_with_a_reserved_field_set_falls_back_to_older() {
+        let trace = WorkloadSpec::hp().scaled(0.01).generate();
+        let path = tmp_wal("reserved");
+        let _c = Cleanup(path.clone());
+        let cfg = small_cfg(1);
+        let mut m = DurableMiner::create(&path, cfg.clone()).unwrap();
+        let (half, most) = (trace.len() / 2, trace.len() * 3 / 4);
+        for e in &trace.events[..half] {
+            m.ingest_event(&trace, e);
+        }
+        m.checkpoint().unwrap();
+        for e in &trace.events[half..most] {
+            m.ingest_event(&trace, e);
+        }
+        // A second checkpoint as `checkpoint` writes one, of an image with
+        // a reserved field set: its length and CRC are the record's.
+        let (serving, states) = m.miner().export_full();
+        let mut bytes = encode_image(&serving, &states);
+        set_last_reserved_field(&mut bytes, &states);
+        let info = CheckpointInfo {
+            seq: 2,
+            events: m.events,
+            ops: m.ops,
+            snapshot_len: bytes.len() as u64,
+            snapshot_crc: crc32(&bytes),
+        };
+        write_durable(&sidecar_path(&path, info.seq), &bytes).unwrap();
+        let wal = m.wal();
+        wal.append(record_kind::CHECKPOINT, &encode_checkpoint(&info))
+            .unwrap();
+        wal.sync().unwrap();
+        for e in &trace.events[most..] {
+            m.ingest_event(&trace, e);
+        }
+        m.flush();
+        drop(m);
+
+        let (mut recovered, report) = recover(&path, cfg.clone()).unwrap();
+        assert_eq!(
+            report.fallbacks, 1,
+            "the image with the field set is refused"
+        );
+        assert_eq!(report.checkpoint.unwrap().seq, 1, "older image anchored");
+        assert_eq!(report.checkpoint_verified, Some(true));
+        assert_eq!(report.events_recovered, trace.len() as u64);
+        let mut oracle = ShardedMiner::spawn(cfg.stream.clone());
+        for e in &trace.events {
+            oracle.route_event(&trace, e);
+        }
+        assert!(snapshots_bitwise_equal(
+            &recovered.snapshot(),
+            &oracle.snapshot()
+        ));
     }
 
     #[test]

@@ -12,8 +12,7 @@
 //!   hot files are never displaced by a parade of cold ones.
 //! * **Exponential decay** — every [`DECAY_INTERVAL`] events the counters
 //!   are multiplied by [`COUNT_DECAY`], so retention ranks files by
-//!   *recent* heat rather than all-time totals, and the wrapped miner's
-//!   own `decay`/`prune` configuration ages edge masses the same way.
+//!   *recent* heat rather than all-time totals.
 //!
 //! Eviction is *complete*: a victim's access count, learned path, node,
 //! incoming edges and window entries all go (via [`Farmer::forget_files`]),
@@ -30,10 +29,8 @@
 //! dense slab of live nodes) and the model keeps learned paths in a
 //! sparse map, so *all* per-file state — edges, paths, counters, access
 //! totals, node slots — is reclaimed by eviction and resident memory is
-//! O(node_cap) even over open-ended id universes. Decay is equally cheap:
-//! [`farmer_core::CorrelationGraph::age`] advances a global log-scale
-//! epoch in O(1) and nodes absorb it lazily on touch, so the shard's
-//! periodic maintenance touches only live state.
+//! O(node_cap) even over open-ended id universes, and the shard's periodic
+//! maintenance (counter decay, the graph's prune) touches only live state.
 
 use std::cell::Cell;
 
@@ -683,19 +680,18 @@ mod tests {
 
     #[test]
     fn restored_miner_matches_after_every_eviction_batch() {
-        // Small cap (two victims a batch), both decays on: the restored
-        // miner starts with empty scratch, a rebuilt counter map and stale
-        // weakest caches, and must still leave the same image after each
-        // eviction batch — not only at the end of the stream, which laps
-        // the trace until a counter-decay tick has passed on either side
-        // of the cut.
+        // Small cap (two victims a batch), prune ticks every 512 events:
+        // the restored miner starts with empty scratch, a rebuilt counter
+        // map and stale weakest caches, and must still leave the same image
+        // after each eviction batch — not only at the end of the stream,
+        // which laps the trace until a counter-decay tick has passed on
+        // either side of the cut.
         let trace = WorkloadSpec::hp().scaled(0.02).generate();
         let events: Vec<TraceEvent> = trace
             .stream()
             .take(7 * DECAY_INTERVAL as usize / 2)
             .collect();
         let mut cfg = small_cfg(128);
-        cfg.farmer.decay = 0.9;
         cfg.farmer.prune_interval = 512;
         assert_eq!(cfg.effective_evict_batch(), 2);
         let (mut original, reg) = instrumented(cfg.clone());

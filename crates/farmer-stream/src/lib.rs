@@ -87,7 +87,7 @@ pub const DECAY_INTERVAL: u64 = 8192;
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// The wrapped miner's configuration (weights, window, successor cap,
-    /// prune/decay cadence — see [`FarmerConfig`]).
+    /// prune cadence — see [`FarmerConfig`]).
     pub farmer: FarmerConfig,
     /// Hard cap on files tracked per shard. Graph nodes never exceed this,
     /// and edges never exceed `node_cap × farmer.max_successors`.

@@ -5,7 +5,7 @@
 //! instead of averaged away. The segmentation rule lives here — one
 //! definition for the cache simulator (`farmer-prefetch::simulate`), the
 //! MDS replay (`farmer-mds::replay`) and their online variants — because
-//! the naive `ceil(len / num_phases)` stride gets the *count* wrong on
+//! the naive `ceil(len / num_phases)` step gets the *count* wrong on
 //! short traces: a 5-event run asked for 4 phases strides by 2 and reports
 //! only 3 segments, and the requested/actual mismatch silently corrupts
 //! per-phase comparisons between cells.
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn five_events_four_phases_reports_four_segments() {
-        // The ceil-stride bug: stride 2 over 5 events yields 3 segments.
+        // The ceil-step bug: a step of 2 over 5 events yields 3 segments.
         let segs = phase_count(5, 4);
         assert_eq!(segs, 4);
         let bounds: Vec<usize> = (0..segs).map(|k| phase_end(5, segs, k)).collect();

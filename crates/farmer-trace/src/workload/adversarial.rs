@@ -96,13 +96,13 @@ impl DriftSpec {
             return trace;
         }
         let seg = self.phase_len(trace.len());
-        // Rotation stride: phases spread evenly over the namespace, so no
+        // Rotation step: phases spread evenly over the namespace, so no
         // two phases share a translation and every boundary is a full break.
-        let stride = (n / phases).max(1);
+        let step = (n / phases).max(1);
         let files = &trace.files;
         for (i, e) in trace.events.iter_mut().enumerate() {
             let phase = (i / seg) as u32;
-            let f = FileId::new((e.file.raw() + phase * stride) % n);
+            let f = FileId::new((e.file.raw() + phase * step) % n);
             e.file = f;
             // Keep the event's device consistent with the file it now
             // targets; the semantic miner conditions on (file, dev) pairs.
@@ -611,10 +611,10 @@ mod tests {
         }
         // Later phases translate ids by a constant per phase.
         let n = drift.num_files() as u32;
-        let stride = (n / 4).max(1);
+        let step = (n / 4).max(1);
         for (i, (a, b)) in plain.events.iter().zip(&drift.events).enumerate() {
             let phase = (i / seg) as u32;
-            assert_eq!(b.file.raw(), (a.file.raw() + phase * stride) % n);
+            assert_eq!(b.file.raw(), (a.file.raw() + phase * step) % n);
         }
     }
 

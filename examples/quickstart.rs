@@ -22,7 +22,7 @@ fn main() {
     println!(
         "mined {} events -> {} graph nodes, {} edges, {:.1} KiB resident\n",
         farmer.observed(),
-        farmer.graph().num_nodes(),
+        farmer.graph().active_nodes(),
         farmer.graph().num_edges(),
         farmer.memory_bytes() as f64 / 1024.0
     );

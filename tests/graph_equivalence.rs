@@ -1,15 +1,17 @@
-//! Storage-equivalence property test for the sparse slotted / lazy-decay
-//! correlation graph.
+//! Storage-equivalence property test for the sparse slotted correlation
+//! graph.
 //!
 //! The oracle below is a deliberately naive dense implementation of the
-//! graph's *semantics*: nodes in an id-keyed map, eager decay (every `age`
-//! multiplies every accumulator immediately), full scans everywhere, and
-//! cap eviction by minimum `(degree at last touch, successor id)`. Random
-//! request streams — with single and batched forgets, pruning, aging and
-//! sparsely spread file ids — are driven through both; edge sets, masses,
-//! similarity means, degrees, totals and active-node counts must agree
-//! within 1e-9 (the only divergence source is eager multiply vs.
-//! `exp(Σ ln f)` rescaling).
+//! graph's *semantics*: nodes in an id-keyed map, full scans everywhere,
+//! and cap eviction by minimum `(degree at last touch, successor id)`.
+//! Random request streams — with single and batched forgets, pruning and
+//! sparsely spread file ids — are driven through both; edge sets, active-
+//! node counts, and every total, mass, similarity mean and degree must
+//! agree bit for bit. The oracle does the graph's float operations in the
+//! graph's order everywhere but one place: the graph takes an update's
+//! similarity as `(sim + 0.0) × 1.0` (the scalar part, an empty path term,
+//! the reciprocal of one item), the oracle as `sim` — the same bits for
+//! every similarity a stream here offers (finite and not `-0.0`).
 
 use std::collections::BTreeMap;
 
@@ -86,19 +88,6 @@ impl Oracle {
         }
     }
 
-    fn age(&mut self, factor: f64) {
-        if factor >= 1.0 {
-            return;
-        }
-        for node in self.nodes.values_mut() {
-            node.total *= factor;
-            for e in node.edges.values_mut() {
-                e.mass *= factor;
-                // touch_degree is a ratio of mass/total — invariant.
-            }
-        }
-    }
-
     fn prune_below(&mut self, floor: f64, cfg: &FarmerConfig) {
         let p = cfg.p;
         for node in self.nodes.values_mut() {
@@ -137,7 +126,6 @@ impl Oracle {
 enum Op {
     Access(u32),
     Edge(u32, u32, f64, f64),
-    Age(f64),
     Prune(f64),
     Forget(u32),
     /// A batch of victims for one `remove_edges_to_any` sweep.
@@ -145,17 +133,15 @@ enum Op {
 }
 
 /// Decode one raw sample into an operation. The kind space is weighted
-/// toward accesses and edge updates, with aging, pruning and forgets mixed
-/// in (the maintenance paths under test).
+/// toward accesses and edge updates, with pruning and forgets mixed in
+/// (the maintenance paths under test).
 fn decode(kind: u8, a: u32, b: u32, wi: u8, si: u8) -> Op {
     const WEIGHTS: [f64; 3] = [0.5, 0.8, 1.0];
     const SIMS: [f64; 4] = [0.0, 0.25, 0.5, 0.9];
-    const AGES: [f64; 3] = [0.5, 0.9, 1.0];
     const FLOORS: [f64; 3] = [0.0, 0.05, 0.3];
     match kind {
         0..=4 => Op::Access(a),
-        5..=13 => Op::Edge(a, b, WEIGHTS[wi as usize % 3], SIMS[si as usize % 4]),
-        14 => Op::Age(AGES[wi as usize % 3]),
+        5..=14 => Op::Edge(a, b, WEIGHTS[wi as usize % 3], SIMS[si as usize % 4]),
         15 => Op::Prune(FLOORS[si as usize % 3]),
         16..=17 => Op::Forget(a),
         // A duplicate, a likely edge pair (`a`, `b`: victims that are each
@@ -181,8 +167,9 @@ fn check_equal(g: &CorrelationGraph, o: &Oracle, cfg: &FarmerConfig) {
     for (&id, onode) in &o.nodes {
         let fid = FileId::new(id);
         let total = g.total_accesses(fid);
-        prop_assert!(
-            (total - onode.total).abs() < 1e-9,
+        prop_assert_eq!(
+            total.to_bits(),
+            onode.total.to_bits(),
             "total diverged for {}: {} vs {}",
             id,
             total,
@@ -195,22 +182,25 @@ fn check_equal(g: &CorrelationGraph, o: &Oracle, cfg: &FarmerConfig) {
                 .edges
                 .get(&view.to.raw())
                 .unwrap_or_else(|| panic!("unexpected edge {id} -> {}", view.to));
-            prop_assert!(
-                (view.mass - oe.mass).abs() < 1e-9,
+            prop_assert_eq!(
+                view.mass.to_bits(),
+                oe.mass.to_bits(),
                 "mass {}->{}",
                 id,
                 view.to
             );
             let oavg = oe.sim_sum / oe.sim_n as f64;
-            prop_assert!(
-                (view.sim_avg - oavg).abs() < 1e-9,
+            prop_assert_eq!(
+                view.sim_avg.to_bits(),
+                oavg.to_bits(),
                 "sim_avg {}->{}",
                 id,
                 view.to
             );
             let odeg = degree(oavg, oe.mass, onode.total, cfg.p);
-            prop_assert!(
-                (view.degree - odeg).abs() < 1e-9,
+            prop_assert_eq!(
+                view.degree.to_bits(),
+                odeg.to_bits(),
                 "degree {}->{}: {} vs {}",
                 id,
                 view.to,
@@ -240,10 +230,6 @@ fn run_stream(
                     o.update_edge(map_id(a), map_id(b), w, s, cfg);
                 }
             }
-            Op::Age(f) => {
-                g.age(f);
-                o.age(f);
-            }
             Op::Prune(floor) => {
                 g.prune_below(floor, cfg);
                 o.prune_below(floor, cfg);
@@ -251,7 +237,7 @@ fn run_stream(
             Op::Forget(a) => {
                 let id = map_id(a);
                 g.clear_node(FileId::new(id));
-                g.remove_edges_to(FileId::new(id));
+                g.remove_edges_to_any(&[FileId::new(id)]);
                 o.forget(id);
             }
             Op::ForgetMany(ids) => {

@@ -325,8 +325,7 @@ fn per_file_lists(m: &StreamMiner) -> Vec<Published> {
 /// The one-pass snapshot build is the per-file Stage 4, bit for bit and
 /// owner for owner, after every batch of a stream that exercises
 /// everything a list depends on: eviction at a 256-file cap, forgets,
-/// counter decay, and mass decay with prune — so nodes carry pending
-/// decay when they are published. Checked through `ShardedMiner` at 1, 2
+/// counter decay, and prune ticks. Checked through `ShardedMiner` at 1, 2
 /// and 4 shards against bare per-shard miners, and for a miner restored
 /// from a state image mid-stream, whose slab history differs from the
 /// original's while its published order must not.
@@ -335,7 +334,6 @@ fn one_pass_snapshot_equals_per_file_lists_after_every_batch() {
     const BATCH: usize = 512;
     let trace = WorkloadSpec::hp().scaled(0.1).generate();
     let mut cfg = StreamConfig::default().with_node_cap(256);
-    cfg.farmer.decay = 0.9;
     cfg.farmer.prune_interval = 300;
     assert!(cfg.effective_evict_batch() > 1);
     for shards in [1usize, 2, 4] {
@@ -347,7 +345,7 @@ fn one_pass_snapshot_equals_per_file_lists_after_every_batch() {
         let reg = Registry::enabled();
         bare[0].instrument(StreamMetrics::new(&reg.scope("stream")));
         let mut restored: Option<StreamMiner> = None;
-        let (mut lists_seen, mut pending_decay_seen) = (0usize, false);
+        let mut lists_seen = 0usize;
         for (b, batch) in trace.events.chunks(BATCH).enumerate() {
             for (i, e) in batch.iter().enumerate() {
                 if i % 113 == 0 {
@@ -363,8 +361,6 @@ fn one_pass_snapshot_equals_per_file_lists_after_every_batch() {
             let got = published(&fleet.snapshot().table);
             assert_same_lists(&got, &want, &format!("{shards} shard(s), batch {b}"));
             lists_seen += want.len();
-            let graph = bare[0].export_state().farmer.graph;
-            pending_decay_seen |= graph.nodes.iter().any(|n| n.stamp != graph.decay_ln);
 
             // Shard 0 again, from a state image taken a third of the way in.
             if let Some(r) = &restored {
@@ -381,7 +377,6 @@ fn one_pass_snapshot_equals_per_file_lists_after_every_batch() {
         assert!(bare.iter().all(|m| m.evictions() > 0), "cap never bit");
         let ticks = reg.snapshot().counter("stream.decay_ticks");
         assert!(ticks > Some(0), "the counters never decayed");
-        assert!(pending_decay_seen, "no node was published mid-decay");
         assert!(lists_seen > 1000, "only {lists_seen} lists compared");
     }
 }
