@@ -6,9 +6,6 @@
 //! prefetcher consumes: its head holds the strongest correlations, and only
 //! entries whose degree reaches `max_strength` appear at all.
 
-use std::collections::hash_map::Entry;
-
-use farmer_trace::hash::FxHashMap;
 use farmer_trace::FileId;
 
 /// One entry of a Correlator List: a successor and its correlation degree.
@@ -94,11 +91,19 @@ impl std::fmt::Display for DuplicateOwner {
 
 impl std::error::Error for DuplicateOwner {}
 
+/// The `len` an index slot holds for an owner with no list. No list can
+/// be that long: [`slab_offset`] keeps every slab offset below it.
+const ABSENT: u32 = u32::MAX;
+
+/// An index slot of an owner with no list.
+const VACANT: (u32, u32) = (0, ABSENT);
+
 /// A slab length as the `u32` offset spans are stored in (which keeps an
-/// index entry at 12 bytes).
+/// index slot at 8 bytes).
 fn slab_offset(len: usize) -> u32 {
+    let len = u32::try_from(len).ok().filter(|&len| len != ABSENT);
     // lint: allow(panic) 2^32 correlators would be a 64 GiB slab
-    u32::try_from(len).expect("a table holds under 2^32 correlators")
+    len.expect("a table holds under 2^32 - 1 correlators")
 }
 
 /// An indexed set of Correlator Lists, one per owner file.
@@ -109,10 +114,23 @@ fn slab_offset(len: usize) -> u32 {
 /// it, swapping in fresh tables mid-simulation without re-mining.
 ///
 /// Storage is flat: every list's entries sit back to back in one slab, in
-/// the order the lists were appended, and an owner → span index answers a
-/// query with one probe and one slice. The table is append-only — a list
-/// is never replaced, and appending an owner twice is an error — so a
-/// table costs a fixed handful of allocations however many lists it holds.
+/// the order the lists were appended. The index is dense, indexed by the
+/// owner's raw id: slot `i` holds the `(start, len)` of file `i`'s list, or
+/// a reserved `len` when file `i` has none, and an id past the end is a
+/// miss. A query is one bounds-checked load and one slice. Every trace
+/// source interns file ids densely from 0 (the generated namespaces and the
+/// trace parser alike), and readers ask for neighbouring ids together, so
+/// the array keeps the locality a hash would scatter. The index costs
+/// 8 B × (largest owner id + 1), whatever the number of lists: ≈ 135 KiB
+/// for HP's 16.9k files. A builder that knows its largest owner sizes the
+/// index once ([`CorrelatorTable::with_capacity`]); a decoder must bound
+/// that owner by its input before it trusts it (`farmer-stream`'s
+/// `decode_snapshot` refuses an owner whose index would exceed 8 MiB or
+/// 64 × the image's length, whichever is larger).
+///
+/// The table is append-only — a list is never replaced, and appending an
+/// owner twice is an error — so a table costs a fixed handful of
+/// allocations however many lists it holds.
 #[derive(Debug, Clone, Default)]
 pub struct CorrelatorTable {
     /// Every list's entries, back to back in list order.
@@ -121,8 +139,9 @@ pub struct CorrelatorTable {
     owners: Vec<u32>,
     /// List `i` is `entries[ends[i - 1]..ends[i]]` (list 0 starts at 0).
     ends: Vec<u32>,
-    /// owner → `(start, len)` of its list in `entries`.
-    index: FxHashMap<u32, (u32, u32)>,
+    /// Slot `owner` holds `(start, len)` of its list in `entries`, or
+    /// [`VACANT`].
+    index: Vec<(u32, u32)>,
     version: u64,
 }
 
@@ -133,34 +152,42 @@ impl CorrelatorTable {
     }
 
     /// An empty table with room for `lists` lists holding `entries`
-    /// correlators in total.
-    pub fn with_capacity(lists: usize, entries: usize) -> Self {
+    /// correlators in total, owned by files with ids below `owner_bound`.
+    /// A build that stays inside all three allocates nothing more.
+    pub fn with_capacity(lists: usize, entries: usize, owner_bound: usize) -> Self {
         let mut table = Self::default();
-        table.reserve(lists, entries);
+        table.entries.reserve_exact(entries);
+        table.owners.reserve_exact(lists);
+        table.ends.reserve_exact(lists);
+        table.index = vec![VACANT; owner_bound];
         table
     }
 
-    /// Make room for `lists` more lists holding `entries` more correlators.
-    fn reserve(&mut self, lists: usize, entries: usize) {
-        self.entries.reserve(entries);
-        self.owners.reserve(lists);
-        self.ends.reserve(lists);
-        self.index.reserve(lists);
+    /// Does `owner` have a list?
+    fn holds(&self, owner: u32) -> bool {
+        self.index
+            .get(owner as usize)
+            .is_some_and(|&(_, len)| len != ABSENT)
     }
 
     /// Append `owner`'s list. `list` must already be in the canonical
     /// order (decreasing degree, ties by ascending file id) — the order
-    /// every [`crate::CorrelationSource`] produces.
+    /// every [`crate::CorrelationSource`] produces. An owner past the
+    /// index grows it.
     pub fn push_list(&mut self, owner: FileId, list: &[Correlator]) -> Result<(), DuplicateOwner> {
         debug_assert!(list
             .windows(2)
             .all(|w| crate::source::rank_cmp(&w[0], &w[1]).is_lt()));
+        if self.holds(owner.raw()) {
+            return Err(DuplicateOwner(owner));
+        }
         let start = self.entries.len() as u32; // fits: it is an earlier `end`
         let end = slab_offset(self.entries.len() + list.len());
-        match self.index.entry(owner.raw()) {
-            Entry::Occupied(_) => return Err(DuplicateOwner(owner)),
-            Entry::Vacant(slot) => slot.insert((start, end - start)),
-        };
+        let slot = owner.raw() as usize;
+        if slot >= self.index.len() {
+            self.index.resize(slot + 1, VACANT);
+        }
+        self.index[slot] = (start, end - start);
         self.owners.push(owner.raw());
         self.ends.push(end);
         self.entries.extend_from_slice(list);
@@ -168,20 +195,25 @@ impl CorrelatorTable {
         Ok(())
     }
 
-    /// Append every list of `other`, in its order: one copy of its slab
-    /// and its index entries rebased behind ours. On a repeated owner the
-    /// table is left as it was.
+    /// Append every list of `other`, in its order: one copy of its slab,
+    /// its spans rebased behind ours, and at most one resize of the index
+    /// to the larger of the two. On a repeated owner the table is left as
+    /// it was.
     pub fn append(&mut self, other: &CorrelatorTable) -> Result<(), DuplicateOwner> {
-        if let Some(&dup) = other.owners.iter().find(|o| self.index.contains_key(o)) {
+        if let Some(&dup) = other.owners.iter().find(|&&o| self.holds(o)) {
             return Err(DuplicateOwner(FileId::new(dup)));
         }
         // Checked once for the whole slab: every rebased offset fits.
         let end = slab_offset(self.entries.len() + other.entries.len());
         let base = end - other.entries.len() as u32;
-        self.reserve(other.len(), other.entries.len());
-        let rebased = other.index.iter();
-        self.index
-            .extend(rebased.map(|(&owner, &(start, len))| (owner, (base + start, len))));
+        if other.index.len() > self.index.len() {
+            self.index.reserve_exact(other.index.len() - self.index.len());
+            self.index.resize(other.index.len(), VACANT);
+        }
+        for &owner in &other.owners {
+            let (start, len) = other.index[owner as usize];
+            self.index[owner as usize] = (base + start, len);
+        }
         self.owners.extend_from_slice(&other.owners);
         self.ends.extend(other.ends.iter().map(|&e| base + e));
         self.entries.extend_from_slice(&other.entries);
@@ -198,9 +230,11 @@ impl CorrelatorTable {
     /// The list owned by `file`, strongest first, if one is present.
     #[inline]
     pub fn get(&self, file: FileId) -> Option<&[Correlator]> {
-        self.index
-            .get(&file.raw())
-            .map(|&(start, len)| &self.entries[start as usize..(start + len) as usize])
+        let &(start, len) = self.index.get(file.raw() as usize)?;
+        if len == ABSENT {
+            return None;
+        }
+        Some(&self.entries[start as usize..start as usize + len as usize])
     }
 
     /// The `k` strongest correlators of `file` (empty if absent).
@@ -237,17 +271,19 @@ impl CorrelatorTable {
         self.entries.len()
     }
 
-    /// Approximate heap bytes (slab + owner/offset arrays + index), for
-    /// space accounting.
+    /// Heap bytes, for space accounting: 16 a slab entry, 4 each an
+    /// owner and an end, 8 an index slot, all at capacity.
     pub fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<Correlator>()
             + (self.owners.capacity() + self.ends.capacity()) * std::mem::size_of::<u32>()
-            + self.index.capacity() * (std::mem::size_of::<(u32, (u32, u32))>() + 8)
+            + self.index.capacity() * std::mem::size_of::<(u32, u32)>()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
 
     fn c(file: u32, degree: f64) -> Correlator {
@@ -355,12 +391,155 @@ mod tests {
 
     #[test]
     fn table_top_clamps_and_defaults_empty() {
-        let mut t = CorrelatorTable::with_capacity(1, 2);
+        let mut t = CorrelatorTable::with_capacity(1, 2, 2);
         t.push_list(FileId::new(1), &[c(2, 0.9), c(3, 0.5)])
             .unwrap();
         assert_eq!(t.top(FileId::new(1), 1).len(), 1);
         assert_eq!(t.top(FileId::new(1), 9).len(), 2);
         assert!(t.top(FileId::new(42), 4).is_empty());
         assert!(t.heap_bytes() > 0);
+    }
+
+    /// A canonical list from arbitrary candidates: one entry a successor,
+    /// strongest first, ties by file id.
+    fn canonical(candidates: Vec<(u32, f64)>) -> Vec<Correlator> {
+        let mut list: Vec<Correlator> = Vec::new();
+        for (file, degree) in candidates {
+            if list.iter().all(|e| e.file.raw() != file) {
+                list.push(c(file, degree));
+            }
+        }
+        list.sort_unstable_by(crate::source::rank_cmp);
+        list
+    }
+
+    /// The table against its oracle: every query on every id below
+    /// `probe_past` (past any index the ops can build) and on `u32::MAX`,
+    /// iteration order, counts, and the stated heap arithmetic.
+    fn check(t: &CorrelatorTable, oracle: &BTreeMap<u32, Vec<Correlator>>, order: &[u32]) {
+        use crate::CorrelationSource;
+        assert_eq!(t.len(), oracle.len());
+        assert_eq!(t.num_entries(), oracle.values().map(Vec::len).sum::<usize>());
+        let listed: Vec<(u32, Vec<Correlator>)> =
+            t.iter().map(|(o, l)| (o.raw(), l.to_vec())).collect();
+        let expected: Vec<(u32, Vec<Correlator>)> =
+            order.iter().map(|o| (*o, oracle[o].clone())).collect();
+        assert_eq!(listed, expected, "iteration is append order");
+        let mut out = Vec::new();
+        for raw in (0..PROBE_PAST).chain([u32::MAX - 1, u32::MAX]) {
+            let file = FileId::new(raw);
+            let want = oracle.get(&raw);
+            assert_eq!(t.get(file), want.map(Vec::as_slice), "get({raw})");
+            let list = want.map_or(&[][..], Vec::as_slice);
+            for k in [0, 1, 3, usize::MAX] {
+                assert_eq!(t.top(file, k), &list[..k.min(list.len())]);
+                for min_degree in [0.0, 0.25, 0.5, 1.0] {
+                    t.top_k_into(file, k, min_degree, &mut out);
+                    let valid = list
+                        .iter()
+                        .take_while(|e| crate::miner::is_valid(e.degree, min_degree));
+                    assert_eq!(out, valid.take(k).copied().collect::<Vec<_>>());
+                }
+            }
+            for min_degree in [0.0, 0.5] {
+                let head = list.first().copied();
+                let want = head.filter(|e| crate::miner::is_valid(e.degree, min_degree));
+                assert_eq!(t.strongest(file, min_degree), want);
+            }
+            for to in [0, 7, 31, PROBE_PAST] {
+                let want = list.iter().find(|e| e.file.raw() == to).map(|e| e.degree);
+                assert_eq!(CorrelationSource::degree(t, file, FileId::new(to)), want);
+            }
+        }
+        assert_eq!(
+            t.heap_bytes(),
+            16 * t.entries.capacity()
+                + 4 * (t.owners.capacity() + t.ends.capacity())
+                + 8 * t.index.capacity()
+        );
+    }
+
+    /// Owners drawn below this, so repeats are common; every id from the
+    /// largest owner up to it is a miss past the index.
+    const PROBE_PAST: u32 = 72;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `push_list` and `append` in arbitrary owner order, repeats and
+        /// empty lists included, against a `BTreeMap` of lists plus the
+        /// order they were appended in.
+        #[test]
+        fn table_matches_a_map_of_lists(
+            presize in proptest::option::of((0usize..8, 0usize..24, 0usize..64)),
+            ops in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<bool>(),
+                    proptest::collection::vec(
+                        (0u32..56, proptest::collection::vec((0u32..64, 0.0f64..=1.0), 0..6)),
+                        0..5,
+                    ),
+                ),
+                1..10,
+            ),
+        ) {
+            let mut t = match presize {
+                Some((lists, entries, bound)) => {
+                    let t = CorrelatorTable::with_capacity(lists, entries, bound);
+                    // Presized exactly: 16 B an entry, 8 B a list, 8 B an id.
+                    assert_eq!(t.heap_bytes(), 16 * entries + 8 * lists + 8 * bound);
+                    t
+                }
+                None => CorrelatorTable::new(),
+            };
+            let mut oracle: BTreeMap<u32, Vec<Correlator>> = BTreeMap::new();
+            let mut order: Vec<u32> = Vec::new();
+            for (as_table, lists) in ops {
+                let lists: Vec<(u32, Vec<Correlator>)> = lists
+                    .into_iter()
+                    .map(|(owner, candidates)| (owner, canonical(candidates)))
+                    .collect();
+                let version = t.version();
+                if as_table {
+                    // One `append` of a table of distinct owners: all of it
+                    // or, on any owner already held, none of it.
+                    let mut other = CorrelatorTable::new();
+                    let mut parts = BTreeMap::new();
+                    for (owner, list) in &lists {
+                        if other.push_list(FileId::new(*owner), list).is_ok() {
+                            parts.insert(*owner, list.clone());
+                        }
+                    }
+                    let clash = other.iter().map(|(o, _)| o.raw()).find(|o| oracle.contains_key(o));
+                    match t.append(&other) {
+                        Ok(()) => {
+                            assert_eq!(clash, None);
+                            assert_eq!(t.version(), version + other.len() as u64);
+                            order.extend(other.iter().map(|(o, _)| o.raw()));
+                            oracle.extend(parts);
+                        }
+                        Err(DuplicateOwner(dup)) => {
+                            assert_eq!(Some(dup.raw()), clash, "the first repeat is named");
+                            assert_eq!(t.version(), version, "a refused append changes nothing");
+                        }
+                    }
+                } else {
+                    for (owner, list) in lists {
+                        let version = t.version();
+                        let pushed = t.push_list(FileId::new(owner), &list);
+                        if oracle.contains_key(&owner) {
+                            assert_eq!(pushed, Err(DuplicateOwner(FileId::new(owner))));
+                            assert_eq!(t.version(), version, "a refused push changes nothing");
+                        } else {
+                            assert_eq!(pushed, Ok(()));
+                            assert_eq!(t.version(), version + 1);
+                            oracle.insert(owner, list);
+                            order.push(owner);
+                        }
+                    }
+                }
+                check(&t, &oracle, &order);
+            }
+        }
     }
 }

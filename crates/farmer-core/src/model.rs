@@ -356,7 +356,8 @@ impl Farmer {
             scratch.extend_from_slice(list);
         });
         spans.sort_unstable_by_key(|&(owner, ..)| owner);
-        let mut table = CorrelatorTable::with_capacity(spans.len(), scratch.len());
+        let owner_bound = spans.last().map_or(0, |&(owner, ..)| owner as usize + 1);
+        let mut table = CorrelatorTable::with_capacity(spans.len(), scratch.len(), owner_bound);
         for (owner, start, len) in spans {
             let list = &scratch[start as usize..(start + len) as usize];
             let pushed = table.push_list(FileId::new(owner), list);

@@ -76,9 +76,11 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Builder-style shard count override.
+    /// Builder-style shard count override, through
+    /// [`StreamConfig::with_shards`] (a zero panics here).
+    #[must_use]
     pub fn with_shards(mut self, n: usize) -> Self {
-        self.stream.num_shards = n;
+        self.stream = self.stream.with_shards(n);
         self
     }
 
@@ -101,5 +103,11 @@ mod tests {
         let cfg = cfg.with_shards(4).with_publish_every(100);
         assert_eq!(cfg.stream.num_shards, 4);
         assert_eq!(cfg.publish_every, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "num_shards must be positive")]
+    fn zero_shards_rejected_at_the_builder() {
+        let _ = ServeConfig::default().with_shards(0);
     }
 }

@@ -221,10 +221,25 @@ pub fn encode_snapshot(s: &StreamSnapshot) -> Vec<u8> {
     w.finish()
 }
 
+/// Owner ids a snapshot image may name whatever its length: an 8 MiB
+/// index. Past it, [`IDS_PER_IMAGE_BYTE`] ids a byte of the image.
+const FREE_IDS: usize = 1 << 20;
+
+/// Owner ids a snapshot image may name per byte of its length: 64 index
+/// bytes a byte (the table's index is dense, 8 bytes an id up to the
+/// largest owner, see [`CorrelatorTable`]).
+const IDS_PER_IMAGE_BYTE: usize = 8;
+
 /// Decode a checkpoint sidecar back into a snapshot, preserving list
 /// order (and therefore table iteration order) exactly. An owner listed
-/// twice is a [`DecodeError`], and nothing is reserved beyond what the
-/// remaining bytes could hold.
+/// twice is a [`DecodeError`]. Nothing is reserved beyond what the bytes
+/// could hold, and the dense owner index at most
+/// `max(2^20, 8 × bytes.len())` ids (8 MiB, or 64 × the image's length):
+/// an owner past that is [`DecodeError::IdOutOfRange`], so a 60-byte image
+/// naming owner `u32::MAX - 1` cannot ask for 32 GiB. The floor keeps real
+/// images loadable: an early checkpoint may hold one list of a high id. A
+/// first pass over the list headers checks both bounds and sizes the
+/// table exactly.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<StreamSnapshot, DecodeError> {
     let mut r = Reader::new(bytes);
     let events = r.u64()?;
@@ -237,14 +252,27 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<StreamSnapshot, DecodeError> {
     if num_lists > r.remaining() / 8 {
         return Err(DecodeError::BadLength);
     }
-    let mut table = CorrelatorTable::with_capacity(num_lists, r.remaining() / 12);
-    let mut entries = Vec::new();
+    let lists = &bytes[bytes.len() - r.remaining()..];
+    let mut owner_bound = 0;
     for _ in 0..num_lists {
-        let owner = FileId::new(r.u32()?);
+        let owner = r.u32()? as usize;
         let n = r.u32()? as usize;
         if n > r.remaining() / 12 {
             return Err(DecodeError::BadLength);
         }
+        r.skip(12 * n)?;
+        owner_bound = owner_bound.max(owner + 1);
+    }
+    if owner_bound > FREE_IDS.max(IDS_PER_IMAGE_BYTE * bytes.len()) {
+        return Err(DecodeError::IdOutOfRange);
+    }
+    let num_entries = (lists.len() - r.remaining() - 8 * num_lists) / 12;
+    let mut table = CorrelatorTable::with_capacity(num_lists, num_entries, owner_bound);
+    let mut r = Reader::new(lists);
+    let mut entries = Vec::new();
+    for _ in 0..num_lists {
+        let owner = FileId::new(r.u32()?);
+        let n = r.u32()? as usize;
         entries.clear();
         for _ in 0..n {
             let file = FileId::new(r.u32()?);
@@ -1174,6 +1202,47 @@ mod tests {
         assert_eq!(
             decode_snapshot(&snapshot_bytes(3, &[7, 8])).unwrap_err(),
             DecodeError::Truncated
+        );
+    }
+
+    #[test]
+    fn snapshot_decode_refuses_an_owner_its_length_cannot_index() {
+        // 60 bytes naming owner 2^32 - 2: a dense index reaching it would
+        // be 32 GiB. Refused before anything is allocated, as a typed error.
+        let hostile = snapshot_bytes(1, &[u32::MAX - 1]);
+        assert_eq!(
+            decode_snapshot(&hostile).unwrap_err(),
+            DecodeError::IdOutOfRange
+        );
+        // The same list inside a whole image.
+        let mut w = Writer::new();
+        w.bytes(&hostile).u32(0);
+        assert_eq!(
+            decode_image(&w.finish()).unwrap_err(),
+            DecodeError::IdOutOfRange
+        );
+        // Any image may name owners below 2^20 (an 8 MiB index)...
+        let floor = 1u32 << 20;
+        let ok = decode_snapshot(&snapshot_bytes(1, &[floor - 1])).unwrap();
+        assert_eq!(ok.correlators(FileId::new(floor - 1)).map(<[_]>::len), Some(1));
+        assert_eq!(
+            decode_snapshot(&snapshot_bytes(1, &[floor])).unwrap_err(),
+            DecodeError::IdOutOfRange
+        );
+        // ...and a longer one up to 8 ids a byte of its length: 8 192
+        // lists of 20 bytes behind the 40-byte header.
+        let lists = 8_192u32;
+        let len = 40 + 20 * lists as usize;
+        let last = (8 * len - 1) as u32;
+        assert!(last >= floor);
+        let mut owners: Vec<u32> = (0..lists - 1).collect();
+        owners.push(last);
+        let ok = decode_snapshot(&snapshot_bytes(lists, &owners)).unwrap();
+        assert_eq!(ok.num_lists(), lists as usize);
+        *owners.last_mut().unwrap() = last + 1;
+        assert_eq!(
+            decode_snapshot(&snapshot_bytes(lists, &owners)).unwrap_err(),
+            DecodeError::IdOutOfRange
         );
     }
 

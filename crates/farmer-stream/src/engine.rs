@@ -216,7 +216,7 @@ impl StreamMiner {
     /// Evict the lowest-count files in one amortizing sweep and raise the
     /// Space-Saving floor to the largest count evicted.
     fn evict_batch(&mut self) {
-        let batch = self.cfg.effective_evict_batch().min(self.counts.len());
+        let batch = self.cfg.evict_batch().min(self.counts.len());
         let _span = self.obs.evict_ns.span();
         // One integer key a counter, `(count in total order, file id)`:
         // the id breaks count ties, so the victim *set* is a pure function
@@ -693,7 +693,7 @@ mod tests {
             .collect();
         let mut cfg = small_cfg(128);
         cfg.farmer.prune_interval = 512;
-        assert_eq!(cfg.effective_evict_batch(), 2);
+        assert_eq!(cfg.evict_batch(), 2);
         let (mut original, reg) = instrumented(cfg.clone());
         let cut = events.len() / 2;
         for e in &events[..cut] {
@@ -729,7 +729,7 @@ mod tests {
     #[test]
     fn every_eviction_batch_is_one_evict_ns_span() {
         let (mut m, reg) = instrumented(small_cfg(192));
-        let batch = m.config().effective_evict_batch() as u64;
+        let batch = m.config().evict_batch() as u64;
         assert_eq!(batch, 3);
         for i in 0..2_000u32 {
             m.ingest(req(i % 500, i % 7), None);
@@ -788,7 +788,7 @@ mod tests {
         };
         evict_once(&mut m);
         let caps = (m.evict_keys.capacity(), m.evict_victims.capacity());
-        assert!(caps.0 >= 256 && caps.1 >= m.config().effective_evict_batch());
+        assert!(caps.0 >= 256 && caps.1 >= m.config().evict_batch());
         for _ in 0..100 {
             evict_once(&mut m);
         }

@@ -158,7 +158,7 @@ impl StreamConfig {
 
     /// Files evicted per eviction sweep (amortizes the incoming-edge
     /// cleanup): `max(1, node_cap / 64)`.
-    pub fn effective_evict_batch(&self) -> usize {
+    pub fn evict_batch(&self) -> usize {
         (self.node_cap / 64).max(1)
     }
 }
@@ -171,18 +171,18 @@ mod tests {
     fn default_config_is_sane() {
         let c = StreamConfig::default();
         assert!(c.node_cap > 0);
-        assert!(c.effective_evict_batch() >= 1);
-        assert!(c.effective_evict_batch() <= c.node_cap);
+        assert!(c.evict_batch() >= 1);
+        assert!(c.evict_batch() <= c.node_cap);
         assert_eq!(c.num_shards, 1);
     }
 
     #[test]
     fn evict_batch_auto_and_explicit() {
         let auto = StreamConfig::default().with_node_cap(640);
-        assert_eq!(auto.effective_evict_batch(), 10);
+        assert_eq!(auto.evict_batch(), 10);
         let tiny = StreamConfig::default().with_node_cap(3);
-        assert_eq!(tiny.effective_evict_batch(), 1);
-        assert_eq!(StreamConfig::default().effective_evict_batch(), 64);
+        assert_eq!(tiny.evict_batch(), 1);
+        assert_eq!(StreamConfig::default().evict_batch(), 64);
     }
 
     #[test]

@@ -70,7 +70,7 @@ proptest! {
         let snap = m.snapshot();
         prop_assert!(snap.lists.len() <= cap);
         prop_assert!(m.evictions() > 0, "cap {cap} never bit");
-        prop_assert_eq!(m.evictions() % m.config().effective_evict_batch() as u64, 0);
+        prop_assert_eq!(m.evictions() % m.config().evict_batch() as u64, 0);
         prop_assert!(reg.snapshot().counter("stream.decay_ticks") > Some(0));
     }
 
@@ -335,7 +335,7 @@ fn one_pass_snapshot_equals_per_file_lists_after_every_batch() {
     let trace = WorkloadSpec::hp().scaled(0.1).generate();
     let mut cfg = StreamConfig::default().with_node_cap(256);
     cfg.farmer.prune_interval = 300;
-    assert!(cfg.effective_evict_batch() > 1);
+    assert!(cfg.evict_batch() > 1);
     for shards in [1usize, 2, 4] {
         let cfg = cfg.clone().with_shards(shards);
         let mut fleet = ShardedMiner::spawn(cfg.clone());
