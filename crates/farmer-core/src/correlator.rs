@@ -91,15 +91,42 @@ impl std::fmt::Display for DuplicateOwner {
 
 impl std::error::Error for DuplicateOwner {}
 
-/// The `len` an index slot holds for an owner with no list. No list can
-/// be that long: [`slab_offset`] keeps every slab offset below it.
+/// The `end` of an empty index slot. No list can end there: [`slab_offset`]
+/// keeps every slab offset below it.
 const ABSENT: u32 = u32::MAX;
 
-/// An index slot of an owner with no list.
-const VACANT: (u32, u32) = (0, ABSENT);
+/// The most index slots a table spends a list to keep every owner at its
+/// own id.
+const SLOTS_PER_LIST: usize = 8;
 
-/// A slab length as the `u32` offset spans are stored in (which keeps an
-/// index slot at 8 bytes).
+/// One index slot: an owner and its list, `entries[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    owner: u32,
+    start: u32,
+    end: u32,
+}
+
+/// An index slot that holds no list.
+const EMPTY: Slot = Slot {
+    owner: 0,
+    start: 0,
+    end: ABSENT,
+};
+
+/// Index slots for `lists` lists owned by files with ids below
+/// `owner_bound`: one an id when that is at most [`SLOTS_PER_LIST`] a list
+/// (every owner then sits at its own id), two a list otherwise, and never
+/// under two a list (the index is at most half full).
+fn index_len(lists: usize, owner_bound: usize) -> usize {
+    if owner_bound <= SLOTS_PER_LIST * lists {
+        owner_bound.max(2 * lists)
+    } else {
+        2 * lists
+    }
+}
+
+/// A slab length as the `u32` offsets index slots hold.
 fn slab_offset(len: usize) -> u32 {
     let len = u32::try_from(len).ok().filter(|&len| len != ABSENT);
     // lint: allow(panic) 2^32 correlators would be a 64 GiB slab
@@ -114,19 +141,33 @@ fn slab_offset(len: usize) -> u32 {
 /// it, swapping in fresh tables mid-simulation without re-mining.
 ///
 /// Storage is flat: every list's entries sit back to back in one slab, in
-/// the order the lists were appended. The index is dense, indexed by the
-/// owner's raw id: slot `i` holds the `(start, len)` of file `i`'s list, or
-/// a reserved `len` when file `i` has none, and an id past the end is a
-/// miss. A query is one bounds-checked load and one slice. Every trace
-/// source interns file ids densely from 0 (the generated namespaces and the
-/// trace parser alike), and readers ask for neighbouring ids together, so
-/// the array keeps the locality a hash would scatter. The index costs
-/// 8 B × (largest owner id + 1), whatever the number of lists: ≈ 135 KiB
-/// for HP's 16.9k files. A builder that knows its largest owner sizes the
-/// index once ([`CorrelatorTable::with_capacity`]); a decoder must bound
-/// that owner by its input before it trusts it (`farmer-stream`'s
-/// `decode_snapshot` refuses an owner whose index would exceed 8 MiB or
-/// 64 × the image's length, whichever is larger).
+/// the order the lists were appended, and an open-addressed index keyed by
+/// owner id holds each list's span, at most `reach` slots past its owner's
+/// home. The index length is decided by the lists and the largest owner
+/// (`index_len`). When one slot an id is at most 8 slots a list, every
+/// owner's home is its own id: `reach` is 0, an id past the end is a miss,
+/// and a query is one load, one compare and one slice. Otherwise the index
+/// takes 2 slots a list and homes are a Fibonacci hash of the id, which
+/// spreads the runs of neighbouring ids an interned namespace produces.
+/// Every trace source interns file ids densely from 0 (the generated
+/// namespaces and the trace parser alike), so a table published at the
+/// default `node_cap` is of the first kind: HP publishes ≈ 3 000 lists over
+/// its 16.9k ids, 12 B a slot, ≈ 200 KiB. Readers ask for neighbouring ids
+/// together, and an index in id order keeps the locality a hash would
+/// scatter. A capped stream that keeps meeting new files is of the second
+/// kind once its ids pass 8 a live list: HP at `node_cap` 4096 fed a fresh
+/// id range each lap gets there in the second lap (≈ 2 950 lists, 11 ids a
+/// list), and 6 laps on holds 35 ids a list at the same heap. So is a
+/// small cap over a large namespace (HP at `node_cap` 1024: ≈ 650 lists,
+/// 26 ids a list).
+///
+/// The index costs at most 8 × 12 = 96 B a list when sized by
+/// [`CorrelatorTable::with_capacity`], 24 B a list once hashed, and at most
+/// twice that when grown a list at a time; it never costs more for larger
+/// ids. A shard's table is sized by its own lists, so a fleet's shard
+/// tables hold at most 96 B a list between them, and the merged table as
+/// much again. A decoder needs no bound on the ids it reads: the bytes
+/// that hold the lists bound the index too.
 ///
 /// The table is append-only — a list is never replaced, and appending an
 /// owner twice is an error — so a table costs a fixed handful of
@@ -139,9 +180,12 @@ pub struct CorrelatorTable {
     owners: Vec<u32>,
     /// List `i` is `entries[ends[i - 1]..ends[i]]` (list 0 starts at 0).
     ends: Vec<u32>,
-    /// Slot `owner` holds `(start, len)` of its list in `entries`, or
-    /// [`VACANT`].
-    index: Vec<(u32, u32)>,
+    /// Open-addressed by owner id, at most half full ([`index_len`]).
+    index: Vec<Slot>,
+    /// The farthest any list sits past its home slot.
+    reach: u32,
+    /// Above every owner id held.
+    bound: usize,
     version: u64,
 }
 
@@ -152,42 +196,109 @@ impl CorrelatorTable {
     }
 
     /// An empty table with room for `lists` lists holding `entries`
-    /// correlators in total, owned by files with ids below `owner_bound`.
-    /// A build that stays inside all three allocates nothing more.
+    /// correlators in total, owned by files with ids below `owner_bound`
+    /// (`usize::MAX` when unknown, which hashes every id). A build that
+    /// stays inside all three allocates nothing more.
     pub fn with_capacity(lists: usize, entries: usize, owner_bound: usize) -> Self {
         let mut table = Self::default();
         table.entries.reserve_exact(entries);
         table.owners.reserve_exact(lists);
         table.ends.reserve_exact(lists);
-        table.index = vec![VACANT; owner_bound];
+        table.index = vec![EMPTY; index_len(lists, owner_bound)];
+        table.bound = owner_bound;
         table
     }
 
-    /// Does `owner` have a list?
-    fn holds(&self, owner: u32) -> bool {
-        self.index
-            .get(owner as usize)
-            .is_some_and(|&(_, len)| len != ABSENT)
+    /// The slot `owner`'s list is looked for from: the id itself when
+    /// every owner is below the index length, so each sits at its own id
+    /// and an id past the end is a miss; otherwise a Fibonacci hash of the
+    /// id scaled to the length, which spreads ids that cluster, as
+    /// interned ones do.
+    #[inline]
+    fn home(&self, owner: u32) -> usize {
+        let len = self.index.len();
+        if self.bound <= len {
+            owner as usize
+        } else {
+            let mixed = owner.wrapping_mul(0x9E37_79B9);
+            ((u64::from(mixed) * len as u64) >> 32) as usize
+        }
+    }
+
+    /// The index slot of `owner`'s list, if it has one.
+    #[inline]
+    fn find(&self, owner: u32) -> Option<&Slot> {
+        let len = self.index.len();
+        let mut at = self.home(owner);
+        let mut probes = self.reach;
+        loop {
+            let slot = self.index.get(at)?;
+            if slot.end == ABSENT {
+                return None;
+            }
+            if slot.owner == owner {
+                return Some(slot);
+            }
+            if probes == 0 {
+                return None;
+            }
+            probes -= 1;
+            at = if at + 1 == len { 0 } else { at + 1 };
+        }
+    }
+
+    /// Put `slot` in the first empty slot from its owner's home on (the
+    /// index is at most half full, so there is one).
+    fn place(&mut self, slot: Slot) {
+        let len = self.index.len();
+        let mut at = self.home(slot.owner);
+        let mut distance = 0;
+        while self.index[at].end != ABSENT {
+            at = if at + 1 == len { 0 } else { at + 1 };
+            distance += 1;
+        }
+        self.index[at] = slot;
+        self.reach = self.reach.max(distance);
+    }
+
+    /// Rebuild the index at `len` slots over the lists held.
+    fn reindex(&mut self, len: usize) {
+        self.index = vec![EMPTY; len];
+        self.reach = 0;
+        let mut start = 0;
+        for i in 0..self.owners.len() {
+            let (owner, end) = (self.owners[i], self.ends[i]);
+            self.place(Slot { owner, start, end });
+            start = end;
+        }
     }
 
     /// Append `owner`'s list. `list` must already be in the canonical
     /// order (decreasing degree, ties by ascending file id) — the order
-    /// every [`crate::CorrelationSource`] produces. An owner past the
-    /// index grows it.
+    /// every [`crate::CorrelationSource`] produces. A list past the room
+    /// [`CorrelatorTable::with_capacity`] made, or an owner past an index
+    /// every owner sat in at its own id, rebuilds the index for twice the
+    /// lists and ids.
     pub fn push_list(&mut self, owner: FileId, list: &[Correlator]) -> Result<(), DuplicateOwner> {
         debug_assert!(list
             .windows(2)
             .all(|w| crate::source::rank_cmp(&w[0], &w[1]).is_lt()));
-        if self.holds(owner.raw()) {
+        if self.find(owner.raw()).is_some() {
             return Err(DuplicateOwner(owner));
         }
         let start = self.entries.len() as u32; // fits: it is an earlier `end`
         let end = slab_offset(self.entries.len() + list.len());
-        let slot = owner.raw() as usize;
-        if slot >= self.index.len() {
-            self.index.resize(slot + 1, VACANT);
+        let (lists, len) = (self.len() + 1, self.index.len());
+        let direct = self.bound <= len;
+        self.bound = self.bound.max(owner.raw() as usize + 1);
+        if 2 * lists > len || (direct && self.bound > len) {
+            self.reindex(index_len(2 * lists, 2 * self.bound).max(len));
         }
-        self.index[slot] = (start, end - start);
+        self.place(Slot {
+            owner: owner.raw(),
+            start,
+            end,
+        });
         self.owners.push(owner.raw());
         self.ends.push(end);
         self.entries.extend_from_slice(list);
@@ -196,23 +307,28 @@ impl CorrelatorTable {
     }
 
     /// Append every list of `other`, in its order: one copy of its slab,
-    /// its spans rebased behind ours, and at most one resize of the index
-    /// to the larger of the two. On a repeated owner the table is left as
-    /// it was.
+    /// its spans rebased behind ours, and at most one rebuild of the index,
+    /// to the length both tables' lists and owners call for. On a repeated
+    /// owner the table is left as it was.
     pub fn append(&mut self, other: &CorrelatorTable) -> Result<(), DuplicateOwner> {
-        if let Some(&dup) = other.owners.iter().find(|&&o| self.holds(o)) {
+        if let Some(&dup) = other.owners.iter().find(|&&o| self.find(o).is_some()) {
             return Err(DuplicateOwner(FileId::new(dup)));
         }
         // Checked once for the whole slab: every rebased offset fits.
         let end = slab_offset(self.entries.len() + other.entries.len());
         let base = end - other.entries.len() as u32;
-        if other.index.len() > self.index.len() {
-            self.index.reserve_exact(other.index.len() - self.index.len());
-            self.index.resize(other.index.len(), VACANT);
+        let len = self.index.len();
+        let direct = self.bound <= len;
+        self.bound = self.bound.max(other.bound);
+        let want = index_len(self.len() + other.len(), self.bound);
+        if want > len || (direct && self.bound > len) {
+            self.reindex(want.max(len));
         }
-        for &owner in &other.owners {
-            let (start, len) = other.index[owner as usize];
-            self.index[owner as usize] = (base + start, len);
+        let mut start = base;
+        for (&owner, &end) in other.owners.iter().zip(&other.ends) {
+            let end = base + end;
+            self.place(Slot { owner, start, end });
+            start = end;
         }
         self.owners.extend_from_slice(&other.owners);
         self.ends.extend(other.ends.iter().map(|&e| base + e));
@@ -230,11 +346,8 @@ impl CorrelatorTable {
     /// The list owned by `file`, strongest first, if one is present.
     #[inline]
     pub fn get(&self, file: FileId) -> Option<&[Correlator]> {
-        let &(start, len) = self.index.get(file.raw() as usize)?;
-        if len == ABSENT {
-            return None;
-        }
-        Some(&self.entries[start as usize..start as usize + len as usize])
+        let slot = self.find(file.raw())?;
+        Some(&self.entries[slot.start as usize..slot.end as usize])
     }
 
     /// The `k` strongest correlators of `file` (empty if absent).
@@ -272,11 +385,11 @@ impl CorrelatorTable {
     }
 
     /// Heap bytes, for space accounting: 16 a slab entry, 4 each an
-    /// owner and an end, 8 an index slot, all at capacity.
+    /// owner and an end, 12 an index slot, all at capacity.
     pub fn heap_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<Correlator>()
             + (self.owners.capacity() + self.ends.capacity()) * std::mem::size_of::<u32>()
-            + self.index.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.index.capacity() * std::mem::size_of::<Slot>()
     }
 }
 
@@ -413,20 +526,31 @@ mod tests {
         list
     }
 
-    /// The table against its oracle: every query on every id below
-    /// `probe_past` (past any index the ops can build) and on `u32::MAX`,
-    /// iteration order, counts, and the stated heap arithmetic.
-    fn check(t: &CorrelatorTable, oracle: &BTreeMap<u32, Vec<Correlator>>, order: &[u32]) {
+    /// The table against its oracle: every query on the ids `x * stride`
+    /// and `x * stride + 1` for every `x` below [`PROBE_PAST`] (past any
+    /// owner the ops draw) and on `u32::MAX - 1` and `u32::MAX`, iteration
+    /// order, counts, the index's bounds, and the stated heap arithmetic.
+    fn check(
+        t: &CorrelatorTable,
+        oracle: &BTreeMap<u32, Vec<Correlator>>,
+        order: &[u32],
+        stride: u32,
+        presized: usize,
+    ) {
         use crate::CorrelationSource;
         assert_eq!(t.len(), oracle.len());
-        assert_eq!(t.num_entries(), oracle.values().map(Vec::len).sum::<usize>());
+        assert_eq!(
+            t.num_entries(),
+            oracle.values().map(Vec::len).sum::<usize>()
+        );
         let listed: Vec<(u32, Vec<Correlator>)> =
             t.iter().map(|(o, l)| (o.raw(), l.to_vec())).collect();
         let expected: Vec<(u32, Vec<Correlator>)> =
             order.iter().map(|o| (*o, oracle[o].clone())).collect();
         assert_eq!(listed, expected, "iteration is append order");
+        let probes = (0..PROBE_PAST).flat_map(|x| [x * stride, x * stride + 1]);
         let mut out = Vec::new();
-        for raw in (0..PROBE_PAST).chain([u32::MAX - 1, u32::MAX]) {
+        for raw in probes.chain([u32::MAX - 1, u32::MAX]) {
             let file = FileId::new(raw);
             let want = oracle.get(&raw);
             assert_eq!(t.get(file), want.map(Vec::as_slice), "get({raw})");
@@ -451,17 +575,29 @@ mod tests {
                 assert_eq!(CorrelationSource::degree(t, file, FileId::new(to)), want);
             }
         }
+        // At most half full, sized by the lists and never by the ids, and
+        // every owner at its own id while the bound fits inside it.
+        assert!(2 * t.len() <= t.index.len());
+        assert!(t.index.len() <= presized.max(2 * SLOTS_PER_LIST * t.len()));
+        if t.bound <= t.index.len() {
+            assert!(order.iter().all(|&o| (o as usize) < t.bound));
+            assert_eq!(t.reach, 0);
+        }
         assert_eq!(
             t.heap_bytes(),
             16 * t.entries.capacity()
                 + 4 * (t.owners.capacity() + t.ends.capacity())
-                + 8 * t.index.capacity()
+                + 12 * t.index.capacity()
         );
     }
 
-    /// Owners drawn below this, so repeats are common; every id from the
-    /// largest owner up to it is a miss past the index.
+    /// Owners are `x * stride` for an `x` drawn below 56, so repeats are
+    /// common; every `x` from there up to this is a miss.
     const PROBE_PAST: u32 = 72;
+
+    /// Dense ids, ids spread wider than any index the ops build (so owners
+    /// share home slots), and ids spread over half the `u32` range.
+    const STRIDES: [u32; 3] = [1, 4_099, 1 << 25];
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
@@ -471,6 +607,7 @@ mod tests {
         /// order they were appended in.
         #[test]
         fn table_matches_a_map_of_lists(
+            stride in 0usize..3,
             presize in proptest::option::of((0usize..8, 0usize..24, 0usize..64)),
             ops in proptest::collection::vec(
                 (
@@ -483,21 +620,24 @@ mod tests {
                 1..10,
             ),
         ) {
+            let stride = STRIDES[stride];
             let mut t = match presize {
                 Some((lists, entries, bound)) => {
                     let t = CorrelatorTable::with_capacity(lists, entries, bound);
-                    // Presized exactly: 16 B an entry, 8 B a list, 8 B an id.
-                    assert_eq!(t.heap_bytes(), 16 * entries + 8 * lists + 8 * bound);
+                    // Presized exactly: 16 B an entry, 8 B a list, 12 B a slot.
+                    let slots = index_len(lists, bound);
+                    assert_eq!(t.heap_bytes(), 16 * entries + 8 * lists + 12 * slots);
                     t
                 }
                 None => CorrelatorTable::new(),
             };
+            let presized = t.index.len();
             let mut oracle: BTreeMap<u32, Vec<Correlator>> = BTreeMap::new();
             let mut order: Vec<u32> = Vec::new();
             for (as_table, lists) in ops {
                 let lists: Vec<(u32, Vec<Correlator>)> = lists
                     .into_iter()
-                    .map(|(owner, candidates)| (owner, canonical(candidates)))
+                    .map(|(x, candidates)| (x * stride, canonical(candidates)))
                     .collect();
                 let version = t.version();
                 if as_table {
@@ -527,19 +667,85 @@ mod tests {
                     for (owner, list) in lists {
                         let version = t.version();
                         let pushed = t.push_list(FileId::new(owner), &list);
-                        if oracle.contains_key(&owner) {
-                            assert_eq!(pushed, Err(DuplicateOwner(FileId::new(owner))));
-                            assert_eq!(t.version(), version, "a refused push changes nothing");
-                        } else {
-                            assert_eq!(pushed, Ok(()));
-                            assert_eq!(t.version(), version + 1);
-                            oracle.insert(owner, list);
-                            order.push(owner);
+                        match oracle.entry(owner) {
+                            std::collections::btree_map::Entry::Occupied(_) => {
+                                assert_eq!(pushed, Err(DuplicateOwner(FileId::new(owner))));
+                                assert_eq!(t.version(), version, "a refused push changes nothing");
+                            }
+                            std::collections::btree_map::Entry::Vacant(slot) => {
+                                assert_eq!(pushed, Ok(()));
+                                assert_eq!(t.version(), version + 1);
+                                slot.insert(list);
+                                order.push(owner);
+                            }
                         }
                     }
                 }
-                check(&t, &oracle, &order);
+                check(&t, &oracle, &order, stride, presized);
             }
         }
+    }
+
+    #[test]
+    fn index_length_follows_lists_not_ids() {
+        // Dense ids: one slot an id, as HP publishes (≈ 3 000 lists over
+        // 16.9k files), or two a list when the ids are denser than that.
+        assert_eq!(index_len(2_953, 16_900), 16_900);
+        assert_eq!(index_len(100, 50), 200);
+        // Sparse ids: two slots a list, however large the ids.
+        assert_eq!(index_len(100, 801), 200);
+        assert_eq!(index_len(100, 1 << 24), 200);
+        assert_eq!(index_len(100, usize::MAX), 200);
+        assert_eq!(index_len(0, usize::MAX), 0);
+    }
+
+    #[test]
+    fn presized_dense_owners_sit_at_their_ids() {
+        let mut t = CorrelatorTable::with_capacity(3, 3, 10);
+        for owner in [9, 2, 5] {
+            t.push_list(FileId::new(owner), &[c(owner + 1, 0.5)])
+                .unwrap();
+        }
+        assert_eq!((t.index.len(), t.reach), (10, 0));
+        for owner in [9, 2, 5] {
+            assert_eq!(t.index[owner as usize].owner, owner);
+        }
+        assert_eq!(t.get(FileId::new(19)), None, "19 shares 9's home slot");
+    }
+
+    #[test]
+    fn large_ids_cost_slots_a_list() {
+        // 1 000 lists owned by ids past 10^9, the way a capped stream's live
+        // files sit far out in an open-ended id universe.
+        let owners: Vec<u32> = (0..1_000).map(|i| 1_000_000_000 + 7 * i).collect();
+        let mut t = CorrelatorTable::with_capacity(owners.len(), owners.len(), usize::MAX);
+        for &owner in &owners {
+            t.push_list(FileId::new(owner), &[c(owner, 0.5)]).unwrap();
+        }
+        assert_eq!(t.index.len(), 2 * owners.len());
+        assert!(owners.iter().all(|&o| t.get(FileId::new(o)).is_some()));
+        assert!(t.get(FileId::new(1_000_000_001)).is_none());
+        // Grown one list at a time, the index stays within 4 slots a list.
+        let mut grown = CorrelatorTable::new();
+        for &owner in &owners {
+            grown.push_list(FileId::new(owner), &[]).unwrap();
+        }
+        assert!(grown.index.len() <= 4 * owners.len());
+        assert!(owners.iter().all(|&o| grown.get(FileId::new(o)).is_some()));
+    }
+
+    #[test]
+    fn an_owner_past_a_direct_index_rebuilds_it_hashed() {
+        let mut t = CorrelatorTable::with_capacity(4, 4, 8);
+        for owner in [0, 5, 7] {
+            t.push_list(FileId::new(owner), &[c(1, 0.5)]).unwrap();
+        }
+        assert_eq!((t.index.len(), t.reach), (8, 0));
+        t.push_list(FileId::new(1 << 30), &[c(2, 0.5)]).unwrap();
+        assert!(t.bound > t.index.len(), "ids past the index are hashed");
+        for owner in [0, 5, 7, 1 << 30] {
+            assert!(t.get(FileId::new(owner)).is_some(), "{owner}");
+        }
+        assert!(t.get(FileId::new(6)).is_none());
     }
 }

@@ -366,9 +366,10 @@ impl ServeReader {
 
     /// The k strongest correlators of `file` (degree ≥ `min_degree`) from
     /// the newest published snapshot, into `out`. Steady-state hot path:
-    /// one atomic load, one array read (the table's index is dense by file
-    /// id), a copy of the list's prefix; no lock, no hash, no allocation
-    /// once `out` has warmed.
+    /// one atomic load, one array read (the table's index slot is the file
+    /// id itself while ids are dense, a short probe from a hashed slot
+    /// once they are not), a copy of the list's prefix; no lock, no
+    /// allocation once `out` has warmed.
     #[inline]
     pub fn top_k_into(
         &mut self,

@@ -16,8 +16,6 @@ pub enum DecodeError {
     /// A field the layout reserves holds something other than its one
     /// value.
     Reserved,
-    /// An id too large for what the input's length allows it to index.
-    IdOutOfRange,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -27,7 +25,6 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadLength => write!(f, "length field out of bounds"),
             DecodeError::DuplicateKey => write!(f, "unique key repeated"),
             DecodeError::Reserved => write!(f, "reserved field set"),
-            DecodeError::IdOutOfRange => write!(f, "id out of range for the input's length"),
         }
     }
 }
@@ -58,11 +55,6 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
-    }
-
-    /// Step over `n` bytes.
-    pub fn skip(&mut self, n: usize) -> Result<(), DecodeError> {
-        self.take(n).map(|_| ())
     }
 
     /// Read a little-endian u8.

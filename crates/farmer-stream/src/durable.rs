@@ -221,25 +221,13 @@ pub fn encode_snapshot(s: &StreamSnapshot) -> Vec<u8> {
     w.finish()
 }
 
-/// Owner ids a snapshot image may name whatever its length: an 8 MiB
-/// index. Past it, [`IDS_PER_IMAGE_BYTE`] ids a byte of the image.
-const FREE_IDS: usize = 1 << 20;
-
-/// Owner ids a snapshot image may name per byte of its length: 64 index
-/// bytes a byte (the table's index is dense, 8 bytes an id up to the
-/// largest owner, see [`CorrelatorTable`]).
-const IDS_PER_IMAGE_BYTE: usize = 8;
-
 /// Decode a checkpoint sidecar back into a snapshot, preserving list
 /// order (and therefore table iteration order) exactly. An owner listed
-/// twice is a [`DecodeError`]. Nothing is reserved beyond what the bytes
-/// could hold, and the dense owner index at most
-/// `max(2^20, 8 × bytes.len())` ids (8 MiB, or 64 × the image's length):
-/// an owner past that is [`DecodeError::IdOutOfRange`], so a 60-byte image
-/// naming owner `u32::MAX - 1` cannot ask for 32 GiB. The floor keeps real
-/// images loadable: an early checkpoint may hold one list of a high id. A
-/// first pass over the list headers checks both bounds and sizes the
-/// table exactly.
+/// twice is a [`DecodeError`], and nothing is reserved beyond what the
+/// remaining bytes could hold. The table's index grows with its lists, not
+/// with its owners' ids (see [`CorrelatorTable`]), so the decoded table's
+/// heap stays under 16 bytes a byte of the image, and an image naming
+/// owner `u32::MAX - 1` costs what one naming owner 0 does.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<StreamSnapshot, DecodeError> {
     let mut r = Reader::new(bytes);
     let events = r.u64()?;
@@ -252,27 +240,14 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<StreamSnapshot, DecodeError> {
     if num_lists > r.remaining() / 8 {
         return Err(DecodeError::BadLength);
     }
-    let lists = &bytes[bytes.len() - r.remaining()..];
-    let mut owner_bound = 0;
-    for _ in 0..num_lists {
-        let owner = r.u32()? as usize;
-        let n = r.u32()? as usize;
-        if n > r.remaining() / 12 {
-            return Err(DecodeError::BadLength);
-        }
-        r.skip(12 * n)?;
-        owner_bound = owner_bound.max(owner + 1);
-    }
-    if owner_bound > FREE_IDS.max(IDS_PER_IMAGE_BYTE * bytes.len()) {
-        return Err(DecodeError::IdOutOfRange);
-    }
-    let num_entries = (lists.len() - r.remaining() - 8 * num_lists) / 12;
-    let mut table = CorrelatorTable::with_capacity(num_lists, num_entries, owner_bound);
-    let mut r = Reader::new(lists);
+    let mut table = CorrelatorTable::with_capacity(num_lists, r.remaining() / 12, usize::MAX);
     let mut entries = Vec::new();
     for _ in 0..num_lists {
         let owner = FileId::new(r.u32()?);
         let n = r.u32()? as usize;
+        if n > r.remaining() / 12 {
+            return Err(DecodeError::BadLength);
+        }
         entries.clear();
         for _ in 0..n {
             let file = FileId::new(r.u32()?);
@@ -1206,44 +1181,78 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_decode_refuses_an_owner_its_length_cannot_index() {
-        // 60 bytes naming owner 2^32 - 2: a dense index reaching it would
-        // be 32 GiB. Refused before anything is allocated, as a typed error.
-        let hostile = snapshot_bytes(1, &[u32::MAX - 1]);
+    fn snapshot_decode_costs_its_length_whatever_the_owner_ids() {
+        // 60 bytes naming owner 2^32 - 2, alone and inside a whole image:
+        // decoded, with an index sized by the one list, not by the id.
+        let lone = snapshot_bytes(1, &[u32::MAX - 1]);
+        let snap = decode_snapshot(&lone).unwrap();
         assert_eq!(
-            decode_snapshot(&hostile).unwrap_err(),
-            DecodeError::IdOutOfRange
+            snap.correlators(FileId::new(u32::MAX - 1)).map(<[_]>::len),
+            Some(1)
         );
-        // The same list inside a whole image.
+        assert!(snap.table.heap_bytes() <= 16 * lone.len());
         let mut w = Writer::new();
-        w.bytes(&hostile).u32(0);
-        assert_eq!(
-            decode_image(&w.finish()).unwrap_err(),
-            DecodeError::IdOutOfRange
+        w.bytes(&lone).u32(0);
+        let (image, _) = decode_image(&w.finish()).unwrap();
+        assert_eq!(image.num_lists(), 1);
+        // 4 096 lists whose owners are spread over the whole id range cost
+        // what 4 096 dense ones do.
+        let spread: Vec<u32> = (0..4_096).map(|i| i * 1_048_573).collect();
+        let dense: Vec<u32> = (0..4_096).collect();
+        let (bytes, dense) = (
+            snapshot_bytes(4_096, &spread),
+            snapshot_bytes(4_096, &dense),
         );
-        // Any image may name owners below 2^20 (an 8 MiB index)...
-        let floor = 1u32 << 20;
-        let ok = decode_snapshot(&snapshot_bytes(1, &[floor - 1])).unwrap();
-        assert_eq!(ok.correlators(FileId::new(floor - 1)).map(<[_]>::len), Some(1));
-        assert_eq!(
-            decode_snapshot(&snapshot_bytes(1, &[floor])).unwrap_err(),
-            DecodeError::IdOutOfRange
-        );
-        // ...and a longer one up to 8 ids a byte of its length: 8 192
-        // lists of 20 bytes behind the 40-byte header.
-        let lists = 8_192u32;
-        let len = 40 + 20 * lists as usize;
-        let last = (8 * len - 1) as u32;
-        assert!(last >= floor);
-        let mut owners: Vec<u32> = (0..lists - 1).collect();
-        owners.push(last);
-        let ok = decode_snapshot(&snapshot_bytes(lists, &owners)).unwrap();
-        assert_eq!(ok.num_lists(), lists as usize);
-        *owners.last_mut().unwrap() = last + 1;
-        assert_eq!(
-            decode_snapshot(&snapshot_bytes(lists, &owners)).unwrap_err(),
-            DecodeError::IdOutOfRange
-        );
+        let spread = decode_snapshot(&bytes).unwrap();
+        let dense = decode_snapshot(&dense).unwrap();
+        assert_eq!(spread.table.heap_bytes(), dense.table.heap_bytes());
+        assert!(spread.table.heap_bytes() <= 16 * bytes.len());
+        assert!(spread
+            .table
+            .iter()
+            .all(|(o, _)| spread.correlators(o).is_some()));
+    }
+
+    #[test]
+    fn recovers_a_capped_stream_over_ids_past_two_to_the_twenty() {
+        // A capped miner whose files all have ids past 2^20, so every
+        // checkpoint image names only such owners; compaction drops genesis
+        // replay, so recovery must decode an image.
+        let trace = WorkloadSpec::hp().scaled(0.01).generate();
+        let reqs: Vec<Request> = trace
+            .events
+            .iter()
+            .map(|e| {
+                let mut req = Request::from_event(e);
+                req.file = FileId::new((1 << 20) + 613 * e.file.raw());
+                req
+            })
+            .collect();
+        let path = tmp_wal("highids");
+        let _c = Cleanup(path.clone());
+        let mut cfg = small_cfg(2)
+            .with_checkpoint_interval((reqs.len() / 3) as u64)
+            .with_compaction(true);
+        cfg.stream.node_cap = 256;
+        let mut m = DurableMiner::create(&path, cfg.clone()).unwrap();
+        for &req in &reqs {
+            m.ingest(req, None);
+        }
+        m.flush();
+        drop(m);
+        let (entries, _) = farmer_store::Wal::scan(&path).unwrap();
+        assert!(entries[0].lsn > 1, "log prefix was compacted away");
+
+        let (mut recovered, report) = recover(&path, cfg.clone()).unwrap();
+        assert_eq!(report.checkpoint_verified, Some(true));
+        let mut oracle = ShardedMiner::spawn(cfg.stream.clone());
+        for &req in &reqs {
+            oracle.route(req, None);
+        }
+        let snap = recovered.snapshot();
+        assert!(snap.num_lists() > 0);
+        assert!(snap.table.iter().all(|(o, _)| o.raw() >= 1 << 20));
+        assert!(snapshots_bitwise_equal(&snap, &oracle.snapshot()));
     }
 
     #[test]

@@ -283,6 +283,38 @@ fn long_replay_under_tight_budget_stays_bounded_and_consistent() {
     }
 }
 
+/// A published table costs what its lists do, not what its owners' ids
+/// do: a capped fleet fed lap after lap of fresh file ids (past 10^7 by
+/// the end, the way a long-running service meets new files) publishes
+/// tables whose heap stays under a bound set by the cap alone.
+#[test]
+fn published_tables_stay_bounded_over_open_ended_ids() {
+    const TOTAL_CAP: usize = 512;
+    let trace = WorkloadSpec::hp().scaled(0.02).generate();
+    let cfg = StreamConfig::default()
+        .with_shards(2)
+        .with_node_cap(TOTAL_CAP / 2);
+    // Slab, owner and end arrays and index, all at capacity, with room
+    // for the merged slab's growth: independent of any id.
+    let max_successors = farmer::core::graph::MAX_SUCCESSORS;
+    let bound = (2 * 16 * max_successors + 2 * (8 + 12 * 8)) * TOTAL_CAP;
+    let mut miner = ShardedMiner::spawn(cfg);
+    let mut largest = 0;
+    for lap in 0..8u32 {
+        for e in &trace.events {
+            let mut req = Request::from_event(e);
+            req.file = FileId::new((lap << 21) + 97 * e.file.raw());
+            largest = largest.max(req.file.raw());
+            miner.route(req, None);
+        }
+        let snap = miner.snapshot();
+        assert!(snap.num_lists() > 0);
+        let heap = snap.table.heap_bytes();
+        assert!(heap <= bound, "lap {lap}: {heap} B over {bound} B");
+    }
+    assert!(largest > 10_000_000);
+}
+
 /// One published list: `(owner, [(successor, degree bits)])`.
 type Published = (u32, Vec<(u32, u64)>);
 
