@@ -8,6 +8,9 @@
 
 use farmer_trace::FileId;
 
+use crate::graph::MAX_SUCCESSORS;
+use crate::miner;
+
 /// One entry of a Correlator List: a successor and its correlation degree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Correlator {
@@ -350,9 +353,40 @@ impl CorrelatorTable {
         Some(&self.entries[slot.start as usize..slot.end as usize])
     }
 
-    /// The `k` strongest correlators of `file` (empty if absent).
-    pub fn top(&self, file: FileId, k: usize) -> &[Correlator] {
-        self.get(file).map_or(&[], |l| &l[..k.min(l.len())])
+    /// Clear `out` and fill it with up to `k` strongest correlators of
+    /// `file` whose degree reaches `min_degree` (nothing on a miss): one
+    /// index probe and one fixed-width copy.
+    ///
+    /// When `k` is at most [`MAX_SUCCESSORS`] and the slab holds `k`
+    /// entries from the list's start, exactly `k` are copied and those past
+    /// the list's end (the next list's) cut off, so a caller that inlines
+    /// this with a constant `k` copies a constant width and never branches
+    /// on the list's length. Any other query copies the span itself, into
+    /// an `out` reserved to `min(k, MAX_SUCCESSORS)`. The validity cut runs
+    /// only when the first or the last kept entry fails it: in the
+    /// canonical `total_cmp` order a NaN can only sit at either end, so
+    /// when both ends pass, every entry between them does. Always inlined:
+    /// only a caller that sees `k` can make the copy fixed-width, and out
+    /// of line the copy is a `memcpy` call with a runtime size.
+    #[inline(always)]
+    pub fn top_k_into(&self, file: FileId, k: usize, min_degree: f64, out: &mut Vec<Correlator>) {
+        out.clear();
+        let Some(slot) = self.find(file.raw()) else {
+            return;
+        };
+        let (start, len) = (slot.start as usize, (slot.end - slot.start) as usize);
+        if k <= MAX_SUCCESSORS && start + k <= self.entries.len() {
+            out.extend_from_slice(&self.entries[start..start + k]);
+            out.truncate(k.min(len));
+        } else {
+            out.reserve(k.min(MAX_SUCCESSORS));
+            out.extend_from_slice(&self.entries[start..start + k.min(len)]);
+        }
+        let fails = |c: &Correlator| !miner::is_valid(c.degree, min_degree);
+        if out.first().is_some_and(fails) || out.last().is_some_and(fails) {
+            let kept = out.iter().take_while(|c| !fails(c)).count();
+            out.truncate(kept);
+        }
     }
 
     /// Iterate over all lists as `(owner, entries)`, in the order they
@@ -507,29 +541,62 @@ mod tests {
         let mut t = CorrelatorTable::with_capacity(1, 2, 2);
         t.push_list(FileId::new(1), &[c(2, 0.9), c(3, 0.5)])
             .unwrap();
-        assert_eq!(t.top(FileId::new(1), 1).len(), 1);
-        assert_eq!(t.top(FileId::new(1), 9).len(), 2);
-        assert!(t.top(FileId::new(42), 4).is_empty());
+        let mut out = vec![c(9, 0.1); 3];
+        t.top_k_into(FileId::new(1), 1, 0.0, &mut out);
+        assert_eq!(out, [c(2, 0.9)]);
+        t.top_k_into(FileId::new(1), 9, 0.0, &mut out);
+        assert_eq!(out, [c(2, 0.9), c(3, 0.5)]);
+        t.top_k_into(FileId::new(42), 4, 0.0, &mut out);
+        assert!(out.is_empty());
         assert!(t.heap_bytes() > 0);
     }
 
     /// A canonical list from arbitrary candidates: one entry a successor,
     /// strongest first, ties by file id.
-    fn canonical(candidates: Vec<(u32, f64)>) -> Vec<Correlator> {
+    fn canonical(candidates: Vec<(u32, u8, f64)>) -> Vec<Correlator> {
         let mut list: Vec<Correlator> = Vec::new();
-        for (file, degree) in candidates {
+        for (file, code, x) in candidates {
             if list.iter().all(|e| e.file.raw() != file) {
-                list.push(c(file, degree));
+                list.push(c(file, degree(code, x)));
             }
         }
         list.sort_unstable_by(crate::source::rank_cmp);
         list
     }
 
+    /// The degree a candidate draws: a multiple of 1/8 (so every threshold
+    /// in [`MIN_DEGREES`] ties some entry exactly), −0.0, +NaN (the head of
+    /// any list it is in), −NaN (the tail), or `x`.
+    fn degree(code: u8, x: f64) -> f64 {
+        match code {
+            0..=8 => f64::from(code) / 8.0,
+            9 => -0.0,
+            10 => f64::NAN,
+            11 => -f64::NAN,
+            _ => x,
+        }
+    }
+
+    /// A list as comparable bits (`Correlator`'s `PartialEq` holds a NaN
+    /// degree unequal to itself).
+    fn bits(list: &[Correlator]) -> Vec<(u32, u64)> {
+        list.iter()
+            .map(|e| (e.file.raw(), e.degree.to_bits()))
+            .collect()
+    }
+
+    /// Every `k` around the edges of the fixed copy window, and past it.
+    const TOP_KS: [usize; 10] = [0, 1, 3, 7, 8, 9, 15, 16, 17, usize::MAX];
+
+    const MIN_DEGREES: [f64; 5] = [0.0, 0.25, 0.5, 1.0, f64::NAN];
+
     /// The table against its oracle: every query on the ids `x * stride`
     /// and `x * stride + 1` for every `x` below [`PROBE_PAST`] (past any
-    /// owner the ops draw) and on `u32::MAX - 1` and `u32::MAX`, iteration
-    /// order, counts, the index's bounds, and the stated heap arithmetic.
+    /// owner the ops draw, so the slab's last list, which has no full copy
+    /// window after it, is among them) and on `u32::MAX - 1` and
+    /// `u32::MAX`, iteration order, counts, the index's bounds, and the
+    /// stated heap arithmetic. `top_k_into` is held to the per-entry loop:
+    /// the list's prefix up to its first invalid entry, at most `k` long.
     fn check(
         t: &CorrelatorTable,
         oracle: &BTreeMap<u32, Vec<Correlator>>,
@@ -543,36 +610,50 @@ mod tests {
             t.num_entries(),
             oracle.values().map(Vec::len).sum::<usize>()
         );
-        let listed: Vec<(u32, Vec<Correlator>)> =
-            t.iter().map(|(o, l)| (o.raw(), l.to_vec())).collect();
-        let expected: Vec<(u32, Vec<Correlator>)> =
-            order.iter().map(|o| (*o, oracle[o].clone())).collect();
+        let listed: Vec<(u32, Vec<(u32, u64)>)> =
+            t.iter().map(|(o, l)| (o.raw(), bits(l))).collect();
+        let expected: Vec<(u32, Vec<(u32, u64)>)> =
+            order.iter().map(|o| (*o, bits(&oracle[o]))).collect();
         assert_eq!(listed, expected, "iteration is append order");
         let probes = (0..PROBE_PAST).flat_map(|x| [x * stride, x * stride + 1]);
-        let mut out = Vec::new();
+        // Arrives holding the previous answer and one stale entry more.
+        let mut dirty = Vec::new();
         for raw in probes.chain([u32::MAX - 1, u32::MAX]) {
             let file = FileId::new(raw);
             let want = oracle.get(&raw);
-            assert_eq!(t.get(file), want.map(Vec::as_slice), "get({raw})");
+            assert_eq!(t.get(file).map(bits), want.map(|l| bits(l)), "get({raw})");
             let list = want.map_or(&[][..], Vec::as_slice);
-            for k in [0, 1, 3, usize::MAX] {
-                assert_eq!(t.top(file, k), &list[..k.min(list.len())]);
-                for min_degree in [0.0, 0.25, 0.5, 1.0] {
-                    t.top_k_into(file, k, min_degree, &mut out);
-                    let valid = list
+            let ks: &[usize] = if want.is_some() { &TOP_KS } else { &[8] };
+            for &k in ks {
+                for min_degree in MIN_DEGREES {
+                    let valid: Vec<Correlator> = list
                         .iter()
-                        .take_while(|e| crate::miner::is_valid(e.degree, min_degree));
-                    assert_eq!(out, valid.take(k).copied().collect::<Vec<_>>());
+                        .take_while(|e| miner::is_valid(e.degree, min_degree))
+                        .take(k)
+                        .copied()
+                        .collect();
+                    let mut fresh = Vec::new();
+                    t.top_k_into(file, k, min_degree, &mut fresh);
+                    dirty.push(c(u32::MAX, 0.75));
+                    t.top_k_into(file, k, min_degree, &mut dirty);
+                    let what = format!("top_k_into({raw}, {k}, {min_degree})");
+                    assert_eq!(bits(&fresh), bits(&valid), "{what}, empty buffer");
+                    assert_eq!(bits(&dirty), bits(&valid), "{what}, dirty buffer");
+                    if want.is_some() {
+                        assert!(fresh.capacity() >= k.min(MAX_SUCCESSORS), "{what} warms");
+                    }
                 }
             }
-            for min_degree in [0.0, 0.5] {
+            for min_degree in MIN_DEGREES {
                 let head = list.first().copied();
-                let want = head.filter(|e| crate::miner::is_valid(e.degree, min_degree));
-                assert_eq!(t.strongest(file, min_degree), want);
+                let want = head.filter(|e| miner::is_valid(e.degree, min_degree));
+                let got = t.strongest(file, min_degree);
+                assert_eq!(got.map(|e| bits(&[e])), want.map(|e| bits(&[e])));
             }
             for to in [0, 7, 31, PROBE_PAST] {
-                let want = list.iter().find(|e| e.file.raw() == to).map(|e| e.degree);
-                assert_eq!(CorrelationSource::degree(t, file, FileId::new(to)), want);
+                let want = list.iter().find(|e| e.file.raw() == to);
+                let got = CorrelationSource::degree(t, file, FileId::new(to));
+                assert_eq!(got.map(f64::to_bits), want.map(|e| e.degree.to_bits()));
             }
         }
         // At most half full, sized by the lists and never by the ids, and
@@ -602,9 +683,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(512))]
 
-        /// `push_list` and `append` in arbitrary owner order, repeats and
-        /// empty lists included, against a `BTreeMap` of lists plus the
-        /// order they were appended in.
+        /// `push_list` and `append` in arbitrary owner order, repeats,
+        /// empty lists and lists longer than the copy window included, with
+        /// degrees that tie the thresholds or are ±NaN or −0.0, against a
+        /// `BTreeMap` of lists plus the order they were appended in.
         #[test]
         fn table_matches_a_map_of_lists(
             stride in 0usize..3,
@@ -613,7 +695,10 @@ mod tests {
                 (
                     proptest::prelude::any::<bool>(),
                     proptest::collection::vec(
-                        (0u32..56, proptest::collection::vec((0u32..64, 0.0f64..=1.0), 0..6)),
+                        (
+                            0u32..56,
+                            proptest::collection::vec((0u32..64, 0u8..16, 0.0f64..=1.0), 0..20),
+                        ),
                         0..5,
                     ),
                 ),

@@ -39,7 +39,7 @@
 //!
 //! | query | live model | table / snapshot |
 //! |---|---|---|
-//! | `top_k_into` | O(deg + k log k) — degrees evaluated, partial select, **not** O(deg log deg) | one index probe + O(k) copy of a stored prefix |
+//! | `top_k_into` | O(deg + k log k) — degrees evaluated, partial select, **not** O(deg log deg) | one index probe + a fixed k-wide copy of a stored prefix |
 //! | `strongest` | O(deg) scan, no sort | the stored head, O(1) |
 //! | `degree` | O(deg) scan | O(deg) scan |
 //! | `version` | O(1) | O(1) |
@@ -63,9 +63,11 @@ pub trait CorrelationSource {
     /// Clear `out` and fill it with up to `k` strongest correlators of
     /// `file` whose degree reaches `min_degree`, strongest first (ties by
     /// ascending file id). Steady-state allocation-free: once `out` has
-    /// warmed — to `k` entries over stored lists, to the largest successor
-    /// count queried (≤ `max_successors`) over the live model, which
-    /// selects in place — repeated calls never allocate.
+    /// warmed — to `min(k, MAX_SUCCESSORS)` entries on the first hit over
+    /// stored lists, which copy a fixed `k`-wide window
+    /// ([`crate::graph::MAX_SUCCESSORS`]), to the largest successor count
+    /// queried (≤ `max_successors`) over the live model, which selects in
+    /// place — repeated calls never allocate.
     fn top_k_into(&self, file: FileId, k: usize, min_degree: f64, out: &mut Vec<Correlator>);
 
     /// The single strongest correlator of `file` with degree ≥
@@ -131,37 +133,17 @@ pub(crate) fn rank_cmp(a: &Correlator, b: &Correlator) -> std::cmp::Ordering {
         .then_with(|| a.file.raw().cmp(&b.file.raw()))
 }
 
-/// Copy the valid prefix of a canonically sorted slice into `out`:
-/// up to `k` entries with degree ≥ `min_degree`. Shared by every
-/// sorted-storage back-end.
-#[inline]
-pub(crate) fn copy_top_k(
-    sorted: &[Correlator],
-    k: usize,
-    min_degree: f64,
-    out: &mut Vec<Correlator>,
-) {
-    out.clear();
-    for c in sorted.iter().take(k) {
-        if !miner::is_valid(c.degree, min_degree) {
-            break; // sorted descending: everything after fails too
-        }
-        out.push(*c);
-    }
-}
-
 impl CorrelationSource for crate::CorrelatorTable {
     fn version(&self) -> u64 {
         self.version()
     }
 
+    #[inline]
     fn top_k_into(&self, file: FileId, k: usize, min_degree: f64, out: &mut Vec<Correlator>) {
-        match self.get(file) {
-            Some(list) => copy_top_k(list, k, min_degree, out),
-            None => out.clear(),
-        }
+        self.top_k_into(file, k, min_degree, out)
     }
 
+    #[inline]
     fn strongest(&self, file: FileId, min_degree: f64) -> Option<Correlator> {
         self.get(file)
             .and_then(|l| l.first().copied())

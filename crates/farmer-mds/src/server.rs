@@ -206,6 +206,8 @@ impl MdsServer {
                 if hit {
                     self.cfg.latency.hit()
                 } else {
+                    // Only the pages are charged: the record, or the error
+                    // of one that does not decode, is discarded.
                     let (_rec, pages) = self.store.get_metadata(event.file);
                     self.cache.insert_demand(event.file);
                     self.cfg.latency.miss(pages)
@@ -259,6 +261,8 @@ impl MdsServer {
             // and nothing pops between the peek and here
             let req = self.prefetch_q.pop().expect("non-empty");
             if !self.cache.contains(req.file) {
+                // A prefetch is charged a flat service time: the record,
+                // its decode error and its pages are all discarded.
                 let (_rec, _pages) = self.store.get_metadata(req.file);
                 self.cache.insert_prefetch(req.file);
             }

@@ -11,6 +11,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Number of buckets — one per power of two of `u64`.
 pub const BUCKETS: usize = 64;
@@ -202,6 +203,7 @@ impl Histogram {
     }
 
     /// Whether this handle records anything.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
@@ -224,8 +226,25 @@ impl Histogram {
 
     /// Start an RAII span recording elapsed wall-clock nanoseconds into
     /// this histogram on drop (no clock read when the handle is no-op).
+    #[inline]
     pub fn span(&self) -> crate::Span {
         crate::Span::start(self)
+    }
+
+    /// Run `f` and record its wall-clock nanoseconds. With a no-op handle
+    /// this is `f()` between two tests of the handle — no clock read and
+    /// no span to move or drop, which an inlined hot path would still pay
+    /// for; with a live one it reads the clock twice and records.
+    #[inline(always)]
+    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
+        // `f` is called at one place, so it is inlined here once, not
+        // once a mode.
+        let t0 = self.is_enabled().then(Instant::now);
+        let out = f();
+        if let Some(t0) = t0 {
+            self.record(crate::metric::elapsed_ns(t0));
+        }
+        out
     }
 
     /// A point-in-time copy. Concurrent recorders may tear *across* fields
@@ -393,6 +412,19 @@ mod tests {
         {
             let _s = noop.span();
         }
+        assert!(noop.snapshot().is_empty());
+    }
+
+    #[test]
+    fn time_returns_the_closures_value_and_records_when_live() {
+        let h = Histogram::live();
+        assert_eq!(h.time(|| 7), 7);
+        assert_eq!(h.time(|| "twice"), "twice");
+        assert_eq!(h.snapshot().count, 2);
+        let noop = Histogram::noop();
+        let mut ran = false;
+        noop.time(|| ran = true);
+        assert!(ran, "a disabled handle still runs the closure");
         assert!(noop.snapshot().is_empty());
     }
 }

@@ -14,7 +14,9 @@
 //!   bucket bounds. [`HistSnapshot`] is the plain (non-atomic) counterpart
 //!   used for single-threaded accounting and per-phase deltas.
 //! * [`Span`] — an RAII wall-clock timer that records elapsed nanoseconds
-//!   into a histogram on drop.
+//!   into a histogram on drop; [`Histogram::time`] times one closure the
+//!   same way, and reads no clock and builds no span when the handle is a
+//!   no-op.
 //! * [`Registry`] — a hierarchical name→metric map. `Registry::enabled()`
 //!   hands out live handles; `Registry::disabled()` hands out no-op handles
 //!   so instrumented code paths cost one branch when observability is off;

@@ -114,6 +114,7 @@ pub struct Span {
 
 impl Span {
     /// Start timing into `hist` (no-op if `hist` is disabled).
+    #[inline]
     pub fn start(hist: &Histogram) -> Span {
         Span {
             start: hist.is_enabled().then(Instant::now),
@@ -123,6 +124,7 @@ impl Span {
 
     /// Stop early and record, consuming the span. Returns the elapsed
     /// nanoseconds (0 when disabled).
+    #[inline]
     pub fn finish(mut self) -> u64 {
         self.record()
     }
@@ -131,12 +133,18 @@ impl Span {
         match self.start.take() {
             None => 0,
             Some(t0) => {
-                let ns = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                let ns = elapsed_ns(t0);
                 self.hist.record(ns);
                 ns
             }
         }
     }
+}
+
+/// Nanoseconds since `t0`, saturating at `u64::MAX`.
+#[inline]
+pub(crate) fn elapsed_ns(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
 impl Drop for Span {

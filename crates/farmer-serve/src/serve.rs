@@ -365,11 +365,13 @@ impl ServeReader {
     }
 
     /// The k strongest correlators of `file` (degree ≥ `min_degree`) from
-    /// the newest published snapshot, into `out`. Steady-state hot path:
-    /// one atomic load, one array read (the table's index slot is the file
-    /// id itself while ids are dense, a short probe from a hashed slot
-    /// once they are not), a copy of the list's prefix; no lock, no
-    /// allocation once `out` has warmed.
+    /// the newest published snapshot, into `out`. Steady-state hot path,
+    /// inlined into a caller that names this reader: one atomic epoch load,
+    /// one index slot (the file id itself while ids are dense, a short
+    /// probe from a hashed slot once they are not), one fixed `k`-wide copy
+    /// of the list's prefix; no lock, no call, no allocation once `out`
+    /// has warmed. Picking up a new publication is a cold call, and with a
+    /// disabled registry the query is not timed at all.
     #[inline]
     pub fn top_k_into(
         &mut self,
@@ -378,18 +380,21 @@ impl ServeReader {
         min_degree: f64,
         out: &mut Vec<Correlator>,
     ) {
-        let span = self.query_ns.span();
-        self.reader.current().top_k_into(file, k, min_degree, out);
-        span.finish();
+        // The closure carries the whole query; a caller with several read
+        // loops would otherwise get one shared out-of-line copy of it.
+        self.query_ns.time(
+            #[inline(always)]
+            || self.reader.current().top_k_into(file, k, min_degree, out),
+        );
         self.queries.inc();
     }
 
     /// The single strongest correlator of `file`, if any.
     #[inline]
     pub fn strongest(&mut self, file: FileId, min_degree: f64) -> Option<Correlator> {
-        let span = self.query_ns.span();
-        let got = self.reader.current().strongest(file, min_degree);
-        span.finish();
+        let got = self
+            .query_ns
+            .time(|| self.reader.current().strongest(file, min_degree));
         self.queries.inc();
         got
     }

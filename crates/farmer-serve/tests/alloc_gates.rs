@@ -5,8 +5,10 @@
 //! worker and the miner's shard threads — so the binary holds exactly
 //! one test: a second one running beside it would be counted too.
 //!
-//! * a steady-state [`ServeReader::top_k_into`] allocates nothing, and
-//!   neither do the sources under it: the live model's `top_k_into`
+//! * a steady-state [`ServeReader::top_k_into`] allocates nothing and
+//!   never resizes a buffer warmed to `K`; a buffer that starts empty is
+//!   allocated once over a pass. Neither do the sources under it
+//!   allocate: the live model's `top_k_into`
 //!   (selection in the caller's buffer) and `strongest`, and an exported
 //!   `CorrelatorTable`'s `top_k_into`;
 //! * the live model queried the way a self-mining FPA queries it — one
@@ -126,8 +128,20 @@ fn queries_allocate_nothing_and_publication_a_fixed_handful() {
     let mut out: Vec<Correlator> = Vec::with_capacity(K);
     assert_steady_state_is_alloc_free(&trace, "reader top-k", |f| {
         reader.top_k_into(f, K, 0.0, &mut out);
+        // The copy is K wide whatever the list's length: a buffer warmed
+        // to K is never grown, and never shrunk.
+        assert_eq!(out.capacity(), K, "a query resized a buffer warmed to K");
         !out.is_empty()
     });
+    // A buffer that starts empty is grown once, on the first hit, to K.
+    let mut fresh: Vec<Correlator> = Vec::new();
+    let allocs = allocs_during(|| {
+        for e in &trace.events {
+            reader.top_k_into(e.file, K, 0.0, &mut fresh);
+        }
+    });
+    assert_eq!(allocs, 1, "a Vec::new() buffer over one pass");
+    assert_eq!(fresh.capacity(), K);
     drop(serve);
 
     // No other thread runs from here on. Handing a path on — a clone, or

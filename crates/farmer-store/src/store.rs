@@ -139,15 +139,19 @@ impl MetaStore {
     }
 
     /// Look up one metadata record. Returns the number of pages the lookup
-    /// touched alongside the record, for per-request latency charging.
-    pub fn get_metadata(&mut self, file: FileId) -> (Option<MetadataRecord>, u64) {
+    /// touched alongside the record, for per-request latency charging —
+    /// also when the stored bytes do not decode, which is an error, not a
+    /// panic: the pages were read either way.
+    pub fn get_metadata(
+        &mut self,
+        file: FileId,
+    ) -> (Result<Option<MetadataRecord>, DecodeError>, u64) {
         let before = self.metadata.io().page_reads;
         let rec = self
             .metadata
             .get(file.raw() as u64)
-            // lint: allow(panic) records are written by encode(); a decode
-            // failure means on-disk corruption, which has no sane recovery
-            .map(|b| MetadataRecord::decode(b).expect("store corruption"));
+            .map(MetadataRecord::decode)
+            .transpose();
         let pages = self.metadata.io().page_reads - before;
         self.stats.lookups += 1;
         self.obs.lookups.inc();
@@ -165,13 +169,17 @@ impl MetaStore {
     }
 
     /// Range scan of metadata records by file id (layout grouping uses it).
-    pub fn scan_metadata(&mut self, lo: FileId, hi: FileId) -> Vec<MetadataRecord> {
+    /// The first record in the range that does not decode fails the scan.
+    pub fn scan_metadata(
+        &mut self,
+        lo: FileId,
+        hi: FileId,
+    ) -> Result<Vec<MetadataRecord>, DecodeError> {
         let out = self
             .metadata
             .range(lo.raw() as u64, hi.raw() as u64)
             .into_iter()
-            // lint: allow(panic) same corruption policy as get()
-            .map(|(_, v)| MetadataRecord::decode(&v).expect("store corruption"))
+            .map(|(_, v)| MetadataRecord::decode(&v))
             .collect();
         self.sync_io();
         out
@@ -222,10 +230,34 @@ mod tests {
         s.put_metadata(&rec(1, 100));
         s.put_metadata(&rec(2, 200));
         let (got, pages) = s.get_metadata(FileId::new(1));
-        assert_eq!(got, Some(rec(1, 100)));
+        assert_eq!(got, Ok(Some(rec(1, 100))));
         assert!(pages >= 1, "a lookup touches at least the root page");
         let (missing, _) = s.get_metadata(FileId::new(99));
-        assert_eq!(missing, None);
+        assert_eq!(missing, Ok(None));
+    }
+
+    #[test]
+    fn undecodable_record_is_an_error_that_still_charges_its_pages() {
+        let mut s = MetaStore::new();
+        let recs: Vec<MetadataRecord> = (0..100).map(|i| rec(i, i as u64)).collect();
+        s.load_namespace(&recs);
+        // Bytes `encode` never writes: a record cut short.
+        s.metadata.insert(40, &rec(40, 1).encode()[..5]);
+        let (got, pages) = s.get_metadata(FileId::new(40));
+        assert_eq!(got, Err(DecodeError::Truncated));
+        assert!(pages >= 1, "the lookup read its pages");
+        assert_eq!(s.stats().lookups, 1);
+        assert_eq!(
+            s.scan_metadata(FileId::new(30), FileId::new(49)),
+            Err(DecodeError::Truncated)
+        );
+        // Records around it still decode.
+        assert_eq!(s.get_metadata(FileId::new(41)).0, Ok(Some(rec(41, 41))));
+        assert_eq!(
+            s.scan_metadata(FileId::new(41), FileId::new(49))
+                .map(|r| r.len()),
+            Ok(9)
+        );
     }
 
     #[test]
@@ -248,7 +280,7 @@ mod tests {
         s.put_metadata(&rec(5, 50));
         assert!(s.remove_metadata(FileId::new(5)));
         assert!(!s.remove_metadata(FileId::new(5)));
-        assert_eq!(s.get_metadata(FileId::new(5)).0, None);
+        assert_eq!(s.get_metadata(FileId::new(5)).0, Ok(None));
     }
 
     #[test]
@@ -258,7 +290,7 @@ mod tests {
         s.load_namespace(&recs);
         assert_eq!(s.metadata_len(), 1000);
         assert!(s.metadata_depth() >= 2, "1000 records should split");
-        let scan = s.scan_metadata(FileId::new(10), FileId::new(19));
+        let scan = s.scan_metadata(FileId::new(10), FileId::new(19)).unwrap();
         assert_eq!(scan.len(), 10);
     }
 
@@ -270,7 +302,7 @@ mod tests {
         for i in 0..100 {
             s.put_metadata(&rec(i, i as u64));
         }
-        s.get_metadata(FileId::new(7));
+        assert_eq!(s.get_metadata(FileId::new(7)).0, Ok(Some(rec(7, 7))));
         let snap = reg.snapshot();
         let io = s.stats();
         assert_eq!(snap.counter("store.page_reads"), Some(io.page_reads));
@@ -286,7 +318,7 @@ mod tests {
         s.put_metadata(&rec(1, 1));
         let w0 = s.stats().page_writes;
         let r0 = s.stats().page_reads;
-        s.get_metadata(FileId::new(1));
+        assert_eq!(s.get_metadata(FileId::new(1)).0, Ok(Some(rec(1, 1))));
         assert!(s.stats().page_reads > r0);
         assert_eq!(s.stats().page_writes, w0, "reads must not write");
         assert_eq!(s.stats().lookups, 1);

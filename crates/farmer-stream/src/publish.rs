@@ -14,10 +14,12 @@
 //!   [`CellReader`] caching the `Arc` of the last epoch it picked up.
 //!   Serving a query while the epoch is unchanged — the steady state
 //!   between publications — is one atomic load plus a query against the
-//!   cached snapshot: no lock, no reference-count traffic, no allocation.
-//!   Only when the epoch has advanced does the reader take the cell's
-//!   publication lock for one bounded `Arc` clone (a reference-count
-//!   bump — still no allocation), once per swap, never while serving.
+//!   cached snapshot: no lock, no reference-count traffic, no allocation,
+//!   and no call — the epoch compare inlines into the caller. Only when
+//!   the epoch has advanced does the reader make a cold call that takes
+//!   the cell's publication lock for one bounded `Arc` clone (a
+//!   reference-count bump — still no allocation), once per swap, never
+//!   while serving.
 //! * **Version monotonicity is guaranteed.** The cell's epoch strictly
 //!   increases, [`SnapshotCell::install`] rejects a snapshot whose stream
 //!   position regresses, and a [`CellReader`] only ever replaces its
@@ -143,16 +145,27 @@ pub struct CellReader {
 impl CellReader {
     /// Pick up the latest epoch if one was published since the last call.
     /// Returns `true` if the cached snapshot changed. Hot path (epoch
-    /// unchanged): one atomic load, nothing else.
+    /// unchanged): one atomic load and one compare, inlined into the
+    /// caller; the pick-up is a cold call.
     #[inline]
     pub fn refresh(&mut self) -> bool {
         // ord: Acquire pairs with install's Release bump; observing a new
-        // epoch guarantees the lock-protected reload below sees at least
-        // that publication.
+        // epoch guarantees the lock-protected reload in `pick_up` sees at
+        // least that publication.
         let published = self.cell.epoch.load(Ordering::Acquire);
         if published == self.seen {
             return false;
         }
+        self.pick_up();
+        true
+    }
+
+    /// Take the cell's lock for its newest (epoch, snapshot) pair — once
+    /// per publication, out of line so the steady-state query stays
+    /// straight-line code.
+    #[cold]
+    #[inline(never)]
+    fn pick_up(&mut self) {
         let (epoch, snap) = self.cell.load();
         // The lock round-trip can only observe the epoch we saw or a
         // newer one; regression would be a cell bug, not a race.
@@ -163,7 +176,6 @@ impl CellReader {
         );
         self.seen = epoch;
         self.cached = snap;
-        true
     }
 
     /// The epoch of the snapshot this reader currently serves from.
@@ -172,6 +184,7 @@ impl CellReader {
     }
 
     /// The current snapshot (refreshing first).
+    #[inline]
     pub fn current(&mut self) -> &StreamSnapshot {
         self.refresh();
         &self.cached

@@ -108,10 +108,12 @@ impl CorrelationSource for StreamSnapshot {
         self.events
     }
 
+    #[inline]
     fn top_k_into(&self, file: FileId, k: usize, min_degree: f64, out: &mut Vec<Correlator>) {
         self.table.top_k_into(file, k, min_degree, out)
     }
 
+    #[inline]
     fn strongest(&self, file: FileId, min_degree: f64) -> Option<Correlator> {
         self.table.strongest(file, min_degree)
     }

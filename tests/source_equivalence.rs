@@ -191,6 +191,58 @@ fn exports_agree_list_by_list() {
     }
 }
 
+/// Every read path over one published HP snapshot — the serving tier's
+/// reader, a raw cell reader, the snapshot and its table — against the
+/// stored lists themselves: the prefix of `correlators(file)` up to its
+/// first entry under `min_degree`, at most `k` long. The `k`s straddle the
+/// edges of the table's fixed copy window, one threshold ties an entry of
+/// the list exactly, and ids past the namespace are misses for all four.
+#[test]
+fn every_read_path_serves_the_filtered_prefix_of_the_stored_list() {
+    let trace = WorkloadSpec::hp().scaled(0.03).generate();
+    let serve = FarmerServe::spawn(ServeConfig::default());
+    let mut tx = serve.handle();
+    for e in &trace.events {
+        assert!(tx.ingest_event(&trace, e));
+    }
+    serve.flush();
+    let mut reader = serve.reader();
+    let mut cell_reader = serve.cell().reader();
+    let snap = reader.snapshot();
+    assert_eq!(snap.events, trace.len() as u64);
+    let mut out = Vec::new();
+    let mut hits = 0usize;
+    for fid in 0..trace.num_files() as u32 + 64 {
+        let file = FileId::new(fid);
+        let list = snap.correlators(file).unwrap_or(&[]);
+        hits += usize::from(!list.is_empty());
+        let tie = list.get(list.len() / 2).map_or(0.5, |c| c.degree);
+        for k in [0, 1, 3, 7, 8, 9, 15, 16, 17, usize::MAX] {
+            for min_degree in [0.0, 0.4, tie, f64::NAN] {
+                let want: Vec<Correlator> = list
+                    .iter()
+                    .take_while(|c| c.degree >= min_degree)
+                    .take(k)
+                    .copied()
+                    .collect();
+                let what = format!("top_k_into({file}, {k}, {min_degree})");
+                reader.top_k_into(file, k, min_degree, &mut out);
+                assert_eq!(out, want, "ServeReader {what}");
+                cell_reader
+                    .current()
+                    .top_k_into(file, k, min_degree, &mut out);
+                assert_eq!(out, want, "CellReader {what}");
+                StreamSnapshot::top_k_into(&snap, file, k, min_degree, &mut out);
+                assert_eq!(out, want, "StreamSnapshot {what}");
+                snap.table.top_k_into(file, k, min_degree, &mut out);
+                assert_eq!(out, want, "CorrelatorTable {what}");
+            }
+        }
+    }
+    assert!(hits > 100, "only {hits} files had a list");
+    serve.shutdown();
+}
+
 #[test]
 fn versions_move_with_their_backends() {
     let trace = WorkloadSpec::hp().scaled(0.01).generate();
