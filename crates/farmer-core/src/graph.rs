@@ -13,9 +13,22 @@
 //! Memory discipline (paper §3.3): FARMER "does not need to maintain any
 //! correlative information for weak correlations". Two mechanisms enforce
 //! this: a hard per-node successor cap (lowest-degree edge evicted; at
-//! most [`MAX_SUCCESSORS`], one cache line of ids) and an explicit
-//! [`CorrelationGraph::prune_below`] for dropping edges whose degree has
-//! fallen under a floor as their node's total grew.
+//! most [`MAX_SUCCESSORS`], one cache line of ids) and an explicit prune
+//! (`prune_below`) for dropping edges whose degree has fallen under a
+//! floor as their node's total grew.
+//!
+//! # One writer
+//!
+//! Everything that changes a graph — an access, a batch of edge updates,
+//! a prune, a node cleared, the eviction sweep, stale path memos — is
+//! private to this crate, and [`crate::Farmer`] is its one caller: outside
+//! it a graph is read (queries, publication, the state image) or restored
+//! ([`CorrelationGraph::from_state`]). What the kernel below computes is
+//! stated once, layout-free, in the workspace's spec suite
+//! (`tests/spec/mod.rs`, run by `tests/mining_spec.rs`), which drives a
+//! `Farmer` and compares it with the statement after every call through
+//! the public API alone — so a change to the layout here is checked without
+//! a second copy of that layout to keep in step.
 //!
 //! # Storage: sparse slotted nodes
 //!
@@ -25,7 +38,7 @@
 //! whole-graph sweep are proportional to *active* nodes — never to the
 //! magnitude of the largest file id observed. An open-ended id universe
 //! (ids spread over 10^7 and beyond) costs the same as a dense one, and
-//! [`CorrelationGraph::clear_node`] genuinely reclaims space.
+//! clearing a node genuinely reclaims space.
 //!
 //! # Hot-path layout
 //!
@@ -44,7 +57,7 @@
 //! arrays go to a small pool the next new nodes draw from, so a graph that
 //! evicts and refills at a node cap stops calling the allocator.
 //!
-//! [`CorrelationGraph::mine_batch`] commits one event's window of
+//! `CorrelationGraph::mine_batch` commits one event's window of
 //! predecessor updates in two phases — one branch-free search per update
 //! plus a prefetch, then the update — and is built around the *reject*:
 //! with the successor cap and the validity filter in place a steady-state
@@ -66,7 +79,7 @@
 //!
 //! | operation | cost |
 //! |---|---|
-//! | `record_access` | O(1) hash probe |
+//! | `record_access_hinted` | O(1) hash probe, none with a live hint |
 //! | locate (every update) | one vectorised pass over the 16-id line, no early exit |
 //! | edge-update hit | memoized term, one payload line (prefetched) |
 //! | edge-update insert (below the cap) | one path term unless the bound already is it (a pair in disjoint directories: most of them); O(d) shift of line, payloads, degrees |
@@ -135,9 +148,9 @@ const PAD: u32 = u32::MAX;
 /// Nothing branches on the data: every id is compared both ways and the
 /// results reduced, a plain loop LLVM turns into vector compares (it does
 /// so only in optimised builds, which is why CI also runs this crate's
-/// tests with `--release`). The pad never counts as "below" (nothing is
-/// above `u32::MAX`) and can only equal a `to` of `u32::MAX`, which the
-/// `pos < len` term settles.
+/// tests and the spec suite, `tests/mining_spec.rs`, with `--release`).
+/// The pad never counts as "below" (nothing is above `u32::MAX`) and can
+/// only equal a `to` of `u32::MAX`, which the `pos < len` term settles.
 #[inline(always)]
 fn locate(line: &Line, len: usize, to: u32) -> (usize, bool) {
     let (mut below, mut equal) = (0u32, false);
@@ -406,11 +419,11 @@ impl Node {
 /// against the slot's resident id and silently falls back to the index when
 /// eviction has moved the node. Stale hints are therefore always safe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeHint(u32);
+pub(crate) struct NodeHint(u32);
 
 impl NodeHint {
     /// The always-invalid hint (forces an index probe).
-    pub const NONE: NodeHint = NodeHint(u32::MAX);
+    pub(crate) const NONE: NodeHint = NodeHint(u32::MAX);
 }
 
 /// Number of predecessor updates located-and-prefetched per pipeline
@@ -420,7 +433,7 @@ const PIPELINE_WIDTH: usize = 8;
 /// One windowed predecessor's pending edge update, prepared by the model's
 /// mining loop and committed by [`CorrelationGraph::mine_batch`].
 #[derive(Debug, Clone, Copy)]
-pub struct PredUpdate {
+pub(crate) struct PredUpdate {
     /// Predecessor file (edge source).
     pub file: FileId,
     /// Best-effort slot hint for the predecessor's node.
@@ -453,7 +466,7 @@ pub struct EdgeView {
     pub degree: f64,
 }
 
-/// What the edge updates committed by [`CorrelationGraph::mine_batch`]
+/// What the edge updates committed by the mining kernel (`mine_batch`)
 /// turned out to be, counted since the graph was created or restored (the
 /// counts are diagnostics, not part of [`crate::state::GraphState`]).
 /// Every update is exactly one of the first five.
@@ -569,14 +582,10 @@ impl CorrelationGraph {
         }
     }
 
-    /// Record one access to `file`, incrementing `N(file)`.
-    pub fn record_access(&mut self, file: FileId) {
-        let _ = self.record_access_hinted(file);
-    }
-
-    /// [`CorrelationGraph::record_access`], returning a [`NodeHint`] that a
-    /// later mining touch of the same file can use to skip the index probe.
-    pub fn record_access_hinted(&mut self, file: FileId) -> NodeHint {
+    /// Record one access to `file`, incrementing `N(file)`, and return a
+    /// [`NodeHint`] that a later mining touch of the same file can use to
+    /// skip the index probe.
+    pub(crate) fn record_access_hinted(&mut self, file: FileId) -> NodeHint {
         self.epoch += 1;
         let s = self.slot_or_insert(file);
         self.slots[s].total += 1.0;
@@ -586,39 +595,6 @@ impl CorrelationGraph {
     /// Total access count `N(file)`.
     pub fn total_accesses(&self, file: FileId) -> f64 {
         self.slot_of(file).map_or(0.0, |s| self.slots[s].total)
-    }
-
-    /// Update (or create) the edge `from → to` after observing `to` at LDA
-    /// weight `weight` with semantic similarity `sim`: one
-    /// [`CorrelationGraph::mine_batch`] update whose similarity is a pure
-    /// scalar part (one matching item) with an empty path term, which the
-    /// kernel reproduces exactly — `(sim + 0) / (1 + 0) = sim` — and never
-    /// has to evaluate. Enforces the per-node successor cap from `cfg` as
-    /// every update does.
-    ///
-    /// A given edge must be driven consistently through *either* this
-    /// pre-combined-similarity API *or* decomposed
-    /// [`CorrelationGraph::mine_batch`] updates: the memoized denominator
-    /// baked into the edge assumes the scalar-item convention of whichever
-    /// call created it, so mixing the two on one edge would mis-scale later
-    /// similarities.
-    pub fn update_edge(
-        &mut self,
-        from: FileId,
-        to: FileId,
-        weight: f64,
-        sim: f64,
-        cfg: &FarmerConfig,
-    ) {
-        let update = PredUpdate {
-            file: from,
-            hint: NodeHint::NONE,
-            weight,
-            s_inter: sim,
-            s_items: 1,
-            path_bound: Some((0.0, 0)),
-        };
-        self.mine_batch(&[update], to, false, |_| (0.0, 0), cfg);
     }
 
     /// Mine one event against a batch of windowed predecessors in two
@@ -656,7 +632,7 @@ impl CorrelationGraph {
     /// `path_term(pred_file)` is invoked only for an insert, an exact
     /// reject or an admit whose bound is not already the term, and for a
     /// hit whose memo went stale.
-    pub fn mine_batch(
+    pub(crate) fn mine_batch(
         &mut self,
         preds: &[PredUpdate],
         to: FileId,
@@ -927,7 +903,7 @@ impl CorrelationGraph {
     /// path (the successor side comes from each event's path argument and
     /// is guarded by the per-edge presence flag), so this is O(out-degree),
     /// not a graph sweep.
-    pub fn mark_path_memos_stale(&mut self, file: FileId) {
+    pub(crate) fn mark_path_memos_stale(&mut self, file: FileId) {
         self.epoch += 1;
         if let Some(s) = self.slot_of(file) {
             for e in &mut self.slots[s].edges {
@@ -942,7 +918,7 @@ impl CorrelationGraph {
     /// Visits only nodes that may actually have prunable edges: a node
     /// whose similarity lower bound gives `p · sim_lb ≥ floor` is skipped
     /// in O(1), since every one of its degrees is at least `p · sim_avg`.
-    pub fn prune_below(&mut self, floor: f64, cfg: &FarmerConfig) -> usize {
+    pub(crate) fn prune_below(&mut self, floor: f64, cfg: &FarmerConfig) -> usize {
         self.epoch += 1;
         let p = cfg.p;
         let mut removed = 0;
@@ -986,7 +962,7 @@ impl CorrelationGraph {
     /// [`CorrelationGraph::remove_edges_to_any`] sweep over the whole batch
     /// of victims for full node eviction. Returns the number of edges
     /// removed.
-    pub fn clear_node(&mut self, file: FileId) -> usize {
+    pub(crate) fn clear_node(&mut self, file: FileId) -> usize {
         self.epoch += 1;
         match self.slot_of(file) {
             Some(s) => {
@@ -1014,7 +990,7 @@ impl CorrelationGraph {
     /// filter and binary search, and the node rewritten if it does hold a
     /// doomed successor. O(e) contiguous id reads plus writes proportional
     /// to what is removed; the table is reused between calls.
-    pub fn remove_edges_to_any(&mut self, victims: &[FileId]) -> usize {
+    pub(crate) fn remove_edges_to_any(&mut self, victims: &[FileId]) -> usize {
         debug_assert!(victims.windows(2).all(|w| w[0] <= w[1]), "unsorted");
         // The smallest table that gives every victim its 128 buckets; past
         // 32 768 victims the largest one just grows denser.
@@ -1245,163 +1221,21 @@ mod tests {
     }
 
     impl CorrelationGraph {
-        /// [`CorrelationGraph::mine_batch`] as it was before the reject-first
-        /// kernel, kept as the reference the differential tests compare
-        /// against: an early-exit search in phase 1 and, for anything but a
-        /// validated hit, a second one in phase 2; the path term of every
-        /// new successor evaluated before the one comparison that may turn
-        /// it away ([`PredUpdate::path_bound`] is never read); an admit as
-        /// a remove followed by an insert.
-        pub(crate) fn mine_batch_reference(
-            &mut self,
-            preds: &[PredUpdate],
-            to: FileId,
-            succ_has_path: bool,
-            mut path_term: impl FnMut(FileId) -> (f64, u32),
-            cfg: &FarmerConfig,
-        ) {
-            self.epoch += 1;
-            let to = to.raw();
-            for chunk in preds.chunks(PIPELINE_WIDTH) {
-                let located: Vec<(usize, Option<usize>)> = chunk
-                    .iter()
-                    .map(|pu| {
-                        let s = match self.slot_by_hint(pu.file, pu.hint) {
-                            Some(s) => s,
-                            None => self.slot_or_insert(pu.file),
-                        };
-                        let tos = &self.ids[s][..self.slots[s].edges.len()];
-                        let pos = lower_bound(tos, to);
-                        (s, (tos.get(pos) == Some(&to)).then_some(pos))
-                    })
-                    .collect();
-                for (pu, (s, hint)) in chunk.iter().zip(located) {
-                    self.apply_reference(s, hint, to, pu, succ_has_path, &mut path_term, cfg);
-                }
-            }
+        /// One access to `file`.
+        fn access(&mut self, file: FileId) {
+            let _ = self.record_access_hinted(file);
         }
 
-        #[allow(clippy::too_many_arguments)]
-        fn apply_reference(
-            &mut self,
-            s: usize,
-            pos_hint: Option<usize>,
-            to: u32,
-            pu: &PredUpdate,
-            succ_has_path: bool,
-            path_term: &mut dyn FnMut(FileId) -> (f64, u32),
-            cfg: &FarmerConfig,
-        ) {
-            let p = cfg.p;
-            let cap = cfg.max_successors.clamp(1, MAX_SUCCESSORS);
-            let (node, line) = self.node_and_line(s);
-            let total = node.total.max(1.0);
-            let len = node.edges.len();
-            let inv_of = |denom: u32| match denom {
-                0 => 0.0,
-                denom => 1.0 / f64::from(denom),
+        /// One co-occurrence `from → to` at LDA weight `weight` and
+        /// similarity `sim`: an update whose similarity is all scalar part,
+        /// one matching item of one, with an empty path term — `(sim + 0) ×
+        /// (1 / 1)`, `sim` to the bit.
+        fn edge(&mut self, from: FileId, to: FileId, weight: f64, sim: f64, cfg: &FarmerConfig) {
+            let update = PredUpdate {
+                s_inter: sim,
+                ..pred(from.raw(), weight)
             };
-            let (pos, hit) = match pos_hint {
-                Some(ph) if ph < len && line[ph] == to => (ph, true),
-                _ => {
-                    let pos = lower_bound(&line[..len], to);
-                    (pos, pos < len && line[pos] == to)
-                }
-            };
-            if hit {
-                let e = &mut node.edges[pos];
-                if e.inv_denom.is_nan() || e.succ_path != succ_has_path {
-                    let (path_inter, path_items) = path_term(pu.file);
-                    e.path_inter = path_inter;
-                    e.inv_denom = inv_of(pu.s_items + path_items);
-                    e.succ_path = succ_has_path;
-                }
-                let sim = (pu.s_inter + e.path_inter) * e.inv_denom;
-                e.mass += pu.weight;
-                e.sim_sum += sim;
-                e.sim_n += 1;
-                let avg = e.sim_sum / e.sim_n as f64;
-                let deg = miner::correlation_degree(avg, miner::access_frequency(e.mass, total), p);
-                node.degs[pos] = deg;
-                node.sim_lb = node.sim_lb.min(sim);
-                if node.weakest == NO_EDGE {
-                } else if node.weakest == pos as u32 {
-                    node.weakest = NO_EDGE;
-                } else if node.weaker_than_weakest(line, deg, to) {
-                    node.weakest = pos as u32;
-                }
-                return;
-            }
-            let (path_inter, path_items) = path_term(pu.file);
-            let inv_denom = inv_of(pu.s_items + path_items);
-            let sim = (pu.s_inter + path_inter) * inv_denom;
-            let degree =
-                miner::correlation_degree(sim, miner::access_frequency(pu.weight, total), p);
-            let edge = EdgeData {
-                mass: pu.weight,
-                sim_sum: sim,
-                sim_n: 1,
-                path_inter,
-                inv_denom,
-                succ_path: succ_has_path,
-            };
-            let insert = |node: &mut Node, line: &mut [u32], len: usize, pos: usize| {
-                line.copy_within(pos..len, pos + 1);
-                line[pos] = to;
-                node.edges.insert(pos, edge);
-                node.degs.insert(pos, degree);
-                node.sim_lb = node.sim_lb.min(sim);
-            };
-            if len < cap {
-                insert(node, line, len, pos);
-                if node.weakest != NO_EDGE {
-                    if node.weakest as usize >= pos {
-                        node.weakest += 1;
-                    }
-                    if node.weaker_than_weakest(line, degree, to) {
-                        node.weakest = pos as u32;
-                    }
-                }
-                self.num_edges += 1;
-                return;
-            }
-            if node.weakest == NO_EDGE {
-                node.rescan_weakest(line);
-            }
-            let w = node.weakest as usize;
-            if degree > node.degs[w] {
-                line.copy_within(w + 1..len, w);
-                line[len - 1] = PAD;
-                node.edges.remove(w);
-                node.degs.remove(w);
-                let pos = line[..len - 1].partition_point(|&t| t < to);
-                insert(node, line, len - 1, pos);
-                node.rescan_weakest(line);
-            }
-        }
-
-        /// The closure-driven sweep [`CorrelationGraph::remove_edges_to_any`]
-        /// replaced, kept as the reference the differential tests compare
-        /// against: every node is compacted through `keep`, hit or not.
-        pub(crate) fn retain_edges_reference(
-            &mut self,
-            mut keep: impl FnMut(FileId, FileId) -> bool,
-        ) -> usize {
-            self.epoch += 1;
-            let mut removed = 0;
-            let mut s = 0;
-            while s < self.slots.len() {
-                let (node, line) = self.node_and_line(s);
-                let from = FileId::new(node.id);
-                removed += node.compact(line, |to, _| keep(from, FileId::new(to)));
-                if node.is_inactive() {
-                    self.free_slot(s);
-                } else {
-                    s += 1;
-                }
-            }
-            self.num_edges -= removed;
-            removed
+            self.mine_batch(&[update], to, false, |_| (0.0, 0), cfg);
         }
     }
 
@@ -1465,7 +1299,8 @@ mod tests {
         // inserts C, so the later one must hit it; in the second the
         // earlier one admits D by evicting the weakest edge *below* D's
         // position, which shifts it — the stale position fails the bracket
-        // check and is searched again.
+        // check and is searched again. The same updates committed one batch
+        // each — no position ever goes stale — leave the same graph.
         let mut c = cfg();
         c.max_successors = 3;
         c.p = 1.0; // degree == similarity
@@ -1473,24 +1308,24 @@ mod tests {
             s_inter,
             ..pred(7, 1.0)
         };
-        let build = |kernel: bool| {
+        let build = |batched: bool| {
             let mut g = CorrelationGraph::new();
-            g.record_access(f(7));
-            let mut batch = |preds: &[PredUpdate], to: u32| {
-                if kernel {
+            g.access(f(7));
+            let mut commit = |preds: &[PredUpdate], to: u32| {
+                let per_call = if batched { preds.len() } else { 1 };
+                for preds in preds.chunks(per_call) {
                     g.mine_batch(preds, f(to), false, |_| (0.0, 0), &c);
-                } else {
-                    g.mine_batch_reference(preds, f(to), false, |_| (0.0, 0), &c);
                 }
             };
-            batch(&[update(0.1)], 10); // weakest, lowest id
-            batch(&[update(0.5)], 20);
-            batch(&[update(0.6), update(0.6)], 30); // insert, then hit
-            batch(&[update(0.7), update(0.7)], 40); // admit over 10, then hit
+            commit(&[update(0.1)], 10); // weakest, lowest id
+            commit(&[update(0.5)], 20);
+            commit(&[update(0.6), update(0.6)], 30); // insert, then hit
+            commit(&[update(0.7), update(0.7)], 40); // admit over 10, then hit
             g
         };
-        let (new, old) = (build(true), build(false));
-        assert_eq!(new.export_state(), old.export_state());
+        let (new, one_by_one) = (build(true), build(false));
+        assert_eq!(new.export_state().nodes, one_by_one.export_state().nodes);
+        assert_eq!(one_by_one.update_mix().relocates, 0);
         let succs: Vec<u32> = new.edges(f(7), &c).map(|e| e.to.raw()).collect();
         assert_eq!(succs, vec![20, 30, 40]);
         let mix = new.update_mix();
@@ -1510,7 +1345,7 @@ mod tests {
         let mut g = CorrelationGraph::new();
         for from in 0..3 {
             for to in (100..140).rev() {
-                g.update_edge(f(from), f(to), 1.0, 0.5, &c);
+                g.edge(f(from), f(to), 1.0, 0.5, &c);
             }
         }
         // Equal degrees: the first sixteen offered stay, the rest bounce.
@@ -1531,7 +1366,7 @@ mod tests {
         let c = cfg();
         let mut g = CorrelationGraph::new();
         for to in 0..16 {
-            g.update_edge(f(7), f(100 + to), 1.0, 0.5, &c);
+            g.edge(f(7), f(100 + to), 1.0, 0.5, &c);
         }
         let mut state = g.export_state();
         let mut extra = state.nodes[0].edges[15].clone();
@@ -1543,8 +1378,8 @@ mod tests {
     #[test]
     fn record_access_counts() {
         let mut g = CorrelationGraph::new();
-        g.record_access(f(3));
-        g.record_access(f(3));
+        g.access(f(3));
+        g.access(f(3));
         assert_eq!(g.total_accesses(f(3)), 2.0);
         assert_eq!(g.total_accesses(f(0)), 0.0);
         // Sparse storage: one live node, regardless of id magnitude.
@@ -1555,8 +1390,8 @@ mod tests {
     fn storage_is_id_sparse() {
         let mut g = CorrelationGraph::new();
         let c = cfg();
-        g.record_access(f(9_999_999));
-        g.update_edge(f(9_999_999), f(5_000_000), 1.0, 0.5, &c);
+        g.access(f(9_999_999));
+        g.edge(f(9_999_999), f(5_000_000), 1.0, 0.5, &c);
         assert_eq!(g.active_nodes(), 1);
         let small = g.heap_bytes();
         // A dense spine would be hundreds of MiB here.
@@ -1568,10 +1403,10 @@ mod tests {
     fn update_edge_accumulates() {
         let mut g = CorrelationGraph::new();
         let c = cfg();
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.8, &c);
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 0.9, 0.6, &c);
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.8, &c);
+        g.access(f(0));
+        g.edge(f(0), f(1), 0.9, 0.6, &c);
         let edges: Vec<EdgeView> = g.edges(f(0), &c).collect();
         assert_eq!(edges.len(), 1);
         assert!((edges[0].mass - 1.9).abs() < 1e-12);
@@ -1584,7 +1419,7 @@ mod tests {
         let mut g = CorrelationGraph::new();
         let c = cfg();
         for to in [9u32, 2, 7, 4] {
-            g.update_edge(f(0), f(to), 1.0, 0.5, &c);
+            g.edge(f(0), f(to), 1.0, 0.5, &c);
         }
         let succs: Vec<u32> = g.edges(f(0), &c).map(|e| e.to.raw()).collect();
         assert_eq!(succs, vec![2, 4, 7, 9]);
@@ -1594,8 +1429,8 @@ mod tests {
     fn degree_combines_sim_and_frequency() {
         let mut g = CorrelationGraph::new();
         let c = cfg(); // p = 0.7
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.5, &c);
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.5, &c);
         let e: Vec<EdgeView> = g.edges(f(0), &c).collect();
         // F = 1.0/1.0 = 1, sim = 0.5 -> R = 0.5*0.7 + 1.0*0.3 = 0.65.
         assert!((e[0].degree - 0.65).abs() < 1e-12, "degree {}", e[0].degree);
@@ -1606,11 +1441,11 @@ mod tests {
         // As N(A) grows without B recurring, F decays and so does R.
         let mut g = CorrelationGraph::new();
         let c = cfg();
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.5, &c);
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.5, &c);
         let before = g.edges(f(0), &c).next().unwrap().degree;
         for _ in 0..9 {
-            g.record_access(f(0));
+            g.access(f(0));
         }
         let after = g.edges(f(0), &c).next().unwrap().degree;
         assert!(after < before, "{after} !< {before}");
@@ -1623,10 +1458,10 @@ mod tests {
         let mut g = CorrelationGraph::new();
         let mut c = cfg();
         c.max_successors = 2;
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.1, &c); // weak sim
-        g.update_edge(f(0), f(2), 1.0, 0.9, &c); // strong sim
-        g.update_edge(f(0), f(3), 1.0, 0.5, &c); // mid: evicts f(1)
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.1, &c); // weak sim
+        g.edge(f(0), f(2), 1.0, 0.9, &c); // strong sim
+        g.edge(f(0), f(3), 1.0, 0.5, &c); // mid: evicts f(1)
         let succs: Vec<u32> = g.edges(f(0), &c).map(|e| e.to.raw()).collect();
         assert_eq!(succs.len(), 2);
         assert!(succs.contains(&2));
@@ -1639,9 +1474,9 @@ mod tests {
         let mut g = CorrelationGraph::new();
         let mut c = cfg();
         c.max_successors = 1;
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.9, &c);
-        g.update_edge(f(0), f(2), 0.1, 0.0, &c); // weaker, must bounce
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.9, &c);
+        g.edge(f(0), f(2), 0.1, 0.0, &c); // weaker, must bounce
         let succs: Vec<u32> = g.edges(f(0), &c).map(|e| e.to.raw()).collect();
         assert_eq!(succs, vec![1]);
     }
@@ -1654,11 +1489,11 @@ mod tests {
         let mut c = cfg();
         c.max_successors = 2;
         c.p = 1.0; // degree == sim: deterministic ordering
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.2, &c); // weakest at first
-        g.update_edge(f(0), f(2), 1.0, 0.4, &c);
-        g.update_edge(f(0), f(1), 1.0, 1.0, &c); // f1 sim_avg -> 0.6: now strongest
-        g.update_edge(f(0), f(3), 1.0, 0.5, &c); // must evict f2, not f1
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.2, &c); // weakest at first
+        g.edge(f(0), f(2), 1.0, 0.4, &c);
+        g.edge(f(0), f(1), 1.0, 1.0, &c); // f1 sim_avg -> 0.6: now strongest
+        g.edge(f(0), f(3), 1.0, 0.5, &c); // must evict f2, not f1
         let succs: Vec<u32> = g.edges(f(0), &c).map(|e| e.to.raw()).collect();
         assert_eq!(succs, vec![1, 3]);
     }
@@ -1675,12 +1510,12 @@ mod tests {
             g.mine_batch(&preds, f(3), false, |_| (0.0, 0), &c);
         };
         let mut g = CorrelationGraph::new();
-        g.record_access(f(7));
+        g.access(f(7));
         batch(&mut g);
         let mut seq = CorrelationGraph::new();
-        seq.record_access(f(7));
-        seq.update_edge(f(7), f(3), 1.0, 0.5, &c);
-        seq.update_edge(f(7), f(3), 0.8, 0.5, &c);
+        seq.access(f(7));
+        seq.edge(f(7), f(3), 1.0, 0.5, &c);
+        seq.edge(f(7), f(3), 0.8, 0.5, &c);
         let got: Vec<EdgeView> = g.edges(f(7), &c).collect();
         let want: Vec<EdgeView> = seq.edges(f(7), &c).collect();
         assert_eq!(got.len(), 1);
@@ -1712,9 +1547,9 @@ mod tests {
     fn prune_below_drops_weak_edges() {
         let mut g = CorrelationGraph::new();
         let c = cfg();
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.9, &c); // strong
-        g.update_edge(f(0), f(2), 0.05, 0.0, &c); // weak
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.9, &c); // strong
+        g.edge(f(0), f(2), 0.05, 0.0, &c); // weak
         let removed = g.prune_below(0.3, &c);
         assert_eq!(removed, 1);
         let succs: Vec<u32> = g.edges(f(0), &c).map(|e| e.to.raw()).collect();
@@ -1730,11 +1565,11 @@ mod tests {
         // cached one is no bound, whoever vouches for it.
         let c = FarmerConfig { p: 1.5, ..cfg() };
         let mut g = CorrelationGraph::new();
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.5, &c);
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.5, &c);
         let cached = g.edges(f(0), &c).next().unwrap().degree;
         for _ in 0..3 {
-            g.record_access(f(0));
+            g.access(f(0));
         }
         let now = g.edges(f(0), &c).next().unwrap().degree;
         assert!(now > cached, "{cached} -> {now}");
@@ -1755,10 +1590,10 @@ mod tests {
         let mut g = CorrelationGraph::new();
         let mut c = cfg();
         c.p = 0.7;
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.9, &c); // p*sim = 0.63 >= floor
-        g.record_access(f(2));
-        g.update_edge(f(2), f(3), 0.01, 0.0, &c); // prunable
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.9, &c); // p*sim = 0.63 >= floor
+        g.access(f(2));
+        g.edge(f(2), f(3), 0.01, 0.0, &c); // prunable
         let removed = g.prune_below(0.3, &c);
         assert_eq!(removed, 1);
         assert_eq!(g.edges(f(0), &c).count(), 1);
@@ -1775,9 +1610,9 @@ mod tests {
     fn clear_node_drops_outgoing_and_total() {
         let mut g = CorrelationGraph::new();
         let c = cfg();
-        g.record_access(f(0));
-        g.update_edge(f(0), f(1), 1.0, 0.5, &c);
-        g.update_edge(f(0), f(2), 1.0, 0.5, &c);
+        g.access(f(0));
+        g.edge(f(0), f(1), 1.0, 0.5, &c);
+        g.edge(f(0), f(2), 1.0, 0.5, &c);
         assert_eq!(g.clear_node(f(0)), 2);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.total_accesses(f(0)), 0.0);
@@ -1791,8 +1626,8 @@ mod tests {
         let mut g = CorrelationGraph::new();
         let c = cfg();
         for i in 0..64u32 {
-            g.record_access(f(i));
-            g.update_edge(f(i), f(i + 1_000_000), 1.0, 0.5, &c);
+            g.access(f(i));
+            g.edge(f(i), f(i + 1_000_000), 1.0, 0.5, &c);
         }
         assert_eq!(g.active_nodes(), 64);
         for i in 0..64u32 {
@@ -1801,7 +1636,7 @@ mod tests {
         assert_eq!(g.active_nodes(), 0, "slots must be reclaimed");
         assert_eq!(g.num_edges(), 0);
         // Re-admission works and indexes correctly after slot churn.
-        g.record_access(f(7));
+        g.access(f(7));
         assert_eq!(g.total_accesses(f(7)), 1.0);
         assert_eq!(g.active_nodes(), 1);
     }
@@ -1810,11 +1645,11 @@ mod tests {
     fn remove_edges_to_cleans_incoming() {
         let mut g = CorrelationGraph::new();
         let c = cfg();
-        g.record_access(f(0));
-        g.record_access(f(1));
-        g.update_edge(f(0), f(2), 1.0, 0.5, &c);
-        g.update_edge(f(1), f(2), 1.0, 0.5, &c);
-        g.update_edge(f(1), f(3), 1.0, 0.5, &c);
+        g.access(f(0));
+        g.access(f(1));
+        g.edge(f(0), f(2), 1.0, 0.5, &c);
+        g.edge(f(1), f(2), 1.0, 0.5, &c);
+        g.edge(f(1), f(3), 1.0, 0.5, &c);
         assert_eq!(g.remove_edges_to_any(&[f(2)]), 2);
         assert_eq!(g.num_edges(), 1);
         let succs: Vec<u32> = g.edges(f(1), &c).map(|e| e.to.raw()).collect();
@@ -1826,7 +1661,7 @@ mod tests {
         let mut g = CorrelationGraph::new();
         let c = cfg();
         for to in 1..5 {
-            g.update_edge(f(0), f(to), 1.0, 0.5, &c);
+            g.edge(f(0), f(to), 1.0, 0.5, &c);
         }
         // Duplicates and ids nothing points at are harmless.
         let removed = g.remove_edges_to_any(&[f(1), f(3), f(3), f(77)]);
@@ -1843,31 +1678,30 @@ mod tests {
         // One node holds a real edge to it, one has only pad behind a short
         // list, one has a full line (no pad at all) and one a full line
         // ending in the real `u32::MAX`: evicting that id takes the two
-        // real edges and nothing else, as the closure sweep does.
+        // real edges and nothing else.
         let c = cfg();
-        let build = || {
-            let mut g = CorrelationGraph::new();
-            g.update_edge(f(1), f(u32::MAX), 1.0, 0.5, &c);
-            g.update_edge(f(1), f(9), 1.0, 0.5, &c);
-            g.update_edge(f(2), f(5), 1.0, 0.5, &c);
-            for to in 100..116 {
-                g.update_edge(f(3), f(to), 1.0, 0.5, &c);
-                g.update_edge(f(4), f(if to == 115 { u32::MAX } else { to }), 1.0, 0.5, &c);
-            }
-            assert_eq!(g.slots[2].edges.len(), LANES, "a line without pad");
-            g
+        let mut g = CorrelationGraph::new();
+        g.edge(f(1), f(u32::MAX), 1.0, 0.5, &c);
+        g.edge(f(1), f(9), 1.0, 0.5, &c);
+        g.edge(f(2), f(5), 1.0, 0.5, &c);
+        for to in 100..116 {
+            g.edge(f(3), f(to), 1.0, 0.5, &c);
+            g.edge(f(4), f(if to == 115 { u32::MAX } else { to }), 1.0, 0.5, &c);
+        }
+        assert_eq!(g.slots[2].edges.len(), LANES, "a line without pad");
+        assert_eq!(g.remove_edges_to_any(&[f(u32::MAX)]), 2);
+        let succs = |g: &CorrelationGraph, from: u32| -> Vec<u32> {
+            g.edges(f(from), &c).map(|e| e.to.raw()).collect()
         };
-        let (mut new, mut old) = (build(), build());
-        assert_eq!(new.remove_edges_to_any(&[f(u32::MAX)]), 2);
-        assert_eq!(old.retain_edges_reference(|_, to| to != f(u32::MAX)), 2);
-        assert_eq!(new.export_state(), old.export_state());
-        assert_eq!(new.num_edges(), 1 + 1 + 16 + 15);
-        assert!(new.edges(f(4), &c).all(|e| e.to != f(u32::MAX)));
+        let lists: Vec<Vec<u32>> = (1..=4).map(|from| succs(&g, from)).collect();
+        let line: Vec<u32> = (100..116).collect();
+        assert_eq!(lists, [vec![9], vec![5], line.clone(), line[..15].to_vec()]);
+        assert_eq!(g.num_edges(), 1 + 1 + 16 + 15);
         // Again, with nothing real left to find: the pads alone match the
         // filter and nothing changes.
-        let before = new.export_state().nodes;
-        assert_eq!(new.remove_edges_to_any(&[f(u32::MAX)]), 0);
-        assert_eq!(new.export_state().nodes, before);
+        let before = g.export_state().nodes;
+        assert_eq!(g.remove_edges_to_any(&[f(u32::MAX)]), 0);
+        assert_eq!(g.export_state().nodes, before);
     }
 
     #[test]
@@ -1926,7 +1760,7 @@ mod tests {
         let mut g = CorrelationGraph::new();
         for from in 0..200u32 {
             for to in 1000..1008 {
-                g.update_edge(f(from), f(to), 1.0, 0.5, &c);
+                g.edge(f(from), f(to), 1.0, 0.5, &c);
             }
         }
         let full = g.heap_bytes();
@@ -1941,7 +1775,7 @@ mod tests {
         assert!(g.heap_bytes() >= pooled && g.heap_bytes() < full);
         assert_eq!(g.export_state().nodes, vec![], "the pool is not state");
         // New nodes take from it, and start out empty all the same.
-        g.update_edge(f(500), f(1), 1.0, 0.5, &c);
+        g.edge(f(500), f(1), 1.0, 0.5, &c);
         assert_eq!(g.spare.len(), SPARE_NODES - 1);
         assert!(g.slots[0].edges.capacity() >= 8);
         assert_eq!(g.edges(f(500), &c).count(), 1);
@@ -1952,16 +1786,26 @@ mod tests {
 
     #[test]
     fn remove_edges_to_frees_emptied_unaccessed_nodes() {
+        // Twelve predecessors of victim 20, none accessed but 1, so the
+        // sweep frees slots as it goes and moves the last node under its
+        // cursor; 3 keeps a successor of its own; victims 20 and 21 are
+        // each other's successors, and the batch repeats them and names a
+        // file never seen.
         let mut g = CorrelationGraph::new();
         let c = cfg();
-        // Node 0 has accesses (stays active when emptied); node 1 does not.
-        g.record_access(f(0));
-        g.update_edge(f(0), f(9), 1.0, 0.5, &c);
-        g.update_edge(f(1), f(9), 1.0, 0.5, &c);
-        assert_eq!(g.active_nodes(), 2);
-        g.remove_edges_to_any(&[f(9)]);
-        assert_eq!(g.active_nodes(), 1);
-        assert_eq!(g.total_accesses(f(0)), 1.0);
+        g.access(f(1));
+        for from in 0..12 {
+            g.edge(f(from), f(20), 1.0, 0.5, &c);
+        }
+        g.edge(f(3), f(7), 1.0, 0.5, &c);
+        g.edge(f(20), f(21), 1.0, 0.5, &c);
+        g.edge(f(21), f(20), 1.0, 0.5, &c);
+        let victims = [20, 20, 21, 21, 24].map(f);
+        let cleared: usize = victims.iter().map(|&v| g.clear_node(v)).sum();
+        assert_eq!(cleared + g.remove_edges_to_any(&victims), 2 + 12);
+        assert_eq!(g.active_nodes(), 2, "nodes 1 and 3 survive");
+        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.total_accesses(f(1)), 1.0);
     }
 
     #[test]
@@ -1971,9 +1815,9 @@ mod tests {
         let mut g = CorrelationGraph::new();
         let mut c = cfg();
         c.max_successors = 2;
-        g.update_edge(f(0), f(1), 1.0, 0.2, &c);
-        g.update_edge(f(0), f(2), 1.0, 0.9, &c);
-        g.update_edge(f(0), f(3), 1.0, 0.5, &c); // cap admit: cache now live
+        g.edge(f(0), f(1), 1.0, 0.2, &c);
+        g.edge(f(0), f(2), 1.0, 0.9, &c);
+        g.edge(f(0), f(3), 1.0, 0.5, &c); // cap admit: cache now live
         let before = (g.export_state().nodes, g.slots[0].weakest);
         assert_ne!(before.1, NO_EDGE);
         let (node, line) = g.node_and_line(0);
@@ -1986,8 +1830,8 @@ mod tests {
     fn active_nodes_tracks_eviction() {
         let mut g = CorrelationGraph::new();
         let c = cfg();
-        g.record_access(f(7));
-        g.update_edge(f(7), f(3), 1.0, 0.5, &c);
+        g.access(f(7));
+        g.edge(f(7), f(3), 1.0, 0.5, &c);
         // Node 3 exists only as an edge target; node 7 is active.
         assert_eq!(g.active_nodes(), 1);
         g.clear_node(f(7));
@@ -2000,9 +1844,9 @@ mod tests {
         let mut g = CorrelationGraph::new();
         let c = cfg();
         let before = g.heap_bytes();
-        g.record_access(f(0));
+        g.access(f(0));
         for i in 1..10 {
-            g.update_edge(f(0), f(i), 1.0, 0.5, &c);
+            g.edge(f(0), f(i), 1.0, 0.5, &c);
         }
         assert!(g.heap_bytes() > before);
     }

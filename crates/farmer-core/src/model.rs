@@ -379,7 +379,7 @@ impl Farmer {
 
     /// Batched [`Farmer::forget_file`]: evicts every file in `files` with a
     /// *single* pass over the graph for the incoming-edge cleanup
-    /// ([`CorrelationGraph::remove_edges_to_any`]: one id line read per
+    /// (the graph's `remove_edges_to_any`: one id line read per
     /// live node, only nodes that lose an edge rewritten), paid once per
     /// batch instead of once per victim and allocation-free after the
     /// first call. Returns the number of edges removed.
@@ -455,7 +455,7 @@ impl Farmer {
     /// under another, queries and publication evaluate the image's
     /// accumulators under the new `p` / `max_strength`, and mining goes on
     /// under the new values. Window slot hints restart as
-    /// [`NodeHint::NONE`] — a stale-hint probe miss, which the graph treats
+    /// `NodeHint::NONE` — a stale-hint probe miss, which the graph treats
     /// identically.
     ///
     /// # Panics
@@ -579,7 +579,6 @@ impl CorrelationSource for Farmer {
 mod tests {
     use super::*;
     use crate::graph::UpdateMix;
-    use crate::{AttrCombo, PathMode};
     use farmer_trace::{DevId, HostId, PathInterner, ProcId, UserId, WorkloadSpec};
 
     fn req(file: u32, uid: u32, pid: u32, host: u32) -> Request {
@@ -867,359 +866,6 @@ mod tests {
             batched.graph().active_nodes(),
             sequential.graph().active_nodes()
         );
-    }
-
-    /// `forget_files` as it was before the id-only sweep: same node clears
-    /// and window cleanup, but the incoming edges go through the
-    /// closure-driven compaction of every node.
-    fn forget_files_reference(f: &mut Farmer, files: &[FileId]) -> usize {
-        let mut victims: Vec<u32> = files.iter().map(|f| f.raw()).collect();
-        victims.sort_unstable();
-        victims.dedup();
-        let gone = |f: FileId| victims.binary_search(&f.raw()).is_ok();
-        let mut removed = 0;
-        for &raw in &victims {
-            f.paths.remove(&raw);
-            removed += f.graph.clear_node(FileId::new(raw));
-        }
-        removed += f.graph.retain_edges_reference(|_, to| !gone(to));
-        f.window.retain(|r| !gone(r.req.file));
-        removed
-    }
-
-    /// Prune both models through the graph, which takes the floor as an
-    /// argument: 0.2 is one the short differential streams reach (a pair
-    /// that shares no attribute sits below it until it recurs), where the
-    /// ticks at [`PRUNE_FLOOR`] find an edge only now and then. Returns
-    /// the edges dropped, the same on both sides.
-    fn prune_both(new: &mut Farmer, old: &mut Farmer) -> usize {
-        let dropped = new.graph.prune_below(0.2, &new.cfg);
-        assert_eq!(dropped, old.graph.prune_below(0.2, &old.cfg));
-        dropped
-    }
-
-    #[test]
-    fn forget_sweep_matches_retain_edges_reference_bit_for_bit() {
-        // Interleaved observe / prune / forget on both halves of a two-way
-        // ownership partition: the state image — slab order, epoch and
-        // every accumulator bit — must be what the old sweep left, for a
-        // batch of one victim, a handful, the streaming miner's default 64,
-        // and a batch on either side of every prefilter size (64 | 65,
-        // 512 | 513, 4 096 | 4 097). A successor cap of 16 fills whole
-        // lines (no pad to hide behind), and file 7 goes by the id
-        // `u32::MAX` — the pad value — as successor, predecessor and victim.
-        for (files, batch, cap) in [
-            (48, 1, 4),
-            (48, 5, 4),
-            (400, 64, 4),
-            (48, 65, 16),
-            (3000, 512, 4),
-            (3000, 513, 4),
-            (3000, 1000, 4),
-            (48, 1024, 16),
-            (3000, 4096, 4),
-            (48, 4097, 16),
-        ] {
-            let cfg = FarmerConfig {
-                max_successors: cap,
-                prune_interval: 64,
-                ..FarmerConfig::default()
-            };
-            // Big batches draw from beyond the namespace, or each would
-            // wipe the graph: most of their victims were never observed.
-            let universe = files.max(4 * batch as u32);
-            let id = |x: u32| if x == 7 { u32::MAX } else { x };
-            let mut longest = 0;
-            for part in 0..2u32 {
-                let owns = move |f: FileId| f.raw() % 2 == part;
-                let mut new = Farmer::new(cfg.clone());
-                let mut old = Farmer::new(cfg.clone());
-                let mut x = 0x9E37_79B9_7F4A_7C15u64 + u64::from(part);
-                let mut next = |n: u32| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    (x % u64::from(n)) as u32
-                };
-                let (mut removed, mut pruned) = (0, 0);
-                // (A big batch is slow to draw and to check: fewer of them.)
-                for i in 0..if batch > 600 { 1500 } else { 6000 } {
-                    // Three hosts, so that some pairs share no attribute
-                    // and only their frequency keeps them above the floor.
-                    let r = req(id(next(files)), next(3), next(2), next(3));
-                    new.observe_where(r, None, owns);
-                    old.observe_where(r, None, owns);
-                    if i % 29 == 0 {
-                        pruned += prune_both(&mut new, &mut old);
-                    }
-                    if i % 37 == 0 {
-                        // Duplicates, a never-observed id, and neighbours
-                        // that are each other's successors.
-                        let a = next(files - 1);
-                        let victims: Vec<FileId> = [a + 1, a, 100_000 + a, a]
-                            .into_iter()
-                            .chain(std::iter::repeat_with(|| next(universe)))
-                            .skip(if batch == 1 { 3 } else { 0 })
-                            .take(batch)
-                            .map(|x| FileId::new(id(x)))
-                            .collect();
-                        let n = new.forget_files(&victims);
-                        assert_eq!(n, forget_files_reference(&mut old, &victims));
-                        assert_eq!(new.export_state(), old.export_state(), "step {i}");
-                        removed += n;
-                    }
-                    if i % 100 == 99 {
-                        let nodes = new.export_state().graph.nodes;
-                        longest =
-                            longest.max(nodes.iter().map(|n| n.edges.len()).max().unwrap_or(0));
-                    }
-                }
-                assert_eq!(new.export_state(), old.export_state());
-                assert!(removed > 100, "only {removed} edges removed at {batch}");
-                assert!(pruned > 0, "nothing pruned at {batch}");
-            }
-            // Some node fills its list to the cap: at 16, a line with no pad.
-            assert_eq!(longest, cap, "longest list {longest} at cap {cap}");
-        }
-    }
-
-    /// [`Farmer::observe_where`] as it was before the reject-first kernel:
-    /// the same bookkeeping, but every update goes through
-    /// [`CorrelationGraph::mine_batch_reference`] with nothing known of its
-    /// path term, and a predecessor's path is whatever the map says when
-    /// the term is wanted — no window entry's signature is ever read.
-    fn observe_where_reference(
-        f: &mut Farmer,
-        req: Request,
-        path: Option<&FilePath>,
-        owns: impl Fn(FileId) -> bool,
-    ) {
-        let mut hint = NodeHint::NONE;
-        if owns(req.file) {
-            let (_, late) = f.learn_path(req.file, path);
-            if late && f.graph.num_edges() > 0 {
-                f.graph.mark_path_memos_stale(req.file);
-            }
-            hint = f.graph.record_access_hinted(req.file);
-        }
-        let use_path = f.cfg.combo.contains(AttrKind::Path);
-        let mut batch = Vec::new();
-        for (i, pred) in f.window.iter().rev().enumerate() {
-            let Some(&w) = f.lda.get(i) else { break };
-            if w <= 0.0 || pred.req.file == req.file || !owns(pred.req.file) {
-                continue;
-            }
-            let (s_inter, s_items) = scalar_parts(&pred.req, &req, f.cfg.combo);
-            batch.push(PredUpdate {
-                file: pred.req.file,
-                hint: pred.hint,
-                weight: w,
-                s_inter,
-                s_items: s_items as u32,
-                path_bound: None,
-            });
-        }
-        if !batch.is_empty() {
-            let (paths, mode) = (&f.paths, f.cfg.path_mode);
-            f.graph.mine_batch_reference(
-                &batch,
-                req.file,
-                use_path && path.is_some(),
-                |pred_file| {
-                    if !use_path {
-                        return (0.0, 0);
-                    }
-                    let learned = paths.get(&pred_file.raw()).map(|(p, _)| p);
-                    let (inter, n_pred, n_succ) = path_term(learned, path, mode);
-                    (inter, n_pred.max(n_succ) as u32)
-                },
-                &f.cfg,
-            );
-        }
-        f.window.push_back(WindowEntry {
-            req,
-            hint,
-            sig: PathSig::NONE,
-        });
-        while f.window.len() > f.cfg.window {
-            f.window.pop_front();
-        }
-        f.observed += 1;
-        if f.cfg.prune_interval > 0 && f.observed.is_multiple_of(f.cfg.prune_interval as u64) {
-            f.graph.prune_below(PRUNE_FLOOR, &f.cfg);
-        }
-    }
-
-    /// What a differential run varies besides its configuration.
-    #[derive(Clone, Copy)]
-    struct Differential {
-        /// Distinct file ids in the stream.
-        files: u32,
-        /// `Some(r)`: this half of a two-way ownership partition.
-        part: Option<u32>,
-        /// `Some((step, cap))`: at `step`, restore both models from their
-        /// images under a `max_successors` raised to `cap`.
-        raise: Option<(usize, usize)>,
-    }
-
-    /// File `id`'s path in the differential streams, as the front end names
-    /// it in naming generation `gen`: one in seven has none, one in three
-    /// sits twelve deep in a shared directory (so IPA terms above 0.9
-    /// occur), one in five under a directory name that repeats (so its
-    /// signature is not clean and the pairs among them intersect as
-    /// multisets), the rest are shallow over a few directories. The
-    /// generation — either one, event by event — renames the last two
-    /// kinds, so a file is offered paths that are not the one it was
-    /// learned under, and a forgotten one is learned again under either.
-    fn path_of(id: u32, gen: u32) -> Option<FilePath> {
-        let name = 10_000 + id;
-        let components = match id {
-            _ if id.is_multiple_of(7) => return None,
-            _ if id.is_multiple_of(3) => (500..511).chain([name]).collect(),
-            _ if id.is_multiple_of(5) => vec![600, 600, 300 + gen, name],
-            _ => vec![100 + id % 2 + 10 * gen, 200 + id % 5, name],
-        };
-        Some(FilePath::from_components(components))
-    }
-
-    /// Drive the kernel and the reference in lockstep over a seeded random
-    /// stream — observes with a path withheld one time in four (so paths
-    /// arrive late, often while the file is still windowed), forgets and
-    /// manual prunes interleaved, a restore from the exported image a third
-    /// of the way in, a front end that names a file now one way, now
-    /// another — and demand the same state image, bit for bit, after
-    /// every step. Returns the kernel's update mix and the edges the
-    /// interleaved prunes dropped.
-    fn run_differential(cfg: FarmerConfig, seed: u64, run: Differential) -> (UpdateMix, usize) {
-        const STEPS: usize = 2400;
-        let owns = move |f: FileId| run.part.is_none_or(|r| f.raw() % 2 == r);
-        let mut cfg = cfg;
-        let mut new = Farmer::new(cfg.clone());
-        let mut old = Farmer::new(cfg.clone());
-        let mut pruned = 0;
-        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ seed;
-        let mut next = |n: u32| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x % u64::from(n)) as u32
-        };
-        // A restored graph counts its updates from zero: one mix a life.
-        let mut lives = Vec::new();
-        for step in 0..STEPS {
-            let raise = run.raise.filter(|&(at, _)| at == step);
-            if let Some((_, cap)) = raise {
-                cfg.max_successors = cap;
-            }
-            if step == STEPS / 3 || raise.is_some() {
-                lives.push(new.graph().update_mix());
-                new = Farmer::from_state(cfg.clone(), &new.export_state());
-                old = Farmer::from_state(cfg.clone(), &old.export_state());
-            }
-            match next(40) {
-                0 => {
-                    let victims = [next(run.files), next(run.files)].map(FileId::new);
-                    assert_eq!(
-                        new.forget_files(&victims),
-                        forget_files_reference(&mut old, &victims)
-                    );
-                }
-                1 => pruned += prune_both(&mut new, &mut old),
-                _ => {
-                    // A small id range keeps repeats inside the window
-                    // (A B A C) and the nodes at their cap; three hosts,
-                    // so that some pairs share no scalar attribute.
-                    let r = req(next(run.files), next(3), next(2), next(3));
-                    let path = path_of(r.file.raw(), next(2)).filter(|_| next(4) != 0);
-                    new.observe_where(r, path.as_ref(), owns);
-                    observe_where_reference(&mut old, r, path.as_ref(), owns);
-                }
-            }
-            assert_eq!(new.export_state(), old.export_state(), "step {step}");
-        }
-        lives.push(new.graph().update_mix());
-        let sum = |field: fn(&UpdateMix) -> u64| lives.iter().map(field).sum();
-        let mix = UpdateMix {
-            hits: sum(|m| m.hits),
-            inserts: sum(|m| m.inserts),
-            early_rejects: sum(|m| m.early_rejects),
-            exact_rejects: sum(|m| m.exact_rejects),
-            admits: sum(|m| m.admits),
-            path_terms: sum(|m| m.path_terms),
-            relocates: sum(|m| m.relocates),
-        };
-        (mix, pruned)
-    }
-
-    #[test]
-    fn kernel_matches_the_reference_bit_for_bit() {
-        let base = FarmerConfig {
-            prune_interval: 64,
-            ..FarmerConfig::default()
-        };
-        let whole = Differential {
-            files: 12,
-            part: None,
-            raise: None,
-        };
-        // Pathless, IPA and DPA combos at a cap every node reaches.
-        let mut seen = UpdateMix::default();
-        for (seed, combo, mode) in [
-            (1, AttrCombo::ins_default(), PathMode::Ipa),
-            (2, AttrCombo::hp_default(), PathMode::Ipa),
-            (3, AttrCombo::hp_default(), PathMode::Dpa),
-        ] {
-            let cfg = FarmerConfig {
-                max_successors: 3,
-                combo,
-                path_mode: mode,
-                ..base.clone()
-            };
-            let (mix, pruned) = run_differential(cfg, seed, whole);
-            assert!(pruned > 0, "the prunes dropped nothing");
-            assert!(mix.relocates > 0, "no A B A C at a full node: {mix:?}");
-            assert!(mix.admits > 50 && mix.hits > 500, "{mix:?}");
-            if mode == PathMode::Ipa {
-                assert!(mix.early_rejects > 500, "{mix:?}");
-            }
-            if combo == AttrCombo::hp_default() {
-                assert!(mix.exact_rejects > 50, "{mix:?}");
-            }
-            seen = mix;
-        }
-        // DPA says nothing of a pair unless neither file has a path.
-        assert!(seen.early_rejects * 4 < seen.exact_rejects, "{seen:?}");
-        // A cap of one, caps up to a full 16-id line, and a cap raised to
-        // the full line across a restore.
-        for (seed, cap) in [(4, 1), (5, 8), (6, 15), (7, 16)] {
-            let cfg = FarmerConfig {
-                max_successors: cap,
-                ..base.clone()
-            };
-            let many = Differential { files: 64, ..whole };
-            let (mix, pruned) = run_differential(cfg, seed, many);
-            assert!(mix.inserts > 100, "{mix:?}");
-            // (A node's one successor is the strongest it was offered.)
-            assert!(pruned > 0 || cap == 1, "nothing pruned at cap {cap}");
-        }
-        let cfg = FarmerConfig {
-            max_successors: 4,
-            ..base.clone()
-        };
-        let raised = Differential {
-            files: 64,
-            raise: Some((1000, 16)),
-            ..whole
-        };
-        run_differential(cfg.clone(), 8, raised);
-        // Both halves of a two-way ownership partition.
-        for part in 0..2 {
-            let half = Differential {
-                part: Some(part),
-                ..whole
-            };
-            run_differential(cfg.clone(), 9 + u64::from(part), half);
-        }
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl PathSig {
 ///
 /// The mining kernel uses this to turn a candidate away from a full node
 /// before any path is looked up or compared (see
-/// [`crate::graph::PredUpdate::path_bound`]); a maximum of 0.0 *is* the
+/// `PredUpdate::path_bound` in [`crate::graph`]); a maximum of 0.0 *is* the
 /// term, so pairs in disjoint directories never evaluate it at all. On
 /// the benchmark's HP stream under the node cap the signature takes the
 /// candidates that pass the bound only to be rejected by the exact term
