@@ -25,7 +25,8 @@
 //! it a graph is read (queries, publication, the state image) or restored
 //! ([`CorrelationGraph::from_state`]). What the kernel below computes is
 //! stated once, layout-free, in the workspace's spec suite
-//! (`tests/spec/mod.rs`, run by `tests/mining_spec.rs`), which drives a
+//! (`tests/spec/mod.rs`, run by `tests/mining_spec.rs`,
+//! `tests/graph_equivalence.rs` and `model`'s own tests), which drives a
 //! `Farmer` and compares it with the statement after every call through
 //! the public API alone — so a change to the layout here is checked without
 //! a second copy of that layout to keep in step.
@@ -148,7 +149,7 @@ const PAD: u32 = u32::MAX;
 /// Nothing branches on the data: every id is compared both ways and the
 /// results reduced, a plain loop LLVM turns into vector compares (it does
 /// so only in optimised builds, which is why CI also runs this crate's
-/// tests and the spec suite, `tests/mining_spec.rs`, with `--release`).
+/// tests and the spec suites with `--release`).
 /// The pad never counts as "below" (nothing is above `u32::MAX`) and can
 /// only equal a `to` of `u32::MAX`, which the `pos < len` term settles.
 #[inline(always)]

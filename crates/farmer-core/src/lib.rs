@@ -56,6 +56,15 @@ pub mod semvec;
 pub mod source;
 pub mod state;
 
+// The statement of the mining rule that the workspace's spec suites drive
+// through the public API (`tests/spec/`), here for `model`'s own tests. It
+// names this crate as its dependents do.
+#[cfg(test)]
+extern crate self as farmer_core;
+#[cfg(test)]
+#[path = "../../../tests/spec/mod.rs"]
+mod spec;
+
 pub use attr::{AttrCombo, AttrKind};
 pub use config::{FarmerConfig, PathMode};
 pub use correlator::{Correlator, CorrelatorList, CorrelatorTable, DuplicateOwner};

@@ -868,6 +868,67 @@ mod tests {
         );
     }
 
+    /// The kernel against the reference — the layout-free statement of the
+    /// mining rule in `tests/spec/` — bit for bit after every call, over
+    /// seeded streams under every attribute combination, path algorithm
+    /// and successor cap the kernel distinguishes (see
+    /// `spec::lockstep::run`), each asserting that its path ran.
+    #[test]
+    fn kernel_matches_the_reference_bit_for_bit() {
+        use crate::spec::lockstep::{cfg, run, Stream, DENSE};
+        use crate::{AttrCombo, PathMode};
+        // Pathless, IPA and DPA combos at a cap every node reaches; here and
+        // below, a prune every fourth event, so that every stream drops
+        // something.
+        let mut seen = UpdateMix::default();
+        for (seed, combo, mode) in [
+            (1, AttrCombo::ins_default(), PathMode::Ipa),
+            (2, AttrCombo::hp_default(), PathMode::Ipa),
+            (3, AttrCombo::hp_default(), PathMode::Dpa),
+        ] {
+            let modes = FarmerConfig {
+                combo,
+                path_mode: mode,
+                ..cfg(3, 4)
+            };
+            let both = run(modes, seed, DENSE);
+            let mix = both.mix();
+            assert!(both.spec.counts.pruned > 0, "seed {seed}: nothing pruned");
+            assert!(mix.relocates > 0, "no A B A C at a full node: {mix:?}");
+            assert!(mix.admits > 50 && mix.hits > 500, "{mix:?}");
+            assert!(mode == PathMode::Dpa || mix.early_rejects > 500, "{mix:?}");
+            assert!(
+                combo != AttrCombo::hp_default() || mix.exact_rejects > 50,
+                "{mix:?}"
+            );
+            seen = mix;
+        }
+        // DPA says nothing of a pair unless neither file has a path.
+        assert!(seen.early_rejects * 4 < seen.exact_rejects, "{seen:?}");
+        // A cap of one, caps up to a full 16-id line, a cap raised to the
+        // full line across a restore, and both halves of an ownership
+        // partition.
+        for (seed, cap, files, part, raise) in [
+            (4, 1, 64, None, None),
+            (5, 8, 64, None, None),
+            (6, 15, 64, None, None),
+            (7, 16, 64, None, None),
+            (8, 4, 64, None, Some((600, 16))),
+            (9, 4, 12, Some(0), None),
+            (10, 4, 12, Some(1), None),
+        ] {
+            let s = Stream {
+                files,
+                part,
+                raise,
+                ..DENSE
+            };
+            let both = run(cfg(cap, 4), seed, s);
+            assert!(both.mix().inserts > 100, "seed {seed}: {:?}", both.mix());
+            assert!(both.spec.counts.pruned > 0, "seed {seed}: nothing pruned");
+        }
+    }
+
     #[test]
     fn update_mix_on_hp_is_mostly_rejects_settled_without_a_path() {
         // The steady state the benchmark times: one warm-up lap, then the

@@ -1,140 +1,21 @@
 //! The mining kernel against the statement of its rule (`spec/mod.rs`).
 //!
-//! A `Farmer` and the spec are fed the same calls — seeded streams of
-//! observes under every attribute combination, path algorithm and
-//! successor cap the kernel distinguishes, with paths withheld and
-//! renamed, ownership partitions, ids spread to ~10^7, batched forgets on
-//! either side of every sweep prefilter size, restores under a raised cap
-//! — and after every call the kernel's state image, published table and
-//! Correlator Lists must be the spec's, bit for bit. Each stream also
-//! asserts, from the kernel's public update mix and the spec's own counts,
-//! that the path it was written for ran.
+//! The spec restates Table 2 and the LDA weights; then a `Farmer` and the
+//! spec are fed the same calls — ids spread to ~10^7, batched forgets on
+//! either side of every sweep prefilter size — and after every call the
+//! kernel's state image, published table and Correlator Lists must be the
+//! spec's, bit for bit. Each stream also asserts, from the kernel's public
+//! update mix and the spec's own counts, that the path it was written for
+//! ran. The same driver ([`spec::lockstep`]) runs the seeded streams under
+//! every attribute combination, path algorithm and successor cap in
+//! `farmer-core`'s `model::tests`, and random operation streams in
+//! `graph_equivalence.rs`.
 
 mod spec;
 
-use farmer::core::graph::UpdateMix;
-use farmer::core::{AttrCombo, Farmer, FarmerConfig, PathMode, Request};
-use farmer::trace::{DevId, FileId, FilePath, HostId, PathInterner, ProcId, UserId};
-use spec::Spec;
-
-fn req(file: u32, uid: u32, pid: u32, host: u32) -> Request {
-    Request {
-        file: FileId::new(file),
-        uid: UserId::new(uid),
-        pid: ProcId::new(pid),
-        host: HostId::new(host),
-        dev: DevId::new(0),
-    }
-}
-
-/// The paper's configuration with successor cap `cap` and a prune every
-/// `prune_interval` events.
-fn cfg(cap: usize, prune_interval: usize) -> FarmerConfig {
-    FarmerConfig {
-        max_successors: cap,
-        prune_interval,
-        ..FarmerConfig::default()
-    }
-}
-
-/// A seeded xorshift stream of small integers.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self, n: u32) -> u32 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        (self.0 % u64::from(n)) as u32
-    }
-
-    /// A request for `file` from one of enough users, processes and hosts
-    /// that many pairs share no attribute and only their frequency keeps
-    /// them above the prune floor.
-    fn request(&mut self, file: u32) -> Request {
-        req(file, self.next(5), self.next(3), self.next(5))
-    }
-}
-
-/// A `Farmer` and the spec, driven by the same calls and compared after
-/// every one.
-struct Lockstep {
-    kernel: Farmer,
-    spec: Spec,
-    /// The kernel's update mixes of earlier lives: a restored graph counts
-    /// from zero.
-    lives: Vec<UpdateMix>,
-    label: String,
-    step: usize,
-}
-
-impl Lockstep {
-    fn new(cfg: FarmerConfig, label: String) -> Lockstep {
-        Lockstep {
-            kernel: Farmer::new(cfg.clone()),
-            spec: Spec::new(cfg),
-            lives: Vec::new(),
-            label,
-            step: 0,
-        }
-    }
-
-    fn check(&mut self) {
-        self.step += 1;
-        let at = format!("{} step {}", self.label, self.step);
-        spec::assert_same(&self.kernel, &self.spec, &at);
-    }
-
-    /// Observe `r` as the instance that owns every file, or as `part` of
-    /// a two-way ownership partition by parity.
-    fn observe(&mut self, r: Request, path: Option<&FilePath>, part: Option<u32>) {
-        let owns = |f: FileId| part.is_none_or(|p| f.raw() % 2 == p);
-        self.kernel.observe_where(r, path, owns);
-        self.spec.observe(r, path, owns);
-        self.check();
-    }
-
-    fn forget(&mut self, victims: &[FileId]) -> usize {
-        let (removed, want) = (self.kernel.forget_files(victims), self.spec.forget(victims));
-        assert_eq!(removed, want, "{} step {}", self.label, self.step);
-        self.check();
-        removed
-    }
-
-    /// Restore the kernel from its own image under `cfg`. The spec holds
-    /// the same state, so it takes `cfg` as it is.
-    fn restore(&mut self, cfg: FarmerConfig) {
-        self.lives.push(self.kernel.graph().update_mix());
-        self.kernel = Farmer::from_state(cfg.clone(), &self.kernel.export_state());
-        self.spec.cfg = cfg;
-        self.check();
-    }
-
-    /// The kernel's update mix over all its lives, which must classify the
-    /// updates as the spec's own counts do.
-    fn mix(&self) -> UpdateMix {
-        let mut all = self.kernel.graph().update_mix();
-        for m in &self.lives {
-            all.hits += m.hits;
-            all.inserts += m.inserts;
-            all.early_rejects += m.early_rejects;
-            all.exact_rejects += m.exact_rejects;
-            all.admits += m.admits;
-            all.path_terms += m.path_terms;
-            all.relocates += m.relocates;
-        }
-        let (c, rejects) = (self.spec.counts, all.early_rejects + all.exact_rejects);
-        let kernel = [all.hits, all.inserts, all.admits, rejects];
-        assert_eq!(kernel, [c.hits, c.inserts, c.admits, c.rejects]);
-        all
-    }
-
-    /// The longest successor list the spec holds now.
-    fn longest(&self) -> usize {
-        let lens = self.spec.nodes.values().map(|n| n.edges.len());
-        lens.max().unwrap_or(0)
-    }
-}
+use farmer::core::{AttrCombo, PathMode};
+use farmer::trace::{FileId, PathInterner};
+use spec::lockstep::{cfg, req, run, Lockstep, Rng, Stream, DENSE};
 
 #[test]
 fn the_spec_restates_table_2_and_the_lda_weights() {
@@ -166,129 +47,6 @@ fn the_spec_restates_table_2_and_the_lda_weights() {
     // "1.0 for B, 0.9 for C, and 0.8 for D", nothing past the window.
     for (d, want) in [(1, 1.0), (2, 0.9), (3, 0.8), (5, 0.6), (6, 0.0)] {
         assert!((spec::lda_weight(5, d) - want).abs() < 1e-12, "{d}");
-    }
-}
-
-/// File `id`'s path in naming generation `gen`: none for one in seven,
-/// twelve deep in a shared directory for one in three (IPA terms above
-/// 0.9), under a repeated directory name for one in five (signatures that
-/// are not clean, multiset intersections), shallow otherwise. `gen` renames
-/// the last two kinds, so a file is offered paths it was not learned under.
-fn path_of(id: u32, gen: u32) -> Option<FilePath> {
-    let name = 10_000 + id;
-    let components = match id {
-        _ if id.is_multiple_of(7) => return None,
-        _ if id.is_multiple_of(3) => (500..511).chain([name]).collect(),
-        _ if id.is_multiple_of(5) => vec![600, 600, 300 + gen, name],
-        _ => vec![100 + id % 2 + 10 * gen, 200 + id % 5, name],
-    };
-    Some(FilePath::from_components(components))
-}
-
-/// What a seeded stream varies besides its configuration and seed.
-#[derive(Clone, Copy)]
-struct Stream {
-    /// Distinct files in the stream, named by `id`.
-    files: u32,
-    id: fn(u32) -> u32,
-    /// `Some(r)`: this half of a two-way ownership partition.
-    part: Option<u32>,
-    /// `Some((step, cap))`: at `step`, restore under a `max_successors`
-    /// raised to `cap`.
-    raise: Option<(usize, usize)>,
-}
-
-const DENSE: Stream = Stream {
-    files: 12,
-    id: |x| x,
-    part: None,
-    raise: None,
-};
-
-/// Drive a seeded stream through both: observes with a path withheld one
-/// time in four (so paths arrive late, often while the file is still
-/// windowed) under a front end that names a file now one way, now
-/// another; batched forgets; a restore from the kernel's image a third of
-/// the way in.
-fn run(mut cfg: FarmerConfig, seed: u64, s: Stream) -> Lockstep {
-    const STEPS: usize = 1200;
-    let mut both = Lockstep::new(cfg.clone(), format!("seed {seed}"));
-    let mut rng = Rng(0x9E37_79B9_7F4A_7C15 ^ seed);
-    for step in 0..STEPS {
-        let raise = s.raise.filter(|&(at, _)| at == step);
-        if let Some((_, cap)) = raise {
-            cfg.max_successors = cap;
-        }
-        if step == STEPS / 3 || raise.is_some() {
-            both.restore(cfg.clone());
-        }
-        let (a, b, k) = (rng.next(s.files), rng.next(s.files), rng.next(8));
-        if rng.next(40) == 0 {
-            // A duplicate, a likely edge pair (`a`, `b`: victims that are
-            // each other's successors), a neighbour and a file never seen.
-            let victims = [a, b, a, (a + 1 + k) % s.files, s.files + k];
-            both.forget(&victims.map(|v| FileId::new((s.id)(v))));
-        } else {
-            // A small id range keeps repeats inside the window (A B A C)
-            // and the nodes at their cap.
-            let r = rng.request((s.id)(a));
-            let path = path_of(a, rng.next(2)).filter(|_| rng.next(4) != 0);
-            both.observe(r, path.as_ref(), s.part);
-        }
-    }
-    both
-}
-
-#[test]
-fn seeded_streams_match_the_spec() {
-    // Pathless, IPA and DPA combos at a cap every node reaches; here and
-    // below, a prune every fourth event, so that every stream drops
-    // something.
-    let mut seen = UpdateMix::default();
-    for (seed, combo, mode) in [
-        (1, AttrCombo::ins_default(), PathMode::Ipa),
-        (2, AttrCombo::hp_default(), PathMode::Ipa),
-        (3, AttrCombo::hp_default(), PathMode::Dpa),
-    ] {
-        let modes = FarmerConfig {
-            combo,
-            path_mode: mode,
-            ..cfg(3, 4)
-        };
-        let both = run(modes, seed, DENSE);
-        let mix = both.mix();
-        assert!(both.spec.counts.pruned > 0, "seed {seed}: nothing pruned");
-        assert!(mix.relocates > 0, "no A B A C at a full node: {mix:?}");
-        assert!(mix.admits > 50 && mix.hits > 500, "{mix:?}");
-        assert!(mode == PathMode::Dpa || mix.early_rejects > 500, "{mix:?}");
-        assert!(
-            combo != AttrCombo::hp_default() || mix.exact_rejects > 50,
-            "{mix:?}"
-        );
-        seen = mix;
-    }
-    // DPA says nothing of a pair unless neither file has a path.
-    assert!(seen.early_rejects * 4 < seen.exact_rejects, "{seen:?}");
-    // A cap of one, caps up to a full 16-id line, a cap raised to the full
-    // line across a restore, and both halves of an ownership partition.
-    for (seed, cap, files, part, raise) in [
-        (4, 1, 64, None, None),
-        (5, 8, 64, None, None),
-        (6, 15, 64, None, None),
-        (7, 16, 64, None, None),
-        (8, 4, 64, None, Some((600, 16))),
-        (9, 4, 12, Some(0), None),
-        (10, 4, 12, Some(1), None),
-    ] {
-        let s = Stream {
-            files,
-            part,
-            raise,
-            ..DENSE
-        };
-        let both = run(cfg(cap, 4), seed, s);
-        assert!(both.mix().inserts > 100, "seed {seed}: {:?}", both.mix());
-        assert!(both.spec.counts.pruned > 0, "seed {seed}: nothing pruned");
     }
 }
 

@@ -4,7 +4,9 @@
 //! rule of paper §3.2 as an eager model over ordered maps, with none of the
 //! kernel's slabs, slot hints, path signatures, degree bounds or caches.
 //! The tests drive it with the same calls as a `Farmer` and compare the two
-//! through `Farmer`'s public API only, bit for bit (`tests/mining_spec.rs`).
+//! through `Farmer`'s public API only, bit for bit ([`lockstep`]; the
+//! suites are `tests/mining_spec.rs`, `tests/graph_equivalence.rs` and the
+//! kernel's own `model::tests`).
 //! It states, in order:
 //!
 //! 1. the LDA window weights ([`lda_weight`]);
@@ -31,10 +33,12 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use farmer::core::config::PRUNE_FLOOR;
-use farmer::core::{AttrCombo, AttrKind, Correlator, Farmer, FarmerConfig, PathMode, Request};
-use farmer::core::{EdgeState, FarmerState, GraphState, NodeState};
-use farmer::trace::{FileId, FilePath};
+use farmer_core::config::PRUNE_FLOOR;
+use farmer_core::{AttrCombo, AttrKind, Correlator, Farmer, FarmerConfig, PathMode, Request};
+use farmer_core::{EdgeState, FarmerState, GraphState, NodeState};
+use farmer_trace::{FileId, FilePath};
+
+pub mod lockstep;
 
 /// (1) The LDA weight of a successor `d ≥ 1` events after its
 /// predecessor: one at distance 1, then 0.1 less a step (paper §3.2.2:
@@ -151,8 +155,9 @@ impl Edge {
     }
 }
 
-/// One file's node. Every node is made by an access and goes only when its
-/// file is forgotten, so none is ever without accesses.
+/// One file's node. An access makes one; a state image may also hold one
+/// with edges and no accesses. A node with neither accesses nor edges
+/// holds nothing: it is gone ([`Spec::drop_empty`]).
 #[derive(Debug, Clone, Default)]
 pub struct Node {
     /// Accesses `N(A)`.
@@ -303,6 +308,7 @@ impl Spec {
                 .retain(|_, e| degree(e.sim_avg(), e.mass, total, p) >= PRUNE_FLOOR);
             self.counts.pruned += (before - node.edges.len()) as u64;
         }
+        self.drop_empty();
     }
 
     /// (7) Forget `files`: their paths, their nodes, every edge into them and
@@ -320,7 +326,15 @@ impl Spec {
             removed += before - node.edges.len();
         }
         self.window.retain(|r| !victims.contains(&r.file.raw()));
+        self.drop_empty();
         removed
+    }
+
+    /// Drop every node with neither accesses nor edges: one whose edges a
+    /// prune or a forget took, and which was never accessed.
+    fn drop_empty(&mut self) {
+        self.nodes
+            .retain(|_, n| n.total > 0.0 || !n.edges.is_empty());
     }
 
     /// (3) `node`'s Correlator List: its successors whose degree now
