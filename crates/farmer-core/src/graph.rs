@@ -34,12 +34,12 @@
 //! # Storage: sparse slotted nodes
 //!
 //! Nodes live in a dense slab of slots with an id→slot hash index, *not* in
-//! a `Vec` indexed by file id. The slab holds exactly the live nodes
+//! a `Vec` indexed by file id. The slab holds the live nodes packed
 //! (freeing a node swap-removes its slot), so resident memory and every
 //! whole-graph sweep are proportional to *active* nodes — never to the
 //! magnitude of the largest file id observed. An open-ended id universe
 //! (ids spread over 10^7 and beyond) costs the same as a dense one, and
-//! clearing a node genuinely reclaims space.
+//! a cleared node's slot is the next admitted node's.
 //!
 //! # Hot-path layout
 //!
@@ -50,13 +50,14 @@
 //! `u32::MAX`. The pad is a legal file id, so "present" always means
 //! *equal and below the node's length*. A line holds every successor a
 //! node may have — the cap is at most [`MAX_SUCCESSORS`] — so the search
-//! is one fixed-size pass. Per node there remain a payload array
-//! (accumulators plus the memoized per-pair path-similarity term) and a
-//! cached-degree array that keeps the weakest-edge (cap eviction) scan off
-//! the payloads. Freeing a slot swap-removes node and line together, so
-//! slab order is what the per-node arrays gave it; the freed node's two
-//! arrays go to a small pool the next new nodes draw from, so a graph that
-//! evicts and refills at a node cap stops calling the allocator.
+//! is one fixed-size pass. The rest of a node is one 800-byte slot whatever
+//! its degree: a payload array (accumulators plus the memoized per-pair
+//! path-similarity term) and a cached-degree array that keeps the
+//! weakest-edge (cap eviction) scan off the payloads, both inline. A slot is
+//! one heap block of that fixed size, allocated when the slab first grows
+//! to it and then reused in place, never resized: refilling a node cap
+//! never calls the allocator. Freeing a slot swap-removes node and line
+//! together.
 //!
 //! `CorrelationGraph::mine_batch` commits one event's window of
 //! predecessor updates in two phases — one branch-free search per update
@@ -83,14 +84,14 @@
 //! | `record_access_hinted` | O(1) hash probe, none with a live hint |
 //! | locate (every update) | one vectorised pass over the 16-id line, no early exit |
 //! | edge-update hit | memoized term, one payload line (prefetched) |
-//! | edge-update insert (below the cap) | one path term unless the bound already is it (a pair in disjoint directories: most of them); O(d) shift of line, payloads, degrees |
+//! | edge-update insert (below the cap) | one path term unless the bound already is it (a pair in disjoint directories: most of them); O(d) in-place shift of the line and the slot's payload and degree arrays |
 //! | edge-update early reject (full node) | cached weakest + a degree bound from the two path signatures: two divisions, one comparison; no path looked up or compared, nothing written |
 //! | edge-update exact reject (full node) | the early reject plus one path term; 2 % of updates |
 //! | edge-update admit (full node) | one path term unless the bound is it; one move per array, branch-free O(d) rescan of the weakest on integer keys |
 //! | `edges` (a query) | O(deg): one hash probe, one pass over the node's line and payloads |
 //! | `prune_below` | O(n + e), skips `p·sim_lb ≥ floor` nodes |
 //! | `remove_edges_to_any` | one pass over the id slab, a 16-id line at a time against a fixed-size byte filter (no bounds check, no exit within a line, ≈ 1 cycle an id); a node is touched only when its line matches, written only when it loses an edge |
-//! | `heap_bytes` | O(n + e) |
+//! | `heap_bytes` | O(1): slots times the slot size, slab capacities times their strides, plus the index and the prefilter |
 //! | `active_nodes` | O(1) |
 //! | resident memory | O(active nodes) |
 
@@ -115,11 +116,6 @@ type Line = [u32; LANES];
 /// [`FarmerConfig::validate`] refuses a larger `max_successors`, and a
 /// graph handed one directly keeps this many.
 pub const MAX_SUCCESSORS: usize = LANES;
-
-/// Buffer pairs [`CorrelationGraph`] keeps from freed nodes: two eviction
-/// batches of the streaming miner (`node_cap / 64` files each, 64 at the
-/// default cap), ≈ 115 KiB at 16 successors.
-const SPARE_NODES: usize = 128;
 
 /// How far below the validity threshold, relatively, a cached degree has
 /// to be for [`CorrelationGraph::for_each_list`] to skip its edge unread.
@@ -173,7 +169,7 @@ fn brackets(line: &[u32], pos: usize, to: u32) -> bool {
 /// In a run sorted by successor id, drop the entry at `w` and put `new` in
 /// at its place in the order — `pos` is `new`'s lower bound in the run as
 /// it stands, `w` included. One overlapping move instead of a remove and
-/// an insert.
+/// an insert; with `w` a free entry past the run's end, it is the insert.
 #[inline]
 fn replace_sorted<T: Copy>(run: &mut [T], w: usize, pos: usize, new: T) {
     if w < pos {
@@ -233,7 +229,7 @@ fn marks<const N: usize>(line: &Line, table: &[u8; N]) -> u8 {
 /// One successor edge's accumulators (the payload half of the node's
 /// structure-of-arrays edge storage; the successor id lives in the graph's
 /// id slab so the search touches one compact cache line).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct EdgeData {
     /// LDA-weighted successor mass `N(A,B)`.
     mass: f64,
@@ -270,30 +266,27 @@ impl EdgeData {
     }
 }
 
-/// Heap bytes behind one node's payload and cached-degree arrays.
-fn buffer_bytes(edges: &Vec<EdgeData>, degs: &Vec<f64>) -> usize {
-    edges.capacity() * std::mem::size_of::<EdgeData>()
-        + degs.capacity() * std::mem::size_of::<f64>()
-}
-
-/// One file's node slot: total accesses plus its successor edges. The
+/// One file's node slot, a fixed size whatever its degree: total accesses
+/// plus its successor edges, the first `len` entries of each array. The
 /// successor *ids* are not here: slot `s` keeps them in the graph's id
-/// slab at `ids[s]` (see [`CorrelationGraph`]), and the node's length is
-/// `edges.len()`.
+/// slab at `ids[s]` (see [`CorrelationGraph`]).
 #[derive(Debug, Clone)]
 struct Node {
     /// The file id this slot currently represents.
     id: u32,
+    /// Number of successors: how much of the id line and of the two
+    /// arrays below is the node's.
+    len: usize,
     /// Total access count `N(A)`.
     total: f64,
     /// Edge payloads, parallel to the node's id line.
-    edges: Vec<EdgeData>,
+    edges: [EdgeData; LANES],
     /// Per-edge degree as of the edge's last touch, parallel to the id
     /// line; the eviction-ordering key. Kept in its own compact array so
     /// the weakest-edge scan touches two cache lines, not every payload.
     /// The exact degree is recomputed at query time because `N(A)` keeps
     /// growing.
-    degs: Vec<f64>,
+    degs: [f64; LANES],
     /// Slot index (into `edges`) of the weakest edge by
     /// `(cached_degree, to)`, maintained incrementally so cap eviction does
     /// not re-scan on every insert. `NO_EDGE` when empty or stale.
@@ -308,12 +301,13 @@ struct Node {
 }
 
 impl Node {
-    const fn fresh(id: u32) -> Node {
+    fn fresh(id: u32) -> Node {
         Node {
             id,
+            len: 0,
             total: 0.0,
-            edges: Vec::new(),
-            degs: Vec::new(),
+            edges: [EdgeData::default(); LANES],
+            degs: [0.0; LANES],
             weakest: NO_EDGE,
             sim_lb: f64::INFINITY,
         }
@@ -333,12 +327,17 @@ impl Node {
         }
     }
 
-    /// This node's edges (ordered by successor id; `line` is its id line)
-    /// as a reader sees them.
+    /// A node's edges (ordered by successor id; `line` holds their ids) as
+    /// a reader sees them, given its `N(A)`.
     #[inline]
-    fn views<'a>(&'a self, line: &'a [u32], p: f64) -> impl Iterator<Item = EdgeView> + 'a {
-        let total = self.total.max(1.0);
-        self.edges
+    fn views<'a>(
+        edges: &'a [EdgeData],
+        line: &'a [u32],
+        total: f64,
+        p: f64,
+    ) -> impl Iterator<Item = EdgeView> + 'a {
+        let total = total.max(1.0);
+        edges
             .iter()
             .zip(line)
             .map(move |(e, &to)| Node::view(e, to, total, p))
@@ -350,7 +349,7 @@ impl Node {
     /// invariant. Returns the number of edges dropped; invalidates the
     /// weakest cache when anything was dropped.
     fn compact(&mut self, line: &mut [u32], mut keep: impl FnMut(u32, &EdgeData) -> bool) -> usize {
-        let before = self.edges.len();
+        let before = self.len;
         let mut keep_at = 0;
         for r in 0..before {
             if keep(line[r], &self.edges[r]) {
@@ -364,8 +363,7 @@ impl Node {
             }
         }
         line[keep_at..before].fill(PAD);
-        self.edges.truncate(keep_at);
-        self.degs.truncate(keep_at);
+        self.len = keep_at;
         let dropped = before - keep_at;
         if dropped > 0 {
             self.weakest = NO_EDGE; // recomputed lazily at the cap
@@ -378,8 +376,8 @@ impl Node {
     /// is sorted by id, so first is lowest id. Integer keys and two
     /// conditional moves an edge; nothing branches on the data.
     fn rescan_weakest(&mut self, line: &[u32]) {
-        debug_assert!(line[..self.degs.len()].is_sorted());
-        let mut keys = self.degs.iter().map(|&d| total_order_key(d));
+        debug_assert!(line[..self.len].is_sorted());
+        let mut keys = self.degs[..self.len].iter().map(|&d| total_order_key(d));
         let Some(mut least) = keys.next() else {
             self.weakest = NO_EDGE;
             return;
@@ -396,7 +394,7 @@ impl Node {
     /// Is `(degree, to)` strictly weaker than the current weakest edge?
     #[inline]
     fn weaker_than_weakest(&self, line: &[u32], degree: f64, to: u32) -> bool {
-        match self.degs.get(self.weakest as usize) {
+        match self.degs[..self.len].get(self.weakest as usize) {
             Some(w) => match degree.total_cmp(w) {
                 std::cmp::Ordering::Less => true,
                 std::cmp::Ordering::Equal => to < line[self.weakest as usize],
@@ -410,7 +408,7 @@ impl Node {
     /// and must be freed (the slab holds active nodes only).
     #[inline]
     fn is_inactive(&self) -> bool {
-        self.total == 0.0 && self.edges.is_empty()
+        self.total == 0.0 && self.len == 0
     }
 }
 
@@ -501,11 +499,18 @@ impl UpdateMix {
 /// successor ids, and an id→slot index.
 #[derive(Debug, Default)]
 pub struct CorrelationGraph {
-    /// Live nodes, densely packed; freeing swap-removes.
-    slots: Vec<Node>,
+    /// Node slots, the live ones densely packed: slot `s` is live when
+    /// `s < ids.len()`, and the ones past it are freed slots kept for the
+    /// next admissions. Freeing swap-removes. Each slot is a block of its
+    /// own, so growth moves pointers, never nodes, and nothing slab-sized
+    /// is ever allocated: one `Vec<Node>`, or pages of four slots or more,
+    /// raised `mds_paced`'s peak resident set by 11 MB (of 70) through where
+    /// the allocator then put the benchmark's own growing buffers.
+    #[allow(clippy::vec_box)] // a node slot is a fixed-size block by design
+    slots: Vec<Box<Node>>,
     /// Successor ids of every slot: slot `s` owns the line `ids[s]`, its
-    /// `slots[s].edges.len()` ids sorted ascending and the rest [`PAD`].
-    /// A sweep over every node's ids streams contiguous memory.
+    /// `len` ids sorted ascending and the rest [`PAD`]. A sweep over every
+    /// node's ids streams contiguous memory.
     ids: Vec<Line>,
     /// file id → slot index.
     index: FxHashMap<u32, u32>,
@@ -516,11 +521,6 @@ pub struct CorrelationGraph {
     epoch: u64,
     /// Reused victim prefilter of [`CorrelationGraph::remove_edges_to_any`].
     filter: Vec<u8>,
-    /// Emptied `edges` / `degs` buffers of freed nodes, at most
-    /// [`SPARE_NODES`] pairs, handed to the nodes created next: under a
-    /// node cap every eviction is followed by as many admissions, and the
-    /// refill then never calls the allocator. Not part of the state image.
-    spare: Vec<(Vec<EdgeData>, Vec<f64>)>,
     mix: UpdateMix,
 }
 
@@ -541,35 +541,38 @@ impl CorrelationGraph {
         (&mut self.slots[s], &mut self.ids[s])
     }
 
-    /// Slot of `file`, allocating a fresh one if absent.
+    /// Every live slot with its id line, in slab order.
+    fn nodes(&self) -> impl Iterator<Item = (&Node, &Line)> {
+        self.slots.iter().map(|node| &**node).zip(&self.ids)
+    }
+
+    /// Slot of `file`, taking a fresh one if absent: a freed slot when one
+    /// is kept, else a new one.
     fn slot_or_insert(&mut self, file: FileId) -> usize {
         if let Some(&s) = self.index.get(&file.raw()) {
             return s as usize;
         }
-        let s = self.slots.len();
-        let mut node = Node::fresh(file.raw());
-        if let Some((edges, degs)) = self.spare.pop() {
-            (node.edges, node.degs) = (edges, degs);
+        let s = self.ids.len();
+        let node = Node::fresh(file.raw());
+        match self.slots.get_mut(s) {
+            Some(slot) => **slot = node,
+            None => self.slots.push(Box::new(node)),
         }
-        self.slots.push(node);
         self.ids.push([PAD; LANES]);
         self.index.insert(file.raw(), s as u32);
         s
     }
 
     /// Free slot `s`: swap-remove it — node and id line alike — and
-    /// re-point the index entry of the slot that moved into its place.
+    /// re-point the index entry of the slot that moved into its place. The
+    /// freed slot stays, past the live ones, for the next admission.
     fn free_slot(&mut self, s: usize) {
-        let mut node = self.slots.swap_remove(s);
+        let last = self.ids.len() - 1;
+        self.index.remove(&self.slots[s].id);
+        self.slots.swap(s, last);
         self.ids.swap_remove(s);
-        self.index.remove(&node.id);
-        if self.spare.len() < SPARE_NODES && node.edges.capacity() > 0 {
-            node.edges.clear();
-            node.degs.clear();
-            self.spare.push((node.edges, node.degs));
-        }
-        if let Some(moved) = self.slots.get(s) {
-            self.index.insert(moved.id, s as u32);
+        if s < last {
+            self.index.insert(self.slots[s].id, s as u32);
         }
     }
 
@@ -577,9 +580,11 @@ impl CorrelationGraph {
     /// hinted slot no longer holds `file`.
     #[inline]
     fn slot_by_hint(&self, file: FileId, hint: NodeHint) -> Option<usize> {
-        match self.slots.get(hint.0 as usize) {
-            Some(n) if n.id == file.raw() => Some(hint.0 as usize),
-            _ => self.slot_of(file),
+        let h = hint.0 as usize;
+        if h < self.ids.len() && self.slots[h].id == file.raw() {
+            Some(h)
+        } else {
+            self.slot_of(file)
         }
     }
 
@@ -651,7 +656,7 @@ impl CorrelationGraph {
                     None => self.slot_or_insert(pu.file),
                 };
                 let node = &self.slots[s];
-                let (pos, hit) = locate(&self.ids[s], node.edges.len(), to_raw);
+                let (pos, hit) = locate(&self.ids[s], node.len, to_raw);
                 if hit {
                     prefetch_read(&node.edges[pos]);
                 }
@@ -691,7 +696,7 @@ impl CorrelationGraph {
         let node = &mut self.slots[s];
         let line = &mut self.ids[s];
         let total = node.total.max(1.0);
-        let len = node.edges.len();
+        let len = node.len;
         if !brackets(line, pos, to) {
             pos = locate(line, len, to).0;
             mix.relocates += 1;
@@ -781,10 +786,10 @@ impl CorrelationGraph {
         if !full {
             mix.inserts += 1;
             self.num_edges += 1;
-            line.copy_within(pos..len, pos + 1);
-            line[pos] = to;
-            node.edges.insert(pos, edge);
-            node.degs.insert(pos, degree);
+            replace_sorted(&mut line[..=len], len, pos, to);
+            replace_sorted(&mut node.edges[..=len], len, pos, edge);
+            replace_sorted(&mut node.degs[..=len], len, pos, degree);
+            node.len += 1;
             node.sim_lb = node.sim_lb.min(sim);
             if node.weakest != NO_EDGE {
                 if node.weakest as usize >= pos {
@@ -802,8 +807,8 @@ impl CorrelationGraph {
         if degree > node.degs[w] {
             mix.admits += 1;
             replace_sorted(&mut line[..len], w, pos, to);
-            replace_sorted(&mut node.edges, w, pos, edge);
-            replace_sorted(&mut node.degs, w, pos, degree);
+            replace_sorted(&mut node.edges[..len], w, pos, edge);
+            replace_sorted(&mut node.degs[..len], w, pos, degree);
             node.sim_lb = node.sim_lb.min(sim);
             node.rescan_weakest(line);
         } else {
@@ -814,13 +819,14 @@ impl CorrelationGraph {
     /// Iterate over the successors of `file` (ordered by successor id) with
     /// degrees computed against the current `N(file)`.
     pub fn edges(&self, file: FileId, cfg: &FarmerConfig) -> impl Iterator<Item = EdgeView> + '_ {
-        /// What an unknown file reads as: no accesses, no successors.
-        static ABSENT: Node = Node::fresh(u32::MAX);
-        let (node, line) = match self.slot_of(file) {
-            Some(s) => (&self.slots[s], &self.ids[s][..]),
-            None => (&ABSENT, &[][..]),
+        let (edges, line, total) = match self.slot_of(file) {
+            Some(s) => {
+                let node = &self.slots[s];
+                (&node.edges[..node.len], &self.ids[s][..], node.total)
+            }
+            None => (&[][..], &[][..], 0.0),
         };
-        node.views(line, cfg.p)
+        Node::views(edges, line, total, cfg.p)
     }
 
     /// Stage 4 for the whole graph in one pass over the slab: visit every
@@ -856,10 +862,10 @@ impl CorrelationGraph {
             f64::NEG_INFINITY // below every degree, NaN included: no filter
         };
         let mut list: Vec<Correlator> = Vec::new();
-        for (node, line) in self.slots.iter().zip(&self.ids) {
+        for (node, line) in self.nodes() {
             list.clear();
             let total = node.total.max(1.0);
-            for ((e, &to), &cached) in node.edges.iter().zip(line).zip(&node.degs) {
+            for ((e, &to), &cached) in node.edges[..node.len].iter().zip(line).zip(&node.degs) {
                 if cached < cut {
                     continue;
                 }
@@ -889,8 +895,8 @@ impl CorrelationGraph {
     pub fn cached_degrees_bound(&self, cfg: &FarmerConfig) -> bool {
         let p = cfg.p;
         (0.0..=1.0).contains(&p)
-            && self.slots.iter().zip(&self.ids).all(|(node, line)| {
-                node.views(line, p)
+            && self.nodes().all(|(node, line)| {
+                Node::views(&node.edges[..node.len], line, node.total, p)
                     .zip(&node.degs)
                     .all(|(e, &cached)| e.degree <= cached * (1.0 + CACHED_DEGREE_MARGIN / 2.0))
             })
@@ -907,7 +913,8 @@ impl CorrelationGraph {
     pub(crate) fn mark_path_memos_stale(&mut self, file: FileId) {
         self.epoch += 1;
         if let Some(s) = self.slot_of(file) {
-            for e in &mut self.slots[s].edges {
+            let node = &mut self.slots[s];
+            for e in &mut node.edges[..node.len] {
                 e.inv_denom = f64::NAN;
             }
         }
@@ -924,9 +931,9 @@ impl CorrelationGraph {
         let p = cfg.p;
         let mut removed = 0;
         let mut s = 0;
-        while s < self.slots.len() {
+        while s < self.ids.len() {
             let (node, line) = self.node_and_line(s);
-            if node.edges.is_empty() || p * node.sim_lb >= floor {
+            if node.len == 0 || p * node.sim_lb >= floor {
                 s += 1;
                 continue;
             }
@@ -967,7 +974,7 @@ impl CorrelationGraph {
         self.epoch += 1;
         match self.slot_of(file) {
             Some(s) => {
-                let removed = self.slots[s].edges.len();
+                let removed = self.slots[s].len;
                 self.free_slot(s);
                 self.num_edges -= removed;
                 removed
@@ -1010,7 +1017,7 @@ impl CorrelationGraph {
         self.epoch += 1;
         // Every node is active on entry (each operation frees what it
         // empties), so only a node this sweep rewrites can need freeing.
-        debug_assert!(self.slots.iter().all(|n| !n.is_inactive()));
+        debug_assert!(self.nodes().all(|(n, _)| !n.is_inactive()));
         let mut filter = std::mem::take(&mut self.filter);
         filter.clear();
         filter.resize(N, 0);
@@ -1034,7 +1041,7 @@ impl CorrelationGraph {
         {
             s += skip;
             let (node, line) = self.node_and_line(s);
-            if line[..node.edges.len()].iter().any(|&to| doomed(to)) {
+            if line[..node.len].iter().any(|&to| doomed(to)) {
                 removed += node.compact(line, |to, _| !doomed(to));
                 if node.is_inactive() {
                     self.free_slot(s);
@@ -1054,7 +1061,7 @@ impl CorrelationGraph {
     /// memory budget caps.
     #[inline]
     pub fn active_nodes(&self) -> usize {
-        self.slots.len()
+        self.ids.len()
     }
 
     /// Number of live edges.
@@ -1078,7 +1085,7 @@ impl CorrelationGraph {
 
     /// Iterate over the files with a live node (slab order, unspecified).
     pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.slots.iter().map(|n| FileId::new(n.id))
+        self.nodes().map(|(n, _)| FileId::new(n.id))
     }
 
     /// Export the full graph state as plain data (slab order, raw f64
@@ -1089,16 +1096,14 @@ impl CorrelationGraph {
         crate::state::GraphState {
             epoch: self.epoch,
             nodes: self
-                .slots
-                .iter()
-                .zip(&self.ids)
+                .nodes()
                 .map(|(n, line)| crate::state::NodeState {
                     id: n.id,
                     total: n.total.to_bits(),
                     sim_lb: n.sim_lb.to_bits(),
                     edges: line
                         .iter()
-                        .zip(&n.edges)
+                        .zip(&n.edges[..n.len])
                         .zip(&n.degs)
                         .map(|((&to, e), &deg)| crate::state::EdgeState {
                             to,
@@ -1125,69 +1130,57 @@ impl CorrelationGraph {
     ///
     /// # Panics
     /// If a node holds more than [`MAX_SUCCESSORS`] edges, more than its
-    /// id line can. No graph exports one, and the image codec refuses one.
+    /// id line can. No graph exports one, and the image codec refuses one,
+    /// as it refuses the other states no graph exports: successor ids that
+    /// are not strictly ascending, a node id named twice.
     pub fn from_state(state: &crate::state::GraphState) -> CorrelationGraph {
+        let n = state.nodes.len();
         let mut g = CorrelationGraph {
-            slots: Vec::with_capacity(state.nodes.len()),
-            ids: Vec::with_capacity(state.nodes.len()),
+            slots: Vec::with_capacity(n),
+            ids: Vec::with_capacity(n),
             epoch: state.epoch,
             ..CorrelationGraph::default()
         };
-        for (s, ns) in state.nodes.iter().enumerate() {
+        for ns in &state.nodes {
+            let len = ns.edges.len();
             assert!(
-                ns.edges.len() <= MAX_SUCCESSORS,
-                "node {} holds {} successors, more than an id line's {MAX_SUCCESSORS}",
+                len <= MAX_SUCCESSORS,
+                "node {} holds {len} successors, more than an id line's {MAX_SUCCESSORS}",
                 ns.id,
-                ns.edges.len()
             );
-            let mut line = [PAD; LANES];
-            for (slot, e) in line.iter_mut().zip(&ns.edges) {
-                *slot = e.to;
-            }
-            g.ids.push(line);
-            let mut node = Node::fresh(ns.id);
+            let s = g.slot_or_insert(FileId::new(ns.id));
+            let (node, line) = g.node_and_line(s);
+            node.len = len;
             node.total = f64::from_bits(ns.total);
             node.sim_lb = f64::from_bits(ns.sim_lb);
-            node.degs = ns.edges.iter().map(|e| f64::from_bits(e.deg)).collect();
-            node.edges = ns
-                .edges
-                .iter()
-                .map(|e| EdgeData {
+            for (i, e) in ns.edges.iter().enumerate() {
+                line[i] = e.to;
+                node.degs[i] = f64::from_bits(e.deg);
+                node.edges[i] = EdgeData {
                     mass: f64::from_bits(e.mass),
                     sim_sum: f64::from_bits(e.sim_sum),
                     sim_n: e.sim_n,
                     path_inter: f64::from_bits(e.path_inter),
                     inv_denom: f64::from_bits(e.inv_denom),
                     succ_path: e.succ_path,
-                })
-                .collect();
-            g.num_edges += node.edges.len();
-            g.index.insert(ns.id, s as u32);
-            g.slots.push(node);
+                };
+            }
+            g.num_edges += len;
         }
         g
     }
 
-    /// Approximate heap bytes held by the graph (Table 4 accounting):
-    /// node slab + id slab + per-node edge storage + id→slot index + the
-    /// eviction sweep's prefilter, each at capacity. O(active nodes), and —
-    /// unlike the dense spine — independent of id magnitudes.
+    /// Approximate heap bytes held by the graph (Table 4 accounting): every
+    /// node slot, live or kept, and the slab of their pointers at capacity;
+    /// the id slab at capacity; the id→slot index and the eviction sweep's
+    /// prefilter. O(1): a slot is the same size whatever its degree.
+    /// Independent of id magnitudes, unlike a dense spine.
     pub fn heap_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Node>()
+        self.slots.len() * std::mem::size_of::<Node>()
+            + self.slots.capacity() * std::mem::size_of::<Box<Node>>()
             + self.ids.capacity() * std::mem::size_of::<Line>()
-            + self
-                .slots
-                .iter()
-                .map(|n| buffer_bytes(&n.edges, &n.degs))
-                .sum::<usize>()
             + self.index.capacity() * (2 * std::mem::size_of::<u32>() + 8)
             + self.filter.capacity()
-            + self.spare.capacity() * std::mem::size_of::<(Vec<EdgeData>, Vec<f64>)>()
-            + self
-                .spare
-                .iter()
-                .map(|(edges, degs)| buffer_bytes(edges, degs))
-                .sum::<usize>()
     }
 }
 
@@ -1689,7 +1682,7 @@ mod tests {
             g.edge(f(3), f(to), 1.0, 0.5, &c);
             g.edge(f(4), f(if to == 115 { u32::MAX } else { to }), 1.0, 0.5, &c);
         }
-        assert_eq!(g.slots[2].edges.len(), LANES, "a line without pad");
+        assert_eq!(g.slots[2].len, LANES, "a line without pad");
         assert_eq!(g.remove_edges_to_any(&[f(u32::MAX)]), 2);
         let succs = |g: &CorrelationGraph, from: u32| -> Vec<u32> {
             g.edges(f(from), &c).map(|e| e.to.raw()).collect()
@@ -1738,7 +1731,8 @@ mod tests {
                     .min_by(|(_, (a, at)), (_, (b, bt))| a.total_cmp(b).then(at.cmp(bt)))
                     .map(|(i, _)| i as u32);
                 let mut node = Node::fresh(1);
-                node.degs = degs;
+                node.degs[..keep].copy_from_slice(&degs);
+                node.len = keep;
                 node.rescan_weakest(&line);
                 assert_eq!(Some(node.weakest), want, "keep {keep} turn {turn}");
             }
@@ -1756,33 +1750,57 @@ mod tests {
     }
 
     #[test]
-    fn freed_buffers_are_handed_to_the_next_nodes_and_counted() {
+    fn heap_bytes_is_the_closed_form_and_holds_across_refills() {
+        // A slot is 800 bytes and a line 64, whatever the node's degree.
+        assert_eq!(std::mem::size_of::<Node>(), 800);
+        let closed_form = |g: &CorrelationGraph| {
+            g.slots.len() * 800
+                + g.slots.capacity() * 8
+                + g.ids.capacity() * 64
+                + g.index.capacity() * 16
+                + g.filter.capacity()
+        };
         let c = cfg();
         let mut g = CorrelationGraph::new();
-        for from in 0..200u32 {
-            for to in 1000..1008 {
-                g.edge(f(from), f(to), 1.0, 0.5, &c);
+        assert_eq!(g.heap_bytes(), 0);
+        // Fill 300 nodes to degrees 1..=16, forget a batch of 64 (their
+        // nodes and every edge to them), refill as many: the node count is
+        // back where it was, and so is every capacity.
+        let fill = |g: &mut CorrelationGraph, from: std::ops::Range<u32>| {
+            for a in from {
+                g.access(f(a));
+                for to in 0..=a % 16 {
+                    g.edge(f(a), f(1000 + 7 * a + to), 1.0, 0.5, &c);
+                    g.edge(f(a), f((a + to) % 300), 1.0, 0.5, &c);
+                }
             }
+        };
+        fill(&mut g, 0..300);
+        assert_eq!(g.active_nodes(), 300);
+        assert_eq!(g.heap_bytes(), closed_form(&g));
+        // One slot a node, and none kept empty.
+        assert_eq!(g.slots.len(), 300);
+        let mut settled = None;
+        for lap in 0..3u32 {
+            let victims: Vec<FileId> = (0..64).map(|i| f(4 * i + lap)).collect();
+            for &v in &victims {
+                g.clear_node(v);
+            }
+            g.remove_edges_to_any(&victims);
+            let fresh = 300 + 64 * lap;
+            fill(&mut g, fresh..fresh + 64);
+            assert_eq!(g.heap_bytes(), closed_form(&g));
+            let now = (g.active_nodes(), g.heap_bytes());
+            assert_eq!(*settled.get_or_insert(now), now, "lap {lap}");
         }
-        let full = g.heap_bytes();
-        for from in 0..200u32 {
-            g.clear_node(f(from));
-        }
-        // The pool is bounded, holds only emptied buffers, and is counted.
-        assert_eq!(g.spare.len(), SPARE_NODES);
-        assert!(g.spare.iter().all(|(e, d)| e.is_empty() && d.is_empty()));
-        let pooled: usize = g.spare.iter().map(|(e, d)| buffer_bytes(e, d)).sum();
-        assert!(pooled >= SPARE_NODES * 8 * (std::mem::size_of::<EdgeData>() + 8));
-        assert!(g.heap_bytes() >= pooled && g.heap_bytes() < full);
-        assert_eq!(g.export_state().nodes, vec![], "the pool is not state");
-        // New nodes take from it, and start out empty all the same.
-        g.edge(f(500), f(1), 1.0, 0.5, &c);
-        assert_eq!(g.spare.len(), SPARE_NODES - 1);
-        assert!(g.slots[0].edges.capacity() >= 8);
-        assert_eq!(g.edges(f(500), &c).count(), 1);
         let back = CorrelationGraph::from_state(&g.export_state());
         assert_eq!(back.export_state(), g.export_state());
-        assert!(back.spare.is_empty());
+        assert_eq!(back.slots.len(), g.slots.len());
+        assert_eq!(
+            back.ids.capacity(),
+            g.active_nodes(),
+            "restored at exact fit"
+        );
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   `top_k_into` after every `observe_event`, over more distinct files
 //!   than any bounded per-file structure would hold — allocates nothing
 //!   inside the query from the second lap on;
+//! * a default [`farmer_stream::StreamMiner`] mining over more files
+//!   than its node cap allocates nothing from its second lap on: its
+//!   nodes are fixed-size slots in slabs that a lap has already grown;
 //! * a path is a shared value: cloning a `FilePath`, and building the
 //!   `WalOp` the ring and the router carry for an event from the trace's
 //!   own path, allocate nothing (so nothing on the ingest path needs a
@@ -28,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use farmer_core::{CorrelationSource, Correlator, Farmer, FarmerConfig, Request};
 use farmer_serve::{FarmerServe, ServeConfig, SnapshotCell};
-use farmer_stream::{ShardedMiner, StreamConfig, WalOp};
+use farmer_stream::{ShardedMiner, StreamConfig, StreamMiner, WalOp};
 use farmer_trace::{FileId, Trace, WorkloadSpec};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -202,6 +205,28 @@ fn queries_allocate_nothing_and_publication_a_fixed_handful() {
         "{first}, {second}"
     );
     assert_eq!(allocs, 0, "query after observe allocated in steady state");
+
+    // Mining at the node cap: a default miner over more files than its
+    // cap evicts and admits without end, yet once a lap has grown every
+    // slab and table it needs, the next lap calls the allocator not once.
+    let mut capped = StreamMiner::new(StreamConfig::default());
+    assert!(trace.num_files() > capped.config().node_cap);
+    let mine_lap = |miner: &mut StreamMiner| {
+        allocs_during(|| {
+            for e in &trace.events {
+                miner.ingest_event(&trace, e);
+            }
+        })
+    };
+    let first = mine_lap(&mut capped);
+    let evicted = capped.evictions();
+    let again = mine_lap(&mut capped);
+    assert!(first > 0, "the first lap grows what the miner holds");
+    assert!(
+        evicted > 0 && capped.evictions() > evicted,
+        "both laps evict"
+    );
+    assert_eq!(again, 0, "a second lap at the node cap allocated");
 
     for shards in [1usize, 2] {
         let (small, small_lists) = publish_allocs(&trace, 256, shards);

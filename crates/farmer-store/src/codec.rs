@@ -11,7 +11,7 @@ pub enum DecodeError {
     Truncated,
     /// A length field points past the end of the buffer.
     BadLength,
-    /// A key the layout allows once appears twice.
+    /// A key the layout allows once, ascending, repeats or descends.
     DuplicateKey,
     /// A field the layout reserves holds something other than its one
     /// value.
@@ -23,7 +23,7 @@ impl std::fmt::Display for DecodeError {
         match self {
             DecodeError::Truncated => write!(f, "buffer truncated"),
             DecodeError::BadLength => write!(f, "length field out of bounds"),
-            DecodeError::DuplicateKey => write!(f, "unique key repeated"),
+            DecodeError::DuplicateKey => write!(f, "unique key repeated or out of order"),
             DecodeError::Reserved => write!(f, "reserved field set"),
         }
     }

@@ -61,7 +61,10 @@
 //! configuration ever wrote anything else there; an image that holds one
 //! does not decode (`DecodeError::Reserved`), and recovery falls back as
 //! for a corrupt one. A node of more than
-//! `farmer_core::graph::MAX_SUCCESSORS` edges does not decode either.
+//! `farmer_core::graph::MAX_SUCCESSORS` edges does not decode either, nor
+//! does a node id that repeats or a node whose successor ids are not
+//! strictly ascending (`DecodeError::DuplicateKey`): each would restore a
+//! graph whose slots the kernel reads wrongly.
 //!
 //! [`recover`] walks the checkpoint ladder newest → oldest: the first
 //! image that exists, matches its recorded length and CRC, and decodes
@@ -287,12 +290,13 @@ pub(crate) fn tables_bitwise_equal(a: &CorrelatorTable, b: &CorrelatorTable) -> 
 /// tests use.
 ///
 /// `state_bytes` is deliberately *not* compared: it reports resident
-/// heap including buffer capacities (eviction scratch, recycled node
-/// buffers), which reflect the history of a process rather than mined
-/// state — a miner restored from an image starts with empty scratch, so
-/// two bit-identical graphs can legitimately report different resident
-/// footprints. Reading is not part of that history: queries and
-/// snapshot builds leave `state_bytes` as it was.
+/// heap including buffer capacities (eviction scratch, the graph's spare
+/// slots and slab capacity), which reflect the history of a process
+/// rather than mined state — a miner restored from an image starts with
+/// empty scratch and slabs at exact fit, so two bit-identical graphs can
+/// legitimately report different resident footprints. Reading is not part
+/// of that history: queries and snapshot builds leave `state_bytes` as it
+/// was.
 pub fn snapshots_bitwise_equal(a: &StreamSnapshot, b: &StreamSnapshot) -> bool {
     a.events == b.events
         && a.shards == b.shards
@@ -416,8 +420,13 @@ fn decode_miner_state(r: &mut Reader) -> Result<MinerState, DecodeError> {
         return Err(DecodeError::BadLength);
     }
     let mut nodes = Vec::with_capacity(n);
+    // The default hasher: these ids come from outside the program.
+    let mut seen = std::collections::HashSet::with_capacity(n);
     for _ in 0..n {
         let id = r.u32()?;
+        if !seen.insert(id) {
+            return Err(DecodeError::DuplicateKey);
+        }
         let total = r.u64()?;
         reserved(r)?;
         let sim_lb = r.u64()?;
@@ -437,6 +446,9 @@ fn decode_miner_state(r: &mut Reader) -> Result<MinerState, DecodeError> {
                 inv_denom: r.u64()?,
                 succ_path: r.u8()? != 0,
             });
+        }
+        if !edges.is_sorted_by(|a, b| a.to < b.to) {
+            return Err(DecodeError::DuplicateKey);
         }
         nodes.push(NodeState {
             id,
@@ -1553,6 +1565,7 @@ mod tests {
         set_last_reserved_field(&mut bytes, &states);
         assert_eq!(decode_image(&bytes).unwrap_err(), DecodeError::Reserved);
         // A node of seventeen edges, one more than its id line holds.
+        let clean = states.clone();
         let node = states[1]
             .farmer
             .graph
@@ -1565,6 +1578,27 @@ mod tests {
         }
         let bytes = encode_image(&serving, &states);
         assert_eq!(decode_image(&bytes).unwrap_err(), DecodeError::BadLength);
+        // Successors that descend or repeat, and a node id named twice:
+        // CRC-valid images of graphs whose slots the kernel would misread.
+        fn two_edges(g: &mut GraphState) -> &mut Vec<EdgeState> {
+            let node = g.nodes.iter_mut().find(|n| n.edges.len() >= 2);
+            &mut node.expect("a node of two edges").edges
+        }
+        let decoded = |edit: fn(&mut GraphState)| {
+            let mut states = clean.clone();
+            edit(&mut states[1].farmer.graph);
+            decode_image(&encode_image(&serving, &states)).map(|_| ())
+        };
+        assert_eq!(decoded(|_| ()), Ok(()));
+        let descending: fn(&mut GraphState) = |g| two_edges(g).swap(0, 1);
+        let repeated: fn(&mut GraphState) = |g| {
+            let edges = two_edges(g);
+            edges[1].to = edges[0].to;
+        };
+        let twice: fn(&mut GraphState) = |g| g.nodes.push(g.nodes[0].clone());
+        for edit in [descending, repeated, twice] {
+            assert_eq!(decoded(edit), Err(DecodeError::DuplicateKey));
+        }
     }
 
     #[test]

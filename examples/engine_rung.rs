@@ -9,7 +9,9 @@
 //!
 //! Per preset and rung it prints ns/event (fast quartile over 8 192-event
 //! windows, the benchmark's own statistic — it reads within a few ns of
-//! `core.observe_ns_per_event` / `engine.ingest_ns_per_event`), the update
+//! `core.observe_ns_per_event` / `engine.ingest_ns_per_event`), the graph's
+//! edges and nodes beside the bytes the rung accounts (so mean degree and
+//! bytes a node can be read off both), the update
 //! mix per event after the warm-up lap, the median of five at-rest
 //! `snapshot()` builds, a hash of every list published along the way, and
 //! a hash of `export_state()`: four state hashes and two published-lists
@@ -167,7 +169,10 @@ fn rung(name: &str, spec: WorkloadSpec, n: usize, cfg: StreamConfig) {
         .collect();
     builds.sort_unstable();
     println!(
-        "  engine {ns:7.1} ns/event   {} evictions ({:.2}/kevent), {} tracked, {} B, snapshot {:.0} us",
+        "  engine {ns:7.1} ns/event   {} edges, {} nodes, {} evictions ({:.2}/kevent), {} tracked, \
+         {} B, snapshot {:.0} us",
+        miner.farmer().graph().num_edges(),
+        miner.farmer().graph().active_nodes(),
         miner.evictions() - evicted,
         (miner.evictions() - evicted) as f64 * 1000.0 / n as f64,
         miner.tracked_files(),
