@@ -19,7 +19,8 @@
 //!   strictly monotone per reader.
 //! * [`FarmerServe`] — the tier itself: owns a
 //!   [`farmer_stream::ShardedMiner`] on a dedicated ingest thread,
-//!   publishes consistent cuts on a configurable cadence, hands out
+//!   publishes consistent cuts on a configurable cadence without
+//!   pausing ingest for them, hands out
 //!   [`IngestHandle`]s (lock-free writers) and [`ServeReader`]s
 //!   (wait-free readers), and shuts down gracefully by draining the ring
 //!   before the final publication.
@@ -53,7 +54,9 @@ pub use serve::{FarmerServe, IngestHandle, ServeReader, ServeStats};
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// The wrapped online miner's configuration (shards, caps, cadence —
-    /// see [`StreamConfig`]).
+    /// see [`StreamConfig`]). The default queues 16 batches a shard, not
+    /// 64: the worker does not wait for its cuts, so the queue stays
+    /// full, and a cut waits behind at most half a publication window.
     pub stream: StreamConfig,
     /// Slots in the ingest ring (rounded up to a power of two). The
     /// backpressure knob: producers outrunning the miner fill the ring
@@ -68,7 +71,13 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            stream: StreamConfig::default(),
+            // 16 batches of 256 ops: half a publication window (see the
+            // field). StreamConfig's 64 stays for the durable tier, where
+            // it bounds the commit group.
+            stream: StreamConfig {
+                channel_capacity: 16,
+                ..StreamConfig::default()
+            },
             ring_capacity: 1024,
             publish_every: 8192,
         }
@@ -100,6 +109,9 @@ mod tests {
         let cfg = ServeConfig::default();
         assert!(cfg.ring_capacity.is_power_of_two());
         assert!(cfg.publish_every > 0);
+        // The shard queue holds half a publication window (see `Default`).
+        let queued = cfg.stream.channel_capacity * cfg.stream.route_batch;
+        assert_eq!(2 * queued as u64, cfg.publish_every);
         let cfg = cfg.with_shards(4).with_publish_every(100);
         assert_eq!(cfg.stream.num_shards, 4);
         assert_eq!(cfg.publish_every, 100);

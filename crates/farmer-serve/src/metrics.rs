@@ -33,8 +33,9 @@ pub struct ServeMetrics {
     /// Ring occupancy sampled by the ingest worker at each drain
     /// (`serve.ring_depth`).
     pub ring_depth: Gauge,
-    /// Wall-clock nanoseconds per publication — consistent-cut snapshot
-    /// plus cell install (`serve.publish_ns`).
+    /// Wall-clock nanoseconds per publication, from the request of its
+    /// consistent cut to its install in the cell (`serve.publish_ns`).
+    /// The worker routes on meanwhile, so this is freshness, not a pause.
     pub publish_ns: Histogram,
 }
 

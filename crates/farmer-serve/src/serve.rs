@@ -17,9 +17,20 @@
 //!   and a full ring pushes back explicitly: the handle spins/yields and
 //!   counts one `serve.backpressure_waits` episode instead of queueing
 //!   without bound.
-//! * **Publication** is epoch-swapped: the worker periodically takes a
-//!   consistent cut ([`ShardedMiner::publish_into`]) and installs it in
-//!   the tier's [`SnapshotCell`] in O(1).
+//! * **Publication** is epoch-swapped and never stops ingest: every
+//!   `publish_every` events the worker requests a consistent cut
+//!   ([`ShardedMiner::request_snapshot`]) and goes on routing. The cut's
+//!   marker waits in each shard's queue behind exactly the events routed
+//!   before it. The worker keeps the cuts in flight in a FIFO, looks at
+//!   the oldest once a route batch and whenever the ring is empty (an
+//!   idle worker parks for at most 1 ms between looks), and
+//!   installs each finished one in the tier's [`SnapshotCell`] in O(1),
+//!   in order. A [`FarmerServe::publish`], a [`FarmerServe::flush`] and
+//!   the shutdown publication first finish every cut in flight, then
+//!   take one more and wait for it; that cut is their barrier. The shard
+//!   queue is short ([`crate::ServeConfig`]'s default is 16 batches,
+//!   half a publication window), because a worker that does not wait
+//!   keeps it full and a cut waits behind all of it.
 //! * **Queries** never touch the miner, the ring, or any lock: each
 //!   [`ServeReader`] serves from its cached snapshot `Arc`, re-cloning
 //!   only when the epoch advances. The steady-state query hot path is
@@ -29,16 +40,17 @@
 //! * **Shutdown is graceful**: [`FarmerServe::shutdown`] stops intake,
 //!   drains every event already in the ring into the miner, publishes one
 //!   final snapshot, and joins the worker — readers keep serving from the
-//!   final epoch for as long as they live.
+//!   final epoch for as long as they live. A push after it is refused.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::{self, JoinHandle, Thread};
 use std::time::Duration;
 
 use farmer_core::{CorrelationSource, Correlator, Request};
-use farmer_obs::Registry;
-use farmer_stream::{CellReader, ShardedMiner, SnapshotCell, StreamSnapshot, WalOp};
+use farmer_obs::{Registry, Span};
+use farmer_stream::{CellReader, PendingCut, ShardedMiner, SnapshotCell, StreamSnapshot, WalOp};
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::metrics::ServeMetrics;
@@ -263,19 +275,18 @@ impl Drop for FarmerServe {
 
 /// Push, spinning through explicit backpressure. Counts one
 /// `backpressure_waits` episode per push that found the ring full.
-/// Returns `false` (op dropped) once the tier is stopping — a livelock
-/// guard: after shutdown the consumer is draining towards exit, and a
-/// producer must not spin forever on a ring that will never be popped
-/// again.
-fn push_with_backpressure(producer: &Producer<IngestOp>, shared: &Shared, op: IngestOp) -> bool {
-    let mut op = match producer.try_push(op) {
-        Ok(()) => {
-            shared.wake_worker();
-            return true;
-        }
-        Err(op) => op,
-    };
-    shared.metrics.backpressure_waits.inc();
+/// Returns `false` (op dropped) once the tier is stopping: after
+/// [`FarmerServe::shutdown`] has returned nobody pops the ring again, so
+/// an op accepted then would be lost, and a producer on a full one would
+/// spin forever. What remains is a push racing the shutdown itself: one
+/// that passed the check before the stop flag was raised may still land,
+/// and is mined only if the worker's last look at the ring (it exits on
+/// an empty ring) comes after it.
+fn push_with_backpressure(
+    producer: &Producer<IngestOp>,
+    shared: &Shared,
+    mut op: IngestOp,
+) -> bool {
     let mut spins = 0u32;
     loop {
         // ord: Acquire pairs with shutdown's stop store; a refused push
@@ -289,6 +300,9 @@ fn push_with_backpressure(producer: &Producer<IngestOp>, shared: &Shared, op: In
                 return true;
             }
             Err(back) => op = back,
+        }
+        if spins == 0 {
+            shared.metrics.backpressure_waits.inc();
         }
         spins += 1;
         if spins < 64 {
@@ -418,8 +432,65 @@ impl Drop for ServeReader {
     }
 }
 
-/// The ingest worker: drain the ring into the miner, publish on cadence,
-/// park when idle, drain-and-exit on stop.
+/// The worker's publication side: the tier's cell, and the cadence cuts
+/// requested but not installed yet, oldest first.
+struct Publisher {
+    cell: Arc<SnapshotCell>,
+    metrics: ServeMetrics,
+    /// Each cut with the span timing it from request to install.
+    in_flight: VecDeque<(PendingCut, Span)>,
+    stats: ServeStats,
+}
+
+impl Publisher {
+    /// Request a cut of everything routed so far and go on routing.
+    fn request(&mut self, miner: &mut ShardedMiner) {
+        let span = self.metrics.publish_ns.span();
+        self.in_flight.push_back((miner.request_snapshot(), span));
+    }
+
+    /// Install, oldest first, every cut in flight whose shards have all
+    /// answered; with `wait`, wait for all of them. Shards answer in
+    /// stream order, so a cut still waiting means every later one is too.
+    fn settle(&mut self, miner: &mut ShardedMiner, wait: bool) {
+        while let Some((cut, span)) = self.in_flight.pop_front() {
+            let done = if wait {
+                Ok(cut.finish(miner))
+            } else {
+                cut.try_finish(miner)
+            };
+            match done {
+                Ok(snap) => self.install(snap, span),
+                Err(cut) => {
+                    self.in_flight.push_front((cut, span));
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Publish now and wait for it: install every cut in flight, and last
+    /// a cut of everything routed so far. That cut is the barrier: it is
+    /// answered once every shard has mined what was routed before it
+    /// (and, with a log, once that is durable).
+    fn publish(&mut self, miner: &mut ShardedMiner) {
+        self.request(miner);
+        self.settle(miner, true);
+    }
+
+    fn install(&mut self, snap: StreamSnapshot, span: Span) {
+        let epoch = self.cell.install(Arc::new(snap));
+        span.finish();
+        self.stats.publishes += 1;
+        self.stats.final_epoch = epoch;
+        self.metrics.snapshot_swaps.inc();
+        self.metrics.epoch.set(epoch as i64);
+    }
+}
+
+/// The ingest worker: drain the ring into the miner, request a cut on
+/// cadence and install each once the shards have answered it, park when
+/// idle, drain-and-exit on stop.
 fn ingest_worker(
     mut miner: ShardedMiner,
     mut rx: Consumer<IngestOp>,
@@ -428,22 +499,22 @@ fn ingest_worker(
     publish_every: u64,
 ) -> ServeStats {
     let m = shared.metrics.clone();
-    let mut stats = ServeStats {
-        events: 0,
-        forgets: 0,
-        publishes: 0,
-        final_epoch: 0,
+    let mut publisher = Publisher {
+        cell,
+        metrics: m.clone(),
+        in_flight: VecDeque::new(),
+        stats: ServeStats {
+            events: 0,
+            forgets: 0,
+            publishes: 0,
+            final_epoch: 0,
+        },
     };
+    let route_batch = miner.config().route_batch;
     let mut since_publish = 0u64;
-    let publish = |miner: &mut ShardedMiner, stats: &mut ServeStats| {
-        let span = m.publish_ns.span();
-        let epoch = miner.publish_into(&cell);
-        span.finish();
-        stats.publishes += 1;
-        stats.final_epoch = epoch;
-        m.snapshot_swaps.inc();
-        m.epoch.set(epoch as i64);
-    };
+    // Ops routed since the cuts in flight were last looked at: they are
+    // looked at once a route batch, and whenever the ring is empty.
+    let mut since_settle = 0usize;
     let mut spins = 0u32;
     loop {
         match rx.try_pop() {
@@ -452,32 +523,37 @@ fn ingest_worker(
                 match op {
                     IngestOp::Op(op @ WalOp::Ingest { .. }) => {
                         miner.route_op(op);
-                        stats.events += 1;
+                        publisher.stats.events += 1;
                         since_publish += 1;
                         if publish_every > 0 && since_publish >= publish_every {
                             since_publish = 0;
                             m.ring_depth.set(rx.len() as i64);
-                            publish(&mut miner, &mut stats);
+                            publisher.request(&mut miner);
                         }
                     }
                     IngestOp::Op(op @ WalOp::Forget(_)) => {
                         miner.route_op(op);
-                        stats.forgets += 1;
+                        publisher.stats.forgets += 1;
                     }
                     IngestOp::Publish => {
                         since_publish = 0;
-                        publish(&mut miner, &mut stats);
+                        publisher.publish(&mut miner);
                     }
                     IngestOp::Flush(ack) => {
-                        miner.flush();
                         since_publish = 0;
-                        publish(&mut miner, &mut stats);
+                        publisher.publish(&mut miner);
                         // A hung-up flusher is not an error.
                         let _ = ack.send(());
                     }
                 }
+                since_settle += 1;
+                if since_settle >= route_batch {
+                    since_settle = 0;
+                    publisher.settle(&mut miner, false);
+                }
             }
             None => {
+                publisher.settle(&mut miner, false);
                 // ord: SeqCst keeps the stop check in the same total order
                 // as the producers' pushes and the sleeping protocol.
                 if shared.stop.load(Ordering::SeqCst) {
@@ -510,12 +586,10 @@ fn ingest_worker(
             }
         }
     }
-    // Final consistent publication: flush the miner so the last snapshot
-    // reflects every drained event.
-    miner.flush();
-    publish(&mut miner, &mut stats);
+    // Final consistent publication: it reflects every drained event.
+    publisher.publish(&mut miner);
     m.ring_depth.set(0);
-    stats
+    publisher.stats
 }
 
 #[cfg(test)]
@@ -678,16 +752,67 @@ mod tests {
     }
 
     #[test]
+    fn cadence_cuts_install_in_order_on_the_window_grid() {
+        // The worker requests each cadence cut and routes on; each must
+        // still be installed, in order, at exactly its stream position.
+        let trace = WorkloadSpec::hp().scaled(0.01).generate();
+        let every = 512u64;
+        let windows = 40u64;
+        let serve = FarmerServe::spawn(ServeConfig::default().with_publish_every(every));
+        let cell = Arc::clone(serve.cell());
+        let mut tx = serve.handle();
+        let mut last = 0u64;
+        for e in trace.stream().take((windows * every) as usize) {
+            assert!(tx.ingest_event(&trace, &e));
+            let (epoch, snap) = cell.load();
+            if epoch != last {
+                assert!(epoch > last, "epoch {epoch} installed after {last}");
+                assert_eq!(snap.events, epoch * every, "cut {epoch} is off the grid");
+                last = epoch;
+            }
+        }
+        let stats = serve.shutdown();
+        assert_eq!(stats.events, windows * every);
+        // Every cadence cut, then the shutdown publication.
+        assert_eq!(stats.publishes, windows + 1);
+        assert_eq!(stats.final_epoch, windows + 1);
+    }
+
+    #[test]
+    fn flush_returns_after_every_cut_in_flight_is_installed() {
+        // A cut a route batch: a flush right after the last push finds
+        // cuts in flight, and must install each before its own.
+        let trace = WorkloadSpec::hp().scaled(0.01).generate();
+        let cfg = ServeConfig::default();
+        let every = cfg.stream.route_batch as u64;
+        let serve = FarmerServe::spawn(cfg.with_publish_every(every));
+        let mut tx = serve.handle();
+        let n = 64 * every + 5;
+        for e in trace.stream().take(n as usize) {
+            assert!(tx.ingest_event(&trace, &e));
+        }
+        serve.flush();
+        let (epoch, snap) = serve.cell().load();
+        assert_eq!(epoch, n / every + 1, "a cadence cut was not installed");
+        assert_eq!(snap.events, n);
+        let stats = serve.shutdown();
+        assert_eq!(stats.publishes, n / every + 2);
+    }
+
+    #[test]
     fn ingest_after_shutdown_is_refused() {
         let serve = FarmerServe::spawn(ServeConfig::default());
         let mut tx = serve.handle();
         let trace = WorkloadSpec::ins().scaled(0.005).generate();
         assert!(tx.ingest_event(&trace, &trace.events[0]));
         let _ = serve.shutdown();
-        // The worker is gone; the handle must refuse instead of spinning
-        // forever once the ring fills.
+        // The worker is gone: nothing pushed now would be mined, so the
+        // very first push is refused, not only one that meets a full ring
+        // (which would otherwise spin forever).
+        assert!(!tx.ingest_event(&trace, &trace.events[0]));
+        assert!(!tx.forget(trace.events[0].file));
         for e in trace.stream().take(5000) {
-            let _ = tx.ingest_event(&trace, &e);
+            assert!(!tx.ingest_event(&trace, &e));
         }
     }
 

@@ -30,7 +30,8 @@
 //!   and [`recover`], whose replay is `route_op` of each logged op.
 //! * [`snapshot`] — [`StreamSnapshot`]: a consistent, merged view of every
 //!   shard's Correlator Lists (consistent cut: all shards have processed
-//!   precisely the events routed before the snapshot call). Each shard
+//!   precisely the events routed before the snapshot call, which
+//!   [`ShardedMiner::request_snapshot`] can take without waiting). Each shard
 //!   builds its part as one flat [`farmer_core::CorrelatorTable`] in a
 //!   single pass over its graph, and the merge moves or appends those
 //!   tables; published through [`publish`]'s
@@ -71,7 +72,7 @@ pub use durable::{
 pub use engine::{MinerState, StreamMiner};
 pub use metrics::StreamMetrics;
 pub use publish::{CellReader, SnapshotCell};
-pub use shard::ShardedMiner;
+pub use shard::{PendingCut, ShardedMiner};
 pub use snapshot::{ShardSnapshot, StreamSnapshot};
 
 /// Multiplier applied to every Space-Saving access counter each decay

@@ -32,6 +32,23 @@
 //! blocks the router — back-pressure, not unbounded queueing — so resident
 //! memory stays capped end to end.
 //!
+//! ## Consistent cuts: request, then finish
+//!
+//! A snapshot of the whole fleet at an exact stream position is a *cut*.
+//! [`ShardedMiner::request_snapshot`] dispatches the buffered batch, sends
+//! every shard a marker behind it and returns a [`PendingCut`] at once:
+//! the router may go on routing, because FIFO order keeps every later
+//! operation behind the marker. Each shard answers the marker with its
+//! part once it has mined everything ahead of it. The cut is finished on
+//! the caller's thread, by merging the parts in shard order:
+//! [`PendingCut::try_finish`] does so only if every part is in, and
+//! never blocks; [`PendingCut::finish`] waits for them. `snapshot`,
+//! `export_full` and `publish_into` are a request and a finish, so there
+//! is one cut path, and a caller that waits for a cut waits as before.
+//! A shard that dies before answering makes the finish re-raise its
+//! panic. The serving tier requests its cadence cuts and finishes them
+//! later; that is what keeps publication off its ingest path.
+//!
 //! ## Router ↔ committer ↔ shards: the commit stage
 //!
 //! The router is also where the operation stream is *ordered*, so it is
@@ -71,7 +88,7 @@
 
 use std::any::Any;
 use std::io;
-use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
@@ -94,17 +111,24 @@ use crate::StreamConfig;
 #[derive(Clone)]
 enum Msg {
     Batch(Vec<WalOp>),
-    Snapshot(mpsc::Sender<ShardSnapshot>),
-    /// Full-state export marker (checkpoint images): answered with both
-    /// the serving snapshot and the shard's complete miner state at the
-    /// same consistent cut, so a checkpoint's serving view and its
-    /// resumable image can never disagree.
-    Export(mpsc::Sender<(ShardSnapshot, MinerState)>),
+    /// Consistent-cut marker: answered with the shard's serving snapshot
+    /// and, for a checkpoint `export`, its complete miner state at the
+    /// same cut, so a checkpoint's serving view and its resumable image
+    /// can never disagree.
+    Cut {
+        reply: mpsc::Sender<CutPart>,
+        export: bool,
+    },
     Flush(mpsc::Sender<()>),
-    /// Test hook: the named shard's worker panics.
+    /// Test hook: the named shard stops at this marker until the gate
+    /// yields a value, and its worker panics if the gate's sender hangs
+    /// up instead.
     #[cfg(test)]
-    Poison(usize),
+    Hold(usize, Arc<std::sync::Mutex<Receiver<()>>>),
 }
+
+/// One shard's answer to a cut marker (the state only for an export).
+type CutPart = (ShardSnapshot, Option<MinerState>);
 
 /// What the router hands the commit stage (see the module docs).
 enum Commit {
@@ -325,9 +349,9 @@ impl ShardedMiner {
 
     /// Take a consistent snapshot: the merged Correlator Lists of every
     /// shard, reflecting exactly the events routed before this call.
+    /// [`ShardedMiner::request_snapshot`] then [`PendingCut::finish`].
     pub fn snapshot(&mut self) -> StreamSnapshot {
-        self.consistent_cut("snapshot", Msg::Snapshot, |part| (part, ()))
-            .0
+        self.request_snapshot().finish(self)
     }
 
     /// Take a consistent snapshot *and* the full per-shard state images
@@ -336,39 +360,35 @@ impl ShardedMiner {
     /// snapshot embedded in a checkpoint always describes exactly the
     /// state the image resumes from.
     pub fn export_full(&mut self) -> (StreamSnapshot, Vec<MinerState>) {
-        self.consistent_cut("export", Msg::Export, |pair| pair)
+        let mut cut = self.request_cut("export", true);
+        cut.collect(self, true);
+        cut.merge(self)
     }
 
-    /// The barrier behind [`ShardedMiner::snapshot`] and
-    /// [`ShardedMiner::export_full`]: dispatch what is buffered, send
-    /// every shard the `marker`, and merge the replies' snapshot halves
-    /// (`split` separates whatever else a reply carries).
-    fn consistent_cut<T, X>(
-        &mut self,
-        context: &str,
-        marker: fn(mpsc::Sender<T>) -> Msg,
-        split: fn(T) -> (ShardSnapshot, X),
-    ) -> (StreamSnapshot, Vec<X>) {
+    /// Request a consistent snapshot without waiting for it: dispatch
+    /// what is buffered, send every shard the cut marker (through the
+    /// commit stage when a log is attached) and return. The marker sits
+    /// in each shard's queue behind exactly the operations routed before
+    /// this call, so routing may go on at once; the returned
+    /// [`PendingCut`] describes this prefix whenever it is finished.
+    /// Blocks only as a dispatch does, on a full queue.
+    pub fn request_snapshot(&mut self) -> PendingCut {
+        self.request_cut("snapshot", false)
+    }
+
+    /// The one way a cut starts (see [`ShardedMiner::request_snapshot`]).
+    fn request_cut(&mut self, context: &'static str, export: bool) -> PendingCut {
         self.dispatch();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let sent = self.send(marker(reply_tx));
-        let mut parts: Vec<(ShardSnapshot, X)> = reply_rx.iter().map(split).collect();
-        if !sent || parts.len() != self.handles.len() {
-            // A worker died mid-cut: surface its panic instead of merging
-            // a partial (silently shard-less) snapshot.
+        let (reply, replies) = mpsc::channel();
+        if !self.send(Msg::Cut { reply, export }) {
             self.propagate_worker_panic(context);
         }
-        // Replies arrive in completion order (scheduling-dependent); merge
-        // in shard order so the snapshot — including the iteration order of
-        // its table — is a deterministic function of the routed stream.
-        parts.sort_by_key(|(part, _)| part.shard_id);
-        let (snaps, extras): (Vec<ShardSnapshot>, Vec<X>) = parts.into_iter().unzip();
-        let span = self.obs.snapshot_merge_ns.span();
-        let snap = StreamSnapshot::merge(snaps);
-        span.finish();
-        self.obs.tracked_files.set(snap.tracked_files as i64);
-        self.obs.state_bytes.set(snap.state_bytes as i64);
-        (snap, extras)
+        PendingCut {
+            replies,
+            parts: Vec::with_capacity(self.handles.len()),
+            shards: self.handles.len(),
+            context,
+        }
     }
 
     /// Spawn a fleet whose shards resume from exported state images
@@ -458,7 +478,17 @@ impl ShardedMiner {
     /// Test hook: make one shard's worker panic on its next message.
     #[cfg(test)]
     pub(crate) fn poison_shard(&mut self, shard: usize) {
-        let _ = self.send(Msg::Poison(shard));
+        drop(self.hold_shard(shard));
+    }
+
+    /// Test hook: stop one shard's worker at this point of the stream. It
+    /// resumes when the returned sender sends, and panics once the
+    /// sender is dropped instead.
+    #[cfg(test)]
+    pub(crate) fn hold_shard(&mut self, shard: usize) -> mpsc::Sender<()> {
+        let (gate, held) = mpsc::channel();
+        let _ = self.send(Msg::Hold(shard, Arc::new(std::sync::Mutex::new(held))));
+        gate
     }
 
     /// Test hook: make the committer panic on its next message.
@@ -486,6 +516,85 @@ impl Drop for ShardedMiner {
                 std::panic::resume_unwind(p);
             }
         }
+    }
+}
+
+/// A consistent cut in flight, from [`ShardedMiner::request_snapshot`]:
+/// the marker is on its way through every shard's queue, and each shard
+/// answers it with its part once it has mined the operations ahead of
+/// it. Finishing merges the parts, in shard order, into the snapshot of
+/// exactly the prefix routed before the request.
+///
+/// A shard that dies before answering makes finishing re-raise its
+/// panic, as any other barrier does; a cut that is dropped unfinished
+/// costs the shards one snapshot build each and nothing else.
+#[must_use = "a requested cut has no snapshot until it is finished"]
+pub struct PendingCut {
+    replies: Receiver<CutPart>,
+    /// The answers taken so far, in arrival order.
+    parts: Vec<CutPart>,
+    shards: usize,
+    context: &'static str,
+}
+
+impl PendingCut {
+    /// The snapshot, if every shard has answered by now; the cut back,
+    /// unchanged but for the answers it took, if not. Never blocks.
+    ///
+    /// # Panics
+    /// Re-raises a shard's panic if one died before answering.
+    pub fn try_finish(mut self, miner: &mut ShardedMiner) -> Result<StreamSnapshot, PendingCut> {
+        if self.collect(miner, false) {
+            Ok(self.merge(miner).0)
+        } else {
+            Err(self)
+        }
+    }
+
+    /// Wait for every shard's answer and return the snapshot.
+    ///
+    /// # Panics
+    /// Re-raises a shard's panic if one died before answering.
+    pub fn finish(mut self, miner: &mut ShardedMiner) -> StreamSnapshot {
+        self.collect(miner, true);
+        self.merge(miner).0
+    }
+
+    /// Take the answers that have arrived, waiting for the rest when
+    /// `wait`; `true` once every shard's is in. A reply channel that
+    /// closes short means a worker died mid-cut: its panic surfaces here
+    /// instead of a partial (silently shard-less) snapshot.
+    fn collect(&mut self, miner: &mut ShardedMiner, wait: bool) -> bool {
+        while self.parts.len() < self.shards {
+            let next = if wait {
+                self.replies.recv().map_err(|_| TryRecvError::Disconnected)
+            } else {
+                self.replies.try_recv()
+            };
+            match next {
+                Ok(part) => self.parts.push(part),
+                Err(TryRecvError::Empty) => return false,
+                Err(TryRecvError::Disconnected) => miner.propagate_worker_panic(self.context),
+            }
+        }
+        true
+    }
+
+    /// Merge the collected parts. Replies arrive in completion order
+    /// (scheduling-dependent); merging in shard order makes the snapshot
+    /// — including the iteration order of its table — a deterministic
+    /// function of the routed stream.
+    fn merge(self, miner: &ShardedMiner) -> (StreamSnapshot, Vec<MinerState>) {
+        let mut parts = self.parts;
+        parts.sort_by_key(|(part, _)| part.shard_id);
+        let (snaps, states): (Vec<ShardSnapshot>, Vec<Option<MinerState>>) =
+            parts.into_iter().unzip();
+        let span = miner.obs.snapshot_merge_ns.span();
+        let snap = StreamSnapshot::merge(snaps);
+        span.finish();
+        miner.obs.tracked_files.set(snap.tracked_files as i64);
+        miner.obs.state_bytes.set(snap.state_bytes as i64);
+        (snap, states.into_iter().flatten().collect())
     }
 }
 
@@ -546,19 +655,20 @@ fn shard_worker(mut miner: StreamMiner, rx: Receiver<Msg>) {
                     }
                 }
             }
-            Msg::Snapshot(reply) => {
-                let _ = reply.send(miner.snapshot());
-            }
-            Msg::Export(reply) => {
-                let _ = reply.send((miner.snapshot(), miner.export_state()));
+            Msg::Cut { reply, export } => {
+                let snap = miner.snapshot();
+                let state = export.then(|| miner.export_state());
+                let _ = reply.send((snap, state));
             }
             Msg::Flush(ack) => {
                 let _ = ack.send(());
             }
             #[cfg(test)]
-            Msg::Poison(shard) => {
-                let me = miner.snapshot().shard_id;
-                assert!(shard != me, "injected shard worker panic");
+            Msg::Hold(shard, gate) => {
+                if miner.snapshot().shard_id == shard {
+                    let resumed = gate.lock().is_ok_and(|g| g.recv().is_ok());
+                    assert!(resumed, "injected shard worker panic");
+                }
             }
         }
     }
@@ -808,6 +918,79 @@ mod tests {
         }
         m.poison_shard(0);
         m.snapshot();
+    }
+
+    #[test]
+    fn a_requested_cut_lets_routing_go_on_and_covers_exactly_its_prefix() {
+        let trace = WorkloadSpec::hp().scaled(0.01).generate();
+        let cfg = StreamConfig::default().with_shards(2);
+        let mut m = ShardedMiner::spawn(cfg.clone());
+        let mut bare: Vec<StreamMiner> = (0..2)
+            .map(|id| StreamMiner::for_shard(cfg.clone(), id, 2))
+            .collect();
+        // Shard 1 stops ahead of everything routed from here on.
+        let gate = m.hold_shard(1);
+        // Not a multiple of the route batch: the request dispatches a
+        // partial batch.
+        let prefix = 3 * cfg.route_batch + 17;
+        let mut events = trace.stream();
+        for e in events.by_ref().take(prefix) {
+            m.route_event(&trace, &e);
+            bare.iter_mut().for_each(|b| b.ingest_event(&trace, &e));
+        }
+        let cut = m.request_snapshot();
+        // The request returned with a shard held behind the marker, and
+        // routing goes on past it: twenty more batches fit the held
+        // shard's queue, so none of these calls waits for a shard.
+        let more = 20 * cfg.route_batch;
+        for e in events.by_ref().take(more) {
+            m.route_event(&trace, &e);
+        }
+        let cut = cut
+            .try_finish(&mut m)
+            .expect_err("a held shard cannot have answered");
+        gate.send(()).expect("shard 1 is waiting at its gate");
+        let snap = cut.finish(&mut m);
+        assert_eq!(snap.events, prefix as u64);
+        let want = StreamSnapshot::merge(bare.iter().map(StreamMiner::snapshot));
+        assert!(
+            crate::snapshots_bitwise_equal(&snap, &want),
+            "the cut is not the routed prefix"
+        );
+        assert_eq!(m.snapshot().events, (prefix + more) as u64);
+    }
+
+    #[test]
+    fn try_finish_returns_the_cut_once_every_shard_answered() {
+        let trace = WorkloadSpec::ins().scaled(0.005).generate();
+        let mut m = ShardedMiner::spawn(StreamConfig::default().with_shards(3));
+        for e in &trace.events {
+            m.route_event(&trace, e);
+        }
+        let mut cut = m.request_snapshot();
+        let snap = loop {
+            match cut.try_finish(&mut m) {
+                Ok(snap) => break snap,
+                Err(pending) => cut = pending,
+            }
+            std::thread::yield_now();
+        };
+        assert!(crate::snapshots_bitwise_equal(&snap, &m.snapshot()));
+    }
+
+    #[test]
+    #[should_panic(expected = "injected shard worker panic")]
+    fn worker_panic_propagates_through_a_pending_cut() {
+        let trace = WorkloadSpec::ins().scaled(0.005).generate();
+        let mut m = ShardedMiner::spawn(StreamConfig::default().with_shards(2));
+        let gate = m.hold_shard(0);
+        for e in trace.events.iter().take(50) {
+            m.route_event(&trace, e);
+        }
+        let cut = m.request_snapshot();
+        // Shard 0 dies ahead of the marker, with the cut pending.
+        drop(gate);
+        cut.finish(&mut m);
     }
 
     #[test]
