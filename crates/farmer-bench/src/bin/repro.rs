@@ -15,10 +15,10 @@
 
 use std::time::Instant;
 
-use farmer_apps::regression::FEATURE_LABELS;
 use farmer_bench::experiments as ex;
 use farmer_bench::format::{mb, ms, pct, BenchArgs, TextTable};
 use farmer_bench::paper;
+use farmer_bench::regression::FEATURE_LABELS;
 use farmer_trace::TraceFamily;
 
 /// One paper table/figure: its `--only` name, heading and body.

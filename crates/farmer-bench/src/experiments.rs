@@ -2,17 +2,19 @@
 //! one each for the §4.1 multi-MDS and §7 regression experiments).
 //!
 //! Each function takes a `scale` factor applied to the preset trace sizes
-//! (1.0 = the defaults DESIGN.md documents) and returns plain data; the
-//! `repro` binary renders the tables. Keeping the logic here lets the
-//! integration tests assert the paper's qualitative shapes directly.
+//! (1.0 = the event counts of [`WorkloadSpec::for_family`]'s presets) and
+//! returns plain data; the `repro` binary renders the tables. Keeping the
+//! logic here lets `tests/paper_shapes.rs` assert the paper's qualitative
+//! shapes on the same rows.
 
-use farmer_apps::regression::{fit_trace, RegressionReport};
 use farmer_core::{AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode};
 use farmer_mds::{replay, replay_cluster, ClusterConfig, ClusterReport, Partition, ReplayConfig};
 use farmer_prefetch::baselines::LruOnly;
 use farmer_prefetch::{simulate, FpaPredictor, NexusPredictor, SimConfig};
 use farmer_trace::stats::{figure1_rows, SuccessorStats};
 use farmer_trace::{Trace, TraceFamily, WorkloadSpec};
+
+use crate::regression::{fit_trace, RegressionReport};
 
 /// Generate the preset trace for a family at the given scale.
 pub fn trace_for(family: TraceFamily, scale: f64) -> Trace {

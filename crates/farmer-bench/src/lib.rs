@@ -2,12 +2,13 @@
 //!
 //! The paper's tables and figures are functions in [`experiments`]; the
 //! `repro` binary prints them all, or one with `--only <name>`, next to
-//! the paper's reference values ([`paper`]). The evaluation
-//! reference-model matrix ([`evalmatrix`], checked against the recorded
-//! `BENCH_eval.json` by [`refmodel`]) serves its online and failure cells
-//! through the one [`lockstep`] driver. Those are the crate's two
-//! binaries, `repro` and `eval_matrix`; speed is measured by one harness
-//! elsewhere (`benchmark/`'s `farmer_pipeline`), not here.
+//! the paper's reference values ([`paper`]). One of them is the paper's
+//! named future work (§7), the attribute regression in [`regression`].
+//! The evaluation reference-model matrix ([`evalmatrix`], checked against
+//! the recorded `BENCH_eval.json` by [`refmodel`]) serves its online and
+//! failure cells through the one [`lockstep`] driver. Those are the
+//! crate's two binaries, `repro` and `eval_matrix`; speed is measured by
+//! one harness elsewhere (`benchmark/`'s `farmer_pipeline`), not here.
 //!
 //! Both binaries parse their command line through [`format::BenchArgs`]:
 //! an optional positional **scale factor** applied to the trace event
@@ -30,3 +31,4 @@ pub mod format;
 pub mod lockstep;
 pub mod paper;
 pub mod refmodel;
+pub mod regression;

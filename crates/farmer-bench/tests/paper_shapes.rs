@@ -2,22 +2,33 @@
 //!
 //! These pin the *shapes* the reproduction must preserve (who wins, where,
 //! and in what order), at a reduced-but-meaningful trace scale. All inputs
-//! are seeded, so these tests are deterministic.
+//! are seeded, so these tests are deterministic. Where `repro` prints a
+//! table or figure, the test reads the same `experiments` rows; Figure 3,
+//! Figure 6 and the single-attribute reduction run only the few points
+//! they assert on, since their `experiments` counterparts sweep many more.
 
-use farmer::prefetch::baselines::LruOnly;
-use farmer::prelude::*;
+use std::sync::OnceLock;
+
+use farmer_bench::experiments::{self as ex, Fig7Row};
+use farmer_core::{AttrCombo, AttrKind, FarmerConfig};
+use farmer_mds::{replay, ReplayConfig};
+use farmer_prefetch::{simulate, FpaPredictor, SimConfig};
+use farmer_trace::stats::StreamFilter;
+use farmer_trace::TraceFamily;
 
 const SCALE: f64 = 0.35;
+
+/// Figure 7's rows, simulated once for the three tests that read them.
+fn fig7_rows() -> &'static [Fig7Row] {
+    static ROWS: OnceLock<Vec<Fig7Row>> = OnceLock::new();
+    ROWS.get_or_init(|| ex::fig7(SCALE))
+}
 
 /// Figure 7 / §5.3: FPA achieves the highest hit ratio on every trace.
 #[test]
 fn fig7_fpa_has_highest_hit_ratio_everywhere() {
-    for family in TraceFamily::ALL {
-        let trace = WorkloadSpec::for_family(family).scaled(SCALE).generate();
-        let cfg = SimConfig::for_family(family);
-        let lru = simulate(&trace, &mut LruOnly, cfg).hit_ratio();
-        let nexus = simulate(&trace, &mut NexusPredictor::paper_default(), cfg).hit_ratio();
-        let fpa = simulate(&trace, &mut FpaPredictor::for_trace(&trace), cfg).hit_ratio();
+    for row in fig7_rows() {
+        let (family, lru, nexus, fpa) = (row.family, row.lru, row.nexus, row.fpa);
         assert!(
             fpa > nexus,
             "{family:?}: FPA {fpa:.3} must beat Nexus {nexus:.3}"
@@ -30,20 +41,15 @@ fn fig7_fpa_has_highest_hit_ratio_everywhere() {
 /// carries full path information.
 #[test]
 fn fig7_hp_improvement_is_largest() {
-    let mut gaps = Vec::new();
-    for family in TraceFamily::ALL {
-        let trace = WorkloadSpec::for_family(family).scaled(SCALE).generate();
-        let cfg = SimConfig::for_family(family);
-        let nexus = simulate(&trace, &mut NexusPredictor::paper_default(), cfg).hit_ratio();
-        let fpa = simulate(&trace, &mut FpaPredictor::for_trace(&trace), cfg).hit_ratio();
-        gaps.push((family, fpa - nexus));
-    }
-    let hp = gaps.iter().find(|(f, _)| *f == TraceFamily::Hp).unwrap().1;
-    for (family, gap) in &gaps {
-        if *family != TraceFamily::Hp && *family != TraceFamily::Llnl {
+    let rows = fig7_rows();
+    let hp = rows.iter().find(|r| r.family == TraceFamily::Hp).unwrap();
+    let hp = hp.fpa - hp.nexus;
+    for row in rows {
+        let (family, gap) = (row.family, row.fpa - row.nexus);
+        if family != TraceFamily::Hp && family != TraceFamily::Llnl {
             // LLNL also carries paths; the paper's "best among all traces"
             // sentence compares HP with INS and RES.
-            assert!(hp > *gap, "{family:?} gap {gap:.3} exceeds HP's {hp:.3}");
+            assert!(hp > gap, "{family:?} gap {gap:.3} exceeds HP's {hp:.3}");
         }
     }
 }
@@ -51,10 +57,11 @@ fn fig7_hp_improvement_is_largest() {
 /// Table 3: FARMER's prefetching accuracy clearly exceeds Nexus's on HP.
 #[test]
 fn table3_fpa_accuracy_beats_nexus() {
-    let trace = WorkloadSpec::hp().scaled(SCALE).generate();
-    let cfg = SimConfig::for_family(TraceFamily::Hp);
-    let nexus = simulate(&trace, &mut NexusPredictor::paper_default(), cfg).prefetch_accuracy();
-    let fpa = simulate(&trace, &mut FpaPredictor::for_trace(&trace), cfg).prefetch_accuracy();
+    let hp = fig7_rows()
+        .iter()
+        .find(|r| r.family == TraceFamily::Hp)
+        .unwrap();
+    let (fpa, nexus) = (hp.fpa_accuracy, hp.nexus_accuracy);
     assert!(
         fpa > nexus * 1.2,
         "accuracy gap too small: FPA {fpa:.3} vs Nexus {nexus:.3} (paper: 64% vs 43%)"
@@ -65,7 +72,7 @@ fn table3_fpa_accuracy_beats_nexus() {
 /// (p = 0, the Nexus reduction) and pure-semantics (p = 1) on HP.
 #[test]
 fn fig3_mixed_weight_wins_on_hp() {
-    let trace = WorkloadSpec::hp().scaled(SCALE).generate();
+    let trace = ex::trace_for(TraceFamily::Hp, SCALE);
     let cfg = SimConfig::for_family(TraceFamily::Hp);
     let hit_for = |p: f64| {
         let fc = FarmerConfig::default().with_p(p);
@@ -81,13 +88,8 @@ fn fig3_mixed_weight_wins_on_hp() {
 /// Figure 8: FPA gives the lowest average response time on LLNL, RES, HP.
 #[test]
 fn fig8_fpa_lowest_response_time() {
-    for family in [TraceFamily::Llnl, TraceFamily::Res, TraceFamily::Hp] {
-        let trace = WorkloadSpec::for_family(family).scaled(SCALE).generate();
-        let cfg = ReplayConfig::for_family(family);
-        let lru = replay(&trace, Box::new(LruOnly), cfg).avg_response_ms();
-        let nexus =
-            replay(&trace, Box::new(NexusPredictor::paper_default()), cfg).avg_response_ms();
-        let fpa = replay(&trace, Box::new(FpaPredictor::for_trace(&trace)), cfg).avg_response_ms();
+    for row in ex::fig8(SCALE) {
+        let (family, lru, nexus, fpa) = (row.family, row.lru_ms, row.nexus_ms, row.fpa_ms);
         assert!(
             fpa < nexus,
             "{family:?}: FPA {fpa:.3}ms !< Nexus {nexus:.3}ms"
@@ -100,7 +102,7 @@ fn fig8_fpa_lowest_response_time() {
 /// correlations away) degrades response time relative to the 0.4 default.
 #[test]
 fn fig6_overfiltering_hurts() {
-    let trace = WorkloadSpec::hp().scaled(SCALE).generate();
+    let trace = ex::trace_for(TraceFamily::Hp, SCALE);
     let cfg = ReplayConfig::for_family(TraceFamily::Hp);
     let resp = |thr: f64| {
         let fc = FarmerConfig::default().with_max_strength(thr);
@@ -118,10 +120,7 @@ fn fig6_overfiltering_hurts() {
 /// predictability in every trace.
 #[test]
 fn fig1_no_attribute_is_least_predictable() {
-    use farmer::trace::stats::{figure1_rows, StreamFilter};
-    for family in TraceFamily::ALL {
-        let trace = WorkloadSpec::for_family(family).scaled(SCALE).generate();
-        let rows = figure1_rows(&trace);
+    for (family, rows) in ex::fig1(SCALE) {
         let none = rows
             .iter()
             .find(|r| r.filter == StreamFilter::None)
@@ -136,16 +135,7 @@ fn fig1_no_attribute_is_least_predictable() {
 /// the ordering the paper's space-overhead table exhibits.
 #[test]
 fn table4_footprint_ordering() {
-    let mut sizes = std::collections::HashMap::new();
-    for family in TraceFamily::ALL {
-        let trace = WorkloadSpec::for_family(family).scaled(SCALE).generate();
-        let cfg = if family.has_paths() {
-            FarmerConfig::default()
-        } else {
-            FarmerConfig::pathless()
-        };
-        sizes.insert(family, Farmer::mine_trace(&trace, cfg).memory_bytes());
-    }
+    let sizes: std::collections::HashMap<_, _> = ex::table4(SCALE).into_iter().collect();
     assert!(sizes[&TraceFamily::Llnl] > sizes[&TraceFamily::Ins]);
     assert!(sizes[&TraceFamily::Hp] > sizes[&TraceFamily::Ins]);
     assert!(sizes[&TraceFamily::Res] > sizes[&TraceFamily::Ins]);
@@ -156,7 +146,7 @@ fn table4_footprint_ordering() {
 /// combination is at least as good.
 #[test]
 fn reduction_single_attribute_is_weaker() {
-    let trace = WorkloadSpec::hp().scaled(SCALE).generate();
+    let trace = ex::trace_for(TraceFamily::Hp, SCALE);
     let cfg = SimConfig::for_family(TraceFamily::Hp);
     let process_only = AttrCombo::EMPTY.with(AttrKind::Process);
     let restricted = simulate(

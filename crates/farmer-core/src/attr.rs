@@ -122,7 +122,8 @@ impl AttrCombo {
 
     /// Number of *scalar* vector items this combo contributes (everything
     /// except Path, which is handled by the path algorithms).
-    pub fn scalar_items(self) -> usize {
+    #[cfg(test)]
+    fn scalar_items(self) -> usize {
         self.len() - usize::from(self.contains(AttrKind::Path))
     }
 

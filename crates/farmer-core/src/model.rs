@@ -170,11 +170,6 @@ impl Farmer {
         }
     }
 
-    /// A fresh model with the paper's default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(FarmerConfig::default())
-    }
-
     /// The configuration, as given at construction.
     pub fn config(&self) -> &FarmerConfig {
         &self.cfg
@@ -594,7 +589,7 @@ mod tests {
     /// Feed the sequence A B C D from one process and check the LDA masses.
     #[test]
     fn abcd_lda_masses_match_paper() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         for file in 0..4 {
             f.observe(req(file, 1, 1, 1), None);
         }
@@ -616,7 +611,7 @@ mod tests {
     fn repeated_predecessor_in_window_accumulates_both_distances() {
         // A B A C: observing C mines A at distance 1 (w=1.0) and again at
         // distance 3 (w=0.8) — the batched pipeline must commit both.
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         f.observe(req(0, 1, 1, 1), None);
         f.observe(req(1, 1, 1, 1), None);
         f.observe(req(0, 1, 1, 1), None);
@@ -639,7 +634,7 @@ mod tests {
         let mut i = PathInterner::new();
         let pa = i.parse("/home/u1/d/a");
         let pb = i.parse("/home/u1/d/b");
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         f.observe(req(0, 1, 1, 1), None); // path withheld
         f.observe(req(1, 1, 1, 1), Some(&pb)); // sim = 3/4 (one-sided path)
         f.observe(req(0, 1, 1, 1), Some(&pa)); // late install -> invalidate
@@ -673,9 +668,9 @@ mod tests {
             (req(0, 1, 1, 1), Some(&pa)),
             (req(1, 1, 1, 1), Some(&pb)),
         ];
-        let mut whole = Farmer::with_defaults();
-        let mut even = Farmer::with_defaults();
-        let mut odd = Farmer::with_defaults();
+        let mut whole = Farmer::new(FarmerConfig::default());
+        let mut even = Farmer::new(FarmerConfig::default());
+        let mut odd = Farmer::new(FarmerConfig::default());
         for (r, p) in &stream {
             whole.observe(*r, *p);
             even.observe_where(*r, *p, |f| f.raw() % 2 == 0);
@@ -719,7 +714,7 @@ mod tests {
 
     #[test]
     fn self_transitions_ignored() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         f.observe(req(0, 1, 1, 1), None);
         f.observe(req(0, 1, 1, 1), None);
         let cfg = f.config().clone();
@@ -746,7 +741,7 @@ mod tests {
 
     #[test]
     fn correlator_list_sorted_and_thresholded() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         // Same-context successor (high sim) and cross-context one (low sim).
         for _ in 0..10 {
             f.observe(req(0, 1, 1, 1), None);
@@ -766,7 +761,7 @@ mod tests {
 
     #[test]
     fn threshold_query_does_not_require_remine() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         for _ in 0..5 {
             f.observe(req(0, 1, 1, 1), None);
             f.observe(req(1, 1, 1, 1), None);
@@ -781,7 +776,7 @@ mod tests {
         let mut i = PathInterner::new();
         let pa = i.parse("/home/u1/proj/a");
         let pb = i.parse("/home/u1/proj/b");
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         f.observe(req(0, 1, 1, 1), Some(&pa));
         f.observe(req(1, 1, 1, 1), Some(&pb));
         f.observe(req(0, 1, 1, 1), Some(&pa));
@@ -822,7 +817,7 @@ mod tests {
 
     #[test]
     fn forget_file_erases_every_trace_of_it() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         for _ in 0..5 {
             f.observe(req(0, 1, 1, 1), None);
             f.observe(req(1, 1, 1, 1), None);
@@ -847,7 +842,7 @@ mod tests {
     #[test]
     fn forget_files_batch_matches_sequential() {
         let build = || {
-            let mut f = Farmer::with_defaults();
+            let mut f = Farmer::new(FarmerConfig::default());
             for round in 0..4 {
                 for file in 0..6 {
                     f.observe(req(file, round, 1, 1), None);
@@ -934,7 +929,7 @@ mod tests {
         // The steady state the benchmark times: one warm-up lap, then the
         // mix of a second lap over the same trace.
         let trace = WorkloadSpec::hp().scaled(0.1).generate();
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         let events: Vec<TraceEvent> = trace.stream().take(2 * trace.len()).collect();
         // What the window makes of the stream, counted on its own: every
         // windowed predecessor that is not the file itself is one update.
@@ -974,7 +969,7 @@ mod tests {
 
     #[test]
     fn forgotten_file_readmits_as_fresh() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         for _ in 0..10 {
             f.observe(req(0, 1, 1, 1), None);
             f.observe(req(1, 1, 1, 1), None);
@@ -1003,9 +998,9 @@ mod tests {
         let stream: Vec<Request> = (0..200)
             .map(|i| req((i * 7) % 9, i % 3, 1, i % 2))
             .collect();
-        let mut whole = Farmer::with_defaults();
-        let mut even = Farmer::with_defaults();
-        let mut odd = Farmer::with_defaults();
+        let mut whole = Farmer::new(FarmerConfig::default());
+        let mut even = Farmer::new(FarmerConfig::default());
+        let mut odd = Farmer::new(FarmerConfig::default());
         for r in &stream {
             whole.observe(*r, None);
             even.observe_where(*r, None, |f| f.raw() % 2 == 0);
@@ -1086,7 +1081,7 @@ mod tests {
 
     #[test]
     fn query_after_observe_sees_the_new_state() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         for _ in 0..5 {
             f.observe(req(0, 1, 1, 1), None);
             f.observe(req(1, 1, 1, 1), None);
@@ -1115,7 +1110,7 @@ mod tests {
 
     #[test]
     fn query_after_p_change_sees_the_new_p() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         for i in 0..12 {
             f.observe(req(0, 1, 1, 1), None);
             if i % 4 == 0 {
@@ -1139,7 +1134,7 @@ mod tests {
 
     #[test]
     fn queries_forget_forgotten_files() {
-        let mut f = Farmer::with_defaults();
+        let mut f = Farmer::new(FarmerConfig::default());
         for _ in 0..5 {
             f.observe(req(0, 1, 1, 1), None);
             f.observe(req(1, 1, 1, 1), None);
@@ -1360,6 +1355,6 @@ mod tests {
             p: -0.25,
             ..FarmerConfig::default()
         };
-        Farmer::from_state(cfg, &Farmer::with_defaults().export_state());
+        Farmer::from_state(cfg, &Farmer::new(FarmerConfig::default()).export_state());
     }
 }

@@ -59,7 +59,8 @@ impl ClientTier {
     }
 
     /// Aggregate local lookups across hosts.
-    pub fn local_lookups(&self) -> u64 {
+    #[cfg(test)]
+    fn local_lookups(&self) -> u64 {
         self.caches.iter().map(|c| c.stats().demand_accesses).sum()
     }
 }

@@ -92,12 +92,14 @@ impl LatencyStats {
     }
 
     /// Largest sample.
-    pub fn max_us(&self) -> u64 {
+    #[cfg(test)]
+    fn max_us(&self) -> u64 {
         self.hist.max
     }
 
     /// Smallest sample (0 if empty).
-    pub fn min_us(&self) -> u64 {
+    #[cfg(test)]
+    fn min_us(&self) -> u64 {
         self.hist.min
     }
 

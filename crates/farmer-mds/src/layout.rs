@@ -1,4 +1,5 @@
-//! FARMER-enabled file-data layout (§4.2).
+//! FARMER-enabled file-data layout (§4.2), and the grouping pass it
+//! shares with the §4.3 replica groups ([`crate::replication`]).
 //!
 //! "We can merge several small files into one group to scale up the overall
 //! system performance by enhancing the correlative file data locality. …
@@ -32,68 +33,100 @@ impl Default for LayoutConfig {
     }
 }
 
-/// A computed layout: group assignment per file.
+/// Files grouped by their correlator lists: a §4.2 layout or a §4.3
+/// replica-group plan.
 #[derive(Debug, Clone)]
-pub struct Layout {
+pub struct GroupPlan {
     /// `file → group` (None = singleton/ungrouped).
-    pub group_of: Vec<Option<u32>>,
-    /// Number of groups formed.
-    pub num_groups: u32,
+    group_of: Vec<Option<u32>>,
+    /// `group → members`, the file whose list formed the group first.
+    members: Vec<Vec<FileId>>,
+}
+
+impl GroupPlan {
+    /// The greedy correlator-list pass: in file-id order, each ungrouped
+    /// file that `admit`s walks its list (degree ≥ `min_degree`, strongest
+    /// first) and takes up to `max_group − 1` admitted, ungrouped
+    /// successors into a new group with itself. A file with no such
+    /// successor stays a singleton. Files outside `0..num_files` are never
+    /// grouped.
+    pub(crate) fn greedy(
+        source: &dyn CorrelationSource,
+        num_files: usize,
+        min_degree: f64,
+        max_group: usize,
+        admit: impl Fn(FileId) -> bool,
+    ) -> Self {
+        let mut group_of: Vec<Option<u32>> = vec![None; num_files];
+        let mut members: Vec<Vec<FileId>> = Vec::new();
+        let mut list: Vec<Correlator> = Vec::new();
+        for file_idx in 0..num_files {
+            let owner = FileId::new(file_idx as u32);
+            if group_of[file_idx].is_some() || !admit(owner) {
+                continue;
+            }
+            source.top_k_into(owner, usize::MAX, min_degree, &mut list);
+            let group: Vec<FileId> = std::iter::once(owner)
+                .chain(
+                    list.iter()
+                        .map(|c| c.file)
+                        .filter(|&f| {
+                            f != owner
+                                && group_of.get(f.index()).is_some_and(Option::is_none)
+                                && admit(f)
+                        })
+                        .take(max_group.saturating_sub(1)),
+                )
+                .collect();
+            if group.len() < 2 {
+                continue; // nothing to co-locate with: stay a singleton
+            }
+            let g = members.len() as u32;
+            for f in &group {
+                group_of[f.index()] = Some(g);
+            }
+            members.push(group);
+        }
+        GroupPlan { group_of, members }
+    }
+
+    /// Number of multi-file groups.
+    pub fn num_groups(&self) -> usize {
+        self.members.len()
+    }
+
     /// Number of files placed into groups.
-    pub grouped_files: usize,
+    pub fn grouped_files(&self) -> usize {
+        self.members.iter().map(Vec::len).sum()
+    }
+
+    /// Group of a file, if it belongs to one.
+    pub fn group_of(&self, file: FileId) -> Option<u32> {
+        self.group_of.get(file.index()).copied().flatten()
+    }
+
+    /// Members of a group.
+    pub fn members(&self, group: u32) -> &[FileId] {
+        &self.members[group as usize]
+    }
 }
 
 /// Build a layout from any mined correlation source (the live model, an
-/// exported table, a stream snapshot): greedy correlator-list grouping
-/// over read-only files.
-pub fn plan_layout(source: &dyn CorrelationSource, trace: &Trace, cfg: LayoutConfig) -> Layout {
-    let n = trace.num_files();
-    let mut group_of: Vec<Option<u32>> = vec![None; n];
-    let mut num_groups = 0u32;
-    let mut grouped_files = 0usize;
-    let mut list: Vec<Correlator> = Vec::new();
-    let mut members: Vec<FileId> = Vec::new();
-
-    for file_idx in 0..n {
-        let owner = FileId::new(file_idx as u32);
-        if group_of[file_idx].is_some() || !trace.meta_of(owner).read_only {
-            continue;
-        }
-        source.top_k_into(owner, usize::MAX, cfg.min_degree, &mut list);
-        // Collect co-locatable successors: read-only, ungrouped.
-        members.clear();
-        members.extend(
-            list.iter()
-                .filter(|c| {
-                    let m = trace.meta_of(c.file);
-                    m.read_only && group_of[c.file.index()].is_none() && c.file != owner
-                })
-                .map(|c| c.file)
-                .take(cfg.max_group.saturating_sub(1)),
-        );
-        if members.is_empty() {
-            continue; // nothing to co-locate with: stay a singleton
-        }
-        let g = num_groups;
-        num_groups += 1;
-        group_of[file_idx] = Some(g);
-        grouped_files += 1;
-        for &m in &members {
-            group_of[m.index()] = Some(g);
-            grouped_files += 1;
-        }
-    }
-
-    Layout {
-        group_of,
-        num_groups,
-        grouped_files,
-    }
+/// exported table, a stream snapshot): the greedy grouping pass over
+/// read-only files.
+pub fn plan_layout(source: &dyn CorrelationSource, trace: &Trace, cfg: LayoutConfig) -> GroupPlan {
+    GroupPlan::greedy(
+        source,
+        trace.num_files(),
+        cfg.min_degree,
+        cfg.max_group,
+        |f| trace.meta_of(f).read_only,
+    )
 }
 
 /// Replay the trace's data reads against an OSD cluster, returning the
 /// counters. Used to compare scattered vs grouped layouts.
-pub fn replay_reads(trace: &Trace, layout: Option<&Layout>, osd_cfg: OsdConfig) -> OsdStats {
+pub fn replay_reads(trace: &Trace, layout: Option<&GroupPlan>, osd_cfg: OsdConfig) -> OsdStats {
     let mut cluster = OsdCluster::new(osd_cfg, trace.num_files());
     if let Some(l) = layout {
         cluster.set_layout(l.group_of.clone());
@@ -138,10 +171,43 @@ mod tests {
             }
         }
         assert!(
-            layout.num_groups > 0,
+            layout.num_groups() > 0,
             "correlated namespace should form groups"
         );
-        assert!(layout.grouped_files >= 2 * layout.num_groups as usize);
+        assert!(layout.grouped_files() >= 2 * layout.num_groups());
+    }
+
+    /// FNV-1a over a plan's `group_of`, one `u32` a file (0 = ungrouped,
+    /// else group + 1), little-endian.
+    fn group_of_hash(plan: &GroupPlan) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for g in &plan.group_of {
+            for b in g.map_or(0, |g| g + 1).to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Both planners run the one grouping pass; these are the plans the
+    /// two separate loops it replaced produced on the same input.
+    #[test]
+    fn layout_and_replica_plans_match_the_pinned_plans() {
+        let trace = WorkloadSpec::hp().scaled(0.1).generate();
+        let farmer = Farmer::mine_trace(&trace, FarmerConfig::default());
+        assert_eq!(trace.num_files(), 16_869);
+
+        let layout = plan_layout(&farmer, &trace, LayoutConfig::default());
+        assert_eq!((layout.num_groups(), layout.grouped_files()), (607, 1_426));
+        assert_eq!(group_of_hash(&layout), 0x1f0b_1f97_0ba9_abfe);
+
+        let replicas = crate::replication::plan_replicas(&farmer, trace.num_files(), 0.4, 8);
+        assert_eq!(
+            (replicas.num_groups(), replicas.grouped_files()),
+            (955, 2_255)
+        );
+        assert_eq!(group_of_hash(&replicas), 0x1d3a_d7f8_87eb_c24e);
     }
 
     #[test]
@@ -201,6 +267,6 @@ mod tests {
                 max_group: 8,
             },
         );
-        assert!(strict.grouped_files <= loose.grouped_files);
+        assert!(strict.grouped_files() <= loose.grouped_files());
     }
 }

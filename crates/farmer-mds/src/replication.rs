@@ -13,80 +13,29 @@
 //! correlated set mixed-version; grouped atomic backups cannot, which the
 //! failure-injection tests demonstrate.
 
-use farmer_core::{CorrelationSource, Correlator};
+use farmer_core::CorrelationSource;
 use farmer_trace::hash::FxHashMap;
 use farmer_trace::FileId;
 
-/// The grouping plan: which replica group each file belongs to.
-#[derive(Debug, Clone)]
-pub struct ReplicaPlan {
-    /// file -> group (files absent from the map are singletons).
-    group_of: FxHashMap<u32, u32>,
-    /// group -> member files.
-    members: Vec<Vec<FileId>>,
-}
+use crate::layout::GroupPlan;
 
-impl ReplicaPlan {
-    /// Build a plan from any mined correlation source (live model,
-    /// exported table, stream snapshot): walk every file's correlators and
-    /// greedily group mutually correlated files (same strategy as the §4.2 layout,
-    /// but without the read-only restriction — replicas are copies, so
-    /// writes don't complicate placement).
-    pub fn plan(
-        source: &dyn CorrelationSource,
-        num_files: usize,
-        min_degree: f64,
-        max_group: usize,
-    ) -> Self {
-        let mut group_of: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut members: Vec<Vec<FileId>> = Vec::new();
-        let mut list: Vec<Correlator> = Vec::new();
-        for fid in 0..num_files {
-            let owner = FileId::new(fid as u32);
-            if group_of.contains_key(&owner.raw()) {
-                continue;
-            }
-            source.top_k_into(owner, usize::MAX, min_degree, &mut list);
-            let group: Vec<FileId> = std::iter::once(owner)
-                .chain(
-                    list.iter()
-                        .map(|c| c.file)
-                        .filter(|f| !group_of.contains_key(&f.raw()) && *f != owner),
-                )
-                .take(max_group)
-                .collect();
-            if group.len() < 2 {
-                continue;
-            }
-            let gid = members.len() as u32;
-            for f in &group {
-                group_of.insert(f.raw(), gid);
-            }
-            members.push(group);
-        }
-        ReplicaPlan { group_of, members }
-    }
-
-    /// Number of multi-file groups.
-    pub fn num_groups(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Group of a file, if it belongs to one.
-    pub fn group_of(&self, file: FileId) -> Option<u32> {
-        self.group_of.get(&file.raw()).copied()
-    }
-
-    /// Members of a group.
-    pub fn members(&self, group: u32) -> &[FileId] {
-        &self.members[group as usize]
-    }
+/// Plan replica groups from any mined correlation source (live model,
+/// exported table, stream snapshot): the §4.2 layout's greedy grouping
+/// pass over every file — replicas are copies, so writes don't complicate
+/// placement and no read-only restriction applies.
+pub fn plan_replicas(
+    source: &dyn CorrelationSource,
+    num_files: usize,
+    min_degree: f64,
+    max_group: usize,
+) -> GroupPlan {
+    GroupPlan::greedy(source, num_files, min_degree, max_group, |_| true)
 }
 
 /// Per-file primary/replica version state plus the backup engine.
 #[derive(Debug)]
 pub struct ReplicaManager {
-    plan: ReplicaPlan,
+    plan: GroupPlan,
     /// Authoritative (primary) version per file.
     primary: Vec<u64>,
     /// Replica (backup) version per file.
@@ -97,7 +46,7 @@ pub struct ReplicaManager {
 
 impl ReplicaManager {
     /// Fresh manager over `num_files`, all at version 0, replicas in sync.
-    pub fn new(plan: ReplicaPlan, num_files: usize) -> Self {
+    pub fn new(plan: GroupPlan, num_files: usize) -> Self {
         ReplicaManager {
             plan,
             primary: vec![0; num_files],
@@ -107,7 +56,7 @@ impl ReplicaManager {
     }
 
     /// The plan in use.
-    pub fn plan(&self) -> &ReplicaPlan {
+    pub fn plan(&self) -> &GroupPlan {
         &self.plan
     }
 
@@ -174,14 +123,14 @@ impl ReplicaManager {
     /// members stale relative to a backup that included the others).
     pub fn inconsistent_groups(&self, expected: &FxHashMap<u32, u64>) -> Vec<u32> {
         let mut bad = Vec::new();
-        for (gid, members) in self.plan.members.iter().enumerate() {
-            let mismatch = members.iter().any(|f| {
+        for gid in 0..self.plan.num_groups() as u32 {
+            let mismatch = self.plan.members(gid).iter().any(|f| {
                 expected
                     .get(&f.raw())
                     .is_some_and(|&want| self.replica[f.index()] != want)
             });
             if mismatch {
-                bad.push(gid as u32);
+                bad.push(gid);
             }
         }
         bad
@@ -228,7 +177,7 @@ mod tests {
     #[test]
     fn plan_groups_correlated_files() {
         let farmer = mined();
-        let plan = ReplicaPlan::plan(&farmer, 3, 0.4, 4);
+        let plan = plan_replicas(&farmer, 3, 0.4, 4);
         assert_eq!(plan.num_groups(), 1);
         let g = plan.group_of(FileId::new(0)).unwrap();
         assert_eq!(plan.group_of(FileId::new(1)), Some(g));
@@ -238,7 +187,7 @@ mod tests {
     #[test]
     fn group_backup_is_atomic() {
         let farmer = mined();
-        let plan = ReplicaPlan::plan(&farmer, 3, 0.4, 4);
+        let plan = plan_replicas(&farmer, 3, 0.4, 4);
         let mut mgr = ReplicaManager::new(plan, 3);
         mgr.write(FileId::new(0));
         mgr.write(FileId::new(1));
@@ -259,7 +208,7 @@ mod tests {
     #[test]
     fn unguarded_backup_can_tear_groups() {
         let farmer = mined();
-        let plan = ReplicaPlan::plan(&farmer, 3, 0.4, 4);
+        let plan = plan_replicas(&farmer, 3, 0.4, 4);
         let mut mgr = ReplicaManager::new(plan, 3);
         for f in 0..3u32 {
             mgr.write(FileId::new(f));
@@ -278,7 +227,7 @@ mod tests {
     #[test]
     fn recovery_restores_whole_group() {
         let farmer = mined();
-        let plan = ReplicaPlan::plan(&farmer, 3, 0.4, 4);
+        let plan = plan_replicas(&farmer, 3, 0.4, 4);
         let mut mgr = ReplicaManager::new(plan, 3);
         for f in 0..3u32 {
             mgr.write(FileId::new(f));
@@ -301,7 +250,7 @@ mod tests {
     #[test]
     fn singletons_backup_alone() {
         let farmer = mined();
-        let plan = ReplicaPlan::plan(&farmer, 5, 0.4, 4);
+        let plan = plan_replicas(&farmer, 5, 0.4, 4);
         let mut mgr = ReplicaManager::new(plan, 5);
         mgr.write(FileId::new(4)); // uncorrelated file
         assert!(mgr.backup(FileId::new(4), None));
@@ -318,7 +267,7 @@ mod tests {
                 f.observe(req(file), None);
             }
         }
-        let plan = ReplicaPlan::plan(&f, 8, 0.3, 3);
+        let plan = plan_replicas(&f, 8, 0.3, 3);
         for g in 0..plan.num_groups() as u32 {
             assert!(plan.members(g).len() <= 3);
         }

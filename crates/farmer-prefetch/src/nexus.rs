@@ -64,8 +64,9 @@ impl NexusPredictor {
         }
     }
 
-    /// Accumulated weight of edge `from → to` (tests/diagnostics).
-    pub fn edge_weight(&self, from: FileId, to: FileId) -> f64 {
+    /// Accumulated weight of edge `from → to` (the tests' oracle).
+    #[cfg(test)]
+    fn edge_weight(&self, from: FileId, to: FileId) -> f64 {
         self.edges
             .get(&from.raw())
             .and_then(|v| v.iter().find(|e| e.to == to.raw()))

@@ -53,8 +53,10 @@ impl SdGraph {
         }
     }
 
-    /// Average semantic distance of `to` after `from` (∞ if never seen).
-    pub fn avg_distance(&self, from: FileId, to: FileId) -> f64 {
+    /// Average semantic distance of `to` after `from` (∞ if never seen;
+    /// the tests' oracle).
+    #[cfg(test)]
+    fn avg_distance(&self, from: FileId, to: FileId) -> f64 {
         self.relations
             .get(&from.raw())
             .and_then(|m| m.get(&to.raw()))

@@ -168,9 +168,10 @@ impl MetaStore {
         existed
     }
 
-    /// Range scan of metadata records by file id (layout grouping uses it).
-    /// The first record in the range that does not decode fails the scan.
-    pub fn scan_metadata(
+    /// Range scan of metadata records by file id. The first record in the
+    /// range that does not decode fails the scan.
+    #[cfg(test)]
+    fn scan_metadata(
         &mut self,
         lo: FileId,
         hi: FileId,
@@ -186,12 +187,14 @@ impl MetaStore {
     }
 
     /// Number of metadata records.
-    pub fn metadata_len(&self) -> usize {
+    #[cfg(test)]
+    fn metadata_len(&self) -> usize {
         self.metadata.len()
     }
 
     /// Tree depth of the metadata table (drives worst-case lookup cost).
-    pub fn metadata_depth(&self) -> usize {
+    #[cfg(test)]
+    fn metadata_depth(&self) -> usize {
         self.metadata.depth()
     }
 

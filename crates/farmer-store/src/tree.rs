@@ -217,8 +217,9 @@ impl BTree {
     }
 
     /// Verify structural invariants; returns a description of the first
-    /// violation. Used by tests and debug assertions.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    /// violation. The tests' structural oracle.
+    #[cfg(test)]
+    fn check_invariants(&self) -> Result<(), String> {
         // Keys sorted within nodes; children count = keys + 1; all leaves
         // reachable through the chain in sorted order.
         let mut leaf_keys_via_tree = Vec::new();
@@ -239,6 +240,7 @@ impl BTree {
         Ok(())
     }
 
+    #[cfg(test)]
     fn collect_leaf_keys(&self, node: u32, out: &mut Vec<u64>) -> Result<(), String> {
         match &self.nodes[node as usize] {
             Node::Leaf { keys, .. } => {

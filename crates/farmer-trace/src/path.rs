@@ -132,7 +132,8 @@ impl FilePath {
     }
 
     /// Length of the longest common prefix with `other`, in components.
-    pub fn common_prefix_len(&self, other: &FilePath) -> usize {
+    #[cfg(test)]
+    fn common_prefix_len(&self, other: &FilePath) -> usize {
         self.components
             .iter()
             .zip(other.components())

@@ -59,8 +59,9 @@ impl Zipf {
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
 
-    /// Probability mass of outcome `k` (for tests and diagnostics).
-    pub fn pmf(&self, k: usize) -> f64 {
+    /// Probability mass of outcome `k` (the tests' oracle).
+    #[cfg(test)]
+    fn pmf(&self, k: usize) -> f64 {
         if k == 0 {
             self.cdf[0]
         } else {

@@ -33,8 +33,8 @@ fn main() {
         println!(
             "min_degree {min_degree:.1}: {} groups covering {} files; \
              seeks {} -> {} ({:.0}% saved), I/O busy {:.1}s -> {:.1}s",
-            layout.num_groups,
-            layout.grouped_files,
+            layout.num_groups(),
+            layout.grouped_files(),
             scattered.seeks,
             grouped.seeks,
             100.0 * (1.0 - grouped.seeks as f64 / scattered.seeks as f64),

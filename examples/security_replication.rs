@@ -6,8 +6,8 @@
 //! cargo run --release --example security_replication
 //! ```
 
-use farmer::apps::security::{AccessRule, PropagationConfig, RuleAction, SecurityPolicy};
-use farmer::apps::{ReplicaManager, ReplicaPlan};
+use farmer::mds::replication::{plan_replicas, ReplicaManager};
+use farmer::mds::security::{AccessRule, PropagationConfig, RuleAction, SecurityPolicy};
 use farmer::prelude::*;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
     );
 
     // --- Reliability: correlation-aware replica groups.
-    let plan = ReplicaPlan::plan(&farmer, trace.num_files(), 0.4, 8);
+    let plan = plan_replicas(&farmer, trace.num_files(), 0.4, 8);
     println!(
         "\nreplication: {} replica groups planned",
         plan.num_groups()

@@ -16,10 +16,9 @@
 //!   Nexus comparator, classical baselines, and a cache simulator,
 //! * [`store`] — an embedded B+-tree key-value store (Berkeley DB's role),
 //! * [`mds`] — a discrete-event metadata-server / OSD simulator with the
-//!   paper's dual priority queues, multi-MDS load balancing (§4.1) and the
-//!   §4.2 grouped data layout,
-//! * [`apps`] — the §4.3 applications (correlation-aware security rules
-//!   and replica groups) and the §7 attribute regression,
+//!   paper's dual priority queues, multi-MDS load balancing (§4.1), the
+//!   §4.2 grouped data layout and the §4.3 applications (correlation-aware
+//!   security rules and replica groups, one grouping pass with the layout),
 //! * [`stream`] — the sharded online mining service: unbounded event
 //!   streams mined under a hard memory budget, with consistent snapshots
 //!   that refresh the prefetcher mid-flight,
@@ -51,7 +50,6 @@
 // This crate is unsafe-free by policy (lint rule R2 guards the rest).
 #![forbid(unsafe_code)]
 
-pub use farmer_apps as apps;
 pub use farmer_core as core;
 pub use farmer_mds as mds;
 pub use farmer_obs as obs;
