@@ -427,6 +427,59 @@ impl CorrelatorTable {
     }
 }
 
+/// A table's lists as a walk over a graph slab read them, before the
+/// table is assembled: the lists back to back in slab order, and each
+/// owner's span. [`crate::Farmer::walk_table`] makes one; assembling it
+/// ([`TableWalk::assemble`]) needs nothing of the model, so it can run on
+/// another thread than the one that mines.
+#[derive(Debug, Clone, Default)]
+pub struct TableWalk {
+    /// Every list's entries, back to back in slab order.
+    entries: Vec<Correlator>,
+    /// (owner, start of its list in `entries`, length), in slab order.
+    spans: Vec<(u32, u32, u32)>,
+}
+
+impl TableWalk {
+    /// An empty walk with room for `lists` lists holding `entries`
+    /// correlators in total: a walk that stays inside both allocates
+    /// nothing more.
+    pub(crate) fn with_capacity(lists: usize, entries: usize) -> Self {
+        TableWalk {
+            entries: Vec::with_capacity(entries),
+            spans: Vec::with_capacity(lists),
+        }
+    }
+
+    /// Append `owner`'s list, already in the canonical order.
+    pub(crate) fn push(&mut self, owner: FileId, list: &[Correlator]) {
+        let start = self.entries.len() as u32;
+        self.spans.push((owner.raw(), start, list.len() as u32));
+        self.entries.extend_from_slice(list);
+    }
+
+    /// The table, ordered by owner id: one sort of the owners, one gather
+    /// of their lists, one index. Owner order makes the table independent
+    /// of the slab order the walk met the lists in.
+    ///
+    /// # Panics
+    /// If the walk holds an owner twice (a graph holds one node per file).
+    pub fn assemble(self) -> CorrelatorTable {
+        let TableWalk { entries, mut spans } = self;
+        spans.sort_unstable_by_key(|&(owner, ..)| owner);
+        let owner_bound = spans.last().map_or(0, |&(owner, ..)| owner as usize + 1);
+        let mut table = CorrelatorTable::with_capacity(spans.len(), entries.len(), owner_bound);
+        for (owner, start, len) in spans {
+            let list = &entries[start as usize..(start + len) as usize];
+            let pushed = table.push_list(FileId::new(owner), list);
+            // lint: allow(panic) the graph's id→slot index keeps node ids
+            // distinct, so no owner is visited twice
+            pushed.expect("the slab holds one node per file");
+        }
+        table
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;

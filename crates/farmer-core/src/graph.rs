@@ -89,7 +89,8 @@
 //! | edge-update exact reject (full node) | the early reject plus one path term; 2 % of updates |
 //! | edge-update admit (full node) | one path term unless the bound is it; one move per array, branch-free O(d) rescan of the weakest on integer keys |
 //! | `edges` (a query) | O(deg): one hash probe, one pass over the node's line and payloads |
-//! | `prune_below` | O(n + e), skips `p·sim_lb ≥ floor` nodes |
+//! | `prune_below` | O(n + e), skips `p·sim_lb ≥ floor` nodes; each slot's header and cached degrees prefetched `WALK_AHEAD` slots ahead |
+//! | `for_each_list` (publication's walk) | O(n + e): a slot's header and cached degrees, prefetched `WALK_AHEAD` slots ahead, then the payload of each edge the cached degree does not rule out |
 //! | `remove_edges_to_any` | one pass over the id slab, a 16-id line at a time against a fixed-size byte filter (no bounds check, no exit within a line, ≈ 1 cycle an id); a node is touched only when its line matches, written only when it loses an edge |
 //! | `heap_bytes` | O(1): slots times the slot size, slab capacities times their strides, plus the index and the prefilter |
 //! | `active_nodes` | O(1) |
@@ -429,6 +430,12 @@ impl NodeHint {
 /// round in [`CorrelationGraph::mine_batch`].
 const PIPELINE_WIDTH: usize = 8;
 
+/// How many slots ahead of the one it reads a whole-slab walk
+/// ([`CorrelationGraph::for_each_list`], `prune_below`) prefetches. Each
+/// slot is a block of its own, so the hardware prefetcher cannot follow
+/// the walk from one slot to the next.
+const WALK_AHEAD: usize = 4;
+
 /// One windowed predecessor's pending edge update, prepared by the model's
 /// mining loop and committed by [`CorrelationGraph::mine_batch`].
 #[derive(Debug, Clone, Copy)]
@@ -544,6 +551,24 @@ impl CorrelationGraph {
     /// Every live slot with its id line, in slab order.
     fn nodes(&self) -> impl Iterator<Item = (&Node, &Line)> {
         self.slots.iter().map(|node| &**node).zip(&self.ids)
+    }
+
+    /// Prefetch what a whole-slab walk reads of slot `s` before its
+    /// payloads: the header fields and the cached degrees. Every field is
+    /// named, whatever order the compiler lays them out in; the three
+    /// degree points are at most a line apart. Past the live slots, nothing.
+    #[inline(always)]
+    fn prefetch_walk(&self, s: usize) {
+        if s < self.ids.len() {
+            let node = &*self.slots[s];
+            prefetch_read(&node.len);
+            prefetch_read(&node.total);
+            prefetch_read(&node.sim_lb);
+            prefetch_read(&node.id);
+            prefetch_read(&node.degs[0]);
+            prefetch_read(&node.degs[LANES / 2]);
+            prefetch_read(&node.degs[LANES - 1]);
+        }
     }
 
     /// Slot of `file`, taking a fresh one if absent: a freed slot when one
@@ -838,6 +863,11 @@ impl CorrelationGraph {
     /// order, which depends on eviction history — callers that need a
     /// stable order sort by owner.
     ///
+    /// Each slot is a block of its own, so the walk prefetches the header
+    /// and cached degrees of the slot `WALK_AHEAD` ahead of the one it
+    /// reads: at a 4 096-node cap that is most of what a publication costs
+    /// the mining thread.
+    ///
     /// `cached_bound` is the caller vouching that every cached degree in
     /// the graph was written under `cfg.p`, or has been checked against it
     /// ([`CorrelationGraph::cached_degrees_bound`]). The cached degree of
@@ -862,7 +892,8 @@ impl CorrelationGraph {
             f64::NEG_INFINITY // below every degree, NaN included: no filter
         };
         let mut list: Vec<Correlator> = Vec::new();
-        for (node, line) in self.nodes() {
+        for (s, (node, line)) in self.nodes().enumerate() {
+            self.prefetch_walk(s + WALK_AHEAD);
             list.clear();
             let total = node.total.max(1.0);
             for ((e, &to), &cached) in node.edges[..node.len].iter().zip(line).zip(&node.degs) {
@@ -926,12 +957,15 @@ impl CorrelationGraph {
     /// Visits only nodes that may actually have prunable edges: a node
     /// whose similarity lower bound gives `p · sim_lb ≥ floor` is skipped
     /// in O(1), since every one of its degrees is at least `p · sim_avg`.
+    /// The slot whose header that test reads is prefetched `WALK_AHEAD`
+    /// slots ahead, as in [`CorrelationGraph::for_each_list`].
     pub(crate) fn prune_below(&mut self, floor: f64, cfg: &FarmerConfig) -> usize {
         self.epoch += 1;
         let p = cfg.p;
         let mut removed = 0;
         let mut s = 0;
         while s < self.ids.len() {
+            self.prefetch_walk(s + WALK_AHEAD);
             let (node, line) = self.node_and_line(s);
             if node.len == 0 || p * node.sim_lb >= floor {
                 s += 1;

@@ -67,7 +67,7 @@ mod spec;
 
 pub use attr::{AttrCombo, AttrKind};
 pub use config::{FarmerConfig, PathMode};
-pub use correlator::{Correlator, CorrelatorList, CorrelatorTable, DuplicateOwner};
+pub use correlator::{Correlator, CorrelatorList, CorrelatorTable, DuplicateOwner, TableWalk};
 pub use extract::{Extractor, Request};
 pub use graph::{CorrelationGraph, EdgeView};
 pub use model::Farmer;

@@ -82,7 +82,7 @@
 //! | per prune tick | O(n + e) prune with per-node skip |
 //! | per snapshot/eviction | O(1) `active_nodes` counter |
 //! | query (`top_k_into`) | O(deg + k log k), deg ≤ d; `strongest` and `degree` O(deg) |
-//! | publication (`correlator_table`) | one pass over the slab; an edge whose cached degree sits below the threshold is skipped unread when the cached degrees were written under (or, on restore, checked against) the configured `p` |
+//! | publication (`correlator_table`) | the walk (`walk_table`): one pass over the slab, prefetching ahead; an edge whose cached degree sits below the threshold is skipped unread when the cached degrees were written under (or, on restore, checked against) the configured `p`. Then the assembly (`TableWalk::assemble`): an owner sort, a gather and an index, which needs only the walk |
 //! | resident bytes | O(live files) |
 
 use std::collections::VecDeque;
@@ -92,7 +92,7 @@ use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::attr::AttrKind;
 use crate::config::{FarmerConfig, PRUNE_FLOOR};
-use crate::correlator::{Correlator, CorrelatorList, CorrelatorTable};
+use crate::correlator::{Correlator, CorrelatorList, CorrelatorTable, TableWalk};
 use crate::extract::{Extractor, Request};
 use crate::graph::{CorrelationGraph, NodeHint, PredUpdate};
 use crate::semvec::{path_term, path_term_bound, scalar_parts, PathSig};
@@ -336,31 +336,26 @@ impl Farmer {
     /// order eviction history left their slabs in. Each list equals
     /// [`Farmer::correlators`] of its owner bit for bit.
     ///
-    /// One pass over the graph slab ([`CorrelationGraph::for_each_list`])
-    /// into a scratch slab, one sort of the owners, one gather: the
-    /// allocation count does not depend on how many lists there are.
+    /// [`Farmer::walk_table`] then [`TableWalk::assemble`]: one pass over
+    /// the graph slab into a scratch slab, one sort of the owners, one
+    /// gather. The allocation count does not depend on how many lists
+    /// there are.
     pub fn correlator_table(&self) -> CorrelatorTable {
+        self.walk_table().assemble()
+    }
+
+    /// The part of [`Farmer::correlator_table`] that reads the model: one
+    /// pass over the graph slab ([`CorrelationGraph::for_each_list`])
+    /// copying every published list into a scratch slab. What is left,
+    /// [`TableWalk::assemble`], reads only the walk, so a caller may hand
+    /// it to another thread and go on mining.
+    pub fn walk_table(&self) -> TableWalk {
         // Sized for the worst case up front (every edge published): the
         // slack is address space the walk never touches, and no regrowth
         // means the allocation count is the same at any size.
-        let mut scratch: Vec<Correlator> = Vec::with_capacity(self.graph.num_edges());
-        // (owner, start of its list in `scratch`, length)
-        let mut spans: Vec<(u32, u32, u32)> = Vec::with_capacity(self.graph.active_nodes());
-        self.for_each_list(&mut |owner, list| {
-            spans.push((owner.raw(), scratch.len() as u32, list.len() as u32));
-            scratch.extend_from_slice(list);
-        });
-        spans.sort_unstable_by_key(|&(owner, ..)| owner);
-        let owner_bound = spans.last().map_or(0, |&(owner, ..)| owner as usize + 1);
-        let mut table = CorrelatorTable::with_capacity(spans.len(), scratch.len(), owner_bound);
-        for (owner, start, len) in spans {
-            let list = &scratch[start as usize..(start + len) as usize];
-            let pushed = table.push_list(FileId::new(owner), list);
-            // lint: allow(panic) the graph's id→slot index keeps node ids
-            // distinct, so no owner is visited twice
-            pushed.expect("the slab holds one node per file");
-        }
-        table
+        let mut walk = TableWalk::with_capacity(self.graph.active_nodes(), self.graph.num_edges());
+        self.for_each_list(&mut |owner, list| walk.push(owner, list));
+        walk
     }
 
     /// Evict one file from the model entirely: its learned path, its node

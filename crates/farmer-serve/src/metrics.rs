@@ -24,6 +24,10 @@ pub struct ServeMetrics {
     /// Producer-side backpressure episodes: pushes that found the ring
     /// full and had to wait (`serve.backpressure_waits`).
     pub backpressure_waits: Counter,
+    /// Wall-clock nanoseconds of every producer call,
+    /// [`crate::IngestHandle::ingest`] and `forget` alike, backpressure
+    /// included (`serve.ingest_call_ns`).
+    pub ingest_call_ns: Histogram,
     /// Queries served across all readers (`serve.queries`).
     pub queries: Counter,
     /// Currently registered readers (`serve.readers`).
@@ -48,6 +52,7 @@ impl ServeMetrics {
             ingest_forgets: reg.counter("ingest_forgets"),
             snapshot_swaps: reg.counter("snapshot_swaps"),
             backpressure_waits: reg.counter("backpressure_waits"),
+            ingest_call_ns: reg.histogram("ingest_call_ns"),
             queries: reg.counter("queries"),
             readers: reg.gauge("readers"),
             epoch: reg.gauge("epoch"),

@@ -28,7 +28,7 @@
 //!   slots. Nothing is lost or reordered across wrap-around — the
 //!   property `tests/ring_oracle.rs` pins against a `VecDeque` oracle.
 //!
-//! Backpressure accounting (spin/yield/park when full) is the serving
+//! Backpressure accounting (spin, then park, when full) is the serving
 //! tier's job (`crate::serve`); the ring itself never waits.
 
 use std::cell::UnsafeCell;

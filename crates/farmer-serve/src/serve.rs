@@ -14,9 +14,14 @@
 //!   number of [`IngestHandle`]s push operations without a shared lock —
 //!   each one the [`WalOp`] the miner's router buffers, logs and
 //!   broadcasts as it is, its path a shared value that is never copied —
-//!   and a full ring pushes back explicitly: the handle spins/yields and
-//!   counts one `serve.backpressure_waits` episode instead of queueing
-//!   without bound.
+//!   and a full ring pushes back explicitly instead of queueing without
+//!   bound: the handle counts one `serve.backpressure_waits` episode,
+//!   spins briefly, then parks until the worker has drained the ring to
+//!   half its capacity. The worker pays one load a pop for that while no
+//!   producer waits. Every call's duration is `serve.ingest_call_ns`.
+//!   A worker that dies stops the tier on its way out: parked and later
+//!   pushes are refused, and a pending [`FarmerServe::flush`] panics
+//!   instead of waiting forever.
 //! * **Publication** is epoch-swapped and never stops ingest: every
 //!   `publish_every` events the worker requests a consistent cut
 //!   ([`ShardedMiner::request_snapshot`]) and goes on routing. The cut's
@@ -43,8 +48,8 @@
 //!   final epoch for as long as they live. A push after it is refused.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::atomic::{self, AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle, Thread};
 use std::time::Duration;
 
@@ -66,7 +71,14 @@ enum IngestOp {
     Publish,
     /// Barrier: mine everything ahead of this op, publish, then ack.
     Flush(mpsc::Sender<()>),
+    /// Test hook: the worker stops here until the gate yields a value,
+    /// and panics if the gate's sender hangs up instead.
+    #[cfg(test)]
+    Hold(mpsc::Receiver<()>),
 }
+
+/// Spins a producer makes on a full ring before it parks.
+const SPINS: u32 = 64;
 
 /// State shared between the tier, its producers, and the worker.
 struct Shared {
@@ -79,10 +91,31 @@ struct Shared {
     sleeping: AtomicBool,
     /// The worker's thread handle, for unparking. Set right after spawn.
     worker: OnceLock<Thread>,
+    /// Producers parked on a full ring. A producer raises it, then looks
+    /// at the ring once more before it waits; the worker loads it after
+    /// each pop, and on an empty ring after a fence, so one of the two
+    /// sees the other (see [`park_and_push`]).
+    waiters: AtomicUsize,
+    /// Held by a parked producer from raising `waiters` until it waits,
+    /// and by the worker to notify `room`: a wake-up cannot fall between
+    /// a producer's last look at the ring and its wait.
+    room_lock: Mutex<()>,
+    /// Where producers park on a full ring.
+    room: Condvar,
     metrics: ServeMetrics,
 }
 
 impl Shared {
+    /// Wake every producer parked on a full ring. (`room_lock` guards no
+    /// data, so a lock poisoned by a panicking holder is as good as any.)
+    fn wake_producers(&self) {
+        let _held = self
+            .room_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        self.room.notify_all();
+    }
+
     fn wake_worker(&self) {
         // ord: SeqCst joins the worker's flag-raise/recheck protocol in a
         // single total order — a producer either sees sleeping=true here or
@@ -139,6 +172,9 @@ impl FarmerServe {
             stop: AtomicBool::new(false),
             sleeping: AtomicBool::new(false),
             worker: OnceLock::new(),
+            waiters: AtomicUsize::new(0),
+            room_lock: Mutex::new(()),
+            room: Condvar::new(),
             metrics,
         });
         let worker = {
@@ -257,6 +293,16 @@ impl FarmerServe {
     fn push(&self, op: IngestOp) {
         push_with_backpressure(&self.producer, &self.shared, op);
     }
+
+    /// Test hook: stop the worker at this point of the ring. It resumes
+    /// when the returned sender sends, and panics once the sender is
+    /// dropped instead.
+    #[cfg(test)]
+    fn hold_worker(&self) -> mpsc::Sender<()> {
+        let (gate, held) = mpsc::channel();
+        self.push(IngestOp::Hold(held));
+        gate
+    }
 }
 
 impl Drop for FarmerServe {
@@ -273,15 +319,20 @@ impl Drop for FarmerServe {
     }
 }
 
-/// Push, spinning through explicit backpressure. Counts one
-/// `backpressure_waits` episode per push that found the ring full.
+/// Push through explicit backpressure. Counts one `backpressure_waits`
+/// episode per push that found the ring full, retries for [`SPINS`]
+/// spins, then parks ([`park_and_push`]) until the worker has drained the
+/// ring to half its capacity. A push that finds the ring full while
+/// another producer is parked parks at once, so the parked one is not
+/// overtaken indefinitely.
+///
 /// Returns `false` (op dropped) once the tier is stopping: after
-/// [`FarmerServe::shutdown`] has returned nobody pops the ring again, so
-/// an op accepted then would be lost, and a producer on a full one would
-/// spin forever. What remains is a push racing the shutdown itself: one
-/// that passed the check before the stop flag was raised may still land,
-/// and is mined only if the worker's last look at the ring (it exits on
-/// an empty ring) comes after it.
+/// [`FarmerServe::shutdown`] has returned, or the worker has died, nobody
+/// pops the ring again, so an op accepted then would be lost, and a
+/// producer on a full one would wait forever. What remains is a push
+/// racing the stop itself: one that passed the check before the stop flag
+/// was raised may still land, and is mined only if the worker's last look
+/// at the ring (it exits on an empty ring) comes after it.
 fn push_with_backpressure(
     producer: &Producer<IngestOp>,
     shared: &Shared,
@@ -305,12 +356,55 @@ fn push_with_backpressure(
             shared.metrics.backpressure_waits.inc();
         }
         spins += 1;
-        if spins < 64 {
-            std::hint::spin_loop();
-        } else {
-            thread::yield_now();
+        // ord: a hint only — a stale count costs a spin or an early park,
+        // and the park protocol is correct either way.
+        if spins >= SPINS || shared.waiters.load(Ordering::Relaxed) != 0 {
+            return park_and_push(producer, shared, op);
         }
+        std::hint::spin_loop();
     }
+}
+
+/// Wait on a full ring until `op` is in or the tier stops. The producer
+/// raises `waiters` under `room_lock` and only then looks at the ring
+/// again, and it keeps the lock until it waits; the worker notifies
+/// under the same lock. A fence on each side, after the raise here and
+/// before the worker's look at `waiters` on an empty ring, makes the two
+/// a Dekker pair: either this look sees the slot the worker freed, or the
+/// worker sees the waiter. Between those, the worker's plain load after
+/// each pop wakes a parked producer once the ring is half empty.
+fn park_and_push(producer: &Producer<IngestOp>, shared: &Shared, mut op: IngestOp) -> bool {
+    let mut held = shared
+        .room_lock
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    // ord: SeqCst, with the fence, orders the raise before the look at
+    // the ring below in the single total order the worker's fence joins.
+    shared.waiters.fetch_add(1, Ordering::SeqCst);
+    // ord: see `park_and_push`'s docs — one half of the Dekker pair.
+    atomic::fence(Ordering::SeqCst);
+    let pushed = loop {
+        // ord: SeqCst so a stop raised before the worker's last notify is
+        // seen by the look that follows that notify.
+        if shared.stop.load(Ordering::SeqCst) {
+            break false;
+        }
+        match producer.try_push(op) {
+            Ok(()) => break true,
+            Err(back) => op = back,
+        }
+        held = shared
+            .room
+            .wait(held)
+            .unwrap_or_else(PoisonError::into_inner);
+    };
+    // ord: only the count matters; the worker reads it as a hint.
+    shared.waiters.fetch_sub(1, Ordering::Relaxed);
+    drop(held);
+    if pushed {
+        shared.wake_worker();
+    }
+    pushed
 }
 
 /// A `Clone`-able producer handle onto the tier's ingest ring. It holds
@@ -324,15 +418,21 @@ pub struct IngestHandle {
 
 impl IngestHandle {
     /// Ingest one access event. Returns `true` once the event is in the
-    /// ring; `false` only if the tier is shutting down (the event is
-    /// dropped). Blocks (spin/yield) only under backpressure — a full
-    /// ring with a live worker.
+    /// ring; `false` only if the tier is shutting down or its worker died
+    /// (the event is dropped). Blocks only under backpressure — a full
+    /// ring with a live worker: a few spins, then parked until the worker
+    /// has drained half the ring. The call is timed as
+    /// `serve.ingest_call_ns` (no clock is read when disabled).
+    #[inline]
     pub fn ingest(&mut self, req: Request, path: Option<&FilePath>) -> bool {
         let path = path.cloned();
         let op = IngestOp::Op(WalOp::Ingest { req, path });
-        let ok = push_with_backpressure(&self.producer, &self.shared, op);
+        let m = &self.shared.metrics;
+        let ok = m
+            .ingest_call_ns
+            .time(|| push_with_backpressure(&self.producer, &self.shared, op));
         if ok {
-            self.shared.metrics.ingest_events.inc();
+            m.ingest_events.inc();
         }
         ok
     }
@@ -346,9 +446,12 @@ impl IngestHandle {
     /// [`IngestHandle::ingest`].
     pub fn forget(&mut self, file: FileId) -> bool {
         let op = IngestOp::Op(WalOp::Forget(file));
-        let ok = push_with_backpressure(&self.producer, &self.shared, op);
+        let m = &self.shared.metrics;
+        let ok = m
+            .ingest_call_ns
+            .time(|| push_with_backpressure(&self.producer, &self.shared, op));
         if ok {
-            self.shared.metrics.ingest_forgets.inc();
+            m.ingest_forgets.inc();
         }
         ok
     }
@@ -488,12 +591,67 @@ impl Publisher {
     }
 }
 
+/// The worker's end of the ring. Popping wakes parked producers once the
+/// ring has drained to half its capacity, and dropping it — the worker's
+/// exit, normal or unwinding — stops the tier: the stop flag is raised,
+/// what is left in the ring is dropped (a `Flush` op's sender with it, so
+/// its caller's barrier fails instead of waiting forever) and parked
+/// producers are woken to find the stop.
+struct Intake {
+    rx: Consumer<IngestOp>,
+    shared: Arc<Shared>,
+    /// Parked producers were woken since the ring was last seen over half
+    /// full with one waiting, or nobody was waiting.
+    woken: bool,
+}
+
+impl Intake {
+    /// The oldest op, if any. With nobody parked this costs one load
+    /// beyond the pop.
+    fn pop(&mut self) -> Option<IngestOp> {
+        let Some(op) = self.rx.try_pop() else {
+            // The cold side of the Dekker pair in `park_and_push`: a
+            // producer that raised `waiters` after its last look at the
+            // ring is seen here, however the loads after the pops ran.
+            // ord: SeqCst fence pairs with the one after the producer's
+            // raise of `waiters`.
+            atomic::fence(Ordering::SeqCst);
+            // ord: ordered by the fence above.
+            if self.shared.waiters.load(Ordering::Relaxed) != 0 {
+                self.shared.wake_producers();
+            }
+            return None;
+        };
+        // ord: a hint; a waiter this load misses is woken by a later pop
+        // or on the empty ring, where the fenced load sees it.
+        if self.shared.waiters.load(Ordering::Relaxed) == 0
+            || self.rx.len() > self.rx.capacity() / 2
+        {
+            self.woken = false;
+        } else if !self.woken {
+            self.woken = true;
+            self.shared.wake_producers();
+        }
+        Some(op)
+    }
+}
+
+impl Drop for Intake {
+    fn drop(&mut self) {
+        // ord: SeqCst, as shutdown's store: parked producers read the flag
+        // after the notify below, under the lock that orders them.
+        self.shared.stop.store(true, Ordering::SeqCst);
+        while self.rx.try_pop().is_some() {}
+        self.shared.wake_producers();
+    }
+}
+
 /// The ingest worker: drain the ring into the miner, request a cut on
 /// cadence and install each once the shards have answered it, park when
 /// idle, drain-and-exit on stop.
 fn ingest_worker(
     mut miner: ShardedMiner,
-    mut rx: Consumer<IngestOp>,
+    rx: Consumer<IngestOp>,
     cell: Arc<SnapshotCell>,
     shared: Arc<Shared>,
     publish_every: u64,
@@ -510,6 +668,13 @@ fn ingest_worker(
             final_epoch: 0,
         },
     };
+    // Declared last, so a panic drops it first: producers are released
+    // before the miner's shards are joined.
+    let mut intake = Intake {
+        rx,
+        shared: Arc::clone(&shared),
+        woken: false,
+    };
     let route_batch = miner.config().route_batch;
     let mut since_publish = 0u64;
     // Ops routed since the cuts in flight were last looked at: they are
@@ -517,7 +682,7 @@ fn ingest_worker(
     let mut since_settle = 0usize;
     let mut spins = 0u32;
     loop {
-        match rx.try_pop() {
+        match intake.pop() {
             Some(op) => {
                 spins = 0;
                 match op {
@@ -527,7 +692,7 @@ fn ingest_worker(
                         since_publish += 1;
                         if publish_every > 0 && since_publish >= publish_every {
                             since_publish = 0;
-                            m.ring_depth.set(rx.len() as i64);
+                            m.ring_depth.set(intake.rx.len() as i64);
                             publisher.request(&mut miner);
                         }
                     }
@@ -544,6 +709,10 @@ fn ingest_worker(
                         publisher.publish(&mut miner);
                         // A hung-up flusher is not an error.
                         let _ = ack.send(());
+                    }
+                    #[cfg(test)]
+                    IngestOp::Hold(gate) => {
+                        assert!(gate.recv().is_ok(), "injected serve worker panic");
                     }
                 }
                 since_settle += 1;
@@ -575,7 +744,7 @@ fn ingest_worker(
                     // raising the flag; a producer that pushed in between
                     // sees the flag and unparks us immediately.
                     // ord: SeqCst recheck — see the flag store above.
-                    if rx.is_empty() && !shared.stop.load(Ordering::SeqCst) {
+                    if intake.rx.is_empty() && !shared.stop.load(Ordering::SeqCst) {
                         m.ring_depth.set(0);
                         thread::park_timeout(Duration::from_millis(1));
                     }
@@ -827,6 +996,7 @@ mod tests {
         for e in &trace.events {
             tx.ingest_event(&trace, e);
         }
+        tx.forget(trace.events[0].file);
         serve.flush();
         {
             let mut r0 = serve.reader();
@@ -845,6 +1015,12 @@ mod tests {
         let obs = reg.snapshot();
         assert_eq!(obs.gauge("serve.readers"), Some(0), "drop deregisters");
         assert_eq!(obs.counter("serve.ingest_events"), Some(trace.len() as u64));
+        assert_eq!(obs.counter("serve.ingest_forgets"), Some(1));
+        // Every producer call is timed, an ingest or a forget.
+        assert_eq!(
+            obs.histogram("serve.ingest_call_ns").unwrap().count,
+            trace.len() as u64 + 1
+        );
         assert_eq!(obs.counter("serve.snapshot_swaps"), Some(stats.publishes));
         assert_eq!(obs.gauge("serve.epoch"), Some(stats.final_epoch as i64));
         assert_eq!(
@@ -871,7 +1047,123 @@ mod tests {
         let _ = serve.shutdown();
         let obs = reg.snapshot();
         assert_eq!(obs.counter("serve.ingest_events"), None);
+        assert_eq!(obs.histogram("serve.ingest_call_ns"), None);
         assert_eq!(obs.gauge("serve.readers"), None);
         assert_eq!(obs.histogram("serve.reader0.query_ns"), None);
+    }
+
+    /// Yield until `done` holds: how a test waits for another thread to
+    /// reach a state it cannot signal.
+    fn until(done: impl Fn() -> bool) {
+        while !done() {
+            thread::yield_now();
+        }
+    }
+
+    fn req(file: u32) -> Request {
+        Request {
+            file: FileId::new(file),
+            uid: farmer_trace::UserId::new(1),
+            pid: farmer_trace::ProcId::new(1),
+            host: farmer_trace::HostId::new(1),
+            dev: farmer_trace::DevId::new(1),
+        }
+    }
+
+    /// A tier with a two-slot ring whose worker is held: the ring is
+    /// empty, and the returned gate resumes the worker (or, dropped,
+    /// kills it).
+    fn held_tier() -> (FarmerServe, mpsc::Sender<()>) {
+        let mut cfg = ServeConfig::default();
+        cfg.ring_capacity = 2;
+        let serve = FarmerServe::spawn(cfg);
+        let gate = serve.hold_worker();
+        // The worker has taken the hold op off the ring.
+        until(|| serve.producer.is_empty());
+        (serve, gate)
+    }
+
+    /// Fill the held tier's ring and park one more producer on it.
+    fn park_a_producer(serve: &FarmerServe) -> thread::JoinHandle<bool> {
+        let mut tx = serve.handle();
+        assert!(tx.ingest(req(1), None) && tx.ingest(req(2), None));
+        let parked = thread::spawn(move || tx.ingest(req(3), None));
+        let shared = Arc::clone(&serve.shared);
+        // ord: a test's poll; the count is read again until it is seen.
+        until(|| shared.waiters.load(Ordering::SeqCst) == 1);
+        parked
+    }
+
+    #[test]
+    fn parked_producers_are_never_stranded() {
+        // A two-slot ring keeps both producers parking and waking all the
+        // way through, flushes included: a lost wake-up hangs this test.
+        let trace = WorkloadSpec::hp().scaled(0.01).generate();
+        let reg = Registry::enabled();
+        let mut cfg = ServeConfig::default();
+        cfg.ring_capacity = 2;
+        let serve = FarmerServe::spawn_instrumented(cfg, &reg);
+        let per = 20_000;
+        thread::scope(|s| {
+            for p in 0..2 {
+                let (serve, trace) = (&serve, &trace);
+                s.spawn(move || {
+                    let mut tx = serve.handle();
+                    for (i, e) in trace.stream().skip(p * per).take(per).enumerate() {
+                        assert!(tx.ingest_event(trace, &e));
+                        if i % 3000 == 2999 {
+                            serve.flush();
+                        }
+                    }
+                });
+            }
+        });
+        serve.flush();
+        assert_eq!(serve.reader().snapshot().events, 2 * per as u64);
+        let obs = reg.snapshot();
+        assert!(obs.counter("serve.backpressure_waits").unwrap() > 0);
+        assert_eq!(serve.shutdown().events, 2 * per as u64);
+    }
+
+    #[test]
+    fn a_parked_producer_returns_once_shutdown_runs() {
+        let (serve, gate) = held_tier();
+        let parked = park_a_producer(&serve);
+        let shared = Arc::clone(&serve.shared);
+        let stopper = thread::spawn(move || serve.shutdown());
+        // ord: a test's poll; the flag is read again until it is seen.
+        until(|| shared.stop.load(Ordering::SeqCst));
+        gate.send(()).expect("the worker waits at its gate");
+        assert!(!parked.join().unwrap(), "a push after the stop landed");
+        let stats = stopper.join().unwrap();
+        assert_eq!(stats.events, 2, "what entered before the stop is mined");
+    }
+
+    #[test]
+    #[should_panic(expected = "serve ingest worker panicked")]
+    fn a_dead_worker_releases_a_parked_producer() {
+        let (serve, gate) = held_tier();
+        let parked = park_a_producer(&serve);
+        drop(gate); // the worker panics at its hold
+        assert!(!parked.join().unwrap(), "a push into a dead tier landed");
+        assert!(!serve.handle().ingest(req(4), None));
+        // Re-raises the worker's panic.
+        serve.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "serve ingest worker died during flush")]
+    fn a_dead_worker_fails_a_pending_flush() {
+        let (serve, gate) = held_tier();
+        thread::scope(|s| {
+            let flusher = s.spawn(|| serve.flush());
+            // The flush op waits in the ring behind the held worker.
+            until(|| serve.producer.len() == 1);
+            drop(gate);
+            let died = flusher
+                .join()
+                .expect_err("a flush into a dead tier returned");
+            std::panic::resume_unwind(died);
+        });
     }
 }

@@ -40,7 +40,7 @@ use farmer_trace::hash::{fx_hash_u64, FxHashMap};
 use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 
 use crate::metrics::StreamMetrics;
-use crate::snapshot::ShardSnapshot;
+use crate::snapshot::{ShardCut, ShardSnapshot};
 use crate::{StreamConfig, COUNT_DECAY, DECAY_INTERVAL};
 
 /// Does `shard_id` (of `num_shards`) own `file`? Mirrors the Fx-hash
@@ -244,6 +244,7 @@ impl StreamMiner {
 
     /// A consistent snapshot of this shard's state: every tracked owned
     /// file's Correlator List (empty lists omitted) plus counters.
+    /// [`StreamMiner::cut`] then [`ShardCut::assemble`].
     ///
     /// The lists come from one pass over the model's graph
     /// ([`Farmer::correlator_table`]), not from a query per tracked file:
@@ -255,6 +256,19 @@ impl StreamMiner {
     /// its edge updates have been since the last one
     /// ([`StreamMetrics::edge_mix`]).
     pub fn snapshot(&self) -> ShardSnapshot {
+        let snap = self.cut().assemble();
+        debug_assert!(snap
+            .lists
+            .iter()
+            .all(|(owner, _)| self.counts.contains_key(&owner.raw())));
+        snap
+    }
+
+    /// The part of [`StreamMiner::snapshot`] that reads the miner: the
+    /// walk over the graph ([`Farmer::walk_table`]) and the counters,
+    /// timed as `stream.snapshot_build_ns`. A shard answers a cut marker
+    /// with this, and the thread that finishes the cut assembles it.
+    pub fn cut(&self) -> ShardCut {
         let _span = self.obs.snapshot_build_ns.span();
         let mix = self.farmer.graph().update_mix();
         let last = self.mix_reported.replace(mix);
@@ -274,10 +288,7 @@ impl StreamMiner {
         {
             counter.add(now - before);
         }
-        let lists = self.farmer.correlator_table();
-        debug_assert!(lists
-            .iter()
-            .all(|(owner, _)| self.counts.contains_key(&owner.raw())));
+        let lists = self.farmer.walk_table();
         ShardSnapshot {
             shard_id: self.shard_id,
             lists,

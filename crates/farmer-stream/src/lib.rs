@@ -32,8 +32,9 @@
 //!   shard's Correlator Lists (consistent cut: all shards have processed
 //!   precisely the events routed before the snapshot call, which
 //!   [`ShardedMiner::request_snapshot`] can take without waiting). Each shard
-//!   builds its part as one flat [`farmer_core::CorrelatorTable`] in a
-//!   single pass over its graph, and the merge moves or appends those
+//!   walks its graph once into its part ([`ShardCut`]); the thread that
+//!   finishes the cut assembles each part into one flat
+//!   [`farmer_core::CorrelatorTable`], and the merge moves or appends those
 //!   tables; published through [`publish`]'s
 //!   [`SnapshotCell`], it is what `farmer-prefetch`'s FPA follows to
 //!   refresh its predictions online, mid-simulation.
@@ -73,7 +74,7 @@ pub use engine::{MinerState, StreamMiner};
 pub use metrics::StreamMetrics;
 pub use publish::{CellReader, SnapshotCell};
 pub use shard::{PendingCut, ShardedMiner};
-pub use snapshot::{ShardSnapshot, StreamSnapshot};
+pub use snapshot::{ShardCut, ShardSnapshot, StreamSnapshot};
 
 /// Multiplier applied to every Space-Saving access counter each decay
 /// tick, so retention follows *recent* popularity instead of all-time

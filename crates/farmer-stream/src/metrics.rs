@@ -37,10 +37,12 @@ pub struct StreamMetrics {
     /// the model's `forget_files` sweep (`stream.evict_ns`); with
     /// `stream.evictions` it gives the cost of an evicted file.
     pub evict_ns: Histogram,
-    /// Wall-clock nanoseconds one shard spends building its snapshot
-    /// (`stream.snapshot_build_ns`).
+    /// Wall-clock nanoseconds one shard's mining thread spends on a cut:
+    /// the walk over its graph ([`crate::StreamMiner::cut`]), not the
+    /// assembly of the table (`stream.snapshot_build_ns`).
     pub snapshot_build_ns: Histogram,
-    /// Wall-clock nanoseconds the router spends merging shard snapshots
+    /// Wall-clock nanoseconds the thread finishing a cut spends
+    /// assembling each shard's table and merging them
     /// (`stream.snapshot_merge_ns`).
     pub snapshot_merge_ns: Histogram,
     /// Files tracked across shards at the last snapshot

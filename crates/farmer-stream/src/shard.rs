@@ -39,12 +39,17 @@
 //! every shard a marker behind it and returns a [`PendingCut`] at once:
 //! the router may go on routing, because FIFO order keeps every later
 //! operation behind the marker. Each shard answers the marker with its
-//! part once it has mined everything ahead of it. The cut is finished on
-//! the caller's thread, by merging the parts in shard order:
-//! [`PendingCut::try_finish`] does so only if every part is in, and
-//! never blocks; [`PendingCut::finish`] waits for them. `snapshot`,
-//! `export_full` and `publish_into` are a request and a finish, so there
-//! is one cut path, and a caller that waits for a cut waits as before.
+//! part once it has mined everything ahead of it: the walk over its
+//! graph and its counters ([`StreamMiner::cut`]), which is all of a cut
+//! the mining thread pays for. The cut is finished on the caller's
+//! thread, by assembling each part's table ([`ShardCut::assemble`]: the
+//! owner sort, the gather and the index) and merging the parts in shard
+//! order: [`PendingCut::try_finish`] does so only if every part is in,
+//! and never blocks; [`PendingCut::finish`] waits for them. The tables
+//! are those a shard's own [`StreamMiner::snapshot`] builds, bit for
+//! bit. `snapshot`, `export_full` and `publish_into` are a request and a
+//! finish, so there is one cut path, and a caller that waits for a cut
+//! waits as before.
 //! A shard that dies before answering makes the finish re-raise its
 //! panic. The serving tier requests its cadence cuts and finishes them
 //! later; that is what keeps publication off its ingest path.
@@ -100,7 +105,7 @@ use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
 use crate::durable::{encode_op_into, WalOp};
 use crate::engine::{MinerState, StreamMiner};
 use crate::metrics::StreamMetrics;
-use crate::snapshot::{ShardSnapshot, StreamSnapshot};
+use crate::snapshot::{ShardCut, StreamSnapshot};
 use crate::StreamConfig;
 
 /// Router → shard messages. FIFO channel order is what makes snapshots
@@ -111,10 +116,11 @@ use crate::StreamConfig;
 #[derive(Clone)]
 enum Msg {
     Batch(Vec<WalOp>),
-    /// Consistent-cut marker: answered with the shard's serving snapshot
-    /// and, for a checkpoint `export`, its complete miner state at the
-    /// same cut, so a checkpoint's serving view and its resumable image
-    /// can never disagree.
+    /// Consistent-cut marker: answered with the shard's serving snapshot,
+    /// walked but not assembled ([`StreamMiner::cut`]), and, for a
+    /// checkpoint `export`, its complete miner state at the same cut, so a
+    /// checkpoint's serving view and its resumable image can never
+    /// disagree.
     Cut {
         reply: mpsc::Sender<CutPart>,
         export: bool,
@@ -128,7 +134,7 @@ enum Msg {
 }
 
 /// One shard's answer to a cut marker (the state only for an export).
-type CutPart = (ShardSnapshot, Option<MinerState>);
+type CutPart = (ShardCut, Option<MinerState>);
 
 /// What the router hands the commit stage (see the module docs).
 enum Commit {
@@ -521,13 +527,14 @@ impl Drop for ShardedMiner {
 
 /// A consistent cut in flight, from [`ShardedMiner::request_snapshot`]:
 /// the marker is on its way through every shard's queue, and each shard
-/// answers it with its part once it has mined the operations ahead of
-/// it. Finishing merges the parts, in shard order, into the snapshot of
-/// exactly the prefix routed before the request.
+/// answers it with its part, walked but not assembled, once it has mined
+/// the operations ahead of it. Finishing assembles the parts and merges
+/// them, in shard order, into the snapshot of exactly the prefix routed
+/// before the request.
 ///
 /// A shard that dies before answering makes finishing re-raise its
 /// panic, as any other barrier does; a cut that is dropped unfinished
-/// costs the shards one snapshot build each and nothing else.
+/// costs the shards one walk each and nothing else.
 #[must_use = "a requested cut has no snapshot until it is finished"]
 pub struct PendingCut {
     replies: Receiver<CutPart>,
@@ -580,17 +587,18 @@ impl PendingCut {
         true
     }
 
-    /// Merge the collected parts. Replies arrive in completion order
-    /// (scheduling-dependent); merging in shard order makes the snapshot
-    /// — including the iteration order of its table — a deterministic
-    /// function of the routed stream.
+    /// Assemble each collected part's table here, on the finishing thread
+    /// ([`ShardCut::assemble`]), and merge them. Replies arrive in
+    /// completion order (scheduling-dependent); merging in shard order
+    /// makes the snapshot — including the iteration order of its table —
+    /// a deterministic function of the routed stream. Both steps are timed
+    /// as `stream.snapshot_merge_ns`.
     fn merge(self, miner: &ShardedMiner) -> (StreamSnapshot, Vec<MinerState>) {
         let mut parts = self.parts;
         parts.sort_by_key(|(part, _)| part.shard_id);
-        let (snaps, states): (Vec<ShardSnapshot>, Vec<Option<MinerState>>) =
-            parts.into_iter().unzip();
+        let (cuts, states): (Vec<ShardCut>, Vec<Option<MinerState>>) = parts.into_iter().unzip();
         let span = miner.obs.snapshot_merge_ns.span();
-        let snap = StreamSnapshot::merge(snaps);
+        let snap = StreamSnapshot::merge(cuts.into_iter().map(ShardCut::assemble));
         span.finish();
         miner.obs.tracked_files.set(snap.tracked_files as i64);
         miner.obs.state_bytes.set(snap.state_bytes as i64);
@@ -656,9 +664,9 @@ fn shard_worker(mut miner: StreamMiner, rx: Receiver<Msg>) {
                 }
             }
             Msg::Cut { reply, export } => {
-                let snap = miner.snapshot();
+                let part = miner.cut();
                 let state = export.then(|| miner.export_state());
-                let _ = reply.send((snap, state));
+                let _ = reply.send((part, state));
             }
             Msg::Flush(ack) => {
                 let _ = ack.send(());
@@ -958,6 +966,38 @@ mod tests {
             "the cut is not the routed prefix"
         );
         assert_eq!(m.snapshot().events, (prefix + more) as u64);
+    }
+
+    #[test]
+    fn a_cut_assembled_at_its_finish_is_the_models_own_table() {
+        // The shards answer with their walks and the finishing thread
+        // assembles them: each shard's part of the published table must be
+        // its model's `correlator_table()` bit for bit, evictions included.
+        let trace = WorkloadSpec::hp().scaled(0.05).generate();
+        for shards in [1usize, 2] {
+            let cfg = StreamConfig::default()
+                .with_shards(shards)
+                .with_node_cap(256);
+            let mut fleet = ShardedMiner::spawn(cfg.clone());
+            let mut bare: Vec<StreamMiner> = (0..shards)
+                .map(|id| StreamMiner::for_shard(cfg.clone(), id, shards))
+                .collect();
+            for e in trace.stream().take(2 * trace.len()) {
+                fleet.route_event(&trace, &e);
+                bare.iter_mut().for_each(|b| b.ingest_event(&trace, &e));
+            }
+            let snap = fleet.request_snapshot().finish(&mut fleet);
+            assert!(bare.iter().all(|b| b.evictions() > 0), "no shard evicted");
+            let mut want = bare[0].farmer().correlator_table();
+            for b in &bare[1..] {
+                want.append(&b.farmer().correlator_table()).unwrap();
+            }
+            assert!(want.len() > 100, "{} lists", want.len());
+            assert!(
+                crate::durable::tables_bitwise_equal(&snap.table, &want),
+                "{shards} shard(s): the assembled table is not the models' own"
+            );
+        }
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! A snapshot is the bridge from the always-running miner to its consumers
 //! (prefetchers, layout planners, security compilers): a point-in-time,
 //! read-only view of every live Correlator List. [`ShardSnapshot`] is one
-//! shard's contribution, a flat [`CorrelatorTable`] built in one pass over
-//! the shard's graph; [`StreamSnapshot::merge`] combines the disjoint
-//! per-shard tables into one (a move at one shard); published into a
-//! [`crate::SnapshotCell`], it reaches every
+//! shard's contribution, a flat [`CorrelatorTable`] assembled from one pass
+//! over the shard's graph (a [`ShardCut`], what a shard answers a cut
+//! with, is that part before assembly); [`StreamSnapshot::merge`] combines
+//! the disjoint per-shard tables into one (a move at one shard); published
+//! into a [`crate::SnapshotCell`], it reaches every
 //! `farmer-prefetch::FpaPredictor::following` predictor mid-simulation.
 //!
 //! **Consistency model.** [`crate::ShardedMiner::snapshot`] first flushes
@@ -15,17 +16,18 @@
 //! routed before the marker, so the merged view corresponds to one precise
 //! prefix of the input stream — a consistent cut, not a racy sample.
 
-use farmer_core::{CorrelationSource, Correlator, CorrelatorTable};
+use farmer_core::{CorrelationSource, Correlator, CorrelatorTable, TableWalk};
 use farmer_trace::FileId;
 
-/// One shard's point-in-time state.
+/// One shard's point-in-time state. Its lists are a [`CorrelatorTable`],
+/// or, in a [`ShardCut`], the walk the table is assembled from.
 #[derive(Debug, Clone)]
-pub struct ShardSnapshot {
+pub struct ShardSnapshot<L = CorrelatorTable> {
     /// Which shard produced this.
     pub shard_id: usize,
     /// Correlator Lists of the shard's live owned files (empty lists
-    /// omitted), sorted by owner id.
-    pub lists: CorrelatorTable,
+    /// omitted); a table is sorted by owner id.
+    pub lists: L,
     /// Events this shard has ingested (the routed prefix length).
     pub events_seen: u64,
     /// Events whose file this shard owns.
@@ -36,6 +38,29 @@ pub struct ShardSnapshot {
     pub evictions: u64,
     /// Approximate resident heap bytes of the shard's miner state.
     pub state_bytes: usize,
+}
+
+/// What a shard's mining thread makes of a cut: its snapshot with the
+/// lists walked off the graph ([`StreamMiner::cut`]) but not yet
+/// assembled into a table ([`ShardCut::assemble`]).
+///
+/// [`StreamMiner::cut`]: crate::StreamMiner::cut
+pub type ShardCut = ShardSnapshot<TableWalk>;
+
+impl ShardCut {
+    /// The snapshot, its table assembled from the walk
+    /// ([`TableWalk::assemble`]); the rest is moved as it is.
+    pub fn assemble(self) -> ShardSnapshot {
+        ShardSnapshot {
+            shard_id: self.shard_id,
+            lists: self.lists.assemble(),
+            events_seen: self.events_seen,
+            owned_events: self.owned_events,
+            tracked_files: self.tracked_files,
+            evictions: self.evictions,
+            state_bytes: self.state_bytes,
+        }
+    }
 }
 
 /// The merged, consistent view across all shards.

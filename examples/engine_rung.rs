@@ -13,11 +13,14 @@
 //! edges and nodes beside the bytes the rung accounts (so mean degree and
 //! bytes a node can be read off both), the update
 //! mix per event after the warm-up lap, the median of five at-rest
-//! `snapshot()` builds, a hash of every list published along the way, and
+//! `snapshot()` builds beside the median of five `cut()` walks (the share
+//! of a cut its shard's mining thread pays; the serving tier assembles the
+//! table elsewhere), a hash of every list published along the way, and
 //! a hash of `export_state()`: four state hashes and two published-lists
 //! hashes in all. A change to the kernel, the eviction sweep or the
 //! publication build must leave all six as the parent prints them (build
-//! this file against each tree; it uses nothing the parent lacks).
+//! this file against each tree; a tree without `StreamMiner::cut` runs the
+//! copy it has).
 //! `--quick` runs a tenth of each trace under a 512-node cap — well under
 //! a second, for CI: a smoke test that panics if the capped rung never
 //! evicted.
@@ -160,24 +163,28 @@ fn rung(name: &str, spec: WorkloadSpec, n: usize, cfg: StreamConfig) {
         },
     );
     publish(&miner);
-    let mut builds: Vec<u128> = (0..5)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(miner.snapshot());
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    builds.sort_unstable();
+    let median_us = |f: &dyn Fn()| {
+        let mut ns: Vec<u128> = (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed().as_nanos()
+            })
+            .collect();
+        ns.sort_unstable();
+        ns[2] as f64 / 1e3
+    };
+    let build_us = median_us(&|| drop(std::hint::black_box(miner.snapshot())));
+    let walk_us = median_us(&|| drop(std::hint::black_box(miner.cut())));
     println!(
         "  engine {ns:7.1} ns/event   {} edges, {} nodes, {} evictions ({:.2}/kevent), {} tracked, \
-         {} B, snapshot {:.0} us",
+         {} B, snapshot {build_us:.0} us (cut walk {walk_us:.0} us)",
         miner.farmer().graph().num_edges(),
         miner.farmer().graph().active_nodes(),
         miner.evictions() - evicted,
         (miner.evictions() - evicted) as f64 * 1000.0 / n as f64,
         miner.tracked_files(),
         miner.state_bytes(),
-        builds[2] as f64 / 1e3
     );
     print_mix(miner.farmer().graph().update_mix(), warm, n);
     assert!(
