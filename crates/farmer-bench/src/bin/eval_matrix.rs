@@ -1,7 +1,9 @@
 //! The evaluation reference-model matrix: every scenario × miner mode ×
 //! predictor cell, end to end (trace → miner → `CorrelationSource` →
-//! predictor → cache sim → MDS replay), emitted as one schema-versioned
-//! JSON record and optionally verified against the checked-in one.
+//! predictor → cache sim → MDS replay), then the paper's comparison grid
+//! (LRU, Nexus and FARMER on the four trace presets: Figure 7, Table 3,
+//! Figure 8, Table 4), emitted as one schema-versioned JSON record and
+//! optionally verified against the checked-in one.
 //!
 //! ```text
 //! cargo run --release -p farmer-bench --bin eval_matrix -- --check    # full matrix vs BENCH_eval.json
@@ -11,8 +13,10 @@
 //!
 //! * `--check` — verify every cell against the bands `refmodel` derives
 //!   from the checked-in `BENCH_eval.json` (compiled in) and exit 1
-//!   listing every violation; cells that are in band but no longer equal
-//!   the record are listed as a stale-record note. Only meaningful at the
+//!   listing every violation — an out-of-band metric, a missing or extra
+//!   cell, an inversion of the paper's shapes over its grid; cells that
+//!   are in band but no longer equal the record are listed as a
+//!   stale-record note. Only meaningful at the
 //!   record's scale: any other (`--quick`, a positional scale) exits 2.
 //! * `--obs` — additionally print the instrumented demo legs' metric
 //!   registries (the same dumps embedded as the record's top-level `obs`
@@ -23,13 +27,14 @@
 //! breaks a cross-mode invariant panics instead of reporting.
 
 use farmer_bench::evalmatrix::{
-    build_scenario, miner_config, run_matrix_with, Cell, MatrixReport, FPA_MODES, PHASES,
+    build_scenario, paper_cells, run_matrix_with, Cell, MatrixReport, FPA_MODES, PHASES,
     QUICK_SCALE, SCENARIOS, SCHEMA_VERSION,
 };
 use farmer_bench::faults::FAILURE_MODES;
 use farmer_bench::format::BenchArgs;
 use farmer_bench::lockstep::{serve_online, OnlineConfig};
 use farmer_bench::refmodel::{self, Reference};
+use farmer_core::FarmerConfig;
 use farmer_mds::ReplayConfig;
 use farmer_obs::{Json, Registry};
 use farmer_prefetch::SimConfig;
@@ -46,7 +51,7 @@ use farmer_trace::Op;
 fn obs_demo() -> farmer_obs::ObsReport {
     let trace = build_scenario("base", 0.05);
     let stream = StreamConfig::default()
-        .with_farmer(miner_config(&trace))
+        .with_farmer(FarmerConfig::for_family(trace.family))
         .with_shards(1)
         .with_node_cap(1 << 20);
     let online = OnlineConfig::every(stream, (trace.len() / 8).max(1));
@@ -78,7 +83,7 @@ fn obs_recovery_demo() -> farmer_obs::ObsReport {
     std::fs::create_dir_all(&dir).expect("create obs-demo scratch dir");
     let wal = dir.join("obs.wal");
     let stream = StreamConfig::default()
-        .with_farmer(miner_config(&trace))
+        .with_farmer(FarmerConfig::for_family(trace.family))
         .with_shards(1)
         .with_node_cap(1 << 20);
     let cfg = DurableConfig::new(stream)
@@ -169,14 +174,17 @@ fn main() {
     });
 
     eprintln!(
-        "eval_matrix: scale {}, {} scenarios x ({} FARMER miner modes + 4 self-mining predictors)",
+        "eval_matrix: scale {}, {} scenarios x ({} FARMER miner modes + 4 self-mining predictors) \
+         + the paper grid",
         args.scale,
         SCENARIOS.len(),
         FPA_MODES.len()
     );
-    let report = run_matrix_with(args.scale, &SCENARIOS, &mut |s| {
+    let mut report = run_matrix_with(args.scale, &SCENARIOS, &mut |s| {
         eprintln!("eval_matrix: scenario {s}...");
     });
+    eprintln!("eval_matrix: paper grid...");
+    report.cells.extend(paper_cells(args.scale));
     eprintln!(
         "eval_matrix: {} cells, parity over {} scenarios (max degree delta {:e})",
         report.cells.len(),

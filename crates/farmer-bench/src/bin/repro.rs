@@ -9,12 +9,18 @@
 //! For each paper table/figure, prints the measured values with the
 //! paper's reference numbers ([`farmer_bench::paper`]) where the paper
 //! reports them, then the two experiments the paper only sketches (§4.1
-//! multi-MDS scaling, §7 attribute regression). `--only <name>` runs a
-//! single section ([`SECTIONS`]); an unknown name — or an unknown flag —
-//! exits 2 listing the valid ones.
+//! multi-MDS scaling, §7 attribute regression). Figure 7, Table 3,
+//! Figure 8 and Table 4 print from one run of the reference model's
+//! paper grid ([`paper_cells`]), the cells `eval_matrix --check` bands
+//! and shape-checks. `--only <name>` runs a single section
+//! ([`SECTIONS`]); an unknown name — or an unknown flag — exits 2 listing
+//! the valid ones. `repro` checks nothing, so `--check` and `--obs` exit
+//! 2 as well.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
+use farmer_bench::evalmatrix::{paper_cell, paper_cells, Cell, PAPER_PREDICTORS};
 use farmer_bench::experiments as ex;
 use farmer_bench::format::{mb, ms, pct, BenchArgs, TextTable};
 use farmer_bench::paper;
@@ -133,42 +139,52 @@ fn fig6(scale: f64) {
     );
 }
 
+/// The paper grid's cell of `family` served by `predictor`, the grid run
+/// once per process.
+fn grid(scale: f64, family: TraceFamily, predictor: &str) -> &'static Cell {
+    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+    let cells = CELLS.get_or_init(|| paper_cells(scale));
+    paper_cell(cells, family, predictor).expect("the paper grid covers every family")
+}
+
 fn fig7(scale: f64) {
-    for r in ex::fig7(scale) {
+    for family in TraceFamily::ALL {
+        let [lru, nexus, fpa] = PAPER_PREDICTORS.map(|p| grid(scale, family, p));
         println!(
             "  {:<5} LRU {}  Nexus {}  FPA {}  (FPA-Nexus {:+.1} pts; accuracies N {} / F {})",
-            r.family.name(),
-            pct(r.lru),
-            pct(r.nexus),
-            pct(r.fpa),
-            100.0 * (r.fpa - r.nexus),
-            pct(r.nexus_accuracy),
-            pct(r.fpa_accuracy),
+            family.name(),
+            pct(lru.hit_ratio),
+            pct(nexus.hit_ratio),
+            pct(fpa.hit_ratio),
+            100.0 * (fpa.hit_ratio - nexus.hit_ratio),
+            pct(nexus.prefetch_accuracy),
+            pct(fpa.prefetch_accuracy),
         );
     }
 }
 
 fn table3(scale: f64) {
-    let (fpa_acc, nexus_acc) = ex::table3(scale);
+    let accuracy = |p| grid(scale, TraceFamily::Hp, p).prefetch_accuracy;
     println!(
         "  FARMER {} (paper {})   Nexus {} (paper {})",
-        pct(fpa_acc),
+        pct(accuracy("FARMER")),
         pct(paper::TABLE3_FARMER_ACCURACY),
-        pct(nexus_acc),
+        pct(accuracy("Nexus")),
         pct(paper::TABLE3_NEXUS_ACCURACY)
     );
 }
 
 fn fig8(scale: f64) {
-    for r in ex::fig8(scale) {
+    for family in paper::FIG8_FAMILIES {
+        let [lru, nexus, fpa] = PAPER_PREDICTORS.map(|p| grid(scale, family, p).avg_response_ms);
         println!(
             "  {:<5} LRU {}  Nexus {}  FPA {}  (vs Nexus {:.0}%, vs LRU {:.0}%)",
-            r.family.name(),
-            ms(r.lru_ms),
-            ms(r.nexus_ms),
-            ms(r.fpa_ms),
-            100.0 * (1.0 - r.fpa_ms / r.nexus_ms),
-            100.0 * (1.0 - r.fpa_ms / r.lru_ms),
+            family.name(),
+            ms(lru),
+            ms(nexus),
+            ms(fpa),
+            100.0 * (1.0 - fpa / nexus),
+            100.0 * (1.0 - fpa / lru),
         );
     }
     println!(
@@ -179,7 +195,8 @@ fn fig8(scale: f64) {
 }
 
 fn table4(scale: f64) {
-    for (family, bytes) in ex::table4(scale) {
+    for family in TraceFamily::ALL {
+        let bytes = grid(scale, family, "FARMER").memory_bytes;
         let p = paper::TABLE4_SPACE_MB
             .iter()
             .find(|(n, _)| *n == family.name())
@@ -281,7 +298,15 @@ fn section(title: &str) {
 
 fn main() {
     // No quick profile here: `--quick` leaves the scale at 1.0.
-    let BenchArgs { scale, only, .. } = BenchArgs::parse(1.0, &SECTIONS.map(|s| s.name));
+    let args = BenchArgs::parse(1.0, &SECTIONS.map(|s| s.name));
+    if args.check || args.obs {
+        eprintln!(
+            "repro: --check and --obs are eval_matrix's; the paper grid (Figure 7, Table 3, \
+             Figure 8, Table 4) is banded and shape-checked by `eval_matrix --check`"
+        );
+        std::process::exit(2);
+    }
+    let BenchArgs { scale, only, .. } = args;
     let t0 = Instant::now();
     println!("FARMER reproduction suite (scale {scale})");
     for s in &SECTIONS {

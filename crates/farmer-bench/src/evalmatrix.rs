@@ -38,7 +38,7 @@
 //! * `batch` (one [`Farmer`] over the whole trace), `sharded1` and
 //!   `sharded4` (the `farmer-stream` sharded online miner with 1 and 4
 //!   shards, uncapped so no eviction noise enters the comparison). The
-//!   three modes must produce the *same* mined model — [`run_matrix`]
+//!   three modes must produce the *same* mined model — [`run_matrix_with`]
 //!   asserts exact batch-vs-sharded snapshot parity per scenario and
 //!   bitwise-equal quality metrics across the three FPA cells, so any
 //!   divergence in the sharding or snapshot path fails the run before any
@@ -53,7 +53,7 @@
 //!   directly measure adaptation lag. `frozen` takes exactly one snapshot
 //!   at the end of the first reporting segment and serves it for the rest
 //!   of the run — the no-adaptation baseline the online modes are
-//!   measured against ([`run_matrix`] asserts online beats frozen on the
+//!   measured against ([`run_matrix_with`] asserts online beats frozen on the
 //!   drift scenario's post-shift segments, and stays within
 //!   [`ONLINE_CONVERGENCE_GAP`] of the batch oracle on the stationary
 //!   `base` scenario).
@@ -69,9 +69,17 @@
 //! [`ShardedMiner::route_forget`]) in every mode, which is what the churn
 //! scenario exercises.
 //!
+//! **The paper's grid** ([`paper_cells`]) rides beside the scenario loop:
+//! each trace family's preset served by LRU, Nexus and a self-mining
+//! FARMER, the cells behind Figure 7 (hit ratio), Table 3 (prefetch
+//! accuracy), Figure 8 (mean response) and Table 4 (model space). Their
+//! scenario is the family's name (`LLNL`, `INS`, `RES`, `HP`), their mode
+//! `self`.
+//!
 //! The reference a run is checked against is the checked-in full-scale
 //! record, `BENCH_eval.json` ([`crate::refmodel`]); the `eval_matrix`
-//! binary's `--check` mode fails on out-of-band results.
+//! binary's `--check` mode fails on out-of-band results and on the
+//! paper's shape inversions ([`crate::refmodel::paper_shapes`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -86,7 +94,7 @@ use farmer_prefetch::{
 };
 use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
 use farmer_trace::workload::{ChurnSpec, DriftSpec, MultiTenantSpec, ScanStormSpec};
-use farmer_trace::{Op, Trace, WorkloadSpec};
+use farmer_trace::{Op, Trace, TraceFamily, WorkloadSpec};
 
 use crate::lockstep::{serve_online, MinerSide, OnlineConfig};
 pub use crate::refmodel::SCHEMA_VERSION;
@@ -123,6 +131,10 @@ pub const FPA_MODES: [&str; 9] = [
 
 /// The self-mining predictor axis.
 pub const SELF_PREDICTORS: [&str; 4] = ["Nexus", "ProbGraph", "SdGraph", "LRU"];
+
+/// The predictors of the paper's comparison grid ([`paper_cells`]), in
+/// emission order; `FARMER` here mines as it serves.
+pub const PAPER_PREDICTORS: [&str; 3] = ["LRU", "Nexus", "FARMER"];
 
 /// Refresh points per run of the sparse online mode (`online8`).
 pub const ONLINE_SPARSE_REFRESHES: usize = 8;
@@ -186,22 +198,11 @@ pub fn build_scenario(name: &str, scale: f64) -> Trace {
     }
 }
 
-/// The miner configuration every mode uses for a given trace: the paper
-/// defaults, pathless when the trace records no paths — identical to what
-/// [`FpaPredictor::for_trace`] serves with, so mined degrees and serving
-/// thresholds agree.
-pub fn miner_config(trace: &Trace) -> FarmerConfig {
-    if trace.family.has_paths() {
-        FarmerConfig::default()
-    } else {
-        FarmerConfig::pathless()
-    }
-}
-
 /// One measured cell of the matrix.
 #[derive(Debug, Clone, Default)]
 pub struct Cell {
-    /// Scenario name (one of [`SCENARIOS`]).
+    /// Scenario name: one of [`SCENARIOS`], or for the paper grid
+    /// ([`paper_cells`]) a trace family's name.
     pub scenario: &'static str,
     /// Miner mode: `batch`/`sharded1`/`sharded4` for FARMER, `self` for
     /// internally mining predictors.
@@ -496,22 +497,51 @@ fn online_cell(
     cell
 }
 
-/// Run a self-mining predictor through sim + replay. `make` constructs a
-/// fresh instance per leg so the replay does not serve a pre-trained
-/// model.
-fn self_cell(
-    scenario: &'static str,
-    predictor: &'static str,
-    trace: &Trace,
-    make: &dyn Fn() -> Box<dyn Predictor>,
-) -> Cell {
+/// A fresh instance of a self-mining predictor, by display name.
+fn self_predictor(name: &str, trace: &Trace) -> Box<dyn Predictor> {
+    match name {
+        "Nexus" => Box::new(NexusPredictor::paper_default()),
+        "ProbGraph" => Box::new(ProbabilityGraph::classic()),
+        "SdGraph" => Box::new(SdGraph::classic()),
+        "LRU" => Box::new(LruOnly),
+        "FARMER" => Box::new(FpaPredictor::for_trace(trace)),
+        other => unreachable!("unknown predictor {other}"),
+    }
+}
+
+/// Run a self-mining predictor through sim + replay, a fresh instance per
+/// leg so the replay does not serve a pre-trained model.
+fn self_cell(scenario: &'static str, predictor: &'static str, trace: &Trace) -> Cell {
     let (sim_cfg, rep_cfg) = cell_configs(trace);
-    let mut p = make();
+    let mut p = self_predictor(predictor, trace);
     let start = Instant::now();
     let sim = simulate(trace, p.as_mut(), sim_cfg);
     let rate = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    let rep = replay(trace, make(), rep_cfg);
+    let rep = replay(trace, self_predictor(predictor, trace), rep_cfg);
     finish_cell(scenario, "self", predictor, sim, rep, rate, 0)
+}
+
+/// The paper's comparison grid at `scale`: for every [`TraceFamily`]
+/// preset, one `self` cell per [`PAPER_PREDICTORS`] entry, its scenario
+/// the family's name — 12 cells, family-major. Figure 7, Table 3,
+/// Figure 8 and Table 4 are read off these cells.
+pub fn paper_cells(scale: f64) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for family in TraceFamily::ALL {
+        let trace = crate::experiments::trace_for(family, scale);
+        for predictor in PAPER_PREDICTORS {
+            cells.push(self_cell(family.name(), predictor, &trace));
+        }
+    }
+    cells
+}
+
+/// The paper-grid cell of `family` served by `predictor`, if `cells`
+/// holds it.
+pub fn paper_cell<'a>(cells: &'a [Cell], family: TraceFamily, predictor: &str) -> Option<&'a Cell> {
+    cells
+        .iter()
+        .find(|c| c.scenario == family.name() && c.mode == "self" && c.predictor == predictor)
 }
 
 fn finish_cell(
@@ -581,15 +611,11 @@ fn finish_cell(
     cell
 }
 
-/// Run the whole matrix at `scale`. Asserts the cross-mode invariants
-/// (snapshot parity, identical FPA quality across miner modes) along the
-/// way — a matrix that fails an invariant never produces a report.
-pub fn run_matrix(scale: f64) -> MatrixReport {
-    run_matrix_with(scale, &SCENARIOS, &mut |_| {})
-}
-
-/// [`run_matrix`] over a scenario subset with a per-scenario progress
-/// callback (the binary logs to stderr; tests pass a no-op).
+/// Run the matrix over `scenarios` at `scale`, with a per-scenario
+/// progress callback (the binary logs to stderr; tests pass a no-op).
+/// Asserts the cross-mode invariants (snapshot parity, identical FPA
+/// quality across miner modes) along the way — a matrix that fails an
+/// invariant never produces a report.
 pub fn run_matrix_with(
     scale: f64,
     scenarios: &[&'static str],
@@ -604,7 +630,7 @@ pub fn run_matrix_with(
     for &scenario in scenarios {
         progress(scenario);
         let trace = build_scenario(scenario, scale);
-        let cfg = miner_config(&trace);
+        let cfg = FarmerConfig::for_family(trace.family);
 
         if scenario == "failure" {
             // The correlated-failure family: one durable online-serving
@@ -796,14 +822,7 @@ pub fn run_matrix_with(
 
         // Self-mining predictors.
         for predictor in SELF_PREDICTORS {
-            let make: Box<dyn Fn() -> Box<dyn Predictor>> = match predictor {
-                "Nexus" => Box::new(|| Box::new(NexusPredictor::paper_default())),
-                "ProbGraph" => Box::new(|| Box::new(ProbabilityGraph::classic())),
-                "SdGraph" => Box::new(|| Box::new(SdGraph::classic())),
-                "LRU" => Box::new(|| Box::new(LruOnly)),
-                other => unreachable!("unknown predictor {other}"),
-            };
-            cells.push(self_cell(scenario, predictor, &trace, make.as_ref()));
+            cells.push(self_cell(scenario, predictor, &trace));
         }
     }
 
@@ -982,6 +1001,9 @@ mod tests {
                 declared.extend(FPA_MODES.map(|m| (scenario, m, "FARMER")));
                 declared.extend(SELF_PREDICTORS.map(|p| (scenario, "self", p)));
             }
+        }
+        for family in TraceFamily::ALL {
+            declared.extend(PAPER_PREDICTORS.map(|p| (family.name(), "self", p)));
         }
         let recorded: Vec<_> = reference.keys().collect();
         let missing: Vec<_> = declared.iter().filter(|k| !recorded.contains(k)).collect();

@@ -1,11 +1,14 @@
-//! Experiment implementations, one function per paper table/figure (and
-//! one each for the §4.1 multi-MDS and §7 regression experiments).
+//! The paper's sweeps and worked examples, one function per table/figure
+//! (and one each for the ablations, the §4.1 multi-MDS and §7 regression
+//! experiments).
 //!
 //! Each function takes a `scale` factor applied to the preset trace sizes
 //! (1.0 = the event counts of [`WorkloadSpec::for_family`]'s presets) and
-//! returns plain data; the `repro` binary renders the tables. Keeping the
-//! logic here lets `tests/paper_shapes.rs` assert the paper's qualitative
-//! shapes on the same rows.
+//! returns plain data; the `repro` binary renders the tables. The paper's
+//! comparison grid — Figure 7, Table 3, Figure 8 and Table 4 — is not
+//! here: it is cells of the reference model,
+//! [`crate::evalmatrix::paper_cells`], banded and shape-checked by
+//! [`crate::refmodel`].
 
 use farmer_core::{AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode};
 use farmer_mds::{replay, replay_cluster, ClusterConfig, ClusterReport, Partition, ReplayConfig};
@@ -19,16 +22,6 @@ use crate::regression::{fit_trace, RegressionReport};
 /// Generate the preset trace for a family at the given scale.
 pub fn trace_for(family: TraceFamily, scale: f64) -> Trace {
     WorkloadSpec::for_family(family).scaled(scale).generate()
-}
-
-/// The paper-default FARMER config for a trace (attribute base follows
-/// path availability).
-pub fn farmer_config_for(trace: &Trace) -> FarmerConfig {
-    if trace.family.has_paths() {
-        FarmerConfig::default()
-    } else {
-        FarmerConfig::pathless()
-    }
 }
 
 // ---------------------------------------------------------------- Figure 1
@@ -130,7 +123,9 @@ pub fn fig3(scale: f64) -> Vec<Fig3Series> {
         for p in FIG3_P_VALUES {
             let mut points = Vec::with_capacity(FIG3_THRESHOLDS.len());
             for thr in FIG3_THRESHOLDS {
-                let cfg = farmer_config_for(&trace).with_p(p).with_max_strength(thr);
+                let cfg = FarmerConfig::for_family(fam)
+                    .with_p(p)
+                    .with_max_strength(thr);
                 let mut fpa = FpaPredictor::new(cfg);
                 let report = simulate(&trace, &mut fpa, sim_cfg);
                 points.push((thr, report.hit_ratio()));
@@ -192,7 +187,7 @@ pub fn table5(family: TraceFamily, scale: f64) -> Vec<Table5Row> {
     AttrCombo::sweep(&base)
         .into_iter()
         .map(|combo| {
-            let cfg = farmer_config_for(&trace).with_combo(combo);
+            let cfg = FarmerConfig::for_family(family).with_combo(combo);
             let mut fpa = FpaPredictor::new(cfg);
             let report = simulate(&trace, &mut fpa, sim_cfg);
             Table5Row {
@@ -212,115 +207,9 @@ pub fn fig6(scale: f64) -> Vec<(f64, f64)> {
     (0..=10)
         .map(|i| {
             let thr = i as f64 / 10.0;
-            let cfg = farmer_config_for(&trace).with_max_strength(thr);
+            let cfg = FarmerConfig::for_family(TraceFamily::Hp).with_max_strength(thr);
             let report = replay(&trace, Box::new(FpaPredictor::new(cfg)), replay_cfg);
             (thr, report.avg_response_ms())
-        })
-        .collect()
-}
-
-// ----------------------------------------------------------------- Figure 7
-
-/// One Figure 7 row: hit ratios of the three contenders on one trace.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig7Row {
-    /// Trace family.
-    pub family: TraceFamily,
-    /// Plain LRU (no prefetch).
-    pub lru: f64,
-    /// Nexus.
-    pub nexus: f64,
-    /// FPA.
-    pub fpa: f64,
-    /// Nexus prefetch accuracy.
-    pub nexus_accuracy: f64,
-    /// FPA prefetch accuracy.
-    pub fpa_accuracy: f64,
-}
-
-/// Figure 7: cache-hit-ratio comparison (FPA vs Nexus vs LRU), all traces.
-pub fn fig7(scale: f64) -> Vec<Fig7Row> {
-    TraceFamily::ALL
-        .into_iter()
-        .map(|fam| {
-            let trace = trace_for(fam, scale);
-            let cfg = SimConfig::for_family(fam);
-            let lru = simulate(&trace, &mut LruOnly, cfg);
-            let nexus = simulate(&trace, &mut NexusPredictor::paper_default(), cfg);
-            let mut fpa_pred = FpaPredictor::for_trace(&trace);
-            let fpa = simulate(&trace, &mut fpa_pred, cfg);
-            Fig7Row {
-                family: fam,
-                lru: lru.hit_ratio(),
-                nexus: nexus.hit_ratio(),
-                fpa: fpa.hit_ratio(),
-                nexus_accuracy: nexus.prefetch_accuracy(),
-                fpa_accuracy: fpa.prefetch_accuracy(),
-            }
-        })
-        .collect()
-}
-
-// ----------------------------------------------------------------- Table 3
-
-/// Table 3: prefetching accuracy on the HP trace (FARMER vs Nexus).
-pub fn table3(scale: f64) -> (f64, f64) {
-    let trace = trace_for(TraceFamily::Hp, scale);
-    let cfg = SimConfig::for_family(TraceFamily::Hp);
-    let nexus = simulate(&trace, &mut NexusPredictor::paper_default(), cfg);
-    let fpa = simulate(&trace, &mut FpaPredictor::for_trace(&trace), cfg);
-    (fpa.prefetch_accuracy(), nexus.prefetch_accuracy())
-}
-
-// ----------------------------------------------------------------- Figure 8
-
-/// One Figure 8 row: average response times (ms) on one trace.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig8Row {
-    /// Trace family.
-    pub family: TraceFamily,
-    /// Plain LRU response.
-    pub lru_ms: f64,
-    /// Nexus response.
-    pub nexus_ms: f64,
-    /// FPA response.
-    pub fpa_ms: f64,
-}
-
-/// The traces Figure 8 reports (LLNL, RES, HP).
-pub const FIG8_FAMILIES: [TraceFamily; 3] = [TraceFamily::Llnl, TraceFamily::Res, TraceFamily::Hp];
-
-/// Figure 8: average metadata response time, FPA vs Nexus vs LRU.
-pub fn fig8(scale: f64) -> Vec<Fig8Row> {
-    FIG8_FAMILIES
-        .into_iter()
-        .map(|fam| {
-            let trace = trace_for(fam, scale);
-            let cfg = ReplayConfig::for_family(fam);
-            let lru = replay(&trace, Box::new(LruOnly), cfg);
-            let nexus = replay(&trace, Box::new(NexusPredictor::paper_default()), cfg);
-            let fpa = replay(&trace, Box::new(FpaPredictor::for_trace(&trace)), cfg);
-            Fig8Row {
-                family: fam,
-                lru_ms: lru.avg_response_ms(),
-                nexus_ms: nexus.avg_response_ms(),
-                fpa_ms: fpa.avg_response_ms(),
-            }
-        })
-        .collect()
-}
-
-// ----------------------------------------------------------------- Table 4
-
-/// Table 4: FARMER model memory after mining each trace (bytes).
-pub fn table4(scale: f64) -> Vec<(TraceFamily, usize)> {
-    TraceFamily::ALL
-        .into_iter()
-        .map(|fam| {
-            let trace = trace_for(fam, scale);
-            let cfg = farmer_config_for(&trace); // max_strength = 0.4 default
-            let farmer = Farmer::mine_trace(&trace, cfg);
-            (fam, farmer.memory_bytes())
         })
         .collect()
 }
@@ -333,7 +222,7 @@ pub fn table4(scale: f64) -> Vec<(TraceFamily, usize)> {
 pub fn reduction_p0_matches_nexus(scale: f64) -> f64 {
     let trace = trace_for(TraceFamily::Hp, scale);
     // Mine both models over the identical stream.
-    let mut cfg = farmer_config_for(&trace);
+    let mut cfg = FarmerConfig::for_family(TraceFamily::Hp);
     cfg.p = 0.0;
     cfg.max_strength = 0.0;
     cfg.combo = AttrCombo::EMPTY;
@@ -373,12 +262,16 @@ pub fn ablation_dpa_vs_ipa(scale: f64) -> (f64, f64) {
     let cfg = SimConfig::for_family(TraceFamily::Hp);
     let dpa = simulate(
         &trace,
-        &mut FpaPredictor::new(farmer_config_for(&trace).with_path_mode(PathMode::Dpa)),
+        &mut FpaPredictor::new(
+            FarmerConfig::for_family(TraceFamily::Hp).with_path_mode(PathMode::Dpa),
+        ),
         cfg,
     );
     let ipa = simulate(
         &trace,
-        &mut FpaPredictor::new(farmer_config_for(&trace).with_path_mode(PathMode::Ipa)),
+        &mut FpaPredictor::new(
+            FarmerConfig::for_family(TraceFamily::Hp).with_path_mode(PathMode::Ipa),
+        ),
         cfg,
     );
     (dpa.hit_ratio(), ipa.hit_ratio())
@@ -391,7 +284,7 @@ pub fn ablation_window(scale: f64, windows: &[usize]) -> Vec<(usize, f64)> {
     windows
         .iter()
         .map(|&w| {
-            let mut cfg = farmer_config_for(&trace);
+            let mut cfg = FarmerConfig::for_family(TraceFamily::Hp);
             cfg.window = w;
             let report = simulate(&trace, &mut FpaPredictor::new(cfg), sim_cfg);
             (w, report.hit_ratio())
@@ -405,7 +298,7 @@ pub fn layout_experiment(scale: f64) -> (farmer_mds::osd::OsdStats, farmer_mds::
     use farmer_mds::layout::{plan_layout, replay_reads, LayoutConfig};
     use farmer_mds::osd::OsdConfig;
     let trace = trace_for(TraceFamily::Hp, scale);
-    let farmer = Farmer::mine_trace(&trace, farmer_config_for(&trace));
+    let farmer = Farmer::mine_trace(&trace, FarmerConfig::for_family(TraceFamily::Hp));
     let layout = plan_layout(&farmer, &trace, LayoutConfig::default());
     let scattered = replay_reads(&trace, None, OsdConfig::default());
     let grouped = replay_reads(&trace, Some(&layout), OsdConfig::default());
@@ -452,7 +345,7 @@ pub fn regression(scale: f64) -> Vec<(TraceFamily, RegressionReport)> {
         .into_iter()
         .map(|fam| {
             let trace = trace_for(fam, scale);
-            let farmer = Farmer::mine_trace(&trace, farmer_config_for(&trace));
+            let farmer = Farmer::mine_trace(&trace, FarmerConfig::for_family(fam));
             (fam, fit_trace(&trace, &farmer))
         })
         .collect()
@@ -461,6 +354,8 @@ pub fn regression(scale: f64) -> Vec<(TraceFamily, RegressionReport)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evalmatrix::{paper_cell, paper_cells, Cell};
+    use std::sync::OnceLock;
 
     const S: f64 = 0.1; // fast test scale
 
@@ -487,24 +382,39 @@ mod tests {
         }
     }
 
+    // The paper grid lives in `evalmatrix::paper_cells`; these three pin
+    // the direction of its orderings at scales below the shape tests'.
+
+    /// The grid at 0.2, run once for the two tests that read it.
+    fn grid() -> &'static [Cell] {
+        static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+        CELLS.get_or_init(|| paper_cells(0.2))
+    }
+
+    fn cell<'a>(cells: &'a [Cell], family: TraceFamily, predictor: &str) -> &'a Cell {
+        paper_cell(cells, family, predictor).expect("paper grid cell")
+    }
+
     #[test]
     fn fig7_fpa_wins_everywhere() {
-        for row in fig7(0.2) {
-            assert!(row.fpa > row.nexus, "{:?}", row.family);
-            assert!(row.nexus > row.lru - 0.02, "{:?}", row.family);
+        for family in TraceFamily::ALL {
+            let at = |p| cell(grid(), family, p).hit_ratio;
+            assert!(at("FARMER") > at("Nexus"), "{family:?}");
+            assert!(at("Nexus") > at("LRU") - 0.02, "{family:?}");
         }
     }
 
     #[test]
     fn table3_direction() {
-        let (fpa, nexus) = table3(0.2);
+        let at = |p| cell(grid(), TraceFamily::Hp, p).prefetch_accuracy;
+        let (fpa, nexus) = (at("FARMER"), at("Nexus"));
         assert!(fpa > nexus, "FPA {fpa} vs Nexus {nexus}");
     }
 
     #[test]
     fn table4_ordering_follows_trace_scale() {
-        let rows = table4(S);
-        let get = |f: TraceFamily| rows.iter().find(|(x, _)| *x == f).unwrap().1;
+        let cells = paper_cells(S);
+        let get = |f| cell(&cells, f, "FARMER").memory_bytes;
         assert!(get(TraceFamily::Llnl) > get(TraceFamily::Ins));
         assert!(get(TraceFamily::Hp) > get(TraceFamily::Ins));
     }

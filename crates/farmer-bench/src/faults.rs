@@ -549,26 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_leg_honours_the_client_tier() {
-        // The copied replay loop this module used to carry never built
-        // the client tier and reported `client_hits: 0` whatever the
-        // config said.
-        let trace = ChurnSpec::new(WorkloadSpec::hp().scaled(0.015)).generate();
-        let (sim_cfg, mut rep_cfg) = crate::evalmatrix::cell_configs(&trace);
-        rep_cfg.client_cache = 64;
-        let r = run_failure_cell(
-            &trace,
-            FarmerConfig::default(),
-            "kill50",
-            16,
-            (sim_cfg, rep_cfg),
-            &Registry::disabled(),
-        );
-        assert!(r.replay.client_hits > 0, "client caches absorb traffic");
-        assert!(r.replay.counters.demands < r.sim.stats.demand_accesses);
-    }
-
-    #[test]
     fn torn_mode_still_recovers_bitwise() {
         // The torn variant chops the synced tail: recovery must drop the
         // damage and still land on the oracle prefix (asserted inside).

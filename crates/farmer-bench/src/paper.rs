@@ -1,6 +1,8 @@
 //! Reference values transcribed from the paper, printed alongside measured
 //! results so every run is a paper-vs-measured comparison.
 
+use farmer_trace::TraceFamily;
+
 /// Table 3 — prefetching accuracy on the HP trace.
 pub const TABLE3_FARMER_ACCURACY: f64 = 0.6404;
 /// Table 3 — Nexus accuracy on the HP trace.
@@ -15,6 +17,9 @@ pub const TABLE4_SPACE_MB: [(&str, f64); 4] =
 /// §5.3 — FPA's cache-hit-ratio improvement over Nexus, percentage points,
 /// per trace (HP is "the best among all traces").
 pub const FIG7_IMPROVEMENT_PTS: [(&str, f64); 3] = [("HP", 13.0), ("INS", 7.8), ("RES", 3.1)];
+
+/// Figure 8 — the traces the response-time comparison reports.
+pub const FIG8_FAMILIES: [TraceFamily; 3] = [TraceFamily::Llnl, TraceFamily::Res, TraceFamily::Hp];
 
 /// §5.3/§7 — response-time improvements: FPA over Nexus up to 24 %, over
 /// LRU up to 35 %.

@@ -17,9 +17,16 @@
 //! the record, commit. [`check`] also reports — without failing — every
 //! cell whose deterministic fields no longer equal the record as printed,
 //! so a stale record does not go unnoticed inside its own bands.
+//!
+//! The paper's comparison grid ([`crate::evalmatrix::paper_cells`]) is
+//! recorded and banded like every other cell; on top of the bands,
+//! [`check`] fails on an inversion of the orderings the paper states over
+//! that grid ([`paper_shapes`]).
 
-use crate::evalmatrix::Cell;
+use crate::evalmatrix::{paper_cell, Cell, PAPER_PREDICTORS};
+use crate::paper::FIG8_FAMILIES;
 use farmer_obs::Json;
+use farmer_trace::TraceFamily;
 
 /// Version of the `BENCH_eval.json` record layout. Bump on any field
 /// addition, removal or rename so downstream tooling can dispatch. CI greps
@@ -184,7 +191,8 @@ impl Reference {
 #[derive(Debug, Clone, Default)]
 pub struct CheckReport {
     /// Failures: a metric outside its band, a measured cell the record
-    /// lacks, a recorded cell the run did not produce.
+    /// lacks, a recorded cell the run did not produce, an inversion of
+    /// one of the paper's shapes.
     pub violations: Vec<String>,
     /// Cells whose deterministic fields differ from the record as
     /// printed: the record is stale and should be regenerated. Reported,
@@ -257,7 +265,82 @@ pub fn check(cells: &[Cell], reference: &Reference) -> CheckReport {
             ));
         }
     }
+    report.violations.extend(paper_shapes(cells));
     report
+}
+
+/// The orderings the paper states over its comparison grid, one message
+/// per inversion, each led by its rule:
+///
+/// * `Fig. 7:` FARMER's hit ratio beats Nexus's and LRU's on every trace;
+/// * `Fig. 7 gap:` the FARMER−Nexus hit-ratio gap on HP exceeds INS's and
+///   RES's (§5.3 compares HP with those two; LLNL also carries paths);
+/// * `Table 3:` on HP, FARMER's prefetch accuracy exceeds 1.2 × Nexus's;
+/// * `Fig. 8:` FARMER's mean response is the lowest on LLNL, RES and HP;
+/// * `Table 4:` LLNL's, HP's and RES's FARMER models each outgrow INS's;
+/// * `Nexus vs LRU:` Nexus's hit ratio is no lower than LRU's on every
+///   trace, and its Figure 8 response no higher.
+///
+/// Only a complete grid (all of [`PAPER_PREDICTORS`] on every
+/// [`TraceFamily`]) is judged: a missing cell is already a
+/// [`check`] violation of its own.
+pub fn paper_shapes(cells: &[Cell]) -> Vec<String> {
+    let row = |family| match PAPER_PREDICTORS.map(|p| paper_cell(cells, family, p)) {
+        [Some(lru), Some(nexus), Some(farmer)] => Some((family, [lru, nexus, farmer])),
+        _ => None,
+    };
+    let [Some(llnl), Some(ins), Some(res), Some(hp)] = TraceFamily::ALL.map(row) else {
+        return Vec::new();
+    };
+    let mut found = Vec::new();
+    let mut require = |holds: bool, inversion: String| {
+        if !holds {
+            found.push(inversion);
+        }
+    };
+    for (family, row) in [llnl, ins, res, hp] {
+        let name = family.name();
+        let [l, n, f] = row.map(|c| c.hit_ratio);
+        let fig7 = format!(
+            "Fig. 7: {name}: FARMER hit ratio {f:.4} does not beat Nexus {n:.4} and LRU {l:.4}"
+        );
+        require(f > n && f > l, fig7);
+        require(
+            n >= l,
+            format!("Nexus vs LRU: {name}: Nexus hit ratio {n:.4} is below LRU's {l:.4}"),
+        );
+        if FIG8_FAMILIES.contains(&family) {
+            let [l, n, f] = row.map(|c| c.avg_response_ms);
+            let fig8 = format!("Fig. 8: {name}: FARMER response {f:.3} ms is not below Nexus {n:.3} and LRU {l:.3}");
+            require(f < n && f < l, fig8);
+            require(
+                n <= l,
+                format!("Nexus vs LRU: {name}: Nexus response {n:.3} ms is above LRU's {l:.3}"),
+            );
+        }
+    }
+    // Figure 7's gap: FARMER's hit-ratio lead over Nexus.
+    let [of_hp, of_ins, of_res] = [hp, ins, res].map(|(_, [_, n, f])| f.hit_ratio - n.hit_ratio);
+    for (name, g) in [("INS", of_ins), ("RES", of_res)] {
+        require(
+            of_hp > g,
+            format!("Fig. 7 gap: {name}'s FARMER-Nexus gap {g:.4} is not below HP's {of_hp:.4}"),
+        );
+    }
+    let [_, n, f] = hp.1.map(|c| c.prefetch_accuracy);
+    require(
+        f > 1.2 * n,
+        format!("Table 3: HP FARMER accuracy {f:.4} is not above 1.2 x Nexus's {n:.4}"),
+    );
+    let of_ins = ins.1[2].memory_bytes;
+    for (family, [_, _, farmer]) in [llnl, hp, res] {
+        let (bytes, name) = (farmer.memory_bytes, family.name());
+        require(
+            bytes > of_ins,
+            format!("Table 4: {name}'s FARMER model {bytes} B is not above INS's {of_ins} B"),
+        );
+    }
+    found
 }
 
 /// `value` rendered without the emitter's line breaks.
@@ -423,6 +506,100 @@ mod tests {
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found[0].starts_with("base/sharded9/FARMER: no reference cell"));
         assert!(found[1].starts_with("failure/kill50/FARMER: reference cell no run produced"));
+    }
+
+    /// A paper grid every shape rule accepts: per trace, hit ratio and
+    /// mean response of (LRU, Nexus, FARMER), and FARMER's model bytes.
+    fn paper_grid() -> Vec<Cell> {
+        use TraceFamily::*;
+        let mut cells = Vec::new();
+        for (family, hit, response, bytes) in [
+            (Llnl, [0.44, 0.53, 0.69], [1.09, 0.90, 0.60], 17_000_000),
+            (Ins, [0.76, 0.86, 0.90], [0.50, 0.45, 0.40], 1_000_000),
+            (Res, [0.13, 0.25, 0.33], [1.60, 1.40, 1.20], 8_600_000),
+            (Hp, [0.50, 0.58, 0.75], [1.20, 1.00, 0.60], 9_600_000),
+        ] {
+            for (i, predictor) in PAPER_PREDICTORS.into_iter().enumerate() {
+                cells.push(Cell {
+                    scenario: family.name(),
+                    mode: "self",
+                    predictor,
+                    hit_ratio: hit[i],
+                    prefetch_accuracy: [0.0, 0.30, 0.45][i],
+                    avg_response_ms: response[i],
+                    memory_bytes: if predictor == "FARMER" { bytes } else { 4096 },
+                    ..Cell::default()
+                });
+            }
+        }
+        cells
+    }
+
+    /// [`paper_grid`] with one of its cells edited.
+    fn doctored(family: TraceFamily, predictor: &str, edit: fn(&mut Cell)) -> Vec<Cell> {
+        let mut cells = paper_grid();
+        let c = cells
+            .iter_mut()
+            .find(|c| c.scenario == family.name() && c.predictor == predictor)
+            .expect("grid cell");
+        edit(c);
+        cells
+    }
+
+    #[test]
+    fn paper_shapes_accept_the_paper_grid() {
+        assert_eq!(paper_shapes(&paper_grid()), Vec::<String>::new());
+        // INS is not among Figure 8's traces: its response is not judged.
+        let slow_ins = doctored(TraceFamily::Ins, "FARMER", |c| c.avg_response_ms = 5.0);
+        assert_eq!(paper_shapes(&slow_ins), Vec::<String>::new());
+        // An incomplete grid is not judged; `check` names the missing cell.
+        let mut partial = doctored(TraceFamily::Hp, "FARMER", |c| c.hit_ratio = 0.0);
+        partial.retain(|c| !(c.scenario == "LLNL" && c.predictor == "LRU"));
+        assert_eq!(paper_shapes(&partial), Vec::<String>::new());
+    }
+
+    /// Negative controls: each rule, and only that rule, fires on a grid
+    /// doctored to invert it.
+    #[test]
+    fn each_paper_shape_fails_on_its_inversion() {
+        use TraceFamily::*;
+        let cases: [(Vec<Cell>, &str); 7] = [
+            (
+                doctored(Llnl, "FARMER", |c| c.hit_ratio = 0.50),
+                "Fig. 7: LLNL: FARMER hit ratio 0.5000 does not beat Nexus 0.5300 and LRU 0.4400",
+            ),
+            (
+                doctored(Res, "FARMER", |c| c.hit_ratio = 0.45),
+                "Fig. 7 gap: RES's FARMER-Nexus gap 0.2000 is not below HP's 0.1700",
+            ),
+            (
+                doctored(Hp, "FARMER", |c| c.prefetch_accuracy = 0.35),
+                "Table 3: HP FARMER accuracy 0.3500 is not above 1.2 x Nexus's 0.3000",
+            ),
+            (
+                doctored(Hp, "FARMER", |c| c.avg_response_ms = 1.1),
+                "Fig. 8: HP: FARMER response 1.100 ms is not below Nexus 1.000 and LRU 1.200",
+            ),
+            (
+                doctored(Res, "FARMER", |c| c.memory_bytes = 1_000_000),
+                "Table 4: RES's FARMER model 1000000 B is not above INS's 1000000 B",
+            ),
+            (
+                doctored(Llnl, "Nexus", |c| c.hit_ratio = 0.40),
+                "Nexus vs LRU: LLNL: Nexus hit ratio 0.4000 is below LRU's 0.4400",
+            ),
+            (
+                doctored(Res, "Nexus", |c| c.avg_response_ms = 1.7),
+                "Nexus vs LRU: RES: Nexus response 1.700 ms is above LRU's 1.600",
+            ),
+        ];
+        for (cells, expected) in cases {
+            assert_eq!(paper_shapes(&cells), [expected]);
+            // `check` fails on it even against a record that holds the
+            // inversion itself (every band is met).
+            let found = check(&cells, &reference_of(&cells)).violations;
+            assert_eq!(found, [expected]);
+        }
     }
 
     #[test]

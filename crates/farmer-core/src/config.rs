@@ -5,6 +5,8 @@
 //! [`crate::Farmer::from_state`] check it ([`FarmerConfig::validate`]) and
 //! hold it unchanged for the model's life.
 
+use farmer_trace::TraceFamily;
+
 use crate::attr::AttrCombo;
 use crate::graph::MAX_SUCCESSORS;
 
@@ -81,6 +83,16 @@ impl FarmerConfig {
         FarmerConfig {
             combo: AttrCombo::ins_default(),
             ..Self::default()
+        }
+    }
+
+    /// Paper defaults for a trace family: the path attribute base where
+    /// the family records paths, [`FarmerConfig::pathless`] where not.
+    pub fn for_family(family: TraceFamily) -> Self {
+        if family.has_paths() {
+            Self::default()
+        } else {
+            Self::pathless()
         }
     }
 
@@ -164,6 +176,10 @@ mod tests {
         assert_eq!(c.path_mode, PathMode::Ipa);
         c.validate();
         FarmerConfig::pathless().validate();
+        // HP and LLNL record paths; INS and RES do not.
+        assert_eq!(FarmerConfig::for_family(TraceFamily::Llnl).combo, c.combo);
+        let pathless = FarmerConfig::pathless().combo;
+        assert_eq!(FarmerConfig::for_family(TraceFamily::Res).combo, pathless);
     }
 
     #[test]

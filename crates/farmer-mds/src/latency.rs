@@ -56,8 +56,8 @@ impl LatencyModel {
 ///
 /// Backed by the workspace observability histogram
 /// ([`farmer_obs::HistSnapshot`]): 64 log2 buckets keep the accumulator
-/// O(1) per sample while making it mergeable (multi-server and client-tier
-/// totals) and diffable (per-phase quantiles via
+/// O(1) per sample while making it mergeable (multi-server totals) and
+/// diffable (per-phase quantiles via
 /// [`LatencyStats::delta`]) — the mean stays exact, quantiles are exact to
 /// a power-of-two bucket and clamped to the observed maximum.
 #[derive(Debug, Clone, Default)]

@@ -149,12 +149,7 @@ mod tests {
     use farmer_trace::WorkloadSpec;
 
     fn mined(trace: &Trace) -> Farmer {
-        let cfg = if trace.family.has_paths() {
-            FarmerConfig::default()
-        } else {
-            FarmerConfig::pathless()
-        };
-        Farmer::mine_trace(trace, cfg)
+        Farmer::mine_trace(trace, FarmerConfig::for_family(trace.family))
     }
 
     #[test]

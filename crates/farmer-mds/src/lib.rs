@@ -37,7 +37,6 @@
 // This crate is unsafe-free by policy (lint rule R2 guards the rest).
 #![forbid(unsafe_code)]
 
-pub mod client;
 pub mod cluster;
 pub mod latency;
 pub mod layout;
@@ -48,7 +47,6 @@ pub mod replication;
 pub mod security;
 pub mod server;
 
-pub use client::ClientTier;
 pub use cluster::{replay_cluster, ClusterConfig, ClusterReport, Partition};
 pub use latency::{LatencyModel, LatencyStats};
 pub use replay::{replay, ReplayConfig, ReplayReport, ReplayRun};

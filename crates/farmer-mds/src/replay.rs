@@ -11,7 +11,6 @@ use farmer_prefetch::Predictor;
 use farmer_trace::phases::{phase_count, phase_end};
 use farmer_trace::{Trace, TraceEvent, TraceFamily};
 
-use crate::client::ClientTier;
 use crate::latency::LatencyStats;
 use crate::server::{MdsConfig, MdsCounters, MdsServer};
 
@@ -22,12 +21,6 @@ pub struct ReplayConfig {
     pub mds: MdsConfig,
     /// Multiplier applied to trace timestamps (>1 stretches = lighter load).
     pub time_scale: f64,
-    /// Per-host client cache capacity (0 disables the client tier — the
-    /// paper's measurements are server-side, so the per-family defaults
-    /// keep it off; turn it on to model a full HUSt deployment).
-    pub client_cache: usize,
-    /// Client-local hit latency in µs (only used with a client tier).
-    pub client_hit_us: u64,
     /// Number of equal event-index segments to additionally report mean
     /// response time over ([`ReplayReport::phase_mean_ms`]). `1` disables
     /// segmentation; phase-shifting scenarios use ≥ 2 so latency spikes at
@@ -47,8 +40,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             mds: MdsConfig::default(),
             time_scale: 1.0,
-            client_cache: 0,
-            client_hit_us: 5,
             num_phases: 1,
         }
     }
@@ -92,8 +83,6 @@ pub struct ReplayReport {
     pub horizon_us: u64,
     /// Predictor state bytes at end of run.
     pub predictor_memory: usize,
-    /// Demands absorbed by the client tier (0 when the tier is off).
-    pub client_hits: u64,
     /// Mean response time (ms) per event-index segment when the run was
     /// configured with `num_phases > 1`; empty otherwise. Segments with no
     /// demand requests report 0.
@@ -139,8 +128,7 @@ impl ReplayReport {
     }
 }
 
-/// Replay a trace's metadata demand stream through an MDS, optionally
-/// fronted by per-host client caches.
+/// Replay a trace's metadata demand stream through an MDS.
 pub fn replay(trace: &Trace, predictor: Box<dyn Predictor>, cfg: ReplayConfig) -> ReplayReport {
     let mut run = ReplayRun::new(trace, predictor, cfg, &Registry::disabled());
     for (i, event) in trace.events.iter().enumerate() {
@@ -158,13 +146,10 @@ pub struct ReplayRun<'a> {
     trace: &'a Trace,
     cfg: ReplayConfig,
     mds: MdsServer,
-    clients: Option<ClientTier>,
-    client_latency: LatencyStats,
     horizon_us: u64,
     segments: usize,
     segment: usize,
-    /// The combined MDS + client latency histogram at the last phase
-    /// boundary: each segment's delta against it carries exact
+    /// The MDS latency histogram at the last phase boundary: each segment's delta against it carries exact
     /// counts/sums (mean) and bucket counts (percentiles).
     mark: LatencyStats,
     phase_mean_ms: Vec<f64>,
@@ -185,19 +170,10 @@ impl<'a> ReplayRun<'a> {
     ) -> Self {
         let mut mds = MdsServer::new(trace, predictor, cfg.mds);
         mds.instrument(reg);
-        let clients = (cfg.client_cache > 0).then(|| {
-            ClientTier::new(
-                trace.num_hosts.max(1) as usize,
-                cfg.client_cache,
-                cfg.client_hit_us,
-            )
-        });
         ReplayRun {
             trace,
             cfg,
             mds,
-            clients,
-            client_latency: LatencyStats::new(),
             horizon_us: 0,
             segments: phase_count(trace.len(), cfg.num_phases),
             segment: 0,
@@ -210,15 +186,13 @@ impl<'a> ReplayRun<'a> {
     }
 
     /// The MDS died and was replaced by one running `predictor`
-    /// ([`MdsServer::restart_cold`]); the client caches and the run's
-    /// statistics outlive it.
+    /// ([`MdsServer::restart_cold`]); the run's statistics outlive it.
     pub fn restart_cold(&mut self, predictor: Box<dyn Predictor>) {
         self.mds.restart_cold(predictor);
     }
 
     fn close_phase(&mut self) {
-        let mut now = self.mds.stats().clone();
-        now.merge(&self.client_latency);
+        let now = self.mds.stats().clone();
         let delta = now.delta(&self.mark);
         self.mark = now;
         self.phase_mean_ms.push(delta.mean_ms());
@@ -244,18 +218,7 @@ impl<'a> ReplayRun<'a> {
         let mut e: TraceEvent = *event;
         e.timestamp_us = (event.timestamp_us as f64 * self.cfg.time_scale) as u64;
         self.horizon_us = e.timestamp_us;
-        if let Some(tier) = self.clients.as_mut() {
-            if matches!(e.op, farmer_trace::Op::Unlink) {
-                tier.invalidate_all(e.file);
-            } else if let Some(local) = tier.lookup(e.host, e.file) {
-                self.client_latency.record(local);
-                return; // absorbed locally, never reaches the MDS
-            }
-            self.mds.demand(self.trace, &e);
-            tier.fill(e.host, e.file);
-        } else {
-            self.mds.demand(self.trace, &e);
-        }
+        self.mds.demand(self.trace, &e);
     }
 
     /// Close the last phase and report.
@@ -263,17 +226,14 @@ impl<'a> ReplayRun<'a> {
         if self.cfg.num_phases > 1 {
             self.close_phase();
         }
-        let mut latency = self.mds.stats().clone();
-        latency.merge(&self.client_latency);
         ReplayReport {
             predictor: self.mds.predictor_name(),
             trace: self.trace.label.clone(),
-            latency,
+            latency: self.mds.stats().clone(),
             counters: self.mds.counters(),
             cache: self.mds.cache_stats(),
             horizon_us: self.horizon_us,
             predictor_memory: self.mds.predictor_memory(),
-            client_hits: self.clients.as_ref().map_or(0, |t| t.local_hits()),
             phase_mean_ms: self.phase_mean_ms,
             phase_p50_ms: self.phase_p50_ms,
             phase_p95_ms: self.phase_p95_ms,
@@ -434,8 +394,8 @@ mod tests {
             .histogram("mds.demand_response_us")
             .expect("response histogram");
         assert_eq!(resp.count, r.counters.demands);
-        // The registry's distribution agrees with the report's accumulator
-        // (no client tier here, so they record the same samples).
+        // The registry's distribution agrees with the report's accumulator:
+        // they record the same samples.
         assert_eq!(resp.quantile(0.95), r.latency.percentile_us(0.95));
         assert!((resp.mean() - r.latency.mean_us()).abs() < 1e-9);
         let pf = snap
@@ -503,33 +463,6 @@ mod tests {
             "FPA {:.3} must beat Nexus {:.3}",
             fpa.avg_response_ms(),
             nexus.avg_response_ms()
-        );
-    }
-
-    #[test]
-    fn client_tier_absorbs_rereferences() {
-        let trace = WorkloadSpec::hp().scaled(0.1).generate();
-        let base = ReplayConfig::for_family(trace.family);
-        let mut with_clients = base;
-        with_clients.client_cache = 64;
-        let plain = replay(&trace, Box::new(LruOnly), base);
-        let tiered = replay(&trace, Box::new(LruOnly), with_clients);
-        assert!(tiered.client_hits > 0, "client caches must absorb traffic");
-        assert!(
-            tiered.counters.demands < plain.counters.demands,
-            "MDS must see fewer demands behind client caches"
-        );
-        assert!(
-            tiered.avg_response_ms() < plain.avg_response_ms(),
-            "end-to-end latency must improve: {:.3} vs {:.3}",
-            tiered.avg_response_ms(),
-            plain.avg_response_ms()
-        );
-        // Every demand is still accounted once, locally or at the MDS.
-        assert_eq!(
-            tiered.latency.count(),
-            plain.latency.count(),
-            "no request may vanish"
         );
     }
 

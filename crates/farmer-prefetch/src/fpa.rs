@@ -96,12 +96,7 @@ impl FpaPredictor {
     /// Paper-default configuration (p = 0.7, max_strength = 0.4, IPA),
     /// with the attribute base chosen per trace family.
     pub fn for_trace(trace: &Trace) -> Self {
-        let cfg = if trace.family.has_paths() {
-            FarmerConfig::default()
-        } else {
-            FarmerConfig::pathless()
-        };
-        Self::new(cfg)
+        Self::new(FarmerConfig::for_family(trace.family))
     }
 
     /// Serve from `cell` instead of mining: the predictor registers a

@@ -12,7 +12,7 @@
 //!   comparator, reimplemented from its published description),
 //!   [Probability Graph](probgraph::ProbabilityGraph) and the SEER-style
 //!   [SD graph](sdgraph::SdGraph), plus the classical
-//!   [baselines] — plain LRU and Last Successor,
+//!   no-prefetch [baselines] (plain LRU),
 //! * a [trace-driven cache simulator](sim) producing the hit-ratio and
 //!   prefetch-accuracy numbers behind the paper's Figures 3/7 and Tables
 //!   3/5.

@@ -188,7 +188,7 @@ impl<'a> SimRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{LastSuccessor, LruOnly};
+    use crate::baselines::LruOnly;
     use crate::fpa::FpaPredictor;
     use crate::nexus::NexusPredictor;
     use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
@@ -209,7 +209,6 @@ mod tests {
         let trace = WorkloadSpec::ins().scaled(0.2).generate();
         let cfg = SimConfig::for_family(trace.family);
         let lru = simulate(&trace, &mut LruOnly, cfg);
-        let ls = simulate(&trace, &mut LastSuccessor::default(), cfg);
         let nexus = simulate(&trace, &mut NexusPredictor::paper_default(), cfg);
         let fpa = simulate(&trace, &mut FpaPredictor::for_trace(&trace), cfg);
         assert!(
@@ -224,9 +223,6 @@ mod tests {
             fpa.hit_ratio(),
             lru.hit_ratio()
         );
-        // LS prefetches a single candidate; it should be roughly neutral or
-        // better (small pollution deficits are possible on noisy streams).
-        assert!(ls.hit_ratio() >= lru.hit_ratio() - 0.02);
     }
 
     #[test]

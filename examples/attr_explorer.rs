@@ -35,11 +35,7 @@ fn main() {
     let mut results: Vec<(String, f64, f64)> = AttrCombo::sweep(&base)
         .into_iter()
         .map(|combo| {
-            let cfg = if family.has_paths() {
-                FarmerConfig::default().with_combo(combo)
-            } else {
-                FarmerConfig::pathless().with_combo(combo)
-            };
+            let cfg = FarmerConfig::for_family(family).with_combo(combo);
             let mut fpa = FpaPredictor::new(cfg);
             let r = simulate(&trace, &mut fpa, sim_cfg);
             (combo.to_string(), r.hit_ratio(), r.prefetch_accuracy())

@@ -10,11 +10,7 @@ fn every_family_mines_cleanly() {
     for family in TraceFamily::ALL {
         let trace = WorkloadSpec::for_family(family).scaled(SCALE).generate();
         assert!(trace.validate().is_ok(), "{family:?} trace invalid");
-        let cfg = if family.has_paths() {
-            FarmerConfig::default()
-        } else {
-            FarmerConfig::pathless()
-        };
+        let cfg = FarmerConfig::for_family(family);
         let farmer = Farmer::mine_trace(&trace, cfg);
         assert_eq!(farmer.observed(), trace.len() as u64);
         assert!(farmer.graph().num_edges() > 0, "{family:?} mined no edges");
@@ -97,11 +93,7 @@ fn parser_roundtrip_preserves_mining() {
         let original = WorkloadSpec::for_family(family).scaled(0.05).generate();
         let text = farmer::trace::parser::to_text(&original);
         let parsed = farmer::trace::parser::from_text(&text).expect("roundtrip");
-        let cfg = if family.has_paths() {
-            FarmerConfig::default()
-        } else {
-            FarmerConfig::pathless()
-        };
+        let cfg = FarmerConfig::for_family(family);
         let a = Farmer::mine_trace(&original, cfg.clone());
         let b = Farmer::mine_trace(&parsed, cfg);
         for fid in (0..original.num_files()).step_by(11) {
