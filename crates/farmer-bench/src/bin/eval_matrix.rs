@@ -6,18 +6,19 @@
 //! optionally verified against the checked-in one.
 //!
 //! ```text
-//! cargo run --release -p farmer-bench --bin eval_matrix -- --check    # full matrix vs BENCH_eval.json
+//! cargo run --release -p farmer-bench --bin eval_matrix -- --check    # full matrix must equal BENCH_eval.json
 //! cargo run --release -p farmer-bench --bin eval_matrix -- --quick    # fast, unchecked
-//! cargo run --release -p farmer-bench --bin eval_matrix > BENCH_eval.json   # recalibrate
+//! cargo run --release -p farmer-bench --bin eval_matrix > BENCH_eval.json   # regenerate
 //! ```
 //!
-//! * `--check` — verify every cell against the bands `refmodel` derives
-//!   from the checked-in `BENCH_eval.json` (compiled in) and exit 1
-//!   listing every violation — an out-of-band metric, a missing or extra
-//!   cell, an inversion of the paper's shapes over its grid; cells that
-//!   are in band but no longer equal the record are listed as a
-//!   stale-record note. Only meaningful at the
-//!   record's scale: any other (`--quick`, a positional scale) exits 2.
+//! * `--check` — compare every cell with the checked-in `BENCH_eval.json`
+//!   (compiled in) and exit 1 listing every violation: a deterministic
+//!   field that no longer equals the record at its printed precision
+//!   (`<cell>: <field> was <recorded> → is <measured>`; the wall-clock
+//!   `events_per_sec` and `recovery_ms` are never compared), a missing or
+//!   extra cell, an inversion of the paper's shapes over its grid. Only
+//!   meaningful at the record's scale: any other (`--quick`, a positional
+//!   scale) exits 2.
 //! * `--obs` — additionally print the instrumented demo legs' metric
 //!   registries (the same dumps embedded as the record's top-level `obs`
 //!   and `obs_recovery` objects) on stderr.
@@ -206,29 +207,20 @@ fn main() {
     );
 
     if let Some(reference) = reference {
-        let found = refmodel::check(&report.cells, &reference);
-        if !found.stale.is_empty() {
+        let violations = refmodel::check(&report.cells, &reference);
+        if !violations.is_empty() {
             eprintln!(
-                "eval_matrix: BENCH_eval.json is stale — {} deterministic field(s) differ from \
-                 this run; regenerate it (eval_matrix > BENCH_eval.json) and review the diff:",
-                found.stale.len()
+                "eval_matrix: {} reference-model violation(s) (after an intended change, \
+                 regenerate: eval_matrix > BENCH_eval.json):",
+                violations.len()
             );
-            for note in &found.stale {
-                eprintln!("  {note}");
-            }
-        }
-        if !found.violations.is_empty() {
-            eprintln!(
-                "eval_matrix: {} reference-model violation(s):",
-                found.violations.len()
-            );
-            for v in &found.violations {
+            for v in &violations {
                 eprintln!("  {v}");
             }
             std::process::exit(1);
         }
         eprintln!(
-            "eval_matrix: all {} cells within the bands around BENCH_eval.json",
+            "eval_matrix: all {} cells equal BENCH_eval.json",
             report.cells.len()
         );
     }

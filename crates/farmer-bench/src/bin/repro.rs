@@ -11,8 +11,8 @@
 //! reports them, then the two experiments the paper only sketches (§4.1
 //! multi-MDS scaling, §7 attribute regression). Figure 7, Table 3,
 //! Figure 8 and Table 4 print from one run of the reference model's
-//! paper grid ([`paper_cells`]), the cells `eval_matrix --check` bands
-//! and shape-checks. `--only <name>` runs a single section
+//! paper grid ([`paper_cells`]), the cells `eval_matrix --check` pins
+//! to the record and shape-checks. `--only <name>` runs a single section
 //! ([`SECTIONS`]); an unknown name — or an unknown flag — exits 2 listing
 //! the valid ones. `repro` checks nothing, so `--check` and `--obs` exit
 //! 2 as well.
@@ -302,7 +302,7 @@ fn main() {
     if args.check || args.obs {
         eprintln!(
             "repro: --check and --obs are eval_matrix's; the paper grid (Figure 7, Table 3, \
-             Figure 8, Table 4) is banded and shape-checked by `eval_matrix --check`"
+             Figure 8, Table 4) is pinned and shape-checked by `eval_matrix --check`"
         );
         std::process::exit(2);
     }

@@ -42,7 +42,7 @@
 //!   asserts exact batch-vs-sharded snapshot parity per scenario and
 //!   bitwise-equal quality metrics across the three FPA cells, so any
 //!   divergence in the sharding or snapshot path fails the run before any
-//!   band is consulted. These modes mine the **whole** trace and then
+//!   cell is compared with the record. These modes mine the **whole** trace and then
 //!   serve from the frozen final snapshot — an oracle that has seen the
 //!   future.
 //! * **Online serving modes** (`online8`, `online64`, driven by
@@ -62,8 +62,8 @@
 //!   small enough that `tenants` and `churn` force Space-Saving eviction
 //!   — measuring the serving-quality cost of bounded miner memory.
 //!   Eviction makes the mined model depend on the shard partition, so no
-//!   cross-shard parity is asserted here; each capped cell has its own
-//!   band.
+//!   cross-shard parity is asserted here; each capped cell is pinned to
+//!   its own recorded values.
 //!
 //! Unlink events are routed as forgets ([`Farmer::forget_file`] /
 //! [`ShardedMiner::route_forget`]) in every mode, which is what the churn
@@ -78,8 +78,9 @@
 //!
 //! The reference a run is checked against is the checked-in full-scale
 //! record, `BENCH_eval.json` ([`crate::refmodel`]); the `eval_matrix`
-//! binary's `--check` mode fails on out-of-band results and on the
-//! paper's shape inversions ([`crate::refmodel::paper_shapes`]).
+//! binary's `--check` mode fails on any deterministic field that no longer
+//! equals the record and on the paper's shape inversions
+//! ([`crate::refmodel::paper_shapes`]).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -228,7 +229,7 @@ pub struct Cell {
     /// Events per second of the cell's drive loop: the mining pass for
     /// whole-trace FARMER modes, the lockstep loop (mining + both serving
     /// legs) for online and failure cells, the simulation demand loop for
-    /// self predictors. Machine-dependent — excluded from reference bands.
+    /// self predictors. Machine-dependent — never compared with the record.
     pub events_per_sec: f64,
     /// Peak resident bytes across miner and predictor state (state grows
     /// monotonically in every mode here, so end-of-run is the peak).
@@ -263,7 +264,7 @@ pub struct Cell {
     /// image anchors the recovery; 0 when no recovery happened.
     pub replay_fraction: f64,
     /// Wall-clock milliseconds the recoveries took (failure cells).
-    /// Machine-dependent — reported but excluded from reference bands.
+    /// Machine-dependent — reported, never compared with the record.
     pub recovery_ms: f64,
     /// Worst per-kill demand hit-ratio dip: the ratio over the window
     /// before a kill minus the window after it (failure cells).
@@ -982,6 +983,24 @@ mod tests {
             a.online_post_shift,
             a.frozen_post_shift
         );
+    }
+
+    /// The INS row of the paper grid at the record's scale equals the
+    /// record field by field, through the comparison `eval_matrix --check`
+    /// makes: `cargo test` fails on a record the code no longer
+    /// reproduces, not only the release check.
+    #[test]
+    fn ins_paper_row_equals_the_record() {
+        let reference = crate::refmodel::Reference::checked_in().expect("BENCH_eval.json parses");
+        let trace = crate::experiments::trace_for(TraceFamily::Ins, reference.scale);
+        let found: Vec<String> = PAPER_PREDICTORS
+            .into_iter()
+            .flat_map(|p| {
+                let cell = self_cell(TraceFamily::Ins.name(), p, &trace);
+                crate::refmodel::check_cell(&cell, &reference)
+            })
+            .collect();
+        assert_eq!(found, Vec::<String>::new());
     }
 
     /// The compiled-in record is the record of *this* matrix: same schema,

@@ -7,8 +7,8 @@
 //! returns plain data; the `repro` binary renders the tables. The paper's
 //! comparison grid — Figure 7, Table 3, Figure 8 and Table 4 — is not
 //! here: it is cells of the reference model,
-//! [`crate::evalmatrix::paper_cells`], banded and shape-checked by
-//! [`crate::refmodel`].
+//! [`crate::evalmatrix::paper_cells`], pinned to the record and
+//! shape-checked by [`crate::refmodel`].
 
 use farmer_core::{AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode};
 use farmer_mds::{replay, replay_cluster, ClusterConfig, ClusterReport, Partition, ReplayConfig};

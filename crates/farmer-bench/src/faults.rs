@@ -25,16 +25,16 @@
 //! * `recoveries` / `recovery_events` — how many restarts happened and
 //!   how many logged events the replays *re-processed* (suffix past the
 //!   checkpoint anchor when the mode checkpoints, the whole log
-//!   otherwise; deterministic, banded);
+//!   otherwise; deterministic, pinned);
 //! * `recovered_events` / `replay_fraction` — total logged events the
 //!   recovered states represent (anchor image + replayed suffix) and
 //!   the replayed share of them: 1.0 for genesis replay, ≪ 1 when a
-//!   checkpoint image absorbs the prefix (deterministic, banded);
+//!   checkpoint image absorbs the prefix (deterministic, pinned);
 //! * `hit_ratio_dip` — demand hit ratio in the window before the kill
 //!   minus the window after it (window = `len / 16` events): the
-//!   serving-quality cost of a cold restart (deterministic, banded);
+//!   serving-quality cost of a cold restart (deterministic, pinned);
 //! * `recovery_ms` — wall-clock time the recoveries took
-//!   (machine-dependent, reported but never banded);
+//!   (machine-dependent, reported but never compared with the record);
 //! * `wal_bytes` — final log size.
 
 use std::fs;
@@ -164,7 +164,7 @@ pub struct FailureCellReport {
     /// happened.
     pub replay_fraction: f64,
     /// Wall-clock milliseconds all recoveries took. Machine-dependent —
-    /// never banded.
+    /// never compared with the record.
     pub recovery_ms: f64,
     /// Worst per-kill demand hit-ratio dip of the simulation leg.
     pub hit_ratio_dip: f64,

@@ -19,9 +19,10 @@
 pub struct BenchArgs {
     /// Effective trace/query scale factor.
     pub scale: f64,
-    /// `--check` was passed (verify against the reference model and fail
-    /// out-of-band; only meaningful to bins with a reference model — a bin
-    /// without one refuses it rather than ignore it).
+    /// `--check` was passed (compare the run with the reference model and
+    /// fail on any deterministic field that differs from the record; only
+    /// meaningful to bins with a reference model — a bin without one
+    /// refuses it rather than ignore it).
     pub check: bool,
     /// `--obs` was passed: print the instrumented legs' `farmer-obs`
     /// registries.

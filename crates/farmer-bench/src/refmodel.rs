@@ -1,27 +1,26 @@
-//! The reference model: the checked-in `BENCH_eval.json`, and the bands
-//! derived from it.
+//! The reference model: the checked-in `BENCH_eval.json`, and the one rule
+//! a run is checked against it by.
 //!
 //! Every cell of [`crate::evalmatrix`] is recorded in `BENCH_eval.json`
 //! (full scale, compiled in here). The whole pipeline — synthetic
 //! generators, miner, query layer, cache and MDS simulators — is
-//! deterministic for a fixed scale, so a fresh run is expected to land
-//! *on* the recorded values; [`check`] allows each banded metric the
-//! margin of its rule (the [`Band`] constructors, one per rule) — tight
-//! by design: the bands exist to catch *regressions in model quality or
-//! simulator behaviour*, not to absorb noise. Wall-clock fields
-//! (`events_per_sec`, `recovery_ms`) are machine-dependent and never
-//! compared.
+//! deterministic for a fixed scale, so [`check`] requires a fresh run to
+//! land *on* the record: every field of [`Cell::to_json`] must equal its
+//! recorded value at the printed precision. Each difference is a
+//! violation that reads `<cell>: <field> was <recorded> → is <measured>`.
+//! Wall-clock fields (`events_per_sec`, `recovery_ms`) time the host, not
+//! the model, and are never compared.
 //!
-//! **Recalibrating** (after an intentional change to generators, miner or
-//! predictors): `eval_matrix > BENCH_eval.json`, review the `git diff` of
-//! the record, commit. [`check`] also reports — without failing — every
-//! cell whose deterministic fields no longer equal the record as printed,
-//! so a stale record does not go unnoticed inside its own bands.
+//! **Regenerating** (after an intentional change to generators, miner,
+//! predictors or simulators): `eval_matrix > BENCH_eval.json`, review the
+//! `git diff` of the record, commit. The `was → is` lines of the failing
+//! check are that diff, field by field.
 //!
 //! The paper's comparison grid ([`crate::evalmatrix::paper_cells`]) is
-//! recorded and banded like every other cell; on top of the bands,
-//! [`check`] fails on an inversion of the orderings the paper states over
-//! that grid ([`paper_shapes`]).
+//! recorded and pinned like every other cell. The pins catch regressions;
+//! the meaning is carried by the orderings the paper states over that
+//! grid, and [`check`] fails on an inversion of any of them
+//! ([`paper_shapes`]).
 
 use crate::evalmatrix::{paper_cell, Cell, PAPER_PREDICTORS};
 use crate::paper::FIG8_FAMILIES;
@@ -40,96 +39,12 @@ use farmer_trace::TraceFamily;
 /// v5 checkpoint-anchored recovery (`ckpt`, `recovered_events`,
 /// `replay_fraction`). v6: the record *is* the reference model — the
 /// derived per-cell `band` / `failure_band` objects and the top-level
-/// `profile` are gone ([`check`] derives every band).
+/// `profile` are gone.
 pub const SCHEMA_VERSION: u32 = 6;
 
-/// An inclusive expected range.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Band {
-    /// Lower bound (inclusive).
-    pub lo: f64,
-    /// Upper bound (inclusive).
-    pub hi: f64,
-}
-
-impl Band {
-    /// Does `v` fall inside the band?
-    pub fn contains(self, v: f64) -> bool {
-        v >= self.lo && v <= self.hi
-    }
-
-    /// `[lo, hi]` rounded outward to the third decimal.
-    fn outward(lo: f64, hi: f64) -> Band {
-        Band {
-            lo: (lo * 1000.0).floor() / 1000.0,
-            hi: (hi * 1000.0).ceil() / 1000.0,
-        }
-    }
-
-    /// `v ± max(rel·|v|, abs)`, clamped to `[min, max]`.
-    fn around(v: f64, rel: f64, abs: f64, (min, max): (f64, f64)) -> Band {
-        let margin = (rel * v.abs()).max(abs);
-        Band::outward((v - margin).max(min), (v + margin).min(max))
-    }
-
-    /// Hit ratio and prefetch accuracy: ±max(25 %, 0.05) within [0, 1].
-    pub fn around_ratio(v: f64) -> Band {
-        Band::around(v, 0.25, 0.05, (0.0, 1.0))
-    }
-
-    /// Mean response time (ms): −40 % / +60 %.
-    pub fn around_response(ms: f64) -> Band {
-        Band::outward(ms * 0.6, ms * 1.6)
-    }
-
-    /// Resident memory (bytes): a ceiling of 2×, no floor.
-    pub fn memory_ceiling(bytes: f64) -> Band {
-        Band {
-            lo: 0.0,
-            hi: 2.0 * bytes,
-        }
-    }
-
-    /// Replayed WAL events across a failure cell's recoveries: ±25 %,
-    /// in whole events.
-    pub fn around_recovery_events(events: f64) -> Band {
-        Band {
-            lo: (events * 0.75).floor(),
-            hi: (events * 1.25).ceil(),
-        }
-    }
-
-    /// Replayed share of the recovered state: ±max(10 %, 0.02) within
-    /// [0, 1] — a ratio of two deterministic counts, pinned near 1.0 for
-    /// genesis replay and well below it for checkpoint-anchored recovery
-    /// (the band that asserts the O(log) → O(suffix) collapse).
-    pub fn around_fraction(v: f64) -> Band {
-        Band::around(v, 0.10, 0.02, (0.0, 1.0))
-    }
-
-    /// Worst per-kill hit-ratio dip: ±max(25 %, 0.05) within [−1, 1] — a
-    /// dip can legitimately be negative when the post-kill window lands
-    /// on an easier stretch.
-    pub fn around_dip(v: f64) -> Band {
-        Band::around(v, 0.25, 0.05, (-1.0, 1.0))
-    }
-}
-
-/// Cell fields that time the host rather than the model: never banded,
-/// never compared with the record.
+/// Cell fields that time the host rather than the model: never compared
+/// with the record.
 const WALL_CLOCK_FIELDS: [&str; 2] = ["events_per_sec", "recovery_ms"];
-
-/// The numeric cell fields [`check`] reads from the record.
-const BANDED_FIELDS: [&str; 8] = [
-    "hit_ratio",
-    "prefetch_accuracy",
-    "avg_response_ms",
-    "memory_bytes",
-    "recoveries",
-    "recovery_events",
-    "replay_fraction",
-    "hit_ratio_dip",
-];
 
 /// A parsed `BENCH_eval.json`: what a run is checked against.
 #[derive(Debug, Clone)]
@@ -153,8 +68,9 @@ impl Reference {
         Reference::parse(include_str!("../../../BENCH_eval.json"))
     }
 
-    /// Read a record: malformed JSON, and a cell without its key or one
-    /// of the banded numeric fields, are errors.
+    /// Read a record: malformed JSON, a record without its top-level
+    /// fields and a cell without its key are errors. A cell's other
+    /// fields are [`check`]'s business: a missing one is a violation.
     pub fn parse(text: &str) -> Result<Reference, String> {
         let root = Json::parse(text).map_err(|e| e.to_string())?;
         let top = |k: &str| root.get(k).ok_or(format!("record has no `{k}`"));
@@ -163,15 +79,8 @@ impl Reference {
             .ok_or("`schema_version` is not an unsigned integer")?;
         let scale = top("scale")?.as_f64().ok_or("`scale` is not a number")?;
         let cells = top("cells")?.as_array().ok_or("`cells` is not an array")?;
-        for (i, cell) in cells.iter().enumerate() {
-            if key(cell).is_none() {
-                return Err(format!("cell {i} lacks scenario/miner_mode/predictor"));
-            }
-            for field in BANDED_FIELDS {
-                if cell.get(field).and_then(Json::as_f64).is_none() {
-                    return Err(format!("cell {i} has no numeric `{field}`"));
-                }
-            }
+        if let Some(i) = cells.iter().position(|cell| key(cell).is_none()) {
+            return Err(format!("cell {i} lacks scenario/miner_mode/predictor"));
         }
         Ok(Reference {
             schema_version,
@@ -187,86 +96,54 @@ impl Reference {
     }
 }
 
-/// What [`check`] found.
-#[derive(Debug, Clone, Default)]
-pub struct CheckReport {
-    /// Failures: a metric outside its band, a measured cell the record
-    /// lacks, a recorded cell the run did not produce, an inversion of
-    /// one of the paper's shapes.
-    pub violations: Vec<String>,
-    /// Cells whose deterministic fields differ from the record as
-    /// printed: the record is stale and should be regenerated. Reported,
-    /// not failed — the bands decide pass/fail.
-    pub stale: Vec<String>,
-}
-
-/// Check every measured cell against the record, in both directions (so
-/// the record cannot silently rot as the matrix evolves).
-pub fn check(cells: &[Cell], reference: &Reference) -> CheckReport {
-    let mut report = CheckReport::default();
-    let measured_key = |c: &Cell| Some((c.scenario, c.mode, c.predictor));
-    for c in cells {
-        let name = format!("{}/{}/{}", c.scenario, c.mode, c.predictor);
-        let Some(r) = reference.cells.iter().find(|r| key(r) == measured_key(c)) else {
-            report.violations.push(format!(
-                "{name}: no reference cell in BENCH_eval.json (regenerate it: eval_matrix > BENCH_eval.json)"
-            ));
-            continue;
-        };
-        // `Reference::parse` guarantees the fields; NaN (in no band) is
-        // the fallback that keeps this total.
-        let recorded = |k: &str| r.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
-        let failure = c.scenario == "failure";
-        if failure && c.recoveries as f64 != recorded("recoveries") {
-            report.violations.push(format!(
-                "{name}: recoveries = {} but the kill plan expects exactly {}",
-                c.recoveries,
-                recorded("recoveries")
-            ));
-        }
-        let mut banded = |metric: &str, v: f64, around: fn(f64) -> Band| {
-            let band = around(recorded(metric));
-            if !band.contains(v) {
-                report.violations.push(format!(
-                    "{name}: {metric} = {v:.4} outside [{:.4}, {:.4}]",
-                    band.lo, band.hi
-                ));
-            }
-        };
-        banded("hit_ratio", c.hit_ratio, Band::around_ratio);
-        banded("prefetch_accuracy", c.prefetch_accuracy, Band::around_ratio);
-        banded("avg_response_ms", c.avg_response_ms, Band::around_response);
-        banded("memory_bytes", c.memory_bytes as f64, Band::memory_ceiling);
-        if failure {
-            let events = c.recovery_events as f64;
-            banded("recovery_events", events, Band::around_recovery_events);
-            banded("replay_fraction", c.replay_fraction, Band::around_fraction);
-            banded("hit_ratio_dip", c.hit_ratio_dip, Band::around_dip);
-        }
-        if let Json::Obj(fields) = c.to_json() {
-            for (field, measured) in &fields {
-                if !WALL_CLOCK_FIELDS.contains(&field.as_str()) && r.get(field) != Some(measured) {
-                    report.stale.push(format!(
-                        "{name}: {field} = {} but the record has {}",
-                        one_line(measured),
-                        r.get(field).map_or("no such field".into(), one_line)
-                    ));
-                }
-            }
-        }
-    }
+/// Check every measured cell against the record (`check_cell`), name
+/// every recorded cell the run did not produce (so the record cannot
+/// silently rot as the matrix evolves), and add the paper's shape
+/// inversions ([`paper_shapes`]). Empty means the run is the record.
+pub fn check(cells: &[Cell], reference: &Reference) -> Vec<String> {
+    let mut violations: Vec<String> = cells
+        .iter()
+        .flat_map(|c| check_cell(c, reference))
+        .collect();
     for (scenario, mode, predictor) in reference.keys() {
         if !cells
             .iter()
-            .any(|c| measured_key(c) == Some((scenario, mode, predictor)))
+            .any(|c| (c.scenario, c.mode, c.predictor) == (scenario, mode, predictor))
         {
-            report.violations.push(format!(
+            violations.push(format!(
                 "{scenario}/{mode}/{predictor}: reference cell no run produced (stale record, or the matrix lost a cell)"
             ));
         }
     }
-    report.violations.extend(paper_shapes(cells));
-    report
+    violations.extend(paper_shapes(cells));
+    violations
+}
+
+/// One measured cell against its recorded counterpart: a violation if the
+/// record lacks the cell, else one `<cell>: <field> was <recorded> → is
+/// <measured>` per field of [`Cell::to_json`] whose printed value differs
+/// from the record's (a field the record lacks was `missing`). Wall-clock
+/// fields are skipped.
+pub(crate) fn check_cell(cell: &Cell, reference: &Reference) -> Vec<String> {
+    let name = format!("{}/{}/{}", cell.scenario, cell.mode, cell.predictor);
+    let measured_key = Some((cell.scenario, cell.mode, cell.predictor));
+    let Some(recorded) = reference.cells.iter().find(|r| key(r) == measured_key) else {
+        return vec![format!(
+            "{name}: no reference cell in BENCH_eval.json (regenerate it: eval_matrix > BENCH_eval.json)"
+        )];
+    };
+    let Json::Obj(fields) = cell.to_json() else {
+        unreachable!("Cell::to_json builds an object")
+    };
+    fields
+        .iter()
+        .filter(|(field, _)| !WALL_CLOCK_FIELDS.contains(&field.as_str()))
+        .filter(|(field, measured)| recorded.get(field) != Some(measured))
+        .map(|(field, measured)| {
+            let was = recorded.get(field).map_or("missing".into(), one_line);
+            format!("{name}: {field} was {was} → is {}", one_line(measured))
+        })
+        .collect()
 }
 
 /// The orderings the paper states over its comparison grid, one message
@@ -362,6 +239,7 @@ mod tests {
             avg_response_ms: 1.2,
             events_per_sec: 1e6,
             memory_bytes: 1024,
+            phase_hit_ratios: vec![0.6; 4],
             ..Cell::default()
         }
     }
@@ -378,6 +256,13 @@ mod tests {
         c
     }
 
+    /// [`sample_cell`] with `edit` applied.
+    fn edited(edit: fn(&mut Cell)) -> Cell {
+        let mut c = sample_cell();
+        edit(&mut c);
+        c
+    }
+
     /// A record holding exactly `cells`.
     fn reference_of(cells: &[Cell]) -> Reference {
         let record = Json::obj()
@@ -390,122 +275,93 @@ mod tests {
         Reference::parse(&record.render()).expect("synthetic record parses")
     }
 
-    /// `band` is `[lo, hi]` up to the outward millesimal rounding.
-    fn near(band: Band, lo: f64, hi: f64) -> bool {
-        (band.lo - lo).abs() < 1.5e-3 && (band.hi - hi).abs() < 1.5e-3
-    }
-
     #[test]
-    fn band_containment_is_inclusive() {
-        let b = Band { lo: 0.5, hi: 0.7 };
-        assert!(b.contains(0.5) && b.contains(0.7) && b.contains(0.6));
-        assert!(!b.contains(0.49) && !b.contains(0.71) && !b.contains(f64::NAN));
-    }
-
-    #[test]
-    fn cell_bands_apply_the_standard_margins() {
-        // Ratios: ±25 %, floor ±0.05, inside [0, 1]; response −40 %/+60 %;
-        // memory 2×.
-        assert!(near(Band::around_ratio(0.6), 0.45, 0.75));
-        assert!(near(Band::around_ratio(0.02), 0.0, 0.07));
-        assert!(near(Band::around_ratio(0.9), 0.675, 1.0));
-        assert!(near(Band::around_response(1.2), 0.72, 1.92));
-        assert_eq!(Band::memory_ceiling(1024.0).hi, 2048.0);
-        // Outward: the band never shrinks below the exact margin.
-        let hit = Band::around_ratio(0.7935);
-        assert!(
-            hit.lo <= 0.7935 * 0.75 && hit.hi >= 0.7935 * 1.25,
-            "{hit:?}"
-        );
-    }
-
-    #[test]
-    fn failure_bands_apply_the_durability_margins() {
-        // Events ±25 % in whole events; fraction ±max(10 %, 0.02) inside
-        // [0, 1]; dip ±max(25 %, 0.05) inside [−1, 1].
-        let events = Band::around_recovery_events(1000.0);
-        assert_eq!((events.lo, events.hi), (750.0, 1250.0));
-        assert!(near(Band::around_fraction(1.0), 0.9, 1.0));
-        assert!(near(Band::around_dip(0.2), 0.15, 0.25));
-        // A checkpoint-anchored cell keeps the fraction band well away
-        // from 1.0.
-        let events = Band::around_recovery_events(250.0);
-        assert_eq!((events.lo, events.hi), (187.0, 313.0));
-        assert!(near(Band::around_fraction(0.25), 0.225, 0.275));
-        // A dip may be negative; its margin follows its size.
-        assert!(near(Band::around_dip(-0.4), -0.5, -0.3));
-        assert!(near(Band::around_dip(0.0), -0.05, 0.05));
-    }
-
-    #[test]
-    fn check_enforces_durability_bands_on_failure_cells() {
+    fn check_pins_failure_cells_exactly() {
         let reference = reference_of(&[failure_cell()]);
-        assert!(check(&[failure_cell()], &reference).violations.is_empty());
+        assert_eq!(check(&[failure_cell()], &reference), Vec::<String>::new());
+        // The kill plan recovers once; a second recovery is a violation
+        // of its own, and so is each other moved durability field.
         let mut c = failure_cell();
-        c.recoveries = 2; // the record says 1
-        c.recovery_events = 0;
-        c.replay_fraction = 0.5;
-        let found = check(&[c], &reference).violations;
-        assert_eq!(found.len(), 3, "{found:?}");
-        assert!(
-            found[0].contains("kill50/FARMER: recoveries = 2 but the kill plan expects exactly 1")
-        );
-        assert!(found[1].contains("recovery_events = 0.0000 outside [750.0000, 1250.0000]"));
-        assert!(found[2].contains("replay_fraction = 0.5000 outside [0.9"));
-        // The durability rules are the failure family's alone.
-        let mut plain = sample_cell();
-        plain.recoveries = 7;
-        let found = check(&[plain], &reference_of(&[sample_cell()]));
-        assert!(found.violations.is_empty(), "{found:?}");
-    }
-
-    #[test]
-    fn check_flags_missing_band_and_out_of_band() {
-        let recorded = [sample_cell(), failure_cell()];
-        let reference = reference_of(&recorded);
-        let clean = check(&recorded, &reference);
-        assert!(
-            clean.violations.is_empty() && clean.stale.is_empty(),
-            "{clean:?}"
-        );
-
-        // In band but no longer the recorded value: stale, not failed.
-        // Wall-clock fields are never compared.
-        let mut drifted = sample_cell();
-        drifted.hit_ratio = 0.61;
-        drifted.memory_bytes = 1040;
-        drifted.events_per_sec = 5.0;
-        drifted.hit_ratio_dip = 0.000_04; // prints as the record's 0.0000
-        let found = check(&[drifted, failure_cell()], &reference);
-        assert!(found.violations.is_empty(), "{found:?}");
+        c.recoveries = 2;
         assert_eq!(
-            found.stale,
+            check(&[c], &reference),
+            ["failure/kill50/FARMER: recoveries was 1 → is 2"]
+        );
+        let mut c = failure_cell();
+        c.recovery_events = 999;
+        c.replay_fraction = 0.5;
+        assert_eq!(
+            check(&[c], &reference),
             [
-                "base/batch/FARMER: hit_ratio = 0.6100 but the record has 0.6000",
-                "base/batch/FARMER: memory_bytes = 1040 but the record has 1024",
+                "failure/kill50/FARMER: recovery_events was 1000 → is 999",
+                "failure/kill50/FARMER: replay_fraction was 1.0000 → is 0.5000",
             ]
         );
+        // Recovery wall-clock times the host: never compared.
+        let mut c = failure_cell();
+        c.recovery_ms = 1e4;
+        assert_eq!(check(&[c], &reference), Vec::<String>::new());
+    }
 
-        // +40 % on the hit ratio leaves the band; so do a slow response
-        // and a doubled footprint.
-        let mut bad = sample_cell();
-        bad.hit_ratio = 0.84;
-        bad.avg_response_ms = 2.0;
-        bad.memory_bytes = 2049;
-        let found = check(&[bad, failure_cell()], &reference).violations;
-        assert_eq!(found.len(), 3, "{found:?}");
-        assert!(found[0].starts_with("base/batch/FARMER: hit_ratio = 0.8400 outside [0.4"));
-        assert!(found[1].contains("avg_response_ms = 2.0000 outside [0.7200, 1.9200]"));
-        assert!(found[2].contains("memory_bytes = 2049.0000 outside [0.0000, 2048.0000]"));
+    #[test]
+    fn check_flags_missing_cells_and_moved_fields() {
+        let recorded = [sample_cell(), failure_cell()];
+        let reference = reference_of(&recorded);
+        assert_eq!(check(&recorded, &reference), Vec::<String>::new());
+
+        // Any deterministic field that moves at its printed precision is
+        // exactly one violation.
+        for (cell, expected) in [
+            (
+                edited(|c| c.hit_ratio += 1e-4),
+                "base/batch/FARMER: hit_ratio was 0.6000 → is 0.6001",
+            ),
+            (
+                edited(|c| c.memory_bytes += 1),
+                "base/batch/FARMER: memory_bytes was 1024 → is 1025",
+            ),
+            (
+                edited(|c| c.phase_hit_ratios[2] = 0.7),
+                "base/batch/FARMER: phase_hit_ratios was [0.6000,0.6000,0.6000,0.6000] \
+                 → is [0.6000,0.6000,0.7000,0.6000]",
+            ),
+        ] {
+            assert_eq!(check(&[cell, failure_cell()], &reference), [expected]);
+        }
+        // Below the printed precision nothing moved; wall-clock fields
+        // are never compared.
+        let same = edited(|c| {
+            c.hit_ratio += 1e-6;
+            c.events_per_sec = 5.0;
+        });
+        assert_eq!(
+            check(&[same, failure_cell()], &reference),
+            Vec::<String>::new()
+        );
 
         // A measured cell the record lacks and a recorded cell the run
         // lacks are each named.
         let mut surplus = sample_cell();
         surplus.mode = "sharded9";
-        let found = check(&[sample_cell(), surplus], &reference).violations;
+        let found = check(&[sample_cell(), surplus], &reference);
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found[0].starts_with("base/sharded9/FARMER: no reference cell"));
         assert!(found[1].starts_with("failure/kill50/FARMER: reference cell no run produced"));
+
+        // A field the record lacks is a violation of its own, not a parse
+        // error.
+        let text = format!(
+            r#"{{"schema_version": 6, "scale": 1, "cells": [{}]}}"#,
+            sample_cell()
+                .to_json()
+                .render()
+                .replace("\"memory_bytes\": 1024,", "")
+        );
+        let reference = Reference::parse(&text).expect("a cell's fields are check's business");
+        assert_eq!(
+            check(&[sample_cell()], &reference),
+            ["base/batch/FARMER: memory_bytes was missing → is 1024"]
+        );
     }
 
     /// A paper grid every shape rule accepts: per trace, hit ratio and
@@ -596,21 +452,41 @@ mod tests {
         for (cells, expected) in cases {
             assert_eq!(paper_shapes(&cells), [expected]);
             // `check` fails on it even against a record that holds the
-            // inversion itself (every band is met).
-            let found = check(&cells, &reference_of(&cells)).violations;
+            // inversion itself (every field equals the record).
+            let found = check(&cells, &reference_of(&cells));
             assert_eq!(found, [expected]);
         }
     }
 
+    /// Hostile record input: every 97th-byte prefix of the checked-in
+    /// record, and seeded single-byte replacements in it, parse to `Ok` or
+    /// `Err` — never a panic.
+    #[test]
+    fn broken_records_are_refused_without_panicking() {
+        let record = include_bytes!("../../../BENCH_eval.json");
+        let parse = |bytes: &[u8]| Reference::parse(&String::from_utf8_lossy(bytes)).is_ok();
+        let prefixes = (0..record.len())
+            .step_by(97)
+            .filter(|&n| parse(&record[..n]));
+        assert_eq!(prefixes.count(), 0, "a truncated record parsed");
+        let mut parsed = 0;
+        let mut state = 0x5eed_u64;
+        for _ in 0..600 {
+            // SplitMix64: one position and one replacement byte a draw.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut h = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            h ^= h >> 31;
+            let mut bytes = record.to_vec();
+            bytes[(h % record.len() as u64) as usize] = (h >> 56) as u8;
+            parsed += usize::from(parse(&bytes));
+        }
+        // Most replacements land in a number or a string and still parse.
+        assert!(parsed > 0, "no replacement parsed");
+    }
+
     #[test]
     fn malformed_records_are_errors() {
-        let no_memory = format!(
-            r#"{{"schema_version": 6, "scale": 1, "cells": [{}]}}"#,
-            sample_cell()
-                .to_json()
-                .render()
-                .replace("\"memory_bytes\": 1024,", "")
-        );
         for (text, why) in [
             ("{", "invalid JSON"),
             (r#"{"scale": 1, "cells": []}"#, "no `schema_version`"),
@@ -618,7 +494,10 @@ mod tests {
                 r#"{"schema_version": 6, "scale": 1, "cells": [{}]}"#,
                 "cell 0 lacks scenario",
             ),
-            (&no_memory, "cell 0 has no numeric `memory_bytes`"),
+            (
+                r#"{"schema_version": 6, "scale": 1, "cells": {}}"#,
+                "`cells` is not an array",
+            ),
         ] {
             let err = Reference::parse(text).expect_err(text);
             assert!(err.contains(why), "{text}: {err}");

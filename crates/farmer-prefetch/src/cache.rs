@@ -270,7 +270,7 @@ impl MetadataCache {
     /// Unlike eviction, clearing charges nothing: entries lost to a
     /// crash were not *displaced*, so resident-but-unused prefetches do
     /// not count as waste (the predictor didn't mispredict — the process
-    /// died). The post-restart hit-ratio dip the eval matrix bands comes
+    /// died). The post-restart hit-ratio dip the eval matrix pins comes
     /// purely from re-missing on the emptied cache.
     pub fn clear(&mut self) {
         while self.lru.pop_back().is_some() {}

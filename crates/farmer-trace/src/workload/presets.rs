@@ -183,4 +183,56 @@ mod tests {
         assert!(i.skip_prob <= r.skip_prob);
         assert!(i.app_zipf > r.app_zipf);
     }
+
+    /// FxHash of every field of every event, then of the file table
+    /// (path text, device, size, read-only flag).
+    fn trace_hash(trace: &crate::Trace) -> u64 {
+        use crate::hash::FxHasher;
+        use std::hash::Hasher;
+        let mut h = FxHasher::default();
+        for e in &trace.events {
+            let (op, app) = (e.op as u64, u64::from(e.app));
+            let ids = [
+                e.file.raw(),
+                e.dev.raw(),
+                e.uid.raw(),
+                e.pid.raw(),
+                e.host.raw(),
+            ];
+            [e.seq, e.timestamp_us, op, app, e.bytes]
+                .into_iter()
+                .chain(ids.map(u64::from))
+                .for_each(|word| h.write_u64(word));
+        }
+        for f in &trace.files {
+            let path = f.path.as_ref().map(|p| trace.paths.render(p));
+            h.write_usize(path.as_ref().map_or(usize::MAX, String::len));
+            h.write(path.unwrap_or_default().as_bytes());
+            h.write_u32(f.dev.raw());
+            h.write_u64(f.size);
+            h.write_u8(u8::from(f.read_only));
+        }
+        h.finish()
+    }
+
+    /// The four presets at scale 1.0 — the paper grid's inputs — are the
+    /// traces `BENCH_eval.json` was recorded from. `Zipf::new` goes
+    /// through libm's `powf`, so a host whose libm rounds one CDF entry
+    /// differently can move a sample; this names the trace that moved.
+    #[test]
+    fn preset_traces_are_pinned_by_hash() {
+        let pinned: [(TraceFamily, u64); 4] = [
+            (TraceFamily::Llnl, 0x11a6f8710c2b088a),
+            (TraceFamily::Ins, 0x8920189e1748d6cf),
+            (TraceFamily::Res, 0x353c56a0e234e678),
+            (TraceFamily::Hp, 0x379ebea5b62fe63c),
+        ];
+        let measured = pinned.map(|(family, _)| {
+            (
+                family,
+                trace_hash(&super::WorkloadSpec::for_family(family).generate()),
+            )
+        });
+        assert_eq!(measured, pinned);
+    }
 }

@@ -3,11 +3,17 @@
 //! File popularity in real file-system traces is heavily skewed; the
 //! synthetic workload generators use Zipf-distributed choices for which
 //! application runs next and which shared files are touched. `rand` does not
-//! ship a Zipf distribution, so we implement one here: an exact
-//! inverse-transform sampler over a precomputed cumulative table. Building
-//! the table is O(n); each sample is O(log n) via binary search — plenty fast
-//! for the namespace sizes the experiments use (≤ 10⁶) and exact, which keeps
-//! experiments reproducible across platforms.
+//! ship a Zipf distribution, so we implement one here: an inverse-transform
+//! sampler over a precomputed cumulative table. Building the table is O(n);
+//! each sample is O(log n) via binary search — plenty fast for the namespace
+//! sizes the experiments use (≤ 10⁶).
+//!
+//! The table's terms go through libm's `powf`, whose last bit may differ
+//! between libms (glibc, for one, picks an FMA or a non-FMA variant by CPU).
+//! A sample moves only if its uniform draw lands in such a one-ULP sliver
+//! of the CDF, about n·2⁻⁵³ per draw. The preset traces are pinned by hash
+//! (`workload::presets`' tests), so a host where that happens is named
+//! rather than silently recording other traces.
 
 use rand::Rng;
 
