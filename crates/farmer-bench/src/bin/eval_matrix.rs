@@ -1,9 +1,9 @@
 //! The evaluation reference-model matrix: every scenario × miner mode ×
 //! predictor cell, end to end (trace → miner → `CorrelationSource` →
-//! predictor → cache sim → MDS replay), then the paper's comparison grid
-//! (LRU, Nexus and FARMER on the four trace presets: Figure 7, Table 3,
-//! Figure 8, Table 4), emitted as one schema-versioned JSON record and
-//! optionally verified against the checked-in one.
+//! predictor → cache sim → MDS replay), then the paper's cells (the grid:
+//! Figure 7, Table 3, Figure 8, Table 4; the sweeps: Figure 3, Table 5,
+//! Figure 6, the ablations), emitted as one schema-versioned JSON record
+//! and optionally verified against the checked-in one.
 //!
 //! ```text
 //! cargo run --release -p farmer-bench --bin eval_matrix -- --check    # full matrix must equal BENCH_eval.json
@@ -16,9 +16,9 @@
 //!   field that no longer equals the record at its printed precision
 //!   (`<cell>: <field> was <recorded> → is <measured>`; the wall-clock
 //!   `events_per_sec` and `recovery_ms` are never compared), a missing or
-//!   extra cell, an inversion of the paper's shapes over its grid. Only
-//!   meaningful at the record's scale: any other (`--quick`, a positional
-//!   scale) exits 2.
+//!   extra cell, a key two cells share, an inversion of the paper's shapes
+//!   over its cells. Only meaningful at the record's scale: any other
+//!   (`--quick`, a positional scale) exits 2.
 //! * `--obs` — additionally print the instrumented demo legs' metric
 //!   registries (the same dumps embedded as the record's top-level `obs`
 //!   and `obs_recovery` objects) on stderr.
@@ -28,8 +28,8 @@
 //! breaks a cross-mode invariant panics instead of reporting.
 
 use farmer_bench::evalmatrix::{
-    build_scenario, paper_cells, run_matrix_with, Cell, MatrixReport, FPA_MODES, PHASES,
-    QUICK_SCALE, SCENARIOS, SCHEMA_VERSION,
+    build_scenario, paper_cells, run_matrix_with, sweep, Cell, MatrixReport, FPA_MODES, PHASES,
+    QUICK_SCALE, SCENARIOS, SCHEMA_VERSION, SWEEP_SECTIONS,
 };
 use farmer_bench::faults::FAILURE_MODES;
 use farmer_bench::format::BenchArgs;
@@ -174,18 +174,20 @@ fn main() {
         reference
     });
 
+    let points: Vec<_> = SWEEP_SECTIONS.into_iter().flat_map(sweep).collect();
     eprintln!(
         "eval_matrix: scale {}, {} scenarios x ({} FARMER miner modes + 4 self-mining predictors) \
-         + the paper grid",
+         + the paper grid + {} points of its sweeps",
         args.scale,
         SCENARIOS.len(),
-        FPA_MODES.len()
+        FPA_MODES.len(),
+        points.len()
     );
     let mut report = run_matrix_with(args.scale, &SCENARIOS, &mut |s| {
         eprintln!("eval_matrix: scenario {s}...");
     });
-    eprintln!("eval_matrix: paper grid...");
-    report.cells.extend(paper_cells(args.scale));
+    eprintln!("eval_matrix: paper grid and sweeps...");
+    report.cells.extend(paper_cells(args.scale, true, &points));
     eprintln!(
         "eval_matrix: {} cells, parity over {} scenarios (max degree delta {:e})",
         report.cells.len(),

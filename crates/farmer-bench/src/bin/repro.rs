@@ -9,34 +9,41 @@
 //! For each paper table/figure, prints the measured values with the
 //! paper's reference numbers ([`farmer_bench::paper`]) where the paper
 //! reports them, then the two experiments the paper only sketches (§4.1
-//! multi-MDS scaling, §7 attribute regression). Figure 7, Table 3,
-//! Figure 8 and Table 4 print from one run of the reference model's
-//! paper grid ([`paper_cells`]), the cells `eval_matrix --check` pins
-//! to the record and shape-checks. `--only <name>` runs a single section
-//! ([`SECTIONS`]); an unknown name — or an unknown flag — exits 2 listing
-//! the valid ones. `repro` checks nothing, so `--check` and `--obs` exit
-//! 2 as well.
+//! multi-MDS scaling, §7 attribute regression). Figures 3, 6, 7, 8,
+//! Tables 3, 4, 5 and the ablations print from the reference model's paper
+//! cells ([`paper_cells`]: its grid and the [`sweep`] table), the cells
+//! `eval_matrix --check` pins to the record and shape-checks; each cell
+//! the chosen sections read runs once. `--only <name>` runs a single
+//! section ([`SECTIONS`]) and only its cells; an unknown name — or an
+//! unknown flag — exits 2 listing the valid ones. `repro` checks nothing,
+//! so `--check` and `--obs` exit 2 as well.
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
-use farmer_bench::evalmatrix::{paper_cell, paper_cells, Cell, PAPER_PREDICTORS};
+use farmer_bench::evalmatrix::{
+    paper_cell, paper_cells, sweep, sweep_mode, Cell, PAPER_PREDICTORS,
+};
 use farmer_bench::experiments as ex;
 use farmer_bench::format::{mb, ms, pct, BenchArgs, TextTable};
 use farmer_bench::paper;
 use farmer_bench::regression::FEATURE_LABELS;
+use farmer_core::FarmerConfig;
 use farmer_trace::TraceFamily;
 
-/// One paper table/figure: its `--only` name, heading and body.
+/// One paper table/figure: its `--only` name, heading and body (which
+/// reads the scale and the paper cells).
 struct Section {
     name: &'static str,
     title: &'static str,
-    run: fn(f64),
+    run: fn(f64, &[Cell]),
 }
 
-const fn sec(name: &'static str, title: &'static str, run: fn(f64)) -> Section {
+const fn sec(name: &'static str, title: &'static str, run: fn(f64, &[Cell])) -> Section {
     Section { name, title, run }
 }
+
+/// The sections read off the paper's comparison grid.
+const GRID_SECTIONS: [&str; 4] = ["fig7", "table3", "fig8", "table4"];
 
 /// Every section, in run order.
 const SECTIONS: [Section; 12] = [
@@ -82,7 +89,7 @@ const SECTIONS: [Section; 12] = [
     ),
 ];
 
-fn fig1(scale: f64) {
+fn fig1(scale: f64, _: &[Cell]) {
     for (family, rows) in ex::fig1(scale) {
         let cells: Vec<String> = rows
             .iter()
@@ -93,7 +100,7 @@ fn fig1(scale: f64) {
     println!("  paper shape: `none` lowest in every trace");
 }
 
-fn table2(_scale: f64) {
+fn table2(_: f64, _: &[Cell]) {
     for (row, (_, dpa_ref, ipa_ref)) in ex::table2().iter().zip(paper::TABLE2) {
         println!(
             "  {:<9} DPA {:.4} (paper {:.4})   IPA {:.4} (paper {:.4})",
@@ -102,56 +109,86 @@ fn table2(_scale: f64) {
     }
 }
 
-fn fig3(scale: f64) {
-    let series = ex::fig3(scale);
-    for family in TraceFamily::ALL {
-        let best = ex::fig3_best_p(&series, family);
-        for s in series.iter().filter(|s| s.family == family) {
-            let pts: Vec<String> = s.points.iter().map(|&(_, h)| pct(h)).collect();
-            println!("  {:<5} p={:<3} {}", family.name(), s.p, pts.join(" "));
+/// FARMER's cell under `config` on `family`'s preset.
+fn farmer<'a>(cells: &'a [Cell], family: TraceFamily, config: &FarmerConfig) -> &'a Cell {
+    let key = (family.name(), &*sweep_mode(family, config), "FARMER");
+    paper_cell(cells, key).expect("the section's sweep cells ran")
+}
+
+/// `family`'s entry in one of [`paper`]'s per-trace tables.
+fn paper_value(table: &[(&str, f64)], family: TraceFamily) -> Option<f64> {
+    let entry = table.iter().find(|(name, _)| *name == family.name());
+    entry.map(|(_, v)| *v)
+}
+
+fn fig3(_: f64, cells: &[Cell]) {
+    for of_family in sweep("fig3").chunk_by(|a, b| a.0 == b.0) {
+        let (family, name) = (of_family[0].0, of_family[0].0.name());
+        let hit = |config| farmer(cells, family, config).hit_ratio;
+        for row in of_family.chunk_by(|a, b| a.1.p == b.1.p) {
+            let pts: Vec<String> = row.iter().map(|(_, c)| pct(hit(c))).collect();
+            println!("  {name:<5} p={:<3} {}", row[0].1.p, pts.join(" "));
         }
+        // The winning weight at the threshold the system runs with.
+        let operating = FarmerConfig::for_family(family).max_strength;
+        let at_operating = of_family
+            .iter()
+            .filter(|(_, c)| c.max_strength == operating);
+        let best = at_operating.max_by(|(_, a), (_, b)| hit(a).total_cmp(&hit(b)));
+        let best = best.expect("Figure 3 plots the operating threshold").1.p;
         println!(
-            "  {:<5} best p = {best} (paper: {})",
-            family.name(),
+            "  {name:<5} best p = {best} (paper: {})",
             paper::FIG3_BEST_P
         );
     }
 }
 
-fn table5(scale: f64) {
-    for family in [TraceFamily::Hp, TraceFamily::Ins, TraceFamily::Res] {
-        let rows = ex::table5(family, scale);
-        let mut t = TextTable::new(&["combination", "hit ratio"]);
-        for r in &rows {
-            t.row(vec![r.combo.clone(), pct(r.hit_ratio)]);
+fn table5(_: f64, cells: &[Cell]) {
+    for points in sweep("table5").chunk_by(|a, b| a.0 == b.0) {
+        let family = points[0].0;
+        let mut t = TextTable::new(&["combination", "hit ratio", "paper"]);
+        for (_, config) in points {
+            let hit = pct(farmer(cells, family, config).hit_ratio);
+            let mut row = vec![config.combo.to_string(), hit];
+            // The paper reports the full combination, the family's default.
+            if *config == FarmerConfig::for_family(family) {
+                row.extend(paper_value(&paper::TABLE5_FULL_COMBO, family).map(pct));
+            }
+            t.row(row);
         }
         println!("{} trace:\n{}", family.name(), t.render());
     }
 }
 
-fn fig6(scale: f64) {
-    for (thr, resp) in ex::fig6(scale) {
-        println!("  max_strength {thr:.1}  ->  {}", ms(resp));
+fn fig6(_: f64, cells: &[Cell]) {
+    let (mut lowest, mut at) = (f64::INFINITY, 0.0);
+    for (family, c) in sweep("fig6") {
+        let response = farmer(cells, family, &c).avg_response_ms;
+        println!("  max_strength {:.1}  ->  {}", c.max_strength, ms(response));
+        if response < lowest {
+            (lowest, at) = (response, c.max_strength);
+        }
     }
+    let knee = paper::FIG6_KNEE;
+    let lowest = ms(lowest);
     println!(
-        "  paper shape: flat below {}, rising above",
-        paper::FIG6_KNEE
+        "  paper shape: flat below {knee}, rising above; measured: lowest {lowest} at {at:.1}"
     );
 }
 
-/// The paper grid's cell of `family` served by `predictor`, the grid run
-/// once per process.
-fn grid(scale: f64, family: TraceFamily, predictor: &str) -> &'static Cell {
-    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
-    let cells = CELLS.get_or_init(|| paper_cells(scale));
-    paper_cell(cells, family, predictor).expect("the paper grid covers every family")
+/// The paper grid's cell of `family` served by `predictor`.
+fn grid<'a>(cells: &'a [Cell], family: TraceFamily, predictor: &str) -> &'a Cell {
+    let key = (family.name(), "self", predictor);
+    paper_cell(cells, key).expect("the paper grid covers every family")
 }
 
-fn fig7(scale: f64) {
+fn fig7(_: f64, cells: &[Cell]) {
     for family in TraceFamily::ALL {
-        let [lru, nexus, fpa] = PAPER_PREDICTORS.map(|p| grid(scale, family, p));
+        let [lru, nexus, fpa] = PAPER_PREDICTORS.map(|p| grid(cells, family, p));
+        let paper_gap = paper_value(&paper::FIG7_IMPROVEMENT_PTS, family)
+            .map_or(String::new(), |pts| format!(", paper {pts:+.1}"));
         println!(
-            "  {:<5} LRU {}  Nexus {}  FPA {}  (FPA-Nexus {:+.1} pts; accuracies N {} / F {})",
+            "  {:<5} LRU {}  Nexus {}  FPA {}  (FPA-Nexus {:+.1} pts{paper_gap}; accuracies N {} / F {})",
             family.name(),
             pct(lru.hit_ratio),
             pct(nexus.hit_ratio),
@@ -163,8 +200,8 @@ fn fig7(scale: f64) {
     }
 }
 
-fn table3(scale: f64) {
-    let accuracy = |p| grid(scale, TraceFamily::Hp, p).prefetch_accuracy;
+fn table3(_: f64, cells: &[Cell]) {
+    let accuracy = |p| grid(cells, TraceFamily::Hp, p).prefetch_accuracy;
     println!(
         "  FARMER {} (paper {})   Nexus {} (paper {})",
         pct(accuracy("FARMER")),
@@ -174,9 +211,9 @@ fn table3(scale: f64) {
     );
 }
 
-fn fig8(scale: f64) {
+fn fig8(_: f64, cells: &[Cell]) {
     for family in paper::FIG8_FAMILIES {
-        let [lru, nexus, fpa] = PAPER_PREDICTORS.map(|p| grid(scale, family, p).avg_response_ms);
+        let [lru, nexus, fpa] = PAPER_PREDICTORS.map(|p| grid(cells, family, p).avg_response_ms);
         println!(
             "  {:<5} LRU {}  Nexus {}  FPA {}  (vs Nexus {:.0}%, vs LRU {:.0}%)",
             family.name(),
@@ -194,14 +231,10 @@ fn fig8(scale: f64) {
     );
 }
 
-fn table4(scale: f64) {
+fn table4(_: f64, cells: &[Cell]) {
     for family in TraceFamily::ALL {
-        let bytes = grid(scale, family, "FARMER").memory_bytes;
-        let p = paper::TABLE4_SPACE_MB
-            .iter()
-            .find(|(n, _)| *n == family.name())
-            .map(|(_, v)| *v)
-            .unwrap_or(0.0);
+        let bytes = grid(cells, family, "FARMER").memory_bytes;
+        let p = paper_value(&paper::TABLE4_SPACE_MB, family).unwrap_or(0.0);
         println!(
             "  {:<5} measured {} (paper, full-size trace: {p:.1}MB)",
             family.name(),
@@ -210,20 +243,23 @@ fn table4(scale: f64) {
     }
 }
 
-fn ablations(scale: f64) {
+fn ablations(scale: f64, cells: &[Cell]) {
     println!(
         "  FPA(p=0) vs Nexus top-successor agreement: {}",
         pct(ex::reduction_p0_matches_nexus(scale))
     );
-    let (dpa, ipa) = ex::ablation_dpa_vs_ipa(scale);
+    let hit = |config| pct(farmer(cells, TraceFamily::Hp, config).hit_ratio);
+    let points = sweep("ablations");
+    // DPA and IPA, then the windows.
+    let (paths, windows) = points.split_at(2);
     println!(
         "  DPA hit {} vs IPA hit {} (paper selects IPA)",
-        pct(dpa),
-        pct(ipa)
+        hit(&paths[0].1),
+        hit(&paths[1].1)
     );
-    let windows: Vec<String> = ex::ablation_window(scale, &[1, 2, 3, 5, 8, 12])
+    let windows: Vec<String> = windows
         .iter()
-        .map(|&(w, h)| format!("{w}={}", pct(h)))
+        .map(|(_, c)| format!("{}={}", c.window, hit(c)))
         .collect();
     println!("  look-ahead window (HP hit ratio): {}", windows.join("  "));
     let (scattered, grouped) = ex::layout_experiment(scale);
@@ -235,7 +271,7 @@ fn ablations(scale: f64) {
     );
 }
 
-fn cluster(scale: f64) {
+fn cluster(scale: f64, _: &[Cell]) {
     let mut t = TextTable::new(&[
         "servers",
         "partition",
@@ -264,7 +300,7 @@ fn cluster(scale: f64) {
     );
 }
 
-fn regression(scale: f64) {
+fn regression(scale: f64, _: &[Cell]) {
     let mut header = vec!["trace"];
     header.extend(FEATURE_LABELS);
     header.extend(["R^2", "samples"]);
@@ -301,19 +337,24 @@ fn main() {
     let args = BenchArgs::parse(1.0, &SECTIONS.map(|s| s.name));
     if args.check || args.obs {
         eprintln!(
-            "repro: --check and --obs are eval_matrix's; the paper grid (Figure 7, Table 3, \
-             Figure 8, Table 4) is pinned and shape-checked by `eval_matrix --check`"
+            "repro: --check and --obs are eval_matrix's; the paper's cells (its grid and its \
+             sweeps) are pinned and shape-checked by `eval_matrix --check`"
         );
         std::process::exit(2);
     }
     let BenchArgs { scale, only, .. } = args;
     let t0 = Instant::now();
     println!("FARMER reproduction suite (scale {scale})");
-    for s in &SECTIONS {
-        if only.is_none_or(|o| o == s.name) {
-            section(s.title);
-            (s.run)(scale);
-        }
+    let chosen: Vec<&Section> = SECTIONS
+        .iter()
+        .filter(|s| only.is_none_or(|o| o == s.name))
+        .collect();
+    let grid = chosen.iter().any(|s| GRID_SECTIONS.contains(&s.name));
+    let points: Vec<_> = chosen.iter().flat_map(|s| sweep(s.name)).collect();
+    let cells = paper_cells(scale, grid, &points);
+    for s in chosen {
+        section(s.title);
+        (s.run)(scale, &cells);
     }
     println!("\ncompleted in {:.1}s", t0.elapsed().as_secs_f64());
 }

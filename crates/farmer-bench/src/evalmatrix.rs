@@ -69,12 +69,13 @@
 //! [`ShardedMiner::route_forget`]) in every mode, which is what the churn
 //! scenario exercises.
 //!
-//! **The paper's grid** ([`paper_cells`]) rides beside the scenario loop:
+//! **The paper's cells** ([`paper_cells`]) ride beside the scenario loop:
 //! each trace family's preset served by LRU, Nexus and a self-mining
 //! FARMER, the cells behind Figure 7 (hit ratio), Table 3 (prefetch
-//! accuracy), Figure 8 (mean response) and Table 4 (model space). Their
-//! scenario is the family's name (`LLNL`, `INS`, `RES`, `HP`), their mode
-//! `self`.
+//! accuracy), Figure 8 (mean response) and Table 4 (model space), and
+//! FARMER under each configuration of the parameter study ([`sweep`]).
+//! Their scenario is the family's name (`LLNL`, `INS`, `RES`, `HP`), their
+//! mode `self` or what the configuration changes ([`sweep_mode`]).
 //!
 //! The reference a run is checked against is the checked-in full-scale
 //! record, `BENCH_eval.json` ([`crate::refmodel`]); the `eval_matrix`
@@ -85,7 +86,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use farmer_core::{CorrelationSource, Farmer, FarmerConfig};
+use farmer_core::{AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode};
 use farmer_mds::{replay, ReplayConfig};
 use farmer_obs::{Json, Registry};
 use farmer_prefetch::baselines::LruOnly;
@@ -136,6 +137,9 @@ pub const SELF_PREDICTORS: [&str; 4] = ["Nexus", "ProbGraph", "SdGraph", "LRU"];
 /// The predictors of the paper's comparison grid ([`paper_cells`]), in
 /// emission order; `FARMER` here mines as it serves.
 pub const PAPER_PREDICTORS: [&str; 3] = ["LRU", "Nexus", "FARMER"];
+
+/// `repro`'s sections that vary FARMER's configuration ([`sweep`]).
+pub const SWEEP_SECTIONS: [&str; 4] = ["fig3", "table5", "fig6", "ablations"];
 
 /// Refresh points per run of the sparse online mode (`online8`).
 pub const ONLINE_SPARSE_REFRESHES: usize = 8;
@@ -206,8 +210,8 @@ pub struct Cell {
     /// ([`paper_cells`]) a trace family's name.
     pub scenario: &'static str,
     /// Miner mode: `batch`/`sharded1`/`sharded4` for FARMER, `self` for
-    /// internally mining predictors.
-    pub mode: &'static str,
+    /// internally mining predictors ([`sweep_mode`] for a paper sweep).
+    pub mode: String,
     /// Predictor display name.
     pub predictor: &'static str,
     /// Demand hit ratio of the cache simulation.
@@ -283,7 +287,7 @@ impl Cell {
         };
         Json::obj()
             .field("scenario", Json::str(self.scenario))
-            .field("miner_mode", Json::str(self.mode))
+            .field("miner_mode", Json::str(&self.mode))
             .field("predictor", Json::str(self.predictor))
             .field("hit_ratio", Json::Fixed(self.hit_ratio, 4))
             .field("prefetch_accuracy", Json::Fixed(self.prefetch_accuracy, 4))
@@ -498,56 +502,156 @@ fn online_cell(
     cell
 }
 
-/// A fresh instance of a self-mining predictor, by display name.
-fn self_predictor(name: &str, trace: &Trace) -> Box<dyn Predictor> {
+/// A fresh instance of a self-mining predictor, by display name; `FARMER`
+/// mines under `config`.
+fn self_predictor(name: &str, config: &FarmerConfig) -> Box<dyn Predictor> {
     match name {
         "Nexus" => Box::new(NexusPredictor::paper_default()),
         "ProbGraph" => Box::new(ProbabilityGraph::classic()),
         "SdGraph" => Box::new(SdGraph::classic()),
         "LRU" => Box::new(LruOnly),
-        "FARMER" => Box::new(FpaPredictor::for_trace(trace)),
+        "FARMER" => Box::new(FpaPredictor::new(config.clone())),
         other => unreachable!("unknown predictor {other}"),
     }
 }
 
 /// Run a self-mining predictor through sim + replay, a fresh instance per
 /// leg so the replay does not serve a pre-trained model.
-fn self_cell(scenario: &'static str, predictor: &'static str, trace: &Trace) -> Cell {
+fn self_cell(
+    scenario: &'static str,
+    mode: &str,
+    predictor: &'static str,
+    trace: &Trace,
+    config: &FarmerConfig,
+) -> Cell {
     let (sim_cfg, rep_cfg) = cell_configs(trace);
-    let mut p = self_predictor(predictor, trace);
+    let mut p = self_predictor(predictor, config);
     let start = Instant::now();
     let sim = simulate(trace, p.as_mut(), sim_cfg);
     let rate = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    let rep = replay(trace, self_predictor(predictor, trace), rep_cfg);
-    finish_cell(scenario, "self", predictor, sim, rep, rate, 0)
+    let rep = replay(trace, self_predictor(predictor, config), rep_cfg);
+    finish_cell(scenario, mode, predictor, sim, rep, rate, 0)
 }
 
-/// The paper's comparison grid at `scale`: for every [`TraceFamily`]
-/// preset, one `self` cell per [`PAPER_PREDICTORS`] entry, its scenario
-/// the family's name — 12 cells, family-major. Figure 7, Table 3,
-/// Figure 8 and Table 4 are read off these cells.
-pub fn paper_cells(scale: f64) -> Vec<Cell> {
-    let mut cells = Vec::new();
+/// The configurations a sweep section of `repro` ([`SWEEP_SECTIONS`])
+/// plots, in print order, each an edit of [`FarmerConfig::for_family`]:
+/// `fig3` p ∈ {0, 0.3, 0.7, 1} × `max_strength` 0.2–0.8 on every family;
+/// `table5` the 15 combinations of the family's attribute base on HP, INS
+/// and RES; `fig6` `max_strength` 0.0–1.0 on HP; `ablations` DPA and IPA,
+/// then the windows 1, 2, 3, 5, 8 and 12, on HP. Empty for any other
+/// section.
+pub fn sweep(section: &str) -> Vec<(TraceFamily, FarmerConfig)> {
+    use TraceFamily::{Hp, Ins, Res};
+    let mut points = Vec::new();
+    let mut at = |family, edit: &dyn Fn(FarmerConfig) -> FarmerConfig| {
+        points.push((family, edit(FarmerConfig::for_family(family))));
+    };
+    let tenths = |i: u8| f64::from(i) / 10.0;
+    match section {
+        "fig3" => {
+            for family in TraceFamily::ALL {
+                for p in [0.0, 0.3, 0.7, 1.0] {
+                    (2..=8).for_each(|i| at(family, &|c| c.with_p(p).with_max_strength(tenths(i))));
+                }
+            }
+        }
+        "table5" => {
+            let bases = [
+                (Hp, AttrCombo::HP_BASE),
+                (Ins, AttrCombo::INS_BASE),
+                (Res, AttrCombo::INS_BASE),
+            ];
+            for (family, base) in bases {
+                for combo in AttrCombo::sweep(&base) {
+                    at(family, &|c| c.with_combo(combo));
+                }
+            }
+        }
+        "fig6" => (0..=10).for_each(|i| at(Hp, &|c| c.with_max_strength(tenths(i)))),
+        "ablations" => {
+            at(Hp, &|c| c.with_path_mode(PathMode::Dpa));
+            at(Hp, &|c| c);
+            for window in [1, 2, 3, 5, 8, 12] {
+                at(Hp, &|c| FarmerConfig { window, ..c });
+            }
+        }
+        _ => {}
+    }
+    points
+}
+
+/// The mode of FARMER's cell under `config` on `family`'s preset: the
+/// fields `config` changes against [`FarmerConfig::for_family`] (`p=0.3
+/// ms=0.2`, `combo={User, Process}`, `window=3`, `path=DPA`), or `self`
+/// when it changes none. [`sweep`] changes no other field.
+pub fn sweep_mode(family: TraceFamily, config: &FarmerConfig) -> String {
+    let named = |c: &FarmerConfig| {
+        let path = format!("{:?}", c.path_mode).to_uppercase();
+        let [p, ms, window] = [c.p, c.max_strength, c.window as f64].map(|v| v.to_string());
+        let combo = c.combo.to_string();
+        [
+            ("p", p),
+            ("ms", ms),
+            ("combo", combo),
+            ("window", window),
+            ("path", path),
+        ]
+    };
+    let base = named(&FarmerConfig::for_family(family));
+    let changed: Vec<String> = (named(config).into_iter().zip(base))
+        .filter(|(field, of_base)| field != of_base)
+        .map(|((name, value), _)| format!("{name}={value}"))
+        .collect();
+    if changed.is_empty() {
+        "self".to_string()
+    } else {
+        changed.join(" ")
+    }
+}
+
+/// The paper's cells at `scale`, family-major: with `grid`, the comparison
+/// grid (every [`PAPER_PREDICTORS`] entry on the family's preset, mode
+/// `self`); then a self-mining FARMER under each configuration of `points`
+/// ([`sweep`]) on its family's preset, mode [`sweep_mode`]. Each distinct
+/// cell runs once. Figure 7, Table 3, Figure 8 and Table 4 are read off
+/// the grid; Figure 3, Table 5, Figure 6 and the ablations off the sweep.
+pub fn paper_cells(scale: f64, grid: bool, points: &[(TraceFamily, FarmerConfig)]) -> Vec<Cell> {
+    let mut cells: Vec<Cell> = Vec::new();
     for family in TraceFamily::ALL {
-        let trace = crate::experiments::trace_for(family, scale);
-        for predictor in PAPER_PREDICTORS {
-            cells.push(self_cell(family.name(), predictor, &trace));
+        let default = FarmerConfig::for_family(family);
+        let grid_runs = PAPER_PREDICTORS
+            .into_iter()
+            .filter(|_| grid)
+            .map(|p| (p, &default));
+        let sweep_runs = points
+            .iter()
+            .filter(|(f, _)| *f == family)
+            .map(|(_, c)| ("FARMER", c));
+        let mut trace = None;
+        for (predictor, config) in grid_runs.chain(sweep_runs) {
+            let mode = sweep_mode(family, config);
+            if paper_cell(&cells, (family.name(), &mode, predictor)).is_none() {
+                let trace =
+                    trace.get_or_insert_with(|| crate::experiments::trace_for(family, scale));
+                cells.push(self_cell(family.name(), &mode, predictor, trace, config));
+            }
         }
     }
     cells
 }
 
-/// The paper-grid cell of `family` served by `predictor`, if `cells`
-/// holds it.
-pub fn paper_cell<'a>(cells: &'a [Cell], family: TraceFamily, predictor: &str) -> Option<&'a Cell> {
+/// The cell whose `(scenario, mode, predictor)` is `key`, if `cells` holds
+/// it: a paper grid cell's is `(family name, "self", predictor)`, a sweep
+/// cell's `(family name, sweep_mode(..), "FARMER")`.
+pub fn paper_cell<'a>(cells: &'a [Cell], key: (&str, &str, &str)) -> Option<&'a Cell> {
     cells
         .iter()
-        .find(|c| c.scenario == family.name() && c.mode == "self" && c.predictor == predictor)
+        .find(|c| (c.scenario, c.mode.as_str(), c.predictor) == key)
 }
 
 fn finish_cell(
     scenario: &'static str,
-    mode: &'static str,
+    mode: &str,
     predictor: &'static str,
     sim: SimReport,
     rep: farmer_mds::ReplayReport,
@@ -556,7 +660,7 @@ fn finish_cell(
 ) -> Cell {
     let cell = Cell {
         scenario,
-        mode,
+        mode: mode.to_string(),
         predictor,
         hit_ratio: sim.hit_ratio(),
         prefetch_accuracy: sim.prefetch_accuracy(),
@@ -823,7 +927,7 @@ pub fn run_matrix_with(
 
         // Self-mining predictors.
         for predictor in SELF_PREDICTORS {
-            cells.push(self_cell(scenario, predictor, &trace));
+            cells.push(self_cell(scenario, "self", predictor, &trace, &cfg));
         }
     }
 
@@ -985,6 +1089,57 @@ mod tests {
         );
     }
 
+    /// The sweep table lists 176 points (the ablation lists IPA, the
+    /// default, beside DPA): 164 distinct configurations, the four
+    /// defaults among them (the grid's FARMER cells). A point's mode
+    /// names each field it changes, so points two figures share are one
+    /// cell (Figure 6's 0.2–0.8 are Figure 3's HP p = 0.7 row).
+    #[test]
+    fn sweep_points_name_their_changes() {
+        let points: Vec<_> = SWEEP_SECTIONS.into_iter().flat_map(sweep).collect();
+        assert_eq!(points.len(), 176);
+        let modes: std::collections::BTreeSet<_> = points
+            .iter()
+            .map(|(family, config)| (family.name(), sweep_mode(*family, config)))
+            .collect();
+        assert_eq!(modes.len(), 164);
+        assert_eq!(modes.iter().filter(|(_, m)| m == "self").count(), 4);
+        let hp = || FarmerConfig::for_family(TraceFamily::Hp);
+        let process = farmer_core::AttrKind::Process;
+        let user_process = AttrCombo::EMPTY
+            .with(farmer_core::AttrKind::User)
+            .with(process);
+        for (config, mode) in [
+            (hp(), "self"),
+            (hp().with_p(0.3).with_max_strength(0.2), "p=0.3 ms=0.2"),
+            (hp().with_combo(user_process), "combo={User, Process}"),
+            (hp().with_max_strength(0.9), "ms=0.9"),
+            (FarmerConfig { window: 3, ..hp() }, "window=3"),
+            (hp().with_path_mode(PathMode::Dpa), "path=DPA"),
+        ] {
+            assert_eq!(sweep_mode(TraceFamily::Hp, &config), mode);
+        }
+    }
+
+    /// A sweep point differs from its family's default only in fields its
+    /// mode names, so two points share a mode only if they share a
+    /// configuration.
+    #[test]
+    fn sweep_points_change_only_named_fields() {
+        for (family, config) in SWEEP_SECTIONS.into_iter().flat_map(sweep) {
+            let base = FarmerConfig::for_family(family);
+            let unnamed = FarmerConfig {
+                p: base.p,
+                max_strength: base.max_strength,
+                combo: base.combo,
+                window: base.window,
+                path_mode: base.path_mode,
+                ..config.clone()
+            };
+            assert_eq!(unnamed, base, "{}", sweep_mode(family, &config));
+        }
+    }
+
     /// The INS row of the paper grid at the record's scale equals the
     /// record field by field, through the comparison `eval_matrix --check`
     /// makes: `cargo test` fails on a record the code no longer
@@ -993,10 +1148,11 @@ mod tests {
     fn ins_paper_row_equals_the_record() {
         let reference = crate::refmodel::Reference::checked_in().expect("BENCH_eval.json parses");
         let trace = crate::experiments::trace_for(TraceFamily::Ins, reference.scale);
+        let config = FarmerConfig::for_family(TraceFamily::Ins);
         let found: Vec<String> = PAPER_PREDICTORS
             .into_iter()
             .flat_map(|p| {
-                let cell = self_cell(TraceFamily::Ins.name(), p, &trace);
+                let cell = self_cell(TraceFamily::Ins.name(), "self", p, &trace, &config);
                 crate::refmodel::check_cell(&cell, &reference)
             })
             .collect();
@@ -1004,8 +1160,9 @@ mod tests {
     }
 
     /// The compiled-in record is the record of *this* matrix: same schema,
-    /// full scale, and exactly the cells the axes declare — so a half-done
-    /// scenario/mode registration fails `cargo test`, not just `--check`.
+    /// full scale, and exactly the cells the axes and the sweep table
+    /// declare — so a half-done scenario/mode registration fails `cargo
+    /// test`, not just `--check`.
     #[test]
     fn checked_in_record_matches_the_declared_matrix() {
         let reference = crate::refmodel::Reference::checked_in().expect("BENCH_eval.json parses");
@@ -1015,15 +1172,25 @@ mod tests {
         let mut declared = Vec::new();
         for scenario in SCENARIOS {
             if scenario == "failure" {
-                declared.extend(FAILURE_MODES.map(|m| (scenario, m, "FARMER")));
+                declared.extend(FAILURE_MODES.map(|m| (scenario, m.to_string(), "FARMER")));
             } else {
-                declared.extend(FPA_MODES.map(|m| (scenario, m, "FARMER")));
-                declared.extend(SELF_PREDICTORS.map(|p| (scenario, "self", p)));
+                declared.extend(FPA_MODES.map(|m| (scenario, m.to_string(), "FARMER")));
+                declared.extend(SELF_PREDICTORS.map(|p| (scenario, "self".to_string(), p)));
             }
         }
         for family in TraceFamily::ALL {
-            declared.extend(PAPER_PREDICTORS.map(|p| (family.name(), "self", p)));
+            declared.extend(PAPER_PREDICTORS.map(|p| (family.name(), "self".to_string(), p)));
         }
+        for (family, config) in SWEEP_SECTIONS.into_iter().flat_map(sweep) {
+            let key = (family.name(), sweep_mode(family, &config), "FARMER");
+            if !declared.contains(&key) {
+                declared.push(key);
+            }
+        }
+        let declared: Vec<_> = declared
+            .iter()
+            .map(|(s, m, p)| (*s, m.as_str(), *p))
+            .collect();
         let recorded: Vec<_> = reference.keys().collect();
         let missing: Vec<_> = declared.iter().filter(|k| !recorded.contains(k)).collect();
         let surplus: Vec<_> = recorded.iter().filter(|k| !declared.contains(k)).collect();

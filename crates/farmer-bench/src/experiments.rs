@@ -1,19 +1,20 @@
-//! The paper's sweeps and worked examples, one function per table/figure
-//! (and one each for the ablations, the §4.1 multi-MDS and §7 regression
-//! experiments).
+//! The paper's rows that are not configuration sweeps: Figure 1, Table 2's
+//! worked example, the p = 0 agreement with Nexus, the §4.2 layout, the
+//! §4.1 multi-MDS cluster and the §7 regression.
 //!
 //! Each function takes a `scale` factor applied to the preset trace sizes
 //! (1.0 = the event counts of [`WorkloadSpec::for_family`]'s presets) and
 //! returns plain data; the `repro` binary renders the tables. The paper's
-//! comparison grid — Figure 7, Table 3, Figure 8 and Table 4 — is not
-//! here: it is cells of the reference model,
+//! comparison grid (Figure 7, Table 3, Figure 8, Table 4) and its parameter
+//! study (Figure 3, Table 5, Figure 6, the window and DPA ablations) are
+//! not here: they are cells of the reference model,
 //! [`crate::evalmatrix::paper_cells`], pinned to the record and
 //! shape-checked by [`crate::refmodel`].
 
 use farmer_core::{AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode};
-use farmer_mds::{replay, replay_cluster, ClusterConfig, ClusterReport, Partition, ReplayConfig};
+use farmer_mds::{replay_cluster, ClusterConfig, ClusterReport, Partition, ReplayConfig};
 use farmer_prefetch::baselines::LruOnly;
-use farmer_prefetch::{simulate, FpaPredictor, NexusPredictor, SimConfig};
+use farmer_prefetch::{FpaPredictor, NexusPredictor};
 use farmer_trace::stats::{figure1_rows, SuccessorStats};
 use farmer_trace::{Trace, TraceFamily, WorkloadSpec};
 
@@ -95,125 +96,6 @@ pub fn table2() -> Vec<Table2Row> {
         .collect()
 }
 
-// ----------------------------------------------------------------- Figure 3
-
-/// One Figure 3 series: hit ratio vs `max_strength` for a fixed weight p.
-#[derive(Debug, Clone)]
-pub struct Fig3Series {
-    /// Trace family.
-    pub family: TraceFamily,
-    /// Weight p of this series.
-    pub p: f64,
-    /// `(max_strength, hit_ratio)` points.
-    pub points: Vec<(f64, f64)>,
-}
-
-/// The p values Figure 3 plots.
-pub const FIG3_P_VALUES: [f64; 4] = [0.0, 0.3, 0.7, 1.0];
-/// The `max_strength` sweep Figure 3 plots.
-pub const FIG3_THRESHOLDS: [f64; 7] = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
-
-/// Figure 3: hit ratio as a function of `max_strength` for four weights,
-/// per trace family.
-pub fn fig3(scale: f64) -> Vec<Fig3Series> {
-    let mut out = Vec::new();
-    for fam in TraceFamily::ALL {
-        let trace = trace_for(fam, scale);
-        let sim_cfg = SimConfig::for_family(fam);
-        for p in FIG3_P_VALUES {
-            let mut points = Vec::with_capacity(FIG3_THRESHOLDS.len());
-            for thr in FIG3_THRESHOLDS {
-                let cfg = FarmerConfig::for_family(fam)
-                    .with_p(p)
-                    .with_max_strength(thr);
-                let mut fpa = FpaPredictor::new(cfg);
-                let report = simulate(&trace, &mut fpa, sim_cfg);
-                points.push((thr, report.hit_ratio()));
-            }
-            out.push(Fig3Series {
-                family: fam,
-                p,
-                points,
-            });
-        }
-    }
-    out
-}
-
-/// The winning weight at the paper's operating threshold (max_strength =
-/// 0.4, the validity default the rest of the evaluation uses). The paper's
-/// §5.2.1 reads Figure 3 the same way: p = 0.7 peaks at the threshold the
-/// system actually runs with.
-pub fn fig3_best_p(series: &[Fig3Series], family: TraceFamily) -> f64 {
-    series
-        .iter()
-        .filter(|s| s.family == family)
-        .max_by(|a, b| {
-            let at_default = |s: &Fig3Series| {
-                s.points
-                    .iter()
-                    .find(|(t, _)| (*t - 0.4).abs() < 1e-9)
-                    .map(|&(_, h)| h)
-                    .unwrap_or(0.0)
-            };
-            at_default(a).total_cmp(&at_default(b))
-        })
-        .map(|s| s.p)
-        .expect("family present")
-}
-
-// ----------------------------------------------------------------- Table 5
-
-/// One Table 5 row: an attribute combination and its hit ratio.
-#[derive(Debug, Clone)]
-pub struct Table5Row {
-    /// Combination label (paper row format).
-    pub combo: String,
-    /// Measured cache hit ratio.
-    pub hit_ratio: f64,
-}
-
-/// Table 5: hit ratio per attribute combination for one trace family.
-/// HP sweeps {User, Process, Host, File path}; INS/RES sweep
-/// {User, Process, Host, File ID}.
-pub fn table5(family: TraceFamily, scale: f64) -> Vec<Table5Row> {
-    let trace = trace_for(family, scale);
-    let sim_cfg = SimConfig::for_family(family);
-    let base = if family.has_paths() {
-        AttrCombo::HP_BASE
-    } else {
-        AttrCombo::INS_BASE
-    };
-    AttrCombo::sweep(&base)
-        .into_iter()
-        .map(|combo| {
-            let cfg = FarmerConfig::for_family(family).with_combo(combo);
-            let mut fpa = FpaPredictor::new(cfg);
-            let report = simulate(&trace, &mut fpa, sim_cfg);
-            Table5Row {
-                combo: combo.to_string(),
-                hit_ratio: report.hit_ratio(),
-            }
-        })
-        .collect()
-}
-
-// ----------------------------------------------------------------- Figure 6
-
-/// Figure 6: average response time (ms) vs `max_strength` on the HP trace.
-pub fn fig6(scale: f64) -> Vec<(f64, f64)> {
-    let trace = trace_for(TraceFamily::Hp, scale);
-    let replay_cfg = ReplayConfig::for_family(TraceFamily::Hp);
-    (0..=10)
-        .map(|i| {
-            let thr = i as f64 / 10.0;
-            let cfg = FarmerConfig::for_family(TraceFamily::Hp).with_max_strength(thr);
-            let report = replay(&trace, Box::new(FpaPredictor::new(cfg)), replay_cfg);
-            (thr, report.avg_response_ms())
-        })
-        .collect()
-}
-
 // ----------------------------------------------------------------- Ablations
 
 /// §7 reduction check: with p = 0 and no threshold, FPA's successor
@@ -254,42 +136,6 @@ pub fn reduction_p0_matches_nexus(scale: f64) -> f64 {
     } else {
         agree as f64 / total as f64
     }
-}
-
-/// DPA-vs-IPA ablation: hit ratios of the two path algorithms on HP.
-pub fn ablation_dpa_vs_ipa(scale: f64) -> (f64, f64) {
-    let trace = trace_for(TraceFamily::Hp, scale);
-    let cfg = SimConfig::for_family(TraceFamily::Hp);
-    let dpa = simulate(
-        &trace,
-        &mut FpaPredictor::new(
-            FarmerConfig::for_family(TraceFamily::Hp).with_path_mode(PathMode::Dpa),
-        ),
-        cfg,
-    );
-    let ipa = simulate(
-        &trace,
-        &mut FpaPredictor::new(
-            FarmerConfig::for_family(TraceFamily::Hp).with_path_mode(PathMode::Ipa),
-        ),
-        cfg,
-    );
-    (dpa.hit_ratio(), ipa.hit_ratio())
-}
-
-/// Window-size ablation on HP: `(window, hit_ratio)` rows.
-pub fn ablation_window(scale: f64, windows: &[usize]) -> Vec<(usize, f64)> {
-    let trace = trace_for(TraceFamily::Hp, scale);
-    let sim_cfg = SimConfig::for_family(TraceFamily::Hp);
-    windows
-        .iter()
-        .map(|&w| {
-            let mut cfg = FarmerConfig::for_family(TraceFamily::Hp);
-            cfg.window = w;
-            let report = simulate(&trace, &mut FpaPredictor::new(cfg), sim_cfg);
-            (w, report.hit_ratio())
-        })
-        .collect()
 }
 
 /// §4.2 layout experiment: seeks and total I/O time for scattered vs
@@ -388,11 +234,11 @@ mod tests {
     /// The grid at 0.2, run once for the two tests that read it.
     fn grid() -> &'static [Cell] {
         static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
-        CELLS.get_or_init(|| paper_cells(0.2))
+        CELLS.get_or_init(|| paper_cells(0.2, true, &[]))
     }
 
     fn cell<'a>(cells: &'a [Cell], family: TraceFamily, predictor: &str) -> &'a Cell {
-        paper_cell(cells, family, predictor).expect("paper grid cell")
+        paper_cell(cells, (family.name(), "self", predictor)).expect("paper grid cell")
     }
 
     #[test]
@@ -413,7 +259,7 @@ mod tests {
 
     #[test]
     fn table4_ordering_follows_trace_scale() {
-        let cells = paper_cells(S);
+        let cells = paper_cells(S, true, &[]);
         let get = |f| cell(&cells, f, "FARMER").memory_bytes;
         assert!(get(TraceFamily::Llnl) > get(TraceFamily::Ins));
         assert!(get(TraceFamily::Hp) > get(TraceFamily::Ins));

@@ -1,18 +1,16 @@
 //! # farmer-bench — the experiment harness
 //!
-//! The paper's sweeps and worked examples are functions in
-//! [`experiments`]; the `repro` binary prints them all, or one with
-//! `--only <name>`, next to the paper's reference values ([`paper`]). One
-//! of them is the paper's named future work (§7), the attribute
-//! regression in [`regression`]. The evaluation reference-model matrix
-//! ([`evalmatrix`], checked against the recorded `BENCH_eval.json` by
-//! [`refmodel`]) serves its online and failure cells through the one
-//! [`lockstep`] driver, and holds the paper's comparison grid
-//! ([`evalmatrix::paper_cells`]: LRU, Nexus and FARMER on the four trace
-//! presets) that `repro`'s Figure 7, Table 3, Figure 8 and Table 4 print
-//! from and [`refmodel::paper_shapes`] judges. Those are the crate's two
-//! binaries, `repro` and `eval_matrix`; speed is measured by one harness
-//! elsewhere (`benchmark/`'s `farmer_pipeline`), not here.
+//! The evaluation reference-model matrix ([`evalmatrix`], checked against
+//! the recorded `BENCH_eval.json` by [`refmodel`]) serves its online and
+//! failure cells through the one [`lockstep`] driver, and holds the
+//! paper's cells ([`evalmatrix::paper_cells`]: the comparison grid and the
+//! parameter study's sweeps) that [`refmodel::paper_shapes`] judges. The
+//! `repro` binary prints them, and the rows that are not configuration
+//! sweeps ([`experiments`]; the §7 attribute regression is in
+//! [`regression`]), next to the paper's reference values ([`paper`]): all
+//! sections, or one with `--only <name>`. `eval_matrix` is the crate's
+//! other binary; speed is measured by one harness elsewhere
+//! (`benchmark/`'s `farmer_pipeline`), not here.
 //!
 //! Both binaries parse their command line through [`format::BenchArgs`]:
 //! an optional positional **scale factor** applied to the trace event

@@ -30,8 +30,10 @@ pub const FIG8_VS_LRU_MAX: f64 = 0.35;
 /// §5.2.1 — the weight sweep's winner: p = 0.7.
 pub const FIG3_BEST_P: f64 = 0.7;
 
-/// §5.2.3 — response time is stable below `max_strength ≈ 0.4` and
-/// degrades above it.
+/// §5.2.3 — the paper's claim: response time is stable below
+/// `max_strength ≈ 0.4` and degrades above it. The measured curve does not
+/// have that shape (it falls steeply up to 0.4 and is lowest at 0.5–0.6),
+/// so `repro` prints its minimum beside the claim.
 pub const FIG6_KNEE: f64 = 0.4;
 
 /// Table 2 — the DPA/IPA worked example (paths from Table 1).

@@ -16,16 +16,17 @@
 //! `git diff` of the record, commit. The `was → is` lines of the failing
 //! check are that diff, field by field.
 //!
-//! The paper's comparison grid ([`crate::evalmatrix::paper_cells`]) is
-//! recorded and pinned like every other cell. The pins catch regressions;
-//! the meaning is carried by the orderings the paper states over that
-//! grid, and [`check`] fails on an inversion of any of them
-//! ([`paper_shapes`]).
+//! The paper's cells ([`crate::evalmatrix::paper_cells`]: the comparison
+//! grid and the parameter study's sweeps) are recorded and pinned like
+//! every other cell. The pins catch regressions; the meaning is carried by
+//! the orderings the paper states over those cells, and [`check`] fails on
+//! an inversion of any of them ([`paper_shapes`]).
 
 use crate::evalmatrix::{paper_cell, Cell, PAPER_PREDICTORS};
 use crate::paper::FIG8_FAMILIES;
 use farmer_obs::Json;
 use farmer_trace::TraceFamily;
+use std::collections::HashSet;
 
 /// Version of the `BENCH_eval.json` record layout. Bump on any field
 /// addition, removal or rename so downstream tooling can dispatch. CI greps
@@ -69,8 +70,9 @@ impl Reference {
     }
 
     /// Read a record: malformed JSON, a record without its top-level
-    /// fields and a cell without its key are errors. A cell's other
-    /// fields are [`check`]'s business: a missing one is a violation.
+    /// fields, a cell without its key and two cells sharing a key are
+    /// errors. A cell's other fields are [`check`]'s business: a missing
+    /// one is a violation.
     pub fn parse(text: &str) -> Result<Reference, String> {
         let root = Json::parse(text).map_err(|e| e.to_string())?;
         let top = |k: &str| root.get(k).ok_or(format!("record has no `{k}`"));
@@ -79,8 +81,12 @@ impl Reference {
             .ok_or("`schema_version` is not an unsigned integer")?;
         let scale = top("scale")?.as_f64().ok_or("`scale` is not a number")?;
         let cells = top("cells")?.as_array().ok_or("`cells` is not an array")?;
-        if let Some(i) = cells.iter().position(|cell| key(cell).is_none()) {
-            return Err(format!("cell {i} lacks scenario/miner_mode/predictor"));
+        let mut seen = HashSet::new();
+        for (i, cell) in cells.iter().enumerate() {
+            let k = key(cell).ok_or(format!("cell {i} lacks scenario/miner_mode/predictor"))?;
+            if !seen.insert(k) {
+                return Err(format!("cell {i} repeats the key {}/{}/{}", k.0, k.1, k.2));
+            }
         }
         Ok(Reference {
             schema_version,
@@ -97,19 +103,25 @@ impl Reference {
 }
 
 /// Check every measured cell against the record (`check_cell`), name
-/// every recorded cell the run did not produce (so the record cannot
-/// silently rot as the matrix evolves), and add the paper's shape
-/// inversions ([`paper_shapes`]). Empty means the run is the record.
+/// every key two measured cells share (each would be compared with the
+/// one recorded cell) and every recorded cell the run did not produce (so
+/// the record cannot silently rot as the matrix evolves), and add the
+/// paper's shape inversions ([`paper_shapes`]). Empty means the run is
+/// the record.
 pub fn check(cells: &[Cell], reference: &Reference) -> Vec<String> {
     let mut violations: Vec<String> = cells
         .iter()
         .flat_map(|c| check_cell(c, reference))
         .collect();
-    for (scenario, mode, predictor) in reference.keys() {
-        if !cells
-            .iter()
-            .any(|c| (c.scenario, c.mode, c.predictor) == (scenario, mode, predictor))
-        {
+    let mut measured = HashSet::new();
+    for c in cells {
+        if !measured.insert((c.scenario, c.mode.as_str(), c.predictor)) {
+            let (s, m, p) = (c.scenario, &c.mode, c.predictor);
+            violations.push(format!("{s}/{m}/{p}: two measured cells share this key"));
+        }
+    }
+    for k @ (scenario, mode, predictor) in reference.keys() {
+        if !measured.contains(&k) {
             violations.push(format!(
                 "{scenario}/{mode}/{predictor}: reference cell no run produced (stale record, or the matrix lost a cell)"
             ));
@@ -126,7 +138,7 @@ pub fn check(cells: &[Cell], reference: &Reference) -> Vec<String> {
 /// fields are skipped.
 pub(crate) fn check_cell(cell: &Cell, reference: &Reference) -> Vec<String> {
     let name = format!("{}/{}/{}", cell.scenario, cell.mode, cell.predictor);
-    let measured_key = Some((cell.scenario, cell.mode, cell.predictor));
+    let measured_key = Some((cell.scenario, cell.mode.as_str(), cell.predictor));
     let Some(recorded) = reference.cells.iter().find(|r| key(r) == measured_key) else {
         return vec![format!(
             "{name}: no reference cell in BENCH_eval.json (regenerate it: eval_matrix > BENCH_eval.json)"
@@ -146,8 +158,8 @@ pub(crate) fn check_cell(cell: &Cell, reference: &Reference) -> Vec<String> {
         .collect()
 }
 
-/// The orderings the paper states over its comparison grid, one message
-/// per inversion, each led by its rule:
+/// The orderings the paper states over its cells, one message per
+/// inversion, each led by its rule:
 ///
 /// * `Fig. 7:` FARMER's hit ratio beats Nexus's and LRU's on every trace;
 /// * `Fig. 7 gap:` the FARMER−Nexus hit-ratio gap on HP exceeds INS's and
@@ -156,24 +168,54 @@ pub(crate) fn check_cell(cell: &Cell, reference: &Reference) -> Vec<String> {
 /// * `Fig. 8:` FARMER's mean response is the lowest on LLNL, RES and HP;
 /// * `Table 4:` LLNL's, HP's and RES's FARMER models each outgrow INS's;
 /// * `Nexus vs LRU:` Nexus's hit ratio is no lower than LRU's on every
-///   trace, and its Figure 8 response no higher.
+///   trace, and its Figure 8 response no higher;
 ///
-/// Only a complete grid (all of [`PAPER_PREDICTORS`] on every
-/// [`TraceFamily`]) is judged: a missing cell is already a
-/// [`check`] violation of its own.
+/// and over HP's sweep cells, against the default: `Fig. 3:` p = 0.7
+/// beats p = 0 and p = 1 on hit ratio at `max_strength` 0.4; `Fig. 6:` the
+/// response at `max_strength` 1.0 exceeds 1.1 × the default's; `Table 5:`
+/// the full combination's hit ratio is ≥ `{Process}`'s − 0.01; `IPA vs
+/// DPA:` IPA's hit ratio is ≥ DPA's. A rule is judged only when all its
+/// cells are there: a missing cell is already a [`check`] violation.
 pub fn paper_shapes(cells: &[Cell]) -> Vec<String> {
-    let row = |family| match PAPER_PREDICTORS.map(|p| paper_cell(cells, family, p)) {
-        [Some(lru), Some(nexus), Some(farmer)] => Some((family, [lru, nexus, farmer])),
-        _ => None,
-    };
-    let [Some(llnl), Some(ins), Some(res), Some(hp)] = TraceFamily::ALL.map(row) else {
-        return Vec::new();
-    };
     let mut found = Vec::new();
     let mut require = |holds: bool, inversion: String| {
         if !holds {
             found.push(inversion);
         }
+    };
+    // HP's sweep cells, each against the default configuration.
+    let of_hp = |mode| paper_cell(cells, ("HP", mode, "FARMER"));
+    let with_default = |mode| of_hp("self").zip(of_hp(mode));
+    if let (Some((d, p0)), Some((_, p1))) = (with_default("p=0"), with_default("p=1")) {
+        let [d, h0, h1] = [d, p0, p1].map(|c| c.hit_ratio);
+        let fig3 =
+            format!("Fig. 3: HP: p=0.7 hit ratio {d:.4} does not beat p=0 {h0:.4} and p=1 {h1:.4}");
+        require(d > h0 && d > h1, fig3);
+    }
+    if let Some((d, at_one)) = with_default("ms=1") {
+        let (r, d) = (at_one.avg_response_ms, d.avg_response_ms);
+        let fig6 = format!("Fig. 6: HP response {r:.3} ms at max_strength 1.0 is not above 1.1 x the default's {d:.3}");
+        require(r > 1.1 * d, fig6);
+    }
+    if let Some((d, process)) = with_default("combo={Process}") {
+        let (full, p) = (d.hit_ratio, process.hit_ratio);
+        let table5 = format!(
+            "Table 5: HP full combination hit ratio {full:.4} is below {{Process}}'s {p:.4} - 0.01"
+        );
+        require(full >= p - 0.01, table5);
+    }
+    if let Some((ipa, dpa)) = with_default("path=DPA") {
+        let (ipa, dpa) = (ipa.hit_ratio, dpa.hit_ratio);
+        let paths = format!("IPA vs DPA: HP IPA hit ratio {ipa:.4} is below DPA's {dpa:.4}");
+        require(ipa >= dpa, paths);
+    }
+    let row = |family: TraceFamily| {
+        let key = |p| (family.name(), "self", p);
+        let [lru, nexus, farmer] = PAPER_PREDICTORS.map(|p| paper_cell(cells, key(p)));
+        Some((family, [lru?, nexus?, farmer?]))
+    };
+    let [Some(llnl), Some(ins), Some(res), Some(hp)] = TraceFamily::ALL.map(row) else {
+        return found;
     };
     for (family, row) in [llnl, ins, res, hp] {
         let name = family.name();
@@ -232,7 +274,7 @@ mod tests {
     fn sample_cell() -> Cell {
         Cell {
             scenario: "base",
-            mode: "batch",
+            mode: "batch".into(),
             predictor: "FARMER",
             hit_ratio: 0.6,
             prefetch_accuracy: 0.5,
@@ -247,7 +289,7 @@ mod tests {
     fn failure_cell() -> Cell {
         let mut c = sample_cell();
         c.scenario = "failure";
-        c.mode = "kill50";
+        c.mode = "kill50".into();
         c.recoveries = 1;
         c.recovery_events = 1000;
         c.recovered_events = 1000;
@@ -342,7 +384,7 @@ mod tests {
         // A measured cell the record lacks and a recorded cell the run
         // lacks are each named.
         let mut surplus = sample_cell();
-        surplus.mode = "sharded9";
+        surplus.mode = "sharded9".into();
         let found = check(&[sample_cell(), surplus], &reference);
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found[0].starts_with("base/sharded9/FARMER: no reference cell"));
@@ -364,8 +406,9 @@ mod tests {
         );
     }
 
-    /// A paper grid every shape rule accepts: per trace, hit ratio and
-    /// mean response of (LRU, Nexus, FARMER), and FARMER's model bytes.
+    /// The paper's cells as every shape rule accepts them: per trace, hit
+    /// ratio and mean response of (LRU, Nexus, FARMER), and FARMER's model
+    /// bytes; then the HP sweep cells the sweep rules read.
     fn paper_grid() -> Vec<Cell> {
         use TraceFamily::*;
         let mut cells = Vec::new();
@@ -378,7 +421,7 @@ mod tests {
             for (i, predictor) in PAPER_PREDICTORS.into_iter().enumerate() {
                 cells.push(Cell {
                     scenario: family.name(),
-                    mode: "self",
+                    mode: "self".into(),
                     predictor,
                     hit_ratio: hit[i],
                     prefetch_accuracy: [0.0, 0.30, 0.45][i],
@@ -388,15 +431,38 @@ mod tests {
                 });
             }
         }
+        for (mode, hit, response) in [
+            ("p=0", 0.50, 1.00),
+            ("p=1", 0.73, 0.65),
+            ("ms=1", 0.50, 1.25),
+            ("combo={Process}", 0.755, 0.60),
+            ("path=DPA", 0.74, 0.62),
+        ] {
+            cells.push(Cell {
+                scenario: "HP",
+                mode: mode.into(),
+                predictor: "FARMER",
+                hit_ratio: hit,
+                avg_response_ms: response,
+                ..Cell::default()
+            });
+        }
         cells
     }
 
-    /// [`paper_grid`] with one of its cells edited.
-    fn doctored(family: TraceFamily, predictor: &str, edit: fn(&mut Cell)) -> Vec<Cell> {
+    /// [`paper_grid`] with the cell of `(family, mode, predictor)` edited.
+    fn doctored(
+        family: TraceFamily,
+        mode: &str,
+        predictor: &str,
+        edit: fn(&mut Cell),
+    ) -> Vec<Cell> {
         let mut cells = paper_grid();
         let c = cells
             .iter_mut()
-            .find(|c| c.scenario == family.name() && c.predictor == predictor)
+            .find(|c| {
+                (c.scenario, c.mode.as_str(), c.predictor) == (family.name(), mode, predictor)
+            })
             .expect("grid cell");
         edit(c);
         cells
@@ -404,13 +470,18 @@ mod tests {
 
     #[test]
     fn paper_shapes_accept_the_paper_grid() {
+        use TraceFamily::*;
         assert_eq!(paper_shapes(&paper_grid()), Vec::<String>::new());
         // INS is not among Figure 8's traces: its response is not judged.
-        let slow_ins = doctored(TraceFamily::Ins, "FARMER", |c| c.avg_response_ms = 5.0);
+        let slow_ins = doctored(Ins, "self", "FARMER", |c| c.avg_response_ms = 5.0);
         assert_eq!(paper_shapes(&slow_ins), Vec::<String>::new());
         // An incomplete grid is not judged; `check` names the missing cell.
-        let mut partial = doctored(TraceFamily::Hp, "FARMER", |c| c.hit_ratio = 0.0);
+        let mut partial = doctored(Hp, "self", "Nexus", |c| c.hit_ratio = 0.99);
         partial.retain(|c| !(c.scenario == "LLNL" && c.predictor == "LRU"));
+        assert_eq!(paper_shapes(&partial), Vec::<String>::new());
+        // Nor is a sweep rule whose cell is missing.
+        let mut partial = doctored(Hp, "p=0", "FARMER", |c| c.hit_ratio = 0.99);
+        partial.retain(|c| c.mode != "p=1");
         assert_eq!(paper_shapes(&partial), Vec::<String>::new());
     }
 
@@ -419,34 +490,50 @@ mod tests {
     #[test]
     fn each_paper_shape_fails_on_its_inversion() {
         use TraceFamily::*;
-        let cases: [(Vec<Cell>, &str); 7] = [
+        let cases: [(Vec<Cell>, &str); 11] = [
             (
-                doctored(Llnl, "FARMER", |c| c.hit_ratio = 0.50),
+                doctored(Llnl, "self", "FARMER", |c| c.hit_ratio = 0.50),
                 "Fig. 7: LLNL: FARMER hit ratio 0.5000 does not beat Nexus 0.5300 and LRU 0.4400",
             ),
             (
-                doctored(Res, "FARMER", |c| c.hit_ratio = 0.45),
+                doctored(Res, "self", "FARMER", |c| c.hit_ratio = 0.45),
                 "Fig. 7 gap: RES's FARMER-Nexus gap 0.2000 is not below HP's 0.1700",
             ),
             (
-                doctored(Hp, "FARMER", |c| c.prefetch_accuracy = 0.35),
+                doctored(Hp, "self", "FARMER", |c| c.prefetch_accuracy = 0.35),
                 "Table 3: HP FARMER accuracy 0.3500 is not above 1.2 x Nexus's 0.3000",
             ),
             (
-                doctored(Hp, "FARMER", |c| c.avg_response_ms = 1.1),
+                doctored(Hp, "self", "FARMER", |c| c.avg_response_ms = 1.1),
                 "Fig. 8: HP: FARMER response 1.100 ms is not below Nexus 1.000 and LRU 1.200",
             ),
             (
-                doctored(Res, "FARMER", |c| c.memory_bytes = 1_000_000),
+                doctored(Res, "self", "FARMER", |c| c.memory_bytes = 1_000_000),
                 "Table 4: RES's FARMER model 1000000 B is not above INS's 1000000 B",
             ),
             (
-                doctored(Llnl, "Nexus", |c| c.hit_ratio = 0.40),
+                doctored(Llnl, "self", "Nexus", |c| c.hit_ratio = 0.40),
                 "Nexus vs LRU: LLNL: Nexus hit ratio 0.4000 is below LRU's 0.4400",
             ),
             (
-                doctored(Res, "Nexus", |c| c.avg_response_ms = 1.7),
+                doctored(Res, "self", "Nexus", |c| c.avg_response_ms = 1.7),
                 "Nexus vs LRU: RES: Nexus response 1.700 ms is above LRU's 1.600",
+            ),
+            (
+                doctored(Hp, "p=1", "FARMER", |c| c.hit_ratio = 0.76),
+                "Fig. 3: HP: p=0.7 hit ratio 0.7500 does not beat p=0 0.5000 and p=1 0.7600",
+            ),
+            (
+                doctored(Hp, "ms=1", "FARMER", |c| c.avg_response_ms = 0.65),
+                "Fig. 6: HP response 0.650 ms at max_strength 1.0 is not above 1.1 x the default's 0.600",
+            ),
+            (
+                doctored(Hp, "combo={Process}", "FARMER", |c| c.hit_ratio = 0.77),
+                "Table 5: HP full combination hit ratio 0.7500 is below {Process}'s 0.7700 - 0.01",
+            ),
+            (
+                doctored(Hp, "path=DPA", "FARMER", |c| c.hit_ratio = 0.76),
+                "IPA vs DPA: HP IPA hit ratio 0.7500 is below DPA's 0.7600",
             ),
         ];
         for (cells, expected) in cases {
@@ -456,6 +543,27 @@ mod tests {
             let found = check(&cells, &reference_of(&cells));
             assert_eq!(found, [expected]);
         }
+    }
+
+    /// Two measured cells with one key would both be compared with the
+    /// one recorded cell: `check` names the key instead.
+    #[test]
+    fn check_names_a_key_two_measured_cells_share() {
+        let reference = reference_of(&[sample_cell()]);
+        assert_eq!(
+            check(&[sample_cell(), sample_cell()], &reference),
+            ["base/batch/FARMER: two measured cells share this key"]
+        );
+    }
+
+    /// A record that holds a key twice cannot say which cell a run is
+    /// compared with: it does not parse.
+    #[test]
+    fn a_record_holding_a_key_twice_is_refused() {
+        let cell = sample_cell().to_json().render();
+        let text = format!(r#"{{"schema_version": 6, "scale": 1, "cells": [{cell}, {cell}]}}"#);
+        let err = Reference::parse(&text).expect_err("a repeated key");
+        assert_eq!(err, "cell 1 repeats the key base/batch/FARMER");
     }
 
     /// Hostile record input: every 97th-byte prefix of the checked-in

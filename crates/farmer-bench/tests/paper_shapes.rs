@@ -2,22 +2,19 @@
 //!
 //! These pin the *shapes* the reproduction must preserve (who wins, where,
 //! and in what order), at a reduced-but-meaningful trace scale. All inputs
-//! are seeded, so these tests are deterministic. Figure 7, Table 3,
-//! Figure 8 and Table 4 are the reference model's paper grid
-//! ([`paper_cells`]), judged by the same [`paper_shapes`] rules
-//! `eval_matrix --check` applies at full scale. Figure 3, Figure 6 and
-//! the single-attribute reduction read the grid's HP FARMER cell for the
-//! default point and simulate only the other points they assert on.
+//! are seeded, so these tests are deterministic. Every rule is judged over
+//! the reference model's paper cells ([`paper_cells`]) by the same
+//! [`paper_shapes`] rules `eval_matrix --check` applies at full scale:
+//! the comparison grid, and of the sweeps only the HP cells the sweep
+//! rules read.
 
 use std::process::Command;
 use std::sync::OnceLock;
 
-use farmer_bench::evalmatrix::{paper_cell, paper_cells, Cell, PAPER_PREDICTORS};
+use farmer_bench::evalmatrix::{paper_cells, Cell, PAPER_PREDICTORS};
 use farmer_bench::experiments as ex;
 use farmer_bench::refmodel::paper_shapes;
-use farmer_core::{AttrCombo, AttrKind, FarmerConfig};
-use farmer_mds::{replay, ReplayConfig};
-use farmer_prefetch::{simulate, FpaPredictor, SimConfig};
+use farmer_core::{AttrCombo, AttrKind, FarmerConfig, PathMode};
 use farmer_trace::stats::StreamFilter;
 use farmer_trace::TraceFamily;
 
@@ -26,31 +23,59 @@ const SCALE: f64 = 0.35;
 /// The paper grid, simulated once for every test that reads it.
 fn grid() -> &'static [Cell] {
     static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
-    CELLS.get_or_init(|| paper_cells(SCALE))
+    CELLS.get_or_init(|| paper_cells(SCALE, true, &[]))
 }
 
-/// The inversions of the shape rule whose messages start with `rule`.
-fn inversions(rule: &str) -> Vec<String> {
+/// The HP sweep cells the sweep rules read besides the default (the
+/// grid's), simulated once.
+fn sweep() -> &'static [Cell] {
+    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let hp = || FarmerConfig::for_family(TraceFamily::Hp);
+        let process = AttrCombo::EMPTY.with(AttrKind::Process);
+        let configs = [
+            hp().with_p(0.0),
+            hp().with_p(1.0),
+            hp().with_max_strength(1.0),
+            hp().with_combo(process),
+            hp().with_path_mode(PathMode::Dpa),
+        ];
+        paper_cells(SCALE, false, &configs.map(|c| (TraceFamily::Hp, c)))
+    })
+}
+
+/// The grid and the sweep's cells. `sweep_first` runs (or waits for) the
+/// sweep before the grid: the first sweep test runs the grid, and the
+/// next one, on the other test thread, runs the sweep meanwhile.
+fn with_sweep(sweep_first: bool) -> Vec<Cell> {
+    let cells = if sweep_first {
+        [sweep(), grid()].concat()
+    } else {
+        [grid(), sweep()].concat()
+    };
+    // Every cell a sweep rule reads is there: no rule passes for want of one.
+    let modes: Vec<&str> = sweep().iter().map(|c| c.mode.as_str()).collect();
+    assert_eq!(modes, ["p=0", "p=1", "ms=1", "combo={Process}", "path=DPA"]);
+    cells
+}
+
+/// The inversions over `cells` of the shape rule whose messages start with
+/// `rule`.
+fn inversions(rule: &str, cells: &[Cell]) -> Vec<String> {
     assert_eq!(
         grid().len(),
         TraceFamily::ALL.len() * PAPER_PREDICTORS.len()
     );
-    paper_shapes(grid())
+    paper_shapes(cells)
         .into_iter()
         .filter(|v| v.starts_with(rule))
         .collect()
 }
 
-/// The grid's HP FARMER cell: the paper-default configuration's point of
-/// every HP sweep.
-fn hp_default() -> &'static Cell {
-    paper_cell(grid(), TraceFamily::Hp, "FARMER").expect("HP FARMER cell")
-}
-
 /// Figure 7 / §5.3: FPA achieves the highest hit ratio on every trace.
 #[test]
 fn fig7_fpa_has_highest_hit_ratio_everywhere() {
-    let found = inversions("Fig. 7:");
+    let found = inversions("Fig. 7:", grid());
     assert!(found.is_empty(), "{found:#?}");
 }
 
@@ -59,7 +84,7 @@ fn fig7_fpa_has_highest_hit_ratio_everywhere() {
 /// "best among all traces" sentence compares HP with INS and RES).
 #[test]
 fn fig7_hp_improvement_is_largest() {
-    let found = inversions("Fig. 7 gap:");
+    let found = inversions("Fig. 7 gap:", grid());
     assert!(found.is_empty(), "{found:#?}");
 }
 
@@ -67,7 +92,7 @@ fn fig7_hp_improvement_is_largest() {
 /// (paper: 64% vs 43%).
 #[test]
 fn table3_fpa_accuracy_beats_nexus() {
-    let found = inversions("Table 3:");
+    let found = inversions("Table 3:", grid());
     assert!(found.is_empty(), "{found:#?}");
 }
 
@@ -75,23 +100,14 @@ fn table3_fpa_accuracy_beats_nexus() {
 /// (p = 0, the Nexus reduction) and pure-semantics (p = 1) on HP.
 #[test]
 fn fig3_mixed_weight_wins_on_hp() {
-    let trace = ex::trace_for(TraceFamily::Hp, SCALE);
-    let cfg = SimConfig::for_family(TraceFamily::Hp);
-    let hit_for = |p: f64| {
-        let fc = FarmerConfig::default().with_p(p);
-        simulate(&trace, &mut FpaPredictor::new(fc), cfg).hit_ratio()
-    };
-    let h0 = hit_for(0.0);
-    let h07 = hp_default().hit_ratio;
-    let h1 = hit_for(1.0);
-    assert!(h07 > h0, "p=0.7 ({h07:.3}) must beat p=0 ({h0:.3})");
-    assert!(h07 > h1, "p=0.7 ({h07:.3}) must beat p=1 ({h1:.3})");
+    let found = inversions("Fig. 3:", &with_sweep(false));
+    assert!(found.is_empty(), "{found:#?}");
 }
 
 /// Figure 8: FPA gives the lowest average response time on LLNL, RES, HP.
 #[test]
 fn fig8_fpa_lowest_response_time() {
-    let found = inversions("Fig. 8:");
+    let found = inversions("Fig. 8:", grid());
     assert!(found.is_empty(), "{found:#?}");
 }
 
@@ -99,7 +115,7 @@ fn fig8_fpa_lowest_response_time() {
 /// plain LRU — on hit ratio everywhere, on response where Figure 8 plots.
 #[test]
 fn nexus_no_worse_than_lru() {
-    let found = inversions("Nexus vs LRU:");
+    let found = inversions("Nexus vs LRU:", grid());
     assert!(found.is_empty(), "{found:#?}");
 }
 
@@ -107,15 +123,8 @@ fn nexus_no_worse_than_lru() {
 /// correlations away) degrades response time relative to the 0.4 default.
 #[test]
 fn fig6_overfiltering_hurts() {
-    let trace = ex::trace_for(TraceFamily::Hp, SCALE);
-    let cfg = ReplayConfig::for_family(TraceFamily::Hp);
-    let fc = FarmerConfig::default().with_max_strength(1.0);
-    let at_one = replay(&trace, Box::new(FpaPredictor::new(fc)), cfg).avg_response_ms();
-    let at_default = hp_default().avg_response_ms;
-    assert!(
-        at_one > at_default * 1.1,
-        "threshold 1.0 ({at_one:.3}ms) must clearly exceed 0.4 ({at_default:.3}ms)"
-    );
+    let found = inversions("Fig. 6:", &with_sweep(true));
+    assert!(found.is_empty(), "{found:#?}");
 }
 
 /// Figure 1 / §2.2: the unfiltered stream has the lowest successor
@@ -137,7 +146,7 @@ fn fig1_no_attribute_is_least_predictable() {
 /// paper's space-overhead table exhibits.
 #[test]
 fn table4_footprint_ordering() {
-    let found = inversions("Table 4:");
+    let found = inversions("Table 4:", grid());
     assert!(found.is_empty(), "{found:#?}");
 }
 
@@ -146,20 +155,16 @@ fn table4_footprint_ordering() {
 /// combination is at least as good.
 #[test]
 fn reduction_single_attribute_is_weaker() {
-    let trace = ex::trace_for(TraceFamily::Hp, SCALE);
-    let cfg = SimConfig::for_family(TraceFamily::Hp);
-    let process_only = AttrCombo::EMPTY.with(AttrKind::Process);
-    let restricted = simulate(
-        &trace,
-        &mut FpaPredictor::new(FarmerConfig::default().with_combo(process_only)),
-        cfg,
-    )
-    .hit_ratio();
-    let full = hp_default().hit_ratio;
-    assert!(
-        full >= restricted - 0.01,
-        "full combo {full:.3} should not lose to process-only {restricted:.3}"
-    );
+    let found = inversions("Table 5:", &with_sweep(true));
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// §3.2.1: the paper selects IPA because DPA's per-component items drown
+/// the other attributes; on HP, IPA's hit ratio is at least DPA's.
+#[test]
+fn ipa_no_worse_than_dpa() {
+    let found = inversions("IPA vs DPA:", &with_sweep(true));
+    assert!(found.is_empty(), "{found:#?}");
 }
 
 /// `repro` checks nothing: `--check` and `--obs` stop it with exit 2 and
