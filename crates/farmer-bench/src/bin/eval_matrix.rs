@@ -46,7 +46,8 @@ use farmer_trace::Op;
 /// in the record as the top-level `obs` object: the `base` scenario at a
 /// small fixed scale through the lockstep driver, so the dump shows
 /// every registry scope the pipeline exports (`stream.*`, `online.*`,
-/// `sim.cache.*`, `cache.*`, `store.*`, `mds.*`). Quality counters in the
+/// `fpa.*` for the one follower both legs consume, `sim.cache.*`,
+/// `cache.*`, `store.*`, `mds.*`). Quality counters in the
 /// dump are deterministic; `*_ns` histograms are wall-clock and machine-
 /// dependent, like `events_per_sec`.
 fn obs_demo() -> farmer_obs::ObsReport {

@@ -48,11 +48,12 @@
 //! * **Online serving modes** (`online8`, `online64`, driven by
 //!   [`crate::lockstep::Lockstep`]): one live [`ShardedMiner`] is fed the
 //!   stream in lockstep with both serving legs and a fresh
-//!   [`StreamSnapshot`] is swapped into both predictors every
-//!   `len/8` (resp. `len/64`) events, so per-phase hit-ratio deltas
-//!   directly measure adaptation lag. `frozen` takes exactly one snapshot
-//!   at the end of the first reporting segment and serves it for the rest
-//!   of the run — the no-adaptation baseline the online modes are
+//!   [`StreamSnapshot`] is published to the one predictor both legs
+//!   consume every `len/8` (resp. `len/64`) events, so per-phase
+//!   hit-ratio deltas directly measure adaptation lag. `frozen` takes
+//!   exactly one snapshot at the end of the first reporting segment and
+//!   serves it for the rest of the run — the no-adaptation baseline the
+//!   online modes are
 //!   measured against ([`run_matrix_with`] asserts online beats frozen on the
 //!   drift scenario's post-shift segments, and stays within
 //!   [`ONLINE_CONVERGENCE_GAP`] of the batch oracle on the stationary
@@ -87,18 +88,17 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use farmer_core::{AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode};
-use farmer_mds::{replay, ReplayConfig};
+use farmer_mds::ReplayConfig;
 use farmer_obs::{Json, Registry};
 use farmer_prefetch::baselines::LruOnly;
 use farmer_prefetch::{
-    simulate, FpaPredictor, NexusPredictor, Predictor, ProbabilityGraph, SdGraph, SimConfig,
-    SimReport,
+    FpaPredictor, NexusPredictor, Predictor, ProbabilityGraph, SdGraph, SimConfig,
 };
 use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
 use farmer_trace::workload::{ChurnSpec, DriftSpec, MultiTenantSpec, ScanStormSpec};
 use farmer_trace::{Op, Trace, TraceFamily, WorkloadSpec};
 
-use crate::lockstep::{serve_online, MinerSide, OnlineConfig};
+use crate::lockstep::{serve_online, Lockstep, MinerSide, OnlineConfig, ServedRun};
 pub use crate::refmodel::SCHEMA_VERSION;
 
 /// The `eval_matrix --quick` scale factor: an unchecked fast run (the
@@ -231,9 +231,9 @@ pub struct Cell {
     /// 99th-percentile response time of the MDS replay (ms).
     pub response_p99_ms: f64,
     /// Events per second of the cell's drive loop: the mining pass for
-    /// whole-trace FARMER modes, the lockstep loop (mining + both serving
-    /// legs) for online and failure cells, the simulation demand loop for
-    /// self predictors. Machine-dependent — never compared with the record.
+    /// whole-trace FARMER modes, the lockstep loop (the predictor and both
+    /// serving legs, plus mining for online and failure cells) for every
+    /// other cell. Machine-dependent — never compared with the record.
     pub events_per_sec: f64,
     /// Peak resident bytes across miner and predictor state (state grows
     /// monotonically in every mode here, so end-of-run is the peak).
@@ -454,8 +454,13 @@ pub(crate) fn cell_configs(trace: &Trace) -> (SimConfig, ReplayConfig) {
     (sim, rep)
 }
 
-/// Run FPA over a whole-trace mining result through sim + replay: the
-/// snapshot is published once and both legs' predictors follow the cell.
+/// Serve `trace` from `predictor` through both legs ([`Lockstep::serve`]).
+fn serve(trace: &Trace, predictor: &mut dyn Predictor) -> ServedRun {
+    Lockstep::new(trace, cell_configs(trace), &Registry::disabled()).serve(predictor)
+}
+
+/// Run FPA over a whole-trace mining result: the snapshot is published
+/// once, and its one follower serves both legs.
 fn fpa_cell(
     scenario: &'static str,
     mode: &'static str,
@@ -464,13 +469,11 @@ fn fpa_cell(
     mine_rate: f64,
     miner_bytes: usize,
 ) -> Cell {
-    let (sim_cfg, rep_cfg) = cell_configs(trace);
     let cell = Arc::new(SnapshotCell::new());
     cell.install(Arc::new(mined));
-    let follower = || FpaPredictor::for_trace(trace).following(&cell);
-    let sim = simulate(trace, &mut follower(), sim_cfg);
-    let rep = replay(trace, Box::new(follower()), rep_cfg);
-    finish_cell(scenario, mode, "FARMER", sim, rep, mine_rate, miner_bytes)
+    let mut run = serve(trace, &mut FpaPredictor::for_trace(trace).following(&cell));
+    run.events_per_sec = mine_rate;
+    finish_cell(scenario, mode, "FARMER", run, miner_bytes)
 }
 
 /// Refresh interval (events) giving `refreshes` evenly spaced refresh
@@ -488,16 +491,7 @@ fn online_cell(
     online: &OnlineConfig,
 ) -> Cell {
     let (run, end) = serve_online(trace, online, cell_configs(trace), &Registry::disabled());
-    let mut cell = finish_cell(
-        scenario,
-        mode,
-        "FARMER",
-        run.sim,
-        run.replay,
-        run.events_per_sec,
-        end.state_bytes,
-    );
-    cell.refreshes = run.refreshes;
+    let mut cell = finish_cell(scenario, mode, "FARMER", run, end.state_bytes);
     cell.miner_evictions = end.evictions;
     cell
 }
@@ -515,8 +509,8 @@ fn self_predictor(name: &str, config: &FarmerConfig) -> Box<dyn Predictor> {
     }
 }
 
-/// Run a self-mining predictor through sim + replay, a fresh instance per
-/// leg so the replay does not serve a pre-trained model.
+/// Run a self-mining predictor: one instance mines the trace once as it
+/// serves both legs.
 fn self_cell(
     scenario: &'static str,
     mode: &str,
@@ -524,13 +518,8 @@ fn self_cell(
     trace: &Trace,
     config: &FarmerConfig,
 ) -> Cell {
-    let (sim_cfg, rep_cfg) = cell_configs(trace);
-    let mut p = self_predictor(predictor, config);
-    let start = Instant::now();
-    let sim = simulate(trace, p.as_mut(), sim_cfg);
-    let rate = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    let rep = replay(trace, self_predictor(predictor, config), rep_cfg);
-    finish_cell(scenario, mode, predictor, sim, rep, rate, 0)
+    let run = serve(trace, self_predictor(predictor, config).as_mut());
+    finish_cell(scenario, mode, predictor, run, 0)
 }
 
 /// The configurations a sweep section of `repro` ([`SWEEP_SECTIONS`])
@@ -653,11 +642,16 @@ fn finish_cell(
     scenario: &'static str,
     mode: &str,
     predictor: &'static str,
-    sim: SimReport,
-    rep: farmer_mds::ReplayReport,
-    events_per_sec: f64,
+    run: ServedRun,
     miner_bytes: usize,
 ) -> Cell {
+    let ServedRun {
+        sim,
+        replay: rep,
+        refreshes,
+        events_per_sec,
+        ..
+    } = run;
     let cell = Cell {
         scenario,
         mode: mode.to_string(),
@@ -670,15 +664,13 @@ fn finish_cell(
         response_p95_ms: rep.latency.percentile_us(0.95) as f64 / 1000.0,
         response_p99_ms: rep.latency.percentile_us(0.99) as f64 / 1000.0,
         events_per_sec,
-        memory_bytes: miner_bytes
-            .max(sim.predictor_memory)
-            .max(rep.predictor_memory),
+        memory_bytes: miner_bytes.max(sim.predictor_memory),
         phase_hit_ratios: sim.phases.iter().map(|p| p.hit_ratio()).collect(),
-        phase_response_ms: rep.phase_mean_ms.clone(),
-        phase_p50_ms: rep.phase_p50_ms.clone(),
-        phase_p95_ms: rep.phase_p95_ms.clone(),
-        phase_p99_ms: rep.phase_p99_ms.clone(),
-        refreshes: 0,
+        phase_response_ms: rep.phase_mean_ms,
+        phase_p50_ms: rep.phase_p50_ms,
+        phase_p95_ms: rep.phase_p95_ms,
+        phase_p99_ms: rep.phase_p99_ms,
+        refreshes,
         miner_evictions: 0,
         recoveries: 0,
         recovery_events: 0,
@@ -752,16 +744,7 @@ pub fn run_matrix_with(
                     cell_configs(&trace),
                     &Registry::disabled(),
                 );
-                let mut cell = finish_cell(
-                    scenario,
-                    mode,
-                    "FARMER",
-                    r.sim,
-                    r.replay,
-                    r.events_per_sec,
-                    r.miner_state_bytes,
-                );
-                cell.refreshes = r.refreshes;
+                let mut cell = finish_cell(scenario, mode, "FARMER", r.run, r.miner_state_bytes);
                 cell.recoveries = r.recoveries;
                 cell.recovery_events = r.recovery_events;
                 cell.recovered_events = r.recovered_events;

@@ -6,16 +6,15 @@
 //! ([`DurableMiner::crash`]: the unsynced WAL tail is dropped, as a power
 //! cut would drop it), optionally followed by a torn-write injection on
 //! the log file, then recovered ([`farmer_stream::recover`]) and the
-//! serving tier replaced (caches cleared, MDS restarted, new predictors
-//! following a fresh cell whose first publication is the recovered
-//! snapshot).
+//! serving tier replaced (caches cleared, MDS restarted, a new follower
+//! of a fresh cell whose first publication is the recovered snapshot).
 //!
 //! The cell is the matrix's online pipeline with a durable miner on the
 //! mining side: `DurableLeg` is the [`MinerSide`] the one lockstep
-//! driver ([`crate::lockstep`]) feeds — one miner, one WAL, both serving
-//! legs — and at every kill point it asserts the recovered mining state
-//! is **bitwise identical** to an uninterrupted oracle fed exactly the
-//! recovered operation prefix (the same invariant the `farmer-stream`
+//! driver ([`crate::lockstep`]) feeds — one miner, one WAL, one follower
+//! whose answers both serving legs consume — and at every kill point it
+//! asserts the recovered mining state is **bitwise identical** to an
+//! uninterrupted oracle fed exactly the recovered operation prefix (the same invariant the `farmer-stream`
 //! crash-point matrix test pins, here exercised through the full serving
 //! pipeline). A failure cell that recovers to an almost-right state
 //! panics instead of reporting.
@@ -42,16 +41,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use farmer_core::FarmerConfig;
-use farmer_mds::{ReplayConfig, ReplayReport};
+use farmer_mds::ReplayConfig;
 use farmer_obs::Registry;
-use farmer_prefetch::{SimConfig, SimReport};
+use farmer_prefetch::SimConfig;
 use farmer_stream::{
     recover_instrumented, snapshots_bitwise_equal, DurableConfig, DurableMiner, ShardedMiner,
     SnapshotCell, StreamConfig, StreamSnapshot,
 };
 use farmer_trace::{FileId, Op, Trace};
 
-use crate::lockstep::{Lockstep, MinerSide, OnlineConfig};
+use crate::lockstep::{Lockstep, MinerSide, OnlineConfig, ServedRun};
 
 /// The failure-mode axis of the `failure` scenario family, in emission
 /// order: one mid-stream kill, the same kill with a torn WAL tail,
@@ -143,12 +142,9 @@ pub fn inject_torn_tail(path: &Path, torn: TornTail) -> std::io::Result<()> {
 /// What one failure cell measured.
 #[derive(Debug)]
 pub struct FailureCellReport {
-    /// The cache-simulation leg's report (cumulative across restarts).
-    pub sim: SimReport,
-    /// The MDS-replay leg's report (cumulative across restarts).
-    pub replay: ReplayReport,
-    /// Periodic snapshot refreshes installed in both legs.
-    pub refreshes: u64,
+    /// The lockstep run: both legs' reports (cumulative across restarts),
+    /// its periodic refreshes and its rate, recoveries included.
+    pub run: ServedRun,
     /// Crash/recover cycles.
     pub recoveries: u64,
     /// Logged events re-processed (WAL suffix replay) across all
@@ -172,8 +168,6 @@ pub struct FailureCellReport {
     pub wal_bytes: u64,
     /// Resident miner bytes at end of stream.
     pub miner_state_bytes: usize,
-    /// Events per second of the lockstep loop, including recoveries.
-    pub events_per_sec: f64,
 }
 
 /// One mirrored logical operation, for oracle reconstruction.
@@ -443,9 +437,7 @@ pub fn run_failure_cell(
     };
 
     let report = FailureCellReport {
-        sim: run.sim,
-        replay: run.replay,
-        refreshes: run.refreshes,
+        run,
         recoveries: leg.recoveries,
         recovery_events: leg.recovery_events,
         recovered_events: leg.recovered_events,
@@ -454,7 +446,6 @@ pub fn run_failure_cell(
         hit_ratio_dip,
         wal_bytes,
         miner_state_bytes,
-        events_per_sec: run.events_per_sec,
     };
     drop(leg); // closes the log before its directory goes
     let _ = fs::remove_dir_all(&dir);
@@ -520,11 +511,11 @@ mod tests {
         assert_eq!(r.replay_fraction, 1.0);
         assert!(r.recovery_ms > 0.0);
         assert!(r.wal_bytes > 4096, "more than a header page was logged");
-        assert!(r.refreshes > 0);
-        assert_eq!(r.sim.phases.len(), 4);
-        assert_eq!(r.replay.phase_mean_ms.len(), 4);
-        assert!(r.sim.hit_ratio() > 0.0 && r.sim.hit_ratio() <= 1.0);
-        assert!(r.replay.avg_response_ms() > 0.0);
+        assert!(r.run.refreshes > 0);
+        assert_eq!(r.run.sim.phases.len(), 4);
+        assert_eq!(r.run.replay.phase_mean_ms.len(), 4);
+        assert!(r.run.sim.hit_ratio() > 0.0 && r.run.sim.hit_ratio() <= 1.0);
+        assert!(r.run.replay.avg_response_ms() > 0.0);
         assert!(r.hit_ratio_dip.abs() <= 1.0);
         assert!(r.miner_state_bytes > 0);
     }

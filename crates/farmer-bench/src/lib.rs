@@ -1,8 +1,9 @@
 //! # farmer-bench — the experiment harness
 //!
 //! The evaluation reference-model matrix ([`evalmatrix`], checked against
-//! the recorded `BENCH_eval.json` by [`refmodel`]) serves its online and
-//! failure cells through the one [`lockstep`] driver, and holds the
+//! the recorded `BENCH_eval.json` by [`refmodel`]) serves every cell
+//! through the one [`lockstep`] driver — one predictor, queried once per
+//! demand, whose answers both evaluation legs consume — and holds the
 //! paper's cells ([`evalmatrix::paper_cells`]: the comparison grid and the
 //! parameter study's sweeps) that [`refmodel::paper_shapes`] judges. The
 //! `repro` binary prints them, and the rows that are not configuration

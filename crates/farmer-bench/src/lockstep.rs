@@ -1,28 +1,32 @@
-//! The lockstep serving driver: one miner, both serving legs, one loop.
+//! The lockstep serving driver: one predictor, both serving legs, one loop.
 //!
-//! Every online and failure cell of the evaluation matrix serves the same
-//! event stream twice — through the cache simulation
-//! ([`farmer_prefetch::SimRun`], the hit-ratio axis) and through the MDS
-//! replay ([`farmer_mds::ReplayRun`], the response-time axis) — from
-//! snapshots of a miner that is fed that stream as it goes. [`Lockstep`]
-//! owns the per-event order once:
+//! Every cell of the evaluation matrix serves the same event stream twice
+//! — through the cache simulation ([`farmer_prefetch::SimRun`], the
+//! hit-ratio axis) and through the MDS replay ([`farmer_mds::ReplayRun`],
+//! the response-time axis). Neither leg owns a predictor: [`Lockstep`]
+//! queries one once per metadata demand and both legs consume that one
+//! candidate slice. Cells differ only in the predictor: a self-mining one
+//! or a follower of a cell filled before the run ([`Lockstep::serve`]), or
+//! the follower of a live miner's cell ([`Lockstep::drive`]), whose
+//! per-event order the driver owns once:
 //!
 //! 1. if the miner side crashed and recovered at this event
 //!    ([`MinerSide::recover_at`]), the serving tier is replaced — a fresh
-//!    cell, fresh followers, cold caches — and the recovered snapshot is
+//!    cell, a fresh follower, cold caches — and the recovered snapshot is
 //!    the replacement's first publication;
 //! 2. at every [`OnlineConfig::refresh_due`] boundary a consistent cut of
 //!    everything mined so far is published ([`MinerSide::cut`]);
 //! 3. the event is mined ([`MinerSide::mine`]) — once;
-//! 4. both legs serve it from the *last published* snapshot — state
-//!    strictly older than the event.
+//! 4. the follower answers the event from the *last published* snapshot —
+//!    state strictly older than the event — and both legs serve that
+//!    answer.
 //!
 //! Publication is the product's own: the driver owns the serving tier's
-//! [`SnapshotCell`], the miner side publishes into it, and both legs'
-//! predictors are built here as followers of that cell
+//! [`SnapshotCell`], the miner side publishes into it, and the one
+//! predictor is built here as a follower of that cell
 //! ([`FpaPredictor::following`]) — so the legs cannot disagree about what
-//! the miner knew, a self-mining predictor cannot be driven at all, and
-//! every publication sits under the cell's monotone-install assert.
+//! the miner knew, a self-mining predictor cannot be driven live at all,
+//! and every publication sits under the cell's monotone-install assert.
 //! Serving starts from the cell's empty epoch 0, so adaptation lag is
 //! measured from a cold model instead of being hidden by self-mining.
 //!
@@ -38,7 +42,7 @@ use std::time::Instant;
 
 use farmer_mds::{ReplayConfig, ReplayReport, ReplayRun};
 use farmer_obs::{Counter, Histogram, Registry};
-use farmer_prefetch::{FpaPredictor, SimConfig, SimReport, SimRun};
+use farmer_prefetch::{FpaPredictor, Predictor, SimConfig, SimReport, SimRun};
 use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
 use farmer_trace::{Op, Trace};
 
@@ -50,9 +54,9 @@ pub struct OnlineConfig {
     pub stream: StreamConfig,
     /// Events between snapshot refreshes: at every multiple of this event
     /// index a consistent [`StreamSnapshot`] is taken and published into
-    /// the cell both predictors follow. Must be positive.
+    /// the cell the predictor follows. Must be positive.
     pub refresh_interval: usize,
-    /// Stop refreshing after this event index: the predictors keep
+    /// Stop refreshing after this event index: the predictor keeps
     /// serving the last snapshot taken at or before it — frozen-snapshot
     /// serving, the baseline online adaptation is measured against.
     /// `None` never freezes.
@@ -69,7 +73,7 @@ impl OnlineConfig {
         }
     }
 
-    /// One refresh at event `at`, frozen afterwards: the predictors serve
+    /// One refresh at event `at`, frozen afterwards: the predictor serves
     /// the `[0, at)` snapshot for the rest of the run.
     pub fn frozen_at(stream: StreamConfig, at: usize) -> Self {
         OnlineConfig {
@@ -132,19 +136,18 @@ pub struct ServedRun {
     /// The simulation leg's outcome per event: `Some(hit)` for a
     /// metadata demand, `None` otherwise.
     pub hits: Vec<Option<bool>>,
-    /// Events per second of the lockstep loop — mining, refreshes,
-    /// recoveries and both serving legs. Machine-dependent.
+    /// Events per second of the lockstep loop — the predictor, both
+    /// serving legs and any mining, refreshes and recoveries.
+    /// Machine-dependent.
     pub events_per_sec: f64,
 }
 
-/// The serving half of a cell — the publication cell, both runs and the
-/// simulation leg's predictor (the replay's lives inside its MDS) —
-/// ready to be driven.
+/// The serving half of a cell — the publication cell and both runs —
+/// ready to be served from one predictor.
 pub struct Lockstep<'a> {
     trace: &'a Trace,
     reg: Registry,
     cell: Arc<SnapshotCell>,
-    predictor: FpaPredictor,
     sim: SimRun<'a>,
     replay: ReplayRun<'a>,
     /// Refreshes published (`online.refreshes`).
@@ -154,88 +157,105 @@ pub struct Lockstep<'a> {
     obs_refresh_ns: Histogram,
 }
 
-/// A follower of `cell` whose `fpa.*` metrics register under `scope`.
-fn follower(trace: &Trace, cell: &Arc<SnapshotCell>, scope: &Registry) -> FpaPredictor {
+/// A follower of `cell` whose `fpa.*` metrics register under `reg`.
+fn follower(trace: &Trace, cell: &Arc<SnapshotCell>, reg: &Registry) -> FpaPredictor {
     let mut fpa = FpaPredictor::for_trace(trace).following(cell);
-    fpa.instrument(scope);
+    fpa.instrument(reg);
     fpa
 }
 
 impl<'a> Lockstep<'a> {
-    /// Build the cell, both runs and one follower of the cell per leg.
-    /// Under `reg` the cadence registers as `online.*`, the MDS leg as
-    /// `mds.*` / `cache.*` / `store.*` / `fpa.*`, and the simulation
-    /// leg's cache and predictor as `sim.cache.*` / `sim.fpa.*` (they
-    /// would otherwise sum into the MDS's); the caller instruments the
-    /// miner it hands to [`Lockstep::drive`].
+    /// Build the cell and both runs. Under `reg` the cadence registers as
+    /// `online.*`, the MDS leg as `mds.*` / `cache.*` / `store.*`, the
+    /// simulation leg's cache as `sim.cache.*` (it would otherwise sum
+    /// into the MDS's) and [`Lockstep::drive`]'s follower as `fpa.*`; the
+    /// caller instruments the miner it hands to `drive`.
     pub fn new(
         trace: &'a Trace,
         (sim_cfg, rep_cfg): (SimConfig, ReplayConfig),
         reg: &Registry,
     ) -> Self {
-        let cell = Arc::new(SnapshotCell::new());
-        let sim_scope = reg.scope("sim");
         let online = reg.scope("online");
         Lockstep {
             trace,
             reg: reg.clone(),
-            predictor: follower(trace, &cell, &sim_scope),
-            sim: SimRun::new(trace, sim_cfg, &sim_scope),
-            replay: ReplayRun::new(trace, Box::new(follower(trace, &cell, reg)), rep_cfg, reg),
-            cell,
+            cell: Arc::new(SnapshotCell::new()),
+            sim: SimRun::new(trace, sim_cfg, &reg.scope("sim")),
+            replay: ReplayRun::new(trace, rep_cfg, reg),
             obs_refreshes: online.counter("refreshes"),
             obs_refresh_ns: online.histogram("refresh_ns"),
         }
     }
 
-    /// Correlated restart: the serving tier dies with the miner. Its
-    /// replacement has a new cell, new followers and cold caches, and
-    /// `recovered` is the first thing it publishes; the runs' statistics
-    /// describe the experiment and carry on.
-    fn restart(&mut self, recovered: StreamSnapshot) {
-        self.cell = Arc::new(SnapshotCell::new());
-        self.predictor = follower(self.trace, &self.cell, &self.reg.scope("sim"));
-        self.sim.restart_cold();
-        self.replay
-            .restart_cold(Box::new(follower(self.trace, &self.cell, &self.reg)));
-        self.cell.install(Arc::new(recovered));
+    /// Serve the whole trace from `predictor`: a self-mining one, or a
+    /// follower of a cell filled before the run.
+    pub fn serve(self, predictor: &mut dyn Predictor) -> ServedRun {
+        self.run(predictor, |_, _, _| {})
     }
 
-    /// Drive the whole trace through `side` and both legs (see the module
+    /// Serve the whole trace from a follower of the driver's cell, which
+    /// `side` mines for and publishes into at `cadence` (see the module
     /// docs for the per-event order).
     ///
     /// # Panics
     /// Panics if `cadence.refresh_interval` is zero.
-    pub fn drive(mut self, side: &mut impl MinerSide, cadence: &OnlineConfig) -> ServedRun {
+    pub fn drive(self, side: &mut impl MinerSide, cadence: &OnlineConfig) -> ServedRun {
         assert!(
             cadence.refresh_interval > 0,
             "online refresh_interval must be positive"
         );
-        let start = Instant::now();
+        let trace = self.trace;
+        let mut fpa = follower(trace, &self.cell, &self.reg);
         let mut refreshes = 0;
-        let mut hits = Vec::with_capacity(self.trace.len());
-        for (i, event) in self.trace.events.iter().enumerate() {
-            if let Some(recovered) = side.recover_at(self.trace, i) {
-                self.restart(recovered);
+        let mut run = self.run(&mut fpa, |i, fpa, tier| {
+            if let Some(recovered) = side.recover_at(trace, i) {
+                // The serving tier dies with the miner; the runs'
+                // statistics describe the experiment and carry on.
+                tier.cell = Arc::new(SnapshotCell::new());
+                *fpa = follower(trace, &tier.cell, &tier.reg);
+                tier.sim.restart_cold();
+                tier.replay.restart_cold();
+                tier.cell.install(Arc::new(recovered));
             }
             if cadence.refresh_due(i) {
-                let span = self.obs_refresh_ns.span();
-                side.cut(&self.cell);
+                let span = tier.obs_refresh_ns.span();
+                side.cut(&tier.cell);
                 span.finish();
                 refreshes += 1;
-                self.obs_refreshes.inc();
+                tier.obs_refreshes.inc();
             }
-            side.mine(self.trace, i);
-            hits.push(self.sim.step(i, event, &mut self.predictor));
-            self.replay.step(i, event);
+            side.mine(trace, i);
+        });
+        run.refreshes = refreshes;
+        run
+    }
+
+    /// The one loop: per event `before` (a live cell's restart, refresh
+    /// and mining), then one query of `predictor` a demand for both legs.
+    fn run<P: Predictor + ?Sized>(
+        mut self,
+        predictor: &mut P,
+        mut before: impl FnMut(usize, &mut P, &mut Self),
+    ) -> ServedRun {
+        let trace = self.trace;
+        let start = Instant::now();
+        let mut hits = Vec::with_capacity(trace.len());
+        let mut candidates = Vec::new();
+        for (i, event) in trace.events.iter().enumerate() {
+            before(i, predictor, &mut self);
+            if event.op.is_metadata_demand() {
+                predictor.on_access_into(trace, event, &mut candidates);
+            }
+            hits.push(self.sim.step(i, event, &candidates));
+            self.replay.step(i, event, &candidates);
         }
         let elapsed = start.elapsed().as_secs_f64().max(1e-9);
         ServedRun {
-            sim: self.sim.finish(&self.predictor),
-            replay: self.replay.finish(),
-            refreshes,
+            sim: self.sim.finish(predictor),
+            replay: self.replay.finish(predictor),
+            refreshes: 0,
             hits,
-            events_per_sec: self.trace.len() as f64 / elapsed,
+            events_per_sec: trace.len() as f64 / elapsed,
         }
     }
 }
@@ -282,6 +302,25 @@ mod tests {
         }
     }
 
+    /// Counts the queries its predictor answers.
+    struct Counted<P>(P, u64);
+
+    impl<P: Predictor> Predictor for Counted<P> {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+
+        fn on_access_into(
+            &mut self,
+            trace: &Trace,
+            event: &farmer_trace::TraceEvent,
+            out: &mut Vec<farmer_trace::FileId>,
+        ) {
+            self.1 += 1;
+            self.0.on_access_into(trace, event, out);
+        }
+    }
+
     #[test]
     fn every_install_is_an_epoch_both_legs_end_on() {
         let trace = WorkloadSpec::hp().scaled(0.05).generate();
@@ -295,15 +334,14 @@ mod tests {
         let cell = Arc::clone(&lockstep.cell);
         let run = lockstep.drive(&mut ShardedMiner::spawn(stream.clone()), &online);
         assert_eq!(cell.epoch(), run.refreshes);
-        // `fpa.refreshes` counts the epochs a follower picked up from
+        // `fpa.refreshes` counts the epochs the follower picked up from
         // epoch 0, so equal counts are equal final epochs — the cell's.
         let obs = reg.snapshot();
-        assert_eq!(obs.counter("sim.fpa.refreshes"), Some(cell.epoch()));
         assert_eq!(obs.counter("fpa.refreshes"), Some(cell.epoch()));
 
         // A restart on a refresh boundary: the replacement tier's cell
         // takes the recovered cut and the refresh before its first access,
-        // and both legs' new followers pick both epochs up.
+        // and the new follower picks both epochs up.
         let reg = Registry::enabled();
         let mut side = Restarting {
             miner: ShardedMiner::spawn(stream),
@@ -312,9 +350,7 @@ mod tests {
         let run = Lockstep::new(&trace, cell_configs(&trace), &reg).drive(&mut side, &online);
         let obs = reg.snapshot();
         assert_eq!(obs.counter("mds.restarts"), Some(1));
-        let installs = run.refreshes + 1;
-        assert_eq!(obs.counter("sim.fpa.refreshes"), Some(installs));
-        assert_eq!(obs.counter("fpa.refreshes"), Some(installs));
+        assert_eq!(obs.counter("fpa.refreshes"), Some(run.refreshes + 1));
     }
 
     #[test]
@@ -351,5 +387,24 @@ mod tests {
         assert!(run.sim.stats.prefetches_issued > 0);
         assert!(run.replay.counters.prefetches_serviced > 0);
         assert_eq!(end.events, demands);
+
+        // One predictor, one query per demand, both legs fed from it.
+        let topk = obs.histogram("fpa.topk_ns").expect("follower spans");
+        assert_eq!(topk.count, demands, "the online cell's one follower");
+        assert!(obs.counter("sim.fpa.refreshes").is_none());
+        let cell = Arc::new(SnapshotCell::new());
+        cell.install(Arc::new(end));
+        let mut installed = Counted(FpaPredictor::for_trace(&trace).following(&cell), 0);
+        let mut self_mining = Counted(FpaPredictor::for_trace(&trace), 0);
+        for counted in [&mut installed as &mut dyn Predictor, &mut self_mining] {
+            let lockstep = Lockstep::new(&trace, cell_configs(&trace), &Registry::disabled());
+            let run = lockstep.serve(counted);
+            assert_eq!(run.sim.stats.demand_accesses, demands);
+            assert_eq!(run.replay.latency.count(), demands);
+            assert!(run.sim.stats.prefetches_issued > 0);
+        }
+        assert_eq!(installed.1, demands, "a whole-trace cell's follower");
+        assert_eq!(self_mining.1, demands, "a self cell's predictor");
+        assert_eq!(self_mining.0.farmer().observed(), demands);
     }
 }

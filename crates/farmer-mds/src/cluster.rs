@@ -84,17 +84,19 @@ impl ClusterReport {
 }
 
 /// Replay a trace through a cluster of MDS instances. `make_predictor` is
-/// called once per server so each shard owns an independent model.
+/// called once per server so each shard owns an independent model, which
+/// sees only the demands routed to its server.
 pub fn replay_cluster(
     trace: &Trace,
     mut make_predictor: impl FnMut() -> Box<dyn Predictor>,
     cfg: ClusterConfig,
 ) -> ClusterReport {
     assert!(cfg.num_servers > 0, "need at least one server");
-    let mut servers: Vec<MdsServer> = (0..cfg.num_servers)
-        .map(|_| MdsServer::new(trace, make_predictor(), cfg.replay.mds))
+    let mut servers: Vec<(MdsServer, Box<dyn Predictor>)> = (0..cfg.num_servers)
+        .map(|_| (MdsServer::new(trace, cfg.replay.mds), make_predictor()))
         .collect();
     let mut per_server_demands = vec![0u64; cfg.num_servers];
+    let mut candidates = Vec::new();
 
     for event in &trace.events {
         if !event.op.is_metadata_demand() {
@@ -108,14 +110,16 @@ pub fn replay_cluster(
         };
         let mut e: TraceEvent = *event;
         e.timestamp_us = (event.timestamp_us as f64 * cfg.replay.time_scale) as u64;
-        servers[shard].demand(trace, &e);
+        let (server, predictor) = &mut servers[shard];
+        predictor.on_access_into(trace, &e, &mut candidates);
+        server.demand(&e, &candidates);
         per_server_demands[shard] += 1;
     }
 
     let mut latency = LatencyStats::new();
     let mut hits = 0;
     let mut demands = 0;
-    for s in &servers {
+    for (s, _) in &servers {
         latency.merge(s.stats());
         let cs = s.cache_stats();
         hits += cs.hits;

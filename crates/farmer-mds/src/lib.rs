@@ -16,11 +16,14 @@
 //!   access, batched prefetch reads) and response-time statistics,
 //! * [`queues`] — the bounded low-priority prefetch queue; demand requests
 //!   have strict priority and preempt *queued* (not in-service) prefetches,
-//! * [`server`] — the MDS: metadata cache + predictor + embedded store,
-//!   processing one demand arrival at a time and draining prefetches in
-//!   idle gaps,
+//! * [`server`] — the MDS: metadata cache + embedded store, processing
+//!   one demand arrival at a time, queueing the prefetch candidates it is
+//!   handed with it and draining them in idle gaps (it owns no predictor),
 //! * [`mod@replay`] — trace-driven closed-form replay producing the average
-//!   response times behind Figures 6 and 8,
+//!   response times behind Figures 6 and 8; [`ReplayRun`] consumes one
+//!   candidate slice per demand, so a caller can score a predictor's
+//!   answers here and in `farmer-prefetch`'s cache simulation from one
+//!   query,
 //! * [`osd`]/[`layout`] — object placement and the FARMER-enabled grouped
 //!   data layout with a seek/transfer cost model,
 //! * [`replication`] — §4.3: "grouping files with strong inter-file

@@ -5,11 +5,15 @@
 //! scales were chosen so the *demand* utilization sits in the regime the
 //! paper reports (~1–2 ms average response): high enough that queueing and
 //! prefetch-service contention matter, low enough that queues stay stable.
+//!
+//! [`ReplayRun`] owns no predictor: its caller queries one per demand and
+//! can hand the same slice to the cache simulation. [`replay`] is that
+//! loop alone.
 
 use farmer_obs::Registry;
 use farmer_prefetch::Predictor;
 use farmer_trace::phases::{phase_count, phase_end};
-use farmer_trace::{Trace, TraceEvent, TraceFamily};
+use farmer_trace::{FileId, Trace, TraceEvent, TraceFamily};
 
 use crate::latency::LatencyStats;
 use crate::server::{MdsConfig, MdsCounters, MdsServer};
@@ -128,20 +132,27 @@ impl ReplayReport {
     }
 }
 
-/// Replay a trace's metadata demand stream through an MDS.
-pub fn replay(trace: &Trace, predictor: Box<dyn Predictor>, cfg: ReplayConfig) -> ReplayReport {
-    let mut run = ReplayRun::new(trace, predictor, cfg, &Registry::disabled());
+/// Replay a trace's metadata demand stream through an MDS, prefetching
+/// what `predictor` proposes for each demand.
+pub fn replay(trace: &Trace, mut predictor: Box<dyn Predictor>, cfg: ReplayConfig) -> ReplayReport {
+    let mut run = ReplayRun::new(trace, cfg, &Registry::disabled());
+    let mut candidates = Vec::new();
     for (i, event) in trace.events.iter().enumerate() {
-        run.step(i, event);
+        if event.op.is_metadata_demand() {
+            predictor.on_access_into(trace, event, &mut candidates);
+        }
+        run.step(i, event, &candidates);
     }
-    run.finish()
+    run.finish(predictor.as_ref())
 }
 
 /// One MDS replay, advanced an event at a time: the demand loop of
-/// [`replay`] as a value, so a caller that has other work per event —
-/// publishing a live miner's snapshot into the cell the MDS's predictor
-/// follows, cold-restarting the server after a crash — interleaves it
-/// between [`ReplayRun::step`] calls instead of copying the loop.
+/// [`replay`] as a value, fed each demand's candidates by its caller, so
+/// a caller that has other work per event — publishing a live miner's
+/// snapshot into the cell its predictor follows, cold-restarting the
+/// server after a crash, stepping the cache simulation on the same
+/// candidates — interleaves it between [`ReplayRun::step`] calls instead
+/// of copying the loop.
 pub struct ReplayRun<'a> {
     trace: &'a Trace,
     cfg: ReplayConfig,
@@ -162,13 +173,8 @@ impl<'a> ReplayRun<'a> {
     /// A run over `trace` whose MDS streams its service-time histograms
     /// into `mds.*`, its cache into `cache.*` and its store into
     /// `store.*` of `reg` (pass a disabled registry for none).
-    pub fn new(
-        trace: &'a Trace,
-        predictor: Box<dyn Predictor>,
-        cfg: ReplayConfig,
-        reg: &Registry,
-    ) -> Self {
-        let mut mds = MdsServer::new(trace, predictor, cfg.mds);
+    pub fn new(trace: &'a Trace, cfg: ReplayConfig, reg: &Registry) -> Self {
+        let mut mds = MdsServer::new(trace, cfg.mds);
         mds.instrument(reg);
         ReplayRun {
             trace,
@@ -185,10 +191,10 @@ impl<'a> ReplayRun<'a> {
         }
     }
 
-    /// The MDS died and was replaced by one running `predictor`
-    /// ([`MdsServer::restart_cold`]); the run's statistics outlive it.
-    pub fn restart_cold(&mut self, predictor: Box<dyn Predictor>) {
-        self.mds.restart_cold(predictor);
+    /// The MDS died and was replaced ([`MdsServer::restart_cold`]); the
+    /// run's statistics outlive it.
+    pub fn restart_cold(&mut self) {
+        self.mds.restart_cold();
     }
 
     fn close_phase(&mut self) {
@@ -205,8 +211,10 @@ impl<'a> ReplayRun<'a> {
         }
     }
 
-    /// Serve event `i` of the trace (call with every index, in order).
-    pub fn step(&mut self, i: usize, event: &TraceEvent) {
+    /// Serve event `i` of the trace (call with every index, in order),
+    /// queueing `candidates` — the predictor's answer to this demand — as
+    /// prefetches; ignored for events that are not demands.
+    pub fn step(&mut self, i: usize, event: &TraceEvent, candidates: &[FileId]) {
         if self.cfg.num_phases > 1 && i == phase_end(self.trace.len(), self.segments, self.segment)
         {
             self.close_phase();
@@ -218,22 +226,23 @@ impl<'a> ReplayRun<'a> {
         let mut e: TraceEvent = *event;
         e.timestamp_us = (event.timestamp_us as f64 * self.cfg.time_scale) as u64;
         self.horizon_us = e.timestamp_us;
-        self.mds.demand(self.trace, &e);
+        self.mds.demand(&e, candidates);
     }
 
-    /// Close the last phase and report.
-    pub fn finish(mut self) -> ReplayReport {
+    /// Close the last phase and report, under the name and state size of
+    /// the `predictor` whose candidates the run consumed.
+    pub fn finish<P: Predictor + ?Sized>(mut self, predictor: &P) -> ReplayReport {
         if self.cfg.num_phases > 1 {
             self.close_phase();
         }
         ReplayReport {
-            predictor: self.mds.predictor_name(),
+            predictor: predictor.name().to_string(),
             trace: self.trace.label.clone(),
             latency: self.mds.stats().clone(),
             counters: self.mds.counters(),
             cache: self.mds.cache_stats(),
             horizon_us: self.horizon_us,
-            predictor_memory: self.mds.predictor_memory(),
+            predictor_memory: predictor.memory_bytes(),
             phase_mean_ms: self.phase_mean_ms,
             phase_p50_ms: self.phase_p50_ms,
             phase_p95_ms: self.phase_p95_ms,
@@ -321,10 +330,10 @@ mod tests {
         let mut miner = ShardedMiner::spawn(StreamConfig::default().with_node_cap(1 << 20));
         let cell = std::sync::Arc::new(SnapshotCell::new());
         let reg = Registry::enabled();
-        let mut fpa = Box::new(FpaPredictor::for_trace(&trace).following(&cell));
+        let mut fpa = FpaPredictor::for_trace(&trace).following(&cell);
         fpa.instrument(&reg);
-        let mut run = ReplayRun::new(&trace, fpa, cfg, &Registry::disabled());
-        let mut refreshes = 0;
+        let mut run = ReplayRun::new(&trace, cfg, &Registry::disabled());
+        let (mut refreshes, mut candidates) = (0, Vec::new());
         for (i, e) in trace.events.iter().enumerate() {
             if i > 0 && i % interval == 0 {
                 miner.publish_into(&cell);
@@ -332,15 +341,16 @@ mod tests {
             }
             if e.op.is_metadata_demand() {
                 miner.route_event(&trace, e);
+                fpa.on_access_into(&trace, e, &mut candidates);
             }
-            run.step(i, e);
+            run.step(i, e, &candidates);
         }
-        let r = run.finish();
+        let r = run.finish(&fpa);
         assert_eq!(refreshes, 7, "one refresh per interior boundary");
         assert_eq!(
             reg.snapshot().counter("fpa.refreshes"),
             Some(refreshes),
-            "the MDS's predictor picked up every published epoch"
+            "the predictor picked up every published epoch"
         );
         assert_eq!(r.phase_mean_ms.len(), 4);
         let end = miner.snapshot();
@@ -382,12 +392,15 @@ mod tests {
         let trace = WorkloadSpec::hp().scaled(0.05).generate();
         let cfg = ReplayConfig::for_family(trace.family);
         let reg = Registry::enabled();
-        let fpa = Box::new(FpaPredictor::for_trace(&trace));
-        let mut run = ReplayRun::new(&trace, fpa, cfg, &reg);
+        let mut fpa = FpaPredictor::for_trace(&trace);
+        let (mut run, mut candidates) = (ReplayRun::new(&trace, cfg, &reg), Vec::new());
         for (i, e) in trace.events.iter().enumerate() {
-            run.step(i, e);
+            if e.op.is_metadata_demand() {
+                fpa.on_access_into(&trace, e, &mut candidates);
+            }
+            run.step(i, e, &candidates);
         }
-        let r = run.finish();
+        let r = run.finish(&fpa);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("mds.demands"), Some(r.counters.demands));
         let resp = snap

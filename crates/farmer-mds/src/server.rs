@@ -1,4 +1,4 @@
-//! The metadata server: cache + predictor + store + dual queues.
+//! The metadata server: cache + store + dual queues.
 //!
 //! A single non-preemptive server processes requests in simulated time:
 //!
@@ -7,19 +7,20 @@
 //!   demand starting at `max(t, server_free)`. A cache hit costs
 //!   `hit()`; a miss performs a real store descent and pays per page
 //!   touched. Response time = completion − arrival.
-//! * **prefetch candidates** — after each demand, the predictor's
-//!   candidates enter the bounded low-priority queue; each serviced
-//!   prefetch performs the store lookup and installs the entry as a
-//!   prefetch-tagged cache resident.
+//! * **prefetch candidates** — after each demand, the candidates its
+//!   caller hands in with it (a predictor's answer to that demand; the
+//!   server owns no predictor) enter the bounded low-priority queue; each
+//!   serviced prefetch performs the store lookup and installs the entry
+//!   as a prefetch-tagged cache resident.
 //!
 //! Strict priority is non-preemptive: a demand can wait for at most one
 //! in-service prefetch, never for the queue behind it — exactly the §4.1
 //! guarantee.
 
 use farmer_obs::{Counter, Gauge, Histogram, Registry};
-use farmer_prefetch::{CacheMetrics, MetadataCache, Predictor};
+use farmer_prefetch::{CacheMetrics, MetadataCache};
 use farmer_store::{MetaStore, MetadataRecord, StoreMetrics};
-use farmer_trace::{Trace, TraceEvent};
+use farmer_trace::{FileId, Trace, TraceEvent};
 
 use crate::latency::{LatencyModel, LatencyStats};
 use crate::queues::{PrefetchQueue, PrefetchRequest};
@@ -113,7 +114,6 @@ pub struct MdsServer {
     cfg: MdsConfig,
     cache: MetadataCache,
     store: MetaStore,
-    predictor: Box<dyn Predictor>,
     prefetch_q: PrefetchQueue,
     /// Simulated time at which the server becomes idle.
     free_at_us: u64,
@@ -122,20 +122,18 @@ pub struct MdsServer {
     obs: MdsMetrics,
     /// Queue drops already mirrored into `obs.prefetches_dropped`.
     dropped_reported: u64,
-    /// Reusable prefetch-candidate buffer, refilled per demand.
-    candidates: Vec<farmer_trace::FileId>,
 }
 
 impl MdsServer {
     /// Build an MDS whose store is preloaded with the trace's namespace.
-    pub fn new(trace: &Trace, predictor: Box<dyn Predictor>, cfg: MdsConfig) -> Self {
+    pub fn new(trace: &Trace, cfg: MdsConfig) -> Self {
         let mut store = MetaStore::new();
         let records: Vec<MetadataRecord> = trace
             .files
             .iter()
             .enumerate()
             .map(|(i, f)| MetadataRecord {
-                file: farmer_trace::FileId::new(i as u32),
+                file: FileId::new(i as u32),
                 size: f.size,
                 dev: f.dev.raw(),
                 read_only: f.read_only,
@@ -147,14 +145,12 @@ impl MdsServer {
         MdsServer {
             cache: MetadataCache::new(cfg.cache_capacity),
             store,
-            predictor,
             prefetch_q: PrefetchQueue::new(cfg.prefetch_queue),
             free_at_us: 0,
             stats: LatencyStats::new(),
             counters: MdsCounters::default(),
             obs: MdsMetrics::default(),
             dropped_reported: 0,
-            candidates: Vec::new(),
             cfg,
         }
     }
@@ -170,8 +166,10 @@ impl MdsServer {
             .instrument(StoreMetrics::new(&reg.scope("store")));
     }
 
-    /// Handle one demand arrival; returns its response time in µs.
-    pub fn demand(&mut self, trace: &Trace, event: &TraceEvent) -> u64 {
+    /// Handle one demand arrival, then queue `candidates` — the
+    /// predictor's answer to it — as prefetches; returns the demand's
+    /// response time in µs.
+    pub fn demand(&mut self, event: &TraceEvent, candidates: &[FileId]) -> u64 {
         let now = event.timestamp_us;
         self.drain_prefetches_until(now);
 
@@ -224,11 +222,7 @@ impl MdsServer {
         self.obs.demand_service_us.record(service);
         self.obs.demand_response_us.record(response);
 
-        // Ask the predictor for candidates (into the reusable buffer) and
-        // queue them at low priority.
-        self.predictor
-            .on_access_into(trace, event, &mut self.candidates);
-        for &file in self.candidates.iter().take(self.cfg.prefetch_limit) {
+        for &file in candidates.iter().take(self.cfg.prefetch_limit) {
             if file != event.file && !self.cache.contains(file) {
                 self.prefetch_q.push(PrefetchRequest {
                     file,
@@ -291,29 +285,15 @@ impl MdsServer {
         self.cache.stats()
     }
 
-    /// Predictor state size (Table 4 accounting).
-    pub fn predictor_memory(&self) -> usize {
-        self.predictor.memory_bytes()
-    }
-
-    /// Predictor display name.
-    pub fn predictor_name(&self) -> String {
-        self.predictor.name().to_string()
-    }
-
     /// Cold-restart the server, as a crash + process replacement would:
     /// the metadata cache empties, queued prefetches are lost, any
     /// in-flight backlog dies with the process (the replacement starts
-    /// idle), and the replacement runs `predictor` — for a predictor that
-    /// follows a `SnapshotCell`, a follower of the cell the recovered
-    /// mining tier publishes into (see `farmer-stream::durable`). Durable
-    /// state survives: the metadata store and the running latency/hit
-    /// statistics (they describe the *experiment*, which spans the
-    /// restart). Recovery *time* is the mining tier's to report; this
+    /// idle). Durable state survives: the metadata store and the running
+    /// latency/hit statistics (they describe the *experiment*, which spans
+    /// the restart). Recovery *time* is the mining tier's to report; this
     /// transition is instantaneous in simulated time so the post-restart
     /// hit-ratio dip measures cache loss alone.
-    pub fn restart_cold(&mut self, predictor: Box<dyn Predictor>) {
-        self.predictor = predictor;
+    pub fn restart_cold(&mut self) {
         self.cache.clear();
         while self.prefetch_q.pop().is_some() {}
         self.free_at_us = 0;
@@ -325,8 +305,7 @@ impl MdsServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use farmer_prefetch::baselines::LruOnly;
-    use farmer_prefetch::FpaPredictor;
+    use farmer_prefetch::{FpaPredictor, Predictor};
     use farmer_trace::WorkloadSpec;
 
     fn small_trace() -> Trace {
@@ -336,9 +315,9 @@ mod tests {
     #[test]
     fn demands_always_get_responses() {
         let trace = small_trace();
-        let mut mds = MdsServer::new(&trace, Box::new(LruOnly), MdsConfig::default());
+        let mut mds = MdsServer::new(&trace, MdsConfig::default());
         for e in trace.events.iter().filter(|e| e.op.is_metadata_demand()) {
-            let r = mds.demand(&trace, e);
+            let r = mds.demand(e, &[]);
             assert!(r >= MdsConfig::default().latency.cache_hit_us);
         }
         assert_eq!(mds.counters().demands, mds.stats().count());
@@ -348,25 +327,22 @@ mod tests {
     #[test]
     fn miss_costs_more_than_hit() {
         let trace = small_trace();
-        let mut mds = MdsServer::new(&trace, Box::new(LruOnly), MdsConfig::default());
+        let mut mds = MdsServer::new(&trace, MdsConfig::default());
         let e = &trace.events[0];
-        let first = mds.demand(&trace, e); // cold miss
+        let first = mds.demand(e, &[]); // cold miss
         let mut e2 = *e;
         e2.timestamp_us = e.timestamp_us + 1_000_000; // after server idle
-        let second = mds.demand(&trace, &e2); // warm hit
+        let second = mds.demand(&e2, &[]); // warm hit
         assert!(first > second, "miss {first} should exceed hit {second}");
     }
 
     #[test]
     fn prefetches_happen_in_idle_gaps_only() {
         let trace = small_trace();
-        let mut mds = MdsServer::new(
-            &trace,
-            Box::new(FpaPredictor::for_trace(&trace)),
-            MdsConfig::default(),
-        );
+        let mut mds = MdsServer::new(&trace, MdsConfig::default());
+        let mut fpa = FpaPredictor::for_trace(&trace);
         for e in trace.events.iter().filter(|e| e.op.is_metadata_demand()) {
-            mds.demand(&trace, e);
+            mds.demand(e, &fpa.on_access(&trace, e));
         }
         let c = mds.counters();
         assert!(
@@ -384,20 +360,20 @@ mod tests {
         // Two demands at the same instant: the second's response includes
         // the first's service time.
         let trace = small_trace();
-        let mut mds = MdsServer::new(&trace, Box::new(LruOnly), MdsConfig::default());
+        let mut mds = MdsServer::new(&trace, MdsConfig::default());
         let mut e1 = trace.events[0];
         let mut e2 = trace.events[1];
         e1.timestamp_us = 1000;
         e2.timestamp_us = 1000;
-        let r1 = mds.demand(&trace, &e1);
-        let r2 = mds.demand(&trace, &e2);
+        let r1 = mds.demand(&e1, &[]);
+        let r2 = mds.demand(&e2, &[]);
         assert!(r2 >= r1, "queued request must wait: {r2} < {r1}");
     }
 
     #[test]
     fn store_preloaded_with_namespace() {
         let trace = small_trace();
-        let mds = MdsServer::new(&trace, Box::new(LruOnly), MdsConfig::default());
+        let mds = MdsServer::new(&trace, MdsConfig::default());
         assert_eq!(
             mds.store.stats().updates as usize,
             trace.num_files(),

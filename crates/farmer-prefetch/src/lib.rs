@@ -15,7 +15,9 @@
 //!   no-prefetch [baselines] (plain LRU),
 //! * a [trace-driven cache simulator](sim) producing the hit-ratio and
 //!   prefetch-accuracy numbers behind the paper's Figures 3/7 and Tables
-//!   3/5.
+//!   3/5; its [`SimRun`] consumes one candidate slice per demand rather
+//!   than owning a predictor, so one predictor's answers can feed it and
+//!   `farmer-mds`'s replay alike.
 
 // This crate is unsafe-free by policy (lint rule R2 guards the rest).
 #![forbid(unsafe_code)]

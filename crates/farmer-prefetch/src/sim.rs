@@ -1,13 +1,15 @@
 //! Trace-driven cache simulation.
 //!
 //! Replays a trace's metadata demand stream through a [`MetadataCache`]
-//! fronted by a [`Predictor`]:
+//! and stages the prefetch candidates it is handed for each demand:
 //!
 //! 1. each metadata-demand event probes the cache (hit/miss accounting),
 //! 2. on a miss the metadata is brought in as a demand entry,
-//! 3. the predictor observes the access and proposes candidates,
-//! 4. candidates are staged as prefetch entries, up to the per-access
-//!    prefetch limit.
+//! 3. the demand's candidates are staged as prefetch entries, up to the
+//!    per-access prefetch limit.
+//!
+//! [`SimRun`] owns no predictor: its caller queries one per demand and can
+//! hand the same slice to the MDS replay. [`simulate`] is that loop alone.
 //!
 //! This reproduces the measurement loop behind the paper's Figure 3
 //! (hit ratio vs `max_strength` × weight), Figure 7 (hit-ratio comparison),
@@ -87,17 +89,22 @@ impl SimConfig {
 /// equal segments and the cache counters are snapshotted at each boundary.
 pub fn simulate(trace: &Trace, predictor: &mut dyn Predictor, cfg: SimConfig) -> SimReport {
     let mut run = SimRun::new(trace, cfg, &Registry::disabled());
+    let mut candidates = Vec::new();
     for (i, event) in trace.events.iter().enumerate() {
-        run.step(i, event, predictor);
+        if event.op.is_metadata_demand() {
+            predictor.on_access_into(trace, event, &mut candidates);
+        }
+        run.step(i, event, &candidates);
     }
     run.finish(predictor)
 }
 
 /// One cache simulation, advanced an event at a time: the demand loop of
-/// [`simulate`] as a value, so a caller that has other work per event —
-/// refreshing the predictor from a live miner, restarting the cache after
-/// a crash — interleaves it between [`SimRun::step`] calls instead of
-/// copying the loop.
+/// [`simulate`] as a value, fed each demand's candidates by its caller, so
+/// a caller that has other work per event — refreshing the predictor from
+/// a live miner, restarting the cache after a crash, stepping the MDS
+/// replay on the same candidates — interleaves it between
+/// [`SimRun::step`] calls instead of copying the loop.
 pub struct SimRun<'a> {
     trace: &'a Trace,
     cfg: SimConfig,
@@ -106,9 +113,6 @@ pub struct SimRun<'a> {
     segment: usize,
     phases: Vec<CacheStats>,
     phase_mark: CacheStats,
-    /// One candidate buffer for the whole run: the predictor fills it in
-    /// place each access, so the demand loop allocates nothing per event.
-    candidates: Vec<FileId>,
 }
 
 impl<'a> SimRun<'a> {
@@ -126,19 +130,14 @@ impl<'a> SimRun<'a> {
             phases: Vec::new(),
             phase_mark: cache.stats(),
             cache,
-            candidates: Vec::new(),
         }
     }
 
-    /// Serve event `i` of the trace (call with every index, in order).
-    /// Returns whether a metadata demand hit the cache; `None` for events
-    /// that are not demands.
-    pub fn step(
-        &mut self,
-        i: usize,
-        event: &TraceEvent,
-        predictor: &mut dyn Predictor,
-    ) -> Option<bool> {
+    /// Serve event `i` of the trace (call with every index, in order),
+    /// staging `candidates` — the predictor's answer to this demand — as
+    /// prefetches. Returns whether a metadata demand hit the cache; `None`
+    /// for events that are not demands (their `candidates` are ignored).
+    pub fn step(&mut self, i: usize, event: &TraceEvent, candidates: &[FileId]) -> Option<bool> {
         if self.cfg.num_phases > 1 && i == phase_end(self.trace.len(), self.segments, self.segment)
         {
             let now = self.cache.stats();
@@ -153,8 +152,7 @@ impl<'a> SimRun<'a> {
         if !hit {
             self.cache.insert_demand(event.file);
         }
-        predictor.on_access_into(self.trace, event, &mut self.candidates);
-        for &file in self.candidates.iter().take(self.cfg.prefetch_limit) {
+        for &file in candidates.iter().take(self.cfg.prefetch_limit) {
             if file != event.file {
                 self.cache.insert_prefetch(file);
             }
@@ -168,8 +166,9 @@ impl<'a> SimRun<'a> {
         self.cache.clear();
     }
 
-    /// Close the last phase and report.
-    pub fn finish(mut self, predictor: &dyn Predictor) -> SimReport {
+    /// Close the last phase and report, under the name and state size of
+    /// the `predictor` whose candidates the run consumed.
+    pub fn finish<P: Predictor + ?Sized>(mut self, predictor: &P) -> SimReport {
         let stats = self.cache.stats();
         if self.cfg.num_phases > 1 {
             self.phases.push(stats.delta(&self.phase_mark));
@@ -323,7 +322,7 @@ mod tests {
         let mut fpa = FpaPredictor::for_trace(trace).following(&cell);
         fpa.instrument(reg);
         let mut run = SimRun::new(trace, cfg, reg);
-        let mut refreshes = 0;
+        let (mut refreshes, mut candidates) = (0, Vec::new());
         for (i, e) in trace.events.iter().enumerate() {
             if i > 0 && i % interval == 0 && i <= stop {
                 miner.publish_into(&cell);
@@ -331,8 +330,9 @@ mod tests {
             }
             if e.op.is_metadata_demand() {
                 miner.route_event(trace, e);
+                fpa.on_access_into(trace, e, &mut candidates);
             }
-            run.step(i, e, &mut fpa);
+            run.step(i, e, &candidates);
         }
         (run.finish(&fpa), refreshes, miner.snapshot(), fpa)
     }
