@@ -25,7 +25,7 @@
 //! cargo run --release -p farmer-bench --bin eval_matrix -- --check     # vs BENCH_eval.json
 //! ```
 
-// This crate is unsafe-free by policy (lint rule R2 guards the rest).
+// This crate is unsafe-free by policy.
 #![forbid(unsafe_code)]
 
 pub mod evalmatrix;

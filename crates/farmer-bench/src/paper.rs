@@ -54,7 +54,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // sanity-checks transcribed paper values
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "sanity-checks transcribed paper values"
+    )]
     fn constants_sane() {
         assert!(TABLE3_FARMER_ACCURACY > TABLE3_NEXUS_ACCURACY);
         assert!(FIG8_VS_LRU_MAX > FIG8_VS_NEXUS_MAX);

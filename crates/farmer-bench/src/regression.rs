@@ -51,8 +51,8 @@ impl RegressionReport {
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.total_cmp(b.1))
-            // lint: allow(panic) coefficients has FEATURE_LABELS' fixed
-            // length, so the [1..] slice is never empty
+            // coefficients has FEATURE_LABELS' fixed length, so the [1..]
+            // slice is never empty
             .expect("non-empty");
         FEATURE_LABELS[idx + 1]
     }
@@ -190,7 +190,10 @@ fn features(trace: &Trace, a: &TraceEvent, b: &TraceEvent) -> [f64; NUM_FEATURES
 
 /// Solve `A x = b` for small dense systems via Gaussian elimination with
 /// partial pivoting.
-#[allow(clippy::needless_range_loop)] // the elimination reads row `col` while mutating row `row`
+#[allow(
+    clippy::needless_range_loop,
+    reason = "the elimination reads row `col` while mutating row `row`"
+)]
 pub fn solve(
     mut a: [[f64; NUM_FEATURES]; NUM_FEATURES],
     mut b: [f64; NUM_FEATURES],
@@ -200,8 +203,7 @@ pub fn solve(
         // Pivot.
         let pivot = (col..n)
             .max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))
-            // lint: allow(panic) col < n, so the col..n range always has
-            // at least one element
+            // col < n, so the col..n range always has at least one element
             .expect("non-empty range");
         a.swap(col, pivot);
         b.swap(col, pivot);

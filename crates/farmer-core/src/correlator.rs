@@ -130,9 +130,12 @@ fn index_len(lists: usize, owner_bound: usize) -> usize {
 }
 
 /// A slab length as the `u32` offsets index slots hold.
+#[expect(
+    clippy::expect_used,
+    reason = "2^32 correlators would be a 64 GiB slab"
+)]
 fn slab_offset(len: usize) -> u32 {
     let len = u32::try_from(len).ok().filter(|&len| len != ABSENT);
-    // lint: allow(panic) 2^32 correlators would be a 64 GiB slab
     len.expect("a table holds under 2^32 - 1 correlators")
 }
 
@@ -472,8 +475,11 @@ impl TableWalk {
         for (owner, start, len) in spans {
             let list = &entries[start as usize..(start + len) as usize];
             let pushed = table.push_list(FileId::new(owner), list);
-            // lint: allow(panic) the graph's id→slot index keeps node ids
-            // distinct, so no owner is visited twice
+            #[expect(
+                clippy::expect_used,
+                reason = "the graph's id→slot index keeps node ids distinct, so no owner is \
+                          visited twice"
+            )]
             pushed.expect("the slab holds one node per file");
         }
         table

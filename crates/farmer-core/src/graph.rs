@@ -513,7 +513,7 @@ pub struct CorrelationGraph {
     /// is ever allocated: one `Vec<Node>`, or pages of four slots or more,
     /// raised `mds_paced`'s peak resident set by 11 MB (of 70) through where
     /// the allocator then put the benchmark's own growing buffers.
-    #[allow(clippy::vec_box)] // a node slot is a fixed-size block by design
+    #[allow(clippy::vec_box, reason = "node slots are fixed-size blocks by design")]
     slots: Vec<Box<Node>>,
     /// Successor ids of every slot: slot `s` owns the line `ids[s]`, its
     /// `len` ids sorted ascending and the rest [`PAD`]. A sweep over every
@@ -703,7 +703,10 @@ impl CorrelationGraph {
 
     /// Commit one edge update at a resolved slot; `pos` is where phase 1
     /// found (or would insert) `to`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "phase 1's results, on the inlined hot path"
+    )]
     #[inline(always)]
     fn apply_at(
         &mut self,
@@ -1055,7 +1058,7 @@ impl CorrelationGraph {
         let mut filter = std::mem::take(&mut self.filter);
         filter.clear();
         filter.resize(N, 0);
-        // lint: allow(panic) the line above made it N bytes long
+        #[expect(clippy::expect_used, reason = "the line above made it N bytes long")]
         let table: &mut [u8; N] = filter.first_chunk_mut().expect("resized to N");
         for v in victims {
             table[bucket::<N>(v.raw())] = 1;

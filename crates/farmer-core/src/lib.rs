@@ -41,9 +41,8 @@
 //! (prefetcher, replication planner, security compiler, layout optimizer)
 //! query any back-end allocation-free at demand-request rate.
 
-// The few unsafe blocks here each carry a SAFETY: proof (lint rule R2);
-// unsafe fns must still mark their internal unsafe operations explicitly.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod attr;
 pub mod config;

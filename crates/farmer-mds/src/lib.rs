@@ -37,8 +37,10 @@
 //! * [`cluster`] — multi-MDS load balancing (§4.1's first direction):
 //!   hash- or volume-partitioned namespaces across independent servers.
 
-// This crate is unsafe-free by policy (lint rule R2 guards the rest).
+// This crate is unsafe-free by policy.
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod cluster;
 pub mod latency;

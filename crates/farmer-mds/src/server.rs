@@ -251,8 +251,11 @@ impl MdsServer {
             if start + service > now {
                 break; // would delay the incoming demand: leave it queued
             }
-            // lint: allow(panic) the loop condition peeked a head element
-            // and nothing pops between the peek and here
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop condition peeked a head element and nothing pops between the \
+                          peek and here"
+            )]
             let req = self.prefetch_q.pop().expect("non-empty");
             if !self.cache.contains(req.file) {
                 // A prefetch is charged a flat service time: the record,

@@ -2,8 +2,8 @@
 //! rule.
 //!
 //! Everything that emits a machine-readable record — the `eval_matrix`
-//! record (`BENCH_eval.json`), [`ObsReport::json`](crate::ObsReport::json),
-//! the `farmer_lint` report — builds a [`Json`] and prints
+//! record (`BENCH_eval.json`) and [`ObsReport::json`](crate::ObsReport::json)
+//! — builds a [`Json`] and prints
 //! [`Json::render`]: one writer, one stable field order. [`Json::parse`]
 //! reads such a record back (the reference model checks runs against the
 //! checked-in `BENCH_eval.json`).
@@ -48,10 +48,12 @@ impl Json {
     pub fn field(mut self, key: &str, value: Json) -> Json {
         match &mut self {
             Json::Obj(fields) => fields.push((key.to_string(), value)),
-            // lint: allow(panic) a builder chain that does not start at
-            // `Json::obj()` is a bug at the call site, hit the first time
-            // it runs; dropping the field instead would emit a record
-            // that silently lacks it
+            #[expect(
+                clippy::panic,
+                reason = "a builder chain that does not start at `Json::obj()` is a bug at the \
+                          call site, hit the first time it runs; dropping the field instead would \
+                          emit a record that silently lacks it"
+            )]
             _ => panic!("field() on a non-object"),
         }
         self

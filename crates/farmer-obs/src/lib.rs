@@ -26,8 +26,8 @@
 //!   [`ObsReport`] with a text renderer ([`ObsReport::render`]) and a JSON
 //!   one ([`ObsReport::json`]).
 //! * [`Json`] — the workspace's one ordered JSON value (emitter, reader,
-//!   one escaping rule): the `eval_matrix` record, the registry dump and
-//!   the `farmer_lint` report are all built from it. It lives here because
+//!   one escaping rule): the `eval_matrix` record and the registry dump
+//!   are both built from it. It lives here because
 //!   this crate depends on nothing, so everything can depend on it.
 //!
 //! ## Naming scheme
@@ -58,8 +58,10 @@
 //! println!("{}", report.render());
 //! ```
 
-// This crate is unsafe-free by policy (lint rule R2 guards the rest).
+// This crate is unsafe-free by policy.
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 mod hist;
 mod json;

@@ -24,6 +24,23 @@ impl Metric {
     }
 }
 
+/// Panics unless the `kind` name `name` follows the naming scheme (see
+/// [`Registry`]).
+fn check_name(kind: &str, name: &str) {
+    let segment = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_lowercase())
+            && s.bytes()
+                .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+    };
+    let unit = ["_ns", "_us", "_ms", "_events", "_bytes"]
+        .iter()
+        .any(|u| name.ends_with(u));
+    let ok = name.split('.').all(segment)
+        && (kind != "scope" || !name.contains('.'))
+        && (kind != "histogram" || unit);
+    assert!(ok, "obs {kind} {name:?} breaks the naming scheme");
+}
+
 #[derive(Debug, Default)]
 struct RegistryInner {
     metrics: Mutex<BTreeMap<String, Metric>>,
@@ -43,6 +60,12 @@ struct RegistryInner {
 /// as a different metric kind — a naming bug worth failing loudly on).
 /// Cloning a registry shares the underlying map; [`Registry::scope`]
 /// derives a child registry that prefixes every name with `prefix.`.
+///
+/// Every name is checked as it is registered, on a disabled registry too,
+/// so building a component checks its names: dot-separated
+/// `[a-z][a-z0-9_]*` segments, a scope is one segment, and a histogram
+/// ends in `_ns`, `_us`, `_ms`, `_events` or `_bytes`. A name that breaks
+/// this panics.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     inner: Option<Arc<RegistryInner>>,
@@ -79,6 +102,7 @@ impl Registry {
 
     /// A child registry whose metric names are prefixed with `prefix.`.
     pub fn scope(&self, prefix: &str) -> Registry {
+        check_name("scope", prefix);
         Registry {
             inner: self.inner.clone(),
             prefix: self.qualify(prefix),
@@ -95,32 +119,42 @@ impl Registry {
 
     fn register<T: Clone>(
         &self,
+        kind: &str,
         name: &str,
         noop: impl FnOnce() -> T,
         live: impl FnOnce() -> Metric,
         unwrap: impl FnOnce(&Metric) -> Option<T>,
     ) -> T {
+        check_name(kind, name);
         let Some(inner) = &self.inner else {
             return noop();
         };
         let full = self.qualify(name);
-        // lint: allow(panic) a poisoned metrics map means a registrant
-        // panicked mid-insert; metrics cannot be trusted after that
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned metrics map means a registrant panicked mid-insert; metrics \
+                      cannot be trusted after that"
+        )]
         let mut map = inner.metrics.lock().expect("obs registry poisoned");
         let metric = map.entry(full.clone()).or_insert_with(live);
-        unwrap(metric).unwrap_or_else(|| {
-            // lint: allow(panic) registering one name as two different
-            // metric kinds is a programming error caught at startup
-            panic!(
+        match unwrap(metric) {
+            Some(handle) => handle,
+            #[expect(
+                clippy::panic,
+                reason = "registering one name as two different metric kinds is a programming \
+                          error caught at startup"
+            )]
+            None => panic!(
                 "obs metric {full:?} already registered as a {}",
                 metric.kind()
-            )
-        })
+            ),
+        }
     }
 
     /// The counter named `name` (registered on first use).
     pub fn counter(&self, name: &str) -> Counter {
         self.register(
+            "counter",
             name,
             Counter::noop,
             || Metric::Counter(Counter::live()),
@@ -134,6 +168,7 @@ impl Registry {
     /// The gauge named `name` (registered on first use).
     pub fn gauge(&self, name: &str) -> Gauge {
         self.register(
+            "gauge",
             name,
             Gauge::noop,
             || Metric::Gauge(Gauge::live()),
@@ -147,6 +182,7 @@ impl Registry {
     /// The histogram named `name` (registered on first use).
     pub fn histogram(&self, name: &str) -> Histogram {
         self.register(
+            "histogram",
             name,
             Histogram::noop,
             || Metric::Histogram(Histogram::live()),
@@ -163,7 +199,7 @@ impl Registry {
     pub fn snapshot(&self) -> ObsReport {
         let mut entries = Vec::new();
         if let Some(inner) = &self.inner {
-            // lint: allow(panic) same poisoning policy as register()
+            #[expect(clippy::expect_used, reason = "same poisoning policy as register()")]
             let map = inner.metrics.lock().expect("obs registry poisoned");
             for (name, metric) in map.iter() {
                 let value = match metric {
@@ -340,7 +376,32 @@ mod tests {
         c.inc();
         assert_eq!(c.get(), 0);
         assert!(reg.snapshot().entries.is_empty());
-        assert!(!reg.scope("sub").histogram("h").is_enabled());
+        assert!(!reg.scope("sub").histogram("h_ns").is_enabled());
+    }
+
+    /// The naming scheme, checked at registration on either kind of
+    /// registry: each seeded name panics, each clean one registers.
+    #[test]
+    fn names_are_checked_at_registration() {
+        let seeded: [fn(&Registry); 4] = [
+            |r| drop(r.counter("Serve.Hits")),
+            |r| drop(r.gauge("serve..depth")),
+            |r| drop(r.histogram("serve.publish")),
+            |r| drop(r.scope("serve.ring")),
+        ];
+        for reg in [Registry::enabled(), Registry::disabled()] {
+            for (i, register) in seeded.iter().enumerate() {
+                assert!(
+                    std::panic::catch_unwind(|| register(&reg)).is_err(),
+                    "seeded name {i}"
+                );
+            }
+            reg.counter("serve.hits").inc();
+            reg.gauge("serve.queue_depth").set(3);
+            reg.histogram("serve.publish_ns").record(1);
+            reg.histogram("stream.batch_events").record(1);
+            reg.scope("serve").scope("reader0").counter("hits").inc();
+        }
     }
 
     #[test]
@@ -355,8 +416,8 @@ mod tests {
     #[should_panic(expected = "already registered as a counter")]
     fn kind_conflict_panics() {
         let reg = Registry::enabled();
-        reg.counter("x").inc();
-        let _ = reg.histogram("x");
+        reg.counter("x_ns").inc();
+        let _ = reg.histogram("x_ns");
     }
 
     #[test]

@@ -214,8 +214,11 @@ impl MetadataCache {
         if let Some(&slot) = self.index.get(&file.raw()) {
             self.stats.hits += 1;
             self.obs.hits.inc();
-            // lint: allow(panic) the index maps file -> live slot; entries
-            // are removed from both structures together
+            #[expect(
+                clippy::expect_used,
+                reason = "the index maps file -> live slot; entries are removed from both \
+                          structures together"
+            )]
             let e = self.lru.get_mut(slot).expect("indexed slot is live");
             if e.origin == Origin::Prefetch && !e.used {
                 e.used = true;

@@ -19,8 +19,10 @@
 //!   than owning a predictor, so one predictor's answers can feed it and
 //!   `farmer-mds`'s replay alike.
 
-// This crate is unsafe-free by policy (lint rule R2 guards the rest).
+// This crate is unsafe-free by policy.
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod baselines;
 pub mod cache;

@@ -102,13 +102,16 @@ impl NexusPredictor {
                 });
             } else {
                 // Replace the weakest successor if the newcomer beats it.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "reached only when the successor list is at cap, and cap is validated \
+                              >= 1"
+                )]
                 let (idx, min_w) = list
                     .iter()
                     .enumerate()
                     .map(|(i, e)| (i, e.weight))
                     .min_by(|a, b| a.1.total_cmp(&b.1))
-                    // lint: allow(panic) reached only when the successor
-                    // list is at cap, and cap is validated >= 1
                     .expect("cap >= 1");
                 if w > min_w {
                     list[idx] = Edge {

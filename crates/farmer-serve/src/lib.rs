@@ -37,9 +37,8 @@
 //! allocates nothing and that no event is lost under concurrent readers
 //! are tier-1 tests (`tests/alloc_gates.rs`, `tests/concurrency.rs`).
 
-// The few unsafe blocks here each carry a SAFETY: proof (lint rule R2);
-// unsafe fns must still mark their internal unsafe operations explicitly.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod metrics;
 pub mod ring;

@@ -177,6 +177,10 @@ impl FarmerServe {
             room: Condvar::new(),
             metrics,
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "thread-spawn failure at tier startup is unrecoverable resource exhaustion"
+        )]
         let worker = {
             let cell = Arc::clone(&cell);
             let shared = Arc::clone(&shared);
@@ -184,15 +188,15 @@ impl FarmerServe {
             thread::Builder::new()
                 .name("farmer-serve-ingest".into())
                 .spawn(move || ingest_worker(miner, consumer, cell, shared, publish_every))
-                // lint: allow(panic) thread-spawn failure at tier startup is
-                // unrecoverable resource exhaustion
                 .expect("spawn serve ingest worker")
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "the OnceLock is written exactly here, right after the single spawn"
+        )]
         shared
             .worker
             .set(worker.thread().clone())
-            // lint: allow(panic) the OnceLock is written exactly here,
-            // right after the single spawn
             .expect("worker thread set once");
         FarmerServe {
             producer,
@@ -258,10 +262,13 @@ impl FarmerServe {
     pub fn flush(&self) {
         let (ack_tx, ack_rx) = mpsc::channel();
         self.push(IngestOp::Flush(ack_tx));
+        #[expect(
+            clippy::expect_used,
+            reason = "a dead worker means a miner panic already happened; surfacing it at the \
+                      barrier is the contract"
+        )]
         ack_rx
             .recv()
-            // lint: allow(panic) a dead worker means a miner panic already
-            // happened; surfacing it at the barrier is the contract
             .expect("serve ingest worker died during flush");
     }
 
@@ -272,9 +279,12 @@ impl FarmerServe {
     /// shutdown are refused at the handle ([`IngestHandle::ingest`]
     /// returns `false`). Readers outlive the tier: they keep serving the
     /// final epoch from their cached `Arc`s.
+    #[expect(
+        clippy::expect_used,
+        reason = "shutdown re-raises a worker panic on the caller's thread rather than swallowing \
+                  lost events"
+    )]
     pub fn shutdown(mut self) -> ServeStats {
-        // lint: allow(panic) shutdown re-raises a worker panic on the
-        // caller's thread rather than swallowing lost events
         self.shutdown_inner().expect("serve ingest worker panicked")
     }
 

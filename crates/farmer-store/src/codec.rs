@@ -63,25 +63,25 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a little-endian u32.
+    #[expect(clippy::expect_used, reason = "take(4) returned exactly 4 bytes")]
     pub fn u32(&mut self) -> Result<u32, DecodeError> {
         Ok(u32::from_le_bytes(
-            // lint: allow(panic) take(4) returned exactly 4 bytes
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
     /// Read a little-endian u64.
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     pub fn u64(&mut self) -> Result<u64, DecodeError> {
         Ok(u64::from_le_bytes(
-            // lint: allow(panic) take(8) returned exactly 8 bytes
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
     /// Read a little-endian f64.
+    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
     pub fn f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_le_bytes(
-            // lint: allow(panic) take(8) returned exactly 8 bytes
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }

@@ -24,8 +24,10 @@
 //! [`wal`] (`farmer_stream::durable::encode_snapshot`, CRC'd and
 //! length-checked), which reloads as a `CorrelationSource`.
 
-// This crate is unsafe-free by policy (lint rule R2 guards the rest).
+// This crate is unsafe-free by policy.
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod codec;
 pub mod store;

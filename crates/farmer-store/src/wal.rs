@@ -701,7 +701,7 @@ impl PageWalk {
 
 /// Parse header + records out of a full file image. Returns the page
 /// size, the verified records, and the tail report.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::type_complexity, reason = "one private caller destructures it")]
 fn scan_bytes(data: &[u8]) -> Result<(usize, Vec<WalEntry>, TailReport), WalError> {
     let page_size = parse_header(data)?;
     let mut walk = PageWalk::new(page_size);

@@ -670,7 +670,10 @@ impl DurableMiner {
 
     /// Attach the log to the router — which starts its commit stage —
     /// and wrap the pair.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "creation and recovery pass their counters"
+    )]
     fn assemble(
         mut inner: ShardedMiner,
         wal: Wal,
@@ -694,10 +697,13 @@ impl DurableMiner {
     }
 
     /// The router's log.
+    #[expect(
+        clippy::expect_used,
+        reason = "`assemble` is the only constructor and it attaches the log; a durable miner \
+                  without one is a bug here"
+    )]
     fn wal(&mut self) -> &mut Wal {
         let journal = self.inner.journal.as_mut();
-        // lint: allow(panic) `assemble` is the only constructor and it
-        // attaches the log; a durable miner without one is a bug here
         &mut journal.expect("durable miner has its log attached").wal
     }
 
@@ -710,9 +716,11 @@ impl DurableMiner {
         if self.cfg.checkpoint_interval > 0
             && self.events.is_multiple_of(self.cfg.checkpoint_interval)
         {
-            // lint: allow(panic) a failed checkpoint leaves recovery
-            // replaying the full log — correct but unbounded; failing
-            // loudly here is the durability contract
+            #[expect(
+                clippy::expect_used,
+                reason = "a failed checkpoint leaves recovery replaying the full log — correct but \
+                          unbounded; failing loudly here is the durability contract"
+            )]
             self.checkpoint().expect("wal checkpoint failed");
         }
     }

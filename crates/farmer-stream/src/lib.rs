@@ -54,8 +54,10 @@
 //! assert!(snap.events > 0);
 //! ```
 
-// This crate is unsafe-free by policy (lint rule R2 guards the rest).
+// This crate is unsafe-free by policy.
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod durable;
 pub mod engine;

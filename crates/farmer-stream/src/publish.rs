@@ -80,8 +80,11 @@ impl SnapshotCell {
     /// Panics if `snap` reflects a shorter stream prefix than the
     /// currently installed snapshot — publications must move forward.
     pub fn install(&self, snap: Arc<StreamSnapshot>) -> u64 {
-        // lint: allow(panic) a poisoned lock means a publisher panicked
-        // mid-install; serving stale data silently would be worse
+        #[expect(
+            clippy::expect_used,
+            reason = "a poisoned lock means a publisher panicked mid-install; serving stale data \
+                      silently would be worse"
+        )]
         let mut cur = self.current.lock().expect("snapshot cell poisoned");
         assert!(
             snap.events >= cur.events,
@@ -109,7 +112,10 @@ impl SnapshotCell {
     /// this is the reader *cold* path and the one-shot consumer API;
     /// per-query serving goes through [`CellReader`].
     pub fn load(&self) -> (u64, Arc<StreamSnapshot>) {
-        // lint: allow(panic) poisoned cell — same policy as install()
+        #[expect(
+            clippy::expect_used,
+            reason = "poisoned cell — same policy as install()"
+        )]
         let cur = self.current.lock().expect("snapshot cell poisoned");
         // ord: under the publication lock the epoch cannot move, so this
         // Acquire load (pairing with install's Release) reads the value

@@ -217,12 +217,15 @@ impl ShardedMiner {
         for (shard_id, mut miner) in miners.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.channel_capacity);
             miner.instrument(obs.clone());
+            #[expect(
+                clippy::expect_used,
+                reason = "thread-spawn failure at miner startup is unrecoverable resource \
+                          exhaustion"
+            )]
             handles.push(
                 thread::Builder::new()
                     .name(format!("farmer-stream-shard-{shard_id}"))
                     .spawn(move || shard_worker(miner, rx))
-                    // lint: allow(panic) thread-spawn failure at miner
-                    // startup is unrecoverable resource exhaustion
                     .expect("spawn shard worker"),
             );
             shards.push(tx);
@@ -275,10 +278,13 @@ impl ShardedMiner {
     /// (back-pressure).
     pub fn route_op(&mut self, op: WalOp) {
         if let Some(j) = self.journal.as_mut() {
+            #[expect(
+                clippy::expect_used,
+                reason = "an operation that cannot be logged must not be mined: the durability \
+                          contract would be void"
+            )]
             j.wal
                 .append_with(record_kind::OP, |w| encode_op_into(w, &op))
-                // lint: allow(panic) an operation that cannot be logged
-                // must not be mined: the durability contract would be void
                 .expect("wal append failed; durable miner cannot continue");
         }
         self.pending.push(op);
@@ -327,10 +333,12 @@ impl ShardedMiner {
             return;
         }
         if let Some(j) = self.journal.as_mut() {
+            #[expect(
+                clippy::expect_used,
+                reason = "a batch whose records are not in the log must not be mined"
+            )]
             j.wal
                 .write()
-                // lint: allow(panic) a batch whose records are not in the
-                // log must not be mined
                 .expect("wal write failed; durable miner cannot continue");
         }
         let fresh = Vec::with_capacity(self.cfg.route_batch);
@@ -456,8 +464,11 @@ impl ShardedMiner {
     fn propagate_worker_panic(&mut self, context: &str) -> ! {
         match self.hang_up() {
             Some(p) => std::panic::resume_unwind(p),
-            // lint: allow(panic) a worker that is gone without a payload
-            // still died; propagating beats mining into a lost shard
+            #[expect(
+                clippy::panic,
+                reason = "a worker that is gone without a payload still died; propagating beats \
+                          mining into a lost shard"
+            )]
             None => panic!("stream worker exited unexpectedly during {context}"),
         }
     }
@@ -637,9 +648,12 @@ fn commit_worker(
         // sync; everything else waits for one that starts now, after its
         // bytes were written.
         if upto > durable {
+            #[expect(
+                clippy::expect_used,
+                reason = "forwarding a batch the disk refused would mine what a crash loses; the \
+                          router re-raises this"
+            )]
             log.sync(upto)
-                // lint: allow(panic) forwarding a batch the disk refused
-                // would mine what a crash loses; the router re-raises this
                 .expect("wal sync failed; durable miner cannot continue");
             durable = upto;
         }
@@ -1057,8 +1071,11 @@ mod tests {
         m.poison_shard(1);
         // Give the worker time to consume the poison message and die;
         // Drop must then re-raise its panic rather than swallow it.
-        // lint: allow(sleep) there is no completion signal to poll: the
-        // worker dies by panicking, observable only through Drop's join
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "there is no completion signal to poll: the worker dies by panicking, \
+                      observable only through Drop's join"
+        )]
         std::thread::sleep(std::time::Duration::from_millis(50));
         drop(m);
     }

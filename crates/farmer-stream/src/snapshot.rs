@@ -91,6 +91,10 @@ impl StreamSnapshot {
     /// Panics if two shards claim the same owner file — that would mean
     /// the ownership partition is broken, and silently keeping either
     /// list would corrupt downstream consumers.
+    #[expect(
+        clippy::panic,
+        reason = "documented above: a broken ownership partition must not publish"
+    )]
     pub fn merge(parts: impl IntoIterator<Item = ShardSnapshot>) -> StreamSnapshot {
         let mut snap = StreamSnapshot::default();
         for part in parts {
@@ -102,8 +106,6 @@ impl StreamSnapshot {
             if snap.shards == 1 {
                 snap.table = part.lists;
             } else if let Err(dup) = snap.table.append(&part.lists) {
-                // lint: allow(panic) documented above: a broken ownership
-                // partition must not publish
                 panic!(
                     "shard {} re-exported owner {} — ownership partition broken",
                     part.shard_id, dup.0

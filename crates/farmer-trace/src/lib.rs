@@ -20,8 +20,10 @@
 //! Everything downstream (the FARMER miner, the prefetchers, the metadata
 //! server simulator) consumes traces exclusively through this crate.
 
-// This crate is unsafe-free by policy (lint rule R2 guards the rest).
+// This crate is unsafe-free by policy.
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod event;
 pub mod hash;

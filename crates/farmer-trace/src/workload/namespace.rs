@@ -74,7 +74,6 @@ impl Namespace {
             + spec.num_users as usize * projects * per_proj
             + spec.global_apps * (per_app + ranks * ckpts);
         let mut b = Builder {
-            spec,
             files: Vec::with_capacity(most_files),
             paths: PathInterner::new(),
         };
@@ -211,14 +210,12 @@ fn project_path(uid: u32, proj: usize, file: usize, depth: usize) -> String {
     p
 }
 
-struct Builder<'a> {
-    #[allow(dead_code)]
-    spec: &'a WorkloadSpec,
+struct Builder {
     files: Vec<FileMeta>,
     paths: PathInterner,
 }
 
-impl Builder<'_> {
+impl Builder {
     fn add_file(&mut self, path: &str, dev: DevId, read_only: bool, rng: &mut StdRng) -> FileId {
         let id = FileId::new(self.files.len() as u32);
         // Sizes skewed small: most files tens of KB, tail to ~1 MB, mean in

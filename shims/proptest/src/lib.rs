@@ -72,7 +72,7 @@ macro_rules! impl_tuple_strategy {
         impl<$($name: Strategy),+> Strategy for ($($name,)+) {
             type Value = ($($name::Value,)+);
             fn sample(&self, rng: &mut StdRng) -> Self::Value {
-                #[allow(non_snake_case)]
+                #[allow(non_snake_case, reason = "the tuple's type parameters name its fields")]
                 let ($($name,)+) = self;
                 ($($name.sample(rng),)+)
             }

@@ -47,8 +47,10 @@
 //! }
 //! ```
 
-// This crate is unsafe-free by policy (lint rule R2 guards the rest).
+// This crate is unsafe-free by policy.
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub use farmer_core as core;
 pub use farmer_mds as mds;

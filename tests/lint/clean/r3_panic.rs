@@ -8,17 +8,19 @@ pub fn tail(v: &[u32]) -> Result<u32, &'static str> {
     v.last().copied().ok_or("empty input")
 }
 
-pub fn checked(v: &[u32]) -> u32 {
-    // lint: allow(panic) caller guarantees non-empty: the mining loop only
-    // reaches here after the batch-size check in ingest()
-    *v.first().unwrap()
+pub fn grow(v: &mut Vec<u32>) {
+    #[expect(
+        clippy::unwrap_used,
+        reason = "caller guarantees non-empty: the mining loop only reaches here after \
+                  the batch-size check in ingest()"
+    )]
+    v.push(*v.first().unwrap());
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn unwrap_is_fine_here() {
-        let v = vec![1u32];
-        assert_eq!(*v.first().unwrap(), 1);
+        assert_eq!(super::tail(&[1]).unwrap(), super::head(&[1]).expect("one"));
     }
 }

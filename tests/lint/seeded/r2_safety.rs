@@ -1,4 +1,4 @@
-// Seeded R2 violations: unsafe without a SAFETY: comment.
+// Seeded R2 violations: 2 × `unsafe` without a `// SAFETY:` comment.
 pub struct Slot(*mut u8);
 
 unsafe impl Send for Slot {}

@@ -1,11 +1,8 @@
 // Seeded R6 violation: a sleeping test.
-pub fn spawn_worker() {}
-
 #[cfg(test)]
 mod tests {
     #[test]
     fn waits_by_sleeping() {
-        super::spawn_worker();
         std::thread::sleep(std::time::Duration::from_millis(200));
     }
 }

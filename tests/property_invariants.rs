@@ -167,3 +167,16 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The trace parser and the JSON reader are total on arbitrary (mostly
+    /// invalid) UTF-8: each returns `Ok` or `Err`, never panics.
+    #[test]
+    fn decoders_never_panic_on_byte_soup(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = farmer::trace::parser::from_text(&text);
+        let _ = farmer::obs::Json::parse(&text);
+    }
+}

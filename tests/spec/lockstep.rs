@@ -2,8 +2,7 @@
 //! same calls and compared after each one, and the seeded streams those
 //! calls come from.
 
-// Each suite drives a part of it.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each suite drives a part of it")]
 
 use farmer_core::graph::UpdateMix;
 use farmer_core::{Farmer, FarmerConfig, Request};
