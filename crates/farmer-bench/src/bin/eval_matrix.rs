@@ -47,7 +47,7 @@ use farmer_trace::Op;
 /// small fixed scale through the lockstep driver, so the dump shows
 /// every registry scope the pipeline exports (`stream.*`, `online.*`,
 /// `fpa.*` for the one follower both legs consume, `sim.cache.*`,
-/// `cache.*`, `store.*`, `mds.*`). Quality counters in the
+/// `cache.*`, `mds.*`). Quality counters in the
 /// dump are deterministic; `*_ns` histograms are wall-clock and machine-
 /// dependent, like `events_per_sec`.
 fn obs_demo() -> farmer_obs::ObsReport {

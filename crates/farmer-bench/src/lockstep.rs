@@ -166,7 +166,7 @@ fn follower(trace: &Trace, cell: &Arc<SnapshotCell>, reg: &Registry) -> FpaPredi
 
 impl<'a> Lockstep<'a> {
     /// Build the cell and both runs. Under `reg` the cadence registers as
-    /// `online.*`, the MDS leg as `mds.*` / `cache.*` / `store.*`, the
+    /// `online.*`, the MDS leg as `mds.*` / `cache.*`, the
     /// simulation leg's cache as `sim.cache.*` (it would otherwise sum
     /// into the MDS's) and [`Lockstep::drive`]'s follower as `fpa.*`; the
     /// caller instruments the miner it hands to `drive`.

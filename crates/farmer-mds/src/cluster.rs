@@ -2,8 +2,9 @@
 //! the metadata requests to metadata servers for load balancing".
 //!
 //! The cluster partitions the namespace across `num_servers` independent
-//! MDS instances — each with its own cache, prefetcher and store shard —
-//! and routes every demand to its owner. Two partitioning policies:
+//! MDS instances — each with its own cache and prefetcher, charging its
+//! misses against a metadata table of the whole namespace — and routes
+//! every demand to its owner. Two partitioning policies:
 //!
 //! * [`Partition::Hash`] — uniform hash of the file id; best balance,
 //!   but correlated files scatter across servers, so each server's miner

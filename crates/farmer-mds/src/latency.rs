@@ -2,10 +2,11 @@
 //!
 //! Calibrated to the scale the paper reports (average metadata response
 //! times between ~1.0 and ~1.8 ms on the HP trace, Figure 6): a cache hit
-//! costs a few tens of microseconds of CPU; a miss pays a per-page cost
-//! for the Berkeley-DB-role store descent; prefetch service is cheaper per
-//! file because correlated metadata is batch-read ("batch read into the
-//! cache by a single I/O request", §4.2).
+//! costs a few tens of microseconds of CPU; a miss pays a page per level
+//! of the metadata table's B+-tree (Berkeley DB's role, §5.1), whose
+//! height the server computes from its namespace; prefetch service is
+//! cheaper per file because correlated metadata is batch-read ("batch
+//! read into the cache by a single I/O request", §4.2).
 
 /// Tunable service-time constants (all microseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -14,7 +15,8 @@ pub struct LatencyModel {
     pub cache_hit_us: u64,
     /// Fixed CPU cost of a demand miss (request parsing, cache update).
     pub miss_cpu_us: u64,
-    /// Per-page cost of a store descent on the miss path.
+    /// Cost per level of the metadata table's B+-tree, whose height the
+    /// server computes from its namespace, on the miss path.
     pub page_us: u64,
     /// Fixed cost of serving one queued prefetch request (batched read;
     /// cheaper than a demand miss).
@@ -39,7 +41,8 @@ impl LatencyModel {
         self.cache_hit_us
     }
 
-    /// Service time of a demand miss that touched `pages` store pages.
+    /// Service time of a demand miss that read `pages` pages of the
+    /// metadata table (one per level of its B+-tree).
     #[inline]
     pub fn miss(&self, pages: u64) -> u64 {
         self.miss_cpu_us + self.page_us * pages.max(1)

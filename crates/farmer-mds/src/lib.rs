@@ -12,11 +12,13 @@
 //!
 //! This crate simulates that system:
 //!
-//! * [`latency`] — the service-time model (cache probe, per-page store
-//!   access, batched prefetch reads) and response-time statistics,
+//! * [`latency`] — the service-time model (cache probe, a page per level
+//!   of the metadata table's B+-tree on a miss, batched prefetch reads)
+//!   and response-time statistics,
 //! * [`queues`] — the bounded low-priority prefetch queue; demand requests
 //!   have strict priority and preempt *queued* (not in-service) prefetches,
-//! * [`server`] — the MDS: metadata cache + embedded store, processing
+//! * [`server`] — the MDS: a metadata cache over a metadata table it
+//!   models by its height (computed from the namespace size), processing
 //!   one demand arrival at a time, queueing the prefetch candidates it is
 //!   handed with it and draining them in idle gaps (it owns no predictor),
 //! * [`mod@replay`] — trace-driven closed-form replay producing the average

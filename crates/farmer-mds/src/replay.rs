@@ -171,8 +171,8 @@ pub struct ReplayRun<'a> {
 
 impl<'a> ReplayRun<'a> {
     /// A run over `trace` whose MDS streams its service-time histograms
-    /// into `mds.*`, its cache into `cache.*` and its store into
-    /// `store.*` of `reg` (pass a disabled registry for none).
+    /// into `mds.*` and its cache into `cache.*` of `reg` (pass a
+    /// disabled registry for none).
     pub fn new(trace: &'a Trace, cfg: ReplayConfig, reg: &Registry) -> Self {
         let mut mds = MdsServer::new(trace, cfg.mds);
         mds.instrument(reg);
@@ -254,6 +254,7 @@ impl<'a> ReplayRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::table_depth;
     use farmer_prefetch::baselines::LruOnly;
     use farmer_prefetch::{FpaPredictor, NexusPredictor};
     use farmer_trace::WorkloadSpec;
@@ -419,13 +420,24 @@ mod tests {
             snap.counter("mds.prefetches_dropped"),
             Some(r.counters.prefetches_dropped)
         );
-        // Cache and store stream into the same registry.
+        // The cache streams into the same registry.
         assert_eq!(snap.counter("cache.hits"), Some(r.cache.hits));
-        assert!(
-            snap.counter("store.page_reads")
-                .expect("store instrumented")
-                > 0,
-            "cold misses must descend into the store"
+        // Every cold miss reads one page per level of the metadata table,
+        // which holds HP's whole namespace at any scale. HP has no creates
+        // or unlinks, so the service times sum to a hit charge per hit and
+        // `miss(depth)` per miss.
+        let depth = table_depth(trace.num_files());
+        assert_eq!(depth, 3, "{} files", trace.num_files());
+        let misses = r.cache.demand_accesses - r.cache.hits;
+        assert!(misses > 0);
+        let lat = cfg.mds.latency;
+        let svc = snap
+            .histogram("mds.demand_service_us")
+            .expect("service histogram");
+        assert_eq!(
+            svc.sum,
+            r.cache.hits * lat.hit() + misses * lat.miss(depth),
+            "cold misses must be charged the table's height"
         );
         // Instrumentation must not change the simulated outcome.
         let p = replay(&trace, Box::new(FpaPredictor::for_trace(&trace)), cfg);

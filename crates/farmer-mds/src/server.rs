@@ -1,17 +1,19 @@
-//! The metadata server: cache + store + dual queues.
+//! The metadata server: cache + dual queues, over a metadata table
+//! modelled by its height.
 //!
 //! A single non-preemptive server processes requests in simulated time:
 //!
 //! * **demand request at time `t`** — the server first drains any queued
 //!   prefetches that *complete* before `t` (idle-gap work), then serves the
 //!   demand starting at `max(t, server_free)`. A cache hit costs
-//!   `hit()`; a miss performs a real store descent and pays per page
-//!   touched. Response time = completion − arrival.
+//!   `hit()`; a miss reads one page per level of the metadata table's
+//!   B+-tree (Berkeley DB's role, §5.1), whose height the server computes
+//!   from its namespace. Response time = completion − arrival.
 //! * **prefetch candidates** — after each demand, the candidates its
 //!   caller hands in with it (a predictor's answer to that demand; the
 //!   server owns no predictor) enter the bounded low-priority queue; each
-//!   serviced prefetch performs the store lookup and installs the entry
-//!   as a prefetch-tagged cache resident.
+//!   serviced prefetch pays a flat batched-read charge and installs the
+//!   entry as a prefetch-tagged cache resident.
 //!
 //! Strict priority is non-preemptive: a demand can wait for at most one
 //! in-service prefetch, never for the queue behind it — exactly the §4.1
@@ -19,7 +21,6 @@
 
 use farmer_obs::{Counter, Gauge, Histogram, Registry};
 use farmer_prefetch::{CacheMetrics, MetadataCache};
-use farmer_store::{MetaStore, MetadataRecord, StoreMetrics};
 use farmer_trace::{FileId, Trace, TraceEvent};
 
 use crate::latency::{LatencyModel, LatencyStats};
@@ -113,7 +114,9 @@ pub struct MdsCounters {
 pub struct MdsServer {
     cfg: MdsConfig,
     cache: MetadataCache,
-    store: MetaStore,
+    /// Height of the metadata table's B+-tree: the pages a demand miss
+    /// reads.
+    depth: u64,
     prefetch_q: PrefetchQueue,
     /// Simulated time at which the server becomes idle.
     free_at_us: u64,
@@ -125,26 +128,11 @@ pub struct MdsServer {
 }
 
 impl MdsServer {
-    /// Build an MDS whose store is preloaded with the trace's namespace.
+    /// Build an MDS whose metadata table holds the trace's namespace.
     pub fn new(trace: &Trace, cfg: MdsConfig) -> Self {
-        let mut store = MetaStore::new();
-        let records: Vec<MetadataRecord> = trace
-            .files
-            .iter()
-            .enumerate()
-            .map(|(i, f)| MetadataRecord {
-                file: FileId::new(i as u32),
-                size: f.size,
-                dev: f.dev.raw(),
-                read_only: f.read_only,
-                group: None,
-            })
-            .collect();
-        store.load_namespace(&records);
-
         MdsServer {
             cache: MetadataCache::new(cfg.cache_capacity),
-            store,
+            depth: table_depth(trace.num_files()),
             prefetch_q: PrefetchQueue::new(cfg.prefetch_queue),
             free_at_us: 0,
             stats: LatencyStats::new(),
@@ -155,15 +143,13 @@ impl MdsServer {
         }
     }
 
-    /// Register this server's metrics under the `mds`, `cache` and
-    /// `store` scopes of `reg` (pass the run's *root* registry). With a
-    /// disabled registry all handles stay no-ops.
+    /// Register this server's metrics under the `mds` and `cache` scopes
+    /// of `reg` (pass the run's *root* registry). With a disabled registry
+    /// all handles stay no-ops.
     pub fn instrument(&mut self, reg: &Registry) {
         self.obs = MdsMetrics::new(&reg.scope("mds"));
         self.cache
             .instrument(CacheMetrics::new(&reg.scope("cache")));
-        self.store
-            .instrument(StoreMetrics::new(&reg.scope("store")));
     }
 
     /// Handle one demand arrival, then queue `candidates` — the
@@ -179,22 +165,14 @@ impl MdsServer {
 
         let start = self.free_at_us.max(now);
         let service = match event.op {
-            // Metadata mutations go through the store unconditionally.
+            // Metadata mutations pay a flat two-page miss, whatever the
+            // cache holds.
             farmer_trace::Op::Create => {
-                let rec = MetadataRecord {
-                    file: event.file,
-                    size: 0,
-                    dev: event.dev.raw(),
-                    read_only: false,
-                    group: None,
-                };
-                self.store.put_metadata(&rec);
                 self.cache.access(event.file);
                 self.cache.insert_demand(event.file);
                 self.cfg.latency.miss(2)
             }
             farmer_trace::Op::Unlink => {
-                self.store.remove_metadata(event.file);
                 self.cache.access(event.file);
                 self.cache.invalidate(event.file);
                 self.cfg.latency.miss(2)
@@ -204,11 +182,8 @@ impl MdsServer {
                 if hit {
                     self.cfg.latency.hit()
                 } else {
-                    // Only the pages are charged: the record, or the error
-                    // of one that does not decode, is discarded.
-                    let (_rec, pages) = self.store.get_metadata(event.file);
                     self.cache.insert_demand(event.file);
-                    self.cfg.latency.miss(pages)
+                    self.cfg.latency.miss(self.depth)
                 }
             }
         };
@@ -258,9 +233,6 @@ impl MdsServer {
             )]
             let req = self.prefetch_q.pop().expect("non-empty");
             if !self.cache.contains(req.file) {
-                // A prefetch is charged a flat service time: the record,
-                // its decode error and its pages are all discarded.
-                let (_rec, _pages) = self.store.get_metadata(req.file);
                 self.cache.insert_prefetch(req.file);
             }
             self.free_at_us = start + service;
@@ -291,7 +263,7 @@ impl MdsServer {
     /// Cold-restart the server, as a crash + process replacement would:
     /// the metadata cache empties, queued prefetches are lost, any
     /// in-flight backlog dies with the process (the replacement starts
-    /// idle). Durable state survives: the metadata store and the running
+    /// idle). Durable state survives: the metadata table and the running
     /// latency/hit statistics (they describe the *experiment*, which spans
     /// the restart). Recovery *time* is the mining tier's to report; this
     /// transition is instantaneous in simulated time so the post-restart
@@ -303,6 +275,21 @@ impl MdsServer {
         self.obs.prefetch_queue_depth.set(0);
         self.obs.restarts.inc();
     }
+}
+
+/// Height of an order-64 B+-tree loaded with `n` keys in ascending
+/// order: 1 up to 64 keys, and one level more at each threshold
+/// T₁ = 65, Tₖ₊₁ = 33·Tₖ − 32 (65, 2 113, 69 697, …). These are the
+/// heights a B+-tree of that order that splits an overfull node in two
+/// reaches under ascending inserts, checked for every `n` up to 300 000.
+pub(crate) fn table_depth(n: usize) -> u64 {
+    // u128: the threshold passes every usize before it can overflow.
+    let (mut depth, mut threshold) = (1, 65_u128);
+    while n as u128 >= threshold {
+        depth += 1;
+        threshold = 33 * threshold - 32;
+    }
+    depth
 }
 
 #[cfg(test)]
@@ -374,13 +361,32 @@ mod tests {
     }
 
     #[test]
-    fn store_preloaded_with_namespace() {
-        let trace = small_trace();
-        let mds = MdsServer::new(&trace, MdsConfig::default());
+    fn table_depth_follows_the_btree_thresholds() {
+        // Heights an order-64 B+-tree reached after loading `n` keys in
+        // ascending order: at each threshold and one key short of it, then
+        // at the five namespace sizes of the traces the experiments run.
+        let cases = [
+            (0, 1),
+            (1, 1),
+            (64, 1),
+            (65, 2),
+            (2_112, 2),
+            (2_113, 3),
+            (69_696, 3),
+            (69_697, 4),
+            (2_086, 2),
+            (9_810, 3),
+            (16_869, 3),
+            (17_832, 3),
+            (28_765, 3),
+        ];
+        for (n, depth) in cases {
+            assert_eq!(table_depth(n), depth, "n = {n}");
+        }
         assert_eq!(
-            mds.store.stats().updates as usize,
-            trace.num_files(),
-            "every namespace file must be loaded"
+            table_depth(usize::MAX),
+            13,
+            "no overflow past the last threshold"
         );
     }
 }

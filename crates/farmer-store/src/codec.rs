@@ -1,8 +1,9 @@
-//! Compact binary encoding for the store's record types.
+//! Compact binary encoding for the WAL's records and the durable tier's
+//! checkpoint images.
 //!
-//! Hand-rolled little-endian layouts: records are tiny and fixed-shape, and
-//! the decoder must be robust against truncated input (the store is also
-//! exercised by property tests that corrupt buffers).
+//! Hand-rolled little-endian layouts: the reader must be robust against
+//! truncated input (the decoders built on it are exercised by property
+//! tests that feed them arbitrary bytes).
 
 /// Encode errors are impossible (encoding is total); decode errors are not.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,14 +79,6 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// Read a little-endian f64.
-    #[expect(clippy::expect_used, reason = "take(8) returned exactly 8 bytes")]
-    pub fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
     /// Read a u32-length-prefixed byte slice.
     pub fn bytes(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u32()? as usize;
@@ -133,12 +126,6 @@ impl Writer {
         self
     }
 
-    /// Append a little-endian f64.
-    pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
     /// Append bytes as they are, with no length prefix.
     pub fn raw(&mut self, v: &[u8]) -> &mut Self {
         self.buf.extend_from_slice(v);
@@ -175,13 +162,12 @@ mod tests {
     #[test]
     fn scalar_roundtrip() {
         let mut w = Writer::new();
-        w.u8(7).u32(0xDEAD_BEEF).u64(u64::MAX).f64(0.25);
+        w.u8(7).u32(0xDEAD_BEEF).u64(u64::MAX);
         let buf = w.finish();
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.f64().unwrap(), 0.25);
         assert_eq!(r.remaining(), 0);
     }
 

@@ -670,6 +670,8 @@ impl PageWalk {
                 || end > rest.len()
                 || crc32(&rest[4..end]) != crc
                 || self.expect_lsn.is_some_and(|expect| lsn != expect)
+                // LSNs count up from 1: no record can follow the last one.
+                || lsn == Lsn::MAX
             {
                 self.torn = true;
                 return false;
@@ -1446,5 +1448,57 @@ mod tests {
                 prop_assert_eq!(&e.payload, &payloads[i]);
             }
         }
+    }
+
+    /// A header page that parses (magic, page size, zero padding).
+    fn header_page(page_size: usize) -> Vec<u8> {
+        let mut data = WAL_MAGIC.to_vec();
+        data.extend_from_slice(&(page_size as u32).to_le_bytes());
+        data.resize(page_size, 0);
+        data
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Byte soup past a valid header: the scan returns whatever
+        /// prefix verifies, or a typed error, and never panics.
+        #[test]
+        fn scan_never_panics_on_soup_past_a_valid_header(
+            page_size in 64usize..=128,
+            soup in proptest::collection::vec(any::<u8>(), 0..=200),
+        ) {
+            let mut data = header_page(page_size);
+            data.extend_from_slice(&soup);
+            if let Ok((ps, entries, report)) = scan_bytes(&data) {
+                prop_assert_eq!(ps, page_size);
+                prop_assert_eq!(entries.len() as u64, report.records);
+                prop_assert!(report.valid_bytes <= data.len() as u64);
+            }
+        }
+    }
+
+    /// Minimised from a scan that overflowed computing the successor of
+    /// a checksummed record at LSN `u64::MAX`: that record is the torn
+    /// tail, and `open` truncates it.
+    #[test]
+    fn a_record_at_the_last_lsn_is_a_torn_tail() {
+        let mut data = header_page(64);
+        let mut rec = 1u32.to_le_bytes().to_vec();
+        rec.extend_from_slice(&Lsn::MAX.to_le_bytes());
+        rec.extend_from_slice(&[record_kind::OP, 7]);
+        data.extend_from_slice(&crc32(&rec).to_le_bytes());
+        data.extend_from_slice(&rec);
+        let (_, entries, report) = scan_bytes(&data).unwrap();
+        assert!(entries.is_empty());
+        assert!(report.torn);
+        assert_eq!(report.valid_bytes, 64);
+
+        let path = tmp_wal("last-lsn");
+        let _c = Cleanup(path.clone());
+        std::fs::write(&path, &data).unwrap();
+        let (mut wal, entries, _) = Wal::open(&path).unwrap();
+        assert!(entries.is_empty());
+        assert_eq!(wal.append(record_kind::OP, &[1]).unwrap(), 1);
     }
 }

@@ -1795,4 +1795,19 @@ mod tests {
             &oracle.snapshot()
         ));
     }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Byte soup: each decoder returns a value or a typed error and
+        /// never panics. Every allocation they size from a field of their
+        /// input is first checked against the bytes that remain.
+        #[test]
+        fn decoders_never_panic_on_soup(
+            soup in proptest::collection::vec(proptest::any::<u8>(), 0..=200),
+        ) {
+            let _ = decode_op(&soup);
+            let _ = decode_image(&soup);
+        }
+    }
 }

@@ -1,6 +1,7 @@
 //! Full metadata-server simulation: FPA vs Nexus vs LRU on one trace
-//! family, with the paper's dual priority queues and the B+-tree store on
-//! the miss path.
+//! family, with the paper's dual priority queues and, on the miss path, a
+//! page per level of the metadata table's B+-tree, whose height the
+//! server computes from the namespace.
 //!
 //! ```text
 //! cargo run --release --example mds_simulation            # HP by default

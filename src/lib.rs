@@ -14,7 +14,8 @@
 //!   (`CorrelationSource`) every consumer serves from,
 //! * [`prefetch`] — the FARMER-enabled prefetching algorithm (FPA), the
 //!   Nexus comparator, classical baselines, and a cache simulator,
-//! * [`store`] — an embedded B+-tree key-value store (Berkeley DB's role),
+//! * [`store`] — the durable mining tier's write-ahead log and its binary
+//!   codec,
 //! * [`mds`] — a discrete-event metadata-server / OSD simulator with the
 //!   paper's dual priority queues, multi-MDS load balancing (§4.1), the
 //!   §4.2 grouped data layout and the §4.3 applications (correlation-aware
@@ -73,7 +74,6 @@ pub mod prelude {
         simulate, FpaPredictor, MetadataCache, NexusPredictor, Predictor, SimConfig, SimReport,
     };
     pub use farmer_serve::{FarmerServe, ServeConfig};
-    pub use farmer_store::{MetaStore, MetadataRecord};
     pub use farmer_stream::{
         CellReader, ShardedMiner, SnapshotCell, StreamConfig, StreamMiner, StreamSnapshot,
     };
