@@ -2,8 +2,10 @@
 //! predictor cell, end to end (trace → miner → `CorrelationSource` →
 //! predictor → cache sim → MDS replay), then the paper's cells (the grid:
 //! Figure 7, Table 3, Figure 8, Table 4; the sweeps: Figure 3, Table 5,
-//! Figure 6, the ablations), emitted as one schema-versioned JSON record
-//! and optionally verified against the checked-in one.
+//! Figure 6, the ablations; the keyed entries: Figure 1, Table 2, the §4.1
+//! cluster, the §4.2 layout, the p = 0 agreement, the §7 regression),
+//! emitted as one schema-versioned JSON record and optionally verified
+//! against the checked-in one.
 //!
 //! ```text
 //! cargo run --release -p farmer-bench --bin eval_matrix -- --check    # full matrix must equal BENCH_eval.json
@@ -28,8 +30,8 @@
 //! breaks a cross-mode invariant panics instead of reporting.
 
 use farmer_bench::evalmatrix::{
-    build_scenario, paper_cells, run_matrix_with, sweep, Cell, MatrixReport, FPA_MODES, PHASES,
-    QUICK_SCALE, SCENARIOS, SCHEMA_VERSION, SWEEP_SECTIONS,
+    build_scenario, paper_cells, run_matrix_with, sweep, Cell, MatrixReport, FPA_MODES,
+    PAPER_SECTIONS, PHASES, QUICK_SCALE, SCENARIOS, SCHEMA_VERSION,
 };
 use farmer_bench::faults::FAILURE_MODES;
 use farmer_bench::format::BenchArgs;
@@ -40,7 +42,16 @@ use farmer_mds::ReplayConfig;
 use farmer_obs::{Json, Registry};
 use farmer_prefetch::SimConfig;
 use farmer_stream::{recover_instrumented, DurableConfig, DurableMiner, StreamConfig};
-use farmer_trace::Op;
+use farmer_trace::{Op, Trace};
+
+/// The demo legs' miner: one uncapped shard under the trace family's
+/// default configuration.
+fn one_shard(trace: &Trace) -> StreamConfig {
+    let farmer = FarmerConfig::for_family(trace.family);
+    (StreamConfig::default().with_farmer(farmer))
+        .with_shards(1)
+        .with_node_cap(1 << 20)
+}
 
 /// One fully instrumented online cell whose metric registry is embedded
 /// in the record as the top-level `obs` object: the `base` scenario at a
@@ -52,11 +63,7 @@ use farmer_trace::Op;
 /// dependent, like `events_per_sec`.
 fn obs_demo() -> farmer_obs::ObsReport {
     let trace = build_scenario("base", 0.05);
-    let stream = StreamConfig::default()
-        .with_farmer(FarmerConfig::for_family(trace.family))
-        .with_shards(1)
-        .with_node_cap(1 << 20);
-    let online = OnlineConfig::every(stream, (trace.len() / 8).max(1));
+    let online = OnlineConfig::every(one_shard(&trace), (trace.len() / 8).max(1));
     let mut rep_cfg = ReplayConfig::for_family(trace.family);
     rep_cfg.num_phases = PHASES;
     let sim_cfg = SimConfig::for_family(trace.family).with_phases(PHASES);
@@ -76,19 +83,11 @@ fn obs_demo() -> farmer_obs::ObsReport {
 /// `wal.recovery_fallbacks`, `wal.recovery_ns`).
 fn obs_recovery_demo() -> farmer_obs::ObsReport {
     let trace = build_scenario("failure", 0.02);
-    let mut dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    dir.pop();
-    dir.pop();
-    dir.push("target");
-    dir.push("failure-cells");
-    dir.push(format!("obs-demo-{}", std::process::id()));
+    let target = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    let dir = target.join(format!("failure-cells/obs-demo-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create obs-demo scratch dir");
     let wal = dir.join("obs.wal");
-    let stream = StreamConfig::default()
-        .with_farmer(FarmerConfig::for_family(trace.family))
-        .with_shards(1)
-        .with_node_cap(1 << 20);
-    let cfg = DurableConfig::new(stream)
+    let cfg = DurableConfig::new(one_shard(&trace))
         .with_checkpoint_interval((trace.len() / 4).max(1) as u64)
         .with_compaction(true);
     let reg = Registry::enabled();
@@ -115,23 +114,15 @@ fn json_report(
     obs: &farmer_obs::ObsReport,
     obs_recovery: &farmer_obs::ObsReport,
 ) -> Json {
+    let names = |names: &[&str]| Json::Arr(names.iter().map(|&n| Json::str(n)).collect());
     let mut j = Json::obj()
         .field("bench", Json::str("eval_matrix"))
         .field("schema_version", Json::UInt(u64::from(SCHEMA_VERSION)))
         .field("scale", Json::F64(scale))
         .field("phases", Json::UInt(PHASES as u64))
-        .field(
-            "scenarios",
-            Json::Arr(SCENARIOS.iter().map(|&s| Json::str(s)).collect()),
-        )
-        .field(
-            "fpa_modes",
-            Json::Arr(FPA_MODES.iter().map(|&m| Json::str(m)).collect()),
-        )
-        .field(
-            "failure_modes",
-            Json::Arr(FAILURE_MODES.iter().map(|&m| Json::str(m)).collect()),
-        )
+        .field("scenarios", names(&SCENARIOS))
+        .field("fpa_modes", names(&FPA_MODES))
+        .field("failure_modes", names(&FAILURE_MODES))
         .field(
             "parity",
             Json::obj()
@@ -175,10 +166,10 @@ fn main() {
         reference
     });
 
-    let points: Vec<_> = SWEEP_SECTIONS.into_iter().flat_map(sweep).collect();
+    let points: Vec<_> = PAPER_SECTIONS.into_iter().flat_map(sweep).collect();
     eprintln!(
         "eval_matrix: scale {}, {} scenarios x ({} FARMER miner modes + 4 self-mining predictors) \
-         + the paper grid + {} points of its sweeps",
+         + the paper grid + {} points of its sweeps + its entries",
         args.scale,
         SCENARIOS.len(),
         FPA_MODES.len(),
@@ -187,8 +178,10 @@ fn main() {
     let mut report = run_matrix_with(args.scale, &SCENARIOS, &mut |s| {
         eprintln!("eval_matrix: scenario {s}...");
     });
-    eprintln!("eval_matrix: paper grid and sweeps...");
-    report.cells.extend(paper_cells(args.scale, true, &points));
+    eprintln!("eval_matrix: paper grid, sweeps and entries...");
+    report
+        .cells
+        .extend(paper_cells(args.scale, &PAPER_SECTIONS));
     eprintln!(
         "eval_matrix: {} cells, parity over {} scenarios (max degree delta {:e})",
         report.cells.len(),

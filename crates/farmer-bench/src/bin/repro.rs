@@ -9,103 +9,89 @@
 //! For each paper table/figure, prints the measured values with the
 //! paper's reference numbers ([`farmer_bench::paper`]) where the paper
 //! reports them, then the two experiments the paper only sketches (§4.1
-//! multi-MDS scaling, §7 attribute regression). Figures 3, 6, 7, 8,
-//! Tables 3, 4, 5 and the ablations print from the reference model's paper
-//! cells ([`paper_cells`]: its grid and the [`sweep`] table), the cells
-//! `eval_matrix --check` pins to the record and shape-checks; each cell
-//! the chosen sections read runs once. `--only <name>` runs a single
-//! section ([`SECTIONS`]) and only its cells; an unknown name — or an
-//! unknown flag — exits 2 listing the valid ones. `repro` checks nothing,
-//! so `--check` and `--obs` exit 2 as well.
+//! multi-MDS scaling, §7 attribute regression). Every row is read off the
+//! reference model's paper cells ([`paper_cells`] over the chosen
+//! sections: its grid, the [`sweep`] table's cells and its keyed entries),
+//! the cells `eval_matrix --check` pins to the record and shape-checks;
+//! each cell the chosen sections read runs once. `--only <name>` runs a
+//! single section ([`SECTIONS`]) and only its cells; an unknown name — or
+//! an unknown flag — exits 2 listing the valid ones. `repro` checks
+//! nothing, so `--check` and `--obs` exit 2 as well.
 
 use std::time::Instant;
 
 use farmer_bench::evalmatrix::{
-    paper_cell, paper_cells, sweep, sweep_mode, Cell, PAPER_PREDICTORS,
+    cluster_mode, paper_cell, paper_cells, sweep, sweep_mode, Cell, CLUSTER_SERVERS,
+    PAPER_PREDICTORS,
 };
-use farmer_bench::experiments as ex;
 use farmer_bench::format::{mb, ms, pct, BenchArgs, TextTable};
 use farmer_bench::paper;
-use farmer_bench::refmodel::TABLE5_ALLOWANCE;
-use farmer_bench::regression::FEATURE_LABELS;
+use farmer_bench::refmodel::{fig1_not_above_none, FIG1_RULE_FAMILIES, TABLE5_ALLOWANCE};
+use farmer_bench::regression::{strongest_attribute, FEATURE_LABELS};
 use farmer_core::FarmerConfig;
+use farmer_mds::Partition;
 use farmer_trace::TraceFamily;
 
-/// One paper table/figure: its `--only` name, heading and body (which
-/// reads the scale and the paper cells).
-struct Section {
-    name: &'static str,
-    title: &'static str,
-    run: fn(f64, &[Cell]),
-}
+/// One paper table/figure: its `--only` name (one of
+/// `evalmatrix::PAPER_SECTIONS`), heading and body (which reads the paper
+/// cells).
+type Section = (&'static str, &'static str, fn(&[Cell]));
 
-const fn sec(name: &'static str, title: &'static str, run: fn(f64, &[Cell])) -> Section {
-    Section { name, title, run }
-}
-
-/// The sections read off the paper's comparison grid.
-const GRID_SECTIONS: [&str; 4] = ["fig7", "table3", "fig8", "table4"];
-
-/// Every section, in run order.
+/// Every section, in run order (one row each).
+#[rustfmt::skip]
 const SECTIONS: [Section; 12] = [
-    sec(
-        "fig1",
-        "Figure 1: inter-file access probability by attribute filter",
-        fig1,
-    ),
-    sec(
-        "table2",
-        "Table 2: DPA vs IPA worked example (exact)",
-        table2,
-    ),
-    sec(
-        "fig3",
-        "Figure 3: hit ratio vs max_strength for p in {0, 0.3, 0.7, 1}",
-        fig3,
-    ),
-    sec(
-        "table5",
-        "Table 5: hit ratio per attribute combination",
-        table5,
-    ),
-    sec("fig6", "Figure 6: avg response vs max_strength (HP)", fig6),
-    sec("fig7", "Figure 7: cache hit ratio comparison", fig7),
-    sec("table3", "Table 3: prefetching accuracy (HP)", table3),
-    sec(
-        "fig8",
-        "Figure 8: average response time (LLNL, RES, HP)",
-        fig8,
-    ),
-    sec("table4", "Table 4: space overhead", table4),
-    sec("ablations", "Ablations", ablations),
-    sec(
-        "cluster",
-        "Section 4.1: multi-MDS scaling (HP), hash vs volume partitioning",
-        cluster,
-    ),
-    sec(
-        "regression",
-        "Section 7: attribute regression per trace family",
-        regression,
-    ),
+    ("fig1", "Figure 1: inter-file access probability by attribute filter", fig1),
+    ("table2", "Table 2: DPA vs IPA worked example (exact)", table2),
+    ("fig3", "Figure 3: hit ratio vs max_strength for p in {0, 0.3, 0.7, 1}", fig3),
+    ("table5", "Table 5: hit ratio per attribute combination", table5),
+    ("fig6", "Figure 6: avg response vs max_strength (HP)", fig6),
+    ("fig7", "Figure 7: cache hit ratio comparison", fig7),
+    ("table3", "Table 3: prefetching accuracy (HP)", table3),
+    ("fig8", "Figure 8: average response time (LLNL, RES, HP)", fig8),
+    ("table4", "Table 4: space overhead", table4),
+    ("ablations", "Ablations", ablations),
+    ("cluster", "Section 4.1: multi-MDS scaling (HP), hash vs volume partitioning", cluster),
+    ("regression", "Section 7: attribute regression per trace family", regression),
 ];
 
-fn fig1(scale: f64, _: &[Cell]) {
-    for (family, rows) in ex::fig1(scale) {
-        let cells: Vec<String> = rows
-            .iter()
-            .map(|r| format!("{}={}", r.filter.label(), pct(r.probability)))
-            .collect();
-        println!("  {:<5} {}", family.name(), cells.join("  "));
-    }
-    println!("  paper shape: `none` lowest in every trace");
+/// The entry (or cell) `key`.
+fn entry<'a>(cells: &'a [Cell], key: (&str, &str, &str)) -> &'a Cell {
+    paper_cell(cells, key).expect("the section's entries ran")
 }
 
-fn table2(_: f64, _: &[Cell]) {
-    for (row, (_, dpa_ref, ipa_ref)) in ex::table2().iter().zip(paper::TABLE2) {
+/// Numeric field `name` of an entry.
+fn value(entry: &Cell, name: &str) -> f64 {
+    entry.value(name).expect("the entry carries the field")
+}
+
+fn fig1(cells: &[Cell]) {
+    let mut below = Vec::new();
+    for name in TraceFamily::ALL.map(|f| f.name()) {
+        let rows = entry(cells, (name, "fig1", "trace"));
+        let shown =
+            (rows.entry.iter().flatten()).map(|(f, _)| format!("{f}={}", pct(value(rows, f))));
+        println!("  {name:<5} {}", shown.collect::<Vec<_>>().join("  "));
+        let (_, not_above) = fig1_not_above_none(rows);
+        below.extend(not_above.iter().map(|(f, _)| format!("{name} {f}")));
+    }
+    if below.is_empty() {
+        below.push("none".into());
+    }
+    let rule = FIG1_RULE_FAMILIES.map(|f| f.name()).join(", ");
+    let below = below.join(", ");
+    println!("  paper shape: `none` lowest in every trace (rule on {rule}); below `none`: {below}");
+}
+
+fn table2(cells: &[Cell]) {
+    for (pair, dpa_ref, ipa_ref) in paper::TABLE2 {
+        let row = entry(cells, ("Table 2", pair, "FARMER"));
         println!(
             "  {:<9} DPA {:.4} (paper {:.4})   IPA {:.4} (paper {:.4})",
-            row.pair, row.dpa, dpa_ref, row.ipa, ipa_ref
+            pair,
+            value(row, "dpa"),
+            dpa_ref,
+            value(row, "ipa"),
+            ipa_ref
         );
     }
 }
@@ -122,7 +108,7 @@ fn paper_value(table: &[(&str, f64)], family: TraceFamily) -> Option<f64> {
     entry.map(|(_, v)| *v)
 }
 
-fn fig3(_: f64, cells: &[Cell]) {
+fn fig3(cells: &[Cell]) {
     for of_family in sweep("fig3").chunk_by(|a, b| a.0 == b.0) {
         let (family, name) = (of_family[0].0, of_family[0].0.name());
         let hit = |config| farmer(cells, family, config).hit_ratio;
@@ -144,7 +130,7 @@ fn fig3(_: f64, cells: &[Cell]) {
     }
 }
 
-fn table5(_: f64, cells: &[Cell]) {
+fn table5(cells: &[Cell]) {
     for points in sweep("table5").chunk_by(|a, b| a.0 == b.0) {
         let family = points[0].0;
         let mut t = TextTable::new(&["combination", "hit ratio", "paper"]);
@@ -171,7 +157,7 @@ fn table5(_: f64, cells: &[Cell]) {
     }
 }
 
-fn fig6(_: f64, cells: &[Cell]) {
+fn fig6(cells: &[Cell]) {
     let (mut lowest, mut at) = (f64::INFINITY, 0.0);
     for (family, c) in sweep("fig6") {
         let response = farmer(cells, family, &c).avg_response_ms;
@@ -189,11 +175,10 @@ fn fig6(_: f64, cells: &[Cell]) {
 
 /// The paper grid's cell of `family` served by `predictor`.
 fn grid<'a>(cells: &'a [Cell], family: TraceFamily, predictor: &str) -> &'a Cell {
-    let key = (family.name(), "self", predictor);
-    paper_cell(cells, key).expect("the paper grid covers every family")
+    entry(cells, (family.name(), "self", predictor))
 }
 
-fn fig7(_: f64, cells: &[Cell]) {
+fn fig7(cells: &[Cell]) {
     for family in TraceFamily::ALL {
         let [lru, nexus, fpa] = PAPER_PREDICTORS.map(|p| grid(cells, family, p));
         let paper_gap = paper_value(&paper::FIG7_IMPROVEMENT_PTS, family)
@@ -211,7 +196,7 @@ fn fig7(_: f64, cells: &[Cell]) {
     }
 }
 
-fn table3(_: f64, cells: &[Cell]) {
+fn table3(cells: &[Cell]) {
     let accuracy = |p| grid(cells, TraceFamily::Hp, p).prefetch_accuracy;
     println!(
         "  FARMER {} (paper {})   Nexus {} (paper {})",
@@ -222,7 +207,7 @@ fn table3(_: f64, cells: &[Cell]) {
     );
 }
 
-fn fig8(_: f64, cells: &[Cell]) {
+fn fig8(cells: &[Cell]) {
     for family in paper::FIG8_FAMILIES {
         let [lru, nexus, fpa] = PAPER_PREDICTORS.map(|p| grid(cells, family, p).avg_response_ms);
         println!(
@@ -242,7 +227,7 @@ fn fig8(_: f64, cells: &[Cell]) {
     );
 }
 
-fn table4(_: f64, cells: &[Cell]) {
+fn table4(cells: &[Cell]) {
     for family in TraceFamily::ALL {
         let bytes = grid(cells, family, "FARMER").memory_bytes;
         let p = paper_value(&paper::TABLE4_SPACE_MB, family).unwrap_or(0.0);
@@ -254,10 +239,11 @@ fn table4(_: f64, cells: &[Cell]) {
     }
 }
 
-fn ablations(scale: f64, cells: &[Cell]) {
+fn ablations(cells: &[Cell]) {
+    let p0 = entry(cells, ("HP", "p=0 vs Nexus", "FARMER"));
     println!(
         "  FPA(p=0) vs Nexus top-successor agreement: {}",
-        pct(ex::reduction_p0_matches_nexus(scale))
+        pct(value(p0, "agreement"))
     );
     let hit = |config| pct(farmer(cells, TraceFamily::Hp, config).hit_ratio);
     let points = sweep("ablations");
@@ -273,16 +259,15 @@ fn ablations(scale: f64, cells: &[Cell]) {
         .map(|(_, c)| format!("{}={}", c.window, hit(c)))
         .collect();
     println!("  look-ahead window (HP hit ratio): {}", windows.join("  "));
-    let (scattered, grouped) = ex::layout_experiment(scale);
+    let layout = entry(cells, ("HP", "layout", "FARMER"));
+    let [scattered, grouped] = ["scattered_seeks", "grouped_seeks"].map(|f| value(layout, f));
     println!(
-        "  layout: {} -> {} seeks ({:.0}% saved)",
-        scattered.seeks,
-        grouped.seeks,
-        100.0 * (1.0 - grouped.seeks as f64 / scattered.seeks as f64)
+        "  layout: {scattered} -> {grouped} seeks ({:.0}% saved)",
+        100.0 * (1.0 - grouped / scattered)
     );
 }
 
-fn cluster(scale: f64, _: &[Cell]) {
+fn cluster(cells: &[Cell]) {
     let mut t = TextTable::new(&[
         "servers",
         "partition",
@@ -291,41 +276,60 @@ fn cluster(scale: f64, _: &[Cell]) {
         "hit",
         "imbalance",
     ]);
-    for (servers, partition, predictor, r) in ex::cluster_scaling(scale) {
-        t.row(vec![
-            servers.to_string(),
-            format!("{partition:?}"),
-            predictor.to_string(),
-            ms(r.avg_response_ms()),
-            pct(r.hit_ratio()),
-            format!("{:.2}", r.imbalance()),
-        ]);
+    let at = |servers, partition, predictor| {
+        entry(cells, ("HP", &cluster_mode(servers, partition), predictor))
+    };
+    for servers in CLUSTER_SERVERS {
+        // One server is every partition: its row runs (and prints) once.
+        let partitions = [Partition::Hash, Partition::Dev].into_iter();
+        for partition in partitions.filter(|&p| servers > 1 || p == Partition::Hash) {
+            for predictor in ["LRU", "FARMER"] {
+                let r = at(servers, partition, predictor);
+                t.row(vec![
+                    servers.to_string(),
+                    format!("{partition:?}"),
+                    predictor.to_string(),
+                    ms(value(r, "avg_response_ms")),
+                    pct(value(r, "hit_ratio")),
+                    format!("{:.2}", value(r, "imbalance")),
+                ]);
+            }
+        }
     }
     println!("{}", t.render());
+    let most = CLUSTER_SERVERS[CLUSTER_SERVERS.len() - 1];
+    let [farmer, lru] = ["FARMER", "LRU"].map(|p| at(most, Partition::Hash, p));
+    let [f, l] = [farmer, lru].map(|c| ms(value(c, "avg_response_ms")));
+    let [fh, lh] = [farmer, lru].map(|c| pct(value(c, "hit_ratio")));
+    let imbalance = value(at(most, Partition::Dev, "FARMER"), "imbalance");
     println!(
-        "expected shape: response falls as servers are added. Note the\n\
-         partitioning interaction: hash sharding fragments access sequences,\n\
-         so FARMER's edge shrinks with shard count, while Dev (volume)\n\
-         partitioning keeps correlated files on one server and preserves the\n\
-         full prefetching win at the cost of load imbalance."
+        "expected shape: response falls as servers are added (a §4.1 rule for LRU\n\
+         under both partitions). Hash sharding fragments access sequences, so\n\
+         FARMER's lead over LRU fades with the server count: at {most} servers\n\
+         FARMER reads {f} against LRU's {l}, hit {fh} against {lh}. Dev\n\
+         (volume) partitioning keeps correlated files on one server: FARMER\n\
+         stays below LRU at every server count (a §4.1 rule), at the cost of\n\
+         load imbalance ({imbalance:.2} at {most} servers)."
     );
 }
 
-fn regression(scale: f64, _: &[Cell]) {
+fn regression(cells: &[Cell]) {
     let mut header = vec!["trace"];
     header.extend(FEATURE_LABELS);
     header.extend(["R^2", "samples"]);
     let mut t = TextTable::new(&header);
-    for (family, fit) in ex::regression(scale) {
+    for family in TraceFamily::ALL {
+        let fit = entry(cells, (family.name(), "regression", "FARMER"));
+        let coefficients = FEATURE_LABELS.map(|f| value(fit, f));
         let mut row = vec![family.name().to_string()];
-        row.extend(fit.coefficients.iter().map(|c| format!("{c:+.3}")));
-        row.push(format!("{:.3}", fit.r_squared));
-        row.push(fit.samples.to_string());
+        row.extend(coefficients.iter().map(|c| format!("{c:+.3}")));
+        row.push(format!("{:.3}", value(fit, "r_squared")));
+        row.push(value(fit, "samples").to_string());
         t.row(row);
         println!(
             "  {:<5} strongest attribute: {}",
             family.name(),
-            fit.strongest_attribute()
+            strongest_attribute(&coefficients)
         );
     }
     println!("\n{}", t.render());
@@ -345,27 +349,25 @@ fn section(title: &str) {
 
 fn main() {
     // No quick profile here: `--quick` leaves the scale at 1.0.
-    let args = BenchArgs::parse(1.0, &SECTIONS.map(|s| s.name));
+    let args = BenchArgs::parse(1.0, &SECTIONS.map(|(name, ..)| name));
     if args.check || args.obs {
         eprintln!(
-            "repro: --check and --obs are eval_matrix's; the paper's cells (its grid and its \
-             sweeps) are pinned and shape-checked by `eval_matrix --check`"
+            "repro: --check and --obs are eval_matrix's; the paper's cells (every row repro \
+             prints) are pinned and shape-checked by `eval_matrix --check`"
         );
         std::process::exit(2);
     }
     let BenchArgs { scale, only, .. } = args;
     let t0 = Instant::now();
     println!("FARMER reproduction suite (scale {scale})");
-    let chosen: Vec<&Section> = SECTIONS
+    let chosen = SECTIONS
         .iter()
-        .filter(|s| only.is_none_or(|o| o == s.name))
-        .collect();
-    let grid = chosen.iter().any(|s| GRID_SECTIONS.contains(&s.name));
-    let points: Vec<_> = chosen.iter().flat_map(|s| sweep(s.name)).collect();
-    let cells = paper_cells(scale, grid, &points);
-    for s in chosen {
-        section(s.title);
-        (s.run)(scale, &cells);
+        .filter(|(name, ..)| only.is_none_or(|o| o == *name));
+    let names: Vec<&str> = chosen.clone().map(|(name, ..)| *name).collect();
+    let cells = paper_cells(scale, &names);
+    for (_, title, run) in chosen {
+        section(title);
+        run(&cells);
     }
     println!("\ncompleted in {:.1}s", t0.elapsed().as_secs_f64());
 }

@@ -15,68 +15,45 @@
 //! (the drift scenario's whole point is what happens *around* a phase
 //! boundary, which a single average hides).
 //!
-//! **Scenario axis** (one control + the four adversarial generators from
-//! [`farmer_trace::workload::adversarial`], plus the correlated-failure
-//! family): `base`, `drift`, `tenants`, `storm`, `churn`, `failure`.
+//! **Scenario axis** ([`SCENARIOS`]): one control (`base`), the four
+//! adversarial generators of [`farmer_trace::workload::adversarial`]
+//! (`drift`, `tenants`, `storm`, `churn`) and the correlated-failure
+//! family (`failure`), which runs one cell per failure mode
+//! ([`crate::faults::FAILURE_MODES`]) instead of the grid below: a durable
+//! online-serving pipeline killed mid-stream, recovered bitwise identical
+//! to an uninterrupted oracle and cold-restarted (see [`crate::faults`]).
 //!
-//! The `failure` scenario is special: instead of the miner-mode ×
-//! predictor grid it runs one cell per **failure mode**
-//! ([`crate::faults::FAILURE_MODES`]) — a durable ([`farmer_stream::DurableMiner`])
-//! online-serving pipeline that is killed mid-stream at deterministic
-//! event indices, optionally has its write-ahead log torn, and is then
-//! recovered and cold-restarted (cache cleared, MDS restarted). Every
-//! recovery is asserted **bitwise identical** to an uninterrupted oracle
-//! fed the recovered operation prefix, and the cells additionally report
-//! recovery counts, replayed events, wall-clock recovery time, the
-//! post-recovery hit-ratio dip, and the final WAL size (see
-//! [`crate::faults`]). Batch-vs-sharded parity does not apply to this
-//! family, so it does not count toward `parity_scenarios`.
+//! **Miner-mode axis** ([`FPA_MODES`], FARMER's FPA only; the other
+//! predictors mine internally and run as mode `self`):
 //!
-//! **Miner-mode axis** (FARMER's FPA only — the other predictors mine
-//! internally and run as mode `self`):
+//! * `batch`, `sharded1`, `sharded4` mine the whole trace (one [`Farmer`],
+//!   the [`ShardedMiner`] at 1 and 4 shards, uncapped) and serve the final
+//!   model — an oracle that has seen the future. [`run_matrix_with`]
+//!   asserts exact batch-vs-sharded snapshot parity and bitwise-equal
+//!   quality across the three before any cell meets the record.
+//! * `frozen`, `online8`, `online64` feed one live miner in lockstep with
+//!   both serving legs ([`crate::lockstep::Lockstep`]), publishing a
+//!   [`StreamSnapshot`] once (at the first segment boundary), every
+//!   `len/8` or every `len/64` events: adaptation lag. Online must beat
+//!   frozen after drift's shifts, and stay within
+//!   [`ONLINE_CONVERGENCE_GAP`] of the batch oracle on `base`.
+//! * `capped1`, `capped4`, `online64capped` run the same with `node_cap`
+//!   [`CAPPED_NODE_CAP`] per shard: the quality cost of bounded miner
+//!   memory, each pinned to its own record (eviction depends on the
+//!   shard partition, so no parity applies).
 //!
-//! * `batch` (one [`Farmer`] over the whole trace), `sharded1` and
-//!   `sharded4` (the `farmer-stream` sharded online miner with 1 and 4
-//!   shards, uncapped so no eviction noise enters the comparison). The
-//!   three modes must produce the *same* mined model — [`run_matrix_with`]
-//!   asserts exact batch-vs-sharded snapshot parity per scenario and
-//!   bitwise-equal quality metrics across the three FPA cells, so any
-//!   divergence in the sharding or snapshot path fails the run before any
-//!   cell is compared with the record. These modes mine the **whole** trace and then
-//!   serve from the frozen final snapshot — an oracle that has seen the
-//!   future.
-//! * **Online serving modes** (`online8`, `online64`, driven by
-//!   [`crate::lockstep::Lockstep`]): one live [`ShardedMiner`] is fed the
-//!   stream in lockstep with both serving legs and a fresh
-//!   [`StreamSnapshot`] is published to the one predictor both legs
-//!   consume every `len/8` (resp. `len/64`) events, so per-phase
-//!   hit-ratio deltas directly measure adaptation lag. `frozen` takes
-//!   exactly one snapshot at the end of the first reporting segment and
-//!   serves it for the rest of the run — the no-adaptation baseline the
-//!   online modes are
-//!   measured against ([`run_matrix_with`] asserts online beats frozen on the
-//!   drift scenario's post-shift segments, and stays within
-//!   [`ONLINE_CONVERGENCE_GAP`] of the batch oracle on the stationary
-//!   `base` scenario).
-//! * **Capped miner cells** (`capped1`, `capped4`, `online64capped`):
-//!   the same pipeline with `node_cap` [`CAPPED_NODE_CAP`] per shard —
-//!   small enough that `tenants` and `churn` force Space-Saving eviction
-//!   — measuring the serving-quality cost of bounded miner memory.
-//!   Eviction makes the mined model depend on the shard partition, so no
-//!   cross-shard parity is asserted here; each capped cell is pinned to
-//!   its own recorded values.
-//!
-//! Unlink events are routed as forgets ([`Farmer::forget_file`] /
-//! [`ShardedMiner::route_forget`]) in every mode, which is what the churn
-//! scenario exercises.
+//! Unlinks are routed as forgets ([`Farmer::forget_file`] /
+//! [`ShardedMiner::route_forget`]) in every mode.
 //!
 //! **The paper's cells** ([`paper_cells`]) ride beside the scenario loop:
 //! each trace family's preset served by LRU, Nexus and a self-mining
-//! FARMER, the cells behind Figure 7 (hit ratio), Table 3 (prefetch
-//! accuracy), Figure 8 (mean response) and Table 4 (model space), and
-//! FARMER under each configuration of the parameter study ([`sweep`]).
-//! Their scenario is the family's name (`LLNL`, `INS`, `RES`, `HP`), their
-//! mode `self` or what the configuration changes ([`sweep_mode`]).
+//! FARMER (Figure 7, Table 3, Figure 8, Table 4), FARMER under each
+//! configuration of the parameter study ([`sweep`]), and keyed entries for
+//! the rows that are no served run (Figure 1, Table 2, the §4.1 cluster,
+//! the §4.2 layout, the p = 0 agreement, the §7 regression). Their
+//! scenario is the family's name (`LLNL`, `INS`, `RES`, `HP`; `Table 2`
+//! for the worked example), their mode `self`, what the configuration
+//! changes ([`sweep_mode`]) or what the entry measures.
 //!
 //! The reference a run is checked against is the checked-in full-scale
 //! record, `BENCH_eval.json` ([`crate::refmodel`]); the `eval_matrix`
@@ -87,19 +64,27 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use farmer_core::{AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode};
-use farmer_mds::ReplayConfig;
+use farmer_core::{
+    similarity, AttrCombo, CorrelationSource, Farmer, FarmerConfig, PathMode, Request,
+};
+use farmer_mds::layout::{plan_layout, replay_reads, LayoutConfig};
+use farmer_mds::osd::OsdConfig;
+use farmer_mds::{replay_cluster, ClusterConfig, Partition, ReplayConfig};
 use farmer_obs::{Json, Registry};
 use farmer_prefetch::baselines::LruOnly;
 use farmer_prefetch::{
     FpaPredictor, NexusPredictor, Predictor, ProbabilityGraph, SdGraph, SimConfig,
 };
 use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
+use farmer_trace::stats::figure1_rows;
 use farmer_trace::workload::{ChurnSpec, DriftSpec, MultiTenantSpec, ScanStormSpec};
-use farmer_trace::{Op, Trace, TraceFamily, WorkloadSpec};
+use farmer_trace::{
+    FileId, HostId, Op, PathInterner, ProcId, Trace, TraceEvent, TraceFamily, UserId, WorkloadSpec,
+};
 
 use crate::lockstep::{serve_online, Lockstep, MinerSide, OnlineConfig, ServedRun};
 pub use crate::refmodel::SCHEMA_VERSION;
+use crate::regression::{fit_trace, FEATURE_LABELS};
 
 /// The `eval_matrix --quick` scale factor: an unchecked fast run (the
 /// reference record is full scale), still large enough that the capped
@@ -138,8 +123,27 @@ pub const SELF_PREDICTORS: [&str; 4] = ["Nexus", "ProbGraph", "SdGraph", "LRU"];
 /// emission order; `FARMER` here mines as it serves.
 pub const PAPER_PREDICTORS: [&str; 3] = ["LRU", "Nexus", "FARMER"];
 
-/// `repro`'s sections that vary FARMER's configuration ([`sweep`]).
-pub const SWEEP_SECTIONS: [&str; 4] = ["fig3", "table5", "fig6", "ablations"];
+/// `repro`'s sections, in print order: the names [`paper_cells`] takes.
+pub const PAPER_SECTIONS: [&str; 12] = [
+    "fig1",
+    "table2",
+    "fig3",
+    "table5",
+    "fig6",
+    "fig7",
+    "table3",
+    "fig8",
+    "table4",
+    "ablations",
+    "cluster",
+    "regression",
+];
+
+/// The sections read off the paper's comparison grid.
+const GRID_SECTIONS: [&str; 4] = ["fig7", "table3", "fig8", "table4"];
+
+/// The server counts of the §4.1 cluster entries ([`cluster_mode`]).
+pub const CLUSTER_SERVERS: [usize; 4] = [1, 2, 4, 8];
 
 /// Refresh points per run of the sparse online mode (`online8`).
 pub const ONLINE_SPARSE_REFRESHES: usize = 8;
@@ -275,6 +279,12 @@ pub struct Cell {
     pub hit_ratio_dip: f64,
     /// Final write-ahead-log size in bytes (failure cells; 0 elsewhere).
     pub wal_bytes: u64,
+    /// The fields of a keyed *entry*, in record order: a paper row that
+    /// is no served run (Fig. 1, Table 2, the §4.1 cluster, the §4.2
+    /// layout, the p = 0 agreement, the §7 regression). Its record holds
+    /// the key and these fields only; `None` for a served cell, whose
+    /// fields are the ones above.
+    pub entry: Option<Vec<(&'static str, Json)>>,
 }
 
 impl Cell {
@@ -285,11 +295,14 @@ impl Cell {
         let fixed = |values: &[f64], decimals| {
             Json::Arr(values.iter().map(|&v| Json::Fixed(v, decimals)).collect())
         };
-        Json::obj()
+        let key = Json::obj()
             .field("scenario", Json::str(self.scenario))
             .field("miner_mode", Json::str(&self.mode))
-            .field("predictor", Json::str(self.predictor))
-            .field("hit_ratio", Json::Fixed(self.hit_ratio, 4))
+            .field("predictor", Json::str(self.predictor));
+        if let Some(fields) = &self.entry {
+            return (fields.iter()).fold(key, |j, (name, value)| j.field(name, value.clone()));
+        }
+        key.field("hit_ratio", Json::Fixed(self.hit_ratio, 4))
             .field("prefetch_accuracy", Json::Fixed(self.prefetch_accuracy, 4))
             .field("prefetch_waste", Json::Fixed(self.prefetch_waste, 4))
             .field("avg_response_ms", Json::Fixed(self.avg_response_ms, 3))
@@ -324,6 +337,29 @@ impl Cell {
             return self.hit_ratio;
         }
         tail.iter().sum::<f64>() / tail.len() as f64
+    }
+
+    /// Numeric field `name` of an entry ([`Cell::entry`]); `None` for a
+    /// served cell or a field the entry does not carry.
+    pub fn value(&self, name: &str) -> Option<f64> {
+        let fields = self.entry.as_ref()?;
+        fields.iter().find(|(n, _)| *n == name)?.1.as_f64()
+    }
+}
+
+/// A keyed entry carrying `fields` ([`Cell::entry`]).
+fn entry(
+    scenario: &'static str,
+    mode: impl Into<String>,
+    predictor: &'static str,
+    fields: Vec<(&'static str, Json)>,
+) -> Cell {
+    Cell {
+        scenario,
+        mode: mode.into(),
+        predictor,
+        entry: Some(fields),
+        ..Cell::default()
     }
 }
 
@@ -370,24 +406,15 @@ fn mine_batch(trace: &Trace, cfg: &FarmerConfig) -> (Farmer, f64) {
     (farmer, rate)
 }
 
-/// The streaming configuration of the uncapped (exact-parity and online)
-/// miner modes: a cap no scenario can reach.
-fn uncapped_stream_cfg(cfg: &FarmerConfig, shards: usize) -> StreamConfig {
-    StreamConfig::default()
-        .with_farmer(cfg.clone())
+/// The streaming configuration of a miner mode: [`CAPPED_NODE_CAP`]
+/// files per shard for the capped modes (forcing Space-Saving eviction on
+/// the churning/consolidated scenarios), otherwise a cap no scenario can
+/// reach, so mode parity compares mining, not eviction policy.
+fn stream_cfg(cfg: &FarmerConfig, shards: usize, capped: bool) -> StreamConfig {
+    let cap = if capped { CAPPED_NODE_CAP } else { 1 << 20 };
+    (StreamConfig::default().with_farmer(cfg.clone()))
         .with_shards(shards)
-        // Uncapped: mode parity must compare mining, not eviction policy.
-        .with_node_cap(1 << 20)
-}
-
-/// The streaming configuration of the capped miner modes:
-/// [`CAPPED_NODE_CAP`] files per shard, forcing Space-Saving eviction on
-/// the churning/consolidated scenarios.
-fn capped_stream_cfg(cfg: &FarmerConfig, shards: usize) -> StreamConfig {
-    StreamConfig::default()
-        .with_farmer(cfg.clone())
-        .with_shards(shards)
-        .with_node_cap(CAPPED_NODE_CAP)
+        .with_node_cap(cap)
 }
 
 /// Same policy through the sharded online miner; returns the consistent
@@ -516,13 +543,12 @@ fn self_cell(
     mode: &str,
     predictor: &'static str,
     trace: &Trace,
-    config: &FarmerConfig,
+    served: &mut dyn Predictor,
 ) -> Cell {
-    let run = serve(trace, self_predictor(predictor, config).as_mut());
-    finish_cell(scenario, mode, predictor, run, 0)
+    finish_cell(scenario, mode, predictor, serve(trace, served), 0)
 }
 
-/// The configurations a sweep section of `repro` ([`SWEEP_SECTIONS`])
+/// The configurations a sweep section of `repro` ([`PAPER_SECTIONS`])
 /// plots, in print order, each an edit of [`FarmerConfig::for_family`]:
 /// `fig3` p ∈ {0, 0.3, 0.7, 1} × `max_strength` 0.2–0.8 on every family;
 /// `table5` the 15 combinations of the family's attribute base on HP, INS
@@ -598,35 +624,219 @@ pub fn sweep_mode(family: TraceFamily, config: &FarmerConfig) -> String {
     }
 }
 
-/// The paper's cells at `scale`, family-major: with `grid`, the comparison
-/// grid (every [`PAPER_PREDICTORS`] entry on the family's preset, mode
-/// `self`); then a self-mining FARMER under each configuration of `points`
-/// ([`sweep`]) on its family's preset, mode [`sweep_mode`]. Each distinct
-/// cell runs once. Figure 7, Table 3, Figure 8 and Table 4 are read off
-/// the grid; Figure 3, Table 5, Figure 6 and the ablations off the sweep.
-pub fn paper_cells(scale: f64, grid: bool, points: &[(TraceFamily, FarmerConfig)]) -> Vec<Cell> {
+/// The preset trace of `family` at `scale` (1.0 = the event counts of
+/// [`WorkloadSpec::for_family`]'s presets): every paper cell's input.
+pub fn trace_for(family: TraceFamily, scale: f64) -> Trace {
+    WorkloadSpec::for_family(family).scaled(scale).generate()
+}
+
+/// The paper's cells at `scale` for the chosen [`PAPER_SECTIONS`]: every
+/// row `repro` prints, family-major. Per family: with a grid section
+/// (`fig7`, `table3`, `fig8`, `table4`) the comparison grid
+/// ([`PAPER_PREDICTORS`] on the family's preset, mode `self`); a
+/// self-mining FARMER under each configuration the sections sweep
+/// ([`sweep`], mode [`sweep_mode`]), each distinct cell run once; then the
+/// entries ([`Cell::entry`]) `fig1`, `regression`, and on HP `p=0 vs
+/// Nexus` and `layout` (the `ablations` rows) and `cluster`'s. `table2`'s
+/// come last. An entry that reads mined state reads the final state of the
+/// grid cell that mined its trace, which its section thus runs: the
+/// regression and the layout read the family's FARMER (a preset trace holds
+/// metadata demands only, so that is `Farmer::mine_trace` under the
+/// family's default), the p = 0 row HP's Nexus.
+pub fn paper_cells(scale: f64, sections: &[&str]) -> Vec<Cell> {
+    let unknown = sections.iter().find(|s| !PAPER_SECTIONS.contains(s));
+    assert!(unknown.is_none(), "unknown paper section {unknown:?}");
+    let wants = |section: &str| sections.contains(&section);
+    let grid = GRID_SECTIONS.into_iter().any(wants);
+    let points: Vec<_> = sections.iter().flat_map(|s| sweep(s)).collect();
     let mut cells: Vec<Cell> = Vec::new();
     for family in TraceFamily::ALL {
+        let (name, hp) = (family.name(), family == TraceFamily::Hp);
         let default = FarmerConfig::for_family(family);
+        let reads_farmer = wants("regression") || (hp && wants("ablations"));
+        let reads_nexus = hp && wants("ablations");
         let grid_runs = PAPER_PREDICTORS
             .into_iter()
-            .filter(|_| grid)
+            .filter(|&p| grid || (p == "FARMER" && reads_farmer) || (p == "Nexus" && reads_nexus))
             .map(|p| (p, &default));
-        let sweep_runs = points
-            .iter()
-            .filter(|(f, _)| *f == family)
-            .map(|(_, c)| ("FARMER", c));
+        let of_family = points.iter().filter(|(f, _)| *f == family);
         let mut trace = None;
-        for (predictor, config) in grid_runs.chain(sweep_runs) {
+        let mut nexus = NexusPredictor::paper_default();
+        let mut farmer = FpaPredictor::new(default.clone());
+        for (predictor, config) in grid_runs.chain(of_family.map(|(_, c)| ("FARMER", c))) {
             let mode = sweep_mode(family, config);
-            if paper_cell(&cells, (family.name(), &mode, predictor)).is_none() {
-                let trace =
-                    trace.get_or_insert_with(|| crate::experiments::trace_for(family, scale));
-                cells.push(self_cell(family.name(), &mode, predictor, trace, config));
+            if paper_cell(&cells, (name, &mode, predictor)).is_some() {
+                continue;
+            }
+            let trace = trace.get_or_insert_with(|| trace_for(family, scale));
+            let mut other;
+            let served: &mut dyn Predictor = match predictor {
+                "Nexus" => &mut nexus,
+                "FARMER" if *config == default => &mut farmer,
+                _ => {
+                    other = self_predictor(predictor, config);
+                    other.as_mut()
+                }
+            };
+            cells.push(self_cell(name, &mode, predictor, trace, served));
+        }
+        if !(wants("fig1") || reads_farmer || (hp && wants("cluster"))) {
+            continue;
+        }
+        let trace = trace.get_or_insert_with(|| trace_for(family, scale));
+        let farmer = farmer.farmer();
+        let mined = !reads_farmer || farmer.observed() == trace.len() as u64;
+        assert!(mined, "{name}: the FARMER grid cell skipped an event");
+        if wants("fig1") {
+            let rows = figure1_rows(trace).into_iter();
+            let fields = rows.map(|r| (r.filter.label(), Json::Fixed(r.probability, 4)));
+            cells.push(entry(name, "fig1", "trace", fields.collect()));
+        }
+        if wants("regression") {
+            let fit = fit_trace(trace, farmer);
+            let coefficients = FEATURE_LABELS.into_iter().zip(fit.coefficients);
+            let mut fields: Vec<_> = coefficients.map(|(f, c)| (f, Json::Fixed(c, 4))).collect();
+            fields.push(("r_squared", Json::Fixed(fit.r_squared, 4)));
+            fields.push(("samples", Json::UInt(fit.samples as u64)));
+            cells.push(entry(name, "regression", "FARMER", fields));
+        }
+        if reads_nexus {
+            cells.push(p0_entry(trace, &nexus));
+            let layout = plan_layout(farmer, trace, LayoutConfig::default());
+            let seeks = |l| Json::UInt(replay_reads(trace, l, OsdConfig::default()).seeks);
+            let [s, g] = [None, Some(&layout)].map(seeks);
+            let fields = vec![("scattered_seeks", s), ("grouped_seeks", g)];
+            cells.push(entry(name, "layout", "FARMER", fields));
+        }
+        if hp && wants("cluster") {
+            cells.extend(cluster_entries(trace));
+        }
+    }
+    if wants("table2") {
+        cells.extend(table2_entries());
+    }
+    cells
+}
+
+/// One sweep point outside any section: FARMER's cell under `config` on
+/// `family`'s preset `trace`, mode [`sweep_mode`].
+pub fn sweep_cell(family: TraceFamily, trace: &Trace, config: &FarmerConfig) -> Cell {
+    let mut served = FpaPredictor::new(config.clone());
+    let mode = sweep_mode(family, config);
+    self_cell(family.name(), &mode, "FARMER", trace, &mut served)
+}
+
+/// §7's reduction: FARMER at p = 0 with no threshold and no pruning, mined
+/// over HP's trace, against HP's Nexus grid cell. Its `agreement` is the
+/// share of sampled files (ids below 4 000 both rank a successor of) on
+/// whose top successor the two agree.
+fn p0_entry(trace: &Trace, nexus: &NexusPredictor) -> Cell {
+    let hp = FarmerConfig::for_family(TraceFamily::Hp).with_p(0.0);
+    let config = hp.with_max_strength(0.0).with_combo(AttrCombo::EMPTY);
+    let farmer = Farmer::mine_trace(
+        trace,
+        FarmerConfig {
+            prune_interval: 0,
+            ..config
+        },
+    );
+    let (mut agree, mut total) = (0usize, 0usize);
+    for file in (0..trace.num_files().min(4000)).map(|f| FileId::new(f as u32)) {
+        // `strongest` is the head-of-list query: one O(deg) scan.
+        let f_top = farmer.strongest(file, 0.0).map(|c| c.file);
+        if let (Some(a), Some(&(b, _))) = (f_top, nexus.successors(file).first()) {
+            total += 1;
+            agree += usize::from(a == b);
+        }
+    }
+    let agreement = Json::Fixed(agree as f64 / total.max(1) as f64, 4);
+    entry(
+        "HP",
+        "p=0 vs Nexus",
+        "FARMER",
+        vec![("agreement", agreement)],
+    )
+}
+
+/// The mode of a §4.1 cluster entry: `servers=1` (one server is every
+/// partition), else `servers=N partition=hash|dev`.
+pub fn cluster_mode(servers: usize, partition: Partition) -> String {
+    match servers {
+        1 => "servers=1".to_string(),
+        _ => format!("servers={servers} partition={partition:?}").to_lowercase(),
+    }
+}
+
+/// §4.1 multi-MDS scaling on HP: LRU and FARMER (one self-mining instance
+/// per server) at each of [`CLUSTER_SERVERS`], hash vs volume
+/// partitioning — the paper's two attacks on the metadata bottleneck,
+/// composed.
+fn cluster_entries(trace: &Trace) -> Vec<Cell> {
+    let mut replay = ReplayConfig::for_family(TraceFamily::Hp);
+    replay.time_scale *= 0.8; // heavier (but stable) load makes scaling visible
+    let config = FarmerConfig::for_family(TraceFamily::Hp);
+    let mut cells = Vec::new();
+    for num_servers in CLUSTER_SERVERS {
+        let partitions = [Partition::Hash, Partition::Dev].into_iter();
+        for partition in partitions.filter(|&p| num_servers > 1 || p == Partition::Hash) {
+            let cfg = ClusterConfig {
+                num_servers,
+                replay,
+                partition,
+            };
+            for predictor in ["LRU", "FARMER"] {
+                let r = replay_cluster(trace, || self_predictor(predictor, &config), cfg);
+                let fields = vec![
+                    ("avg_response_ms", Json::Fixed(r.avg_response_ms(), 3)),
+                    ("hit_ratio", Json::Fixed(r.hit_ratio(), 4)),
+                    ("imbalance", Json::Fixed(r.imbalance(), 4)),
+                ];
+                let mode = cluster_mode(num_servers, partition);
+                cells.push(entry("HP", mode, predictor, fields));
             }
         }
     }
     cells
+}
+
+/// Table 2: the paper's worked example, the DPA and IPA similarity of
+/// three requests under HP's attribute base.
+fn table2_entries() -> Vec<Cell> {
+    let mut interner = PathInterner::new();
+    let paths = [
+        "/home/user1/paper/a",
+        "/home/user1/paper/b",
+        "/home/user2/c",
+    ];
+    let paths = paths.map(|p| Some(interner.parse(p)));
+    let req = |file, uid, pid, host| {
+        let e = TraceEvent::synthetic(
+            0,
+            FileId::new(file),
+            UserId::new(uid),
+            ProcId::new(pid),
+            HostId::new(host),
+        );
+        Request::from_event(&e)
+    };
+    let reqs = [req(0, 1, 1, 1), req(1, 1, 2, 1), req(2, 2, 3, 2)];
+    let pairs = [("sim(A,B)", 0, 1), ("sim(A,C)", 0, 2), ("sim(B,C)", 1, 2)];
+    let entries = pairs.into_iter().map(|(pair, x, y)| {
+        let (a, b) = ((&reqs[x], paths[x].as_ref()), (&reqs[y], paths[y].as_ref()));
+        let sim = |mode| {
+            Json::Fixed(
+                similarity(a.0, a.1, b.0, b.1, AttrCombo::hp_default(), mode),
+                4,
+            )
+        };
+        entry(
+            "Table 2",
+            pair,
+            "FARMER",
+            vec![("dpa", sim(PathMode::Dpa)), ("ipa", sim(PathMode::Ipa))],
+        )
+    });
+    entries.collect()
 }
 
 /// The cell whose `(scenario, mode, predictor)` is `key`, if `cells` holds
@@ -671,14 +881,7 @@ fn finish_cell(
         phase_p95_ms: rep.phase_p95_ms,
         phase_p99_ms: rep.phase_p99_ms,
         refreshes,
-        miner_evictions: 0,
-        recoveries: 0,
-        recovery_events: 0,
-        recovered_events: 0,
-        replay_fraction: 0.0,
-        recovery_ms: 0.0,
-        hit_ratio_dip: 0.0,
-        wal_bytes: 0,
+        ..Cell::default()
     };
     for (name, v) in [
         ("hit_ratio", cell.hit_ratio),
@@ -779,7 +982,7 @@ pub fn run_matrix_with(
             batch_bytes,
         )];
         for (mode, shards) in [("sharded1", 1usize), ("sharded4", 4usize)] {
-            let (snap, rate) = mine_sharded(&trace, uncapped_stream_cfg(&cfg, shards));
+            let (snap, rate) = mine_sharded(&trace, stream_cfg(&cfg, shards, false));
             max_parity_delta = max_parity_delta.max(assert_parity(scenario, shards, &batch, &snap));
             let bytes = snap.state_bytes;
             fpa_cells.push(fpa_cell(scenario, mode, &trace, snap, rate, bytes));
@@ -788,29 +991,23 @@ pub fn run_matrix_with(
 
         // The mined model is identical across modes, so serving quality
         // must be too — bitwise, not approximately.
+        let quality = |c: &Cell| {
+            [
+                c.hit_ratio,
+                c.prefetch_accuracy,
+                c.prefetch_waste,
+                c.avg_response_ms,
+            ]
+        };
         for c in &fpa_cells[1..] {
-            let b = &fpa_cells[0];
-            for (name, x, y) in [
-                ("hit_ratio", b.hit_ratio, c.hit_ratio),
-                (
-                    "prefetch_accuracy",
-                    b.prefetch_accuracy,
-                    c.prefetch_accuracy,
-                ),
-                ("prefetch_waste", b.prefetch_waste, c.prefetch_waste),
-                ("avg_response_ms", b.avg_response_ms, c.avg_response_ms),
-            ] {
-                assert!(
-                    (x - y).abs() < 1e-12,
-                    "{scenario}: FPA {name} diverged between batch and {}: {x} vs {y}",
-                    c.mode
-                );
-            }
+            let (b, q) = (quality(&fpa_cells[0]), quality(c));
+            let same = b.iter().zip(q).all(|(x, y)| (x - y).abs() < 1e-12);
+            assert!(same, "{scenario}: FPA quality (hit ratio, accuracy, waste, response) diverged between batch {b:?} and {} {q:?}", c.mode);
         }
 
         // Adaptation-lag serving modes: frozen (one snapshot at the first
         // segment boundary) vs periodic online refresh, uncapped.
-        let stream = uncapped_stream_cfg(&cfg, 1);
+        let stream = stream_cfg(&cfg, 1, false);
         let frozen = online_cell(
             scenario,
             "frozen",
@@ -875,7 +1072,7 @@ pub fn run_matrix_with(
         // Capped miner modes: whole-trace mining under node_cap pressure,
         // plus the capped online combination.
         for (mode, shards) in [("capped1", 1usize), ("capped4", 4usize)] {
-            let (snap, rate) = mine_sharded(&trace, capped_stream_cfg(&cfg, shards));
+            let (snap, rate) = mine_sharded(&trace, stream_cfg(&cfg, shards, true));
             assert!(
                 snap.tracked_files <= CAPPED_NODE_CAP * shards,
                 "{scenario}/{mode}: node cap violated"
@@ -890,7 +1087,7 @@ pub fn run_matrix_with(
             "online64capped",
             &trace,
             &OnlineConfig::every(
-                capped_stream_cfg(&cfg, 1),
+                stream_cfg(&cfg, 1, true),
                 refresh_interval(&trace, ONLINE_DENSE_REFRESHES),
             ),
         ));
@@ -910,7 +1107,14 @@ pub fn run_matrix_with(
 
         // Self-mining predictors.
         for predictor in SELF_PREDICTORS {
-            cells.push(self_cell(scenario, "self", predictor, &trace, &cfg));
+            let mut served = self_predictor(predictor, &cfg);
+            cells.push(self_cell(
+                scenario,
+                "self",
+                predictor,
+                &trace,
+                served.as_mut(),
+            ));
         }
     }
 
@@ -925,6 +1129,7 @@ pub fn run_matrix_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
 
     #[test]
     fn every_scenario_builds_and_validates() {
@@ -1079,7 +1284,7 @@ mod tests {
     /// cell (Figure 6's 0.2–0.8 are Figure 3's HP p = 0.7 row).
     #[test]
     fn sweep_points_name_their_changes() {
-        let points: Vec<_> = SWEEP_SECTIONS.into_iter().flat_map(sweep).collect();
+        let points: Vec<_> = PAPER_SECTIONS.into_iter().flat_map(sweep).collect();
         assert_eq!(points.len(), 176);
         let modes: std::collections::BTreeSet<_> = points
             .iter()
@@ -1109,7 +1314,7 @@ mod tests {
     /// configuration.
     #[test]
     fn sweep_points_change_only_named_fields() {
-        for (family, config) in SWEEP_SECTIONS.into_iter().flat_map(sweep) {
+        for (family, config) in PAPER_SECTIONS.into_iter().flat_map(sweep) {
             let base = FarmerConfig::for_family(family);
             let unnamed = FarmerConfig {
                 p: base.p,
@@ -1130,12 +1335,13 @@ mod tests {
     #[test]
     fn ins_paper_row_equals_the_record() {
         let reference = crate::refmodel::Reference::checked_in().expect("BENCH_eval.json parses");
-        let trace = crate::experiments::trace_for(TraceFamily::Ins, reference.scale);
+        let trace = trace_for(TraceFamily::Ins, reference.scale);
         let config = FarmerConfig::for_family(TraceFamily::Ins);
         let found: Vec<String> = PAPER_PREDICTORS
             .into_iter()
             .flat_map(|p| {
-                let cell = self_cell(TraceFamily::Ins.name(), "self", p, &trace, &config);
+                let mut served = self_predictor(p, &config);
+                let cell = self_cell(TraceFamily::Ins.name(), "self", p, &trace, served.as_mut());
                 crate::refmodel::check_cell(&cell, &reference)
             })
             .collect();
@@ -1164,12 +1370,28 @@ mod tests {
         for family in TraceFamily::ALL {
             declared.extend(PAPER_PREDICTORS.map(|p| (family.name(), "self".to_string(), p)));
         }
-        for (family, config) in SWEEP_SECTIONS.into_iter().flat_map(sweep) {
+        for (family, config) in PAPER_SECTIONS.into_iter().flat_map(sweep) {
             let key = (family.name(), sweep_mode(family, &config), "FARMER");
             if !declared.contains(&key) {
                 declared.push(key);
             }
         }
+        for family in TraceFamily::ALL {
+            declared.push((family.name(), "fig1".to_string(), "trace"));
+            declared.push((family.name(), "regression".to_string(), "FARMER"));
+        }
+        declared.push(("HP", "p=0 vs Nexus".to_string(), "FARMER"));
+        declared.push(("HP", "layout".to_string(), "FARMER"));
+        for servers in CLUSTER_SERVERS {
+            for partition in [Partition::Hash, Partition::Dev] {
+                let key = |p| ("HP", cluster_mode(servers, partition), p);
+                if !declared.contains(&key("LRU")) {
+                    declared.extend([key("LRU"), key("FARMER")]);
+                }
+            }
+        }
+        declared
+            .extend(crate::paper::TABLE2.map(|(pair, ..)| ("Table 2", pair.to_string(), "FARMER")));
         let declared: Vec<_> = declared
             .iter()
             .map(|(s, m, p)| (*s, m.as_str(), *p))
@@ -1184,5 +1406,62 @@ mod tests {
             recorded.len(),
             declared.len()
         );
+    }
+
+    // The paper cells' orderings at scales below the shape tests'
+    // (`tests/paper_shapes.rs`, 0.35).
+
+    /// The grid at 0.2, run once for the two tests that read it.
+    fn grid() -> &'static [Cell] {
+        static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+        CELLS.get_or_init(|| paper_cells(0.2, &["fig7"]))
+    }
+
+    /// The grid and HP's ablation cells and entries at 0.1, run once for
+    /// the three tests that read them.
+    fn small() -> &'static [Cell] {
+        static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+        CELLS.get_or_init(|| paper_cells(0.1, &["table4", "ablations"]))
+    }
+
+    fn cell<'a>(cells: &'a [Cell], family: TraceFamily, predictor: &str) -> &'a Cell {
+        paper_cell(cells, (family.name(), "self", predictor)).expect("paper grid cell")
+    }
+
+    #[test]
+    fn fig7_fpa_wins_everywhere() {
+        for family in TraceFamily::ALL {
+            let at = |p| cell(grid(), family, p).hit_ratio;
+            assert!(at("FARMER") > at("Nexus"), "{family:?}");
+            assert!(at("Nexus") > at("LRU") - 0.02, "{family:?}");
+        }
+    }
+
+    #[test]
+    fn table3_direction() {
+        let at = |p| cell(grid(), TraceFamily::Hp, p).prefetch_accuracy;
+        let (fpa, nexus) = (at("FARMER"), at("Nexus"));
+        assert!(fpa > nexus, "FPA {fpa} vs Nexus {nexus}");
+    }
+
+    #[test]
+    fn table4_ordering_follows_trace_scale() {
+        let get = |f| cell(small(), f, "FARMER").memory_bytes;
+        assert!(get(TraceFamily::Llnl) > get(TraceFamily::Ins));
+        assert!(get(TraceFamily::Hp) > get(TraceFamily::Ins));
+    }
+
+    #[test]
+    fn reduction_p0_mostly_agrees_with_nexus() {
+        let p0 = paper_cell(small(), ("HP", "p=0 vs Nexus", "FARMER")).expect("the p = 0 row");
+        let agreement = p0.value("agreement").expect("its agreement");
+        assert!(agreement > 0.8, "agreement {agreement}");
+    }
+
+    #[test]
+    fn layout_groups_save_seeks() {
+        let layout = paper_cell(small(), ("HP", "layout", "FARMER")).expect("the layout row");
+        let seeks = |f| layout.value(f).expect("a seek count");
+        assert!(seeks("grouped_seeks") < seeks("scattered_seeks"));
     }
 }

@@ -64,18 +64,6 @@ pub const FAILURE_MODES: [&str; 4] = ["kill50", "kill50torn", "kill25x3", "ckpt"
 /// it.
 pub const DIP_WINDOW_DIV: usize = 16;
 
-/// A torn-write injection applied to the WAL file between crash and
-/// recovery (the tail-scan corruption modes the WAL must tolerate).
-#[derive(Debug, Clone, Copy)]
-pub enum TornTail {
-    /// Truncate the last `n` bytes (a chopped final write).
-    Chop(usize),
-    /// Append `n` garbage bytes (a half-written block after the tail).
-    Garbage(usize),
-    /// Flip one bit `n` bytes before the end (silent media corruption).
-    FlipBit(usize),
-}
-
 /// One failure mode's deterministic plan: kill at these event indices,
 /// optionally tearing the log tail at each kill.
 #[derive(Debug, Clone)]
@@ -84,8 +72,9 @@ pub struct KillPlan {
     /// routed: a kill at `k` means exactly the events `[0, k)` reached
     /// the miner).
     pub kills: Vec<usize>,
-    /// Applied to the WAL file after every crash, before recovery.
-    pub torn: Option<TornTail>,
+    /// Bytes chopped off the WAL file's tail after every crash, before
+    /// recovery (a torn final write; 0 tears nothing).
+    pub chop: usize,
 }
 
 /// Build the kill plan of one failure mode over a `len`-event trace.
@@ -94,47 +83,24 @@ pub struct KillPlan {
 /// reference model's identity, exactly like scenario names.
 pub fn kill_plan(mode: &str, len: usize) -> KillPlan {
     let at = |num: usize, den: usize| (len * num / den).max(1);
-    match mode {
-        "kill50" => KillPlan {
-            kills: vec![at(1, 2)],
-            torn: None,
-        },
-        "kill50torn" => KillPlan {
-            kills: vec![at(1, 2)],
-            torn: Some(TornTail::Chop(11)),
-        },
-        "kill25x3" => KillPlan {
-            kills: vec![at(1, 4), at(1, 2), at(3, 4)],
-            torn: None,
-        },
-        // Same kill point as kill50; what changes is the recovery path
-        // (checkpoint image + suffix replay instead of genesis replay).
-        "ckpt" => KillPlan {
-            kills: vec![at(1, 2)],
-            torn: None,
-        },
+    let (kills, chop) = match mode {
+        // `ckpt` kills where kill50 does; what changes is the recovery
+        // path (checkpoint image + suffix replay instead of genesis replay).
+        "kill50" | "ckpt" => (vec![at(1, 2)], 0),
+        "kill50torn" => (vec![at(1, 2)], 11),
+        "kill25x3" => (vec![at(1, 4), at(1, 2), at(3, 4)], 0),
         other => panic!("unknown failure mode {other:?}"),
-    }
+    };
+    KillPlan { kills, chop }
 }
 
-/// Apply one torn-write injection to a WAL file. Skips (rather than
-/// corrupting the header page) when the file is too small to tear —
-/// which the quick and full scales never are.
-pub fn inject_torn_tail(path: &Path, torn: TornTail) -> std::io::Result<()> {
+/// Chop `n` bytes off a WAL file's tail. Skips (rather than corrupting the
+/// header page) when the file is too small to tear — which the quick and
+/// full scales never are.
+pub fn chop_tail(path: &Path, n: usize) -> std::io::Result<()> {
     let mut data = fs::read(path)?;
-    let len = data.len();
-    match torn {
-        TornTail::Chop(n) => {
-            if len > 4096 + n {
-                data.truncate(len - n);
-            }
-        }
-        TornTail::Garbage(n) => data.extend(std::iter::repeat_n(0xA5, n)),
-        TornTail::FlipBit(n) => {
-            if len > 4096 + n {
-                data[len - n] ^= 0x10;
-            }
-        }
+    if data.len() > 4096 + n {
+        data.truncate(data.len() - n);
     }
     fs::write(path, &data)
 }
@@ -190,7 +156,7 @@ struct DurableLeg {
     ops: Vec<MirrorOp>,
     kills: Vec<usize>,
     next_kill: usize,
-    torn: Option<TornTail>,
+    chop: usize,
     recoveries: u64,
     recovery_events: u64,
     recovered_events: u64,
@@ -218,7 +184,7 @@ impl DurableLeg {
             ops: Vec::new(),
             kills: plan.kills.clone(),
             next_kill: 0,
-            torn: plan.torn,
+            chop: plan.chop,
             recoveries: 0,
             recovery_events: 0,
             recovered_events: 0,
@@ -268,8 +234,8 @@ impl MinerSide for DurableLeg {
         }
         self.next_kill += 1;
         self.miner.take().expect("miner alive").crash();
-        if let Some(torn) = self.torn {
-            inject_torn_tail(&self.wal, torn)
+        if self.chop > 0 {
+            chop_tail(&self.wal, self.chop)
                 .unwrap_or_else(|e| panic!("{}: torn-tail injection: {e}", self.mode));
         }
         let (mut recovered, report) = recover_instrumented(&self.wal, self.cfg.clone(), &self.reg)
@@ -309,7 +275,7 @@ impl MinerSide for DurableLeg {
         // recovery stands behind one only if synced bytes were destroyed
         // — which a torn-tail plan does on purpose and nothing else may.
         assert!(
-            self.torn.is_some() || snap.events >= self.served_events,
+            self.chop > 0 || snap.events >= self.served_events,
             "{}: recovery at kill {i} regressed behind an already served \
              snapshot ({} < {} events)",
             self.mode,
@@ -475,8 +441,8 @@ mod tests {
             let q = kill_plan(mode, 10_000);
             assert_eq!(p.kills, q.kills);
         }
-        assert!(kill_plan("kill50torn", 10_000).torn.is_some());
-        assert!(kill_plan("kill50", 10_000).torn.is_none());
+        assert!(kill_plan("kill50torn", 10_000).chop > 0);
+        assert_eq!(kill_plan("kill50", 10_000).chop, 0);
     }
 
     #[test]

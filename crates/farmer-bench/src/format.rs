@@ -115,39 +115,25 @@ impl TextTable {
     /// Render with two-space gutters, left-aligned first column and
     /// right-aligned numeric columns.
     pub fn render(&self) -> String {
-        let cols = self
-            .rows
-            .iter()
-            .map(Vec::len)
-            .chain([self.header.len()])
-            .max()
-            .unwrap_or(0);
-        let mut widths = vec![0usize; cols];
+        let mut widths = Vec::new();
         for row in std::iter::once(&self.header).chain(&self.rows) {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+            widths.resize(widths.len().max(row.len()), 0);
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = cell.len().max(*width);
             }
         }
-        let mut out = String::new();
-        let fmt_row = |row: &[String], out: &mut String| {
-            for (i, cell) in row.iter().enumerate() {
-                if i > 0 {
-                    out.push_str("  ");
-                }
-                if i == 0 {
-                    out.push_str(&format!("{:<width$}", cell, width = widths[i]));
-                } else {
-                    out.push_str(&format!("{:>width$}", cell, width = widths[i]));
-                }
-            }
-            out.push('\n');
+        let line = |row: &[String]| {
+            let cells = row.iter().zip(&widths).enumerate();
+            let cells = cells.map(|(i, (c, &w))| match i {
+                0 => format!("{c:<w$}"),
+                _ => format!("{c:>w$}"),
+            });
+            cells.collect::<Vec<_>>().join("  ") + "\n"
         };
-        fmt_row(&self.header, &mut out);
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols.saturating_sub(1));
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
+        let total = widths.iter().sum::<usize>() + 2 * widths.len().saturating_sub(1);
+        let mut out = line(&self.header) + &"-".repeat(total) + "\n";
         for row in &self.rows {
-            fmt_row(row, &mut out);
+            out += &line(row);
         }
         out
     }

@@ -4,14 +4,15 @@
 //! the recorded `BENCH_eval.json` by [`refmodel`]) serves every cell
 //! through the one [`lockstep`] driver — one predictor, queried once per
 //! demand, whose answers both evaluation legs consume — and holds the
-//! paper's cells ([`evalmatrix::paper_cells`]: the comparison grid and the
-//! parameter study's sweeps) that [`refmodel::paper_shapes`] judges. The
-//! `repro` binary prints them, and the rows that are not configuration
-//! sweeps ([`experiments`]; the §7 attribute regression is in
-//! [`regression`]), next to the paper's reference values ([`paper`]): all
-//! sections, or one with `--only <name>`. `eval_matrix` is the crate's
-//! other binary; speed is measured by one harness elsewhere
-//! (`benchmark/`'s `farmer_pipeline`), not here.
+//! paper's cells ([`evalmatrix::paper_cells`]: the comparison grid, the
+//! parameter study's sweeps, and keyed entries for the rows that are no
+//! served run — Fig. 1, Table 2, the §4.1 cluster, the §4.2 layout, the
+//! p = 0 agreement and the §7 attribute regression ([`regression`])),
+//! which [`refmodel`] pins and [`refmodel::paper_shapes`] judges. The
+//! `repro` binary prints exactly those cells next to the paper's
+//! reference values ([`paper`]): all sections, or one with `--only
+//! <name>`. `eval_matrix` is the crate's other binary; speed is measured
+//! by one harness elsewhere (`benchmark/`'s `farmer_pipeline`), not here.
 //!
 //! Both binaries parse their command line through [`format::BenchArgs`]:
 //! an optional positional **scale factor** applied to the trace event
@@ -29,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 pub mod evalmatrix;
-pub mod experiments;
 pub mod faults;
 pub mod format;
 pub mod lockstep;

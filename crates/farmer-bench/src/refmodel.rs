@@ -17,13 +17,16 @@
 //! check are that diff, field by field.
 //!
 //! The paper's cells ([`crate::evalmatrix::paper_cells`]: the comparison
-//! grid and the parameter study's sweeps) are recorded and pinned like
-//! every other cell. The pins catch regressions; the meaning is carried by
-//! the orderings the paper states over those cells, and [`check`] fails on
-//! an inversion of any of them ([`paper_shapes`]).
+//! grid, the parameter study's sweeps and the keyed entries of the rows
+//! that are no served run) are recorded and pinned like every other cell;
+//! an entry's record holds its key and only the fields it measures. The
+//! pins catch regressions; the meaning is carried by the orderings the
+//! paper states over those cells, and [`check`] fails on an inversion of
+//! any of them ([`paper_shapes`]).
 
-use crate::evalmatrix::{paper_cell, Cell, PAPER_PREDICTORS};
+use crate::evalmatrix::{cluster_mode, paper_cell, Cell, CLUSTER_SERVERS, PAPER_PREDICTORS};
 use crate::paper::FIG8_FAMILIES;
+use farmer_mds::Partition;
 use farmer_obs::Json;
 use farmer_trace::TraceFamily;
 use std::collections::HashSet;
@@ -40,12 +43,26 @@ use std::collections::HashSet;
 /// v5 checkpoint-anchored recovery (`ckpt`, `recovered_events`,
 /// `replay_fraction`). v6: the record *is* the reference model — the
 /// derived per-cell `band` / `failure_band` objects and the top-level
-/// `profile` are gone.
-pub const SCHEMA_VERSION: u32 = 6;
+/// `profile` are gone. v7: keyed entries — the paper rows that are no
+/// served run (Fig. 1, Table 2, the §4.1 cluster, the §4.2 layout, the
+/// p = 0 agreement, the §7 regression) carry their key and only the fields
+/// they measure.
+pub const SCHEMA_VERSION: u32 = 7;
 
 /// The `Table 5:` rule's allowance: HP's full attribute combination may
 /// trail `{Process}` alone by this much hit ratio ([`paper_shapes`]).
 pub const TABLE5_ALLOWANCE: f64 = 0.01;
+
+/// The `p = 0:` rule's bound: FARMER at p = 0 agrees with Nexus's top
+/// successor on more than this share of sampled files ([`paper_shapes`]).
+const P0_AGREEMENT_BOUND: f64 = 0.8;
+
+/// The traces the `Fig. 1:` rule is stated on. On LLNL the per-process
+/// substreams are less predictable than the raw stream (`pid` below `none`
+/// at every scale measured), so the paper's "lowest in every trace" does
+/// not hold there.
+pub const FIG1_RULE_FAMILIES: [TraceFamily; 3] =
+    [TraceFamily::Ins, TraceFamily::Res, TraceFamily::Hp];
 
 /// Cell fields that time the host rather than the model: never compared
 /// with the record.
@@ -138,7 +155,8 @@ pub fn check(cells: &[Cell], reference: &Reference) -> Vec<String> {
 /// One measured cell against its recorded counterpart: a violation if the
 /// record lacks the cell, else one `<cell>: <field> was <recorded> → is
 /// <measured>` per field of [`Cell::to_json`] whose printed value differs
-/// from the record's (a field the record lacks was `missing`). Wall-clock
+/// from the record's (a field the record lacks was `missing`), and one per
+/// recorded field the run no longer emits (it is `missing`). Wall-clock
 /// fields are skipped.
 pub(crate) fn check_cell(cell: &Cell, reference: &Reference) -> Vec<String> {
     let name = format!("{}/{}/{}", cell.scenario, cell.mode, cell.predictor);
@@ -148,18 +166,33 @@ pub(crate) fn check_cell(cell: &Cell, reference: &Reference) -> Vec<String> {
             "{name}: no reference cell in BENCH_eval.json (regenerate it: eval_matrix > BENCH_eval.json)"
         )];
     };
-    let Json::Obj(fields) = cell.to_json() else {
-        unreachable!("Cell::to_json builds an object")
+    let (Json::Obj(measured), Json::Obj(recorded_fields)) = (cell.to_json(), recorded) else {
+        unreachable!("a cell and a keyed record are objects")
     };
-    fields
-        .iter()
-        .filter(|(field, _)| !WALL_CLOCK_FIELDS.contains(&field.as_str()))
-        .filter(|(field, measured)| recorded.get(field) != Some(measured))
-        .map(|(field, measured)| {
+    let compared = |(field, _): &&(String, Json)| !WALL_CLOCK_FIELDS.contains(&field.as_str());
+    let moved = (measured.iter().filter(compared))
+        .filter(|(field, value)| recorded.get(field) != Some(value))
+        .map(|(field, value)| {
             let was = recorded.get(field).map_or("missing".into(), one_line);
-            format!("{name}: {field} was {was} → is {}", one_line(measured))
-        })
-        .collect()
+            format!("{name}: {field} was {was} → is {}", one_line(value))
+        });
+    let lost = (recorded_fields.iter().filter(compared))
+        .filter(|(field, _)| measured.iter().all(|(f, _)| f != field))
+        .map(|(field, value)| format!("{name}: {field} was {} → is missing", one_line(value)));
+    moved.chain(lost).collect()
+}
+
+/// The filters of a Fig. 1 entry whose successor probability is not above
+/// `none`'s, with `none`'s: the filters the paper says `none` is below.
+pub fn fig1_not_above_none(entry: &Cell) -> (f64, Vec<(&'static str, f64)>) {
+    let none = entry.value("none").unwrap_or(0.0);
+    let rows = entry
+        .entry
+        .iter()
+        .flatten()
+        .filter(|(filter, _)| *filter != "none");
+    let probabilities = rows.filter_map(|(filter, p)| Some((*filter, p.as_f64()?)));
+    (none, probabilities.filter(|&(_, p)| p <= none).collect())
 }
 
 /// The orderings the paper states over its cells, one message per
@@ -178,8 +211,17 @@ pub(crate) fn check_cell(cell: &Cell, reference: &Reference) -> Vec<String> {
 /// beats p = 0 and p = 1 on hit ratio at `max_strength` 0.4; `Fig. 6:` the
 /// response at `max_strength` 1.0 exceeds 1.1 × the default's; `Table 5:`
 /// the full combination's hit ratio is ≥ `{Process}`'s − 0.01; `IPA vs
-/// DPA:` IPA's hit ratio is ≥ DPA's. A rule is judged only when all its
-/// cells are there: a missing cell is already a [`check`] violation.
+/// DPA:` IPA's hit ratio is ≥ DPA's;
+///
+/// and over the entries: `Fig. 1:` on each of [`FIG1_RULE_FAMILIES`],
+/// `none` has a lower successor probability than every attribute filter;
+/// `§4.1:` LRU's response falls at each doubling of HP's servers under
+/// both partitions, and under Dev FARMER's is below LRU's at every server
+/// count; `§4.2:` HP's grouped layout makes fewer seeks than the scattered
+/// one; `p = 0:` FARMER at p = 0 agrees with Nexus's top successor on more
+/// than `P0_AGREEMENT_BOUND` (0.8) of sampled files. A comparison is judged
+/// only when its cells are there: a missing cell is already a [`check`]
+/// violation.
 pub fn paper_shapes(cells: &[Cell]) -> Vec<String> {
     let mut found = Vec::new();
     let mut require = |holds: bool, inversion: String| {
@@ -187,6 +229,47 @@ pub fn paper_shapes(cells: &[Cell]) -> Vec<String> {
             found.push(inversion);
         }
     };
+    for name in FIG1_RULE_FAMILIES.map(|f| f.name()) {
+        let rows = paper_cell(cells, (name, "fig1", "trace"));
+        let (none, not_above) = rows.map_or((0.0, vec![]), fig1_not_above_none);
+        for (filter, p) in not_above {
+            let below = format!("Fig. 1: {name}: none {none:.4} is not below {filter} {p:.4}");
+            require(p > none, below);
+        }
+    }
+    let response = |servers, partition, predictor| {
+        let key = ("HP", &*cluster_mode(servers, partition), predictor);
+        paper_cell(cells, key)?.value("avg_response_ms")
+    };
+    for (partition, of) in [(Partition::Hash, "hash"), (Partition::Dev, "dev")] {
+        for pair in CLUSTER_SERVERS.windows(2) {
+            let [before, after] = [0, 1].map(|i| response(pair[i], partition, "LRU"));
+            if let (Some(b), Some(a), [fewer, more]) = (before, after, pair) {
+                let falls = format!("§4.1: HP {of}: LRU response {a:.3} ms at {more} servers does not fall below {b:.3} ms at {fewer}");
+                require(a < b, falls);
+            }
+        }
+    }
+    for servers in CLUSTER_SERVERS {
+        let dev = |p| response(servers, Partition::Dev, p);
+        if let (Some(f), Some(l)) = (dev("FARMER"), dev("LRU")) {
+            let below = format!("§4.1: HP dev: FARMER response {f:.3} ms at {servers} servers is not below LRU's {l:.3}");
+            require(f < l, below);
+        }
+    }
+    let layout = paper_cell(cells, ("HP", "layout", "FARMER"));
+    let seeks = |f| layout.and_then(|c| c.value(f));
+    if let (Some(s), Some(g)) = (seeks("scattered_seeks"), seeks("grouped_seeks")) {
+        let fewer = format!(
+            "§4.2: HP grouped layout makes {g} seeks, not fewer than the scattered layout's {s}"
+        );
+        require(g < s, fewer);
+    }
+    let p0 = paper_cell(cells, ("HP", "p=0 vs Nexus", "FARMER"));
+    if let Some(a) = p0.and_then(|c| c.value("agreement")) {
+        let agrees = format!("p = 0: HP FARMER at p = 0 agrees with Nexus's top successor on {a:.4} of sampled files, not more than {P0_AGREEMENT_BOUND}");
+        require(a > P0_AGREEMENT_BOUND, agrees);
+    }
     // HP's sweep cells, each against the default configuration.
     let of_hp = |mode| paper_cell(cells, ("HP", mode, "FARMER"));
     let with_default = |mode| of_hp("self").zip(of_hp(mode));
@@ -410,9 +493,57 @@ mod tests {
         );
     }
 
+    /// The comparison goes both ways: a recorded field the run no longer
+    /// emits is a violation, on a served cell and on an entry alike.
+    #[test]
+    fn check_flags_a_recorded_field_the_run_lacks() {
+        let seeks = [("scattered_seeks", 10.0), ("grouped_seeks", 9.0)];
+        let layout = entry_cell("HP", "layout", "FARMER", &seeks);
+        for cell in [sample_cell(), layout] {
+            let rendered = cell.to_json().render();
+            let extra = rendered.replacen('{', "{\"extra\": 1,", 1);
+            let text = format!(r#"{{"schema_version": 7, "scale": 1, "cells": [{extra}]}}"#);
+            let reference = Reference::parse(&text).expect("a record with one extra field");
+            let name = format!("{}/{}/{}", cell.scenario, cell.mode, cell.predictor);
+            assert_eq!(
+                check(&[cell], &reference),
+                [format!("{name}: extra was 1 → is missing")]
+            );
+        }
+    }
+
+    /// An entry carrying `fields` (at four decimals).
+    fn entry_cell(
+        scenario: &'static str,
+        mode: &str,
+        predictor: &'static str,
+        fields: &[(&'static str, f64)],
+    ) -> Cell {
+        let fields = fields.iter().map(|&(f, v)| (f, Json::Fixed(v, 4)));
+        Cell {
+            scenario,
+            mode: mode.into(),
+            predictor,
+            entry: Some(fields.collect()),
+            ..Cell::default()
+        }
+    }
+
+    /// Set entry field `name` of `cell` to `v`.
+    fn set(cell: &mut Cell, name: &str, v: f64) {
+        let fields = cell.entry.as_mut().expect("an entry");
+        let field = fields
+            .iter_mut()
+            .find(|(f, _)| *f == name)
+            .expect("the field");
+        field.1 = Json::Fixed(v, 4);
+    }
+
     /// The paper's cells as every shape rule accepts them: per trace, hit
     /// ratio and mean response of (LRU, Nexus, FARMER), and FARMER's model
-    /// bytes; then the HP sweep cells the sweep rules read.
+    /// bytes; then the HP sweep cells the sweep rules read; then the
+    /// entries the entry rules read (LLNL's `pid` below `none`, and
+    /// FARMER above LRU at 8 Hash servers, as measured: neither is judged).
     fn paper_grid() -> Vec<Cell> {
         use TraceFamily::*;
         let mut cells = Vec::new();
@@ -451,6 +582,42 @@ mod tests {
                 ..Cell::default()
             });
         }
+        for (family, [none, uid, pid, host, fifth]) in [
+            (Llnl, [0.0095, 0.05, 0.0048, 0.2, 0.5]),
+            (Ins, [0.05, 0.5, 0.28, 0.45, 0.2]),
+            (Res, [0.0089, 0.16, 0.0099, 0.087, 0.084]),
+            (Hp, [0.022, 0.53, 0.25, 0.35, 0.58]),
+        ] {
+            let fifth_filter = if family.has_paths() { "path" } else { "dev" };
+            let fields = [
+                ("none", none),
+                ("uid", uid),
+                ("pid", pid),
+                ("host", host),
+                (fifth_filter, fifth),
+            ];
+            cells.push(entry_cell(family.name(), "fig1", "trace", &fields));
+        }
+        for (partition, lru, farmer) in [
+            ("hash", [0.77, 0.50, 0.33], [0.56, 0.48, 0.336]),
+            ("dev", [0.82, 0.53, 0.34], [0.39, 0.27, 0.19]),
+        ] {
+            for (i, servers) in [2, 4, 8].into_iter().enumerate() {
+                let mode = format!("servers={servers} partition={partition}");
+                for (predictor, response) in [("LRU", lru[i]), ("FARMER", farmer[i])] {
+                    let fields = [("avg_response_ms", response)];
+                    cells.push(entry_cell("HP", &mode, predictor, &fields));
+                }
+            }
+        }
+        for (predictor, response) in [("LRU", 1.86), ("FARMER", 1.27)] {
+            let fields = [("avg_response_ms", response)];
+            cells.push(entry_cell("HP", "servers=1", predictor, &fields));
+        }
+        let seeks = [("scattered_seeks", 100.0), ("grouped_seeks", 90.0)];
+        cells.push(entry_cell("HP", "layout", "FARMER", &seeks));
+        let agreement = [("agreement", 0.85)];
+        cells.push(entry_cell("HP", "p=0 vs Nexus", "FARMER", &agreement));
         cells
     }
 
@@ -494,7 +661,7 @@ mod tests {
     #[test]
     fn each_paper_shape_fails_on_its_inversion() {
         use TraceFamily::*;
-        let cases: [(Vec<Cell>, &str); 11] = [
+        let cases: [(Vec<Cell>, &str); 16] = [
             (
                 doctored(Llnl, "self", "FARMER", |c| c.hit_ratio = 0.50),
                 "Fig. 7: LLNL: FARMER hit ratio 0.5000 does not beat Nexus 0.5300 and LRU 0.4400",
@@ -538,6 +705,30 @@ mod tests {
             (
                 doctored(Hp, "path=DPA", "FARMER", |c| c.hit_ratio = 0.76),
                 "IPA vs DPA: HP IPA hit ratio 0.7500 is below DPA's 0.7600",
+            ),
+            (
+                doctored(Ins, "fig1", "trace", |c| set(c, "pid", 0.01)),
+                "Fig. 1: INS: none 0.0500 is not below pid 0.0100",
+            ),
+            (
+                doctored(Hp, "servers=4 partition=hash", "LRU", |c| {
+                    set(c, "avg_response_ms", 0.9)
+                }),
+                "§4.1: HP hash: LRU response 0.900 ms at 4 servers does not fall below 0.770 ms at 2",
+            ),
+            (
+                doctored(Hp, "servers=2 partition=dev", "FARMER", |c| {
+                    set(c, "avg_response_ms", 0.82)
+                }),
+                "§4.1: HP dev: FARMER response 0.820 ms at 2 servers is not below LRU's 0.820",
+            ),
+            (
+                doctored(Hp, "layout", "FARMER", |c| set(c, "grouped_seeks", 100.0)),
+                "§4.2: HP grouped layout makes 100 seeks, not fewer than the scattered layout's 100",
+            ),
+            (
+                doctored(Hp, "p=0 vs Nexus", "FARMER", |c| set(c, "agreement", 0.8)),
+                "p = 0: HP FARMER at p = 0 agrees with Nexus's top successor on 0.8000 of sampled files, not more than 0.8",
             ),
         ];
         for (cells, expected) in cases {

@@ -43,129 +43,78 @@ pub struct RegressionReport {
     pub r_squared: f64,
 }
 
-impl RegressionReport {
-    /// The most predictive attribute (largest positive coefficient among
-    /// the non-intercept features).
-    pub fn strongest_attribute(&self) -> &'static str {
-        let (idx, _) = self.coefficients[1..]
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            // coefficients has FEATURE_LABELS' fixed length, so the [1..]
-            // slice is never empty
-            .expect("non-empty");
-        FEATURE_LABELS[idx + 1]
-    }
+/// The most predictive attribute of a fit's `coefficients` (indexed like
+/// [`FEATURE_LABELS`]): the largest among the non-intercept features.
+pub fn strongest_attribute(coefficients: &[f64]) -> &'static str {
+    let attributes = coefficients.iter().enumerate().skip(1);
+    let strongest = attributes.max_by(|a, b| a.1.total_cmp(b.1));
+    strongest.map_or(FEATURE_LABELS[0], |(i, _)| FEATURE_LABELS[i])
 }
 
-/// Attribute-regression driver: accumulates per-pair samples from a trace
-/// and fits OLS.
-#[derive(Debug, Default)]
-pub struct AttributeRegression {
-    xs: Vec<[f64; NUM_FEATURES]>,
-    ys: Vec<f64>,
-}
-
-impl AttributeRegression {
-    /// Fresh, empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one explicit sample (used by tests; [`fit_trace`] is the usual
-    /// entry point).
-    pub fn push_sample(&mut self, x: [f64; NUM_FEATURES], y: f64) {
-        self.xs.push(x);
-        self.ys.push(y);
-    }
-
-    /// Number of accumulated samples.
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// True when no samples were accumulated.
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// Build samples from consecutive event pairs of a trace: feature
-    /// vector = attribute matches of the pair; target = the mined
-    /// correlation degree `R(A,B)` served by `source` (0 if the pair was
-    /// filtered or never retained).
-    pub fn accumulate_trace(&mut self, trace: &Trace, source: &dyn CorrelationSource) {
-        let mut prev: Option<&TraceEvent> = None;
-        for e in &trace.events {
-            if let Some(p) = prev {
-                if p.file != e.file {
-                    let x = features(trace, p, e);
-                    let y = source
-                        .degree(p.file, e.file)
-                        .map(|d| d.clamp(0.0, 1.0))
-                        .unwrap_or(0.0);
-                    self.push_sample(x, y);
-                }
-            }
-            prev = Some(e);
-        }
-    }
-
-    /// Fit OLS over the accumulated samples.
-    ///
-    /// # Panics
-    /// Panics if fewer samples than features were accumulated.
-    pub fn fit(&self) -> RegressionReport {
-        assert!(
-            self.len() >= NUM_FEATURES,
-            "need at least {NUM_FEATURES} samples"
-        );
-        // Normal equations: (XᵀX) β = Xᵀy.
-        let mut xtx = [[0.0f64; NUM_FEATURES]; NUM_FEATURES];
-        let mut xty = [0.0f64; NUM_FEATURES];
-        for (x, &y) in self.xs.iter().zip(&self.ys) {
-            for i in 0..NUM_FEATURES {
-                xty[i] += x[i] * y;
-                for j in 0..NUM_FEATURES {
-                    xtx[i][j] += x[i] * x[j];
-                }
-            }
-        }
-        // Ridge epsilon keeps the system solvable when a feature is
-        // constant (e.g. pathless traces have path_sim ≡ 0).
-        for (i, row) in xtx.iter_mut().enumerate() {
-            row[i] += 1e-9;
-        }
-        let beta = solve(xtx, xty);
-
-        // R² on the training set.
-        let mean_y: f64 = self.ys.iter().sum::<f64>() / self.len() as f64;
-        let mut ss_res = 0.0;
-        let mut ss_tot = 0.0;
-        for (x, &y) in self.xs.iter().zip(&self.ys) {
-            let pred: f64 = x.iter().zip(&beta).map(|(a, b)| a * b).sum();
-            ss_res += (y - pred).powi(2);
-            ss_tot += (y - mean_y).powi(2);
-        }
-        let r_squared = if ss_tot > 0.0 {
-            1.0 - ss_res / ss_tot
-        } else {
-            0.0
-        };
-
-        RegressionReport {
-            coefficients: beta,
-            samples: self.len(),
-            r_squared,
-        }
-    }
-}
-
-/// Convenience: fit the attribute regression of a trace against any mined
-/// correlation source in one call.
+/// Fit the attribute regression of a trace against any mined correlation
+/// source: one sample per consecutive event pair on two files, its
+/// features the pair's attribute matches, its target the correlation
+/// degree `R(A,B)` served by `source` (0 if the pair was filtered or
+/// never retained).
 pub fn fit_trace(trace: &Trace, source: &dyn CorrelationSource) -> RegressionReport {
-    let mut reg = AttributeRegression::new();
-    reg.accumulate_trace(trace, source);
-    reg.fit()
+    let pairs = trace.events.windows(2).filter(|w| w[0].file != w[1].file);
+    let samples: Vec<_> = pairs
+        .map(|w| {
+            let degree = source.degree(w[0].file, w[1].file);
+            let y = degree.map_or(0.0, |d| d.clamp(0.0, 1.0));
+            (features(trace, &w[0], &w[1]), y)
+        })
+        .collect();
+    fit(&samples)
+}
+
+/// Fit OLS of each sample's target on its features.
+///
+/// # Panics
+/// Panics if there are fewer samples than features.
+pub fn fit(samples: &[([f64; NUM_FEATURES], f64)]) -> RegressionReport {
+    assert!(
+        samples.len() >= NUM_FEATURES,
+        "need at least {NUM_FEATURES} samples"
+    );
+    // Normal equations: (XᵀX) β = Xᵀy.
+    let mut xtx = [[0.0f64; NUM_FEATURES]; NUM_FEATURES];
+    let mut xty = [0.0f64; NUM_FEATURES];
+    for (x, y) in samples {
+        for i in 0..NUM_FEATURES {
+            xty[i] += x[i] * y;
+            for j in 0..NUM_FEATURES {
+                xtx[i][j] += x[i] * x[j];
+            }
+        }
+    }
+    // Ridge epsilon keeps the system solvable when a feature is
+    // constant (e.g. pathless traces have path_sim ≡ 0).
+    for (i, row) in xtx.iter_mut().enumerate() {
+        row[i] += 1e-9;
+    }
+    let beta = solve(xtx, xty);
+
+    // R² on the training set.
+    let mean_y: f64 = samples.iter().map(|(_, y)| y).sum::<f64>() / samples.len() as f64;
+    let mut ss_res = 0.0;
+    let mut ss_tot = 0.0;
+    for (x, y) in samples {
+        let pred: f64 = x.iter().zip(&beta).map(|(a, b)| a * b).sum();
+        ss_res += (y - pred).powi(2);
+        ss_tot += (y - mean_y).powi(2);
+    }
+    let r_squared = if ss_tot > 0.0 {
+        1.0 - ss_res / ss_tot
+    } else {
+        0.0
+    };
+
+    RegressionReport {
+        coefficients: beta,
+        samples: samples.len(),
+        r_squared,
+    }
 }
 
 fn features(trace: &Trace, a: &TraceEvent, b: &TraceEvent) -> [f64; NUM_FEATURES] {
@@ -270,7 +219,7 @@ mod tests {
     #[test]
     fn regression_recovers_planted_coefficients() {
         // y = 0.1 + 0.5*uid + 0.3*path, no pid/host effect.
-        let mut reg = AttributeRegression::new();
+        let mut samples = Vec::new();
         let mut lcg = 12345u64;
         let mut rand01 = move || {
             lcg = lcg
@@ -287,9 +236,9 @@ mod tests {
                 rand01(),
             ];
             let y = 0.1 + 0.5 * x[1] + 0.3 * x[4];
-            reg.push_sample(x, y);
+            samples.push((x, y));
         }
-        let fit = reg.fit();
+        let fit = fit(&samples);
         assert!(
             (fit.coefficients[0] - 0.1).abs() < 0.02,
             "{:?}",
@@ -300,7 +249,7 @@ mod tests {
         assert!(fit.coefficients[3].abs() < 0.02);
         assert!((fit.coefficients[4] - 0.3).abs() < 0.05);
         assert!(fit.r_squared > 0.99);
-        assert_eq!(fit.strongest_attribute(), "user match");
+        assert_eq!(strongest_attribute(&fit.coefficients), "user match");
     }
 
     #[test]
@@ -323,6 +272,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "need at least")]
     fn fit_requires_samples() {
-        let _ = AttributeRegression::new().fit();
+        let _ = fit(&[([1.0; NUM_FEATURES], 1.0); NUM_FEATURES - 1]);
     }
 }

@@ -5,17 +5,15 @@
 //! are seeded, so these tests are deterministic. Every rule is judged over
 //! the reference model's paper cells ([`paper_cells`]) by the same
 //! [`paper_shapes`] rules `eval_matrix --check` applies at full scale:
-//! the comparison grid, and of the sweeps only the HP cells the sweep
-//! rules read.
+//! the comparison grid, of the sweeps only the HP cells the sweep rules
+//! read, and the entries of Figure 1, the ablations and the §4.1 cluster.
 
 use std::process::Command;
 use std::sync::OnceLock;
 
-use farmer_bench::evalmatrix::{paper_cells, Cell, PAPER_PREDICTORS};
-use farmer_bench::experiments as ex;
+use farmer_bench::evalmatrix::{paper_cells, sweep_cell, trace_for, Cell, PAPER_PREDICTORS};
 use farmer_bench::refmodel::paper_shapes;
 use farmer_core::{AttrCombo, AttrKind, FarmerConfig, PathMode};
-use farmer_trace::stats::StreamFilter;
 use farmer_trace::TraceFamily;
 
 const SCALE: f64 = 0.35;
@@ -23,7 +21,11 @@ const SCALE: f64 = 0.35;
 /// The paper grid, simulated once for every test that reads it.
 fn grid() -> &'static [Cell] {
     static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
-    CELLS.get_or_init(|| paper_cells(SCALE, true, &[]))
+    CELLS.get_or_init(|| {
+        let cells = paper_cells(SCALE, &["fig7"]);
+        assert_eq!(cells.len(), TraceFamily::ALL.len() * PAPER_PREDICTORS.len());
+        cells
+    })
 }
 
 /// The HP sweep cells the sweep rules read besides the default (the
@@ -40,7 +42,25 @@ fn sweep() -> &'static [Cell] {
             hp().with_combo(process),
             hp().with_path_mode(PathMode::Dpa),
         ];
-        paper_cells(SCALE, false, &configs.map(|c| (TraceFamily::Hp, c)))
+        let trace = trace_for(TraceFamily::Hp, SCALE);
+        configs
+            .map(|c| sweep_cell(TraceFamily::Hp, &trace, &c))
+            .into()
+    })
+}
+
+/// Figure 1's entries, and HP's ablation and §4.1 cluster entries (with
+/// the grid cells they read), simulated once.
+fn entries() -> &'static [Cell] {
+    static CELLS: OnceLock<Vec<Cell>> = OnceLock::new();
+    CELLS.get_or_init(|| {
+        let cells = paper_cells(SCALE, &["fig1", "ablations", "cluster"]);
+        // Every entry an entry rule reads is there: no rule passes for
+        // want of one.
+        let count = |mode: &str| cells.iter().filter(|c| c.mode.starts_with(mode)).count();
+        let counts = ["fig1", "servers=", "layout", "p=0 vs Nexus"].map(count);
+        assert_eq!(counts, [4, 14, 1, 1]);
+        cells
     })
 }
 
@@ -62,10 +82,6 @@ fn with_sweep(sweep_first: bool) -> Vec<Cell> {
 /// The inversions over `cells` of the shape rule whose messages start with
 /// `rule`.
 fn inversions(rule: &str, cells: &[Cell]) -> Vec<String> {
-    assert_eq!(
-        grid().len(),
-        TraceFamily::ALL.len() * PAPER_PREDICTORS.len()
-    );
     paper_shapes(cells)
         .into_iter()
         .filter(|v| v.starts_with(rule))
@@ -128,18 +144,37 @@ fn fig6_overfiltering_hurts() {
 }
 
 /// Figure 1 / §2.2: the unfiltered stream has the lowest successor
-/// predictability in every trace.
+/// predictability — below every attribute filter — on INS, RES and HP
+/// (on LLNL `pid` falls below it).
 #[test]
 fn fig1_no_attribute_is_least_predictable() {
-    for (family, rows) in ex::fig1(SCALE) {
-        let none = rows
-            .iter()
-            .find(|r| r.filter == StreamFilter::None)
-            .unwrap()
-            .probability;
-        let best = rows.iter().map(|r| r.probability).fold(0.0f64, f64::max);
-        assert!(best > none, "{family:?}: some attribute must beat `none`");
-    }
+    let found = inversions("Fig. 1:", entries());
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// §4.1 / Kumar's queueing model: LRU's response falls as HP's metadata
+/// servers double under hash and volume partitioning, and under volume
+/// partitioning FARMER's stays below LRU's at every server count.
+#[test]
+fn cluster_response_falls_as_servers_are_added() {
+    let found = inversions("§4.1:", entries());
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// §4.2: laying out FARMER's correlated groups together saves seeks on
+/// HP's data reads.
+#[test]
+fn grouped_layout_saves_seeks() {
+    let found = inversions("§4.2:", entries());
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+/// §7's reduction: FARMER at p = 0 agrees with Nexus's top successor on
+/// most sampled files.
+#[test]
+fn reduction_p0_agrees_with_nexus() {
+    let found = inversions("p = 0:", entries());
+    assert!(found.is_empty(), "{found:#?}");
 }
 
 /// Table 4: INS's memory footprint is the smallest — the ordering the

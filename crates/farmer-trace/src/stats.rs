@@ -10,7 +10,10 @@
 //! successor of a file matches the historically most frequent successor of
 //! that file. If an attribute is genuinely associated with correlations, its
 //! substreams are more self-predictable than the raw interleaved stream
-//! ("none"), which the paper reports as the lowest bar in every trace.
+//! ("none"), which the paper reports as the lowest bar in every trace. On
+//! the synthetic presets that holds on INS, RES and HP, but not on LLNL,
+//! whose per-process substreams (`pid`) are less predictable than the raw
+//! stream.
 
 use crate::event::TraceEvent;
 use crate::hash::FxHashMap;
@@ -252,23 +255,24 @@ mod tests {
     #[test]
     fn figure1_shape_none_is_lowest_on_synthetic_traces() {
         // The paper's third observation: with no attribute filter the
-        // probability is the lowest. Check on a small HP trace.
-        let t = WorkloadSpec::hp().scaled(0.05).generate();
-        let rows = figure1_rows(&t);
-        let none = rows
-            .iter()
-            .find(|r| r.filter == StreamFilter::None)
-            .unwrap();
-        let best_attr = rows
-            .iter()
-            .filter(|r| r.filter != StreamFilter::None)
-            .map(|r| r.probability)
-            .fold(0.0f64, f64::max);
-        assert!(
-            best_attr > none.probability,
-            "attribute filters should beat raw stream ({best_attr} vs {})",
-            none.probability
-        );
+        // probability is the lowest. Check on small INS, RES and HP traces
+        // (not LLNL: its `pid` substreams fall below `none`).
+        for spec in [WorkloadSpec::ins(), WorkloadSpec::res(), WorkloadSpec::hp()] {
+            let t = spec.scaled(0.05).generate();
+            let rows = figure1_rows(&t);
+            let none = rows[0];
+            assert_eq!(none.filter, StreamFilter::None);
+            for r in &rows[1..] {
+                assert!(
+                    r.probability > none.probability,
+                    "{:?}: {:?} {} is not above none {}",
+                    t.family,
+                    r.filter,
+                    r.probability,
+                    none.probability
+                );
+            }
+        }
     }
 
     #[test]
