@@ -1464,4 +1464,17 @@ mod tests {
         let seeks = |f| layout.value(f).expect("a seek count");
         assert!(seeks("grouped_seeks") < seeks("scattered_seeks"));
     }
+
+    #[test]
+    fn fig1_none_filter_lowest_everywhere() {
+        let cells = paper_cells(0.1, &["fig1"]);
+        for family in TraceFamily::ALL {
+            let rows =
+                paper_cell(&cells, (family.name(), "fig1", "trace")).expect("the Fig. 1 row");
+            let none = rows.value("none").expect("the none filter");
+            let probabilities = rows.entry.iter().flatten().filter_map(|(_, p)| p.as_f64());
+            let best = probabilities.fold(0.0, f64::max);
+            assert!(best >= none, "{family:?}: none must be lowest");
+        }
+    }
 }
