@@ -42,7 +42,7 @@ use farmer_mds::ReplayConfig;
 use farmer_obs::{Json, Registry};
 use farmer_prefetch::SimConfig;
 use farmer_stream::{recover_instrumented, DurableConfig, DurableMiner, StreamConfig};
-use farmer_trace::{Op, Trace};
+use farmer_trace::Trace;
 
 /// The demo legs' miner: one uncapped shard under the trace family's
 /// default configuration.
@@ -94,11 +94,7 @@ fn obs_recovery_demo() -> farmer_obs::ObsReport {
     let mut miner =
         DurableMiner::create_instrumented(&wal, cfg.clone(), &reg).expect("create durable miner");
     for e in trace.events.iter().take(trace.len() * 3 / 4) {
-        if e.op == Op::Unlink {
-            miner.forget(e.file);
-        } else if e.op.is_metadata_demand() {
-            miner.ingest_event(&trace, e);
-        }
+        miner.ingest_event(&trace, e);
     }
     miner.crash();
     let (_recovered, _report) =

@@ -42,8 +42,9 @@
 //!   memory, each pinned to its own record (eviction depends on the
 //!   shard partition, so no parity applies).
 //!
-//! Unlinks are routed as forgets ([`Farmer::forget_file`] /
-//! [`ShardedMiner::route_forget`]) in every mode.
+//! Every mode mines through a product entry point that applies the event
+//! policy ([`farmer_trace::Op::mining_action`]), so unlinks are forgotten
+//! and `Close` is skipped in every mode.
 //!
 //! **The paper's cells** ([`paper_cells`]) ride beside the scenario loop:
 //! each trace family's preset served by LRU, Nexus and a self-mining
@@ -79,10 +80,10 @@ use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
 use farmer_trace::stats::figure1_rows;
 use farmer_trace::workload::{ChurnSpec, DriftSpec, MultiTenantSpec, ScanStormSpec};
 use farmer_trace::{
-    FileId, HostId, Op, PathInterner, ProcId, Trace, TraceEvent, TraceFamily, UserId, WorkloadSpec,
+    FileId, HostId, PathInterner, ProcId, Trace, TraceEvent, TraceFamily, UserId, WorkloadSpec,
 };
 
-use crate::lockstep::{serve_online, Lockstep, MinerSide, OnlineConfig, ServedRun};
+use crate::lockstep::{serve_online, Lockstep, OnlineConfig, ServedRun};
 pub use crate::refmodel::SCHEMA_VERSION;
 use crate::regression::{fit_trace, FEATURE_LABELS};
 
@@ -390,22 +391,6 @@ pub struct MatrixReport {
     pub drift_adaptation: Option<AdaptationSummary>,
 }
 
-/// Drive the miner over a trace with the matrix's mining policy: metadata
-/// demands are observed, unlinks are forgotten, `Close` is ignored.
-fn mine_batch(trace: &Trace, cfg: &FarmerConfig) -> (Farmer, f64) {
-    let mut farmer = Farmer::new(cfg.clone());
-    let start = Instant::now();
-    for e in &trace.events {
-        if e.op == Op::Unlink {
-            farmer.forget_file(e.file);
-        } else if e.op.is_metadata_demand() {
-            farmer.observe_event(trace, e);
-        }
-    }
-    let rate = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-    (farmer, rate)
-}
-
 /// The streaming configuration of a miner mode: [`CAPPED_NODE_CAP`]
 /// files per shard for the capped modes (forcing Space-Saving eviction on
 /// the churning/consolidated scenarios), otherwise a cap no scenario can
@@ -423,8 +408,8 @@ fn stream_cfg(cfg: &FarmerConfig, shards: usize, capped: bool) -> StreamConfig {
 fn mine_sharded(trace: &Trace, scfg: StreamConfig) -> (StreamSnapshot, f64) {
     let mut miner = ShardedMiner::spawn(scfg);
     let start = Instant::now();
-    for i in 0..trace.len() {
-        miner.mine(trace, i);
+    for e in &trace.events {
+        miner.route_event(trace, e);
     }
     let snap = miner.snapshot();
     let rate = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
@@ -640,9 +625,9 @@ pub fn trace_for(family: TraceFamily, scale: f64) -> Trace {
 /// Nexus` and `layout` (the `ablations` rows) and `cluster`'s. `table2`'s
 /// come last. An entry that reads mined state reads the final state of the
 /// grid cell that mined its trace, which its section thus runs: the
-/// regression and the layout read the family's FARMER (a preset trace holds
-/// metadata demands only, so that is `Farmer::mine_trace` under the
-/// family's default), the p = 0 row HP's Nexus.
+/// regression and the layout read the family's FARMER (that is
+/// `Farmer::mine_trace` under the family's default), the p = 0 row HP's
+/// Nexus.
 pub fn paper_cells(scale: f64, sections: &[&str]) -> Vec<Cell> {
     let unknown = sections.iter().find(|s| !PAPER_SECTIONS.contains(s));
     assert!(unknown.is_none(), "unknown paper section {unknown:?}");
@@ -964,13 +949,15 @@ pub fn run_matrix_with(
             continue;
         }
 
-        // FARMER's three exact-parity miner modes over the identical
-        // mining policy.
-        let (batch, batch_rate) = mine_batch(&trace, &cfg);
+        // FARMER's three exact-parity miner modes, each applying the one
+        // event policy.
+        let start = Instant::now();
+        let batch = Farmer::mine_trace(&trace, cfg.clone());
+        let batch_rate = trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
         let batch_bytes = batch.memory_bytes();
         let batch_snap = StreamSnapshot {
             table: batch.correlator_table(),
-            events: trace.len() as u64,
+            events: batch.observed(),
             ..StreamSnapshot::default()
         };
         let mut fpa_cells = vec![fpa_cell(

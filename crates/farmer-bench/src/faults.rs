@@ -48,7 +48,7 @@ use farmer_stream::{
     recover_instrumented, snapshots_bitwise_equal, DurableConfig, DurableMiner, ShardedMiner,
     SnapshotCell, StreamConfig, StreamSnapshot,
 };
-use farmer_trace::{FileId, Op, Trace};
+use farmer_trace::Trace;
 
 use crate::lockstep::{Lockstep, MinerSide, OnlineConfig, ServedRun};
 
@@ -136,24 +136,17 @@ pub struct FailureCellReport {
     pub miner_state_bytes: usize,
 }
 
-/// One mirrored logical operation, for oracle reconstruction.
-#[derive(Clone, Copy)]
-enum MirrorOp {
-    Ev(usize),
-    Forget(FileId),
-}
-
 /// The durable mining side of a failure cell: the miner plus everything
 /// needed to kill, tear, recover, and prove the recovery exact. The
-/// mirrored op stream is the uninterrupted oracle's script, truncated to
-/// the recovered prefix at every crash.
+/// mirror (each event that logged an op) is the uninterrupted oracle's
+/// script, truncated to the recovered prefix at every crash.
 struct DurableLeg {
     mode: &'static str,
     wal: PathBuf,
     cfg: DurableConfig,
     reg: Registry,
     miner: Option<DurableMiner>,
-    ops: Vec<MirrorOp>,
+    ops: Vec<usize>,
     kills: Vec<usize>,
     next_kill: usize,
     chop: usize,
@@ -193,15 +186,12 @@ impl DurableLeg {
         }
     }
 
-    /// Feed the mirrored op prefix to an uninterrupted plain miner and
+    /// Feed the mirrored event prefix to an uninterrupted plain miner and
     /// return its snapshot — the state recovery must land on bit for bit.
     fn oracle_snapshot(&self, trace: &Trace) -> StreamSnapshot {
         let mut oracle = ShardedMiner::spawn(self.cfg.stream.clone());
-        for op in &self.ops {
-            match *op {
-                MirrorOp::Ev(i) => oracle.route_event(trace, &trace.events[i]),
-                MirrorOp::Forget(f) => oracle.route_forget(f),
-            }
+        for &i in &self.ops {
+            oracle.route_event(trace, &trace.events[i]);
         }
         oracle.snapshot()
     }
@@ -292,16 +282,13 @@ impl MinerSide for DurableLeg {
         self.served_events = m.events_logged();
     }
 
-    /// Mine one event, mirroring it for the oracle.
+    /// Mine one event, mirroring it for the oracle if it logged an op.
     fn mine(&mut self, trace: &Trace, i: usize) {
-        let e = &trace.events[i];
         let m = self.miner.as_mut().expect("miner alive");
-        if e.op == Op::Unlink {
-            m.forget(e.file);
-            self.ops.push(MirrorOp::Forget(e.file));
-        } else if e.op.is_metadata_demand() {
-            m.ingest_event(trace, e);
-            self.ops.push(MirrorOp::Ev(i));
+        let logged = m.ops_logged();
+        m.ingest_event(trace, &trace.events[i]);
+        if m.ops_logged() > logged {
+            self.ops.push(i);
         }
     }
 }
@@ -422,7 +409,7 @@ pub fn run_failure_cell(
 mod tests {
     use super::*;
     use farmer_trace::workload::ChurnSpec;
-    use farmer_trace::WorkloadSpec;
+    use farmer_trace::{MiningAction, WorkloadSpec};
 
     /// `mode` at the matrix's serving configs, 16 refreshes, no registry.
     fn run_cell(trace: &Trace, mode: &'static str) -> FailureCellReport {
@@ -497,7 +484,7 @@ mod tests {
         let routed = trace
             .events
             .iter()
-            .filter(|e| e.op == Op::Unlink || e.op.is_metadata_demand())
+            .filter(|e| e.op.mining_action() != MiningAction::Skip)
             .count() as u64;
         let obs = reg.snapshot();
         assert_eq!(obs.counter("wal.append_records"), Some(routed));

@@ -44,7 +44,7 @@ use farmer_mds::{ReplayConfig, ReplayReport, ReplayRun};
 use farmer_obs::{Counter, Histogram, Registry};
 use farmer_prefetch::{FpaPredictor, Predictor, SimConfig, SimReport, SimRun};
 use farmer_stream::{ShardedMiner, SnapshotCell, StreamConfig, StreamSnapshot};
-use farmer_trace::{Op, Trace};
+use farmer_trace::Trace;
 
 /// The refresh cadence of a served cell, plus the configuration of the
 /// miner an online cell spawns for it.
@@ -104,8 +104,8 @@ pub trait MinerSide {
     /// Publish a consistent cut of exactly the events mined so far.
     fn cut(&mut self, cell: &SnapshotCell);
 
-    /// Mine event `i` under the matrix mining policy: unlinks are
-    /// forgotten, metadata demands observed, `Close` ignored.
+    /// Mine event `i` through the miner's `*_event` entry point, which
+    /// applies the event policy (`Op::mining_action`).
     fn mine(&mut self, trace: &Trace, i: usize);
 }
 
@@ -115,12 +115,7 @@ impl MinerSide for ShardedMiner {
     }
 
     fn mine(&mut self, trace: &Trace, i: usize) {
-        let e = &trace.events[i];
-        if e.op == Op::Unlink {
-            self.route_forget(e.file);
-        } else if e.op.is_metadata_demand() {
-            self.route_event(trace, e);
-        }
+        self.route_event(trace, &trace.events[i]);
     }
 }
 

@@ -54,8 +54,10 @@ pub fn strongest_attribute(coefficients: &[f64]) -> &'static str {
 /// Fit the attribute regression of a trace against any mined correlation
 /// source: one sample per consecutive event pair on two files, its
 /// features the pair's attribute matches, its target the correlation
-/// degree `R(A,B)` served by `source` (0 if the pair was filtered or
-/// never retained).
+/// degree `R(A,B)` that `source.degree` reports, and 0 where it reports
+/// none. A live `Farmer` reports every retained edge, below `max_strength`
+/// or not; only a thresholded table (or snapshot) reports none for a pair
+/// it filtered, as for a pair never retained.
 pub fn fit_trace(trace: &Trace, source: &dyn CorrelationSource) -> RegressionReport {
     let pairs = trace.events.windows(2).filter(|w| w[0].file != w[1].file);
     let samples: Vec<_> = pairs

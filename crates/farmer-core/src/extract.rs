@@ -2,12 +2,12 @@
 //!
 //! The extractor is "a file-type specific filter that takes as input the
 //! request for a file from a client and outputs the corresponding semantic
-//! vector of this file" (paper §5.1). Here it pulls the attribute tuple out
-//! of a [`TraceEvent`] and resolves the file's path from the trace
-//! namespace; the resulting [`Request`] plus path reference is everything
-//! the later stages consume.
+//! vector of this file" (paper §5.1). Here [`Request::from_event`] pulls the
+//! attribute tuple out of a [`TraceEvent`], and the file's path comes from
+//! the trace namespace (`Trace::path_of`); the request plus that path
+//! reference is everything the later stages consume.
 
-use farmer_trace::{DevId, FileId, FilePath, HostId, ProcId, Trace, TraceEvent, UserId};
+use farmer_trace::{DevId, FileId, HostId, ProcId, TraceEvent, UserId};
 
 /// The semantic-attribute tuple of one file request (scalar part).
 ///
@@ -40,18 +40,6 @@ impl Request {
     }
 }
 
-/// Stage-1 extractor bound to nothing: stateless, reusable across traces.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Extractor;
-
-impl Extractor {
-    /// Extract the request tuple and the file's path (if the trace records
-    /// paths) for one event.
-    pub fn extract<'t>(&self, trace: &'t Trace, e: &TraceEvent) -> (Request, Option<&'t FilePath>) {
-        (Request::from_event(e), trace.path_of(e.file))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,16 +60,12 @@ mod tests {
     #[test]
     fn extract_resolves_paths_when_available() {
         let trace = WorkloadSpec::hp().scaled(0.01).generate();
-        let ex = Extractor;
-        let (_, path) = ex.extract(&trace, &trace.events[0]);
-        assert!(path.is_some());
+        assert!(trace.path_of(trace.events[0].file).is_some());
     }
 
     #[test]
     fn extract_yields_no_path_for_pathless_traces() {
         let trace = WorkloadSpec::ins().scaled(0.01).generate();
-        let ex = Extractor;
-        let (_, path) = ex.extract(&trace, &trace.events[0]);
-        assert!(path.is_none());
+        assert!(trace.path_of(trace.events[0].file).is_none());
     }
 }

@@ -34,8 +34,8 @@
 //!
 //! Mining produces the model; *serving* happens through one API:
 //! [`CorrelationSource`] ([`source`]), implemented by the live [`Farmer`],
-//! the exported [`CorrelatorTable`], `farmer-stream`'s merged snapshots
-//! and `farmer-store`'s persisted view. Its contract — caller-owned
+//! the exported [`CorrelatorTable`] and `farmer-stream`'s merged
+//! snapshots. Its contract — caller-owned
 //! buffers, canonical ordering, partial-select top-k in O(deg + k log k)
 //! rather than a full O(deg log deg) sort — is what lets every consumer
 //! (prefetcher, replication planner, security compiler, layout optimizer)
@@ -67,7 +67,7 @@ mod spec;
 pub use attr::{AttrCombo, AttrKind};
 pub use config::{FarmerConfig, PathMode};
 pub use correlator::{Correlator, CorrelatorList, CorrelatorTable, DuplicateOwner, TableWalk};
-pub use extract::{Extractor, Request};
+pub use extract::Request;
 pub use graph::{CorrelationGraph, EdgeView};
 pub use model::Farmer;
 pub use semvec::similarity;

@@ -88,12 +88,12 @@
 use std::collections::VecDeque;
 
 use farmer_trace::hash::FxHashMap;
-use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
+use farmer_trace::{FileId, FilePath, MiningAction, Trace, TraceEvent};
 
 use crate::attr::AttrKind;
 use crate::config::{FarmerConfig, PRUNE_FLOOR};
 use crate::correlator::{Correlator, CorrelatorList, CorrelatorTable, TableWalk};
-use crate::extract::{Extractor, Request};
+use crate::extract::Request;
 use crate::graph::{CorrelationGraph, NodeHint, PredUpdate};
 use crate::semvec::{path_term, path_term_bound, scalar_parts, PathSig};
 use crate::source::{rank_cmp, CorrelationSource};
@@ -295,13 +295,16 @@ impl Farmer {
         }
     }
 
-    /// Convenience: observe a trace event (runs the Stage-1 extractor).
+    /// Mine one trace event under [`farmer_trace::Op::mining_action`].
     pub fn observe_event(&mut self, trace: &Trace, e: &TraceEvent) {
-        let (req, path) = Extractor.extract(trace, e);
-        self.observe(req, path);
+        match e.op.mining_action() {
+            MiningAction::Observe => self.observe(Request::from_event(e), trace.path_of(e.file)),
+            MiningAction::Forget => _ = self.forget_file(e.file),
+            MiningAction::Skip => {}
+        }
     }
 
-    /// Batch-mine an entire trace.
+    /// Batch-mine an entire trace, one [`Farmer::observe_event`] an event.
     pub fn mine_trace(trace: &Trace, cfg: FarmerConfig) -> Farmer {
         let mut farmer = Farmer::new(cfg);
         for e in &trace.events {

@@ -52,9 +52,9 @@ impl FpaMetrics {
 /// Exactly two operating modes, fixed at construction:
 ///
 /// * **Self-mining** ([`FpaPredictor::for_trace`], [`FpaPredictor::new`]):
-///   every access is observed by the embedded [`Farmer`] and predictions
-///   come from its live correlator state — the paper's single-node
-///   deployment.
+///   every access is mined by the embedded [`Farmer`] (an unlink is
+///   forgotten) and predictions come from its live correlator state — the
+///   paper's single-node deployment.
 /// * **Following** ([`FpaPredictor::following`]): predictions are served
 ///   from whatever the mining tier last published into a
 ///   [`SnapshotCell`] — the same read path as the serving tier's readers,

@@ -56,7 +56,7 @@ use std::time::Duration;
 use farmer_core::{CorrelationSource, Correlator, Request};
 use farmer_obs::{Registry, Span};
 use farmer_stream::{CellReader, PendingCut, ShardedMiner, SnapshotCell, StreamSnapshot, WalOp};
-use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
+use farmer_trace::{FileId, FilePath, MiningAction, Trace, TraceEvent};
 
 use crate::metrics::ServeMetrics;
 use crate::ring::{self, Consumer, Producer};
@@ -436,32 +436,38 @@ impl IngestHandle {
     #[inline]
     pub fn ingest(&mut self, req: Request, path: Option<&FilePath>) -> bool {
         let path = path.cloned();
-        let op = IngestOp::Op(WalOp::Ingest { req, path });
-        let m = &self.shared.metrics;
-        let ok = m
-            .ingest_call_ns
-            .time(|| push_with_backpressure(&self.producer, &self.shared, op));
-        if ok {
-            m.ingest_events.inc();
-        }
-        ok
+        self.push(WalOp::Ingest { req, path })
     }
 
-    /// Convenience: ingest a trace event (runs the Stage-1 extraction).
+    /// Ingest one trace event under [`farmer_trace::Op::mining_action`]; a
+    /// skipped event touches nothing and returns `true`.
     pub fn ingest_event(&mut self, trace: &Trace, e: &TraceEvent) -> bool {
-        self.ingest(Request::from_event(e), trace.path_of(e.file))
+        match e.op.mining_action() {
+            MiningAction::Observe => self.ingest(Request::from_event(e), trace.path_of(e.file)),
+            MiningAction::Forget => self.forget(e.file),
+            MiningAction::Skip => true,
+        }
     }
 
     /// Ingest a forget tombstone (unlink/churn). Same return contract as
     /// [`IngestHandle::ingest`].
     pub fn forget(&mut self, file: FileId) -> bool {
-        let op = IngestOp::Op(WalOp::Forget(file));
+        self.push(WalOp::Forget(file))
+    }
+
+    /// The one timed push of every call, counted by what it carries.
+    #[inline]
+    fn push(&mut self, op: WalOp) -> bool {
         let m = &self.shared.metrics;
+        let counter = match op {
+            WalOp::Ingest { .. } => &m.ingest_events,
+            WalOp::Forget(_) => &m.ingest_forgets,
+        };
         let ok = m
             .ingest_call_ns
-            .time(|| push_with_backpressure(&self.producer, &self.shared, op));
+            .time(|| push_with_backpressure(&self.producer, &self.shared, IngestOp::Op(op)));
         if ok {
-            m.ingest_forgets.inc();
+            counter.inc();
         }
         ok
     }

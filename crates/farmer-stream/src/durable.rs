@@ -102,7 +102,7 @@ use farmer_core::{
 use farmer_obs::Registry;
 use farmer_store::codec::{DecodeError, Reader, Writer};
 use farmer_store::wal::{crc32, record_kind, Lsn, Wal, WalCompaction, WalError, WalMetrics};
-use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
+use farmer_trace::{FileId, FilePath, MiningAction, Trace, TraceEvent};
 
 use crate::engine::MinerState;
 use crate::snapshot::StreamSnapshot;
@@ -725,9 +725,13 @@ impl DurableMiner {
         }
     }
 
-    /// Convenience: journal and route a trace event.
+    /// Journal and route one trace event under [`farmer_trace::Op::mining_action`].
     pub fn ingest_event(&mut self, trace: &Trace, e: &TraceEvent) {
-        self.ingest(Request::from_event(e), trace.path_of(e.file));
+        match e.op.mining_action() {
+            MiningAction::Observe => self.ingest(Request::from_event(e), trace.path_of(e.file)),
+            MiningAction::Forget => self.forget(e.file),
+            MiningAction::Skip => {}
+        }
     }
 
     /// Journal and route a forget tombstone.

@@ -37,7 +37,7 @@ use std::cell::Cell;
 use farmer_core::graph::{total_order_key, UpdateMix};
 use farmer_core::{Farmer, FarmerState, Request};
 use farmer_trace::hash::{fx_hash_u64, FxHashMap};
-use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
+use farmer_trace::{FileId, FilePath, MiningAction, Trace, TraceEvent};
 
 use crate::metrics::StreamMetrics;
 use crate::snapshot::{ShardCut, ShardSnapshot};
@@ -180,10 +180,13 @@ impl StreamMiner {
         }
     }
 
-    /// Convenience: ingest a trace event (runs the Stage-1 extractor).
+    /// Ingest one trace event under [`farmer_trace::Op::mining_action`].
     pub fn ingest_event(&mut self, trace: &Trace, e: &TraceEvent) {
-        let req = Request::from_event(e);
-        self.ingest(req, trace.path_of(e.file));
+        match e.op.mining_action() {
+            MiningAction::Observe => self.ingest(Request::from_event(e), trace.path_of(e.file)),
+            MiningAction::Forget => self.forget(e.file),
+            MiningAction::Skip => {}
+        }
     }
 
     /// Drop every trace of `file`: its retention counter (if this shard

@@ -100,7 +100,7 @@ use std::thread::{self, JoinHandle};
 use farmer_core::Request;
 use farmer_obs::Registry;
 use farmer_store::wal::{record_kind, Lsn, Wal, WalCompaction, WalError, WalSyncer};
-use farmer_trace::{FileId, FilePath, Trace, TraceEvent};
+use farmer_trace::{FileId, FilePath, MiningAction, Trace, TraceEvent};
 
 use crate::durable::{encode_op_into, WalOp};
 use crate::engine::{MinerState, StreamMiner};
@@ -300,9 +300,13 @@ impl ShardedMiner {
         self.route_op(WalOp::Ingest { req, path });
     }
 
-    /// Convenience: route a trace event (runs the Stage-1 extraction).
+    /// Route one trace event under [`farmer_trace::Op::mining_action`].
     pub fn route_event(&mut self, trace: &Trace, e: &TraceEvent) {
-        self.route(Request::from_event(e), trace.path_of(e.file));
+        match e.op.mining_action() {
+            MiningAction::Observe => self.route(Request::from_event(e), trace.path_of(e.file)),
+            MiningAction::Forget => self.route_forget(e.file),
+            MiningAction::Skip => {}
+        }
     }
 
     /// Route a forget tombstone (unlink/churn): every shard drops all

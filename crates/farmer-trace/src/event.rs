@@ -6,10 +6,9 @@ use crate::ids::{DevId, FileId, HostId, ProcId, UserId};
 
 /// File-system operation kind.
 ///
-/// FARMER's mining is operation-agnostic — every request contributes to the
-/// access sequence — but the metadata-server simulator distinguishes
-/// metadata-mutating operations (create/unlink) from lookups, and workload
-/// generators emit realistic mixes.
+/// What FARMER's mining does with each kind is [`Op::mining_action`]. The
+/// metadata-server simulator also tells metadata-mutating operations
+/// (create/unlink) from lookups, and workload generators emit realistic mixes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Op {
     /// `open(2)`-style lookup; the canonical metadata request.
@@ -63,6 +62,28 @@ impl Op {
     pub fn is_metadata_demand(self) -> bool {
         !matches!(self, Op::Close)
     }
+
+    /// The event policy every miner's `*_event` entry point applies: FARMER
+    /// mines metadata requests (§3.1), forgets an unlinked file, skips `Close`.
+    #[inline]
+    pub fn mining_action(self) -> MiningAction {
+        match self {
+            Op::Unlink => MiningAction::Forget,
+            Op::Close => MiningAction::Skip,
+            _ => MiningAction::Observe,
+        }
+    }
+}
+
+/// What a miner does with one trace event ([`Op::mining_action`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MiningAction {
+    /// Mine it as an access.
+    Observe,
+    /// Drop every trace of its file.
+    Forget,
+    /// Ignore it: no state, log or counter moves.
+    Skip,
 }
 
 impl fmt::Display for Op {
@@ -151,6 +172,12 @@ mod tests {
         assert!(Op::Stat.is_metadata_demand());
         assert!(Op::Create.is_metadata_demand());
         assert!(!Op::Close.is_metadata_demand());
+        use MiningAction::{Forget, Observe, Skip};
+        let policy = [Observe, Observe, Observe, Observe, Observe, Forget, Skip];
+        for (op, want) in Op::ALL.into_iter().zip(policy) {
+            assert_eq!(op.mining_action(), want, "{op}");
+            assert_eq!(want == Skip, !op.is_metadata_demand(), "{op}");
+        }
     }
 
     #[test]

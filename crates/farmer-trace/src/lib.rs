@@ -37,7 +37,7 @@ pub mod trace;
 pub mod workload;
 pub mod zipf;
 
-pub use event::{Op, TraceEvent};
+pub use event::{MiningAction, Op, TraceEvent};
 pub use ids::{DevId, FileId, HostId, ProcId, UserId};
 pub use path::{FilePath, PathInterner};
 pub use stream::ReplayStream;

@@ -76,9 +76,9 @@ fn main() {
     trace.validate().expect("well-formed trace");
 
     // --- Semantic distance agrees with intuition (Table 1/2 machinery).
-    let ex = farmer::core::Extractor;
-    let (req_main, p_main) = ex.extract(&trace, &trace.events[1]);
-    let (req_util, p_util) = ex.extract(&trace, &trace.events[5]);
+    let (main_c, util_c) = (&trace.events[1], &trace.events[5]);
+    let (req_main, p_main) = (Request::from_event(main_c), trace.path_of(main_c.file));
+    let (req_util, p_util) = (Request::from_event(util_c), trace.path_of(util_c.file));
     println!(
         "sim(main.c, util.c across users' runs) = {:.3}",
         similarity(

@@ -136,25 +136,20 @@ fn drift_preserves_everything_but_file_identity() {
     );
 }
 
-/// The churn scenario end to end: a bounded-memory streaming miner fed
-/// the churn trace (forgetting on unlink) holds no state for any dead
-/// generation at the end, while a forget-less miner does — the regression
-/// the scenario exists to catch.
+/// The churn scenario end to end: the batch miner, which forgets on
+/// unlink under the event policy, holds no state for any dead generation
+/// at the end, while a miner that observes every event as a request does —
+/// the regression the scenario exists to catch.
 #[test]
 fn churn_forgetting_drops_dead_generations() {
     let churn = ChurnSpec::new(WorkloadSpec::hp().scaled(0.05));
     let trace = churn.generate();
     let base_files = churn.base.generate().num_files();
 
-    let mut forgetting = Farmer::new(FarmerConfig::default());
+    let forgetting = Farmer::mine_trace(&trace, FarmerConfig::default());
     let mut hoarding = Farmer::new(FarmerConfig::default());
     for e in &trace.events {
-        if e.op == Op::Unlink {
-            forgetting.forget_file(e.file);
-        } else {
-            forgetting.observe_event(&trace, e);
-        }
-        hoarding.observe_event(&trace, e);
+        hoarding.observe(Request::from_event(e), trace.path_of(e.file));
     }
     for g in 0..churn.generations {
         for j in 0..churn.files_per_gen {
@@ -176,4 +171,87 @@ fn churn_forgetting_drops_dead_generations() {
         })
         .count();
     assert!(dead > 0, "churn trace failed to build any ephemeral state");
+}
+
+/// Does `served` hold every list of `want` and no other, each with the same
+/// entries in the same order, every degree compared on raw bits? (A merged
+/// snapshot orders its lists by shard, not by owner.)
+fn serves_bitwise(served: &CorrelatorTable, want: &CorrelatorTable) -> bool {
+    served.len() == want.len()
+        && want.iter().all(|(owner, list)| {
+            served.get(owner).is_some_and(|got| {
+                got.len() == list.len()
+                    && got
+                        .iter()
+                        .zip(list)
+                        .all(|(x, y)| x.file == y.file && x.degree.to_bits() == y.degree.to_bits())
+            })
+        })
+}
+
+/// One event policy, applied by every event-level entry point: the churn
+/// scenario at 0.1 (128 unlinks) fed to each mines the same 7 024 events
+/// and serves the table `Farmer::mine_trace` builds, bit for bit.
+#[test]
+fn every_event_entry_point_mines_churn_under_one_policy() {
+    use farmer::stream::{DurableConfig, DurableMiner};
+
+    let trace = ChurnSpec::new(WorkloadSpec::hp().scaled(0.03)).generate();
+    assert_eq!(trace.len(), 7_152);
+    let batch = Farmer::mine_trace(&trace, FarmerConfig::default());
+    assert_eq!(batch.observed(), 7_024);
+    assert_eq!(batch.graph().num_edges(), 16_033);
+    let want = batch.correlator_table();
+    let check = |what: &str, events: u64, table: &CorrelatorTable| {
+        assert_eq!(events, batch.observed(), "{what}: events mined");
+        assert!(serves_bitwise(table, &want), "{what}: table");
+    };
+    let stream_cfg = |shards| {
+        StreamConfig::default()
+            .with_shards(shards)
+            .with_node_cap(1 << 20)
+    };
+
+    let mut looped = Farmer::new(FarmerConfig::default());
+    let mut engine = StreamMiner::new(stream_cfg(1));
+    let mut sharded = [1, 4].map(|n| ShardedMiner::spawn(stream_cfg(n)));
+    let wal = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("target/policy-{}.wal", std::process::id()));
+    let mut durable =
+        DurableMiner::create(&wal, DurableConfig::new(stream_cfg(1))).expect("create the log");
+    let serve = FarmerServe::spawn(ServeConfig {
+        stream: stream_cfg(1),
+        ..ServeConfig::default()
+    });
+    let mut tx = serve.handle();
+    for e in &trace.events {
+        looped.observe_event(&trace, e);
+        engine.ingest_event(&trace, e);
+        sharded.iter_mut().for_each(|m| m.route_event(&trace, e));
+        durable.ingest_event(&trace, e);
+        assert!(tx.ingest_event(&trace, e));
+    }
+
+    check(
+        "observe_event",
+        looped.observed(),
+        &looped.correlator_table(),
+    );
+    check(
+        "StreamMiner",
+        engine.events_seen(),
+        &engine.snapshot().lists,
+    );
+    for (m, n) in sharded.iter_mut().zip([1, 4]) {
+        let snap = m.snapshot();
+        check(&format!("ShardedMiner x{n}"), snap.events, &snap.table);
+    }
+    let snap = durable.snapshot();
+    check("DurableMiner", snap.events, &snap.table);
+    assert_eq!(durable.events_logged(), batch.observed());
+    drop(durable);
+    let _ = std::fs::remove_file(&wal);
+    serve.flush();
+    let snap = serve.reader().snapshot();
+    check("FarmerServe", snap.events, &snap.table);
 }
