@@ -38,7 +38,7 @@
 //! snapshots. Its contract — caller-owned
 //! buffers, canonical ordering, partial-select top-k in O(deg + k log k)
 //! rather than a full O(deg log deg) sort — is what lets every consumer
-//! (prefetcher, replication planner, security compiler, layout optimizer)
+//! (prefetcher, cache and MDS simulators, layout planner)
 //! query any back-end allocation-free at demand-request rate.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

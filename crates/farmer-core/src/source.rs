@@ -2,8 +2,8 @@
 //! correlations.
 //!
 //! FARMER's whole point is that mined Correlator Lists get *served* — to
-//! prefetchers, replication planners, security compilers and layout
-//! optimizers — at demand-request rate. Every one of those consumers asks
+//! prefetchers, cache and MDS simulators and the layout planner — at
+//! demand-request rate. Every one of those consumers asks
 //! the same questions ("the k strongest correlators of this file", "the
 //! single strongest", "how strong is this pair"), so they all program
 //! against this trait and any mining back-end can sit behind them:

@@ -1,5 +1,4 @@
-//! FARMER-enabled file-data layout (§4.2), and the grouping pass it
-//! shares with the §4.3 replica groups ([`crate::replication`]).
+//! FARMER-enabled file-data layout (§4.2).
 //!
 //! "We can merge several small files into one group to scale up the overall
 //! system performance by enhancing the correlative file data locality. …
@@ -33,95 +32,69 @@ impl Default for LayoutConfig {
     }
 }
 
-/// Files grouped by their correlator lists: a §4.2 layout or a §4.3
-/// replica-group plan.
+/// A §4.2 layout: read-only files grouped by their correlator lists.
 #[derive(Debug, Clone)]
 pub struct GroupPlan {
     /// `file → group` (None = singleton/ungrouped).
     group_of: Vec<Option<u32>>,
-    /// `group → members`, the file whose list formed the group first.
-    members: Vec<Vec<FileId>>,
+    /// Number of multi-file groups; they are numbered `0..num_groups`.
+    num_groups: usize,
 }
 
 impl GroupPlan {
-    /// The greedy correlator-list pass: in file-id order, each ungrouped
-    /// file that `admit`s walks its list (degree ≥ `min_degree`, strongest
-    /// first) and takes up to `max_group − 1` admitted, ungrouped
-    /// successors into a new group with itself. A file with no such
-    /// successor stays a singleton. Files outside `0..num_files` are never
-    /// grouped.
-    pub(crate) fn greedy(
-        source: &dyn CorrelationSource,
-        num_files: usize,
-        min_degree: f64,
-        max_group: usize,
-        admit: impl Fn(FileId) -> bool,
-    ) -> Self {
-        let mut group_of: Vec<Option<u32>> = vec![None; num_files];
-        let mut members: Vec<Vec<FileId>> = Vec::new();
-        let mut list: Vec<Correlator> = Vec::new();
-        for file_idx in 0..num_files {
-            let owner = FileId::new(file_idx as u32);
-            if group_of[file_idx].is_some() || !admit(owner) {
-                continue;
-            }
-            source.top_k_into(owner, usize::MAX, min_degree, &mut list);
-            let group: Vec<FileId> = std::iter::once(owner)
-                .chain(
-                    list.iter()
-                        .map(|c| c.file)
-                        .filter(|&f| {
-                            f != owner
-                                && group_of.get(f.index()).is_some_and(Option::is_none)
-                                && admit(f)
-                        })
-                        .take(max_group.saturating_sub(1)),
-                )
-                .collect();
-            if group.len() < 2 {
-                continue; // nothing to co-locate with: stay a singleton
-            }
-            let g = members.len() as u32;
-            for f in &group {
-                group_of[f.index()] = Some(g);
-            }
-            members.push(group);
-        }
-        GroupPlan { group_of, members }
-    }
-
     /// Number of multi-file groups.
     pub fn num_groups(&self) -> usize {
-        self.members.len()
+        self.num_groups
     }
 
     /// Number of files placed into groups.
     pub fn grouped_files(&self) -> usize {
-        self.members.iter().map(Vec::len).sum()
-    }
-
-    /// Group of a file, if it belongs to one.
-    pub fn group_of(&self, file: FileId) -> Option<u32> {
-        self.group_of.get(file.index()).copied().flatten()
-    }
-
-    /// Members of a group.
-    pub fn members(&self, group: u32) -> &[FileId] {
-        &self.members[group as usize]
+        self.group_of.iter().flatten().count()
     }
 }
 
 /// Build a layout from any mined correlation source (the live model, an
-/// exported table, a stream snapshot): the greedy grouping pass over
-/// read-only files.
+/// exported table, a stream snapshot) by one greedy correlator-list pass:
+/// in file-id order, each ungrouped read-only file walks its list (degree
+/// ≥ `min_degree`, strongest first) and takes up to `max_group − 1`
+/// read-only, ungrouped successors into a new group with itself. A file
+/// with no such successor stays a singleton. Successors outside the
+/// trace's namespace are never grouped.
 pub fn plan_layout(source: &dyn CorrelationSource, trace: &Trace, cfg: LayoutConfig) -> GroupPlan {
-    GroupPlan::greedy(
-        source,
-        trace.num_files(),
-        cfg.min_degree,
-        cfg.max_group,
-        |f| trace.meta_of(f).read_only,
-    )
+    let read_only = |f: FileId| trace.meta_of(f).read_only;
+    let mut group_of: Vec<Option<u32>> = vec![None; trace.num_files()];
+    let mut num_groups = 0;
+    let mut list: Vec<Correlator> = Vec::new();
+    for file_idx in 0..group_of.len() {
+        let owner = FileId::new(file_idx as u32);
+        if group_of[file_idx].is_some() || !read_only(owner) {
+            continue;
+        }
+        source.top_k_into(owner, usize::MAX, cfg.min_degree, &mut list);
+        let group: Vec<FileId> = std::iter::once(owner)
+            .chain(
+                list.iter()
+                    .map(|c| c.file)
+                    .filter(|&f| {
+                        f != owner
+                            && group_of.get(f.index()).is_some_and(Option::is_none)
+                            && read_only(f)
+                    })
+                    .take(cfg.max_group.saturating_sub(1)),
+            )
+            .collect();
+        if group.len() < 2 {
+            continue; // nothing to co-locate with: stay a singleton
+        }
+        for f in &group {
+            group_of[f.index()] = Some(num_groups as u32);
+        }
+        num_groups += 1;
+    }
+    GroupPlan {
+        group_of,
+        num_groups,
+    }
 }
 
 /// Replay the trace's data reads against an OSD cluster, returning the
@@ -185,10 +158,10 @@ mod tests {
         h
     }
 
-    /// Both planners run the one grouping pass; these are the plans the
-    /// two separate loops it replaced produced on the same input.
+    /// The layout of HP at 0.1, pinned by its counts and `group_of` hash:
+    /// any change to the grouping pass that moves a file shows here.
     #[test]
-    fn layout_and_replica_plans_match_the_pinned_plans() {
+    fn layout_plan_matches_the_pinned_plan() {
         let trace = WorkloadSpec::hp().scaled(0.1).generate();
         let farmer = Farmer::mine_trace(&trace, FarmerConfig::default());
         assert_eq!(trace.num_files(), 16_869);
@@ -196,13 +169,6 @@ mod tests {
         let layout = plan_layout(&farmer, &trace, LayoutConfig::default());
         assert_eq!((layout.num_groups(), layout.grouped_files()), (607, 1_426));
         assert_eq!(group_of_hash(&layout), 0x1f0b_1f97_0ba9_abfe);
-
-        let replicas = crate::replication::plan_replicas(&farmer, trace.num_files(), 0.4, 8);
-        assert_eq!(
-            (replicas.num_groups(), replicas.grouped_files()),
-            (955, 2_255)
-        );
-        assert_eq!(group_of_hash(&replicas), 0x1d3a_d7f8_87eb_c24e);
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! two request queues to guarantee the availability of service for the
 //! demand requests queue that is of higher priority than the prefetching
 //! request queue" (§4.1). OSDs hold object data; FARMER's correlator lists
-//! additionally drive grouped file-data layout (§4.2) and, beyond
-//! prefetching, correlation-aware security rules and replica groups
-//! (§4.3).
+//! additionally drive grouped file-data layout (§4.2).
 //!
 //! This crate simulates that system:
 //!
@@ -28,14 +26,6 @@
 //!   query,
 //! * [`osd`]/[`layout`] — object placement and the FARMER-enabled grouped
 //!   data layout with a seek/transfer cost model,
-//! * [`replication`] — §4.3: "grouping files with strong inter-file
-//!   correlations in the same logical replica group", with an atomic
-//!   backup/recovery engine and failure injection; the §4.2 layout and
-//!   the replica groups are one [`layout::GroupPlan`], built by one greedy
-//!   correlator-list pass,
-//! * [`security`] — §4.3: a rule configured on one file propagates to its
-//!   strongly correlated files (per-hop degree decay), plus an enforcement
-//!   simulator,
 //! * [`cluster`] — multi-MDS load balancing (§4.1's first direction):
 //!   hash- or volume-partitioned namespaces across independent servers.
 
@@ -50,8 +40,6 @@ pub mod layout;
 pub mod osd;
 pub mod queues;
 pub mod replay;
-pub mod replication;
-pub mod security;
 pub mod server;
 
 pub use cluster::{replay_cluster, ClusterConfig, ClusterReport, Partition};

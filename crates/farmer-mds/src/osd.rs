@@ -107,14 +107,6 @@ impl OsdCluster {
     pub fn stats(&self) -> OsdStats {
         self.stats
     }
-
-    /// Reset counters (layout comparisons reuse one cluster).
-    pub fn reset_stats(&mut self) {
-        self.stats = OsdStats::default();
-        for e in &mut self.last_extent {
-            *e = None;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -168,10 +160,8 @@ mod tests {
 
     #[test]
     fn transfer_scales_with_size() {
-        let mut c = OsdCluster::new(OsdConfig::default(), 4);
-        let small = c.read(f(0), 1024);
-        c.reset_stats();
-        let large = c.read(f(0), 1024 * 64);
+        let small = OsdCluster::new(OsdConfig::default(), 4).read(f(0), 1024);
+        let large = OsdCluster::new(OsdConfig::default(), 4).read(f(0), 1024 * 64);
         assert!(large > small);
     }
 
@@ -185,13 +175,15 @@ mod tests {
         assert_eq!(c.osd_of(f(3)), c.osd_of(f(40)));
     }
 
+    /// A fresh cluster starts with zero counters and no locality, so a
+    /// layout comparison builds one per layout.
     #[test]
     fn reset_clears_counters_and_locality() {
         let mut cfg = OsdConfig::default();
         cfg.num_osds = 1;
         let mut c = OsdCluster::new(cfg, 4);
         c.read(f(0), 1024);
-        c.reset_stats();
+        let mut c = OsdCluster::new(cfg, 4);
         assert_eq!(c.stats(), OsdStats::default());
         c.read(f(0), 1024);
         assert_eq!(c.stats().seeks, 1, "locality must reset too");

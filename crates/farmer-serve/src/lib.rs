@@ -1,7 +1,7 @@
 //! # farmer-serve — the concurrent serving tier
 //!
 //! FARMER (HPDC'08) mines file-access correlations *so that they can be
-//! served* — to prefetchers, replication planners, layout optimizers — at
+//! served* — to prefetchers, the MDS simulator, the layout planner — at
 //! demand-request rate. The rest of the workspace builds the mining side
 //! (`farmer-core` model, `farmer-stream` sharded online miner); this
 //! crate closes the loop with the serving side, where one always-running

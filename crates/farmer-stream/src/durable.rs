@@ -285,9 +285,13 @@ pub(crate) fn tables_bitwise_equal(a: &CorrelatorTable, b: &CorrelatorTable) -> 
 }
 
 /// Bitwise snapshot equality: every mining-state scalar, every list in
-/// order, every degree compared on raw bits. This is the recovery parity
+/// table order, every degree compared on raw bits. This is the recovery parity
 /// invariant — stricter than the epsilon comparisons the cross-mode
 /// tests use.
+///
+/// Table order is the merge order ([`StreamSnapshot::merge`]: shard after
+/// shard), so two snapshots compare equal only at equal shard counts; a
+/// comparison across shard counts must go per owner.
 ///
 /// `state_bytes` is deliberately *not* compared: it reports resident
 /// heap including buffer capacities (eviction scratch, the graph's spare

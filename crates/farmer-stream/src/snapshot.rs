@@ -1,7 +1,7 @@
 //! Consistent snapshots of the streaming miner's correlator state.
 //!
 //! A snapshot is the bridge from the always-running miner to its consumers
-//! (prefetchers, layout planners, security compilers): a point-in-time,
+//! (prefetchers, the layout planner): a point-in-time,
 //! read-only view of every live Correlator List. [`ShardSnapshot`] is one
 //! shard's contribution, a flat [`CorrelatorTable`] assembled from one pass
 //! over the shard's graph (a [`ShardCut`], what a shard answers a cut
@@ -87,6 +87,14 @@ impl StreamSnapshot {
     /// first shard's table is taken as it is, every further one is
     /// appended to it, so the table lists shard after shard in the order
     /// given and a one-shard fleet copies nothing.
+    ///
+    /// A merged table therefore iterates shard-major, not by owner as
+    /// `Farmer::correlator_table` and a one-shard snapshot do. Whatever
+    /// reads the table in order ([`crate::snapshots_bitwise_equal`], the
+    /// bytes of [`crate::durable::encode_snapshot`]) sees two snapshots of
+    /// the same lists as equal only when they were merged from equal shard
+    /// counts; a comparison across shard counts goes per owner. Sorting by
+    /// owner here would cost every publish.
     ///
     /// Panics if two shards claim the same owner file — that would mean
     /// the ownership partition is broken, and silently keeping either

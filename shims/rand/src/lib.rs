@@ -2,8 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so this local crate
 //! provides the exact API surface the workspace consumes — [`Rng`],
-//! [`SeedableRng`], [`rngs::StdRng`], `gen`, `gen_bool`, `gen_range` over
-//! integer and float ranges — backed by a xoshiro256++ generator seeded via
+//! [`SeedableRng`], [`rngs::StdRng`], `gen` of an `f64`, `gen_bool`,
+//! `gen_range` over integer and float ranges — backed by a xoshiro256++ generator seeded via
 //! splitmix64 (the same construction the real `rand_chacha`-free small-rng
 //! stacks use). Determinism contract matches the workspace's needs: equal
 //! seeds give identical streams on every platform.
@@ -14,11 +14,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// Next raw 64-bit word.
     fn next_u64(&mut self) -> u64;
-
-    /// Next raw 32-bit word.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Seedable constructor (mirror of `rand_core::SeedableRng`).
@@ -38,27 +33,6 @@ impl StandardSample for f64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
         // 53 uniform mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl StandardSample for u64 {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> u64 {
-        rng.next_u64()
-    }
-}
-
-impl StandardSample for u32 {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> u32 {
-        rng.next_u32()
-    }
-}
-
-impl StandardSample for bool {
-    #[inline]
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> bool {
-        rng.next_u64() & 1 == 1
     }
 }
 
@@ -93,7 +67,7 @@ macro_rules! impl_int_range {
     )*};
 }
 
-impl_int_range!(u8, u16, u32, u64, usize, i32, i64);
+impl_int_range!(u8, u32, u64, usize);
 
 impl SampleRange<f64> for Range<f64> {
     #[inline]
@@ -197,14 +171,14 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn equal_seeds_equal_streams() {
         let mut a = StdRng::seed_from_u64(7);
         let mut b = StdRng::seed_from_u64(7);
         for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
@@ -212,7 +186,7 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = StdRng::seed_from_u64(1);
         let mut b = StdRng::seed_from_u64(2);
-        let same = (0..64).filter(|_| a.gen::<u64>() == b.gen::<u64>()).count();
+        let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 4);
     }
 

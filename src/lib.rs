@@ -17,9 +17,8 @@
 //! * [`store`] — the durable mining tier's write-ahead log and its binary
 //!   codec,
 //! * [`mds`] — a discrete-event metadata-server / OSD simulator with the
-//!   paper's dual priority queues, multi-MDS load balancing (§4.1), the
-//!   §4.2 grouped data layout and the §4.3 applications (correlation-aware
-//!   security rules and replica groups, one grouping pass with the layout),
+//!   paper's dual priority queues, multi-MDS load balancing (§4.1) and the
+//!   §4.2 grouped data layout,
 //! * [`stream`] — the sharded online mining service: unbounded event
 //!   streams mined under a hard memory budget, with consistent snapshots
 //!   that refresh the prefetcher mid-flight,
