@@ -21,9 +21,10 @@
 //!
 //! Everything that changes a graph — an access, a batch of edge updates,
 //! a prune, a node cleared, the eviction sweep, stale path memos — is
-//! private to this crate, and [`crate::Farmer`] is its one caller: outside
-//! it a graph is read (queries, publication, the state image) or restored
-//! ([`CorrelationGraph::from_state`]). What the kernel below computes is
+//! private to this crate, and [`crate::stage::GraphStage`] — the half of a
+//! [`crate::Farmer`] that applies the steps its stream stage prepares — is
+//! its one caller: outside it a graph is read (queries, publication, the
+//! state image) or restored ([`CorrelationGraph::from_state`]). What the kernel below computes is
 //! stated once, layout-free, in the workspace's spec suite
 //! (`tests/spec/mod.rs`, run by `tests/mining_spec.rs`,
 //! `tests/graph_equivalence.rs` and `model`'s own tests), which drives a
@@ -488,7 +489,8 @@ pub struct UpdateMix {
     pub exact_rejects: u64,
     /// A new successor at a full node: the weakest edge made room.
     pub admits: u64,
-    /// Path terms evaluated (the thunk of `mine_batch` called).
+    /// Path terms consumed (the thunk of `mine_batch` called): what an
+    /// update's outcome needed evaluated, whichever stage evaluated it.
     pub path_terms: u64,
     /// Updates whose phase-1 position an earlier update of the same batch
     /// had shifted, so phase 2 searched again.
@@ -660,20 +662,20 @@ impl CorrelationGraph {
     ///   an admit replaces the weakest edge in one move per array and
     ///   re-scans for the new weakest.
     ///
-    /// `path_term(pred_file)` is invoked only for an insert, an exact
-    /// reject or an admit whose bound is not already the term, and for a
-    /// hit whose memo went stale.
+    /// `path_term(i)` hands over the term of `preds[i]`, and is invoked
+    /// only for an insert, an exact reject or an admit whose bound is not
+    /// already the term, and for a hit whose memo went stale.
     pub(crate) fn mine_batch(
         &mut self,
         preds: &[PredUpdate],
         to: FileId,
         succ_has_path: bool,
-        mut path_term: impl FnMut(FileId) -> (f64, u32),
+        mut path_term: impl FnMut(usize) -> (f64, u32),
         cfg: &FarmerConfig,
     ) {
         self.epoch += 1;
         let to_raw = to.raw();
-        for chunk in preds.chunks(PIPELINE_WIDTH) {
+        for (c, chunk) in preds.chunks(PIPELINE_WIDTH).enumerate() {
             let mut loc = [(0usize, 0usize); PIPELINE_WIDTH];
             for (k, pu) in chunk.iter().enumerate() {
                 let s = match self.slot_by_hint(pu.file, pu.hint) {
@@ -687,14 +689,14 @@ impl CorrelationGraph {
                 }
                 loc[k] = (s, pos);
             }
-            for (pu, &(s, pos)) in chunk.iter().zip(&loc) {
+            for (k, (pu, &(s, pos))) in chunk.iter().zip(&loc).enumerate() {
                 self.apply_at(
                     s,
                     pos,
                     to_raw,
                     pu,
                     succ_has_path,
-                    || path_term(pu.file),
+                    || path_term(c * PIPELINE_WIDTH + k),
                     cfg,
                 );
             }

@@ -53,6 +53,7 @@ pub mod miner;
 pub mod model;
 pub mod semvec;
 pub mod source;
+pub mod stage;
 pub mod state;
 
 // The statement of the mining rule that the workspace's spec suites drive
@@ -72,4 +73,5 @@ pub use graph::{CorrelationGraph, EdgeView};
 pub use model::Farmer;
 pub use semvec::similarity;
 pub use source::CorrelationSource;
+pub use stage::{GraphStage, Steps, StreamStage};
 pub use state::{EdgeState, FarmerState, GraphState, NodeState};

@@ -29,6 +29,19 @@
 //! way a different configuration meets existing state is
 //! `Farmer::from_state(other_cfg, &model.export_state())`.
 //!
+//! # Two stages
+//!
+//! A model is its two stages ([`crate::stage`]), run one after the other
+//! on one thread: every observe and forget is prepared by the
+//! [`StreamStage`] — which owns the look-ahead window, the learned paths
+//! and their signatures, and the LDA table, and evaluates each update's
+//! scalar match and path-term bound, and each path term the graph stage
+//! asks for — and applied by the [`GraphStage`], which owns the
+//! [`CorrelationGraph`], the slot hints and the kernel's scratch, and
+//! answers every query and walk.
+//! [`Farmer::into_stages`] hands them out to run apart; that is how
+//! `farmer-stream` runs a shard on two threads.
+//!
 //! The model is deliberately front-end agnostic ("black-box", §3.1): it
 //! consumes plain [`Request`] tuples plus an optional path, so it can sit
 //! behind a trace replayer, a metadata server, or a live file system.
@@ -49,9 +62,11 @@
 //! * **Similarity** is split ([`crate::semvec`]) into a branch-free scalar
 //!   match mask (per event) and a **memoized path term** keyed by
 //!   `(predecessor file, successor file)`. Paths are learned once per file,
-//!   so the path term is a pure function of the pair; it is computed when
-//!   an edge is first created and stored *on the edge*, which makes
-//!   invalidation free — [`Farmer::forget_files`] and cap eviction remove
+//!   so the path term is a pure function of the pair; it is evaluated only
+//!   where the signatures below do not settle it and the update's outcome
+//!   needs it, and the graph stage stores it *on the edge* when the edge
+//!   is created, which
+//!   makes invalidation free — [`Farmer::forget_files`] and cap eviction remove
 //!   the edge, and the term with it. The one way a memo can go stale
 //!   without the edge dying — a path learned only after the file already
 //!   had edges — marks the affected memos for recomputation on next touch.
@@ -64,12 +79,14 @@
 //!   *is* the term. A signature is computed once when a path is learned
 //!   and kept beside it; each window entry carries its file's, and the
 //!   event's offered path gets one per event. So a candidate that cannot
-//!   make it costs no probe of the path map and no path comparison, a
-//!   pair in disjoint directories never evaluates its term at all (the
-//!   bound says 0.0), and on a stream without paths the bound is the
-//!   degree itself. On HP under the node cap that leaves 0.78 path terms
-//!   evaluated an event, and 0.08 candidates an event that pass the bound
-//!   only to fail the exact term.
+//!   make it reads no path on the graph's side, a pair in disjoint
+//!   directories never evaluates its term at all (the bound says 0.0), and
+//!   on a stream without paths the bound is the degree itself. A model's
+//!   graph stage asks its stream stage for a term only when an update
+//!   consumes it: on HP under the node cap 0.78 an event, of which 0.08
+//!   pass the bound only to fail the exact term. (Stages run apart
+//!   evaluate every unsettled term ahead, 2.2 an event; see
+//!   [`crate::stage`].)
 //! * **Storage** is id-sparse end to end: learned paths live in a hash map
 //!   and the graph in slotted storage, so resident memory tracks live
 //!   files, not the largest file id ever interned.
@@ -78,74 +95,30 @@
 //!
 //! | phase | cost |
 //! |---|---|
-//! | per event | w updates, each one vectorised pass over a 16-id line, then by outcome: hit — memoized term, one prefetched payload line; insert / admit — one path term (none when the bound is the term), O(d) shift or rescan; early reject — a degree bound from the path signatures and one comparison, no path touched; exact reject (2 % of updates) — the same plus one path term (path² only here and on the inserts / admits whose bound is not already the term) |
+//! | per event, stream stage | w window entries: a scalar match and a path-term bound from the two signatures; a path term (path², one path-map probe) for each update below that takes one — run apart, for every entry whose bound is not the term |
+//! | per event, graph stage | w updates, each one vectorised pass over a 16-id line, then by outcome: hit — memoized term, one prefetched payload line; insert / admit — the term, O(d) shift or rescan; early reject — the bound and one comparison; exact reject (2 % of updates) — the same plus the term |
 //! | per prune tick | O(n + e) prune with per-node skip |
 //! | per snapshot/eviction | O(1) `active_nodes` counter |
 //! | query (`top_k_into`) | O(deg + k log k), deg ≤ d; `strongest` and `degree` O(deg) |
 //! | publication (`correlator_table`) | the walk (`walk_table`): one pass over the slab, prefetching ahead; an edge whose cached degree sits below the threshold is skipped unread when the cached degrees were written under (or, on restore, checked against) the configured `p`. Then the assembly (`TableWalk::assemble`): an owner sort, a gather and an index, which needs only the walk |
 //! | resident bytes | O(live files) |
 
-use std::collections::VecDeque;
-
-use farmer_trace::hash::FxHashMap;
 use farmer_trace::{FileId, FilePath, MiningAction, Trace, TraceEvent};
 
-use crate::attr::AttrKind;
-use crate::config::{FarmerConfig, PRUNE_FLOOR};
+use crate::config::FarmerConfig;
 use crate::correlator::{Correlator, CorrelatorList, CorrelatorTable, TableWalk};
 use crate::extract::Request;
-use crate::graph::{CorrelationGraph, NodeHint, PredUpdate};
-use crate::semvec::{path_term, path_term_bound, scalar_parts, PathSig};
+use crate::graph::CorrelationGraph;
 use crate::source::{rank_cmp, CorrelationSource};
-
-/// One look-ahead-window entry: the request plus the graph-slot hint of
-/// its file's node (valid only for owned files; stale hints are safe).
-#[derive(Debug, Clone, Copy)]
-struct WindowEntry {
-    req: Request,
-    hint: NodeHint,
-    /// The signature of the path [`Farmer::paths`] holds for the file —
-    /// the *learned* path's, never that of the path this request happened
-    /// to offer — and [`PathSig::NONE`] when it holds none: kept equal to
-    /// the map for every owned entry (set when the entry is pushed, raised
-    /// when the path arrives while the entry is still windowed, rebuilt on
-    /// restore; a forget drops path and entries together), so the mining
-    /// loop bounds a predecessor's path term without probing the map.
-    sig: PathSig,
-}
+use crate::stage::{GraphStage, StreamStage};
 
 /// The FARMER model: feed requests, query sorted correlator lists.
 #[derive(Debug)]
 pub struct Farmer {
-    cfg: FarmerConfig,
-    graph: CorrelationGraph,
-    /// Sliding look-ahead window: the most recent `cfg.window` requests,
-    /// each carrying a best-effort [`NodeHint`] so mining from it skips the
-    /// graph's id→slot probe.
-    window: VecDeque<WindowEntry>,
-    /// Per-file learned paths (the first observation's, held by a shared
-    /// `clone()` — no component is copied), keyed sparsely by file id.
-    /// This mirrors the paper's semantic-vector store: "vectors are stored
-    /// as columns of a single matrix" — but only live columns are
-    /// resident. Beside each path, its signature, computed once here.
-    paths: FxHashMap<u32, (FilePath, PathSig)>,
-    /// Precomputed LDA weight table (`lda[i]` = weight at distance i+1).
-    lda: Vec<f64>,
-    /// Does every cached degree in the graph bound its edge's degree under
-    /// `cfg.p`? That is what lets publication skip edges on their cached
-    /// degree ([`CorrelationGraph::for_each_list`]). True of a model that
-    /// started empty: every cached degree is written under `cfg.p`. A
-    /// restored one asks the image
-    /// ([`CorrelationGraph::cached_degrees_bound`]), whose degrees may have
-    /// been cached under another `p` — and are then a mix for good: they
-    /// order cap eviction and are state.
-    cached_degrees_bound: bool,
-    /// Reusable per-event batch of predecessor updates (no allocation on
-    /// the hot path after warm-up).
-    scratch: Vec<PredUpdate>,
-    /// Reusable sorted victim list of [`Farmer::forget_files`].
-    victims: Vec<FileId>,
-    observed: u64,
+    /// The window, the learned paths, the per-pair preparation.
+    stream: StreamStage,
+    /// The graph and what changes it.
+    graph: GraphStage,
 }
 
 impl Farmer {
@@ -156,33 +129,34 @@ impl Farmer {
     /// ([`FarmerConfig::validate`]).
     pub fn new(cfg: FarmerConfig) -> Self {
         cfg.validate();
-        let lda = cfg.lda_weights();
         Farmer {
-            cfg,
-            graph: CorrelationGraph::new(),
-            window: VecDeque::new(),
-            paths: FxHashMap::default(),
-            lda,
-            cached_degrees_bound: true,
-            scratch: Vec::new(),
-            victims: Vec::new(),
-            observed: 0,
+            stream: StreamStage::new(cfg.clone()),
+            graph: GraphStage::new(cfg),
         }
     }
 
     /// The configuration, as given at construction.
     pub fn config(&self) -> &FarmerConfig {
-        &self.cfg
+        self.stream.config()
     }
 
     /// Number of requests observed so far.
     pub fn observed(&self) -> u64 {
-        self.observed
+        self.stream.observed()
     }
 
     /// Read access to the correlation graph (diagnostics, tests, layout).
     pub fn graph(&self) -> &CorrelationGraph {
-        &self.graph
+        self.graph.graph()
+    }
+
+    /// The model's two stages, to run apart: the stream stage prepares
+    /// each operation's steps ([`StreamStage::observe_where`],
+    /// [`StreamStage::forget_files`]) and the graph stage applies them
+    /// ([`GraphStage::apply`]), in the order prepared, wherever it runs.
+    /// Together they go on exactly as this model would.
+    pub fn into_stages(self) -> (StreamStage, GraphStage) {
+        (self.stream, self.graph)
     }
 
     /// Observe one request (stages 1–3 for this request).
@@ -205,94 +179,16 @@ impl Farmer {
     /// only from windowed predecessors with `owns(pred.file)`. The union of
     /// the partition graphs over a disjoint ownership cover equals the
     /// graph a single [`Farmer::observe`] loop would build.
+    ///
+    /// The stream stage prepares the request's step, the graph stage
+    /// applies it (see [`crate::stage`]).
     pub fn observe_where(
         &mut self,
         req: Request,
         path: Option<&FilePath>,
         owns: impl Fn(FileId) -> bool,
     ) {
-        let mut hint = NodeHint::NONE;
-        let mut sig = PathSig::NONE;
-        if owns(req.file) {
-            let late;
-            (sig, late) = self.learn_path(req.file, path);
-            if late && self.graph.num_edges() > 0 {
-                // The path arrived only after this file already had mined
-                // edges: the memoized pair terms are stale.
-                self.graph.mark_path_memos_stale(req.file);
-            }
-            hint = self.graph.record_access_hinted(req.file);
-        }
-        let use_path = self.cfg.combo.contains(AttrKind::Path);
-        let mode = self.cfg.path_mode;
-        // The successor side of every term is the path this event offers.
-        let offered = PathSig::of(path.filter(|_| use_path));
-
-        // Constructing + Mining: update the edge from every windowed
-        // predecessor to the new request, LDA-weighted by distance and
-        // carrying the semantic similarity of the two requests. The scalar
-        // part of the similarity is a branch-free mask per predecessor; the
-        // path part is memoized on the edge itself, and each update says
-        // what is known of it without looking (`path_bound`), so the term
-        // thunk runs only for a new pair that the bound could not already
-        // turn away or settle. The updates are prepared into a reusable
-        // batch and committed by the graph's two-phase pipeline
-        // ([`CorrelationGraph::mine_batch`]), which overlaps the one cold
-        // memory load each update needs.
-        self.scratch.clear();
-        for (i, pred) in self.window.iter().rev().enumerate() {
-            let Some(&w) = self.lda.get(i) else {
-                break; // beyond the window, every weight is 0
-            };
-            if w <= 0.0 || pred.req.file == req.file {
-                continue; // self-transitions carry no inter-file signal
-            }
-            if !owns(pred.req.file) {
-                continue; // another partition instance mines this edge
-            }
-            let (s_inter, s_items) = scalar_parts(&pred.req, &req, self.cfg.combo);
-            self.scratch.push(PredUpdate {
-                file: pred.req.file,
-                hint: pred.hint,
-                weight: w,
-                s_inter,
-                s_items: s_items as u32,
-                path_bound: if use_path {
-                    path_term_bound(pred.sig, offered, mode)
-                } else {
-                    Some((0.0, 0))
-                },
-            });
-        }
-        if !self.scratch.is_empty() {
-            let paths = &self.paths;
-            self.graph.mine_batch(
-                &self.scratch,
-                req.file,
-                use_path && path.is_some(),
-                |pred_file| {
-                    if !use_path {
-                        return (0.0, 0);
-                    }
-                    let learned = paths.get(&pred_file.raw()).map(|(p, _)| p);
-                    let (inter, n_pred, n_succ) = path_term(learned, path, mode);
-                    (inter, n_pred.max(n_succ) as u32)
-                },
-                &self.cfg,
-            );
-        }
-
-        self.window.push_back(WindowEntry { req, hint, sig });
-        while self.window.len() > self.cfg.window {
-            self.window.pop_front();
-        }
-
-        self.observed += 1;
-        if self.cfg.prune_interval > 0
-            && self.observed.is_multiple_of(self.cfg.prune_interval as u64)
-        {
-            self.graph.prune_below(PRUNE_FLOOR, &self.cfg);
-        }
+        self.stream.prepare(req, path, owns, &mut self.graph);
     }
 
     /// Mine one trace event under [`farmer_trace::Op::mining_action`].
@@ -321,7 +217,7 @@ impl Farmer {
     /// `top_k_into` fills a caller buffer it reuses, so steady-state
     /// queries allocate nothing.
     pub fn correlators(&self, file: FileId) -> CorrelatorList {
-        self.correlators_with_threshold(file, self.cfg.max_strength)
+        self.correlators_with_threshold(file, self.config().max_strength)
     }
 
     /// Correlator list under an explicit threshold (used by the
@@ -353,12 +249,7 @@ impl Farmer {
     /// [`TableWalk::assemble`], reads only the walk, so a caller may hand
     /// it to another thread and go on mining.
     pub fn walk_table(&self) -> TableWalk {
-        // Sized for the worst case up front (every edge published): the
-        // slack is address space the walk never touches, and no regrowth
-        // means the allocation count is the same at any size.
-        let mut walk = TableWalk::with_capacity(self.graph.active_nodes(), self.graph.num_edges());
-        self.for_each_list(&mut |owner, list| walk.push(owner, list));
-        walk
+        self.graph.walk_table()
     }
 
     /// Evict one file from the model entirely: its learned path, its node
@@ -377,24 +268,7 @@ impl Farmer {
     /// batch instead of once per victim and allocation-free after the
     /// first call. Returns the number of edges removed.
     pub fn forget_files(&mut self, files: &[FileId]) -> usize {
-        if files.is_empty() {
-            return 0;
-        }
-        let victims = &mut self.victims;
-        victims.clear();
-        victims.extend_from_slice(files);
-        victims.sort_unstable();
-        victims.dedup();
-
-        let mut removed = 0;
-        for &file in victims.iter() {
-            self.paths.remove(&file.raw());
-            removed += self.graph.clear_node(file);
-        }
-        removed += self.graph.remove_edges_to_any(victims);
-        self.window
-            .retain(|r| victims.binary_search(&r.req.file).is_err());
-        removed
+        self.stream.forget_into(files, &mut self.graph)
     }
 
     /// Approximate resident heap bytes of the model: graph (including the
@@ -406,19 +280,7 @@ impl Farmer {
     /// ([`FilePath::heap_bytes`]) although a learned path's buffer may be
     /// shared with the caller that offered it.
     pub fn memory_bytes(&self) -> usize {
-        let paths: usize = self
-            .paths
-            .values()
-            .map(|(p, _)| p.heap_bytes())
-            .sum::<usize>()
-            + self.paths.len()
-                * (std::mem::size_of::<u32>() + std::mem::size_of::<(FilePath, PathSig)>() + 8);
-        self.graph.heap_bytes()
-            + paths
-            + self.window.capacity() * std::mem::size_of::<WindowEntry>()
-            + self.scratch.capacity() * std::mem::size_of::<PredUpdate>()
-            + self.victims.capacity() * std::mem::size_of::<FileId>()
-            + self.lda.capacity() * std::mem::size_of::<f64>()
+        self.stream.heap_bytes() + self.graph.heap_bytes()
     }
 
     /// Export the model's full state as plain data for checkpoint
@@ -427,18 +289,7 @@ impl Farmer {
     /// observation count. Derived structures (LDA table, scratch) are
     /// functions of the config and are not carried.
     pub fn export_state(&self) -> crate::state::FarmerState {
-        let mut paths: Vec<(u32, Vec<u32>)> = self
-            .paths
-            .iter()
-            .map(|(&id, (p, _))| (id, p.components().to_vec()))
-            .collect();
-        paths.sort_unstable_by_key(|(id, _)| *id);
-        crate::state::FarmerState {
-            observed: self.observed,
-            window: self.window.iter().map(|w| w.req).collect(),
-            paths,
-            graph: self.graph.export_state(),
-        }
+        self.stream.export_state(self.graph.export_state())
     }
 
     /// Rebuild a model from an exported state image under `cfg`. To
@@ -454,76 +305,28 @@ impl Farmer {
     /// # Panics
     /// As [`Farmer::new`].
     pub fn from_state(cfg: FarmerConfig, state: &crate::state::FarmerState) -> Farmer {
-        let mut farmer = Farmer::new(cfg);
-        farmer.graph = CorrelationGraph::from_state(&state.graph);
-        farmer.paths = state
-            .paths
-            .iter()
-            .map(|(id, comps)| {
-                let path = FilePath::from_components(comps.clone());
-                let sig = PathSig::of(Some(&path));
-                (*id, (path, sig))
-            })
-            .collect();
-        farmer.window = state
-            .window
-            .iter()
-            .map(|&req| WindowEntry {
-                req,
-                hint: NodeHint::NONE,
-                sig: farmer
-                    .paths
-                    .get(&req.file.raw())
-                    .map_or(PathSig::NONE, |&(_, sig)| sig),
-            })
-            .collect();
-        farmer.observed = state.observed;
-        // The image does not say what `p` its cached degrees were written
-        // under, so ask the degrees themselves.
-        farmer.cached_degrees_bound = farmer.graph.cached_degrees_bound(&farmer.cfg);
-        farmer
+        cfg.validate();
+        Farmer {
+            stream: StreamStage::from_state(cfg.clone(), state),
+            graph: GraphStage::from_state(cfg, state),
+        }
     }
 
     /// `file`'s successors of degree ≥ `min_degree`, in successor-id order.
     fn valid_edges(&self, file: FileId, min_degree: f64) -> impl Iterator<Item = Correlator> + '_ {
-        self.graph
-            .edges(file, &self.cfg)
+        self.graph()
+            .edges(file, self.config())
             .filter(move |e| crate::miner::is_valid(e.degree, min_degree))
             .map(|e| Correlator {
                 file: e.to,
                 degree: e.degree,
             })
     }
-
-    /// Learn `file`'s path on first sight. Returns `(sig, late)`: the
-    /// signature of the path now on record for the file
-    /// ([`PathSig::NONE`] when there is none), and whether this was a
-    /// *late* install — the path arrived after the file had already been
-    /// observed pathless — which is the one case where memoized pair terms
-    /// must be invalidated (see [`CorrelationGraph::mark_path_memos_stale`]).
-    fn learn_path(&mut self, file: FileId, path: Option<&FilePath>) -> (PathSig, bool) {
-        if let Some(&(_, sig)) = self.paths.get(&file.raw()) {
-            return (sig, false);
-        }
-        let Some(p) = path else {
-            return (PathSig::NONE, false);
-        };
-        let sig = PathSig::of(path);
-        self.paths.insert(file.raw(), (p.clone(), sig));
-        // Entries of the file still in the window were pushed pathless.
-        for w in self.window.iter_mut().filter(|w| w.req.file == file) {
-            w.sig = sig;
-        }
-        (
-            sig,
-            self.observed > 0 && self.graph.total_accesses(file) > 0.0,
-        )
-    }
 }
 
 impl CorrelationSource for Farmer {
     fn version(&self) -> u64 {
-        self.graph.epoch()
+        self.graph().epoch()
     }
 
     fn top_k_into(&self, file: FileId, k: usize, min_degree: f64, out: &mut Vec<Correlator>) {
@@ -548,19 +351,14 @@ impl CorrelationSource for Farmer {
     }
 
     fn degree(&self, from: FileId, to: FileId) -> Option<f64> {
-        self.graph
-            .edges(from, &self.cfg)
+        self.graph()
+            .edges(from, self.config())
             .find(|e| e.to == to)
             .map(|e| e.degree)
     }
 
     fn for_each_list(&self, visit: &mut dyn FnMut(FileId, &[Correlator])) {
-        self.graph.for_each_list(
-            &self.cfg,
-            self.cfg.max_strength,
-            self.cached_degrees_bound,
-            visit,
-        );
+        self.graph.for_each_list(visit);
     }
 
     fn heap_bytes(&self) -> usize {
@@ -571,6 +369,7 @@ impl CorrelationSource for Farmer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PRUNE_FLOOR;
     use crate::graph::UpdateMix;
     use farmer_trace::{DevId, HostId, PathInterner, ProcId, UserId, WorkloadSpec};
 
@@ -799,7 +598,8 @@ mod tests {
         }
         let edges_before = f.graph().num_edges();
         assert!(edges_before > 0);
-        let removed = f.graph.prune_below(PRUNE_FLOOR, &f.cfg);
+        let cfg = f.config().clone();
+        let removed = f.graph.graph.prune_below(PRUNE_FLOOR, &cfg);
         assert!(removed > 0);
         assert_eq!(f.graph().num_edges(), edges_before - removed);
     }
@@ -1232,7 +1032,7 @@ mod tests {
             // What the restore's check made of the image: a pure one
             // passes, one whose degrees have all just risen cannot, and of
             // a mix whatever it says the lists must come out right.
-            let filter_on = f.cached_degrees_bound;
+            let filter_on = f.graph.cached_degrees_bound;
             match phase {
                 0..=12 => assert!(filter_on, "phase {phase}"),
                 13 => assert!(!filter_on, "p 0.7 -> 0.9 passed the check"),
@@ -1242,7 +1042,7 @@ mod tests {
             for e in chunk {
                 f.observe_event(&trace, e);
             }
-            assert_eq!(f.cached_degrees_bound, filter_on, "phase {phase}");
+            assert_eq!(f.graph.cached_degrees_bound, filter_on, "phase {phase}");
             assert_table_is_the_per_file_lists(&f, &format!("phase {phase}"));
             lists += f.correlator_table().len();
             if !filter_on {
@@ -1267,7 +1067,7 @@ mod tests {
             for threshold in thresholds.into_iter().step_by(997).take(3) {
                 let at = cfg_now.clone().with_max_strength(threshold);
                 let at = Farmer::from_state(at, &f.export_state());
-                assert!(at.cached_degrees_bound);
+                assert!(at.graph.cached_degrees_bound);
                 assert_table_is_the_per_file_lists(&at, &format!("phase {phase} at {threshold}"));
                 at_a_degree += 1;
             }

@@ -127,9 +127,47 @@ impl PathSig {
 }
 
 /// What [`path_term`] can return at most, knowing only the two paths'
-/// signatures: `(largest intersection value, item count)`, with the item
-/// count — `max(items_a, items_b)`, what enters the denominator — exact.
-/// `None` when the signatures do not settle the item count.
+/// signatures ([`path_term_bound`]): `num / den` is the largest
+/// intersection value the term can take, and `items` — `max(items_a,
+/// items_b)`, what enters the denominator — is exact. Three small
+/// integers, so a bound travels between the mining stages in three bytes;
+/// [`PathBound::value`] is the `f64` the kernel compares, bit for bit the
+/// division the bound is defined by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathBound {
+    num: u8,
+    den: u8,
+    items: u8,
+}
+
+impl PathBound {
+    /// The bound of a pair neither side of which carries a path item.
+    pub const NONE: PathBound = PathBound {
+        num: 0,
+        den: 1,
+        items: 0,
+    };
+
+    /// `(largest intersection value, item count)`.
+    #[inline]
+    pub fn value(self) -> (f64, u32) {
+        (
+            f64::from(self.num) / f64::from(self.den),
+            u32::from(self.items),
+        )
+    }
+
+    /// Is the bound the term itself? A maximum of 0.0 leaves nothing to
+    /// evaluate: the term is `(0.0, items)`.
+    #[inline]
+    pub fn settles(self) -> bool {
+        self.num == 0
+    }
+}
+
+/// What [`path_term`] can return at most, knowing only the two paths'
+/// signatures (see [`PathBound`]). `None` when the signatures do not
+/// settle the item count.
 ///
 /// IPA makes the path one item, worth exactly 0.0 unless both sides carry
 /// one. With two *clean* signatures the bound is
@@ -142,10 +180,11 @@ impl PathSig {
 /// two paths can only raise it); the denominator and the one IEEE division
 /// are the exact term's own, so a larger integer numerator gives a larger
 /// or equal quotient — and the same quotient, bit for bit, when no bit is
-/// shared by accident. Anything else (a signature that is not clean, an
-/// empty path) falls back to "both present ⇒ at most 1.0". DPA's item
-/// count is a path depth, so with a path on either side there is nothing
-/// to say without looking.
+/// shared by accident. Both integers are at most 65 (a clean depth is
+/// exact). Anything else (a signature that is not clean, an empty path)
+/// falls back to "both present ⇒ at most 1.0". DPA's item count is a path
+/// depth, so with a path on either side there is nothing to say without
+/// looking.
 ///
 /// The mining kernel uses this to turn a candidate away from a full node
 /// before any path is looked up or compared (see
@@ -155,19 +194,20 @@ impl PathSig {
 /// candidates that pass the bound only to be rejected by the exact term
 /// from 1.83 an event to 0.08, and path terms evaluated from 2.96 to 0.78.
 #[inline]
-pub fn path_term_bound(a: PathSig, b: PathSig, mode: PathMode) -> Option<(f64, u32)> {
+pub fn path_term_bound(a: PathSig, b: PathSig, mode: PathMode) -> Option<PathBound> {
     match mode {
         PathMode::Ipa => {
-            let inter = if a.clean & b.clean {
-                let dirs = (a.dirs & b.dirs).count_ones();
-                let dirs = dirs.min(u32::from(a.depth.min(b.depth)) - 1);
-                f64::from(dirs + u32::from(a.name == b.name)) / f64::from(a.depth.max(b.depth))
+            let (num, den) = if a.clean & b.clean {
+                let dirs = (a.dirs & b.dirs).count_ones() as u8;
+                let dirs = dirs.min(a.depth.min(b.depth) - 1);
+                (dirs + u8::from(a.name == b.name), a.depth.max(b.depth))
             } else {
-                f64::from(u8::from(a.present & b.present))
+                (u8::from(a.present & b.present), 1)
             };
-            Some((inter, u32::from(a.present | b.present)))
+            let items = u8::from(a.present | b.present);
+            Some(PathBound { num, den, items })
         }
-        PathMode::Dpa => (!a.present && !b.present).then_some((0.0, 0)),
+        PathMode::Dpa => (!a.present && !b.present).then_some(PathBound::NONE),
     }
 }
 
@@ -349,7 +389,9 @@ mod tests {
                 for &b in &sides {
                     let (inter, n_a, n_b) = path_term(a, b, mode);
                     let sigs = (PathSig::of(a), PathSig::of(b));
-                    let Some((max_inter, items)) = path_term_bound(sigs.0, sigs.1, mode) else {
+                    let Some((max_inter, items)) =
+                        path_term_bound(sigs.0, sigs.1, mode).map(PathBound::value)
+                    else {
                         assert_eq!(mode, PathMode::Dpa);
                         continue;
                     };
@@ -537,10 +579,12 @@ mod tests {
             let (pa, pb) = pair_of(&a, &b, shared, shape);
             let (sa, sb) = (PathSig::of(Some(&pa)), PathSig::of(Some(&pb)));
             let exact = pa.ipa_similarity(&pb);
-            let (bound, items) = path_term_bound(sa, sb, PathMode::Ipa).expect("IPA always bounds");
+            let (bound, items) = path_term_bound(sa, sb, PathMode::Ipa)
+                .expect("IPA always bounds")
+                .value();
             proptest::prop_assert_eq!(items, 1);
             proptest::prop_assert!(bound >= exact, "{bound} < {exact}: {pa:?} {pb:?}");
-            let swapped = path_term_bound(sb, sa, PathMode::Ipa);
+            let swapped = path_term_bound(sb, sa, PathMode::Ipa).map(PathBound::value);
             proptest::prop_assert_eq!(swapped.map(|(m, n)| (m.to_bits(), n)), Some((bound.to_bits(), 1)));
             // Clean is exactly "no two directories of the path share a bit".
             for (p, sig) in [(&pa, sa), (&pb, sb)] {
@@ -566,8 +610,11 @@ mod tests {
             // DPA counts components: a signature says nothing of the term.
             proptest::prop_assert!(path_term_bound(sa, sb, PathMode::Dpa).is_none());
             let none = PathSig::NONE;
-            proptest::prop_assert_eq!(path_term_bound(sa, none, PathMode::Ipa), Some((0.0, 1)));
-            proptest::prop_assert_eq!(path_term_bound(none, none, PathMode::Ipa), Some((0.0, 0)));
+            proptest::prop_assert_eq!(
+                path_term_bound(sa, none, PathMode::Ipa).map(PathBound::value),
+                Some((0.0, 1))
+            );
+            proptest::prop_assert_eq!(path_term_bound(none, none, PathMode::Ipa), Some(PathBound::NONE));
         }
     }
 }

@@ -109,9 +109,9 @@ use crate::snapshot::StreamSnapshot;
 use crate::{ShardedMiner, StreamConfig};
 
 /// One logical mining operation: the value a producer hands the serving
-/// tier's ring, the router buffers, batches and broadcasts, every shard
-/// applies, the log records and recovery replays — one type end to end,
-/// so what is journaled *is* what is mined. Cloning one is a
+/// tier's ring, the router logs and prepares every shard's steps from, the
+/// log records and recovery replays — one type end to end, so what is
+/// journaled *is* what is mined. Cloning one is a
 /// reference-count bump at most (the path is a shared value).
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {

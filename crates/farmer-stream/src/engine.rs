@@ -31,14 +31,36 @@
 //! totals, node slots — is reclaimed by eviction and resident memory is
 //! O(node_cap) even over open-ended id universes, and the shard's periodic
 //! maintenance (counter decay, the graph's prune) touches only live state.
+//!
+//! # Which stage owns what
+//!
+//! A miner is two stages ([`StreamMiner::into_stages`]), each the model's
+//! own ([`farmer_core::stage`]) plus what the shard adds to it:
+//!
+//! | stage | owns | runs on, in a one-shard fleet |
+//! |---|---|---|
+//! | stream ([`ShardStream`]) | the counters, their decay and floor, victim selection; the look-ahead window; the learned paths and signatures; each update's preparation | the router's thread |
+//! | graph ([`ShardGraph`]) | the graph: access counts, edge updates, prune ticks, the victims' nodes and incoming edges; the slot hints; the cut walk | the shard's thread |
+//!
+//! A [`StreamMiner`] runs both on one thread, each operation's steps
+//! applied as they are prepared — so does every shard thread of a wider
+//! fleet — and a one-shard fleet runs them apart (see [`crate::shard`]).
+//! Either way an operation goes through the shard's retention first, in one
+//! order (admission, the victims forgotten, the access mined; or the
+//! counter dropped and the file forgotten), and the steps are the only
+//! thing the stages share, so both build the same state bit for bit. A
+//! cut joins the two: the stream stage's counts, window, paths and floor,
+//! the graph stage's lists and graph image, and each stage's share of
+//! [`StreamMiner::state_bytes`].
 
 use std::cell::Cell;
 
 use farmer_core::graph::{total_order_key, UpdateMix};
-use farmer_core::{Farmer, FarmerState, Request};
+use farmer_core::{Farmer, FarmerState, GraphStage, Request, Steps, StreamStage, TableWalk};
 use farmer_trace::hash::{fx_hash_u64, FxHashMap};
 use farmer_trace::{FileId, FilePath, MiningAction, Trace, TraceEvent};
 
+use crate::durable::WalOp;
 use crate::metrics::StreamMetrics;
 use crate::snapshot::{ShardCut, ShardSnapshot};
 use crate::{StreamConfig, COUNT_DECAY, DECAY_INTERVAL};
@@ -84,11 +106,59 @@ pub struct MinerState {
     pub farmer: FarmerState,
 }
 
-/// One shard's bounded-memory online miner.
+/// What a shard's stream stage knows of it at a cut: its snapshot but
+/// for the lists, and the stage's share of the bytes.
+pub(crate) type CutHead = ShardSnapshot<()>;
+
+/// What an operation drives once [`Retention`] has accounted it: the whole
+/// model on one thread ([`StreamMiner`]), or a stream stage preparing
+/// steps for a graph stage on another ([`ShardStream`]).
+trait Mine {
+    fn forget_files(&mut self, files: &[FileId]);
+    fn observe_where(
+        &mut self,
+        req: Request,
+        path: Option<&FilePath>,
+        owns: impl Fn(FileId) -> bool,
+    );
+}
+
+impl Mine for Farmer {
+    fn forget_files(&mut self, files: &[FileId]) {
+        Farmer::forget_files(self, files);
+    }
+
+    fn observe_where(
+        &mut self,
+        req: Request,
+        path: Option<&FilePath>,
+        owns: impl Fn(FileId) -> bool,
+    ) {
+        Farmer::observe_where(self, req, path, owns);
+    }
+}
+
+impl Mine for (&mut StreamStage, &mut Steps) {
+    fn forget_files(&mut self, files: &[FileId]) {
+        self.0.forget_files(files, self.1);
+    }
+
+    fn observe_where(
+        &mut self,
+        req: Request,
+        path: Option<&FilePath>,
+        owns: impl Fn(FileId) -> bool,
+    ) {
+        self.0.observe_where(req, path, owns, self.1);
+    }
+}
+
+/// One shard's Space-Saving retention and stream-position accounting:
+/// the part of the stream stage the model does not hold.
 #[derive(Debug)]
-pub struct StreamMiner {
-    cfg: StreamConfig,
-    farmer: Farmer,
+struct Retention {
+    node_cap: usize,
+    evict_batch: usize,
     shard_id: usize,
     num_shards: usize,
     /// Space-Saving access counters for the owned, currently-tracked files.
@@ -99,15 +169,326 @@ pub struct StreamMiner {
     events_seen: u64,
     owned_events: u64,
     evictions: u64,
-    /// Reused [`StreamMiner::evict_batch`] scratch (one [`evict_key`] per
+    /// Reused [`Retention::evict_batch`] scratch (one [`evict_key`] per
     /// counter for selection, the victims selected); never part of
     /// [`MinerState`].
     evict_keys: Vec<u128>,
     evict_victims: Vec<FileId>,
-    /// The graph's update mix as of the last snapshot: what
-    /// `obs.edge_mix` has been told so far.
+    obs: StreamMetrics,
+}
+
+impl Retention {
+    fn new(cfg: &StreamConfig, shard_id: usize, num_shards: usize) -> Retention {
+        Retention {
+            node_cap: cfg.node_cap,
+            evict_batch: cfg.evict_batch(),
+            shard_id,
+            num_shards,
+            counts: FxHashMap::default(),
+            count_floor: 0.0,
+            events_seen: 0,
+            owned_events: 0,
+            evictions: 0,
+            evict_keys: Vec::new(),
+            evict_victims: Vec::new(),
+            obs: StreamMetrics::default(),
+        }
+    }
+
+    fn from_state(cfg: &StreamConfig, state: &MinerState) -> Retention {
+        let mut r = Retention::new(cfg, state.shard_id as usize, state.num_shards as usize);
+        r.counts = state
+            .counts
+            .iter()
+            .map(|&(f, c)| (f, f64::from_bits(c)))
+            .collect();
+        r.count_floor = f64::from_bits(state.count_floor);
+        r.events_seen = state.events_seen;
+        r.owned_events = state.owned_events;
+        r.evictions = state.evictions;
+        r
+    }
+
+    #[inline]
+    fn owns(&self, file: FileId) -> bool {
+        owns_file(file, self.shard_id, self.num_shards)
+    }
+
+    /// Account one access, owned or not: the files its admission evicts
+    /// (none, mostly), which the model forgets before it observes the
+    /// access.
+    fn access(&mut self, file: FileId) -> &[FileId] {
+        self.events_seen += 1;
+        let mut evicted = false;
+        if self.owns(file) {
+            self.owned_events += 1;
+            evicted = self.admit(file);
+        }
+        if self.events_seen.is_multiple_of(DECAY_INTERVAL) {
+            for c in self.counts.values_mut() {
+                *c *= COUNT_DECAY;
+            }
+            self.count_floor *= COUNT_DECAY;
+            self.obs.decay_ticks.inc();
+        }
+        if evicted {
+            &self.evict_victims
+        } else {
+            &[]
+        }
+    }
+
+    /// One access, as every composition runs it: accounted here, then the
+    /// files its admission evicted forgotten by `model`, then the access
+    /// mined by `model` under this shard's ownership. Whether the shard
+    /// owns the access.
+    fn ingest(&mut self, req: Request, path: Option<&FilePath>, model: &mut impl Mine) -> bool {
+        let owned_before = self.owned_events;
+        model.forget_files(self.access(req.file));
+        let (shard_id, num_shards) = (self.shard_id, self.num_shards);
+        model.observe_where(req, path, |f| owns_file(f, shard_id, num_shards));
+        self.owned_events > owned_before
+    }
+
+    /// One forget, as every composition runs it: `file`'s counter dropped
+    /// here, if it has one, and every trace of it forgotten by `model`.
+    fn forget(&mut self, file: FileId, model: &mut impl Mine) {
+        self.counts.remove(&file.raw());
+        self.obs.forgets.inc();
+        model.forget_files(&[file]);
+    }
+
+    /// Bump `file`'s counter, admitting as needed; whether that evicted.
+    fn admit(&mut self, file: FileId) -> bool {
+        if let Some(c) = self.counts.get_mut(&file.raw()) {
+            *c += 1.0;
+            return false;
+        }
+        let full = self.counts.len() >= self.node_cap;
+        if full {
+            self.evict_batch();
+        }
+        self.counts.insert(file.raw(), self.count_floor + 1.0);
+        full
+    }
+
+    /// Select the lowest-count files in one amortizing sweep, drop their
+    /// counters and raise the Space-Saving floor to the largest count
+    /// evicted. The victims are left in `evict_victims` for the model.
+    fn evict_batch(&mut self) {
+        let batch = self.evict_batch.min(self.counts.len());
+        let _span = self.obs.evict_ns.span();
+        // One integer key a counter, `(count in total order, file id)`:
+        // the id breaks count ties, so the victim *set* is a pure function
+        // of the counter contents, never of hash-map iteration order — a
+        // checkpoint-restored miner rebuilds the map with a different
+        // insertion history and must still evict identically.
+        let keys = &mut self.evict_keys;
+        keys.clear();
+        keys.extend(self.counts.iter().map(|(&f, &c)| evict_key(f, c)));
+        keys.select_nth_unstable(batch - 1);
+        let mut evicted_max = self.count_floor;
+        self.evict_victims.clear();
+        for &key in &keys[..batch] {
+            let f = key as u32;
+            if let Some(c) = self.counts.remove(&f) {
+                evicted_max = evicted_max.max(c);
+            }
+            self.evict_victims.push(FileId::new(f));
+        }
+        self.count_floor = evicted_max;
+        self.evictions += batch as u64;
+        self.obs.evictions.add(batch as u64);
+    }
+
+    /// The counter table and the eviction scratch, in bytes.
+    fn bytes(&self) -> usize {
+        self.counts.len() * (std::mem::size_of::<(u32, f64)>() + 8)
+            + self.evict_keys.capacity() * std::mem::size_of::<u128>()
+            + self.evict_victims.capacity() * std::mem::size_of::<FileId>()
+    }
+
+    /// What a cut reports from here, `model_bytes` being the model's share
+    /// on this side of it.
+    fn head(&self, model_bytes: usize) -> CutHead {
+        ShardSnapshot {
+            shard_id: self.shard_id,
+            lists: (),
+            events_seen: self.events_seen,
+            owned_events: self.owned_events,
+            tracked_files: self.counts.len(),
+            evictions: self.evictions,
+            state_bytes: model_bytes + self.bytes(),
+        }
+    }
+
+    /// The image, around the model's.
+    fn export_state(&self, farmer: FarmerState) -> MinerState {
+        let mut counts: Vec<(u32, u64)> = self
+            .counts
+            .iter()
+            .map(|(&f, &c)| (f, c.to_bits()))
+            .collect();
+        counts.sort_unstable_by_key(|(f, _)| *f);
+        MinerState {
+            shard_id: self.shard_id as u32,
+            num_shards: self.num_shards as u32,
+            events_seen: self.events_seen,
+            owned_events: self.owned_events,
+            evictions: self.evictions,
+            count_floor: self.count_floor.to_bits(),
+            counts,
+            farmer,
+        }
+    }
+}
+
+/// What a shard's graph stage reports: the owned accesses it mined, and
+/// at each cut the walk, timed as `stream.snapshot_build_ns`, and the
+/// edge updates since the last cut ([`StreamMetrics::edge_mix`]).
+#[derive(Debug, Default)]
+struct CutReport {
+    /// The graph's update mix as of the last cut: what `obs.edge_mix`
+    /// has been told so far.
     mix_reported: Cell<UpdateMix>,
     obs: StreamMetrics,
+}
+
+impl CutReport {
+    /// `head` with the lists `walk` takes off a graph whose update mix is
+    /// `mix` and whose stage holds `graph_bytes`.
+    fn cut(
+        &self,
+        head: CutHead,
+        mix: UpdateMix,
+        graph_bytes: usize,
+        walk: impl FnOnce() -> TableWalk,
+    ) -> ShardCut {
+        let _span = self.obs.snapshot_build_ns.span();
+        let last = self.mix_reported.replace(mix);
+        // In the order `StreamMetrics::edge_mix` registers its counters.
+        let counts = |m: UpdateMix| {
+            [
+                m.hits,
+                m.inserts,
+                m.early_rejects,
+                m.exact_rejects,
+                m.admits,
+                m.path_terms,
+                m.relocates,
+            ]
+        };
+        for ((counter, now), before) in self.obs.edge_mix.iter().zip(counts(mix)).zip(counts(last))
+        {
+            counter.add(now - before);
+        }
+        ShardSnapshot {
+            shard_id: head.shard_id,
+            lists: walk(),
+            events_seen: head.events_seen,
+            owned_events: head.owned_events,
+            tracked_files: head.tracked_files,
+            evictions: head.evictions,
+            state_bytes: head.state_bytes + graph_bytes,
+        }
+    }
+}
+
+/// One shard's stream stage, as the router runs it: retention and the
+/// model's [`StreamStage`], preparing each routed operation's steps for
+/// the shard's [`ShardGraph`].
+#[derive(Debug)]
+pub struct ShardStream {
+    retention: Retention,
+    stage: StreamStage,
+    /// The steps prepared since they were last taken.
+    steps: Steps,
+}
+
+impl ShardStream {
+    /// Prepare `op`'s steps: what [`StreamMiner::ingest`] or
+    /// [`StreamMiner::forget`] does before its model's graph stage runs.
+    pub fn route(&mut self, op: &WalOp) {
+        let mut model = (&mut self.stage, &mut self.steps);
+        match op {
+            WalOp::Ingest { req, path } => {
+                self.retention.ingest(*req, path.as_ref(), &mut model);
+            }
+            WalOp::Forget(file) => self.retention.forget(*file, &mut model),
+        }
+    }
+
+    /// The steps prepared since the last call, in order, leaving an empty
+    /// batch as large in their place.
+    pub fn take_steps(&mut self) -> Steps {
+        let fresh = self.steps.empty_like();
+        std::mem::replace(&mut self.steps, fresh)
+    }
+
+    /// What a cut marker carries to the shard.
+    pub(crate) fn head(&self) -> CutHead {
+        self.retention.head(self.stage.heap_bytes())
+    }
+
+    /// The shard's image but for its graph, which the shard's answer to
+    /// the same cut fills in.
+    pub(crate) fn export_state(&self) -> MinerState {
+        let graph = Default::default();
+        self.retention.export_state(self.stage.export_state(graph))
+    }
+}
+
+/// One shard's graph stage, as its thread runs it: the model's
+/// [`GraphStage`], applying the steps its [`ShardStream`] prepared and
+/// answering cuts.
+#[derive(Debug)]
+pub struct ShardGraph {
+    /// The shard's id, for the test hook that holds one shard.
+    #[cfg(test)]
+    pub(crate) shard_id: usize,
+    stage: GraphStage,
+    report: CutReport,
+}
+
+impl ShardGraph {
+    /// Apply steps a [`ShardStream`] took, in the order taken, counting
+    /// the owned accesses they mined.
+    pub fn apply(&mut self, steps: &Steps) {
+        self.stage.apply(steps);
+        let mined = steps.owned_accesses() as u64;
+        self.report.obs.events_mined.add(mined);
+    }
+
+    /// Answer a cut marker: `head` plus the walk over the graph, and, for
+    /// an export, `half` — the stream stage's half of the image — with
+    /// the graph's image joined to it.
+    pub(crate) fn cut(
+        &self,
+        head: CutHead,
+        half: Option<MinerState>,
+    ) -> (ShardCut, Option<MinerState>) {
+        let stage = &self.stage;
+        let part = self
+            .report
+            .cut(head, stage.graph().update_mix(), stage.heap_bytes(), || {
+                stage.walk_table()
+            });
+        let state = half.map(|mut state| {
+            state.farmer.graph = stage.export_state();
+            state
+        });
+        (part, state)
+    }
+}
+
+/// One shard's bounded-memory online miner: both of its stages on one
+/// thread, one operation at a time.
+#[derive(Debug)]
+pub struct StreamMiner {
+    cfg: StreamConfig,
+    retention: Retention,
+    farmer: Farmer,
+    report: CutReport,
 }
 
 impl StreamMiner {
@@ -127,21 +508,11 @@ impl StreamMiner {
     pub fn for_shard(cfg: StreamConfig, shard_id: usize, num_shards: usize) -> Self {
         cfg.validate();
         assert!(shard_id < num_shards, "shard_id out of range");
-        let farmer = Farmer::new(cfg.farmer.clone());
         StreamMiner {
+            retention: Retention::new(&cfg, shard_id, num_shards),
+            farmer: Farmer::new(cfg.farmer.clone()),
             cfg,
-            farmer,
-            shard_id,
-            num_shards,
-            counts: FxHashMap::default(),
-            count_floor: 0.0,
-            events_seen: 0,
-            owned_events: 0,
-            evictions: 0,
-            evict_keys: Vec::new(),
-            evict_victims: Vec::new(),
-            mix_reported: Cell::default(),
-            obs: StreamMetrics::default(),
+            report: CutReport::default(),
         }
     }
 
@@ -149,34 +520,21 @@ impl StreamMiner {
     /// default). Shards of one [`crate::ShardedMiner`] share one set, so
     /// the counters report fleet totals.
     pub fn instrument(&mut self, obs: StreamMetrics) {
-        self.obs = obs;
+        self.retention.obs = obs.clone();
+        self.report.obs = obs;
     }
 
     /// Does this miner own `file`?
     #[inline]
     pub fn owns(&self, file: FileId) -> bool {
-        owns_file(file, self.shard_id, self.num_shards)
+        self.retention.owns(file)
     }
 
     /// Ingest one request. `path` (when the front-end knows it) must be
     /// supplied on every call, exactly as [`Farmer::observe`] expects.
     pub fn ingest(&mut self, req: Request, path: Option<&FilePath>) {
-        self.events_seen += 1;
-        if self.owns(req.file) {
-            self.owned_events += 1;
-            self.obs.events_mined.inc();
-            self.admit(req.file);
-        }
-        let (shard_id, num_shards) = (self.shard_id, self.num_shards);
-        self.farmer
-            .observe_where(req, path, |f| owns_file(f, shard_id, num_shards));
-
-        if self.events_seen.is_multiple_of(DECAY_INTERVAL) {
-            for c in self.counts.values_mut() {
-                *c *= COUNT_DECAY;
-            }
-            self.count_floor *= COUNT_DECAY;
-            self.obs.decay_ticks.inc();
+        if self.retention.ingest(req, path, &mut self.farmer) {
+            self.report.obs.events_mined.inc();
         }
     }
 
@@ -199,50 +557,28 @@ impl StreamMiner {
     /// no-op. Forgets are maintenance, not accesses: they do not count
     /// toward [`StreamMiner::events_seen`].
     pub fn forget(&mut self, file: FileId) {
-        self.counts.remove(&file.raw());
-        self.farmer.forget_files(&[file]);
-        self.obs.forgets.inc();
+        self.retention.forget(file, &mut self.farmer);
     }
 
-    /// Bump `file`'s counter, admitting (and evicting) as needed.
-    fn admit(&mut self, file: FileId) {
-        if let Some(c) = self.counts.get_mut(&file.raw()) {
-            *c += 1.0;
-            return;
-        }
-        if self.counts.len() >= self.cfg.node_cap {
-            self.evict_batch();
-        }
-        self.counts.insert(file.raw(), self.count_floor + 1.0);
-    }
-
-    /// Evict the lowest-count files in one amortizing sweep and raise the
-    /// Space-Saving floor to the largest count evicted.
-    fn evict_batch(&mut self) {
-        let batch = self.cfg.evict_batch().min(self.counts.len());
-        let _span = self.obs.evict_ns.span();
-        // One integer key a counter, `(count in total order, file id)`:
-        // the id breaks count ties, so the victim *set* is a pure function
-        // of the counter contents, never of hash-map iteration order — a
-        // checkpoint-restored miner rebuilds the map with a different
-        // insertion history and must still evict identically.
-        let keys = &mut self.evict_keys;
-        keys.clear();
-        keys.extend(self.counts.iter().map(|(&f, &c)| evict_key(f, c)));
-        keys.select_nth_unstable(batch - 1);
-        let mut evicted_max = self.count_floor;
-        self.evict_victims.clear();
-        for &key in &keys[..batch] {
-            let f = key as u32;
-            if let Some(c) = self.counts.remove(&f) {
-                evicted_max = evicted_max.max(c);
-            }
-            self.evict_victims.push(FileId::new(f));
-        }
-        self.farmer.forget_files(&self.evict_victims);
-        self.count_floor = evicted_max;
-        self.evictions += batch as u64;
-        self.obs.evictions.add(batch as u64);
+    /// The miner's two stages, to run on two threads: what the router
+    /// keeps of the shard and what the shard's thread runs (see
+    /// [`crate::shard`]). Fed the same operations, the graph stage
+    /// applying the steps the stream stage took in the order taken, they
+    /// go on exactly as this miner would.
+    pub fn into_stages(self) -> (ShardStream, ShardGraph) {
+        let (stream, graph) = self.farmer.into_stages();
+        let graph = ShardGraph {
+            #[cfg(test)]
+            shard_id: self.retention.shard_id,
+            stage: graph,
+            report: self.report,
+        };
+        let stream = ShardStream {
+            retention: self.retention,
+            stage: stream,
+            steps: Steps::default(),
+        };
+        (stream, graph)
     }
 
     /// A consistent snapshot of this shard's state: every tracked owned
@@ -263,66 +599,26 @@ impl StreamMiner {
         debug_assert!(snap
             .lists
             .iter()
-            .all(|(owner, _)| self.counts.contains_key(&owner.raw())));
+            .all(|(owner, _)| self.retention.counts.contains_key(&owner.raw())));
         snap
     }
 
     /// The part of [`StreamMiner::snapshot`] that reads the miner: the
     /// walk over the graph ([`Farmer::walk_table`]) and the counters,
-    /// timed as `stream.snapshot_build_ns`. A shard answers a cut marker
-    /// with this, and the thread that finishes the cut assembles it.
+    /// timed as `stream.snapshot_build_ns`. A shard's thread answers a
+    /// cut marker with this, and the thread that finishes the cut
+    /// assembles it.
     pub fn cut(&self) -> ShardCut {
-        let _span = self.obs.snapshot_build_ns.span();
+        let head = self.retention.head(self.farmer.memory_bytes());
         let mix = self.farmer.graph().update_mix();
-        let last = self.mix_reported.replace(mix);
-        // In the order `StreamMetrics::edge_mix` registers its counters.
-        let counts = |m: UpdateMix| {
-            [
-                m.hits,
-                m.inserts,
-                m.early_rejects,
-                m.exact_rejects,
-                m.admits,
-                m.path_terms,
-                m.relocates,
-            ]
-        };
-        for ((counter, now), before) in self.obs.edge_mix.iter().zip(counts(mix)).zip(counts(last))
-        {
-            counter.add(now - before);
-        }
-        let lists = self.farmer.walk_table();
-        ShardSnapshot {
-            shard_id: self.shard_id,
-            lists,
-            events_seen: self.events_seen,
-            owned_events: self.owned_events,
-            tracked_files: self.counts.len(),
-            evictions: self.evictions,
-            state_bytes: self.state_bytes(),
-        }
+        self.report.cut(head, mix, 0, || self.farmer.walk_table())
     }
 
     /// Export this shard's full state as a plain-data image for
     /// checkpointing. [`StreamMiner::from_state`] is the inverse; the
     /// round trip preserves every future mining decision bit for bit.
     pub fn export_state(&self) -> MinerState {
-        let mut counts: Vec<(u32, u64)> = self
-            .counts
-            .iter()
-            .map(|(&f, &c)| (f, c.to_bits()))
-            .collect();
-        counts.sort_unstable_by_key(|(f, _)| *f);
-        MinerState {
-            shard_id: self.shard_id as u32,
-            num_shards: self.num_shards as u32,
-            events_seen: self.events_seen,
-            owned_events: self.owned_events,
-            evictions: self.evictions,
-            count_floor: self.count_floor.to_bits(),
-            counts,
-            farmer: self.farmer.export_state(),
-        }
+        self.retention.export_state(self.farmer.export_state())
     }
 
     /// Rebuild a shard miner from an exported image under `cfg`, which
@@ -333,28 +629,12 @@ impl StreamMiner {
     /// As [`StreamMiner::for_shard`].
     pub fn from_state(cfg: StreamConfig, state: &MinerState) -> StreamMiner {
         cfg.validate();
-        let shard_id = state.shard_id as usize;
-        let num_shards = state.num_shards as usize;
-        assert!(shard_id < num_shards, "shard_id out of range");
-        let farmer = Farmer::from_state(cfg.farmer.clone(), &state.farmer);
+        assert!(state.shard_id < state.num_shards, "shard_id out of range");
         StreamMiner {
+            retention: Retention::from_state(&cfg, state),
+            farmer: Farmer::from_state(cfg.farmer.clone(), &state.farmer),
             cfg,
-            farmer,
-            shard_id,
-            num_shards,
-            counts: state
-                .counts
-                .iter()
-                .map(|&(f, c)| (f, f64::from_bits(c)))
-                .collect(),
-            count_floor: f64::from_bits(state.count_floor),
-            events_seen: state.events_seen,
-            owned_events: state.owned_events,
-            evictions: state.evictions,
-            evict_keys: Vec::new(),
-            evict_victims: Vec::new(),
-            mix_reported: Cell::default(),
-            obs: StreamMetrics::default(),
+            report: CutReport::default(),
         }
     }
 
@@ -366,32 +646,29 @@ impl StreamMiner {
     /// Number of currently tracked (owned, live) files. Never exceeds the
     /// configured `node_cap`.
     pub fn tracked_files(&self) -> usize {
-        self.counts.len()
+        self.retention.counts.len()
     }
 
     /// Total events ingested (owned or not).
     pub fn events_seen(&self) -> u64 {
-        self.events_seen
+        self.retention.events_seen
     }
 
     /// Events whose file this shard owns.
     pub fn owned_events(&self) -> u64 {
-        self.owned_events
+        self.retention.owned_events
     }
 
     /// Total files evicted so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.retention.evictions
     }
 
     /// Approximate resident heap bytes: the wrapped model, the counter
     /// table and the eviction scratch. Reading the model — a query, a
     /// [`StreamMiner::snapshot`] — leaves it as it was.
     pub fn state_bytes(&self) -> usize {
-        self.farmer.memory_bytes()
-            + self.counts.len() * (std::mem::size_of::<(u32, f64)>() + 8)
-            + self.evict_keys.capacity() * std::mem::size_of::<u128>()
-            + self.evict_victims.capacity() * std::mem::size_of::<FileId>()
+        self.farmer.memory_bytes() + self.retention.bytes()
     }
 
     /// The active configuration.
@@ -485,7 +762,7 @@ mod tests {
         assert!(m.farmer().graph().active_nodes() <= 4);
         // Re-admission of an evicted file works and is fresh.
         m.ingest(req(0, 1), None);
-        assert!(m.counts.contains_key(&0));
+        assert!(m.retention.counts.contains_key(&0));
     }
 
     #[test]
@@ -531,13 +808,13 @@ mod tests {
         recent(&mut m, 24_000);
         m.ingest(req(50, 2), None);
         assert!(
-            m.counts.contains_key(&0),
+            m.retention.counts.contains_key(&0),
             "the newcomer displaced the all-time hottest file"
         );
         recent(&mut m, 240_000);
         m.ingest(req(51, 2), None);
         assert!(
-            !m.counts.contains_key(&0),
+            !m.retention.counts.contains_key(&0),
             "stale hot file survived decayed retention"
         );
         assert_eq!(decay_ticks(&reg), m.events_seen() / DECAY_INTERVAL);
@@ -560,7 +837,7 @@ mod tests {
         assert!(!snap.lists.is_empty());
         for (owner, list) in snap.lists.iter() {
             assert!(!list.is_empty());
-            assert!(m.counts.contains_key(&owner.raw()));
+            assert!(m.retention.counts.contains_key(&owner.raw()));
         }
     }
 
@@ -801,12 +1078,21 @@ mod tests {
             }
         };
         evict_once(&mut m);
-        let caps = (m.evict_keys.capacity(), m.evict_victims.capacity());
+        let caps = (
+            m.retention.evict_keys.capacity(),
+            m.retention.evict_victims.capacity(),
+        );
         assert!(caps.0 >= 256 && caps.1 >= m.config().evict_batch());
         for _ in 0..100 {
             evict_once(&mut m);
         }
-        assert_eq!(caps, (m.evict_keys.capacity(), m.evict_victims.capacity()));
+        assert_eq!(
+            caps,
+            (
+                m.retention.evict_keys.capacity(),
+                m.retention.evict_victims.capacity()
+            )
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub use durable::{
     compact, decode_image, encode_image, recover, recover_instrumented, snapshots_bitwise_equal,
     CheckpointInfo, DurableConfig, DurableMiner, RecoveryReport, WalOp,
 };
-pub use engine::{MinerState, StreamMiner};
+pub use engine::{MinerState, ShardGraph, ShardStream, StreamMiner};
 pub use metrics::StreamMetrics;
 pub use publish::{CellReader, SnapshotCell};
 pub use shard::{PendingCut, ShardedMiner};

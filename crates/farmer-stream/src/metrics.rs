@@ -5,15 +5,17 @@
 //! workers — the handles are relaxed-atomic, so per-shard increments sum
 //! into fleet totals without any coordination. Counters cover owned work
 //! only (ownership is disjoint across shards), so totals are stream-level
-//! facts, not `× num_shards` inflation of the broadcast.
+//! facts, not `× num_shards` inflation of the stream every shard's stream
+//! stage windows.
 
 use farmer_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Live handles for the `stream.*` metrics. No-op by default.
 #[derive(Debug, Clone, Default)]
 pub struct StreamMetrics {
-    /// Owned events mined, summed across shards (`stream.events_mined`).
-    /// Equals the routed event count: the broadcast copies a shard merely
+    /// Owned events mined, summed across shards (`stream.events_mined`),
+    /// counted by the graph stage once it has applied them. Equals the
+    /// routed event count: the events a shard's stream stage merely
     /// *windows* are not counted.
     pub events_mined: Counter,
     /// Space-Saving evictions across shards (`stream.evictions`).
@@ -31,11 +33,12 @@ pub struct StreamMetrics {
     /// counters stand still.
     pub edge_mix: [Counter; 7],
     /// Events per dispatched batch (`stream.batch_events`), recorded by
-    /// the router at broadcast time.
+    /// the router at dispatch time.
     pub batch_events: Histogram,
-    /// Wall-clock nanoseconds of one eviction batch — victim selection plus
-    /// the model's `forget_files` sweep (`stream.evict_ns`); with
-    /// `stream.evictions` it gives the cost of an evicted file.
+    /// Wall-clock nanoseconds of one eviction batch's victim selection, the
+    /// stream stage's part of it (`stream.evict_ns`); the victims' nodes and
+    /// incoming edges are cleared by the graph stage, which a sharded miner
+    /// runs on the shard's thread.
     pub evict_ns: Histogram,
     /// Wall-clock nanoseconds one shard's mining thread spends on a cut:
     /// the walk over its graph ([`crate::StreamMiner::cut`]), not the

@@ -3,34 +3,56 @@
 //! [`ShardedMiner`] is the parallel front of the streaming subsystem. It
 //! mirrors the namespace partitioning of `farmer-mds::cluster`
 //! (`Partition::Hash`, Fx-hash of the file id) but for *mining* instead of
-//! serving: each shard runs a [`StreamMiner`] on its own worker thread and
-//! owns a disjoint slice of the file namespace.
+//! serving: each shard is a [`StreamMiner`] that owns a disjoint slice of
+//! the file namespace, on a `farmer-stream-shard-N` thread of its own.
 //!
-//! Routing **broadcasts** every event to every shard: a shard needs the
-//! full stream so its look-ahead window reflects the true global access
+//! ## Routing broadcasts every operation; one shard is split in two
+//!
+//! A shard's window needs the full stream to carry the true global access
 //! order (window context is what makes the shard union exactly equal the
-//! batch model — see [`farmer_core::Farmer::observe_where`]). The expensive
-//! work — similarity evaluation and edge updates, which only happen for
-//! *owned* windowed predecessors — still splits ~1/N per shard, which is
-//! where the multi-shard throughput scaling comes from.
+//! batch model — see [`farmer_core::Farmer::observe_where`]), so every
+//! shard sees every operation: its *stream stage* — the Space-Saving
+//! counters, the look-ahead window, the learned paths, the per-pair
+//! preparation (see [`farmer_core::stage`]) — runs over all of them, and
+//! only updates from *owned* predecessors reach its *graph stage*. Where
+//! the stream stage runs depends on the shard count:
 //!
-//! Operations travel as [`WalOp`]s — the value the log records is the
-//! value the router buffers and every shard applies, so an access or a
-//! forget has one representation from the caller to the graph
-//! ([`ShardedMiner::route_op`] is the one way in; `route` and
-//! `route_forget` construct the op). A path is a shared value
-//! ([`farmer_trace::FilePath`]): the per-shard copies of a broadcast and
-//! the path each shard learns cost a reference-count bump, never a copy,
-//! and nothing between the caller and the miners decides which path a
-//! file is learned under. Accesses and forgets ride the same batched FIFO,
-//! so a forget lands in every shard at exactly its position in the stream
-//! — the property that keeps the sharded model equal to a batch miner
-//! forgetting at the same point.
+//! * **Several shards.** The router broadcasts each batch of operations
+//!   and every shard thread runs its whole miner, so the graph work splits
+//!   ~1/N and each shard repeats the stream walk. The stream stages of N
+//!   shards on the router's one thread would make it the ceiling: run so
+//!   at 4 shards (HP, default cap, 2 vCPUs) the router's thread took five
+//!   times a shard thread's CPU, and the fleet ran slower than broadcast
+//!   at 2 and at 4 shards.
+//! * **One shard.** The shard thread would do everything while the router
+//!   idles, so the miner is split ([`StreamMiner::into_stages`]): its
+//!   stream stage ([`crate::ShardStream`]) runs on the router's thread —
+//!   the serving tier's worker, or the caller of a bare fleet or a
+//!   [`crate::DurableMiner`] — and sends the shard thread compact steps;
+//!   its graph stage ([`crate::ShardGraph`]) applies them there (the
+//!   access count, the edge updates, the prune ticks, the victims' nodes
+//!   and edges) and answers cuts. A saturated shard thread gains that
+//!   throughput at the same total work: HP through one shard on 2 vCPUs,
+//!   528 → 337 ns/event.
 //!
-//! Batches (`route_batch` operations) travel over *bounded* channels
-//! (`channel_capacity` batches): a shard that falls behind eventually
-//! blocks the router — back-pressure, not unbounded queueing — so resident
-//! memory stays capped end to end.
+//! Operations enter as [`WalOp`]s — the value the log records is the value
+//! every shard mines from, so an access or a forget has one
+//! representation from the caller to the miners ([`ShardedMiner::route_op`]
+//! is the one way in; `route` and `route_forget` construct the op). A path
+//! is a shared value ([`farmer_trace::FilePath`]): the path each stream
+//! stage learns costs a reference-count bump, never a copy, and nothing
+//! between the caller and the miners decides which path a file is learned
+//! under. Accesses and forgets travel in one batched FIFO per shard, so a
+//! forget lands in every shard at exactly its position in the stream — the
+//! property that keeps the sharded model equal to a batch miner forgetting
+//! at the same point.
+//!
+//! Batches (`route_batch` operations, or their steps) travel over
+//! *bounded* channels (`channel_capacity` batches): a shard that falls
+//! behind eventually blocks the router — back-pressure, not unbounded
+//! queueing — so resident memory stays capped end to end. A step is
+//! compact (see [`farmer_core::stage`]): an HP event's is about 110 bytes,
+//! an INS event's about 70.
 //!
 //! ## Consistent cuts: request, then finish
 //!
@@ -38,18 +60,22 @@
 //! [`ShardedMiner::request_snapshot`] dispatches the buffered batch, sends
 //! every shard a marker behind it and returns a [`PendingCut`] at once:
 //! the router may go on routing, because FIFO order keeps every later
-//! operation behind the marker. Each shard answers the marker with its
-//! part once it has mined everything ahead of it: the walk over its
-//! graph and its counters ([`StreamMiner::cut`]), which is all of a cut
-//! the mining thread pays for. The cut is finished on the caller's
-//! thread, by assembling each part's table ([`ShardCut::assemble`]: the
-//! owner sort, the gather and the index) and merging the parts in shard
-//! order: [`PendingCut::try_finish`] does so only if every part is in,
-//! and never blocks; [`PendingCut::finish`] waits for them. The tables
-//! are those a shard's own [`StreamMiner::snapshot`] builds, bit for
-//! bit. `snapshot`, `export_full` and `publish_into` are a request and a
-//! finish, so there is one cut path, and a caller that waits for a cut
-//! waits as before.
+//! operation behind the marker. Each shard answers it once it has applied
+//! everything ahead of it: the walk over its graph ([`StreamMiner::cut`]),
+//! which is all of a cut the mining thread pays for, and for a checkpoint
+//! export its [`MinerState`]. A split shard's marker carries what the
+//! router's stream stage knows at the cut — event counts, tracked files,
+//! evictions, its share of the resident bytes and, for an export, its half
+//! of the image (counters, window, paths) — and the shard joins its graph
+//! to it, into the same [`MinerState`] a one-thread miner exports. The cut is finished on the
+//! caller's thread, by assembling each part's table
+//! ([`ShardCut::assemble`]: the owner sort, the gather and the index) and
+//! merging the parts in shard order: [`PendingCut::try_finish`] does so
+//! only if every part is in, and never blocks; [`PendingCut::finish`]
+//! waits for them. The tables are those a shard's own
+//! [`StreamMiner::snapshot`] builds, bit for bit. `snapshot`,
+//! `export_full` and `publish_into` are a request and a finish, so there
+//! is one cut path, and a caller that waits for a cut waits as before.
 //! A shard that dies before answering makes the finish re-raise its
 //! panic. The serving tier requests its cadence cuts and finishes them
 //! later; that is what keeps publication off its ingest path.
@@ -64,10 +90,10 @@
 //! the router never does is wait for the disk: with a log attached, one
 //! `farmer-stream-commit` thread sits between it and the shard inboxes.
 //! The router hands the committer every message it would have sent the
-//! shards, over one bounded channel (`channel_capacity` deep — a slow
+//! shards (one a shard), over one bounded channel (`channel_capacity` deep — a slow
 //! disk blocks the router exactly as a slow shard does); the committer
 //! loops *receive one → take whatever else is queued → one `fdatasync` →
-//! forward the lot to every shard, in order*. Each sync therefore covers
+//! forward the lot to the shards, in order*. Each sync therefore covers
 //! however many batches arrived during the previous one — group commit
 //! that adapts to the disk with no batch-size or timer knob — and it
 //! overlaps with the router encoding the next batch and the shards mining
@@ -97,31 +123,36 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-use farmer_core::Request;
+use farmer_core::{Request, Steps};
 use farmer_obs::Registry;
 use farmer_store::wal::{record_kind, Lsn, Wal, WalCompaction, WalError, WalSyncer};
 use farmer_trace::{FileId, FilePath, MiningAction, Trace, TraceEvent};
 
 use crate::durable::{encode_op_into, WalOp};
-use crate::engine::{MinerState, StreamMiner};
+use crate::engine::{CutHead, MinerState, ShardGraph, ShardStream, StreamMiner};
 use crate::metrics::StreamMetrics;
 use crate::snapshot::{ShardCut, StreamSnapshot};
 use crate::StreamConfig;
 
 /// Router → shard messages. FIFO channel order is what makes snapshots
 /// consistent: a marker enqueued after a set of batches is only answered
-/// once exactly those batches have been mined. One message is built per
-/// broadcast and cloned per shard, so every shard's marker carries the
-/// same reply channel.
-#[derive(Clone)]
+/// once exactly those batches have been mined. The router sends each shard
+/// its own message of every kind, in shard order; a marker's copies share
+/// one reply channel.
 enum Msg {
-    Batch(Vec<WalOp>),
+    /// One route batch's operations, for a shard that runs its whole
+    /// miner.
+    Ops(Vec<WalOp>),
+    /// The steps the router's stream stage prepared from one route batch,
+    /// for a shard that runs its graph stage.
+    Steps(Steps),
     /// Consistent-cut marker: answered with the shard's serving snapshot,
-    /// walked but not assembled ([`StreamMiner::cut`]), and, for a
-    /// checkpoint `export`, its complete miner state at the same cut, so a
-    /// checkpoint's serving view and its resumable image can never
-    /// disagree.
+    /// walked but not assembled, and, for a checkpoint `export`, its
+    /// complete miner state at the same cut — so a checkpoint's serving
+    /// view and its resumable image can never disagree. A split shard
+    /// joins its graph to the router's `front`.
     Cut {
+        front: Option<FrontCut>,
         reply: mpsc::Sender<CutPart>,
         export: bool,
     },
@@ -133,14 +164,35 @@ enum Msg {
     Hold(usize, Arc<std::sync::Mutex<Receiver<()>>>),
 }
 
+/// What the router's stream stage knows of a split shard at a cut: what
+/// the marker reports of its counts and bytes, and for an export the
+/// stage's half of the shard's image.
+struct FrontCut {
+    head: CutHead,
+    half: Option<MinerState>,
+}
+
 /// One shard's answer to a cut marker (the state only for an export).
 type CutPart = (ShardCut, Option<MinerState>);
 
+/// What a shard's thread runs (see the module docs).
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one value a shard thread holds for its life; a box would add an indirection to \
+              every operation"
+)]
+enum Shard {
+    /// The whole miner, on the operations the router forwards.
+    Whole(StreamMiner),
+    /// The graph stage, on the steps the router's stream stage prepares.
+    Graph(ShardGraph),
+}
+
 /// What the router hands the commit stage (see the module docs).
 enum Commit {
-    /// Forward `msg` to every shard once the log is durable up to `upto`,
-    /// the last LSN written when the message was queued.
-    Forward { msg: Msg, upto: Lsn },
+    /// Forward `msgs[i]` to shard `i` once the log is durable up to
+    /// `upto`, the last LSN written when the messages were queued.
+    Forward { msgs: Vec<Msg>, upto: Lsn },
     /// Compaction renamed a new file over the log: sync this handle from
     /// here on. Everything queued ahead of it was copied into the new
     /// file and synced there before the rename.
@@ -157,23 +209,50 @@ pub(crate) struct Journal {
     committer: JoinHandle<()>,
 }
 
-/// Send `msg` to every shard, in shard order; `false` once one has hung
-/// up (or the fleet is already torn down and nobody is left to hear it).
-fn broadcast(shards: &[SyncSender<Msg>], msg: Msg) -> bool {
-    let Some((last, rest)) = shards.split_last() else {
-        return false;
-    };
-    rest.iter().all(|tx| tx.send(msg.clone()).is_ok()) && last.send(msg).is_ok()
+/// Send the `i`th of `msgs` to shard `i`, in shard order; `false` once
+/// one has hung up (or the fleet is already torn down and nobody is left
+/// to hear it).
+fn deliver(shards: &[SyncSender<Msg>], msgs: impl IntoIterator<Item = Msg>) -> bool {
+    !shards.is_empty()
+        && shards
+            .iter()
+            .zip(msgs)
+            .all(|(tx, msg)| tx.send(msg).is_ok())
+}
+
+/// Hand `msgs`, one a shard, to the fleet: through the commit stage when a
+/// log is attached, straight to the shards when not. `false` once the far
+/// side has hung up.
+fn send(
+    journal: &Option<Journal>,
+    shards: &[SyncSender<Msg>],
+    msgs: impl Iterator<Item = Msg>,
+) -> bool {
+    match journal {
+        Some(j) => {
+            let upto = j.wal.written_lsn();
+            let msgs = msgs.collect();
+            j.tx.send(Commit::Forward { msgs, upto }).is_ok()
+        }
+        None => deliver(shards, msgs),
+    }
 }
 
 /// A sharded, threaded, bounded-memory online miner.
 pub struct ShardedMiner {
     cfg: StreamConfig,
+    /// The one shard's stream stage, run here on the router's thread; with
+    /// more shards, `None` (see the module docs).
+    front: Option<ShardStream>,
+    /// The operations routed since the last dispatch, when the shards run
+    /// their whole miners.
+    ops: Vec<WalOp>,
     /// The shard inboxes — until a log is attached, when the committer
     /// takes them over and is the only thread that sends to a shard.
     shards: Vec<SyncSender<Msg>>,
     handles: Vec<JoinHandle<()>>,
-    pending: Vec<WalOp>,
+    /// Operations routed since the last dispatch.
+    pending: usize,
     /// The write-ahead log and its commit stage, when the durable tier
     /// attached one: from then on every routed operation is appended to
     /// the log, and every message reaches the shards through the
@@ -207,16 +286,27 @@ impl ShardedMiner {
         Self::launch(cfg, miners, reg)
     }
 
-    /// Put each shard's miner (in shard order) on its own worker thread
-    /// behind a bounded channel, all sharing one `stream.*` metric set.
+    /// Give each shard's miner (in shard order) a worker thread of its own
+    /// behind a bounded channel, all sharing one `stream.*` metric set. A
+    /// lone shard is split into its two stages, and its stream stage stays
+    /// with the router.
     fn launch(cfg: StreamConfig, miners: Vec<StreamMiner>, reg: &Registry) -> Self {
         cfg.validate();
         let obs = StreamMetrics::new(&reg.scope("stream"));
+        let split = miners.len() == 1;
+        let mut front = None;
         let mut shards = Vec::with_capacity(miners.len());
         let mut handles = Vec::with_capacity(miners.len());
         for (shard_id, mut miner) in miners.into_iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel::<Msg>(cfg.channel_capacity);
             miner.instrument(obs.clone());
+            let shard = if split {
+                let (stream, graph) = miner.into_stages();
+                front = Some(stream);
+                Shard::Graph(graph)
+            } else {
+                Shard::Whole(miner)
+            };
             #[expect(
                 clippy::expect_used,
                 reason = "thread-spawn failure at miner startup is unrecoverable resource \
@@ -225,17 +315,18 @@ impl ShardedMiner {
             handles.push(
                 thread::Builder::new()
                     .name(format!("farmer-stream-shard-{shard_id}"))
-                    .spawn(move || shard_worker(miner, rx))
+                    .spawn(move || shard_worker(shard, rx))
                     .expect("spawn shard worker"),
             );
             shards.push(tx);
         }
-        let pending = Vec::with_capacity(cfg.route_batch);
         ShardedMiner {
+            ops: Vec::with_capacity(if split { 0 } else { cfg.route_batch }),
             cfg,
+            front,
             shards,
             handles,
-            pending,
+            pending: 0,
             journal: None,
             obs,
         }
@@ -272,10 +363,10 @@ impl ShardedMiner {
     }
 
     /// Route one operation into the subsystem: log it (when a log is
-    /// attached), buffer it, and dispatch the batch once it is full.
-    /// Every shard applies it after exactly the operations routed before
-    /// this call. Blocks only when every queue slot is full
-    /// (back-pressure).
+    /// attached), prepare its steps (when the shard's stream stage runs
+    /// here) or buffer it, and dispatch the batch once it is full. Every
+    /// shard mines it after exactly the operations routed before this
+    /// call. Blocks only when every queue slot is full (back-pressure).
     pub fn route_op(&mut self, op: WalOp) {
         if let Some(j) = self.journal.as_mut() {
             #[expect(
@@ -287,8 +378,12 @@ impl ShardedMiner {
                 .append_with(record_kind::OP, |w| encode_op_into(w, &op))
                 .expect("wal append failed; durable miner cannot continue");
         }
-        self.pending.push(op);
-        if self.pending.len() >= self.cfg.route_batch {
+        match &mut self.front {
+            Some(stream) => stream.route(&op),
+            None => self.ops.push(op),
+        }
+        self.pending += 1;
+        if self.pending >= self.cfg.route_batch {
             self.dispatch();
         }
     }
@@ -316,24 +411,37 @@ impl ShardedMiner {
         self.route_op(WalOp::Forget(file));
     }
 
-    /// Hand `msg` to the fleet: through the commit stage when a log is
-    /// attached, straight to the shards when not. `false` once the far
-    /// side has hung up.
-    fn send(&self, msg: Msg) -> bool {
-        match &self.journal {
-            Some(j) => {
-                let upto = j.wal.written_lsn();
-                j.tx.send(Commit::Forward { msg, upto }).is_ok()
-            }
-            None => broadcast(&self.shards, msg),
-        }
+    /// One `marker` a shard, to the fleet (see [`send`]).
+    fn send_markers(&self, marker: impl Fn() -> Msg) -> bool {
+        let markers = self.handles.iter().map(|_| marker());
+        send(&self.journal, &self.shards, markers)
     }
 
-    /// Broadcast the pending batch to every shard — with a log attached,
-    /// after writing its records and by way of the committer, which syncs
-    /// them before any shard can mine them.
+    /// Each shard's message for the batch routed since the last dispatch,
+    /// in shard order, leaving an empty batch as large in its place: the
+    /// steps the stream stage here prepared, or a copy of the operations
+    /// for every shard.
+    fn batches(&mut self) -> impl Iterator<Item = Msg> {
+        let mut steps = self.front.as_mut().map(ShardStream::take_steps);
+        let mut ops = if steps.is_none() {
+            let fresh = Vec::with_capacity(self.cfg.route_batch);
+            std::mem::replace(&mut self.ops, fresh)
+        } else {
+            Vec::new()
+        };
+        let n = self.handles.len();
+        (1..=n).map(move |i| match steps.take() {
+            Some(steps) => Msg::Steps(steps),
+            None if i < n => Msg::Ops(ops.clone()),
+            None => Msg::Ops(std::mem::take(&mut ops)),
+        })
+    }
+
+    /// Send every shard its steps for the pending batch — with a log
+    /// attached, after writing the batch's records and by way of the
+    /// committer, which syncs them before any shard can mine them.
     fn dispatch(&mut self) {
-        if self.pending.is_empty() {
+        if self.pending == 0 {
             return;
         }
         if let Some(j) = self.journal.as_mut() {
@@ -345,10 +453,10 @@ impl ShardedMiner {
                 .write()
                 .expect("wal write failed; durable miner cannot continue");
         }
-        let fresh = Vec::with_capacity(self.cfg.route_batch);
-        let batch = std::mem::replace(&mut self.pending, fresh);
-        self.obs.batch_events.record(batch.len() as u64);
-        if !self.send(Msg::Batch(batch)) {
+        self.obs.batch_events.record(self.pending as u64);
+        self.pending = 0;
+        let batches = self.batches();
+        if !send(&self.journal, &self.shards, batches) {
             self.propagate_worker_panic("dispatch");
         }
     }
@@ -358,7 +466,8 @@ impl ShardedMiner {
     pub fn flush(&mut self) {
         self.dispatch();
         let (ack_tx, ack_rx) = mpsc::channel();
-        let sent = self.send(Msg::Flush(ack_tx));
+        let sent = self.send_markers(|| Msg::Flush(ack_tx.clone()));
+        drop(ack_tx);
         // Ends once every copy of the marker has been answered or dropped.
         if !sent || ack_rx.iter().count() != self.handles.len() {
             self.propagate_worker_panic("flush");
@@ -395,10 +504,22 @@ impl ShardedMiner {
     }
 
     /// The one way a cut starts (see [`ShardedMiner::request_snapshot`]).
+    /// When the stream stage runs here, the marker carries what it knows
+    /// of the shard now, and for an export its half of the image.
     fn request_cut(&mut self, context: &'static str, export: bool) -> PendingCut {
         self.dispatch();
         let (reply, replies) = mpsc::channel();
-        if !self.send(Msg::Cut { reply, export }) {
+        let front = self.front.as_ref();
+        let sent = self.send_markers(|| Msg::Cut {
+            front: front.map(|s| FrontCut {
+                head: s.head(),
+                half: export.then(|| s.export_state()),
+            }),
+            reply: reply.clone(),
+            export,
+        });
+        drop(reply);
+        if !sent {
             self.propagate_worker_panic(context);
         }
         PendingCut {
@@ -508,7 +629,8 @@ impl ShardedMiner {
     #[cfg(test)]
     pub(crate) fn hold_shard(&mut self, shard: usize) -> mpsc::Sender<()> {
         let (gate, held) = mpsc::channel();
-        let _ = self.send(Msg::Hold(shard, Arc::new(std::sync::Mutex::new(held))));
+        let held = Arc::new(std::sync::Mutex::new(held));
+        let _ = self.send_markers(|| Msg::Hold(shard, Arc::clone(&held)));
         gate
     }
 
@@ -526,8 +648,9 @@ impl Drop for ShardedMiner {
         // a partial batch was never written to it, and what is not logged
         // is not mined. Then hang up: workers exit when their channel
         // disconnects.
-        if self.journal.is_none() && !self.pending.is_empty() {
-            broadcast(&self.shards, Msg::Batch(std::mem::take(&mut self.pending)));
+        if self.journal.is_none() && self.pending > 0 {
+            let batches = self.batches();
+            deliver(&self.shards, batches);
         }
         // A worker panic must not vanish just because the miner was
         // dropped — re-raise it (unless we are already unwinding, where a
@@ -639,9 +762,12 @@ fn commit_worker(
         let mut upto = durable;
         for c in std::iter::once(first).chain(rx.try_iter()).take(depth) {
             match c {
-                Commit::Forward { msg, upto: written } => {
+                Commit::Forward {
+                    msgs,
+                    upto: written,
+                } => {
                     upto = written;
-                    group.push(msg);
+                    group.push(msgs);
                 }
                 Commit::Resync(fresh) => log = fresh,
                 #[cfg(test)]
@@ -661,19 +787,21 @@ fn commit_worker(
                 .expect("wal sync failed; durable miner cannot continue");
             durable = upto;
         }
-        for msg in group.drain(..) {
-            if !broadcast(shards, msg) {
+        for msgs in group.drain(..) {
+            if !deliver(shards, msgs) {
                 return;
             }
         }
     }
 }
 
-/// Worker loop: mine batches, answer markers, exit on disconnect.
-fn shard_worker(mut miner: StreamMiner, rx: Receiver<Msg>) {
+/// Worker loop: mine each batch — its operations with the whole miner,
+/// or its steps with the graph stage — answer markers, exit on
+/// disconnect.
+fn shard_worker(mut shard: Shard, rx: Receiver<Msg>) {
     for msg in rx {
-        match msg {
-            Msg::Batch(ops) => {
+        match (msg, &mut shard) {
+            (Msg::Ops(ops), Shard::Whole(miner)) => {
                 for op in &ops {
                     match op {
                         WalOp::Ingest { req, path } => miner.ingest(*req, path.as_ref()),
@@ -681,20 +809,36 @@ fn shard_worker(mut miner: StreamMiner, rx: Receiver<Msg>) {
                     }
                 }
             }
-            Msg::Cut { reply, export } => {
-                let part = miner.cut();
-                let state = export.then(|| miner.export_state());
-                let _ = reply.send((part, state));
+            (Msg::Steps(steps), Shard::Graph(graph)) => graph.apply(&steps),
+            (Msg::Cut { reply, export, .. }, Shard::Whole(miner)) => {
+                let _ = reply.send((miner.cut(), export.then(|| miner.export_state())));
             }
-            Msg::Flush(ack) => {
+            (
+                Msg::Cut {
+                    front: Some(front),
+                    reply,
+                    ..
+                },
+                Shard::Graph(graph),
+            ) => {
+                let _ = reply.send(graph.cut(front.head, front.half));
+            }
+            (Msg::Flush(ack), _) => {
                 let _ = ack.send(());
             }
             #[cfg(test)]
-            Msg::Hold(shard, gate) => {
-                if miner.snapshot().shard_id == shard {
+            (Msg::Hold(id, gate), shard) => {
+                let held = match shard {
+                    Shard::Whole(miner) => miner.snapshot().shard_id,
+                    Shard::Graph(graph) => graph.shard_id,
+                };
+                if held == id {
                     let resumed = gate.lock().is_ok_and(|g| g.recv().is_ok());
                     assert!(resumed, "injected shard worker panic");
                 }
+            }
+            (Msg::Ops(_) | Msg::Steps(_) | Msg::Cut { .. }, _) => {
+                unreachable!("the router sends a shard only what its composition mines")
             }
         }
     }
@@ -704,7 +848,9 @@ fn shard_worker(mut miner: StreamMiner, rx: Receiver<Msg>) {
 mod tests {
     use super::*;
     use farmer_core::{Farmer, FarmerConfig};
+    use farmer_trace::MiningAction;
     use farmer_trace::{FileId, WorkloadSpec};
+    use std::collections::HashSet;
 
     #[test]
     fn snapshot_reflects_exactly_the_routed_prefix() {
@@ -846,6 +992,92 @@ mod tests {
     }
 
     #[test]
+    fn two_stages_equal_one_thread_under_eviction() {
+        // A one-shard fleet runs the stream stage on the router's thread
+        // and the graph stage on the shard's; a wider one, each whole miner
+        // on its shard's thread; and here every shard's stages also run
+        // apart by hand, a batch of steps at a time. A bare miner runs both
+        // on one thread. Under a node cap the stream stage evicts, forgets
+        // are routed, and every file's path is withheld on its first
+        // sighting, so it is learned late, after the file has accesses
+        // (the graph stage stales its memoized terms). At every cut the
+        // fleet's and the split stages' images — graph, window, paths,
+        // counters — and the fleet's resident bytes are the bare miners',
+        // bit for bit.
+        let trace = WorkloadSpec::hp().scaled(0.05).generate();
+        for shards in [1usize, 2, 4] {
+            let cfg = StreamConfig::default()
+                .with_shards(shards)
+                .with_node_cap(96);
+            let mut fleet = ShardedMiner::spawn(cfg.clone());
+            let mut bare: Vec<StreamMiner> = (0..shards)
+                .map(|id| StreamMiner::for_shard(cfg.clone(), id, shards))
+                .collect();
+            let mut apart: Vec<(ShardStream, ShardGraph)> = (0..shards)
+                .map(|id| StreamMiner::for_shard(cfg.clone(), id, shards).into_stages())
+                .collect();
+            let route = |apart: &mut Vec<(ShardStream, ShardGraph)>, op: WalOp| {
+                for (stream, _) in apart {
+                    stream.route(&op);
+                }
+            };
+            let (mut seen, mut learned) = (HashSet::new(), HashSet::new());
+            let (mut cuts, mut late) = (0, 0);
+            for (i, e) in trace.stream().take(2 * trace.len()).enumerate() {
+                if i % 61 == 0 {
+                    fleet.route_forget(e.file);
+                    bare.iter_mut().for_each(|b| b.forget(e.file));
+                    route(&mut apart, WalOp::Forget(e.file));
+                }
+                if e.op.mining_action() == MiningAction::Observe {
+                    let first = seen.insert(e.file);
+                    let path = trace.path_of(e.file).filter(|_| !first);
+                    late += usize::from(path.is_some() && learned.insert(e.file));
+                    fleet.route(Request::from_event(&e), path);
+                    let req = Request::from_event(&e);
+                    bare.iter_mut().for_each(|b| b.ingest(req, path));
+                    let path = path.cloned();
+                    route(&mut apart, WalOp::Ingest { req, path });
+                }
+                if i % 256 == 255 {
+                    for (stream, graph) in &mut apart {
+                        graph.apply(&stream.take_steps());
+                    }
+                }
+                if i % 3_331 == 3_330 {
+                    let (snap, states) = fleet.export_full();
+                    let want: Vec<MinerState> =
+                        bare.iter().map(StreamMiner::export_state).collect();
+                    assert!(
+                        states == want,
+                        "{shards} shard(s): images differ at event {i}"
+                    );
+                    for (shard, (stream, graph)) in apart.iter_mut().enumerate() {
+                        graph.apply(&stream.take_steps());
+                        let (_, state) = graph.cut(stream.head(), Some(stream.export_state()));
+                        assert!(
+                            state.as_ref() == Some(&want[shard]),
+                            "{shards} shard(s): shard {shard}'s stages differ at event {i}"
+                        );
+                    }
+                    let bytes: usize = bare.iter().map(StreamMiner::state_bytes).sum();
+                    assert_eq!(snap.state_bytes, bytes, "{shards} shard(s) at event {i}");
+                    let merged = StreamSnapshot::merge(bare.iter().map(StreamMiner::snapshot));
+                    assert!(crate::snapshots_bitwise_equal(&snap, &merged));
+                    cuts += 1;
+                }
+            }
+            assert!(cuts >= 5, "{cuts} cuts");
+            assert!(late > 1_000, "{late} paths learned late");
+            for b in &bare {
+                assert!(b.evictions() > 100, "shard evicted {}", b.evictions());
+                let mix = b.farmer().graph().update_mix();
+                assert!(mix.path_terms > 0 && mix.admits > 0, "{mix:?}");
+            }
+        }
+    }
+
+    #[test]
     fn forgotten_file_is_fully_dropped() {
         let trace = WorkloadSpec::ins().scaled(0.02).generate();
         let mut m = ShardedMiner::spawn(StreamConfig::default().with_shards(2));
@@ -893,7 +1125,7 @@ mod tests {
         let snap = m.snapshot();
         let obs = reg.snapshot();
         // Ownership is disjoint, so owned-event counters sum to the
-        // routed stream length regardless of the broadcast fan-out.
+        // routed stream length, though every shard windows every event.
         assert_eq!(obs.counter("stream.events_mined"), Some(snap.events));
         assert_eq!(obs.counter("stream.forgets"), Some(3), "one per shard");
         assert_eq!(

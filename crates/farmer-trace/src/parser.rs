@@ -376,4 +376,122 @@ mod tests {
         assert_eq!(t.family, TraceFamily::Ins);
         assert!(t.is_empty());
     }
+
+    /// What the soup tests build their inputs from: every word of the
+    /// record grammar, numbers at and past the edges of their types, and
+    /// separators.
+    const TOKENS: [&str; 40] = [
+        "family",
+        "users",
+        "hosts",
+        "file",
+        "ev",
+        "HP",
+        "INS",
+        "RES",
+        "LLNL",
+        "hp",
+        "XX",
+        "open",
+        "read",
+        "write",
+        "stat",
+        "create",
+        "unlink",
+        "close",
+        "-",
+        "/",
+        "//",
+        "/a/b/c",
+        "/a/./b",
+        "a",
+        "0",
+        "1",
+        "2",
+        "7",
+        "-1",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999999",
+        "#",
+        "# farmer-trace v1",
+        "\u{feff}",
+        "é",
+        "\t",
+        "\r",
+    ];
+
+    /// A small HP trace in the text format (a few users and apps, a few
+    /// hundred events): what one mutated byte is applied to.
+    fn hp_text() -> &'static [u8] {
+        static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        TEXT.get_or_init(|| {
+            let small = WorkloadSpec {
+                num_events: 300,
+                num_users: 4,
+                global_apps: 2,
+                private_apps_per_user: 1,
+                shared_files: 8,
+                extra_files_per_user: 2,
+                ..WorkloadSpec::hp()
+            };
+            to_text(&small.generate())
+        })
+        .as_bytes()
+    }
+
+    #[test]
+    fn mutated_trace_starts_from_a_valid_one() {
+        let text = std::str::from_utf8(hp_text()).expect("to_text writes UTF-8");
+        let trace = from_text(text).expect("unmutated trace parses");
+        assert!(
+            trace.len() == 300 && trace.num_files() > 20,
+            "{}",
+            trace.num_files()
+        );
+        assert!(trace.files.iter().all(|f| f.path.is_some()));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes (read as text the way a caller holding bytes
+        /// would, invalid UTF-8 replaced) parse or fail, never panic.
+        #[test]
+        fn byte_soup_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
+            let _ = from_text(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Soup of grammar words and separators: mostly well-formed
+        /// records with the wrong arity, order, ids or magnitudes.
+        #[test]
+        fn token_soup_never_panics(
+            soup in proptest::collection::vec((0..TOKENS.len(), 0u8..8), 0..80)
+        ) {
+            let mut text = String::from("family HP\n");
+            for (token, sep) in soup {
+                text.push_str(TOKENS[token]);
+                text.push_str(match sep {
+                    0 => "\n",
+                    1 => "\t",
+                    _ => " ",
+                });
+            }
+            let _ = from_text(&text);
+        }
+
+        /// A real trace with one byte replaced parses or fails, never
+        /// panics.
+        #[test]
+        fn one_mutated_byte_never_panics(at in 0.0f64..1.0, byte in any::<u8>()) {
+            let mut bytes = hp_text().to_vec();
+            let i = ((at * bytes.len() as f64) as usize).min(bytes.len() - 1);
+            bytes[i] = byte;
+            let _ = from_text(&String::from_utf8_lossy(&bytes));
+        }
+    }
 }

@@ -18,6 +18,8 @@ fn main() {
     );
 
     let farmer = Farmer::mine_trace(&trace, FarmerConfig::default());
+    // The baseline does not depend on the threshold: one replay serves all.
+    let scattered = replay_reads(&trace, None, OsdConfig::default());
 
     for min_degree in [0.2, 0.4, 0.6] {
         let layout = plan_layout(
@@ -28,7 +30,6 @@ fn main() {
                 max_group: 8,
             },
         );
-        let scattered = replay_reads(&trace, None, OsdConfig::default());
         let grouped = replay_reads(&trace, Some(&layout), OsdConfig::default());
         println!(
             "min_degree {min_degree:.1}: {} groups covering {} files; \
