@@ -10,15 +10,16 @@
 //!                                            SnapshotCell ◀──refresh── ServeReader × N
 //! ```
 //!
-//! The ingest worker is the [`ShardedMiner`]'s router: it runs each
-//! shard's stream stage (retention, window, paths, the per-pair
-//! preparation) and hands each shard thread only the steps that change
-//! its graph (see `farmer_stream::shard`).
+//! The ingest worker is the [`ShardedMiner`]'s router. With one shard it
+//! runs the shard's stream stage (retention, window, paths, the per-pair
+//! preparation) over each route batch and hands the shard thread only the
+//! steps that change its graph; with more it hands every shard thread a
+//! copy of each batch (see `farmer_stream::shard`).
 //!
 //! * **Ingest** goes through the lock-free ring ([`crate::ring`]): any
 //!   number of [`IngestHandle`]s push operations without a shared lock —
-//!   each one the [`WalOp`] the miner's router logs and prepares every
-//!   shard's steps from, its path a shared value that is never copied —
+//!   each one the [`WalOp`] the miner's router logs and the shards mine
+//!   from, its path a shared value that is never copied —
 //!   and a full ring pushes back explicitly instead of queueing without
 //!   bound: the handle counts one `serve.backpressure_waits` episode,
 //!   spins briefly, then parks until the worker has drained the ring to

@@ -28,8 +28,10 @@
 //!   idles, so the miner is split ([`StreamMiner::into_stages`]): its
 //!   stream stage ([`crate::ShardStream`]) runs on the router's thread —
 //!   the serving tier's worker, or the caller of a bare fleet or a
-//!   [`crate::DurableMiner`] — and sends the shard thread compact steps;
-//!   its graph stage ([`crate::ShardGraph`]) applies them there (the
+//!   [`crate::DurableMiner`] — which buffers a batch of operations as
+//!   before and prepares their steps as it dispatches them, so routing one
+//!   operation costs the caller what it did, and sends the shard thread
+//!   compact steps; its graph stage ([`crate::ShardGraph`]) applies them there (the
 //!   access count, the edge updates, the prune ticks, the victims' nodes
 //!   and edges) and answers cuts. A saturated shard thread gains that
 //!   throughput at the same total work: HP through one shard on 2 vCPUs,
@@ -244,15 +246,12 @@ pub struct ShardedMiner {
     /// The one shard's stream stage, run here on the router's thread; with
     /// more shards, `None` (see the module docs).
     front: Option<ShardStream>,
-    /// The operations routed since the last dispatch, when the shards run
-    /// their whole miners.
+    /// The operations routed since the last dispatch.
     ops: Vec<WalOp>,
     /// The shard inboxes — until a log is attached, when the committer
     /// takes them over and is the only thread that sends to a shard.
     shards: Vec<SyncSender<Msg>>,
     handles: Vec<JoinHandle<()>>,
-    /// Operations routed since the last dispatch.
-    pending: usize,
     /// The write-ahead log and its commit stage, when the durable tier
     /// attached one: from then on every routed operation is appended to
     /// the log, and every message reaches the shards through the
@@ -321,12 +320,11 @@ impl ShardedMiner {
             shards.push(tx);
         }
         ShardedMiner {
-            ops: Vec::with_capacity(if split { 0 } else { cfg.route_batch }),
+            ops: Vec::with_capacity(cfg.route_batch),
             cfg,
             front,
             shards,
             handles,
-            pending: 0,
             journal: None,
             obs,
         }
@@ -363,8 +361,7 @@ impl ShardedMiner {
     }
 
     /// Route one operation into the subsystem: log it (when a log is
-    /// attached), prepare its steps (when the shard's stream stage runs
-    /// here) or buffer it, and dispatch the batch once it is full. Every
+    /// attached), buffer it, and dispatch the batch once it is full. Every
     /// shard mines it after exactly the operations routed before this
     /// call. Blocks only when every queue slot is full (back-pressure).
     pub fn route_op(&mut self, op: WalOp) {
@@ -378,12 +375,8 @@ impl ShardedMiner {
                 .append_with(record_kind::OP, |w| encode_op_into(w, &op))
                 .expect("wal append failed; durable miner cannot continue");
         }
-        match &mut self.front {
-            Some(stream) => stream.route(&op),
-            None => self.ops.push(op),
-        }
-        self.pending += 1;
-        if self.pending >= self.cfg.route_batch {
+        self.ops.push(op);
+        if self.ops.len() >= self.cfg.route_batch {
             self.dispatch();
         }
     }
@@ -419,10 +412,15 @@ impl ShardedMiner {
 
     /// Each shard's message for the batch routed since the last dispatch,
     /// in shard order, leaving an empty batch as large in its place: the
-    /// steps the stream stage here prepared, or a copy of the operations
-    /// for every shard.
+    /// steps the stream stage here prepares from the batch now, or a copy
+    /// of the operations for every shard.
     fn batches(&mut self) -> impl Iterator<Item = Msg> {
-        let mut steps = self.front.as_mut().map(ShardStream::take_steps);
+        let mut steps = self.front.as_mut().map(|stream| {
+            for op in self.ops.drain(..) {
+                stream.route(&op);
+            }
+            stream.take_steps()
+        });
         let mut ops = if steps.is_none() {
             let fresh = Vec::with_capacity(self.cfg.route_batch);
             std::mem::replace(&mut self.ops, fresh)
@@ -441,7 +439,7 @@ impl ShardedMiner {
     /// attached, after writing the batch's records and by way of the
     /// committer, which syncs them before any shard can mine them.
     fn dispatch(&mut self) {
-        if self.pending == 0 {
+        if self.ops.is_empty() {
             return;
         }
         if let Some(j) = self.journal.as_mut() {
@@ -453,8 +451,7 @@ impl ShardedMiner {
                 .write()
                 .expect("wal write failed; durable miner cannot continue");
         }
-        self.obs.batch_events.record(self.pending as u64);
-        self.pending = 0;
+        self.obs.batch_events.record(self.ops.len() as u64);
         let batches = self.batches();
         if !send(&self.journal, &self.shards, batches) {
             self.propagate_worker_panic("dispatch");
@@ -648,7 +645,7 @@ impl Drop for ShardedMiner {
         // a partial batch was never written to it, and what is not logged
         // is not mined. Then hang up: workers exit when their channel
         // disconnects.
-        if self.journal.is_none() && self.pending > 0 {
+        if self.journal.is_none() && !self.ops.is_empty() {
             let batches = self.batches();
             deliver(&self.shards, batches);
         }
